@@ -35,18 +35,19 @@ const (
 )
 
 // collIsend starts a raw byte send on the collective context. dst is a
-// group rank.
+// group rank. data is copied before collIsend returns, whichever protocol
+// carries it (see collIsendFill).
 func (c *Comm) collIsend(data []byte, dst, tag int) (*device.Request, error) {
-	w, err := c.worldRank(dst)
-	if err != nil {
-		return nil, err
-	}
-	return c.dev.Isend(data, w, tag, c.coll, device.ModeStandard)
+	return c.collIsendFill(len(data), func(p []byte) error { copy(p, data); return nil }, dst, tag)
 }
 
 // collIsendFill starts a raw byte send on the collective context whose
 // n-byte payload is packed directly into the outgoing frame by fill —
-// the schedule engine's entry to the frame-filling fast path.
+// the schedule engine's entry to the frame-filling fast path. It is also
+// what keeps schedule sends copy-at-post: the device runs fill before
+// returning and sends a large payload from its own pooled stash, never
+// from the schedule's buffers, so a round's scratch may be rewritten — and
+// a failed collective may return — while its sends are still in flight.
 func (c *Comm) collIsendFill(n int, fill func([]byte) error, dst, tag int) (*device.Request, error) {
 	w, err := c.worldRank(dst)
 	if err != nil {

@@ -194,7 +194,10 @@ func (ic *Intercomm) Isend(buf any, off, count int, dt Datatype, dst, tag int) (
 	if err := ic.errFreed(); err != nil {
 		return nil, err
 	}
-	r, err := ic.rcomm.sendMode(buf, off, count, dt, dst, tag, device.ModeStandard)
+	// No borrowing, for the reason Irecv takes no window: Free force-fails
+	// live requests, and the device must not still be reading a buffer whose
+	// owner has seen the send fail.
+	r, err := ic.rcomm.sendModeOpt(buf, off, count, dt, dst, tag, device.ModeStandard, false)
 	if err != nil {
 		return nil, err
 	}

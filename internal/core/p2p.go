@@ -107,12 +107,13 @@ func (r *Request) forceFail(err error) {
 // the device, keeping the point-to-point hot path at its old cost.
 func (r *Request) Wait() (*Status, error) {
 	for r.comm.proc.collCount.Load() != 0 {
+		epoch := r.comm.dev.FailEpoch()
 		dst, ok, derr := r.dreq.Test()
 		if ok {
 			return r.finalize(dst, derr)
 		}
 		pending := append(r.comm.progressSiblings(nil), r.dreq)
-		r.comm.dev.WaitProgress(pending)
+		r.comm.dev.WaitProgress(pending, epoch)
 	}
 	dst, derr := r.dreq.Wait()
 	return r.finalize(dst, derr)
@@ -156,6 +157,7 @@ func WaitAny(reqs []*Request) (int, *Status, error) {
 	}
 	dev := comm.dev
 	for comm.proc.collCount.Load() != 0 {
+		epoch := dev.FailEpoch()
 		idx, dst, ok, derr := dev.TestAny(dreqs)
 		if ok {
 			if idx < 0 {
@@ -165,7 +167,7 @@ func WaitAny(reqs []*Request) (int, *Status, error) {
 			return idx, st, err
 		}
 		pending := append(comm.progressSiblings(nil), dreqs...)
-		dev.WaitProgress(pending)
+		dev.WaitProgress(pending, epoch)
 	}
 	idx, dst, derr := dev.WaitAny(dreqs)
 	if idx < 0 {
@@ -254,6 +256,22 @@ func isCollSlot(r AnyRequest) bool {
 	return false
 }
 
+// commOf returns the communicator a request of one of the four kinds
+// belongs to, nil for anything else.
+func commOf(r AnyRequest) *Comm {
+	switch v := r.(type) {
+	case *Request:
+		return v.comm
+	case *Prequest:
+		return v.comm
+	case *CollRequest:
+		return v.c
+	case *PcollRequest:
+		return v.c
+	}
+	return nil
+}
+
 // WaitAllRequests blocks until every non-nil request in a mixed batch
 // completes. It returns one status per slot (nil for nil entries) and the
 // first error in slot order.
@@ -303,6 +321,16 @@ func WaitAllRequests(reqs []AnyRequest) ([]*Status, error) {
 	for remaining > 0 {
 		progressed := false
 		collLeft := false
+		var epoch uint64 // FailEpoch before this pass looks at the requests
+		for i, r := range reqs {
+			if done[i] {
+				continue
+			}
+			if c := commOf(r); c != nil {
+				epoch = c.dev.FailEpoch() // a rank's requests share one device
+				break
+			}
+		}
 		for i, r := range reqs {
 			if done[i] {
 				continue
@@ -353,26 +381,23 @@ func WaitAllRequests(reqs []AnyRequest) ([]*Status, error) {
 			if done[i] {
 				continue
 			}
+			if c := commOf(r); c != nil {
+				comm = c
+			}
 			switch v := r.(type) {
 			case *Request:
 				watch = append(watch, v.dreq)
-				comm = v.comm
 			case *Prequest:
 				if v.active != nil {
 					watch = append(watch, v.active.dreq)
 				}
-				comm = v.comm
-			case *CollRequest:
-				comm = v.c
-			case *PcollRequest:
-				comm = v.c
 			}
 		}
 		if comm == nil {
 			continue
 		}
 		watch = append(watch, comm.progressSiblings(nil)...)
-		comm.dev.WaitProgress(watch)
+		comm.dev.WaitProgress(watch, epoch)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -402,13 +427,25 @@ func WaitAll(reqs []*Request) ([]*Status, error) {
 	return sts, firstErr
 }
 
-// sendMode issues a non-blocking send in the given device mode.
-//
-// Fixed-size datatypes pack directly into the outgoing wire frame
-// (device.IsendFill): the intermediate pack buffer disappears and the
-// eager path stays allocation-free. Variable-size datatypes (Object) keep
-// the append path — their packed size is unknown before packing.
+// sendMode issues a non-blocking send in the given device mode, from the
+// user buffer itself where the datatype allows it.
 func (c *Comm) sendMode(buf any, off, count int, dt Datatype, dst, tag int, mode device.Mode) (*Request, error) {
+	return c.sendModeOpt(buf, off, count, dt, dst, tag, mode, true)
+}
+
+// sendModeOpt is sendMode with the borrowing path selectable.
+//
+// A datatype whose wire encoding equals its memory layout sends from the
+// user buffer's own window (device.Isend): a rendezvous payload then
+// leaves with no copy at all, and buf must stay untouched until the
+// request completes — the MPI rule. borrow=false is for callers that
+// cannot keep that rule (SendrecvReplace receives into the buffer it
+// sends). Other fixed-size datatypes pack directly into the outgoing wire
+// frame or rendezvous stash (device.IsendFill): the intermediate pack
+// buffer disappears, the eager path stays allocation-free, and buf is
+// free as soon as the call returns. Variable-size datatypes (Object) keep
+// the append path — their packed size is unknown before packing.
+func (c *Comm) sendModeOpt(buf any, off, count int, dt Datatype, dst, tag int, mode device.Mode, borrow bool) (*Request, error) {
 	if err := c.checkRevoked(); err != nil {
 		return nil, err
 	}
@@ -418,6 +455,13 @@ func (c *Comm) sendMode(buf any, off, count int, dt Datatype, dst, tag int, mode
 	w, err := c.worldRank(dst)
 	if err != nil {
 		return nil, err
+	}
+	if win := vWindow(dt, buf, off, count); win != nil && borrow {
+		dr, err := c.dev.Isend(win, w, tag, c.pt2pt, mode)
+		if err != nil {
+			return nil, err
+		}
+		return newRequest(c, dr, nil), nil
 	}
 	if pi, ok := dt.(packerInto); ok && count >= 0 {
 		if sz := dt.ByteSize(); sz >= 0 {
@@ -724,8 +768,8 @@ func (c *Comm) SendrecvReplace(
 	buf any, off, count int, dt Datatype, dst, stag, src, rtag int,
 ) (*Status, error) {
 	// The outgoing bytes are packed (copied) before the receive can
-	// touch the buffer, so one buffer is safe.
-	sr, err := c.Isend(buf, off, count, dt, dst, stag)
+	// touch the buffer, so one buffer is safe: the send must not borrow.
+	sr, err := c.sendModeOpt(buf, off, count, dt, dst, stag, device.ModeStandard, false)
 	if err != nil {
 		return nil, err
 	}

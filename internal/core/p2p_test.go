@@ -449,3 +449,79 @@ func TestCancelRecvOnComm(t *testing.T) {
 		return expect(st.Cancelled, "status %+v", st)
 	})
 }
+
+// TestRawSendsBorrowTheUserBuffer pins which sends leave from user memory
+// and which are copied when posted. A raw-layout send (typed facade or
+// Comm.Send of a base type) of rendezvous size is borrowed until its
+// request completes: bytes written before the receiver's CTS are the bytes
+// that travel — which is why the contract forbids writing them. A send the
+// datatype layer has to pack (a strided vector here) is copied at post, as
+// are SendrecvReplace and inter-communicator sends, whose callers cannot
+// keep the rule.
+func TestRawSendsBorrowTheUserBuffer(t *testing.T) {
+	const n = 64 << 10 // int32 elements: 256 KiB, well past the eager limit
+	bar := newGoBarrier(2)
+	fill := func(s []int32, v int32) {
+		for i := range s {
+			s[i] = v
+		}
+	}
+	all := func(s []int32, v int32) bool {
+		for _, x := range s {
+			if x != v {
+				return false
+			}
+		}
+		return true
+	}
+	vec, err := Vector(n, 1, 2, Int)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRanks(t, 2, func(w *Comm) error {
+		for tag, tc := range []struct {
+			name     string
+			send     func(buf []int32) (*Request, error)
+			borrowed bool
+		}{
+			{"typed", func(buf []int32) (*Request, error) { return TypedIsend(w, buf[:n], 1, 0) }, true},
+			{"comm", func(buf []int32) (*Request, error) { return w.Isend(buf, 0, n, Int, 1, 1) }, true},
+			{"packed", func(buf []int32) (*Request, error) { return w.Isend(buf, 0, 1, vec, 1, 2) }, false},
+		} {
+			got := make([]int32, n)
+			if w.Rank() == 0 {
+				buf := make([]int32, 2*n)
+				fill(buf, 1)
+				sr, err := tc.send(buf)
+				if err != nil {
+					return err
+				}
+				fill(buf, 2) // against the rule, before any receive exists
+				bar.await()
+				if _, err := sr.Wait(); err != nil {
+					return err
+				}
+				continue
+			}
+			bar.await()
+			if _, err := TypedRecv(w, got, 0, tag); err != nil {
+				return err
+			}
+			want := int32(1)
+			if tc.borrowed {
+				want = 2
+			}
+			if err := expect(all(got, want), "%s send: receiver saw %d…, want all %d", tc.name, got[0], want); err != nil {
+				return err
+			}
+		}
+		// SendrecvReplace receives into the buffer it sends: at rendezvous
+		// size that only works because its send does not borrow.
+		buf := make([]int32, n)
+		fill(buf, int32(w.Rank()+100))
+		if _, err := w.SendrecvReplace(buf, 0, n, Int, 1-w.Rank(), 3, 1-w.Rank(), 3); err != nil {
+			return err
+		}
+		return expect(all(buf, int32(1-w.Rank()+100)), "large SendrecvReplace: got %d…", buf[0])
+	})
+}

@@ -253,6 +253,65 @@ func TestProfCountersBcastExact(t *testing.T) {
 	}
 }
 
+// TestProfCountersPingPongExact pins what the profiler sees of the
+// benchmark's ping-pong shape: per rank and round trip one message and its
+// bytes posted, one payload and its bytes arrived, all of it rendezvous at
+// 1 MiB and all of it eager at 4 KiB. The counts are what they were when
+// rendezvous payloads still travelled as frames: the recorder sees every
+// payload once, at the device boundary, however the bytes move below it.
+func TestProfCountersPingPongExact(t *testing.T) {
+	const trips = 5
+	for _, tc := range []struct {
+		name  string
+		hyb   bool
+		count int // bytes
+	}{
+		{"chan-1m", false, 1 << 20},
+		{"hyb-1m", true, 1 << 20},
+		{"chan-4k", false, 4 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diffs := make([]prof.Snapshot, 2)
+			bar := newGoBarrier(2)
+			runRanksProf(t, 2, prof.Spec{Counters: true}, tc.hyb, func(w *Comm) error {
+				buf := make([]byte, tc.count)
+				diff, err := measureOp(w, bar, func() error {
+					for i := 0; i < trips; i++ {
+						if w.Rank() == 0 {
+							if err := TypedSend(w, buf, 1, 1); err != nil {
+								return err
+							}
+						}
+						if _, err := TypedRecv(w, buf, 1-w.Rank(), 1); err != nil {
+							return err
+						}
+						if w.Rank() == 1 {
+							if err := TypedSend(w, buf, 0, 1); err != nil {
+								return err
+							}
+						}
+					}
+					return nil
+				})
+				diffs[w.Rank()] = diff
+				return err
+			})
+			bytes := int64(trips * tc.count)
+			for rank, d := range diffs {
+				msgs, sent, recvd, rdv := d.SendOps, d.EagerSentBytes+d.RdvSentBytes, d.EagerRecvBytes+d.RdvRecvBytes, d.RdvSent+d.RdvRecv
+				wantRdv := int64(0)
+				if tc.count > device.DefaultEagerLimit {
+					wantRdv = 2 * trips
+				}
+				if msgs != trips || d.RecvOps != trips || sent != bytes || recvd != bytes || rdv != wantRdv || d.EagerSent+d.EagerRecv+rdv != 2*trips {
+					t.Errorf("rank %d: %d msgs / %d recvs posted, %d B sent, %d B arrived, %d rendezvous of %d payloads; want %d/%d, %d, %d, %d of %d (%+v)",
+						rank, msgs, d.RecvOps, sent, recvd, rdv, d.EagerSent+d.EagerRecv+rdv, trips, trips, bytes, bytes, wantRdv, 2*trips, d)
+				}
+			}
+		})
+	}
+}
+
 // TestProfCountersAllreduceExact pins the recursive-doubling Allreduce to
 // its textbook traffic: every rank sends one count*4-byte message in each
 // of log2(np) rounds.

@@ -35,8 +35,8 @@ type cell struct{ b []byte }
 
 // sendStep emits one message when its round starts. The payload supplier
 // runs at post time, so it sees every buffer mutation made by earlier
-// rounds; the device copies the bytes immediately, so later mutation of
-// the underlying buffer is safe.
+// rounds; the bytes are copied at post (collIsend/collIsendFill), so later
+// mutation of the underlying buffer is safe.
 //
 // A step carries either data (a byte supplier, for payloads that already
 // exist as packed bytes) or fill with its exact length n (a packer that
@@ -400,6 +400,7 @@ func (r *CollRequest) fail(err error) {
 // as MPI allows.
 func (r *CollRequest) Wait() (*Status, error) {
 	for {
+		epoch := r.c.dev.FailEpoch() // read before the look WaitProgress parks on
 		r.mu.Lock()
 		r.progressLocked()
 		if r.done {
@@ -415,10 +416,10 @@ func (r *CollRequest) Wait() (*Status, error) {
 		pending = append(pending, r.c.progressSiblings(r)...)
 		if p := r.prof; p != nil {
 			t0 := time.Now()
-			r.c.dev.WaitProgress(pending)
+			r.c.dev.WaitProgress(pending, epoch)
 			p.WaitSpan(r.c.coll, t0)
 		} else {
-			r.c.dev.WaitProgress(pending)
+			r.c.dev.WaitProgress(pending, epoch)
 		}
 	}
 }
@@ -523,9 +524,10 @@ func checkVSpec(size int, counts, displs []int, ext, off, limit int, recvSide bo
 	return nil
 }
 
-// vWindow returns the in-place landing window for count elements of dt at
-// slot off of buf, or nil when the datatype layout or the buffer rules a
-// direct receive out (the caller stages and unpacks instead).
+// vWindow returns the raw memory window of count elements of dt at slot
+// off of buf — where a receive can land in place and a send can leave from
+// — or nil when the datatype layout or the buffer rules direct access out
+// (the caller stages and packs or unpacks instead).
 func vWindow(dt Datatype, buf any, off, count int) []byte {
 	if rw, ok := dt.(rawWindower); ok && count > 0 {
 		if win, ok := rw.window(buf, off, count); ok {

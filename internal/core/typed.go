@@ -91,8 +91,10 @@ func OpFromFunc[T Scalar](name string, f func(a, b T) T) *Op {
 }
 
 // TypedIsend starts a standard-mode non-blocking send of the whole slice —
-// the engine behind mpj.Isend[T]. The packed bytes go straight into the
-// outgoing wire frame.
+// the engine behind mpj.Isend[T]. For raw-layout element types the device
+// sends from buf's own memory (a large message leaves with no copy at
+// all), so buf must stay untouched until the request completes; other
+// element types are packed straight into the outgoing wire frame.
 func TypedIsend[T Scalar](c *Comm, buf []T, dst, tag int) (*Request, error) {
 	return typedIsendMode(c, buf, dst, tag, device.ModeStandard)
 }
@@ -106,9 +108,14 @@ func typedIsendMode[T Scalar](c *Comm, buf []T, dst, tag int, mode device.Mode) 
 		return nil, err
 	}
 	b := baseFor[T]()
-	dr, err := c.dev.IsendFill(len(buf)*b.size, func(p []byte) error {
-		return b.packIntoSlice(p, buf, 0, len(buf))
-	}, w, tag, c.pt2pt, mode)
+	var dr *device.Request
+	if len(buf) > 0 && b.isRaw() {
+		dr, err = c.dev.Isend(b.bytesOf(buf, 0, len(buf)), w, tag, c.pt2pt, mode)
+	} else {
+		dr, err = c.dev.IsendFill(len(buf)*b.size, func(p []byte) error {
+			return b.packIntoSlice(p, buf, 0, len(buf))
+		}, w, tag, c.pt2pt, mode)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -316,8 +316,12 @@ func (ProcSpawner) Spawn(spec SlaveSpec, daemonAddr string) (Slave, error) {
 		}()
 	}
 	go func() {
-		err := cmd.Wait()
+		// Readers first: cmd.Wait closes the pipes as soon as the process
+		// is gone, and a scanner still holding unread bytes would lose the
+		// slave's last line. The pipes reach EOF when the slave exits (or
+		// is destroyed), so this cannot outlast it.
 		lines.Wait()
+		err := cmd.Wait()
 		if fwd != nil {
 			fwd.close()
 		}

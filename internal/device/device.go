@@ -30,6 +30,16 @@
 // allocate-on-arrival receive, whose payload the caller keeps (see
 // Request.Data), and which are therefore never recycled.
 //
+// A rendezvous payload is never a frame. The sender lends its bytes to the
+// transport (transport.SendData) — the caller's own buffer for Isend, a
+// pooled stash for IsendFill — and the send request completes when the
+// transport gives them back. The receiver's transport asks the device
+// where the payload lands (transport.Lander, see land) and moves it there
+// outside the device lock; from that moment until the transport reports
+// the landing finished, the receive request belongs to the transport and
+// no failure path completes it, so nobody reuses a buffer that is still
+// being written.
+//
 // The device boundary is one of the two instrumentation seams: an
 // optional prof.Recorder (WithProfiler) observes every send and receive
 // post and every payload arrival, split by wire protocol — see
@@ -279,6 +289,7 @@ func Open(t transport.Transport, opts ...Option) (*Device, error) {
 		opt(d)
 	}
 	t.SetHandler(d.handle)
+	t.SetLander(d.land)
 	t.SetErrorHandler(d.peerFailed)
 	if err := t.Start(); err != nil {
 		return nil, err
@@ -332,151 +343,123 @@ func (d *Device) Profiler() *prof.Recorder { return d.prof }
 // Isend starts a non-blocking send of buf to absolute rank dst with the
 // given tag and context. The returned request completes once buf is
 // reusable; for ModeSync that also implies a matching receive was posted.
-// buf is copied into the outgoing frame immediately, so the caller may
-// reuse it as soon as Isend returns, but the *request* still tracks
-// protocol completion (rendezvous waits for its CTS).
+//
+// buf is borrowed until the request completes. An eager send copies it
+// into the outgoing frame before Isend returns, but a rendezvous send
+// lends buf itself to the transport: the bytes leave from the caller's
+// memory after the CTS arrives, and the request completes when the
+// transport has handed them off. The caller must not modify buf before
+// then — on every path, including cancellation and peer failure, the
+// request's completion is what returns the buffer.
 func (d *Device) Isend(buf []byte, dst, tag, ctx int, mode Mode) (*Request, error) {
 	if dst < 0 || dst >= d.size {
 		return nil, fmt.Errorf("device: isend to rank %d of %d: %w", dst, d.size, transport.ErrBadRank)
 	}
-	d.mu.Lock()
-	if err := d.usable(); err != nil {
-		d.mu.Unlock()
-		return nil, err
+	if d.eager(len(buf), mode) {
+		frame := wire.GetBuf(wire.HeaderLen + len(buf))
+		copy(frame[wire.HeaderLen:], buf)
+		return d.postEager(frame, dst, tag, ctx)
 	}
-	if err := d.deadPeerLocked(dst); err != nil {
-		d.mu.Unlock()
-		return nil, err
-	}
-	r := &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx}
-
-	eager := mode == ModeReady || (mode == ModeStandard && len(buf) <= d.eagerLimit)
-	if eager {
-		h := wire.Header{
-			Kind:    wire.KindEager,
-			Src:     int32(d.rank),
-			Tag:     int32(tag),
-			Context: int32(ctx),
-			Seq:     d.seq[dst],
-			Len:     int32(len(buf)),
-		}
-		d.seq[dst]++
-		frame := wire.NewFrame(&h, buf)
-		d.completeLocked(r, Status{Source: d.rank, Tag: tag, Count: len(buf)}, nil)
-		d.mu.Unlock()
-		d.stats.EagerSent.Add(1)
-		if p := d.prof; p != nil {
-			p.Send(ctx, len(buf), true)
-		}
-		return r, d.t.Send(dst, frame)
-	}
-
-	// Rendezvous: send RTS, stash the payload until the CTS arrives. The
-	// stash comes from the frame pool (the caller may reuse buf
-	// immediately) and is recycled once the DATA frame is built.
-	d.nextMsgID++
-	r.msgID = d.nextMsgID
-	r.payload = wire.GetBuf(len(buf))
-	copy(r.payload, buf)
-	r.count = len(buf)
-	d.pendingRTS[r.msgID] = r
-	h := wire.Header{
-		Kind:    wire.KindRTS,
-		Src:     int32(d.rank),
-		Tag:     int32(tag),
-		Context: int32(ctx),
-		Seq:     d.seq[dst],
-		MsgID:   r.msgID,
-		Len:     int32(len(buf)),
-	}
-	d.seq[dst]++
-	frame := wire.NewFrame(&h, nil)
-	d.mu.Unlock()
-	d.stats.RTSSent.Add(1)
-	if p := d.prof; p != nil {
-		p.Send(ctx, len(buf), false)
-	}
-	return r, d.t.Send(dst, frame)
+	return d.postRendezvous(buf, false, dst, tag, ctx)
 }
 
 // IsendFill starts a non-blocking send whose n-byte payload is produced by
 // fill writing directly into the outgoing eager frame (or the rendezvous
 // stash), skipping the intermediate pack buffer that Isend's []byte
 // argument implies. fill runs exactly once, synchronously, before IsendFill
-// returns — so buffers it reads may be reused immediately afterwards — and
-// must overwrite all n bytes. A fill error aborts the send: the frame goes
-// back to the pool and the error is returned verbatim.
+// returns — so buffers it reads may be reused immediately afterwards,
+// whichever protocol carries the message — and must overwrite all n bytes.
+// A fill error aborts the send: the frame goes back to the pool and the
+// error is returned verbatim.
+//
+// The rendezvous stash is a pooled buffer the device owns: it is lent to
+// the transport like Isend's buf and returns to the pool when the request
+// completes, on every path.
 //
 // The datatype layer uses this to pack user buffers straight into pooled
 // wire frames ("all handling of user-buffer datatypes outside the device
-// level", without paying a copy for the separation).
+// level", without paying a copy for the separation), and the collective
+// schedule engine for sends whose source it rewrites after posting.
 func (d *Device) IsendFill(n int, fill func(payload []byte) error, dst, tag, ctx int, mode Mode) (*Request, error) {
 	if dst < 0 || dst >= d.size {
 		return nil, fmt.Errorf("device: isend to rank %d of %d: %w", dst, d.size, transport.ErrBadRank)
 	}
-
-	eager := mode == ModeReady || (mode == ModeStandard && n <= d.eagerLimit)
-	if eager {
+	if d.eager(n, mode) {
 		frame := wire.GetBuf(wire.HeaderLen + n)
 		if err := fill(frame[wire.HeaderLen:]); err != nil {
 			wire.PutBuf(frame)
 			return nil, err
 		}
-		d.mu.Lock()
-		if err := d.usable(); err != nil {
-			d.mu.Unlock()
-			wire.PutBuf(frame)
-			return nil, err
-		}
-		if err := d.deadPeerLocked(dst); err != nil {
-			d.mu.Unlock()
-			wire.PutBuf(frame)
-			return nil, err
-		}
-		r := &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx}
-		h := wire.Header{
-			Kind:    wire.KindEager,
-			Src:     int32(d.rank),
-			Tag:     int32(tag),
-			Context: int32(ctx),
-			Seq:     d.seq[dst],
-			Len:     int32(n),
-		}
-		d.seq[dst]++
-		_ = h.Encode(frame) // cannot fail: the frame covers the header
-		d.completeLocked(r, Status{Source: d.rank, Tag: tag, Count: n}, nil)
-		d.mu.Unlock()
-		d.stats.EagerSent.Add(1)
-		if p := d.prof; p != nil {
-			p.Send(ctx, n, true)
-		}
-		return r, d.t.Send(dst, frame)
+		return d.postEager(frame, dst, tag, ctx)
 	}
+	stash := wire.GetBuf(n)
+	if err := fill(stash); err != nil {
+		wire.PutBuf(stash)
+		return nil, err
+	}
+	return d.postRendezvous(stash, true, dst, tag, ctx)
+}
 
-	// Rendezvous: fill the stashed payload in place (no defensive copy
-	// needed — the bytes are packed, not aliased to the user buffer). The
-	// stash is pooled and recycled once the DATA frame is built.
-	payload := wire.GetBuf(n)
-	if err := fill(payload); err != nil {
-		wire.PutBuf(payload)
-		return nil, err
-	}
+// eager reports whether an n-byte send in the given mode uses the eager
+// protocol.
+func (d *Device) eager(n int, mode Mode) bool {
+	return mode == ModeReady || (mode == ModeStandard && n <= d.eagerLimit)
+}
+
+// postEager sends an eager frame whose payload is already in place behind
+// the (still unwritten) header. It consumes frame on every path.
+func (d *Device) postEager(frame []byte, dst, tag, ctx int) (*Request, error) {
+	n := len(frame) - wire.HeaderLen
 	d.mu.Lock()
-	if err := d.usable(); err != nil {
-		d.mu.Unlock()
-		wire.PutBuf(payload)
-		return nil, err
+	err := d.usable()
+	if err == nil {
+		err = d.deadPeerLocked(dst)
 	}
-	if err := d.deadPeerLocked(dst); err != nil {
+	if err != nil {
 		d.mu.Unlock()
-		wire.PutBuf(payload)
+		wire.PutBuf(frame)
 		return nil, err
 	}
 	r := &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx}
+	h := wire.Header{
+		Kind:    wire.KindEager,
+		Src:     int32(d.rank),
+		Tag:     int32(tag),
+		Context: int32(ctx),
+		Seq:     d.seq[dst],
+		Len:     int32(n),
+	}
+	d.seq[dst]++
+	_ = h.Encode(frame) // cannot fail: the frame covers the header
+	d.completeLocked(r, Status{Source: d.rank, Tag: tag, Count: n}, nil)
+	d.mu.Unlock()
+	d.stats.EagerSent.Add(1)
+	if p := d.prof; p != nil {
+		p.Send(ctx, n, true)
+	}
+	return r, d.t.Send(dst, frame)
+}
+
+// postRendezvous opens a rendezvous for payload: the RTS goes out now, the
+// payload waits — by reference — for the CTS. stash marks a pooled buffer
+// the device owns (IsendFill) as opposed to the caller's memory (Isend);
+// it is released on every path, including the error returns here.
+func (d *Device) postRendezvous(payload []byte, stash bool, dst, tag, ctx int) (*Request, error) {
+	d.mu.Lock()
+	err := d.usable()
+	if err == nil {
+		err = d.deadPeerLocked(dst)
+	}
+	if err != nil {
+		d.mu.Unlock()
+		if stash {
+			wire.PutBuf(payload)
+		}
+		return nil, err
+	}
+	r := &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx, payload: payload, stash: stash}
 	d.nextMsgID++
 	r.msgID = d.nextMsgID
-	r.payload = payload
-	r.count = n
 	d.pendingRTS[r.msgID] = r
 	h := wire.Header{
 		Kind:    wire.KindRTS,
@@ -485,14 +468,14 @@ func (d *Device) IsendFill(n int, fill func(payload []byte) error, dst, tag, ctx
 		Context: int32(ctx),
 		Seq:     d.seq[dst],
 		MsgID:   r.msgID,
-		Len:     int32(n),
+		Len:     int32(len(payload)),
 	}
 	d.seq[dst]++
 	frame := wire.NewFrame(&h, nil)
 	d.mu.Unlock()
 	d.stats.RTSSent.Add(1)
 	if p := d.prof; p != nil {
-		p.Send(ctx, n, false)
+		p.Send(ctx, len(payload), false)
 	}
 	return r, d.t.Send(dst, frame)
 }
@@ -672,7 +655,7 @@ func envelopeMatches(recvSrc, recvTag, recvCtx, src, tag, ctx int) bool {
 	return true
 }
 
-// deliverLocked moves an arrived payload into a receive request and
+// deliverLocked moves an arrived eager payload into a receive request and
 // completes it. A nil receive buffer means "allocate on arrival": the
 // request adopts the payload slice (zero copy — the frame is already
 // owned by the device) and exposes it via Data. It reports whether the
@@ -713,6 +696,120 @@ func (d *Device) grantRendezvousLocked(r *Request, src, tag int, msgID uint64, p
 	_ = d.t.Send(src, frame)
 }
 
+// sendData lends the payload of a rendezvous send whose CTS just arrived to
+// the transport. r is in no table any more, so the only thing that can
+// complete it from here is the transport giving the payload back (r.sent) —
+// no failure path may return a buffer the transport still reads. Called
+// without d.mu: the transport may complete the send before returning.
+func (d *Device) sendData(r *Request) {
+	h := wire.Header{
+		Kind:    wire.KindData,
+		Src:     int32(d.rank),
+		Tag:     int32(r.tag),
+		Context: int32(r.ctx),
+		MsgID:   r.msgID,
+		Len:     int32(len(r.payload)),
+	}
+	d.stats.DataSent.Add(1)
+	if err := d.t.SendData(r.dst, h, r.payload, r.sent); err != nil {
+		r.sent(err)
+	}
+}
+
+// sent is the SendData completion of a rendezvous send: the transport no
+// longer references the payload. A nil err means the bytes were handed to
+// the medium; anything else is why they never will be.
+func (r *Request) sent(err error) {
+	d := r.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err == nil {
+		d.finishSendLocked(r, Status{Source: d.rank, Tag: r.tag, Count: len(r.payload)}, nil)
+		return
+	}
+	d.finishSendLocked(r, Status{}, d.transferErrLocked(r.dst, err))
+}
+
+// transferErrLocked types the error of a payload transfer with peer that
+// the transport gave up on: the device's own terminal state if it has one,
+// else the peer's failure. Callers hold d.mu.
+func (d *Device) transferErrLocked(peer int, cause error) error {
+	if err := d.usable(); err != nil {
+		return err
+	}
+	if err := d.deadPeerLocked(peer); err != nil {
+		return err
+	}
+	return &RankFailedError{Rank: peer, Cause: cause}
+}
+
+// finishSendLocked completes a rendezvous send on any path — delivered,
+// cancelled, failed — and returns its stash, if it has one, to the pool.
+// Callers hold d.mu and guarantee the transport does not hold the payload.
+func (d *Device) finishSendLocked(r *Request, st Status, err error) {
+	if r.stash {
+		wire.PutBuf(r.payload)
+	}
+	r.payload, r.stash = nil, false
+	d.completeLocked(r, st, err)
+}
+
+// land is the transport's landing hook (transport.Lander): a KindData
+// header from src has arrived and its payload is about to be moved. land
+// claims the receive the payload belongs to — out of awaitData, so that
+// Revoke, FailContext, a failure of src, Close or Abort cannot complete it
+// while the transport still writes its buffer — and answers with that
+// buffer; the transport fills it outside the device lock and finishes the
+// request through r.landed.
+//
+// The header's length is checked against the length the CTS granted before
+// a byte moves: a peer cannot make the receiver allocate, or overrun a
+// buffer, by announcing a different size. A payload nobody awaits (its
+// receive was failed or the context revoked meanwhile) is left to the
+// transport to skip.
+func (d *Device) land(src int, h wire.Header) ([]byte, func(error), error) {
+	d.stats.DataRecv.Add(1)
+	if p := d.prof; p != nil {
+		p.Arrive(int(h.Context), int(h.Len), false)
+	}
+	key := rdvKey{src: src, msgID: h.MsgID}
+	d.mu.Lock()
+	r, ok := d.awaitData[key]
+	if !ok {
+		d.mu.Unlock()
+		return nil, nil, nil
+	}
+	if int(h.Len) != r.expect {
+		d.mu.Unlock()
+		err := fmt.Errorf("device: rank %d sent %d bytes of DATA for a %d-byte rendezvous", src, h.Len, r.expect)
+		d.peerFailed(src, err) // completes r, still in awaitData, with the typed failure
+		return nil, nil, err
+	}
+	delete(d.awaitData, key)
+	d.mu.Unlock()
+	if r.dynamic {
+		r.buf = wire.GetBuf(r.expect)
+	}
+	return r.buf[:min(len(r.buf), r.expect)], r.landed, nil
+}
+
+// landed finishes a receive the transport claimed through land: the payload
+// is in r.buf (err nil), or the stream broke while it was being written.
+func (r *Request) landed(err error) {
+	d := r.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		d.completeLocked(r, Status{}, d.transferErrLocked(r.matchedSrc, err))
+		return
+	}
+	st := Status{Source: r.matchedSrc, Tag: r.matchedTag, Count: min(len(r.buf), r.expect)}
+	if r.expect > len(r.buf) {
+		err = fmt.Errorf("%w: got %d bytes, buffer holds %d", ErrTruncate, r.expect, len(r.buf))
+	}
+	d.completeLocked(r, st, err)
+}
+
 // completeLocked finishes a request and wakes all waiters. Callers hold d.mu.
 func (d *Device) completeLocked(r *Request, st Status, err error) {
 	r.done = true
@@ -739,6 +836,7 @@ func (d *Device) handle(src int, frame []byte) {
 	payload := wire.Payload(frame)
 	retained := false
 	revokeCtx := -1
+	var granted *Request // rendezvous send whose CTS this frame is
 
 	// One-sided frames bypass the matching engine entirely: they are
 	// handled synchronously by the window layer, which serializes on the
@@ -774,15 +872,10 @@ func (d *Device) handle(src int, frame []byte) {
 	}
 
 	// Payload arrival accounting happens here, at the frame boundary:
-	// eager and rendezvous-data frames carry their context, so bytes are
-	// attributed per communicator on the receiver too.
-	if p := d.prof; p != nil {
-		switch h.Kind {
-		case wire.KindEager:
-			p.Arrive(int(h.Context), len(payload), true)
-		case wire.KindData:
-			p.Arrive(int(h.Context), len(payload), false)
-		}
+	// eager frames carry their context, so bytes are attributed per
+	// communicator on the receiver too (rendezvous payloads: see land).
+	if p := d.prof; p != nil && h.Kind == wire.KindEager {
+		p.Arrive(int(h.Context), len(payload), true)
 	}
 
 	d.mu.Lock()
@@ -820,60 +913,33 @@ func (d *Device) handle(src int, frame []byte) {
 		}
 
 	case wire.KindCTS:
-		if r, ok := d.pendingRTS[h.MsgID]; ok {
+		if r, ok := d.pendingRTS[h.MsgID]; ok && r.dst == src {
+			// Out of the table, the request belongs to the transport: from
+			// here only the SendData completion finishes it (see sendData).
 			delete(d.pendingRTS, h.MsgID)
-			dh := wire.Header{
-				Kind:    wire.KindData,
-				Src:     int32(d.rank),
-				Tag:     int32(r.tag),
-				Context: int32(r.ctx),
-				MsgID:   r.msgID,
-				Len:     int32(len(r.payload)),
-			}
-			dataFrame := wire.NewFrame(&dh, r.payload)
-			wire.PutBuf(r.payload) // stash copied into the frame; recycle it
-			r.payload = nil
-			d.completeLocked(r, Status{Source: d.rank, Tag: r.tag, Count: r.count}, nil)
-			d.stats.DataSent.Add(1)
-			_ = d.t.Send(src, dataFrame)
+			granted = r
 		}
 		// A CTS for an unknown msgID means the send was cancelled after
 		// the receiver matched it; the CancelAck(denied) path has already
 		// resolved the race in favour of delivery, so this cannot happen
 		// for correct traffic. Ignore it defensively.
 
-	case wire.KindData:
-		d.stats.DataRecv.Add(1)
-		key := rdvKey{src: src, msgID: h.MsgID}
-		if r, ok := d.awaitData[key]; ok {
-			delete(d.awaitData, key)
-			retained = d.deliverLocked(r, r.matchedSrc, r.matchedTag, payload)
-		}
-
 	case wire.KindCancel:
-		granted := false
+		ah := wire.Header{Kind: wire.KindCancelAck, Src: int32(d.rank), MsgID: h.MsgID}
 		for i, u := range d.unexp {
 			if !u.eager && u.src == src && u.msgID == h.MsgID {
 				d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
-				granted = true
+				ah.Len = 1 // granted
 				break
 			}
-		}
-		ah := wire.Header{Kind: wire.KindCancelAck, Src: int32(d.rank), MsgID: h.MsgID}
-		if granted {
-			ah.Len = 1
 		}
 		_ = d.t.Send(src, wire.NewFrame(&ah, nil))
 
 	case wire.KindCancelAck:
 		if r, ok := d.pendingRTS[h.MsgID]; ok && h.Len == 1 {
+			// Cancelled before any CTS: the payload never left.
 			delete(d.pendingRTS, h.MsgID)
-			if r.payload != nil {
-				wire.PutBuf(r.payload) // cancelled before DATA: recycle the stash
-			}
-			r.payload = nil
-			st := Status{Source: d.rank, Tag: r.tag, Cancelled: true}
-			d.completeLocked(r, st, nil)
+			d.finishSendLocked(r, Status{Source: d.rank, Tag: r.tag, Cancelled: true}, nil)
 		}
 		// Denied (Len==0): the CTS is on its way (it was sent before the
 		// ack on the same FIFO path) or already processed; the send
@@ -883,6 +949,9 @@ func (d *Device) handle(src int, frame []byte) {
 	d.mu.Unlock()
 	if !retained {
 		wire.PutBuf(frame)
+	}
+	if granted != nil {
+		d.sendData(granted)
 	}
 	if revokeCtx >= 0 && revokeHandler != nil {
 		revokeHandler(revokeCtx)
@@ -941,18 +1010,7 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 		// Self-failure: total local failure, as Abort but with the typed
 		// error so waiters can tell a kill from an orderly shutdown.
 		d.failure = fail
-		for _, r := range d.posted {
-			d.completeLocked(r, Status{}, fail)
-		}
-		d.posted = nil
-		for id, r := range d.pendingRTS {
-			delete(d.pendingRTS, id)
-			d.completeLocked(r, Status{}, fail)
-		}
-		for key, r := range d.awaitData {
-			delete(d.awaitData, key)
-			d.completeLocked(r, Status{}, fail)
-		}
+		d.failAllLocked(fail)
 	} else {
 		kept := d.posted[:0]
 		for _, r := range d.posted {
@@ -966,7 +1024,7 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 		for id, r := range d.pendingRTS {
 			if r.dst == peer {
 				delete(d.pendingRTS, id)
-				d.completeLocked(r, Status{}, fail)
+				d.finishSendLocked(r, Status{}, fail)
 			}
 		}
 		for key, r := range d.awaitData {
@@ -986,6 +1044,26 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 	}
 	for _, w := range watchers {
 		w(peer, fail)
+	}
+}
+
+// failAllLocked completes every operation the device still holds — posted
+// receives, rendezvous sends awaiting their CTS, matched receives awaiting
+// DATA — with err. Transfers the transport has claimed (see sendData and
+// land) are not among them: the transport finishes those when it lets go
+// of their buffers, which teardown makes prompt. Callers hold d.mu.
+func (d *Device) failAllLocked(err error) {
+	for _, r := range d.posted {
+		d.completeLocked(r, Status{}, err)
+	}
+	d.posted = nil
+	for id, r := range d.pendingRTS {
+		delete(d.pendingRTS, id)
+		d.finishSendLocked(r, Status{}, err)
+	}
+	for key, r := range d.awaitData {
+		delete(d.awaitData, key)
+		d.completeLocked(r, Status{}, err)
 	}
 }
 
@@ -1012,7 +1090,7 @@ func (d *Device) FailContext(ctx int, cause error) {
 	for id, r := range d.pendingRTS {
 		if r.ctx == ctx {
 			delete(d.pendingRTS, id)
-			d.completeLocked(r, Status{}, cause)
+			d.finishSendLocked(r, Status{}, cause)
 		}
 	}
 	for key, r := range d.awaitData {
@@ -1080,18 +1158,7 @@ func (d *Device) Abort() {
 		return
 	}
 	d.closed = true
-	for _, r := range d.posted {
-		d.completeLocked(r, Status{}, ErrClosed)
-	}
-	d.posted = nil
-	for id, r := range d.pendingRTS {
-		delete(d.pendingRTS, id)
-		d.completeLocked(r, Status{}, ErrClosed)
-	}
-	for key, r := range d.awaitData {
-		delete(d.awaitData, key)
-		d.completeLocked(r, Status{}, ErrClosed)
-	}
+	d.failAllLocked(ErrClosed)
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	d.t.Abort()
@@ -1110,18 +1177,7 @@ func (d *Device) Close() error {
 		return nil
 	}
 	d.closed = true
-	for _, r := range d.posted {
-		d.completeLocked(r, Status{}, ErrClosed)
-	}
-	d.posted = nil
-	for id, r := range d.pendingRTS {
-		delete(d.pendingRTS, id)
-		d.completeLocked(r, Status{}, ErrClosed)
-	}
-	for key, r := range d.awaitData {
-		delete(d.awaitData, key)
-		d.completeLocked(r, Status{}, ErrClosed)
-	}
+	d.failAllLocked(ErrClosed)
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	err := d.t.Close()

@@ -754,3 +754,32 @@ func TestRandomizedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWaitProgressSeesFailureBeforeParking: a rank failure registered
+// after the caller read FailEpoch but before it parks is a reason for
+// WaitProgress to return, not a wakeup to miss — the collective engine
+// looks at its schedules, then parks, and a death in between must not
+// leave it waiting on requests that a dead rank's neighbours will never
+// complete.
+func TestWaitProgressSeesFailureBeforeParking(t *testing.T) {
+	ds := openMesh(t, 3)
+	rr, err := ds[0].Irecv(make([]byte, 4), 1, 0, 0) // rank 1 lives and never sends
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := ds[0].FailEpoch()
+	ds[0].NotifyRankFailed(2, errors.New("lease expired"))
+	returned := make(chan struct{})
+	go func() {
+		ds[0].WaitProgress([]*Request{rr}, epoch)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitProgress parked on a failure epoch its caller had not seen")
+	}
+	if rr.Done() {
+		t.Error("the receive from the live rank completed")
+	}
+}

@@ -45,8 +45,8 @@ type Request struct {
 
 	// Rendezvous state.
 	msgID      uint64
-	payload    []byte // sender: stashed payload awaiting CTS
-	count      int    // sender: payload length for the final status
+	payload    []byte // sender: borrowed payload, lent to the transport after the CTS
+	stash      bool   // sender: payload is a pooled buffer the device owns (IsendFill)
 	matchedSrc int    // receiver: resolved source after matching an RTS
 	matchedTag int    // receiver: resolved tag after matching an RTS
 	expect     int    // receiver: expected DATA length
@@ -91,9 +91,10 @@ func (r *Request) IsSend() bool { return r.kind == reqSend }
 // receive (one posted with a nil buffer). It returns nil for sends and for
 // receives into caller-owned buffers.
 //
-// The returned slice is adopted from the arrived frame (zero copy) and
-// belongs to the caller outright: the device deliberately leaves such
-// frames out of the wire frame pool, so the slice stays valid forever.
+// The returned slice belongs to the caller outright and stays valid
+// forever: an eager payload is adopted from the arrived frame (zero copy),
+// a rendezvous payload landed in a buffer taken from the wire pool for
+// this message, and the device never puts either back.
 func (r *Request) Data() []byte {
 	r.d.mu.Lock()
 	defer r.d.mu.Unlock()
@@ -201,18 +202,21 @@ func (d *Device) TestAny(reqs []*Request) (idx int, st Status, ok bool, err erro
 }
 
 // WaitProgress blocks until at least one of the requests that is
-// incomplete on entry completes, or until a new rank failure is detected;
-// it returns immediately when none are incomplete. Unlike WaitAny it never
-// marks requests consumed — it is the parking primitive of the collective
-// schedule engine, which re-derives what to do from schedule state after
-// every wakeup. The failure wakeup matters for fault tolerance: a rank
-// death may doom a parked schedule without completing any of its watched
-// requests (a round not yet posted against the dead peer), and the waiter
-// must wake to observe it.
-func (d *Device) WaitProgress(reqs []*Request) {
+// incomplete on entry completes, or until a rank failure newer than epoch
+// is detected; it returns immediately when none are incomplete. Unlike
+// WaitAny it never marks requests consumed — it is the parking primitive
+// of the collective schedule engine, which re-derives what to do from
+// schedule state after every wakeup. The failure wakeup matters for fault
+// tolerance: a rank death may doom a parked schedule without completing
+// any of its watched requests (a round not yet posted against the dead
+// peer), and the waiter must wake to observe it.
+//
+// epoch is the FailEpoch the caller read before it last looked at its
+// schedules: a failure registered between that look and this call is then
+// a reason to return at once, not a wakeup that was missed.
+func (d *Device) WaitProgress(reqs []*Request, epoch uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	epoch := d.failEpoch
 	var watch []*Request
 	for _, r := range reqs {
 		if r != nil && !r.done {

@@ -175,6 +175,19 @@ func (d *Domain) sendFate(src, dst int) (drop bool, sleep time.Duration) {
 	return false, d.delay[src]
 }
 
+// killedEnd returns the failure a transfer between src and dst dies of when
+// either end has been killed, nil while both live.
+func (d *Domain) killedEnd(src, dst int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, r := range [2]int{src, dst} {
+		if d.killed[r] {
+			return fmt.Errorf("fault: rank %d killed", r)
+		}
+	}
+	return nil
+}
+
 // dropInbound reports whether a frame from src arriving at dst must be
 // discarded.
 func (d *Domain) dropInbound(src, dst int) bool {
@@ -236,6 +249,36 @@ func (ep *Endpoint) Send(dst int, frame []byte) error {
 		time.Sleep(sleep)
 	}
 	return ep.inner.Send(dst, frame)
+}
+
+// SendData forwards a by-reference payload under the same rules as Send,
+// deciding after the injected delay, so a kill that lands while the send
+// is being held back still catches it. The swallowed payload of a muted
+// rank completes as written — it went onto a wire nobody reads — while one
+// to or from a killed rank completes with the kill as its error, as a
+// write to a crashed peer's socket does.
+func (ep *Endpoint) SendData(dst int, h wire.Header, payload []byte, done func(error)) error {
+	src := ep.inner.Rank()
+	if _, sleep := ep.dom.sendFate(src, dst); sleep > 0 {
+		time.Sleep(sleep)
+	}
+	if drop, _ := ep.dom.sendFate(src, dst); drop {
+		done(ep.dom.killedEnd(src, dst))
+		return nil
+	}
+	return ep.inner.SendData(dst, h, payload, done)
+}
+
+// SetLander installs the device's landing hook behind the same filter as
+// SetHandler: payloads from (or at) killed ranks find nobody waiting.
+func (ep *Endpoint) SetLander(l transport.Lander) {
+	self := ep.inner.Rank()
+	ep.inner.SetLander(func(src int, h wire.Header) ([]byte, func(error), error) {
+		if ep.dom.dropInbound(src, self) {
+			return nil, nil, nil
+		}
+		return l(src, h)
+	})
 }
 
 // SetHandler installs the device's frame handler, filtered: frames from

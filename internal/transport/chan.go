@@ -3,6 +3,9 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"mpj/internal/wire"
 )
 
 // inItem is one frame in flight inside a channel mesh.
@@ -14,7 +17,11 @@ type inItem struct {
 // ChanTransport is an in-process Transport. A mesh of np endpoints shares
 // np inbox channels; endpoint i owns inboxes[i]. One demux goroutine per
 // endpoint plays the role of the paper's input-handler thread; one writer
-// goroutine per destination drains the unbounded send queues.
+// goroutine per destination drains the unbounded send queues. The mesh
+// also shares every endpoint's Lander: a SendData payload is not pushed
+// through an inbox but copied by the sender's writer goroutine straight
+// into the buffer the destination's Lander names, so no reference to the
+// sender's memory ever waits in a queue its owner cannot drain.
 //
 // ChanTransport lets an entire MPJ job — all ranks — run inside a single
 // test process with the exact same device and API layers that run over TCP.
@@ -22,6 +29,7 @@ type ChanTransport struct {
 	rank    int
 	size    int
 	inboxes []chan inItem
+	landers []atomic.Pointer[Lander] // landers[i] is endpoint i's; shared by the mesh
 	queues  []*sendQueue
 	handler Handler
 	errh    ErrorHandler
@@ -49,6 +57,7 @@ func NewChanMesh(np int) []*ChanTransport {
 	for i := range inboxes {
 		inboxes[i] = make(chan inItem, chanInboxDepth)
 	}
+	landers := make([]atomic.Pointer[Lander], np)
 	eps := make([]*ChanTransport, np)
 	for i := range eps {
 		queues := make([]*sendQueue, np)
@@ -59,6 +68,7 @@ func NewChanMesh(np int) []*ChanTransport {
 			rank:    i,
 			size:    np,
 			inboxes: inboxes,
+			landers: landers,
 			queues:  queues,
 			stop:    make(chan struct{}),
 		}
@@ -84,6 +94,10 @@ func (t *ChanTransport) DeviceName() string { return "chan" }
 // SetHandler installs the inbound frame handler.
 func (t *ChanTransport) SetHandler(h Handler) { t.handler = h }
 
+// SetLander installs the landing hook peers' SendData payloads resolve
+// through.
+func (t *ChanTransport) SetLander(l Lander) { t.landers[t.rank].Store(&l) }
+
 // SetErrorHandler installs the peer failure handler. The channel mesh never
 // fails spontaneously, but tests inject failures through it.
 func (t *ChanTransport) SetErrorHandler(h ErrorHandler) { t.errh = h }
@@ -101,7 +115,18 @@ func (t *ChanTransport) Send(dst int, frame []byte) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
 	}
-	if !t.queues[dst].push(frame) {
+	if !t.queues[dst].push(outItem{frame: frame}) {
+		return ErrClosed
+	}
+	return nil
+}
+
+// SendData enqueues a by-reference payload for dst. It never blocks.
+func (t *ChanTransport) SendData(dst int, h wire.Header, payload []byte, done func(error)) error {
+	if dst < 0 || dst >= t.size {
+		return ErrBadRank
+	}
+	if !t.queues[dst].push(outItem{data: &outData{hdr: h, payload: payload, done: done}}) {
 		return ErrClosed
 	}
 	return nil
@@ -146,7 +171,10 @@ func (t *ChanTransport) Start() error {
 	// writer blocked on a full inbox gives up when the endpoint stops:
 	// a correct MPJ program has completed all communication (and hence
 	// emptied these queues) before the endpoint is closed, so only
-	// frames of erroneous unmatched sends can be dropped here.
+	// frames of erroneous unmatched sends can be dropped here. SendData
+	// items land from here (see landLocal); once the endpoint has
+	// stopped they are refused instead, so an aborted rank moves no more
+	// bytes.
 	for dst := range t.queues {
 		dst := dst
 		q := t.queues[dst]
@@ -154,13 +182,26 @@ func (t *ChanTransport) Start() error {
 		go func() {
 			defer t.wg.Done()
 			for {
-				frame, ok := q.pop()
+				it, ok := q.pop()
 				if !ok {
 					return
 				}
-				select {
-				case t.inboxes[dst] <- inItem{src: t.rank, frame: frame}:
-				case <-t.stop:
+				if it.data != nil {
+					select {
+					case <-t.stop:
+						it.data.done(ErrClosed)
+					default:
+						var land Lander
+						if l := t.landers[dst].Load(); l != nil {
+							land = *l
+						}
+						landLocal(land, t.rank, it.data)
+					}
+				} else {
+					select {
+					case t.inboxes[dst] <- inItem{src: t.rank, frame: it.frame}:
+					case <-t.stop:
+					}
 				}
 				q.delivered()
 			}

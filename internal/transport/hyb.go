@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"sync"
+
+	"mpj/internal/wire"
 )
 
 // HybTransport is the hybrid device ("hyb"), the analogue of MPJ Express's
@@ -173,6 +175,14 @@ func (t *HybTransport) SetHandler(h Handler) {
 	}
 }
 
+// SetLander installs the landing hook on both halves.
+func (t *HybTransport) SetLander(l Lander) {
+	t.ch.SetLander(l)
+	if t.tcp != nil {
+		t.tcp.SetLander(l)
+	}
+}
+
 // SetErrorHandler installs the peer-failure handler. TCP-side connection
 // failures and hub-propagated aborts of co-located peers both arrive here.
 func (t *HybTransport) SetErrorHandler(h ErrorHandler) {
@@ -194,6 +204,17 @@ func (t *HybTransport) Send(dst int, frame []byte) error {
 		return t.ch.Send(dst, frame)
 	}
 	return t.tcp.Send(dst, frame)
+}
+
+// SendData routes a by-reference payload like Send routes a frame.
+func (t *HybTransport) SendData(dst int, h wire.Header, payload []byte, done func(error)) error {
+	if dst < 0 || dst >= t.size {
+		return ErrBadRank
+	}
+	if t.local[dst] {
+		return t.ch.SendData(dst, h, payload, done)
+	}
+	return t.tcp.SendData(dst, h, payload, done)
 }
 
 // Start launches both halves' reader and writer goroutines.

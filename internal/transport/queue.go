@@ -1,6 +1,26 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+
+	"mpj/internal/wire"
+)
+
+// outItem is one queued outbound message: a whole frame (Send) or, when
+// data is set, a SendData payload.
+type outItem struct {
+	frame []byte
+	data  *outData
+}
+
+// outData is what SendData queues: the KindData header, the borrowed
+// payload that follows it, and the completion to call once the payload is
+// no longer referenced.
+type outData struct {
+	hdr     wire.Header
+	payload []byte
+	done    func(error)
+}
 
 // sendQueue is an unbounded FIFO of frames drained by a single writer
 // goroutine. Unbounded queues realize the paper's eager-protocol assumption
@@ -12,7 +32,7 @@ type sendQueue struct {
 	mu         sync.Mutex
 	nonEmp     sync.Cond // signalled when items become non-empty or queue closes
 	idle       sync.Cond // signalled when queue is empty and nothing is in flight
-	items      [][]byte
+	items      []outItem
 	delivering bool // the writer popped a frame and has not finished delivering it
 	closed     bool
 }
@@ -24,37 +44,44 @@ func newSendQueue() *sendQueue {
 	return q
 }
 
-// push appends a frame. It reports false if the queue is closed.
-func (q *sendQueue) push(frame []byte) bool {
+// push appends an item. It reports false if the queue is closed.
+func (q *sendQueue) push(it outItem) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	q.items = append(q.items, frame)
+	q.items = append(q.items, it)
 	q.nonEmp.Signal()
 	return true
 }
 
-// pop removes the oldest frame, blocking while the queue is empty. It
+// pop removes the oldest item, blocking while the queue is empty. It
 // returns ok=false once the queue is closed and fully drained. A successful
 // pop marks the queue as delivering until the writer calls delivered.
-func (q *sendQueue) pop() (frame []byte, ok bool) {
+func (q *sendQueue) pop() (it outItem, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
 		q.nonEmp.Wait()
 	}
 	if len(q.items) == 0 {
-		return nil, false
+		return outItem{}, false
 	}
-	frame = q.items[0]
-	q.items = q.items[1:]
+	it = q.items[0]
+	q.items[0] = outItem{} // drop the queue's reference to a borrowed payload
+	if len(q.items) == 1 {
+		// Drained: keep the slot, so the next push of a request-reply
+		// exchange reuses it instead of allocating an array per item.
+		q.items = q.items[:0]
+	} else {
+		q.items = q.items[1:]
+	}
 	q.delivering = true
-	return frame, true
+	return it, true
 }
 
-// delivered records that the frame returned by the last pop has been handed
+// delivered records that the item returned by the last pop has been handed
 // to the underlying medium.
 func (q *sendQueue) delivered() {
 	q.mu.Lock()

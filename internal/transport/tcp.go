@@ -33,6 +33,7 @@ type TCPTransport struct {
 	queues []*sendQueue
 
 	handler Handler
+	lander  Lander
 	errh    ErrorHandler
 
 	mu      sync.Mutex
@@ -218,6 +219,9 @@ func (t *TCPTransport) Size() int { return t.size }
 // SetHandler installs the inbound frame handler.
 func (t *TCPTransport) SetHandler(h Handler) { t.handler = h }
 
+// SetLander installs the landing hook for inbound KindData payloads.
+func (t *TCPTransport) SetLander(l Lander) { t.lander = l }
+
 // SetErrorHandler installs the peer-failure handler.
 func (t *TCPTransport) SetErrorHandler(h ErrorHandler) { t.errh = h }
 
@@ -226,7 +230,18 @@ func (t *TCPTransport) Send(dst int, frame []byte) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
 	}
-	if !t.queues[dst].push(frame) {
+	if !t.queues[dst].push(outItem{frame: frame}) {
+		return ErrClosed
+	}
+	return nil
+}
+
+// SendData enqueues a by-reference payload for dst. It never blocks.
+func (t *TCPTransport) SendData(dst int, h wire.Header, payload []byte, done func(error)) error {
+	if dst < 0 || dst >= t.size {
+		return ErrBadRank
+	}
+	if !t.queues[dst].push(outItem{data: &outData{hdr: h, payload: payload, done: done}}) {
 		return ErrClosed
 	}
 	return nil
@@ -248,17 +263,22 @@ func (t *TCPTransport) Start() error {
 	for peer := range t.conns {
 		peer := peer
 		if peer == t.rank {
-			// Loopback: the writer delivers straight to the handler.
+			// Loopback: the writer delivers straight to the handler (or,
+			// for a SendData item, to the lander).
 			q := t.queues[peer]
 			t.wg.Add(1)
 			go func() {
 				defer t.wg.Done()
 				for {
-					frame, ok := q.pop()
+					it, ok := q.pop()
 					if !ok {
 						return
 					}
-					t.handler(t.rank, frame)
+					if it.data != nil {
+						landLocal(t.lander, t.rank, it.data)
+					} else {
+						t.handler(t.rank, it.frame)
+					}
 					q.delivered()
 				}
 			}()
@@ -274,61 +294,138 @@ func (t *TCPTransport) Start() error {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			r := bufio.NewReaderSize(conn, 1<<16)
-			for {
-				frame, err := wire.ReadFrame(r)
-				if err != nil {
-					t.reportPeerError(peer, err)
-					return
-				}
-				var h wire.Header
-				if err := h.Decode(frame); err != nil {
-					t.reportPeerError(peer, err)
-					return
-				}
-				if h.Kind == wire.KindGoodbye {
-					t.mu.Lock()
-					t.goodbye[peer] = true
-					t.mu.Unlock()
-					return
-				}
-				t.handler(peer, frame)
+			if err := t.readLoop(peer, conn); err != nil {
+				t.reportPeerError(peer, err)
 			}
 		}()
 
-		// Writer: drains the unbounded queue into the socket, batching
-		// flushes while the queue stays non-empty. Once a frame's bytes
-		// are in the socket (or the connection is dead and the frame is
-		// dropped), the frame goes back to the pool — the writer is the
-		// frame's final owner on the remote path.
-		q := t.queues[peer]
+		// Writer: drains the unbounded queue into the socket.
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			w := bufio.NewWriterSize(conn, 1<<16)
-			var dead bool
-			for {
-				frame, ok := q.pop()
-				if !ok {
-					w.Flush()
-					return
-				}
-				if !dead {
-					err := wire.WriteFrame(w, frame)
-					if err == nil && q.len() == 0 {
-						err = w.Flush()
-					}
-					if err != nil {
-						dead = true
-						t.reportPeerError(peer, err)
-					}
-				}
-				wire.PutBuf(frame)
-				q.delivered()
-			}
+			t.writeLoop(peer, conn, t.queues[peer])
 		}()
 	}
 	return nil
+}
+
+// readLoop is one connection's input handler: it reads frames header-first
+// and hands each to the Handler, except KindData, whose payload goes from
+// the socket straight into the buffer the Lander names (see landStream).
+// It returns nil after the peer's GOODBYE and otherwise the error that
+// ended the stream: connection loss, or a wire.ErrFrame for bytes that
+// are not a frame stream. Every length on the wire is treated as hostile:
+// none of them sizes an allocation beyond wire.ReadBody's trust bound.
+func (t *TCPTransport) readLoop(peer int, conn io.Reader) error {
+	r := bufio.NewReaderSize(conn, 1<<16)
+	scratch := make([]byte, wire.PrefixLen+wire.HeaderLen)
+	hdr := scratch[wire.PrefixLen:]
+	for {
+		n, err := wire.ReadHeader(r, scratch)
+		if err != nil {
+			return err
+		}
+		var h wire.Header
+		_ = h.Decode(hdr) // cannot fail: hdr holds HeaderLen bytes
+		switch h.Kind {
+		case wire.KindGoodbye:
+			t.mu.Lock()
+			t.goodbye[peer] = true
+			t.mu.Unlock()
+			return nil
+		case wire.KindData:
+			if err := t.landStream(peer, r, h, n); err != nil {
+				return err
+			}
+		default:
+			frame, err := wire.ReadBody(r, hdr, n)
+			if err != nil {
+				return err
+			}
+			t.handler(peer, frame)
+		}
+	}
+}
+
+// landStream moves the payload of the KindData frame whose header was just
+// read (n is the frame length its prefix announced) from r into the
+// landing buffer the Lander names, skipping whatever the buffer does not
+// take — or all of it when nobody awaits the payload — so the stream stays
+// in step with the frame boundaries.
+func (t *TCPTransport) landStream(peer int, r *bufio.Reader, h wire.Header, n int) error {
+	plen := n - wire.HeaderLen
+	if h.Len < 0 || int(h.Len) != plen {
+		return fmt.Errorf("%w: DATA frame of %d bytes announces a %d-byte payload", wire.ErrFrame, n, h.Len)
+	}
+	var dst []byte
+	var fin func(error)
+	if t.lander != nil {
+		var err error
+		if dst, fin, err = t.lander(peer, h); err != nil {
+			return err
+		}
+	}
+	if fin == nil {
+		_, err := r.Discard(plen)
+		return err
+	}
+	if len(dst) > plen {
+		dst = dst[:plen]
+	}
+	_, err := io.ReadFull(r, dst)
+	if err == nil {
+		_, err = r.Discard(plen - len(dst))
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	fin(err)
+	return err
+}
+
+// writeLoop drains one peer's queue into its socket, batching flushes
+// while the queue stays non-empty. Once a frame's bytes are in the socket
+// (or the connection is dead and the frame is dropped), the frame goes
+// back to the pool — the writer is the frame's final owner on the remote
+// path. A SendData item goes out as one writev of prefix+header and the
+// borrowed payload, behind whatever was still buffered, and is completed
+// here; after a write error every later item of the queue completes with
+// that error unwritten.
+func (t *TCPTransport) writeLoop(peer int, conn net.Conn, q *sendQueue) {
+	w := bufio.NewWriterSize(conn, 1<<16)
+	head := make([]byte, wire.PrefixLen+wire.HeaderLen) // prefix+header of a SendData item
+	var dead error
+	for {
+		it, ok := q.pop()
+		if !ok {
+			w.Flush()
+			return
+		}
+		if dead == nil {
+			var err error
+			if it.data == nil {
+				err = wire.WriteFrame(w, it.frame)
+				if err == nil && q.len() == 0 {
+					err = w.Flush()
+				}
+			} else if err = w.Flush(); err == nil {
+				binary.LittleEndian.PutUint32(head, uint32(wire.HeaderLen+len(it.data.payload)))
+				_ = it.data.hdr.Encode(head[wire.PrefixLen:]) // cannot fail: head covers the header
+				vec := net.Buffers{head, it.data.payload}
+				_, err = vec.WriteTo(conn)
+			}
+			if err != nil {
+				dead = err
+				t.reportPeerError(peer, err)
+			}
+		}
+		if it.data != nil {
+			it.data.done(dead)
+		} else {
+			wire.PutBuf(it.frame)
+		}
+		q.delivered()
+	}
 }
 
 // reportPeerError forwards a connection failure to the error handler unless
@@ -405,7 +502,7 @@ func (t *TCPTransport) Close() error {
 	// the pool after writing them, so the frame must not be shared.
 	for peer, q := range t.queues {
 		if peer != t.rank && t.conns[peer] != nil {
-			q.push(wire.NewFrame(&wire.Header{Kind: wire.KindGoodbye, Src: int32(t.rank)}, nil))
+			q.push(outItem{frame: wire.NewFrame(&wire.Header{Kind: wire.KindGoodbye, Src: int32(t.rank)}, nil)})
 		}
 	}
 	for _, q := range t.queues {

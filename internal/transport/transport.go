@@ -27,6 +27,16 @@
 // posted receive or enqueues the frame), readers never stall and the mesh
 // cannot deadlock on control traffic.
 //
+// Rendezvous payloads never become frames. SendData queues a KindData
+// header with a reference to the payload, on the same per-destination
+// FIFO as Send; the receiving side asks its Lander where
+// the payload goes and moves the bytes there directly. Over TCP the writer
+// hands header and payload to one writev and the reader reads the socket
+// straight into the landing buffer (no user-space copy on either side);
+// inside a process the sender's writer goroutine copies from the sender's
+// memory into the landing buffer (one copy). Either way the sender's
+// completion runs once the payload is no longer referenced.
+//
 // See ARCHITECTURE.md at the repository root for where this package sits in
 // the layer stack.
 package transport
@@ -34,6 +44,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+
+	"mpj/internal/wire"
 )
 
 // Handler consumes one inbound frame. src is the absolute rank of the
@@ -47,6 +59,39 @@ import (
 // Handlers are invoked from reader goroutines (one per inbound connection,
 // plus one for loopback) and must not block indefinitely.
 type Handler func(src int, frame []byte)
+
+// Lander resolves where the payload of an inbound KindData message lands.
+// The transport calls it with the decoded header before it has read (or
+// copied) a single payload byte. The answers:
+//
+//   - dst and fin set: the transport fills dst — at most h.Len bytes; a
+//     shorter dst takes the head of the payload and the rest is skipped —
+//     then calls fin exactly once: fin(nil) when dst is full, fin(err)
+//     when the stream broke first. Between the Lander call and fin the
+//     transport is the only writer of dst.
+//   - fin nil: nobody awaits this payload; it is skipped and dropped.
+//   - err set: the header contradicts what the receiver granted. The
+//     connection it came over is finished and reports err as its failure.
+//
+// A Lander runs on reader and writer goroutines and must not block
+// indefinitely; the same holds for fin.
+type Lander func(src int, h wire.Header) (dst []byte, fin func(error), err error)
+
+// landLocal hands a SendData item to a Lander in this address space: one
+// copy from the sender's memory into the landing buffer, then both
+// completions.
+func landLocal(land Lander, src int, it *outData) {
+	if land == nil {
+		it.done(nil)
+		return
+	}
+	dst, fin, err := land(src, it.hdr)
+	if err == nil && fin != nil {
+		copy(dst, it.payload)
+		fin(nil)
+	}
+	it.done(err)
+}
 
 // DeviceName selects a Transport implementation — the device-selection
 // surface of the paper's §3.5 abstract device level, mirroring MPJ
@@ -101,9 +146,27 @@ type Transport interface {
 	// frame to a local Handler (which then owns it) or writes it to a
 	// socket and releases it to the frame pool itself.
 	Send(dst int, frame []byte) error
+	// SendData enqueues a rendezvous payload for dst by reference, on the
+	// same ordered per-destination queue as Send. h is its KindData
+	// header, with Len equal to len(payload). payload is borrowed: the
+	// transport neither copies nor retains it beyond done, and the caller
+	// must leave it untouched until then.
+	//
+	// When SendData returns nil, done is called exactly once — possibly
+	// before SendData returns, otherwise on a transport goroutine — with
+	// nil once the bytes are handed to the medium (written to the socket,
+	// or copied into the receiver's landing buffer), or with the reason
+	// they never will be (connection dead, endpoint closed or aborted).
+	// Close and Abort return only after every accepted payload has had its
+	// done. When SendData returns an error, the payload was not accepted
+	// and done is never called.
+	SendData(dst int, h wire.Header, payload []byte, done func(error)) error
 	// SetHandler installs the inbound frame handler. Must be called
-	// before Start.
+	// before Start. KindData messages never reach it: see SetLander.
 	SetHandler(Handler)
+	// SetLander installs the landing hook for inbound KindData payloads.
+	// Must be called before Start. Without one, such payloads are dropped.
+	SetLander(Lander)
 	// SetErrorHandler installs the peer-failure handler. Optional; must
 	// be called before Start.
 	SetErrorHandler(ErrorHandler)

@@ -440,7 +440,7 @@ func TestTCPRejectsForeignJob(t *testing.T) {
 func TestSendQueueFIFOAndClose(t *testing.T) {
 	q := newSendQueue()
 	for i := 0; i < 10; i++ {
-		if !q.push([]byte{byte(i)}) {
+		if !q.push(outItem{frame: []byte{byte(i)}}) {
 			t.Fatal("push on open queue failed")
 		}
 	}
@@ -448,7 +448,7 @@ func TestSendQueueFIFOAndClose(t *testing.T) {
 		t.Fatalf("len = %d, want 10", q.len())
 	}
 	q.close()
-	if q.push([]byte{99}) {
+	if q.push(outItem{frame: []byte{99}}) {
 		t.Error("push on closed queue succeeded")
 	}
 	for i := 0; i < 10; i++ {
@@ -456,8 +456,8 @@ func TestSendQueueFIFOAndClose(t *testing.T) {
 		if !ok {
 			t.Fatalf("pop %d: queue ended early", i)
 		}
-		if f[0] != byte(i) {
-			t.Fatalf("pop %d returned %d: FIFO violated", i, f[0])
+		if f.frame[0] != byte(i) {
+			t.Fatalf("pop %d returned %d: FIFO violated", i, f.frame[0])
 		}
 		q.delivered()
 	}

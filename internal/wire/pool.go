@@ -8,11 +8,11 @@ import (
 // Frame buffer pool.
 //
 // The eager path builds one frame per message (NewFrame) and, over TCP,
-// reads one frame per inbound message (ReadFrame). Allocating those frames
-// fresh makes the per-message cost scale with GC pressure rather than with
-// the hardware, so frames are recycled through size-classed sync.Pools:
-// GetBuf hands out a buffer from the smallest class that fits, PutBuf
-// returns one when its owner is done with it.
+// reads one frame per inbound message (ReadFrame/ReadBody). Allocating
+// those frames fresh makes the per-message cost scale with GC pressure
+// rather than with the hardware, so frames are recycled through
+// size-classed sync.Pools: GetBuf hands out a buffer from the smallest
+// class that fits, PutBuf returns one when its owner is done with it.
 //
 // Ownership is strictly linear: a frame has exactly one owner at a time,
 // and only the current owner may call PutBuf. Send transfers ownership to
@@ -21,6 +21,20 @@ import (
 // dropped is reclaimed by the GC and the pool refills on demand — but a
 // double PutBuf (or a PutBuf of a frame someone else still reads) corrupts
 // later messages, so when in doubt, drop instead of putting.
+//
+// A rendezvous payload is not a frame and never passes through here on its
+// way across: the transport sends it from, and lands it in, memory it only
+// borrows (transport.SendData, transport.Lander). Two pooled buffers sit
+// at the ends of that path, each with one owner throughout. The stash of a
+// packed send (device.IsendFill) belongs to the device: it is lent to the
+// transport until the SendData completion and goes back to the pool with
+// the send request, on every path. The buffer of an allocate-on-arrival
+// receive is taken from the pool when its payload is about to land and
+// handed to the caller for good (device.Request.Data): it is never put
+// back. The top class stays at 1 MiB for the same reason as before — the
+// pool must not pin unbounded memory — and nothing on the rendezvous path
+// now depends on it: a 1 MiB payload plus header no longer needs a buffer
+// of either size.
 
 const (
 	// minClassBits is the smallest pooled buffer class (64 B), chosen to

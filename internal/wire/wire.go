@@ -238,9 +238,19 @@ func Payload(frame []byte) []byte { return frame[HeaderLen:] }
 // library sends in one frame.
 const maxFrameLen = 1 << 30
 
+// PrefixLen is the size of the little-endian length prefix WriteFrame puts
+// in front of every frame on a stream.
+const PrefixLen = 4
+
+// ErrFrame marks a stream whose bytes violate the frame format: a length
+// prefix outside [HeaderLen, 1 GiB], or a header that contradicts it.
+// Readers wrap it, so errors.Is(err, ErrFrame) separates hostile or
+// corrupt input from plain connection loss (io.EOF and friends).
+var ErrFrame = errors.New("wire: malformed frame")
+
 // WriteFrame writes a length-prefixed frame to w.
 func WriteFrame(w io.Writer, frame []byte) error {
-	var pfx [4]byte
+	var pfx [PrefixLen]byte
 	binary.LittleEndian.PutUint32(pfx[:], uint32(len(frame)))
 	if _, err := w.Write(pfx[:]); err != nil {
 		return err
@@ -249,25 +259,72 @@ func WriteFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame from r. The frame comes from
-// the frame pool; ownership passes to the caller (for the transports, on to
-// their Handler), who may release it with PutBuf when done.
+// ReadHeader reads the length prefix and the encoded header of the next
+// frame on r into scratch, which must hold PrefixLen+HeaderLen bytes, and
+// returns the frame length n the prefix announces (header included). The
+// header bytes are scratch[PrefixLen:]; the n-HeaderLen payload bytes are
+// still on the stream. Reading header-first lets a stream reader decide
+// where a payload goes before any of it is read — and before its length
+// sizes an allocation: ReadBody collects it into a frame, the transports
+// land rendezvous DATA straight in the posted receive buffer instead.
+//
+// io.EOF means the stream ended cleanly between frames.
+func ReadHeader(r io.Reader, scratch []byte) (n int, err error) {
+	if _, err := io.ReadFull(r, scratch[:PrefixLen+HeaderLen]); err != nil {
+		return 0, err
+	}
+	n32 := binary.LittleEndian.Uint32(scratch)
+	if n32 > maxFrameLen {
+		return 0, fmt.Errorf("%w: length %d exceeds limit", ErrFrame, n32)
+	}
+	if n32 < HeaderLen {
+		return 0, fmt.Errorf("%w: length %d shorter than header", ErrFrame, n32)
+	}
+	return int(n32), nil
+}
+
+// maxTrusted is how much ReadBody allocates on the word of a length prefix
+// alone: a frame carrying one top-class payload. Longer frames grow their
+// buffer only as bytes actually arrive.
+const maxTrusted = HeaderLen + 1<<maxClassBits
+
+// ReadBody completes the frame whose prefix and header ReadHeader consumed:
+// hdr holds the HeaderLen encoded header bytes, n is the frame length. The
+// frame comes from the frame pool; ownership passes to the caller (for the
+// transports, on to their Handler), who may release it with PutBuf when
+// done. A stream that ends inside the frame reports io.ErrUnexpectedEOF.
+func ReadBody(r io.Reader, hdr []byte, n int) ([]byte, error) {
+	frame := GetBuf(min(n, maxTrusted))
+	copy(frame, hdr[:HeaderLen])
+	have := HeaderLen
+	for {
+		if _, err := io.ReadFull(r, frame[have:]); err != nil {
+			PutBuf(frame)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(frame) == n {
+			return frame, nil
+		}
+		// A prefix beyond maxTrusted: double the buffer, never ahead of
+		// what the peer has really sent, so a 4-byte prefix cannot demand
+		// a gigabyte.
+		have = len(frame)
+		grown := make([]byte, min(n, 2*have))
+		copy(grown, frame)
+		frame = grown
+	}
+}
+
+// ReadFrame reads one length-prefixed frame from r: ReadHeader, then
+// ReadBody.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var pfx [4]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
+	var scratch [PrefixLen + HeaderLen]byte
+	n, err := ReadHeader(r, scratch[:])
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(pfx[:])
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("wire: frame length %d exceeds limit", n)
-	}
-	if n < HeaderLen {
-		return nil, fmt.Errorf("wire: frame length %d shorter than header", n)
-	}
-	frame := GetBuf(int(n))
-	if _, err := io.ReadFull(r, frame); err != nil {
-		PutBuf(frame)
-		return nil, err
-	}
-	return frame, nil
+	return ReadBody(r, scratch[PrefixLen:], n)
 }

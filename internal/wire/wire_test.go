@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +141,70 @@ func TestKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), got, want)
 		}
+	}
+}
+
+// TestReadHeaderThenBody: the header-first pair reads exactly what
+// ReadFrame reads, leaves the payload on the stream in between, and wraps
+// format violations in ErrFrame.
+func TestReadHeaderThenBody(t *testing.T) {
+	var buf bytes.Buffer
+	want := NewFrame(&Header{Kind: KindEager, Tag: 7, Len: 5}, []byte("hello"))
+	if err := WriteFrame(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]byte, PrefixLen+HeaderLen)
+	n, err := ReadHeader(&buf, scratch)
+	if err != nil || n != len(want) {
+		t.Fatalf("ReadHeader = %d, %v; want %d", n, err, len(want))
+	}
+	var h Header
+	if err := h.Decode(scratch[PrefixLen:]); err != nil || h.Tag != 7 || h.Len != 5 {
+		t.Fatalf("header-first decode: %+v, %v", h, err)
+	}
+	if buf.Len() != 5 {
+		t.Fatalf("ReadHeader consumed the payload: %d bytes left, want 5", buf.Len())
+	}
+	got, err := ReadBody(&buf, scratch[PrefixLen:], n)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadBody: %v, frames equal %v", err, bytes.Equal(got, want))
+	}
+	for _, pfx := range [][]byte{{1, 0, 0, 0}, {0xff, 0xff, 0xff, 0xff}} {
+		in := append(append([]byte{}, pfx...), make([]byte, HeaderLen)...)
+		if _, err := ReadHeader(bytes.NewReader(in), scratch); !errors.Is(err, ErrFrame) {
+			t.Errorf("prefix % x: got %v, want ErrFrame", pfx, err)
+		}
+	}
+}
+
+// TestReadBodyDoesNotTrustThePrefix: a frame longer than one top-class
+// payload is read correctly, and a prefix demanding a gigabyte from a
+// stream that holds a few bytes costs one trusted buffer, not a gigabyte.
+func TestReadBodyDoesNotTrustThePrefix(t *testing.T) {
+	big := make([]byte, 3*maxTrusted+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	want := NewFrame(&Header{Kind: KindEager, Len: int32(len(big))}, big)
+	if err := WriteFrame(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(&buf)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("frame beyond the trust bound: %v, equal %v", err, bytes.Equal(got, want))
+	}
+
+	liar := make([]byte, PrefixLen+HeaderLen+10)
+	binary.LittleEndian.PutUint32(liar, maxFrameLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadFrame(bytes.NewReader(liar))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated gigabyte frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*maxTrusted {
+		t.Errorf("a %d-byte stream made ReadFrame allocate %d bytes", len(liar), grew)
 	}
 }
