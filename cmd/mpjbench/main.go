@@ -37,8 +37,9 @@
 // internal/core/collalg.go prefers measured thresholds over its built-in
 // constants. With -quick the sweep shrinks to the CI smoke subset.
 //
-// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded results and their interpretation.
+// The experiment index is the list above; README.md ("Benchmarks",
+// "Tuning") and the committed BENCH_*.json files hold the recorded results
+// and their interpretation.
 package main
 
 import (

@@ -179,8 +179,8 @@ func E4CollectiveScaling(nps []int, payload int) (*Table, error) {
 }
 
 // A1AllreduceAblation compares the two Allreduce algorithms across sizes
-// on a power-of-two communicator — the design-choice ablation from
-// DESIGN.md.
+// on a power-of-two communicator — the design-choice ablation behind
+// AllreduceAuto's small-message choice (internal/core/coll.go).
 func A1AllreduceAblation(np int, counts []int) (*Table, error) {
 	if np&(np-1) != 0 {
 		return nil, fmt.Errorf("A1 requires power-of-two np, got %d", np)

@@ -56,12 +56,6 @@ func (c *Comm) collIsendFill(n int, fill func([]byte) error, dst, tag int) (*dev
 	return c.dev.IsendFill(n, fill, w, tag, c.coll, device.ModeStandard)
 }
 
-// collIrecv posts a raw dynamic-buffer receive on the collective context.
-// src is a group rank.
-func (c *Comm) collIrecv(src, tag int) (*device.Request, error) {
-	return c.collIrecvInto(nil, src, tag)
-}
-
 // collIrecvInto posts a receive landing directly in buf on the collective
 // context (nil buf: allocate on arrival) — the zero-staging entry the
 // segmented and ring schedules use. src is a group rank.

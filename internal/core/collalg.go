@@ -171,55 +171,58 @@ func (c *Comm) collAlgChoice() CollAlg {
 	return c.proc.collAlg
 }
 
-// collSegSize resolves the pipeline segment size: per-comm SetCollSegSize,
-// then MPJ_COLL_SEG, then the measured table, then the built-in default.
-func (c *Comm) collSegSize() int {
-	if c.segSize > 0 {
-		return c.segSize
+// resolve walks the consult order every selection knob shares — per-comm
+// setter, environment, measured table, built-in constant — and returns the
+// first source that is set (positive). Knobs without a setter or an
+// environment variable pass 0 there; table reads the knob's field of this
+// device's table entry.
+func (c *Comm) resolve(comm, env int, table func(*DeviceCrossovers) int, def int) int {
+	if comm > 0 {
+		return comm
 	}
-	if c.proc.collSeg > 0 {
-		return c.proc.collSeg
+	if env > 0 {
+		return env
 	}
-	if d := c.proc.collDev; d != nil && d.SegSize > 0 {
-		return d.SegSize
-	}
-	return DefaultCollSegSize
-}
-
-// largeMin resolves the payload threshold (bytes) of the large-message
-// path: the measured table's crossover for this device (exact-np entry
-// first, then the device-wide one), else the built-in constant.
-func (c *Comm) largeMin() int {
 	if d := c.proc.collDev; d != nil {
-		if n := d.largeMinAt(c.Size()); n > 0 {
+		if n := table(d); n > 0 {
 			return n
 		}
 	}
-	return defLargeCollMin
+	return def
+}
+
+// collSegSize resolves the pipeline segment size (SetCollSegSize,
+// MPJ_COLL_SEG, seg_size).
+func (c *Comm) collSegSize() int {
+	return c.resolve(c.segSize, c.proc.collSeg, func(d *DeviceCrossovers) int { return d.SegSize }, DefaultCollSegSize)
+}
+
+// largeMin resolves the payload threshold (bytes) of the large-message
+// path (large_min: the exact-np entry first, then the device-wide one).
+func (c *Comm) largeMin() int {
+	return c.resolve(0, 0, func(d *DeviceCrossovers) int { return d.largeMinAt(c.Size()) }, defLargeCollMin)
 }
 
 // largeMinNP resolves the smallest communicator size where the
-// large-message schedules pay off.
+// large-message schedules pay off (large_min_np).
 func (c *Comm) largeMinNP() int {
-	if d := c.proc.collDev; d != nil && d.LargeMinNP > 0 {
-		return d.LargeMinNP
-	}
-	return defLargeCollMinNP
+	return c.resolve(0, 0, func(d *DeviceCrossovers) int { return d.LargeMinNP }, defLargeCollMinNP)
 }
 
 // binPipeBand resolves the [lo, hi) payload band where broadcast prefers
-// the pipelined binomial tree over the pipelined chain.
+// the pipelined binomial tree over the pipelined chain (bin_pipe_min,
+// defaulting to the large-message threshold, and bin_pipe_max).
 func (c *Comm) binPipeBand() (lo, hi int) {
-	lo, hi = c.largeMin(), defBinPipeMax
-	if d := c.proc.collDev; d != nil {
-		if d.BinPipeMin > 0 {
-			lo = d.BinPipeMin
-		}
-		if d.BinPipeMax > 0 {
-			hi = d.BinPipeMax
-		}
-	}
+	lo = c.resolve(0, 0, func(d *DeviceCrossovers) int { return d.BinPipeMin }, c.largeMin())
+	hi = c.resolve(0, 0, func(d *DeviceCrossovers) int { return d.BinPipeMax }, defBinPipeMax)
 	return lo, hi
+}
+
+// hierMin resolves the payload size (bytes) from which automatic selection
+// takes the two-level schedules on a comm spanning locality groups
+// (hier_min; by default always).
+func (c *Comm) hierMin() int {
+	return c.resolve(0, 0, func(d *DeviceCrossovers) int { return d.HierMin }, 0)
 }
 
 // collLarge reports whether a collective moving total packed bytes should
@@ -257,22 +260,15 @@ func (c *Comm) collBinPipe(total int) bool {
 // compile the two-level hierarchical schedule. It requires a locality
 // layout worth exploiting — at least two groups, with co-location
 // somewhere (hier.go, locView.multi) — and is then auto-chosen from the
-// table's hier_min threshold (default: whenever the comm spans groups,
-// i.e. zero). Forcing CollAlgHier skips the threshold but still requires
-// the layout; on a flat comm the family falls back to auto selection.
+// hier_min threshold (default: whenever the comm spans groups, i.e.
+// zero). Forcing CollAlgHier skips the threshold but still requires the
+// layout; on a flat comm the family falls back to auto selection.
 func (c *Comm) collHier(total int) bool {
 	switch c.collAlgChoice() {
 	case CollAlgHier:
 		return c.localityView().multi()
 	case CollAlgAuto:
-		if !c.localityView().multi() {
-			return false
-		}
-		min := 0
-		if d := c.proc.collDev; d != nil && d.HierMin > 0 {
-			min = d.HierMin
-		}
-		return total >= min
+		return c.localityView().multi() && total >= c.hierMin()
 	}
 	return false
 }

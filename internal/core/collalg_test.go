@@ -143,3 +143,85 @@ func TestForcedFamilyEquivalenceNP2(t *testing.T) {
 		return nil
 	})
 }
+
+// Every selection knob resolves through one consult chain — per-comm
+// setter, environment, measured table, built-in constant. Each source a
+// knob has is set in turn, lowest rank first: the newest one must win, and
+// clearing it must fall back to the one below.
+func TestCollKnobConsultOrder(t *testing.T) {
+	runRanks(t, 4, func(w *Comm) error {
+		lo := func() int { lo, _ := w.binPipeBand(); return lo }
+		hi := func() int { _, hi := w.binPipeBand(); return hi }
+		knobs := []struct {
+			name   string
+			get    func() int
+			def    int
+			table  func(d *DeviceCrossovers, v int)
+			env    func(v int) // nil: the knob has no environment variable
+			setter func(v int) // nil: the knob has no per-comm setter
+		}{
+			{"seg_size", w.collSegSize, DefaultCollSegSize,
+				func(d *DeviceCrossovers, v int) { d.SegSize = v },
+				func(v int) { w.proc.collSeg = v }, w.SetCollSegSize},
+			{"large_min", w.largeMin, defLargeCollMin,
+				func(d *DeviceCrossovers, v int) { d.LargeMin = v }, nil, nil},
+			{"large_min per np", w.largeMin, defLargeCollMin,
+				func(d *DeviceCrossovers, v int) {
+					d.LargeMin = 7 // the exact-np entry outranks the device-wide one
+					d.PerNP = []NPCrossover{{NP: 3, LargeMin: 9}, {NP: w.Size(), LargeMin: v}}
+				}, nil, nil},
+			{"large_min_np", w.largeMinNP, defLargeCollMinNP,
+				func(d *DeviceCrossovers, v int) { d.LargeMinNP = v }, nil, nil},
+			{"bin_pipe_min", lo, defLargeCollMin,
+				func(d *DeviceCrossovers, v int) { d.BinPipeMin = v }, nil, nil},
+			{"bin_pipe_min follows large_min", lo, defLargeCollMin,
+				func(d *DeviceCrossovers, v int) { d.LargeMin = v }, nil, nil},
+			{"bin_pipe_max", hi, defBinPipeMax,
+				func(d *DeviceCrossovers, v int) { d.BinPipeMax = v }, nil, nil},
+			{"hier_min", w.hierMin, 0,
+				func(d *DeviceCrossovers, v int) { d.HierMin = v }, nil, nil},
+		}
+		for _, k := range knobs {
+			want := func(step string, v int) error {
+				return expect(k.get() == v, "%s, %s: resolved %d, want %d", k.name, step, k.get(), v)
+			}
+			w.proc.collDev = nil
+			if err := want("no table", k.def); err != nil {
+				return err
+			}
+			d := &DeviceCrossovers{}
+			w.proc.collDev = d
+			if err := want("table without the knob", k.def); err != nil {
+				return err
+			}
+			k.table(d, 111)
+			if err := want("table", 111); err != nil {
+				return err
+			}
+			if k.env != nil {
+				k.env(222)
+				if err := want("environment over table", 222); err != nil {
+					return err
+				}
+			}
+			if k.setter != nil {
+				k.setter(333)
+				if err := want("setter over environment", 333); err != nil {
+					return err
+				}
+				k.setter(0)
+				if err := want("setter cleared", 222); err != nil {
+					return err
+				}
+			}
+			if k.env != nil {
+				k.env(0)
+				if err := want("environment cleared", 111); err != nil {
+					return err
+				}
+			}
+		}
+		w.proc.collDev = nil
+		return nil
+	})
+}

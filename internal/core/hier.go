@@ -42,8 +42,10 @@ import (
 // locView is a communicator's locality structure: its members partitioned
 // into co-location groups, in comm-rank space.
 type locView struct {
-	groups  [][]int // comm ranks per group, each ascending; ordered by lowest member
-	groupOf []int   // comm rank -> index into groups
+	groups  [][]int  // comm ranks per group, each ascending; ordered by lowest member
+	groupOf []int    // comm rank -> index into groups
+	all     []int    // every comm rank, ascending: the member list of the whole communicator
+	flat    *locView // the same members as one group (the view itself when it has one)
 }
 
 // multi reports whether the layout is worth a two-level schedule: at
@@ -67,13 +69,13 @@ func (v *locView) multi() bool {
 // (always safe — unknown ranks are treated as remote, matching the hyb
 // transport's routing rule).
 func buildLocView(size int, keys []string) *locView {
-	v := &locView{groupOf: make([]int, size)}
+	v := &locView{groupOf: make([]int, size), all: make([]int, size)}
+	for r := range v.all {
+		v.all[r] = r
+	}
+	v.flat = v
 	if len(keys) != size {
-		all := make([]int, size)
-		for r := range all {
-			all[r] = r
-		}
-		v.groups = [][]int{all}
+		v.groups = [][]int{v.all}
 		return v
 	}
 	byKey := make(map[string]int)
@@ -92,6 +94,9 @@ func buildLocView(size int, keys []string) *locView {
 		}
 		v.groups[gi] = append(v.groups[gi], r)
 		v.groupOf[r] = gi
+	}
+	if len(v.groups) > 1 {
+		v.flat = &locView{groups: [][]int{v.all}, groupOf: make([]int, size), all: v.all}
 	}
 	return v
 }
@@ -118,6 +123,22 @@ func (c *Comm) localityView() *locView {
 	}
 	c.locView = buildLocView(c.Size(), keys)
 	return c.locView
+}
+
+// members returns the identity member list — every comm rank, ascending —
+// that the whole-communicator schedules hand to the round builders.
+func (c *Comm) members() []int { return c.localityView().all }
+
+// schedView returns the layout a schedule compiles against: the locality
+// view when the two-level schedule was selected, else one group holding
+// every member — the single-level schedule is the two-level one with no
+// expensive link to cross.
+func (c *Comm) schedView(two bool) *locView {
+	v := c.localityView()
+	if two {
+		return v
+	}
+	return v.flat
 }
 
 // SetLocalityTable installs a synthetic locality table on this
@@ -193,186 +214,14 @@ func (c *Comm) LocalityLeaders() (*Group, error) {
 }
 
 // ---------------------------------------------------------------------
-// Subset round builders: the binomial/dissemination/chain primitives of
-// icoll.go generalized to an arbitrary member list in comm-rank space.
-// members must be identical on every participating rank; ranks not in
-// members compile zero rounds. rootIdx is an index into members.
-// ---------------------------------------------------------------------
-
-// memberIdx returns rank's position in members, or -1.
-func memberIdx(members []int, rank int) int {
-	for i, r := range members {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}
-
-// bcastRoundsIn compiles the binomial broadcast of cl over members.
-func bcastRoundsIn(c *Comm, members []int, cl *cell, rootIdx int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if n <= 1 || me < 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
-	var rs []round
-	lb := pow2ceil(n)
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent := members[(vrank-lb+rootIdx)%n]
-		rs = append(rs, round{recvs: []recvStep{{
-			from: parent,
-			on:   func(got []byte) error { cl.b = got; return nil },
-		}}})
-	}
-	var sends []sendStep
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < n {
-			child := members[(vrank+m+rootIdx)%n]
-			sends = append(sends, sendStep{to: child, data: func() []byte { return cl.b }})
-		}
-	}
-	if len(sends) > 0 {
-		rs = append(rs, round{sends: sends})
-	}
-	return rs
-}
-
-// bcastWinRoundsIn is bcastRoundsIn over a fixed assembly buffer instead
-// of an adopting cell: receives land directly in asm, sends read it.
-// Every member must pass the same length.
-func bcastWinRoundsIn(c *Comm, members []int, asm []byte, rootIdx int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if n <= 1 || me < 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
-	var rs []round
-	lb := pow2ceil(n)
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent := members[(vrank-lb+rootIdx)%n]
-		rs = append(rs, round{recvs: []recvStep{{from: parent, buf: asm}}})
-	}
-	var sends []sendStep
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < n {
-			child := members[(vrank+m+rootIdx)%n]
-			sends = append(sends, sendStep{to: child, data: func() []byte { return asm }})
-		}
-	}
-	if len(sends) > 0 {
-		rs = append(rs, round{sends: sends})
-	}
-	return rs
-}
-
-// reduceRoundsIn compiles the binomial reduction of acc toward
-// members[rootIdx] with comb.
-func reduceRoundsIn(c *Comm, members []int, acc *cell, comb combiner, rootIdx int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if n <= 1 || me < 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
-	var rs []round
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := members[(vrank-mask+rootIdx)%n]
-			rs = append(rs, round{sends: []sendStep{{to: parent, data: func() []byte { return acc.b }}}})
-			return rs
-		}
-		srcV := vrank | mask
-		if srcV >= n {
-			continue
-		}
-		rs = append(rs, round{recvs: []recvStep{{
-			from: members[(srcV+rootIdx)%n],
-			on:   func(got []byte) error { return comb(got, acc.b) },
-		}}})
-	}
-	return rs
-}
-
-// rdRoundsIn compiles recursive-doubling allreduce over members
-// (power-of-two member counts only).
-func rdRoundsIn(c *Comm, members []int, acc *cell, comb combiner) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if n <= 1 || me < 0 {
-		return nil
-	}
-	var rs []round
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := members[me^mask]
-		rs = append(rs, round{
-			recvs: []recvStep{{from: partner, on: func(got []byte) error { return comb(got, acc.b) }}},
-			sends: []sendStep{{to: partner, data: func() []byte { return acc.b }}},
-		})
-	}
-	return rs
-}
-
-// barrierRoundsIn compiles the dissemination barrier over members.
-func barrierRoundsIn(c *Comm, members []int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if n <= 1 || me < 0 {
-		return nil
-	}
-	var rs []round
-	for k := 1; k < n; k <<= 1 {
-		dst := members[(me+k)%n]
-		src := members[(me-k+n)%n]
-		rs = append(rs, round{
-			recvs: []recvStep{{from: src}},
-			sends: []sendStep{{to: dst, data: func() []byte { return nil }}},
-		})
-	}
-	return rs
-}
-
-// pipeChainRoundsIn compiles the segmented pipelined chain broadcast of
-// asm over members, rooted at members[rootIdx]; the chain runs in member
-// order rotated to start at the root.
-func pipeChainRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	nseg := segCount(len(asm), seg)
-	if n <= 1 || me < 0 || nseg == 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
-	parent := members[(vrank-1+rootIdx+n)%n]
-	child := members[(vrank+1+rootIdx)%n]
-	hasChild := vrank < n-1
-	var rs []round
-	for t := 0; t <= nseg; t++ {
-		var rd round
-		if vrank > 0 && t < nseg {
-			rd.recvs = []recvStep{{from: parent, buf: segOf(asm, t, seg)}}
-		}
-		if hasChild && t > 0 {
-			data := segOf(asm, t-1, seg)
-			rd.sends = []sendStep{{to: child, data: func() []byte { return data }}}
-		}
-		if len(rd.recvs)+len(rd.sends) > 0 {
-			rs = append(rs, rd)
-		}
-	}
-	return rs
-}
-
-// ---------------------------------------------------------------------
-// The two-level schedules. Each compiles intra- and inter-group phases
-// into ONE schedule on one tag; ranks without steps in a phase simply
-// have no rounds for it, and per-(src,dst) FIFO matching keeps the
-// concatenation correct (the same property iallreduce's reduce+bcast
-// concatenation relies on).
+// The two-level schedules: compositions of the member-list round builders
+// of icoll.go and sched.go over a locality group and the group leaders.
+// Each compiles intra- and inter-group phases into ONE schedule on one
+// tag; ranks without steps in a phase simply have no rounds for it, and
+// per-(src,dst) FIFO matching keeps the concatenation correct (the same
+// property iallreduce's reduce+bcast concatenation relies on). Broadcast
+// and Reduce have no builder here: ibcast and ireduce compose their phases
+// over hierFor directly, for one group (schedView) as for several.
 // ---------------------------------------------------------------------
 
 // hierInfo is the layout one two-level schedule compiles against.
@@ -402,95 +251,6 @@ func (c *Comm) hierFor(v *locView, root int) hierInfo {
 	h.leadIdx = memberIdx(h.leaders, c.rank)
 	h.ldrInG = memberIdx(h.mine, h.leaders[v.groupOf[c.rank]])
 	return h
-}
-
-// ihbcast compiles the hierarchical broadcast: the payload first crosses
-// the inter-group links once per group (binomial over the effective
-// leaders, or a segmented pipelined chain for large payloads), then fans
-// out inside each group over the cheap links.
-func (c *Comm) ihbcast(name string, tag int, buf any, off, count int, dt Datatype, total, root int) (*CollRequest, error) {
-	v := c.localityView()
-	h := c.hierFor(v, root)
-
-	// Assembly space: a raw window of the user buffer when the datatype
-	// exposes one, else a packed staging buffer (the root packs, everyone
-	// else unpacks at finish) — the same plan as ibcastPipelined.
-	var asm []byte
-	var finish, reset func() error
-	if rw, ok := dt.(rawWindower); ok {
-		if win, ok := rw.window(buf, off, count); ok {
-			asm = win
-		}
-	}
-	if asm == nil {
-		if c.rank == root {
-			packed, err := packExact(dt, buf, off, count)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			if len(packed) != total {
-				return nil, fmt.Errorf("%s: %w: packed %d of %d bytes", name, ErrCount, len(packed), total)
-			}
-			asm = packed
-			reset = func() error {
-				if pi, ok := dt.(packerInto); ok {
-					return pi.PackInto(asm, buf, off, count)
-				}
-				b, err := packExact(dt, buf, off, count)
-				if err != nil {
-					return err
-				}
-				if len(b) != len(asm) {
-					return fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), len(asm))
-				}
-				copy(asm, b)
-				return nil
-			}
-		} else {
-			staging := make([]byte, total)
-			asm = staging
-			finish = func() error {
-				_, err := dt.Unpack(staging, buf, off, count)
-				return err
-			}
-		}
-	}
-
-	seg := c.collSegSize()
-	large := total >= c.largeMin()
-	phase := func(members []int, rootIdx int) []round {
-		if large {
-			return pipeChainRoundsIn(c, members, asm, rootIdx, seg)
-		}
-		return bcastWinRoundsIn(c, members, asm, rootIdx)
-	}
-	rounds := append(phase(h.leaders, h.rootG), phase(h.mine, h.ldrInG)...)
-	nseg := 0
-	alg := "hier"
-	if large {
-		nseg = segCount(total, seg)
-		alg = "hier-pipelined"
-	}
-	req, err := c.newCollRequestAlg(name, tag, alg, nseg, rounds, finish)
-	if err == nil {
-		// Cacheable like the single-level pipelines: every send reads asm
-		// at post time, receives land in it, and the root's reset re-packs
-		// it in place.
-		req.cacheable = true
-		req.reset = reset
-	}
-	return req, err
-}
-
-// ihreduceRounds compiles the hierarchical reduction of acc toward root:
-// intra-group binomial reduce to each effective leader, then a binomial
-// reduce over the leaders toward the root. Partial results cross the
-// inter-group links once per group.
-func (c *Comm) ihreduceRounds(acc *cell, comb combiner, root int) []round {
-	v := c.localityView()
-	h := c.hierFor(v, root)
-	rounds := reduceRoundsIn(c, h.mine, acc, comb, h.ldrInG)
-	return append(rounds, reduceRoundsIn(c, h.leaders, acc, comb, h.rootG)...)
 }
 
 // ihallreduceRounds compiles the hierarchical allreduce on acc: reduce to
@@ -563,26 +323,20 @@ func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt
 
 	// Assembly: size slots of bs bytes in comm-rank order — a raw window
 	// of rbuf when possible, else staging unpacked at finish.
-	var asm []byte
+	asm := vWindow(rdt, rbuf, roff, size*rcount)
+	slot := func(r int) []byte { return asm[r*bs : (r+1)*bs] }
 	var finish func() error
-	if rw, ok := rdt.(rawWindower); ok {
-		if win, ok := rw.window(rbuf, roff, size*rcount); ok {
-			asm = win
-		}
-	}
 	if asm == nil {
-		staging := make([]byte, size*bs)
-		asm = staging
+		asm = make([]byte, size*bs)
 		finish = func() error {
 			for r := 0; r < size; r++ {
-				if _, err := rdt.Unpack(staging[r*bs:(r+1)*bs], rbuf, roff+r*rcount*rdt.Extent(), rcount); err != nil {
+				if _, err := rdt.Unpack(slot(r), rbuf, roff+r*rcount*rdt.Extent(), rcount); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 	}
-	slot := func(r int) []byte { return asm[r*bs : (r+1)*bs] }
 
 	// Own block lands in its slot at build time.
 	if pi, ok := sdt.(packerInto); ok && scount*sdt.ByteSize() == bs {
@@ -644,11 +398,10 @@ func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt
 		rounds = append(rounds, rd)
 	}
 	// Phase 3: the assembled vector fans out inside each group.
-	seg := c.collSegSize()
-	if size*bs >= c.largeMin() {
-		rounds = append(rounds, pipeChainRoundsIn(c, h.mine, asm, h.ldrInG, seg)...)
+	if c.collLarge(size * bs) {
+		rounds = append(rounds, pipeChainRoundsIn(c, h.mine, asm, h.ldrInG, c.collSegSize())...)
 	} else {
-		rounds = append(rounds, bcastWinRoundsIn(c, h.mine, asm, h.ldrInG)...)
+		rounds = append(rounds, bcastRoundsIn(c, h.mine, &cell{b: asm, fixed: true}, h.ldrInG)...)
 	}
 	return c.newCollRequestAlg(name, tag, "hier", 0, rounds, finish)
 }

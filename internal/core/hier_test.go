@@ -219,6 +219,28 @@ func hierSweep(w *Comm, tag string) error {
 				return fmt.Errorf("%s allgather gc=%d: gr[%d] = %v, want %v", tag, gc, i, gr[i], float64(i))
 			}
 		}
+		// Equal blocks laid end to end are the fixed-count layout whoever
+		// states it: Allgatherv compiles the same two-level schedule.
+		counts, displs := make([]int, np), make([]int, np)
+		for r := range counts {
+			counts[r], displs[r] = gc, r*gc
+		}
+		gv := make([]float64, np*gc)
+		req, err := w.Iallgatherv(gs, 0, gc, Double, gv, 0, counts, displs, Double)
+		if err != nil {
+			return fmt.Errorf("%s allgatherv gc=%d: %w", tag, gc, err)
+		}
+		if _, err := req.Wait(); err != nil {
+			return fmt.Errorf("%s allgatherv gc=%d: %w", tag, gc, err)
+		}
+		if req.alg != "hier" {
+			return fmt.Errorf("%s allgatherv gc=%d on equal blocks compiled %q, want hier", tag, gc, req.alg)
+		}
+		for i := range gv {
+			if gv[i] != gr[i] {
+				return fmt.Errorf("%s allgatherv gc=%d: gv[%d] = %v, want %v", tag, gc, i, gv[i], gr[i])
+			}
+		}
 	}
 
 	return w.Barrier()

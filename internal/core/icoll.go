@@ -21,17 +21,63 @@ import (
 // reserved at Commit time.
 
 // ---------------------------------------------------------------------
-// Round builders, one per algorithm.
+// Round builders, one per algorithm. The tree, dissemination and chain
+// primitives (*RoundsIn here, pipe*RoundsIn in sched.go) compile over a
+// member list in comm-rank space, identical on every participating rank;
+// ranks outside it compile zero rounds, rootIdx indexes the list. The
+// whole communicator is the identity list (Comm.members); the two-level
+// schedules of hier.go pass a locality group or the group leaders.
 // ---------------------------------------------------------------------
 
-// barrierRounds compiles the dissemination barrier: ceil(log2 p) rounds of
-// pairwise empty-message exchange.
-func barrierRounds(c *Comm) []round {
-	size := c.Size()
+// memberIdx returns rank's position in members, or -1.
+func memberIdx(members []int, rank int) int {
+	if rank < len(members) && members[rank] == rank {
+		return rank // the identity list, without the scan
+	}
+	for i, r := range members {
+		if r == rank {
+			return i
+		}
+	}
+	return -1
+}
+
+// binomialEdges returns this rank's edges in the binomial broadcast tree
+// over members rooted at members[rootIdx]: its parent (-1 on the root and
+// on ranks outside members) and its children, farthest subtree first.
+func binomialEdges(c *Comm, members []int, rootIdx int) (parent int, children []int) {
+	n := len(members)
+	me := memberIdx(members, c.rank)
+	if me < 0 {
+		return -1, nil
+	}
+	vrank := (me - rootIdx + n) % n
+	parent = -1
+	lb := pow2ceil(n)
+	if vrank != 0 {
+		lb = lowbit(vrank)
+		parent = members[(vrank-lb+rootIdx)%n]
+	}
+	for m := lb >> 1; m > 0; m >>= 1 {
+		if vrank+m < n {
+			children = append(children, members[(vrank+m+rootIdx)%n])
+		}
+	}
+	return parent, children
+}
+
+// barrierRoundsIn compiles the dissemination barrier over members:
+// ceil(log2 n) rounds of pairwise empty-message exchange.
+func barrierRoundsIn(c *Comm, members []int) []round {
+	n := len(members)
+	me := memberIdx(members, c.rank)
+	if me < 0 {
+		return nil
+	}
 	var rs []round
-	for k := 1; k < size; k <<= 1 {
-		dst := (c.rank + k) % size
-		src := (c.rank - k + size) % size
+	for k := 1; k < n; k <<= 1 {
+		dst := members[(me+k)%n]
+		src := members[(me-k+n)%n]
 		rs = append(rs, round{
 			recvs: []recvStep{{from: src}},
 			sends: []sendStep{{to: dst, data: func() []byte { return nil }}},
@@ -40,35 +86,24 @@ func barrierRounds(c *Comm) []round {
 	return rs
 }
 
-// bcastRounds compiles the binomial-tree broadcast. On the root, cl must
-// already hold the packed payload; on every other rank the first round
-// fills cl from the tree parent, and one further round forwards it to all
-// binomial children at once.
-func bcastRounds(c *Comm, cl *cell, root int) []round {
-	size := c.Size()
-	if size == 1 {
-		return nil
-	}
-	vrank := (c.rank - root + size) % size
+// bcastRoundsIn compiles the binomial-tree broadcast of cl over members.
+// On the root, cl must already hold the packed payload; on every other
+// rank the first round brings it in from the tree parent — adopted by a
+// plain cell, landing in place in a fixed one, whose length every member
+// must agree on — and one further round forwards it to all binomial
+// children at once.
+func bcastRoundsIn(c *Comm, members []int, cl *cell, rootIdx int) []round {
+	parent, children := binomialEdges(c, members, rootIdx)
 	var rs []round
-	lb := pow2ceil(size)
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent := (vrank - lb + root) % size
-		rs = append(rs, round{recvs: []recvStep{{
-			from: parent,
-			on:   func(got []byte) error { cl.b = got; return nil },
-		}}})
+	if parent >= 0 {
+		rs = append(rs, round{recvs: []recvStep{cl.recvFrom(parent)}})
 	}
-	var sends []sendStep
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < size {
-			child := (vrank + m + root) % size
-			sends = append(sends, sendStep{to: child, data: func() []byte { return cl.b }})
+	if len(children) > 0 {
+		var rd round
+		for _, ch := range children {
+			rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return cl.b }})
 		}
-	}
-	if len(sends) > 0 {
-		rs = append(rs, round{sends: sends})
+		rs = append(rs, rd)
 	}
 	return rs
 }
@@ -124,10 +159,7 @@ func scatterRounds(c *Comm, cl *cell, root int) []round {
 	if vrank != 0 {
 		lb = lowbit(vrank)
 		parent := (vrank - lb + root) % size
-		rs = append(rs, round{recvs: []recvStep{{
-			from: parent,
-			on:   func(got []byte) error { cl.b = got; return nil },
-		}}})
+		rs = append(rs, round{recvs: []recvStep{cl.recvFrom(parent)}})
 	}
 	myBlocks := min(lb, size-vrank)
 	var sends []sendStep
@@ -179,32 +211,8 @@ func ringRounds(c *Comm, cur *cell, onBlock func(owner int, got []byte) error) [
 	return rs
 }
 
-// ringWindowRounds compiles the zero-staging ring allgather over a raw
-// byte window holding size fixed-size block slots in rank order: in round
-// s every rank forwards block (rank-s mod p) to its right neighbour
-// straight out of the window and receives block (rank-s-1 mod p) from its
-// left neighbour straight into its final slot. Unlike ringRounds there is
-// no per-hop adopt-and-unpack copy, which is what large payloads need.
-func ringWindowRounds(c *Comm, win []byte, bs int) []round {
-	size := c.Size()
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	slot := func(i int) []byte { return win[i*bs : (i+1)*bs] }
-	var rs []round
-	for s := 0; s < size-1; s++ {
-		sendOwner := (c.rank - s + size) % size
-		recvOwner := (c.rank - s - 1 + 2*size) % size
-		data := slot(sendOwner)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: slot(recvOwner)}},
-			sends: []sendStep{{to: right, data: func() []byte { return data }}},
-		})
-	}
-	return rs
-}
-
-// ringAllreduceRounds compiles the bandwidth-optimal ring allreduce over
-// the packed vector acc: a reduce-scatter phase (p-1 rounds; in round s
+// ringAllreduceSegRounds compiles the bandwidth-optimal ring allreduce
+// over the packed vector acc: a reduce-scatter phase (p-1 steps; in step s
 // every rank sends its partial of chunk rank-s right and folds the
 // arriving partial of chunk rank-s-1 into acc) leaves rank r holding the
 // complete reduction of chunk r+1, then a ring allgather circulates the
@@ -212,47 +220,15 @@ func ringWindowRounds(c *Comm, win []byte, bs int) []round {
 // boundaries as evenly as the count allows, so the schedule is correct for
 // any communicator size, including non-powers-of-two, and for counts that
 // do not divide by it. scratch stages the reduce-scatter arrivals and must
-// hold the largest chunk; each rank moves ~2·len(acc) bytes total
+// hold the largest segment; each rank moves ~2·len(acc) bytes total
 // regardless of p.
-func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) []round {
-	size := c.Size()
-	n := len(acc) / elem // element count
-	bound := func(i int) int { return i * n / size * elem }
-	chunk := func(i int) []byte {
-		i = (i%size + size) % size
-		return acc[bound(i):bound(i+1)]
-	}
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	var rs []round
-	for s := 0; s < size-1; s++ {
-		send := chunk(c.rank - s)
-		dst := chunk(c.rank - s - 1)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: scratch[:len(dst)], on: func(got []byte) error {
-				return comb(got, dst)
-			}}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }}},
-		})
-	}
-	for s := 0; s < size-1; s++ {
-		send := chunk(c.rank + 1 - s)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: chunk(c.rank - s)}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }}},
-		})
-	}
-	return rs
-}
-
-// ringAllreduceSegRounds is ringAllreduceRounds with the chunks pipelined
-// inside every ring step: instead of one whole-chunk store-and-forward
-// per step, each step streams its chunk as seg-byte segments (seg is
+//
+// Every step streams its chunk as seg-byte segments (seg is
 // element-aligned), so a rank starts combining — and its neighbour
-// forwarding — after one segment instead of one chunk. Neighbours run
-// one segment apart rather than one chunk apart, which matters once
-// chunks (≈ len(acc)/p) grow well past the segment size; below that the
-// un-segmented schedule is used (see iallreduceRing). The per-step
+// forwarding — after one segment instead of one chunk; with seg at least
+// the largest chunk each step is one whole-chunk round, the plain ring
+// (see iallreduceRing for the choice). A chunk always travels as at least
+// one message, empty when the count leaves it no elements. The per-step
 // send/recv segment counts can differ by one when adjacent chunks round
 // differently; rounds carrying only the longer side keep both rings
 // aligned.
@@ -264,6 +240,7 @@ func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combine
 		i = (i%size + size) % size
 		return acc[bound(i):bound(i+1)]
 	}
+	segs := func(b []byte) int { return max(1, segCount(len(b), seg)) }
 	right := (c.rank + 1) % size
 	left := (c.rank - 1 + size) % size
 	var rs []round
@@ -272,16 +249,15 @@ func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combine
 	for s := 0; s < size-1; s++ {
 		send := chunk(c.rank - s)
 		dst := chunk(c.rank - s - 1)
-		sendSegs, recvSegs := segCount(len(send), seg), segCount(len(dst), seg)
-		for k := 0; k < max(sendSegs, recvSegs); k++ {
+		for k := 0; k < max(segs(send), segs(dst)); k++ {
 			var rd round
-			if k < recvSegs {
+			if k < segs(dst) {
 				dseg := segOf(dst, k, seg)
 				rd.recvs = []recvStep{{from: left, buf: scratch[:len(dseg)], on: func(got []byte) error {
 					return comb(got, dseg)
 				}}}
 			}
-			if k < sendSegs {
+			if k < segs(send) {
 				sseg := segOf(send, k, seg)
 				rd.sends = []sendStep{{to: right, data: func() []byte { return sseg }}}
 			}
@@ -293,13 +269,12 @@ func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combine
 	for s := 0; s < size-1; s++ {
 		send := chunk(c.rank + 1 - s)
 		dst := chunk(c.rank - s)
-		sendSegs, recvSegs := segCount(len(send), seg), segCount(len(dst), seg)
-		for k := 0; k < max(sendSegs, recvSegs); k++ {
+		for k := 0; k < max(segs(send), segs(dst)); k++ {
 			var rd round
-			if k < recvSegs {
+			if k < segs(dst) {
 				rd.recvs = []recvStep{{from: left, buf: segOf(dst, k, seg)}}
 			}
-			if k < sendSegs {
+			if k < segs(send) {
 				sseg := segOf(send, k, seg)
 				rd.sends = []sendStep{{to: right, data: func() []byte { return sseg }}}
 			}
@@ -309,43 +284,52 @@ func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combine
 	return rs
 }
 
-// reduceRounds compiles the binomial-tree reduction toward root: acc
-// starts as this rank's packed contribution; child contributions are
-// folded in with comb round by round, and a non-zero vrank finishes by
-// sending its partial result to the tree parent. Afterwards the root's acc
-// holds the full reduction.
-func reduceRounds(c *Comm, acc *cell, comb combiner, root int) []round {
-	size := c.Size()
-	vrank := (c.rank - root + size) % size
+// reduceRoundsIn compiles the binomial-tree reduction over members toward
+// members[rootIdx]: acc starts as this rank's packed contribution; child
+// contributions are folded in with comb round by round, and a non-zero
+// vrank finishes by sending its partial result to the tree parent.
+// Afterwards the root's acc holds the full reduction.
+func reduceRoundsIn(c *Comm, members []int, acc *cell, comb combiner, rootIdx int) []round {
+	n := len(members)
+	me := memberIdx(members, c.rank)
+	if me < 0 {
+		return nil
+	}
+	vrank := (me - rootIdx + n) % n
 	var rs []round
-	for mask := 1; mask < size; mask <<= 1 {
+	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % size
+			parent := members[(vrank-mask+rootIdx)%n]
 			rs = append(rs, round{sends: []sendStep{{to: parent, data: func() []byte { return acc.b }}}})
 			return rs
 		}
 		srcV := vrank | mask
-		if srcV >= size {
+		if srcV >= n {
 			continue
 		}
 		rs = append(rs, round{recvs: []recvStep{{
-			from: (srcV + root) % size,
+			from: members[(srcV+rootIdx)%n],
 			on:   func(got []byte) error { return comb(got, acc.b) },
 		}}})
 	}
 	return rs
 }
 
-// rdRounds compiles recursive-doubling allreduce (power-of-two sizes
-// only): log2 p rounds of pairwise exchange-and-combine on acc.
-func rdRounds(c *Comm, acc *cell, comb combiner) []round {
-	size := c.Size()
+// rdRoundsIn compiles recursive-doubling allreduce over members
+// (power-of-two member counts only): log2 n rounds of pairwise
+// exchange-and-combine on acc.
+func rdRoundsIn(c *Comm, members []int, acc *cell, comb combiner) []round {
+	n := len(members)
+	me := memberIdx(members, c.rank)
+	if me < 0 {
+		return nil
+	}
 	var rs []round
-	for mask := 1; mask < size; mask <<= 1 {
-		partner := c.rank ^ mask
+	for mask := 1; mask < n; mask <<= 1 {
+		partner := members[me^mask]
 		rs = append(rs, round{
 			// The send snapshots acc at post time, before this round's
-			// combine mutates it — the same order collExchange used.
+			// combine mutates it.
 			recvs: []recvStep{{from: partner, on: func(got []byte) error { return comb(got, acc.b) }}},
 			sends: []sendStep{{to: partner, data: func() []byte { return acc.b }}},
 		})
@@ -361,6 +345,30 @@ func rdRounds(c *Comm, acc *cell, comb combiner) []round {
 // the same order and eventually complete them.
 // ---------------------------------------------------------------------
 
+// packedCell packs count elements of dt from buf into a fresh cell — a
+// rank's contribution to a gather or a reduction — and returns it with the
+// hook that re-packs it from the live buffer: the reset of cached
+// persistent schedules, which run it before every reactivation.
+func packedCell(dt Datatype, buf any, off, count int) (*cell, func() error, error) {
+	cl := &cell{}
+	repack := func() (err error) {
+		cl.b, err = packExact(dt, buf, off, count)
+		return err
+	}
+	return cl, repack, repack()
+}
+
+// uniformLayout returns the counts and displacements of the fixed-count
+// layout in varying-count terms: size blocks of count elements laid end to
+// end in rank order.
+func uniformLayout(size, count int) (counts, displs []int) {
+	counts, displs = make([]int, size), make([]int, size)
+	for r := range counts {
+		counts[r], displs[r] = count, r*count
+	}
+	return counts, displs
+}
+
 // Ibarrier starts a non-blocking barrier — MPI_Ibarrier. The request
 // completes once every member has entered the barrier.
 func (c *Comm) Ibarrier() (*CollRequest, error) {
@@ -374,7 +382,7 @@ func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
 	if c.collHier(0) {
 		return c.newCollRequestAlg(name, tag, "hier", 0, c.ihbarrierRounds(), nil)
 	}
-	return c.newCollRequest(name, tag, barrierRounds(c), nil)
+	return c.newCollRequestAlg(name, tag, "dissemination", 0, barrierRoundsIn(c, c.members()), nil)
 }
 
 // Ibcast starts a non-blocking broadcast of count elements of dt from the
@@ -388,117 +396,85 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
-	// Comms spanning locality groups take the two-level schedule (hier.go);
-	// large fixed-size payloads stream down a segmented pipeline (binomial
-	// in the mid-size band, chain above it — see collalg.go for the
-	// selection knobs); everything else rides the classic binomial tree.
-	if sz := dt.ByteSize(); sz > 0 && count > 0 && c.Size() > 1 {
-		if c.collHier(count * sz) {
-			return c.ihbcast(name, tag, buf, off, count, dt, count*sz, root)
-		}
-		if c.collLarge(count * sz) {
-			return c.ibcastPipelined(name, tag, buf, off, count, dt, count*sz, root)
-		}
-	}
+	// One phase function chosen by size: the binomial tree, or for large
+	// fixed-size payloads a segmented pipeline (binomial in the mid-size
+	// band, chain above it; see collalg.go for the knobs).
+	total := count * dt.ByteSize()
+	sized := dt.ByteSize() > 0 && count > 0
+	two := sized && c.collHier(total)
+	large := sized && c.collLarge(total)
 	cl := &cell{}
-	if c.rank == root {
-		var err error
-		if cl.b, err = packExact(dt, buf, off, count); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+	alg, nseg, seg := "binomial", 0, c.collSegSize()
+	phase := func(members []int, rootIdx int) []round { return bcastRoundsIn(c, members, cl, rootIdx) }
+	if large {
+		alg, nseg = "chain-pipelined", segCount(total, seg)
+		pipe := pipeChainRoundsIn
+		if !two && c.collBinPipe(total) {
+			alg, pipe = "binomial-pipelined", pipeBinomialRoundsIn
+		}
+		phase = func(members []int, rootIdx int) []round { return pipe(c, members, cl.b, rootIdx, seg) }
+	}
+	if two {
+		alg = "hier"
+		if large {
+			alg = "hier-pipelined"
 		}
 	}
-	var finish func() error
-	if c.rank != root && c.Size() > 1 {
-		finish = func() error {
-			_, err := dt.Unpack(cl.b, buf, off, count)
-			return err
-		}
+	// The buffer plan. The pipelines and the two-level schedule assemble
+	// the payload in a fixed cell every member sizes alike: the user buffer
+	// itself for raw-layout datatypes — the root streams straight out of
+	// it and every other rank receives straight into it, no packing or
+	// staging at all — else one packed buffer the root fills and the
+	// others unpack at the end. The single-level tree moves one packed
+	// message per edge, adopted by each child and unpacked at the end:
+	// the only plan for variable-size payloads, and for the rest the cost
+	// the measured crossovers (large_min, BENCH_coll.json) were taken
+	// against.
+	cl.fixed = two || large
+	var finish, reset func() error
+	if cl.fixed {
+		cl.b = vWindow(dt, buf, off, count)
 	}
-	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, bcastRounds(c, cl, root), finish)
-	if err == nil {
-		// Cacheable: the only build-time state is the root's packed cell,
-		// which reset re-derives; every other rank's cell is overwritten
-		// by its tree parent before anything reads it.
-		req.cacheable = true
+	if cl.b == nil {
+		if cl.fixed {
+			cl.b = make([]byte, total)
+		}
 		if c.rank == root {
-			req.reset = func() error {
-				b, err := packExact(dt, buf, off, count)
-				if err != nil {
+			// Cached reactivations re-pack through the same closure.
+			reset = func() (err error) {
+				if !cl.fixed {
+					cl.b, err = packExact(dt, buf, off, count)
 					return err
 				}
-				cl.b = b
-				return nil
+				// In place — cl.b has room for exactly the payload —
+				// because compiled sends hold slices of it.
+				b, err := dt.Pack(cl.b[:0], buf, off, count)
+				if err == nil && len(b) != total {
+					err = fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), total)
+				}
+				return err
 			}
-		}
-	}
-	return req, err
-}
-
-// ibcastPipelined compiles the segmented broadcast — the pipelined
-// binomial tree in the mid-size band, the pipelined chain above it (see
-// collBinPipe and the bin_pipe_* table knobs). For raw-layout
-// datatypes the user buffer itself is the assembly space — the root streams
-// segments straight out of it and every other rank receives them straight
-// into it, no packing or staging at all; other fixed-size datatypes stage
-// through one packed buffer and unpack at the end.
-func (c *Comm) ibcastPipelined(name string, tag int, buf any, off, count int, dt Datatype, total, root int) (*CollRequest, error) {
-	var asm []byte
-	var finish, reset func() error
-	if rw, ok := dt.(rawWindower); ok {
-		if win, ok := rw.window(buf, off, count); ok {
-			asm = win
-		}
-	}
-	if asm == nil {
-		if c.rank == root {
-			packed, err := packExact(dt, buf, off, count)
-			if err != nil {
+			if err := reset(); err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			if len(packed) != total {
-				return nil, fmt.Errorf("%s: %w: packed %d of %d bytes", name, ErrCount, len(packed), total)
-			}
-			asm = packed
-			reset = func() error {
-				// Re-pack into the same assembly buffer: the compiled
-				// sends hold slices of it.
-				if pi, ok := dt.(packerInto); ok {
-					return pi.PackInto(asm, buf, off, count)
-				}
-				b, err := packExact(dt, buf, off, count)
-				if err != nil {
-					return err
-				}
-				if len(b) != len(asm) {
-					return fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), len(asm))
-				}
-				copy(asm, b)
-				return nil
-			}
 		} else {
-			staging := make([]byte, total)
-			asm = staging
 			finish = func() error {
-				_, err := dt.Unpack(staging, buf, off, count)
+				_, err := dt.Unpack(cl.b, buf, off, count)
 				return err
 			}
 		}
 	}
-	seg := c.collSegSize()
-	var rounds []round
-	algName := "chain-pipelined"
-	if c.collBinPipe(total) {
-		rounds = pipeBinomialRounds(c, asm, root, seg)
-		algName = "binomial-pipelined"
-	} else {
-		rounds = pipeChainRounds(c, asm, root, seg)
-	}
-	req, err := c.newCollRequestAlg(name, tag, algName, segCount(total, seg), rounds, finish)
+	// The phases compose over the two-level layout: across the effective
+	// group leaders, then inside each group (hier.go). A comm that does
+	// not span locality groups is one group led by the root, and the
+	// first phase is empty.
+	h := c.hierFor(c.schedView(two), root)
+	rounds := append(phase(h.leaders, h.rootG), phase(h.mine, h.ldrInG)...)
+	req, err := c.newCollRequestAlg(name, tag, alg, nseg, rounds, finish)
 	if err == nil {
-		// Cacheable: the chain streams slices of asm, which is either user
-		// memory (raw windows, re-read per activation), non-root staging
-		// (overwritten by the parent each run) or the root's packed buffer,
-		// which reset refreshes in place.
+		// Cacheable: every send reads cl at post time and every receive
+		// refills it; the only build-time state is the root's packed
+		// payload, which reset re-derives.
 		req.cacheable = true
 		req.reset = reset
 	}
@@ -518,34 +494,16 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 		return nil, err
 	}
 	size := c.Size()
-	myData, err := packExact(sdt, sbuf, soff, scount)
+	acc, repack, err := packedCell(sdt, sbuf, soff, scount)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if size == 1 {
-		req, err := c.newCollRequest(name, tag, nil, func() error {
-			_, err := rdt.Unpack(myData, rbuf, roff, rcount)
-			return err
-		})
-		if err == nil {
-			req.cacheable = true
-			req.reset = func() error {
-				b, err := packExact(sdt, sbuf, soff, scount)
-				if err != nil {
-					return err
-				}
-				myData = b
-				return nil
-			}
-		}
-		return req, err
 	}
 
 	if sdt.ByteSize() < 0 {
 		// Variable-size blocks: linear gather, all transfers in one round.
 		if c.rank != root {
-			rounds := []round{{sends: []sendStep{{to: root, data: func() []byte { return myData }}}}}
-			return c.newCollRequest(name, tag, rounds, nil)
+			rounds := []round{{sends: []sendStep{{to: root, data: func() []byte { return acc.b }}}}}
+			return c.newCollRequestAlg(name, tag, "linear", 0, rounds, nil)
 		}
 		var rd round
 		for r := 0; r < size; r++ {
@@ -558,15 +516,14 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 			}})
 		}
 		finish := func() error {
-			_, err := rdt.Unpack(myData, rbuf, roff+root*rcount*rdt.Extent(), rcount)
+			_, err := rdt.Unpack(acc.b, rbuf, roff+root*rcount*rdt.Extent(), rcount)
 			return err
 		}
-		return c.newCollRequest(name, tag, []round{rd}, finish)
+		return c.newCollRequestAlg(name, tag, "linear", 0, []round{rd}, finish)
 	}
 
 	// Fixed-size blocks: binomial tree over vranks.
-	bs := len(myData)
-	acc := &cell{b: myData}
+	bs := len(acc.b)
 	var finish func() error
 	if c.rank == root {
 		finish = func() error {
@@ -582,21 +539,14 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 			return nil
 		}
 	}
-	req, err := c.newCollRequest(name, tag, gatherRounds(c, acc, bs, root), finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, gatherRounds(c, acc, bs, root), finish)
 	if err == nil {
 		// Cacheable: the accumulator is the only build-time state; reset
 		// restarts it from this rank's freshly packed contribution (the
 		// block size bs is invariant for a fixed-size datatype, so the
 		// compiled tree geometry stays valid).
 		req.cacheable = true
-		req.reset = func() error {
-			b, err := packExact(sdt, sbuf, soff, scount)
-			if err != nil {
-				return err
-			}
-			acc.b = b
-			return nil
-		}
+		req.reset = repack
 	}
 	return req, err
 }
@@ -614,29 +564,6 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 		return nil, err
 	}
 	size := c.Size()
-	if size == 1 {
-		data, err := packExact(sdt, sbuf, soff, scount)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		req, err := c.newCollRequest(name, tag, nil, func() error {
-			_, err := rdt.Unpack(data, rbuf, roff, rcount)
-			return err
-		})
-		if err == nil {
-			req.cacheable = true
-			req.reset = func() error {
-				b, err := packExact(sdt, sbuf, soff, scount)
-				if err != nil {
-					return err
-				}
-				data = b
-				return nil
-			}
-		}
-		return req, err
-	}
-
 	if sdt.ByteSize() < 0 || rdt.ByteSize() < 0 {
 		// Variable-size blocks: linear scatter, all transfers in one round.
 		if c.rank == root {
@@ -657,18 +584,15 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 				_, err := rdt.Unpack(own, rbuf, roff, rcount)
 				return err
 			}
-			return c.newCollRequest(name, tag, []round{rd}, finish)
+			return c.newCollRequestAlg(name, tag, "linear", 0, []round{rd}, finish)
 		}
 		cl := &cell{}
-		rounds := []round{{recvs: []recvStep{{
-			from: root,
-			on:   func(got []byte) error { cl.b = got; return nil },
-		}}}}
+		rounds := []round{{recvs: []recvStep{cl.recvFrom(root)}}}
 		finish := func() error {
 			_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
 			return err
 		}
-		return c.newCollRequest(name, tag, rounds, finish)
+		return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
 	}
 
 	// Fixed-size blocks: binomial tree, data travelling root-down. The
@@ -720,7 +644,7 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 		_, err := rdt.Unpack(cl.b[:bs], rbuf, roff, rcount)
 		return err
 	}
-	req, err := c.newCollRequest(name, tag, scatterRounds(c, cl, root), finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, scatterRounds(c, cl, root), finish)
 	if err == nil {
 		// Cacheable: the root re-packs its cell per activation; every
 		// other rank's cell is filled by its tree parent each run.
@@ -742,65 +666,16 @@ func (c *Comm) Iallgather(sbuf any, soff, scount int, sdt Datatype,
 func (c *Comm) iallgather(name string, tag int, sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*CollRequest, error) {
 	size := c.Size()
-	// Comms spanning locality groups batch blocks through group leaders
-	// so each block crosses the expensive links once (hier.go).
-	if sz := rdt.ByteSize(); sz > 0 && rcount > 0 && size > 1 && c.collHier(size*rcount*sz) {
-		return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt)
-	}
-	// Large fixed-size payloads whose receive buffer exposes a raw window
-	// ride the zero-staging ring: blocks circulate straight between user
-	// buffers, no per-hop adopt-and-unpack copies.
-	if sz := rdt.ByteSize(); sz > 0 && rcount > 0 && size > 1 && c.collLarge(size*rcount*sz) {
-		if rw, ok := rdt.(rawWindower); ok {
-			if win, ok := rw.window(rbuf, roff, size*rcount); ok {
-				bs := rcount * sz
-				if pi, ok := sdt.(packerInto); ok && scount >= 0 && scount*sdt.ByteSize() == bs {
-					if err := pi.PackInto(win[c.rank*bs:(c.rank+1)*bs], sbuf, soff, scount); err != nil {
-						return nil, fmt.Errorf("%s: %w", name, err)
-					}
-					req, err := c.newCollRequestAlg(name, tag, "ring-window", 0, ringWindowRounds(c, win, bs), nil)
-					if err == nil {
-						// Cacheable: blocks circulate straight between user
-						// windows; reset re-seeds this rank's own slot.
-						req.cacheable = true
-						req.reset = func() error {
-							return pi.PackInto(win[c.rank*bs:(c.rank+1)*bs], sbuf, soff, scount)
-						}
-					}
-					return req, err
-				}
-			}
-		}
-	}
-	myData, err := packExact(sdt, sbuf, soff, scount)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	unpackSlot := func(owner int, got []byte) error {
-		_, err := rdt.Unpack(got, rbuf, roff+owner*rcount*rdt.Extent(), rcount)
-		return err
-	}
-	if size == 1 {
-		req, err := c.newCollRequest(name, tag, nil, func() error {
-			_, err := rdt.Unpack(myData, rbuf, roff, rcount)
-			return err
-		})
-		if err == nil {
-			req.cacheable = true
-			req.reset = func() error {
-				b, err := packExact(sdt, sbuf, soff, scount)
-				if err != nil {
-					return err
-				}
-				myData = b
-				return nil
-			}
-		}
-		return req, err
-	}
-
-	if sdt.ByteSize() < 0 {
+	if !isInPlace(sbuf) && sdt.ByteSize() < 0 {
 		// Variable-size blocks: linear exchange, all transfers in one round.
+		myData, err := packExact(sdt, sbuf, soff, scount)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		unpackSlot := func(owner int, got []byte) error {
+			_, err := rdt.Unpack(got, rbuf, roff+owner*rcount*rdt.Extent(), rcount)
+			return err
+		}
 		var rd round
 		for r := 0; r < size; r++ {
 			if r == c.rank {
@@ -812,34 +687,12 @@ func (c *Comm) iallgather(name string, tag int, sbuf any, soff, scount int, sdt 
 			rd.sends = append(rd.sends, sendStep{to: r, data: func() []byte { return myData }})
 		}
 		finish := func() error { return unpackSlot(c.rank, myData) }
-		return c.newCollRequest(name, tag, []round{rd}, finish)
+		return c.newCollRequestAlg(name, tag, "linear", 0, []round{rd}, finish)
 	}
-
-	// Fixed-size blocks: ring. Own block lands immediately; the rest
-	// arrive over p-1 rounds.
-	if err := unpackSlot(c.rank, myData); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	cur := &cell{b: myData}
-	req, err := c.newCollRequestAlg(name, tag, "ring", 0, ringRounds(c, cur, unpackSlot), nil)
-	if err == nil {
-		// Cacheable: reset re-packs this rank's contribution, lands it in
-		// its own receive slot (build-time work in the one-shot path) and
-		// re-seeds the circulating cell with it.
-		req.cacheable = true
-		req.reset = func() error {
-			b, err := packExact(sdt, sbuf, soff, scount)
-			if err != nil {
-				return err
-			}
-			if err := unpackSlot(c.rank, b); err != nil {
-				return err
-			}
-			cur.b = b
-			return nil
-		}
-	}
-	return req, err
+	// Fixed-size blocks are the uniform layout of the varying-count form
+	// and compile through it.
+	rcounts, displs := uniformLayout(size, rcount)
+	return c.iallgatherv(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt)
 }
 
 // Ireduce starts a non-blocking reduction of count elements with op,
@@ -856,11 +709,10 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 	if err != nil {
 		return nil, err
 	}
-	data, err := packExact(dt, sbuf, soff, count)
+	acc, repack, err := packedCell(dt, sbuf, soff, count)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	acc := &cell{b: data}
 	var finish func() error
 	if c.rank == root {
 		finish = func() error {
@@ -868,29 +720,24 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 			return err
 		}
 	}
-	// Comms spanning locality groups reduce inside each group first so
-	// only one partial per group crosses the expensive links (hier.go).
-	var rounds []round
+	// Binomial reduce inside each locality group toward its effective
+	// leader, then across the leaders toward the root, so only one partial
+	// per group crosses the expensive links (hier.go). A comm that does
+	// not span groups is one group led by the root: the second phase is
+	// empty and the first is the classic tree.
 	algName := "binomial"
-	if c.collHier(len(data)) {
-		rounds = c.ihreduceRounds(acc, comb, root)
+	two := c.collHier(len(acc.b))
+	if two {
 		algName = "hier"
-	} else {
-		rounds = reduceRounds(c, acc, comb, root)
 	}
+	h := c.hierFor(c.schedView(two), root)
+	rounds := append(reduceRoundsIn(c, h.mine, acc, comb, h.ldrInG), reduceRoundsIn(c, h.leaders, acc, comb, h.rootG)...)
 	req, err := c.newCollRequestAlg(name, tag, algName, 0, rounds, finish)
 	if err == nil {
 		// Cacheable: reset restarts the accumulator from this rank's
 		// freshly packed contribution before child partials fold in.
 		req.cacheable = true
-		req.reset = func() error {
-			b, err := packExact(dt, sbuf, soff, count)
-			if err != nil {
-				return err
-			}
-			acc.b = b
-			return nil
-		}
+		req.reset = repack
 	}
 	return req, err
 }
@@ -921,11 +768,10 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 	if alg == AllreduceRing {
 		return c.iallreduceRing(name, tag, sbuf, soff, rbuf, roff, count, dt, comb)
 	}
-	data, err := packExact(dt, sbuf, soff, count)
+	acc, repack, err := packedCell(dt, sbuf, soff, count)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	acc := &cell{b: data}
 	var rounds []round
 	var algName string
 	switch alg {
@@ -933,13 +779,13 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 		if size&(size-1) != 0 {
 			return nil, fmt.Errorf("%w: recursive doubling requires power-of-two size, have %d", ErrComm, size)
 		}
-		rounds = rdRounds(c, acc, comb)
+		rounds = rdRoundsIn(c, c.members(), acc, comb)
 		algName = "recursive-doubling"
 	case AllreduceTreeBcast:
 		// Reduce to rank 0, then broadcast: the bcast phase reuses acc —
 		// rank 0 enters it holding the full reduction, every other rank's
 		// acc is overwritten by its tree parent before it forwards.
-		rounds = append(reduceRounds(c, acc, comb, 0), bcastRounds(c, acc, 0)...)
+		rounds = append(reduceRoundsIn(c, c.members(), acc, comb, 0), bcastRoundsIn(c, c.members(), acc, 0)...)
 		algName = "reduce-bcast"
 	case AllreduceHier:
 		if !c.localityView().multi() {
@@ -960,14 +806,7 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 		// comes from the wire pool and is recycled at finish): reset
 		// restarts the accumulator from the current send buffer.
 		req.cacheable = true
-		req.reset = func() error {
-			b, err := packExact(dt, sbuf, soff, count)
-			if err != nil {
-				return err
-			}
-			acc.b = b
-			return nil
-		}
+		req.reset = repack
 	}
 	return req, err
 }
@@ -985,14 +824,12 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 	}
 	var acc []byte
 	var unpack func() error
-	if rw, ok := dt.(rawWindower); ok {
-		if win, ok := rw.window(rbuf, roff, count); ok {
-			if pi, ok := dt.(packerInto); ok {
-				if err := pi.PackInto(win, sbuf, soff, count); err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				acc = win
+	if win := vWindow(dt, rbuf, roff, count); win != nil {
+		if pi, ok := dt.(packerInto); ok {
+			if err := pi.PackInto(win, sbuf, soff, count); err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
+			acc = win
 		}
 	}
 	if acc == nil {
@@ -1011,7 +848,8 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 	maxChunk := (n + size - 1) / size * elem // chunk sizes differ by at most one element
 	scratch := wire.GetBuf(maxChunk)
 	// Once chunks outgrow the pipeline segment size, stream them as
-	// segments inside each ring step (ringAllreduceSegRounds): all ranks
+	// segments inside each ring step; below that one segment spans the
+	// largest chunk and every step moves its chunk whole. All ranks
 	// compute the same n/size/seg, so the choice agrees everywhere.
 	seg := c.collSegSize()
 	if seg < elem {
@@ -1019,14 +857,13 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 	} else {
 		seg -= seg % elem
 	}
-	var rounds []round
 	algName, nseg := "ring", 0
 	if maxChunk >= 2*seg {
-		rounds = ringAllreduceSegRounds(c, acc, scratch, elem, comb, seg)
 		algName, nseg = "ring-segmented", segCount(len(acc), seg)
 	} else {
-		rounds = ringAllreduceRounds(c, acc, scratch, elem, comb)
+		seg = maxChunk
 	}
+	rounds := ringAllreduceSegRounds(c, acc, scratch, elem, comb, seg)
 	finish := func() error {
 		wire.PutBuf(scratch)
 		if unpack != nil {
@@ -1047,68 +884,11 @@ func (c *Comm) Ialltoall(sbuf any, soff, scount int, sdt Datatype,
 
 func (c *Comm) ialltoall(name string, tag int, sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*CollRequest, error) {
-	size := c.Size()
-	var rd round
-	// Fixed-size blocks pack straight into the outgoing frames (fill
-	// steps): no per-peer intermediate buffers at all. Variable-size
-	// blocks pack up front, as before.
-	pi, fixed := sdt.(packerInto)
-	bs := 0
-	if sz := sdt.ByteSize(); sz >= 0 && scount >= 0 {
-		bs = scount * sz
-	} else {
-		fixed = false
-	}
-	own, err := packExact(sdt, sbuf, soff+c.rank*scount*sdt.Extent(), scount)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	for r := 0; r < size; r++ {
-		if r == c.rank {
-			continue
-		}
-		rd.recvs = append(rd.recvs, recvStep{from: r, on: func(got []byte) error {
-			_, err := rdt.Unpack(got, rbuf, roff+r*rcount*rdt.Extent(), rcount)
-			return err
-		}})
-		if fixed {
-			off := soff + r*scount*sdt.Extent()
-			rd.sends = append(rd.sends, sendStep{to: r, n: bs, fill: func(p []byte) error {
-				return pi.PackInto(p, sbuf, off, scount)
-			}})
-			continue
-		}
-		data, err := sdt.Pack(nil, sbuf, soff+r*scount*sdt.Extent(), scount)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		rd.sends = append(rd.sends, sendStep{to: r, data: func() []byte { return data }})
-	}
-	finish := func() error {
-		_, err := rdt.Unpack(own, rbuf, roff+c.rank*rcount*rdt.Extent(), rcount)
-		return err
-	}
-	var rounds []round
-	if size > 1 {
-		rounds = []round{rd}
-	}
-	req, err := c.newCollRequest(name, tag, rounds, finish)
-	if err == nil && (fixed || size == 1) {
-		// Cacheable on the fixed-size route, where every outgoing block
-		// fills its frame at post time; only the rank's own diagonal block
-		// is packed at build, and reset re-derives it. The variable-size
-		// route packs all its payloads at build and recompiles instead.
-		req.cacheable = true
-		req.reset = func() error {
-			b, err := packExact(sdt, sbuf, soff+c.rank*scount*sdt.Extent(), scount)
-			if err != nil {
-				return err
-			}
-			own = b
-			return nil
-		}
-	}
-	return req, err
+	// Fixed-size blocks are the uniform layout of the varying-count form
+	// and compile through it.
+	scounts, sdispls := uniformLayout(c.Size(), scount)
+	rcounts, rdispls := uniformLayout(c.Size(), rcount)
+	return c.ialltoallv(name, tag, sbuf, soff, scounts, sdispls, sdt, rbuf, roff, rcounts, rdispls, rdt)
 }
 
 // Iscan starts a non-blocking inclusive prefix reduction: rank r receives
@@ -1123,17 +903,16 @@ func (c *Comm) iscan(name string, tag int, sbuf any, soff int, rbuf any, roff, c
 	if err != nil {
 		return nil, err
 	}
-	data, err := packExact(dt, sbuf, soff, count)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
 	// result accumulates this rank's prefix; partial is the running
 	// combination forwarded to higher ranks. Sends snapshot partial at
 	// post time — before the same round's receive folds into it — which
 	// preserves the simultaneous-binomial invariant that rank r forwards
 	// the combination of ranks (r-mask, r].
-	result := &cell{b: data}
-	partial := &cell{b: append([]byte(nil), data...)}
+	result, repack, err := packedCell(dt, sbuf, soff, count)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	partial := &cell{b: append([]byte(nil), result.b...)}
 	size := c.Size()
 	var rs []round
 	for mask := 1; mask < size; mask <<= 1 {
@@ -1157,19 +936,17 @@ func (c *Comm) iscan(name string, tag int, sbuf any, soff int, rbuf any, roff, c
 		_, err := dt.Unpack(result.b, rbuf, roff, count)
 		return err
 	}
-	req, err := c.newCollRequest(name, tag, rs, finish)
+	req, err := c.newCollRequestAlg(name, tag, "simultaneous-binomial", 0, rs, finish)
 	if err == nil {
 		// Cacheable: reset restarts both running vectors — two distinct
 		// buffers, as at build time, since the schedule mutates them
 		// independently — from the current send buffer.
 		req.cacheable = true
 		req.reset = func() error {
-			b, err := packExact(dt, sbuf, soff, count)
-			if err != nil {
+			if err := repack(); err != nil {
 				return err
 			}
-			result.b = b
-			partial.b = append([]byte(nil), b...)
+			partial.b = append([]byte(nil), result.b...)
 			return nil
 		}
 	}

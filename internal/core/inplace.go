@@ -11,9 +11,11 @@ type inPlaceMark struct{}
 // place in the receive buffer where its result belongs, and no separate
 // send buffer is touched:
 //
-//   - Allgatherv / Iallgatherv: the contribution is read from
-//     rbuf[roff+displs[rank]*extent : ...+rcounts[rank]] and the soff,
-//     scount and sdt arguments are ignored;
+//   - Allgather / Iallgather / CommitAllgather: the contribution is the
+//     rank's own block, rcount elements at roff+rank*rcount*extent of
+//     rbuf, and the soff, scount and sdt arguments are ignored;
+//   - Allgatherv / Iallgatherv / CommitAllgatherv: likewise, the block
+//     being rcounts[rank] elements at roff+displs[rank]*extent;
 //   - ReduceScatter / IreduceScatter: the full sum(rcounts)-element input
 //     vector is read from rbuf at roff, and the rank's result chunk
 //     overwrites the head of that region, as in MPI.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -78,6 +79,107 @@ func TestInPlaceIallgatherv(t *testing.T) {
 	}
 }
 
+// TestInPlaceAllgather checks MPI_IN_PLACE on the fixed-count Allgather —
+// blocking, non-blocking and persistent (twice, so the cached schedule's
+// reset re-reads the slot), over a raw-layout and a derived datatype, on
+// the forwarding ring and the forced zero-staging window ring: the rank's
+// block is read from its own slot of the receive buffer and the send
+// triple is ignored.
+func TestInPlaceAllgather(t *testing.T) {
+	vec, err := Vector(2, 1, 2, Int) // slots 0 and 2 of a 3-slot extent
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := []struct {
+		name string
+		dt   Datatype
+		used []int // base slots one element touches
+	}{{"raw", Int, []int{0}}, {"derived", vec, []int{0, 2}}}
+	const np, rcount = 4, 2
+	for _, mesh := range inPlaceMeshes {
+		for _, alg := range []CollAlg{CollAlgClassic, CollAlgSegmented} {
+			for _, ty := range types {
+				mesh, alg, ty := mesh, alg, ty
+				t.Run(mesh+"/"+collAlgName(alg)+"/"+ty.name, func(t *testing.T) {
+					runRanksWin(t, mesh, np, func(w *Comm) error {
+						w.SetCollAlg(alg)
+						ext := ty.dt.Extent()
+						buf := make([]int32, np*rcount*ext)
+						val := func(gen, r, e, k int) int32 { return int32(1000*gen + 100*r + 10*e + k) }
+						fill := func(gen int) {
+							for i := range buf {
+								buf[i] = -1
+							}
+							for e := 0; e < rcount; e++ {
+								for _, k := range ty.used {
+									buf[(w.Rank()*rcount+e)*ext+k] = val(gen, w.Rank(), e, k)
+								}
+							}
+						}
+						check := func(form string, gen int) error {
+							want := make([]int32, len(buf))
+							for i := range want {
+								want[i] = -1
+							}
+							for r := 0; r < np; r++ {
+								for e := 0; e < rcount; e++ {
+									for _, k := range ty.used {
+										want[(r*rcount+e)*ext+k] = val(gen, r, e, k)
+									}
+								}
+							}
+							for i := range buf {
+								if buf[i] != want[i] {
+									return fmt.Errorf("%s: slot %d = %d, want %d", form, i, buf[i], want[i])
+								}
+							}
+							return nil
+						}
+
+						fill(1)
+						if err := w.Allgather(InPlace, 0, 0, nil, buf, 0, rcount, ty.dt); err != nil {
+							return err
+						}
+						if err := check("Allgather", 1); err != nil {
+							return err
+						}
+
+						fill(2)
+						req, err := w.Iallgather(InPlace, 0, 0, nil, buf, 0, rcount, ty.dt)
+						if err != nil {
+							return err
+						}
+						if _, err := req.Wait(); err != nil {
+							return err
+						}
+						if err := check("Iallgather", 2); err != nil {
+							return err
+						}
+
+						p, err := w.CommitAllgather(InPlace, 0, 0, nil, buf, 0, rcount, ty.dt)
+						if err != nil {
+							return err
+						}
+						for gen := 3; gen <= 4; gen++ {
+							fill(gen)
+							if err := p.Start(); err != nil {
+								return err
+							}
+							if _, err := p.Wait(); err != nil {
+								return err
+							}
+							if err := check("CommitAllgather", gen); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+				})
+			}
+		}
+	}
+}
+
 // TestInPlaceReduceScatter checks MPI_IN_PLACE semantics for
 // ReduceScatter: the full input vector is read from the receive buffer
 // and the rank's result chunk overwrites its head, on both the classic
@@ -132,6 +234,9 @@ func TestInPlaceErrors(t *testing.T) {
 		}
 		if err := w.ReduceScatter(make([]int32, 2), 0, InPlace, 0, rcounts, Int, SumOp); !errors.Is(err, ErrBuffer) {
 			return expect(false, "reduce_scatter with InPlace rbuf: got %v, want ErrBuffer", err)
+		}
+		if err := w.Allgather(src, 0, 1, Int, InPlace, 0, 1, Int); !errors.Is(err, ErrBuffer) {
+			return expect(false, "allgather with InPlace rbuf: got %v, want ErrBuffer", err)
 		}
 		return nil
 	})

@@ -15,8 +15,10 @@ import (
 // sends straight into outgoing wire frames (vSendStep) and lands
 // raw-layout receives in place at their displacements (vWindow), so V
 // payloads never stage. The blocking forms in coll.go compile and Wait on
-// exactly these schedules, and the persistent Commit* forms (pcoll.go)
-// re-compile them per Start under one committed tag.
+// exactly these schedules, the persistent Commit* forms (pcoll.go)
+// activate them under one committed tag, and the fixed-count Allgather and
+// Alltoall (icoll.go) compile through iallgatherv and ialltoallv as their
+// uniform layouts.
 
 // Igatherv starts a non-blocking varying-count gather — MPI_Igatherv:
 // rank r contributes scount elements of sdt and the root places
@@ -44,7 +46,7 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 			}
 			rounds = []round{{sends: []sendStep{ss}}}
 		}
-		return c.newCollRequest(name, tag, rounds, nil)
+		return c.newCollRequestAlg(name, tag, "linear", 0, rounds, nil)
 	}
 	ext := rdt.Extent()
 	if err := checkVSpec(size, rcounts, displs, ext, roff, bufSlots(rbuf), true); err != nil {
@@ -81,7 +83,7 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 	if len(rd.recvs) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequest(name, tag, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
 }
 
 // Iscatterv starts a non-blocking varying-count scatter — MPI_Iscatterv:
@@ -105,19 +107,19 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	size := c.Size()
 	if c.rank != root {
 		if rcount == 0 {
-			return c.newCollRequest(name, tag, nil, nil)
+			return c.newCollRequestAlg(name, tag, "linear", 0, nil, nil)
 		}
 		if win := vWindow(rdt, rbuf, roff, rcount); win != nil {
 			rounds := []round{{recvs: []recvStep{{from: root, buf: win}}}}
-			return c.newCollRequest(name, tag, rounds, nil)
+			return c.newCollRequestAlg(name, tag, "linear", 0, rounds, nil)
 		}
 		cl := &cell{}
-		rounds := []round{{recvs: []recvStep{{from: root, on: func(got []byte) error { cl.b = got; return nil }}}}}
+		rounds := []round{{recvs: []recvStep{cl.recvFrom(root)}}}
 		finish := func() error {
 			_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
 			return err
 		}
-		return c.newCollRequest(name, tag, rounds, finish)
+		return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
 	}
 	ext := sdt.Extent()
 	if err := checkVSpec(size, scounts, displs, ext, soff, bufSlots(sbuf), false); err != nil {
@@ -149,7 +151,7 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	if len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequest(name, tag, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
 }
 
 // Iallgatherv starts a non-blocking varying-count allgather —
@@ -157,7 +159,10 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 // roff + displs[r]*extent(rdt) in every member's rbuf. Ring algorithm
 // (p-1 rounds forwarding whole blocks); large raw-layout payloads take
 // the zero-staging window ring, blocks circulating straight between the
-// members' receive buffers (see collalg.go for the selection knobs).
+// members' receive buffers (see collalg.go for the selection knobs). Equal
+// blocks laid end to end in rank order are scheduled exactly like
+// Iallgather's, two-level batching on comms spanning locality groups
+// included.
 func (c *Comm) Iallgatherv(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff int, rcounts, displs []int, rdt Datatype) (*CollRequest, error) {
 	return c.iallgatherv("iallgatherv", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt)
@@ -181,24 +186,6 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 		// (PackInto over identical memory).
 		sbuf, soff, scount, sdt = rbuf, roff+displs[c.rank]*ext, rcounts[c.rank], rdt
 	}
-	if sz := rdt.ByteSize(); sz > 0 && size > 1 {
-		total := 0
-		for _, n := range rcounts {
-			total += n
-		}
-		if total > 0 && c.collLarge(total*sz) {
-			if rounds, finish, ok := c.ringWindowVRounds(sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt); ok {
-				return c.newCollRequestAlg(name, tag, "ring-window", 0, rounds, finish)
-			}
-		}
-	}
-	// Forwarding ring: each hop re-sends the block bytes it received and
-	// unpacks a copy into place — works for any datatype incl. Object and
-	// for blocks whose layout refuses a raw window.
-	myData, err := packExact(sdt, sbuf, soff, scount)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
 	unpackSlot := func(owner int, got []byte) error {
 		if rcounts[owner] == 0 {
 			return nil // empty blocks are exempt from their displacements
@@ -206,29 +193,67 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 		_, err := rdt.Unpack(got, rbuf, roff+displs[owner]*ext, rcounts[owner])
 		return err
 	}
-	if size == 1 {
-		return c.newCollRequest(name, tag, nil, func() error {
-			if rcounts[0] == 0 {
-				return nil // empty blocks are exempt from their displacements
-			}
-			return unpackSlot(0, myData)
-		})
+	// seed packs this rank's contribution, lands it in its own receive slot
+	// and hands it to the cell that circulates blocks round the forwarding
+	// ring; cached reactivations of either ring redo it as their reset.
+	cur := &cell{}
+	seed := func() error {
+		b, err := packExact(sdt, sbuf, soff, scount)
+		if err != nil {
+			return err
+		}
+		cur.b = b
+		return unpackSlot(c.rank, b)
 	}
-	if rcounts[c.rank] > 0 {
-		if err := unpackSlot(c.rank, myData); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+	if sz := rdt.ByteSize(); sz > 0 && size > 1 {
+		total, uniform := 0, true
+		for r, n := range rcounts {
+			total += n
+			uniform = uniform && n == rcounts[0] && displs[r] == r*n
+		}
+		// Equal blocks laid end to end in rank order — what the fixed-count
+		// Allgather passes — form one contiguous vector, which a comm
+		// spanning locality groups batches through its group leaders so
+		// each block crosses the expensive links once (hier.go).
+		if uniform && total > 0 && c.collHier(total*sz) {
+			return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], rdt)
+		}
+		if total > 0 && c.collLarge(total*sz) {
+			if rounds, finish, ok := c.ringWindowVRounds(sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt); ok {
+				req, err := c.newCollRequestAlg(name, tag, "ring-window", 0, rounds, finish)
+				if err == nil && finish == nil {
+					// Cacheable unless pooled staging is handed back at
+					// finish: blocks circulate straight between user
+					// windows, reset re-seeds this rank's own slot.
+					req.cacheable = true
+					req.reset = seed
+				}
+				return req, err
+			}
 		}
 	}
-	return c.newCollRequestAlg(name, tag, "ring", 0, ringRounds(c, &cell{b: myData}, unpackSlot), nil)
+	// Forwarding ring: each hop re-sends the block bytes it received and
+	// unpacks a copy into place — works for any datatype incl. Object and
+	// for blocks whose layout refuses a raw window. Own block lands
+	// immediately; the rest arrive over p-1 rounds.
+	if err := seed(); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	req, err := c.newCollRequestAlg(name, tag, "ring", 0, ringRounds(c, cur, unpackSlot), nil)
+	if err == nil {
+		req.cacheable = true
+		req.reset = seed
+	}
+	return req, err
 }
 
 // ringWindowVRounds compiles the zero-staging ring allgatherv: block r of
 // the varying layout lives at displs[r] in every member's receive buffer,
 // and in round s each rank forwards block (rank-s mod p) straight out of
 // its buffer while block (rank-s-1 mod p) lands straight into its final
-// slot — the varying-count analogue of ringWindowRounds. Empty blocks
-// still flow through the ring as empty messages, keeping every hop's
-// rounds aligned with its neighbours'.
+// slot, with no per-hop adopt-and-unpack copy, which is what large
+// payloads need. Empty blocks still flow through the ring as empty
+// messages, keeping every hop's rounds aligned with its neighbours'.
 //
 // A single non-empty slot that refuses a raw window (an offset stretching
 // past the slice, say) does not force the whole exchange off the fast
@@ -389,7 +414,14 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 	if len(rd.recvs)+len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequest(name, tag, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
+	if err == nil {
+		// Cacheable: every payload is produced at post or finish time.
+		// (Variable-size blocks pack at build into snapshot steps, which
+		// a persistent request refuses to reuse — see pcoll.go.)
+		req.cacheable = true
+	}
+	return req, err
 }
 
 // IreduceScatter starts a non-blocking reduce-scatter —
@@ -446,7 +478,7 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 	if acc.b, err = packExact(dt, sbuf, soff, total); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	rounds := reduceRounds(c, acc, comb, 0)
+	rounds := reduceRoundsIn(c, c.members(), acc, comb, 0)
 	var finish func() error
 	if c.rank == 0 {
 		var rd round
@@ -472,17 +504,14 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 			rounds = append(rounds, round{recvs: []recvStep{{from: 0, buf: win}}})
 		} else {
 			mine := &cell{}
-			rounds = append(rounds, round{recvs: []recvStep{{from: 0, on: func(got []byte) error {
-				mine.b = got
-				return nil
-			}}}})
+			rounds = append(rounds, round{recvs: []recvStep{mine.recvFrom(0)}})
 			finish = func() error {
 				_, err := dt.Unpack(mine.b, rbuf, roff, rcounts[c.rank])
 				return err
 			}
 		}
 	}
-	return c.newCollRequest(name, tag, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "reduce-linear", 0, rounds, finish)
 }
 
 // ireduceScatterRing compiles the bandwidth-optimal ring reduce-scatter:

@@ -62,6 +62,8 @@ type PcollRequest struct {
 // reactivation. Schedules holding pooled scratch released at finish are
 // never cacheable and recompile on every Start.
 type collSkeleton struct {
+	alg    string
+	nseg   int
 	rounds []round
 	finish func() error
 	reset  func() error
@@ -125,14 +127,15 @@ func (p *PcollRequest) Start() error {
 		return fmt.Errorf("%s: %w", p.name, err)
 	}
 	if p.skel != nil {
-		// Reset must complete before newCollRequest: round 0 posts inside
-		// it, and round-0 sends may read the very state reset re-derives.
+		// Reset must complete before the request is created: round 0 posts
+		// inside the constructor, and round-0 sends may read the very state
+		// reset re-derives.
 		if p.skel.reset != nil {
 			if err := p.skel.reset(); err != nil {
 				return fmt.Errorf("%s: %w", p.name, err)
 			}
 		}
-		r, err := p.c.newCollRequest(p.name, p.tag, p.skel.rounds, p.skel.finish)
+		r, err := p.c.newCollRequestAlg(p.name, p.tag, p.skel.alg, p.skel.nseg, p.skel.rounds, p.skel.finish)
 		if err != nil {
 			return err
 		}
@@ -144,7 +147,7 @@ func (p *PcollRequest) Start() error {
 		return err
 	}
 	if (p.pure || r.cacheable) && scheduleReusable(r.rounds) {
-		p.skel = &collSkeleton{rounds: r.rounds, finish: r.finish, reset: r.reset}
+		p.skel = &collSkeleton{alg: r.alg, nseg: r.nseg, rounds: r.rounds, finish: r.finish, reset: r.reset}
 	}
 	p.active = r
 	return nil

@@ -29,9 +29,23 @@ import (
 // completion, its end, and time parked in WaitProgress — the data behind
 // Comm.ProfSnapshot and the MPJ_PROF=trace timelines (see internal/prof).
 
-// cell is a byte-buffer slot shared between schedule steps: a recv action
-// fills it, later sends and the finish hook read it.
-type cell struct{ b []byte }
+// cell is a byte-buffer slot shared between schedule steps: a receive
+// fills it, later sends and the finish hook read it. A plain cell adopts
+// whatever buffer arrives; a fixed cell is an assembly space of known
+// length — often a raw window of user memory — that payloads land in
+// directly, so steps may hold slices of it.
+type cell struct {
+	b     []byte
+	fixed bool
+}
+
+// recvFrom is the receive that brings the cell's payload in from a peer.
+func (cl *cell) recvFrom(from int) recvStep {
+	if cl.fixed {
+		return recvStep{from: from, buf: cl.b}
+	}
+	return recvStep{from: from, on: func(got []byte) error { cl.b = got; return nil }}
+}
 
 // sendStep emits one message when its round starts. The payload supplier
 // runs at post time, so it sees every buffer mutation made by earlier
@@ -184,10 +198,9 @@ type CollRequest struct {
 
 	// Instrumentation (see internal/prof): prof caches the device's
 	// recorder at creation (nil when profiling is off), alg names the
-	// algorithm the selection layer chose for this schedule ("" for the
-	// classic builders) and nseg its pipeline segment count (0 when
-	// unsegmented). Set once before the first round posts, read-only
-	// after, so prof is safe to read without r.mu in Wait.
+	// algorithm this schedule compiles and nseg its pipeline segment
+	// count (0 when unsegmented). Set once before the first round posts,
+	// read-only after, so prof is safe to read without r.mu in Wait.
 	prof *prof.Recorder
 	alg  string
 	nseg int
@@ -214,17 +227,11 @@ type CollRequest struct {
 	err     error
 }
 
-// newCollRequest compiles a schedule into a request, registers it with the
-// communicator and posts the first round so communication overlaps
-// whatever the caller does before Wait.
-func (c *Comm) newCollRequest(name string, tag int, rounds []round, finish func() error) (*CollRequest, error) {
-	return c.newCollRequestAlg(name, tag, "", 0, rounds, finish)
-}
-
-// newCollRequestAlg is newCollRequest carrying algorithm metadata: the
-// large-message builders name the algorithm the selection layer chose
-// (alg) and its pipeline segment count (nseg), so profiles and traces
-// can say which schedule actually ran.
+// newCollRequestAlg compiles a schedule into a request, registers it with
+// the communicator and posts the first round so communication overlaps
+// whatever the caller does before Wait. Every builder names the algorithm
+// it compiled (alg) and its pipeline segment count (nseg), so profiles,
+// traces and String can say which schedule actually ran.
 func (c *Comm) newCollRequestAlg(name string, tag int, alg string, nseg int, rounds []round, finish func() error) (*CollRequest, error) {
 	r := &CollRequest{c: c, name: name, tag: tag, alg: alg, nseg: nseg, rounds: rounds, finish: finish}
 	if err := c.registerColl(r); err != nil {
@@ -253,22 +260,16 @@ func (r *CollRequest) postLocked() error {
 	r.pending = make([]*device.Request, 0, len(rd.recvs)+len(rd.sends))
 	r.actions = make([]func([]byte) error, 0, len(rd.recvs))
 	for _, rs := range rd.recvs {
-		var dr *device.Request
-		var err error
-		act := rs.on
-		if rs.buf != nil {
-			dr, err = r.c.collIrecvInto(rs.buf, rs.from, r.tag)
-			if act != nil {
-				// The device leaves Data nil for in-place receives; hand
-				// the action its landing buffer instead.
-				buf, on := rs.buf, rs.on
-				act = func([]byte) error { return on(buf) }
-			}
-		} else {
-			dr, err = r.c.collIrecv(rs.from, r.tag)
-		}
+		dr, err := r.c.collIrecvInto(rs.buf, rs.from, r.tag)
 		if err != nil {
 			return err
+		}
+		act := rs.on
+		if rs.buf != nil && act != nil {
+			// The device leaves Data nil for in-place receives; hand the
+			// action its landing buffer instead.
+			buf, on := rs.buf, rs.on
+			act = func([]byte) error { return on(buf) }
 		}
 		r.pending = append(r.pending, dr)
 		r.actions = append(r.actions, act)
@@ -452,7 +453,7 @@ func (r *CollRequest) Done() bool {
 func (r *CollRequest) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return fmt.Sprintf("CollRequest{%s round=%d/%d done=%v}", r.name, r.cur, len(r.rounds), r.done)
+	return fmt.Sprintf("CollRequest{%s alg=%s nseg=%d round=%d/%d done=%v}", r.name, r.alg, r.nseg, r.cur, len(r.rounds), r.done)
 }
 
 // ---------------------------------------------------------------------
@@ -583,78 +584,60 @@ func segOf(buf []byte, i, seg int) []byte {
 	return buf[lo:hi]
 }
 
-// pipeChainRounds compiles the segmented, pipelined chain broadcast: the
-// members form a chain in vrank order rooted at root, and in round t each
-// interior rank receives segment t from its chain predecessor while
-// forwarding segment t-1 to its successor. Total time approaches
-// (nseg + p - 2) segment times instead of the classic tree's
-// depth * whole-payload hops, which is what makes large broadcasts run at
-// link speed. buf holds the packed payload on the root and provides the
-// assembly space — ideally a raw window of the user buffer — everywhere
-// else; every rank must pass the same length.
-func pipeChainRounds(c *Comm, buf []byte, root, seg int) []round {
-	size := c.Size()
-	nseg := segCount(len(buf), seg)
-	if size == 1 || nseg == 0 {
+// pipeChainRoundsIn compiles the segmented, pipelined chain broadcast over
+// members (comm ranks, identical on every participant; other ranks compile
+// zero rounds): the members form a chain in list order rotated to start at
+// members[rootIdx], and in round t each interior rank receives segment t
+// from its chain predecessor while forwarding segment t-1 to its
+// successor. Total time approaches (nseg + p - 2) segment times instead of
+// the classic tree's depth * whole-payload hops, which is what makes large
+// broadcasts run at link speed. asm holds the packed payload on the root
+// and provides the assembly space — ideally a raw window of the user
+// buffer — everywhere else; every rank must pass the same length.
+func pipeChainRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
+	n := len(members)
+	me := memberIdx(members, c.rank)
+	if me < 0 {
 		return nil
 	}
-	vrank := (c.rank - root + size) % size
-	parent := (vrank - 1 + root + size) % size // group rank of chain predecessor
-	child := (vrank + 1 + root) % size         // group rank of chain successor
-	hasChild := vrank < size-1
-	var rs []round
-	for t := 0; t <= nseg; t++ {
-		var rd round
-		if vrank > 0 && t < nseg {
-			rd.recvs = []recvStep{{from: parent, buf: segOf(buf, t, seg)}}
-		}
-		if hasChild && t > 0 {
-			data := segOf(buf, t-1, seg)
-			rd.sends = []sendStep{{to: child, data: func() []byte { return data }}}
-		}
-		if len(rd.recvs)+len(rd.sends) > 0 {
-			rs = append(rs, rd)
-		}
-	}
-	return rs
-}
-
-// pipeBinomialRounds compiles the segmented, pipelined *binomial*
-// broadcast: the binomial tree of bcastRounds, but streaming seg-byte
-// segments down every tree edge instead of whole payloads. In round t a
-// non-root rank receives segment t from its tree parent while forwarding
-// segment t-1 to all of its binomial children. The pipeline fills in
-// depth (≈ log2 p) segment times instead of the chain's p-1, which wins
-// the mid-size band (the 64–256 KiB dip in BENCH_coll.json) where fill
-// latency still matters, at the cost of interior nodes sending each
-// segment to several children. buf has pipeChainRounds's contract.
-func pipeBinomialRounds(c *Comm, buf []byte, root, seg int) []round {
-	size := c.Size()
-	nseg := segCount(len(buf), seg)
-	if size == 1 || nseg == 0 {
-		return nil
-	}
-	vrank := (c.rank - root + size) % size
-	lb := pow2ceil(size)
+	vrank := (me - rootIdx + n) % n
 	parent := -1
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent = (vrank - lb + root) % size
+	if vrank > 0 {
+		parent = members[(vrank-1+rootIdx)%n]
 	}
 	var children []int
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < size {
-			children = append(children, (vrank+m+root)%size)
-		}
+	if vrank < n-1 {
+		children = []int{members[(vrank+1+rootIdx)%n]}
 	}
+	return pipeRounds(asm, seg, parent, children)
+}
+
+// pipeBinomialRoundsIn compiles the segmented, pipelined *binomial*
+// broadcast over members: the binomial tree of bcastRoundsIn, but
+// streaming seg-byte segments down every tree edge instead of whole
+// payloads. The pipeline fills in depth (≈ log2 p) segment times instead
+// of the chain's p-1, which wins the mid-size band (the 64–256 KiB dip in
+// BENCH_coll.json) where fill latency still matters, at the cost of
+// interior nodes sending each segment to several children. asm has
+// pipeChainRoundsIn's contract.
+func pipeBinomialRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
+	parent, children := binomialEdges(c, members, rootIdx)
+	return pipeRounds(asm, seg, parent, children)
+}
+
+// pipeRounds streams asm through one node of a broadcast tree: in round t
+// the node receives segment t from its parent (-1: the root, or a rank
+// outside the tree) while forwarding segment t-1 to all of its children.
+func pipeRounds(asm []byte, seg, parent int, children []int) []round {
+	nseg := segCount(len(asm), seg)
 	var rs []round
 	for t := 0; t <= nseg; t++ {
 		var rd round
 		if parent >= 0 && t < nseg {
-			rd.recvs = []recvStep{{from: parent, buf: segOf(buf, t, seg)}}
+			rd.recvs = []recvStep{{from: parent, buf: segOf(asm, t, seg)}}
 		}
-		if len(children) > 0 && t > 0 {
-			data := segOf(buf, t-1, seg)
+		if t > 0 {
+			data := segOf(asm, t-1, seg)
 			for _, ch := range children {
 				rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return data }})
 			}

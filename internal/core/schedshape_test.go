@@ -1,0 +1,502 @@
+package core
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"mpj/internal/transport"
+	"mpj/internal/wire"
+)
+
+// The schedule-shape table: every collective is compiled and run for every
+// np in [2,9], three locality layouts, three payload classes and every
+// forced algorithm family, and what each rank's schedule looks like — the
+// algorithm name, the segment count, and per round the ordered (peer, byte
+// length) of its receives and sends — is compared against
+// testdata/schedshape.golden. The table is the contract for refactors of
+// the round builders: who compiles the rounds may change, the rounds may
+// not. Two properties are checked on every row whatever the golden says:
+// send/receive duality (every send has exactly one receive at its peer, in
+// FIFO order per pair, and where either side states a length up front it is
+// the length that travelled) and that the schedule names its algorithm.
+//
+// A golden line is "<collective> np=<n> <layout>" followed by one hash per
+// (payload class, family) cell over nseg and the rounds of all ranks, and
+// one hash over the cells' algorithm names. Regenerate with
+//
+//	go test -run ScheduleShape ./internal/core -schedshape.update
+//
+// and read what a cell hashes with -schedshape.dump=<file>.
+var (
+	shapeUpdate = flag.Bool("schedshape.update", false, "rewrite testdata/schedshape.golden from the schedules compiled now")
+	shapeDump   = flag.String("schedshape.dump", "", "write the full schedule-shape table as text to this file")
+)
+
+const shapeGolden = "testdata/schedshape.golden"
+
+// shapeTap records, per destination and envelope, the payload length of
+// every message the device starts (eager frames and rendezvous RTS), in
+// send order. It is the ground truth for "byte length": schedule steps
+// whose payload is a closure or a dynamic receive state no length.
+type shapeTap struct {
+	transport.Transport
+	mu   sync.Mutex
+	sent map[tapKey][]int
+}
+
+type tapKey struct{ dst, ctx, tag int }
+
+func (t *shapeTap) Send(dst int, frame []byte) error {
+	var h wire.Header
+	if err := h.Decode(frame); err == nil && (h.Kind == wire.KindEager || h.Kind == wire.KindRTS) {
+		k := tapKey{dst, int(h.Context), int(h.Tag)}
+		t.mu.Lock()
+		t.sent[k] = append(t.sent[k], int(h.Len))
+		t.mu.Unlock()
+	}
+	return t.Transport.Send(dst, frame)
+}
+
+// stepShape is one schedule step as compiled: the peer and the length the
+// step states up front (-1: a closure-supplied send or a dynamic receive).
+type stepShape struct{ peer, n int }
+
+type roundShape struct{ recvs, sends []stepShape }
+
+// schedShape is what one rank compiled for one collective call.
+type schedShape struct {
+	tag    int
+	alg    string
+	nseg   int
+	rounds []roundShape
+}
+
+func captureShape(r *CollRequest) schedShape {
+	s := schedShape{tag: r.tag, alg: r.alg, nseg: r.nseg}
+	for _, rd := range r.rounds {
+		var rs roundShape
+		for _, x := range rd.recvs {
+			n := -1
+			if x.buf != nil {
+				n = len(x.buf)
+			}
+			rs.recvs = append(rs.recvs, stepShape{x.from, n})
+		}
+		for _, x := range rd.sends {
+			n := -1
+			if x.fill != nil {
+				n = x.n
+			}
+			rs.sends = append(rs.sends, stepShape{x.to, n})
+		}
+		s.rounds = append(s.rounds, rs)
+	}
+	return s
+}
+
+// shapeWait completes a started collective and captures its schedule.
+func shapeWait(r *CollRequest, err error) (schedShape, error) {
+	if err != nil {
+		return schedShape{}, err
+	}
+	if _, err := r.Wait(); err != nil {
+		return schedShape{}, err
+	}
+	return captureShape(r), nil
+}
+
+// shapeStart runs the first activation of a persistent collective and
+// captures the schedule it compiled.
+func shapeStart(p *PcollRequest, err error) (schedShape, error) {
+	if err != nil {
+		return schedShape{}, err
+	}
+	if err := p.Start(); err != nil {
+		return schedShape{}, err
+	}
+	if _, err := p.Wait(); err != nil {
+		return schedShape{}, err
+	}
+	return captureShape(p.active), nil
+}
+
+// vCount is the varying-count layout of the table: rank r's block holds
+// 0, n or 2n elements, so every v-form row carries empty blocks.
+func vCount(r, n int) int { return n * ((r + 1) % 3) }
+
+func vLayout(np, n int) (counts, displs []int, total int) {
+	counts, displs = make([]int, np), make([]int, np)
+	for r := range counts {
+		counts[r], displs[r] = vCount(r, n), total
+		total += counts[r]
+	}
+	return counts, displs, total
+}
+
+// shapeOps lists every collective with its non-blocking and persistent
+// entry; n is the per-block (or, for the rooted and reducing forms, whole)
+// element count of Int.
+var shapeOps = []struct {
+	name string
+	run  func(w *Comm, n int, commit bool) (schedShape, error)
+}{
+	{"barrier", func(w *Comm, n int, commit bool) (schedShape, error) {
+		if commit {
+			return shapeStart(w.CommitBarrier())
+		}
+		return shapeWait(w.Ibarrier())
+	}},
+	{"bcast", func(w *Comm, n int, commit bool) (schedShape, error) {
+		buf := make([]int32, n)
+		if commit {
+			return shapeStart(w.CommitBcast(buf, 0, n, Int, 1))
+		}
+		return shapeWait(w.Ibcast(buf, 0, n, Int, 1))
+	}},
+	{"gather", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n), make([]int32, n*w.Size())
+		if commit {
+			return shapeStart(w.CommitGather(s, 0, n, Int, r, 0, n, Int, 1))
+		}
+		return shapeWait(w.Igather(s, 0, n, Int, r, 0, n, Int, 1))
+	}},
+	{"scatter", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n*w.Size()), make([]int32, n)
+		if commit {
+			return shapeStart(w.CommitScatter(s, 0, n, Int, r, 0, n, Int, 1))
+		}
+		return shapeWait(w.Iscatter(s, 0, n, Int, r, 0, n, Int, 1))
+	}},
+	{"allgather", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n), make([]int32, n*w.Size())
+		if commit {
+			return shapeStart(w.CommitAllgather(s, 0, n, Int, r, 0, n, Int))
+		}
+		return shapeWait(w.Iallgather(s, 0, n, Int, r, 0, n, Int))
+	}},
+	{"alltoall", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n*w.Size()), make([]int32, n*w.Size())
+		if commit {
+			return shapeStart(w.CommitAlltoall(s, 0, n, Int, r, 0, n, Int))
+		}
+		return shapeWait(w.Ialltoall(s, 0, n, Int, r, 0, n, Int))
+	}},
+	{"reduce", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n), make([]int32, n)
+		if commit {
+			return shapeStart(w.CommitReduce(s, 0, r, 0, n, Int, SumOp, 1))
+		}
+		return shapeWait(w.Ireduce(s, 0, r, 0, n, Int, SumOp, 1))
+	}},
+	{"allreduce", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n), make([]int32, n)
+		if commit {
+			return shapeStart(w.CommitAllreduce(s, 0, r, 0, n, Int, SumOp))
+		}
+		return shapeWait(w.Iallreduce(s, 0, r, 0, n, Int, SumOp))
+	}},
+	{"scan", func(w *Comm, n int, commit bool) (schedShape, error) {
+		s, r := make([]int32, n), make([]int32, n)
+		if commit {
+			return shapeStart(w.CommitScan(s, 0, r, 0, n, Int, SumOp))
+		}
+		return shapeWait(w.Iscan(s, 0, r, 0, n, Int, SumOp))
+	}},
+	{"gatherv", func(w *Comm, n int, commit bool) (schedShape, error) {
+		counts, displs, total := vLayout(w.Size(), n)
+		mine := vCount(w.Rank(), n)
+		s, r := make([]int32, mine), make([]int32, total)
+		if commit {
+			return shapeStart(w.CommitGatherv(s, 0, mine, Int, r, 0, counts, displs, Int, 1))
+		}
+		return shapeWait(w.Igatherv(s, 0, mine, Int, r, 0, counts, displs, Int, 1))
+	}},
+	{"scatterv", func(w *Comm, n int, commit bool) (schedShape, error) {
+		counts, displs, total := vLayout(w.Size(), n)
+		mine := vCount(w.Rank(), n)
+		s, r := make([]int32, total), make([]int32, mine)
+		if commit {
+			return shapeStart(w.CommitScatterv(s, 0, counts, displs, Int, r, 0, mine, Int, 1))
+		}
+		return shapeWait(w.Iscatterv(s, 0, counts, displs, Int, r, 0, mine, Int, 1))
+	}},
+	{"allgatherv", func(w *Comm, n int, commit bool) (schedShape, error) {
+		counts, displs, total := vLayout(w.Size(), n)
+		mine := vCount(w.Rank(), n)
+		s, r := make([]int32, mine), make([]int32, total)
+		if commit {
+			return shapeStart(w.CommitAllgatherv(s, 0, mine, Int, r, 0, counts, displs, Int))
+		}
+		return shapeWait(w.Iallgatherv(s, 0, mine, Int, r, 0, counts, displs, Int))
+	}},
+	{"alltoallv", func(w *Comm, n int, commit bool) (schedShape, error) {
+		// The block between a and b holds vCount(a+b) elements both ways.
+		np := w.Size()
+		counts, displs := make([]int, np), make([]int, np)
+		total := 0
+		for r := range counts {
+			counts[r], displs[r] = vCount(w.Rank()+r, n), total
+			total += counts[r]
+		}
+		s, r := make([]int32, total), make([]int32, total)
+		if commit {
+			return shapeStart(w.CommitAlltoallv(s, 0, counts, displs, Int, r, 0, counts, displs, Int))
+		}
+		return shapeWait(w.Ialltoallv(s, 0, counts, displs, Int, r, 0, counts, displs, Int))
+	}},
+	{"reduce_scatter", func(w *Comm, n int, commit bool) (schedShape, error) {
+		counts, _, total := vLayout(w.Size(), n)
+		s, r := make([]int32, total), make([]int32, vCount(w.Rank(), n))
+		if commit {
+			return shapeStart(w.CommitReduceScatter(s, 0, r, 0, counts, Int, SumOp))
+		}
+		return shapeWait(w.IreduceScatter(s, 0, r, 0, counts, Int, SumOp))
+	}},
+}
+
+// The table's selection thresholds, scaled down from the built-in ones so
+// the three payload classes stay cheap: large-message path from 1 KiB,
+// pipelined-binomial band [1 KiB, 4 KiB), 256-byte segments.
+var shapeTable = DeviceCrossovers{LargeMin: 1 << 10, BinPipeMax: 4 << 10}
+
+const shapeSeg = 256
+
+// shapeSizes are the payload classes in Int elements: below the
+// large-message threshold, inside the pipelined-binomial band, above it.
+// zero is the count-0 row: checked for duality and naming, not pinned —
+// what an empty collective exchanges is not part of the contract.
+var shapeSizes = []struct {
+	name string
+	n    int
+}{{"small", 3}, {"mid", 512}, {"large", 2048}, {"zero", 0}}
+
+const shapePinned = 3 // leading shapeSizes entries compared against the golden
+
+var shapeFamilies = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgSegmented, CollAlgRing, CollAlgHier}
+
+// shapeLayouts are the locality layouts: none, two interleaved groups, and
+// three uneven groups (one a singleton holding the highest rank).
+var shapeLayouts = []struct {
+	name string
+	keys func(np int) []string
+}{
+	{"flat", func(int) []string { return nil }},
+	{"2xk", func(np int) []string {
+		keys := make([]string, np)
+		for i := range keys {
+			keys[i] = []string{"A", "B"}[i%2]
+		}
+		return keys
+	}},
+	{"uneven3", func(np int) []string {
+		keys := make([]string, np)
+		for i := range keys {
+			switch {
+			case i == np-1:
+				keys[i] = "C"
+			case i%3 == 0:
+				keys[i] = "A"
+			default:
+				keys[i] = "B"
+			}
+		}
+		return keys
+	}},
+}
+
+// shapeCell resolves one call's per-rank schedules against the taps:
+// it checks duality and naming and renders the cell's text.
+func shapeCell(shapes []schedShape, taps []*shapeTap, ctx int) (text, alg string, err error) {
+	np := len(shapes)
+	// Per ordered pair, the compiled steps in schedule order.
+	type pair struct{ src, dst int }
+	sends, recvs := map[pair][]int{}, map[pair][]int{}
+	for me, s := range shapes {
+		for _, rd := range s.rounds {
+			for _, x := range rd.sends {
+				sends[pair{me, x.peer}] = append(sends[pair{me, x.peer}], x.n)
+			}
+			for _, x := range rd.recvs {
+				recvs[pair{x.peer, me}] = append(recvs[pair{x.peer, me}], x.n)
+			}
+		}
+	}
+	travelled := func(p pair) []int {
+		t := taps[p.src]
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.sent[tapKey{p.dst, ctx, shapes[p.src].tag}]
+	}
+	for src := 0; src < np; src++ {
+		for dst := 0; dst < np; dst++ {
+			p := pair{src, dst}
+			w := travelled(p)
+			if len(sends[p]) != len(w) || len(recvs[p]) != len(w) {
+				return "", "", fmt.Errorf("%d->%d: %d send steps, %d receive steps, %d messages on the wire",
+					src, dst, len(sends[p]), len(recvs[p]), len(w))
+			}
+			for k, n := range w {
+				if s := sends[p][k]; s >= 0 && s != n {
+					return "", "", fmt.Errorf("%d->%d message %d: send step states %d bytes, %d travelled", src, dst, k, s, n)
+				}
+				if r := recvs[p][k]; r >= 0 && r != n {
+					return "", "", fmt.Errorf("%d->%d message %d: receive step states %d bytes, %d travelled", src, dst, k, r, n)
+				}
+			}
+		}
+	}
+	// Render with the travelled lengths, consuming each pair's messages in
+	// schedule order.
+	var b strings.Builder
+	algs := map[string]bool{}
+	for me, s := range shapes {
+		if s.alg == "" {
+			err = fmt.Errorf("rank %d: schedule names no algorithm", me)
+		}
+		algs[s.alg] = true
+		sentTo, gotFrom := map[int]int{}, map[int]int{}
+		fmt.Fprintf(&b, "rank %d nseg=%d\n", me, s.nseg)
+		for i, rd := range s.rounds {
+			fmt.Fprintf(&b, " round %d recv", i)
+			for _, x := range rd.recvs {
+				fmt.Fprintf(&b, " %d:%d", x.peer, travelled(pair{x.peer, me})[gotFrom[x.peer]])
+				gotFrom[x.peer]++
+			}
+			b.WriteString(" send")
+			for _, x := range rd.sends {
+				fmt.Fprintf(&b, " %d:%d", x.peer, travelled(pair{me, x.peer})[sentTo[x.peer]])
+				sentTo[x.peer]++
+			}
+			b.WriteByte('\n')
+		}
+	}
+	names := make([]string, 0, len(algs))
+	for a := range algs {
+		names = append(names, a)
+	}
+	sort.Strings(names)
+	return b.String(), strings.Join(names, "|"), err
+}
+
+func hash32(s string) string {
+	h := fnv.New32a()
+	h.Write([]byte(s))
+	return fmt.Sprintf("%08x", h.Sum32())
+}
+
+func TestScheduleShape(t *testing.T) {
+	golden := map[string]string{}
+	if f, err := os.Open(shapeGolden); err == nil {
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if key, rest, ok := strings.Cut(sc.Text(), ": "); ok {
+				golden[key] = rest
+			}
+		}
+		f.Close()
+	} else if !*shapeUpdate {
+		t.Fatalf("no golden table: %v", err)
+	}
+	var lines []string
+	var dump strings.Builder
+
+	ncell := len(shapeSizes) * len(shapeFamilies)
+	for np := 2; np <= 9; np++ {
+		for _, layout := range shapeLayouts {
+			// shapes[commit][op][cell][rank]
+			var shapes [2][][][]schedShape
+			for c := range shapes {
+				shapes[c] = make([][][]schedShape, len(shapeOps))
+				for o := range shapes[c] {
+					shapes[c][o] = make([][]schedShape, ncell)
+					for i := range shapes[c][o] {
+						shapes[c][o][i] = make([]schedShape, np)
+					}
+				}
+			}
+			mesh := transport.NewChanMesh(np)
+			taps := make([]*shapeTap, np)
+			ctx := 0
+			runRanksOn(t, np, func(i int) (transport.Transport, error) {
+				taps[i] = &shapeTap{Transport: mesh[i], sent: map[tapKey][]int{}}
+				return taps[i], nil
+			}, func(w *Comm) error {
+				if w.Rank() == 0 {
+					ctx = w.coll
+				}
+				tab := shapeTable
+				w.proc.collDev = &tab
+				w.SetCollSegSize(shapeSeg)
+				w.SetLocalityTable(layout.keys(np))
+				for o, op := range shapeOps {
+					for si, size := range shapeSizes {
+						for fi, fam := range shapeFamilies {
+							w.SetCollAlg(fam)
+							for c, commit := range []bool{false, true} {
+								s, err := op.run(w, size.n, commit)
+								if err != nil {
+									return fmt.Errorf("%s commit=%v %s %v: %w", op.name, commit, size.name, fam, err)
+								}
+								shapes[c][o][si*len(shapeFamilies)+fi][w.Rank()] = s
+							}
+						}
+					}
+				}
+				return nil
+			})
+
+			for o, op := range shapeOps {
+				key := fmt.Sprintf("%s np=%d %s", op.name, np, layout.name)
+				var hashes, algs []string
+				for si, size := range shapeSizes {
+					for fi, fam := range shapeFamilies {
+						cell := si*len(shapeFamilies) + fi
+						where := fmt.Sprintf("%s %s %v", key, size.name, fam)
+						text, alg, err := shapeCell(shapes[0][o][cell], taps, ctx)
+						if err != nil {
+							t.Errorf("%s: %v", where, err)
+						}
+						ptext, palg, err := shapeCell(shapes[1][o][cell], taps, ctx)
+						if err != nil {
+							t.Errorf("%s Commit: %v", where, err)
+						}
+						if ptext != text || palg != alg {
+							t.Errorf("%s: first Commit activation compiled %s, the I form %s:\n%s\nvs\n%s", where, palg, alg, ptext, text)
+						}
+						fmt.Fprintf(&dump, "== %s alg=%s\n%s", where, alg, text)
+						if si < shapePinned {
+							hashes = append(hashes, hash32(text))
+							algs = append(algs, alg)
+						}
+					}
+				}
+				line := strings.Join(hashes, " ") + " algs=" + hash32(strings.Join(algs, ","))
+				lines = append(lines, key+": "+line)
+				if want, ok := golden[key]; !*shapeUpdate && (!ok || want != line) {
+					t.Errorf("%s: schedule shapes changed\n got %s\nwant %s\n(cells: %s)", key, line, want, strings.Join(algs, ","))
+				}
+			}
+		}
+	}
+
+	if *shapeDump != "" {
+		if err := os.WriteFile(*shapeDump, []byte(dump.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *shapeUpdate {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(shapeGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -783,3 +783,66 @@ func TestWaitProgressSeesFailureBeforeParking(t *testing.T) {
 		t.Error("the receive from the live rank completed")
 	}
 }
+
+// TestWaitProgressSeesCompletionBeforeParking: a completion that lands
+// after the caller's last look at its requests but before it parks is
+// news — WaitProgress must return, not filter the finished request out
+// and park on the rest, which may depend on the caller acting on it. A
+// completion the caller has observed is not, or a waiter would spin.
+func TestWaitProgressSeesCompletionBeforeParking(t *testing.T) {
+	ds := openMesh(t, 2)
+	never, err := ds[0].Irecv(make([]byte, 4), 1, 7, 0) // rank 1 never sends tag 7
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := ds[0].Irecv(make([]byte, 4), 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []*Request{never, rr}
+	if _, ok, _ := ds[0].TestAll(reqs); ok {
+		t.Fatal("receives complete before anything was sent")
+	}
+	// The message arrives between the look above and the park below.
+	if _, err := ds[1].Isend([]byte{1, 2, 3, 4}, 0, 0, 0, ModeStandard); err != nil {
+		t.Fatal(err)
+	}
+	for !rr.doneUnobserved() {
+		time.Sleep(time.Millisecond)
+	}
+	epoch := ds[0].FailEpoch()
+	returned := make(chan struct{})
+	go func() {
+		ds[0].WaitProgress(reqs, epoch)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitProgress parked past a completion its caller had not seen")
+	}
+
+	// Once a look has observed it, the same completion no longer wakes.
+	if _, ok, _ := ds[0].TestAll(reqs); ok {
+		t.Fatal("the tag-7 receive completed")
+	}
+	parked := make(chan struct{})
+	go func() {
+		ds[0].WaitProgress(reqs, epoch)
+		close(parked)
+	}()
+	select {
+	case <-parked:
+		t.Fatal("WaitProgress returned on a completion its caller had already observed")
+	case <-time.After(50 * time.Millisecond):
+	}
+	_ = never.Cancel() // completes the request and releases the parked waiter
+	<-parked
+}
+
+// doneUnobserved peeks at completion without observing it.
+func (r *Request) doneUnobserved() bool {
+	r.d.mu.Lock()
+	defer r.d.mu.Unlock()
+	return r.done && !r.seen
+}

@@ -53,6 +53,7 @@ type Request struct {
 
 	cancelWanted bool
 	consumed     bool // a WaitAny/TestAny already returned this request
+	seen         bool // a Wait*/Test*/Done call has observed the completion (see WaitProgress)
 }
 
 // Wait blocks until the request completes and returns its status.
@@ -63,6 +64,7 @@ func (r *Request) Wait() (Status, error) {
 	for !r.done {
 		d.cond.Wait()
 	}
+	r.seen = true
 	return r.status, r.err
 }
 
@@ -74,6 +76,7 @@ func (r *Request) Test() (Status, bool, error) {
 	if !r.done {
 		return Status{}, false, nil
 	}
+	r.seen = true
 	return r.status, true, r.err
 }
 
@@ -81,6 +84,7 @@ func (r *Request) Test() (Status, bool, error) {
 func (r *Request) Done() bool {
 	r.d.mu.Lock()
 	defer r.d.mu.Unlock()
+	r.seen = r.done
 	return r.done
 }
 
@@ -166,7 +170,7 @@ func (d *Device) WaitAny(reqs []*Request) (int, Status, error) {
 			}
 			active = true
 			if r.done {
-				r.consumed = true
+				r.consumed, r.seen = true, true
 				return i, r.status, r.err
 			}
 		}
@@ -191,7 +195,7 @@ func (d *Device) TestAny(reqs []*Request) (idx int, st Status, ok bool, err erro
 		}
 		anyActive = true
 		if r.done {
-			r.consumed = true
+			r.consumed, r.seen = true, true
 			return i, r.status, true, r.err
 		}
 	}
@@ -211,6 +215,15 @@ func (d *Device) TestAny(reqs []*Request) (idx int, st Status, ok bool, err erro
 // any of its watched requests (a round not yet posted against the dead
 // peer), and the waiter must wake to observe it.
 //
+// The caller looks at its requests (Test, TestAll, TestAny), then parks
+// here, and a completion in between must not be missed: a request that
+// is complete on entry but whose completion no such call has observed is
+// news, and WaitProgress returns at once instead of parking on the rest —
+// which may only ever complete once the caller has acted on this one (a
+// blocked Recv watching the rounds of an in-flight collective its sender
+// is waiting on). Completions already observed — eager sends, the
+// finished part of a round — are not, or a waiter would spin on them.
+//
 // epoch is the FailEpoch the caller read before it last looked at its
 // schedules: a failure registered between that look and this call is then
 // a reason to return at once, not a wakeup that was missed.
@@ -219,8 +232,12 @@ func (d *Device) WaitProgress(reqs []*Request, epoch uint64) {
 	defer d.mu.Unlock()
 	var watch []*Request
 	for _, r := range reqs {
-		if r != nil && !r.done {
+		switch {
+		case r == nil:
+		case !r.done:
 			watch = append(watch, r)
+		case !r.seen:
+			return
 		}
 	}
 	if len(watch) == 0 {
@@ -254,6 +271,7 @@ func (d *Device) WaitAll(reqs []*Request) ([]Status, error) {
 		for !r.done {
 			d.cond.Wait()
 		}
+		r.seen = true
 		sts[i] = r.status
 		if firstErr == nil && r.err != nil {
 			firstErr = r.err
@@ -263,14 +281,21 @@ func (d *Device) WaitAll(reqs []*Request) ([]Status, error) {
 }
 
 // TestAll reports whether every non-nil request has completed, returning
-// statuses only when all are done (like MPI_Testall).
+// statuses only when all are done (like MPI_Testall). It observes every
+// completion among reqs, not only up to the first incomplete request:
+// WaitProgress tells news from those.
 func (d *Device) TestAll(reqs []*Request) ([]Status, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	all := true
 	for _, r := range reqs {
-		if r != nil && !r.done {
-			return nil, false, nil
+		if r != nil {
+			r.seen = r.done
+			all = all && r.done
 		}
+	}
+	if !all {
+		return nil, false, nil
 	}
 	sts := make([]Status, len(reqs))
 	var firstErr error
