@@ -12,7 +12,8 @@ type AllreduceAlgorithm int
 
 const (
 	// AllreduceAuto switches by payload: large fixed-size vectors take
-	// the ring (reduce-scatter + allgather); below the large-message
+	// the ring (reduce-scatter + allgather, 2·(p−1) whole-chunk steps —
+	// the segment size does not apply); below the large-message
 	// threshold power-of-two sizes use recursive doubling and other
 	// sizes reduce to rank 0 and broadcast. See collalg.go for the
 	// threshold and the knobs that override it.

@@ -34,7 +34,9 @@ const (
 	CollAlgClassic
 	// CollAlgSegmented always uses the large-message path: the pipelined
 	// chain broadcast streaming fixed-size segments, and the ring
-	// algorithms for allreduce/allgather.
+	// algorithms for allreduce/allgather — which move whole chunks; only
+	// the broadcasts are segmented (a round there forwards segment t-1
+	// while receiving segment t; a ring step has nothing to overlap).
 	CollAlgSegmented
 	// CollAlgRing is CollAlgSegmented under the name the ring-based
 	// collectives (allreduce, allgather) are usually discussed by; the
@@ -72,7 +74,7 @@ func (a CollAlg) String() string {
 // of them per device.
 const (
 	// DefaultCollSegSize is the default segment size (bytes) of the
-	// pipelined schedules; MPJ_COLL_SEG, SetCollSegSize and the table's
+	// pipelined broadcast schedules; MPJ_COLL_SEG, SetCollSegSize and the table's
 	// seg_size override it.
 	DefaultCollSegSize = 32 << 10
 
@@ -151,7 +153,7 @@ func (c *Comm) SetCollAlg(a CollAlg) {
 }
 
 // SetCollSegSize sets the segment size (bytes) of the pipelined
-// large-message schedules on this communicator, overriding MPJ_COLL_SEG,
+// broadcast schedules (chain and binomial) on this communicator, overriding MPJ_COLL_SEG,
 // the measured table and the 32 KiB default. Every member must use the
 // same value. Zero restores the default resolution chain; negative sizes
 // panic, matching ParseCollSegSize's rejection of non-positive counts.

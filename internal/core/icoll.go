@@ -211,28 +211,23 @@ func ringRounds(c *Comm, cur *cell, onBlock func(owner int, got []byte) error) [
 	return rs
 }
 
-// ringAllreduceSegRounds compiles the bandwidth-optimal ring allreduce
-// over the packed vector acc: a reduce-scatter phase (p-1 steps; in step s
-// every rank sends its partial of chunk rank-s right and folds the
-// arriving partial of chunk rank-s-1 into acc) leaves rank r holding the
-// complete reduction of chunk r+1, then a ring allgather circulates the
-// reduced chunks back into place. Chunks are cut on elem-byte element
-// boundaries as evenly as the count allows, so the schedule is correct for
-// any communicator size, including non-powers-of-two, and for counts that
-// do not divide by it. scratch stages the reduce-scatter arrivals and must
-// hold the largest segment; each rank moves ~2·len(acc) bytes total
+// ringAllreduceRounds compiles the bandwidth-optimal ring allreduce over
+// the packed vector acc: a reduce-scatter phase (p-1 steps; in step s every
+// rank sends its partial of chunk rank-s right and folds the arriving
+// partial of chunk rank-s-1 into acc) leaves rank r holding the complete
+// reduction of chunk r+1, then a ring allgather circulates the reduced
+// chunks back into place. Chunks are cut on elem-byte element boundaries as
+// evenly as the count allows, so the schedule is correct for any
+// communicator size, including non-powers-of-two, and for counts that do
+// not divide by it. scratch stages the reduce-scatter arrivals and must
+// hold the largest chunk; each rank moves ~2·len(acc) bytes total
 // regardless of p.
 //
-// Every step streams its chunk as seg-byte segments (seg is
-// element-aligned), so a rank starts combining — and its neighbour
-// forwarding — after one segment instead of one chunk; with seg at least
-// the largest chunk each step is one whole-chunk round, the plain ring
-// (see iallreduceRing for the choice). A chunk always travels as at least
-// one message, empty when the count leaves it no elements. The per-step
-// send/recv segment counts can differ by one when adjacent chunks round
-// differently; rounds carrying only the longer side keep both rings
-// aligned.
-func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combiner, seg int) []round {
+// Every step is one round moving its chunk whole (empty when the count
+// leaves it no elements): a round ends only when its send and its folded
+// receive are both done, so nothing a step is cut into could overlap, and
+// each extra message would only pay the handshake again.
+func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) []round {
 	size := c.Size()
 	n := len(acc) / elem
 	bound := func(i int) int { return i * n / size * elem }
@@ -240,46 +235,29 @@ func ringAllreduceSegRounds(c *Comm, acc, scratch []byte, elem int, comb combine
 		i = (i%size + size) % size
 		return acc[bound(i):bound(i+1)]
 	}
-	segs := func(b []byte) int { return max(1, segCount(len(b), seg)) }
 	right := (c.rank + 1) % size
 	left := (c.rank - 1 + size) % size
 	var rs []round
-	// Reduce-scatter: in step s segment k of the partial of chunk rank-s
-	// goes right while segment k of chunk rank-s-1 arrives and folds in.
+	// Reduce-scatter: in step s the partial of chunk rank-s goes right
+	// while the partial of chunk rank-s-1 arrives and folds in.
 	for s := 0; s < size-1; s++ {
 		send := chunk(c.rank - s)
 		dst := chunk(c.rank - s - 1)
-		for k := 0; k < max(segs(send), segs(dst)); k++ {
-			var rd round
-			if k < segs(dst) {
-				dseg := segOf(dst, k, seg)
-				rd.recvs = []recvStep{{from: left, buf: scratch[:len(dseg)], on: func(got []byte) error {
-					return comb(got, dseg)
-				}}}
-			}
-			if k < segs(send) {
-				sseg := segOf(send, k, seg)
-				rd.sends = []sendStep{{to: right, data: func() []byte { return sseg }}}
-			}
-			rs = append(rs, rd)
-		}
+		rs = append(rs, round{
+			recvs: []recvStep{{from: left, buf: scratch[:len(dst)], on: func(got []byte) error {
+				return comb(got, dst)
+			}}},
+			sends: []sendStep{{to: right, data: func() []byte { return send }}},
+		})
 	}
-	// Allgather: the reduced chunks circulate back, landing segment by
-	// segment straight in their final places.
+	// Allgather: the reduced chunks circulate back, landing straight in
+	// their final places.
 	for s := 0; s < size-1; s++ {
 		send := chunk(c.rank + 1 - s)
-		dst := chunk(c.rank - s)
-		for k := 0; k < max(segs(send), segs(dst)); k++ {
-			var rd round
-			if k < segs(dst) {
-				rd.recvs = []recvStep{{from: left, buf: segOf(dst, k, seg)}}
-			}
-			if k < segs(send) {
-				sseg := segOf(send, k, seg)
-				rd.sends = []sendStep{{to: right, data: func() []byte { return sseg }}}
-			}
-			rs = append(rs, rd)
-		}
+		rs = append(rs, round{
+			recvs: []recvStep{{from: left, buf: chunk(c.rank - s)}},
+			sends: []sendStep{{to: right, data: func() []byte { return send }}},
+		})
 	}
 	return rs
 }
@@ -847,23 +825,7 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 	size := c.Size()
 	maxChunk := (n + size - 1) / size * elem // chunk sizes differ by at most one element
 	scratch := wire.GetBuf(maxChunk)
-	// Once chunks outgrow the pipeline segment size, stream them as
-	// segments inside each ring step; below that one segment spans the
-	// largest chunk and every step moves its chunk whole. All ranks
-	// compute the same n/size/seg, so the choice agrees everywhere.
-	seg := c.collSegSize()
-	if seg < elem {
-		seg = elem
-	} else {
-		seg -= seg % elem
-	}
-	algName, nseg := "ring", 0
-	if maxChunk >= 2*seg {
-		algName, nseg = "ring-segmented", segCount(len(acc), seg)
-	} else {
-		seg = maxChunk
-	}
-	rounds := ringAllreduceSegRounds(c, acc, scratch, elem, comb, seg)
+	rounds := ringAllreduceRounds(c, acc, scratch, elem, comb)
 	finish := func() error {
 		wire.PutBuf(scratch)
 		if unpack != nil {
@@ -871,7 +833,7 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 		}
 		return nil
 	}
-	return c.newCollRequestAlg(name, tag, algName, nseg, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "ring", 0, rounds, finish)
 }
 
 // Ialltoall starts a non-blocking all-to-all personalized exchange: a

@@ -104,8 +104,12 @@ const (
 )
 
 // InPlace is the MPI_IN_PLACE sentinel: passed as the send buffer of
-// ReduceScatter or Allgatherv, the rank's contribution is taken from (and
-// the result written to) its slice of the receive buffer.
+// Allgather or Allgatherv (blocking, I* and Commit* forms) or of
+// ReduceScatter / IreduceScatter, the rank's contribution is taken from
+// the place in the receive buffer where its result belongs — its own block
+// for the Allgather family, the whole input vector at roff for
+// ReduceScatter — and no separate send buffer is touched. As a receive
+// buffer it is an ErrBuffer error.
 var InPlace = core.InPlace
 
 // Collective algorithm selectors (see CollAlg and Comm.SetCollAlg).
@@ -114,7 +118,8 @@ const (
 	CollAlgAuto = core.CollAlgAuto
 	// CollAlgClassic forces the latency-optimised tree algorithms.
 	CollAlgClassic = core.CollAlgClassic
-	// CollAlgSegmented forces the segmented pipeline / ring algorithms.
+	// CollAlgSegmented forces the large-message schedules: segmented
+	// pipelined broadcast, whole-chunk rings for allreduce/allgather.
 	CollAlgSegmented = core.CollAlgSegmented
 	// CollAlgRing is CollAlgSegmented under its ring-collective name.
 	CollAlgRing = core.CollAlgRing
