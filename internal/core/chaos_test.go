@@ -72,10 +72,79 @@ func TestChaosCollectiveKillHyb(t *testing.T) {
 	}
 }
 
+// chaosLentCases kill a rank in a reduce-scatter round (0–2) and in an
+// allgather round (3–5) of the 1 MiB ring allreduce at np=4 — the one
+// schedule whose sends lend user memory to the device: the transport is
+// reading the survivors' receive buffers, above the eager limit and by
+// reference, when the death lands.
+var chaosLentCases = []chaosCase{
+	{np: 4, victim: 2, round: 1, op: "allreduce1m"},
+	{np: 4, victim: 1, round: 4, op: "allreduce1m"},
+}
+
+// TestChaosLentAllreduceKill is the failure contract of lent sends, over
+// real sockets and the hybrid mesh: every survivor gets ErrRankFailed (or
+// the complete result), and the moment Allreduce returns its buffers are
+// the caller's again — chaosOp overwrites them, so under -race a transport
+// goroutine still reading or filling one is a report.
+func TestChaosLentAllreduceKill(t *testing.T) {
+	for _, mesh := range []string{"tcp", "hyb"} {
+		for _, tc := range chaosLentCases {
+			mesh, tc := mesh, tc
+			t.Run(fmt.Sprintf("%s_kill%d@r%d", mesh, tc.victim, tc.round), func(t *testing.T) {
+				chaosScenario(t, mesh, tc)
+			})
+		}
+	}
+}
+
+// TestChaosLentAllreduceFree is the same contract for Comm.Free with an
+// Iallreduce outstanding: when Free returns, the buffers of the abandoned
+// schedule are the caller's.
+func TestChaosLentAllreduceFree(t *testing.T) {
+	for _, mesh := range []string{"tcp", "hyb"} {
+		mesh := mesh
+		t.Run(mesh, func(t *testing.T) {
+			chaosJob(t, mesh, 4, nil, nil, func(rank int, w *Comm) error {
+				c, err := w.Dup()
+				if err != nil {
+					return err
+				}
+				in, out := make([]int32, chaosLentCount), make([]int32, chaosLentCount)
+				req, err := c.IallreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+				if err != nil {
+					return err
+				}
+				c.Free()
+				scribble(in, out)
+				if _, err := req.Wait(); !errors.Is(err, ErrComm) {
+					return fmt.Errorf("iallreduce on a freed comm: %v, want ErrComm", err)
+				}
+				return w.Barrier()
+			})
+		})
+	}
+}
+
+// chaosLentCount is 1 MiB of Int: 256 KiB ring chunks at np=4, rendezvous
+// on every device.
+const chaosLentCount = 1 << 18
+
+// scribble overwrites buffers a collective has handed back.
+func scribble(bufs ...[]int32) {
+	for _, b := range bufs {
+		for i := range b {
+			b[i] = -1
+		}
+	}
+}
+
 // chaosTransports builds the requested mesh for np ranks.
 func chaosTransports(t *testing.T, mesh string, np int) []transport.Transport {
 	t.Helper()
 	switch mesh {
+	case "tcp":
+		return tcpMesh(t, np)
 	case "chan":
 		eps := transport.NewChanMesh(np)
 		trs := make([]transport.Transport, np)
@@ -105,40 +174,57 @@ func chaosTransports(t *testing.T, mesh string, np int) []transport.Transport {
 	}
 }
 
-// chaosScenario runs one fault-injected job. Unlike runRanks it tolerates
-// the victim's own failure, arms the kill trigger before any rank starts,
-// and tears down with Abort (a barrier on the world would hang: a member
-// is dead).
+// chaosScenario runs one fault-injected job: the kill trigger is armed
+// before any rank starts.
 func chaosScenario(t *testing.T, mesh string, tc chaosCase) {
-	trs := chaosTransports(t, mesh, tc.np)
 	dom := fault.NewDomain()
-	devs := make([]*device.Device, tc.np)
-	worlds := make([]*Comm, tc.np)
-	for i := range trs {
-		d, err := device.Open(dom.Wrap(trs[i]))
+	arm := func() error { return dom.KillAt(tc.victim, tc.round) }
+	chaosJob(t, mesh, tc.np, dom, arm, func(rank int, w *Comm) error {
+		return chaosRank(rank, w, dom, tc)
+	})
+}
+
+// chaosJob runs fn on np ranks over the requested mesh, wrapped in dom when
+// there is one; arm, when there is one, runs once every device is bound,
+// before any rank starts. Unlike runRanks it tears down with Abort (a
+// barrier on the world would hang when a member is dead) and leaves judging
+// each rank's outcome to fn.
+func chaosJob(t *testing.T, mesh string, np int, dom *fault.Domain, arm func() error, fn func(rank int, w *Comm) error) {
+	trs := chaosTransports(t, mesh, np)
+	devs := make([]*device.Device, np)
+	worlds := make([]*Comm, np)
+	for i, tr := range trs {
+		if dom != nil {
+			tr = dom.Wrap(tr)
+		}
+		d, err := device.Open(tr)
 		if err != nil {
 			t.Fatalf("open device %d: %v", i, err)
 		}
 		devs[i] = d
-		dom.Bind(i, d)
+		if dom != nil {
+			dom.Bind(i, d)
+		}
 		w, err := NewWorld(d)
 		if err != nil {
 			t.Fatalf("new world %d: %v", i, err)
 		}
 		worlds[i] = w
 	}
-	if err := dom.KillAt(tc.victim, tc.round); err != nil {
-		t.Fatalf("arm kill: %v", err)
+	if arm != nil {
+		if err := arm(); err != nil {
+			t.Fatalf("arm: %v", err)
+		}
 	}
 
-	errs := make([]error, tc.np)
+	errs := make([]error, np)
 	var wg sync.WaitGroup
-	for i := 0; i < tc.np; i++ {
+	for i := 0; i < np; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = chaosRank(i, worlds[i], dom, tc)
+			errs[i] = fn(i, worlds[i])
 		}()
 	}
 	done := make(chan struct{})
@@ -252,6 +338,26 @@ func chaosOp(w *Comm, op string) (func() error, error) {
 			for i, v := range out {
 				if want := int32(base + np*i); v != want {
 					return fmt.Errorf("allreduce[%d] = %d, want %d", i, v, want)
+				}
+			}
+			return nil
+		}, err
+	case "allreduce1m":
+		in, out := make([]int32, chaosLentCount), make([]int32, chaosLentCount)
+		for i := range in {
+			in[i] = int32(rank + i)
+		}
+		err := w.AllreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+		if err != nil {
+			// Failed or not, a returned collective has returned its buffers.
+			scribble(in, out)
+		}
+		return func() error {
+			defer scribble(in, out)
+			base := np * (np - 1) / 2
+			for i, v := range out {
+				if want := int32(base + np*i); v != want {
+					return fmt.Errorf("allreduce1m[%d] = %d, want %d", i, v, want)
 				}
 			}
 			return nil

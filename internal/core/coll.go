@@ -11,9 +11,9 @@ import (
 type AllreduceAlgorithm int
 
 const (
-	// AllreduceAuto switches by payload: large fixed-size vectors take
-	// the ring (reduce-scatter + allgather, 2·(p−1) whole-chunk steps —
-	// the segment size does not apply); below the large-message
+	// AllreduceAuto switches by payload: large fixed-size vectors take the
+	// ring (reduce-scatter + allgather, whole chunks — the segment size
+	// does not apply); below the large-message
 	// threshold power-of-two sizes use recursive doubling and other
 	// sizes reduce to rank 0 and broadcast. See collalg.go for the
 	// threshold and the knobs that override it.
@@ -37,18 +37,29 @@ const (
 
 // collIsend starts a raw byte send on the collective context. dst is a
 // group rank. data is copied before collIsend returns, whichever protocol
-// carries it (see collIsendFill).
-func (c *Comm) collIsend(data []byte, dst, tag int) (*device.Request, error) {
-	return c.collIsendFill(len(data), func(p []byte) error { copy(p, data); return nil }, dst, tag)
+// carries it (see collIsendFill) — unless lent (sendStep.lend): then a
+// rendezvous send leaves from data itself, the device's to read until the
+// request completes.
+func (c *Comm) collIsend(data []byte, dst, tag int, lend bool) (*device.Request, error) {
+	if !lend {
+		return c.collIsendFill(len(data), func(p []byte) error { copy(p, data); return nil }, dst, tag)
+	}
+	w, err := c.worldRank(dst)
+	if err != nil {
+		return nil, err
+	}
+	return c.dev.Isend(data, w, tag, c.coll, device.ModeStandard)
 }
 
 // collIsendFill starts a raw byte send on the collective context whose
 // n-byte payload is packed directly into the outgoing frame by fill —
 // the schedule engine's entry to the frame-filling fast path. It is also
-// what keeps schedule sends copy-at-post: the device runs fill before
+// what makes a schedule send copy-at-post: the device runs fill before
 // returning and sends a large payload from its own pooled stash, never
-// from the schedule's buffers, so a round's scratch may be rewritten — and
-// a failed collective may return — while its sends are still in flight.
+// from the schedule's buffers, so a round's scratch may be rewritten while
+// its sends are in flight. Every step but the ring allreduce's takes it:
+// pack-at-post steps have no source buffer, and cells, window rings, bcast
+// windows and raw Alltoallv blocks have no lend proof yet (lendCheck).
 func (c *Comm) collIsendFill(n int, fill func([]byte) error, dst, tag int) (*device.Request, error) {
 	w, err := c.worldRank(dst)
 	if err != nil {

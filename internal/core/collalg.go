@@ -34,9 +34,8 @@ const (
 	CollAlgClassic
 	// CollAlgSegmented always uses the large-message path: the pipelined
 	// chain broadcast streaming fixed-size segments, and the ring
-	// algorithms for allreduce/allgather — which move whole chunks; only
-	// the broadcasts are segmented (a round there forwards segment t-1
-	// while receiving segment t; a ring step has nothing to overlap).
+	// algorithms for allreduce/allgather, which move whole chunks (a ring
+	// step forwards nothing it receives in the same round).
 	CollAlgSegmented
 	// CollAlgRing is CollAlgSegmented under the name the ring-based
 	// collectives (allreduce, allgather) are usually discussed by; the

@@ -478,6 +478,7 @@ func (c *Comm) Free() {
 	c.proc.collMu.Unlock()
 	for _, r := range reqs {
 		r.fail(fmt.Errorf("%w: communicator freed with collective in flight", ErrComm))
+		_, _ = r.Wait() // until the device lets go of the schedule's loans (failLocked)
 	}
 	c.proc.unregister(c)
 	c.dev.FTForget(c.coll)

@@ -217,16 +217,17 @@ func ringRounds(c *Comm, cur *cell, onBlock func(owner int, got []byte) error) [
 // partial of chunk rank-s-1 into acc) leaves rank r holding the complete
 // reduction of chunk r+1, then a ring allgather circulates the reduced
 // chunks back into place. Chunks are cut on elem-byte element boundaries as
-// evenly as the count allows, so the schedule is correct for any
-// communicator size, including non-powers-of-two, and for counts that do
-// not divide by it. scratch stages the reduce-scatter arrivals and must
-// hold the largest chunk; each rank moves ~2·len(acc) bytes total
-// regardless of p.
+// evenly as the count allows, so any communicator size and any count work.
+// scratch stages the reduce-scatter arrivals and must hold the largest
+// chunk; each rank moves ~2·len(acc) bytes total regardless of p.
 //
 // Every step is one round moving its chunk whole (empty when the count
 // leaves it no elements): a round ends only when its send and its folded
-// receive are both done, so nothing a step is cut into could overlap, and
-// each extra message would only pay the handshake again.
+// receive are both done, so pieces of a step could not overlap and would
+// each pay the handshake again. The sends lend their chunk (sendStep.lend):
+// reduce-scatter step s sends chunk rank-s while the round writes only
+// scratch and chunk rank-s-1, allgather step s sends chunk rank+1-s and
+// lands chunk rank-s — different chunks, since p ≥ 2.
 func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) []round {
 	size := c.Size()
 	n := len(acc) / elem
@@ -247,7 +248,7 @@ func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) 
 			recvs: []recvStep{{from: left, buf: scratch[:len(dst)], on: func(got []byte) error {
 				return comb(got, dst)
 			}}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }}},
+			sends: []sendStep{{to: right, data: func() []byte { return send }, lend: true}},
 		})
 	}
 	// Allgather: the reduced chunks circulate back, landing straight in
@@ -256,7 +257,7 @@ func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) 
 		send := chunk(c.rank + 1 - s)
 		rs = append(rs, round{
 			recvs: []recvStep{{from: left, buf: chunk(c.rank - s)}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }}},
+			sends: []sendStep{{to: right, data: func() []byte { return send }, lend: true}},
 		})
 	}
 	return rs

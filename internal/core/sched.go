@@ -49,8 +49,8 @@ func (cl *cell) recvFrom(from int) recvStep {
 
 // sendStep emits one message when its round starts. The payload supplier
 // runs at post time, so it sees every buffer mutation made by earlier
-// rounds; the bytes are copied at post (collIsend/collIsendFill), so later
-// mutation of the underlying buffer is safe.
+// rounds; unless the step lends them, the bytes are copied at post
+// (collIsend/collIsendFill), so later mutation of the buffer is safe.
 //
 // A step carries either data (a byte supplier, for payloads that already
 // exist as packed bytes) or fill with its exact length n (a packer that
@@ -69,6 +69,12 @@ type sendStep struct {
 	// reactivation would resend stale bytes instead of re-reading the
 	// user buffer (see pcoll.go).
 	snap bool
+
+	// lend marks a data step whose payload the device reads in place until
+	// the send completes (device.Isend) instead of copying it at post. The
+	// builder vouches that nothing in the step's round — which outlasts the
+	// send — writes those bytes; schedshape_test.go's lendCheck checks it.
+	lend bool
 }
 
 // recvStep posts one receive when its round starts. With a nil buf the
@@ -221,6 +227,7 @@ type CollRequest struct {
 	posted  bool         // current round's requests are in flight
 	pending []*device.Request
 	actions []func([]byte) error // recv completion actions, parallel to pending
+	loans   []*device.Request    // of pending: lent sends and in-place receives (see failLocked)
 	ftEpoch uint64               // failure epoch at the last membership check
 	done    bool
 	status  *Status
@@ -273,6 +280,9 @@ func (r *CollRequest) postLocked() error {
 		}
 		r.pending = append(r.pending, dr)
 		r.actions = append(r.actions, act)
+		if rs.buf != nil {
+			r.loans = append(r.loans, dr)
+		}
 	}
 	for _, ss := range rd.sends {
 		var dr *device.Request
@@ -280,13 +290,16 @@ func (r *CollRequest) postLocked() error {
 		if ss.fill != nil {
 			dr, err = r.c.collIsendFill(ss.n, ss.fill, ss.to, r.tag)
 		} else {
-			dr, err = r.c.collIsend(ss.data(), ss.to, r.tag)
+			dr, err = r.c.collIsend(ss.data(), ss.to, r.tag, ss.lend)
 		}
 		if err != nil {
 			return err
 		}
 		r.pending = append(r.pending, dr)
 		r.actions = append(r.actions, nil)
+		if ss.lend {
+			r.loans = append(r.loans, dr)
+		}
 	}
 	r.posted = true
 	return nil
@@ -298,6 +311,10 @@ func (r *CollRequest) postLocked() error {
 // hold r.mu.
 func (r *CollRequest) progressLocked() {
 	for !r.done {
+		if r.err != nil {
+			r.settleLocked()
+			return
+		}
 		if r.cur == len(r.rounds) {
 			if r.finish != nil {
 				if err := r.finish(); err != nil {
@@ -305,7 +322,7 @@ func (r *CollRequest) progressLocked() {
 					return
 				}
 			}
-			r.completeLocked(nil)
+			r.finishLocked()
 			return
 		}
 		// Membership check, re-run whenever the failure epoch moved: a
@@ -350,45 +367,51 @@ func (r *CollRequest) progressLocked() {
 		}
 		r.cur++
 		r.posted = false
-		r.pending, r.actions = nil, nil
+		r.pending, r.actions, r.loans = nil, nil, r.loans[:0]
 	}
 }
 
-// completeLocked finishes the request successfully and unregisters it.
-// Callers hold r.mu.
-func (r *CollRequest) completeLocked(st *Status) {
+// finishLocked reports the request done — successfully, or with the error
+// failLocked recorded — and unregisters it. Callers hold r.mu.
+func (r *CollRequest) finishLocked() {
 	r.done = true
-	if st == nil {
-		st = collDone()
-	}
-	r.status = st
+	r.status = collDone()
 	if r.prof != nil {
-		r.prof.CollEnd(r.c.coll, r.tag, false)
+		r.prof.CollEnd(r.c.coll, r.tag, r.err != nil)
 	}
 	r.c.unregisterColl(r)
 }
 
-// failLocked finishes the request with an error, cancelling whatever is
-// still in flight so concurrent waiters unblock. Callers hold r.mu.
+// failLocked fails the request with an error, cancelling whatever is still
+// in flight. What stays pending is the round's loans — memory the device
+// reads (a lent send) or writes (a matched in-place receive) until those
+// requests complete: only then does the request report done (settleLocked),
+// so a caller handed the error owns its buffers again. Callers hold r.mu.
 func (r *CollRequest) failLocked(err error) {
-	r.done = true
 	r.err = fmt.Errorf("%s: %w", r.name, err)
-	r.status = collDone()
 	for _, dr := range r.pending {
 		_ = dr.Cancel() // best effort: unmatched operations complete as cancelled
 	}
-	if r.prof != nil {
-		r.prof.CollEnd(r.c.coll, r.tag, true)
-	}
-	r.c.unregisterColl(r)
+	r.pending, r.actions = r.loans, nil
+	r.settleLocked()
 }
 
-// fail aborts the request from outside the progress loop (Comm.Free, job
-// abort): it completes with err and wakes any goroutine blocked in Wait.
+// settleLocked reports a failed request done once every loan is back. The
+// wait is bounded: a cancelled rendezvous is withdrawn or delivered, and a
+// peer's death, Close and Abort complete every rendezvous request.
+func (r *CollRequest) settleLocked() {
+	if _, ok, _ := r.c.dev.TestAll(r.pending); ok {
+		r.finishLocked()
+	}
+}
+
+// fail aborts the request from outside the progress loop (Comm.Free,
+// revocation) and wakes any goroutine blocked in Wait. It never blocks — it
+// runs on transport reader goroutines too; loans settle in Wait or Test.
 func (r *CollRequest) fail(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.done {
+	if r.done || r.err != nil {
 		return
 	}
 	r.failLocked(err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"mpj/internal/transport"
 	"mpj/internal/wire"
@@ -22,10 +23,12 @@ import (
 // length) of its receives and sends — is compared against
 // testdata/schedshape.golden. The table is the contract for refactors of
 // the round builders: who compiles the rounds may change, the rounds may
-// not. Two properties are checked on every row whatever the golden says:
+// not. Three properties are checked on every row whatever the golden says:
 // send/receive duality (every send has exactly one receive at its peer, in
 // FIFO order per pair, and where either side states a length up front it is
-// the length that travelled) and that the schedule names its algorithm.
+// the length that travelled), that the schedule names its algorithm, and
+// lend safety (no round lands a receive in bytes one of its sends lends to
+// the device, see lendCheck).
 //
 // A golden line is "<collective> np=<n> <layout>" followed by one hash per
 // (payload class, family) cell over nseg and the rounds of all ranks, and
@@ -76,10 +79,50 @@ type schedShape struct {
 	alg    string
 	nseg   int
 	rounds []roundShape
+	lend   error // lendCheck's verdict on the compiled rounds
+}
+
+// overlaps reports whether two byte slices share memory.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// lendCheck is the read/write-set check behind sendStep.lend. A lent send
+// is read by the device until the send completes, and its round does not
+// end before that; so it is safe exactly when nothing else in the same
+// round writes those bytes. The writes of a round are the landing buffers
+// of its receives and whatever its completion actions write; folds[i],
+// where there is one, is the latter for round i (a builder's actions are
+// closures, so only a test that spies on the combiner can know them).
+func lendCheck(rounds []round, folds [][]byte) error {
+	for i, rd := range rounds {
+		for _, ss := range rd.sends {
+			if !ss.lend {
+				continue
+			}
+			if ss.data == nil {
+				return fmt.Errorf("round %d: send to %d lends but has no data supplier", i, ss.to)
+			}
+			lent := ss.data()
+			for _, rs := range rd.recvs {
+				if overlaps(lent, rs.buf) {
+					return fmt.Errorf("round %d: receive from %d lands in the %d bytes lent to the send to %d", i, rs.from, len(lent), ss.to)
+				}
+			}
+			if i < len(folds) && overlaps(lent, folds[i]) {
+				return fmt.Errorf("round %d: a completion action writes the %d bytes lent to the send to %d", i, len(lent), ss.to)
+			}
+		}
+	}
+	return nil
 }
 
 func captureShape(r *CollRequest) schedShape {
-	s := schedShape{tag: r.tag, alg: r.alg, nseg: r.nseg}
+	s := schedShape{tag: r.tag, alg: r.alg, nseg: r.nseg, lend: lendCheck(r.rounds, nil)}
 	for _, rd := range r.rounds {
 		var rs roundShape
 		for _, x := range rd.recvs {
@@ -360,6 +403,9 @@ func shapeCell(shapes []schedShape, taps []*shapeTap, ctx int) (text, alg string
 		if s.alg == "" {
 			err = fmt.Errorf("rank %d: schedule names no algorithm", me)
 		}
+		if s.lend != nil {
+			err = fmt.Errorf("rank %d: %w", me, s.lend)
+		}
 		algs[s.alg] = true
 		sentTo, gotFrom := map[int]int{}, map[int]int{}
 		fmt.Fprintf(&b, "rank %d nseg=%d\n", me, s.nseg)
@@ -498,5 +544,89 @@ func TestScheduleShape(t *testing.T) {
 		if err := os.WriteFile(shapeGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLendSafetyRingAllreduce is the other half of the ring allreduce's
+// lend proof: the table checks every round's landing buffers, this checks
+// the one write the table cannot see — the reduce-scatter fold — by spying
+// on the combiner. Round k of the ring runs the k-th fold, so the k-th
+// recorded destination is round k's write.
+func TestLendSafetyRingAllreduce(t *testing.T) {
+	for np := 2; np <= 9; np++ {
+		runRanks(t, np, func(w *Comm) error {
+			for _, n := range []int{0, 1, np - 1, 3*np + 1, 2048} {
+				var folds [][]byte
+				spy := &Op{name: "spy-sum", generic: func(dt Datatype) (combiner, error) {
+					sum, err := SumOp.combinerFor(dt)
+					return func(in, inout []byte) error {
+						folds = append(folds, inout)
+						return sum(in, inout)
+					}, err
+				}}
+				s, r := make([]int32, n), make([]int32, n)
+				for i := range s {
+					s[i] = int32(i + w.Rank())
+				}
+				req, err := w.IallreduceWith(AllreduceRing, s, 0, r, 0, n, Int, spy)
+				if err != nil {
+					return err
+				}
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+				for i, v := range r {
+					if want := int32(np*i + np*(np-1)/2); v != want {
+						return fmt.Errorf("np=%d n=%d: r[%d] = %d, want %d", np, n, i, v, want)
+					}
+				}
+				lent := 0
+				for _, rd := range req.rounds {
+					for _, ss := range rd.sends {
+						if ss.lend {
+							lent++
+						}
+					}
+				}
+				if lent != 2*(np-1) || len(folds) != np-1 {
+					return fmt.Errorf("np=%d n=%d: %d lent sends and %d folds, want %d and %d", np, n, lent, len(folds), 2*(np-1), np-1)
+				}
+				if err := lendCheck(req.rounds, folds); err != nil {
+					return fmt.Errorf("np=%d n=%d: %w", np, n, err)
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestLendCheckRejectsRewrittenSource is the negative: a forwarding-ring
+// step over a fixed cell — the arrival lands in the very buffer the step
+// forwards — must not lend it, and neither may a step whose fold writes
+// what it sends.
+func TestLendCheckRejectsRewrittenSource(t *testing.T) {
+	cur := &cell{b: make([]byte, 64), fixed: true}
+	forward := round{
+		recvs: []recvStep{cur.recvFrom(0)},
+		sends: []sendStep{{to: 2, data: func() []byte { return cur.b }}},
+	}
+	if err := lendCheck([]round{forward}, nil); err != nil {
+		t.Fatalf("copy-at-post forward rejected: %v", err)
+	}
+	forward.sends[0].lend = true
+	if err := lendCheck([]round{forward}, nil); err == nil {
+		t.Error("lent forward of a cell its own round's receive rewrites passed the check")
+	}
+
+	acc, scratch := make([]byte, 64), make([]byte, 32)
+	fold := round{
+		recvs: []recvStep{{from: 0, buf: scratch}},
+		sends: []sendStep{{to: 2, data: func() []byte { return acc[:32] }, lend: true}},
+	}
+	if err := lendCheck([]round{fold}, [][]byte{acc[32:]}); err != nil {
+		t.Fatalf("fold into the other chunk rejected: %v", err)
+	}
+	if err := lendCheck([]round{fold}, [][]byte{acc[16:48]}); err == nil {
+		t.Error("fold into the lent chunk passed the check")
 	}
 }

@@ -11,28 +11,45 @@ import (
 	"mpj/internal/transport"
 )
 
-// runRanksTCP executes fn on np ranks connected by a real TCP mesh on
-// localhost — the same stack the distributed runtime uses, without the
-// daemon layer. It complements runRanks (channel mesh) so the full API is
-// exercised over both transports.
-func runRanksTCP(t *testing.T, np int, fn func(w *Comm) error) {
+// tcpMesh builds a real TCP mesh of np ranks on localhost — the same
+// transport the distributed runtime uses, without the daemon layer.
+func tcpMesh(t *testing.T, np int) []transport.Transport {
 	t.Helper()
-	lns := make([]net.Listener, np)
-	addrs := make([]string, np)
+	lns, addrs := make([]net.Listener, np), make([]string, np)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
+	// The mesh forms only with every rank dialling at once.
+	trs, errs := make([]transport.Transport, np), make([]error, np)
+	var wg sync.WaitGroup
+	for i := range trs {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trs[i], errs[i] = transport.NewTCPTransport(i, 7777, addrs, lns[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("tcp mesh rank %d: %v", i, err)
 		}
-	}()
+	}
+	return trs
+}
 
+// runRanksTCP executes fn on np ranks connected by a real TCP mesh. It
+// complements runRanks (channel mesh) so the full API is exercised over
+// both transports.
+func runRanksTCP(t *testing.T, np int, fn func(w *Comm) error) {
+	t.Helper()
+	trs := tcpMesh(t, np)
 	errs := make([]error, np)
 	var wg sync.WaitGroup
 	for i := 0; i < np; i++ {
@@ -40,12 +57,7 @@ func runRanksTCP(t *testing.T, np int, fn func(w *Comm) error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, err := transport.NewTCPTransport(i, 7777, addrs, lns[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("mesh: %w", err)
-				return
-			}
-			d, err := device.Open(tr)
+			d, err := device.Open(trs[i])
 			if err != nil {
 				errs[i] = err
 				return
