@@ -11,6 +11,7 @@ import (
 	"mpj/internal/daemon"
 	"mpj/internal/device"
 	"mpj/internal/job"
+	"mpj/internal/transport"
 )
 
 // This file is the runtime half of the elastic-jobs machinery (the
@@ -184,11 +185,16 @@ var epochNow = func() uint64 {
 
 // joinMesh bootstraps this process as spec.Rank into spec's mesh epoch:
 // the Hello/Table exchange against spec.MasterAddr, the transport build,
-// and the device open. A non-zero spec.Epoch keys the mesh (transports of
-// a spawn generation must not collide with the original JobID mesh); zero
-// falls back to the JobID. Every phase is bounded by the bootstrap
-// timeout — joinMesh fails rather than hangs when members are missing.
-func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
+// and the device open (with spec's tuning plus any extra options). It is
+// the one way into a mesh — first bootstrap, replacement slave and
+// re-joining survivor alike. A non-zero spec.Epoch keys the mesh
+// (transports of a spawn generation must not collide with the original
+// JobID mesh); zero falls back to the JobID. Every phase is bounded by the
+// bootstrap timeout — joinMesh fails rather than hangs when members are
+// missing — and a failure after the table is reported down the bootstrap
+// connection (a job master fails the job on it; a spawn master, which
+// only gathers, never reads it).
+func joinMesh(spec daemon.SlaveSpec, extra ...device.Option) (*device.Device, *job.SlaveConn, error) {
 	epoch := spec.Epoch
 	if epoch == 0 {
 		epoch = spec.JobID
@@ -197,25 +203,30 @@ func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer meshLn.Close() // once the transport is up the mesh is fully connected; no more peers will dial
+	// The table is the one place that knows how many ranks share this
+	// host, so a process slave takes its share of the CPUs here — before
+	// the device starts the goroutines that would run on them, once per
+	// mesh generation. Anything but a SlaveMain process is left alone.
+	device.SizeScheduler(table.Locs, transport.ProcessLocality())
+	fail := func(err error) (*device.Device, *job.SlaveConn, error) {
+		_ = sc.ReportDone(err)
+		sc.Close()
+		return nil, nil, err
+	}
 	devOpts, err := deviceOptions(spec)
 	if err != nil {
-		sc.Close()
-		meshLn.Close()
-		return nil, nil, err
+		return fail(err)
 	}
 	mspec := spec
 	mspec.JobID = epoch
 	tr, err := openTransport(mspec, table, meshLn)
 	if err != nil {
-		sc.Close()
-		meshLn.Close()
-		return nil, nil, err
+		return fail(err)
 	}
-	meshLn.Close() // the mesh is fully connected; no more peers will dial
-	dev, err := device.Open(tr, devOpts...)
+	dev, err := device.Open(tr, append(devOpts, extra...)...)
 	if err != nil {
-		sc.Close()
-		return nil, nil, err
+		return fail(err)
 	}
 	return dev, sc, nil
 }

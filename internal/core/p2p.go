@@ -121,7 +121,23 @@ func (r *Request) Wait() (*Status, error) {
 
 // Test reports without blocking whether the operation has completed,
 // returning its status when it has.
+//
+// Like every public non-blocking completion query, a "not yet" answer
+// tells the runtime the application polls instead of blocking
+// (device.PollMiss): a process slave sized to one scheduler thread then
+// takes a second, so the poll loop cannot starve the rank's own socket
+// reader.
 func (r *Request) Test() (*Status, bool, error) {
+	st, ok, err := r.test()
+	if !ok {
+		device.PollMiss()
+	}
+	return st, ok, err
+}
+
+// test is Test for the library's own progress loops, which park between
+// passes and so are not polling.
+func (r *Request) test() (*Status, bool, error) {
 	dst, ok, derr := r.dreq.Test()
 	if !ok {
 		return nil, false, nil
@@ -196,6 +212,9 @@ func TestAny(reqs []*Request) (int, *Status, bool, error) {
 		return -1, nil, true, nil
 	}
 	idx, dst, ok, derr := dev.TestAny(dreqs)
+	if !ok {
+		device.PollMiss()
+	}
 	if !ok || idx < 0 {
 		return idx, nil, ok, nil
 	}
@@ -254,6 +273,27 @@ func isCollSlot(r AnyRequest) bool {
 		return v != nil
 	}
 	return false
+}
+
+// testQuiet is r.Test without the polling-application signal
+// (device.PollMiss), for the progress loop below: it parks between
+// fruitless passes.
+func testQuiet(r AnyRequest) (*Status, bool, error) {
+	switch v := r.(type) {
+	case *Request:
+		return v.test()
+	case *CollRequest:
+		return v.test()
+	case *Prequest:
+		if v.active != nil {
+			return v.active.test()
+		}
+	case *PcollRequest:
+		if cur, err := v.current(); err == nil {
+			return cur.test()
+		}
+	}
+	return r.Test() // not started: an error, not a "not yet"
 }
 
 // commOf returns the communicator a request of one of the four kinds
@@ -335,7 +375,7 @@ func WaitAllRequests(reqs []AnyRequest) ([]*Status, error) {
 			if done[i] {
 				continue
 			}
-			st, ok, err := r.Test()
+			st, ok, err := testQuiet(r)
 			if !ok {
 				if err != nil {
 					// Untestable slot (e.g. a never-started Prequest):
@@ -833,6 +873,7 @@ func (c *Comm) Iprobe(src, tag int) (*Status, bool, error) {
 	}
 	dst, ok := c.dev.Iprobe(w, dtag, c.pt2pt)
 	if !ok {
+		device.PollMiss()
 		return nil, false, nil
 	}
 	return &Status{Source: c.groupSource(dst.Source), Tag: dst.Tag, bytes: dst.Count, elements: -1}, true, nil

@@ -453,6 +453,15 @@ func (r *CollRequest) Wait() (*Status, error) {
 // completed. Once done, Test is a cheap status read: siblings are driven
 // by their own waiters.
 func (r *CollRequest) Test() (*Status, bool, error) {
+	st, ok, err := r.test()
+	if !ok {
+		device.PollMiss()
+	}
+	return st, ok, err
+}
+
+// test is Test without the polling-application signal; see Request.test.
+func (r *CollRequest) test() (*Status, bool, error) {
 	r.mu.Lock()
 	if !r.done {
 		r.progressLocked()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"sync"
 
 	"mpj/internal/wire"
@@ -58,6 +59,18 @@ func ProcessLocality() string {
 		host = "unknown-host"
 	}
 	return fmt.Sprintf("%s#%d", host, os.Getpid())
+}
+
+// HostOf returns the host part of a locality key — ranks whose host parts
+// compare equal share a machine, whether or not they share a process — or
+// "" for a key ProcessLocality did not produce (an old slave's empty
+// entry), which callers must treat as "unknown", never as a host.
+func HostOf(key string) string {
+	i := strings.LastIndexByte(key, '#')
+	if i <= 0 {
+		return ""
+	}
+	return key[:i]
 }
 
 // HybConfig configures one endpoint of a hybrid mesh.

@@ -249,3 +249,20 @@ func TestHybRequiresListenerForRemotePeers(t *testing.T) {
 	}
 	ep.Close()
 }
+
+func TestHostOf(t *testing.T) {
+	for key, want := range map[string]string{
+		"node7#4242": "node7",
+		"a#b#9":      "a#b",
+		"":           "",
+		"node7":      "",
+		"#4242":      "",
+	} {
+		if got := HostOf(key); got != want {
+			t.Errorf("HostOf(%q) = %q, want %q", key, got, want)
+		}
+	}
+	if key := ProcessLocality(); HostOf(key) == "" {
+		t.Errorf("HostOf(%q) is empty: ProcessLocality's own keys must parse", key)
+	}
+}

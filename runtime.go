@@ -112,12 +112,20 @@ func profFromEnv(raw string) (prof.Spec, string, error) {
 
 // profStatus builds the status callback served next to a rank's counters
 // on the expvar endpoint: the device's failure-registry view, the PR 6
-// fault-tolerance state an operator wants next to the traffic numbers.
+// fault-tolerance state an operator wants next to the traffic numbers,
+// and the process's scheduler size with what it was derived from
+// (baseProcs 0: not a process slave, or GOMAXPROCS was in its environment).
 func profStatus(dev *device.Device) func() any {
 	return func() any {
+		sched := device.Scheduler()
 		return map[string]any{
 			"failedRanks": dev.FailedRanks(),
 			"failEpoch":   dev.FailEpoch(),
+			"gomaxprocs":  sched.GOMAXPROCS,
+			"baseProcs":   sched.BaseProcs,
+			"procRanks":   sched.ProcRanks,
+			"hostRanks":   sched.HostRanks,
+			"pollFloor":   sched.PollFloor,
 		}
 	}
 }
@@ -396,7 +404,9 @@ func Run(cfg JobConfig) error {
 	})
 }
 
-// IsSlave reports whether this process was spawned as an MPJ slave.
+// IsSlave reports whether this process was spawned as an MPJ slave. Such a
+// process belongs to the runtime: SlaveMain sizes its Go scheduler to its
+// share of the host and terminates it when the application returns.
 func IsSlave() bool { return os.Getenv("MPJ_SLAVE") == "1" }
 
 // Main dispatches to SlaveMain when running as a spawned slave and
@@ -422,7 +432,17 @@ func Main() bool {
 // MPJSlave): it bootstraps against the job master, joins the TCP mesh,
 // runs the registered application, reports the outcome, and exits. It
 // terminates the process.
+//
+// The process's scheduler is sized to its share of the host: once the
+// bootstrap table shows how many ranks the host carries, GOMAXPROCS
+// becomes max(1, GOMAXPROCS × ranks in this process ÷ ranks on this host)
+// — one rank per host keeps every CPU, a fully subscribed host gives each
+// rank one scheduler thread. A GOMAXPROCS variable in the slave's
+// environment turns this off, and an application that calls
+// runtime.GOMAXPROCS itself runs later and wins. See README "Process
+// slaves and CPUs" for the progress model at one thread.
 func SlaveMain() {
+	device.OwnScheduler()
 	spec, daemonAddr, err := daemon.ParseSlaveEnv(os.Getenv)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpj slave:", err)
@@ -456,17 +476,6 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		// choreography instead of the original world.
 		return runSpawnedSlave(spec, daemonAddr, app, stop)
 	}
-	sc, table, meshLn, err := job.SlaveBootstrap(spec.MasterAddr, spec.JobID, spec.Rank)
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	devOpts, err := deviceOptions(spec)
-	if err != nil {
-		_ = sc.ReportDone(err)
-		meshLn.Close()
-		return err
-	}
 	// Profiling: the spec (mpjrun -prof or JobConfig.Prof) wins, then the
 	// slave's MPJ_PROF environment. MPJ_PROF_ADDR additionally serves the
 	// expvar endpoint; a serve failure is only warned about — several
@@ -474,14 +483,12 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 	// endpoint must not kill a rank.
 	pspec, profAddr, err := profFromEnv(spec.Prof)
 	if err != nil {
-		_ = sc.ReportDone(err)
-		meshLn.Close()
 		return err
 	}
+	var profOpts []device.Option
 	rec := prof.New(spec.Rank, pspec)
 	if rec != nil {
-		devOpts = append(devOpts, device.WithProfiler(rec))
-		prof.Track(rec)
+		profOpts = append(profOpts, device.WithProfiler(rec))
 	}
 	if profAddr != "" {
 		prof.PublishMPJ()
@@ -489,20 +496,14 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 			fmt.Fprintf(os.Stderr, "mpj slave: MPJ_PROF_ADDR: %v\n", serr)
 		}
 	}
-	tr, err := openTransport(spec, table, meshLn)
+	dev, sc, err := joinMesh(spec, profOpts...)
 	if err != nil {
-		_ = sc.ReportDone(err)
-		meshLn.Close()
 		return err
 	}
-	meshLn.Close() // the mesh is fully connected; no more peers will dial
-	dev, err := device.Open(tr, devOpts...)
-	if err != nil {
-		_ = sc.ReportDone(err)
-		return err
-	}
+	defer sc.Close()
 	if rec != nil {
 		rec.SetStatus(profStatus(dev))
+		prof.Track(rec)
 	}
 	world, err := core.NewWorld(dev)
 	if err != nil {
@@ -565,21 +566,7 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		}
 	}
 
-	// Run the application; a stop signal closes the device so pending
-	// operations error out and the app unwinds.
-	appDone := make(chan error, 1)
-	go func() { appDone <- app(world) }()
-	var appErr error
-	if stop != nil {
-		select {
-		case appErr = <-appDone:
-		case <-stop:
-			dev.Close()
-			appErr = <-appDone
-		}
-	} else {
-		appErr = <-appDone
-	}
+	appErr := runApp(app, world, dev, stop)
 	close(watchdogStop)
 
 	if appErr == nil && dev.FailEpoch() == 0 {
@@ -653,23 +640,7 @@ func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-c
 	respawn := &distRespawner{spec: spec, daemonAddr: daemonAddr, live: live}
 	merged.SetRespawner(respawn)
 
-	// Run the application; a cooperative stop closes the device so
-	// pending operations error out and the app unwinds (in-process slave
-	// simulations; see RunSlave).
-	appDone := make(chan error, 1)
-	go func() { appDone <- app(merged) }()
-	var appErr error
-	if stop != nil {
-		select {
-		case appErr = <-appDone:
-		case <-stop:
-			dev.Close()
-			appErr = <-appDone
-		}
-	} else {
-		appErr = <-appDone
-	}
-
+	appErr := runApp(app, merged, dev, stop)
 	if dev.FailEpoch() > 0 {
 		dev.Abort()
 	} else {
@@ -679,6 +650,21 @@ func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-c
 	respawn.close()
 	_ = sc.ReportDone(appErr)
 	return appErr
+}
+
+// runApp runs the application on world and returns its outcome. A
+// cooperative stop (in-process slave simulations; nil never fires) closes
+// the device so pending operations error out and the app unwinds.
+func runApp(app App, world *Comm, dev *device.Device, stop <-chan struct{}) error {
+	appDone := make(chan error, 1)
+	go func() { appDone <- app(world) }()
+	select {
+	case err := <-appDone:
+		return err
+	case <-stop:
+		dev.Close()
+		return <-appDone
+	}
 }
 
 // deviceOptions resolves a slave's device tuning. The eager/rendezvous
