@@ -19,11 +19,20 @@ package core
 //     directly in raw-layout origin buffers.
 //
 // Epoch semantics follow MPI's separation model. Fence is collective and
-// two-phase: a rank first announces epoch entry to every peer (FIFO
-// delivery per path guarantees its data frames arrive first, so a rank
-// holding all entry announcements has applied every inbound operation of
-// the epoch), then announces completion and waits for everyone else's, so
-// no rank can start the next epoch before every window is caught up.
+// rests on two rules. Announcements follow the data path of the peer: a
+// co-located member is told by a store into its *Win (this rank's
+// operations on it were applied synchronously, before the store), a remote
+// one by a KindRmaFenceSync frame that per-path FIFO delivers behind this
+// rank's data frames — so a rank holding every member's entry announcement
+// has applied every inbound operation of the epoch. The completion phase
+// (a second all-to-all, nobody leaves before everyone has absorbed the
+// epoch) runs iff some member's epoch put a Put/Accumulate frame on the
+// wire: with C's frame to B still in flight, A — already holding C's entry
+// — could otherwise leave the fence and have a next-epoch operation on B
+// overtake it. Every entry announcement carries that one bit, the
+// all-to-all hands every member the same OR, and all skip or run the
+// phase together.
+//
 // Lock/Unlock is passive-target: the target queues waiting origins
 // per-window (FIFO, with shared-reader coalescing) and grants without any
 // action by the target's application code. Completion at Unlock rides the
@@ -67,8 +76,8 @@ const DefaultEpochTimeout = 30 * time.Second
 
 // winRegistry maps co-location tokens to live windows, process-wide. Every
 // rank registers its window under a fresh token before the WinCreate
-// exchange; co-located origins resolve a target's token to the actual *Win
-// and copy memory directly.
+// exchange; after it, co-located members resolve each other's token to the
+// actual *Win once (Win.peers) and from then on copy memory directly.
 var winRegistry = struct {
 	mu   sync.Mutex
 	next uint64
@@ -157,18 +166,17 @@ type Win struct {
 	buf      []byte // raw byte window over the registered slice
 	slots    int    // registered length in elements
 
-	token     uint64   // own co-location registry token
-	tokens    []uint64 // per-member registry tokens
-	peerSlots []int    // per-member registered lengths (elements)
-	peerDisp  []int    // per-member displacement units (elements)
-	local     []bool   // member reachable by direct memory copy
-	world     []int    // member rank → world rank
+	token     uint64 // own co-location registry token
+	peers     []*Win // co-located members' windows (self included); nil = remote
+	peerSlots []int  // per-member registered lengths (elements)
+	peerDisp  []int  // per-member displacement units (elements)
+	world     []int  // member rank → world rank
 
+	mu      sync.Mutex
+	cond    sync.Cond
+	wake    func() // deadline timer body: broadcasts cond under mu
 	timeout time.Duration
-
-	mu   sync.Mutex
-	cond sync.Cond
-	err  error // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
+	err     error // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
 
 	// Target-side passive-lock state.
 	holders map[int]int // origin member rank → lock mode
@@ -177,6 +185,12 @@ type Win struct {
 	// Origin-side epoch state.
 	fenceGen  uint64   // local fence generation (2 per completed fence)
 	fenceRecv []uint64 // highest fence generation received per member
+	wired     bool     // this epoch put a Put/Accumulate frame on the wire
+	// fenceWired ORs the wired bits of the entry announcements received,
+	// one slot per fence parity: a peer can be one fence ahead, so its next
+	// entry may arrive while this rank still waits in the previous fence.
+	fenceWired [2]bool
+
 	nextGet   uint64
 	gets      map[uint64]*pendingGet
 	grants    map[int]bool // target member rank → lock granted
@@ -266,16 +280,19 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 		held:      make(map[int]int),
 		lockStart: make(map[int]time.Time),
 		world:     make([]int, size),
-		local:     make([]bool, size),
 	}
 	w.cond.L = &w.mu
+	w.wake = func() {
+		w.mu.Lock()
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}
 	for m := 0; m < size; m++ {
 		wr, err := c.worldRank(m)
 		if err != nil {
 			return nil, err
 		}
 		w.world[m] = wr
-		w.local[m] = c.dev.LocalPeer(wr)
 	}
 
 	// Register under a fresh co-location token AND in the process window
@@ -291,23 +308,31 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 	// wire protocol addresses target memory in elements.
 	mine := []int64{int64(w.token), int64(slots), int64(dispUnit), int64(w.elemSize)}
 	all := make([]int64, 4*size)
-	if err := c.Allgather(mine, 0, 4, Long, all, 0, 4, Long); err != nil {
+	abandon := func(err error) (*Win, error) {
 		dropWinToken(w.token)
 		c.proc.unregisterWin(w)
 		return nil, fmt.Errorf("mpj: win create: %w", err)
 	}
-	w.tokens = make([]uint64, size)
+	if err := c.Allgather(mine, 0, 4, Long, all, 0, 4, Long); err != nil {
+		return abandon(err)
+	}
+	w.peers = make([]*Win, size)
 	w.peerSlots = make([]int, size)
 	w.peerDisp = make([]int, size)
 	for m := 0; m < size; m++ {
-		w.tokens[m] = uint64(all[4*m])
 		w.peerSlots[m] = int(all[4*m+1])
 		w.peerDisp[m] = int(all[4*m+2])
 		if es := int(all[4*m+3]); es != w.elemSize {
-			dropWinToken(w.token)
-			c.proc.unregisterWin(w)
-			return nil, fmt.Errorf("%w: win create: element size %d at rank %d != local %d",
-				ErrType, es, m, w.elemSize)
+			return abandon(fmt.Errorf("%w: element size %d at rank %d != local %d", ErrType, es, m, w.elemSize))
+		}
+		// Every member registered before it entered the exchange, so a
+		// co-located member's token resolves now, once; a miss is a member
+		// whose own creation already failed.
+		if !c.dev.LocalPeer(w.world[m]) {
+			continue
+		}
+		if w.peers[m] = lookupWinToken(uint64(all[4*m])); w.peers[m] == nil {
+			return abandon(fmt.Errorf("%w: rank %d's window is gone", ErrComm, m))
 		}
 	}
 
@@ -371,12 +396,7 @@ func (w *Win) Slots(rank int) int {
 // fail with ErrComm.
 func (w *Win) Free() error {
 	err := w.c.Barrier()
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = fmt.Errorf("%w: window freed", ErrComm)
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	w.fail(fmt.Errorf("%w: window freed", ErrComm))
 	dropWinToken(w.token)
 	w.c.proc.unregisterWin(w)
 	if err != nil {
@@ -456,19 +476,34 @@ func (w *Win) opSetup(name string, dt Datatype, count, target, tdisp int) (boff,
 	return boff, nbytes, true, nil
 }
 
-// peerWin resolves a co-located target's window object.
-func (w *Win) peerWin(name string, target int) (*Win, error) {
-	tw := lookupWinToken(w.tokens[target])
-	if tw == nil {
-		return nil, fmt.Errorf("mpj: rma %s: %w: rank %d's window is gone", name, ErrComm, target)
+// countOp records one data operation of n payload bytes on the window's
+// profiling context, by the path it took.
+func (w *Win) countOp(kind byte, n, target int) {
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, kind, n, w.peers[target] != nil)
+	}
+}
+
+// lockPeer locks co-located member target's window for one direct access;
+// a terminally failed one (freed, revoked) fails the operation instead.
+func (w *Win) lockPeer(name string, target int) (*Win, error) {
+	tw := w.peers[target]
+	tw.mu.Lock()
+	if err := tw.err; err != nil {
+		tw.mu.Unlock()
+		return nil, fmt.Errorf("mpj: rma %s: rank %d's window: %w", name, target, err)
 	}
 	return tw, nil
 }
 
 // sendData ships count elements of dt from buf[off:] to the target as one
-// RMA frame, packing directly into the pooled frame when the datatype
-// supports it.
+// Put/Accumulate frame, packing directly into the pooled frame when the
+// datatype supports it, and marks the epoch wired: its fence must run the
+// completion phase.
 func (w *Win) sendData(kind wire.Kind, target, tag, boff, nbytes int, dt Datatype, buf any, off, count int) error {
+	w.mu.Lock()
+	w.wired = true
+	w.mu.Unlock()
 	if pi, isPI := dt.(packerInto); isPI {
 		return w.dev.RMASendFill(nbytes, func(p []byte) error {
 			return pi.PackInto(p, buf, off, count)
@@ -495,12 +530,11 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 	if !ok {
 		return err
 	}
-	if w.local[target] {
-		tw, err := w.peerWin("put", target)
+	if w.peers[target] != nil {
+		tw, err := w.lockPeer("put", target)
 		if err != nil {
 			return err
 		}
-		tw.mu.Lock()
 		err = packIntoWindow(tw.buf[boff:boff+nbytes], dt, buf, off, count)
 		tw.mu.Unlock()
 		if err != nil {
@@ -511,9 +545,7 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 			return fmt.Errorf("mpj: rma put: %w", err)
 		}
 	}
-	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'p', nbytes, w.local[target])
-	}
+	w.countOp('p', nbytes, target)
 	return nil
 }
 
@@ -549,36 +581,24 @@ func (w *Win) Get(buf any, off, count int, dt Datatype, target, tdisp int) error
 		return fmt.Errorf("mpj: rma get: %w: block [%d:%d) outside %d-slot buffer",
 			ErrBuffer, off, off+count*dt.Extent(), n)
 	}
-	if w.local[target] {
-		tw, err := w.peerWin("get", target)
+	if w.peers[target] != nil {
+		tw, err := w.lockPeer("get", target)
 		if err != nil {
 			return err
 		}
-		tw.mu.Lock()
 		_, err = dt.Unpack(tw.buf[boff:boff+nbytes], buf, off, count)
 		tw.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("mpj: rma get: %w", err)
 		}
 	} else {
-		w.mu.Lock()
-		w.nextGet++
-		id := w.nextGet
-		g := &pendingGet{target: target, dt: dt, buf: buf, off: off, count: count}
-		g.win = vWindow(dt, buf, off, count)
-		w.gets[id] = g
-		w.mu.Unlock()
-		err := w.dev.RMASend(w.world[target], wire.KindRmaGet, w.ctx, nbytes, uint64(boff), id, nil)
-		if err != nil {
-			w.mu.Lock()
-			delete(w.gets, id)
-			w.mu.Unlock()
+		id := w.addPending(dt, buf, off, count, target)
+		if err := w.dev.RMASend(w.world[target], wire.KindRmaGet, w.ctx, nbytes, uint64(boff), id, nil); err != nil {
+			w.dropPending(id)
 			return fmt.Errorf("mpj: rma get: %w", err)
 		}
 	}
-	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'g', nbytes, w.local[target])
-	}
+	w.countOp('g', nbytes, target)
 	return nil
 }
 
@@ -606,16 +626,15 @@ func (w *Win) Accumulate(buf any, off, count int, dt Datatype, target, tdisp int
 	if err != nil {
 		return fmt.Errorf("mpj: rma accumulate: %w", err)
 	}
-	if w.local[target] {
-		tw, err := w.peerWin("accumulate", target)
-		if err != nil {
-			return err
-		}
+	if w.peers[target] != nil {
 		data, err := packExact(dt, buf, off, count)
 		if err != nil {
 			return fmt.Errorf("mpj: rma accumulate: %w", err)
 		}
-		tw.mu.Lock()
+		tw, err := w.lockPeer("accumulate", target)
+		if err != nil {
+			return err
+		}
 		err = comb(data, tw.buf[boff:boff+nbytes])
 		tw.mu.Unlock()
 		if err != nil {
@@ -626,9 +645,7 @@ func (w *Win) Accumulate(buf any, off, count int, dt Datatype, target, tdisp int
 			return fmt.Errorf("mpj: rma accumulate: %w", err)
 		}
 	}
-	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'a', nbytes, w.local[target])
-	}
+	w.countOp('a', nbytes, target)
 	return nil
 }
 
@@ -652,16 +669,16 @@ func (w *Win) atomicSetup(name string, dt Datatype, result any, roff, target, td
 	return boff, true, nil
 }
 
-// fetchPending registers a pending single-element reply landing in
-// result[roff] and returns its correlation id. The entry lives in the same
-// table as outstanding Gets, so epoch closes (Fence, Unlock) wait for the
-// reply and a dead target fails it typed.
-func (w *Win) fetchPending(dt Datatype, result any, roff, target int) uint64 {
+// addPending registers a pending reply from target landing in count
+// elements at buf[off:] — a Get, or the single fetched element of an atomic
+// — and returns its correlation id. Epoch closes (Fence, Unlock) wait for
+// every entry of the table, and a dead target fails its entries typed.
+func (w *Win) addPending(dt Datatype, buf any, off, count, target int) uint64 {
 	w.mu.Lock()
 	w.nextGet++
 	id := w.nextGet
-	g := &pendingGet{target: target, dt: dt, buf: result, off: roff, count: 1}
-	g.win = vWindow(dt, result, roff, 1)
+	g := &pendingGet{target: target, dt: dt, buf: buf, off: off, count: count}
+	g.win = vWindow(dt, buf, off, count)
 	w.gets[id] = g
 	w.mu.Unlock()
 	return id
@@ -702,13 +719,12 @@ func (w *Win) FetchAndOp(buf any, ooff int, result any, roff int, dt Datatype, t
 	if err != nil {
 		return fmt.Errorf("mpj: rma fetch_and_op: %w", err)
 	}
-	if w.local[target] {
-		tw, err := w.peerWin("fetch_and_op", target)
+	if w.peers[target] != nil {
+		prior := make([]byte, w.elemSize)
+		tw, err := w.lockPeer("fetch_and_op", target)
 		if err != nil {
 			return err
 		}
-		prior := make([]byte, w.elemSize)
-		tw.mu.Lock()
 		copy(prior, tw.buf[boff:boff+w.elemSize])
 		err = comb(contrib, tw.buf[boff:boff+w.elemSize])
 		tw.mu.Unlock()
@@ -719,15 +735,13 @@ func (w *Win) FetchAndOp(buf any, ooff int, result any, roff int, dt Datatype, t
 			return fmt.Errorf("mpj: rma fetch_and_op: %w", err)
 		}
 	} else {
-		id := w.fetchPending(dt, result, roff, target)
+		id := w.addPending(dt, result, roff, 1, target)
 		if err := w.dev.RMASend(w.world[target], wire.KindRmaFetchOp, w.ctx, opID, uint64(boff), id, contrib); err != nil {
 			w.dropPending(id)
 			return fmt.Errorf("mpj: rma fetch_and_op: %w", err)
 		}
 	}
-	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'a', w.elemSize, w.local[target])
-	}
+	w.countOp('a', w.elemSize, target)
 	return nil
 }
 
@@ -751,13 +765,12 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 	if err != nil {
 		return fmt.Errorf("mpj: rma compare_and_swap: %w", err)
 	}
-	if w.local[target] {
-		tw, err := w.peerWin("compare_and_swap", target)
+	if w.peers[target] != nil {
+		prior := make([]byte, w.elemSize)
+		tw, err := w.lockPeer("compare_and_swap", target)
 		if err != nil {
 			return err
 		}
-		prior := make([]byte, w.elemSize)
-		tw.mu.Lock()
 		slot := tw.buf[boff : boff+w.elemSize]
 		copy(prior, slot)
 		if bytes.Equal(cmp, prior) {
@@ -768,67 +781,62 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 			return fmt.Errorf("mpj: rma compare_and_swap: %w", err)
 		}
 	} else {
-		id := w.fetchPending(dt, result, roff, target)
+		id := w.addPending(dt, result, roff, 1, target)
 		payload := append(cmp, newv...)
 		if err := w.dev.RMASend(w.world[target], wire.KindRmaCas, w.ctx, 0, uint64(boff), id, payload); err != nil {
 			w.dropPending(id)
 			return fmt.Errorf("mpj: rma compare_and_swap: %w", err)
 		}
 	}
-	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'a', w.elemSize, w.local[target])
-	}
+	w.countOp('a', w.elemSize, target)
 	return nil
 }
 
 // ---------------------------------------------------------------------
 // Epoch control.
 
-// waitEpoch parks on the window condition until pred reports done (or an
-// error), with the epoch deadline armed: on expiry every member stuck()
-// still blames is reported to the device failure registry, which turns
-// the hang into a typed ErrRankFailed through pred's dead-rank checks.
-// Device failure watchers broadcast the condition, so newly detected
-// failures (from any source) re-evaluate pred promptly.
+// waitEpoch waits on the window condition until pred reports done (or an
+// error). It looks before it parks: a wait whose predicate already holds
+// arms nothing, one that has to park arms a single deadline timer. The
+// timer only wakes the waiter, which judges expiry on its own clock (a late
+// fire of a stopped timer is a spurious wake-up, nothing more): on expiry
+// every member stuck() still blames is reported to the device failure
+// registry, which turns the hang into a typed ErrRankFailed through pred's
+// dead-rank checks. Device failure watchers broadcast the condition, so
+// newly detected failures (from any source) re-evaluate pred promptly.
 func (w *Win) waitEpoch(pred func() (bool, error), stuck func() []int) error {
-	expired := false
-	timer := time.AfterFunc(w.epochDeadline(), func() {
-		w.mu.Lock()
-		expired = true
-		w.cond.Broadcast()
-		w.mu.Unlock()
-	})
-	defer timer.Stop()
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var timer *time.Timer
+	var deadline time.Time
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		if w.err != nil {
 			return w.err
 		}
-		done, err := pred()
-		if done || err != nil {
+		if done, err := pred(); done || err != nil {
 			return err
 		}
-		if expired {
-			expired = false
-			peers := stuck()
+		if now := time.Now(); timer == nil {
+			deadline = now.Add(w.timeout)
+			timer = time.AfterFunc(w.timeout, w.wake)
+		} else if !now.Before(deadline) {
+			deadline = now.Add(w.timeout)
+			timer.Reset(w.timeout)
+			peers, cause := stuck(), fmt.Errorf("mpj: rma epoch deadline (%s) expired", w.timeout)
 			w.mu.Unlock()
 			for _, m := range peers {
-				w.dev.NotifyRankFailed(w.world[m],
-					fmt.Errorf("mpj: rma epoch deadline (%s) expired", w.timeout))
+				w.dev.NotifyRankFailed(w.world[m], cause)
 			}
 			w.mu.Lock()
 			continue
 		}
 		w.cond.Wait()
 	}
-}
-
-func (w *Win) epochDeadline() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.timeout
 }
 
 // getsDone is the epoch predicate for outstanding Gets: done when none
@@ -844,35 +852,63 @@ func (w *Win) getsDone() (bool, error) {
 	return len(w.gets) == 0, nil
 }
 
+// stuckGets lists the targets of the outstanding Gets (repeats are fine:
+// reporting a failure is idempotent).
 func (w *Win) stuckGets() []int {
-	seen := make(map[int]bool)
 	var out []int
 	for _, g := range w.gets {
-		if !seen[g.target] {
-			seen[g.target] = true
-			out = append(out, g.target)
-		}
+		out = append(out, g.target)
 	}
 	return out
 }
 
-// syncPhase announces fence generation gen to every peer and waits until
-// every live peer announced at least gen (dead peers whose announcement is
-// missing fail the fence typed).
-func (w *Win) syncPhase(gen uint64) error {
-	me := w.c.rank
-	for m := range w.world {
+// announcedLocked records member origin's fence announcement gen, with the
+// wired bit an entry announcement carries, and wakes the fence waiting for
+// it. Callers hold w.mu: the frame handler, or a co-located origin storing
+// its announcement directly.
+func (w *Win) announcedLocked(origin int, gen uint64, wired bool) {
+	if gen <= w.fenceRecv[origin] {
+		return
+	}
+	w.fenceRecv[origin] = gen
+	if wired && gen&1 == 1 { // entry announcements are odd: fence (gen+1)/2
+		w.fenceWired[gen>>1&1] = true
+	}
+	w.cond.Broadcast()
+}
+
+// syncPhase announces fence generation gen to every peer — by direct store
+// to co-located ones, by frame to the rest — and waits until every live
+// peer announced at least gen (dead peers whose announcement is missing
+// fail the fence typed). wired is this rank's bit of an entry announcement.
+func (w *Win) syncPhase(gen uint64, wired bool) error {
+	me, tag, frames := w.c.rank, 0, 0
+	if wired {
+		tag = 1
+	}
+	for m, tw := range w.peers {
 		if m == me {
 			continue
 		}
-		if err := w.dev.RMASend(w.world[m], wire.KindRmaFenceSync, w.ctx, 0, gen, 0, nil); err != nil {
+		if tw != nil {
+			tw.mu.Lock()
+			tw.announcedLocked(me, gen, wired)
+			tw.mu.Unlock()
+			continue
+		}
+		frames++
+		if err := w.dev.RMASend(w.world[m], wire.KindRmaFenceSync, w.ctx, tag, gen, 0, nil); err != nil {
 			if errors.Is(err, ErrRankFailed) {
 				continue // the wait below reports it
 			}
 			return err
 		}
 	}
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaSync(w.ctx, frames, len(w.peers)-1-frames)
+	}
 	return w.waitEpoch(func() (bool, error) {
+		done := true
 		for m := range w.world {
 			if m == me || w.fenceRecv[m] >= gen {
 				continue
@@ -880,9 +916,9 @@ func (w *Win) syncPhase(gen uint64) error {
 			if err := w.dev.RankError(w.world[m]); err != nil {
 				return false, err
 			}
-			return false, nil
+			done = false
 		}
-		return true, nil
+		return done, nil
 	}, func() []int {
 		var out []int
 		for m := range w.world {
@@ -892,6 +928,18 @@ func (w *Win) syncPhase(gen uint64) error {
 		}
 		return out
 	})
+}
+
+// waitAck waits for target's entry in acks — its lock grant or its unlock
+// acknowledgement — and consumes it; a dead target fails the wait typed.
+func (w *Win) waitAck(acks map[int]bool, target int) error {
+	return w.waitEpoch(func() (bool, error) {
+		if acks[target] {
+			delete(acks, target)
+			return true, nil
+		}
+		return false, w.dev.RankError(w.world[target])
+	}, func() []int { return []int{target} })
 }
 
 // Fence closes the current access/exposure epoch and opens the next —
@@ -904,27 +952,35 @@ func (w *Win) syncPhase(gen uint64) error {
 // members that stay silent past it are reported to the failure registry
 // and the fence fails with ErrRankFailed instead of hanging.
 func (w *Win) Fence() error {
-	if err := w.usable(); err != nil {
-		return fmt.Errorf("mpj: fence: %w", err)
-	}
+	w.mu.Lock()
+	err, drain := w.err, len(w.gets) > 0
+	w.mu.Unlock()
 	// Outstanding Gets first: their replies are epoch data.
-	if err := w.waitEpoch(w.getsDone, w.stuckGets); err != nil {
+	if err == nil && drain {
+		err = w.waitEpoch(w.getsDone, w.stuckGets)
+	}
+	if err != nil {
 		return fmt.Errorf("mpj: fence: %w", err)
 	}
 	w.mu.Lock()
 	w.fenceGen += 2
-	entry, done := w.fenceGen-1, w.fenceGen
+	entry, wired := w.fenceGen-1, w.wired
+	w.wired = false
 	w.mu.Unlock()
-	// Phase 1 — entry: a rank holding all entry announcements has applied
-	// every inbound operation of the epoch (per-path FIFO puts data
-	// frames ahead of the announcement).
-	if err := w.syncPhase(entry); err != nil {
-		return fmt.Errorf("mpj: fence: %w", err)
+	// Entry: a rank holding all entry announcements has applied every
+	// inbound operation of the epoch, and holds every member's wired bit.
+	if err = w.syncPhase(entry, wired); err == nil {
+		w.mu.Lock()
+		slot := &w.fenceWired[entry>>1&1]
+		wired, *slot = wired || *slot, false
+		w.mu.Unlock()
+		// Completion, iff some member wired a frame (the same OR everywhere):
+		// no rank leaves before every rank holds all entries.
+		if wired {
+			err = w.syncPhase(entry+1, false)
+		}
 	}
-	// Phase 2 — completion: no rank leaves the fence before every rank
-	// finished phase 1, so next-epoch operations can never land on a
-	// window that has not absorbed this epoch yet.
-	if err := w.syncPhase(done); err != nil {
+	if err != nil {
 		return fmt.Errorf("mpj: fence: %w", err)
 	}
 	if p := w.dev.Profiler(); p != nil {
@@ -966,17 +1022,7 @@ func (w *Win) Lock(mode, target int) error {
 	if err := w.sendCtl(target, wire.KindRmaLockReq, mode, 0); err != nil {
 		return fmt.Errorf("mpj: lock: %w", err)
 	}
-	err := w.waitEpoch(func() (bool, error) {
-		if w.grants[target] {
-			delete(w.grants, target)
-			return true, nil
-		}
-		if err := w.dev.RankError(w.world[target]); err != nil {
-			return false, err
-		}
-		return false, nil
-	}, func() []int { return []int{target} })
-	if err != nil {
+	if err := w.waitAck(w.grants, target); err != nil {
 		return fmt.Errorf("mpj: lock: %w", err)
 	}
 	w.mu.Lock()
@@ -1015,16 +1061,7 @@ func (w *Win) Unlock(target int) error {
 		release()
 		return fmt.Errorf("mpj: unlock: %w", err)
 	}
-	err := w.waitEpoch(func() (bool, error) {
-		if w.unlockAck[target] {
-			delete(w.unlockAck, target)
-			return true, nil
-		}
-		if err := w.dev.RankError(w.world[target]); err != nil {
-			return false, err
-		}
-		return false, nil
-	}, func() []int { return []int{target} })
+	err := w.waitAck(w.unlockAck, target)
 	release()
 	if err != nil {
 		return fmt.Errorf("mpj: unlock: %w", err)
@@ -1133,10 +1170,7 @@ func (w *Win) handleFrame(src int, h *wire.Header, payload []byte) {
 		}
 
 	case wire.KindRmaFenceSync:
-		if h.Seq > w.fenceRecv[origin] {
-			w.fenceRecv[origin] = h.Seq
-			w.cond.Broadcast()
-		}
+		w.announcedLocked(origin, h.Seq, h.Tag != 0)
 
 	case wire.KindRmaLockReq:
 		outs = w.lockReqLocked(origin, int(h.Tag))

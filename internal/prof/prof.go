@@ -110,6 +110,8 @@ type counters struct {
 	rmaLocalBytes atomic.Int64
 	rmaWireBytes  atomic.Int64
 	rmaFences     atomic.Int64
+	rmaSyncFrames atomic.Int64
+	rmaSyncDirect atomic.Int64
 	rmaLocks      atomic.Int64
 }
 
@@ -139,6 +141,8 @@ func (c *counters) addTo(s *Snapshot) {
 	s.RmaLocalBytes += c.rmaLocalBytes.Load()
 	s.RmaWireBytes += c.rmaWireBytes.Load()
 	s.RmaFences += c.rmaFences.Load()
+	s.RmaSyncFrames += c.rmaSyncFrames.Load()
+	s.RmaSyncDirect += c.rmaSyncDirect.Load()
 	s.RmaLocks += c.rmaLocks.Load()
 }
 
@@ -176,7 +180,11 @@ type Snapshot struct {
 	// One-sided (RMA) events, counted at the origin. The Local/Wire byte
 	// split records how each operation moved: co-located targets are
 	// direct memory copies (no wire serialization), remote targets ride
-	// the RMA frame family.
+	// the RMA frame family. RmaSyncFrames/RmaSyncDirect split the fence
+	// announcements a rank made the same way: frames sent to remote
+	// members, stores into co-located members' windows (per fence, members
+	// − 1 in all for an epoch with no Put/Accumulate frame, twice that
+	// otherwise).
 	RmaPuts       int64 `json:"rmaPuts"`
 	RmaPutBytes   int64 `json:"rmaPutBytes"`
 	RmaGets       int64 `json:"rmaGets"`
@@ -186,6 +194,8 @@ type Snapshot struct {
 	RmaLocalBytes int64 `json:"rmaLocalBytes"`
 	RmaWireBytes  int64 `json:"rmaWireBytes"`
 	RmaFences     int64 `json:"rmaFences"`
+	RmaSyncFrames int64 `json:"rmaSyncFrames"`
+	RmaSyncDirect int64 `json:"rmaSyncDirect"`
 	RmaLocks      int64 `json:"rmaLocks"`
 }
 
@@ -227,6 +237,8 @@ func (s *Snapshot) add(o Snapshot) {
 	s.RmaLocalBytes += o.RmaLocalBytes
 	s.RmaWireBytes += o.RmaWireBytes
 	s.RmaFences += o.RmaFences
+	s.RmaSyncFrames += o.RmaSyncFrames
+	s.RmaSyncDirect += o.RmaSyncDirect
 	s.RmaLocks += o.RmaLocks
 }
 
@@ -420,6 +432,16 @@ func (r *Recorder) RmaOp(ctx int, kind byte, n int, local bool) {
 func (r *Recorder) RmaFence(ctx int) {
 	r.global.rmaFences.Add(1)
 	r.forCtx(ctx).rmaFences.Add(1)
+}
+
+// RmaSync records one fence phase's announcements on the window context
+// ctx: frames sent to remote members, direct stores to co-located ones.
+func (r *Recorder) RmaSync(ctx, frames, direct int) {
+	c := r.forCtx(ctx)
+	r.global.rmaSyncFrames.Add(int64(frames))
+	r.global.rmaSyncDirect.Add(int64(direct))
+	c.rmaSyncFrames.Add(int64(frames))
+	c.rmaSyncDirect.Add(int64(direct))
 }
 
 // RmaLock records one completed passive-target lock acquisition on the
