@@ -5,21 +5,84 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
+	"mpj/internal/transport"
 )
+
+// profJobSeq hands out process-unique hybrid job ids for the profiling
+// tests, so they never collide in the hybrid device's process-local hub.
+var profJobSeq atomic.Uint64
 
 // runRanksProf is the runRanks harness with a prof.Recorder attached to
 // every rank's device, over the channel mesh or a co-located hybrid mesh.
 func runRanksProf(t *testing.T, np int, spec prof.Spec, hyb bool, fn func(w *Comm) error) {
 	t.Helper()
-	mesh := "chan"
+	eps := make([]transport.Transport, np)
 	if hyb {
-		mesh = "hyb"
+		loc := transport.ProcessLocality()
+		locs := make([]string, np)
+		for i := range locs {
+			locs[i] = loc
+		}
+		jobID := 0x9f0f<<32 | profJobSeq.Add(1)
+		for i := range eps {
+			ep, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
+			if err != nil {
+				t.Fatalf("hyb transport rank %d: %v", i, err)
+			}
+			eps[i] = ep
+		}
+	} else {
+		for i, ep := range transport.NewChanMesh(np) {
+			eps[i] = ep
+		}
 	}
-	runRanksMk(t, np, winMesh(t, mesh, np), &spec, fn)
+	errs := make([]error, np)
+	var wg sync.WaitGroup
+	for i := 0; i < np; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var opts []device.Option
+			if rec := prof.New(i, spec); rec != nil {
+				opts = append(opts, device.WithProfiler(rec))
+			}
+			d, err := device.Open(eps[i], opts...)
+			if err != nil {
+				errs[i] = fmt.Errorf("open device: %w", err)
+				return
+			}
+			defer d.Close()
+			w, err := NewWorld(d)
+			if err != nil {
+				errs[i] = fmt.Errorf("new world: %w", err)
+				return
+			}
+			if err := fn(w); err != nil {
+				errs[i] = err
+				return
+			}
+			errs[i] = w.Barrier()
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job wedged: ranks did not finish within 60s")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
 }
 
 // goBarrier is a reusable in-process barrier with no MPJ traffic. The

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +15,15 @@ import (
 // transport the distributed runtime uses, without the daemon layer.
 func tcpMesh(t *testing.T, np int) []transport.Transport {
 	t.Helper()
-	lns, addrs := localListeners(t, np)
+	lns, addrs := make([]net.Listener, np), make([]string, np)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
 	// The mesh forms only with every rank dialling at once.
 	trs, errs := make([]transport.Transport, np), make([]error, np)
 	var wg sync.WaitGroup

@@ -26,12 +26,14 @@ package core
 // rank's data frames — so a rank holding every member's entry announcement
 // has applied every inbound operation of the epoch. The completion phase
 // (a second all-to-all, nobody leaves before everyone has absorbed the
-// epoch) runs iff some member's epoch put a Put/Accumulate frame on the
-// wire: with C's frame to B still in flight, A — already holding C's entry
-// — could otherwise leave the fence and have a next-epoch operation on B
-// overtake it. Every entry announcement carries that one bit, the
-// all-to-all hands every member the same OR, and all skip or run the
-// phase together.
+// epoch) runs iff the window has a remote member, that is iff a frame can
+// be on the wire at all: with C's frame to B still in flight, A — already
+// holding C's entry — could otherwise leave the fence and have a
+// next-epoch operation on B overtake it; and a completion announcement is
+// the only proof a rank gets that its own entry frames arrived (a muted
+// rank fails at the fence it could not announce, like everyone else). A
+// window of co-located members alone has neither problem: a store cannot
+// be in flight and cannot be lost.
 //
 // Lock/Unlock is passive-target: the target queues waiting origins
 // per-window (FIFO, with shared-reader coalescing) and grants without any
@@ -168,15 +170,17 @@ type Win struct {
 
 	token     uint64 // own co-location registry token
 	peers     []*Win // co-located members' windows (self included); nil = remote
+	remote    bool   // some member is remote: fences run the completion phase
 	peerSlots []int  // per-member registered lengths (elements)
 	peerDisp  []int  // per-member displacement units (elements)
 	world     []int  // member rank → world rank
 
-	mu      sync.Mutex
-	cond    sync.Cond
-	wake    func() // deadline timer body: broadcasts cond under mu
 	timeout time.Duration
-	err     error // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
+
+	mu   sync.Mutex
+	cond sync.Cond
+	wake func() // deadline timer body: broadcasts cond under mu
+	err  error  // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
 
 	// Target-side passive-lock state.
 	holders map[int]int // origin member rank → lock mode
@@ -185,12 +189,6 @@ type Win struct {
 	// Origin-side epoch state.
 	fenceGen  uint64   // local fence generation (2 per completed fence)
 	fenceRecv []uint64 // highest fence generation received per member
-	wired     bool     // this epoch put a Put/Accumulate frame on the wire
-	// fenceWired ORs the wired bits of the entry announcements received,
-	// one slot per fence parity: a peer can be one fence ahead, so its next
-	// entry may arrive while this rank still waits in the previous fence.
-	fenceWired [2]bool
-
 	nextGet   uint64
 	gets      map[uint64]*pendingGet
 	grants    map[int]bool // target member rank → lock granted
@@ -308,13 +306,10 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 	// wire protocol addresses target memory in elements.
 	mine := []int64{int64(w.token), int64(slots), int64(dispUnit), int64(w.elemSize)}
 	all := make([]int64, 4*size)
-	abandon := func(err error) (*Win, error) {
+	if err := c.Allgather(mine, 0, 4, Long, all, 0, 4, Long); err != nil {
 		dropWinToken(w.token)
 		c.proc.unregisterWin(w)
 		return nil, fmt.Errorf("mpj: win create: %w", err)
-	}
-	if err := c.Allgather(mine, 0, 4, Long, all, 0, 4, Long); err != nil {
-		return abandon(err)
 	}
 	w.peers = make([]*Win, size)
 	w.peerSlots = make([]int, size)
@@ -323,16 +318,20 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 		w.peerSlots[m] = int(all[4*m+1])
 		w.peerDisp[m] = int(all[4*m+2])
 		if es := int(all[4*m+3]); es != w.elemSize {
-			return abandon(fmt.Errorf("%w: element size %d at rank %d != local %d", ErrType, es, m, w.elemSize))
+			dropWinToken(w.token)
+			c.proc.unregisterWin(w)
+			return nil, fmt.Errorf("%w: win create: element size %d at rank %d != local %d",
+				ErrType, es, m, w.elemSize)
 		}
 		// Every member registered before it entered the exchange, so a
 		// co-located member's token resolves now, once; a miss is a member
 		// whose own creation already failed.
 		if !c.dev.LocalPeer(w.world[m]) {
-			continue
-		}
-		if w.peers[m] = lookupWinToken(uint64(all[4*m])); w.peers[m] == nil {
-			return abandon(fmt.Errorf("%w: rank %d's window is gone", ErrComm, m))
+			w.remote = true
+		} else if w.peers[m] = lookupWinToken(uint64(all[4*m])); w.peers[m] == nil {
+			dropWinToken(w.token)
+			c.proc.unregisterWin(w)
+			return nil, fmt.Errorf("mpj: win create: %w: rank %d's window is gone", ErrComm, m)
 		}
 	}
 
@@ -396,7 +395,12 @@ func (w *Win) Slots(rank int) int {
 // fail with ErrComm.
 func (w *Win) Free() error {
 	err := w.c.Barrier()
-	w.fail(fmt.Errorf("%w: window freed", ErrComm))
+	w.mu.Lock()
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: window freed", ErrComm)
+	}
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	dropWinToken(w.token)
 	w.c.proc.unregisterWin(w)
 	if err != nil {
@@ -476,14 +480,6 @@ func (w *Win) opSetup(name string, dt Datatype, count, target, tdisp int) (boff,
 	return boff, nbytes, true, nil
 }
 
-// countOp records one data operation of n payload bytes on the window's
-// profiling context, by the path it took.
-func (w *Win) countOp(kind byte, n, target int) {
-	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, kind, n, w.peers[target] != nil)
-	}
-}
-
 // lockPeer locks co-located member target's window for one direct access;
 // a terminally failed one (freed, revoked) fails the operation instead.
 func (w *Win) lockPeer(name string, target int) (*Win, error) {
@@ -497,13 +493,9 @@ func (w *Win) lockPeer(name string, target int) (*Win, error) {
 }
 
 // sendData ships count elements of dt from buf[off:] to the target as one
-// Put/Accumulate frame, packing directly into the pooled frame when the
-// datatype supports it, and marks the epoch wired: its fence must run the
-// completion phase.
+// RMA frame, packing directly into the pooled frame when the datatype
+// supports it.
 func (w *Win) sendData(kind wire.Kind, target, tag, boff, nbytes int, dt Datatype, buf any, off, count int) error {
-	w.mu.Lock()
-	w.wired = true
-	w.mu.Unlock()
 	if pi, isPI := dt.(packerInto); isPI {
 		return w.dev.RMASendFill(nbytes, func(p []byte) error {
 			return pi.PackInto(p, buf, off, count)
@@ -545,7 +537,9 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 			return fmt.Errorf("mpj: rma put: %w", err)
 		}
 	}
-	w.countOp('p', nbytes, target)
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, 'p', nbytes, w.peers[target] != nil)
+	}
 	return nil
 }
 
@@ -592,13 +586,24 @@ func (w *Win) Get(buf any, off, count int, dt Datatype, target, tdisp int) error
 			return fmt.Errorf("mpj: rma get: %w", err)
 		}
 	} else {
-		id := w.addPending(dt, buf, off, count, target)
-		if err := w.dev.RMASend(w.world[target], wire.KindRmaGet, w.ctx, nbytes, uint64(boff), id, nil); err != nil {
-			w.dropPending(id)
+		w.mu.Lock()
+		w.nextGet++
+		id := w.nextGet
+		g := &pendingGet{target: target, dt: dt, buf: buf, off: off, count: count}
+		g.win = vWindow(dt, buf, off, count)
+		w.gets[id] = g
+		w.mu.Unlock()
+		err := w.dev.RMASend(w.world[target], wire.KindRmaGet, w.ctx, nbytes, uint64(boff), id, nil)
+		if err != nil {
+			w.mu.Lock()
+			delete(w.gets, id)
+			w.mu.Unlock()
 			return fmt.Errorf("mpj: rma get: %w", err)
 		}
 	}
-	w.countOp('g', nbytes, target)
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, 'g', nbytes, w.peers[target] != nil)
+	}
 	return nil
 }
 
@@ -645,7 +650,9 @@ func (w *Win) Accumulate(buf any, off, count int, dt Datatype, target, tdisp int
 			return fmt.Errorf("mpj: rma accumulate: %w", err)
 		}
 	}
-	w.countOp('a', nbytes, target)
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, 'a', nbytes, w.peers[target] != nil)
+	}
 	return nil
 }
 
@@ -669,16 +676,16 @@ func (w *Win) atomicSetup(name string, dt Datatype, result any, roff, target, td
 	return boff, true, nil
 }
 
-// addPending registers a pending reply from target landing in count
-// elements at buf[off:] — a Get, or the single fetched element of an atomic
-// — and returns its correlation id. Epoch closes (Fence, Unlock) wait for
-// every entry of the table, and a dead target fails its entries typed.
-func (w *Win) addPending(dt Datatype, buf any, off, count, target int) uint64 {
+// fetchPending registers a pending single-element reply landing in
+// result[roff] and returns its correlation id. The entry lives in the same
+// table as outstanding Gets, so epoch closes (Fence, Unlock) wait for the
+// reply and a dead target fails it typed.
+func (w *Win) fetchPending(dt Datatype, result any, roff, target int) uint64 {
 	w.mu.Lock()
 	w.nextGet++
 	id := w.nextGet
-	g := &pendingGet{target: target, dt: dt, buf: buf, off: off, count: count}
-	g.win = vWindow(dt, buf, off, count)
+	g := &pendingGet{target: target, dt: dt, buf: result, off: roff, count: 1}
+	g.win = vWindow(dt, result, roff, 1)
 	w.gets[id] = g
 	w.mu.Unlock()
 	return id
@@ -735,13 +742,15 @@ func (w *Win) FetchAndOp(buf any, ooff int, result any, roff int, dt Datatype, t
 			return fmt.Errorf("mpj: rma fetch_and_op: %w", err)
 		}
 	} else {
-		id := w.addPending(dt, result, roff, 1, target)
+		id := w.fetchPending(dt, result, roff, target)
 		if err := w.dev.RMASend(w.world[target], wire.KindRmaFetchOp, w.ctx, opID, uint64(boff), id, contrib); err != nil {
 			w.dropPending(id)
 			return fmt.Errorf("mpj: rma fetch_and_op: %w", err)
 		}
 	}
-	w.countOp('a', w.elemSize, target)
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, 'a', w.elemSize, w.peers[target] != nil)
+	}
 	return nil
 }
 
@@ -781,14 +790,16 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 			return fmt.Errorf("mpj: rma compare_and_swap: %w", err)
 		}
 	} else {
-		id := w.addPending(dt, result, roff, 1, target)
+		id := w.fetchPending(dt, result, roff, target)
 		payload := append(cmp, newv...)
 		if err := w.dev.RMASend(w.world[target], wire.KindRmaCas, w.ctx, 0, uint64(boff), id, payload); err != nil {
 			w.dropPending(id)
 			return fmt.Errorf("mpj: rma compare_and_swap: %w", err)
 		}
 	}
-	w.countOp('a', w.elemSize, target)
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, 'a', w.elemSize, w.peers[target] != nil)
+	}
 	return nil
 }
 
@@ -852,52 +863,37 @@ func (w *Win) getsDone() (bool, error) {
 	return len(w.gets) == 0, nil
 }
 
-// stuckGets lists the targets of the outstanding Gets (repeats are fine:
-// reporting a failure is idempotent).
 func (w *Win) stuckGets() []int {
+	seen := make(map[int]bool)
 	var out []int
 	for _, g := range w.gets {
-		out = append(out, g.target)
+		if !seen[g.target] {
+			seen[g.target] = true
+			out = append(out, g.target)
+		}
 	}
 	return out
 }
 
-// announcedLocked records member origin's fence announcement gen, with the
-// wired bit an entry announcement carries, and wakes the fence waiting for
-// it. Callers hold w.mu: the frame handler, or a co-located origin storing
-// its announcement directly.
-func (w *Win) announcedLocked(origin int, gen uint64, wired bool) {
-	if gen <= w.fenceRecv[origin] {
-		return
-	}
-	w.fenceRecv[origin] = gen
-	if wired && gen&1 == 1 { // entry announcements are odd: fence (gen+1)/2
-		w.fenceWired[gen>>1&1] = true
-	}
-	w.cond.Broadcast()
-}
-
-// syncPhase announces fence generation gen to every peer — by direct store
-// to co-located ones, by frame to the rest — and waits until every live
-// peer announced at least gen (dead peers whose announcement is missing
-// fail the fence typed). wired is this rank's bit of an entry announcement.
-func (w *Win) syncPhase(gen uint64, wired bool) error {
-	me, tag, frames := w.c.rank, 0, 0
-	if wired {
-		tag = 1
-	}
+// syncPhase announces fence generation gen to every peer — by a store into
+// a co-located peer's window, by frame to a remote one — and waits until
+// every live peer announced at least gen (dead peers whose announcement is
+// missing fail the fence typed).
+func (w *Win) syncPhase(gen uint64) error {
+	me, frames := w.c.rank, 0
 	for m, tw := range w.peers {
 		if m == me {
 			continue
 		}
 		if tw != nil {
 			tw.mu.Lock()
-			tw.announcedLocked(me, gen, wired)
+			tw.fenceRecv[me] = gen
+			tw.cond.Broadcast()
 			tw.mu.Unlock()
 			continue
 		}
 		frames++
-		if err := w.dev.RMASend(w.world[m], wire.KindRmaFenceSync, w.ctx, tag, gen, 0, nil); err != nil {
+		if err := w.dev.RMASend(w.world[m], wire.KindRmaFenceSync, w.ctx, 0, gen, 0, nil); err != nil {
 			if errors.Is(err, ErrRankFailed) {
 				continue // the wait below reports it
 			}
@@ -908,7 +904,6 @@ func (w *Win) syncPhase(gen uint64, wired bool) error {
 		p.RmaSync(w.ctx, frames, len(w.peers)-1-frames)
 	}
 	return w.waitEpoch(func() (bool, error) {
-		done := true
 		for m := range w.world {
 			if m == me || w.fenceRecv[m] >= gen {
 				continue
@@ -916,9 +911,9 @@ func (w *Win) syncPhase(gen uint64, wired bool) error {
 			if err := w.dev.RankError(w.world[m]); err != nil {
 				return false, err
 			}
-			done = false
+			return false, nil
 		}
-		return done, nil
+		return true, nil
 	}, func() []int {
 		var out []int
 		for m := range w.world {
@@ -928,18 +923,6 @@ func (w *Win) syncPhase(gen uint64, wired bool) error {
 		}
 		return out
 	})
-}
-
-// waitAck waits for target's entry in acks — its lock grant or its unlock
-// acknowledgement — and consumes it; a dead target fails the wait typed.
-func (w *Win) waitAck(acks map[int]bool, target int) error {
-	return w.waitEpoch(func() (bool, error) {
-		if acks[target] {
-			delete(acks, target)
-			return true, nil
-		}
-		return false, w.dev.RankError(w.world[target])
-	}, func() []int { return []int{target} })
 }
 
 // Fence closes the current access/exposure epoch and opens the next —
@@ -964,24 +947,24 @@ func (w *Win) Fence() error {
 	}
 	w.mu.Lock()
 	w.fenceGen += 2
-	entry, wired := w.fenceGen-1, w.wired
-	w.wired = false
+	entry, done := w.fenceGen-1, w.fenceGen
 	w.mu.Unlock()
-	// Entry: a rank holding all entry announcements has applied every
-	// inbound operation of the epoch, and holds every member's wired bit.
-	if err = w.syncPhase(entry, wired); err == nil {
-		w.mu.Lock()
-		slot := &w.fenceWired[entry>>1&1]
-		wired, *slot = wired || *slot, false
-		w.mu.Unlock()
-		// Completion, iff some member wired a frame (the same OR everywhere):
-		// no rank leaves before every rank holds all entries.
-		if wired {
-			err = w.syncPhase(entry+1, false)
-		}
-	}
-	if err != nil {
+	// Phase 1 — entry: a rank holding all entry announcements has applied
+	// every inbound operation of the epoch (per-path FIFO puts data
+	// frames ahead of the announcement; a co-located origin applied its
+	// operations before it stored the announcement).
+	if err := w.syncPhase(entry); err != nil {
 		return fmt.Errorf("mpj: fence: %w", err)
+	}
+	// Phase 2 — completion: no rank leaves the fence before every rank
+	// finished phase 1, so next-epoch operations can never land on a
+	// window that has not absorbed this epoch yet, and a rank whose entry
+	// frames were lost does not leave at all. A window without a remote
+	// member has no frame to be in flight or lost, and skips it.
+	if w.remote {
+		if err := w.syncPhase(done); err != nil {
+			return fmt.Errorf("mpj: fence: %w", err)
+		}
 	}
 	if p := w.dev.Profiler(); p != nil {
 		p.RmaFence(w.ctx)
@@ -1022,7 +1005,17 @@ func (w *Win) Lock(mode, target int) error {
 	if err := w.sendCtl(target, wire.KindRmaLockReq, mode, 0); err != nil {
 		return fmt.Errorf("mpj: lock: %w", err)
 	}
-	if err := w.waitAck(w.grants, target); err != nil {
+	err := w.waitEpoch(func() (bool, error) {
+		if w.grants[target] {
+			delete(w.grants, target)
+			return true, nil
+		}
+		if err := w.dev.RankError(w.world[target]); err != nil {
+			return false, err
+		}
+		return false, nil
+	}, func() []int { return []int{target} })
+	if err != nil {
 		return fmt.Errorf("mpj: lock: %w", err)
 	}
 	w.mu.Lock()
@@ -1061,7 +1054,16 @@ func (w *Win) Unlock(target int) error {
 		release()
 		return fmt.Errorf("mpj: unlock: %w", err)
 	}
-	err := w.waitAck(w.unlockAck, target)
+	err := w.waitEpoch(func() (bool, error) {
+		if w.unlockAck[target] {
+			delete(w.unlockAck, target)
+			return true, nil
+		}
+		if err := w.dev.RankError(w.world[target]); err != nil {
+			return false, err
+		}
+		return false, nil
+	}, func() []int { return []int{target} })
 	release()
 	if err != nil {
 		return fmt.Errorf("mpj: unlock: %w", err)
@@ -1170,7 +1172,10 @@ func (w *Win) handleFrame(src int, h *wire.Header, payload []byte) {
 		}
 
 	case wire.KindRmaFenceSync:
-		w.announcedLocked(origin, h.Seq, h.Tag != 0)
+		if h.Seq > w.fenceRecv[origin] {
+			w.fenceRecv[origin] = h.Seq
+			w.cond.Broadcast()
+		}
 
 	case wire.KindRmaLockReq:
 		outs = w.lockReqLocked(origin, int(h.Tag))

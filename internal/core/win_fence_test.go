@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"mpj/internal/device"
 	"mpj/internal/transport"
 	"mpj/internal/wire"
 )
@@ -68,23 +71,17 @@ func (s *slowPath) Close() error {
 	return s.Transport.Close()
 }
 
-// TestWinFenceOrdering drives the two facts the fence protocol rests on,
-// np=3 with every peer remote and the path C→B slow. Each iteration closes
-// three epochs:
+// TestWinFenceOrdering drives the reason a window with remote members runs
+// the completion phase, np=3 with every peer remote and the path C→B slow.
+// Each iteration closes three epochs:
 //
-//	clean    nobody puts: the fence skips the completion phase. B waits in
-//	         it for C's entry (slow path) while the fast A finishes, wires
-//	         its next-epoch Put and announces the *next* entry with its bit
-//	         set — which B must not take for this fence's (per-fence slots,
-//	         never latest-wins).
+//	quiet    nobody puts.
 //	both     C puts x into B[0] (slow path), A puts y into B[1].
 //	third    A puts z into B[0]. The completion phase of the fence before is
 //	         why this is safe: A held C's entry long before C's x reached B,
 //	         and without that phase z would land first and x overwrite it.
 //
-// The sync frame count is the agreement check: 2 per rank for the clean
-// fence, 4 for each of the other two, on every member — a member that ran
-// or skipped a completion phase alone sends a different number.
+// Every fence costs every rank 2 entry and 2 completion frames.
 func TestWinFenceOrdering(t *testing.T) {
 	const (
 		np, iters = 3, 200
@@ -97,7 +94,7 @@ func TestWinFenceOrdering(t *testing.T) {
 		}
 		return struct{ transport.Transport }{eps[i]}, nil // locality hidden, nothing held
 	}
-	runRanksCounted(t, np, mk, func(w *Comm) error {
+	runRanksCounted(t, np, mk, true, func(w *Comm) error {
 		rank := w.Rank()
 		buf := make([]int64, 2)
 		win, err := w.WinCreate(buf, 1)
@@ -143,9 +140,9 @@ func TestWinFenceOrdering(t *testing.T) {
 			}
 		}
 		s := win.ProfSnapshot()
-		if err := expect(s.RmaSyncFrames == iters*(2+4+4) && s.RmaSyncDirect == 0,
-			"%d sync frames / %d direct over %d iterations, want %d / 0: members disagreed on a completion phase",
-			s.RmaSyncFrames, s.RmaSyncDirect, iters, iters*(2+4+4)); err != nil {
+		if err := expect(s.RmaSyncFrames == iters*3*4 && s.RmaSyncDirect == 0,
+			"%d sync frames / %d direct over %d iterations, want %d / 0",
+			s.RmaSyncFrames, s.RmaSyncDirect, iters, iters*3*4); err != nil {
 			return err
 		}
 		return win.Free()
@@ -192,5 +189,213 @@ func TestWinFenceAllocationGate(t *testing.T) {
 		allocs := testing.AllocsPerRun(runs, epoch)
 		t.Logf("%.2f objects allocated per chan np=2 Put+Fence epoch, both ranks", allocs)
 		return expect(allocs <= allocsPerEpoch, "a co-located Put+Fence epoch allocates %.2f objects, want ≤ %d", allocs, allocsPerEpoch)
+	})
+}
+
+// TestWinProfExactTCP: over TCP every announcement is a frame, and every
+// fence — whatever its epoch did — costs a rank np-1 entry frames and np-1
+// completion frames.
+func TestWinProfExactTCP(t *testing.T) {
+	const np = 3
+	trs := tcpMesh(t, np)
+	mk := func(i int) (transport.Transport, error) { return trs[i], nil }
+	runRanksCounted(t, np, mk, true, func(w *Comm) error {
+		rank := w.Rank()
+		win, err := w.WinCreate(make([]int64, np), 1)
+		if err != nil {
+			return err
+		}
+		defer win.Free()
+		got := make([]int64, 1)
+		for k, op := range []func() error{
+			func() error { return nil },
+			func() error {
+				if rank != 1 {
+					return nil
+				}
+				return win.Put([]int64{7}, 0, 1, Long, 2, 0)
+			},
+			func() error { return win.Get(got, 0, 1, Long, 2, 0) },
+		} {
+			if err := op(); err != nil {
+				return err
+			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			s := win.ProfSnapshot()
+			want := int64(k+1) * 2 * (np - 1)
+			if err := expect(s.RmaSyncFrames == want && s.RmaSyncDirect == 0,
+				"after fence %d: %d sync frames / %d direct, want %d / 0", k+1, s.RmaSyncFrames, s.RmaSyncDirect, want); err != nil {
+				return err
+			}
+		}
+		return expect(got[0] == 7, "get after put = %d, want 7", got[0])
+	})
+}
+
+// winColocatedJob is the manual harness of the co-located failure rows: np
+// devices and worlds over one plain chan mesh, so every peer is co-located
+// and no frame will ever report a fault — only the failure registry and the
+// epoch deadline can. Nothing collective works on the world once a fault is
+// in, so teardown is Abort, not Barrier.
+type winColocatedJob struct {
+	eps    []*transport.ChanTransport
+	devs   []*device.Device
+	worlds []*Comm
+}
+
+func openWinColocatedJob(t *testing.T, np int) *winColocatedJob {
+	t.Helper()
+	j := &winColocatedJob{eps: transport.NewChanMesh(np), devs: make([]*device.Device, np), worlds: make([]*Comm, np)}
+	for i, ep := range j.eps {
+		d, err := device.Open(ep)
+		if err != nil {
+			t.Fatalf("open device %d: %v", i, err)
+		}
+		w, err := NewWorld(d)
+		if err != nil {
+			t.Fatalf("new world %d: %v", i, err)
+		}
+		j.devs[i], j.worlds[i] = d, w
+	}
+	return j
+}
+
+// run executes fn on every rank under a watchdog, then aborts the devices
+// and reports each rank's error.
+func (j *winColocatedJob) run(t *testing.T, fn func(i int, w *Comm) error) {
+	t.Helper()
+	errs := make([]error, len(j.worlds))
+	var wg sync.WaitGroup
+	for i := range j.worlds {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, j.worlds[i])
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job wedged: the fault did not surface within 30s")
+	}
+	for _, d := range j.devs {
+		d.Abort()
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", i, err)
+		}
+	}
+}
+
+// wantRankFailed checks that err is the typed failure of rank victim.
+func wantRankFailed(what string, err error, victim int) error {
+	if !errors.Is(err, ErrRankFailed) {
+		return fmt.Errorf("%s: %v, want ErrRankFailed", what, err)
+	}
+	if fr, ok := device.FailedRank(err); !ok || fr != victim {
+		return fmt.Errorf("%s: failed rank %d (ok=%v), want %d", what, fr, ok, victim)
+	}
+	return nil
+}
+
+// TestWinMuteFenceColocated is TestWinMuteFence's row for a co-located
+// victim. A store cannot be dropped, so the rank that goes silent is one
+// that never calls Fence; no frame will ever report it, and the survivors'
+// one deadline timer must: typed ErrRankFailed naming it, no hang.
+func TestWinMuteFenceColocated(t *testing.T) {
+	const np, victim = 3, 2
+	job := openWinColocatedJob(t, np)
+	var survivors sync.WaitGroup
+	survivors.Add(np - 1)
+	job.run(t, func(i int, w *Comm) error {
+		win, err := w.WinCreate(make([]int64, np), 1)
+		if err != nil {
+			return err
+		}
+		win.SetEpochTimeout(300 * time.Millisecond)
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		if i == victim {
+			survivors.Wait()
+			return nil
+		}
+		defer survivors.Done()
+		return wantRankFailed("fence", win.Fence(), victim)
+	})
+}
+
+// TestWinKilledRankColocated is TestWinKilledRank's row for a co-located
+// victim: its device is aborted and the failure injected at the survivors'
+// error handlers (the chan mesh has no connection to break). Rank 1 does
+// not wait for the kill — it is parked inside Fence on the victim's missing
+// store, or arrives after — and must fail typed through the wait's
+// RankError predicate either way.
+func TestWinKilledRankColocated(t *testing.T) {
+	const np, victim = 3, 2
+	job := openWinColocatedJob(t, np)
+	gate := newGoBarrier(np)
+	job.run(t, func(i int, w *Comm) error {
+		win, err := w.WinCreate(make([]int64, np), 1)
+		if err != nil {
+			return err
+		}
+		win.SetEpochTimeout(10 * time.Second) // the registry must tell, not the deadline
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		gate.await()
+		switch i {
+		case victim:
+			return nil
+		case 0:
+			job.devs[victim].Abort()
+			for r, ep := range job.eps {
+				if r != victim {
+					ep.InjectError(victim, fmt.Errorf("test: rank %d killed", victim))
+				}
+			}
+		}
+		if err := wantRankFailed("fence with dead member", win.Fence(), victim); err != nil {
+			return err
+		}
+		return wantRankFailed("put to dead rank", win.Put([]int64{1}, 0, 1, Long, victim, 0), victim)
+	})
+}
+
+// TestWinRevokedParked is TestWinRevoked's row for ranks already inside
+// Fence when the revocation lands: rank 0 never announces, so its
+// co-located peers are parked on a store that will not come and must be
+// woken by the revocation itself.
+func TestWinRevokedParked(t *testing.T) {
+	const np = 3
+	job := openWinColocatedJob(t, np)
+	job.run(t, func(i int, w *Comm) error {
+		win, err := w.WinCreate(make([]int64, 4), 1)
+		if err != nil {
+			return err
+		}
+		// Rank 0 revokes right after its barrier; the revocation may
+		// overtake a slower rank's barrier completion, which is then
+		// itself a legitimate ErrRevoked.
+		if err := w.Barrier(); err != nil && !(i != 0 && errors.Is(err, ErrRevoked)) {
+			return err
+		}
+		if i == 0 {
+			time.Sleep(20 * time.Millisecond) // let the others park
+			if err := w.Revoke(); err != nil {
+				return err
+			}
+		}
+		if err := win.Fence(); !errors.Is(err, ErrRevoked) {
+			return fmt.Errorf("fence on revoked comm: %v, want ErrRevoked", err)
+		}
+		return nil
 	})
 }

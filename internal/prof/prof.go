@@ -183,8 +183,8 @@ type Snapshot struct {
 	// the RMA frame family. RmaSyncFrames/RmaSyncDirect split the fence
 	// announcements a rank made the same way: frames sent to remote
 	// members, stores into co-located members' windows (per fence, members
-	// − 1 in all for an epoch with no Put/Accumulate frame, twice that
-	// otherwise).
+	// − 1 in all on a window whose members are all co-located, twice that
+	// on one with a remote member).
 	RmaPuts       int64 `json:"rmaPuts"`
 	RmaPutBytes   int64 `json:"rmaPutBytes"`
 	RmaGets       int64 `json:"rmaGets"`

@@ -81,10 +81,8 @@ const (
 	// KindRmaUnlock releases a passive-target lock at the target.
 	KindRmaUnlock
 	// KindRmaFenceSync announces that the sender entered a fence: Seq
-	// carries the sender's fence generation, Tag=1 on an entry (odd)
-	// generation that the sender's epoch put a Put/Accumulate frame on the
-	// wire. FIFO delivery per path orders it after every RMA data frame of
-	// the closing epoch.
+	// carries the sender's fence generation. FIFO delivery per path orders
+	// it after every RMA data frame of the closing epoch.
 	KindRmaFenceSync
 	// KindRmaFetchOp carries an atomic fetch-and-op: like KindRmaAcc (Seq
 	// the target byte offset, Tag the predefined-operation id, payload the
