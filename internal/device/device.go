@@ -40,6 +40,12 @@
 // no failure path completes it, so nobody reuses a buffer that is still
 // being written.
 //
+// When the sender is another process on the receiver's host the payload
+// does not cross the socket at all: the RTS carries an offer, the receiver
+// copies the bytes out of the sender's memory with one system call and
+// answers KindPulled instead of CTS (see pull.go). Everything above holds
+// with "the transport" read as "this device's own copy".
+//
 // The device boundary is one of the two instrumentation seams: an
 // optional prof.Recorder (WithProfiler) observes every send and receive
 // post and every payload arrival, split by wire protocol — see
@@ -156,6 +162,8 @@ type Stats struct {
 	DataRecv     atomic.Int64
 	Unexpected   atomic.Int64 // messages queued before a matching receive
 	PostedDirect atomic.Int64 // messages that met an already-posted receive
+	Pulled       atomic.Int64 // rendezvous payloads this device copied out of a co-host sender (see pull.go)
+	PullRefused  atomic.Int64 // pulls that moved nothing usable; the message took CTS and DATA
 }
 
 // unexpected is an arrived message (eager payload or rendezvous header)
@@ -165,9 +173,10 @@ type unexpected struct {
 	tag   int
 	ctx   int
 	eager bool
-	frame []byte // eager only: the retained frame, released when matched
-	msgID uint64 // rendezvous only
-	plen  int    // rendezvous payload length
+	frame []byte    // eager only: the retained frame, released when matched
+	msgID uint64    // rendezvous only
+	plen  int       // rendezvous payload length
+	offer pullOffer // rendezvous only: where a co-host sender's payload lies; zero without one
 }
 
 // bytes returns the payload length of the queued message.
@@ -208,8 +217,13 @@ type Device struct {
 	posted []*Request   // posted receives, FIFO
 	unexp  []unexpected // arrived-but-unmatched messages, FIFO
 
-	pendingRTS map[uint64]*Request // sender side: msgID → send awaiting CTS
-	awaitData  map[rdvKey]*Request // receiver side: matched RTS awaiting DATA
+	pendingRTS map[uint64]*Request // sender side: msgID → send awaiting CTS or Pulled
+	awaitData  map[rdvKey]*Request // receiver side: matched RTS awaiting DATA, or being pulled
+
+	// The co-host rendezvous path (see pull.go): hostPeers is nil when no
+	// rank is another process on this host.
+	hostPeers []hostPeer
+	pullFault atomic.Pointer[func(src int) error] // fault-injection seam (see SetPullFault)
 
 	ft map[ftKey]*ftInst // fault-tolerant agreement instances (see ft.go)
 
@@ -288,6 +302,7 @@ func Open(t transport.Transport, opts ...Option) (*Device, error) {
 	for _, opt := range opts {
 		opt(d)
 	}
+	d.findHostPeers()
 	t.SetHandler(d.handle)
 	t.SetLander(d.land)
 	t.SetErrorHandler(d.peerFailed)
@@ -471,7 +486,8 @@ func (d *Device) postRendezvous(payload []byte, stash bool, dst, tag, ctx int) (
 		Len:     int32(len(payload)),
 	}
 	d.seq[dst]++
-	frame := wire.NewFrame(&h, nil)
+	var offer [offerLen]byte
+	frame := wire.NewFrame(&h, d.offerLocked(r, &offer))
 	d.mu.Unlock()
 	d.stats.RTSSent.Add(1)
 	if p := d.prof; p != nil {
@@ -493,11 +509,22 @@ func (d *Device) Irecv(buf []byte, src, tag, ctx int) (*Request, error) {
 		return nil, fmt.Errorf("device: irecv from rank %d of %d: %w", src, d.size, transport.ErrBadRank)
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
-		return nil, err
+	r, pull, err := d.irecvLocked(buf, src, tag, ctx)
+	d.mu.Unlock()
+	if pull {
+		d.pull(r)
 	}
-	r := &Request{d: d, kind: reqRecv, buf: buf, dynamic: buf == nil, src: src, tag: tag, ctx: ctx}
+	return r, err
+}
+
+// irecvLocked is Irecv under d.mu. pull reports that the receive matched a
+// queued RTS whose payload the caller must now fetch with d.pull, having
+// released the lock.
+func (d *Device) irecvLocked(buf []byte, src, tag, ctx int) (r *Request, pull bool, err error) {
+	if err := d.usable(); err != nil {
+		return nil, false, err
+	}
+	r = &Request{d: d, kind: reqRecv, buf: buf, dynamic: buf == nil, src: src, tag: tag, ctx: ctx}
 
 	// First try the unexpected queue, in arrival order.
 	for i, u := range d.unexp {
@@ -510,13 +537,13 @@ func (d *Device) Irecv(buf []byte, src, tag, ctx int) (*Request, error) {
 				wire.PutBuf(u.frame)
 			}
 		} else {
-			d.grantRendezvousLocked(r, u.src, u.tag, u.msgID, u.plen)
+			pull = d.grantRendezvousLocked(r, &u)
 		}
 		d.stats.PostedDirect.Add(1)
 		if p := d.prof; p != nil {
 			p.RecvPost(ctx)
 		}
-		return r, nil
+		return r, pull, nil
 	}
 	// Nothing already arrived can satisfy the receive: a dead source can
 	// never send one, so posting would hang forever — fail fast instead.
@@ -524,13 +551,13 @@ func (d *Device) Irecv(buf []byte, src, tag, ctx int) (*Request, error) {
 	// could have been coming from it), matching ULFM's pending-wildcard
 	// rule.
 	if err := d.deadSourceLocked(src); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	d.posted = append(d.posted, r)
 	if p := d.prof; p != nil {
 		p.RecvPost(ctx)
 	}
-	return r, nil
+	return r, false, nil
 }
 
 // Iprobe checks, without receiving, whether a message matching
@@ -676,24 +703,39 @@ func (d *Device) deliverLocked(r *Request, src, tag int, payload []byte) (adopte
 	return false
 }
 
-// grantRendezvousLocked answers a matched RTS with a CTS and parks the
-// receive request until the DATA frame arrives. Callers hold d.mu.
-func (d *Device) grantRendezvousLocked(r *Request, src, tag int, msgID uint64, plen int) {
-	r.matchedSrc = src
-	r.matchedTag = tag
-	r.expect = plen
-	d.awaitData[rdvKey{src: src, msgID: msgID}] = r
+// grantRendezvousLocked settles how the payload of the RTS u, just matched
+// by receive r, comes. pull reports that the sender is a co-host process
+// and offered its memory: the caller must run d.pull(r) once it has
+// released d.mu. Otherwise the CTS has gone out and r waits for DATA.
+// Either way r sits in awaitData, where the failure paths find it — except
+// when the sender is already known dead: its payload can come by neither
+// road, and r ends with its failure at once. Callers hold d.mu.
+func (d *Device) grantRendezvousLocked(r *Request, u *unexpected) (pull bool) {
+	r.matchedSrc, r.matchedTag, r.expect, r.msgID = u.src, u.tag, u.plen, u.msgID
+	if err := d.deadPeerLocked(u.src); err != nil {
+		d.completeLocked(r, Status{}, err)
+		return false
+	}
+	d.awaitData[rdvKey{src: u.src, msgID: u.msgID}] = r
+	if d.claimPullLocked(r, u) {
+		return true
+	}
+	d.sendCTSLocked(r)
+	return false
+}
+
+// sendCTSLocked asks the sender of the RTS r matched for its DATA. Callers
+// hold d.mu: transport sends never block, so issuing them under the lock is
+// safe and keeps CTS emission ordered with matching.
+func (d *Device) sendCTSLocked(r *Request) {
 	h := wire.Header{
 		Kind:    wire.KindCTS,
 		Src:     int32(d.rank),
 		Context: int32(r.ctx),
-		MsgID:   msgID,
+		MsgID:   r.msgID,
 	}
-	frame := wire.NewFrame(&h, nil)
 	d.stats.CTSSent.Add(1)
-	// Send outside nothing: transport sends never block, so issuing them
-	// under d.mu is safe and keeps CTS emission ordered with matching.
-	_ = d.t.Send(src, frame)
+	_ = d.t.Send(r.matchedSrc, wire.NewFrame(&h, nil))
 }
 
 // sendData lends the payload of a rendezvous send whose CTS just arrived to
@@ -746,7 +788,13 @@ func (d *Device) transferErrLocked(peer int, cause error) error {
 // finishSendLocked completes a rendezvous send on any path — delivered,
 // cancelled, failed — and returns its stash, if it has one, to the pool.
 // Callers hold d.mu and guarantee the transport does not hold the payload.
+// It is the only place a rendezvous send completes.
 func (d *Device) finishSendLocked(r *Request, st Status, err error) {
+	if r.pull != nil {
+		// Before anyone learns the payload is theirs again: a co-host
+		// receiver copying it right now must find the guard word changed.
+		r.pull.cell.Store(0)
+	}
 	if r.stash {
 		wire.PutBuf(r.payload)
 	}
@@ -775,7 +823,7 @@ func (d *Device) land(src int, h wire.Header) ([]byte, func(error), error) {
 	key := rdvKey{src: src, msgID: h.MsgID}
 	d.mu.Lock()
 	r, ok := d.awaitData[key]
-	if !ok {
+	if !ok || (r.pull != nil && r.pull.pulling) { // a pulling receive asked for no DATA
 		d.mu.Unlock()
 		return nil, nil, nil
 	}
@@ -796,9 +844,14 @@ func (d *Device) land(src int, h wire.Header) ([]byte, func(error), error) {
 // landed finishes a receive the transport claimed through land: the payload
 // is in r.buf (err nil), or the stream broke while it was being written.
 func (r *Request) landed(err error) {
-	d := r.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	r.d.mu.Lock()
+	defer r.d.mu.Unlock()
+	r.d.landedLocked(r, err)
+}
+
+// landedLocked is landed for callers that hold d.mu: the pull's end is a
+// landing too.
+func (d *Device) landedLocked(r *Request, err error) {
 	if err != nil {
 		d.completeLocked(r, Status{}, d.transferErrLocked(r.matchedSrc, err))
 		return
@@ -837,6 +890,18 @@ func (d *Device) handle(src int, frame []byte) {
 	retained := false
 	revokeCtx := -1
 	var granted *Request // rendezvous send whose CTS this frame is
+	var pulling *Request // receive whose RTS this frame is and whose payload this goroutine fetches
+	var offer pullOffer
+	if h.Kind == wire.KindRTS {
+		// A malformed RTS is the peer's failure, before it sizes a buffer
+		// or aims a copy.
+		var err error
+		if offer, err = decodeOffer(&h, payload); err != nil {
+			wire.PutBuf(frame)
+			d.peerFailed(src, err)
+			return
+		}
+	}
 
 	// One-sided frames bypass the matching engine entirely: they are
 	// handled synchronously by the window layer, which serializes on the
@@ -901,14 +966,17 @@ func (d *Device) handle(src int, frame []byte) {
 
 	case wire.KindRTS:
 		d.stats.RTSRecv.Add(1)
-		if r := d.matchPostedLocked(src, int(h.Tag), int(h.Context)); r != nil {
-			d.grantRendezvousLocked(r, src, int(h.Tag), h.MsgID, int(h.Len))
+		u := unexpected{
+			src: src, tag: int(h.Tag), ctx: int(h.Context),
+			msgID: h.MsgID, plen: int(h.Len), offer: offer,
+		}
+		if r := d.matchPostedLocked(src, u.tag, u.ctx); r != nil {
+			if d.grantRendezvousLocked(r, &u) {
+				pulling = r
+			}
 		} else {
 			d.stats.Unexpected.Add(1)
-			d.unexp = append(d.unexp, unexpected{
-				src: src, tag: int(h.Tag), ctx: int(h.Context),
-				msgID: h.MsgID, plen: int(h.Len),
-			})
+			d.unexp = append(d.unexp, u)
 			d.cond.Broadcast() // wake probes
 		}
 
@@ -923,6 +991,14 @@ func (d *Device) handle(src int, frame []byte) {
 		// the receiver matched it; the CancelAck(denied) path has already
 		// resolved the race in favour of delivery, so this cannot happen
 		// for correct traffic. Ignore it defensively.
+
+	case wire.KindPulled:
+		// The receiver copied the payload out of our memory: the send is
+		// done, as on SendData's completion. Only an offer can be taken up.
+		if r, ok := d.pendingRTS[h.MsgID]; ok && r.dst == src && r.pull != nil {
+			delete(d.pendingRTS, h.MsgID)
+			d.finishSendLocked(r, Status{Source: d.rank, Tag: r.tag, Count: len(r.payload)}, nil)
+		}
 
 	case wire.KindCancel:
 		ah := wire.Header{Kind: wire.KindCancelAck, Src: int32(d.rank), MsgID: h.MsgID}
@@ -952,6 +1028,9 @@ func (d *Device) handle(src int, frame []byte) {
 	}
 	if granted != nil {
 		d.sendData(granted)
+	}
+	if pulling != nil {
+		d.pull(pulling)
 	}
 	if revokeCtx >= 0 && revokeHandler != nil {
 		revokeHandler(revokeCtx)
@@ -1029,8 +1108,7 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 		}
 		for key, r := range d.awaitData {
 			if key.src == peer {
-				delete(d.awaitData, key)
-				d.completeLocked(r, Status{}, fail)
+				d.failAwaitingLocked(key, r, fail)
 			}
 		}
 	}
@@ -1062,8 +1140,7 @@ func (d *Device) failAllLocked(err error) {
 		d.finishSendLocked(r, Status{}, err)
 	}
 	for key, r := range d.awaitData {
-		delete(d.awaitData, key)
-		d.completeLocked(r, Status{}, err)
+		d.failAwaitingLocked(key, r, err)
 	}
 }
 
@@ -1095,8 +1172,7 @@ func (d *Device) FailContext(ctx int, cause error) {
 	}
 	for key, r := range d.awaitData {
 		if r.ctx == ctx {
-			delete(d.awaitData, key)
-			d.completeLocked(r, Status{}, cause)
+			d.failAwaitingLocked(key, r, cause)
 		}
 	}
 	d.cond.Broadcast()

@@ -1,0 +1,289 @@
+package device
+
+// The co-host rendezvous path: the receiver pulls.
+//
+// A daemon starts one process per rank, so ranks that share a machine
+// exchange frames over loopback sockets — and for a rendezvous payload the
+// socket is the whole cost (two kernel copies, a wake-up per segment). The
+// payload is not a frame, though: by the time its RTS is matched it lies
+// still in the sender's memory, lent until the send completes. When the
+// locality table says the sender is another process on this host, the
+// receiver therefore skips CTS and DATA: it copies the bytes out of the
+// sender's address space into the posted buffer with one
+// transport.ReadProcess — one copy, no segments — and answers KindPulled,
+// on which the sender completes exactly as on SendData's done.
+//
+// What makes reading a peer's memory safe is a seqlock. The sender keeps a
+// guard word (pullState.cell) holding a fresh odd token from the post until
+// finishSendLocked zeroes it — before any path, delivery or failure, hands
+// the payload back. Its RTS carries {payload address, cell address, token}.
+// The receiver reads cell, payload, cell in one call, which the kernel
+// works through in that order, and accepts the bytes only on a full count
+// with both reads of the cell equal to the token: the pid was the process
+// that made the offer (a recycled pid, or a namesake host in another pid
+// namespace, has something else at that address), and the sender had not
+// taken its buffer back while the bytes moved. Anything else moves the
+// message onto the CTS→SendData→Lander path as if no offer had been made:
+// a refusal by the system (no ptrace access to the peer, seccomp, no such
+// call on this platform, an unmapped cell) keeps the peer's later messages
+// there too, a short count or a changed cell ("stale") only this one.
+//
+// A receive being pulled stays in awaitData, marked pulling: its buffer is
+// being written, so the failure paths do not complete it — they leave
+// their error on it (failAwaitingLocked) and the pull's end does.
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"strconv"
+	"sync/atomic"
+	"time"
+	"unsafe"
+
+	"mpj/internal/transport"
+	"mpj/internal/wire"
+)
+
+// pullState is the co-host path's share of a Request. Only a rendezvous
+// with another process of this host allocates one: a send when it makes
+// its offer, a receive when it takes one up.
+type pullState struct {
+	// cell is the sender's guard word: the offer's token from the post
+	// until the send completes, then zero.
+	cell atomic.Uint64
+
+	// Receiver, guarded by d.mu: the offer taken up; pulling while this
+	// device copies the payload, when only that copy's end completes the
+	// request; doom is what a failure path wanted it completed with.
+	offer   pullOffer
+	pulling bool
+	doom    error
+}
+
+// pullOffer is the payload of an RTS frame from a sender that shares the
+// receiver's host: where the message lies in the sender's address space and
+// the guard word that says it still does. The addresses are numbers on this
+// side, never pointers. The zero offer is "none".
+type pullOffer struct {
+	addr  uint64 // of the payload's first byte
+	cell  uint64 // of the sender's pullState.cell
+	token uint64 // what cell holds while the payload may be read; never 0
+}
+
+const offerLen = 24
+
+// hostPeer is what the device knows of a rank that is another process on
+// this host.
+type hostPeer struct {
+	pid     int   // 0: not such a rank; fixed at Open
+	refused error // why the system refuses pulls from it, for the life of the device; guarded by d.mu
+}
+
+// errPullStale reports a pull that found the sender's guard word changed or
+// its payload unreadable: the send was completed (failed, revoked, torn
+// down) while, or before, the bytes moved. It says nothing about the peer's
+// later messages.
+var errPullStale = errors.New("device: pull found the sender's buffer taken back")
+
+// findHostPeers derives, from the locality table the transport exposes, the
+// pid of every rank that shares this rank's host but not its address space.
+// A transport without a table, or a key ProcessLocality did not produce,
+// leaves the rank on the wire.
+func (d *Device) findHostPeers() {
+	locs := d.LocalityTable()
+	if d.rank >= len(locs) {
+		return
+	}
+	host := transport.HostOf(locs[d.rank])
+	if host == "" {
+		return
+	}
+	for r, key := range locs[:min(len(locs), d.size)] {
+		if r == d.rank || transport.HostOf(key) != host || d.LocalPeer(r) {
+			continue
+		}
+		pid, err := strconv.Atoi(key[len(host)+1:]) // past the '#' HostOf cut at
+		if err != nil || pid <= 0 {
+			continue
+		}
+		if d.hostPeers == nil {
+			d.hostPeers = make([]hostPeer, d.size)
+		}
+		d.hostPeers[r].pid = pid
+	}
+}
+
+// hostPid returns the pid of rank r when it is another process on this
+// host, else 0.
+func (d *Device) hostPid(r int) int {
+	if d.hostPeers == nil {
+		return 0
+	}
+	return d.hostPeers[r].pid
+}
+
+// offerLocked arms send r's guard word and returns the offer its RTS
+// carries, encoded into b, or nil when the destination is not a co-host
+// process or there is nothing to copy. Callers hold d.mu.
+func (d *Device) offerLocked(r *Request, b *[offerLen]byte) []byte {
+	if d.hostPid(r.dst) == 0 || len(r.payload) == 0 {
+		return nil
+	}
+	// Fresh and odd: the clock tells processes and incarnations of a pid
+	// apart, the message id the sends of this device.
+	token := uint64(time.Now().UnixNano())<<16 | (r.msgID&0x7fff)<<1 | 1
+	r.pull = new(pullState)
+	r.pull.cell.Store(token)
+	binary.LittleEndian.PutUint64(b[0:], uint64(uintptr(unsafe.Pointer(unsafe.SliceData(r.payload)))))
+	binary.LittleEndian.PutUint64(b[8:], uint64(uintptr(unsafe.Pointer(&r.pull.cell))))
+	binary.LittleEndian.PutUint64(b[16:], token)
+	return b[:]
+}
+
+// decodeOffer checks an arrived RTS — lengths and offers come off a socket —
+// and returns the offer that may follow its header.
+func decodeOffer(h *wire.Header, payload []byte) (pullOffer, error) {
+	if h.Len < 0 {
+		return pullOffer{}, fmt.Errorf("device: RTS announces %d bytes", h.Len)
+	}
+	switch len(payload) {
+	case 0:
+		return pullOffer{}, nil
+	case offerLen:
+		return pullOffer{
+			addr:  binary.LittleEndian.Uint64(payload[0:]),
+			cell:  binary.LittleEndian.Uint64(payload[8:]),
+			token: binary.LittleEndian.Uint64(payload[16:]),
+		}, nil
+	}
+	return pullOffer{}, fmt.Errorf("device: RTS carries %d bytes, not an offer", len(payload))
+}
+
+// claimPullLocked reports whether the payload of the RTS u, just matched by
+// receive r, is to be pulled, and if so marks r pulling. Callers hold d.mu.
+func (d *Device) claimPullLocked(r *Request, u *unexpected) bool {
+	if u.offer.token == 0 || d.hostPid(u.src) == 0 || d.hostPeers[u.src].refused != nil {
+		return false
+	}
+	r.pull = &pullState{offer: u.offer, pulling: true}
+	return true
+}
+
+// pull fetches the payload of the RTS that receive r matched out of the
+// sender's memory and finishes r, or puts it on the CTS path. r is in
+// awaitData marked pulling (see grantRendezvousLocked). Called without
+// d.mu, on the goroutine that matched: the peer's reader, or the caller of
+// Irecv.
+func (d *Device) pull(r *Request) {
+	src := r.matchedSrc
+	if r.dynamic {
+		r.buf = wire.GetBuf(r.expect)
+	}
+	err := d.readPeer(src, r.buf[:min(len(r.buf), r.expect)], r.pull.offer)
+	if err == nil {
+		d.stats.Pulled.Add(1)
+		if p := d.prof; p != nil {
+			p.Arrive(r.ctx, r.expect, false)
+		}
+	} else {
+		d.stats.PullRefused.Add(1)
+		if r.dynamic {
+			wire.PutBuf(r.buf)
+			r.buf = nil
+		}
+	}
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r.pull.pulling = false
+	key := rdvKey{src: src, msgID: r.msgID}
+	switch {
+	case err == nil: // success wins over a failure noted meanwhile, as for a landing
+		delete(d.awaitData, key)
+		h := wire.Header{Kind: wire.KindPulled, Src: int32(d.rank), Context: int32(r.ctx), MsgID: r.msgID}
+		_ = d.t.Send(src, wire.NewFrame(&h, nil))
+		d.landedLocked(r, nil)
+	case r.pull.doom != nil:
+		delete(d.awaitData, key)
+		d.completeLocked(r, Status{}, r.pull.doom)
+	default:
+		if !errors.Is(err, errPullStale) {
+			d.hostPeers[src].refused = err
+		}
+		d.sendCTSLocked(r)
+	}
+}
+
+// readPeer is the seqlock read: guard word, payload head, guard word again,
+// out of rank src's process into dst, in one call.
+func (d *Device) readPeer(src int, dst []byte, o pullOffer) error {
+	if f := d.pullFault.Load(); f != nil {
+		if err := (*f)(src); err != nil {
+			return err
+		}
+	}
+	var before, after [8]byte
+	n, err := transport.ReadProcess(d.hostPid(src),
+		[][]byte{before[:], dst, after[:]},
+		[]transport.Span{{Addr: o.cell, Len: 8}, {Addr: o.addr, Len: uint64(len(dst))}, {Addr: o.cell, Len: 8}})
+	if err != nil {
+		return err
+	}
+	// The cell is a word of the sender's memory, in the byte order of the
+	// machine both processes run on.
+	if n != len(dst)+16 || binary.NativeEndian.Uint64(before[:]) != o.token || binary.NativeEndian.Uint64(after[:]) != o.token {
+		return errPullStale
+	}
+	return nil
+}
+
+// failAwaitingLocked completes the matched receive r, parked in awaitData
+// under key, with err — unless this device is copying its payload right
+// now: nobody may hand back a buffer that is being written, so the copy's
+// end completes r, with err if it has to. Callers hold d.mu.
+func (d *Device) failAwaitingLocked(key rdvKey, r *Request, err error) {
+	if r.pull != nil && r.pull.pulling {
+		r.pull.doom = err
+		return
+	}
+	delete(d.awaitData, key)
+	d.completeLocked(r, Status{}, err)
+}
+
+// SetPullFault installs the fault-injection seam of the pull path: f runs
+// before every pull from rank src, after the receive was claimed for it and
+// outside the device lock, and an error it returns refuses that pull the
+// way the system would — the message takes the CTS path and so does
+// everything src sends later. A nil f clears the seam.
+func (d *Device) SetPullFault(f func(src int) error) {
+	if f == nil {
+		d.pullFault.Store(nil)
+		return
+	}
+	d.pullFault.Store(&f)
+}
+
+// PeerPaths reports, per world rank, how a rendezvous payload from that
+// rank reaches this one: "memory" (it shares this address space), "pull"
+// (another process on this host: one copy out of its memory), "wire" (a
+// socket), or "wire: <why>" for a co-host process the system refused a
+// pull from. The expvar status serves it.
+func (d *Device) PeerPaths() []string {
+	out := make([]string, d.size)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for r := range out {
+		switch {
+		case d.LocalPeer(r):
+			out[r] = "memory"
+		case d.hostPid(r) == 0:
+			out[r] = "wire"
+		case d.hostPeers[r].refused != nil:
+			out[r] = "wire: " + d.hostPeers[r].refused.Error()
+		default:
+			out[r] = "pull"
+		}
+	}
+	return out
+}

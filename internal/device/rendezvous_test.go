@@ -7,14 +7,17 @@ package device_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mpj/internal/device"
 	"mpj/internal/fault"
@@ -23,10 +26,44 @@ import (
 )
 
 // flavors are the meshes every test below runs on: hyb-local rides the
-// channel half of the hybrid device, hyb-remote its TCP half.
-var flavors = []string{"chan", "tcp", "hyb-local", "hyb-remote"}
+// channel half of the hybrid device, hyb-remote its TCP half. tcp-pull is a
+// TCP mesh with a locality table that says what is true — every rank is a
+// process on this host, this one — so a rendezvous payload is pulled out of
+// the sender's memory, the test's own (see pull.go); tcp-refused is the same
+// mesh with every pull refused the way a system without ptrace access
+// refuses it, which must be the plain tcp flavor again, byte for byte.
+var flavors = []string{"chan", "tcp", "hyb-local", "hyb-remote", "tcp-pull", "tcp-refused"}
 
-func overSocket(flavor string) bool { return flavor == "tcp" || flavor == "hyb-remote" }
+// overSocket: DATA frames cross a socket.
+func overSocket(flavor string) bool {
+	return flavor == "tcp" || flavor == "hyb-remote" || flavor == "tcp-refused"
+}
+
+// pulls: payloads move by the receiver's copy, no CTS and no DATA.
+func pulls(flavor string) bool { return flavor == "tcp-pull" }
+
+// wantMoved checks how n rendezvous payloads from d0 reached d1.
+func wantMoved(t *testing.T, flavor string, d0, d1 *device.Device, n int64) {
+	t.Helper()
+	sent, recv, pulled := d0.Stats().DataSent.Load(), d1.Stats().DataRecv.Load(), d1.Stats().Pulled.Load()
+	want := [3]int64{n, n, 0}
+	if pulls(flavor) {
+		want = [3]int64{0, 0, n}
+	}
+	if got := [3]int64{sent, recv, pulled}; got != want {
+		t.Errorf("DATA sent / DATA received / pulled = %v, want %v", got, want)
+	}
+}
+
+// located is a TCP mesh endpoint that knows where the ranks run, as a hyb
+// endpoint does: the table is all a device needs to find the co-host
+// processes among its peers.
+type located struct {
+	*transport.TCPTransport
+	locs []string
+}
+
+func (l located) LocalityTable() []string { return l.locs }
 
 var rdvJobSeq atomic.Uint64
 
@@ -51,9 +88,13 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 			}
 			t.Cleanup(func() { ln.Close() })
 			lns[i], addrs[i] = ln, ln.Addr().String()
-			locs[i] = "one-process"
-			if flavor == "hyb-remote" {
+			switch flavor {
+			case "hyb-remote":
 				locs[i] = fmt.Sprintf("host%d#1", i)
+			case "tcp-pull", "tcp-refused":
+				locs[i] = transport.ProcessLocality()
+			default:
+				locs[i] = "one-process"
 			}
 		}
 		errs := make([]error, np)
@@ -62,12 +103,17 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if flavor == "tcp" {
-					eps[i], errs[i] = transport.NewTCPTransport(i, jobID, addrs, lns[i])
-				} else {
+				switch flavor {
+				case "hyb-local", "hyb-remote":
 					eps[i], errs[i] = transport.NewHybTransport(transport.HybConfig{
 						Rank: i, JobID: jobID, Locs: locs, Addrs: addrs, Listener: lns[i],
 					})
+				case "tcp":
+					eps[i], errs[i] = transport.NewTCPTransport(i, jobID, addrs, lns[i])
+				default:
+					var ep *transport.TCPTransport
+					ep, errs[i] = transport.NewTCPTransport(i, jobID, addrs, lns[i])
+					eps[i] = located{ep, locs}
 				}
 			}(i)
 		}
@@ -86,6 +132,14 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 		d, err := device.Open(ep)
 		if err != nil {
 			t.Fatalf("Open rank %d: %v", i, err)
+		}
+		if flavor == "tcp-refused" {
+			d.SetPullFault(func(int) error { return syscall.EPERM })
+		}
+		if hook, ok := ep.(landHook); ok && pulls(flavor) {
+			// No landing to hook: the pull's own "claimed, no byte moved
+			// yet" instant.
+			d.SetPullFault(func(int) error { hook.claimed(); return nil })
 		}
 		ds[i] = d
 	}
@@ -195,9 +249,7 @@ func TestRendezvousDeliveryMatrix(t *testing.T) {
 					t.Errorf("%d bytes: rendezvous = %v", n, rdv)
 				}
 			}
-			if sent, recv := d0.Stats().DataSent.Load(), d1.Stats().DataRecv.Load(); sent != 5 || recv != 5 {
-				t.Errorf("DATA sent/received = %d/%d, want 5/5", sent, recv)
-			}
+			wantMoved(t, flavor, d0, d1, 5)
 		})
 	}
 }
@@ -284,9 +336,8 @@ func TestRendezvousSemantics(t *testing.T) {
 			if st := waitOK(t, rr); st.Tag != 2 || !bytes.Equal(got, pattern(n, 8)) {
 				t.Errorf("message after a cancelled send: status %+v", st)
 			}
-			if d0.Stats().DataSent.Load() != 1 {
-				t.Errorf("DATA sent = %d, want 1: the cancelled payload must never leave", d0.Stats().DataSent.Load())
-			}
+			// The cancelled payload must never leave.
+			wantMoved(t, flavor, d0, d1, 1)
 		})
 		t.Run(flavor+"/fill-copies-at-post", func(t *testing.T) {
 			// IsendFill's source is free the moment it returns, even though
@@ -363,10 +414,19 @@ func TestRendezvousSendCompletesOnEveryPath(t *testing.T) {
 }
 
 // landHook runs a callback each time its device's landing hook has claimed
-// a receive, before the transport moves a byte — the instant "mid-DATA".
+// a receive, before the transport moves a byte — the instant "mid-DATA". On
+// a flavor that pulls, openFlavor arms the same callback where the device
+// has claimed a receive for its own copy.
 type landHook struct {
 	transport.Transport
 	claimed func()
+}
+
+func (l landHook) LocalityTable() []string {
+	if lt, ok := l.Transport.(interface{ LocalityTable() []string }); ok {
+		return lt.LocalityTable()
+	}
+	return nil
 }
 
 func (l landHook) SetLander(land transport.Lander) {
@@ -432,6 +492,9 @@ func faulty(dom *fault.Domain, hook func(rank int, ep transport.Transport) trans
 func TestPeerDeathBetweenCTSAndData(t *testing.T) {
 	const n = 256 << 10
 	for _, flavor := range flavors {
+		if pulls(flavor) {
+			continue // no CTS, no DATA: see TestPullSenderGone
+		}
 		for _, victim := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/victim-%d", flavor, victim), func(t *testing.T) {
 				dom := fault.NewDomain()
@@ -544,7 +607,7 @@ func TestRendezvousAllocationGate(t *testing.T) {
 		bytesPerHop  = 4 << 10
 		allocsPerHop = 24
 	)
-	for _, flavor := range []string{"chan", "tcp"} {
+	for _, flavor := range []string{"chan", "tcp", "tcp-pull"} {
 		t.Run(flavor, func(t *testing.T) {
 			ds := openFlavor(t, flavor, 2, nil)
 			d0, d1 := ds[0], ds[1]
@@ -593,4 +656,242 @@ func TestRendezvousAllocationGate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRendezvousFromDeadSender: an RTS waits unmatched, its sender is then
+// registered dead, and only now a receive matches it. No payload can come —
+// there is nobody to answer a CTS — so the receive ends with the sender's
+// failure at once instead of parking behind a CTS to the dead.
+func TestRendezvousFromDeadSender(t *testing.T) {
+	const n = 64 << 10
+	for _, flavor := range flavors {
+		t.Run(flavor, func(t *testing.T) {
+			ds := openFlavor(t, flavor, 2, nil)
+			must(ds[0].Isend(pattern(n, 1), 1, 1, 0, device.ModeStandard))
+			until(t, "the RTS arrives", func() bool { return ds[1].Stats().RTSRecv.Load() == 1 })
+			ds[1].NotifyRankFailed(0, errors.New("lease expired"))
+			rr := must(ds[1].Irecv(make([]byte, n), 0, 1, 0))
+			if _, err := wait(t, rr); !errors.Is(err, device.ErrRankFailed) {
+				t.Errorf("receive ended with %v, want the sender's failure", err)
+			}
+			if cts := ds[1].Stats().CTSSent.Load(); cts != 0 {
+				t.Errorf("%d CTS sent to a dead sender", cts)
+			}
+		})
+	}
+}
+
+// TestPullSenderGone: between its RTS and the receiver's pull the sender
+// completes its send some other way — it believes the receiver dead, its
+// context is revoked, it aborts — and writes over the buffer, which is its
+// own again. The receiver's pull must find the guard word changed and
+// deliver nothing: the message goes the CTS way, where the same event,
+// once it reaches the receiver, ends the receive with a typed error. The
+// last row takes the buffer back at the latest instant a test can name:
+// after the receive was claimed for the pull.
+func TestPullSenderGone(t *testing.T) {
+	const n = 300 << 10
+	revoked := errors.New("context revoked")
+	for name, tc := range map[string]struct {
+		end                func(ds []*device.Device) // at the sender
+		reach              func(ds []*device.Device) // the same event, at the receiver
+		wantSend, wantRecv error
+		midPull            bool
+	}{
+		"fails": {
+			end:      func(ds []*device.Device) { ds[0].NotifyRankFailed(1, errors.New("lease expired")) },
+			reach:    func(ds []*device.Device) { ds[1].NotifyRankFailed(0, errors.New("lease expired")) },
+			wantSend: device.ErrRankFailed, wantRecv: device.ErrRankFailed,
+		},
+		"revokes": {
+			end:      func(ds []*device.Device) { ds[0].FailContext(0, revoked) },
+			reach:    func(ds []*device.Device) { ds[1].FailContext(0, revoked) },
+			wantSend: revoked, wantRecv: revoked,
+		},
+		"aborts": {
+			end:      func(ds []*device.Device) { ds[0].Abort() },
+			reach:    func(ds []*device.Device) {}, // the broken connection says it
+			wantSend: device.ErrClosed, wantRecv: device.ErrRankFailed,
+		},
+		"revokes-mid-pull": {
+			end:      func(ds []*device.Device) { ds[0].FailContext(0, revoked) },
+			reach:    func(ds []*device.Device) { ds[1].FailContext(0, revoked) },
+			wantSend: revoked, wantRecv: revoked, midPull: true,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ds := openFlavor(t, "tcp-pull", 2, nil)
+			msg, got := pattern(n, 1), make([]byte, n)
+			sr := must(ds[0].Isend(msg, 1, 1, 0, device.ModeStandard))
+			until(t, "the RTS arrives", func() bool { return ds[1].Stats().RTSRecv.Load() == 1 })
+			takeBack := func() {
+				tc.end(ds)
+				if _, err := wait(t, sr); !errors.Is(err, tc.wantSend) {
+					t.Errorf("send ended with %v, want %v", err, tc.wantSend)
+				}
+				scribble(msg)
+			}
+			if tc.midPull {
+				ds[1].SetPullFault(func(int) error { takeBack(); return nil })
+			} else {
+				takeBack()
+			}
+			rr := must(ds[1].Irecv(got, 0, 1, 0))
+			tc.reach(ds)
+			if _, err := wait(t, rr); !errors.Is(err, tc.wantRecv) {
+				t.Errorf("receive ended with %v, want %v", err, tc.wantRecv)
+			}
+			if p := ds[1].Stats().Pulled.Load(); p != 0 {
+				t.Errorf("%d payloads pulled out of a buffer the sender had taken back", p)
+			}
+			if name != "aborts" { // there the receiver may know the sender dead before it matches
+				if refused, path := ds[1].Stats().PullRefused.Load(), ds[1].PeerPaths()[0]; refused != 1 || path != "pull" {
+					t.Errorf("pull refused %d times, peer path %q: want one stale pull, held against nobody", refused, path)
+				}
+			}
+		})
+	}
+}
+
+// TestPullDoomedWhileRefused: a failure notice arrives while the receive is
+// claimed for a pull, and then the pull is refused. The notice was not lost
+// with the claim: the receive ends with it, and no CTS goes to a sender the
+// device has just declared dead.
+func TestPullDoomedWhileRefused(t *testing.T) {
+	ds := openFlavor(t, "tcp-pull", 2, nil)
+	ds[1].SetPullFault(func(int) error {
+		ds[1].NotifyRankFailed(0, errors.New("lease expired"))
+		return syscall.EPERM
+	})
+	rr := must(ds[1].Irecv(make([]byte, 64<<10), 0, 1, 0))
+	sr := must(ds[0].Isend(pattern(64<<10, 1), 1, 1, 0, device.ModeStandard))
+	if _, err := wait(t, rr); !errors.Is(err, device.ErrRankFailed) {
+		t.Errorf("receive ended with %v, want the rank failure", err)
+	}
+	if cts := ds[1].Stats().CTSSent.Load(); cts != 0 {
+		t.Errorf("%d CTS sent to a dead sender", cts)
+	}
+	ds[0].NotifyRankFailed(1, errors.New("lease expired"))
+	if _, err := wait(t, sr); !errors.Is(err, device.ErrRankFailed) {
+		t.Errorf("send ended with %v", err)
+	}
+}
+
+// TestPullRefusalIsRemembered: the injector refuses rank 1's pulls the way
+// a system without ptrace access does. The first message tries, falls back
+// and is delivered over the socket; the later ones do not try again, and
+// the status says why.
+func TestPullRefusalIsRemembered(t *testing.T) {
+	const n = 64 << 10
+	dom := fault.NewDomain()
+	ds := openFlavor(t, "tcp-pull", 2, faulty(dom, nil))
+	dom.Bind(1, ds[1])
+	if err := dom.RefusePull(1, syscall.EPERM); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		msg, got := pattern(n, byte(i)), make([]byte, n)
+		rr := must(ds[1].Irecv(got, 0, i, 0))
+		waitOK(t, must(ds[0].Isend(msg, 1, i, 0, device.ModeStandard)))
+		if waitOK(t, rr); !bytes.Equal(got, msg) {
+			t.Fatalf("message %d corrupted on the fallback path", i)
+		}
+	}
+	st := ds[1].Stats()
+	if st.PullRefused.Load() != 1 || st.Pulled.Load() != 0 || st.DataRecv.Load() != 3 {
+		t.Errorf("refused/pulled/DATA = %d/%d/%d, want 1/0/3", st.PullRefused.Load(), st.Pulled.Load(), st.DataRecv.Load())
+	}
+	if path := ds[1].PeerPaths()[0]; path != "wire: "+syscall.EPERM.Error() {
+		t.Errorf("peer path %q", path)
+	}
+	if path := ds[0].PeerPaths()[1]; path != "pull" {
+		t.Errorf("the refusal is rank 1's: rank 0 reports %q", path)
+	}
+}
+
+// hostileCells are the guard words TestHostilePullOffer's hand-made offers
+// point at. Package level: a word whose address only ever becomes a number
+// does not escape, and the compiler would keep it on the test's stack.
+var hostileCells [2]atomic.Uint64
+
+// TestHostilePullOffer: the offer in an RTS is bytes off a socket. Whatever
+// it says — an address the peer does not map, a token its cell does not
+// hold, a cell that is some other word, an offer of the wrong size, a
+// negative length — the receiver neither crashes nor hangs nor delivers
+// bytes it cannot vouch for: the message takes the CTS path (and arrives
+// intact when the peer then behaves), or the peer is failed.
+func TestHostilePullOffer(t *testing.T) {
+	const n = 64 << 10
+	at := func(p unsafe.Pointer) uint64 { return uint64(uintptr(p)) }
+	msg := pattern(n, 1)
+	cell, other := &hostileCells[0], &hostileCells[1]
+	cell.Store(0xfeedface)
+	other.Store(0xdeadbeef)
+	offer := func(addr, cell, token uint64) []byte {
+		b := make([]byte, 24)
+		binary.LittleEndian.PutUint64(b[0:], addr)
+		binary.LittleEndian.PutUint64(b[8:], cell)
+		binary.LittleEndian.PutUint64(b[16:], token)
+		return b
+	}
+	good := offer(at(unsafe.Pointer(&msg[0])), at(unsafe.Pointer(cell)), 0xfeedface)
+	for name, tc := range map[string]struct {
+		offer   []byte
+		len     int32
+		refused int64  // pulls attempted and refused
+		path    string // what rank 1 says of rank 0 afterwards; "" = failed peer
+	}{
+		"honest": {good, n, 0, "pull"},
+		// Only a call that moves nothing at all reports its errno: with the
+		// cell read first, a bad payload address is a short count.
+		"unmapped-payload": {offer(8, at(unsafe.Pointer(cell)), 0xfeedface), n, 1, "pull"},
+		"unmapped-cell":    {offer(at(unsafe.Pointer(&msg[0])), 8, 0xfeedface), n, 1, "wire: " + syscall.EFAULT.Error()},
+		"wrong-token":      {offer(at(unsafe.Pointer(&msg[0])), at(unsafe.Pointer(cell)), 0xfeedfacf), n, 1, "pull"},
+		"wrong-cell":       {offer(at(unsafe.Pointer(&msg[0])), at(unsafe.Pointer(other)), 0xfeedface), n, 1, "pull"},
+		"payload-past-end": {offer(^uint64(0)-100, at(unsafe.Pointer(cell)), 0xfeedface), n, 1, "pull"},
+		"no-offer":         {nil, n, 0, "pull"},
+		"23-bytes":         {good[:23], n, 0, ""},
+		"25-bytes":         {append(append([]byte(nil), good...), 0), n, 0, ""},
+		"negative-length":  {good, -5, 0, ""},
+		"zero-token":       {offer(at(unsafe.Pointer(&msg[0])), at(unsafe.Pointer(cell)), 0), n, 0, "pull"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var eps []transport.Transport
+			ds := openFlavor(t, "tcp-pull", 2, func(ep transport.Transport) transport.Transport {
+				eps = append(eps, ep)
+				return ep
+			})
+			got := make([]byte, n)
+			rr := must(ds[1].Irecv(got, 0, 1, 0))
+			rts := wire.Header{Kind: wire.KindRTS, Tag: 1, MsgID: 77, Len: tc.len}
+			if err := eps[0].Send(1, wire.NewFrame(&rts, tc.offer)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.path == "" {
+				if _, err := wait(t, rr); !errors.Is(err, device.ErrRankFailed) {
+					t.Errorf("receive ended with %v, want the peer's failure", err)
+				}
+				return
+			}
+			if name != "honest" {
+				// Rank 0, by hand, now behaves: DATA on the CTS.
+				until(t, "the CTS is granted", func() bool { return ds[1].Stats().CTSSent.Load() == 1 })
+				data := wire.Header{Kind: wire.KindData, Tag: 1, MsgID: 77, Len: n}
+				sent := make(chan error, 1)
+				if err := eps[0].SendData(1, data, msg, func(err error) { sent <- err }); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := waitOK(t, rr); st.Count != n || !bytes.Equal(got, msg) {
+				t.Errorf("receive: status %+v, bytes intact %v", st, bytes.Equal(got, msg))
+			}
+			if refused, path := ds[1].Stats().PullRefused.Load(), ds[1].PeerPaths()[0]; refused != tc.refused || path != tc.path {
+				t.Errorf("pull refused %d times, peer path %q; want %d, %q", refused, path, tc.refused, tc.path)
+			}
+		})
+	}
+	runtime.KeepAlive(msg)
 }

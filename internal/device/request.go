@@ -44,13 +44,14 @@ type Request struct {
 	status Status
 
 	// Rendezvous state.
-	msgID      uint64
-	payload    []byte // sender: borrowed payload, lent to the transport after the CTS
-	stash      bool   // sender: payload is a pooled buffer the device owns (IsendFill)
-	matchedSrc int    // receiver: resolved source after matching an RTS
-	matchedTag int    // receiver: resolved tag after matching an RTS
-	expect     int    // receiver: expected DATA length
+	msgID      uint64     // sender: the id its RTS carries; receiver: of the RTS it matched
+	payload    []byte     // sender: borrowed payload, lent to the transport after the CTS
+	matchedSrc int        // receiver: resolved source after matching an RTS
+	matchedTag int        // receiver: resolved tag after matching an RTS
+	expect     int        // receiver: expected DATA length
+	pull       *pullState // co-host path (see pull.go); nil unless the peer is another process on this host
 
+	stash        bool // sender: payload is a pooled buffer the device owns (IsendFill)
 	cancelWanted bool
 	consumed     bool // a WaitAny/TestAny already returned this request
 	seen         bool // a Wait*/Test*/Done call has observed the completion (see WaitProgress)

@@ -147,6 +147,21 @@ func (d *Domain) KillAt(victim, n int) error {
 	return nil
 }
 
+// RefusePull makes every pull rank attempts — its copy of a rendezvous
+// payload out of a co-host sender's memory — fail with err from now on, as
+// a system that denies the call would. The rank's device must have been
+// Bound first.
+func (d *Domain) RefusePull(rank int, err error) error {
+	d.mu.Lock()
+	dev := d.devs[rank]
+	d.mu.Unlock()
+	if dev == nil {
+		return fmt.Errorf("fault: rank %d not bound to a device", rank)
+	}
+	dev.SetPullFault(func(int) error { return err })
+	return nil
+}
+
 // Mute silently discards rank's outbound frames from now on, without
 // declaring it dead — a one-way partition. Peers keep running (and, in a
 // leased job, eventually expire the rank's lease).

@@ -3,10 +3,10 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -444,7 +444,7 @@ func (t *TCPTransport) reportPeerError(peer int, err error) {
 
 // isClosedConn reports whether err resulted from closing our own socket.
 func isClosedConn(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "use of closed network connection")
+	return errors.Is(err, net.ErrClosed)
 }
 
 // Drain blocks until every accepted frame has been written and flushed to

@@ -31,8 +31,10 @@ type Kind uint8
 const (
 	// KindEager carries a complete message: header plus full payload.
 	KindEager Kind = iota + 1
-	// KindRTS (ready-to-send) opens a rendezvous: header only, Len holds
-	// the length of the payload that will follow in a KindData frame.
+	// KindRTS (ready-to-send) opens a rendezvous: Len holds the length of
+	// the message payload, which moves later — in a KindData frame, or by
+	// the receiver's own copy (KindPulled). The frame's payload is empty or
+	// the sender's offer for that copy (internal/device, pull.go).
 	KindRTS
 	// KindCTS (clear-to-send / "ready-to-receive") answers an RTS once a
 	// matching receive is posted. MsgID echoes the RTS message id.
@@ -110,6 +112,13 @@ const (
 // range test.
 const KindObit Kind = KindRmaFetchReply + 1
 
+// KindPulled answers an RTS in place of CTS and DATA: the receiver has
+// copied the payload out of the sender's memory itself (a sender that is
+// another process on the receiver's host offers that in its RTS, see the
+// pull in internal/device) and the send is complete. MsgID echoes the RTS
+// message id. Outside the RMA range, like KindObit.
+const KindPulled Kind = KindObit + 1
+
 // IsRMA reports whether k belongs to the one-sided (RMA) frame family,
 // which bypasses the device matching engine entirely.
 func (k Kind) IsRMA() bool { return k >= KindRmaPut && k <= KindRmaFetchReply }
@@ -163,6 +172,8 @@ func (k Kind) String() string {
 		return "RMAFETCHREPLY"
 	case KindObit:
 		return "OBIT"
+	case KindPulled:
+		return "PULLED"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -174,7 +185,7 @@ const HeaderLen = 1 + 4 + 4 + 4 + 8 + 8 + 4
 //
 // For KindEager and KindData frames the payload immediately follows the
 // header. For KindRTS, Len records the length of the payload the sender
-// wants to transfer, but no payload follows.
+// wants to transfer, not of what follows the header.
 type Header struct {
 	Kind    Kind
 	Src     int32  // absolute (world) rank of the sender

@@ -136,7 +136,8 @@ func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindEager: "EAGER", KindRTS: "RTS", KindCTS: "CTS",
 		KindData: "DATA", KindCancel: "CANCEL", KindGoodbye: "GOODBYE",
-		Kind(200): "Kind(200)",
+		KindPulled: "PULLED",
+		Kind(200):  "Kind(200)",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), got, want)

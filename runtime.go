@@ -113,8 +113,10 @@ func profFromEnv(raw string) (prof.Spec, string, error) {
 // profStatus builds the status callback served next to a rank's counters
 // on the expvar endpoint: the device's failure-registry view, the PR 6
 // fault-tolerance state an operator wants next to the traffic numbers,
-// and the process's scheduler size with what it was derived from
-// (baseProcs 0: not a process slave, or GOMAXPROCS was in its environment).
+// the process's scheduler size with what it was derived from (baseProcs 0:
+// not a process slave, or GOMAXPROCS was in its environment), and the road
+// each peer's rendezvous payloads take to this rank ("memory", "pull",
+// "wire", "wire: <why the system refused a pull>").
 func profStatus(dev *device.Device) func() any {
 	return func() any {
 		sched := device.Scheduler()
@@ -126,6 +128,7 @@ func profStatus(dev *device.Device) func() any {
 			"procRanks":   sched.ProcRanks,
 			"hostRanks":   sched.HostRanks,
 			"pollFloor":   sched.PollFloor,
+			"peerPaths":   dev.PeerPaths(),
 		}
 	}
 }

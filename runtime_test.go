@@ -32,6 +32,7 @@ func TestMain(m *testing.M) {
 func registerTestApps() {
 	registerElasticApps()
 	registerSchedApps()
+	registerPullApps()
 	Register("sum", func(w *Comm) error {
 		in := []int64{int64(w.Rank() + 1)}
 		out := make([]int64, 1)

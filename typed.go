@@ -80,7 +80,7 @@ func Irecv[T Scalar](c *Comm, buf []T, src, tag int) (*Request, error) {
 // (or AnySource) — the typed MPI_Sendrecv, safe against the exchange
 // deadlock of two blocking sends meeting head-on. The send and receive
 // element types may differ; the returned status describes the receive.
-// The segmented ring schedules use the same paired Isend/Irecv internally;
+// The ring schedules use the same paired Isend/Irecv internally;
 // this is the surface form for halo exchanges and neighbour shifts.
 func Sendrecv[S, R Scalar](c *Comm, sbuf []S, dst, stag int, rbuf []R, src, rtag int) (*Status, error) {
 	return core.TypedSendrecv(c, sbuf, dst, stag, rbuf, src, rtag)
