@@ -32,15 +32,23 @@ func (o *Op) combinerFor(dt Datatype) (combiner, error) {
 	return nil, fmt.Errorf("%w: %s does not support %s", ErrOp, o.name, dt.Name())
 }
 
-// numCombiner builds a packed-vector combiner for a primitive base type.
-// When T's wire encoding is its memory layout and both vectors are
-// element-aligned, the fold runs over []T views in one flat, vectorizable
-// loop (the bulk path the ring reduction leans on — its inputs are pooled
-// scratch buffers and raw user windows, both aligned); otherwise — on
-// big-endian hosts, for padded pair structs, or for vectors at the odd
-// payload offset of an adopted frame — it decodes and re-encodes per
-// element.
+// numCombiner builds a packed-vector combiner for a primitive base type
+// from its element function alone; see vecCombiner.
 func numCombiner[T any](dt Datatype, f func(a, b T) T) combiner {
+	return vecCombiner(dt, f, nil)
+}
+
+// vecCombiner builds a packed-vector combiner for a primitive base type.
+// When T's wire encoding is its memory layout and both vectors are
+// element-aligned, the fold runs over []T views (the bulk path the ring
+// reduction leans on — its inputs are pooled scratch buffers and raw user
+// windows, both aligned): through vec, a loop the compiler instantiates
+// for T with the operation in its body, when the op has one — a call
+// through f per element costs more than the arithmetic — else through f.
+// Otherwise — on big-endian hosts, for padded pair structs, or for vectors
+// at the odd payload offset of an adopted frame — it decodes and re-encodes
+// per element. vec must compute inout[i] = f(in[i], inout[i]).
+func vecCombiner[T any](dt Datatype, f func(a, b T) T, vec func(in, inout []T)) combiner {
 	b := dt.(*baseType[T])
 	return func(in, inout []byte) error {
 		if len(in) != len(inout) {
@@ -50,6 +58,10 @@ func numCombiner[T any](dt Datatype, f func(a, b T) T) combiner {
 			iv, iok := viewRaw[T](in, b.size)
 			ov, ook := viewRaw[T](inout, b.size)
 			if iok && ook {
+				if vec != nil {
+					vec(iv, ov)
+					return nil
+				}
 				for i, v := range iv {
 					ov[i] = f(v, ov[i])
 				}
@@ -63,61 +75,105 @@ func numCombiner[T any](dt Datatype, f func(a, b T) T) combiner {
 	}
 }
 
-func maxOf[T int8 | int16 | int32 | int64 | int | byte | float32 | float64](a, b T) T {
+// number is the element types of the arithmetic reductions.
+type number interface {
+	int8 | int16 | int32 | int64 | int | byte | float32 | float64
+}
+
+func maxOf[T number](a, b T) T {
 	if a > b {
 		return a
 	}
 	return b
 }
 
-func minOf[T int8 | int16 | int32 | int64 | int | byte | float32 | float64](a, b T) T {
+func minOf[T number](a, b T) T {
 	if a < b {
 		return a
 	}
 	return b
 }
 
+func sumOf[T number](a, b T) T  { return a + b }
+func prodOf[T number](a, b T) T { return a * b }
+
+// The typed kernels of the four arithmetic reductions, element for element
+// what their *Of functions compute (a NaN in inout stays, as maxOf keeps b).
+// in and inout have one length.
+
+func maxVec[T number](in, inout []T) {
+	inout = inout[:len(in)]
+	for i, v := range in {
+		if v > inout[i] {
+			inout[i] = v
+		}
+	}
+}
+
+func minVec[T number](in, inout []T) {
+	inout = inout[:len(in)]
+	for i, v := range in {
+		if v < inout[i] {
+			inout[i] = v
+		}
+	}
+}
+
+func sumVec[T number](in, inout []T) {
+	inout = inout[:len(in)]
+	for i, v := range in {
+		inout[i] = v + inout[i]
+	}
+}
+
+func prodVec[T number](in, inout []T) {
+	inout = inout[:len(in)]
+	for i, v := range in {
+		inout[i] = v * inout[i]
+	}
+}
+
 // Predefined reduction operations.
 var (
 	// MaxOp computes element-wise maxima of numeric data.
 	MaxOp = &Op{name: "MPJ.MAX", byType: map[Datatype]combiner{
-		Byte:   numCombiner(Byte, maxOf[byte]),
-		Short:  numCombiner(Short, maxOf[int16]),
-		Int:    numCombiner(Int, maxOf[int32]),
-		Long:   numCombiner(Long, maxOf[int64]),
-		GoInt:  numCombiner(GoInt, maxOf[int]),
-		Float:  numCombiner(Float, maxOf[float32]),
-		Double: numCombiner(Double, maxOf[float64]),
+		Byte:   vecCombiner(Byte, maxOf[byte], maxVec[byte]),
+		Short:  vecCombiner(Short, maxOf[int16], maxVec[int16]),
+		Int:    vecCombiner(Int, maxOf[int32], maxVec[int32]),
+		Long:   vecCombiner(Long, maxOf[int64], maxVec[int64]),
+		GoInt:  vecCombiner(GoInt, maxOf[int], maxVec[int]),
+		Float:  vecCombiner(Float, maxOf[float32], maxVec[float32]),
+		Double: vecCombiner(Double, maxOf[float64], maxVec[float64]),
 	}}
 	// MinOp computes element-wise minima of numeric data.
 	MinOp = &Op{name: "MPJ.MIN", byType: map[Datatype]combiner{
-		Byte:   numCombiner(Byte, minOf[byte]),
-		Short:  numCombiner(Short, minOf[int16]),
-		Int:    numCombiner(Int, minOf[int32]),
-		Long:   numCombiner(Long, minOf[int64]),
-		GoInt:  numCombiner(GoInt, minOf[int]),
-		Float:  numCombiner(Float, minOf[float32]),
-		Double: numCombiner(Double, minOf[float64]),
+		Byte:   vecCombiner(Byte, minOf[byte], minVec[byte]),
+		Short:  vecCombiner(Short, minOf[int16], minVec[int16]),
+		Int:    vecCombiner(Int, minOf[int32], minVec[int32]),
+		Long:   vecCombiner(Long, minOf[int64], minVec[int64]),
+		GoInt:  vecCombiner(GoInt, minOf[int], minVec[int]),
+		Float:  vecCombiner(Float, minOf[float32], minVec[float32]),
+		Double: vecCombiner(Double, minOf[float64], minVec[float64]),
 	}}
 	// SumOp computes element-wise sums of numeric data.
 	SumOp = &Op{name: "MPJ.SUM", byType: map[Datatype]combiner{
-		Byte:   numCombiner(Byte, func(a, b byte) byte { return a + b }),
-		Short:  numCombiner(Short, func(a, b int16) int16 { return a + b }),
-		Int:    numCombiner(Int, func(a, b int32) int32 { return a + b }),
-		Long:   numCombiner(Long, func(a, b int64) int64 { return a + b }),
-		GoInt:  numCombiner(GoInt, func(a, b int) int { return a + b }),
-		Float:  numCombiner(Float, func(a, b float32) float32 { return a + b }),
-		Double: numCombiner(Double, func(a, b float64) float64 { return a + b }),
+		Byte:   vecCombiner(Byte, sumOf[byte], sumVec[byte]),
+		Short:  vecCombiner(Short, sumOf[int16], sumVec[int16]),
+		Int:    vecCombiner(Int, sumOf[int32], sumVec[int32]),
+		Long:   vecCombiner(Long, sumOf[int64], sumVec[int64]),
+		GoInt:  vecCombiner(GoInt, sumOf[int], sumVec[int]),
+		Float:  vecCombiner(Float, sumOf[float32], sumVec[float32]),
+		Double: vecCombiner(Double, sumOf[float64], sumVec[float64]),
 	}}
 	// ProdOp computes element-wise products of numeric data.
 	ProdOp = &Op{name: "MPJ.PROD", byType: map[Datatype]combiner{
-		Byte:   numCombiner(Byte, func(a, b byte) byte { return a * b }),
-		Short:  numCombiner(Short, func(a, b int16) int16 { return a * b }),
-		Int:    numCombiner(Int, func(a, b int32) int32 { return a * b }),
-		Long:   numCombiner(Long, func(a, b int64) int64 { return a * b }),
-		GoInt:  numCombiner(GoInt, func(a, b int) int { return a * b }),
-		Float:  numCombiner(Float, func(a, b float32) float32 { return a * b }),
-		Double: numCombiner(Double, func(a, b float64) float64 { return a * b }),
+		Byte:   vecCombiner(Byte, prodOf[byte], prodVec[byte]),
+		Short:  vecCombiner(Short, prodOf[int16], prodVec[int16]),
+		Int:    vecCombiner(Int, prodOf[int32], prodVec[int32]),
+		Long:   vecCombiner(Long, prodOf[int64], prodVec[int64]),
+		GoInt:  vecCombiner(GoInt, prodOf[int], prodVec[int]),
+		Float:  vecCombiner(Float, prodOf[float32], prodVec[float32]),
+		Double: vecCombiner(Double, prodOf[float64], prodVec[float64]),
 	}}
 	// LAndOp computes element-wise logical AND of boolean data.
 	LAndOp = &Op{name: "MPJ.LAND", byType: map[Datatype]combiner{

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -166,5 +170,96 @@ func TestCombinerLengthMismatch(t *testing.T) {
 	}
 	if err := comb(make([]byte, 4), make([]byte, 8)); !errors.Is(err, ErrOp) {
 		t.Errorf("length mismatch: err=%v, want ErrOp", err)
+	}
+}
+
+// BenchmarkCombine prices the reduction kernels on the vector a 1 MiB ring
+// allreduce folds per step at np=4 (256 KiB): the aligned raw-view path the
+// schedules take, and the per-element decoding fallback an odd offset
+// forces.
+func BenchmarkCombine(b *testing.B) {
+	const n = 256 << 10
+	for _, tc := range []struct {
+		name string
+		op   *Op
+		dt   Datatype
+		off  int
+	}{
+		{"sum/double", SumOp, Double, 0},
+		{"max/double", MaxOp, Double, 0},
+		{"sum/int", SumOp, Int, 0},
+		{"prod/float", ProdOp, Float, 0},
+		{"band/long", BAndOp, Long, 0},
+		{"sum/double/unaligned", SumOp, Double, 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			comb, err := tc.op.combinerFor(tc.dt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, inout := make([]byte, n+8)[tc.off:tc.off+n], make([]byte, n+8)[tc.off:tc.off+n]
+			b.SetBytes(n)
+			for b.Loop() {
+				if err := comb(in, inout); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestVecKernelsMatchElementPath: the typed loops of Sum/Prod/Max/Min give,
+// byte for byte, what the per-element decoding path gives — which an odd
+// offset forces, and which calls the op's element function — on every
+// numeric type, with wrap-around, infinities and NaNs among the inputs.
+func TestVecKernelsMatchElementPath(t *testing.T) {
+	const elems = 1031
+	rng := rand.New(rand.NewSource(7))
+	nan := math.Float64bits(math.NaN())
+	for _, op := range []*Op{SumOp, ProdOp, MaxOp, MinOp} {
+		for _, dt := range []Datatype{Byte, Short, Int, Long, GoInt, Float, Double} {
+			comb, err := op.combinerFor(dt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := elems * dt.ByteSize()
+			in, inout := make([]byte, n), make([]byte, n)
+			rng.Read(in)
+			rng.Read(inout)
+			switch dt {
+			case Double: // one NaN bit pattern: which operand's payload survives is the FPU's business
+				for i := 0; i < elems; i += 97 {
+					binary.LittleEndian.PutUint64(in[8*i:], nan)
+					binary.LittleEndian.PutUint64(inout[8*(i+1):], nan)
+					binary.LittleEndian.PutUint64(in[8*(i+2):], math.Float64bits(math.Inf(-1)))
+				}
+			case Float:
+				for i := range in { // random float32 bit patterns hold NaNs of every payload: clear them
+					if i%4 == 3 && in[i]&0x7f == 0x7f {
+						in[i] &^= 0x40
+					}
+					if i%4 == 3 && inout[i]&0x7f == 0x7f {
+						inout[i] &^= 0x40
+					}
+				}
+			}
+			bulk := append([]byte(nil), inout...)
+			if err := comb(in, bulk); err != nil {
+				t.Fatal(err)
+			}
+			// The same vectors one byte off element alignment.
+			oddIn, oddOut := append([]byte{0}, in...)[1:], append([]byte{0}, inout...)[1:]
+			if dt.ByteSize() > 1 {
+				if _, aligned := viewRaw[int64](oddOut[:8], 8); aligned {
+					t.Fatal("the odd copy is aligned: the test compares the bulk path with itself")
+				}
+			}
+			if err := comb(oddIn, oddOut); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bulk, oddOut) {
+				t.Errorf("%s on %s: typed loop and element path disagree", op.Name(), dt.Name())
+			}
+		}
 	}
 }
