@@ -23,11 +23,13 @@ import (
 // CollBenchRow is one measured configuration, recorded in BENCH_coll.json.
 type CollBenchRow struct {
 	Op      string  `json:"op"`  // "bcast" | "allreduce" | "allgather"
-	Alg     string  `json:"alg"` // "classic" | "segmented" | "ring"
+	Alg     string  `json:"alg"` // the forced family: "classic" | "segmented" | "ring" | "hier"
 	NP      int     `json:"np"`
 	Bytes   int     `json:"bytes"` // payload bytes per rank
 	NsPerOp float64 `json:"ns_per_op"`
 	MiBps   float64 `json:"mib_per_s"` // payload bytes / time (algorithm bandwidth)
+
+	sched string // allreduce: the algorithm the schedule says it compiled (label)
 }
 
 // CollBenchResult is the JSON document mpjbench -exp coll writes.
@@ -69,6 +71,24 @@ func collAlgFor(name string) core.CollAlg {
 	}
 }
 
+// label names a row's algorithm for the tables: the family it forced and,
+// where the schedule names something else (the large allreduce family
+// compiles "halving-doubling" or "ring" by communicator size), what ran.
+func (r CollBenchRow) label() string {
+	if r.sched == "" || r.sched == r.Alg {
+		return r.Alg
+	}
+	return r.Alg + "/" + r.sched
+}
+
+// schedAlg extracts the algorithm name a schedule reports about itself
+// (CollRequest.String: "... alg=<name> nseg=...").
+func schedAlg(req *core.CollRequest) string {
+	_, rest, _ := strings.Cut(req.String(), "alg=")
+	name, _, _ := strings.Cut(rest, " ")
+	return name
+}
+
 // jobRunner abstracts the mesh a measurement runs on: runJobHyb for the
 // co-located sweeps, a runJobHybGroups closure for the multi-group rows,
 // runJob for the tuner's chan-device sweeps.
@@ -101,6 +121,18 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 				in[i] = float64(w.Rank() + i)
 			}
 			body = func() error { return w.Allreduce(in, 0, out, 0, elems, core.Double, core.SumOp) }
+			// One extra warm-up through the non-blocking form, whose request
+			// says which schedule the selection compiled.
+			req, err := w.Iallreduce(in, 0, out, 0, elems, core.Double, core.SumOp)
+			if err != nil {
+				return err
+			}
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			if w.Rank() == 0 {
+				row.sched = schedAlg(req)
+			}
 		case "allgather":
 			// bytes is the full gathered payload; each rank contributes
 			// an equal share of it.
@@ -215,7 +247,7 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 					t.Rows = append(t.Rows, Row{
 						cfg.op, fmt.Sprintf("%d", np), fmtSize(bytes),
 						fmtDur(time.Duration(cl.NsPerOp)), fmt.Sprintf("%.0f", cl.MiBps),
-						lg.Alg,
+						lg.label(),
 						fmtDur(time.Duration(lg.NsPerOp)), fmt.Sprintf("%.0f", lg.MiBps),
 						fmt.Sprintf("%.2fx", cl.NsPerOp/lg.NsPerOp),
 					})

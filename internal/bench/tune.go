@@ -47,21 +47,23 @@ func tuneCrossover(pts []tunePoint) int {
 	return 0
 }
 
-// tuneSweep measures classic vs alt for one op on one mesh across sizes.
-func tuneSweep(run jobRunner, op string, np int, sizes []int, alt string) ([]tunePoint, error) {
-	pts := make([]tunePoint, 0, len(sizes))
+// tuneSweep measures classic vs alt for one op on one mesh across sizes; ran
+// is alt with the schedule it compiled beside it (CollBenchRow.label).
+func tuneSweep(run jobRunner, op string, np int, sizes []int, alt string) (pts []tunePoint, ran string, err error) {
+	pts = make([]tunePoint, 0, len(sizes))
 	for _, bytes := range sizes {
 		cl, err := measureColl(run, op, np, bytes, "classic")
 		if err != nil {
-			return nil, fmt.Errorf("tune %s np=%d bytes=%d classic: %w", op, np, bytes, err)
+			return nil, "", fmt.Errorf("tune %s np=%d bytes=%d classic: %w", op, np, bytes, err)
 		}
 		al, err := measureColl(run, op, np, bytes, alt)
 		if err != nil {
-			return nil, fmt.Errorf("tune %s np=%d bytes=%d %s: %w", op, np, bytes, alt, err)
+			return nil, "", fmt.Errorf("tune %s np=%d bytes=%d %s: %w", op, np, bytes, alt, err)
 		}
 		pts = append(pts, tunePoint{bytes: bytes, classic: cl.NsPerOp, alt: al.NsPerOp})
+		ran = al.label()
 	}
-	return pts, nil
+	return pts, ran, nil
 }
 
 // Tune sweeps payload x np x algorithm per device and derives the
@@ -95,7 +97,7 @@ func Tune(quick bool) (*core.CollTable, *Table, error) {
 	for _, dev := range devices {
 		d := &core.DeviceCrossovers{}
 		for _, np := range nps {
-			pts, err := tuneSweep(dev.run, "allreduce", np, sizes, "ring")
+			pts, ran, err := tuneSweep(dev.run, "allreduce", np, sizes, "ring")
 			if err != nil {
 				return nil, nil, err
 			}
@@ -106,9 +108,9 @@ func Tune(quick bool) (*core.CollTable, *Table, error) {
 					d.LargeMin = x
 				}
 			}
-			detail := "ring never settles ahead; defaults apply"
+			detail := ran + " never settles ahead; defaults apply"
 			if x > 0 {
-				detail = fmt.Sprintf("ring wins from %s up", fmtSize(x))
+				detail = fmt.Sprintf("%s wins from %s up", ran, fmtSize(x))
 			}
 			rep.Rows = append(rep.Rows, Row{dev.name, fmt.Sprintf("%d", np), "large_min", fmtSize(x), detail})
 		}
@@ -121,7 +123,7 @@ func Tune(quick bool) (*core.CollTable, *Table, error) {
 	// classic on a layout that actually spans groups. Only meaningful for
 	// the hybrid device — chan and tcp meshes are locality-flat.
 	hierRun := func(np int, fn func(w *core.Comm) error) error { return runJobHybGroups(np, 2, fn) }
-	pts, err := tuneSweep(hierRun, "allreduce@2g", hierNP, sizes, "hier")
+	pts, _, err := tuneSweep(hierRun, "allreduce@2g", hierNP, sizes, "hier")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -72,14 +72,20 @@ func TestChaosCollectiveKillHyb(t *testing.T) {
 	}
 }
 
-// chaosLentCases kill a rank in a reduce-scatter round (0–2) and in an
-// allgather round (3–5) of the 1 MiB ring allreduce at np=4 — the one
+// chaosLentCases kill a rank inside the 1 MiB large allreduce — the one
 // schedule whose sends lend user memory to the device: the transport is
-// reading the survivors' receive buffers, above the eager limit and by
-// reference, when the death lands.
+// reading the survivors' buffers, above the eager limit and by reference,
+// when the death lands. At np=4 (halving/doubling, 4 rounds) the kill falls
+// in round 0, the one that lends the *send* buffer, in the second halving
+// round and in the last doubling round; at np=3 (the ring, 4 rounds) in a
+// reduce-scatter round that lends the receive buffer and in the last
+// allgather round.
 var chaosLentCases = []chaosCase{
+	{np: 4, victim: 2, round: 0, op: "allreduce1m"},
 	{np: 4, victim: 2, round: 1, op: "allreduce1m"},
-	{np: 4, victim: 1, round: 4, op: "allreduce1m"},
+	{np: 4, victim: 1, round: 3, op: "allreduce1m"},
+	{np: 3, victim: 2, round: 1, op: "allreduce1m"},
+	{np: 3, victim: 1, round: 3, op: "allreduce1m"},
 }
 
 // TestChaosLentAllreduceKill is the failure contract of lent sends, over
@@ -91,7 +97,7 @@ func TestChaosLentAllreduceKill(t *testing.T) {
 	for _, mesh := range []string{"tcp", "hyb"} {
 		for _, tc := range chaosLentCases {
 			mesh, tc := mesh, tc
-			t.Run(fmt.Sprintf("%s_kill%d@r%d", mesh, tc.victim, tc.round), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s_np%d_kill%d@r%d", mesh, tc.np, tc.victim, tc.round), func(t *testing.T) {
 				chaosScenario(t, mesh, tc)
 			})
 		}
@@ -99,35 +105,39 @@ func TestChaosLentAllreduceKill(t *testing.T) {
 }
 
 // TestChaosLentAllreduceFree is the same contract for Comm.Free with an
-// Iallreduce outstanding: when Free returns, the buffers of the abandoned
-// schedule are the caller's.
+// Iallreduce outstanding, under both exchange patterns: when Free returns,
+// the buffers of the abandoned schedule — the lent send buffer too — are
+// the caller's.
 func TestChaosLentAllreduceFree(t *testing.T) {
 	for _, mesh := range []string{"tcp", "hyb"} {
-		mesh := mesh
-		t.Run(mesh, func(t *testing.T) {
-			chaosJob(t, mesh, 4, nil, nil, func(rank int, w *Comm) error {
-				c, err := w.Dup()
-				if err != nil {
-					return err
-				}
-				in, out := make([]int32, chaosLentCount), make([]int32, chaosLentCount)
-				req, err := c.IallreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
-				if err != nil {
-					return err
-				}
-				c.Free()
-				scribble(in, out)
-				if _, err := req.Wait(); !errors.Is(err, ErrComm) {
-					return fmt.Errorf("iallreduce on a freed comm: %v, want ErrComm", err)
-				}
-				return w.Barrier()
+		for _, np := range []int{4, 3} {
+			mesh, np := mesh, np
+			t.Run(fmt.Sprintf("%s_np%d", mesh, np), func(t *testing.T) {
+				chaosJob(t, mesh, np, nil, nil, func(rank int, w *Comm) error {
+					c, err := w.Dup()
+					if err != nil {
+						return err
+					}
+					in, out := make([]int32, chaosLentCount), make([]int32, chaosLentCount)
+					req, err := c.IallreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+					if err != nil {
+						return err
+					}
+					c.Free()
+					scribble(in, out)
+					if _, err := req.Wait(); !errors.Is(err, ErrComm) {
+						return fmt.Errorf("iallreduce on a freed comm: %v, want ErrComm", err)
+					}
+					return w.Barrier()
+				})
 			})
-		})
+		}
 	}
 }
 
-// chaosLentCount is 1 MiB of Int: 256 KiB ring chunks at np=4, rendezvous
-// on every device.
+// chaosLentCount is 1 MiB of Int: every message of the large allreduce at
+// np=3 and np=4 (a third, a quarter or a half of it) is a rendezvous on
+// every device.
 const chaosLentCount = 1 << 18
 
 // scribble overwrites buffers a collective has handed back.

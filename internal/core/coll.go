@@ -11,9 +11,9 @@ import (
 type AllreduceAlgorithm int
 
 const (
-	// AllreduceAuto switches by payload: large fixed-size vectors take the
-	// ring (reduce-scatter + allgather, whole chunks — the segment size
-	// does not apply); below the large-message
+	// AllreduceAuto switches by payload: large fixed-size vectors take
+	// AllreduceRing's family (reduce-scatter + allgather, whole chunks —
+	// the segment size does not apply); below the large-message
 	// threshold power-of-two sizes use recursive doubling and other
 	// sizes reduce to rank 0 and broadcast. See collalg.go for the
 	// threshold and the knobs that override it.
@@ -23,10 +23,15 @@ const (
 	// AllreduceRecursiveDoubling always uses recursive doubling
 	// (power-of-two communicator sizes only).
 	AllreduceRecursiveDoubling
-	// AllreduceRing reduce-scatters around a ring and allgathers the
-	// reduced chunks back — bandwidth-optimal for large vectors (each
-	// rank moves ~2·n bytes regardless of size) and correct for any
-	// communicator size, including non-powers-of-two.
+	// AllreduceRing is the bandwidth-optimal family for large vectors: a
+	// reduce-scatter and an allgather of the reduced chunks, ~2·n bytes
+	// through each rank regardless of size. It is correct for any
+	// communicator size; the size picks the exchange pattern — recursive
+	// halving/doubling (2·log₂p messages per rank) on a power of two, the
+	// ring the family is named after (2(p-1)) on every other size — and
+	// the schedule says which it compiled ("halving-doubling" | "ring").
+	// The send buffer is lent to the transport, never copied, unless it
+	// overlaps the receive buffer (icoll.go, iallreduceRing).
 	AllreduceRing
 	// AllreduceHier reduces inside each locality group, allreduces among
 	// the group leaders and broadcasts back — only one partial and one
@@ -57,7 +62,7 @@ func (c *Comm) collIsend(data []byte, dst, tag int, lend bool) (*device.Request,
 // what makes a schedule send copy-at-post: the device runs fill before
 // returning and sends a large payload from its own pooled stash, never
 // from the schedule's buffers, so a round's scratch may be rewritten while
-// its sends are in flight. Every step but the ring allreduce's takes it:
+// its sends are in flight. Every step but the large allreduce's takes it:
 // pack-at-post steps have no source buffer, and cells, window rings, bcast
 // windows and raw Alltoallv blocks have no lend proof yet (lendCheck).
 func (c *Comm) collIsendFill(n int, fill func([]byte) error, dst, tag int) (*device.Request, error) {
@@ -205,20 +210,24 @@ func (c *Comm) Reduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype
 }
 
 // Allreduce combines every member's data and leaves the result on all
-// members — MPI_Allreduce. Large fixed-size vectors ride the
-// bandwidth-optimal ring (reduce-scatter + allgather); below the
-// large-message threshold power-of-two sizes use recursive doubling and
-// other sizes reduce to rank 0 and broadcast (see collalg.go for the
-// selection knobs). AllreduceWith selects the algorithm explicitly.
+// members — MPI_Allreduce. Large fixed-size vectors take the
+// bandwidth-optimal family (reduce-scatter + allgather: recursive
+// halving/doubling on a power-of-two communicator, the ring otherwise);
+// below the large-message threshold power-of-two sizes use recursive
+// doubling and other sizes reduce to rank 0 and broadcast (see collalg.go
+// for the selection knobs). AllreduceWith selects the algorithm explicitly.
+// sbuf is only read, and for the duration of the call it may be lent to the
+// transport; sbuf and rbuf may overlap, at the price of one copy of the
+// vector.
 func (c *Comm) Allreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
 	return c.AllreduceWith(c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op)
 }
 
 // autoAllreduceAlg is the measured algorithm selection behind
 // Allreduce/Iallreduce: the two-level hierarchical schedule on comms
-// spanning locality groups, ring for large fixed-size payloads,
-// recursive doubling for small power-of-two communicators,
-// reduce+broadcast otherwise.
+// spanning locality groups, the reduce-scatter + allgather family
+// (AllreduceRing) for large fixed-size payloads, recursive doubling for
+// small power-of-two communicators, reduce+broadcast otherwise.
 func (c *Comm) autoAllreduceAlg(count int, dt Datatype) AllreduceAlgorithm {
 	sz := dt.ByteSize()
 	if sz > 0 && count > 0 && c.Size() > 1 && c.collHier(count*sz) {

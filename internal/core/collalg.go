@@ -33,13 +33,17 @@ const (
 	// tree edge.
 	CollAlgClassic
 	// CollAlgSegmented always uses the large-message path: the pipelined
-	// chain broadcast streaming fixed-size segments, and the ring
-	// algorithms for allreduce/allgather, which move whole chunks (a ring
-	// step forwards nothing it receives in the same round).
+	// chain broadcast streaming fixed-size segments, and the
+	// bandwidth-optimal reduce-scatter + allgather schedules for
+	// allreduce/allgather, which move whole chunks (a step forwards
+	// nothing it receives in the same round).
 	CollAlgSegmented
-	// CollAlgRing is CollAlgSegmented under the name the ring-based
+	// CollAlgRing is CollAlgSegmented under the name the bandwidth-optimal
 	// collectives (allreduce, allgather) are usually discussed by; the
-	// two constants force the same large-message schedules.
+	// two constants force the same large-message schedules. For allreduce
+	// that family exchanges by recursive halving/doubling when the
+	// communicator size is a power of two and around the ring otherwise
+	// (AllreduceRing).
 	CollAlgRing
 	// CollAlgHier prefers the two-level hierarchical schedules: an
 	// intra-group phase over co-located (chan-routed) peers and an

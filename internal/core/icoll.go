@@ -12,8 +12,9 @@ import (
 // varying-count family lives in ivcoll.go, the persistent Commit* forms
 // in pcoll.go). Each builder compiles the same algorithm the blocking
 // form uses (dissemination barrier, binomial trees, ring allgather,
-// recursive doubling; segmented chain pipelines and the ring allreduce
-// for large payloads — see collalg.go for how the algorithm is chosen)
+// recursive doubling; segmented chain pipelines and the reduce-scatter +
+// allgather allreduce for large payloads — see collalg.go for how the
+// algorithm is chosen)
 // into per-rank rounds; the blocking collectives in coll.go call the same
 // builders and Wait immediately, so there is exactly one algorithm
 // source. Builders take their schedule tag as a parameter: the I* entry
@@ -211,56 +212,150 @@ func ringRounds(c *Comm, cur *cell, onBlock func(owner int, got []byte) error) [
 	return rs
 }
 
-// ringAllreduceRounds compiles the bandwidth-optimal ring allreduce over
-// the packed vector acc: a reduce-scatter phase (p-1 steps; in step s every
-// rank sends its partial of chunk rank-s right and folds the arriving
-// partial of chunk rank-s-1 into acc) leaves rank r holding the complete
-// reduction of chunk r+1, then a ring allgather circulates the reduced
-// chunks back into place. Chunks are cut on elem-byte element boundaries as
-// evenly as the count allows, so any communicator size and any count work.
-// scratch stages the reduce-scatter arrivals and must hold the largest
-// chunk; each rank moves ~2·len(acc) bytes total regardless of p.
+// The large allreduce is one family — a reduce-scatter followed by an
+// allgather over the working vector acc, 2·len(acc)·(p-1)/p bytes through
+// every rank whatever p is — compiled in one of two exchange patterns:
+// recursive halving/doubling (halvingDoublingRounds) when the communicator
+// size is a power of two, the ring (ringAllreduceRounds) for every other
+// size. Both builders share one data flow.
 //
-// Every step is one round moving its chunk whole (empty when the count
-// leaves it no elements): a round ends only when its send and its folded
-// receive are both done, so pieces of a step could not overlap and would
-// each pay the handshake again. The sends lend their chunk (sendStep.lend):
-// reduce-scatter step s sends chunk rank-s while the round writes only
-// scratch and chunk rank-s-1, allgather step s sends chunk rank+1-s and
-// lands chunk rank-s — different chunks, since p ≥ 2.
-func ringAllreduceRounds(c *Comm, acc, scratch []byte, elem int, comb combiner) []round {
+// own is where the rank's contribution lives, acc the working vector the
+// result assembles in; own is either acc itself (the contribution was copied
+// or packed into it) or memory disjoint from it (a raw window of the caller's
+// send buffer beside one of its receive buffer). A reduce-scatter arrival is
+// the peers' partial for a range the rank reduces further. While the rank's
+// share of that range is still pristine in own, outside acc, the arrival
+// lands directly in acc and own's range folds into it (ops are commutative,
+// op.go); once the rank's partial lives in acc the arrival is staged through
+// scratch and folds into acc. A builder takes scratch from the wire pool when,
+// and as large as, its staging needs and returns it for the caller to recycle
+// at finish. Nothing ever writes own.
+//
+// Every step is one round moving its range whole (empty when the count leaves
+// it no elements): a round ends only when its send and its folded receive are
+// both done, so pieces of a step could not overlap and would each pay the
+// handshake again. Every send lends its range (sendStep.lend); each builder
+// says why its rounds write none of what they lend, and lendCheck
+// (schedshape_test.go) checks it.
+
+// chunkCuts returns the cut points of the large allreduce's working vector:
+// bound(i) is the byte offset where chunk i of size starts, cut on elem-byte
+// element boundaries as evenly as the count allows, so any communicator size
+// and any count work.
+func chunkCuts(vec []byte, elem, size int) (bound func(i int) int) {
+	n := len(vec) / elem
+	return func(i int) int { return i * n / size * elem }
+}
+
+// foldStep compiles one reduce-scatter exchange: send goes to the rank `to`,
+// lent, and the partial arriving from the rank `from` for the range dst of
+// acc is combined with this rank's share of it — mine, which is dst itself
+// once the rank's partial lives in acc.
+func foldStep(from, to int, send, mine, dst []byte, stage func(n int) []byte, comb combiner) round {
+	land, in := dst, mine // the arrival lands in place, my share folds into it
+	if overlaps(mine, dst) {
+		land = stage(len(dst)) // my partial is in place, the arrival folds into it
+		in = land
+	}
+	return round{
+		recvs: []recvStep{{from: from, buf: land, on: func([]byte) error { return comb(in, dst) }}},
+		sends: []sendStep{{to: to, data: func() []byte { return send }, lend: true}},
+	}
+}
+
+// ringAllreduceRounds compiles the ring pattern: a reduce-scatter phase (p-1
+// steps; in step s every rank sends its partial of chunk rank-s right and
+// combines the arriving partial of chunk rank-s-1 with its own) leaves rank r
+// holding the complete reduction of chunk r+1, then a ring allgather
+// circulates the reduced chunks back into place — 2(p-1) rounds and messages.
+// Every arriving partial is for a chunk the rank has not touched yet, so with
+// own outside acc no step stages and no scratch is taken.
+//
+// Lend proof: reduce-scatter step s lends chunk rank-s — of own in step 0, of
+// acc after — while the round writes only scratch and chunk rank-s-1 of acc;
+// allgather step s lends chunk rank+1-s and lands chunk rank-s — different
+// chunks, since p ≥ 2.
+func ringAllreduceRounds(c *Comm, own, acc []byte, elem int, comb combiner) (rs []round, scratch []byte) {
 	size := c.Size()
-	n := len(acc) / elem
-	bound := func(i int) int { return i * n / size * elem }
-	chunk := func(i int) []byte {
+	bound := chunkCuts(acc, elem, size)
+	chunk := func(vec []byte, i int) []byte {
 		i = (i%size + size) % size
-		return acc[bound(i):bound(i+1)]
+		return vec[bound(i):bound(i+1)]
+	}
+	stage := func(n int) []byte {
+		if scratch == nil {
+			// Chunk sizes differ by at most one element.
+			scratch = wire.GetBuf((len(acc)/elem + size - 1) / size * elem)
+		}
+		return scratch[:n]
 	}
 	right := (c.rank + 1) % size
 	left := (c.rank - 1 + size) % size
-	var rs []round
-	// Reduce-scatter: in step s the partial of chunk rank-s goes right
-	// while the partial of chunk rank-s-1 arrives and folds in.
+	partial := own // where the chunk a step sends lives: pristine in step 0
 	for s := 0; s < size-1; s++ {
-		send := chunk(c.rank - s)
-		dst := chunk(c.rank - s - 1)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: scratch[:len(dst)], on: func(got []byte) error {
-				return comb(got, dst)
-			}}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }, lend: true}},
-		})
+		rs = append(rs, foldStep(left, right, chunk(partial, c.rank-s),
+			chunk(own, c.rank-s-1), chunk(acc, c.rank-s-1), stage, comb))
+		partial = acc
 	}
 	// Allgather: the reduced chunks circulate back, landing straight in
 	// their final places.
 	for s := 0; s < size-1; s++ {
-		send := chunk(c.rank + 1 - s)
+		send := chunk(acc, c.rank+1-s)
 		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: chunk(c.rank - s)}},
+			recvs: []recvStep{{from: left, buf: chunk(acc, c.rank-s)}},
 			sends: []sendStep{{to: right, data: func() []byte { return send }, lend: true}},
 		})
 	}
-	return rs
+	return rs, scratch
+}
+
+// halvingDoublingRounds compiles the power-of-two pattern: recursive halving
+// (distance p/2 … 1: of the chunk range it still reduces a rank keeps the
+// half whose index bit matches its own, sends the partner its partial of the
+// other half and combines the partner's partial of the kept half with its
+// own) leaves rank r holding the complete reduction of chunk r, then
+// recursive doubling in reverse hands the reduced ranges back — 2·log₂p
+// rounds and messages for the ring's bytes, over the ring's chunk cuts. Only
+// the first halving step meets a range the rank has not touched: with own
+// outside acc it folds in place and the scratch holds the second step's
+// arrival, a quarter of the vector, instead of the first's half.
+//
+// Lend proof: a halving step lends the half it gives away — of own in the
+// first step, of acc after — while the round writes only scratch and the
+// kept half of acc; a doubling step lends the range the rank holds and lands
+// the partner's range beside it.
+func halvingDoublingRounds(c *Comm, own, acc []byte, elem int, comb combiner) (rs []round, scratch []byte) {
+	size := c.Size()
+	bound := chunkCuts(acc, elem, size)
+	span := func(vec []byte, lo, n int) []byte { return vec[bound(lo):bound(lo+n)] }
+	stage := func(n int) []byte {
+		if scratch == nil {
+			scratch = wire.GetBuf(n) // the first staged range; the later ones are parts of it
+		}
+		return scratch[:n]
+	}
+	lo := 0        // the rank holds chunks [lo, lo+d) after the step at distance d
+	partial := own // where the rank's partial of those chunks lives
+	for d := size / 2; d >= 1; d >>= 1 {
+		keep, give := lo, lo+d
+		if c.rank&d != 0 {
+			keep, give = give, keep
+		}
+		peer := c.rank ^ d
+		rs = append(rs, foldStep(peer, peer, span(partial, give, d),
+			span(partial, keep, d), span(acc, keep, d), stage, comb))
+		lo, partial = keep, acc
+	}
+	for d := 1; d < size; d <<= 1 {
+		send := span(acc, lo, d)
+		peer := c.rank ^ d
+		rs = append(rs, round{
+			recvs: []recvStep{{from: peer, buf: span(acc, lo^d, d)}},
+			sends: []sendStep{{to: peer, data: func() []byte { return send }, lend: true}},
+		})
+		lo &^= d
+	}
+	return rs, scratch
 }
 
 // reduceRoundsIn compiles the binomial-tree reduction over members toward
@@ -722,10 +817,13 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 }
 
 // Iallreduce starts a non-blocking allreduce: the combined result lands on
-// every member — MPI_Iallreduce. Large fixed-size vectors ride the
-// bandwidth-optimal ring; below the threshold power-of-two sizes use
-// recursive doubling and others reduce to rank 0 and broadcast (the same
-// automatic choice Allreduce makes; see collalg.go).
+// every member — MPI_Iallreduce. Large fixed-size vectors take the
+// bandwidth-optimal family (recursive halving/doubling on a power-of-two
+// communicator, the ring otherwise); below the threshold power-of-two sizes
+// use recursive doubling and others reduce to rank 0 and broadcast (the same
+// automatic choice Allreduce makes; see collalg.go). Until the request
+// completes sbuf must not be written — the large family lends it to the
+// transport — and rbuf not touched.
 func (c *Comm) Iallreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
 	return c.iallreduce("iallreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op)
 }
@@ -781,34 +879,45 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 	}
 	req, err := c.newCollRequestAlg(name, tag, algName, 0, rounds, finish)
 	if err == nil {
-		// Cacheable (the ring variant is not: its reduce-scatter scratch
-		// comes from the wire pool and is recycled at finish): reset
-		// restarts the accumulator from the current send buffer.
+		// Cacheable (the large family is not: its rounds hold windows of
+		// the caller's send buffer or of a vector packed from it, and its
+		// scratch goes back to the wire pool at finish): reset restarts
+		// the accumulator from the current send buffer.
 		req.cacheable = true
 		req.reset = repack
 	}
 	return req, err
 }
 
-// iallreduceRing compiles the ring allreduce. For raw-layout datatypes the
-// receive buffer itself is the working vector — the contribution lands in
-// it with one memmove, the ring reduces in place in user memory, and the
-// final unpack disappears; other fixed-size datatypes stage through a
-// packed vector. The reduce-scatter scratch comes from the wire pool and
-// is recycled when the schedule finishes.
+// iallreduceRing compiles the large allreduce (the family AllreduceRing
+// names): recursive halving/doubling on a power-of-two communicator, the ring
+// on every other size — same bytes, 2·log₂p messages instead of 2(p-1).
+//
+// The buffer plan. For raw-layout datatypes the receive buffer itself is the
+// working vector: the schedule reduces in place in user memory and the final
+// unpack disappears. When the send buffer is a raw window too and shares no
+// byte with the receive window, it is where the contribution stays — lent to
+// the device and folded into the arrivals, never copied (see the builders'
+// own/acc contract). Any overlap of the two windows — Allreduce(x, x), or
+// buffers shifted against each other — would fold half-reduced data, so the
+// contribution is first moved into the working vector with one memmove;
+// other fixed-size datatypes pack into a staging vector and unpack at the
+// end. Either way own is then acc.
 func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, comb combiner) (*CollRequest, error) {
 	elem := dt.Base().ByteSize()
 	if elem <= 0 {
 		return nil, fmt.Errorf("%s: %w: ring allreduce requires fixed-size elements, have %s", name, ErrType, dt.Name())
 	}
-	var acc []byte
+	var own, acc []byte
 	var unpack func() error
 	if win := vWindow(dt, rbuf, roff, count); win != nil {
-		if pi, ok := dt.(packerInto); ok {
+		if src := vWindow(dt, sbuf, soff, count); src != nil && !overlaps(src, win) {
+			own, acc = src, win
+		} else if pi, ok := dt.(packerInto); ok {
 			if err := pi.PackInto(win, sbuf, soff, count); err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			acc = win
+			own, acc = win, win
 		}
 	}
 	if acc == nil {
@@ -816,25 +925,28 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		acc = data
+		own, acc = data, data
 		unpack = func() error {
 			_, err := dt.Unpack(acc, rbuf, roff, count)
 			return err
 		}
 	}
-	n := len(acc) / elem
-	size := c.Size()
-	maxChunk := (n + size - 1) / size * elem // chunk sizes differ by at most one element
-	scratch := wire.GetBuf(maxChunk)
-	rounds := ringAllreduceRounds(c, acc, scratch, elem, comb)
+	build, alg := ringAllreduceRounds, "ring"
+	if size := c.Size(); size&(size-1) == 0 {
+		build, alg = halvingDoublingRounds, "halving-doubling"
+	}
+	rounds, scratch := build(c, own, acc, elem, comb)
+	if len(rounds) == 0 {
+		copy(acc, own) // no round, no fold: the result is the contribution
+	}
 	finish := func() error {
-		wire.PutBuf(scratch)
+		wire.PutBuf(scratch) // nil when nothing was staged: dropped
 		if unpack != nil {
 			return unpack()
 		}
 		return nil
 	}
-	return c.newCollRequestAlg(name, tag, "ring", 0, rounds, finish)
+	return c.newCollRequestAlg(name, tag, alg, 0, rounds, finish)
 }
 
 // Ialltoall starts a non-blocking all-to-all personalized exchange: a

@@ -311,6 +311,73 @@ func checkCollGroundTruth(w *Comm, count, root int) error {
 		}
 	}
 
+	// MaxLoc on a packed pair type (DoubleInt is padded: no raw window, so
+	// the large family stages every arrival); ties resolve to the lower rank.
+	pin, pout := make([]DoubleInt, count), make([]DoubleInt, count)
+	for i := range pin {
+		pin[i] = DoubleInt{Value: float64(src(me, i) % 7), Index: int32(me)}
+	}
+	if err := w.Allreduce(pin, 0, pout, 0, count, DoubleInt2, MaxLocOp); err != nil {
+		return err
+	}
+	for i := range pout {
+		want := DoubleInt{Value: float64(src(0, i) % 7)}
+		for r := 1; r < np; r++ {
+			if v := float64(src(r, i) % 7); v > want.Value {
+				want = DoubleInt{Value: v, Index: int32(r)}
+			}
+		}
+		if pout[i] != want {
+			return fmt.Errorf("maxloc[%d] = %v, want %v", i, pout[i], want)
+		}
+	}
+
+	// A user op on a derived (packed) datatype of two Longs per element.
+	pair, err := Contiguous(2, Long)
+	if err != nil {
+		return err
+	}
+	userSum := NewOp("user-sum", func(a, b any, _ Datatype) error {
+		av, bv := a.([]int64), b.([]int64)
+		for i := range av {
+			bv[i] += av[i]
+		}
+		return nil
+	})
+	uout := make([]int64, count/2*2)
+	if err := w.Allreduce(in, 0, uout, 0, count/2, pair, userSum); err != nil {
+		return err
+	}
+	for i := range uout {
+		if uout[i] != out[i] {
+			return fmt.Errorf("user op on %s [%d] = %d, want %d", pair.Name(), i, uout[i], out[i])
+		}
+	}
+
+	// The persistent form over mutating input: every activation must see
+	// the send buffer as it is at that Start.
+	pbuf, psum := make([]int64, count), make([]int64, count)
+	p, err := w.CommitAllreduce(pbuf, 0, psum, 0, count, Long, SumOp)
+	if err != nil {
+		return err
+	}
+	for gen := int64(1); gen <= 4; gen++ {
+		for i := range pbuf {
+			pbuf[i] = gen * in[i]
+		}
+		if err := p.Start(); err != nil {
+			return err
+		}
+		if _, err := p.Wait(); err != nil {
+			return err
+		}
+		for i := range psum {
+			if psum[i] != gen*out[i] {
+				return fmt.Errorf("persistent allreduce, activation %d: [%d] = %d, want %d", gen, i, psum[i], gen*out[i])
+			}
+		}
+	}
+
 	all := make([]int64, np*count)
 	if err := w.Allgather(in, 0, count, Long, all, 0, count, Long); err != nil {
 		return err
@@ -344,6 +411,20 @@ func TestCollAlgGroundTruthProperty(t *testing.T) {
 			return checkCollGroundTruth(w, count, root)
 		})
 	}
+	// The large family on power-of-two communicators, with counts the size
+	// does not divide: fewer elements than ranks (empty halving ranges), a
+	// handful, and a large odd vector under automatic selection.
+	for _, np := range []int{2, 4, 8, 16} {
+		for _, tc := range []struct {
+			alg   CollAlg
+			count int
+		}{{CollAlgRing, np - 1}, {CollAlgRing, 3*np + 1}, {CollAlgAuto, 9<<10 + 11}} {
+			runRanks(t, np, func(w *Comm) error {
+				w.SetCollAlg(tc.alg)
+				return checkCollGroundTruth(w, tc.count, np-1)
+			})
+		}
+	}
 }
 
 // TestCollAlgGroundTruthHyb is a smaller ground-truth sweep over the
@@ -357,13 +438,20 @@ func TestCollAlgGroundTruthHyb(t *testing.T) {
 			return checkCollGroundTruth(w, 20<<10, 3)
 		})
 	}
+	// Recursive halving/doubling, on an odd count the size does not divide.
+	for _, np := range []int{2, 4, 8, 16} {
+		runRanksHyb(t, np, func(w *Comm) error {
+			w.SetCollAlg(CollAlgRing)
+			return checkCollGroundTruth(w, 20<<10+np+1, 1)
+		})
+	}
 }
 
 // TestRingAllreduceExplicit pins AllreduceWith(AllreduceRing) on
 // power-of-two and non-power-of-two sizes against the tree+bcast result,
 // straddling the eager/rendezvous boundary per chunk.
 func TestRingAllreduceExplicit(t *testing.T) {
-	for _, np := range []int{2, 3, 5, 8} {
+	for _, np := range []int{2, 3, 4, 5, 8, 16} {
 		runRanks(t, np, func(w *Comm) error {
 			const n = 9<<10 + 11 // odd count: chunks differ in size
 			in := make([]int64, n)

@@ -314,7 +314,7 @@ func TestProfCountersPingPongExact(t *testing.T) {
 
 // TestProfCountersAllreduceExact pins the recursive-doubling Allreduce to
 // its textbook traffic: every rank sends one count*4-byte message in each
-// of log2(np) rounds.
+// of log2(np) rounds; and the large allreduce to its own.
 func TestProfCountersAllreduceExact(t *testing.T) {
 	const np, count = 4, 1024
 	diffs := make([]prof.Snapshot, np)
@@ -357,6 +357,53 @@ func TestProfCountersAllreduceExact(t *testing.T) {
 		if d.WaitNs < 0 {
 			t.Errorf("rank %d: negative wait time %d", i, d.WaitNs)
 		}
+	}
+
+	// The large family, per rank — the counts a traced benchmark run prints
+	// as device.msgs_per_op and core.rounds_per_op: 2·log₂p messages and
+	// rounds of recursive halving/doubling on a power-of-two communicator,
+	// the ring's 2(p-1) on any other, and 2·n·(p-1)/p bytes either way.
+	const large = 61440 // Int: 240 KiB, above large_min; divides by 3, 4, 5 and 8
+	for _, tc := range []struct {
+		np, msgs int
+		alg      string
+	}{
+		{4, 4, "halving-doubling"},
+		{8, 6, "halving-doubling"},
+		{3, 4, "ring"},
+		{5, 8, "ring"},
+	} {
+		t.Run(fmt.Sprintf("large_np%d", tc.np), func(t *testing.T) {
+			diffs := make([]prof.Snapshot, tc.np)
+			bar := newGoBarrier(tc.np)
+			runRanksProf(t, tc.np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+				sbuf, rbuf := make([]int32, large), make([]int32, large)
+				for i := range sbuf {
+					sbuf[i] = int32(w.Rank() + i)
+				}
+				diff, err := measureOp(w, bar, func() error {
+					req, err := w.Iallreduce(sbuf, 0, rbuf, 0, large, Int, SumOp)
+					if err != nil {
+						return err
+					}
+					if req.alg != tc.alg {
+						return fmt.Errorf("compiled %s, want %s", req.alg, tc.alg)
+					}
+					_, err = req.Wait()
+					return err
+				})
+				diffs[w.Rank()] = diff
+				return err
+			})
+			bytes := int64(2 * large * 4 * (tc.np - 1) / tc.np)
+			for rank, d := range diffs {
+				if d.SentMsgs() != int64(tc.msgs) || d.RecvMsgs() != int64(tc.msgs) || d.CollRounds != int64(tc.msgs) ||
+					d.SentBytes() != bytes || d.RecvBytes() != bytes || d.CollStarted != 1 || d.CollDone != 1 {
+					t.Errorf("rank %d: %d msgs sent, %d arrived, %d rounds, %d B sent, %d B arrived; want %d, %d, %d, %d, %d (%+v)",
+						rank, d.SentMsgs(), d.RecvMsgs(), d.CollRounds, d.SentBytes(), d.RecvBytes(), tc.msgs, tc.msgs, tc.msgs, bytes, bytes, d)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
@@ -568,6 +569,15 @@ func vWindow(dt Datatype, buf any, off, count int) []byte {
 		}
 	}
 	return nil
+}
+
+// overlaps reports whether two byte slices share memory.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }
 
 // vSendStep builds the send step for count elements of dt from buf at

@@ -5,12 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"mpj/internal/transport"
 	"mpj/internal/wire"
@@ -80,15 +80,6 @@ type schedShape struct {
 	nseg   int
 	rounds []roundShape
 	lend   error // lendCheck's verdict on the compiled rounds
-}
-
-// overlaps reports whether two byte slices share memory.
-func overlaps(a, b []byte) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return false
-	}
-	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }
 
 // lendCheck is the read/write-set check behind sendStep.lend. A lent send
@@ -547,52 +538,78 @@ func TestScheduleShape(t *testing.T) {
 	}
 }
 
-// TestLendSafetyRingAllreduce is the other half of the ring allreduce's
-// lend proof: the table checks every round's landing buffers, this checks
-// the one write the table cannot see — the reduce-scatter fold — by spying
-// on the combiner. Round k of the ring runs the k-th fold, so the k-th
-// recorded destination is round k's write.
-func TestLendSafetyRingAllreduce(t *testing.T) {
-	for np := 2; np <= 9; np++ {
+// TestLendSafetyLargeAllreduce is the other half of the large allreduce's
+// lend proof, for both exchange patterns: the table checks every round's
+// landing buffers, this checks the one write the table cannot see — the
+// reduce-scatter fold — by spying on the combiner. Round k runs the k-th
+// fold, so the k-th recorded destination is round k's write. It also pins
+// the data flow: with a send buffer of its own the contribution is folded
+// out of it into an arrival that landed in the receive buffer — by every
+// ring step, by the first halving step — and with one buffer for both every
+// arrival is staged and folds into the receive buffer.
+func TestLendSafetyLargeAllreduce(t *testing.T) {
+	for _, np := range []int{2, 3, 4, 5, 6, 7, 8, 9, 16} {
+		msgs, folds, alg := 2*(np-1), np-1, "ring"
+		if np&(np-1) == 0 {
+			folds = bits.Len(uint(np)) - 1
+			msgs, alg = 2*folds, "halving-doubling"
+		}
 		runRanks(t, np, func(w *Comm) error {
 			for _, n := range []int{0, 1, np - 1, 3*np + 1, 2048} {
-				var folds [][]byte
-				spy := &Op{name: "spy-sum", generic: func(dt Datatype) (combiner, error) {
-					sum, err := SumOp.combinerFor(dt)
-					return func(in, inout []byte) error {
-						folds = append(folds, inout)
-						return sum(in, inout)
-					}, err
-				}}
-				s, r := make([]int32, n), make([]int32, n)
-				for i := range s {
-					s[i] = int32(i + w.Rank())
-				}
-				req, err := w.IallreduceWith(AllreduceRing, s, 0, r, 0, n, Int, spy)
-				if err != nil {
-					return err
-				}
-				if _, err := req.Wait(); err != nil {
-					return err
-				}
-				for i, v := range r {
-					if want := int32(np*i + np*(np-1)/2); v != want {
-						return fmt.Errorf("np=%d n=%d: r[%d] = %d, want %d", np, n, i, v, want)
+				for _, aliased := range []bool{false, true} {
+					var ins, outs [][]byte
+					spy := &Op{name: "spy-sum", generic: func(dt Datatype) (combiner, error) {
+						sum, err := SumOp.combinerFor(dt)
+						return func(in, inout []byte) error {
+							ins, outs = append(ins, in), append(outs, inout)
+							return sum(in, inout)
+						}, err
+					}}
+					s, r := make([]int32, n), make([]int32, n)
+					if aliased {
+						s = r
 					}
-				}
-				lent := 0
-				for _, rd := range req.rounds {
-					for _, ss := range rd.sends {
-						if ss.lend {
-							lent++
+					for i := range s {
+						s[i] = int32(i + w.Rank())
+					}
+					req, err := w.IallreduceWith(AllreduceRing, s, 0, r, 0, n, Int, spy)
+					if err != nil {
+						return err
+					}
+					if _, err := req.Wait(); err != nil {
+						return err
+					}
+					where := fmt.Sprintf("np=%d n=%d aliased=%v", np, n, aliased)
+					for i, v := range r {
+						if want := int32(np*i + np*(np-1)/2); v != want {
+							return fmt.Errorf("%s: r[%d] = %d, want %d", where, i, v, want)
 						}
 					}
-				}
-				if lent != 2*(np-1) || len(folds) != np-1 {
-					return fmt.Errorf("np=%d n=%d: %d lent sends and %d folds, want %d and %d", np, n, lent, len(folds), 2*(np-1), np-1)
-				}
-				if err := lendCheck(req.rounds, folds); err != nil {
-					return fmt.Errorf("np=%d n=%d: %w", np, n, err)
+					lent := 0
+					for _, rd := range req.rounds {
+						for _, ss := range rd.sends {
+							if ss.lend {
+								lent++
+							}
+						}
+					}
+					if req.alg != alg || lent != msgs || len(outs) != folds {
+						return fmt.Errorf("%s: %s with %d lent sends and %d folds, want %s with %d and %d", where, req.alg, lent, len(outs), alg, msgs, folds)
+					}
+					if err := lendCheck(req.rounds, outs); err != nil {
+						return fmt.Errorf("%s: %w", where, err)
+					}
+					sw, rw := vWindow(Int, s, 0, n), vWindow(Int, r, 0, n)
+					for k := range outs {
+						if len(outs[k]) == 0 {
+							continue
+						}
+						fromSend := !aliased && (alg == "ring" || k == 0)
+						if !overlaps(outs[k], rw) || overlaps(ins[k], sw) != fromSend || overlaps(ins[k], rw) {
+							return fmt.Errorf("%s: fold %d reads the send buffer: %v (want %v), reads the receive buffer: %v, writes it: %v",
+								where, k, overlaps(ins[k], sw), fromSend, overlaps(ins[k], rw), overlaps(outs[k], rw))
+						}
+					}
 				}
 			}
 			return nil

@@ -119,7 +119,9 @@ const (
 	// CollAlgClassic forces the latency-optimised tree algorithms.
 	CollAlgClassic = core.CollAlgClassic
 	// CollAlgSegmented forces the large-message schedules: segmented
-	// pipelined broadcast, whole-chunk rings for allreduce/allgather.
+	// pipelined broadcast, whole-chunk reduce-scatter + allgather
+	// exchanges for allreduce (halving/doubling on a power-of-two size,
+	// the ring otherwise) and the ring for allgather.
 	CollAlgSegmented = core.CollAlgSegmented
 	// CollAlgRing is CollAlgSegmented under its ring-collective name.
 	CollAlgRing = core.CollAlgRing

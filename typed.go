@@ -276,7 +276,9 @@ func Ireduce[T Scalar](c *Comm, sbuf, rbuf []T, op ReduceOp[T], root int) (*Coll
 }
 
 // Allreduce combines every member's sbuf element-wise with op, leaving the
-// result in every member's rbuf — the typed MPI_Allreduce.
+// result in every member's rbuf — the typed MPI_Allreduce. sbuf is only
+// read, and lent to the transport for the duration of the call; the two
+// slices may overlap, which costs a copy of the vector.
 func Allreduce[T Scalar](c *Comm, sbuf, rbuf []T, op ReduceOp[T]) error {
 	return c.Allreduce(sbuf, 0, rbuf, 0, len(sbuf), DatatypeOf[T](), op.op)
 }

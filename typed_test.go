@@ -286,6 +286,18 @@ func TestTypedDatatypeEquivalenceProperty(t *testing.T) {
 					})
 				})
 			}
+			// Power-of-two communicators, where the large allreduce compiles
+			// recursive halving/doubling, on counts the size does not divide.
+			for _, np := range []int{2, 4, 8, 16} {
+				for _, count := range []int{np + 1, 11<<10 + 3} {
+					runWorlds(t, np, dev, func(w *Comm) error {
+						w.SetCollAlg(CollAlgRing)
+						return checkTypedEquiv(w, count, np/2, Sum[int64](), func(rank, i int) int64 {
+							return int64(rank*31 + i)
+						})
+					})
+				}
+			}
 		})
 	}
 }
