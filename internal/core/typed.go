@@ -122,6 +122,23 @@ func typedIsendMode[T Scalar](c *Comm, buf []T, dst, tag int, mode device.Mode) 
 	return newRequest(c, dr, nil), nil
 }
 
+// TypedPut writes the whole slice into target's window at element
+// displacement tdisp — the engine behind mpj.PutT. Raw-layout element
+// types reach Win.Put's byte-level body straight from buf's memory, with
+// no boxing into `any`; the others take Win.Put itself. An empty slice is
+// a no-op, and every error is the one Win.Put reports.
+func TypedPut[T Scalar](w *Win, buf []T, target, tdisp int) error {
+	b := baseFor[T]()
+	if !b.isRaw() {
+		return w.Put(buf, 0, len(buf), Datatype(b), target, tdisp)
+	}
+	boff, _, ok, err := w.opSetup("put", Datatype(b), len(buf), target, tdisp)
+	if !ok {
+		return err
+	}
+	return w.putBytes(b.bytesOf(buf, 0, len(buf)), target, boff)
+}
+
 // TypedIrecv starts a non-blocking receive filling the whole slice — the
 // engine behind mpj.Irecv[T]. For raw-layout element types the payload
 // lands directly in buf (zero copy); otherwise it is decoded from a pooled

@@ -71,9 +71,11 @@ const (
 )
 
 // DefaultEpochTimeout bounds epoch-close waits (Fence, Lock, Unlock) when
-// MPJ_RMA_TIMEOUT does not override it. On expiry the unresponsive peers
-// are reported to the failure registry, so the wait fails with
-// ErrRankFailed instead of hanging.
+// MPJ_RMA_TIMEOUT does not override it: a wait that parks expires this long
+// after it parked. On expiry the unresponsive peers are reported to the
+// failure registry, so the wait fails with ErrRankFailed instead of
+// hanging. The window's one watchdog timer stays armed between epochs, so
+// a window that is never freed is kept reachable for up to this long.
 const DefaultEpochTimeout = 30 * time.Second
 
 // winRegistry maps co-location tokens to live windows, process-wide. Every
@@ -179,8 +181,14 @@ type Win struct {
 
 	mu   sync.Mutex
 	cond sync.Cond
-	wake func() // deadline timer body: broadcasts cond under mu
-	err  error  // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
+	err  error // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
+
+	// The deadline watchdog (see waitEpoch): one timer per window, firing
+	// wake. watchAt is when it fires, zero while disarmed; every parked
+	// waiter's own deadline is at or after it.
+	watch   *time.Timer
+	watchAt time.Time
+	wake    func() // watchdog body: disarms the watch and broadcasts cond
 
 	// Target-side passive-lock state.
 	holders map[int]int // origin member rank → lock mode
@@ -282,6 +290,7 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 	w.cond.L = &w.mu
 	w.wake = func() {
 		w.mu.Lock()
+		w.watchAt = time.Time{}
 		w.cond.Broadcast()
 		w.mu.Unlock()
 	}
@@ -395,12 +404,7 @@ func (w *Win) Slots(rank int) int {
 // fail with ErrComm.
 func (w *Win) Free() error {
 	err := w.c.Barrier()
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = fmt.Errorf("%w: window freed", ErrComm)
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	w.fail(fmt.Errorf("%w: window freed", ErrComm))
 	dropWinToken(w.token)
 	w.c.proc.unregisterWin(w)
 	if err != nil {
@@ -409,13 +413,20 @@ func (w *Win) Free() error {
 	return nil
 }
 
-// fail terminally fails the window (communicator revocation, teardown):
-// parked epoch waits wake and return err, future operations fail.
+// fail terminally fails the window (communicator revocation, teardown,
+// Free): parked epoch waits wake and return err, future operations fail.
+// It stops the watchdog too — no wait will park here again, and an armed
+// timer would keep the window, its communicator and device reachable
+// until it fired.
 func (w *Win) fail(err error) {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = err
 	}
+	if w.watch != nil {
+		w.watch.Stop()
+	}
+	w.watchAt = time.Time{}
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }
@@ -522,6 +533,9 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 	if !ok {
 		return err
 	}
+	if raw := vWindow(dt, buf, off, count); raw != nil {
+		return w.putBytes(raw, target, boff)
+	}
 	if w.peers[target] != nil {
 		tw, err := w.lockPeer("put", target)
 		if err != nil {
@@ -539,6 +553,28 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 	}
 	if p := w.dev.Profiler(); p != nil {
 		p.RmaOp(w.ctx, 'p', nbytes, w.peers[target] != nil)
+	}
+	return nil
+}
+
+// putBytes is the byte-level body of a raw-layout Put, shared by Win.Put
+// and TypedPut: src is the origin's memory, already in wire layout, and
+// boff the target byte offset opSetup resolved for len(src) bytes. A
+// co-located target gets one memmove under its window mutex, a remote one
+// one KindRmaPut frame.
+func (w *Win) putBytes(src []byte, target, boff int) error {
+	if w.peers[target] != nil {
+		tw, err := w.lockPeer("put", target)
+		if err != nil {
+			return err
+		}
+		copy(tw.buf[boff:boff+len(src)], src)
+		tw.mu.Unlock()
+	} else if err := w.dev.RMASend(w.world[target], wire.KindRmaPut, w.ctx, 0, uint64(boff), 0, src); err != nil {
+		return fmt.Errorf("mpj: rma put: %w", err)
+	}
+	if p := w.dev.Profiler(); p != nil {
+		p.RmaOp(w.ctx, 'p', len(src), w.peers[target] != nil)
 	}
 	return nil
 }
@@ -808,23 +844,19 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 
 // waitEpoch waits on the window condition until pred reports done (or an
 // error). It looks before it parks: a wait whose predicate already holds
-// arms nothing, one that has to park arms a single deadline timer. The
-// timer only wakes the waiter, which judges expiry on its own clock (a late
-// fire of a stopped timer is a spurious wake-up, nothing more): on expiry
-// every member stuck() still blames is reported to the device failure
-// registry, which turns the hang into a typed ErrRankFailed through pred's
-// dead-rank checks. Device failure watchers broadcast the condition, so
-// newly detected failures (from any source) re-evaluate pred promptly.
+// reads no clock and touches no timer. One that has to park fixes its
+// deadline on the first park (park time + timeout) and makes sure the
+// window's watchdog fires at or before it (armWatchLocked); on every later
+// wake-up it judges expiry on its own clock, so a fire meant for another
+// waiter is a spurious wake-up, nothing more. On expiry every member
+// stuck() still blames is reported to the device failure registry, which
+// turns the hang into a typed ErrRankFailed through pred's dead-rank
+// checks. Device failure watchers broadcast the condition, so newly
+// detected failures (from any source) re-evaluate pred promptly.
 func (w *Win) waitEpoch(pred func() (bool, error), stuck func() []int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var timer *time.Timer
 	var deadline time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		if w.err != nil {
 			return w.err
@@ -832,12 +864,11 @@ func (w *Win) waitEpoch(pred func() (bool, error), stuck func() []int) error {
 		if done, err := pred(); done || err != nil {
 			return err
 		}
-		if now := time.Now(); timer == nil {
+		now := time.Now()
+		if deadline.IsZero() {
 			deadline = now.Add(w.timeout)
-			timer = time.AfterFunc(w.timeout, w.wake)
 		} else if !now.Before(deadline) {
 			deadline = now.Add(w.timeout)
-			timer.Reset(w.timeout)
 			peers, cause := stuck(), fmt.Errorf("mpj: rma epoch deadline (%s) expired", w.timeout)
 			w.mu.Unlock()
 			for _, m := range peers {
@@ -846,7 +877,27 @@ func (w *Win) waitEpoch(pred func() (bool, error), stuck func() []int) error {
 			w.mu.Lock()
 			continue
 		}
+		w.armWatchLocked(now, deadline)
 		w.cond.Wait()
+	}
+}
+
+// armWatchLocked makes the watchdog fire at or before deadline. An armed
+// watch that fires no later is left alone — in steady state every epoch of
+// a window finds it so and touches no timer; a disarmed one, or one due
+// after deadline (the timeout was shortened), is reset to deadline. wake
+// disarms before it broadcasts, so a fire already in flight cannot leave a
+// parked waiter uncovered: the waiter wakes and re-arms for itself.
+// Callers hold w.mu.
+func (w *Win) armWatchLocked(now, deadline time.Time) {
+	if !w.watchAt.IsZero() && !w.watchAt.After(deadline) {
+		return
+	}
+	w.watchAt = deadline
+	if w.watch == nil {
+		w.watch = time.AfterFunc(deadline.Sub(now), w.wake)
+	} else {
+		w.watch.Reset(deadline.Sub(now))
 	}
 }
 
@@ -1093,6 +1144,17 @@ func (w *Win) sendCtl(target int, kind wire.Kind, tag int, seq uint64) error {
 // ---------------------------------------------------------------------
 // Inbound frame handling and target-side lock queue.
 
+// winSpan resolves the byte range an inbound RMA frame addresses: n bytes
+// at offset seq of a size-byte window. ok is false unless the whole range
+// lies inside the window. seq and n come off the wire, so the test is
+// written not to overflow: seq near 2^63 must not wrap off+n into range.
+func winSpan(seq uint64, n, size int) (off int, ok bool) {
+	if n < 0 || seq > uint64(size) || uint64(n) > uint64(size)-seq {
+		return 0, false
+	}
+	return int(seq), true
+}
+
 // handleFrame dispatches one inbound RMA frame. It runs on the transport
 // reader goroutine (or synchronously on the caller for self-frames):
 // state changes happen under w.mu, outbound control frames are collected
@@ -1106,22 +1168,21 @@ func (w *Win) handleFrame(src int, h *wire.Header, payload []byte) {
 	w.mu.Lock()
 	switch h.Kind {
 	case wire.KindRmaPut:
-		off := int(h.Seq)
-		if off >= 0 && off+len(payload) <= len(w.buf) {
+		if off, ok := winSpan(h.Seq, len(payload), len(w.buf)); ok {
 			copy(w.buf[off:], payload)
 		}
 
 	case wire.KindRmaAcc:
-		off, opID := int(h.Seq), int(h.Tag)
-		if off >= 0 && off+len(payload) <= len(w.buf) && opID >= 0 && opID < len(rmaOps) {
+		opID := int(h.Tag)
+		if off, ok := winSpan(h.Seq, len(payload), len(w.buf)); ok && opID >= 0 && opID < len(rmaOps) {
 			if comb, err := rmaOps[opID].combinerFor(w.dt); err == nil {
 				_ = comb(payload, w.buf[off:off+len(payload)])
 			}
 		}
 
 	case wire.KindRmaGet:
-		off, n := int(h.Seq), int(h.Tag)
-		if off >= 0 && n >= 0 && off+n <= len(w.buf) {
+		n := int(h.Tag)
+		if off, ok := winSpan(h.Seq, n, len(w.buf)); ok {
 			// The reply is built under w.mu (the copy out of the window
 			// must be serialized like any other access) — safe, because
 			// transport sends never block.
@@ -1135,8 +1196,8 @@ func (w *Win) handleFrame(src int, h *wire.Header, payload []byte) {
 		// Atomic fetch-and-op: reply the prior value first (the frame is
 		// filled synchronously, before the combine mutates the slot), then
 		// apply window[slot] = op(origin, window[slot]) under w.mu.
-		off, opID, n := int(h.Seq), int(h.Tag), len(payload)
-		if off >= 0 && n > 0 && off+n <= len(w.buf) && opID >= 0 && opID < len(rmaOps) {
+		opID, n := int(h.Tag), len(payload)
+		if off, ok := winSpan(h.Seq, n, len(w.buf)); ok && n > 0 && opID >= 0 && opID < len(rmaOps) {
 			_ = w.dev.RMASendFill(n, func(p []byte) error {
 				copy(p, w.buf[off:off+n])
 				return nil
@@ -1149,8 +1210,8 @@ func (w *Win) handleFrame(src int, h *wire.Header, payload []byte) {
 	case wire.KindRmaCas:
 		// Atomic compare-and-swap: payload is compare element + new
 		// element. Reply the prior value, then swap on a bytewise match.
-		off, n := int(h.Seq), len(payload)/2
-		if n > 0 && len(payload) == 2*n && off >= 0 && off+n <= len(w.buf) {
+		n := len(payload) / 2
+		if off, ok := winSpan(h.Seq, n, len(w.buf)); ok && n > 0 && len(payload) == 2*n {
 			_ = w.dev.RMASendFill(n, func(p []byte) error {
 				copy(p, w.buf[off:off+n])
 				return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -150,11 +151,11 @@ func TestWinFenceOrdering(t *testing.T) {
 }
 
 // TestWinFenceAllocationGate pins what makes the co-located epoch cheap: a
-// warmed chan np=2 Put+Fence epoch builds no frame and no closure — the
-// one object it may allocate is the deadline timer of whichever rank had
-// to park.
+// warmed chan np=2 Put+Fence epoch allocates nothing on either rank — no
+// frame, no closure, and no timer: a rank that parks finds the window's
+// watchdog already armed from an earlier epoch.
 func TestWinFenceAllocationGate(t *testing.T) {
-	const allocsPerEpoch = 2 // across both ranks
+	const allocsPerEpoch = 0.05 // across both ranks
 	runRanksWin(t, "chan", 2, func(w *Comm) error {
 		rank := w.Rank()
 		window := make([]byte, 2*4096)
@@ -188,7 +189,7 @@ func TestWinFenceAllocationGate(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(runs, epoch)
 		t.Logf("%.2f objects allocated per chan np=2 Put+Fence epoch, both ranks", allocs)
-		return expect(allocs <= allocsPerEpoch, "a co-located Put+Fence epoch allocates %.2f objects, want ≤ %d", allocs, allocsPerEpoch)
+		return expect(allocs <= allocsPerEpoch, "a co-located Put+Fence epoch allocates %.2f objects, want ≤ %.2f", allocs, allocsPerEpoch)
 	})
 }
 
@@ -234,22 +235,20 @@ func TestWinProfExactTCP(t *testing.T) {
 	})
 }
 
-// winColocatedJob is the manual harness of the co-located failure rows: np
-// devices and worlds over one plain chan mesh, so every peer is co-located
-// and no frame will ever report a fault — only the failure registry and the
-// epoch deadline can. Nothing collective works on the world once a fault is
-// in, so teardown is Abort, not Barrier.
-type winColocatedJob struct {
-	eps    []*transport.ChanTransport
+// winJob is the manual harness of the failure rows: one device and world
+// per transport. Nothing collective works on the world once a fault is in,
+// so teardown is Abort, not Barrier.
+type winJob struct {
+	eps    []*transport.ChanTransport // set by openWinColocatedJob only
 	devs   []*device.Device
 	worlds []*Comm
 }
 
-func openWinColocatedJob(t *testing.T, np int) *winColocatedJob {
+func openWinJob(t *testing.T, trs []transport.Transport) *winJob {
 	t.Helper()
-	j := &winColocatedJob{eps: transport.NewChanMesh(np), devs: make([]*device.Device, np), worlds: make([]*Comm, np)}
-	for i, ep := range j.eps {
-		d, err := device.Open(ep)
+	j := &winJob{devs: make([]*device.Device, len(trs)), worlds: make([]*Comm, len(trs))}
+	for i, tr := range trs {
+		d, err := device.Open(tr)
 		if err != nil {
 			t.Fatalf("open device %d: %v", i, err)
 		}
@@ -262,9 +261,25 @@ func openWinColocatedJob(t *testing.T, np int) *winColocatedJob {
 	return j
 }
 
+// openWinColocatedJob is the harness of the co-located failure rows: np
+// ranks over one plain chan mesh, so every peer is co-located and no frame
+// will ever report a fault — only the failure registry and the epoch
+// deadline can.
+func openWinColocatedJob(t *testing.T, np int) *winJob {
+	t.Helper()
+	eps := transport.NewChanMesh(np)
+	trs := make([]transport.Transport, np)
+	for i, ep := range eps {
+		trs[i] = ep
+	}
+	j := openWinJob(t, trs)
+	j.eps = eps
+	return j
+}
+
 // run executes fn on every rank under a watchdog, then aborts the devices
 // and reports each rank's error.
-func (j *winColocatedJob) run(t *testing.T, fn func(i int, w *Comm) error) {
+func (j *winJob) run(t *testing.T, fn func(i int, w *Comm) error) {
 	t.Helper()
 	errs := make([]error, len(j.worlds))
 	var wg sync.WaitGroup
@@ -397,5 +412,157 @@ func TestWinRevokedParked(t *testing.T) {
 			return fmt.Errorf("fence on revoked comm: %v, want ErrRevoked", err)
 		}
 		return nil
+	})
+}
+
+// awaitWatchArmed polls until win's watchdog is armed — the sign that one of
+// its epoch waits has parked — or fails after five seconds.
+func awaitWatchArmed(win *Win) error {
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		win.mu.Lock()
+		armed := !win.watchAt.IsZero()
+		win.mu.Unlock()
+		if armed {
+			return nil
+		}
+	}
+	return errors.New("the window's watchdog was never armed: its fence did not park")
+}
+
+// TestWinDeadlineAfterShortenedTimeout: a wait that parks must be covered by
+// a fire at or before its own deadline even when the watchdog is already
+// armed further out. Rank 0 parks once under a 10s timeout (so the watch
+// ends up armed ≈10s ahead), then shortens the timeout to 200ms and fences
+// against rank 1, which never fences again: the watch must be pulled in, and
+// the fence fail typed well before the old fire.
+func TestWinDeadlineAfterShortenedTimeout(t *testing.T) {
+	const np, victim = 2, 1
+	job := openWinColocatedJob(t, np)
+	survivorDone := make(chan struct{})
+	job.run(t, func(i int, w *Comm) error {
+		win, err := w.WinCreate(make([]int64, np), 1)
+		if err != nil {
+			return err
+		}
+		win.SetEpochTimeout(10 * time.Second)
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		if i == victim {
+			// Fence only once rank 0 is parked in its own.
+			if err := awaitWatchArmed(win.peers[0]); err != nil {
+				return err
+			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			<-survivorDone
+			return nil
+		}
+		defer close(survivorDone)
+		if err := win.Fence(); err != nil {
+			return err
+		}
+		win.mu.Lock()
+		ahead := time.Until(win.watchAt)
+		win.mu.Unlock()
+		if err := expect(ahead > 5*time.Second, "watch armed %v ahead after a parked 10s-timeout fence, want ≈10s", ahead); err != nil {
+			return err
+		}
+		win.SetEpochTimeout(200 * time.Millisecond)
+		start := time.Now()
+		err = win.Fence()
+		if took := time.Since(start); took > 2*time.Second {
+			return fmt.Errorf("fence under a 200ms timeout returned after %v (%v): the earlier watch was not pulled in", took, err)
+		}
+		return wantRankFailed("fence", err, victim)
+	})
+}
+
+// TestWinDeadlineAfterStaleWatch: a fire must disarm the watchdog. Rank 0's
+// first fence parks briefly and leaves the watch armed at the end of its
+// 300ms timeout; its second fence, 100ms later against a rank that never
+// fences, has a later deadline and so leaves the watch alone. When the old
+// fire comes, the waiter must find the watch disarmed and re-arm it for its
+// own deadline — or it is never woken again.
+func TestWinDeadlineAfterStaleWatch(t *testing.T) {
+	const np, victim = 2, 1
+	job := openWinColocatedJob(t, np)
+	survivorDone := make(chan struct{})
+	job.run(t, func(i int, w *Comm) error {
+		win, err := w.WinCreate(make([]int64, np), 1)
+		if err != nil {
+			return err
+		}
+		win.SetEpochTimeout(300 * time.Millisecond)
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		if i == victim {
+			if err := awaitWatchArmed(win.peers[0]); err != nil {
+				return err
+			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			<-survivorDone
+			return nil
+		}
+		defer close(survivorDone)
+		if err := win.Fence(); err != nil {
+			return err
+		}
+		time.Sleep(100 * time.Millisecond)
+		start := time.Now()
+		err = win.Fence()
+		if took := time.Since(start); took > 2*time.Second {
+			return fmt.Errorf("fence under a 300ms timeout returned after %v (%v)", took, err)
+		}
+		return wantRankFailed("fence", err, victim)
+	})
+}
+
+// parkedFenceThenFree creates a window whose fence parks on rank 0 (rank 1
+// fences only once rank 0's watchdog is armed), frees it, and registers
+// collected to be closed when rank 0's window is garbage collected.
+func parkedFenceThenFree(w *Comm, collected chan struct{}) error {
+	win, err := w.WinCreate(make([]int64, 2), 1)
+	if err != nil {
+		return err
+	}
+	if w.Rank() == 0 {
+		runtime.AddCleanup(win, func(c chan struct{}) { close(c) }, collected)
+	} else if err := awaitWatchArmed(win.peers[0]); err != nil {
+		return err
+	}
+	if err := win.Fence(); err != nil {
+		return err
+	}
+	return win.Free()
+}
+
+// TestWinFreedIsCollectable: Free stops the watchdog. An armed timer is
+// reachable from the runtime's timer heap and its body reaches the window,
+// so a freed window whose fence once parked would otherwise stay alive —
+// with its communicator and device — until the default 30s deadline fired.
+func TestWinFreedIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	openWinColocatedJob(t, 2).run(t, func(_ int, w *Comm) error {
+		if err := parkedFenceThenFree(w, collected); err != nil {
+			return err
+		}
+		// Past this barrier both ranks' windows are freed and unreferenced.
+		if err := w.Barrier(); err != nil || w.Rank() != 0 {
+			return err
+		}
+		for end := time.Now().Add(3 * time.Second); time.Now().Before(end); {
+			runtime.GC()
+			select {
+			case <-collected:
+				return nil
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		return errors.New("a freed window whose fence parked was not collected within 3s")
 	})
 }

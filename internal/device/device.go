@@ -210,9 +210,11 @@ type Device struct {
 	// Failure registry (see NotifyRankFailed): dead maps a failed peer's
 	// world rank to its RankFailedError; failEpoch increments on every
 	// newly detected failure so parked waiters and the collective schedule
-	// engine can re-check membership without scanning the map.
+	// engine can re-check membership without scanning the map. Both are
+	// written under mu only; failEpoch is atomic so RankError can answer
+	// "nobody has died" without taking mu.
 	dead      map[int]error
-	failEpoch uint64
+	failEpoch atomic.Uint64
 
 	posted []*Request   // posted receives, FIFO
 	unexp  []unexpected // arrived-but-unmatched messages, FIFO
@@ -638,8 +640,13 @@ func (d *Device) RankFailed(r int) bool {
 }
 
 // RankError returns the registered RankFailedError of world rank r, or nil
-// while r is presumed alive.
+// while r is presumed alive. While no failure was ever registered it reads
+// one atomic and takes no lock: the map entry is written before the epoch
+// moves, so a reader that still sees epoch 0 ran before the failure.
 func (d *Device) RankError(r int) error {
+	if d.failEpoch.Load() == 0 {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dead[r]
@@ -662,9 +669,7 @@ func (d *Device) FailedRanks() []int {
 // newly detected rank failure, so a cached copy tells a caller whether any
 // new failure arrived since it last looked.
 func (d *Device) FailEpoch() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failEpoch
+	return d.failEpoch.Load()
 }
 
 // envelopeMatches implements MPI matching: recvSrc/recvTag may be
@@ -1083,7 +1088,7 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 	}
 	fail := &RankFailedError{Rank: peer, Cause: cause}
 	d.dead[peer] = fail
-	d.failEpoch++
+	d.failEpoch.Add(1)
 
 	if peer == d.rank {
 		// Self-failure: total local failure, as Abort but with the typed

@@ -245,7 +245,7 @@ func (d *Device) WaitProgress(reqs []*Request, epoch uint64) {
 		return
 	}
 	for {
-		if d.failEpoch != epoch || d.closed {
+		if d.failEpoch.Load() != epoch || d.closed {
 			return
 		}
 		for _, r := range watch {

@@ -307,9 +307,10 @@ func Iscan[T Scalar](c *Comm, sbuf, rbuf []T, op ReduceOp[T]) (*CollRequest, err
 // ---------------------------------------------------------------------
 
 // PutT writes buf into target's window at element displacement tdisp —
-// the typed Win.Put.
+// the typed Win.Put. A primitive slice is copied straight out of its own
+// memory: no boxing, no allocation.
 func PutT[T Scalar](w *Win, buf []T, target, tdisp int) error {
-	return w.Put(buf, 0, len(buf), DatatypeOf[T](), target, tdisp)
+	return core.TypedPut(w, buf, target, tdisp)
 }
 
 // GetT reads len(buf) elements from target's window at element

@@ -691,3 +691,47 @@ func TestPersistentCollectiveReuse(t *testing.T) {
 		return nil
 	})
 }
+
+// TestWinPutTFenceAllocationGate is the facade's row of the co-located
+// epoch gate: a warmed chan np=2 epoch of mpj.PutT (a []byte, no boxing)
+// and Fence allocates nothing on either rank.
+func TestWinPutTFenceAllocationGate(t *testing.T) {
+	const allocsPerEpoch = 0.05 // across both ranks
+	runWorlds(t, 2, "chan", func(w *Comm) error {
+		rank := w.Rank()
+		win, err := w.WinCreate(make([]byte, 2*4096), 1)
+		if err != nil {
+			return err
+		}
+		defer win.Free()
+		src := make([]byte, 4096)
+		i := 0
+		epoch := func() {
+			if err := PutT(win, src, 1-rank, (i%2)*4096); err != nil {
+				t.Error(err)
+			}
+			if err := win.Fence(); err != nil {
+				t.Error(err)
+			}
+			i++
+		}
+		// AllocsPerRun counts the process's mallocs: rank 1 runs the same
+		// epochs alongside, so rank 0's figure covers both ranks.
+		const warm, runs = 50, 200
+		for k := 0; k < warm; k++ {
+			epoch()
+		}
+		if rank != 0 {
+			for k := 0; k < runs+1; k++ { // AllocsPerRun makes one extra warm-up call
+				epoch()
+			}
+			return nil
+		}
+		allocs := testing.AllocsPerRun(runs, epoch)
+		t.Logf("%.2f objects allocated per chan np=2 PutT+Fence epoch, both ranks", allocs)
+		if allocs > allocsPerEpoch {
+			return fmt.Errorf("a co-located PutT+Fence epoch allocates %.2f objects, want ≤ %.2f", allocs, allocsPerEpoch)
+		}
+		return nil
+	})
+}
