@@ -1,8 +1,8 @@
 package mpj
 
-// Benchmarks regenerating the experiments of EXPERIMENTS.md as testing.B
-// targets (one family per table/figure; cmd/mpjbench prints the same
-// results as formatted tables):
+// Benchmarks regenerating the mpjbench experiment tables as testing.B
+// targets (one family per table/figure; `mpjbench -exp <name>` prints the
+// same results as formatted tables):
 //
 //	F1 — layer decomposition of a round trip (Figure 1)
 //	E1 — eager vs rendezvous protocol (paper §3.5(3))

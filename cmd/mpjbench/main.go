@@ -1,4 +1,5 @@
-// mpjbench regenerates every experiment table from EXPERIMENTS.md:
+// mpjbench regenerates the experiment tables (the -exp names below) and the
+// committed BENCH_*.json files some of them write:
 //
 //	mpjbench                 # run everything
 //	mpjbench -exp F1         # one experiment (F1 F2 E1 E2 E3 E4 E5 E7 A1 A2 BW PP ICOLL TYPED COLL VCOLL)
@@ -8,8 +9,9 @@
 //	mpjbench -exp coll       # large-message collective algorithms (writes BENCH_coll.json;
 //	                         # with -quick: regression check against the committed file)
 //	mpjbench -exp vcoll      # varying-count collectives: Alltoallv layouts + ReduceScatter
-//	                         # classic vs ring (writes BENCH_vcoll.json; with -quick:
-//	                         # regression check against the committed file)
+//	                         # classic vs the forced large family, labelled "ring"
+//	                         # (writes BENCH_vcoll.json; with -quick: regression check
+//	                         # against the committed file)
 //	mpjbench -exp ft         # fault tolerance: agreement and shrink latency (writes
 //	                         # BENCH_ft.json; with -quick: regression check against
 //	                         # the committed file)

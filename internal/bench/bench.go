@@ -1,7 +1,8 @@
-// Package bench implements the experiment harness behind EXPERIMENTS.md:
-// every figure of the paper and every measurable design claim has a
-// generator here that produces the corresponding table. cmd/mpjbench and
-// the root bench_test.go are thin callers.
+// Package bench implements the experiment harness: every figure of the
+// paper and every measurable design claim has a generator here that
+// produces the corresponding table — the tables `mpjbench -exp <name>`
+// prints and the committed BENCH_*.json files some of them rewrite.
+// cmd/mpjbench and the root bench_test.go are thin callers.
 //
 // See ARCHITECTURE.md at the repository root for where this package sits in
 // the layer stack.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -53,13 +54,72 @@ func checkAllreduceAliased[T comparable](w *Comm, dt Datatype, slots int, alg Al
 	return nil
 }
 
+// checkReduceScatterAliased runs ReduceScatter over every layout, InPlace
+// too, and every count, uniform and varying (vLayout), under automatic
+// selection and the forced large family, and compares each rank's block
+// with the same block of reduce+bcast over fresh buffers. The large
+// schedule folds out of the send buffer and writes rbuf only at finish, so
+// no layout needs a copy first.
+func checkReduceScatterAliased[T comparable](w *Comm, dt Datatype, slots int, val func(rank, i int) T) error {
+	np, me := w.Size(), w.Rank()
+	defer w.SetCollAlg(CollAlgAuto)
+	for _, fam := range []CollAlg{CollAlgAuto, CollAlgRing} {
+		w.SetCollAlg(fam)
+		for _, n := range []int{0, 1, 700} {
+			for _, uniform := range []bool{true, false} {
+				counts, displs, total := vLayout(np, n)
+				if uniform {
+					counts, displs = uniformLayout(np, n)
+					total = np * n
+				}
+				contrib := make([]T, total*slots)
+				for i := range contrib {
+					contrib[i] = val(me, i)
+				}
+				all := make([]T, total*slots)
+				if err := w.AllreduceWith(AllreduceTreeBcast, contrib, 0, all, 0, total, dt, SumOp); err != nil {
+					return err
+				}
+				want := all[displs[me]*slots : (displs[me]+counts[me])*slots]
+				mine := counts[me] * slots
+				where := func(lay string) string {
+					return fmt.Sprintf("reduce_scatter np=%d %s %v %s n=%d uniform=%v", np, dt.Name(), fam, lay, n, uniform)
+				}
+				buf := append([]T(nil), contrib...)
+				if err := w.ReduceScatter(InPlace, 0, buf, 0, counts, dt, SumOp); err != nil {
+					return fmt.Errorf("%s: %w", where("InPlace"), err)
+				}
+				if !slices.Equal(buf[:mine], want) {
+					return fmt.Errorf("%s: result differs from reduce+bcast", where("InPlace"))
+				}
+				for _, lay := range aliasLayouts {
+					so, ro := lay.so(total)*slots, lay.ro(total)*slots
+					back := make([]T, (2*total+2)*slots)
+					copy(back[so:], contrib)
+					if err := w.ReduceScatter(back, so, back, ro, counts, dt, SumOp); err != nil {
+						return fmt.Errorf("%s: %w", where(lay.name), err)
+					}
+					if !slices.Equal(back[ro:ro+mine], want) {
+						return fmt.Errorf("%s: result differs from reduce+bcast", where(lay.name))
+					}
+					if lay.name == "disjoint" && !slices.Equal(back[so:so+total*slots], contrib) {
+						return fmt.Errorf("%s: send buffer changed", where(lay.name))
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestAllreduceAliasedBuffers pins what the large allreduce does when the
 // send and the receive buffer share memory: the fold-from-send-buffer path
 // would combine half-reduced data, so any overlap must take the copying
 // path — and a disjoint send buffer must come back bit-identical. Raw
 // layouts (Int, Double) and a packed one, automatic selection with the
 // large-message threshold lowered into the sweep and the forced large
-// family, on both in-process devices.
+// family, on both in-process devices. The large ReduceScatter, which lends
+// its send buffer too, runs the same matrix (checkReduceScatterAliased).
 func TestAllreduceAliasedBuffers(t *testing.T) {
 	pair, err := Contiguous(2, Int)
 	if err != nil {
@@ -73,8 +133,8 @@ func TestAllreduceAliasedBuffers(t *testing.T) {
 			for _, np := range []int{1, 2, 3, 4, 5, 8} {
 				dev.run(t, np, func(w *Comm) error {
 					w.proc.collDev = &DeviceCrossovers{LargeMin: 1 << 10}
+					ival := func(rank, i int) int32 { return int32(rank*977 + i) }
 					for _, alg := range []AllreduceAlgorithm{AllreduceAuto, AllreduceRing} {
-						ival := func(rank, i int) int32 { return int32(rank*977 + i) }
 						if err := checkAllreduceAliased(w, Int, 1, alg, ival); err != nil {
 							return err
 						}
@@ -86,7 +146,10 @@ func TestAllreduceAliasedBuffers(t *testing.T) {
 							return err
 						}
 					}
-					return nil
+					if err := checkReduceScatterAliased(w, Int, 1, ival); err != nil {
+						return err
+					}
+					return checkReduceScatterAliased(w, pair, 2, ival)
 				})
 			}
 		})

@@ -72,20 +72,25 @@ func TestChaosCollectiveKillHyb(t *testing.T) {
 	}
 }
 
-// chaosLentCases kill a rank inside the 1 MiB large allreduce — the one
-// schedule whose sends lend user memory to the device: the transport is
-// reading the survivors' buffers, above the eager limit and by reference,
-// when the death lands. At np=4 (halving/doubling, 4 rounds) the kill falls
-// in round 0, the one that lends the *send* buffer, in the second halving
-// round and in the last doubling round; at np=3 (the ring, 4 rounds) in a
-// reduce-scatter round that lends the receive buffer and in the last
-// allgather round.
+// chaosLentCases kill a rank inside a 1 MiB schedule of the large vector
+// family — the one whose sends lend user memory to the device: the transport
+// is reading the survivors' buffers, above the eager limit and by reference,
+// when the death lands. In the allreduce at np=4 (halving/doubling, 4
+// rounds) the kill falls in round 0, the one that lends the *send* buffer,
+// in the second halving round and in the last doubling round; at np=3 (the
+// ring, 4 rounds) in a reduce-scatter round that lends the receive buffer
+// and in the last allgather round. The ReduceScatter runs the fold half
+// alone: at np=4 (halving, 2 rounds) the kill falls in round 0, which lends
+// the send buffer, at np=3 (the ring, 2 rounds) in round 1, which lends the
+// pooled working vector.
 var chaosLentCases = []chaosCase{
 	{np: 4, victim: 2, round: 0, op: "allreduce1m"},
 	{np: 4, victim: 2, round: 1, op: "allreduce1m"},
 	{np: 4, victim: 1, round: 3, op: "allreduce1m"},
 	{np: 3, victim: 2, round: 1, op: "allreduce1m"},
 	{np: 3, victim: 1, round: 3, op: "allreduce1m"},
+	{np: 4, victim: 1, round: 0, op: "reducescatter1m"},
+	{np: 3, victim: 2, round: 1, op: "reducescatter1m"},
 }
 
 // TestChaosLentAllreduceKill is the failure contract of lent sends, over
@@ -93,9 +98,18 @@ var chaosLentCases = []chaosCase{
 // the complete result), and the moment Allreduce returns its buffers are
 // the caller's again — chaosOp overwrites them, so under -race a transport
 // goroutine still reading or filling one is a report.
-func TestChaosLentAllreduceKill(t *testing.T) {
+func TestChaosLentAllreduceKill(t *testing.T) { chaosLentKill(t, "allreduce1m") }
+
+// TestChaosLentReduceScatterKill is the same contract for the large
+// ReduceScatter.
+func TestChaosLentReduceScatterKill(t *testing.T) { chaosLentKill(t, "reducescatter1m") }
+
+func chaosLentKill(t *testing.T, op string) {
 	for _, mesh := range []string{"tcp", "hyb"} {
 		for _, tc := range chaosLentCases {
+			if tc.op != op {
+				continue
+			}
 			mesh, tc := mesh, tc
 			t.Run(fmt.Sprintf("%s_np%d_kill%d@r%d", mesh, tc.np, tc.victim, tc.round), func(t *testing.T) {
 				chaosScenario(t, mesh, tc)
@@ -109,6 +123,21 @@ func TestChaosLentAllreduceKill(t *testing.T) {
 // the buffers of the abandoned schedule — the lent send buffer too — are
 // the caller's.
 func TestChaosLentAllreduceFree(t *testing.T) {
+	chaosLentFree(t, func(c *Comm, in, out []int32) (*CollRequest, error) {
+		return c.IallreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+	})
+}
+
+// TestChaosLentReduceScatterFree is TestChaosLentAllreduceFree for an
+// outstanding large IreduceScatter.
+func TestChaosLentReduceScatterFree(t *testing.T) {
+	chaosLentFree(t, func(c *Comm, in, out []int32) (*CollRequest, error) {
+		counts, _ := uniformLayout(c.Size(), len(in)/c.Size())
+		return c.IreduceScatter(in, 0, out, 0, counts, Int, SumOp)
+	})
+}
+
+func chaosLentFree(t *testing.T, start func(c *Comm, in, out []int32) (*CollRequest, error)) {
 	for _, mesh := range []string{"tcp", "hyb"} {
 		for _, np := range []int{4, 3} {
 			mesh, np := mesh, np
@@ -119,14 +148,14 @@ func TestChaosLentAllreduceFree(t *testing.T) {
 						return err
 					}
 					in, out := make([]int32, chaosLentCount), make([]int32, chaosLentCount)
-					req, err := c.IallreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+					req, err := start(c, in, out)
 					if err != nil {
 						return err
 					}
 					c.Free()
 					scribble(in, out)
 					if _, err := req.Wait(); !errors.Is(err, ErrComm) {
-						return fmt.Errorf("iallreduce on a freed comm: %v, want ErrComm", err)
+						return fmt.Errorf("%s on a freed comm: %v, want ErrComm", req.name, err)
 					}
 					return w.Barrier()
 				})
@@ -368,6 +397,31 @@ func chaosOp(w *Comm, op string) (func() error, error) {
 			for i, v := range out {
 				if want := int32(base + np*i); v != want {
 					return fmt.Errorf("allreduce1m[%d] = %d, want %d", i, v, want)
+				}
+			}
+			return nil
+		}, err
+	case "reducescatter1m":
+		// Blocks of chaosLentCount/np elements (the cut is uneven at np=3).
+		counts, displs := make([]int, np), make([]int, np)
+		for r := range counts {
+			displs[r] = r * chaosLentCount / np
+			counts[r] = (r+1)*chaosLentCount/np - displs[r]
+		}
+		in, out := make([]int32, chaosLentCount), make([]int32, counts[rank])
+		for i := range in {
+			in[i] = int32(rank + i)
+		}
+		err := w.ReduceScatter(in, 0, out, 0, counts, Int, SumOp)
+		if err != nil {
+			scribble(in, out)
+		}
+		return func() error {
+			defer scribble(in, out)
+			base := np * (np - 1) / 2
+			for i, v := range out {
+				if want := int32(base + np*(displs[rank]+i)); v != want {
+					return fmt.Errorf("reducescatter1m[%d] = %d, want %d", i, v, want)
 				}
 			}
 			return nil

@@ -253,11 +253,13 @@ func (c *Comm) AllreduceWith(alg AllreduceAlgorithm, sbuf any, soff int, rbuf an
 
 // ReduceScatter combines every member's data and scatters the result:
 // rank r receives rcounts[r] elements of the combined vector —
-// MPI_Reduce_scatter. Large payloads ride the bandwidth-optimal ring
-// reduce-scatter (each rank moves ~2·n bytes regardless of size, chunks
-// cut on the rcounts boundaries); small ones reduce to rank 0 and
-// scatter linearly (the same schedules IreduceScatter compiles; see
-// collalg.go for the selection knobs).
+// MPI_Reduce_scatter. Large payloads run the large allreduce's
+// reduce-scatter half with chunks cut on the rcounts boundaries: each rank
+// sends n·(p-1)/p bytes, in log₂p messages by recursive halving on a
+// power-of-two size and p-1 around the ring otherwise, folding straight out
+// of a raw-layout send buffer; small ones reduce to rank 0 and scatter
+// linearly (the same schedules IreduceScatter compiles; see collalg.go for
+// the selection knobs).
 func (c *Comm) ReduceScatter(sbuf any, soff int, rbuf any, roff int, rcounts []int, dt Datatype, op *Op) error {
 	return runColl(c.ireduceScatter("reduce_scatter", c.nextCollTag(), sbuf, soff, rbuf, roff, rcounts, dt, op))
 }

@@ -212,80 +212,89 @@ func ringRounds(c *Comm, cur *cell, onBlock func(owner int, got []byte) error) [
 	return rs
 }
 
-// The large allreduce is one family — a reduce-scatter followed by an
-// allgather over the working vector acc, 2·len(acc)·(p-1)/p bytes through
-// every rank whatever p is — compiled in one of two exchange patterns:
-// recursive halving/doubling (halvingDoublingRounds) when the communicator
-// size is a power of two, the ring (ringAllreduceRounds) for every other
-// size. Both builders share one data flow.
+// The large vector family is a reduce-scatter half and an allgather half over
+// the working vector acc, cut into one chunk per rank at the byte offsets
+// bound(0) … bound(p), each half compiled in one of two exchange patterns:
+// recursive halving (halvingRounds) and doubling (doublingRounds) when the
+// communicator size is a power of two, the ring (ringFoldRounds,
+// ringGatherRounds) for every other size. Two callers: the large allreduce
+// (iallreduceRing) runs both halves of one pattern over even cuts,
+// 2·len(acc)·(p-1)/p bytes through every rank whatever p is; the large
+// ReduceScatter (ireduceScatter) runs the fold half alone over the cuts of
+// its receive counts.
 //
 // own is where the rank's contribution lives, acc the working vector the
 // result assembles in; own is either acc itself (the contribution was copied
 // or packed into it) or memory disjoint from it (a raw window of the caller's
-// send buffer beside one of its receive buffer). A reduce-scatter arrival is
-// the peers' partial for a range the rank reduces further. While the rank's
-// share of that range is still pristine in own, outside acc, the arrival
-// lands directly in acc and own's range folds into it (ops are commutative,
-// op.go); once the rank's partial lives in acc the arrival is staged through
-// scratch and folds into acc. A builder takes scratch from the wire pool when,
-// and as large as, its staging needs and returns it for the caller to recycle
-// at finish. Nothing ever writes own.
+// send buffer). A fold arrival is the peers' partial for a range the rank
+// reduces further. While the rank's share of that range is still pristine in
+// own, outside acc, the arrival lands directly in acc and own's range folds
+// into it (ops are commutative, op.go); once the rank's partial lives in acc
+// the arrival is staged through scratch and folds into acc. A fold half takes
+// scratch from the wire pool when, and as large as, its staging needs and
+// returns it for the caller to recycle at finish. Nothing ever writes own.
 //
-// Every step is one round moving its range whole (empty when the count leaves
-// it no elements): a round ends only when its send and its folded receive are
-// both done, so pieces of a step could not overlap and would each pay the
-// handshake again. Every send lends its range (sendStep.lend); each builder
-// says why its rounds write none of what they lend, and lendCheck
-// (schedshape_test.go) checks it.
+// Every step is one round moving its range whole: a round ends only when its
+// send and its folded receive are both done, so pieces of a step could not
+// overlap and would each pay the handshake again. Every send lends its range
+// (sendStep.lend); each half says why its rounds write none of what they
+// lend, and lendCheck (schedshape_test.go) checks it.
 
-// chunkCuts returns the cut points of the large allreduce's working vector:
-// bound(i) is the byte offset where chunk i of size starts, cut on elem-byte
-// element boundaries as evenly as the count allows, so any communicator size
-// and any count work.
-func chunkCuts(vec []byte, elem, size int) (bound func(i int) int) {
-	n := len(vec) / elem
-	return func(i int) int { return i * n / size * elem }
+// span returns chunks [lo, lo+n) of vec under the cuts bound.
+func span(vec []byte, bound func(int) int, lo, n int) []byte { return vec[bound(lo):bound(lo+n)] }
+
+// ringChunk returns chunk i of vec under the cuts bound, i taken mod size.
+func ringChunk(vec []byte, bound func(int) int, size, i int) []byte {
+	return span(vec, bound, (i%size+size)%size, 1)
 }
 
-// foldStep compiles one reduce-scatter exchange: send goes to the rank `to`,
-// lent, and the partial arriving from the rank `from` for the range dst of
-// acc is combined with this rank's share of it — mine, which is dst itself
-// once the rank's partial lives in acc.
-func foldStep(from, to int, send, mine, dst []byte, stage func(n int) []byte, comb combiner) round {
+// exchange appends one step of a half: send goes to the rank `to`, lent, and
+// the range arriving from the rank `from` lands in land, then fold (if any)
+// runs. An empty range is no message on either side — both ends derive it
+// from the same cuts — and a step left with nothing to move is no round.
+func exchange(rs []round, from, to int, send, land []byte, fold func([]byte) error) []round {
+	var rd round
+	if len(land) > 0 {
+		rd.recvs = []recvStep{{from: from, buf: land, on: fold}}
+	}
+	if len(send) > 0 {
+		rd.sends = []sendStep{{to: to, data: func() []byte { return send }, lend: true}}
+	}
+	if len(rd.recvs)+len(rd.sends) == 0 {
+		return rs
+	}
+	return append(rs, rd)
+}
+
+// foldStep appends one reduce-scatter step: the partial arriving for the
+// range dst of acc is combined with this rank's share of it — mine, which is
+// dst itself once the rank's partial lives in acc.
+func foldStep(rs []round, from, to int, send, mine, dst []byte, stage func(n int) []byte, comb combiner) []round {
 	land, in := dst, mine // the arrival lands in place, my share folds into it
 	if overlaps(mine, dst) {
 		land = stage(len(dst)) // my partial is in place, the arrival folds into it
 		in = land
 	}
-	return round{
-		recvs: []recvStep{{from: from, buf: land, on: func([]byte) error { return comb(in, dst) }}},
-		sends: []sendStep{{to: to, data: func() []byte { return send }, lend: true}},
-	}
+	return exchange(rs, from, to, send, land, func([]byte) error { return comb(in, dst) })
 }
 
-// ringAllreduceRounds compiles the ring pattern: a reduce-scatter phase (p-1
-// steps; in step s every rank sends its partial of chunk rank-s right and
-// combines the arriving partial of chunk rank-s-1 with its own) leaves rank r
-// holding the complete reduction of chunk r+1, then a ring allgather
-// circulates the reduced chunks back into place — 2(p-1) rounds and messages.
-// Every arriving partial is for a chunk the rank has not touched yet, so with
-// own outside acc no step stages and no scratch is taken.
+// ringFoldRounds compiles the ring's reduce-scatter half: p-1 steps; in step
+// s every rank sends its partial of chunk held-1-s right and combines the
+// arriving partial of chunk held-2-s with its own, which leaves it holding
+// the complete reduction of chunk held. Every arriving partial is for a chunk
+// the rank has not touched yet, so with own outside acc no step stages.
 //
-// Lend proof: reduce-scatter step s lends chunk rank-s — of own in step 0, of
-// acc after — while the round writes only scratch and chunk rank-s-1 of acc;
-// allgather step s lends chunk rank+1-s and lands chunk rank-s — different
-// chunks, since p ≥ 2.
-func ringAllreduceRounds(c *Comm, own, acc []byte, elem int, comb combiner) (rs []round, scratch []byte) {
+// Lend proof: step s lends chunk held-1-s — of own in step 0, of acc after —
+// while the round writes only scratch and chunk held-2-s of acc (p ≥ 2).
+func ringFoldRounds(c *Comm, bound func(int) int, held int, own, acc []byte, comb combiner) (rs []round, scratch []byte) {
 	size := c.Size()
-	bound := chunkCuts(acc, elem, size)
-	chunk := func(vec []byte, i int) []byte {
-		i = (i%size + size) % size
-		return vec[bound(i):bound(i+1)]
-	}
 	stage := func(n int) []byte {
 		if scratch == nil {
-			// Chunk sizes differ by at most one element.
-			scratch = wire.GetBuf((len(acc)/elem + size - 1) / size * elem)
+			big := 0 // the largest chunk
+			for i := 0; i < size; i++ {
+				big = max(big, bound(i+1)-bound(i))
+			}
+			scratch = wire.GetBuf(big)
 		}
 		return scratch[:n]
 	}
@@ -293,41 +302,40 @@ func ringAllreduceRounds(c *Comm, own, acc []byte, elem int, comb combiner) (rs 
 	left := (c.rank - 1 + size) % size
 	partial := own // where the chunk a step sends lives: pristine in step 0
 	for s := 0; s < size-1; s++ {
-		rs = append(rs, foldStep(left, right, chunk(partial, c.rank-s),
-			chunk(own, c.rank-s-1), chunk(acc, c.rank-s-1), stage, comb))
+		rs = foldStep(rs, left, right, ringChunk(partial, bound, size, held-1-s),
+			ringChunk(own, bound, size, held-2-s), ringChunk(acc, bound, size, held-2-s), stage, comb)
 		partial = acc
-	}
-	// Allgather: the reduced chunks circulate back, landing straight in
-	// their final places.
-	for s := 0; s < size-1; s++ {
-		send := chunk(acc, c.rank+1-s)
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, buf: chunk(acc, c.rank-s)}},
-			sends: []sendStep{{to: right, data: func() []byte { return send }, lend: true}},
-		})
 	}
 	return rs, scratch
 }
 
-// halvingDoublingRounds compiles the power-of-two pattern: recursive halving
-// (distance p/2 … 1: of the chunk range it still reduces a rank keeps the
-// half whose index bit matches its own, sends the partner its partial of the
-// other half and combines the partner's partial of the kept half with its
-// own) leaves rank r holding the complete reduction of chunk r, then
-// recursive doubling in reverse hands the reduced ranges back — 2·log₂p
-// rounds and messages for the ring's bytes, over the ring's chunk cuts. Only
-// the first halving step meets a range the rank has not touched: with own
-// outside acc it folds in place and the scratch holds the second step's
-// arrival, a quarter of the vector, instead of the first's half.
-//
-// Lend proof: a halving step lends the half it gives away — of own in the
-// first step, of acc after — while the round writes only scratch and the
-// kept half of acc; a doubling step lends the range the rank holds and lands
-// the partner's range beside it.
-func halvingDoublingRounds(c *Comm, own, acc []byte, elem int, comb combiner) (rs []round, scratch []byte) {
+// ringGatherRounds compiles the ring's allgather half: the rank enters
+// holding chunk held, and in step s sends chunk held-s right while chunk
+// held-s-1 lands from the left in its final place — a different chunk, so
+// nothing lent is written.
+func ringGatherRounds(c *Comm, bound func(int) int, held int, acc []byte) (rs []round) {
 	size := c.Size()
-	bound := chunkCuts(acc, elem, size)
-	span := func(vec []byte, lo, n int) []byte { return vec[bound(lo):bound(lo+n)] }
+	for s := 0; s < size-1; s++ {
+		rs = exchange(rs, (c.rank-1+size)%size, (c.rank+1)%size,
+			ringChunk(acc, bound, size, held-s), ringChunk(acc, bound, size, held-s-1), nil)
+	}
+	return rs
+}
+
+// halvingRounds compiles the power-of-two reduce-scatter half: recursive
+// halving, distance p/2 … 1 — of the chunk range it still reduces a rank
+// keeps the half whose index bit matches its own, sends the partner its
+// partial of the other half and combines the partner's partial of the kept
+// half with its own — leaves rank r holding the complete reduction of chunk
+// r in log₂p rounds and messages, for the ring's bytes. Only the first step
+// meets a range the rank has not touched: with own outside acc it folds in
+// place and the scratch holds the second step's arrival, a quarter of the
+// vector, instead of the first's half.
+//
+// Lend proof: a step lends the half it gives away — of own in the first
+// step, of acc after — while the round writes only scratch and the kept half
+// of acc.
+func halvingRounds(c *Comm, bound func(int) int, own, acc []byte, comb combiner) (rs []round, scratch []byte) {
 	stage := func(n int) []byte {
 		if scratch == nil {
 			scratch = wire.GetBuf(n) // the first staged range; the later ones are parts of it
@@ -336,26 +344,30 @@ func halvingDoublingRounds(c *Comm, own, acc []byte, elem int, comb combiner) (r
 	}
 	lo := 0        // the rank holds chunks [lo, lo+d) after the step at distance d
 	partial := own // where the rank's partial of those chunks lives
-	for d := size / 2; d >= 1; d >>= 1 {
+	for d := c.Size() / 2; d >= 1; d >>= 1 {
 		keep, give := lo, lo+d
 		if c.rank&d != 0 {
 			keep, give = give, keep
 		}
 		peer := c.rank ^ d
-		rs = append(rs, foldStep(peer, peer, span(partial, give, d),
-			span(partial, keep, d), span(acc, keep, d), stage, comb))
+		rs = foldStep(rs, peer, peer, span(partial, bound, give, d),
+			span(partial, bound, keep, d), span(acc, bound, keep, d), stage, comb)
 		lo, partial = keep, acc
 	}
-	for d := 1; d < size; d <<= 1 {
-		send := span(acc, lo, d)
-		peer := c.rank ^ d
-		rs = append(rs, round{
-			recvs: []recvStep{{from: peer, buf: span(acc, lo^d, d)}},
-			sends: []sendStep{{to: peer, data: func() []byte { return send }, lend: true}},
-		})
+	return rs, scratch
+}
+
+// doublingRounds compiles the power-of-two allgather half: the rank enters
+// holding chunk rank, and recursive doubling, distance 1 … p/2, hands the
+// reduced ranges back in log₂p rounds and messages, each step lending the
+// range the rank holds and landing the partner's beside it.
+func doublingRounds(c *Comm, bound func(int) int, acc []byte) (rs []round) {
+	lo := c.rank // the rank holds chunks [lo, lo+d) before the step at distance d
+	for d := 1; d < c.Size(); d <<= 1 {
+		rs = exchange(rs, c.rank^d, c.rank^d, span(acc, bound, lo, d), span(acc, bound, lo^d, d), nil)
 		lo &^= d
 	}
-	return rs, scratch
+	return rs
 }
 
 // reduceRoundsIn compiles the binomial-tree reduction over members toward
@@ -909,42 +921,46 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 		return nil, fmt.Errorf("%s: %w: ring allreduce requires fixed-size elements, have %s", name, ErrType, dt.Name())
 	}
 	var own, acc []byte
-	var unpack func() error
 	if win := vWindow(dt, rbuf, roff, count); win != nil {
+		own, acc = win, win
 		if src := vWindow(dt, sbuf, soff, count); src != nil && !overlaps(src, win) {
-			own, acc = src, win
-		} else if pi, ok := dt.(packerInto); ok {
-			if err := pi.PackInto(win, sbuf, soff, count); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			own, acc = win, win
+			own = src
+		} else if err := packIntoWindow(win, dt, sbuf, soff, count); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	if acc == nil {
+	packed := acc == nil
+	if packed {
 		data, err := packExact(dt, sbuf, soff, count)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		own, acc = data, data
-		unpack = func() error {
-			_, err := dt.Unpack(acc, rbuf, roff, count)
-			return err
-		}
 	}
-	build, alg := ringAllreduceRounds, "ring"
-	if size := c.Size(); size&(size-1) == 0 {
-		build, alg = halvingDoublingRounds, "halving-doubling"
+	// The two halves of one pattern. The ring's fold half leaves rank r
+	// holding chunk r+1, so that step 0 sends the rank's own chunk.
+	size, n := c.Size(), len(acc)/elem
+	bound := func(i int) int { return i * n / size * elem } // as even as the count allows
+	var rounds []round
+	var scratch []byte
+	alg := "halving-doubling"
+	if size&(size-1) == 0 {
+		rounds, scratch = halvingRounds(c, bound, own, acc, comb)
+		rounds = append(rounds, doublingRounds(c, bound, acc)...)
+	} else {
+		alg = "ring"
+		rounds, scratch = ringFoldRounds(c, bound, c.rank+1, own, acc, comb)
+		rounds = append(rounds, ringGatherRounds(c, bound, c.rank+1, acc)...)
 	}
-	rounds, scratch := build(c, own, acc, elem, comb)
 	if len(rounds) == 0 {
 		copy(acc, own) // no round, no fold: the result is the contribution
 	}
-	finish := func() error {
+	finish := func() (err error) {
 		wire.PutBuf(scratch) // nil when nothing was staged: dropped
-		if unpack != nil {
-			return unpack()
+		if packed {
+			_, err = dt.Unpack(acc, rbuf, roff, count)
 		}
-		return nil
+		return err
 	}
 	return c.newCollRequestAlg(name, tag, alg, 0, rounds, finish)
 }

@@ -183,7 +183,8 @@ func TestInPlaceAllgather(t *testing.T) {
 // TestInPlaceReduceScatter checks MPI_IN_PLACE semantics for
 // ReduceScatter: the full input vector is read from the receive buffer
 // and the rank's result chunk overwrites its head, on both the classic
-// reduce+scatter and the forced ring path.
+// reduce+scatter and the forced large path, for a short vector and one above
+// large_min (133 KiB of Long, which automatic selection sends large too).
 func TestInPlaceReduceScatter(t *testing.T) {
 	for _, mesh := range inPlaceMeshes {
 		for _, alg := range []CollAlg{CollAlgClassic, CollAlgSegmented} {
@@ -192,27 +193,31 @@ func TestInPlaceReduceScatter(t *testing.T) {
 				const np = 4
 				runRanksWin(t, mesh, np, func(w *Comm) error {
 					w.SetCollAlg(alg)
-					rcounts := []int{2, 1, 3, 2}
-					total := 8
-					buf := make([]int64, total)
-					for i := range buf {
-						buf[i] = int64(10*w.Rank() + i)
-					}
-					if err := w.ReduceScatter(InPlace, 0, buf, 0, rcounts, Long, SumOp); err != nil {
-						return err
-					}
-					displ := 0
-					for r := 0; r < w.Rank(); r++ {
-						displ += rcounts[r]
-					}
-					for i := 0; i < rcounts[w.Rank()]; i++ {
-						want := int64(0)
-						for r := 0; r < np; r++ {
-							want += int64(10*r + displ + i)
+					for _, rcounts := range [][]int{{2, 1, 3, 2}, {5000, 0, 9000, 3000}} {
+						total := 0
+						for _, n := range rcounts {
+							total += n
 						}
-						if err := expect(buf[i] == want,
-							"chunk elem %d: got %d, want %d", i, buf[i], want); err != nil {
+						buf := make([]int64, total)
+						for i := range buf {
+							buf[i] = int64(10*w.Rank() + i)
+						}
+						if err := w.ReduceScatter(InPlace, 0, buf, 0, rcounts, Long, SumOp); err != nil {
 							return err
+						}
+						displ := 0
+						for r := 0; r < w.Rank(); r++ {
+							displ += rcounts[r]
+						}
+						for i := 0; i < rcounts[w.Rank()]; i++ {
+							want := int64(0)
+							for r := 0; r < np; r++ {
+								want += int64(10*r + displ + i)
+							}
+							if err := expect(buf[i] == want,
+								"total %d, chunk elem %d: got %d, want %d", total, i, buf[i], want); err != nil {
+								return err
+							}
 						}
 					}
 					return nil

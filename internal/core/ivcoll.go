@@ -428,9 +428,13 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 // MPI_Ireduce_scatter: every member contributes sum(rcounts) elements,
 // the element-wise combination is computed with op, and rank r receives
 // elements [sum(rcounts[:r]), sum(rcounts[:r+1])) of the result in rbuf
-// at roff. Large payloads ride the bandwidth-optimal ring reduce-scatter
-// with chunks cut on the rcounts boundaries; small ones reduce to rank 0
-// and scatter linearly (see collalg.go for the selection knobs).
+// at roff. Large payloads run the large allreduce's reduce-scatter half
+// with chunks cut on the rcounts boundaries — recursive halving on a
+// power-of-two communicator, the ring otherwise, an empty chunk moving no
+// message; small ones reduce to rank 0 and scatter linearly (see collalg.go
+// for the selection knobs). Until the request completes sbuf must not be
+// written — the large schedule lends it to the transport — and rbuf not
+// touched.
 func (c *Comm) IreduceScatter(sbuf any, soff int, rbuf any, roff int, rcounts []int, dt Datatype, op *Op) (*CollRequest, error) {
 	return c.ireduceScatter("ireduce_scatter", c.nextCollTag(), sbuf, soff, rbuf, roff, rcounts, dt, op)
 }
@@ -444,8 +448,8 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 	if isInPlace(sbuf) {
 		// MPI_IN_PLACE: the full input vector is read from the receive
 		// buffer and the rank's result chunk overwrites its head. Safe to
-		// alias — both algorithms pack the input into a fresh accumulator
-		// before any result lands in rbuf.
+		// alias — the classic plan packs the input into a fresh accumulator,
+		// the large one writes rbuf only at finish.
 		sbuf, soff = rbuf, roff
 	}
 	if len(rcounts) != size {
@@ -456,7 +460,7 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 		return nil, fmt.Errorf("%s: %w: reduce-scatter requires fixed-size elements, have %s", name, ErrType, dt.Name())
 	}
 	total := 0
-	displs := make([]int, size)
+	displs := make([]int, size+1) // and the end of the last block
 	for i, n := range rcounts {
 		if n < 0 {
 			return nil, fmt.Errorf("%s: %w: negative count %d for rank %d", name, ErrCount, n, i)
@@ -464,12 +468,44 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 		displs[i] = total
 		total += n
 	}
+	displs[size] = total
 	comb, err := op.combinerFor(dt)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if size > 1 && c.collLarge(total*elem) {
-		return c.ireduceScatterRing(name, tag, sbuf, soff, rbuf, roff, rcounts, displs, total, dt, comb)
+		// The large allreduce's fold half over the rcounts cuts, which leaves
+		// rank r holding chunk r. The buffer plan: a raw window of the send
+		// buffer is own — lent and folded, never written — and acc one pooled
+		// vector; other datatypes pack into acc. rbuf is written only at
+		// finish, so it may alias the send buffer (InPlace, or shifted).
+		acc := wire.GetBuf(total * elem)
+		own := vWindow(dt, sbuf, soff, total)
+		if own == nil {
+			if err := packIntoWindow(acc, dt, sbuf, soff, total); err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			own = acc
+		}
+		bound := func(i int) int { return displs[i] * elem }
+		var rounds []round
+		var scratch []byte
+		alg := "halving"
+		if size&(size-1) == 0 {
+			rounds, scratch = halvingRounds(c, bound, own, acc, comb)
+		} else {
+			alg = "ring"
+			rounds, scratch = ringFoldRounds(c, bound, c.rank, own, acc, comb)
+		}
+		finish := func() (err error) {
+			if rcounts[c.rank] > 0 { // empty blocks are exempt from their displacements
+				_, err = dt.Unpack(span(acc, bound, c.rank, 1), rbuf, roff, rcounts[c.rank])
+			}
+			wire.PutBuf(scratch) // nil when nothing was staged: dropped
+			wire.PutBuf(acc)
+			return err
+		}
+		return c.newCollRequestAlg(name, tag, alg, 0, rounds, finish)
 	}
 
 	// Classic: binomial-tree reduce to rank 0, then scatter the chunks of
@@ -512,59 +548,4 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 		}
 	}
 	return c.newCollRequestAlg(name, tag, "reduce-linear", 0, rounds, finish)
-}
-
-// ireduceScatterRing compiles the bandwidth-optimal ring reduce-scatter:
-// chunks are cut on the rcounts boundaries of the packed vector, and in
-// round s every rank sends its partial of chunk (rank-s-1 mod p) right
-// while folding the arriving partial of chunk (rank-s-2 mod p) into its
-// accumulator, so after p-1 rounds rank r holds the complete reduction of
-// exactly chunk r — no reduce-at-root bottleneck, and each rank moves
-// ~2·n bytes regardless of p (the first phase of the ring allreduce, with
-// the allgather phase replaced by the scatter semantics). Empty chunks
-// are skipped on both the sending and the receiving side of their hop,
-// which every rank derives consistently from the shared rcounts.
-func (c *Comm) ireduceScatterRing(name string, tag int, sbuf any, soff int, rbuf any, roff int,
-	rcounts, displs []int, total int, dt Datatype, comb combiner) (*CollRequest, error) {
-	size := c.Size()
-	elem := dt.ByteSize()
-	acc, err := packExact(dt, sbuf, soff, total)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	chunk := func(i int) []byte {
-		i = (i%size + size) % size
-		return acc[displs[i]*elem : (displs[i]+rcounts[i])*elem]
-	}
-	maxChunk := 0
-	for _, n := range rcounts {
-		maxChunk = max(maxChunk, n*elem)
-	}
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	scratch := wire.GetBuf(maxChunk)
-	var rs []round
-	for s := 0; s < size-1; s++ {
-		var rd round
-		if dst := chunk(c.rank - s - 2); len(dst) > 0 {
-			rd.recvs = []recvStep{{from: left, buf: scratch[:len(dst)], on: func(got []byte) error {
-				return comb(got, dst)
-			}}}
-		}
-		if send := chunk(c.rank - s - 1); len(send) > 0 {
-			rd.sends = []sendStep{{to: right, data: func() []byte { return send }}}
-		}
-		if len(rd.recvs)+len(rd.sends) > 0 {
-			rs = append(rs, rd)
-		}
-	}
-	finish := func() error {
-		wire.PutBuf(scratch)
-		if rcounts[c.rank] == 0 {
-			return nil
-		}
-		_, err := dt.Unpack(chunk(c.rank), rbuf, roff, rcounts[c.rank])
-		return err
-	}
-	return c.newCollRequestAlg(name, tag, "ring", 0, rs, finish)
 }

@@ -312,6 +312,11 @@ func TestProfCountersPingPongExact(t *testing.T) {
 	}
 }
 
+// profLarge is the element count of the exact-counter rows of the large
+// vector family: Int, 236 KiB, above large_min, and divisible by every
+// communicator size 3…8, so every chunk is the same size.
+const profLarge = 60480
+
 // TestProfCountersAllreduceExact pins the recursive-doubling Allreduce to
 // its textbook traffic: every rank sends one count*4-byte message in each
 // of log2(np) rounds; and the large allreduce to its own.
@@ -363,7 +368,6 @@ func TestProfCountersAllreduceExact(t *testing.T) {
 	// as device.msgs_per_op and core.rounds_per_op: 2·log₂p messages and
 	// rounds of recursive halving/doubling on a power-of-two communicator,
 	// the ring's 2(p-1) on any other, and 2·n·(p-1)/p bytes either way.
-	const large = 61440 // Int: 240 KiB, above large_min; divides by 3, 4, 5 and 8
 	for _, tc := range []struct {
 		np, msgs int
 		alg      string
@@ -372,17 +376,19 @@ func TestProfCountersAllreduceExact(t *testing.T) {
 		{8, 6, "halving-doubling"},
 		{3, 4, "ring"},
 		{5, 8, "ring"},
+		{6, 10, "ring"},
+		{7, 12, "ring"},
 	} {
 		t.Run(fmt.Sprintf("large_np%d", tc.np), func(t *testing.T) {
 			diffs := make([]prof.Snapshot, tc.np)
 			bar := newGoBarrier(tc.np)
 			runRanksProf(t, tc.np, prof.Spec{Counters: true}, false, func(w *Comm) error {
-				sbuf, rbuf := make([]int32, large), make([]int32, large)
+				sbuf, rbuf := make([]int32, profLarge), make([]int32, profLarge)
 				for i := range sbuf {
 					sbuf[i] = int32(w.Rank() + i)
 				}
 				diff, err := measureOp(w, bar, func() error {
-					req, err := w.Iallreduce(sbuf, 0, rbuf, 0, large, Int, SumOp)
+					req, err := w.Iallreduce(sbuf, 0, rbuf, 0, profLarge, Int, SumOp)
 					if err != nil {
 						return err
 					}
@@ -395,12 +401,81 @@ func TestProfCountersAllreduceExact(t *testing.T) {
 				diffs[w.Rank()] = diff
 				return err
 			})
-			bytes := int64(2 * large * 4 * (tc.np - 1) / tc.np)
+			bytes := int64(2 * profLarge * 4 * (tc.np - 1) / tc.np)
 			for rank, d := range diffs {
 				if d.SentMsgs() != int64(tc.msgs) || d.RecvMsgs() != int64(tc.msgs) || d.CollRounds != int64(tc.msgs) ||
 					d.SentBytes() != bytes || d.RecvBytes() != bytes || d.CollStarted != 1 || d.CollDone != 1 {
 					t.Errorf("rank %d: %d msgs sent, %d arrived, %d rounds, %d B sent, %d B arrived; want %d, %d, %d, %d, %d (%+v)",
 						rank, d.SentMsgs(), d.RecvMsgs(), d.CollRounds, d.SentBytes(), d.RecvBytes(), tc.msgs, tc.msgs, tc.msgs, bytes, bytes, d)
+				}
+			}
+		})
+	}
+}
+
+// TestProfCountersReduceScatterExact pins the large ReduceScatter to the
+// large allreduce's fold half, per rank: log₂p messages and rounds of
+// recursive halving on a power-of-two communicator, the ring's p-1 on any
+// other, n·(p-1)/p bytes either way (np=2 stays classic under
+// large_min_np). The varying row (vLayout at np=4: blocks n, 2n, 0, n)
+// shows that an empty range moves no message: rank 2 receives nothing for
+// its empty block and rank 3 sends rank 2 nothing for it.
+func TestProfCountersReduceScatterExact(t *testing.T) {
+	type want struct{ sent, recvd, sentElems, recvdElems int }
+	const n = 4096 // the varying row's unit: 64 KiB of Int in all
+	for _, tc := range []struct {
+		np     int
+		alg    string
+		vary   bool
+		ranks  []want // per rank, for the varying row
+		rounds int
+	}{
+		{np: 3, alg: "ring", rounds: 2},
+		{np: 4, alg: "halving", rounds: 2},
+		{np: 5, alg: "ring", rounds: 4},
+		{np: 8, alg: "halving", rounds: 3},
+		{np: 4, alg: "halving", rounds: 2, vary: true, ranks: []want{
+			{2, 2, 3 * n, 4 * n}, {2, 2, 2 * n, 5 * n}, {2, 1, 4 * n, n}, {1, 2, 3 * n, 2 * n}}},
+	} {
+		name := fmt.Sprintf("np%d", tc.np)
+		if tc.vary {
+			name += "_vlayout"
+		}
+		t.Run(name, func(t *testing.T) {
+			counts, _ := uniformLayout(tc.np, profLarge/tc.np)
+			total := profLarge
+			if tc.vary {
+				counts, _, total = vLayout(tc.np, n)
+			}
+			diffs := make([]prof.Snapshot, tc.np)
+			bar := newGoBarrier(tc.np)
+			runRanksProf(t, tc.np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+				sbuf, rbuf := make([]int32, total), make([]int32, counts[w.Rank()])
+				diff, err := measureOp(w, bar, func() error {
+					req, err := w.IreduceScatter(sbuf, 0, rbuf, 0, counts, Int, SumOp)
+					if err != nil {
+						return err
+					}
+					if req.alg != tc.alg {
+						return fmt.Errorf("compiled %s, want %s", req.alg, tc.alg)
+					}
+					_, err = req.Wait()
+					return err
+				})
+				diffs[w.Rank()] = diff
+				return err
+			})
+			for rank, d := range diffs {
+				msgs := tc.rounds
+				w := want{msgs, msgs, total * (tc.np - 1) / tc.np, total * (tc.np - 1) / tc.np}
+				if tc.vary {
+					w = tc.ranks[rank]
+				}
+				if d.SentMsgs() != int64(w.sent) || d.RecvMsgs() != int64(w.recvd) || d.CollRounds != int64(tc.rounds) ||
+					d.SentBytes() != int64(4*w.sentElems) || d.RecvBytes() != int64(4*w.recvdElems) || d.CollStarted != 1 || d.CollDone != 1 {
+					t.Errorf("rank %d: %d msgs sent, %d arrived, %d rounds, %d B sent, %d B arrived; want %d, %d, %d, %d, %d (%+v)",
+						rank, d.SentMsgs(), d.RecvMsgs(), d.CollRounds, d.SentBytes(), d.RecvBytes(),
+						w.sent, w.recvd, tc.rounds, 4*w.sentElems, 4*w.recvdElems, d)
 				}
 			}
 		})

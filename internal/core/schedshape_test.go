@@ -538,15 +538,64 @@ func TestScheduleShape(t *testing.T) {
 	}
 }
 
-// TestLendSafetyLargeAllreduce is the other half of the large allreduce's
-// lend proof, for both exchange patterns: the table checks every round's
-// landing buffers, this checks the one write the table cannot see — the
-// reduce-scatter fold — by spying on the combiner. Round k runs the k-th
-// fold, so the k-th recorded destination is round k's write. It also pins
-// the data flow: with a send buffer of its own the contribution is folded
-// out of it into an arrival that landed in the receive buffer — by every
-// ring step, by the first halving step — and with one buffer for both every
-// arrival is staged and folds into the receive buffer.
+// foldSpy is a Sum whose combiner records the range every fold reads and
+// the range it writes, in call order.
+type foldSpy struct{ ins, outs [][]byte }
+
+func (s *foldSpy) op() *Op {
+	return &Op{name: "spy-sum", generic: func(dt Datatype) (combiner, error) {
+		sum, err := SumOp.combinerFor(dt)
+		return func(in, inout []byte) error {
+			s.ins, s.outs = append(s.ins, in), append(s.outs, inout)
+			return sum(in, inout)
+		}, err
+	}}
+}
+
+// foldWrites checks the compiled rounds against what the spy saw — every
+// send lent, one fold per receive with a completion action — and returns
+// the folds' writes per round for lendCheck, with the number of lent sends.
+// Rounds run in order and a fold round has one receive, so the k-th recorded
+// fold is the k-th folding round's write.
+func (s *foldSpy) foldWrites(rounds []round) (folds [][]byte, lent int, err error) {
+	folds = make([][]byte, len(rounds))
+	k := 0
+	for i, rd := range rounds {
+		for _, ss := range rd.sends {
+			if !ss.lend {
+				return nil, 0, fmt.Errorf("round %d: the send to %d does not lend", i, ss.to)
+			}
+			lent++
+		}
+		for _, rs := range rd.recvs {
+			if rs.on == nil {
+				continue
+			}
+			if k == len(s.outs) {
+				return nil, 0, fmt.Errorf("round %d folds, but only %d folds ran", i, len(s.outs))
+			}
+			folds[i] = s.outs[k]
+			k++
+		}
+	}
+	if k != len(s.outs) {
+		return nil, 0, fmt.Errorf("%d folding receives compiled, %d folds ran", k, len(s.outs))
+	}
+	return folds, lent, nil
+}
+
+// TestLendSafetyLargeAllreduce is the other half of the lend proof of the
+// large vector family, for both exchange patterns and both callers — the
+// large allreduce and the large ReduceScatter: the table checks every
+// round's landing buffers, this checks the one write the table cannot see —
+// the reduce-scatter fold — by spying on the combiner. It also pins the data
+// flow: with a send buffer of its own the contribution is folded out of it
+// into an arrival that landed in the working vector — by every ring step, by
+// the first halving step — and with one buffer for both every arrival is
+// staged and folds into the receive buffer. The allreduce's working vector
+// is the receive buffer; ReduceScatter's is pooled, so its folds write
+// neither user buffer. Where every chunk holds an element the counts of lent
+// sends and folds are exact; an empty chunk moves no message.
 func TestLendSafetyLargeAllreduce(t *testing.T) {
 	for _, np := range []int{2, 3, 4, 5, 6, 7, 8, 9, 16} {
 		msgs, folds, alg := 2*(np-1), np-1, "ring"
@@ -557,14 +606,7 @@ func TestLendSafetyLargeAllreduce(t *testing.T) {
 		runRanks(t, np, func(w *Comm) error {
 			for _, n := range []int{0, 1, np - 1, 3*np + 1, 2048} {
 				for _, aliased := range []bool{false, true} {
-					var ins, outs [][]byte
-					spy := &Op{name: "spy-sum", generic: func(dt Datatype) (combiner, error) {
-						sum, err := SumOp.combinerFor(dt)
-						return func(in, inout []byte) error {
-							ins, outs = append(ins, in), append(outs, inout)
-							return sum(in, inout)
-						}, err
-					}}
+					spy := &foldSpy{}
 					s, r := make([]int32, n), make([]int32, n)
 					if aliased {
 						s = r
@@ -572,7 +614,7 @@ func TestLendSafetyLargeAllreduce(t *testing.T) {
 					for i := range s {
 						s[i] = int32(i + w.Rank())
 					}
-					req, err := w.IallreduceWith(AllreduceRing, s, 0, r, 0, n, Int, spy)
+					req, err := w.IallreduceWith(AllreduceRing, s, 0, r, 0, n, Int, spy.op())
 					if err != nil {
 						return err
 					}
@@ -585,36 +627,93 @@ func TestLendSafetyLargeAllreduce(t *testing.T) {
 							return fmt.Errorf("%s: r[%d] = %d, want %d", where, i, v, want)
 						}
 					}
-					lent := 0
-					for _, rd := range req.rounds {
-						for _, ss := range rd.sends {
-							if ss.lend {
-								lent++
-							}
-						}
+					writes, lent, err := spy.foldWrites(req.rounds)
+					if err != nil {
+						return fmt.Errorf("%s: %w", where, err)
 					}
-					if req.alg != alg || lent != msgs || len(outs) != folds {
-						return fmt.Errorf("%s: %s with %d lent sends and %d folds, want %s with %d and %d", where, req.alg, lent, len(outs), alg, msgs, folds)
+					if req.alg != alg || n >= np && (lent != msgs || len(spy.outs) != folds) {
+						return fmt.Errorf("%s: %s with %d lent sends and %d folds, want %s with %d and %d", where, req.alg, lent, len(spy.outs), alg, msgs, folds)
 					}
-					if err := lendCheck(req.rounds, outs); err != nil {
+					if err := lendCheck(req.rounds, writes); err != nil {
 						return fmt.Errorf("%s: %w", where, err)
 					}
 					sw, rw := vWindow(Int, s, 0, n), vWindow(Int, r, 0, n)
-					for k := range outs {
-						if len(outs[k]) == 0 {
-							continue
-						}
+					for k := range spy.outs {
+						in, out := spy.ins[k], spy.outs[k]
 						fromSend := !aliased && (alg == "ring" || k == 0)
-						if !overlaps(outs[k], rw) || overlaps(ins[k], sw) != fromSend || overlaps(ins[k], rw) {
+						if !overlaps(out, rw) || overlaps(in, sw) != fromSend || overlaps(in, rw) {
 							return fmt.Errorf("%s: fold %d reads the send buffer: %v (want %v), reads the receive buffer: %v, writes it: %v",
-								where, k, overlaps(ins[k], sw), fromSend, overlaps(ins[k], rw), overlaps(outs[k], rw))
+								where, k, overlaps(in, sw), fromSend, overlaps(in, rw), overlaps(out, rw))
 						}
 					}
 				}
 			}
-			return nil
+			if np < 3 {
+				return nil // ReduceScatter's large schedule starts at large_min_np
+			}
+			return lendSafetyReduceScatter(w)
 		})
 	}
+}
+
+// lendSafetyReduceScatter is TestLendSafetyLargeAllreduce's ReduceScatter
+// half: uniform and varying (vLayout, with empty blocks) counts under the
+// forced large family.
+func lendSafetyReduceScatter(w *Comm) error {
+	np, me := w.Size(), w.Rank()
+	folds, alg := np-1, "ring"
+	if np&(np-1) == 0 {
+		folds, alg = bits.Len(uint(np))-1, "halving"
+	}
+	w.SetCollAlg(CollAlgRing)
+	defer w.SetCollAlg(CollAlgAuto)
+	for _, n := range []int{0, 1, 3, 512} {
+		for _, uniform := range []bool{true, false} {
+			counts, displs, total := vLayout(np, n)
+			if uniform {
+				counts, displs = uniformLayout(np, n)
+				total = np * n
+			}
+			spy := &foldSpy{}
+			s, r := make([]int32, total), make([]int32, counts[me])
+			for i := range s {
+				s[i] = int32(i + me)
+			}
+			req, err := w.IreduceScatter(s, 0, r, 0, counts, Int, spy.op())
+			if err != nil {
+				return err
+			}
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			where := fmt.Sprintf("reduce_scatter np=%d n=%d uniform=%v", np, n, uniform)
+			for i, v := range r {
+				if want := int32(np*(displs[me]+i) + np*(np-1)/2); v != want {
+					return fmt.Errorf("%s: r[%d] = %d, want %d", where, i, v, want)
+				}
+			}
+			writes, lent, err := spy.foldWrites(req.rounds)
+			if err != nil {
+				return fmt.Errorf("%s: %w", where, err)
+			}
+			if req.alg != alg || uniform && n > 0 && (lent != folds || len(spy.outs) != folds) {
+				return fmt.Errorf("%s: %s with %d lent sends and %d folds, want %s with %d and %d", where, req.alg, lent, len(spy.outs), alg, folds, folds)
+			}
+			if err := lendCheck(req.rounds, writes); err != nil {
+				return fmt.Errorf("%s: %w", where, err)
+			}
+			sw, rw := vWindow(Int, s, 0, total), vWindow(Int, r, 0, counts[me])
+			for k := range spy.outs {
+				in, out := spy.ins[k], spy.outs[k]
+				fromSend := alg == "ring" || k == 0
+				if overlaps(out, sw) || overlaps(out, rw) || overlaps(in, sw) != fromSend || overlaps(in, rw) {
+					return fmt.Errorf("%s: fold %d reads the send buffer: %v (want %v), reads the receive buffer: %v, writes either: %v",
+						where, k, overlaps(in, sw), fromSend, overlaps(in, rw), overlaps(out, sw) || overlaps(out, rw))
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestLendCheckRejectsRewrittenSource is the negative: a forwarding-ring

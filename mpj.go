@@ -121,7 +121,8 @@ const (
 	// CollAlgSegmented forces the large-message schedules: segmented
 	// pipelined broadcast, whole-chunk reduce-scatter + allgather
 	// exchanges for allreduce (halving/doubling on a power-of-two size,
-	// the ring otherwise) and the ring for allgather.
+	// the ring otherwise), the same reduce-scatter half alone for
+	// ReduceScatter and the ring for allgather.
 	CollAlgSegmented = core.CollAlgSegmented
 	// CollAlgRing is CollAlgSegmented under its ring-collective name.
 	CollAlgRing = core.CollAlgRing
