@@ -82,7 +82,7 @@ func (r CollBenchRow) label() string {
 }
 
 // schedAlg extracts the algorithm name a schedule reports about itself
-// (CollRequest.String: "... alg=<name> nseg=...").
+// (CollRequest.String: "... alg=<name> round=...").
 func schedAlg(req *core.CollRequest) string {
 	_, rest, _ := strings.Cut(req.String(), "alg=")
 	name, _, _ := strings.Cut(rest, " ")

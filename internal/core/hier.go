@@ -403,5 +403,5 @@ func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt
 	} else {
 		rounds = append(rounds, bcastRoundsIn(c, h.mine, &cell{b: asm, fixed: true}, h.ldrInG)...)
 	}
-	return c.newCollRequestAlg(name, tag, "hier", 0, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "hier", rounds, finish)
 }

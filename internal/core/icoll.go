@@ -466,9 +466,9 @@ func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
 	// the expensive links twice per leader instead of every dissemination
 	// round (hier.go).
 	if c.collHier(0) {
-		return c.newCollRequestAlg(name, tag, "hier", 0, c.ihbarrierRounds(), nil)
+		return c.newCollRequestAlg(name, tag, "hier", c.ihbarrierRounds(), nil)
 	}
-	return c.newCollRequestAlg(name, tag, "dissemination", 0, barrierRoundsIn(c, c.members()), nil)
+	return c.newCollRequestAlg(name, tag, "dissemination", barrierRoundsIn(c, c.members()), nil)
 }
 
 // Ibcast starts a non-blocking broadcast of count elements of dt from the
@@ -490,10 +490,10 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	two := sized && c.collHier(total)
 	large := sized && c.collLarge(total)
 	cl := &cell{}
-	alg, nseg, seg := "binomial", 0, c.collSegSize()
+	alg, seg := "binomial", c.collSegSize()
 	phase := func(members []int, rootIdx int) []round { return bcastRoundsIn(c, members, cl, rootIdx) }
 	if large {
-		alg, nseg = "chain-pipelined", segCount(total, seg)
+		alg = "chain-pipelined"
 		pipe := pipeChainRoundsIn
 		if !two && c.collBinPipe(total) {
 			alg, pipe = "binomial-pipelined", pipeBinomialRoundsIn
@@ -556,7 +556,7 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	// first phase is empty.
 	h := c.hierFor(c.schedView(two), root)
 	rounds := append(phase(h.leaders, h.rootG), phase(h.mine, h.ldrInG)...)
-	req, err := c.newCollRequestAlg(name, tag, alg, nseg, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, alg, rounds, finish)
 	if err == nil {
 		// Cacheable: every send reads cl at post time and every receive
 		// refills it; the only build-time state is the root's packed
@@ -589,7 +589,7 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 		// Variable-size blocks: linear gather, all transfers in one round.
 		if c.rank != root {
 			rounds := []round{{sends: []sendStep{{to: root, data: func() []byte { return acc.b }}}}}
-			return c.newCollRequestAlg(name, tag, "linear", 0, rounds, nil)
+			return c.newCollRequestAlg(name, tag, "linear", rounds, nil)
 		}
 		var rd round
 		for r := 0; r < size; r++ {
@@ -605,7 +605,7 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 			_, err := rdt.Unpack(acc.b, rbuf, roff+root*rcount*rdt.Extent(), rcount)
 			return err
 		}
-		return c.newCollRequestAlg(name, tag, "linear", 0, []round{rd}, finish)
+		return c.newCollRequestAlg(name, tag, "linear", []round{rd}, finish)
 	}
 
 	// Fixed-size blocks: binomial tree over vranks.
@@ -625,7 +625,7 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 			return nil
 		}
 	}
-	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, gatherRounds(c, acc, bs, root), finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", gatherRounds(c, acc, bs, root), finish)
 	if err == nil {
 		// Cacheable: the accumulator is the only build-time state; reset
 		// restarts it from this rank's freshly packed contribution (the
@@ -670,7 +670,7 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 				_, err := rdt.Unpack(own, rbuf, roff, rcount)
 				return err
 			}
-			return c.newCollRequestAlg(name, tag, "linear", 0, []round{rd}, finish)
+			return c.newCollRequestAlg(name, tag, "linear", []round{rd}, finish)
 		}
 		cl := &cell{}
 		rounds := []round{{recvs: []recvStep{cl.recvFrom(root)}}}
@@ -678,7 +678,7 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 			_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
 			return err
 		}
-		return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
+		return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
 	}
 
 	// Fixed-size blocks: binomial tree, data travelling root-down. The
@@ -730,7 +730,7 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 		_, err := rdt.Unpack(cl.b[:bs], rbuf, roff, rcount)
 		return err
 	}
-	req, err := c.newCollRequestAlg(name, tag, "binomial", 0, scatterRounds(c, cl, root), finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", scatterRounds(c, cl, root), finish)
 	if err == nil {
 		// Cacheable: the root re-packs its cell per activation; every
 		// other rank's cell is filled by its tree parent each run.
@@ -773,7 +773,7 @@ func (c *Comm) iallgather(name string, tag int, sbuf any, soff, scount int, sdt 
 			rd.sends = append(rd.sends, sendStep{to: r, data: func() []byte { return myData }})
 		}
 		finish := func() error { return unpackSlot(c.rank, myData) }
-		return c.newCollRequestAlg(name, tag, "linear", 0, []round{rd}, finish)
+		return c.newCollRequestAlg(name, tag, "linear", []round{rd}, finish)
 	}
 	// Fixed-size blocks are the uniform layout of the varying-count form
 	// and compile through it.
@@ -818,7 +818,7 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 	}
 	h := c.hierFor(c.schedView(two), root)
 	rounds := append(reduceRoundsIn(c, h.mine, acc, comb, h.ldrInG), reduceRoundsIn(c, h.leaders, acc, comb, h.rootG)...)
-	req, err := c.newCollRequestAlg(name, tag, algName, 0, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, algName, rounds, finish)
 	if err == nil {
 		// Cacheable: reset restarts the accumulator from this rank's
 		// freshly packed contribution before child partials fold in.
@@ -889,7 +889,7 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 		_, err := dt.Unpack(acc.b, rbuf, roff, count)
 		return err
 	}
-	req, err := c.newCollRequestAlg(name, tag, algName, 0, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, algName, rounds, finish)
 	if err == nil {
 		// Cacheable (the large family is not: its rounds hold windows of
 		// the caller's send buffer or of a vector packed from it, and its
@@ -962,7 +962,7 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 		}
 		return err
 	}
-	return c.newCollRequestAlg(name, tag, alg, 0, rounds, finish)
+	return c.newCollRequestAlg(name, tag, alg, rounds, finish)
 }
 
 // Ialltoall starts a non-blocking all-to-all personalized exchange: a
@@ -1027,7 +1027,7 @@ func (c *Comm) iscan(name string, tag int, sbuf any, soff int, rbuf any, roff, c
 		_, err := dt.Unpack(result.b, rbuf, roff, count)
 		return err
 	}
-	req, err := c.newCollRequestAlg(name, tag, "simultaneous-binomial", 0, rs, finish)
+	req, err := c.newCollRequestAlg(name, tag, "simultaneous-binomial", rs, finish)
 	if err == nil {
 		// Cacheable: reset restarts both running vectors — two distinct
 		// buffers, as at build time, since the schedule mutates them

@@ -46,7 +46,7 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 			}
 			rounds = []round{{sends: []sendStep{ss}}}
 		}
-		return c.newCollRequestAlg(name, tag, "linear", 0, rounds, nil)
+		return c.newCollRequestAlg(name, tag, "linear", rounds, nil)
 	}
 	ext := rdt.Extent()
 	if err := checkVSpec(size, rcounts, displs, ext, roff, bufSlots(rbuf), true); err != nil {
@@ -83,7 +83,7 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 	if len(rd.recvs) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
 }
 
 // Iscatterv starts a non-blocking varying-count scatter — MPI_Iscatterv:
@@ -107,11 +107,11 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	size := c.Size()
 	if c.rank != root {
 		if rcount == 0 {
-			return c.newCollRequestAlg(name, tag, "linear", 0, nil, nil)
+			return c.newCollRequestAlg(name, tag, "linear", nil, nil)
 		}
 		if win := vWindow(rdt, rbuf, roff, rcount); win != nil {
 			rounds := []round{{recvs: []recvStep{{from: root, buf: win}}}}
-			return c.newCollRequestAlg(name, tag, "linear", 0, rounds, nil)
+			return c.newCollRequestAlg(name, tag, "linear", rounds, nil)
 		}
 		cl := &cell{}
 		rounds := []round{{recvs: []recvStep{cl.recvFrom(root)}}}
@@ -119,7 +119,7 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 			_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
 			return err
 		}
-		return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
+		return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
 	}
 	ext := sdt.Extent()
 	if err := checkVSpec(size, scounts, displs, ext, soff, bufSlots(sbuf), false); err != nil {
@@ -151,7 +151,7 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	if len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
 }
 
 // Iallgatherv starts a non-blocking varying-count allgather —
@@ -220,7 +220,7 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 		}
 		if total > 0 && c.collLarge(total*sz) {
 			if rounds, finish, ok := c.ringWindowVRounds(sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt); ok {
-				req, err := c.newCollRequestAlg(name, tag, "ring-window", 0, rounds, finish)
+				req, err := c.newCollRequestAlg(name, tag, "ring-window", rounds, finish)
 				if err == nil && finish == nil {
 					// Cacheable unless pooled staging is handed back at
 					// finish: blocks circulate straight between user
@@ -239,7 +239,7 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 	if err := seed(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	req, err := c.newCollRequestAlg(name, tag, "ring", 0, ringRounds(c, cur, unpackSlot), nil)
+	req, err := c.newCollRequestAlg(name, tag, "ring", ringRounds(c, cur, unpackSlot), nil)
 	if err == nil {
 		req.cacheable = true
 		req.reset = seed
@@ -414,7 +414,7 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 	if len(rd.recvs)+len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	req, err := c.newCollRequestAlg(name, tag, "linear", 0, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, "linear", rounds, finish)
 	if err == nil {
 		// Cacheable: every payload is produced at post or finish time.
 		// (Variable-size blocks pack at build into snapshot steps, which
@@ -505,7 +505,7 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 			wire.PutBuf(acc)
 			return err
 		}
-		return c.newCollRequestAlg(name, tag, alg, 0, rounds, finish)
+		return c.newCollRequestAlg(name, tag, alg, rounds, finish)
 	}
 
 	// Classic: binomial-tree reduce to rank 0, then scatter the chunks of
@@ -547,5 +547,5 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 			}
 		}
 	}
-	return c.newCollRequestAlg(name, tag, "reduce-linear", 0, rounds, finish)
+	return c.newCollRequestAlg(name, tag, "reduce-linear", rounds, finish)
 }

@@ -63,7 +63,6 @@ type PcollRequest struct {
 // never cacheable and recompile on every Start.
 type collSkeleton struct {
 	alg    string
-	nseg   int
 	rounds []round
 	finish func() error
 	reset  func() error
@@ -135,7 +134,7 @@ func (p *PcollRequest) Start() error {
 				return fmt.Errorf("%s: %w", p.name, err)
 			}
 		}
-		r, err := p.c.newCollRequestAlg(p.name, p.tag, p.skel.alg, p.skel.nseg, p.skel.rounds, p.skel.finish)
+		r, err := p.c.newCollRequestAlg(p.name, p.tag, p.skel.alg, p.skel.rounds, p.skel.finish)
 		if err != nil {
 			return err
 		}
@@ -147,7 +146,7 @@ func (p *PcollRequest) Start() error {
 		return err
 	}
 	if (p.pure || r.cacheable) && scheduleReusable(r.rounds) {
-		p.skel = &collSkeleton{alg: r.alg, nseg: r.nseg, rounds: r.rounds, finish: r.finish, reset: r.reset}
+		p.skel = &collSkeleton{alg: r.alg, rounds: r.rounds, finish: r.finish, reset: r.reset}
 	}
 	p.active = r
 	return nil

@@ -26,7 +26,7 @@ import (
 //
 // The round loop is the second instrumentation seam: when the device
 // carries a prof.Recorder, every schedule reports its start (operation,
-// chosen algorithm, segment and round counts), each round's posting and
+// chosen algorithm and round count), each round's posting and
 // completion, its end, and time parked in WaitProgress — the data behind
 // Comm.ProfSnapshot and the MPJ_PROF=trace timelines (see internal/prof).
 
@@ -205,12 +205,10 @@ type CollRequest struct {
 
 	// Instrumentation (see internal/prof): prof caches the device's
 	// recorder at creation (nil when profiling is off), alg names the
-	// algorithm this schedule compiles and nseg its pipeline segment
-	// count (0 when unsegmented). Set once before the first round posts,
-	// read-only after, so prof is safe to read without r.mu in Wait.
+	// algorithm this schedule compiles. Set once before the first round
+	// posts, read-only after, so prof is safe to read without r.mu in Wait.
 	prof *prof.Recorder
 	alg  string
-	nseg int
 
 	// Persistent-collective cache opt-in (see pcoll.go). A builder that
 	// compiles a reactivation-safe schedule sets cacheable before
@@ -238,16 +236,16 @@ type CollRequest struct {
 // newCollRequestAlg compiles a schedule into a request, registers it with
 // the communicator and posts the first round so communication overlaps
 // whatever the caller does before Wait. Every builder names the algorithm
-// it compiled (alg) and its pipeline segment count (nseg), so profiles,
-// traces and String can say which schedule actually ran.
-func (c *Comm) newCollRequestAlg(name string, tag int, alg string, nseg int, rounds []round, finish func() error) (*CollRequest, error) {
-	r := &CollRequest{c: c, name: name, tag: tag, alg: alg, nseg: nseg, rounds: rounds, finish: finish}
+// it compiled (alg), so profiles, traces and String can say which schedule
+// actually ran.
+func (c *Comm) newCollRequestAlg(name string, tag int, alg string, rounds []round, finish func() error) (*CollRequest, error) {
+	r := &CollRequest{c: c, name: name, tag: tag, alg: alg, rounds: rounds, finish: finish}
 	if err := c.registerColl(r); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if p := c.dev.Profiler(); p != nil {
 		r.prof = p
-		p.CollStart(c.coll, tag, name, alg, nseg, len(rounds))
+		p.CollStart(c.coll, tag, name, alg, len(rounds))
 	}
 	r.mu.Lock()
 	r.progressLocked()
@@ -486,7 +484,7 @@ func (r *CollRequest) Done() bool {
 func (r *CollRequest) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return fmt.Sprintf("CollRequest{%s alg=%s nseg=%d round=%d/%d done=%v}", r.name, r.alg, r.nseg, r.cur, len(r.rounds), r.done)
+	return fmt.Sprintf("CollRequest{%s alg=%s round=%d/%d done=%v}", r.name, r.alg, r.cur, len(r.rounds), r.done)
 }
 
 // ---------------------------------------------------------------------

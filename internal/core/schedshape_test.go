@@ -19,7 +19,7 @@ import (
 // The schedule-shape table: every collective is compiled and run for every
 // np in [2,9], three locality layouts, three payload classes and every
 // forced algorithm family, and what each rank's schedule looks like — the
-// algorithm name, the segment count, and per round the ordered (peer, byte
+// algorithm name and per round the ordered (peer, byte
 // length) of its receives and sends — is compared against
 // testdata/schedshape.golden. The table is the contract for refactors of
 // the round builders: who compiles the rounds may change, the rounds may
@@ -31,7 +31,7 @@ import (
 // the device, see lendCheck).
 //
 // A golden line is "<collective> np=<n> <layout>" followed by one hash per
-// (payload class, family) cell over nseg and the rounds of all ranks, and
+// (payload class, family) cell over the rounds of all ranks, and
 // one hash over the cells' algorithm names. Regenerate with
 //
 //	go test -run ScheduleShape ./internal/core -schedshape.update
@@ -77,7 +77,6 @@ type roundShape struct{ recvs, sends []stepShape }
 type schedShape struct {
 	tag    int
 	alg    string
-	nseg   int
 	rounds []roundShape
 	lend   error // lendCheck's verdict on the compiled rounds
 }
@@ -113,7 +112,7 @@ func lendCheck(rounds []round, folds [][]byte) error {
 }
 
 func captureShape(r *CollRequest) schedShape {
-	s := schedShape{tag: r.tag, alg: r.alg, nseg: r.nseg, lend: lendCheck(r.rounds, nil)}
+	s := schedShape{tag: r.tag, alg: r.alg, lend: lendCheck(r.rounds, nil)}
 	for _, rd := range r.rounds {
 		var rs roundShape
 		for _, x := range rd.recvs {
@@ -399,7 +398,7 @@ func shapeCell(shapes []schedShape, taps []*shapeTap, ctx int) (text, alg string
 		}
 		algs[s.alg] = true
 		sentTo, gotFrom := map[int]int{}, map[int]int{}
-		fmt.Fprintf(&b, "rank %d nseg=%d\n", me, s.nseg)
+		fmt.Fprintf(&b, "rank %d\n", me)
 		for i, rd := range s.rounds {
 			fmt.Fprintf(&b, " round %d recv", i)
 			for _, x := range rd.recvs {

@@ -343,13 +343,12 @@ func (r *Recorder) Arrive(ctx, n int, eager bool) {
 
 // CollStart records a collective schedule starting on (ctx, tag): name
 // is the operation ("ibcast", ...), alg the algorithm the selection
-// layer chose ("" for the classic builders), nseg the pipeline segment
-// count (0 when unsegmented) and rounds the schedule length.
-func (r *Recorder) CollStart(ctx, tag int, name, alg string, nseg, rounds int) {
+// layer chose ("" for the classic builders) and rounds the schedule length.
+func (r *Recorder) CollStart(ctx, tag int, name, alg string, rounds int) {
 	r.global.collStarted.Add(1)
 	r.forCtx(ctx).collStarted.Add(1)
 	if r.tr != nil {
-		r.tr.collStart(ctx, tag, name, alg, nseg, rounds)
+		r.tr.collStart(ctx, tag, name, alg, rounds)
 	}
 }
 

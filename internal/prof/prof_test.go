@@ -75,11 +75,11 @@ func TestRecorderCounters(t *testing.T) {
 	r.RecvPost(ctxA)
 	r.Arrive(ctxA, 100, true)
 	r.Arrive(ctxB, 2000, false)
-	r.CollStart(ctxB, 1, "ibcast", "binomial", 0, 2)
+	r.CollStart(ctxB, 1, "ibcast", "binomial", 2)
 	r.RoundStart(ctxB, 1, 0)
 	r.RoundEnd(ctxB, 1, 0)
 	r.CollEnd(ctxB, 1, false)
-	r.CollStart(ctxB, 2, "ibcast", "", 0, 1)
+	r.CollStart(ctxB, 2, "ibcast", "", 1)
 	r.CollEnd(ctxB, 2, true)
 	r.WaitSpan(ctxB, time.Now().Add(-time.Millisecond))
 
@@ -226,7 +226,7 @@ func TestTraceFlush(t *testing.T) {
 	prefix := t.TempDir() + "/run"
 	r := New(2, Spec{Counters: true, TracePrefix: prefix})
 
-	r.CollStart(4, 11, "iallreduce", "recursive-doubling", 0, 2)
+	r.CollStart(4, 11, "iallreduce", "recursive-doubling", 2)
 	r.RoundStart(4, 11, 0)
 	r.RoundEnd(4, 11, 0)
 	r.RoundStart(4, 11, 1)

@@ -57,7 +57,6 @@ type openColl struct {
 	start      time.Time
 	roundStart time.Time // rounds are sequential per schedule
 	name, alg  string
-	nseg       int
 	rounds     int
 }
 
@@ -87,10 +86,10 @@ func (tr *tracer) ts(t time.Time) float64 {
 	return float64(t.Sub(tr.origin)) / float64(time.Microsecond)
 }
 
-func (tr *tracer) collStart(ctx, tag int, name, alg string, nseg, rounds int) {
+func (tr *tracer) collStart(ctx, tag int, name, alg string, rounds int) {
 	tr.mu.Lock()
 	tr.open[collKey{ctx, tag}] = &openColl{
-		start: time.Now(), name: name, alg: alg, nseg: nseg, rounds: rounds,
+		start: time.Now(), name: name, alg: alg, rounds: rounds,
 	}
 	tr.mu.Unlock()
 }
@@ -135,9 +134,6 @@ func (tr *tracer) collEnd(ctx, tag int, failed bool) {
 		}
 		if oc.alg != "" {
 			args["alg"] = oc.alg
-		}
-		if oc.nseg > 0 {
-			args["nseg"] = oc.nseg
 		}
 		if failed {
 			args["failed"] = true
