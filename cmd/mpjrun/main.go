@@ -17,10 +17,9 @@
 // MPJ_EAGER_LIMIT environment variable, then each slave's own
 // MPJ_EAGER_LIMIT, then the built-in default). -coll-alg forces the
 // collective algorithm family on every slave (classic | segmented | ring
-// | hier; auto restores size-based selection) and -coll-seg the pipelined
-// schedules' segment size in bytes; both default to the client's
-// MPJ_COLL_ALG / MPJ_COLL_SEG and travel in the slave spec so all ranks
-// agree, as collective schedules require.
+// | hier; auto restores size-based selection); it defaults to the
+// client's MPJ_COLL_ALG and travels in the slave spec so all ranks agree,
+// as collective schedules require.
 //
 // -prof enables the instrumentation layer on every slave: "counters" for
 // the per-communicator counters behind Comm.ProfSnapshot, or
@@ -59,7 +58,6 @@ func main() {
 	device := flag.String("device", os.Getenv("MPJ_DEVICE"), "transport device: chan, tcp or hyb (default: $MPJ_DEVICE, then hyb)")
 	eagerLimit := flag.Int("eager-limit", 0, "eager/rendezvous protocol threshold in bytes (default: $MPJ_EAGER_LIMIT, then each slave's default)")
 	collAlg := flag.String("coll-alg", os.Getenv("MPJ_COLL_ALG"), "collective algorithm family: auto, classic, segmented, ring or hier (default: $MPJ_COLL_ALG, then auto)")
-	collSeg := flag.Int("coll-seg", 0, "segment size in bytes for pipelined collectives (default: $MPJ_COLL_SEG, then 32768)")
 	profSpec := flag.String("prof", os.Getenv("MPJ_PROF"), "instrumentation on every slave: counters or trace:<path-prefix> (default: $MPJ_PROF, then off)")
 	registrars := flag.String("registrars", "", "comma-separated registrar addresses (unicast discovery)")
 	port := flag.Int("discovery-port", 0, "UDP discovery port when -registrars is empty")
@@ -91,18 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpjrun:", err)
 		os.Exit(2)
 	}
-	if *collSeg < 0 {
-		fmt.Fprintln(os.Stderr, "mpjrun: -coll-seg must be non-negative")
-		os.Exit(2)
-	}
-	if *collSeg == 0 {
-		v, err := core.ParseCollSegSize(os.Getenv("MPJ_COLL_SEG"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpjrun: MPJ_COLL_SEG:", err)
-			os.Exit(2)
-		}
-		*collSeg = v
-	}
 	if _, err := prof.ParseSpec(*profSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "mpjrun:", err)
 		os.Exit(2)
@@ -124,7 +110,6 @@ func main() {
 		Device:     *device,
 		EagerLimit: *eagerLimit,
 		CollAlg:    *collAlg,
-		CollSeg:    *collSeg,
 		Prof:       *profSpec,
 		Locators:   locators,
 		UDPPort:    *port,

@@ -55,9 +55,9 @@ func collIters(bytes int) int {
 }
 
 // collAlgFor maps the sweep's algorithm column to the forced family: the
-// large-message path is called "segmented" where the pipelined chain runs
-// (bcast) and "ring" where the ring schedules run (allreduce, allgather);
-// "hier" forces the two-level hierarchical schedules.
+// large-message path is called "segmented" for bcast (the binomial tree
+// landing in place) and "ring" where the ring schedules run (allreduce,
+// allgather); "hier" forces the two-level hierarchical schedules.
 func collAlgFor(name string) core.CollAlg {
 	switch name {
 	case "classic":
@@ -166,11 +166,10 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 }
 
 // CollAlgSweep generates the large-message collective algorithm table and
-// its JSON record. The acceptance rows are the 4 MiB Bcast and Allreduce
-// at np>=4 — the segmented/ring schedules must run at >=2x the classic
-// trees' throughput — and the "@2x4" multi-group rows, where the
-// hierarchical family must beat both classic and segmented/ring at
-// >=1 MiB on a cyclic 2-group x 4-rank hybrid layout (intra-group chan,
+// its JSON record. The acceptance rows are the 4 MiB Allreduce at np>=4 —
+// the large-vector schedules must run at >=2x the classic trees'
+// throughput — and the "@2x4" multi-group rows, where the hierarchical
+// family must beat both classic and segmented/ring at >=1 MiB on a cyclic 2-group x 4-rank hybrid layout (intra-group chan,
 // inter-group localhost TCP).
 func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	type config struct {
@@ -207,7 +206,8 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 		Note: "float64 payloads, root 0, min of 3 reps. 'bytes' is the payload per rank " +
 			"(the full gathered vector for allgather); MiB/s divides it by ns/op (algorithm " +
 			"bandwidth). classic = binomial tree / recursive doubling or reduce+bcast moving " +
-			"whole payloads per edge; segmented = pipelined chain/binomial (32 KiB segments); " +
+			"whole payloads per edge; segmented = the same binomial bcast landing in place " +
+			"in the user buffer; " +
 			"ring = segmented reduce-scatter+allgather resp. zero-staging block ring; hier = " +
 			"two-level locality schedule (intra-group phase + leader exchange). '@2x4' rows " +
 			"run a cyclic 2-group x 4-rank hybrid layout where inter-group hops cross real " +

@@ -13,7 +13,8 @@ import (
 // the selection layer in collalg.go consults ahead of its built-in
 // constants. Allreduce classic-vs-ring is the probe: it is the collective
 // whose crossover moves the most between an in-process channel mesh and a
-// TCP-backed one, and the same threshold gates the pipelined broadcast.
+// TCP-backed one, and the same threshold moves the broadcast onto its
+// in-place plan.
 //
 // The sweep is deliberately coarse — a handful of payload sizes per
 // (device, np) — because the table only needs to place a threshold

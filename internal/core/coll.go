@@ -12,9 +12,8 @@ type AllreduceAlgorithm int
 
 const (
 	// AllreduceAuto switches by payload: large fixed-size vectors take
-	// AllreduceRing's family (reduce-scatter + allgather, whole chunks —
-	// the segment size does not apply); below the large-message
-	// threshold power-of-two sizes use recursive doubling and other
+	// AllreduceRing's family (reduce-scatter + allgather, whole chunks);
+	// below the large-message threshold power-of-two sizes use recursive doubling and other
 	// sizes reduce to rank 0 and broadcast. See collalg.go for the
 	// threshold and the knobs that override it.
 	AllreduceAuto AllreduceAlgorithm = iota
@@ -75,7 +74,7 @@ func (c *Comm) collIsendFill(n int, fill func([]byte) error, dst, tag int) (*dev
 
 // collIrecvInto posts a receive landing directly in buf on the collective
 // context (nil buf: allocate on arrival) — the zero-staging entry the
-// segmented and ring schedules use. src is a group rank.
+// fixed cells and the large-vector schedules use. src is a group rank.
 func (c *Comm) collIrecvInto(buf []byte, src, tag int) (*device.Request, error) {
 	w, err := c.worldRank(src)
 	if err != nil {

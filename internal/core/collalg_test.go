@@ -15,25 +15,12 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// SetCollAlg and SetCollSegSize share a doc contract: out-of-domain values
-// panic, zero restores the default resolution chain. SetCollSegSize used to
-// silently treat negatives as "unset", diverging from ParseCollSegSize.
+// SetCollAlg's doc contract: out-of-domain values panic, valid ones stick.
 func TestCollSettersValidate(t *testing.T) {
 	runRanks(t, 2, func(w *Comm) error {
 		if w.Rank() == 0 {
-			mustPanic(t, "SetCollSegSize(-1)", func() { w.SetCollSegSize(-1) })
 			mustPanic(t, "SetCollAlg(99)", func() { w.SetCollAlg(CollAlg(99)) })
 			mustPanic(t, "SetCollAlg(-1)", func() { w.SetCollAlg(CollAlg(-1)) })
-		}
-
-		// Valid values stick; zero restores the default chain.
-		w.SetCollSegSize(4096)
-		if got := w.collSegSize(); got != 4096 {
-			return expect(false, "collSegSize after Set(4096) = %d", got)
-		}
-		w.SetCollSegSize(0)
-		if got := w.collSegSize(); got != DefaultCollSegSize {
-			return expect(false, "collSegSize after Set(0) = %d, want default %d", got, DefaultCollSegSize)
 		}
 		w.SetCollAlg(CollAlgRing)
 		if got := w.collAlgChoice(); got != CollAlgRing {
@@ -54,9 +41,6 @@ func TestForcedFamilyRespectsMemberFloor(t *testing.T) {
 			w.SetCollAlg(alg)
 			if w.collLarge(1 << 20) {
 				return expect(false, "np=2 forced %v: collLarge(1 MiB) = true, want classic fallback", alg)
-			}
-			if w.collBinPipe(1 << 20) {
-				return expect(false, "np=2 forced %v: collBinPipe = true", alg)
 			}
 		}
 		w.SetCollAlg(CollAlgAuto)
@@ -144,42 +128,28 @@ func TestForcedFamilyEquivalenceNP2(t *testing.T) {
 	})
 }
 
-// Every selection knob resolves through one consult chain — per-comm
-// setter, environment, measured table, built-in constant. Each source a
-// knob has is set in turn, lowest rank first: the newest one must win, and
-// clearing it must fall back to the one below.
+// Every selection threshold resolves through one consult chain — measured
+// table, built-in constant: a table entry that sets the knob must win, and
+// a table without it must leave the constant in force.
 func TestCollKnobConsultOrder(t *testing.T) {
 	runRanks(t, 4, func(w *Comm) error {
-		lo := func() int { lo, _ := w.binPipeBand(); return lo }
-		hi := func() int { _, hi := w.binPipeBand(); return hi }
 		knobs := []struct {
-			name   string
-			get    func() int
-			def    int
-			table  func(d *DeviceCrossovers, v int)
-			env    func(v int) // nil: the knob has no environment variable
-			setter func(v int) // nil: the knob has no per-comm setter
+			name  string
+			get   func() int
+			def   int
+			table func(d *DeviceCrossovers, v int)
 		}{
-			{"seg_size", w.collSegSize, DefaultCollSegSize,
-				func(d *DeviceCrossovers, v int) { d.SegSize = v },
-				func(v int) { w.proc.collSeg = v }, w.SetCollSegSize},
 			{"large_min", w.largeMin, defLargeCollMin,
-				func(d *DeviceCrossovers, v int) { d.LargeMin = v }, nil, nil},
+				func(d *DeviceCrossovers, v int) { d.LargeMin = v }},
 			{"large_min per np", w.largeMin, defLargeCollMin,
 				func(d *DeviceCrossovers, v int) {
 					d.LargeMin = 7 // the exact-np entry outranks the device-wide one
 					d.PerNP = []NPCrossover{{NP: 3, LargeMin: 9}, {NP: w.Size(), LargeMin: v}}
-				}, nil, nil},
+				}},
 			{"large_min_np", w.largeMinNP, defLargeCollMinNP,
-				func(d *DeviceCrossovers, v int) { d.LargeMinNP = v }, nil, nil},
-			{"bin_pipe_min", lo, defLargeCollMin,
-				func(d *DeviceCrossovers, v int) { d.BinPipeMin = v }, nil, nil},
-			{"bin_pipe_min follows large_min", lo, defLargeCollMin,
-				func(d *DeviceCrossovers, v int) { d.LargeMin = v }, nil, nil},
-			{"bin_pipe_max", hi, defBinPipeMax,
-				func(d *DeviceCrossovers, v int) { d.BinPipeMax = v }, nil, nil},
+				func(d *DeviceCrossovers, v int) { d.LargeMinNP = v }},
 			{"hier_min", w.hierMin, 0,
-				func(d *DeviceCrossovers, v int) { d.HierMin = v }, nil, nil},
+				func(d *DeviceCrossovers, v int) { d.HierMin = v }},
 		}
 		for _, k := range knobs {
 			want := func(step string, v int) error {
@@ -197,28 +167,6 @@ func TestCollKnobConsultOrder(t *testing.T) {
 			k.table(d, 111)
 			if err := want("table", 111); err != nil {
 				return err
-			}
-			if k.env != nil {
-				k.env(222)
-				if err := want("environment over table", 222); err != nil {
-					return err
-				}
-			}
-			if k.setter != nil {
-				k.setter(333)
-				if err := want("setter over environment", 333); err != nil {
-					return err
-				}
-				k.setter(0)
-				if err := want("setter cleared", 222); err != nil {
-					return err
-				}
-			}
-			if k.env != nil {
-				k.env(0)
-				if err := want("environment cleared", 111); err != nil {
-					return err
-				}
 			}
 		}
 		w.proc.collDev = nil

@@ -11,19 +11,20 @@ import (
 // consulted by the selection layer in collalg.go.
 //
 // The table is per *device* ("chan", "tcp", "hyb"): the payload size at
-// which the segmented/ring schedules overtake the classic trees differs
+// which the large-message schedules overtake the classic trees differs
 // by an order of magnitude between an in-process channel mesh and a TCP
 // mesh, so one set of constants cannot fit both. A process loads at most
 // one table, once, at NewWorld: from the path in MPJ_COLL_TABLE if set,
 // else from ~/.mpj/colltab.json if present. A missing, malformed or
 // partial table is NOT an error — selection silently falls back to the
 // built-in defaults for anything the table does not supply — because a
-// stale or truncated tuning artifact must never take a job down. (This is
-// deliberately unlike MPJ_COLL_ALG/MPJ_COLL_SEG, which fail loudly: those
-// state intent for *this* run, the table is a cached measurement.)
+// stale or truncated tuning artifact must never take a job down; keys the
+// format does not know (seg_size, bin_pipe_min and bin_pipe_max in older
+// tables) are ignored. (This is deliberately unlike MPJ_COLL_ALG, which
+// fails loudly: it states intent for *this* run, the table is a cached
+// measurement.)
 //
-// Consultation order everywhere: per-comm setter > environment variable >
-// table entry > built-in constant.
+// Consultation order everywhere: table entry > built-in constant.
 
 // CollTableEnv names the environment variable holding the path of the
 // measured crossover table.
@@ -52,22 +53,15 @@ type CollTable struct {
 // zero field means "not measured — use the built-in default".
 type DeviceCrossovers struct {
 	// LargeMin is the packed payload size (bytes) at which the
-	// segmented/ring schedules overtake the classic trees.
+	// large-message schedules overtake the classic trees.
 	LargeMin int `json:"large_min,omitempty"`
 	// LargeMinNP is the smallest communicator size where the
 	// large-message schedules pay off.
 	LargeMinNP int `json:"large_min_np,omitempty"`
-	// BinPipeMin and BinPipeMax bound the payload band [min, max) where
-	// broadcast prefers the pipelined binomial tree over the pipelined
-	// chain.
-	BinPipeMin int `json:"bin_pipe_min,omitempty"`
-	BinPipeMax int `json:"bin_pipe_max,omitempty"`
 	// HierMin is the payload size (bytes) from which the hierarchical
 	// two-level schedules are auto-chosen on comms spanning at least two
 	// locality groups.
 	HierMin int `json:"hier_min,omitempty"`
-	// SegSize is the measured best pipeline segment size (bytes).
-	SegSize int `json:"seg_size,omitempty"`
 	// PerNP refines LargeMin at specific communicator sizes.
 	PerNP []NPCrossover `json:"per_np,omitempty"`
 }

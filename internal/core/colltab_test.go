@@ -14,8 +14,8 @@ func TestCollTableRoundTrip(t *testing.T) {
 	in := &CollTable{
 		Version: collTableVersion,
 		Devices: map[string]*DeviceCrossovers{
-			"chan": {LargeMin: 128 << 10, SegSize: 16 << 10, PerNP: []NPCrossover{{NP: 4, LargeMin: 96 << 10}}},
-			"hyb":  {LargeMin: 48 << 10, LargeMinNP: 4, BinPipeMin: 32 << 10, BinPipeMax: 512 << 10, HierMin: 1 << 10},
+			"chan": {LargeMin: 128 << 10, PerNP: []NPCrossover{{NP: 4, LargeMin: 96 << 10}}},
+			"hyb":  {LargeMin: 48 << 10, LargeMinNP: 4, HierMin: 1 << 10},
 		},
 	}
 	if err := in.WriteFile(path); err != nil {
@@ -82,9 +82,6 @@ func TestMalformedTableFallsBack(t *testing.T) {
 		if w.proc.collDev != nil {
 			return expect(false, "collDev = %+v from a malformed table", w.proc.collDev)
 		}
-		if got := w.collSegSize(); got != DefaultCollSegSize {
-			return expect(false, "collSegSize = %d, want built-in default", got)
-		}
 		if got := w.largeMin(); got != defLargeCollMin {
 			return expect(false, "largeMin = %d, want built-in default", got)
 		}
@@ -103,7 +100,7 @@ func TestPartialTableFallsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "partial.json")
 	tab := &CollTable{
 		Version: collTableVersion,
-		Devices: map[string]*DeviceCrossovers{"chan": {SegSize: 8 << 10}},
+		Devices: map[string]*DeviceCrossovers{"chan": {HierMin: 8 << 10}},
 	}
 	if err := tab.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -111,21 +108,79 @@ func TestPartialTableFallsBack(t *testing.T) {
 	t.Setenv(CollTableEnv, path)
 
 	runRanks(t, 2, func(w *Comm) error {
-		if got := w.collSegSize(); got != 8<<10 {
-			return expect(false, "collSegSize = %d, want table's 8 KiB", got)
+		if got := w.hierMin(); got != 8<<10 {
+			return expect(false, "hierMin = %d, want table's 8 KiB", got)
 		}
 		if got := w.largeMin(); got != defLargeCollMin {
 			return expect(false, "largeMin = %d, want built-in default (not in table)", got)
 		}
-		if got := w.largeMinNP(); got != defLargeCollMinNP {
-			return expect(false, "largeMinNP = %d, want built-in default", got)
+		return expect(w.largeMinNP() == defLargeCollMinNP, "largeMinNP = %d, want built-in default", w.largeMinNP())
+	})
+}
+
+// A table written when the format still carried the pipelined broadcast's
+// knobs (seg_size, bin_pipe_min, bin_pipe_max) is a stale artifact, not a
+// broken one: it loads, the keys the format no longer has are ignored, and
+// its large_min and hier_min still steer selection.
+func TestStaleTableStillApplies(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stale.json")
+	stale := `{"version": 1, "devices": {"chan": {"large_min": 4096, "large_min_np": 3,
+		"bin_pipe_min": 4096, "bin_pipe_max": 262144, "hier_min": 2048, "seg_size": 32768}}}`
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCollTable(path); err != nil {
+		t.Fatalf("LoadCollTable(stale): %v", err)
+	}
+	t.Setenv(CollTableEnv, path)
+
+	runRanks(t, 4, func(w *Comm) error {
+		if w.largeMin() != 4096 || w.hierMin() != 2048 {
+			return expect(false, "largeMin %d, hierMin %d: want the stale table's 4096 and 2048", w.largeMin(), w.hierMin())
 		}
-		// Per-comm setter still outranks the table.
-		w.SetCollSegSize(2 << 10)
-		if got := w.collSegSize(); got != 2<<10 {
-			return expect(false, "collSegSize after setter = %d", got)
+		// 4 KiB of Int lands in place (large), 2 KiB is adopted (classic);
+		// on two interleaved groups 2 KiB is hier, 1 KiB is not.
+		for _, tc := range []struct {
+			n     int
+			keys  []string
+			alg   string
+			fixed bool
+		}{
+			{1024, nil, "binomial", true},
+			{512, nil, "binomial", false},
+			{512, []string{"A", "B", "A", "B"}, "hier", true},
+			{256, []string{"A", "B", "A", "B"}, "binomial", false},
+		} {
+			w.SetLocalityTable(tc.keys)
+			buf := make([]int32, tc.n)
+			if w.Rank() == 1 {
+				for i := range buf {
+					buf[i] = int32(3*i + 1)
+				}
+			}
+			req, err := w.Ibcast(buf, 0, tc.n, Int, 1)
+			if err != nil {
+				return err
+			}
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			lands := false
+			for _, rd := range req.rounds {
+				for _, rs := range rd.recvs {
+					lands = lands || rs.buf != nil
+				}
+			}
+			if req.alg != tc.alg || w.Rank() != 1 && lands != tc.fixed {
+				return expect(false, "n=%d keys=%v: %s landing in place %v, want %s and %v", tc.n, tc.keys, req.alg, lands, tc.alg, tc.fixed)
+			}
+			for i, v := range buf {
+				if v != int32(3*i+1) {
+					return expect(false, "n=%d keys=%v: buf[%d] = %d", tc.n, tc.keys, i, v)
+				}
+			}
 		}
-		w.SetCollSegSize(0)
+		w.SetLocalityTable(nil)
 		return nil
 	})
 }
@@ -190,8 +245,8 @@ func TestTableAutoMatchesForced(t *testing.T) {
 	tab := &CollTable{
 		Version: collTableVersion,
 		Devices: map[string]*DeviceCrossovers{
-			"chan": {LargeMin: 1, LargeMinNP: 2, BinPipeMin: 1, BinPipeMax: 16 << 10, HierMin: 1, SegSize: 512},
-			"hyb":  {LargeMin: 1, LargeMinNP: 2, BinPipeMin: 1, BinPipeMax: 16 << 10, HierMin: 1, SegSize: 512},
+			"chan": {LargeMin: 1, LargeMinNP: 2, HierMin: 1},
+			"hyb":  {LargeMin: 1, LargeMinNP: 2, HierMin: 1},
 		},
 	}
 	if err := tab.WriteFile(path); err != nil {
@@ -211,7 +266,7 @@ func TestTableAutoMatchesForced(t *testing.T) {
 
 		t.Run(fmt.Sprintf("chan-np%d", np), func(t *testing.T) {
 			runRanks(t, np, func(w *Comm) error {
-				if w.proc.collDev == nil || w.proc.collDev.SegSize != 512 {
+				if w.proc.collDev == nil || w.proc.collDev.LargeMinNP != 2 {
 					return expect(false, "exotic table not loaded: %+v", w.proc.collDev)
 				}
 				w.SetLocalityTable(keys)
@@ -235,7 +290,7 @@ func TestTableAutoMatchesForced(t *testing.T) {
 			runRanksOn(t, np, func(i int) (transport.Transport, error) {
 				return transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
 			}, func(w *Comm) error {
-				if w.proc.collDev == nil || w.proc.collDev.SegSize != 512 {
+				if w.proc.collDev == nil || w.proc.collDev.LargeMinNP != 2 {
 					return expect(false, "exotic table not loaded for hyb: %+v", w.proc.collDev)
 				}
 				w.SetLocalityTable(keys)

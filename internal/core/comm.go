@@ -34,13 +34,12 @@ type procState struct {
 	// their window. Guarded by mu.
 	wins map[int]*Win
 
-	// Process-wide collective tuning defaults, read from MPJ_COLL_ALG /
-	// MPJ_COLL_SEG at NewWorld; per-communicator overrides live on Comm
-	// (see collalg.go). collDev is this device's entry in the measured
+	// Process-wide collective tuning: the algorithm family read from
+	// MPJ_COLL_ALG at NewWorld (per-communicator overrides live on Comm,
+	// see collalg.go), and collDev, this device's entry in the measured
 	// crossover table (MPJ_COLL_TABLE / ~/.mpj/colltab.json, resolved once
 	// at NewWorld; nil when absent — built-in constants apply).
 	collAlg CollAlg
-	collSeg int
 	collDev *DeviceCrossovers
 
 	abort func(code int) // installed by the runtime; see SetAbortHandler
@@ -94,13 +93,12 @@ type Comm struct {
 	// usable — they are the recovery path.
 	revoked atomic.Bool
 
-	// Collective algorithm overrides (see collalg.go). algSet marks an
+	// Collective algorithm override (see collalg.go). algSet marks an
 	// explicit SetCollAlg — including SetCollAlg(CollAlgAuto), which must
 	// restore automatic selection even when MPJ_COLL_ALG forces a family
-	// process-wide; segSize zero defers to the process default.
+	// process-wide.
 	collAlg CollAlg
 	algSet  bool
-	segSize int
 
 	// winCtxs lists the dedicated contexts of windows created over this
 	// communicator, so ProfSnapshot covers one-sided traffic too. Guarded
@@ -129,15 +127,12 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 		return nil, err
 	}
 	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm)}
-	// Collective tuning defaults from the environment; a malformed value
-	// fails loudly here rather than silently changing algorithms.
+	// The collective family from the environment; a malformed value fails
+	// loudly here rather than silently changing algorithms.
 	if proc.collAlg, err = ParseCollAlg(os.Getenv("MPJ_COLL_ALG")); err != nil {
 		return nil, fmt.Errorf("MPJ_COLL_ALG: %w", err)
 	}
-	if proc.collSeg, err = ParseCollSegSize(os.Getenv("MPJ_COLL_SEG")); err != nil {
-		return nil, fmt.Errorf("MPJ_COLL_SEG: %w", err)
-	}
-	// The measured crossover table, unlike the env knobs above, never
+	// The measured crossover table, unlike the env knob above, never
 	// fails a job: it is a cached tuning artifact, and a missing or
 	// malformed one simply leaves the built-in constants in force.
 	proc.collDev = loadCollTableEnv().deviceCrossovers(dev.Name())

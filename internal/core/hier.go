@@ -398,10 +398,6 @@ func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt
 		rounds = append(rounds, rd)
 	}
 	// Phase 3: the assembled vector fans out inside each group.
-	if c.collLarge(size * bs) {
-		rounds = append(rounds, pipeChainRoundsIn(c, h.mine, asm, h.ldrInG, c.collSegSize())...)
-	} else {
-		rounds = append(rounds, bcastRoundsIn(c, h.mine, &cell{b: asm, fixed: true}, h.ldrInG)...)
-	}
+	rounds = append(rounds, bcastRoundsIn(c, h.mine, &cell{b: asm, fixed: true}, h.ldrInG)...)
 	return c.newCollRequestAlg(name, tag, "hier", rounds, finish)
 }

@@ -12,9 +12,8 @@ import (
 // varying-count family lives in ivcoll.go, the persistent Commit* forms
 // in pcoll.go). Each builder compiles the same algorithm the blocking
 // form uses (dissemination barrier, binomial trees, ring allgather,
-// recursive doubling; segmented chain pipelines and the reduce-scatter +
-// allgather allreduce for large payloads — see collalg.go for how the
-// algorithm is chosen)
+// recursive doubling; the reduce-scatter + allgather allreduce for large
+// payloads — see collalg.go for how the algorithm is chosen)
 // into per-rank rounds; the blocking collectives in coll.go call the same
 // builders and Wait immediately, so there is exactly one algorithm
 // source. Builders take their schedule tag as a parameter: the I* entry
@@ -22,9 +21,9 @@ import (
 // reserved at Commit time.
 
 // ---------------------------------------------------------------------
-// Round builders, one per algorithm. The tree, dissemination and chain
-// primitives (*RoundsIn here, pipe*RoundsIn in sched.go) compile over a
-// member list in comm-rank space, identical on every participating rank;
+// Round builders, one per algorithm. The tree and dissemination
+// primitives (*RoundsIn) compile over a member list in comm-rank space,
+// identical on every participating rank;
 // ranks outside it compile zero rounds, rootIdx indexes the list. The
 // whole communicator is the identity list (Comm.members); the two-level
 // schedules of hier.go pass a locality group or the group leaders.
@@ -482,41 +481,25 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
-	// One phase function chosen by size: the binomial tree, or for large
-	// fixed-size payloads a segmented pipeline (binomial in the mid-size
-	// band, chain above it; see collalg.go for the knobs).
+	// One schedule at every size: the binomial tree, one whole-payload
+	// message per edge (ARCHITECTURE "Why broadcast is a tree").
 	total := count * dt.ByteSize()
 	sized := dt.ByteSize() > 0 && count > 0
 	two := sized && c.collHier(total)
-	large := sized && c.collLarge(total)
-	cl := &cell{}
-	alg, seg := "binomial", c.collSegSize()
-	phase := func(members []int, rootIdx int) []round { return bcastRoundsIn(c, members, cl, rootIdx) }
-	if large {
-		alg = "chain-pipelined"
-		pipe := pipeChainRoundsIn
-		if !two && c.collBinPipe(total) {
-			alg, pipe = "binomial-pipelined", pipeBinomialRoundsIn
-		}
-		phase = func(members []int, rootIdx int) []round { return pipe(c, members, cl.b, rootIdx, seg) }
-	}
+	alg := "binomial"
 	if two {
 		alg = "hier"
-		if large {
-			alg = "hier-pipelined"
-		}
 	}
-	// The buffer plan. The pipelines and the two-level schedule assemble
-	// the payload in a fixed cell every member sizes alike: the user buffer
-	// itself for raw-layout datatypes — the root streams straight out of
-	// it and every other rank receives straight into it, no packing or
+	// The buffer plan. On the large-message path and the two-level schedule
+	// the payload lands in a fixed cell every member sizes alike: the user
+	// buffer itself for raw-layout datatypes — the root sends straight out
+	// of it and every other rank receives straight into it, no packing or
 	// staging at all — else one packed buffer the root fills and the
-	// others unpack at the end. The single-level tree moves one packed
-	// message per edge, adopted by each child and unpacked at the end:
-	// the only plan for variable-size payloads, and for the rest the cost
-	// the measured crossovers (large_min, BENCH_coll.json) were taken
-	// against.
-	cl.fixed = two || large
+	// others unpack at the end. Below the threshold each child adopts the
+	// packed message and unpacks it at the end: the only plan for
+	// variable-size payloads, and for the rest the cost the measured
+	// crossovers (large_min, BENCH_coll.json) were taken against.
+	cl := &cell{fixed: two || sized && c.collLarge(total)}
 	var finish, reset func() error
 	if cl.fixed {
 		cl.b = vWindow(dt, buf, off, count)
@@ -533,7 +516,7 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 					return err
 				}
 				// In place — cl.b has room for exactly the payload —
-				// because compiled sends hold slices of it.
+				// because a fixed cell's compiled steps may hold it.
 				b, err := dt.Pack(cl.b[:0], buf, off, count)
 				if err == nil && len(b) != total {
 					err = fmt.Errorf("%w: packed %d of %d bytes", ErrCount, len(b), total)
@@ -550,12 +533,12 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 			}
 		}
 	}
-	// The phases compose over the two-level layout: across the effective
+	// The trees compose over the two-level layout: across the effective
 	// group leaders, then inside each group (hier.go). A comm that does
 	// not span locality groups is one group led by the root, and the
-	// first phase is empty.
+	// first tree is empty.
 	h := c.hierFor(c.schedView(two), root)
-	rounds := append(phase(h.leaders, h.rootG), phase(h.mine, h.ldrInG)...)
+	rounds := append(bcastRoundsIn(c, h.leaders, cl, h.rootG), bcastRoundsIn(c, h.mine, cl, h.ldrInG)...)
 	req, err := c.newCollRequestAlg(name, tag, alg, rounds, finish)
 	if err == nil {
 		// Cacheable: every send reads cl at post time and every receive

@@ -80,7 +80,6 @@ type icollCase struct {
 	root  int
 	op    *Op
 	alg   CollAlg // algorithm family forced for the case (zero = auto)
-	seg   int     // pipeline segment size in bytes (zero = default)
 }
 
 // fill produces rank r's deterministic contribution for a case.
@@ -97,7 +96,6 @@ func checkIcollEquivalence(w *Comm, tc icollCase) error {
 	np, n := w.Size(), tc.count
 	me := w.Rank()
 	w.SetCollAlg(tc.alg)
-	w.SetCollSegSize(tc.seg)
 	mine := make([]int32, n)
 	for i := range mine {
 		mine[i] = tc.fill(me, i)
@@ -228,9 +226,8 @@ func checkIcollEquivalence(w *Comm, tc icollCase) error {
 var collAlgs = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgSegmented, CollAlgRing}
 
 // TestIcollMatchesBlockingProperty is the equivalence property over
-// randomized sizes, counts, ops, roots, algorithm families and segment
-// sizes (deliberately including values that do not divide the payload) on
-// the chan device: the schedule-compiled non-blocking collectives must
+// randomized sizes, counts, ops, roots and algorithm families on the chan
+// device: the schedule-compiled non-blocking collectives must
 // produce exactly the results of their blocking forms under every
 // algorithm, including the ring schedules on non-power-of-two sizes.
 func TestIcollMatchesBlockingProperty(t *testing.T) {
@@ -245,7 +242,6 @@ func TestIcollMatchesBlockingProperty(t *testing.T) {
 			root:  rng.Intn(np),
 			op:    ops[rng.Intn(len(ops))],
 			alg:   collAlgs[rng.Intn(len(collAlgs))],
-			seg:   1 + rng.Intn(600), // bytes; rarely divides count*4
 		}
 		runRanks(t, np, func(w *Comm) error { return checkIcollEquivalence(w, tc) })
 	}
@@ -253,7 +249,7 @@ func TestIcollMatchesBlockingProperty(t *testing.T) {
 
 // TestIcollMatchesBlockingHyb runs the same equivalence property over the
 // hybrid device's hub-routed channel path, again randomizing the
-// algorithm family and segment size over non-power-of-two sizes.
+// algorithm family over non-power-of-two sizes.
 func TestIcollMatchesBlockingHyb(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, np := range []int{2, 3, 4, 5} {
@@ -263,7 +259,6 @@ func TestIcollMatchesBlockingHyb(t *testing.T) {
 			root:  rng.Intn(np),
 			op:    SumOp,
 			alg:   collAlgs[rng.Intn(len(collAlgs))],
-			seg:   1 + rng.Intn(600),
 		}
 		runRanksHyb(t, np, func(w *Comm) error { return checkIcollEquivalence(w, tc) })
 	}
@@ -394,8 +389,7 @@ func checkCollGroundTruth(w *Comm, count, root int) error {
 
 // TestCollAlgGroundTruthProperty drives the ground-truth check across the
 // algorithm selection space on the chan device: payload sizes straddling
-// the large-message threshold, segment sizes that do not divide them, and
-// non-power-of-two communicators.
+// the large-message threshold and non-power-of-two communicators.
 func TestCollAlgGroundTruthProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nps := []int{2, 3, 4, 5, 7, 8}
@@ -403,11 +397,9 @@ func TestCollAlgGroundTruthProperty(t *testing.T) {
 		np := nps[rng.Intn(len(nps))]
 		alg := collAlgs[rng.Intn(len(collAlgs))]
 		count := 1 + rng.Intn(12<<10) // up to 96 KiB of int64, beyond largeCollMin
-		seg := 1 + rng.Intn(40<<10)
 		root := rng.Intn(np)
 		runRanks(t, np, func(w *Comm) error {
 			w.SetCollAlg(alg)
-			w.SetCollSegSize(seg)
 			return checkCollGroundTruth(w, count, root)
 		})
 	}
@@ -434,7 +426,6 @@ func TestCollAlgGroundTruthHyb(t *testing.T) {
 	for _, alg := range []CollAlg{CollAlgAuto, CollAlgRing} {
 		runRanksHyb(t, 5, func(w *Comm) error {
 			w.SetCollAlg(alg)
-			w.SetCollSegSize(24<<10 + 7) // does not divide the payload
 			return checkCollGroundTruth(w, 20<<10, 3)
 		})
 	}
@@ -964,7 +955,6 @@ type vcollCase struct {
 	np       int
 	seed     int64
 	alg      CollAlg
-	seg      int
 	maxCount int
 }
 
@@ -999,7 +989,6 @@ func vDispls(rng *rand.Rand, sizes []int) (displs []int, span int) {
 func checkVcoll[T int32 | int64 | float64](w *Comm, dt Datatype, tc vcollCase) error {
 	np, me := w.Size(), w.Rank()
 	w.SetCollAlg(tc.alg)
-	w.SetCollSegSize(tc.seg)
 	rng := rand.New(rand.NewSource(tc.seed))
 	root := rng.Intn(np)
 	val := func(gen, rank, i int) T { return T((gen*13+rank*31+i)*7%127 - 30) }
@@ -1010,8 +999,8 @@ func checkVcoll[T int32 | int64 | float64](w *Comm, dt Datatype, tc vcollCase) e
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				return fmt.Errorf("%s: np=%d root=%d alg=%v seg=%d: [%d] = %v, want %v",
-					name, np, root, tc.alg, tc.seg, i, got[i], want[i])
+				return fmt.Errorf("%s: np=%d root=%d alg=%v: [%d] = %v, want %v",
+					name, np, root, tc.alg, i, got[i], want[i])
 			}
 		}
 		return nil
@@ -1419,8 +1408,8 @@ func runVcollCase(w *Comm, tc vcollCase) error {
 
 // TestVcollEquivalenceProperty is the V-family equivalence property on the
 // chan device: randomized np (including non-powers-of-two and 1), counts
-// (including zero-count ranks), permuted gapped displacements, datatype,
-// algorithm family and segment size.
+// (including zero-count ranks), permuted gapped displacements, datatype
+// and algorithm family.
 func TestVcollEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	nps := []int{1, 2, 3, 4, 5, 7, 8}
@@ -1430,7 +1419,6 @@ func TestVcollEquivalenceProperty(t *testing.T) {
 			np:       np,
 			seed:     rng.Int63(),
 			alg:      collAlgs[rng.Intn(len(collAlgs))],
-			seg:      1 + rng.Intn(600),
 			maxCount: 1 + rng.Intn(40),
 		}
 		runRanks(t, np, func(w *Comm) error { return runVcollCase(w, tc) })
@@ -1443,7 +1431,7 @@ func TestVcollEquivalenceProperty(t *testing.T) {
 // eager/rendezvous boundary.
 func TestVcollEquivalenceLarge(t *testing.T) {
 	for _, np := range []int{3, 5} {
-		tc := vcollCase{np: np, seed: 424243, alg: CollAlgAuto, seg: 24<<10 + 7, maxCount: 9 << 10}
+		tc := vcollCase{np: np, seed: 424243, alg: CollAlgAuto, maxCount: 9 << 10}
 		runRanks(t, np, func(w *Comm) error { return runVcollCase(w, tc) })
 	}
 }
@@ -1457,7 +1445,6 @@ func TestVcollEquivalenceHyb(t *testing.T) {
 			np:       np,
 			seed:     rng.Int63(),
 			alg:      collAlgs[i%len(collAlgs)],
-			seg:      1 + rng.Intn(600),
 			maxCount: 1 + rng.Intn(60),
 		}
 		runRanksHyb(t, np, func(w *Comm) error { return runVcollCase(w, tc) })

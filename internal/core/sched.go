@@ -80,11 +80,12 @@ type sendStep struct {
 
 // recvStep posts one receive when its round starts. With a nil buf the
 // receive is dynamic (the device allocates on arrival); a non-nil buf makes
-// the payload land directly in it — the segmented and ring schedules point
-// buf into their assembly buffers (often raw windows of user memory), so
-// streamed segments arrive with no staging copy. The completion action runs
-// when the round finishes, with the received bytes (store into a cell, fold
-// into an accumulator, unpack into user data); buffered receives see buf.
+// the payload land directly in it — fixed cells and the large-vector
+// schedules point buf into their assembly buffers (often raw windows of
+// user memory), so payloads arrive with no staging copy. The completion
+// action runs when the round finishes, with the received bytes (store into
+// a cell, fold into an accumulator, unpack into user data); buffered
+// receives see buf.
 type recvStep struct {
 	from int    // group rank
 	buf  []byte // nil: allocate on arrival; else receive in place
@@ -595,96 +596,4 @@ func vSendStep(to int, dt Datatype, buf any, off, count int) (sendStep, error) {
 		return sendStep{}, err
 	}
 	return sendStep{to: to, data: func() []byte { return data }, snap: true}, nil
-}
-
-// ---------------------------------------------------------------------
-// Segmented schedules. The helpers below compile pipelined rounds: the
-// payload is cut into fixed-size segments and successive rounds overlap
-// the receive of segment t with the forwarding of segment t-1, so a tree
-// edge streams segments instead of store-and-forwarding whole payloads.
-// Correctness leans on FIFO matching: all segments of one collective share
-// its tag, the transports deliver frames in order per (src, dst) pair, and
-// the device matches equal envelopes in posted/arrival order, so segment k
-// can only land in the k-th receive of the schedule.
-// ---------------------------------------------------------------------
-
-// segCount returns how many seg-byte segments cover total bytes (the last
-// segment may be short).
-func segCount(total, seg int) int {
-	if total <= 0 {
-		return 0
-	}
-	return (total + seg - 1) / seg
-}
-
-// segOf returns segment i of buf under seg-byte segmentation.
-func segOf(buf []byte, i, seg int) []byte {
-	lo := i * seg
-	hi := min(lo+seg, len(buf))
-	return buf[lo:hi]
-}
-
-// pipeChainRoundsIn compiles the segmented, pipelined chain broadcast over
-// members (comm ranks, identical on every participant; other ranks compile
-// zero rounds): the members form a chain in list order rotated to start at
-// members[rootIdx], and in round t each interior rank receives segment t
-// from its chain predecessor while forwarding segment t-1 to its
-// successor. Total time approaches (nseg + p - 2) segment times instead of
-// the classic tree's depth * whole-payload hops, which is what makes large
-// broadcasts run at link speed. asm holds the packed payload on the root
-// and provides the assembly space — ideally a raw window of the user
-// buffer — everywhere else; every rank must pass the same length.
-func pipeChainRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if me < 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
-	parent := -1
-	if vrank > 0 {
-		parent = members[(vrank-1+rootIdx)%n]
-	}
-	var children []int
-	if vrank < n-1 {
-		children = []int{members[(vrank+1+rootIdx)%n]}
-	}
-	return pipeRounds(asm, seg, parent, children)
-}
-
-// pipeBinomialRoundsIn compiles the segmented, pipelined *binomial*
-// broadcast over members: the binomial tree of bcastRoundsIn, but
-// streaming seg-byte segments down every tree edge instead of whole
-// payloads. The pipeline fills in depth (≈ log2 p) segment times instead
-// of the chain's p-1, which wins the mid-size band (the 64–256 KiB dip in
-// BENCH_coll.json) where fill latency still matters, at the cost of
-// interior nodes sending each segment to several children. asm has
-// pipeChainRoundsIn's contract.
-func pipeBinomialRoundsIn(c *Comm, members []int, asm []byte, rootIdx, seg int) []round {
-	parent, children := binomialEdges(c, members, rootIdx)
-	return pipeRounds(asm, seg, parent, children)
-}
-
-// pipeRounds streams asm through one node of a broadcast tree: in round t
-// the node receives segment t from its parent (-1: the root, or a rank
-// outside the tree) while forwarding segment t-1 to all of its children.
-func pipeRounds(asm []byte, seg, parent int, children []int) []round {
-	nseg := segCount(len(asm), seg)
-	var rs []round
-	for t := 0; t <= nseg; t++ {
-		var rd round
-		if parent >= 0 && t < nseg {
-			rd.recvs = []recvStep{{from: parent, buf: segOf(asm, t, seg)}}
-		}
-		if t > 0 {
-			data := segOf(asm, t-1, seg)
-			for _, ch := range children {
-				rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return data }})
-			}
-		}
-		if len(rd.recvs)+len(rd.sends) > 0 {
-			rs = append(rs, rd)
-		}
-	}
-	return rs
 }

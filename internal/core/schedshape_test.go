@@ -19,11 +19,10 @@ import (
 // The schedule-shape table: every collective is compiled and run for every
 // np in [2,9], three locality layouts, three payload classes and every
 // forced algorithm family, and what each rank's schedule looks like — the
-// algorithm name and per round the ordered (peer, byte
-// length) of its receives and sends — is compared against
-// testdata/schedshape.golden. The table is the contract for refactors of
-// the round builders: who compiles the rounds may change, the rounds may
-// not. Three properties are checked on every row whatever the golden says:
+// algorithm name and per round the ordered (peer, byte length) of its
+// receives and sends — is compared against testdata/schedshape.golden. The
+// table is the contract for refactors of the round builders: who compiles
+// the rounds may change, the rounds may not. Three properties are checked on every row whatever the golden says:
 // send/receive duality (every send has exactly one receive at its peer, in
 // FIFO order per pair, and where either side states a length up front it is
 // the length that travelled), that the schedule names its algorithm, and
@@ -31,8 +30,8 @@ import (
 // the device, see lendCheck).
 //
 // A golden line is "<collective> np=<n> <layout>" followed by one hash per
-// (payload class, family) cell over the rounds of all ranks, and
-// one hash over the cells' algorithm names. Regenerate with
+// (payload class, family) cell over the rounds of all ranks, and one hash
+// over the cells' algorithm names. Regenerate with
 //
 //	go test -run ScheduleShape ./internal/core -schedshape.update
 //
@@ -294,15 +293,12 @@ var shapeOps = []struct {
 	}},
 }
 
-// The table's selection thresholds, scaled down from the built-in ones so
-// the three payload classes stay cheap: large-message path from 1 KiB,
-// pipelined-binomial band [1 KiB, 4 KiB), 256-byte segments.
-var shapeTable = DeviceCrossovers{LargeMin: 1 << 10, BinPipeMax: 4 << 10}
-
-const shapeSeg = 256
+// The table's selection threshold, scaled down from the built-in one so
+// the three payload classes stay cheap: large-message path from 1 KiB.
+var shapeTable = DeviceCrossovers{LargeMin: 1 << 10}
 
 // shapeSizes are the payload classes in Int elements: below the
-// large-message threshold, inside the pipelined-binomial band, above it.
+// large-message threshold, twice it and eight times it.
 // zero is the count-0 row: checked for duality and naming, not pinned —
 // what an empty collective exchanges is not part of the contract.
 var shapeSizes = []struct {
@@ -469,7 +465,6 @@ func TestScheduleShape(t *testing.T) {
 				}
 				tab := shapeTable
 				w.proc.collDev = &tab
-				w.SetCollSegSize(shapeSeg)
 				w.SetLocalityTable(layout.keys(np))
 				for o, op := range shapeOps {
 					for si, size := range shapeSizes {

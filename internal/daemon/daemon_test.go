@@ -305,7 +305,6 @@ func TestSlaveEnvRoundTrip(t *testing.T) {
 		MasterAddr: "1.2.3.4:5",
 		EagerLimit: 4096,
 		CollAlg:    "ring",
-		CollSeg:    65536,
 	}
 	env := spec.Env("9.9.9.9:1")
 	get := func(key string) string {
@@ -334,23 +333,19 @@ func TestSlaveEnvRoundTrip(t *testing.T) {
 		t.Error("non-slave env parsed")
 	}
 
-	// The collective knobs travel the same way: emitted when set (the
-	// slave's NewWorld reads them from its environment) ...
+	// The collective family travels the same way: emitted when set (the
+	// slave's NewWorld reads it from its environment) ...
 	if got := get("MPJ_COLL_ALG"); got != "ring" {
 		t.Errorf("MPJ_COLL_ALG = %q, want ring", got)
 	}
-	if got := get("MPJ_COLL_SEG"); got != "65536" {
-		t.Errorf("MPJ_COLL_SEG = %q, want 65536", got)
-	}
 
-	// A spec without an eager limit or collective knobs must not emit the
+	// A spec without an eager limit or collective family must not emit the
 	// variables at all, so daemon-level environment defaults survive
 	// inheritance.
 	spec.EagerLimit = 0
 	spec.CollAlg = ""
-	spec.CollSeg = 0
 	for _, kv := range spec.Env("9.9.9.9:1") {
-		for _, banned := range []string{"MPJ_EAGER_LIMIT=", "MPJ_COLL_ALG=", "MPJ_COLL_SEG="} {
+		for _, banned := range []string{"MPJ_EAGER_LIMIT=", "MPJ_COLL_ALG="} {
 			if strings.HasPrefix(kv, banned) {
 				t.Errorf("zero-value spec emitted %q", kv)
 			}

@@ -41,11 +41,6 @@ type SlaveSpec struct {
 	// host's daemon environment agreeing.
 	CollAlg string
 
-	// CollSeg overrides the segment size (bytes) of the pipelined
-	// collective schedules. Zero defers to the slave's MPJ_COLL_SEG
-	// environment and finally the built-in default.
-	CollSeg int
-
 	// Prof enables the instrumentation layer on the slave ("counters" or
 	// "trace:<path-prefix>"; see internal/prof.ParseSpec). Empty defers
 	// to the slave's MPJ_PROF environment and finally off.
@@ -108,9 +103,6 @@ func (s SlaveSpec) Env(daemonAddr string) []string {
 	}
 	if s.CollAlg != "" {
 		env = append(env, "MPJ_COLL_ALG="+s.CollAlg)
-	}
-	if s.CollSeg > 0 {
-		env = append(env, "MPJ_COLL_SEG="+strconv.Itoa(s.CollSeg))
 	}
 	if s.Prof != "" {
 		env = append(env, "MPJ_PROF="+s.Prof)

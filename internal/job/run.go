@@ -41,11 +41,6 @@ type Config struct {
 	// collective schedules must match on every member.
 	CollAlg string
 
-	// CollSeg overrides the pipelined collectives' segment size (bytes)
-	// on every slave. Zero defers to each slave's MPJ_COLL_SEG
-	// environment and finally the built-in default.
-	CollSeg int
-
 	// Prof enables the instrumentation layer on every slave ("counters"
 	// or "trace:<path-prefix>"). Empty defers to each slave's MPJ_PROF
 	// environment and finally off.
@@ -199,7 +194,6 @@ func Run(cfg Config) error {
 			Device:     cfg.Device,
 			EagerLimit: cfg.EagerLimit,
 			CollAlg:    cfg.CollAlg,
-			CollSeg:    cfg.CollSeg,
 			Prof:       cfg.Prof,
 			MasterAddr: m.addr(),
 			OutputAddr: collector.addr(),

@@ -4,8 +4,8 @@
 // the stack — the device boundary (op counts, bytes, eager-vs-rendezvous
 // split; see device.WithProfiler) and the collective schedule engine's
 // round loop (per-collective timelines with the algorithm collalg.go
-// chose, segment counts, per-round spans and time parked in WaitProgress;
-// see core/sched.go).
+// chose, per-round spans and time parked in WaitProgress; see
+// core/sched.go).
 //
 // The layer is near-zero-cost when off: every hook site branches on a nil
 // *Recorder, and with MPJ_PROF unset the recorder is never created. When

@@ -118,11 +118,11 @@ const (
 	CollAlgAuto = core.CollAlgAuto
 	// CollAlgClassic forces the latency-optimised tree algorithms.
 	CollAlgClassic = core.CollAlgClassic
-	// CollAlgSegmented forces the large-message schedules: segmented
-	// pipelined broadcast, whole-chunk reduce-scatter + allgather
-	// exchanges for allreduce (halving/doubling on a power-of-two size,
-	// the ring otherwise), the same reduce-scatter half alone for
-	// ReduceScatter and the ring for allgather.
+	// CollAlgSegmented forces the large-message schedules: the binomial
+	// broadcast landing in place in the user buffer, whole-chunk
+	// reduce-scatter + allgather exchanges for allreduce (halving/doubling
+	// on a power-of-two size, the ring otherwise), the same reduce-scatter
+	// half alone for ReduceScatter and the ring for allgather.
 	CollAlgSegmented = core.CollAlgSegmented
 	// CollAlgRing is CollAlgSegmented under its ring-collective name.
 	CollAlgRing = core.CollAlgRing
@@ -137,7 +137,6 @@ const (
 // WithCollAlg forces the collective algorithm family on c and returns c,
 // for call-site chaining in benchmarks and tuning experiments:
 //
-//	w.SetCollSegSize(64 << 10)
 //	err := mpj.WithCollAlg(w, mpj.CollAlgSegmented).Bcast(buf, 0, n, mpj.DOUBLE, 0)
 //
 // Like all collective configuration it must be applied consistently on

@@ -325,10 +325,8 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 // CollAlg forces the collective algorithm family on every slave —
 // "classic", "segmented" or "ring"; "auto" restores size-based selection.
 // Empty falls back to each slave's MPJ_COLL_ALG environment variable.
-// CollSeg likewise overrides the pipelined collectives' segment size in
-// bytes (zero: each slave's MPJ_COLL_SEG, then the 32 KiB default).
-// Shipping these in the job config keeps the choice identical on every
-// rank, which collective schedules require.
+// Shipping it in the job config keeps the choice identical on every rank,
+// which collective schedules require.
 //
 // Prof enables the instrumentation layer on every slave — "counters" for
 // the atomic per-communicator counters behind Comm.ProfSnapshot, or
@@ -343,7 +341,6 @@ type JobConfig struct {
 	Device     string
 	EagerLimit int
 	CollAlg    string
-	CollSeg    int
 	Prof       string
 	Locators   []string
 	UDPPort    int
@@ -375,14 +372,11 @@ type JobConfig struct {
 // mpjrun. Slave processes re-execute this binary; their main must call
 // Main (or SlaveMain) after registering applications.
 func Run(cfg JobConfig) error {
-	// Validate the collective knobs here, where the parsers live, so a
+	// Validate the collective knob here, where the parser lives, so a
 	// typo fails before any slave spawns (the device name gets the same
 	// treatment inside job.Run).
 	if _, err := core.ParseCollAlg(cfg.CollAlg); err != nil {
 		return fmt.Errorf("mpj: JobConfig.CollAlg: %w", err)
-	}
-	if cfg.CollSeg < 0 {
-		return fmt.Errorf("mpj: JobConfig.CollSeg must be non-negative, got %d", cfg.CollSeg)
 	}
 	if _, err := prof.ParseSpec(cfg.Prof); err != nil {
 		return fmt.Errorf("mpj: JobConfig.Prof: %w", err)
@@ -394,7 +388,6 @@ func Run(cfg JobConfig) error {
 		Device:         cfg.Device,
 		EagerLimit:     cfg.EagerLimit,
 		CollAlg:        cfg.CollAlg,
-		CollSeg:        cfg.CollSeg,
 		Prof:           cfg.Prof,
 		Locators:       cfg.Locators,
 		UDPPort:        cfg.UDPPort,

@@ -240,14 +240,13 @@ func checkTypedEquiv[T Scalar](w *Comm, count, root int, op ReduceOp[T], gen fun
 
 // TestTypedDatatypeEquivalenceProperty is the two-facade equivalence
 // property: over randomized np (including non-powers-of-two), count, root,
-// reduction op, collective algorithm family and pipeline segment size
-// (including values that do not divide the payload), on both the chan and
-// hyb devices, every typed operation must produce results byte-identical
+// reduction op and collective algorithm family, on both the chan and hyb
+// devices, every typed operation must produce results byte-identical
 // to its Datatype-facade counterpart (the facades share one algorithm
 // source, so any divergence is a fast-path bug). The last two iterations
 // push the payload past the eager limit and past the large-message
 // algorithm threshold to cover the rendezvous protocol and the
-// segmented/ring schedules.
+// large-message schedules.
 func TestTypedDatatypeEquivalenceProperty(t *testing.T) {
 	intOps := []ReduceOp[int64]{Sum[int64](), Max[int64](), BXor[int64]()}
 	floatOps := []ReduceOp[float64]{Sum[float64](), Min[float64](), Prod[float64]()}
@@ -271,11 +270,9 @@ func TestTypedDatatypeEquivalenceProperty(t *testing.T) {
 				iop := intOps[rng.Intn(len(intOps))]
 				fop := floatOps[rng.Intn(len(floatOps))]
 				alg := algs[rng.Intn(len(algs))]
-				seg := 1 + rng.Intn(48<<10)
 				seed := rng.Int63()
 				runWorlds(t, np, dev, func(w *Comm) error {
 					w.SetCollAlg(alg)
-					w.SetCollSegSize(seg)
 					if err := checkTypedEquiv(w, count, root, iop, func(rank, i int) int64 {
 						return seed%1000 + int64(rank*31+i)
 					}); err != nil {
@@ -541,7 +538,7 @@ func checkTypedVEquiv[T Scalar](w *Comm, seed int64, maxCount int, op ReduceOp[T
 // TestTypedVEquivalenceProperty is the two-facade equivalence property
 // for the varying-count family: randomized np (incl. non-powers-of-two),
 // per-rank counts (incl. zero-count ranks), permuted gapped
-// displacements, algorithm family and segment size, on both devices. The
+// displacements and algorithm family, on both devices. The
 // last chan iteration pushes blocks past the large-message threshold to
 // cover the window-ring and ring reduce-scatter schedules.
 func TestTypedVEquivalenceProperty(t *testing.T) {
@@ -561,11 +558,9 @@ func TestTypedVEquivalenceProperty(t *testing.T) {
 					maxCount = 9 << 10 // int64 blocks up to 72 KiB: past largeCollMin
 				}
 				alg := algs[rng.Intn(len(algs))]
-				seg := 1 + rng.Intn(32<<10)
 				seed := rng.Int63()
 				runWorlds(t, np, dev, func(w *Comm) error {
 					w.SetCollAlg(alg)
-					w.SetCollSegSize(seg)
 					if err := checkTypedVEquiv(w, seed, maxCount, Sum[int64](), func(rank, i int) int64 {
 						return int64(rank*37+i)%97 - 20
 					}); err != nil {
