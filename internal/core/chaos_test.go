@@ -82,7 +82,11 @@ func TestChaosCollectiveKillHyb(t *testing.T) {
 // and in the last allgather round. The ReduceScatter runs the fold half
 // alone: at np=4 (halving, 2 rounds) the kill falls in round 0, which lends
 // the send buffer, at np=3 (the ring, 2 rounds) in round 1, which lends the
-// pooled working vector.
+// pooled working vector. The 1 MiB Bcast lands in place and lends the fixed
+// cell: at np=4 the kill falls in round 0, while the root lends its own
+// buffer to the victim, and in the victim's forwarding round 1, while rank
+// 3's receive lands in its user buffer; at np=3 (no forwarder: the root
+// feeds both ranks) in round 0.
 var chaosLentCases = []chaosCase{
 	{np: 4, victim: 2, round: 0, op: "allreduce1m"},
 	{np: 4, victim: 2, round: 1, op: "allreduce1m"},
@@ -91,6 +95,9 @@ var chaosLentCases = []chaosCase{
 	{np: 3, victim: 1, round: 3, op: "allreduce1m"},
 	{np: 4, victim: 1, round: 0, op: "reducescatter1m"},
 	{np: 3, victim: 2, round: 1, op: "reducescatter1m"},
+	{np: 4, victim: 2, round: 0, op: "bcast1m"},
+	{np: 4, victim: 2, round: 1, op: "bcast1m"},
+	{np: 3, victim: 1, round: 0, op: "bcast1m"},
 }
 
 // TestChaosLentAllreduceKill is the failure contract of lent sends, over
@@ -103,6 +110,9 @@ func TestChaosLentAllreduceKill(t *testing.T) { chaosLentKill(t, "allreduce1m") 
 // TestChaosLentReduceScatterKill is the same contract for the large
 // ReduceScatter.
 func TestChaosLentReduceScatterKill(t *testing.T) { chaosLentKill(t, "reducescatter1m") }
+
+// TestChaosLentBcastKill is the same contract for the large Bcast.
+func TestChaosLentBcastKill(t *testing.T) { chaosLentKill(t, "bcast1m") }
 
 func chaosLentKill(t *testing.T, op string) {
 	for _, mesh := range []string{"tcp", "hyb"} {
@@ -134,6 +144,14 @@ func TestChaosLentReduceScatterFree(t *testing.T) {
 	chaosLentFree(t, func(c *Comm, in, out []int32) (*CollRequest, error) {
 		counts, _ := uniformLayout(c.Size(), len(in)/c.Size())
 		return c.IreduceScatter(in, 0, out, 0, counts, Int, SumOp)
+	})
+}
+
+// TestChaosLentBcastFree is TestChaosLentAllreduceFree for an outstanding
+// large Ibcast: the root's lent buffer is the caller's when Free returns.
+func TestChaosLentBcastFree(t *testing.T) {
+	chaosLentFree(t, func(c *Comm, in, _ []int32) (*CollRequest, error) {
+		return c.Ibcast(in, 0, len(in), Int, 0)
 	})
 }
 
@@ -422,6 +440,26 @@ func chaosOp(w *Comm, op string) (func() error, error) {
 			for i, v := range out {
 				if want := int32(base + np*(displs[rank]+i)); v != want {
 					return fmt.Errorf("reducescatter1m[%d] = %d, want %d", i, v, want)
+				}
+			}
+			return nil
+		}, err
+	case "bcast1m":
+		buf := make([]int32, chaosLentCount)
+		if rank == 0 {
+			for i := range buf {
+				buf[i] = int32(3*i + 7)
+			}
+		}
+		err := w.Bcast(buf, 0, len(buf), Int, 0)
+		if err != nil {
+			scribble(buf)
+		}
+		return func() error {
+			defer scribble(buf)
+			for i, v := range buf {
+				if v != int32(3*i+7) {
+					return fmt.Errorf("bcast1m[%d] = %d, want %d", i, v, 3*i+7)
 				}
 			}
 			return nil

@@ -139,7 +139,7 @@ var hierLayouts = []struct {
 }
 
 // hierSweep runs every collective the hierarchical family compiles —
-// barrier, rooted and non-rooted, small and pipelined-large payloads,
+// barrier, rooted and non-rooted, small and large payloads,
 // zero and non-zero roots — and checks results against the classic
 // single-level answer computed independently.
 func hierSweep(w *Comm, tag string) error {
@@ -205,7 +205,7 @@ func hierSweep(w *Comm, tag string) error {
 		}
 	}
 
-	for _, gc := range []int{16, 8 << 10} { // small and pipelined-large gather blocks
+	for _, gc := range []int{16, 8 << 10} { // small and large gather blocks
 		gs := make([]float64, gc)
 		for i := range gs {
 			gs[i] = float64(w.Rank()*gc + i)
@@ -243,7 +243,70 @@ func hierSweep(w *Comm, tag string) error {
 		}
 	}
 
+	if err := hierGroundTruth(w, tag); err != nil {
+		return err
+	}
 	return w.Barrier()
+}
+
+// hierGroundTruth checks element by element the two-level schedules the
+// broadcast tree serves, just below and just above large_min: Bcast from a
+// root that is not its group's lowest rank (so it replaces that group's
+// leader), and Allgather, whose assembled vector fans out inside each group
+// by the same tree.
+func hierGroundTruth(w *Comm, tag string) error {
+	np, me := w.Size(), w.Rank()
+	root := -1
+	for _, g := range w.localityView().groups {
+		if len(g) > 1 {
+			root = g[1]
+			break
+		}
+	}
+	edge := w.largeMin() / 8 // float64 elements at the threshold
+	for _, side := range []struct {
+		name  string
+		n, bs int // bcast elements, allgather block elements
+	}{{"below", edge - 1, (edge - 1) / np}, {"above", edge + 1, edge/np + 1}} {
+		if large := side.bs*np >= edge; large != (side.name == "above") {
+			return fmt.Errorf("%s allgather np=%d bs=%d: on the wrong side of large_min", tag, np, side.bs)
+		}
+		b := make([]float64, side.n)
+		if me == root {
+			for i := range b {
+				b[i] = float64(root*7919 + i)
+			}
+		}
+		req, err := w.Ibcast(b, 0, side.n, Double, root)
+		if err != nil {
+			return fmt.Errorf("%s bcast %s root=%d: %w", tag, side.name, root, err)
+		}
+		if _, err := req.Wait(); err != nil {
+			return fmt.Errorf("%s bcast %s root=%d: %w", tag, side.name, root, err)
+		}
+		if req.alg != "hier" {
+			return fmt.Errorf("%s bcast %s root=%d compiled %q, want hier", tag, side.name, root, req.alg)
+		}
+		for i, v := range b {
+			if want := float64(root*7919 + i); v != want {
+				return fmt.Errorf("%s bcast %s root=%d: b[%d] = %v, want %v", tag, side.name, root, i, v, want)
+			}
+		}
+
+		gs, gr := make([]float64, side.bs), make([]float64, np*side.bs)
+		for i := range gs {
+			gs[i] = float64(me*7919 + i)
+		}
+		if err := w.Allgather(gs, 0, side.bs, Double, gr, 0, side.bs, Double); err != nil {
+			return fmt.Errorf("%s allgather %s: %w", tag, side.name, err)
+		}
+		for i, v := range gr {
+			if want := float64(i/side.bs*7919 + i%side.bs); v != want {
+				return fmt.Errorf("%s allgather %s: gr[%d] = %v, want %v", tag, side.name, i, v, want)
+			}
+		}
+	}
+	return nil
 }
 
 // Forced CollAlgHier on synthetic multi-group layouts must produce the

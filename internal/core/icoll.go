@@ -91,7 +91,9 @@ func barrierRoundsIn(c *Comm, members []int) []round {
 // rank the first round brings it in from the tree parent — adopted by a
 // plain cell, landing in place in a fixed one, whose length every member
 // must agree on — and one further round forwards it to all binomial
-// children at once.
+// children at once. The sends of a fixed cell lend it: nothing writes it
+// after its receive lands (the root only sends, a forwarder sends only
+// after its one receive).
 func bcastRoundsIn(c *Comm, members []int, cl *cell, rootIdx int) []round {
 	parent, children := binomialEdges(c, members, rootIdx)
 	var rs []round
@@ -101,7 +103,7 @@ func bcastRoundsIn(c *Comm, members []int, cl *cell, rootIdx int) []round {
 	if len(children) > 0 {
 		var rd round
 		for _, ch := range children {
-			rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return cl.b }})
+			rd.sends = append(rd.sends, sendStep{to: ch, data: func() []byte { return cl.b }, lend: cl.fixed})
 		}
 		rs = append(rs, rd)
 	}

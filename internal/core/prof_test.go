@@ -251,6 +251,122 @@ func TestProfCountersBcastExact(t *testing.T) {
 			}
 		})
 	}
+
+	// Above large_min the same tree lands in place: still one message per
+	// edge, never one per segment.
+	const large = 1 << 18 // 1 MiB of Int
+	for _, np := range []int{3, 4, 5, 8} {
+		for _, root := range []int{0, np - 1} {
+			for _, hyb := range []bool{false, true} {
+				name := fmt.Sprintf("large_np%d_root%d_chan", np, root)
+				if hyb {
+					name = fmt.Sprintf("large_np%d_root%d_hyb", np, root)
+				}
+				t.Run(name, func(t *testing.T) {
+					diffs := make([]prof.Snapshot, np)
+					bar := newGoBarrier(np)
+					runRanksProf(t, np, prof.Spec{Counters: true}, hyb, func(w *Comm) error {
+						buf := make([]int32, large)
+						if w.Rank() == root {
+							for i := range buf {
+								buf[i] = int32(i ^ root)
+							}
+						}
+						diff, err := measureOp(w, bar, func() error {
+							req, err := w.Ibcast(buf, 0, large, Int, root)
+							if err != nil {
+								return err
+							}
+							if req.alg != "binomial" {
+								return fmt.Errorf("compiled %s, want binomial", req.alg)
+							}
+							_, err = req.Wait()
+							return err
+						})
+						diffs[w.Rank()] = diff
+						if err != nil {
+							return err
+						}
+						for i, v := range buf {
+							if v != int32(i^root) {
+								return fmt.Errorf("buf[%d] = %d, want %d", i, v, i^root)
+							}
+						}
+						return nil
+					})
+					checkBcastTotals(t, sumSnaps(diffs), np, 4*large)
+				})
+			}
+		}
+	}
+
+	// The persistent form: one cached skeleton, four activations over a
+	// root buffer rewritten between Starts, each exactly one tree's traffic.
+	t.Run("persistent_large_np4", func(t *testing.T) {
+		const np, root = 4, 1
+		diffs := make([][]prof.Snapshot, 4)
+		for i := range diffs {
+			diffs[i] = make([]prof.Snapshot, np)
+		}
+		bar := newGoBarrier(np)
+		runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+			buf := make([]int32, large)
+			p, err := w.CommitBcast(buf, 0, large, Int, root)
+			if err != nil {
+				return err
+			}
+			for gen := range diffs {
+				if w.Rank() == root {
+					for i := range buf {
+						buf[i] = int32(gen*7 + i)
+					}
+				}
+				diff, err := measureOp(w, bar, func() error {
+					if err := p.Start(); err != nil {
+						return err
+					}
+					_, err := p.Wait()
+					return err
+				})
+				if err != nil {
+					return err
+				}
+				diffs[gen][w.Rank()] = diff
+				if p.skel == nil || p.active.alg != "binomial" {
+					return fmt.Errorf("activation %d: skeleton cached %v, alg %s", gen, p.skel != nil, p.active.alg)
+				}
+				for i, v := range buf {
+					if v != int32(gen*7+i) {
+						return fmt.Errorf("activation %d: buf[%d] = %d, want %d", gen, i, v, gen*7+i)
+					}
+				}
+			}
+			return nil
+		})
+		for gen, d := range diffs {
+			t.Run(fmt.Sprintf("activation%d", gen), func(t *testing.T) {
+				checkBcastTotals(t, sumSnaps(d), np, 4*large)
+			})
+		}
+	})
+}
+
+// checkBcastTotals checks one broadcast's job-wide counters: np-1
+// rendezvous messages of exactly bytes each, one collective per rank.
+func checkBcastTotals(t *testing.T, total prof.Snapshot, np, bytes int) {
+	t.Helper()
+	want := int64(np - 1)
+	if total.SentMsgs() != want || total.RecvMsgs() != want || total.EagerSent+total.EagerRecv != 0 {
+		t.Errorf("messages: sent %d recv %d eager %d, want %d/%d/0 (%+v)",
+			total.SentMsgs(), total.RecvMsgs(), total.EagerSent+total.EagerRecv, want, want, total)
+	}
+	if total.SentBytes() != want*int64(bytes) || total.RecvBytes() != want*int64(bytes) {
+		t.Errorf("bytes: sent %d recv %d, want %d both", total.SentBytes(), total.RecvBytes(), want*int64(bytes))
+	}
+	if total.CollStarted != int64(np) || total.CollDone != int64(np) || total.CollFailed != 0 {
+		t.Errorf("collectives: started %d done %d failed %d, want %d/%d/0",
+			total.CollStarted, total.CollDone, total.CollFailed, np, np)
+	}
 }
 
 // TestProfCountersPingPongExact pins what the profiler sees of the

@@ -710,6 +710,90 @@ func lendSafetyReduceScatter(w *Comm) error {
 	return nil
 }
 
+// TestLendSafetyBcast is the lend proof of the broadcast tree: on the fixed
+// cell (at or above large_min) every send lends — the root's the user
+// buffer itself for a raw-layout datatype, a packed copy otherwise — and
+// below it none does; lendCheck passes, every rank ends with the root's
+// bytes and the root's buffer is bit-identical after the call.
+func TestLendSafetyBcast(t *testing.T) {
+	pair, err := Contiguous(2, Int)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, np := range []int{3, 4, 5, 8} {
+		runRanks(t, np, func(w *Comm) error {
+			// Verdicts are reported, not returned: a rank that left early
+			// would wedge the others in the next broadcast.
+			var bad error
+			for _, root := range []int{0, np - 1} {
+				for _, dt := range []Datatype{Int, pair} {
+					for _, slots := range []int{64, 1 << 15} { // 256 B and 128 KiB
+						buf := make([]int32, slots)
+						if w.Rank() == root {
+							for i := range buf {
+								buf[i] = int32(i*31 + root)
+							}
+						}
+						req, err := w.Ibcast(buf, 0, slots*4/dt.ByteSize(), dt, root)
+						if err != nil {
+							return err
+						}
+						if _, err := req.Wait(); err != nil {
+							return err
+						}
+						if err := bcastLendVerdict(w, req, buf, dt, root); err != nil && bad == nil {
+							bad = fmt.Errorf("np=%d root=%d %s slots=%d: %w", np, root, dt.Name(), slots, err)
+						}
+					}
+				}
+			}
+			if bad != nil {
+				t.Errorf("rank %d: %v", w.Rank(), bad)
+			}
+			return nil
+		})
+	}
+}
+
+// bcastLendVerdict checks one completed broadcast of TestLendSafetyBcast on
+// this rank.
+func bcastLendVerdict(w *Comm, req *CollRequest, buf []int32, dt Datatype, root int) error {
+	for i, v := range buf {
+		if v != int32(i*31+root) {
+			return fmt.Errorf("buf[%d] = %d, want %d", i, v, i*31+root)
+		}
+	}
+	if err := lendCheck(req.rounds, nil); err != nil {
+		return err
+	}
+	_, children := binomialEdges(w, w.members(), root)
+	user := vWindow(Int, buf, 0, len(buf))
+	sends, lent, fromUser := 0, 0, 0
+	for _, rd := range req.rounds {
+		for _, ss := range rd.sends {
+			sends++
+			if ss.lend {
+				lent++
+				if overlaps(ss.data(), user) {
+					fromUser++
+				}
+			}
+		}
+	}
+	wantLent, wantUser := 0, 0
+	if len(user) >= w.largeMin() {
+		wantLent = len(children)
+		if dt == Int {
+			wantUser = len(children)
+		}
+	}
+	if sends != len(children) || lent != wantLent || fromUser != wantUser {
+		return fmt.Errorf("%d sends, %d lent, %d from the user buffer; want %d, %d, %d",
+			sends, lent, fromUser, len(children), wantLent, wantUser)
+	}
+	return nil
+}
+
 // TestLendCheckRejectsRewrittenSource is the negative: a forwarding-ring
 // step over a fixed cell — the arrival lands in the very buffer the step
 // forwards — must not lend it, and neither may a step whose fold writes
