@@ -169,8 +169,9 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 // its JSON record. The acceptance rows are the 4 MiB Allreduce at np>=4 —
 // the large-vector schedules must run at >=2x the classic trees'
 // throughput — and the "@2x4" multi-group rows, where the hierarchical
-// family must beat both classic and segmented/ring at >=1 MiB on a cyclic 2-group x 4-rank hybrid layout (intra-group chan,
-// inter-group localhost TCP).
+// family must beat both classic and segmented/ring at >=1 MiB on a cyclic
+// 2-group x 4-rank hybrid layout (intra-group chan, inter-group localhost
+// TCP).
 func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	type config struct {
 		op     string
@@ -207,8 +208,8 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 			"(the full gathered vector for allgather); MiB/s divides it by ns/op (algorithm " +
 			"bandwidth). classic = binomial tree / recursive doubling or reduce+bcast moving " +
 			"whole payloads per edge; segmented = the same binomial bcast landing in place " +
-			"in the user buffer; " +
-			"ring = segmented reduce-scatter+allgather resp. zero-staging block ring; hier = " +
+			"in the user buffer; ring = whole-chunk reduce-scatter+allgather resp. " +
+			"zero-staging block ring; hier = " +
 			"two-level locality schedule (intra-group phase + leader exchange). '@2x4' rows " +
 			"run a cyclic 2-group x 4-rank hybrid layout where inter-group hops cross real " +
 			"localhost TCP. Speedup ratios per (op, np, bytes, alg) are the CI regression " +

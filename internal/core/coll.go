@@ -13,8 +13,8 @@ type AllreduceAlgorithm int
 const (
 	// AllreduceAuto switches by payload: large fixed-size vectors take
 	// AllreduceRing's family (reduce-scatter + allgather, whole chunks);
-	// below the large-message threshold power-of-two sizes use recursive doubling and other
-	// sizes reduce to rank 0 and broadcast. See collalg.go for the
+	// below the large-message threshold power-of-two sizes use recursive
+	// doubling and other sizes reduce to rank 0 and broadcast. See collalg.go for the
 	// threshold and the knobs that override it.
 	AllreduceAuto AllreduceAlgorithm = iota
 	// AllreduceTreeBcast always reduces to rank 0 then broadcasts.

@@ -22,12 +22,12 @@ import (
 // algorithm name and per round the ordered (peer, byte length) of its
 // receives and sends — is compared against testdata/schedshape.golden. The
 // table is the contract for refactors of the round builders: who compiles
-// the rounds may change, the rounds may not. Three properties are checked on every row whatever the golden says:
-// send/receive duality (every send has exactly one receive at its peer, in
-// FIFO order per pair, and where either side states a length up front it is
-// the length that travelled), that the schedule names its algorithm, and
-// lend safety (no round lands a receive in bytes one of its sends lends to
-// the device, see lendCheck).
+// the rounds may change, the rounds may not. Three properties are checked
+// on every row whatever the golden says: send/receive duality (every send
+// has exactly one receive at its peer, in FIFO order per pair, and where
+// either side states a length up front it is the length that travelled),
+// that the schedule names its algorithm, and lend safety (no round lands a
+// receive in bytes one of its sends lends to the device, see lendCheck).
 //
 // A golden line is "<collective> np=<n> <layout>" followed by one hash per
 // (payload class, family) cell over the rounds of all ranks, and one hash
