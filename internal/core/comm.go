@@ -155,7 +155,7 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 	})
 	// One-sided frames carry the window's dedicated context; route them to
 	// the window (unknown ids are stale frames of freed windows).
-	dev.SetRMAHandler(func(src int, h *wire.Header, payload []byte) {
+	dev.SetRMAHandler(func(src int, h wire.Header, payload []byte) {
 		if win := proc.lookupWin(int(h.Context)); win != nil {
 			win.handleFrame(src, h, payload)
 		}

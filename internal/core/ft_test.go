@@ -77,6 +77,19 @@ func awaitDead(w *Comm, worldRank int) {
 	}
 }
 
+// within returns op's error, or a timeout error when op is still blocked
+// after d (the goroutine running it is then abandoned).
+func within(d time.Duration, op func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		return fmt.Errorf("still blocked after %v", d)
+	}
+}
+
 // TestAgreeAllAlive: with every member alive, Agree is a plain AND-
 // reduction, and consecutive agreements on one communicator stay ordered
 // by the agreement counter.
@@ -123,11 +136,53 @@ func TestAgreeExcludesDeadMember(t *testing.T) {
 
 // TestRevokePropagates: one member revokes; every other member's pending
 // and future operations fail with ErrRevoked, and Shrink then rebuilds a
-// working communicator even though nobody died.
+// working communicator even though nobody died. The typed point-to-point
+// calls are held to it on the revoking rank and on both peers, which learn
+// of the revocation by frame: rank 1 while parked in Irecv+Wait, rank 2
+// while parked in a blocking TypedRecv.
 func TestRevokePropagates(t *testing.T) {
 	const np = 3
+	typed := []struct {
+		name string
+		op   func(w *Comm, peer int) error
+	}{
+		{"TypedSend", func(w *Comm, peer int) error { return TypedSend(w, []int32{1}, peer, 5) }},
+		{"TypedIsend", func(w *Comm, peer int) error {
+			r, err := TypedIsend(w, []int32{1}, peer, 5)
+			if err == nil {
+				_, err = r.Wait()
+			}
+			return err
+		}},
+		{"TypedRecv", func(w *Comm, peer int) error {
+			_, err := TypedRecv(w, make([]int32, 1), peer, 5)
+			return err
+		}},
+		{"TypedIrecv", func(w *Comm, peer int) error {
+			r, err := TypedIrecv(w, make([]int32, 1), peer, 5)
+			if err == nil {
+				_, err = r.Wait()
+			}
+			return err
+		}},
+		{"TypedSendrecv", func(w *Comm, peer int) error {
+			_, err := TypedSendrecv(w, []int32{1}, peer, 5, make([]int32, 1), peer, 5)
+			return err
+		}},
+	}
+	revoked := func(what string, op func() error) error {
+		if err := within(10*time.Second, op); !errors.Is(err, ErrRevoked) {
+			return fmt.Errorf("%s on revoked comm: %v, want ErrRevoked", what, err)
+		}
+		return nil
+	}
 	runFaultRanks(t, np, nil, func(rank int, w *Comm, dom *fault.Domain) error {
+		peer := 0
 		if rank == 0 {
+			// Rank 2 parks right after its token.
+			if _, err := TypedRecv(w, make([]int32, 1), 2, 9); err != nil {
+				return fmt.Errorf("token: %w", err)
+			}
 			if err := w.Revoke(); err != nil {
 				return fmt.Errorf("revoke: %w", err)
 			}
@@ -138,19 +193,37 @@ func TestRevokePropagates(t *testing.T) {
 			if _, err := w.Isend([]int32{1}, 0, 1, Int, 1, 5); !errors.Is(err, ErrRevoked) {
 				return fmt.Errorf("isend on revoked comm: %v, want ErrRevoked", err)
 			}
+			peer = 1
 		} else {
 			// Park in a receive that no send will ever match; the revocation
 			// must complete it (at post time or at wait time, depending on
 			// when the frame lands).
-			buf := make([]int32, 1)
-			r, err := w.Irecv(buf, 0, 1, Int, 0, 7)
-			if err == nil {
-				_, err = r.Wait()
+			park := func() error {
+				buf := make([]int32, 1)
+				r, err := w.Irecv(buf, 0, 1, Int, 0, 7)
+				if err == nil {
+					_, err = r.Wait()
+				}
+				return err
 			}
-			if !errors.Is(err, ErrRevoked) {
-				return fmt.Errorf("parked recv: %v, want ErrRevoked", err)
+			if rank == 2 {
+				if err := TypedSend(w, []int32{1}, 0, 9); err != nil {
+					return fmt.Errorf("token: %w", err)
+				}
+				park = func() error {
+					_, err := TypedRecv(w, make([]int32, 1), 0, 7)
+					return err
+				}
+			}
+			if err := revoked("parked recv", park); err != nil {
+				return err
 			}
 			if err := expect(w.Revoked(), "peer does not see communicator revoked"); err != nil {
+				return err
+			}
+		}
+		for _, tc := range typed {
+			if err := revoked(tc.name, func() error { return tc.op(w, peer) }); err != nil {
 				return err
 			}
 		}

@@ -15,21 +15,17 @@ import (
 type Request struct {
 	comm *Comm
 	dreq *device.Request
+	size int // element size of a receive landing in user memory (see Comm.status); 0 otherwise
 
 	mu      sync.Mutex
-	fin     func(device.Status) (*Status, error) // runs once on completion
+	fin     func(device.Status) (*Status, error) // datatype finisher of a staged or allocate-on-arrival receive
 	onFinal func()                               // runs once when the request reaches a terminal state
 	status  *Status
 	err     error
 	done    bool
 }
 
-// newRequest wraps a device request.
-func newRequest(c *Comm, dr *device.Request, fin func(device.Status) (*Status, error)) *Request {
-	return &Request{comm: c, dreq: dr, fin: fin}
-}
-
-// finalize runs the completion hook exactly once and caches its result.
+// finalize builds the request's status exactly once and caches it.
 func (r *Request) finalize(dst device.Status, derr error) (*Status, error) {
 	r.mu.Lock()
 	if r.done {
@@ -38,26 +34,15 @@ func (r *Request) finalize(dst device.Status, derr error) (*Status, error) {
 		return st, err
 	}
 	r.done = true
-	switch {
-	case derr != nil && errors.Is(derr, device.ErrTruncate) && r.fin != nil:
-		// Truncation with a datatype finisher: deliver the bytes that did
-		// arrive, then report the truncation in the API's terms.
+	if r.fin != nil && (derr == nil || errors.Is(derr, device.ErrTruncate)) {
+		// The finisher delivers the bytes that did arrive, of a truncated
+		// message too, which is then reported in the API's terms.
 		r.status, r.err = r.fin(dst)
-		if r.err == nil {
+		if derr != nil && r.err == nil {
 			r.err = fmt.Errorf("%w: %v", ErrTruncate, derr)
 		}
-	case derr != nil:
-		r.status, r.err = &Status{Source: r.comm.groupSource(dst.Source), Tag: dst.Tag, elements: -1}, derr
-	case r.fin != nil:
-		r.status, r.err = r.fin(dst)
-	default:
-		r.status = &Status{
-			Source:    r.comm.groupSource(dst.Source),
-			Tag:       dst.Tag,
-			Cancelled: dst.Cancelled,
-			bytes:     dst.Count,
-			elements:  -1,
-		}
+	} else {
+		r.status, r.err = r.comm.status(dst, derr, r.size)
 	}
 	hook := r.onFinal
 	r.onFinal = nil
@@ -100,23 +85,59 @@ func (r *Request) forceFail(err error) {
 // Wait blocks until the operation completes and returns its status.
 //
 // Like every blocking entry point, Wait participates in the collective
-// progress engine: while parked it keeps driving the rounds of any
-// in-flight collective schedules of the process (see sched.go), so a rank
-// blocked in a plain Recv cannot stall a peer's non-blocking collective.
-// With no collective in flight — one atomic load — it parks directly on
-// the device, keeping the point-to-point hot path at its old cost.
+// progress engine (see Comm.waitDevice), so a rank blocked in a plain Recv
+// cannot stall a peer's non-blocking collective.
 func (r *Request) Wait() (*Status, error) {
-	for r.comm.proc.collCount.Load() != 0 {
-		epoch := r.comm.dev.FailEpoch()
-		dst, ok, derr := r.dreq.Test()
-		if ok {
-			return r.finalize(dst, derr)
-		}
-		pending := append(r.comm.progressSiblings(nil), r.dreq)
-		r.comm.dev.WaitProgress(pending, epoch)
+	return r.finalize(r.comm.waitDevice(r.dreq))
+}
+
+// waitDevice parks until the device request dr completes — the one wait
+// loop under Request.Wait and the blocking Send and Recv. While collective
+// schedules are in flight it keeps driving their rounds (see sched.go),
+// parking on the device with the failure epoch it read before it looked;
+// with none — one atomic load — it parks directly on dr, keeping the
+// point-to-point hot path at its old cost.
+func (c *Comm) waitDevice(dr *device.Request) (device.Status, error) {
+	if c.revoked.Load() {
+		// A revocation that landed between the caller's check and its
+		// post found nothing of dr to fail.
+		c.dev.FailContext(c.pt2pt, ErrRevoked)
 	}
-	dst, derr := r.dreq.Wait()
-	return r.finalize(dst, derr)
+	for c.proc.collCount.Load() != 0 {
+		epoch := c.dev.FailEpoch()
+		if dst, ok, derr := dr.Test(); ok {
+			return dst, derr
+		}
+		pending := append(c.progressSiblings(nil), dr)
+		c.dev.WaitProgress(pending, epoch)
+	}
+	return dr.Wait()
+}
+
+// status builds the Status of a completed device operation — the one
+// status builder of point-to-point completions and probes. size is the
+// element size of a receive that landed in the user's memory, whose element
+// count is then its byte count over size; 0 leaves the count to GetCount.
+// A truncated receive keeps the count of the bytes that did arrive and
+// reports ErrTruncate; any other error leaves the count undefined.
+func (c *Comm) status(dst device.Status, derr error, size int) (*Status, error) {
+	st := &Status{
+		Source:    c.groupSource(dst.Source),
+		Tag:       dst.Tag,
+		Cancelled: dst.Cancelled,
+		bytes:     dst.Count,
+		elements:  -1,
+	}
+	if derr != nil {
+		if !errors.Is(derr, device.ErrTruncate) {
+			return st, derr
+		}
+		derr = fmt.Errorf("%w: %v", ErrTruncate, derr)
+	}
+	if size > 0 && !dst.Cancelled {
+		st.elements = dst.Count / size
+	}
+	return st, derr
 }
 
 // Test reports without blocking whether the operation has completed,
@@ -486,75 +507,93 @@ func (c *Comm) sendMode(buf any, off, count int, dt Datatype, dst, tag int, mode
 // free as soon as the call returns. Variable-size datatypes (Object) keep
 // the append path — their packed size is unknown before packing.
 func (c *Comm) sendModeOpt(buf any, off, count int, dt Datatype, dst, tag int, mode device.Mode, borrow bool) (*Request, error) {
-	if err := c.checkRevoked(); err != nil {
-		return nil, err
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("%w: tag %d must be non-negative", ErrTag, tag)
-	}
-	w, err := c.worldRank(dst)
+	w, err := c.sendEnvelope(dst, tag)
 	if err != nil {
 		return nil, err
 	}
+	var dr *device.Request
 	if win := vWindow(dt, buf, off, count); win != nil && borrow {
-		dr, err := c.dev.Isend(win, w, tag, c.pt2pt, mode)
-		if err != nil {
+		dr, err = c.dev.Isend(win, w, tag, c.pt2pt, mode)
+	} else if pi, ok := dt.(packerInto); ok && count >= 0 && dt.ByteSize() >= 0 {
+		dr, err = c.dev.IsendFill(count*dt.ByteSize(), func(p []byte) error {
+			return pi.PackInto(p, buf, off, count)
+		}, w, tag, c.pt2pt, mode)
+	} else {
+		var data []byte
+		if data, err = dt.Pack(nil, buf, off, count); err != nil {
 			return nil, err
 		}
-		return newRequest(c, dr, nil), nil
+		dr, err = c.dev.Isend(data, w, tag, c.pt2pt, mode)
 	}
-	if pi, ok := dt.(packerInto); ok && count >= 0 {
-		if sz := dt.ByteSize(); sz >= 0 {
-			dr, err := c.dev.IsendFill(count*sz, func(p []byte) error {
-				return pi.PackInto(p, buf, off, count)
-			}, w, tag, c.pt2pt, mode)
-			if err != nil {
-				return nil, err
-			}
-			return newRequest(c, dr, nil), nil
-		}
-	}
-	data, err := dt.Pack(nil, buf, off, count)
 	if err != nil {
 		return nil, err
 	}
-	dr, err := c.dev.Isend(data, w, tag, c.pt2pt, mode)
-	if err != nil {
-		return nil, err
-	}
-	return newRequest(c, dr, nil), nil
+	return &Request{comm: c, dreq: dr}, nil
 }
 
-// rawRecvFinisher completes a receive that landed directly in the user
-// buffer (zero copy): no unpack, just element accounting.
-func (c *Comm) rawRecvFinisher(size int) func(device.Status) (*Status, error) {
-	return func(dst device.Status) (*Status, error) {
-		st := &Status{
-			Source:    c.groupSource(dst.Source),
-			Tag:       dst.Tag,
-			Cancelled: dst.Cancelled,
-			bytes:     dst.Count,
-			elements:  -1,
-		}
-		if dst.Cancelled {
-			return st, nil
-		}
-		st.elements = dst.Count / size
-		return st, nil
+// sendEnvelope checks a send's communicator, destination and tag, and
+// returns the destination's world rank.
+func (c *Comm) sendEnvelope(dst, tag int) (int, error) {
+	if err := c.checkRevoked(); err != nil {
+		return 0, err
 	}
+	if tag < 0 {
+		return 0, fmt.Errorf("%w: tag %d must be non-negative", ErrTag, tag)
+	}
+	return c.worldRank(dst)
+}
+
+// recvEnvelope checks a receive's communicator, source and tag, and returns
+// the source and tag in the device's terms: src may be AnySource and tag
+// AnyTag.
+func (c *Comm) recvEnvelope(src, tag int) (w, dtag int, err error) {
+	if err := c.checkRevoked(); err != nil {
+		return 0, 0, err
+	}
+	if tag < 0 && tag != AnyTag {
+		return 0, 0, fmt.Errorf("%w: tag %d", ErrTag, tag)
+	}
+	w = device.AnySource
+	if src != AnySource {
+		if w, err = c.worldRank(src); err != nil {
+			return 0, 0, err
+		}
+	}
+	dtag = tag
+	if tag == AnyTag {
+		dtag = device.AnyTag
+	}
+	return w, dtag, nil
+}
+
+// sendWindow is the blocking send of a raw-layout window of user memory:
+// the device sends from it directly and takes a request only to wait on a
+// rendezvous, one that never leaves the call.
+func (c *Comm) sendWindow(win []byte, dst, tag int, mode device.Mode) error {
+	w, err := c.sendEnvelope(dst, tag)
+	if err != nil {
+		return err
+	}
+	return c.dev.Send(win, w, tag, c.pt2pt, mode, c.waitDevice)
+}
+
+// recvWindow is the blocking receive into a raw-layout window of user
+// memory holding elements of size bytes: sendWindow's counterpart, whose
+// only allocation is the Status it returns.
+func (c *Comm) recvWindow(win []byte, size, src, tag int) (*Status, error) {
+	w, dtag, err := c.recvEnvelope(src, tag)
+	if err != nil {
+		return nil, err
+	}
+	dst, derr := c.dev.Recv(win, w, dtag, c.pt2pt, c.waitDevice)
+	return c.status(dst, derr, size)
 }
 
 // stagedRecvFinisher unpacks a pooled staging buffer into the user buffer
 // and returns the staging buffer to the wire frame pool.
 func (c *Comm) stagedRecvFinisher(staging []byte, buf any, off, count int, dt Datatype) func(device.Status) (*Status, error) {
 	return func(dst device.Status) (*Status, error) {
-		st := &Status{
-			Source:    c.groupSource(dst.Source),
-			Tag:       dst.Tag,
-			Cancelled: dst.Cancelled,
-			bytes:     dst.Count,
-			elements:  -1,
-		}
+		st, _ := c.status(dst, nil, 0)
 		if dst.Cancelled {
 			wire.PutBuf(staging)
 			return st, nil
@@ -571,13 +610,7 @@ func (c *Comm) stagedRecvFinisher(staging []byte, buf any, off, count int, dt Da
 func (c *Comm) recvFinisher(dr *device.Request, buf any, off, count int, dt Datatype) func(device.Status) (*Status, error) {
 	return func(dst device.Status) (*Status, error) {
 		data := dr.Data()
-		st := &Status{
-			Source:    c.groupSource(dst.Source),
-			Tag:       dst.Tag,
-			Cancelled: dst.Cancelled,
-			bytes:     len(data),
-			elements:  -1,
-		}
+		st, _ := c.status(dst, nil, 0)
 		if dst.Cancelled {
 			return st, nil
 		}
@@ -617,13 +650,7 @@ func (c *Comm) Irsend(buf any, off, count int, dt Datatype, dst, tag int) (*Requ
 // Ibsend starts a buffered-mode non-blocking send using the buffer
 // attached with BufferAttach — MPI_Ibsend.
 func (c *Comm) Ibsend(buf any, off, count int, dt Datatype, dst, tag int) (*Request, error) {
-	if err := c.checkRevoked(); err != nil {
-		return nil, err
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("%w: tag %d must be non-negative", ErrTag, tag)
-	}
-	w, err := c.worldRank(dst)
+	w, err := c.sendEnvelope(dst, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +672,7 @@ func (c *Comm) Ibsend(buf any, off, count int, dt Datatype, dst, tag int) (*Requ
 			if err != nil {
 				return nil, err
 			}
-			return newRequest(c, dr, nil), nil
+			return &Request{comm: c, dreq: dr}, nil
 		}
 	}
 	data, err := dt.Pack(nil, buf, off, count)
@@ -660,7 +687,7 @@ func (c *Comm) Ibsend(buf any, off, count int, dt Datatype, dst, tag int) (*Requ
 	if err != nil {
 		return nil, err
 	}
-	return newRequest(c, dr, nil), nil
+	return &Request{comm: c, dreq: dr}, nil
 }
 
 // Irecv starts a non-blocking receive of up to count elements of dt into
@@ -681,22 +708,9 @@ func (c *Comm) Irecv(buf any, off, count int, dt Datatype, src, tag int) (*Reque
 // not hand the device a window aliasing user memory — a late DATA frame
 // would land in a buffer whose owner already saw the operation fail.
 func (c *Comm) irecvOpt(buf any, off, count int, dt Datatype, src, tag int, window bool) (*Request, error) {
-	if err := c.checkRevoked(); err != nil {
+	w, dtag, err := c.recvEnvelope(src, tag)
+	if err != nil {
 		return nil, err
-	}
-	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("%w: tag %d", ErrTag, tag)
-	}
-	w := device.AnySource
-	if src != AnySource {
-		var err error
-		if w, err = c.worldRank(src); err != nil {
-			return nil, err
-		}
-	}
-	dtag := tag
-	if tag == AnyTag {
-		dtag = device.AnyTag
 	}
 	if sz := dt.ByteSize(); sz >= 0 && count >= 0 {
 		if rw, ok := dt.(rawWindower); ok && window {
@@ -705,9 +719,7 @@ func (c *Comm) irecvOpt(buf any, off, count int, dt Datatype, src, tag int, wind
 				if err != nil {
 					return nil, err
 				}
-				r := newRequest(c, dr, nil)
-				r.fin = c.rawRecvFinisher(sz)
-				return r, nil
+				return &Request{comm: c, dreq: dr, size: sz}, nil
 			}
 		}
 		staging := wire.GetBuf(count * sz)
@@ -716,42 +728,37 @@ func (c *Comm) irecvOpt(buf any, off, count int, dt Datatype, src, tag int, wind
 			wire.PutBuf(staging)
 			return nil, err
 		}
-		r := newRequest(c, dr, nil)
-		r.fin = c.stagedRecvFinisher(staging, buf, off, count, dt)
-		return r, nil
+		return &Request{comm: c, dreq: dr, fin: c.stagedRecvFinisher(staging, buf, off, count, dt)}, nil
 	}
 	dr, err := c.dev.Irecv(nil, w, dtag, c.pt2pt)
 	if err != nil {
 		return nil, err
 	}
-	r := newRequest(c, dr, nil)
-	r.fin = c.recvFinisher(dr, buf, off, count, dt)
-	return r, nil
+	return &Request{comm: c, dreq: dr, fin: c.recvFinisher(dr, buf, off, count, dt)}, nil
 }
 
 // Send performs a blocking standard-mode send — MPI_Send.
 func (c *Comm) Send(buf any, off, count int, dt Datatype, dst, tag int) error {
-	r, err := c.Isend(buf, off, count, dt, dst, tag)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
+	return c.send(buf, off, count, dt, dst, tag, device.ModeStandard)
 }
 
 // Ssend performs a blocking synchronous-mode send — MPI_Ssend.
 func (c *Comm) Ssend(buf any, off, count int, dt Datatype, dst, tag int) error {
-	r, err := c.Issend(buf, off, count, dt, dst, tag)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
+	return c.send(buf, off, count, dt, dst, tag, device.ModeSync)
 }
 
 // Rsend performs a blocking ready-mode send — MPI_Rsend.
 func (c *Comm) Rsend(buf any, off, count int, dt Datatype, dst, tag int) error {
-	r, err := c.Irsend(buf, off, count, dt, dst, tag)
+	return c.send(buf, off, count, dt, dst, tag, device.ModeReady)
+}
+
+// send is the blocking sendMode: a raw-layout buffer takes sendWindow, any
+// other waits on sendMode's request.
+func (c *Comm) send(buf any, off, count int, dt Datatype, dst, tag int, mode device.Mode) error {
+	if win := vWindow(dt, buf, off, count); win != nil {
+		return c.sendWindow(win, dst, tag, mode)
+	}
+	r, err := c.sendMode(buf, off, count, dt, dst, tag, mode)
 	if err != nil {
 		return err
 	}
@@ -769,8 +776,12 @@ func (c *Comm) Bsend(buf any, off, count int, dt Datatype, dst, tag int) error {
 	return err
 }
 
-// Recv performs a blocking receive — MPI_Recv.
+// Recv performs a blocking receive — MPI_Recv. A raw-layout buffer takes
+// recvWindow; any other waits on Irecv's request.
 func (c *Comm) Recv(buf any, off, count int, dt Datatype, src, tag int) (*Status, error) {
+	if win := vWindow(dt, buf, off, count); win != nil {
+		return c.recvWindow(win, dt.ByteSize(), src, tag)
+	}
 	r, err := c.Irecv(buf, off, count, dt, src, tag)
 	if err != nil {
 		return nil, err
@@ -851,7 +862,7 @@ func (c *Comm) Probe(src, tag int) (*Status, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Status{Source: c.groupSource(dst.Source), Tag: dst.Tag, bytes: dst.Count, elements: -1}, nil
+	return c.status(dst, nil, 0)
 }
 
 // Iprobe checks without blocking whether a matching message has arrived —
@@ -876,5 +887,6 @@ func (c *Comm) Iprobe(src, tag int) (*Status, bool, error) {
 		device.PollMiss()
 		return nil, false, nil
 	}
-	return &Status{Source: c.groupSource(dst.Source), Tag: dst.Tag, bytes: dst.Count, elements: -1}, true, nil
+	st, _ := c.status(dst, nil, 0)
+	return st, true, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mpj/internal/device"
@@ -524,4 +525,78 @@ func TestRawSendsBorrowTheUserBuffer(t *testing.T) {
 		}
 		return expect(all(buf, int32(1-w.Rank()+100)), "large SendrecvReplace: got %d…", buf[0])
 	})
+}
+
+// TestBlockingPingPongAllocationGate pins what the blocking point-to-point
+// path costs: a warmed 4 KiB Send+Recv round trip — the typed facade, and
+// Comm.Send/Recv with Int from a buffer boxed once — allocates the two
+// Statuses the receives return and nothing else, on every device. Eager
+// sends take no request, receives a pooled one that never leaves the call,
+// and no header or length prefix escapes below. AllocsPerRun counts the
+// whole process, so rank 1 runs the same loop alongside and rank 0's figure
+// covers both ranks and every transport goroutine.
+func TestBlockingPingPongAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts on purpose")
+	}
+	const (
+		objectsPerTrip = 2 // across both ranks
+		bytesPerTrip   = 160
+	)
+	for _, mesh := range []string{"chan", "tcp", "hyb"} {
+		for _, typed := range []bool{true, false} {
+			name := mesh + "/datatype"
+			if typed {
+				name = mesh + "/typed"
+			}
+			t.Run(name, func(t *testing.T) {
+				runRanksWin(t, mesh, 2, func(w *Comm) error {
+					rank, peer := w.Rank(), 1-w.Rank()
+					buf := make([]int32, 1024)
+					var boxed any = buf
+					hop := func(send bool) {
+						var err error
+						switch {
+						case send && typed:
+							err = TypedSend(w, buf, peer, 3)
+						case send:
+							err = w.Send(boxed, 0, len(buf), Int, peer, 3)
+						case typed:
+							_, err = TypedRecv(w, buf, peer, 3)
+						default:
+							_, err = w.Recv(boxed, 0, len(buf), Int, peer, 3)
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					}
+					trip := func() {
+						hop(rank == 0)
+						hop(rank != 0)
+					}
+					const warm, runs = 50, 200
+					for k := 0; k < warm; k++ {
+						trip()
+					}
+					if rank != 0 {
+						for k := 0; k < runs+1; k++ { // AllocsPerRun makes one extra warm-up call
+							trip()
+						}
+						return nil
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					allocs := testing.AllocsPerRun(runs, trip)
+					runtime.ReadMemStats(&after)
+					perTrip := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1)
+					t.Logf("%s: %.0f B and %.2f objects allocated per 4 KiB hop, both ranks", name, perTrip/2, allocs/2)
+					if allocs > objectsPerTrip || perTrip > bytesPerTrip {
+						return fmt.Errorf("a 4 KiB round trip allocates %.2f objects / %.0f B, want ≤ %d / %d",
+							allocs, perTrip, objectsPerTrip, bytesPerTrip)
+					}
+					return nil
+				})
+			})
+		}
+	}
 }

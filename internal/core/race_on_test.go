@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled: the race detector makes sync.Pool drop Puts on purpose, so
+// allocation gates that lean on pooling skip under it.
+const raceEnabled = true

@@ -9,8 +9,6 @@ package core
 // Datatype-shaped surface cannot avoid.
 
 import (
-	"fmt"
-
 	"mpj/internal/device"
 	"mpj/internal/wire"
 )
@@ -100,10 +98,7 @@ func TypedIsend[T Scalar](c *Comm, buf []T, dst, tag int) (*Request, error) {
 }
 
 func typedIsendMode[T Scalar](c *Comm, buf []T, dst, tag int, mode device.Mode) (*Request, error) {
-	if tag < 0 {
-		return nil, fmt.Errorf("%w: tag %d must be non-negative", ErrTag, tag)
-	}
-	w, err := c.worldRank(dst)
+	w, err := c.sendEnvelope(dst, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +114,7 @@ func typedIsendMode[T Scalar](c *Comm, buf []T, dst, tag int, mode device.Mode) 
 	if err != nil {
 		return nil, err
 	}
-	return newRequest(c, dr, nil), nil
+	return &Request{comm: c, dreq: dr}, nil
 }
 
 // TypedPut writes the whole slice into target's window at element
@@ -144,19 +139,9 @@ func TypedPut[T Scalar](w *Win, buf []T, target, tdisp int) error {
 // lands directly in buf (zero copy); otherwise it is decoded from a pooled
 // staging buffer. src may be AnySource, tag may be AnyTag.
 func TypedIrecv[T Scalar](c *Comm, buf []T, src, tag int) (*Request, error) {
-	if tag < 0 && tag != AnyTag {
-		return nil, fmt.Errorf("%w: tag %d", ErrTag, tag)
-	}
-	w := device.AnySource
-	if src != AnySource {
-		var err error
-		if w, err = c.worldRank(src); err != nil {
-			return nil, err
-		}
-	}
-	dtag := tag
-	if tag == AnyTag {
-		dtag = device.AnyTag
+	w, dtag, err := c.recvEnvelope(src, tag)
+	if err != nil {
+		return nil, err
 	}
 	b := baseFor[T]()
 	if len(buf) > 0 && b.isRaw() {
@@ -164,9 +149,7 @@ func TypedIrecv[T Scalar](c *Comm, buf []T, src, tag int) (*Request, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := newRequest(c, dr, nil)
-		r.fin = c.rawRecvFinisher(b.size)
-		return r, nil
+		return &Request{comm: c, dreq: dr, size: b.size}, nil
 	}
 	staging := wire.GetBuf(len(buf) * b.size)
 	dr, err := c.dev.Irecv(staging, w, dtag, c.pt2pt)
@@ -174,9 +157,7 @@ func TypedIrecv[T Scalar](c *Comm, buf []T, src, tag int) (*Request, error) {
 		wire.PutBuf(staging)
 		return nil, err
 	}
-	r := newRequest(c, dr, nil)
-	r.fin = c.stagedRecvFinisher(staging, buf, 0, len(buf), Datatype(b))
-	return r, nil
+	return &Request{comm: c, dreq: dr, fin: c.stagedRecvFinisher(staging, buf, 0, len(buf), Datatype(b))}, nil
 }
 
 // TypedSendrecv executes a typed send and a typed receive concurrently —
@@ -288,8 +269,14 @@ func TypedIreduceScatter[T Scalar](c *Comm, sbuf, rbuf []T, rcounts []int, op *O
 	return c.IreduceScatter(sbuf, 0, rbuf, 0, rcounts, DatatypeFor[T](), op)
 }
 
-// TypedSend performs a blocking standard-mode send of the whole slice.
+// TypedSend performs a blocking standard-mode send of the whole slice. A
+// raw-layout slice goes to the device from its own memory with no request
+// outliving the call (see Comm.sendWindow); other element types wait on
+// TypedIsend's request.
 func TypedSend[T Scalar](c *Comm, buf []T, dst, tag int) error {
+	if b := baseFor[T](); len(buf) > 0 && b.isRaw() {
+		return c.sendWindow(b.bytesOf(buf, 0, len(buf)), dst, tag, device.ModeStandard)
+	}
 	r, err := TypedIsend(c, buf, dst, tag)
 	if err != nil {
 		return err
@@ -298,8 +285,13 @@ func TypedSend[T Scalar](c *Comm, buf []T, dst, tag int) error {
 	return err
 }
 
-// TypedRecv performs a blocking receive filling the whole slice.
+// TypedRecv performs a blocking receive filling the whole slice. Like
+// TypedSend, a raw-layout slice is the device's blocking path (see
+// Comm.recvWindow), whose only allocation is the returned Status.
 func TypedRecv[T Scalar](c *Comm, buf []T, src, tag int) (*Status, error) {
+	if b := baseFor[T](); len(buf) > 0 && b.isRaw() {
+		return c.recvWindow(b.bytesOf(buf, 0, len(buf)), b.size, src, tag)
+	}
 	r, err := TypedIrecv(c, buf, src, tag)
 	if err != nil {
 		return nil, err

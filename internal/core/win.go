@@ -1135,7 +1135,7 @@ func (w *Win) sendCtl(target int, kind wire.Kind, tag int, seq uint64) error {
 			Kind: kind, Src: int32(w.world[target]), Tag: int32(tag),
 			Context: int32(w.ctx), Seq: seq,
 		}
-		w.handleFrame(w.world[target], &h, nil)
+		w.handleFrame(w.world[target], h, nil)
 		return nil
 	}
 	return w.dev.RMASend(w.world[target], kind, w.ctx, tag, seq, 0, nil)
@@ -1159,7 +1159,7 @@ func winSpan(seq uint64, n, size int) (off int, ok bool) {
 // reader goroutine (or synchronously on the caller for self-frames):
 // state changes happen under w.mu, outbound control frames are collected
 // and sent after releasing it.
-func (w *Win) handleFrame(src int, h *wire.Header, payload []byte) {
+func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 	origin := w.c.groupSource(src)
 	if origin < 0 || origin >= len(w.world) {
 		return // not a member: a stale frame of a freed window's context

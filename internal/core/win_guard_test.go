@@ -63,7 +63,7 @@ func TestWinRejectsOversizedTransfers(t *testing.T) {
 
 // hostileFrame feeds one crafted frame to the window's inbound handler and
 // reports a panic instead of propagating it.
-func hostileFrame(win *Win, h *wire.Header, payload []byte) (p any) {
+func hostileFrame(win *Win, h wire.Header, payload []byte) (p any) {
 	defer func() { p = recover() }()
 	win.handleFrame(int(h.Src), h, payload)
 	return nil
@@ -108,7 +108,7 @@ func TestWinHostileFrame(t *testing.T) {
 			for _, seq := range seqs {
 				payload := bytes.Repeat([]byte{0xEE}, r.payload)
 				h := wire.Header{Kind: r.kind, Src: 1, Tag: r.tag, Context: int32(win.ctx), Seq: seq, MsgID: 1, Len: int32(r.payload)}
-				if p := hostileFrame(win, &h, payload); p != nil {
+				if p := hostileFrame(win, h, payload); p != nil {
 					return fmt.Errorf("kind %d seq %d tag %d: the handler panicked: %v", r.kind, seq, r.tag, p)
 				}
 				if !bytes.Equal(buf, want) {

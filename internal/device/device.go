@@ -239,8 +239,12 @@ type Device struct {
 	// One-sided support (see rma.go): onRMA dispatches inbound RMA frames
 	// to the window layer; failWatchers are additional failure listeners
 	// (window epoch waiters) invoked after every newly detected failure.
-	onRMA        func(src int, h *wire.Header, payload []byte)
+	onRMA        func(src int, h wire.Header, payload []byte)
 	failWatchers []func(rank int, err error)
+
+	// reqs recycles the requests of the blocking Send and Recv, which never
+	// leave the call (see recycle).
+	reqs sync.Pool
 
 	// prof is the instrumentation sink (see internal/prof), set once at
 	// Open and nil when profiling is off — every hook site below branches
@@ -369,15 +373,52 @@ func (d *Device) Profiler() *prof.Recorder { return d.prof }
 // then — on every path, including cancellation and peer failure, the
 // request's completion is what returns the buffer.
 func (d *Device) Isend(buf []byte, dst, tag, ctx int, mode Mode) (*Request, error) {
-	if dst < 0 || dst >= d.size {
-		return nil, fmt.Errorf("device: isend to rank %d of %d: %w", dst, d.size, transport.ErrBadRank)
+	if err := d.checkDst(dst); err != nil {
+		return nil, err
 	}
 	if d.eager(len(buf), mode) {
-		frame := wire.GetBuf(wire.HeaderLen + len(buf))
-		copy(frame[wire.HeaderLen:], buf)
-		return d.postEager(frame, dst, tag, ctx)
+		return d.postEager(eagerFrame(buf), dst, tag, ctx)
 	}
-	return d.postRendezvous(buf, false, dst, tag, ctx)
+	r := new(Request)
+	if err := d.postRendezvous(r, buf, false, dst, tag, ctx); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Send is the blocking Isend: it returns once buf is reusable, with the
+// error the send's request would have completed with. A standard-mode or
+// ready-mode send at or under the eager limit is complete when its frame is
+// handed to the transport and takes no request at all. Every other send
+// takes one from a pool private to the device and parks in wait(r) until it
+// completes; wait must not return before that (Request.Wait qualifies, and
+// so does a caller's own park that keeps other work progressing
+// meanwhile). The request never outlives the call: Send recycles it once
+// wait returns, so wait must not keep it either.
+func (d *Device) Send(buf []byte, dst, tag, ctx int, mode Mode, wait func(*Request) (Status, error)) error {
+	if err := d.checkDst(dst); err != nil {
+		return err
+	}
+	if d.eager(len(buf), mode) {
+		return d.sendEager(eagerFrame(buf), dst, tag, ctx)
+	}
+	r := d.pooled()
+	if err := d.postRendezvous(r, buf, false, dst, tag, ctx); err != nil {
+		// Not recycled: when the transport refused the RTS, the request is
+		// registered all the same and stays the device's.
+		return err
+	}
+	_, err := wait(r)
+	d.recycle(r)
+	return err
+}
+
+// checkDst rejects a destination outside the job.
+func (d *Device) checkDst(dst int) error {
+	if dst < 0 || dst >= d.size {
+		return fmt.Errorf("device: isend to rank %d of %d: %w", dst, d.size, transport.ErrBadRank)
+	}
+	return nil
 }
 
 // IsendFill starts a non-blocking send whose n-byte payload is produced by
@@ -398,8 +439,8 @@ func (d *Device) Isend(buf []byte, dst, tag, ctx int, mode Mode) (*Request, erro
 // level", without paying a copy for the separation), and the collective
 // schedule engine for sends whose source it rewrites after posting.
 func (d *Device) IsendFill(n int, fill func(payload []byte) error, dst, tag, ctx int, mode Mode) (*Request, error) {
-	if dst < 0 || dst >= d.size {
-		return nil, fmt.Errorf("device: isend to rank %d of %d: %w", dst, d.size, transport.ErrBadRank)
+	if err := d.checkDst(dst); err != nil {
+		return nil, err
 	}
 	if d.eager(n, mode) {
 		frame := wire.GetBuf(wire.HeaderLen + n)
@@ -414,7 +455,11 @@ func (d *Device) IsendFill(n int, fill func(payload []byte) error, dst, tag, ctx
 		wire.PutBuf(stash)
 		return nil, err
 	}
-	return d.postRendezvous(stash, true, dst, tag, ctx)
+	r := new(Request)
+	if err := d.postRendezvous(r, stash, true, dst, tag, ctx); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // eager reports whether an n-byte send in the given mode uses the eager
@@ -423,9 +468,18 @@ func (d *Device) eager(n int, mode Mode) bool {
 	return mode == ModeReady || (mode == ModeStandard && n <= d.eagerLimit)
 }
 
-// postEager sends an eager frame whose payload is already in place behind
-// the (still unwritten) header. It consumes frame on every path.
-func (d *Device) postEager(frame []byte, dst, tag, ctx int) (*Request, error) {
+// eagerFrame returns a pooled frame holding a copy of buf behind a header
+// still to be written.
+func eagerFrame(buf []byte) []byte {
+	frame := wire.GetBuf(wire.HeaderLen + len(buf))
+	copy(frame[wire.HeaderLen:], buf)
+	return frame
+}
+
+// sendEager sends an eager frame whose payload is already in place behind
+// the (still unwritten) header. It consumes frame on every path. Once the
+// frame is the transport's the send is complete, so it needs no request.
+func (d *Device) sendEager(frame []byte, dst, tag, ctx int) error {
 	n := len(frame) - wire.HeaderLen
 	d.mu.Lock()
 	err := d.usable()
@@ -435,9 +489,8 @@ func (d *Device) postEager(frame []byte, dst, tag, ctx int) (*Request, error) {
 	if err != nil {
 		d.mu.Unlock()
 		wire.PutBuf(frame)
-		return nil, err
+		return err
 	}
-	r := &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx}
 	h := wire.Header{
 		Kind:    wire.KindEager,
 		Src:     int32(d.rank),
@@ -448,20 +501,32 @@ func (d *Device) postEager(frame []byte, dst, tag, ctx int) (*Request, error) {
 	}
 	d.seq[dst]++
 	_ = h.Encode(frame) // cannot fail: the frame covers the header
-	d.completeLocked(r, Status{Source: d.rank, Tag: tag, Count: n}, nil)
 	d.mu.Unlock()
 	d.stats.EagerSent.Add(1)
 	if p := d.prof; p != nil {
 		p.Send(ctx, n, true)
 	}
-	return r, d.t.Send(dst, frame)
+	return d.t.Send(dst, frame)
 }
 
-// postRendezvous opens a rendezvous for payload: the RTS goes out now, the
-// payload waits — by reference — for the CTS. stash marks a pooled buffer
-// the device owns (IsendFill) as opposed to the caller's memory (Isend);
-// it is released on every path, including the error returns here.
-func (d *Device) postRendezvous(payload []byte, stash bool, dst, tag, ctx int) (*Request, error) {
+// postEager is sendEager for the non-blocking forms, which return a request:
+// one that is complete already.
+func (d *Device) postEager(frame []byte, dst, tag, ctx int) (*Request, error) {
+	n := len(frame) - wire.HeaderLen
+	if err := d.sendEager(frame, dst, tag, ctx); err != nil {
+		return nil, err
+	}
+	return &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx,
+		done: true, status: Status{Source: d.rank, Tag: tag, Count: n}}, nil
+}
+
+// postRendezvous opens a rendezvous for payload in r: the RTS goes out now,
+// the payload waits — by reference — for the CTS. stash marks a pooled
+// buffer the device owns (IsendFill) as opposed to the caller's memory
+// (Isend); it is released on every path, including the error returns here.
+// On an error from the transport r is registered nonetheless, as the
+// non-blocking forms always left it.
+func (d *Device) postRendezvous(r *Request, payload []byte, stash bool, dst, tag, ctx int) error {
 	d.mu.Lock()
 	err := d.usable()
 	if err == nil {
@@ -472,9 +537,9 @@ func (d *Device) postRendezvous(payload []byte, stash bool, dst, tag, ctx int) (
 		if stash {
 			wire.PutBuf(payload)
 		}
-		return nil, err
+		return err
 	}
-	r := &Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx, payload: payload, stash: stash}
+	*r = Request{d: d, kind: reqSend, dst: dst, tag: tag, ctx: ctx, payload: payload, stash: stash}
 	d.nextMsgID++
 	r.msgID = d.nextMsgID
 	d.pendingRTS[r.msgID] = r
@@ -495,7 +560,7 @@ func (d *Device) postRendezvous(payload []byte, stash bool, dst, tag, ctx int) (
 	if p := d.prof; p != nil {
 		p.Send(ctx, len(payload), false)
 	}
-	return r, d.t.Send(dst, frame)
+	return d.t.Send(dst, frame)
 }
 
 // Irecv posts a non-blocking receive into buf for a message matching
@@ -507,26 +572,73 @@ func (d *Device) postRendezvous(payload []byte, stash bool, dst, tag, ctx int) (
 // with Request.Data after completion. The layers above use this for
 // variable-length (serialized object) messages.
 func (d *Device) Irecv(buf []byte, src, tag, ctx int) (*Request, error) {
+	r := new(Request)
+	if err := d.postRecv(r, buf, src, tag, ctx); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Recv is the blocking Irecv: it returns the status and error the
+// receive's request completes with. The request comes from the pool and
+// goes back to it as in Send, and wait is bound by the same rules. buf is
+// never allocate-on-arrival — there is no request left to read Data from —
+// so a nil buf receives an empty message.
+func (d *Device) Recv(buf []byte, src, tag, ctx int, wait func(*Request) (Status, error)) (Status, error) {
+	if buf == nil {
+		buf = []byte{}
+	}
+	r := d.pooled()
+	if err := d.postRecv(r, buf, src, tag, ctx); err != nil {
+		d.recycle(r)
+		return Status{}, err
+	}
+	st, err := wait(r)
+	d.recycle(r)
+	return st, err
+}
+
+// postRecv posts the receive r, and if it matched a co-host sender's RTS
+// fetches the payload before returning. An error leaves r unposted.
+func (d *Device) postRecv(r *Request, buf []byte, src, tag, ctx int) error {
 	if src != AnySource && (src < 0 || src >= d.size) {
-		return nil, fmt.Errorf("device: irecv from rank %d of %d: %w", src, d.size, transport.ErrBadRank)
+		return fmt.Errorf("device: irecv from rank %d of %d: %w", src, d.size, transport.ErrBadRank)
 	}
 	d.mu.Lock()
-	r, pull, err := d.irecvLocked(buf, src, tag, ctx)
+	pull, err := d.irecvLocked(r, buf, src, tag, ctx)
 	d.mu.Unlock()
 	if pull {
 		d.pull(r)
 	}
-	return r, err
+	return err
 }
 
-// irecvLocked is Irecv under d.mu. pull reports that the receive matched a
-// queued RTS whose payload the caller must now fetch with d.pull, having
-// released the lock.
-func (d *Device) irecvLocked(buf []byte, src, tag, ctx int) (r *Request, pull bool, err error) {
-	if err := d.usable(); err != nil {
-		return nil, false, err
+// pooled takes a request for a blocking call from the pool.
+func (d *Device) pooled() *Request {
+	if r, ok := d.reqs.Get().(*Request); ok {
+		return r
 	}
-	r = &Request{d: d, kind: reqRecv, buf: buf, dynamic: buf == nil, src: src, tag: tag, ctx: ctx}
+	return new(Request)
+}
+
+// recycle zeroes the request of a blocking call and returns it to the pool.
+// The call's wait has returned, so r is complete, and a complete request
+// is in no table — posted, awaitData, pendingRTS — and no transport will
+// call back into it: land's and SendData's completions are what completed
+// it, and each runs once.
+func (d *Device) recycle(r *Request) {
+	*r = Request{}
+	d.reqs.Put(r)
+}
+
+// irecvLocked is postRecv under d.mu: it fills r and matches or posts it.
+// pull reports that the receive matched a queued RTS whose payload the
+// caller must now fetch with d.pull, having released the lock.
+func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bool, err error) {
+	if err := d.usable(); err != nil {
+		return false, err
+	}
+	*r = Request{d: d, kind: reqRecv, buf: buf, dynamic: buf == nil, src: src, tag: tag, ctx: ctx}
 
 	// First try the unexpected queue, in arrival order.
 	for i, u := range d.unexp {
@@ -545,7 +657,7 @@ func (d *Device) irecvLocked(buf []byte, src, tag, ctx int) (r *Request, pull bo
 		if p := d.prof; p != nil {
 			p.RecvPost(ctx)
 		}
-		return r, pull, nil
+		return pull, nil
 	}
 	// Nothing already arrived can satisfy the receive: a dead source can
 	// never send one, so posting would hang forever — fail fast instead.
@@ -553,13 +665,13 @@ func (d *Device) irecvLocked(buf []byte, src, tag, ctx int) (r *Request, pull bo
 	// could have been coming from it), matching ULFM's pending-wildcard
 	// rule.
 	if err := d.deadSourceLocked(src); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	d.posted = append(d.posted, r)
 	if p := d.prof; p != nil {
 		p.RecvPost(ctx)
 	}
-	return r, false, nil
+	return false, nil
 }
 
 // Iprobe checks, without receiving, whether a message matching
@@ -917,7 +1029,7 @@ func (d *Device) handle(src int, frame []byte) {
 		f := d.onRMA
 		d.mu.Unlock()
 		if f != nil {
-			f(src, &h, payload)
+			f(src, h, payload)
 		}
 		wire.PutBuf(frame)
 		return
@@ -954,7 +1066,7 @@ func (d *Device) handle(src int, frame []byte) {
 		revokeCtx = int(h.Context)
 
 	case wire.KindFTPull, wire.KindFTReply, wire.KindFTDecide:
-		d.handleFTLocked(src, &h, payload)
+		d.handleFTLocked(src, h, payload)
 	case wire.KindEager:
 		d.stats.EagerRecv.Add(1)
 		if r := d.matchPostedLocked(src, int(h.Tag), int(h.Context)); r != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mpj/internal/transport"
+	"mpj/internal/wire"
 )
 
 // openPair builds a 2-rank in-process mesh and opens devices on it.
@@ -845,4 +846,58 @@ func (r *Request) doneUnobserved() bool {
 	r.d.mu.Lock()
 	defer r.d.mu.Unlock()
 	return r.done && !r.seen
+}
+
+// TestHandleEagerAllocationGate: an eager frame through the frame handler
+// allocates nothing — the header it decodes stays on the handler's stack —
+// whether it meets a posted receive or waits in the unexpected queue, and
+// the blocking Recv that then takes it off the queue runs on a pooled
+// request.
+func TestHandleEagerAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts on purpose")
+	}
+	const n, runs = 4 << 10, 200
+	d, _ := openPair(t) // d handles frames as if rank 1's reader delivered them
+	h := wire.Header{Kind: wire.KindEager, Src: 1, Tag: 3, Len: n}
+	msg, buf := payload(n, 1), make([]byte, n)
+	deliver := func() { d.handle(1, wire.NewFrame(&h, msg)) }
+
+	queued := func() {
+		deliver()
+		if _, err := d.Recv(buf, 1, 3, 0, (*Request).Wait); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		queued()
+	}
+	if allocs := testing.AllocsPerRun(runs, queued); allocs != 0 {
+		t.Errorf("an unexpected eager frame and the blocking Recv of it allocate %.2f objects, want 0", allocs)
+	}
+
+	// Irecv allocates the requests, so they are posted before counting
+	// (AllocsPerRun makes one extra call).
+	reqs := make([]*Request, runs+1)
+	for i := range reqs {
+		reqs[i] = must(d.Irecv(buf, 1, 3, 0))
+	}
+	if allocs := testing.AllocsPerRun(runs, deliver); allocs != 0 {
+		t.Errorf("an eager frame meeting a posted receive allocates %.2f objects, want 0", allocs)
+	}
+	for _, r := range reqs {
+		if st, err := r.Wait(); err != nil || st.Count != n {
+			t.Fatalf("posted receive: status %+v, %v", st, err)
+		}
+	}
+	if !bytes.Equal(buf, msg) {
+		t.Error("payload corrupted")
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,0 +1,27 @@
+package device
+
+// HeldIn names the device tables that still reference r: posted receives,
+// matched receives awaiting DATA or a pull, and rendezvous sends awaiting a
+// CTS or a PULLED. A request the blocking Send or Recv recycled must be in
+// none of them. (The unexpected queue holds messages, not requests.)
+func (d *Device) HeldIn(r *Request) []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var in []string
+	for _, p := range d.posted {
+		if p == r {
+			in = append(in, "posted")
+		}
+	}
+	for _, a := range d.awaitData {
+		if a == r {
+			in = append(in, "awaitData")
+		}
+	}
+	for _, s := range d.pendingRTS {
+		if s == r {
+			in = append(in, "pendingRTS")
+		}
+	}
+	return in
+}

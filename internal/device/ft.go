@@ -82,7 +82,7 @@ func (d *Device) sendFTLocked(dst int, kind wire.Kind, key ftKey, payload []byte
 // transport reader goroutines under d.mu and never blocks — which is what
 // keeps decided or departed members responsive to takeover coordinators.
 // The frame's payload is copied out; the caller recycles the frame.
-func (d *Device) handleFTLocked(src int, h *wire.Header, payload []byte) {
+func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte) {
 	key := ftKey{ctx: int(h.Context), seq: int(h.Tag)}
 	inst := d.ftInstLocked(key)
 	switch h.Kind {

@@ -895,3 +895,221 @@ func TestHostilePullOffer(t *testing.T) {
 	}
 	runtime.KeepAlive(msg)
 }
+
+// outcome is how one send or receive of a blocking-matrix case ended; a
+// send reports only its error, the blocking Send having no status.
+type outcome struct {
+	st   device.Status
+	err  error
+	data []byte // receives: the buffer afterwards, partial bytes included
+}
+
+// errClass is what two runs of a case must agree on about an error: the
+// sentinel it matches, or the rank a failure names.
+func errClass(err error, revoked error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, device.ErrTruncate):
+		return "truncate"
+	case errors.Is(err, device.ErrClosed):
+		return "closed"
+	case errors.Is(err, revoked):
+		return "revoked"
+	}
+	if r, ok := device.FailedRank(err); ok {
+		return fmt.Sprintf("rank %d failed", r)
+	}
+	return err.Error()
+}
+
+// blockingRunner runs the sends and receives of a case either as
+// Isend/Irecv + Wait or as the blocking Send/Recv.
+type blockingRunner struct {
+	t        *testing.T
+	blocking bool
+}
+
+// call starts a send of buf to peer (send) or a receive into buf from peer
+// on d in the background, and returns once the call is posted and about to
+// park — or, for an eager send, done. Once the call returns, the request it
+// waited on must be in none of d's tables: for the blocking forms, that is
+// the request they recycled.
+func (rn blockingRunner) call(d *device.Device, send bool, buf []byte, peer, tag, ctx int) <-chan outcome {
+	parked, done := make(chan struct{}), make(chan outcome, 1)
+	go func() {
+		var waited *device.Request
+		park := func(r *device.Request) (device.Status, error) {
+			waited = r
+			close(parked)
+			return r.Wait()
+		}
+		var o outcome
+		switch {
+		case rn.blocking && send:
+			o.err = d.Send(buf, peer, tag, ctx, device.ModeStandard, park)
+		case rn.blocking:
+			o.st, o.err = d.Recv(buf, peer, tag, ctx, park)
+		default:
+			var r *device.Request
+			if send {
+				r, o.err = d.Isend(buf, peer, tag, ctx, device.ModeStandard)
+			} else {
+				r, o.err = d.Irecv(buf, peer, tag, ctx)
+			}
+			if o.err == nil {
+				o.st, o.err = park(r)
+			}
+		}
+		if waited == nil {
+			close(parked)
+		} else if in := d.HeldIn(waited); len(in) > 0 {
+			rn.t.Errorf("rank %d: the request of a finished call is still in %v", d.Rank(), in)
+		}
+		if send {
+			o.st = device.Status{}
+		} else {
+			o.data = append([]byte(nil), buf...)
+		}
+		done <- o
+	}()
+	select {
+	case <-parked:
+	case <-time.After(deadline):
+		rn.t.Fatalf("rank %d: the call did not post within %v", d.Rank(), deadline)
+	}
+	return done
+}
+
+// end waits for a call started by call.
+func (rn blockingRunner) end(done <-chan outcome) outcome {
+	select {
+	case o := <-done:
+		return o
+	case <-time.After(deadline):
+		rn.t.Fatalf("a call did not complete within %v", deadline)
+		return outcome{}
+	}
+}
+
+// TestBlockingMatchesNonBlocking: the device's blocking Send and Recv end
+// every case the way Isend/Irecv + Wait end it — the same status, error and
+// received bytes, partial ones included — on every flavor, and the request
+// a blocking call recycles is in no device table when the call returns:
+// eager and rendezvous messages (the receive posted first, or the RTS
+// queued first, when a co-host receive pulls on its own goroutine), a
+// truncated receive of either protocol, wildcards, and a parked call ended
+// by the sender's death, FailContext or Abort.
+func TestBlockingMatchesNonBlocking(t *testing.T) {
+	const big = 1 << 20
+	revoked := errors.New("context revoked")
+	rtsArrives := func(t *testing.T, d *device.Device) {
+		until(t, "the RTS arrives", func() bool { return d.Stats().RTSRecv.Load() == 1 })
+	}
+	type outcomes map[string]outcome
+	cases := []struct {
+		name string
+		want map[string]string // errClass of each outcome
+		run  func(rn blockingRunner, flavor string) outcomes
+	}{
+		{"eager", map[string]string{"send": "nil", "recv": "nil"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			send := rn.call(ds[0], true, pattern(1<<10, 1), 1, 1, 0)
+			recv := rn.call(ds[1], false, make([]byte, 1<<10), 0, 1, 0)
+			return outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+		}},
+		{"rendezvous-posted", map[string]string{"send": "nil", "recv": "nil"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			recv := rn.call(ds[1], false, make([]byte, big), 0, 1, 0)
+			send := rn.call(ds[0], true, pattern(big, 2), 1, 1, 0)
+			out := outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+			wantMoved(rn.t, flavor, ds[0], ds[1], 1)
+			return out
+		}},
+		{"rendezvous-queued", map[string]string{"send": "nil", "recv": "nil"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			send := rn.call(ds[0], true, pattern(big, 3), 1, 1, 0)
+			rtsArrives(rn.t, ds[1])
+			recv := rn.call(ds[1], false, make([]byte, big), 0, 1, 0)
+			out := outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+			wantMoved(rn.t, flavor, ds[0], ds[1], 1)
+			return out
+		}},
+		{"truncated-eager", map[string]string{"send": "nil", "recv": "truncate"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			send := rn.call(ds[0], true, pattern(1<<10, 4), 1, 1, 0)
+			recv := rn.call(ds[1], false, make([]byte, 100), 0, 1, 0)
+			return outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+		}},
+		{"truncated-rendezvous", map[string]string{"send": "nil", "recv": "truncate"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			recv := rn.call(ds[1], false, make([]byte, 1000), 0, 1, 0)
+			send := rn.call(ds[0], true, pattern(big, 5), 1, 1, 0)
+			return outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+		}},
+		{"wildcard", map[string]string{"send": "nil", "recv": "nil"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 3, nil)
+			recv := rn.call(ds[0], false, make([]byte, big), device.AnySource, device.AnyTag, 7)
+			send := rn.call(ds[2], true, pattern(big, 6), 0, 42, 7)
+			return outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+		}},
+		{"sender-killed", map[string]string{"send": "rank 0 failed", "recv": "rank 0 failed"}, func(rn blockingRunner, flavor string) outcomes {
+			dom := fault.NewDomain()
+			ds := openFlavor(rn.t, flavor, 2, faulty(dom, nil))
+			recv := rn.call(ds[1], false, make([]byte, big), 0, 1, 0)
+			send := rn.call(ds[0], true, pattern(big, 7), 1, 2, 0) // a tag nobody receives: parked on its CTS
+			rtsArrives(rn.t, ds[1])
+			dom.Kill(0)
+			return outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+		}},
+		{"fail-context", map[string]string{"send": "revoked", "recv": "revoked"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			recv := rn.call(ds[1], false, make([]byte, big), 0, 1, 0)
+			send := rn.call(ds[0], true, pattern(big, 8), 1, 2, 0)
+			rtsArrives(rn.t, ds[1])
+			ds[1].FailContext(0, revoked)
+			ds[0].FailContext(0, revoked)
+			return outcomes{"send": rn.end(send), "recv": rn.end(recv)}
+		}},
+		{"abort-receiver", map[string]string{"recv": "closed"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			recv := rn.call(ds[1], false, make([]byte, big), 0, 1, 0)
+			ds[1].Abort()
+			return outcomes{"recv": rn.end(recv)}
+		}},
+		{"abort-sender", map[string]string{"send": "closed"}, func(rn blockingRunner, flavor string) outcomes {
+			ds := openFlavor(rn.t, flavor, 2, nil)
+			send := rn.call(ds[0], true, pattern(big, 9), 1, 1, 0)
+			rtsArrives(rn.t, ds[1])
+			ds[0].Abort()
+			return outcomes{"send": rn.end(send)}
+		}},
+	}
+	for _, flavor := range flavors {
+		for _, tc := range cases {
+			t.Run(flavor+"/"+tc.name, func(t *testing.T) {
+				nonblocking := tc.run(blockingRunner{t, false}, flavor)
+				blocking := tc.run(blockingRunner{t, true}, flavor)
+				for name, want := range tc.want {
+					a, b := nonblocking[name], blocking[name]
+					if got := errClass(a.err, revoked); got != want {
+						t.Errorf("%s: Isend/Irecv + Wait ended with %v, want %s", name, a.err, want)
+					}
+					if a.st != b.st || errClass(a.err, revoked) != errClass(b.err, revoked) || !bytes.Equal(a.data, b.data) {
+						t.Errorf("%s: blocking call ended with status %+v, %v, %d bytes intact; Isend/Irecv + Wait with %+v, %v",
+							name, b.st, b.err, commonPrefix(a.data, b.data), a.st, a.err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// commonPrefix is the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}

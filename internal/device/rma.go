@@ -40,8 +40,10 @@ func (d *Device) LocalPeer(dst int) bool {
 // SetRMAHandler installs the dispatcher for inbound one-sided frames. f
 // runs synchronously on the transport reader goroutine, outside the device
 // lock; the payload slice aliases the frame and is recycled when f
-// returns, so f must copy anything it keeps. A nil f drops RMA frames.
-func (d *Device) SetRMAHandler(f func(src int, h *wire.Header, payload []byte)) {
+// returns, so f must copy anything it keeps. The header comes by value, so
+// the frame handler's copy of it stays on its stack. A nil f drops RMA
+// frames.
+func (d *Device) SetRMAHandler(f func(src int, h wire.Header, payload []byte)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.onRMA = f

@@ -390,10 +390,12 @@ func (t *TCPTransport) landStream(peer int, r *bufio.Reader, h wire.Header, n in
 // path. A SendData item goes out as one writev of prefix+header and the
 // borrowed payload, behind whatever was still buffered, and is completed
 // here; after a write error every later item of the queue completes with
-// that error unwritten.
+// that error unwritten. The length prefix of either kind is written from
+// head, which lives as long as the loop: a prefix built per frame would
+// escape to the heap through the writer.
 func (t *TCPTransport) writeLoop(peer int, conn net.Conn, q *sendQueue) {
 	w := bufio.NewWriterSize(conn, 1<<16)
-	head := make([]byte, wire.PrefixLen+wire.HeaderLen) // prefix+header of a SendData item
+	head := make([]byte, wire.PrefixLen+wire.HeaderLen) // prefix (+header of a SendData item)
 	var dead error
 	for {
 		it, ok := q.pop()
@@ -404,7 +406,10 @@ func (t *TCPTransport) writeLoop(peer int, conn net.Conn, q *sendQueue) {
 		if dead == nil {
 			var err error
 			if it.data == nil {
-				err = wire.WriteFrame(w, it.frame)
+				binary.LittleEndian.PutUint32(head, uint32(len(it.frame)))
+				if _, err = w.Write(head[:wire.PrefixLen]); err == nil {
+					_, err = w.Write(it.frame)
+				}
 				if err == nil && q.len() == 0 {
 					err = w.Flush()
 				}
