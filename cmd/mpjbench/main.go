@@ -30,7 +30,7 @@
 //	                         # the table at MPJ_COLL_TABLE / ~/.mpj/colltab.json
 //
 // -hold keeps the process alive for the given duration after the
-// experiments finish, so an expvar endpoint served under MPJ_PROF_ADDR
+// experiments finish, so the /debug/vars endpoint served under MPJ_PROF_ADDR
 // stays curl-able (the CI observability smoke).
 //
 // -tune runs no experiment: it sweeps payload x np x algorithm per device,

@@ -10,7 +10,7 @@
 // the slaves this daemon spawns, exported to them as MPJ_DEVICE; a device
 // chosen by the client (mpjrun -device) still wins.
 //
-// -prof-addr serves an expvar endpoint (GET /debug/vars) publishing the
+// -prof-addr serves a JSON endpoint (GET /debug/vars) publishing the
 // daemon's job/slave/lease state under "mpjd" and — because slaves spawned
 // by this daemon inherit MPJ_PROF_ADDR only if set in its environment —
 // any co-resident in-process instrumentation under "mpj". It defaults to
@@ -38,7 +38,7 @@ func main() {
 	port := flag.Int("discovery-port", lookup.DefaultDiscoveryPort, "UDP discovery port when -registrars is empty")
 	leaseDur := flag.Duration("lease", 30*time.Second, "lookup registration lease duration")
 	device := flag.String("device", "", "default transport device for spawned slaves: chan, tcp or hyb (overridden by the client's choice)")
-	profAddr := flag.String("prof-addr", os.Getenv("MPJ_PROF_ADDR"), "serve the expvar endpoint (/debug/vars) on this address (default: $MPJ_PROF_ADDR, then off)")
+	profAddr := flag.String("prof-addr", os.Getenv("MPJ_PROF_ADDR"), "serve the counters as JSON on GET /debug/vars at this address (default: $MPJ_PROF_ADDR, then off)")
 	flag.Parse()
 
 	if *device != "" {
@@ -71,7 +71,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("mpjd: -prof-addr: %v", err)
 		}
-		fmt.Printf("mpjd: expvar endpoint on http://%s/debug/vars\n", bound)
+		fmt.Printf("mpjd: /debug/vars endpoint on http://%s/debug/vars\n", bound)
 	}
 	if err := d.Announce(found, *leaseDur); err != nil {
 		log.Fatalf("mpjd: %v", err)

@@ -6,7 +6,7 @@
 //
 // The paper realizes the daemon as an RMI activatable object registered
 // with rmid and published through Jini lookup; here it is a long-lived
-// net/rpc server registered with the lookup.Registrar.
+// internal/rpc server registered with the lookup.Registrar.
 //
 // See ARCHITECTURE.md at the repository root for where this package sits in
 // the layer stack.
@@ -17,7 +17,6 @@ import (
 	"log"
 	"math/rand"
 	"net"
-	"net/rpc"
 	"os"
 	"sort"
 	"strconv"
@@ -27,6 +26,7 @@ import (
 	"mpj/internal/events"
 	"mpj/internal/lease"
 	"mpj/internal/lookup"
+	"mpj/internal/rpc"
 )
 
 // ServiceType is the lookup service type daemons register under.
@@ -130,20 +130,14 @@ func New(opts ...Option) (*Daemon, error) {
 	}
 	d.leases = lease.NewTable(d.onLeaseExpired)
 
+	svc := &service{d: d}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName(ServiceType, &service{d: d}); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+	rpc.Handle(srv, ServiceType+".CreateSlave", svc.CreateSlave)
+	rpc.Handle(srv, ServiceType+".DestroyJob", svc.DestroyJob)
+	rpc.Handle(srv, ServiceType+".RenewJob", svc.RenewJob)
+	rpc.Handle(srv, ServiceType+".Heartbeat", svc.Heartbeat)
+	rpc.Handle(srv, ServiceType+".Ping", svc.Ping)
+	go srv.Serve(ln)
 	return d, nil
 }
 
@@ -204,7 +198,7 @@ func (d *Daemon) SlaveCount() int {
 }
 
 // Vars returns a JSON-marshalable snapshot of the daemon's state — jobs,
-// their local ranks, lease count — for the expvar endpoint mpjd serves
+// their local ranks, lease count — for the /debug/vars endpoint mpjd serves
 // under -prof-addr (see internal/prof and README "Observability").
 func (d *Daemon) Vars() any {
 	d.mu.Lock()

@@ -213,7 +213,7 @@ func (fr *FailureRegistry) Tracked(rank int) bool {
 
 // Vars returns a JSON-marshalable snapshot of the registry — tracked
 // ranks with live leases and declared-dead ranks with their verdicts —
-// for the expvar endpoint (see internal/prof and README "Observability").
+// for the /debug/vars endpoint (see internal/prof and README "Observability").
 func (fr *FailureRegistry) Vars() any {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()

@@ -11,9 +11,10 @@ package events
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
+
+	"mpj/internal/rpc"
 )
 
 // Event types used by the MPJ runtime.
@@ -39,17 +40,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s(job=%d from=%s: %s)", e.Type, e.JobID, e.Source, e.Message)
 }
 
-// listener is the RPC service receiving notifications.
-type listener struct {
-	handler func(Event)
-}
-
-// Notify delivers one event; it is the remote surface of the receiver.
-func (l *listener) Notify(ev Event, _ *struct{}) error {
-	l.handler(ev)
-	return nil
-}
-
 // Receiver accepts remote events on a local TCP endpoint. The handler is
 // invoked on RPC server goroutines; it must be safe for concurrent use.
 type Receiver struct {
@@ -67,21 +57,12 @@ func NewReceiver(handler func(Event)) (*Receiver, error) {
 		return nil, fmt.Errorf("events: %w", err)
 	}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("EventListener", &listener{handler: handler}); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("events: %w", err)
-	}
-	r := &Receiver{ln: ln, addr: ln.Addr().String()}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return r, nil
+	rpc.Handle(srv, "EventListener.Notify", func(ev Event, _ *struct{}) error {
+		handler(ev)
+		return nil
+	})
+	go srv.Serve(ln)
+	return &Receiver{ln: ln, addr: ln.Addr().String()}, nil
 }
 
 // Addr returns the receiver's dialable address.
@@ -105,7 +86,6 @@ func Notify(addr string, ev Event) error {
 	if err != nil {
 		return fmt.Errorf("events: dialing %s: %w", addr, err)
 	}
-	defer conn.Close()
 	client := rpc.NewClient(conn)
 	defer client.Close()
 	if err := client.Call("EventListener.Notify", ev, &struct{}{}); err != nil {

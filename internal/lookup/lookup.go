@@ -20,12 +20,12 @@ package lookup
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"time"
 
 	"mpj/internal/lease"
+	"mpj/internal/rpc"
 )
 
 // DefaultDiscoveryPort is the UDP port registrars answer probes on.
@@ -144,20 +144,13 @@ func NewRegistrar(udpPort int) (*Registrar, error) {
 	r := &Registrar{ln: ln, items: make(map[string]ServiceItem)}
 	r.leases = lease.NewTable(func(id string, payload any) { r.remove(id) })
 
+	svc := &registrarSvc{r: r}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Registrar", &registrarSvc{r: r}); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("lookup: %w", err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+	rpc.Handle(srv, "Registrar.Register", svc.Register)
+	rpc.Handle(srv, "Registrar.Renew", svc.Renew)
+	rpc.Handle(srv, "Registrar.Cancel", svc.Cancel)
+	rpc.Handle(srv, "Registrar.Lookup", svc.Lookup)
+	go srv.Serve(ln)
 
 	if udpPort != 0 {
 		addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: udpPort}

@@ -15,7 +15,7 @@
 // Three surfaces expose the data:
 //
 //   - Comm.ProfSnapshot() — per-communicator counter snapshots (core);
-//   - an expvar/HTTP endpoint (MPJ_PROF_ADDR, mpjd -prof-addr) serving
+//   - a JSON endpoint (MPJ_PROF_ADDR, mpjd -prof-addr) serving
 //     /debug/vars with the per-rank counter block plus daemon job/lease
 //     state (see vars.go);
 //   - per-rank Chrome trace_event JSON files (MPJ_PROF=trace:<prefix>),
@@ -147,7 +147,7 @@ func (c *counters) addTo(s *Snapshot) {
 }
 
 // Snapshot is a plain-integer copy of the counters at one instant, the
-// value Comm.ProfSnapshot returns and the expvar endpoint serves. Sends
+// value Comm.ProfSnapshot returns and the /debug/vars endpoint serves. Sends
 // are counted on the sender at post time, receives on the receiver at
 // payload arrival; for deterministic traffic the sent and received byte
 // totals across ranks agree exactly.
@@ -480,7 +480,7 @@ func (r *Recorder) CtxSnapshot(ctxs ...int) Snapshot {
 }
 
 // SetStatus installs a callback whose value is served alongside the
-// counters on the expvar endpoint — the runtime points it at the
+// counters on the /debug/vars endpoint — the runtime points it at the
 // device's failure registry (failed ranks, failure epoch).
 func (r *Recorder) SetStatus(f func() any) {
 	r.statusMu.Lock()
@@ -500,7 +500,7 @@ func (r *Recorder) Status() any {
 }
 
 // Close flushes the trace file, if any, and retires the recorder from
-// the expvar registry (its totals keep counting toward the endpoint's
+// the endpoint registry (its totals keep counting toward the endpoint's
 // cumulative block). Idempotent; the device calls it at Close/Abort.
 func (r *Recorder) Close() error {
 	r.closeOnce.Do(func() {

@@ -1,20 +1,29 @@
 package prof
 
 import (
+	"bufio"
 	"encoding/json"
-	"expvar"
+	"errors"
+	"io"
 	"net"
-	"net/http"
+	"os"
+	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"time"
 )
 
-// This file implements the expvar/HTTP surface behind MPJ_PROF_ADDR and
+// This file implements the /debug/vars endpoint behind MPJ_PROF_ADDR and
 // mpjd -prof-addr: recorders register in a process-wide registry, the
-// "mpj" expvar block serves their per-rank counters (plus whatever
-// status each recorder exposes — failed ranks, failure epochs), and
-// Serve starts a plain net/http server whose /debug/vars endpoint is the
-// standard expvar handler. Everything is stdlib.
+// "mpj" block serves their per-rank counters (plus whatever status each
+// recorder exposes — failed ranks, failure epochs), and Serve answers
+// GET /debug/vars with the JSON document the standard library's expvar
+// handler writes: every published block plus "cmdline" and "memstats",
+// keys sorted. The responder speaks just enough HTTP/1.1 for curl and
+// net/http clients — one request per connection, a bounded head, a
+// deadline — so no rank process links net/http.
 //
 // Closed recorders leave the per-rank listing but their totals fold into
 // a retired sum, so the endpoint's cumulative block survives job
@@ -28,7 +37,7 @@ var reg struct {
 	closed  int // recorders folded into retired
 }
 
-// Track registers a recorder with the expvar surface. The runtime calls
+// Track registers a recorder with the endpoint's registry. The runtime calls
 // it for every recorder it creates; Recorder.Close retires it.
 func Track(r *Recorder) {
 	if r == nil {
@@ -58,7 +67,7 @@ func untrack(r *Recorder) {
 	}
 }
 
-// Vars builds the value of the "mpj" expvar block: per-live-rank counter
+// Vars builds the value of the "mpj" block: per-live-rank counter
 // snapshots and status, plus the cumulative total including retired
 // recorders.
 func Vars() any {
@@ -85,48 +94,62 @@ func Vars() any {
 	}
 }
 
-// pubVar is a replaceable expvar.Var: expvar.Publish panics on duplicate
-// names, but the runtime re-publishes on every job start (benchmarks run
-// many), so Publish swaps the function under an existing name instead.
-type pubVar struct {
-	mu sync.Mutex
-	f  func() any
-}
-
-func (v *pubVar) String() string {
-	v.mu.Lock()
-	f := v.f
-	v.mu.Unlock()
-	js, err := json.Marshal(f())
-	if err != nil {
-		return `"prof: ` + err.Error() + `"`
-	}
-	return string(js)
-}
-
+// pub maps each published block's name to the function that builds it.
+// It starts with the two blocks expvar publishes in every process.
 var pub = struct {
 	mu sync.Mutex
-	m  map[string]*pubVar
-}{m: make(map[string]*pubVar)}
+	m  map[string]func() any
+}{m: map[string]func() any{
+	"cmdline":  func() any { return os.Args },
+	"memstats": memstats,
+}}
 
-// Publish exposes f's value under name on the expvar endpoint,
-// replacing any function previously published under that name.
+func memstats() any {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms
+}
+
+// Publish exposes f's value under name on the /debug/vars endpoint,
+// replacing any function previously published under that name: the
+// runtime re-publishes on every job start, and benchmarks run many.
 func Publish(name string, f func() any) {
 	pub.mu.Lock()
 	defer pub.mu.Unlock()
-	if v, ok := pub.m[name]; ok {
-		v.mu.Lock()
-		v.f = f
-		v.mu.Unlock()
-		return
-	}
-	v := &pubVar{f: f}
-	pub.m[name] = v
-	expvar.Publish(name, v)
+	pub.m[name] = f
 }
 
 // PublishMPJ publishes the "mpj" counter block (see Vars). Idempotent.
 func PublishMPJ() { Publish("mpj", Vars) }
+
+// document renders every published block as one JSON object, keys sorted,
+// laid out as expvar's handler lays it out.
+func document() []byte {
+	pub.mu.Lock()
+	names := make([]string, 0, len(pub.m))
+	fs := make(map[string]func() any, len(pub.m))
+	for name, f := range pub.m {
+		names = append(names, name)
+		fs[name] = f
+	}
+	pub.mu.Unlock()
+	sort.Strings(names)
+
+	b := []byte("{\n")
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ",\n"...)
+		}
+		b = strconv.AppendQuote(b, name)
+		b = append(b, ": "...)
+		js, err := json.Marshal(fs[name]())
+		if err != nil {
+			js, _ = json.Marshal("prof: " + err.Error())
+		}
+		b = append(b, js...)
+	}
+	return append(b, "\n}\n"...)
+}
 
 // servers tracks listeners already serving, keyed by requested address,
 // so repeated Serve calls (one per RunLocal in a benchmark loop) reuse
@@ -136,10 +159,10 @@ var servers = struct {
 	m  map[string]string // requested addr → bound addr
 }{m: make(map[string]string)}
 
-// Serve starts an HTTP server on addr whose /debug/vars endpoint is the
-// standard expvar handler, and returns the bound address. A second call
-// with the same addr returns the existing server's address. The server
-// runs until the process exits — the endpoint outlives jobs on purpose.
+// Serve starts the /debug/vars endpoint on addr and returns the bound
+// address. A second call with the same addr returns the existing
+// endpoint's address. The endpoint runs until the process exits — it
+// outlives jobs on purpose.
 func Serve(addr string) (string, error) {
 	servers.mu.Lock()
 	defer servers.mu.Unlock()
@@ -150,11 +173,91 @@ func Serve(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	go func() {
-		// DefaultServeMux carries expvar's /debug/vars handler.
-		_ = http.Serve(ln, nil)
-	}()
+	go serveVars(ln, varsDeadline)
 	bound := ln.Addr().String()
 	servers.m[addr] = bound
 	return bound, nil
+}
+
+const (
+	// maxHead bounds a request's line and headers; curl and net/http
+	// send a few hundred bytes.
+	maxHead = 8 << 10
+	// varsDeadline bounds a whole exchange: a client that has not sent
+	// its head, or not taken the answer, by then is cut off.
+	varsDeadline = 10 * time.Second
+)
+
+// serveVars answers each connection on ln once, until ln closes.
+func serveVars(ln net.Listener, deadline time.Duration) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			// Out of descriptors, say: back off as net/http does.
+			time.Sleep(50 * time.Millisecond)
+			continue
+		}
+		go answer(conn, deadline)
+	}
+}
+
+// answer reads one request head and writes one response: the vars
+// document for GET /debug/vars, 404 for anything else, 431 for a head
+// over maxHead. A head still unfinished at the deadline gets nothing.
+func answer(conn net.Conn, deadline time.Duration) {
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(deadline))
+	head := &io.LimitedReader{R: conn, N: maxHead}
+	method, path, err := readHead(bufio.NewReader(head))
+	var status, ctype string
+	var body []byte
+	switch {
+	case err != nil && head.N == 0:
+		status, ctype, body = "431 Request Header Fields Too Large", "text/plain; charset=utf-8", []byte("request head too large\n")
+	case err != nil:
+		return
+	case method == "GET" && path == "/debug/vars":
+		status, ctype, body = "200 OK", "application/json; charset=utf-8", document()
+	default:
+		status, ctype, body = "404 Not Found", "text/plain; charset=utf-8", []byte("404 page not found\n")
+	}
+	resp := "HTTP/1.1 " + status + "\r\nContent-Type: " + ctype +
+		"\r\nContent-Length: " + strconv.Itoa(len(body)) + "\r\nConnection: close\r\n\r\n"
+	if _, err := conn.Write(append([]byte(resp), body...)); err != nil {
+		return
+	}
+	// Close only once the client has: closing with its request body or
+	// the rest of an oversized head unread would reset the connection
+	// and could drop the answer before the client reads it.
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+	}
+	_, _ = io.Copy(io.Discard, io.LimitReader(conn, 1<<20))
+}
+
+// readHead reads a request line and headers up to the empty line that
+// ends them and returns the method and the path without its query.
+func readHead(r *bufio.Reader) (method, path string, err error) {
+	line, err := r.ReadString('\n')
+	if err != nil {
+		return "", "", err
+	}
+	for {
+		h, err := r.ReadString('\n')
+		if err != nil {
+			return "", "", err
+		}
+		if strings.TrimRight(h, "\r\n") == "" {
+			break
+		}
+	}
+	f := strings.Fields(line)
+	if len(f) != 3 || !strings.HasPrefix(f[2], "HTTP/") {
+		return "", "", nil
+	}
+	path, _, _ = strings.Cut(f[1], "?")
+	return f[0], path, nil
 }

@@ -111,7 +111,7 @@ func profFromEnv(raw string) (prof.Spec, string, error) {
 }
 
 // profStatus builds the status callback served next to a rank's counters
-// on the expvar endpoint: the device's failure-registry view, the PR 6
+// on the /debug/vars endpoint: the device's failure-registry view, the
 // fault-tolerance state an operator wants next to the traffic numbers,
 // the process's scheduler size with what it was derived from (baseProcs 0:
 // not a process slave, or GOMAXPROCS was in its environment), and the road
@@ -151,7 +151,7 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 		return fmt.Errorf("mpj: MPJ_FAULT: %w", err)
 	}
 	// MPJ_PROF / MPJ_PROF_ADDR: per-rank instrumentation recorders and the
-	// optional expvar endpoint (see internal/prof and README
+	// optional /debug/vars endpoint (see internal/prof and README
 	// "Observability").
 	pspec, profAddr, err := profFromEnv("")
 	if err != nil {
@@ -474,7 +474,7 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 	}
 	// Profiling: the spec (mpjrun -prof or JobConfig.Prof) wins, then the
 	// slave's MPJ_PROF environment. MPJ_PROF_ADDR additionally serves the
-	// expvar endpoint; a serve failure is only warned about — several
+	// /debug/vars endpoint; a serve failure is only warned about — several
 	// slaves of one host may inherit the same fixed port, and losing an
 	// endpoint must not kill a rank.
 	pspec, profAddr, err := profFromEnv(spec.Prof)
