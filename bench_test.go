@@ -9,7 +9,6 @@ package mpj
 //	E2 — send modes built on the minimal device ops (§3.5(4))
 //	E4 — collective scaling (high-level layer)
 //	E7 — object serialization overhead (§2)
-//	A1 — allreduce algorithm ablation
 //	A2 — eager threshold ablation
 //	F2 — full job lifecycle through daemons (Figure 2)
 //
@@ -487,30 +486,6 @@ func BenchmarkE7Serialization(b *testing.B) {
 		b.StopTimer()
 		p.close(b)
 	})
-}
-
-// BenchmarkA1Allreduce compares the two allreduce algorithms at np=4.
-func BenchmarkA1Allreduce(b *testing.B) {
-	const np = 4
-	const count = 2048
-	for _, alg := range []struct {
-		name string
-		alg  core.AllreduceAlgorithm
-	}{
-		{"tree+bcast", core.AllreduceTreeBcast},
-		{"recursive-doubling", core.AllreduceRecursiveDoubling},
-	} {
-		alg := alg
-		b.Run(alg.name, func(b *testing.B) {
-			collSession(b, np, func(w *core.Comm) func() error {
-				in := make([]float64, count)
-				out := make([]float64, count)
-				return func() error {
-					return w.AllreduceWith(alg.alg, in, 0, out, 0, count, core.Double, core.SumOp)
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkA2EagerLimit sweeps the eager threshold at a 64 KiB message.

@@ -2,7 +2,7 @@
 // committed BENCH_*.json files some of them write:
 //
 //	mpjbench                 # run everything
-//	mpjbench -exp F1         # one experiment (F1 F2 E1 E2 E3 E4 E5 E7 A1 A2 BW PP ICOLL TYPED COLL VCOLL)
+//	mpjbench -exp F1         # one experiment (F1 F2 E1 E2 E3 E4 E5 E7 A2 BW PP ICOLL TYPED COLL VCOLL)
 //	mpjbench -exp pingpong   # alias for PP: ping-pong per device (chan/hyb/tcp)
 //	mpjbench -exp icoll      # blocking vs non-blocking collective overlap
 //	mpjbench -exp typed      # typed generics facade vs Datatype facade (writes BENCH_typed.json)
@@ -26,18 +26,10 @@
 //	                         # Shrink+Spawn+Merge rebuild turnaround (writes
 //	                         # BENCH_elastic.json; with -quick: regression check
 //	                         # against the committed file)
-//	mpjbench -tune           # measure algorithm crossovers per device and write
-//	                         # the table at MPJ_COLL_TABLE / ~/.mpj/colltab.json
 //
 // -hold keeps the process alive for the given duration after the
 // experiments finish, so the /debug/vars endpoint served under MPJ_PROF_ADDR
 // stays curl-able (the CI observability smoke).
-//
-// -tune runs no experiment: it sweeps payload x np x algorithm per device,
-// derives the measured crossover table, and writes it where MPJ_COLL_TABLE
-// points (default ~/.mpj/colltab.json) so the selection layer in
-// internal/core/collalg.go prefers measured thresholds over its built-in
-// constants. With -quick the sweep shrinks to the CI smoke subset.
 //
 // The experiment index is the list above; README.md ("Benchmarks",
 // "Tuning") and the committed BENCH_*.json files hold the recorded results
@@ -57,7 +49,6 @@ import (
 
 	"mpj"
 	"mpj/internal/bench"
-	"mpj/internal/core"
 	"mpj/internal/daemon"
 )
 
@@ -65,9 +56,8 @@ import (
 var quick = flag.Bool("quick", false, "smaller sweeps for a quick run")
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (empty = all): F1 F2 E1 E2 E3 E4 E5 E7 A1 A2 BW PP ICOLL TYPED COLL VCOLL FT PROF RMA ELASTIC (alias: pingpong)")
+	exp := flag.String("exp", "", "experiment id (empty = all): F1 F2 E1 E2 E3 E4 E5 E7 A2 BW PP ICOLL TYPED COLL VCOLL FT PROF RMA ELASTIC (alias: pingpong)")
 	hold := flag.Duration("hold", 0, "keep the process alive this long after the experiments (for curling an MPJ_PROF_ADDR endpoint)")
-	tune := flag.Bool("tune", false, "measure algorithm crossovers per device and write the table MPJ_COLL_TABLE points at (default ~/.mpj/colltab.json); -quick trims the sweep to a CI smoke")
 	flag.Parse()
 	if strings.EqualFold(*exp, "pingpong") {
 		*exp = "PP"
@@ -75,23 +65,6 @@ func main() {
 
 	if mpj.Main() {
 		return // never happens: mpjbench spawns no process slaves
-	}
-
-	if *tune {
-		path := os.Getenv(core.CollTableEnv)
-		if path == "" {
-			path = core.DefaultCollTablePath()
-		}
-		if path == "" {
-			log.Fatalf("tune: no output path (no home directory; set %s)", core.CollTableEnv)
-		}
-		t, err := bench.TuneAndWrite(path, *quick)
-		if err != nil {
-			log.Fatalf("tune: %v", err)
-		}
-		t.Print(os.Stdout)
-		fmt.Printf("  (crossover table written to %s and re-loaded ok)\n", path)
-		return
 	}
 
 	sizes := bench.DefaultSizes
@@ -118,7 +91,6 @@ func main() {
 		{"E4", func() (*bench.Table, error) { return bench.E4CollectiveScaling(nps, 128) }},
 		{"E5", runE5},
 		{"E7", func() (*bench.Table, error) { return bench.E7SerializationOverhead(counts) }},
-		{"A1", func() (*bench.Table, error) { return bench.A1AllreduceAblation(4, counts) }},
 		{"A2", func() (*bench.Table, error) {
 			return bench.A2EagerThresholdSweep(64<<10, []int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10})
 		}},

@@ -16,8 +16,8 @@
 // eager/rendezvous protocol threshold in bytes (default: the client's
 // MPJ_EAGER_LIMIT environment variable, then each slave's own
 // MPJ_EAGER_LIMIT, then the built-in default). -coll-alg forces the
-// collective algorithm family on every slave (classic | segmented | ring
-// | hier; auto restores size-based selection); it defaults to the
+// collective algorithm family on every slave (classic | ring | hier; auto
+// restores size-based selection); it defaults to the
 // client's MPJ_COLL_ALG and travels in the slave spec so all ranks agree,
 // as collective schedules require.
 //
@@ -57,7 +57,7 @@ func main() {
 	binary := flag.String("binary", "", "slave executable (default: this binary)")
 	device := flag.String("device", os.Getenv("MPJ_DEVICE"), "transport device: chan, tcp or hyb (default: $MPJ_DEVICE, then hyb)")
 	eagerLimit := flag.Int("eager-limit", 0, "eager/rendezvous protocol threshold in bytes (default: $MPJ_EAGER_LIMIT, then each slave's default)")
-	collAlg := flag.String("coll-alg", os.Getenv("MPJ_COLL_ALG"), "collective algorithm family: auto, classic, segmented, ring or hier (default: $MPJ_COLL_ALG, then auto)")
+	collAlg := flag.String("coll-alg", os.Getenv("MPJ_COLL_ALG"), "collective algorithm family: auto, classic, ring or hier (default: $MPJ_COLL_ALG, then auto)")
 	profSpec := flag.String("prof", os.Getenv("MPJ_PROF"), "instrumentation on every slave: counters or trace:<path-prefix> (default: $MPJ_PROF, then off)")
 	registrars := flag.String("registrars", "", "comma-separated registrar addresses (unicast discovery)")
 	port := flag.Int("discovery-port", 0, "UDP discovery port when -registrars is empty")

@@ -110,19 +110,6 @@ func TestE7Table(t *testing.T) {
 	}
 }
 
-func TestA1RequiresPowerOfTwo(t *testing.T) {
-	if _, err := A1AllreduceAblation(3, []int{16}); err == nil {
-		t.Error("np=3 accepted")
-	}
-	tbl, err := A1AllreduceAblation(2, []int{16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 1 {
-		t.Errorf("rows %d", len(tbl.Rows))
-	}
-}
-
 func TestA2Table(t *testing.T) {
 	tbl, err := A2EagerThresholdSweep(1024, []int{256, 4096})
 	if err != nil {

@@ -23,7 +23,7 @@ import (
 // CollBenchRow is one measured configuration, recorded in BENCH_coll.json.
 type CollBenchRow struct {
 	Op      string  `json:"op"`  // "bcast" | "allreduce" | "allgather"
-	Alg     string  `json:"alg"` // the forced family: "classic" | "segmented" | "ring" | "hier"
+	Alg     string  `json:"alg"` // the forced family's label: "classic" | "segmented" (bcast, CollAlgRing) | "ring" | "hier"
 	NP      int     `json:"np"`
 	Bytes   int     `json:"bytes"` // payload bytes per rank
 	NsPerOp float64 `json:"ns_per_op"`
@@ -55,15 +55,14 @@ func collIters(bytes int) int {
 }
 
 // collAlgFor maps the sweep's algorithm column to the forced family: the
-// large-message path is called "segmented" for bcast (the binomial tree
-// landing in place) and "ring" where the ring schedules run (allreduce,
+// large-message path (CollAlgRing) keeps its row label "segmented" for
+// bcast (the binomial tree landing in place), so BENCH_coll.json stays
+// comparable, and "ring" where the ring schedules run (allreduce,
 // allgather); "hier" forces the two-level hierarchical schedules.
 func collAlgFor(name string) core.CollAlg {
 	switch name {
 	case "classic":
 		return core.CollAlgClassic
-	case "segmented":
-		return core.CollAlgSegmented
 	case "hier":
 		return core.CollAlgHier
 	default:
@@ -90,8 +89,7 @@ func schedAlg(req *core.CollRequest) string {
 }
 
 // jobRunner abstracts the mesh a measurement runs on: runJobHyb for the
-// co-located sweeps, a runJobHybGroups closure for the multi-group rows,
-// runJob for the tuner's chan-device sweeps.
+// co-located sweeps, a runJobHybGroups closure for the multi-group rows.
 type jobRunner func(np int, fn func(w *core.Comm) error) error
 
 // measureColl times one collective configuration on an np-rank job over

@@ -178,48 +178,6 @@ func E4CollectiveScaling(nps []int, payload int) (*Table, error) {
 	return t, nil
 }
 
-// A1AllreduceAblation compares the two Allreduce algorithms across sizes
-// on a power-of-two communicator — the design-choice ablation behind
-// AllreduceAuto's small-message choice (internal/core/coll.go).
-func A1AllreduceAblation(np int, counts []int) (*Table, error) {
-	if np&(np-1) != 0 {
-		return nil, fmt.Errorf("A1 requires power-of-two np, got %d", np)
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("A1: Allreduce algorithm ablation (np=%d, float64 elements)", np),
-		Headers: []string{"elements", "reduce+bcast", "recursive doubling", "winner"},
-	}
-	for _, count := range counts {
-		iters := 100
-		if count > 64<<10 {
-			iters = 20
-		}
-		mk := func(alg core.AllreduceAlgorithm) func(w *core.Comm) func() error {
-			return func(w *core.Comm) func() error {
-				buf := make([]float64, count)
-				out := make([]float64, count)
-				return func() error {
-					return w.AllreduceWith(alg, buf, 0, out, 0, count, core.Double, core.SumOp)
-				}
-			}
-		}
-		tree, err := timeCollective(np, iters, mk(core.AllreduceTreeBcast))
-		if err != nil {
-			return nil, err
-		}
-		rd, err := timeCollective(np, iters, mk(core.AllreduceRecursiveDoubling))
-		if err != nil {
-			return nil, err
-		}
-		winner := "reduce+bcast"
-		if rd < tree {
-			winner = "recursive doubling"
-		}
-		t.Rows = append(t.Rows, Row{fmt.Sprintf("%d", count), fmtDur(tree), fmtDur(rd), winner})
-	}
-	return t, nil
-}
-
 // BandwidthTable reports sustained one-way bandwidth through the full API
 // (stream of size-byte standard sends), complementing the latency sweeps.
 func BandwidthTable(sizes []int) (*Table, error) {

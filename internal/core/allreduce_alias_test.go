@@ -20,10 +20,11 @@ var aliasLayouts = []struct {
 	{"disjoint", func(int) int { return 0 }, func(count int) int { return count }},
 }
 
-// checkAllreduceAliased runs Allreduce over every layout and count with the
-// given selection and compares against reduce+bcast over fresh buffers.
-// slots is the number of base slots of T one dt element spans.
-func checkAllreduceAliased[T comparable](w *Comm, dt Datatype, slots int, alg AllreduceAlgorithm, val func(rank, i int) T) error {
+// checkAllreduceAliased runs Allreduce over every layout and count — under
+// automatic selection, or on the large family when ring is set — and
+// compares against reduce+bcast over fresh buffers. slots is the number of
+// base slots of T one dt element spans.
+func checkAllreduceAliased[T comparable](w *Comm, dt Datatype, slots int, ring bool, val func(rank, i int) T) error {
 	np, me := w.Size(), w.Rank()
 	for _, count := range []int{0, 1, np - 1, 3*np + 1, 2048} {
 		contrib := make([]T, count*slots)
@@ -31,14 +32,18 @@ func checkAllreduceAliased[T comparable](w *Comm, dt Datatype, slots int, alg Al
 			contrib[i] = val(me, i)
 		}
 		want := make([]T, count*slots)
-		if err := w.AllreduceWith(AllreduceTreeBcast, contrib, 0, want, 0, count, dt, SumOp); err != nil {
+		if err := allreduceWith(w, allreduceTreeBcast, contrib, 0, want, 0, count, dt, SumOp); err != nil {
 			return err
+		}
+		alg := w.autoAllreduceAlg(count, dt)
+		if ring {
+			alg = allreduceRing
 		}
 		for _, lay := range aliasLayouts {
 			so, ro := lay.so(count)*slots, lay.ro(count)*slots
 			back := make([]T, (2*count+2)*slots)
 			copy(back[so:], contrib)
-			if err := w.AllreduceWith(alg, back, so, back, ro, count, dt, SumOp); err != nil {
+			if err := allreduceWith(w, alg, back, so, back, ro, count, dt, SumOp); err != nil {
 				return fmt.Errorf("%s %s count=%d: %w", dt.Name(), lay.name, count, err)
 			}
 			where := fmt.Sprintf("np=%d %s alg=%d %s count=%d", np, dt.Name(), alg, lay.name, count)
@@ -77,7 +82,7 @@ func checkReduceScatterAliased[T comparable](w *Comm, dt Datatype, slots int, va
 					contrib[i] = val(me, i)
 				}
 				all := make([]T, total*slots)
-				if err := w.AllreduceWith(AllreduceTreeBcast, contrib, 0, all, 0, total, dt, SumOp); err != nil {
+				if err := allreduceWith(w, allreduceTreeBcast, contrib, 0, all, 0, total, dt, SumOp); err != nil {
 					return err
 				}
 				want := all[displs[me]*slots : (displs[me]+counts[me])*slots]
@@ -132,17 +137,17 @@ func TestAllreduceAliasedBuffers(t *testing.T) {
 		t.Run(dev.name, func(t *testing.T) {
 			for _, np := range []int{1, 2, 3, 4, 5, 8} {
 				dev.run(t, np, func(w *Comm) error {
-					w.proc.collDev = &DeviceCrossovers{LargeMin: 1 << 10}
+					w.proc.largeMin = 1 << 10
 					ival := func(rank, i int) int32 { return int32(rank*977 + i) }
-					for _, alg := range []AllreduceAlgorithm{AllreduceAuto, AllreduceRing} {
-						if err := checkAllreduceAliased(w, Int, 1, alg, ival); err != nil {
+					for _, ring := range []bool{false, true} {
+						if err := checkAllreduceAliased(w, Int, 1, ring, ival); err != nil {
 							return err
 						}
 						// Whole numbers: the sum is exact in every order.
-						if err := checkAllreduceAliased(w, Double, 1, alg, func(rank, i int) float64 { return float64(rank*977 + i) }); err != nil {
+						if err := checkAllreduceAliased(w, Double, 1, ring, func(rank, i int) float64 { return float64(rank*977 + i) }); err != nil {
 							return err
 						}
-						if err := checkAllreduceAliased(w, pair, 2, alg, ival); err != nil {
+						if err := checkAllreduceAliased(w, pair, 2, ring, ival); err != nil {
 							return err
 						}
 					}

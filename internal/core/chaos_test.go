@@ -134,7 +134,7 @@ func chaosLentKill(t *testing.T, op string) {
 // the caller's.
 func TestChaosLentAllreduceFree(t *testing.T) {
 	chaosLentFree(t, func(c *Comm, in, out []int32) (*CollRequest, error) {
-		return c.IallreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+		return c.iallreduce("iallreduce", c.nextCollTag(), allreduceRing, in, 0, out, 0, len(in), Int, SumOp)
 	})
 }
 
@@ -404,7 +404,7 @@ func chaosOp(w *Comm, op string) (func() error, error) {
 		for i := range in {
 			in[i] = int32(rank + i)
 		}
-		err := w.AllreduceWith(AllreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+		err := allreduceWith(w, allreduceRing, in, 0, out, 0, len(in), Int, SumOp)
 		if err != nil {
 			// Failed or not, a returned collective has returned its buffers.
 			scribble(in, out)

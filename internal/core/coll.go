@@ -6,23 +6,17 @@ import (
 	"mpj/internal/device"
 )
 
-// AllreduceAlgorithm selects the Allreduce implementation; the A1 ablation
-// benchmark compares them.
-type AllreduceAlgorithm int
+// allreduceAlg names one allreduce schedule: autoAllreduceAlg picks it for
+// Allreduce, Iallreduce and CommitAllreduce, and iallreduce compiles it.
+type allreduceAlg int
 
 const (
-	// AllreduceAuto switches by payload: large fixed-size vectors take
-	// AllreduceRing's family (reduce-scatter + allgather, whole chunks);
-	// below the large-message threshold power-of-two sizes use recursive
-	// doubling and other sizes reduce to rank 0 and broadcast. See collalg.go for the
-	// threshold and the knobs that override it.
-	AllreduceAuto AllreduceAlgorithm = iota
-	// AllreduceTreeBcast always reduces to rank 0 then broadcasts.
-	AllreduceTreeBcast
-	// AllreduceRecursiveDoubling always uses recursive doubling
-	// (power-of-two communicator sizes only).
-	AllreduceRecursiveDoubling
-	// AllreduceRing is the bandwidth-optimal family for large vectors: a
+	// allreduceTreeBcast reduces to rank 0 then broadcasts.
+	allreduceTreeBcast allreduceAlg = iota
+	// allreduceRecursiveDoubling exchanges whole vectors by recursive
+	// doubling (power-of-two communicator sizes only).
+	allreduceRecursiveDoubling
+	// allreduceRing is the bandwidth-optimal family for large vectors: a
 	// reduce-scatter and an allgather of the reduced chunks, ~2·n bytes
 	// through each rank regardless of size. It is correct for any
 	// communicator size; the size picks the exchange pattern — recursive
@@ -31,12 +25,12 @@ const (
 	// the schedule says which it compiled ("halving-doubling" | "ring").
 	// The send buffer is lent to the transport, never copied, unless it
 	// overlaps the receive buffer (icoll.go, iallreduceRing).
-	AllreduceRing
-	// AllreduceHier reduces inside each locality group, allreduces among
+	allreduceRing
+	// allreduceHier reduces inside each locality group, allreduces among
 	// the group leaders and broadcasts back — only one partial and one
 	// result per group cross the expensive inter-group links (hier.go).
 	// Requires a comm spanning ≥2 locality groups.
-	AllreduceHier
+	allreduceHier
 )
 
 // collIsend starts a raw byte send on the collective context. dst is a
@@ -214,40 +208,37 @@ func (c *Comm) Reduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype
 // halving/doubling on a power-of-two communicator, the ring otherwise);
 // below the large-message threshold power-of-two sizes use recursive
 // doubling and other sizes reduce to rank 0 and broadcast (see collalg.go
-// for the selection knobs). AllreduceWith selects the algorithm explicitly.
-// sbuf is only read, and for the duration of the call it may be lent to the
-// transport; sbuf and rbuf may overlap, at the price of one copy of the
-// vector.
+// for the selection). sbuf is only read, and for the duration of the call
+// it may be lent to the transport; sbuf and rbuf may overlap, at the price
+// of one copy of the vector.
 func (c *Comm) Allreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
-	return c.AllreduceWith(c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op)
+	return runColl(c.iallreduce("allreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op))
 }
 
-// autoAllreduceAlg is the measured algorithm selection behind
-// Allreduce/Iallreduce: the two-level hierarchical schedule on comms
-// spanning locality groups, the reduce-scatter + allgather family
-// (AllreduceRing) for large fixed-size payloads, recursive doubling for
-// small power-of-two communicators, reduce+broadcast otherwise.
-func (c *Comm) autoAllreduceAlg(count int, dt Datatype) AllreduceAlgorithm {
+// autoAllreduceAlg is the algorithm selection behind Allreduce, Iallreduce
+// and CommitAllreduce: the reduce-scatter + allgather family
+// (allreduceRing) for large fixed-size payloads, the two-level
+// hierarchical schedule below that on comms spanning locality groups (at
+// every size when CollAlgHier is forced), recursive doubling for small
+// power-of-two communicators, reduce+broadcast otherwise.
+func (c *Comm) autoAllreduceAlg(count int, dt Datatype) allreduceAlg {
 	sz := dt.ByteSize()
-	if sz > 0 && count > 0 && c.Size() > 1 && c.collHier(count*sz) {
-		return AllreduceHier
+	sized := sz > 0 && count > 0
+	large := sized && c.collLarge(count*sz)
+	// Auto keeps large vectors off the two-level schedule: it moves whole
+	// vectors through each group's leader while the flat family keeps
+	// every rank busy, and on a 2×4 hyb layout it took ×2.96 the flat
+	// family's time at 1 MiB and ×4.6 at 4 MiB.
+	if sized && c.Size() > 1 && c.collHier() && (!large || c.collAlgChoice() == CollAlgHier) {
+		return allreduceHier
 	}
-	if sz > 0 && count > 0 && c.collLarge(count*sz) {
-		return AllreduceRing
+	if large {
+		return allreduceRing
 	}
 	if size := c.Size(); size&(size-1) == 0 {
-		return AllreduceRecursiveDoubling
+		return allreduceRecursiveDoubling
 	}
-	return AllreduceTreeBcast
-}
-
-// AllreduceWith runs Allreduce with an explicit algorithm choice; the A1
-// ablation benchmark compares them.
-func (c *Comm) AllreduceWith(alg AllreduceAlgorithm, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
-	if alg == AllreduceAuto {
-		return c.Allreduce(sbuf, soff, rbuf, roff, count, dt, op)
-	}
-	return runColl(c.iallreduce("allreduce", c.nextCollTag(), alg, sbuf, soff, rbuf, roff, count, dt, op))
+	return allreduceTreeBcast
 }
 
 // ReduceScatter combines every member's data and scatters the result:

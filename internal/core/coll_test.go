@@ -415,14 +415,20 @@ func TestReduceAllRootsAllOps(t *testing.T) {
 	})
 }
 
+// allreduceWith runs a blocking Allreduce on the schedule alg names, through
+// the entry Allreduce and Iallreduce compile with.
+func allreduceWith(c *Comm, alg allreduceAlg, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
+	return runColl(c.iallreduce("allreduce", c.nextCollTag(), alg, sbuf, soff, rbuf, roff, count, dt, op))
+}
+
 func TestAllreduceBothAlgorithms(t *testing.T) {
-	algs := []AllreduceAlgorithm{AllreduceTreeBcast, AllreduceRecursiveDoubling}
+	algs := []allreduceAlg{allreduceTreeBcast, allreduceRecursiveDoubling}
 	names := []string{"tree+bcast", "recursive-doubling"}
 	for ai, alg := range algs {
 		alg := alg
 		t.Run(names[ai], func(t *testing.T) {
 			forSizes(t, func(t *testing.T, np int) {
-				if alg == AllreduceRecursiveDoubling && np&(np-1) != 0 {
+				if alg == allreduceRecursiveDoubling && np&(np-1) != 0 {
 					t.Skip("recursive doubling needs power-of-two size")
 				}
 				runRanks(t, np, func(w *Comm) error {
@@ -432,7 +438,7 @@ func TestAllreduceBothAlgorithms(t *testing.T) {
 						sbuf[i] = float64(w.Rank() + 1)
 					}
 					rbuf := make([]float64, n)
-					if err := w.AllreduceWith(alg, sbuf, 0, rbuf, 0, n, Double, SumOp); err != nil {
+					if err := allreduceWith(w, alg, sbuf, 0, rbuf, 0, n, Double, SumOp); err != nil {
 						return err
 					}
 					want := float64(w.Size()*(w.Size()+1)) / 2
@@ -462,7 +468,7 @@ func TestAllreduceMaxLoc(t *testing.T) {
 
 func TestAllreduceRejectsRDOnOddSizes(t *testing.T) {
 	runRanks(t, 3, func(w *Comm) error {
-		err := w.AllreduceWith(AllreduceRecursiveDoubling,
+		err := allreduceWith(w, allreduceRecursiveDoubling,
 			[]int32{1}, 0, []int32{0}, 0, 1, Int, SumOp)
 		return expect(errors.Is(err, ErrComm), "err %v", err)
 	})

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"mpj/internal/transport"
 )
 
 func mustPanic(t *testing.T, name string, fn func()) {
@@ -31,17 +33,15 @@ func TestCollSettersValidate(t *testing.T) {
 	})
 }
 
-// Forcing CollAlgSegmented or CollAlgRing on a 2-rank communicator must
-// fall back to the classic schedules: the large-message paths assume at
-// least three members (auto always refused them below that floor), and
-// force means family preference, not schedule identity.
+// Forcing CollAlgRing on a 2-rank communicator must fall back to the
+// classic schedules: the large-message paths assume at least three members
+// (auto always refused them below that floor), and force means family
+// preference, not schedule identity.
 func TestForcedFamilyRespectsMemberFloor(t *testing.T) {
 	runRanks(t, 2, func(w *Comm) error {
-		for _, alg := range []CollAlg{CollAlgSegmented, CollAlgRing} {
-			w.SetCollAlg(alg)
-			if w.collLarge(1 << 20) {
-				return expect(false, "np=2 forced %v: collLarge(1 MiB) = true, want classic fallback", alg)
-			}
+		w.SetCollAlg(CollAlgRing)
+		if w.collLarge(1 << 20) {
+			return expect(false, "np=2 forced ring: collLarge(1 MiB) = true, want classic fallback")
 		}
 		w.SetCollAlg(CollAlgAuto)
 		if w.collLarge(1 << 20) {
@@ -56,7 +56,7 @@ func TestForcedFamilyRespectsMemberFloor(t *testing.T) {
 // to classic. Exercises Bcast, Allreduce, Reduce and Allgather under each
 // family in turn on the same communicator.
 func TestForcedFamilyEquivalenceNP2(t *testing.T) {
-	families := []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgSegmented, CollAlgRing, CollAlgHier}
+	families := []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing, CollAlgHier}
 	const n = 96 << 10 // 768 KiB of float64: above every large-message threshold
 
 	runRanks(t, 2, func(w *Comm) error {
@@ -128,48 +128,98 @@ func TestForcedFamilyEquivalenceNP2(t *testing.T) {
 	})
 }
 
-// Every selection threshold resolves through one consult chain — measured
-// table, built-in constant: a table entry that sets the knob must win, and
-// a table without it must leave the constant in force.
-func TestCollKnobConsultOrder(t *testing.T) {
-	runRanks(t, 4, func(w *Comm) error {
-		knobs := []struct {
-			name  string
-			get   func() int
-			def   int
-			table func(d *DeviceCrossovers, v int)
-		}{
-			{"large_min", w.largeMin, defLargeCollMin,
-				func(d *DeviceCrossovers, v int) { d.LargeMin = v }},
-			{"large_min per np", w.largeMin, defLargeCollMin,
-				func(d *DeviceCrossovers, v int) {
-					d.LargeMin = 7 // the exact-np entry outranks the device-wide one
-					d.PerNP = []NPCrossover{{NP: 3, LargeMin: 9}, {NP: w.Size(), LargeMin: v}}
-				}},
-			{"large_min_np", w.largeMinNP, defLargeCollMinNP,
-				func(d *DeviceCrossovers, v int) { d.LargeMinNP = v }},
-			{"hier_min", w.hierMin, 0,
-				func(d *DeviceCrossovers, v int) { d.HierMin = v }},
-		}
-		for _, k := range knobs {
-			want := func(step string, v int) error {
-				return expect(k.get() == v, "%s, %s: resolved %d, want %d", k.name, step, k.get(), v)
-			}
-			w.proc.collDev = nil
-			if err := want("no table", k.def); err != nil {
-				return err
-			}
-			d := &DeviceCrossovers{}
-			w.proc.collDev = d
-			if err := want("table without the knob", k.def); err != nil {
-				return err
-			}
-			k.table(d, 111)
-			if err := want("table", 111); err != nil {
-				return err
+// tableSweep compares collective results under automatic selection against
+// an explicitly forced family on a second pass; both must be
+// byte-identical.
+func tableSweep(w *Comm, forced CollAlg) error {
+	np := w.Size()
+	const n = 6144 // 48 KiB of float64
+
+	run := func() ([]float64, []float64, error) {
+		b := make([]float64, n)
+		if w.Rank() == 0 {
+			for i := range b {
+				b[i] = float64(i%773) + 0.25
 			}
 		}
-		w.proc.collDev = nil
-		return nil
-	})
+		if err := w.Bcast(b, 0, n, Double, 0); err != nil {
+			return nil, nil, fmt.Errorf("bcast: %w", err)
+		}
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = float64((w.Rank()+1)*1000 + i%97)
+		}
+		r := make([]float64, n)
+		if err := w.Allreduce(s, 0, r, 0, n, Double, SumOp); err != nil {
+			return nil, nil, fmt.Errorf("allreduce: %w", err)
+		}
+		return b, r, nil
+	}
+
+	w.SetCollAlg(CollAlgAuto)
+	ab, ar, err := run()
+	if err != nil {
+		return fmt.Errorf("auto np=%d: %w", np, err)
+	}
+	w.SetCollAlg(forced)
+	fb, fr, err := run()
+	if err != nil {
+		return fmt.Errorf("forced %v np=%d: %w", forced, np, err)
+	}
+	w.SetCollAlg(CollAlgAuto)
+
+	for i := range ab {
+		if ab[i] != fb[i] {
+			return fmt.Errorf("np=%d forced %v: bcast[%d] %v != auto %v", np, forced, i, fb[i], ab[i])
+		}
+		if ar[i] != fr[i] {
+			return fmt.Errorf("np=%d forced %v: allreduce[%d] %v != auto %v", np, forced, i, fr[i], ar[i])
+		}
+	}
+	return nil
+}
+
+// Property: with the large-message threshold scaled down to one byte, as
+// the shape table scales it down (so the large and hier paths engage at
+// test-sized payloads), auto and every explicitly forced family still
+// produce byte-identical collective results, across np in {2, 3, 5, 8} on
+// both chan and hyb.
+func TestTableAutoMatchesForced(t *testing.T) {
+	families := []CollAlg{CollAlgClassic, CollAlgRing, CollAlgHier}
+	for _, np := range []int{2, 3, 5, 8} {
+		np := np
+		// Alternating keys: multi-group from np>=3 members, so hier engages
+		// where it can and falls back where it cannot.
+		keys := make([]string, np)
+		for i := range keys {
+			keys[i] = []string{"A", "B"}[i%2]
+		}
+		sweep := func(w *Comm) error {
+			w.proc.largeMin = 1
+			w.SetLocalityTable(keys)
+			for _, f := range families {
+				if err := tableSweep(w, f); err != nil {
+					return err
+				}
+			}
+			w.SetLocalityTable(nil)
+			return nil
+		}
+
+		t.Run(fmt.Sprintf("chan-np%d", np), func(t *testing.T) {
+			runRanks(t, np, sweep)
+		})
+
+		t.Run(fmt.Sprintf("hyb-np%d", np), func(t *testing.T) {
+			loc := transport.ProcessLocality()
+			locs := make([]string, np)
+			for i := range locs {
+				locs[i] = loc
+			}
+			jobID := 0x7ab1<<32 | hierJobSeq.Add(1)
+			runRanksOn(t, np, func(i int) (transport.Transport, error) {
+				return transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
+			}, sweep)
+		})
+	}
 }

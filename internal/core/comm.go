@@ -34,13 +34,12 @@ type procState struct {
 	// their window. Guarded by mu.
 	wins map[int]*Win
 
-	// Process-wide collective tuning: the algorithm family read from
-	// MPJ_COLL_ALG at NewWorld (per-communicator overrides live on Comm,
-	// see collalg.go), and collDev, this device's entry in the measured
-	// crossover table (MPJ_COLL_TABLE / ~/.mpj/colltab.json, resolved once
-	// at NewWorld; nil when absent — built-in constants apply).
-	collAlg CollAlg
-	collDev *DeviceCrossovers
+	// Process-wide collective selection (collalg.go): the algorithm family
+	// read from MPJ_COLL_ALG at NewWorld (per-communicator overrides live
+	// on Comm), and the large-message threshold, largeCollMin — a field
+	// only so that tests can scale it down.
+	collAlg  CollAlg
+	largeMin int
 
 	abort func(code int) // installed by the runtime; see SetAbortHandler
 
@@ -126,16 +125,12 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm)}
+	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm), largeMin: largeCollMin}
 	// The collective family from the environment; a malformed value fails
 	// loudly here rather than silently changing algorithms.
 	if proc.collAlg, err = ParseCollAlg(os.Getenv("MPJ_COLL_ALG")); err != nil {
 		return nil, fmt.Errorf("MPJ_COLL_ALG: %w", err)
 	}
-	// The measured crossover table, unlike the env knob above, never
-	// fails a job: it is a cached tuning artifact, and a missing or
-	// malformed one simply leaves the built-in constants in force.
-	proc.collDev = loadCollTableEnv().deviceCrossovers(dev.Name())
 	w := &Comm{
 		dev:   dev,
 		proc:  proc,

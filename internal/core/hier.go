@@ -32,7 +32,7 @@ import (
 //
 // Selection: CollAlgHier forces the family; auto chooses it whenever the
 // communicator actually spans ≥2 locality groups with some co-location
-// (see collalg.go collHier and the hier_min table knob). Synthetic
+// (see collalg.go collHier). Synthetic
 // layouts for tests and benchmarks are installed with SetLocalityTable.
 
 // ---------------------------------------------------------------------

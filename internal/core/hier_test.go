@@ -335,7 +335,7 @@ func TestHierCollectivesChan(t *testing.T) {
 
 // Forcing the hierarchical family on a comm that does not span locality
 // groups falls back to classic/auto schedules (force is a family
-// preference); explicitly requesting AllreduceHier there errors instead.
+// preference); compiling the hier allreduce there explicitly errors instead.
 func TestHierFlatFallback(t *testing.T) {
 	runRanks(t, 3, func(w *Comm) error {
 		w.SetCollAlg(CollAlgHier)
@@ -348,9 +348,9 @@ func TestHierFlatFallback(t *testing.T) {
 			return expect(false, "flat forced-hier allreduce = %d", r[0])
 		}
 		w.SetCollAlg(CollAlgAuto)
-		err := w.AllreduceWith(AllreduceHier, s, 0, r, 0, 1, Int, SumOp)
+		err := allreduceWith(w, allreduceHier, s, 0, r, 0, 1, Int, SumOp)
 		if err == nil {
-			return expect(false, "AllreduceWith(AllreduceHier) on flat comm: no error")
+			return expect(false, "hier allreduce on flat comm: no error")
 		}
 		return nil
 	})

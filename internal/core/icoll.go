@@ -466,7 +466,7 @@ func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
 	// On a comm spanning locality groups the two-level barrier crosses
 	// the expensive links twice per leader instead of every dissemination
 	// round (hier.go).
-	if c.collHier(0) {
+	if c.collHier() {
 		return c.newCollRequestAlg(name, tag, "hier", c.ihbarrierRounds(), nil)
 	}
 	return c.newCollRequestAlg(name, tag, "dissemination", barrierRoundsIn(c, c.members()), nil)
@@ -487,7 +487,7 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	// message per edge (ARCHITECTURE "Why broadcast is a tree").
 	total := count * dt.ByteSize()
 	sized := dt.ByteSize() > 0 && count > 0
-	two := sized && c.collHier(total)
+	two := sized && c.collHier()
 	alg := "binomial"
 	if two {
 		alg = "hier"
@@ -797,7 +797,7 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 	// not span groups is one group led by the root: the second phase is
 	// empty and the first is the classic tree.
 	algName := "binomial"
-	two := c.collHier(len(acc.b))
+	two := c.collHier()
 	if two {
 		algName = "hier"
 	}
@@ -825,21 +825,13 @@ func (c *Comm) Iallreduce(sbuf any, soff int, rbuf any, roff, count int, dt Data
 	return c.iallreduce("iallreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op)
 }
 
-// IallreduceWith is Iallreduce with an explicit algorithm choice.
-func (c *Comm) IallreduceWith(alg AllreduceAlgorithm, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
-	if alg == AllreduceAuto {
-		return c.Iallreduce(sbuf, soff, rbuf, roff, count, dt, op)
-	}
-	return c.iallreduce("iallreduce", c.nextCollTag(), alg, sbuf, soff, rbuf, roff, count, dt, op)
-}
-
-func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
+func (c *Comm) iallreduce(name string, tag int, alg allreduceAlg, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
 	size := c.Size()
 	comb, err := op.combinerFor(dt)
 	if err != nil {
 		return nil, err
 	}
-	if alg == AllreduceRing {
+	if alg == allreduceRing {
 		return c.iallreduceRing(name, tag, sbuf, soff, rbuf, roff, count, dt, comb)
 	}
 	acc, repack, err := packedCell(dt, sbuf, soff, count)
@@ -849,19 +841,19 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 	var rounds []round
 	var algName string
 	switch alg {
-	case AllreduceRecursiveDoubling:
+	case allreduceRecursiveDoubling:
 		if size&(size-1) != 0 {
 			return nil, fmt.Errorf("%w: recursive doubling requires power-of-two size, have %d", ErrComm, size)
 		}
 		rounds = rdRoundsIn(c, c.members(), acc, comb)
 		algName = "recursive-doubling"
-	case AllreduceTreeBcast:
+	case allreduceTreeBcast:
 		// Reduce to rank 0, then broadcast: the bcast phase reuses acc —
 		// rank 0 enters it holding the full reduction, every other rank's
 		// acc is overwritten by its tree parent before it forwards.
 		rounds = append(reduceRoundsIn(c, c.members(), acc, comb, 0), bcastRoundsIn(c, c.members(), acc, 0)...)
 		algName = "reduce-bcast"
-	case AllreduceHier:
+	case allreduceHier:
 		if !c.localityView().multi() {
 			return nil, fmt.Errorf("%w: hierarchical allreduce requires a comm spanning locality groups", ErrComm)
 		}
@@ -886,8 +878,7 @@ func (c *Comm) iallreduce(name string, tag int, alg AllreduceAlgorithm, sbuf any
 	return req, err
 }
 
-// iallreduceRing compiles the large allreduce (the family AllreduceRing
-// names): recursive halving/doubling on a power-of-two communicator, the ring
+// iallreduceRing compiles the large allreduce (allreduceRing): recursive halving/doubling on a power-of-two communicator, the ring
 // on every other size — same bytes, 2·log₂p messages instead of 2(p-1).
 //
 // The buffer plan. For raw-layout datatypes the receive buffer itself is the

@@ -223,7 +223,7 @@ func checkIcollEquivalence(w *Comm, tc icollCase) error {
 }
 
 // collAlgs are the algorithm families the property tests randomize over.
-var collAlgs = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgSegmented, CollAlgRing}
+var collAlgs = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing}
 
 // TestIcollMatchesBlockingProperty is the equivalence property over
 // randomized sizes, counts, ops, roots and algorithm families on the chan
@@ -438,9 +438,9 @@ func TestCollAlgGroundTruthHyb(t *testing.T) {
 	}
 }
 
-// TestRingAllreduceExplicit pins AllreduceWith(AllreduceRing) on
-// power-of-two and non-power-of-two sizes against the tree+bcast result,
-// straddling the eager/rendezvous boundary per chunk.
+// TestRingAllreduceExplicit pins the large allreduce, compiled explicitly,
+// on power-of-two and non-power-of-two sizes against the tree+bcast
+// result, straddling the eager/rendezvous boundary per chunk.
 func TestRingAllreduceExplicit(t *testing.T) {
 	for _, np := range []int{2, 3, 4, 5, 8, 16} {
 		runRanks(t, np, func(w *Comm) error {
@@ -450,11 +450,11 @@ func TestRingAllreduceExplicit(t *testing.T) {
 				in[i] = int64(w.Rank()*7919 + i)
 			}
 			ring := make([]int64, n)
-			if err := w.AllreduceWith(AllreduceRing, in, 0, ring, 0, n, Long, SumOp); err != nil {
+			if err := allreduceWith(w, allreduceRing, in, 0, ring, 0, n, Long, SumOp); err != nil {
 				return err
 			}
 			tree := make([]int64, n)
-			if err := w.AllreduceWith(AllreduceTreeBcast, in, 0, tree, 0, n, Long, SumOp); err != nil {
+			if err := allreduceWith(w, allreduceTreeBcast, in, 0, tree, 0, n, Long, SumOp); err != nil {
 				return err
 			}
 			for i := range ring {

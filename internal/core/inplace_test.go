@@ -11,18 +11,26 @@ import (
 // process-boundary device paths.
 var inPlaceMeshes = []string{"chan", "hyb"}
 
+// inPlaceFamilies are the forced families the in-place tests run under; the
+// large-message family keeps its subtest label "segmented", as it keeps its
+// row label in BENCH_coll.json.
+var inPlaceFamilies = []struct {
+	name string
+	alg  CollAlg
+}{{"classic", CollAlgClassic}, {"segmented", CollAlgRing}}
+
 // TestInPlaceAllgatherv checks MPI_IN_PLACE semantics for Allgatherv: the
 // rank's contribution is read from its own slot of the receive buffer and
 // the send triple is ignored, on both the classic forwarding ring and the
-// forced segmented (zero-staging window) path.
+// forced large-message (zero-staging window) path.
 func TestInPlaceAllgatherv(t *testing.T) {
 	for _, mesh := range inPlaceMeshes {
-		for _, alg := range []CollAlg{CollAlgClassic, CollAlgSegmented} {
-			mesh, alg := mesh, alg
-			t.Run(mesh+"/"+collAlgName(alg), func(t *testing.T) {
+		for _, fam := range inPlaceFamilies {
+			mesh, fam := mesh, fam
+			t.Run(mesh+"/"+fam.name, func(t *testing.T) {
 				const np = 4
 				runRanksWin(t, mesh, np, func(w *Comm) error {
-					w.SetCollAlg(alg)
+					w.SetCollAlg(fam.alg)
 					rcounts := []int{1, 2, 3, 4}
 					displs := []int{0, 1, 3, 6}
 					total := 10
@@ -97,12 +105,12 @@ func TestInPlaceAllgather(t *testing.T) {
 	}{{"raw", Int, []int{0}}, {"derived", vec, []int{0, 2}}}
 	const np, rcount = 4, 2
 	for _, mesh := range inPlaceMeshes {
-		for _, alg := range []CollAlg{CollAlgClassic, CollAlgSegmented} {
+		for _, fam := range inPlaceFamilies {
 			for _, ty := range types {
-				mesh, alg, ty := mesh, alg, ty
-				t.Run(mesh+"/"+collAlgName(alg)+"/"+ty.name, func(t *testing.T) {
+				mesh, fam, ty := mesh, fam, ty
+				t.Run(mesh+"/"+fam.name+"/"+ty.name, func(t *testing.T) {
 					runRanksWin(t, mesh, np, func(w *Comm) error {
-						w.SetCollAlg(alg)
+						w.SetCollAlg(fam.alg)
 						ext := ty.dt.Extent()
 						buf := make([]int32, np*rcount*ext)
 						val := func(gen, r, e, k int) int32 { return int32(1000*gen + 100*r + 10*e + k) }
@@ -187,12 +195,12 @@ func TestInPlaceAllgather(t *testing.T) {
 // large_min (133 KiB of Long, which automatic selection sends large too).
 func TestInPlaceReduceScatter(t *testing.T) {
 	for _, mesh := range inPlaceMeshes {
-		for _, alg := range []CollAlg{CollAlgClassic, CollAlgSegmented} {
-			mesh, alg := mesh, alg
-			t.Run(mesh+"/"+collAlgName(alg), func(t *testing.T) {
+		for _, fam := range inPlaceFamilies {
+			mesh, fam := mesh, fam
+			t.Run(mesh+"/"+fam.name, func(t *testing.T) {
 				const np = 4
 				runRanksWin(t, mesh, np, func(w *Comm) error {
-					w.SetCollAlg(alg)
+					w.SetCollAlg(fam.alg)
 					for _, rcounts := range [][]int{{2, 1, 3, 2}, {5000, 0, 9000, 3000}} {
 						total := 0
 						for _, n := range rcounts {
@@ -245,16 +253,4 @@ func TestInPlaceErrors(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// collAlgName names an algorithm selector for subtest labels.
-func collAlgName(a CollAlg) string {
-	switch a {
-	case CollAlgClassic:
-		return "classic"
-	case CollAlgSegmented:
-		return "segmented"
-	default:
-		return "auto"
-	}
 }

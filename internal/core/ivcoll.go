@@ -215,7 +215,7 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 		// Allgather passes — form one contiguous vector, which a comm
 		// spanning locality groups batches through its group leaders so
 		// each block crosses the expensive links once (hier.go).
-		if uniform && total > 0 && c.collHier(total*sz) {
+		if uniform && total > 0 && c.collHier() {
 			return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], rdt)
 		}
 		if total > 0 && c.collLarge(total*sz) {

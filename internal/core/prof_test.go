@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -447,7 +448,7 @@ func TestProfCountersAllreduceExact(t *testing.T) {
 			sbuf[i] = int32(w.Rank() + i)
 		}
 		diff, err := measureOp(w, bar, func() error {
-			return w.AllreduceWith(AllreduceRecursiveDoubling, sbuf, 0, rbuf, 0, count, Int, SumOp)
+			return allreduceWith(w, allreduceRecursiveDoubling, sbuf, 0, rbuf, 0, count, Int, SumOp)
 		})
 		if err != nil {
 			return err
@@ -529,11 +530,56 @@ func TestProfCountersAllreduceExact(t *testing.T) {
 	}
 }
 
+// TestCollSelectionReadsNoTable: selection reads no file. A crossover table
+// in the format earlier versions loaded at NewWorld — from
+// ~/.mpj/colltab.json, or from the path in MPJ_COLL_TABLE — raising
+// large_min to 1 MiB must not move an np=4 chan Allreduce of 256 KiB off
+// the large family: recursive halving/doubling, 4 messages each way per
+// rank, as TestProfCountersAllreduceExact pins.
+func TestCollSelectionReadsNoTable(t *testing.T) {
+	table := []byte(`{"version": 1, "devices": {"chan": {"large_min": 1048576}, "hyb": {"large_min": 1048576}, "tcp": {"large_min": 1048576}}}`)
+	home := t.TempDir()
+	if err := os.Mkdir(filepath.Join(home, ".mpj"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	named := filepath.Join(t.TempDir(), "table.json")
+	for _, path := range []string{filepath.Join(home, ".mpj", "colltab.json"), named} {
+		if err := os.WriteFile(path, table, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Setenv("HOME", home)
+	t.Setenv("MPJ_COLL_TABLE", named)
+
+	const np, count = 4, 64 << 10 // 256 KiB of Int
+	diffs := make([]prof.Snapshot, np)
+	bar := newGoBarrier(np)
+	runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+		sbuf, rbuf := make([]int32, count), make([]int32, count)
+		for i := range sbuf {
+			sbuf[i] = int32(w.Rank() + i)
+		}
+		diff, err := measureOp(w, bar, func() error {
+			return w.Allreduce(sbuf, 0, rbuf, 0, count, Int, SumOp)
+		})
+		diffs[w.Rank()] = diff
+		if err != nil {
+			return err
+		}
+		return expect(rbuf[0] == 0+1+2+3, "allreduce result %d, want 6", rbuf[0])
+	})
+	for rank, d := range diffs {
+		if d.SentMsgs() != 4 || d.RecvMsgs() != 4 {
+			t.Errorf("rank %d: %d messages sent, %d arrived; want the large family's 4 and 4 (%+v)", rank, d.SentMsgs(), d.RecvMsgs(), d)
+		}
+	}
+}
+
 // TestProfCountersReduceScatterExact pins the large ReduceScatter to the
 // large allreduce's fold half, per rank: log₂p messages and rounds of
 // recursive halving on a power-of-two communicator, the ring's p-1 on any
 // other, n·(p-1)/p bytes either way (np=2 stays classic under
-// large_min_np). The varying row (vLayout at np=4: blocks n, 2n, 0, n)
+// largeCollMinNP). The varying row (vLayout at np=4: blocks n, 2n, 0, n)
 // shows that an empty range moves no message: rank 2 receives nothing for
 // its empty block and rank 3 sends rank 2 nothing for it.
 func TestProfCountersReduceScatterExact(t *testing.T) {

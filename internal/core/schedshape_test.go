@@ -295,7 +295,7 @@ var shapeOps = []struct {
 
 // The table's selection threshold, scaled down from the built-in one so
 // the three payload classes stay cheap: large-message path from 1 KiB.
-var shapeTable = DeviceCrossovers{LargeMin: 1 << 10}
+const shapeLargeMin = 1 << 10
 
 // shapeSizes are the payload classes in Int elements: below the
 // large-message threshold, twice it and eight times it.
@@ -308,7 +308,7 @@ var shapeSizes = []struct {
 
 const shapePinned = 3 // leading shapeSizes entries compared against the golden
 
-var shapeFamilies = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgSegmented, CollAlgRing, CollAlgHier}
+var shapeFamilies = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing, CollAlgHier}
 
 // shapeLayouts are the locality layouts: none, two interleaved groups, and
 // three uneven groups (one a singleton holding the highest rank).
@@ -463,8 +463,7 @@ func TestScheduleShape(t *testing.T) {
 				if w.Rank() == 0 {
 					ctx = w.coll
 				}
-				tab := shapeTable
-				w.proc.collDev = &tab
+				w.proc.largeMin = shapeLargeMin
 				w.SetLocalityTable(layout.keys(np))
 				for o, op := range shapeOps {
 					for si, size := range shapeSizes {
@@ -608,7 +607,7 @@ func TestLendSafetyLargeAllreduce(t *testing.T) {
 					for i := range s {
 						s[i] = int32(i + w.Rank())
 					}
-					req, err := w.IallreduceWith(AllreduceRing, s, 0, r, 0, n, Int, spy.op())
+					req, err := w.iallreduce("iallreduce", w.nextCollTag(), allreduceRing, s, 0, r, 0, n, Int, spy.op())
 					if err != nil {
 						return err
 					}
@@ -643,7 +642,7 @@ func TestLendSafetyLargeAllreduce(t *testing.T) {
 				}
 			}
 			if np < 3 {
-				return nil // ReduceScatter's large schedule starts at large_min_np
+				return nil // ReduceScatter's large schedule starts at largeCollMinNP
 			}
 			return lendSafetyReduceScatter(w)
 		})

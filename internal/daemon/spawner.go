@@ -33,8 +33,8 @@ type SlaveSpec struct {
 	// environment and finally the built-in default.
 	EagerLimit int
 
-	// CollAlg forces the collective algorithm family ("classic",
-	// "segmented", "ring"; "auto" restores the size-based choice). Empty
+	// CollAlg forces the collective algorithm family ("classic", "ring",
+	// "hier"; "auto" restores the size-based choice). Empty
 	// defers to the slave's MPJ_COLL_ALG environment and finally the
 	// automatic selection. It must be consistent across the job's ranks,
 	// which is why it travels in the spec rather than relying on each

@@ -35,7 +35,7 @@ type Config struct {
 	EagerLimit int
 
 	// CollAlg forces the collective algorithm family on every slave
-	// ("classic", "segmented", "ring"; "auto" restores size-based
+	// ("classic", "ring", "hier"; "auto" restores size-based
 	// selection). Empty defers to each slave's MPJ_COLL_ALG environment.
 	// Shipping it in the spec keeps the choice consistent across ranks —
 	// collective schedules must match on every member.

@@ -77,11 +77,10 @@ type (
 	IntInt = core.IntInt
 	// FloatInt pairs a float32 with an index for MaxLoc/MinLoc.
 	FloatInt = core.FloatInt
-	// AllreduceAlgorithm selects an Allreduce implementation.
-	AllreduceAlgorithm = core.AllreduceAlgorithm
-	// CollAlg selects the collective algorithm family (classic trees vs
-	// the segmented/ring large-message schedules); see Comm.SetCollAlg,
-	// the MPJ_COLL_ALG environment variable and README "Tuning".
+	// CollAlg selects the collective algorithm family (classic trees, the
+	// ring large-message schedules or the hierarchical ones); see
+	// Comm.SetCollAlg, the MPJ_COLL_ALG environment variable and README
+	// "Tuning".
 	CollAlg = core.CollAlg
 	// ProfSnapshot is a point-in-time copy of a communicator's profiling
 	// counters, returned by Comm.ProfSnapshot when profiling is enabled
@@ -118,13 +117,11 @@ const (
 	CollAlgAuto = core.CollAlgAuto
 	// CollAlgClassic forces the latency-optimised tree algorithms.
 	CollAlgClassic = core.CollAlgClassic
-	// CollAlgSegmented forces the large-message schedules: the binomial
+	// CollAlgRing forces the large-message schedules: the binomial
 	// broadcast landing in place in the user buffer, whole-chunk
 	// reduce-scatter + allgather exchanges for allreduce (halving/doubling
 	// on a power-of-two size, the ring otherwise), the same reduce-scatter
 	// half alone for ReduceScatter and the ring for allgather.
-	CollAlgSegmented = core.CollAlgSegmented
-	// CollAlgRing is CollAlgSegmented under its ring-collective name.
 	CollAlgRing = core.CollAlgRing
 	// CollAlgHier prefers the two-level locality-aware schedules: an
 	// intra-group phase over co-located peers and an inter-group exchange
@@ -137,7 +134,7 @@ const (
 // WithCollAlg forces the collective algorithm family on c and returns c,
 // for call-site chaining in benchmarks and tuning experiments:
 //
-//	err := mpj.WithCollAlg(w, mpj.CollAlgSegmented).Bcast(buf, 0, n, mpj.DOUBLE, 0)
+//	err := mpj.WithCollAlg(w, mpj.CollAlgRing).Bcast(buf, 0, n, mpj.DOUBLE, 0)
 //
 // Like all collective configuration it must be applied consistently on
 // every member of the communicator.
@@ -250,15 +247,6 @@ const (
 	Congruent = core.Congruent
 	Similar   = core.Similar
 	Unequal   = core.Unequal
-)
-
-// Allreduce algorithm choices (see Comm.AllreduceWith and the A1 bench).
-const (
-	AllreduceAuto              = core.AllreduceAuto
-	AllreduceTreeBcast         = core.AllreduceTreeBcast
-	AllreduceRecursiveDoubling = core.AllreduceRecursiveDoubling
-	AllreduceRing              = core.AllreduceRing
-	AllreduceHier              = core.AllreduceHier
 )
 
 // Derived datatype constructors.

@@ -323,7 +323,7 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 // default.
 //
 // CollAlg forces the collective algorithm family on every slave —
-// "classic", "segmented" or "ring"; "auto" restores size-based selection.
+// "classic", "ring" or "hier"; "auto" restores size-based selection.
 // Empty falls back to each slave's MPJ_COLL_ALG environment variable.
 // Shipping it in the job config keeps the choice identical on every rank,
 // which collective schedules require.
