@@ -56,6 +56,11 @@ type procState struct {
 	// skip the progress engine entirely (one atomic load) while no
 	// collective is in flight.
 	collCount atomic.Int64
+
+	// parkHook, when set, runs in parkUntil between the look and the park:
+	// the seam through which tests inject an event exactly there. Nil
+	// outside tests.
+	parkHook func()
 }
 
 // Comm is an intra-communicator: a group of processes plus a private

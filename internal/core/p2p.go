@@ -92,24 +92,25 @@ func (r *Request) Wait() (*Status, error) {
 }
 
 // waitDevice parks until the device request dr completes — the one wait
-// loop under Request.Wait and the blocking Send and Recv. While collective
-// schedules are in flight it keeps driving their rounds (see sched.go),
-// parking on the device with the failure epoch it read before it looked;
-// with none — one atomic load — it parks directly on dr, keeping the
-// point-to-point hot path at its old cost.
-func (c *Comm) waitDevice(dr *device.Request) (device.Status, error) {
+// under Request.Wait and the blocking Send and Recv. While collective
+// schedules are in flight it waits in parkUntil, which keeps driving their
+// rounds (see sched.go); with none — one atomic load — it parks directly
+// on dr, keeping the point-to-point hot path at its old cost.
+func (c *Comm) waitDevice(dr *device.Request) (dst device.Status, derr error) {
 	if c.revoked.Load() {
 		// A revocation that landed between the caller's check and its
 		// post found nothing of dr to fail.
 		c.dev.FailContext(c.pt2pt, ErrRevoked)
 	}
-	for c.proc.collCount.Load() != 0 {
-		epoch := c.dev.FailEpoch()
-		if dst, ok, derr := dr.Test(); ok {
-			return dst, derr
-		}
-		pending := append(c.progressSiblings(nil), dr)
-		c.dev.WaitProgress(pending, epoch)
+	ok := false
+	if c.proc.collCount.Load() != 0 {
+		c.parkUntil(nil, func() bool {
+			dst, ok, derr = dr.Test()
+			return ok || c.proc.collCount.Load() == 0
+		})
+	}
+	if ok {
+		return dst, derr
 	}
 	return dr.Wait()
 }
@@ -193,20 +194,19 @@ func WaitAny(reqs []*Request) (int, *Status, error) {
 		return -1, nil, nil
 	}
 	dev := comm.dev
-	for comm.proc.collCount.Load() != 0 {
-		epoch := dev.FailEpoch()
-		idx, dst, ok, derr := dev.TestAny(dreqs)
-		if ok {
-			if idx < 0 {
-				return -1, nil, nil
-			}
-			st, err := reqs[idx].finalize(dst, derr)
-			return idx, st, err
-		}
-		pending := append(comm.progressSiblings(nil), dreqs...)
-		dev.WaitProgress(pending, epoch)
+	var idx int
+	var dst device.Status
+	var derr error
+	ok := false
+	if comm.proc.collCount.Load() != 0 {
+		comm.parkUntil(nil, func() bool {
+			idx, dst, ok, derr = dev.TestAny(dreqs)
+			return ok || comm.proc.collCount.Load() == 0
+		})
 	}
-	idx, dst, derr := dev.WaitAny(dreqs)
+	if !ok {
+		idx, dst, derr = dev.WaitAny(dreqs)
+	}
 	if idx < 0 {
 		return -1, nil, nil
 	}
@@ -342,123 +342,52 @@ func commOf(r AnyRequest) *Comm {
 // (progress on entry), so parking on one slot while a collective on
 // another communicator still has rounds to post could deadlock ranks
 // whose peers complete in a different order. Every pass advances every
-// outstanding request; between fruitless passes the caller parks on the
-// device until any outstanding request completes. Batches without
-// collectives block slot by slot on the device directly.
+// outstanding request; between fruitless passes the caller parks in
+// parkUntil. Batches without collectives — and what is left of a batch
+// once its collectives have completed — block slot by slot on the device
+// directly.
 func WaitAllRequests(reqs []AnyRequest) ([]*Status, error) {
 	sts := make([]*Status, len(reqs))
-	hasColl := false
-	for _, r := range reqs {
-		if isCollSlot(r) {
-			hasColl = true
-			break
-		}
-	}
-	if !hasColl {
-		var firstErr error
-		for i, r := range reqs {
-			if isNilRequest(r) {
-				continue
-			}
-			st, err := r.Wait()
-			sts[i] = st
-			if firstErr == nil && err != nil {
-				firstErr = err
-			}
-		}
-		return sts, firstErr
-	}
-
 	errs := make([]error, len(reqs))
 	done := make([]bool, len(reqs))
-	remaining := 0
+	var comm *Comm // of a collective slot; nil when the batch has none
 	for i, r := range reqs {
-		if isNilRequest(r) {
-			done[i] = true
-			continue
+		done[i] = isNilRequest(r)
+		if comm == nil && isCollSlot(r) {
+			comm = commOf(r)
 		}
-		remaining++
 	}
-	for remaining > 0 {
-		progressed := false
-		collLeft := false
-		var epoch uint64 // FailEpoch before this pass looks at the requests
-		for i, r := range reqs {
-			if done[i] {
-				continue
-			}
-			if c := commOf(r); c != nil {
-				epoch = c.dev.FailEpoch() // a rank's requests share one device
-				break
-			}
-		}
-		for i, r := range reqs {
-			if done[i] {
-				continue
-			}
-			st, ok, err := testQuiet(r)
-			if !ok {
-				if err != nil {
-					// Untestable slot (e.g. a never-started Prequest):
-					// record the error instead of waiting forever.
-					sts[i], errs[i] = st, err
-					done[i] = true
-					remaining--
+	if comm != nil {
+		comm.parkUntil(nil, func() bool {
+			for {
+				progressed, collLeft := false, false
+				for i, r := range reqs {
+					if done[i] {
+						continue
+					}
+					st, ok, err := testQuiet(r)
+					if !ok && err == nil {
+						collLeft = collLeft || isCollSlot(r)
+						continue
+					}
+					// Complete, or untestable (e.g. a never-started
+					// Prequest): record the error instead of waiting forever.
+					sts[i], errs[i], done[i] = st, err, true
 					progressed = true
-					continue
 				}
-				if isCollSlot(r) {
-					collLeft = true
+				if !collLeft {
+					return true
 				}
-				continue
-			}
-			sts[i], errs[i] = st, err
-			done[i] = true
-			remaining--
-			progressed = true
-		}
-		if remaining == 0 {
-			break
-		}
-		// Once every collective has completed, the rest are plain
-		// point-to-point requests: park on the device per slot.
-		if !collLeft {
-			for i, r := range reqs {
-				if done[i] {
-					continue
-				}
-				sts[i], errs[i] = r.Wait()
-			}
-			break
-		}
-		if progressed {
-			continue
-		}
-		// Nothing moved this pass: park until any outstanding device
-		// request — a p2p slot's or any in-flight schedule's — completes.
-		var comm *Comm
-		var watch []*device.Request
-		for i, r := range reqs {
-			if done[i] {
-				continue
-			}
-			if c := commOf(r); c != nil {
-				comm = c
-			}
-			switch v := r.(type) {
-			case *Request:
-				watch = append(watch, v.dreq)
-			case *Prequest:
-				if v.active != nil {
-					watch = append(watch, v.active.dreq)
+				if !progressed {
+					return false
 				}
 			}
+		})
+	}
+	for i, r := range reqs {
+		if !done[i] {
+			sts[i], errs[i] = r.Wait()
 		}
-		if comm == nil {
-			continue
-		}
-		watch = append(watch, comm.progressSiblings(nil)...)
-		comm.dev.WaitProgress(watch, epoch)
 	}
 	for _, err := range errs {
 		if err != nil {

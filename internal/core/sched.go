@@ -27,7 +27,7 @@ import (
 // The round loop is the second instrumentation seam: when the device
 // carries a prof.Recorder, every schedule reports its start (operation,
 // chosen algorithm and round count), each round's posting and
-// completion, its end, and time parked in WaitProgress — the data behind
+// completion, its end, and time parked in parkUntil — the data behind
 // Comm.ProfSnapshot and the MPJ_PROF=trace timelines (see internal/prof).
 
 // cell is a byte-buffer slot shared between schedule steps: a receive
@@ -155,13 +155,12 @@ func (c *Comm) unregisterColl(r *CollRequest) {
 }
 
 // progressSiblings advances every other in-flight collective schedule of
-// the process — on this and every other communicator sharing the device —
-// and returns their still-pending device requests. MPI lets a program
-// complete outstanding collectives in any order; because schedules
-// progress only on entry, a Wait parked on one collective must keep
-// driving the rounds of its siblings — and park on their requests too —
-// or ranks waiting in different orders would deadlock.
-func (c *Comm) progressSiblings(except *CollRequest) []*device.Request {
+// the process — on this and every other communicator sharing the device.
+// MPI lets a program complete outstanding collectives in any order;
+// because schedules progress only on entry, a wait parked on one operation
+// must keep driving the rounds of its siblings, or ranks waiting in
+// different orders would deadlock.
+func (c *Comm) progressSiblings(except *CollRequest) {
 	c.proc.collMu.Lock()
 	sibs := make([]*CollRequest, 0, len(c.proc.inflight))
 	for s := range c.proc.inflight {
@@ -170,16 +169,43 @@ func (c *Comm) progressSiblings(except *CollRequest) []*device.Request {
 		}
 	}
 	c.proc.collMu.Unlock()
-	var pending []*device.Request
 	for _, s := range sibs {
 		s.mu.Lock()
 		s.progressLocked()
-		if !s.done {
-			pending = append(pending, s.pending...)
-		}
 		s.mu.Unlock()
 	}
-	return pending
+}
+
+// parkUntil is the one park loop of the library's waits while collective
+// schedules are in flight — Request.Wait and the blocking point-to-point
+// forms (waitDevice), WaitAny, WaitAllRequests and CollRequest.Wait. Each
+// pass reads the device's wake generation, then looks (look reports
+// whether the wait is over), drives the sibling schedules except one, and
+// parks until the generation moves. Because the read comes before the
+// look, whatever happens after the look — a completion, an arrival, a
+// death, a revocation, Close — has moved the generation and the park
+// returns at once: no wakeup is lost. Time parked is the profile's wait
+// span.
+func (c *Comm) parkUntil(except *CollRequest, look func() bool) {
+	for {
+		gen := c.dev.Gen()
+		if look() {
+			return
+		}
+		c.progressSiblings(except)
+		if h := c.proc.parkHook; h != nil {
+			h()
+		}
+		var t0 time.Time
+		p := c.dev.Profiler()
+		if p != nil {
+			t0 = time.Now()
+		}
+		c.dev.WaitProgress(gen)
+		if p != nil {
+			p.WaitSpan(c.coll, t0)
+		}
+	}
 }
 
 // collDone is the terminal status of a completed collective: collectives
@@ -207,7 +233,7 @@ type CollRequest struct {
 	// Instrumentation (see internal/prof): prof caches the device's
 	// recorder at creation (nil when profiling is off), alg names the
 	// algorithm this schedule compiles. Set once before the first round
-	// posts, read-only after, so prof is safe to read without r.mu in Wait.
+	// posts, read-only after.
 	prof *prof.Recorder
 	alg  string
 
@@ -421,31 +447,17 @@ func (r *CollRequest) fail(err error) {
 // status. It drives the whole engine: rounds of this schedule — and of
 // every sibling schedule in flight on the communicator — are posted and
 // reaped here, so outstanding collectives may be completed in any order,
-// as MPI allows.
-func (r *CollRequest) Wait() (*Status, error) {
-	for {
-		epoch := r.c.dev.FailEpoch() // read before the look WaitProgress parks on
+// as MPI allows. The park sits outside r.mu, so fail can interrupt it;
+// errors are re-observed by the next progressLocked pass.
+func (r *CollRequest) Wait() (st *Status, err error) {
+	r.c.parkUntil(r, func() bool {
 		r.mu.Lock()
+		defer r.mu.Unlock()
 		r.progressLocked()
-		if r.done {
-			st, err := r.status, r.err
-			r.mu.Unlock()
-			return st, err
-		}
-		pending := append([]*device.Request(nil), r.pending...)
-		r.mu.Unlock()
-		// Keep sibling schedules moving, then park (outside r.mu, so fail
-		// can interrupt) until anything — ours or a sibling's — completes;
-		// errors are re-observed by the next progressLocked pass.
-		pending = append(pending, r.c.progressSiblings(r)...)
-		if p := r.prof; p != nil {
-			t0 := time.Now()
-			r.c.dev.WaitProgress(pending, epoch)
-			p.WaitSpan(r.c.coll, t0)
-		} else {
-			r.c.dev.WaitProgress(pending, epoch)
-		}
-	}
+		st, err = r.status, r.err
+		return r.done
+	})
+	return st, err
 }
 
 // Test advances the schedule (and, while it is incomplete, its in-flight

@@ -56,6 +56,7 @@ import (
 	"os"
 	"sync"
 	"time"
+	"weak"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
@@ -74,8 +75,8 @@ const (
 // MPJ_RMA_TIMEOUT does not override it: a wait that parks expires this long
 // after it parked. On expiry the unresponsive peers are reported to the
 // failure registry, so the wait fails with ErrRankFailed instead of
-// hanging. The window's one watchdog timer stays armed between epochs, so
-// a window that is never freed is kept reachable for up to this long.
+// hanging. The window's one watchdog timer stays armed between epochs; it
+// reaches the window only through a weak pointer, so it keeps none alive.
 const DefaultEpochTimeout = 30 * time.Second
 
 // winRegistry maps co-location tokens to live windows, process-wide. Every
@@ -288,11 +289,17 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 		world:     make([]int, size),
 	}
 	w.cond.L = &w.mu
+	// The watchdog's body reaches the window through a weak pointer: the
+	// runtime may hold a stopped timer in its heap until the time it was
+	// due, and that must not keep a freed window alive.
+	wp := weak.Make(w)
 	w.wake = func() {
-		w.mu.Lock()
-		w.watchAt = time.Time{}
-		w.cond.Broadcast()
-		w.mu.Unlock()
+		if w := wp.Value(); w != nil {
+			w.mu.Lock()
+			w.watchAt = time.Time{}
+			w.cond.Broadcast()
+			w.mu.Unlock()
+		}
 	}
 	for m := 0; m < size; m++ {
 		wr, err := c.worldRank(m)
@@ -415,9 +422,7 @@ func (w *Win) Free() error {
 
 // fail terminally fails the window (communicator revocation, teardown,
 // Free): parked epoch waits wake and return err, future operations fail.
-// It stops the watchdog too — no wait will park here again, and an armed
-// timer would keep the window, its communicator and device reachable
-// until it fired.
+// It stops the watchdog too: no wait will park here again.
 func (w *Win) fail(err error) {
 	w.mu.Lock()
 	if w.err == nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"mpj/internal/device"
 	"mpj/internal/transport"
@@ -523,46 +524,50 @@ func TestWinDeadlineAfterStaleWatch(t *testing.T) {
 }
 
 // parkedFenceThenFree creates a window whose fence parks on rank 0 (rank 1
-// fences only once rank 0's watchdog is armed), frees it, and registers
-// collected to be closed when rank 0's window is garbage collected.
-func parkedFenceThenFree(w *Comm, collected chan struct{}) error {
+// fences only once rank 0's watchdog is armed), frees it, and returns a
+// weak pointer to it.
+func parkedFenceThenFree(w *Comm) (weak.Pointer[Win], error) {
 	win, err := w.WinCreate(make([]int64, 2), 1)
 	if err != nil {
-		return err
+		return weak.Pointer[Win]{}, err
 	}
-	if w.Rank() == 0 {
-		runtime.AddCleanup(win, func(c chan struct{}) { close(c) }, collected)
-	} else if err := awaitWatchArmed(win.peers[0]); err != nil {
-		return err
+	wp := weak.Make(win)
+	if w.Rank() != 0 {
+		if err := awaitWatchArmed(win.peers[0]); err != nil {
+			return wp, err
+		}
 	}
 	if err := win.Fence(); err != nil {
-		return err
+		return wp, err
 	}
-	return win.Free()
+	return wp, win.Free()
 }
 
-// TestWinFreedIsCollectable: Free stops the watchdog. An armed timer is
-// reachable from the runtime's timer heap and its body reaches the window,
-// so a freed window whose fence once parked would otherwise stay alive —
-// with its communicator and device — until the default 30s deadline fired.
+// TestWinFreedIsCollectable: a freed window whose fence once parked is
+// garbage, with its communicator and device. Its watchdog timer sits in
+// the runtime's timer heap — armed, or stopped by Free but kept there
+// until the time it was due — so the timer's body must not reach the
+// window but through a weak pointer. runtime.GC returns with its cycle
+// swept, and weak pointers to what it found unreachable are cleared by
+// then, so the check counts cycles, not wall-clock time.
 func TestWinFreedIsCollectable(t *testing.T) {
-	collected := make(chan struct{})
+	const cycles = 10
 	openWinColocatedJob(t, 2).run(t, func(_ int, w *Comm) error {
-		if err := parkedFenceThenFree(w, collected); err != nil {
+		wp, err := parkedFenceThenFree(w)
+		if err != nil {
 			return err
 		}
 		// Past this barrier both ranks' windows are freed and unreferenced.
 		if err := w.Barrier(); err != nil || w.Rank() != 0 {
 			return err
 		}
-		for end := time.Now().Add(3 * time.Second); time.Now().Before(end); {
+		for i := 0; i < cycles; i++ {
 			runtime.GC()
-			select {
-			case <-collected:
+			if wp.Value() == nil {
 				return nil
-			case <-time.After(20 * time.Millisecond):
 			}
+			runtime.Gosched()
 		}
-		return errors.New("a freed window whose fence parked was not collected within 3s")
+		return fmt.Errorf("a freed window whose fence parked survived %d GC cycles", cycles)
 	})
 }

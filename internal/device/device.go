@@ -200,8 +200,14 @@ type Device struct {
 	size  int
 	stats Stats
 
+	// Every change under mu that a waiter may be parked on — a
+	// completion, an arrival, a death, a revoked context, the end of the
+	// device — moves gen and broadcasts cond, both in wakeLocked; gen is
+	// atomic so a caller can read it before it takes mu to look (see
+	// WaitProgress).
 	mu   sync.Mutex
-	cond sync.Cond // broadcast whenever any request or probe state changes
+	cond sync.Cond
+	gen  atomic.Uint64
 
 	eagerLimit int
 	closed     bool
@@ -209,10 +215,10 @@ type Device struct {
 
 	// Failure registry (see NotifyRankFailed): dead maps a failed peer's
 	// world rank to its RankFailedError; failEpoch increments on every
-	// newly detected failure so parked waiters and the collective schedule
-	// engine can re-check membership without scanning the map. Both are
-	// written under mu only; failEpoch is atomic so RankError can answer
-	// "nobody has died" without taking mu.
+	// newly detected failure so the collective schedule engine can
+	// re-check membership without scanning the map. Both are written under
+	// mu only; failEpoch is atomic so RankError can answer "nobody has
+	// died" without taking mu.
 	dead      map[int]error
 	failEpoch atomic.Uint64
 
@@ -335,8 +341,8 @@ func (d *Device) Stats() *Stats { return &d.stats }
 func (d *Device) Transport() transport.Transport { return d.t }
 
 // Name identifies the transport flavor ("chan", "tcp", "hyb") when the
-// transport declares one; "" otherwise. Keys the measured collective
-// crossover tables.
+// transport declares one; "" otherwise. It only labels reports, such as
+// the benchmark's device field and test output.
 func (d *Device) Name() string {
 	if n, ok := d.t.(interface{ DeviceName() string }); ok {
 		return n.DeviceName()
@@ -985,7 +991,34 @@ func (d *Device) completeLocked(r *Request, st Status, err error) {
 	r.done = true
 	r.status = st
 	r.err = err
+	d.wakeLocked()
+}
+
+// wakeLocked moves the wake generation and wakes every parked waiter: the
+// one way a state change reaches them. Callers hold d.mu.
+func (d *Device) wakeLocked() {
+	d.gen.Add(1)
 	d.cond.Broadcast()
+}
+
+// Gen returns the wake generation, which moves on every change of device
+// state a waiter may be parked on. Read it before looking at that state:
+// WaitProgress(gen) then returns at once if anything changed after the
+// read, so nothing that happens between the look and the park is missed.
+func (d *Device) Gen() uint64 { return d.gen.Load() }
+
+// WaitProgress parks until the wake generation moves past gen — until any
+// request completes, a message arrives unmatched, a rank failure or a
+// revoked context is registered, or the device closes after the caller
+// read Gen. It is the parking primitive of the collective schedule engine,
+// which re-derives what to do from schedule state after every wakeup; the
+// wakeup says that something changed, not what.
+func (d *Device) WaitProgress(gen uint64) {
+	d.mu.Lock()
+	for d.gen.Load() == gen {
+		d.cond.Wait()
+	}
+	d.mu.Unlock()
 }
 
 // handle is the transport inbound-frame handler. It runs on reader
@@ -1078,7 +1111,7 @@ func (d *Device) handle(src int, frame []byte) {
 				eager: true, frame: frame,
 			})
 			retained = true
-			d.cond.Broadcast() // wake probes
+			d.wakeLocked() // wake probes
 		}
 
 	case wire.KindRTS:
@@ -1094,7 +1127,7 @@ func (d *Device) handle(src int, frame []byte) {
 		} else {
 			d.stats.Unexpected.Add(1)
 			d.unexp = append(d.unexp, u)
-			d.cond.Broadcast() // wake probes
+			d.wakeLocked() // wake probes
 		}
 
 	case wire.KindCTS:
@@ -1181,8 +1214,9 @@ func (d *Device) peerFailed(peer int, err error) {
 // carrying the rank — posted receives matching it (including AnySource
 // wildcards, which the dead rank might have satisfied), rendezvous sends
 // awaiting its CTS, and matched receives awaiting its DATA. The failure
-// epoch increments and every parked waiter wakes, so collective schedules
-// re-examine their membership (see core's schedule engine).
+// epoch and the wake generation move and every parked waiter wakes, so
+// collective schedules re-examine their membership (see core's schedule
+// engine).
 //
 // A notification for the device's own rank means this process was declared
 // dead (an injected kill, an expired local lease): the device enters total
@@ -1229,7 +1263,7 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 			}
 		}
 	}
-	d.cond.Broadcast()
+	d.wakeLocked()
 	h := d.onFailure
 	watchers := make([]func(rank int, err error), len(d.failWatchers))
 	copy(watchers, d.failWatchers)
@@ -1292,7 +1326,7 @@ func (d *Device) FailContext(ctx int, cause error) {
 			d.failAwaitingLocked(key, r, cause)
 		}
 	}
-	d.cond.Broadcast()
+	d.wakeLocked()
 }
 
 // SetRevokeHandler installs the callback invoked (outside the device lock)
@@ -1352,7 +1386,7 @@ func (d *Device) Abort() {
 	}
 	d.closed = true
 	d.failAllLocked(ErrClosed)
-	d.cond.Broadcast()
+	d.wakeLocked()
 	d.mu.Unlock()
 	d.t.Abort()
 	if d.prof != nil {
@@ -1371,7 +1405,7 @@ func (d *Device) Close() error {
 	}
 	d.closed = true
 	d.failAllLocked(ErrClosed)
-	d.cond.Broadcast()
+	d.wakeLocked()
 	d.mu.Unlock()
 	err := d.t.Close()
 	if d.prof != nil {

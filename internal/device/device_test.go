@@ -459,17 +459,19 @@ func TestWaitAllAndTestAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sts, err := d1.WaitAll(reqs)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range reqs[:n] {
+		if _, err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sts, ok, err := d1.TestAll(reqs)
+	if !ok || err != nil || len(sts) != n+1 {
+		t.Fatalf("TestAll after every Wait: ok=%v err=%v", ok, err)
 	}
 	for i := 0; i < n; i++ {
 		if sts[i].Tag != i {
 			t.Errorf("slot %d: status %+v", i, sts[i])
 		}
-	}
-	if sts, ok, err := d1.TestAll(reqs); !ok || err != nil || len(sts) != n+1 {
-		t.Errorf("TestAll after WaitAll: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -757,39 +759,30 @@ func TestRandomizedTraffic(t *testing.T) {
 }
 
 // TestWaitProgressSeesFailureBeforeParking: a rank failure registered
-// after the caller read FailEpoch but before it parks is a reason for
-// WaitProgress to return, not a wakeup to miss — the collective engine
-// looks at its schedules, then parks, and a death in between must not
-// leave it waiting on requests that a dead rank's neighbours will never
-// complete.
+// after the caller read the wake generation but before it parks is a
+// reason for WaitProgress to return, not a wakeup to miss — the collective
+// engine looks at its schedules, then parks, and a death in between must
+// not leave it waiting on requests that a dead rank's neighbours will
+// never complete.
 func TestWaitProgressSeesFailureBeforeParking(t *testing.T) {
 	ds := openMesh(t, 3)
 	rr, err := ds[0].Irecv(make([]byte, 4), 1, 0, 0) // rank 1 lives and never sends
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := ds[0].FailEpoch()
+	gen := ds[0].Gen()
 	ds[0].NotifyRankFailed(2, errors.New("lease expired"))
-	returned := make(chan struct{})
-	go func() {
-		ds[0].WaitProgress([]*Request{rr}, epoch)
-		close(returned)
-	}()
-	select {
-	case <-returned:
-	case <-time.After(10 * time.Second):
-		t.Fatal("WaitProgress parked on a failure epoch its caller had not seen")
-	}
+	returnsWithin(t, func() { ds[0].WaitProgress(gen) },
+		"WaitProgress parked past a failure registered after its caller read the generation")
 	if rr.Done() {
 		t.Error("the receive from the live rank completed")
 	}
 }
 
 // TestWaitProgressSeesCompletionBeforeParking: a completion that lands
-// after the caller's last look at its requests but before it parks is
-// news — WaitProgress must return, not filter the finished request out
-// and park on the rest, which may depend on the caller acting on it. A
-// completion the caller has observed is not, or a waiter would spin.
+// after the caller read the generation is news — WaitProgress returns,
+// whether it landed before the park or after. A completion that landed
+// before the read is not, or a waiter would spin on it.
 func TestWaitProgressSeesCompletionBeforeParking(t *testing.T) {
 	ds := openMesh(t, 2)
 	never, err := ds[0].Irecv(make([]byte, 4), 1, 7, 0) // rank 1 never sends tag 7
@@ -800,52 +793,46 @@ func TestWaitProgressSeesCompletionBeforeParking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := []*Request{never, rr}
-	if _, ok, _ := ds[0].TestAll(reqs); ok {
-		t.Fatal("receives complete before anything was sent")
-	}
-	// The message arrives between the look above and the park below.
+	gen := ds[0].Gen()
+	// The message arrives between the read above and the park below.
 	if _, err := ds[1].Isend([]byte{1, 2, 3, 4}, 0, 0, 0, ModeStandard); err != nil {
 		t.Fatal(err)
 	}
-	for !rr.doneUnobserved() {
+	for !rr.Done() {
 		time.Sleep(time.Millisecond)
 	}
-	epoch := ds[0].FailEpoch()
-	returned := make(chan struct{})
-	go func() {
-		ds[0].WaitProgress(reqs, epoch)
-		close(returned)
-	}()
-	select {
-	case <-returned:
-	case <-time.After(10 * time.Second):
-		t.Fatal("WaitProgress parked past a completion its caller had not seen")
-	}
+	returnsWithin(t, func() { ds[0].WaitProgress(gen) },
+		"WaitProgress parked past a completion that landed after its caller read the generation")
 
-	// Once a look has observed it, the same completion no longer wakes.
-	if _, ok, _ := ds[0].TestAll(reqs); ok {
-		t.Fatal("the tag-7 receive completed")
-	}
+	// Read after the completion, the generation no longer wakes on it.
+	gen = ds[0].Gen()
 	parked := make(chan struct{})
 	go func() {
-		ds[0].WaitProgress(reqs, epoch)
+		ds[0].WaitProgress(gen)
 		close(parked)
 	}()
 	select {
 	case <-parked:
-		t.Fatal("WaitProgress returned on a completion its caller had already observed")
+		t.Fatal("WaitProgress returned on a completion that landed before its caller read the generation")
 	case <-time.After(50 * time.Millisecond):
 	}
 	_ = never.Cancel() // completes the request and releases the parked waiter
 	<-parked
 }
 
-// doneUnobserved peeks at completion without observing it.
-func (r *Request) doneUnobserved() bool {
-	r.d.mu.Lock()
-	defer r.d.mu.Unlock()
-	return r.done && !r.seen
+// returnsWithin fails the test with msg unless f returns within 10s.
+func returnsWithin(t *testing.T, f func(), msg string) {
+	t.Helper()
+	returned := make(chan struct{})
+	go func() {
+		f()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal(msg)
+	}
 }
 
 // TestHandleEagerAllocationGate: an eager frame through the frame handler

@@ -101,7 +101,7 @@ func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte) {
 			inst.replies = make(map[int][]byte)
 		}
 		inst.replies[src] = append([]byte(nil), payload...)
-		d.cond.Broadcast()
+		d.wakeLocked()
 
 	case wire.KindFTDecide:
 		if !inst.decided {
@@ -112,7 +112,7 @@ func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte) {
 			}
 			inst.pulls = nil
 		}
-		d.cond.Broadcast()
+		d.wakeLocked()
 	}
 }
 
@@ -137,7 +137,7 @@ func (d *Device) FTRegister(ctx, seq int, contrib []byte) {
 		}
 	}
 	inst.pulls = nil
-	d.cond.Broadcast()
+	d.wakeLocked()
 }
 
 // FTPull asks world rank from for its contribution to instance (ctx, seq).
@@ -228,7 +228,7 @@ func (d *Device) FTDecide(ctx, seq int, decision []byte, members []int) []byte {
 		}
 		d.sendFTLocked(m, wire.KindFTDecide, key, inst.decision)
 	}
-	d.cond.Broadcast()
+	d.wakeLocked()
 	return append([]byte(nil), inst.decision...)
 }
 

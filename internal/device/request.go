@@ -26,7 +26,8 @@ const (
 // Request is a handle on an in-flight device operation, the device-level
 // analogue of MPI_Request. Requests are created by Isend/Irecv and
 // completed by the protocol engine; user goroutines observe completion via
-// Wait/Test or the device's WaitAny/WaitAll/TestAny/TestAll.
+// Wait/Test or the device's WaitAny/TestAny/TestAll, or park on any change
+// with Gen and WaitProgress.
 type Request struct {
 	d    *Device
 	kind reqKind
@@ -54,7 +55,6 @@ type Request struct {
 	stash        bool // sender: payload is a pooled buffer the device owns (IsendFill)
 	cancelWanted bool
 	consumed     bool // a WaitAny/TestAny already returned this request
-	seen         bool // a Wait*/Test*/Done call has observed the completion (see WaitProgress)
 }
 
 // Wait blocks until the request completes and returns its status.
@@ -65,7 +65,6 @@ func (r *Request) Wait() (Status, error) {
 	for !r.done {
 		d.cond.Wait()
 	}
-	r.seen = true
 	return r.status, r.err
 }
 
@@ -77,7 +76,6 @@ func (r *Request) Test() (Status, bool, error) {
 	if !r.done {
 		return Status{}, false, nil
 	}
-	r.seen = true
 	return r.status, true, r.err
 }
 
@@ -85,7 +83,6 @@ func (r *Request) Test() (Status, bool, error) {
 func (r *Request) Done() bool {
 	r.d.mu.Lock()
 	defer r.d.mu.Unlock()
-	r.seen = r.done
 	return r.done
 }
 
@@ -171,7 +168,7 @@ func (d *Device) WaitAny(reqs []*Request) (int, Status, error) {
 			}
 			active = true
 			if r.done {
-				r.consumed, r.seen = true, true
+				r.consumed = true
 				return i, r.status, r.err
 			}
 		}
@@ -196,7 +193,7 @@ func (d *Device) TestAny(reqs []*Request) (idx int, st Status, ok bool, err erro
 		}
 		anyActive = true
 		if r.done {
-			r.consumed, r.seen = true, true
+			r.consumed = true
 			return i, r.status, true, r.err
 		}
 	}
@@ -206,97 +203,15 @@ func (d *Device) TestAny(reqs []*Request) (idx int, st Status, ok bool, err erro
 	return -1, Status{}, false, nil
 }
 
-// WaitProgress blocks until at least one of the requests that is
-// incomplete on entry completes, or until a rank failure newer than epoch
-// is detected; it returns immediately when none are incomplete. Unlike
-// WaitAny it never marks requests consumed — it is the parking primitive
-// of the collective schedule engine, which re-derives what to do from
-// schedule state after every wakeup. The failure wakeup matters for fault
-// tolerance: a rank death may doom a parked schedule without completing
-// any of its watched requests (a round not yet posted against the dead
-// peer), and the waiter must wake to observe it.
-//
-// The caller looks at its requests (Test, TestAll, TestAny), then parks
-// here, and a completion in between must not be missed: a request that
-// is complete on entry but whose completion no such call has observed is
-// news, and WaitProgress returns at once instead of parking on the rest —
-// which may only ever complete once the caller has acted on this one (a
-// blocked Recv watching the rounds of an in-flight collective its sender
-// is waiting on). Completions already observed — eager sends, the
-// finished part of a round — are not, or a waiter would spin on them.
-//
-// epoch is the FailEpoch the caller read before it last looked at its
-// schedules: a failure registered between that look and this call is then
-// a reason to return at once, not a wakeup that was missed.
-func (d *Device) WaitProgress(reqs []*Request, epoch uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var watch []*Request
-	for _, r := range reqs {
-		switch {
-		case r == nil:
-		case !r.done:
-			watch = append(watch, r)
-		case !r.seen:
-			return
-		}
-	}
-	if len(watch) == 0 {
-		return
-	}
-	for {
-		if d.failEpoch.Load() != epoch || d.closed {
-			return
-		}
-		for _, r := range watch {
-			if r.done {
-				return
-			}
-		}
-		d.cond.Wait()
-	}
-}
-
-// WaitAll blocks until every non-nil request completes. It returns one
-// status per input slot (zero Status for nil entries) and the first error
-// encountered in request order.
-func (d *Device) WaitAll(reqs []*Request) ([]Status, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sts := make([]Status, len(reqs))
-	var firstErr error
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		for !r.done {
-			d.cond.Wait()
-		}
-		r.seen = true
-		sts[i] = r.status
-		if firstErr == nil && r.err != nil {
-			firstErr = r.err
-		}
-	}
-	return sts, firstErr
-}
-
 // TestAll reports whether every non-nil request has completed, returning
-// statuses only when all are done (like MPI_Testall). It observes every
-// completion among reqs, not only up to the first incomplete request:
-// WaitProgress tells news from those.
+// statuses only when all are done (like MPI_Testall).
 func (d *Device) TestAll(reqs []*Request) ([]Status, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	all := true
 	for _, r := range reqs {
-		if r != nil {
-			r.seen = r.done
-			all = all && r.done
+		if r != nil && !r.done {
+			return nil, false, nil
 		}
-	}
-	if !all {
-		return nil, false, nil
 	}
 	sts := make([]Status, len(reqs))
 	var firstErr error

@@ -241,8 +241,8 @@ func (ep *Endpoint) LocalityTable() []string {
 	return nil
 }
 
-// DeviceName forwards the inner transport's device name so measured
-// tuning tables still apply under fault injection.
+// DeviceName forwards the inner transport's device name, so reports
+// label a job under fault injection by the device it runs on.
 func (ep *Endpoint) DeviceName() string {
 	if n, ok := ep.inner.(interface{ DeviceName() string }); ok {
 		return n.DeviceName()

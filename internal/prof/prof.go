@@ -384,8 +384,9 @@ func (r *Recorder) CollEnd(ctx, tag int, failed bool) {
 	}
 }
 
-// WaitSpan records time parked in the schedule engine's WaitProgress on
-// behalf of the (ctx-homed) schedule, from start to now.
+// WaitSpan records time parked in the schedule engine's park loop (core's
+// parkUntil, on device.WaitProgress) by a wait on the ctx-homed
+// communicator while schedules were in flight, from start to now.
 func (r *Recorder) WaitSpan(ctx int, start time.Time) {
 	d := time.Since(start)
 	r.global.waitNs.Add(int64(d))

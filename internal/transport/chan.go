@@ -88,7 +88,8 @@ func (t *ChanTransport) Size() int { return t.size }
 // direct-memory path for one-sided operations.
 func (t *ChanTransport) Local(dst int) bool { return dst >= 0 && dst < t.size }
 
-// DeviceName identifies the transport flavor for measured tuning tables.
+// DeviceName names the transport flavor; it only labels reports (the
+// benchmark's device field, test output).
 func (t *ChanTransport) DeviceName() string { return "chan" }
 
 // SetHandler installs the inbound frame handler.

@@ -173,7 +173,8 @@ func (t *HybTransport) LocalityTable() []string {
 	return out
 }
 
-// DeviceName identifies the transport flavor for measured tuning tables.
+// DeviceName names the transport flavor; it only labels reports (the
+// benchmark's device field, test output).
 func (t *HybTransport) DeviceName() string { return "hyb" }
 
 // SetHandler installs the inbound frame handler on both halves; frames

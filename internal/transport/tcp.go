@@ -210,7 +210,8 @@ func (t *TCPTransport) closeConns() {
 // Rank returns this endpoint's rank.
 func (t *TCPTransport) Rank() int { return t.rank }
 
-// DeviceName identifies the transport flavor for measured tuning tables.
+// DeviceName names the transport flavor; it only labels reports (the
+// benchmark's device field, test output).
 func (t *TCPTransport) DeviceName() string { return "tcp" }
 
 // Size returns the number of ranks in the mesh.
