@@ -543,7 +543,7 @@ func TestBlockingPingPongAllocationGate(t *testing.T) {
 		objectsPerTrip = 2 // across both ranks
 		bytesPerTrip   = 160
 	)
-	for _, mesh := range []string{"chan", "tcp", "hyb"} {
+	for _, mesh := range []string{"chan", "tcp", "hyb", "tcp-ring"} {
 		for _, typed := range []bool{true, false} {
 			name := mesh + "/datatype"
 			if typed {

@@ -266,17 +266,19 @@ type CollRequest struct {
 // it compiled (alg), so profiles, traces and String can say which schedule
 // actually ran.
 func (c *Comm) newCollRequestAlg(name string, tag int, alg string, rounds []round, finish func() error) (*CollRequest, error) {
-	r := &CollRequest{c: c, name: name, tag: tag, alg: alg, rounds: rounds, finish: finish}
+	r := &CollRequest{c: c, name: name, tag: tag, alg: alg, rounds: rounds, finish: finish, prof: c.dev.Profiler()}
+	// Once registerColl publishes r, a sibling's park loop may post its
+	// rounds: r.mu, held from before, keeps it out until CollStart is
+	// recorded and the first round posted here.
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if err := c.registerColl(r); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if p := c.dev.Profiler(); p != nil {
-		r.prof = p
-		p.CollStart(c.coll, tag, name, alg, len(rounds))
+	if r.prof != nil {
+		r.prof.CollStart(c.coll, tag, name, alg, len(rounds))
 	}
-	r.mu.Lock()
 	r.progressLocked()
-	r.mu.Unlock()
 	return r, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +23,9 @@ var winJobSeq atomic.Uint64
 
 // runRanksWin runs fn over the requested mesh: "chan" and "hyb" (every peer
 // co-located), "hyb2+2" (two simulated hosts of two ranks: co-located
-// within a pair, TCP across) or "tcp" (every peer remote).
+// within a pair, TCP across), "tcp" (every peer remote) or "tcp-ring"
+// (every peer another process of this host, trading frames through
+// shared-memory rings).
 func runRanksWin(t *testing.T, mesh string, np int, fn func(w *Comm) error) {
 	t.Helper()
 	switch mesh {
@@ -49,6 +53,8 @@ func runRanksWin(t *testing.T, mesh string, np int, fn func(w *Comm) error) {
 				Rank: i, JobID: jobID, Locs: locs, Addrs: addrs, Listener: lns[i],
 			})
 		}, fn)
+	case "tcp-ring":
+		runRanksCoHost(t, np, fn)
 	case "hyb":
 		loc := transport.ProcessLocality()
 		locs := make([]string, np)
@@ -62,6 +68,44 @@ func runRanksWin(t *testing.T, mesh string, np int, fn func(w *Comm) error) {
 	default:
 		t.Fatalf("unknown mesh %q", mesh)
 	}
+}
+
+// coHost is a TCP mesh endpoint whose locality table says that every rank
+// is a process of this host, as the bootstrap table of slave processes on
+// one machine does; the device then trades frames with them through rings
+// (and pulls their rendezvous payloads).
+type coHost struct {
+	*transport.TCPTransport
+	locs []string
+}
+
+func (c coHost) LocalityTable() []string { return c.locs }
+
+// runRanksCoHost runs fn over a coHost mesh. The ring gate is the
+// production one — at most a rank per CPU of a process that owns its
+// scheduler — so this process declares that it does, as a slave would.
+// Where the gate opens (no GOMAXPROCS in the environment, a CPU per rank),
+// frames must have ridden the rings.
+func runRanksCoHost(t *testing.T, np int, fn func(w *Comm) error) {
+	t.Helper()
+	device.OwnScheduler()
+	trs := tcpMesh(t, np)
+	locs := make([]string, np)
+	for i := range locs {
+		locs[i] = transport.ProcessLocality()
+	}
+	gated := os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) >= np
+	runRanksOn(t, np, func(i int) (transport.Transport, error) {
+		return coHost{trs[i].(*transport.TCPTransport), locs}, nil
+	}, func(w *Comm) error {
+		if err := fn(w); err != nil {
+			return err
+		}
+		if n := w.Device().Stats().RingFrames.Load(); gated && n == 0 {
+			return fmt.Errorf("rank %d sent no frame through a ring (media %v)", w.Rank(), w.Device().FrameMedia())
+		}
+		return nil
+	})
 }
 
 // runRanksOn is the runRanks harness over caller-supplied transports.

@@ -63,6 +63,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpj/internal/prof"
 	"mpj/internal/transport"
@@ -164,6 +165,8 @@ type Stats struct {
 	PostedDirect atomic.Int64 // messages that met an already-posted receive
 	Pulled       atomic.Int64 // rendezvous payloads this device copied out of a co-host sender (see pull.go)
 	PullRefused  atomic.Int64 // pulls that moved nothing usable; the message took CTS and DATA
+	RingFrames   atomic.Int64 // frames this device sent through a co-host ring (see polls.go)
+	Doorbells    atomic.Int64 // doorbells it rang: ring frames no waiter was polling for
 }
 
 // unexpected is an arrived message (eager payload or rendezvous header)
@@ -232,6 +235,16 @@ type Device struct {
 	// rank is another process on this host.
 	hostPeers []hostPeer
 	pullFault atomic.Pointer[func(src int) error] // fault-injection seam (see SetPullFault)
+
+	// Co-host rings (see polls.go): polls is set at Open when the
+	// transport was handed a ring plan, and only then do waiters poll
+	// before they park. media, guarded by mu, is how frames to each
+	// planned peer travel, as the transport reported it. ringOpt is the
+	// test seam that plans rings where the gate would not (see
+	// export_test.go).
+	polls   bool
+	media   []string
+	ringOpt *ringOption
 
 	ft map[ftKey]*ftInst // fault-tolerant agreement instances (see ft.go)
 
@@ -315,6 +328,7 @@ func Open(t transport.Transport, opts ...Option) (*Device, error) {
 		opt(d)
 	}
 	d.findHostPeers()
+	d.planRings()
 	t.SetHandler(d.handle)
 	t.SetLander(d.land)
 	t.SetErrorHandler(d.peerFailed)
@@ -1014,6 +1028,9 @@ func (d *Device) Gen() uint64 { return d.gen.Load() }
 // which re-derives what to do from schedule state after every wakeup; the
 // wakeup says that something changed, not what.
 func (d *Device) WaitProgress(gen uint64) {
+	if d.polls && d.spin(gen, time.Now().Add(pollBudget)) {
+		return
+	}
 	d.mu.Lock()
 	for d.gen.Load() == gen {
 		d.cond.Wait()

@@ -1,5 +1,10 @@
 package device
 
+// WithRings plans co-host rings whatever the gate says, so a test's ranks,
+// goroutines of one process, trade frames through them; fault, when set,
+// refuses each offer the way the system would.
+func WithRings(fault func(peer int) error) Option { return withRings(fault) }
+
 // HeldIn names the device tables that still reference r: posted receives,
 // matched receives awaiting DATA or a pull, and rendezvous sends awaiting a
 // CTS or a PULLED. A request the blocking Send or Recv recycled must be in

@@ -1,0 +1,114 @@
+package device
+
+// Poll before park: the waiting half of the co-host rings.
+//
+// Between two slave processes of one host that runs at most a rank per
+// CPU, the transport carries every frame through a shared-memory ring per
+// direction (see internal/transport ring.go). A frame in a ring is
+// delivered by whoever takes it out: the socket reader once the doorbell
+// arrives, or — without any system call — the rank that waits for it. So
+// the two park sites, WaitProgress and Request.Wait, yield once and then
+// poll the rings for at most pollBudget before they park (a Request.Wait
+// whose payload a co-host pull carries does not: see Wait), and a sender
+// rings the doorbell only when no waiter polls.
+//
+// Polling is a spin, which is safe only where it takes no CPU a peer
+// needs: the gate is the rule procShare already applies, read from the
+// bootstrap table — the host's rank count at most its CPU base. Goroutine
+// ranks, oversubscribed hosts and remote peers get no ring, and their
+// waiters never poll: one branch on d.polls is all they pay.
+
+import (
+	"time"
+
+	"mpj/internal/transport"
+)
+
+// pollBudget bounds how long one wait polls the rings before it parks.
+const pollBudget = 20 * time.Microsecond
+
+// ringOption is the test seam that plans rings where the gate would not
+// (a test's goroutine ranks) and may refuse their set-up (see
+// export_test.go).
+type ringOption struct{ fault func(peer int) error }
+
+func withRings(fault func(peer int) error) Option {
+	return func(d *Device) { d.ringOpt = &ringOption{fault} }
+}
+
+// ringer is a transport that can trade frames with co-host processes
+// through shared-memory rings (transport.TCPTransport, and HybTransport for
+// its TCP half).
+type ringer interface {
+	Rings(plan transport.RingPlan)
+}
+
+// planRings hands the transport its ring plan — every rank that is another
+// process on this host — when the gate is open, and with it turns on
+// polling before parking. Called by Open, before the transport starts.
+func (d *Device) planRings() {
+	r, ok := d.t.(ringer)
+	if !ok || d.hostPeers == nil {
+		return
+	}
+	if d.ringOpt == nil {
+		if locs := d.LocalityTable(); !ringGate(locs, locs[d.rank]) {
+			return
+		}
+	}
+	d.media = make([]string, d.size)
+	plan := transport.RingPlan{
+		Pids:   make([]int, d.size),
+		Frames: &d.stats.RingFrames,
+		Bells:  &d.stats.Doorbells,
+		Report: func(peer int, medium string) {
+			d.mu.Lock()
+			d.media[peer] = medium
+			d.mu.Unlock()
+		},
+	}
+	for i, p := range d.hostPeers {
+		plan.Pids[i] = p.pid
+	}
+	if d.ringOpt != nil {
+		plan.Fault = d.ringOpt.fault
+	}
+	r.Rings(plan)
+	d.polls = true
+}
+
+// spin polls the transport until the wake generation moves past gen or
+// end passes, and reports whether it moved. Each Poll yields once before
+// it looks: a doorbell this rank's own send queued must reach the socket
+// before the poll takes the processor away from the writer. Called
+// without d.mu: the frames it delivers run the handler.
+func (d *Device) spin(gen uint64, end time.Time) bool {
+	for d.gen.Load() == gen {
+		left := time.Until(end)
+		if left <= 0 || !d.t.Poll(left) {
+			return d.gen.Load() != gen
+		}
+	}
+	return true
+}
+
+// FrameMedia reports, per world rank, how frames to that rank travel:
+// "memory" (it shares this address space), "ring" (another process on
+// this host, through shared memory), "socket", or "socket: <why the ring
+// was refused>". The expvar status serves it beside PeerPaths.
+func (d *Device) FrameMedia() []string {
+	out := make([]string, d.size)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := range out {
+		switch {
+		case d.LocalPeer(i):
+			out[i] = "memory"
+		case d.media != nil && d.media[i] != "":
+			out[i] = d.media[i]
+		default:
+			out[i] = "socket"
+		}
+	}
+	return out
+}

@@ -76,6 +76,18 @@ func procShare(base int, locs []string, self string) (share, procRanks, hostRank
 	return max(1, base*procRanks/hostRanks), procRanks, hostRanks
 }
 
+// ringGate is the rule for co-host rings (see polls.go): the host runs at
+// most a rank per CPU of the base, so a waiter that polls takes no CPU a
+// peer rank needs. A process this file does not size has no base, and no
+// rings.
+func ringGate(locs []string, self string) bool {
+	sched.mu.Lock()
+	base := sched.base
+	sched.mu.Unlock()
+	_, _, hostRanks := procShare(base, locs, self)
+	return base > 0 && hostRanks > 0 && hostRanks <= base
+}
+
 // SizeScheduler applies procShare to an owned process. It runs once per
 // mesh generation, between the bootstrap table and the device open.
 func SizeScheduler(locs []string, self string) {

@@ -32,7 +32,10 @@ import (
 // the sender's memory, the test's own (see pull.go); tcp-refused is the same
 // mesh with every pull refused the way a system without ptrace access
 // refuses it, which must be the plain tcp flavor again, byte for byte.
-var flavors = []string{"chan", "tcp", "hyb-local", "hyb-remote", "tcp-pull", "tcp-refused"}
+// tcp-ring is tcp-pull with every frame in a shared-memory ring, polled by
+// the waiting rank (see polls.go); tcp-ring-refused is the same mesh with
+// every ring offer refused, which must be tcp-pull again.
+var flavors = []string{"chan", "tcp", "hyb-local", "hyb-remote", "tcp-pull", "tcp-refused", "tcp-ring", "tcp-ring-refused"}
 
 // overSocket: DATA frames cross a socket.
 func overSocket(flavor string) bool {
@@ -40,7 +43,21 @@ func overSocket(flavor string) bool {
 }
 
 // pulls: payloads move by the receiver's copy, no CTS and no DATA.
-func pulls(flavor string) bool { return flavor == "tcp-pull" }
+func pulls(flavor string) bool {
+	return flavor == "tcp-pull" || flavor == "tcp-ring" || flavor == "tcp-ring-refused"
+}
+
+// ringOptions are the device options of a flavor: the ring flavors plan
+// rings between the test's ranks, whatever the gate says.
+func ringOptions(flavor string) []device.Option {
+	switch flavor {
+	case "tcp-ring":
+		return []device.Option{device.WithRings(nil)}
+	case "tcp-ring-refused":
+		return []device.Option{device.WithRings(func(int) error { return syscall.EPERM })}
+	}
+	return nil
+}
 
 // wantMoved checks how n rendezvous payloads from d0 reached d1.
 func wantMoved(t *testing.T, flavor string, d0, d1 *device.Device, n int64) {
@@ -91,7 +108,7 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 			switch flavor {
 			case "hyb-remote":
 				locs[i] = fmt.Sprintf("host%d#1", i)
-			case "tcp-pull", "tcp-refused":
+			case "tcp-pull", "tcp-refused", "tcp-ring", "tcp-ring-refused":
 				locs[i] = transport.ProcessLocality()
 			default:
 				locs[i] = "one-process"
@@ -129,7 +146,7 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 		if wrap != nil {
 			ep = wrap(ep)
 		}
-		d, err := device.Open(ep)
+		d, err := device.Open(ep, ringOptions(flavor)...)
 		if err != nil {
 			t.Fatalf("Open rank %d: %v", i, err)
 		}
@@ -607,13 +624,14 @@ func TestRendezvousAllocationGate(t *testing.T) {
 		bytesPerHop  = 4 << 10
 		allocsPerHop = 24
 	)
-	for _, flavor := range []string{"chan", "tcp", "tcp-pull"} {
+	for _, flavor := range []string{"chan", "tcp", "tcp-pull", "tcp-ring"} {
 		t.Run(flavor, func(t *testing.T) {
 			ds := openFlavor(t, flavor, 2, nil)
 			d0, d1 := ds[0], ds[1]
 			msg, got, echo := pattern(n, 1), make([]byte, n), make([]byte, n)
-			trips := make(chan struct{})
+			trips, echoed := make(chan struct{}), make(chan struct{})
 			go func() {
+				defer close(echoed)
 				for range trips {
 					rr := must(d1.Irecv(echo, 0, 1, 0))
 					if _, err := rr.Wait(); err != nil {
@@ -624,7 +642,10 @@ func TestRendezvousAllocationGate(t *testing.T) {
 					}
 				}
 			}()
-			defer close(trips)
+			// The last echo's send completes once its PULLED arrives, which
+			// may be after rank 0's trip returned: wait for it before the
+			// devices are torn down.
+			defer func() { close(trips); <-echoed }()
 			trip := func() {
 				trips <- struct{}{}
 				rr := must(d0.Irecv(got, 1, 1, 0))

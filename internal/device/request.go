@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"time"
 
 	"mpj/internal/wire"
 )
@@ -57,11 +58,27 @@ type Request struct {
 	consumed     bool // a WaitAny/TestAny already returned this request
 }
 
-// Wait blocks until the request completes and returns its status.
+// Wait blocks until the request completes and returns its status. Where
+// co-host rings are live it polls them first, for at most pollBudget in
+// all (see polls.go), and parks only then — unless a co-host pull carries
+// its payload (r.pull): that ends with a copy of the whole payload, or on
+// the socket, and no poll brings it sooner.
 func (r *Request) Wait() (Status, error) {
 	d := r.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.polls && !r.done && r.pull == nil {
+		end := time.Now().Add(pollBudget)
+		for !r.done {
+			gen := d.gen.Load()
+			d.mu.Unlock()
+			moved := d.spin(gen, end)
+			d.mu.Lock()
+			if !moved {
+				break
+			}
+		}
+	}
 	for !r.done {
 		d.cond.Wait()
 	}

@@ -241,6 +241,19 @@ func (ep *Endpoint) LocalityTable() []string {
 	return nil
 }
 
+// Rings forwards the ring plan to the inner transport, and Poll forwards
+// the polling, so a job under fault injection keeps its co-host rings.
+// Frames stay interceptable: Send reaches the inner Send, and frames out
+// of a ring reach the filtered handler.
+func (ep *Endpoint) Rings(plan transport.RingPlan) {
+	if r, ok := ep.inner.(interface{ Rings(transport.RingPlan) }); ok {
+		r.Rings(plan)
+	}
+}
+
+// Poll forwards to the inner transport.
+func (ep *Endpoint) Poll(budget time.Duration) bool { return ep.inner.Poll(budget) }
+
 // DeviceName forwards the inner transport's device name, so reports
 // label a job under fault injection by the device it runs on.
 func (ep *Endpoint) DeviceName() string {

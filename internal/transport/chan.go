@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpj/internal/wire"
 )
@@ -210,6 +211,9 @@ func (t *ChanTransport) Start() error {
 	}
 	return nil
 }
+
+// Poll finds nothing: a channel mesh delivers on its demux goroutine.
+func (t *ChanTransport) Poll(time.Duration) bool { return false }
 
 // Drain blocks until all accepted frames have been pushed into their
 // destination inboxes.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"time"
 
 	"mpj/internal/wire"
 )
@@ -248,6 +249,19 @@ func (t *HybTransport) Start() error {
 	return nil
 }
 
+// Rings plans the TCP half's rings (see TCPTransport.Rings); co-located
+// ranks need none.
+func (t *HybTransport) Rings(plan RingPlan) {
+	if t.tcp != nil {
+		t.tcp.Rings(plan)
+	}
+}
+
+// Poll polls the TCP half's rings.
+func (t *HybTransport) Poll(budget time.Duration) bool {
+	return t.tcp != nil && t.tcp.Poll(budget)
+}
+
 // Drain blocks until both halves have handed every accepted frame to their
 // medium.
 func (t *HybTransport) Drain() {
@@ -316,8 +330,8 @@ func (t *HybTransport) peerAborted(peer int) {
 }
 
 // hub is the process-local rendezvous through which co-located ranks of a
-// job find their shared channel mesh — the stand-in for the shared-memory
-// segment a multicore MPI device would map.
+// job find their shared channel mesh. (Ranks in other processes of the
+// host share memory through the TCP half's rings instead, see ring.go.)
 type hub struct {
 	mu   sync.Mutex
 	jobs map[uint64]*hubJob

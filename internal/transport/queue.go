@@ -7,10 +7,16 @@ import (
 )
 
 // outItem is one queued outbound message: a whole frame (Send) or, when
-// data is set, a SendData payload.
+// data is set, a SendData payload. A ctl frame is the TCP transport's own
+// (ring set-up, GOODBYE) and always takes the socket, as does a doorbell
+// (bell), which has no frame: the writer builds it. ring is the ring an
+// acceptance switches the writer to once it is written (ring.go).
 type outItem struct {
 	frame []byte
 	data  *outData
+	ctl   bool
+	bell  bool
+	ring  *outRing
 }
 
 // outData is what SendData queues: the KindData header, the borrowed

@@ -41,6 +41,8 @@ type TCPTransport struct {
 	closed  bool
 	goodbye []bool // peer sent an orderly GOODBYE
 	wg      sync.WaitGroup
+
+	rings *ringSet // shared memory with co-host processes (ring.go); nil without a plan
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -226,10 +228,14 @@ func (t *TCPTransport) SetLander(l Lander) { t.lander = l }
 // SetErrorHandler installs the peer-failure handler.
 func (t *TCPTransport) SetErrorHandler(h ErrorHandler) { t.errh = h }
 
-// Send enqueues frame for delivery to dst. It never blocks.
+// Send enqueues frame for delivery to dst — or, when the pair shares a
+// ring, puts it there itself (see sendRing). It never blocks.
 func (t *TCPTransport) Send(dst int, frame []byte) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
+	}
+	if o := t.outRing(dst); o != nil && fits(len(frame)) {
+		return t.sendRing(dst, o, frame)
 	}
 	if !t.queues[dst].push(outItem{frame: frame}) {
 		return ErrClosed
@@ -260,6 +266,7 @@ func (t *TCPTransport) Start() error {
 		return ErrNoHandler
 	}
 	t.started = true
+	t.offerRings()
 
 	for peer := range t.conns {
 		peer := peer
@@ -295,7 +302,16 @@ func (t *TCPTransport) Start() error {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			if err := t.readLoop(peer, conn); err != nil {
+			err := t.readLoop(peer, conn)
+			if in := t.inRing(peer); in != nil && in.live.Load() && err != nil {
+				// What the peer published before its connection ended was
+				// sent, as the bytes of a socket are before its EOF.
+				_ = t.drainRing(peer, in)
+			}
+			if t.rings != nil {
+				t.rings.ended[peer].Store(true)
+			}
+			if err != nil {
 				t.reportPeerError(peer, err)
 			}
 		}()
@@ -313,10 +329,13 @@ func (t *TCPTransport) Start() error {
 // readLoop is one connection's input handler: it reads frames header-first
 // and hands each to the Handler, except KindData, whose payload goes from
 // the socket straight into the buffer the Lander names (see landStream).
-// It returns nil after the peer's GOODBYE and otherwise the error that
-// ended the stream: connection loss, or a wire.ErrFrame for bytes that
-// are not a frame stream. Every length on the wire is treated as hostile:
-// none of them sizes an allocation beyond wire.ReadBody's trust bound.
+// While the peer writes into a ring, the reader also drains that ring: on a
+// doorbell, on GOODBYE, and up to the marker in front of every other frame
+// (see ring.go). It returns nil after the peer's GOODBYE and otherwise the
+// error that ended the stream: connection loss, or a wire.ErrFrame for
+// bytes that are not a frame stream. Every length on the wire is treated as
+// hostile: none of them sizes an allocation beyond wire.ReadBody's trust
+// bound.
 func (t *TCPTransport) readLoop(peer int, conn io.Reader) error {
 	r := bufio.NewReaderSize(conn, 1<<16)
 	scratch := make([]byte, wire.PrefixLen+wire.HeaderLen)
@@ -328,14 +347,46 @@ func (t *TCPTransport) readLoop(peer int, conn io.Reader) error {
 		}
 		var h wire.Header
 		_ = h.Decode(hdr) // cannot fail: hdr holds HeaderLen bytes
+		in := t.inRing(peer)
+		if in != nil && !in.live.Load() {
+			in = nil
+		}
 		switch h.Kind {
 		case wire.KindGoodbye:
+			if in != nil {
+				if err := t.drainRing(peer, in); err != nil {
+					return err
+				}
+			}
 			t.mu.Lock()
 			t.goodbye[peer] = true
 			t.mu.Unlock()
 			return nil
+		case wire.KindRingOffer, wire.KindRingAck, wire.KindBell:
+			frame, err := wire.ReadBody(r, hdr, n)
+			if err != nil {
+				return err
+			}
+			if h.Kind != wire.KindBell {
+				err = t.ringControl(peer, h, frame)
+			} else if in != nil {
+				err = t.drainRing(peer, in)
+			}
+			wire.PutBuf(frame)
+			if err != nil {
+				return err
+			}
 		case wire.KindData:
-			if err := t.landStream(peer, r, h, n); err != nil {
+			if in != nil {
+				if err := t.drainToMark(peer, in); err != nil {
+					return err
+				}
+			}
+			err := t.landStream(peer, r, h, n)
+			if in != nil {
+				err = t.drainPastMark(peer, in, err)
+			}
+			if err != nil {
 				return err
 			}
 		default:
@@ -343,7 +394,18 @@ func (t *TCPTransport) readLoop(peer int, conn io.Reader) error {
 			if err != nil {
 				return err
 			}
+			if in == nil {
+				t.handler(peer, frame)
+				continue
+			}
+			if err := t.drainToMark(peer, in); err != nil {
+				wire.PutBuf(frame)
+				return err
+			}
 			t.handler(peer, frame)
+			if err := t.drainPastMark(peer, in, nil); err != nil {
+				return err
+			}
 		}
 	}
 }
@@ -394,9 +456,14 @@ func (t *TCPTransport) landStream(peer int, r *bufio.Reader, h wire.Header, n in
 // that error unwritten. The length prefix of either kind is written from
 // head, which lives as long as the loop: a prefix built per frame would
 // escape to the heap through the writer.
+//
+// Once the writer has switched the peer to a ring (the item carrying it is
+// the acceptance of the peer's offer), every frame that fits goes into the
+// ring, and any other frame or payload takes the socket behind a marker in
+// the ring; the writer's own frames (ctl) take the socket as they are.
 func (t *TCPTransport) writeLoop(peer int, conn net.Conn, q *sendQueue) {
 	w := bufio.NewWriterSize(conn, 1<<16)
-	head := make([]byte, wire.PrefixLen+wire.HeaderLen) // prefix (+header of a SendData item)
+	head := make([]byte, wire.PrefixLen+wire.HeaderLen) // prefix (+header of a SendData item, or a doorbell)
 	var dead error
 	for {
 		it, ok := q.pop()
@@ -405,20 +472,15 @@ func (t *TCPTransport) writeLoop(peer int, conn net.Conn, q *sendQueue) {
 			return
 		}
 		if dead == nil {
-			var err error
-			if it.data == nil {
-				binary.LittleEndian.PutUint32(head, uint32(len(it.frame)))
-				if _, err = w.Write(head[:wire.PrefixLen]); err == nil {
-					_, err = w.Write(it.frame)
-				}
-				if err == nil && q.len() == 0 {
-					err = w.Flush()
-				}
-			} else if err = w.Flush(); err == nil {
-				binary.LittleEndian.PutUint32(head, uint32(wire.HeaderLen+len(it.data.payload)))
-				_ = it.data.hdr.Encode(head[wire.PrefixLen:]) // cannot fail: head covers the header
-				vec := net.Buffers{head, it.data.payload}
-				_, err = vec.WriteTo(conn)
+			err := t.writeItem(peer, conn, w, head, it)
+			if err == nil && it.ring != nil {
+				t.rings.outs[peer].Store(it.ring)
+				t.rings.plan.Report(peer, "ring")
+				it.ring = nil
+				err = w.Flush()
+			}
+			if err == nil && q.len() == 0 {
+				err = w.Flush()
 			}
 			if err != nil {
 				dead = err
@@ -430,8 +492,44 @@ func (t *TCPTransport) writeLoop(peer int, conn net.Conn, q *sendQueue) {
 		} else {
 			wire.PutBuf(it.frame)
 		}
+		if it.ring != nil {
+			unmapRing(it.ring.m) // the connection died before the writer switched to it
+		}
 		q.delivered()
 	}
+}
+
+// writeItem moves one queued item towards the peer: into the ring, or
+// into w — a SendData payload straight into conn, behind w's flushed
+// bytes — behind a marker when a ring is live.
+func (t *TCPTransport) writeItem(peer int, conn net.Conn, w *bufio.Writer, head []byte, it outItem) error {
+	if it.bell {
+		return t.writeBell(w, head)
+	}
+	if o := t.outRing(peer); o != nil && !it.ctl {
+		if it.data == nil && fits(len(it.frame)) {
+			return t.ringPut(peer, o, w, head, recFrame, it.frame)
+		}
+		if err := t.ringPut(peer, o, w, head, recMark, nil); err != nil {
+			return err
+		}
+	}
+	if it.data == nil {
+		binary.LittleEndian.PutUint32(head, uint32(len(it.frame)))
+		if _, err := w.Write(head[:wire.PrefixLen]); err != nil {
+			return err
+		}
+		_, err := w.Write(it.frame)
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(head, uint32(wire.HeaderLen+len(it.data.payload)))
+	_ = it.data.hdr.Encode(head[wire.PrefixLen:]) // cannot fail: head covers the header
+	vec := net.Buffers{head, it.data.payload}
+	_, err := vec.WriteTo(conn)
+	return err
 }
 
 // reportPeerError forwards a connection failure to the error handler unless
@@ -480,6 +578,7 @@ func (t *TCPTransport) Abort() {
 	if started {
 		t.wg.Wait()
 	}
+	t.releaseRings()
 }
 
 // Close performs an orderly shutdown: drain all outbound queues, tell every
@@ -508,7 +607,7 @@ func (t *TCPTransport) Close() error {
 	// the pool after writing them, so the frame must not be shared.
 	for peer, q := range t.queues {
 		if peer != t.rank && t.conns[peer] != nil {
-			q.push(outItem{frame: wire.NewFrame(&wire.Header{Kind: wire.KindGoodbye, Src: int32(t.rank)}, nil)})
+			q.push(outItem{frame: wire.NewFrame(&wire.Header{Kind: wire.KindGoodbye, Src: int32(t.rank)}, nil), ctl: true})
 		}
 	}
 	for _, q := range t.queues {
@@ -521,5 +620,6 @@ func (t *TCPTransport) Close() error {
 	}
 	t.closeConns()
 	t.wg.Wait()
+	t.releaseRings()
 	return nil
 }

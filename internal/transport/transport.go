@@ -20,9 +20,17 @@
 //     in the same OS process travel over a shared channel mesh (zero
 //     syscalls), frames to remote ranks over a TCP mesh.
 //
-// Sends are asynchronous: Send enqueues the frame on an unbounded
-// per-destination queue drained by a dedicated writer goroutine. Inbound
-// frames are pushed to a Handler from the per-connection reader goroutine.
+// Between two processes of one host the TCP mesh also trades frames
+// through a shared-memory ring per direction, when the device plans them
+// (TCPTransport.Rings, see ring.go): the sender copies a frame into the
+// ring, and the receiver takes it out on a waiting rank's goroutine (Poll)
+// or, after a doorbell, on the connection's reader.
+//
+// Sends are asynchronous and never block: Send enqueues the frame on an
+// unbounded per-destination queue drained by a dedicated writer goroutine
+// — or, to a peer whose ring is live and while nothing waits in that
+// queue, copies it into the ring itself. Inbound frames are pushed to a
+// Handler from the per-connection reader goroutine, or from a poller.
 // Because the device-level handler never blocks (it either completes a
 // posted receive or enqueues the frame), readers never stall and the mesh
 // cannot deadlock on control traffic.
@@ -44,6 +52,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"mpj/internal/wire"
 )
@@ -57,7 +66,8 @@ import (
 // never puts it.
 //
 // Handlers are invoked from reader goroutines (one per inbound connection,
-// plus one for loopback) and must not block indefinitely.
+// plus one for loopback), and from a goroutine in Poll, and must not block
+// indefinitely.
 type Handler func(src int, frame []byte)
 
 // Lander resolves where the payload of an inbound KindData message lands.
@@ -172,8 +182,15 @@ type Transport interface {
 	SetErrorHandler(ErrorHandler)
 	// Start launches reader and writer goroutines.
 	Start() error
+	// Poll delivers, on the caller's goroutine, the inbound frames that
+	// arrive through shared memory within budget (see ring.go), and
+	// reports whether it delivered any; it returns as soon as it has. A
+	// transport without a live ring returns false at once. A waiter calls
+	// it before it parks; everything else arrives on reader goroutines
+	// whether or not anybody polls.
+	Poll(budget time.Duration) bool
 	// Drain blocks until every frame accepted by Send has been handed to
-	// the underlying medium (channel or socket).
+	// the underlying medium (channel, ring or socket).
 	Drain()
 	// Close tears the endpoint down. It drains outbound queues first so
 	// an orderly shutdown does not drop frames.

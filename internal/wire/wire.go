@@ -119,6 +119,20 @@ const KindObit Kind = KindRmaFetchReply + 1
 // message id. Outside the RMA range, like KindObit.
 const KindPulled Kind = KindObit + 1
 
+// The ring kinds pass only between two processes of one host, over the
+// socket beside a shared-memory ring (see internal/transport ring.go), and
+// never reach a Handler. KindRingOffer offers the sender's inbound ring:
+// Tag=1 with the memory file's descriptor and token as payload, Tag=0 with
+// the reason there is none. KindRingAck answers an offer: Tag=1, every
+// later frame comes through the ring; Tag=0, none will, with the reason as
+// payload. KindBell is the doorbell: frames wait in the ring and no reader
+// is polling it.
+const (
+	KindRingOffer Kind = KindPulled + 1 + iota
+	KindRingAck
+	KindBell
+)
+
 // IsRMA reports whether k belongs to the one-sided (RMA) frame family,
 // which bypasses the device matching engine entirely.
 func (k Kind) IsRMA() bool { return k >= KindRmaPut && k <= KindRmaFetchReply }
@@ -174,6 +188,12 @@ func (k Kind) String() string {
 		return "OBIT"
 	case KindPulled:
 		return "PULLED"
+	case KindRingOffer:
+		return "RINGOFFER"
+	case KindRingAck:
+		return "RINGACK"
+	case KindBell:
+		return "BELL"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }

@@ -114,9 +114,11 @@ func profFromEnv(raw string) (prof.Spec, string, error) {
 // on the /debug/vars endpoint: the device's failure-registry view, the
 // fault-tolerance state an operator wants next to the traffic numbers,
 // the process's scheduler size with what it was derived from (baseProcs 0:
-// not a process slave, or GOMAXPROCS was in its environment), and the road
+// not a process slave, or GOMAXPROCS was in its environment), the road
 // each peer's rendezvous payloads take to this rank ("memory", "pull",
-// "wire", "wire: <why the system refused a pull>").
+// "wire", "wire: <why the system refused a pull>"), and beside it how
+// frames to each peer travel ("memory", "ring", "socket", "socket: <why
+// the ring was refused>").
 func profStatus(dev *device.Device) func() any {
 	return func() any {
 		sched := device.Scheduler()
@@ -129,6 +131,7 @@ func profStatus(dev *device.Device) func() any {
 			"hostRanks":   sched.HostRanks,
 			"pollFloor":   sched.PollFloor,
 			"peerPaths":   dev.PeerPaths(),
+			"frameMedia":  dev.FrameMedia(),
 		}
 	}
 }

@@ -33,6 +33,7 @@ func registerTestApps() {
 	registerElasticApps()
 	registerSchedApps()
 	registerPullApps()
+	registerRingApps()
 	Register("sum", func(w *Comm) error {
 		in := []int64{int64(w.Rank() + 1)}
 		out := make([]int64, 1)
