@@ -83,6 +83,46 @@ func TestNoReflectedMethods(t *testing.T) {
 	}
 }
 
+// TestNoTransportProbes: what a transport knows of its peers reaches the
+// device through one description on the Transport interface, never through
+// an optional-interface probe — a wrapper that embeds a Transport silently
+// drops every method a probe looks for. The scan is syntactic: a type
+// assertion (or a type switch case) to an interface literal in a non-test
+// file of the packages that sit on a transport.
+func TestNoTransportProbes(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal/device", "internal/fault", "internal/core"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var probes []ast.Expr
+				switch n := n.(type) {
+				case *ast.TypeAssertExpr:
+					probes = []ast.Expr{n.Type}
+				case *ast.CaseClause:
+					probes = n.List
+				}
+				for _, e := range probes {
+					if _, ok := e.(*ast.InterfaceType); ok {
+						t.Errorf("%s: type assertion to an interface literal probes for an optional method", fset.Position(e.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 func reportMethodCalls(t *testing.T, fset *token.FileSet, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

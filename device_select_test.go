@@ -60,7 +60,7 @@ func TestDeviceSelection(t *testing.T) {
 		// Every rank of this in-process job is co-located: the hybrid
 		// router must classify all peers as channel-reachable.
 		for dst := 0; dst < h.Size(); dst++ {
-			if !h.Local(dst) {
+			if !h.Peers().Local[dst] {
 				return fmt.Errorf("hyb rank %d routes co-located rank %d remotely", h.Rank(), dst)
 			}
 		}

@@ -196,18 +196,16 @@ func TestTableAutoMatchesForced(t *testing.T) {
 		}
 		sweep := func(w *Comm) error {
 			w.proc.largeMin = 1
-			w.SetLocalityTable(keys)
 			for _, f := range families {
 				if err := tableSweep(w, f); err != nil {
 					return err
 				}
 			}
-			w.SetLocalityTable(nil)
 			return nil
 		}
 
 		t.Run(fmt.Sprintf("chan-np%d", np), func(t *testing.T) {
-			runRanks(t, np, sweep)
+			runRanksLaidOut(t, keys, sweep)
 		})
 
 		t.Run(fmt.Sprintf("hyb-np%d", np), func(t *testing.T) {
@@ -218,7 +216,8 @@ func TestTableAutoMatchesForced(t *testing.T) {
 			}
 			jobID := 0x7ab1<<32 | hierJobSeq.Add(1)
 			runRanksOn(t, np, func(i int) (transport.Transport, error) {
-				return transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
+				tr, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
+				return laidOut{tr, keys}, err
 			}, sweep)
 		})
 	}

@@ -109,12 +109,9 @@ type Comm struct {
 	// by proc.mu.
 	winCtxs []int
 
-	// Locality layout (see hier.go): locKeys is the synthetic per-member
-	// override installed by SetLocalityTable, locView the cached group
-	// structure computed from it (or from the device's bootstrap table).
-	// Guarded by locMu.
+	// Locality layout (see hier.go): locView is the cached group structure
+	// computed from the device's table. Guarded by locMu.
 	locMu   sync.Mutex
-	locKeys []string
 	locView *locView
 }
 

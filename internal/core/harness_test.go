@@ -63,6 +63,30 @@ func runRanksOpt(t *testing.T, np int, opts []device.Option, fn func(w *Comm) er
 	}
 }
 
+// laidOut is a transport whose description carries a synthetic locality
+// table, as a hyb endpoint's carries the bootstrap's: keys[i] is rank i's
+// key, and ranks with equal keys are one locality group.
+type laidOut struct {
+	transport.Transport
+	keys []string
+}
+
+func (l laidOut) Peers() transport.Peers {
+	p := l.Transport.Peers()
+	p.Locs = l.keys
+	return p
+}
+
+// runRanksLaidOut is runRanks over a channel mesh laid out by keys, one
+// rank per key.
+func runRanksLaidOut(t *testing.T, keys []string, fn func(w *Comm) error) {
+	t.Helper()
+	eps := transport.NewChanMesh(len(keys))
+	runRanksOn(t, len(keys), func(i int) (transport.Transport, error) {
+		return laidOut{eps[i], keys}, nil
+	}, fn)
+}
+
 // expect fails with a formatted error unless cond holds; it is the rank-
 // side assertion helper (t.Fatal must not be called off the test
 // goroutine).

@@ -9,8 +9,9 @@ import (
 //
 // The job bootstrap distributes per-rank locality keys (ProcessLocality:
 // ranks with equal keys share an OS process and exchange frames over the
-// in-process channel mesh; unequal keys mean TCP). This file exposes that
-// table through Comm and compiles two-level schedules that exploit it:
+// in-process channel mesh; unequal keys mean TCP), and the transport's
+// description carries them to the device. This file exposes that table
+// through Comm and compiles two-level schedules that exploit it:
 // an intra-group phase over the cheap chan-routed peers and an
 // inter-group exchange between one elected leader per group over the
 // expensive links. On a layout where comm ranks interleave across groups
@@ -32,8 +33,8 @@ import (
 //
 // Selection: CollAlgHier forces the family; auto chooses it whenever the
 // communicator actually spans ≥2 locality groups with some co-location
-// (see collalg.go collHier). Synthetic
-// layouts for tests and benchmarks are installed with SetLocalityTable.
+// (see collalg.go collHier). A test installs a synthetic layout where
+// production gets the real one: in the transport's description.
 
 // ---------------------------------------------------------------------
 // The locality view.
@@ -102,26 +103,13 @@ func buildLocView(size int, keys []string) *locView {
 }
 
 // localityView returns the cached locality structure, computing it on
-// first use from the synthetic per-comm table (SetLocalityTable) or,
-// absent one, from the device's bootstrap table mapped through the group.
+// first use from the device's table mapped through the group.
 func (c *Comm) localityView() *locView {
 	c.locMu.Lock()
 	defer c.locMu.Unlock()
-	if c.locView != nil {
-		return c.locView
+	if c.locView == nil {
+		c.locView = buildLocView(c.Size(), c.LocalityTable())
 	}
-	keys := c.locKeys
-	if keys == nil {
-		if tab := c.dev.LocalityTable(); tab != nil {
-			keys = make([]string, c.Size())
-			for r := range keys {
-				if w := c.group.WorldRank(r); w >= 0 && w < len(tab) {
-					keys[r] = tab[w]
-				}
-			}
-		}
-	}
-	c.locView = buildLocView(c.Size(), keys)
 	return c.locView
 }
 
@@ -141,39 +129,10 @@ func (c *Comm) schedView(two bool) *locView {
 	return v.flat
 }
 
-// SetLocalityTable installs a synthetic locality table on this
-// communicator, overriding the device's bootstrap table: keys[i] is
-// member i's locality key, and members with equal non-empty keys are
-// treated as co-located by the hierarchical collectives. Like SetCollAlg
-// it must be applied identically on every member before starting
-// collectives, or their schedules will not match. A nil table restores
-// the device's view. Panics when a non-nil table's length differs from
-// the communicator size.
-func (c *Comm) SetLocalityTable(keys []string) {
-	if keys != nil && len(keys) != c.Size() {
-		panic(fmt.Sprintf("mpj: SetLocalityTable: %d keys for a %d-member communicator", len(keys), c.Size()))
-	}
-	c.locMu.Lock()
-	defer c.locMu.Unlock()
-	if keys == nil {
-		c.locKeys = nil
-	} else {
-		c.locKeys = append([]string(nil), keys...)
-	}
-	c.locView = nil
-}
-
-// LocalityTable returns the locality keys in effect for this
-// communicator's members (a copy: entry i is member i's key), or nil when
-// neither a synthetic table nor device locality knowledge exists.
+// LocalityTable returns the locality keys of this communicator's members
+// (entry i is member i's key), or nil when the device has no locality
+// knowledge.
 func (c *Comm) LocalityTable() []string {
-	c.locMu.Lock()
-	if c.locKeys != nil {
-		out := append([]string(nil), c.locKeys...)
-		c.locMu.Unlock()
-		return out
-	}
-	c.locMu.Unlock()
 	tab := c.dev.LocalityTable()
 	if tab == nil {
 		return nil

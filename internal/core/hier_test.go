@@ -53,14 +53,12 @@ func TestBuildLocView(t *testing.T) {
 	}
 }
 
-// SetLocalityTable feeds the exposure accessors: LocalityGroup and
-// LocalityLeaders produce Groups that Create turns into working intra- and
-// inter-locality communicators.
+// The transport's locality table feeds the exposure accessors:
+// LocalityGroup and LocalityLeaders produce Groups that Create turns into
+// working intra- and inter-locality communicators.
 func TestLocalityGroupsAndLeaders(t *testing.T) {
-	runRanks(t, 4, func(w *Comm) error {
-		keys := []string{"A", "B", "A", "B"}
-		w.SetLocalityTable(keys)
-
+	keys := []string{"A", "B", "A", "B"}
+	runRanksLaidOut(t, keys, func(w *Comm) error {
 		got := w.LocalityTable()
 		for i := range keys {
 			if got[i] != keys[i] {
@@ -110,17 +108,6 @@ func TestLocalityGroupsAndLeaders(t *testing.T) {
 			}
 		} else if leaders != nil {
 			return expect(false, "rank %d is not a leader but got a comm", w.Rank())
-		}
-
-		w.SetLocalityTable(nil)
-		return nil
-	})
-}
-
-func TestSetLocalityTablePanicsOnLength(t *testing.T) {
-	runRanks(t, 2, func(w *Comm) error {
-		if w.Rank() == 0 {
-			mustPanic(t, "SetLocalityTable(short)", func() { w.SetLocalityTable([]string{"A"}) })
 		}
 		return nil
 	})
@@ -317,8 +304,7 @@ func TestHierCollectivesChan(t *testing.T) {
 	for _, lay := range hierLayouts {
 		lay := lay
 		t.Run(lay.name, func(t *testing.T) {
-			runRanks(t, lay.np, func(w *Comm) error {
-				w.SetLocalityTable(lay.keys)
+			runRanksLaidOut(t, lay.keys, func(w *Comm) error {
 				if !w.localityView().multi() {
 					return expect(false, "layout %v not multi", lay.keys)
 				}
@@ -381,8 +367,8 @@ func TestHierCollectivesHybTCP(t *testing.T) {
 			Rank: i, JobID: jobID, Locs: keys, Addrs: addrs, Listener: lns[i],
 		})
 	}, func(w *Comm) error {
-		// No SetLocalityTable here: the view must come from the device's
-		// bootstrap table through the transport's LocalityTable().
+		// No synthetic layout here: the view must come from the bootstrap
+		// table in the hyb transport's description.
 		tab := w.LocalityTable()
 		if tab == nil {
 			return expect(false, "hyb device exposed no locality table")

@@ -457,14 +457,13 @@ func TestScheduleShape(t *testing.T) {
 			taps := make([]*shapeTap, np)
 			ctx := 0
 			runRanksOn(t, np, func(i int) (transport.Transport, error) {
-				taps[i] = &shapeTap{Transport: mesh[i], sent: map[tapKey][]int{}}
+				taps[i] = &shapeTap{Transport: laidOut{mesh[i], layout.keys(np)}, sent: map[tapKey][]int{}}
 				return taps[i], nil
 			}, func(w *Comm) error {
 				if w.Rank() == 0 {
 					ctx = w.coll
 				}
 				w.proc.largeMin = shapeLargeMin
-				w.SetLocalityTable(layout.keys(np))
 				for o, op := range shapeOps {
 					for si, size := range shapeSizes {
 						for fi, fam := range shapeFamilies {

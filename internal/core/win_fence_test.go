@@ -14,10 +14,18 @@ import (
 	"mpj/internal/wire"
 )
 
-// slowPath wraps one chan endpoint for the fence ordering test. Like the
-// fault endpoint it hides the mesh's locality (only the Transport methods
-// show through the embedding), so every RMA operation takes the wire; and
-// frames to dst are held back by a relay goroutine, in order. The hold is
+// remote is a chan endpoint that, like the fault endpoint, says no other
+// rank shares its address space, so every RMA operation takes the wire.
+type remote struct{ transport.Transport }
+
+func (r remote) Peers() transport.Peers {
+	p := r.Transport.Peers()
+	p.Local = nil
+	return p
+}
+
+// slowPath wraps one remote endpoint for the fence ordering test: frames to
+// dst are held back by a relay goroutine, in order. The hold is
 // asynchronous — Send returns at once — which is the point:
 // fault.Domain.Delay sleeps inside Send and so also delays everything the
 // sender does next, and a frame still in flight on one path while the
@@ -34,7 +42,7 @@ func newSlowPath(inner transport.Transport, dst int, hold time.Duration) *slowPa
 	// The buffer only has to outlast a burst: the ranks run in lockstep
 	// with the relay, a handful of frames per fence.
 	q := make(chan []byte, 1024)
-	s := &slowPath{Transport: inner, dst: dst, q: q, relayed: make(chan struct{})}
+	s := &slowPath{Transport: remote{inner}, dst: dst, q: q, relayed: make(chan struct{})}
 	go func() {
 		defer close(s.relayed)
 		for f := range q {
@@ -94,7 +102,7 @@ func TestWinFenceOrdering(t *testing.T) {
 		if i == c {
 			return newSlowPath(eps[i], b, 100*time.Microsecond), nil
 		}
-		return struct{ transport.Transport }{eps[i]}, nil // locality hidden, nothing held
+		return remote{eps[i]}, nil // nothing held
 	}
 	runRanksCounted(t, np, mk, true, func(w *Comm) error {
 		rank := w.Rank()

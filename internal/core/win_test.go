@@ -76,10 +76,10 @@ func runRanksWin(t *testing.T, mesh string, np int, fn func(w *Comm) error) {
 // (and pulls their rendezvous payloads).
 type coHost struct {
 	*transport.TCPTransport
-	locs []string
+	peers transport.Peers
 }
 
-func (c coHost) LocalityTable() []string { return c.locs }
+func (c coHost) Peers() transport.Peers { return c.peers }
 
 // runRanksCoHost runs fn over a coHost mesh. The ring gate is the
 // production one — at most a rank per CPU of a process that owns its
@@ -96,7 +96,7 @@ func runRanksCoHost(t *testing.T, np int, fn func(w *Comm) error) {
 	}
 	gated := os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) >= np
 	runRanksOn(t, np, func(i int) (transport.Transport, error) {
-		return coHost{trs[i].(*transport.TCPTransport), locs}, nil
+		return coHost{trs[i].(*transport.TCPTransport), transport.DescribePeers(transport.DeviceTCP, i, locs, nil)}, nil
 	}, func(w *Comm) error {
 		if err := fn(w); err != nil {
 			return err

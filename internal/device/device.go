@@ -231,9 +231,12 @@ type Device struct {
 	pendingRTS map[uint64]*Request // sender side: msgID → send awaiting CTS or Pulled
 	awaitData  map[rdvKey]*Request // receiver side: matched RTS awaiting DATA, or being pulled
 
-	// The co-host rendezvous path (see pull.go): hostPeers is nil when no
-	// rank is another process on this host.
-	hostPeers []hostPeer
+	// peers is the transport's description of the ranks, read at Open.
+	// refused, per rank that is another process on this host, is why the
+	// system refuses pulls from it for the life of the device (see
+	// pull.go); guarded by mu.
+	peers     transport.Peers
+	refused   []error
 	pullFault atomic.Pointer[func(src int) error] // fault-injection seam (see SetPullFault)
 
 	// Co-host rings (see polls.go): polls is set at Open when the
@@ -327,7 +330,8 @@ func Open(t transport.Transport, opts ...Option) (*Device, error) {
 	for _, opt := range opts {
 		opt(d)
 	}
-	d.findHostPeers()
+	d.peers = t.Peers()
+	d.refused = make([]error, len(d.peers.Pids))
 	d.planRings()
 	t.SetHandler(d.handle)
 	t.SetLander(d.land)
@@ -354,27 +358,18 @@ func (d *Device) Stats() *Stats { return &d.stats }
 // benchmarks use it to observe which device (chan/tcp/hyb) a job selected.
 func (d *Device) Transport() transport.Transport { return d.t }
 
-// Name identifies the transport flavor ("chan", "tcp", "hyb") when the
-// transport declares one; "" otherwise. It only labels reports, such as
-// the benchmark's device field and test output.
-func (d *Device) Name() string {
-	if n, ok := d.t.(interface{ DeviceName() string }); ok {
-		return n.DeviceName()
-	}
-	return ""
-}
+// Name identifies the transport flavor ("chan", "tcp", "hyb"), as the
+// transport's description names it. It only labels reports, such as the
+// benchmark's device field and test output.
+func (d *Device) Name() string { return string(d.peers.Device) }
 
-// LocalityTable exposes the per-rank locality keys the bootstrap handed
-// the transport, or nil when the transport has no locality knowledge
-// (chan and tcp meshes — one flat group). Entry i is rank i's key; equal
-// non-empty keys mean co-located ranks. The topology-aware hierarchical
-// collectives group ranks by it.
-func (d *Device) LocalityTable() []string {
-	if lt, ok := d.t.(interface{ LocalityTable() []string }); ok {
-		return lt.LocalityTable()
-	}
-	return nil
-}
+// LocalityTable returns the per-rank locality keys the transport's
+// description carries, or nil when the transport has no locality
+// knowledge (chan and tcp meshes — one flat group); callers must not
+// modify it. Entry i is rank i's key; equal non-empty keys mean
+// co-located ranks. The topology-aware hierarchical collectives group
+// ranks by it.
+func (d *Device) LocalityTable() []string { return d.peers.Locs }
 
 // Profiler returns the attached instrumentation recorder, or nil when
 // profiling is off. The field is set once at Open and never mutated, so

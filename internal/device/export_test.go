@@ -5,6 +5,14 @@ package device
 // refuses each offer the way the system would.
 func WithRings(fault func(peer int) error) Option { return withRings(fault) }
 
+// Ended reports whether the device was closed, aborted or declared dead
+// itself.
+func (d *Device) Ended() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.usable() != nil
+}
+
 // HeldIn names the device tables that still reference r: posted receives,
 // matched receives awaiting DATA or a pull, and rendezvous sends awaiting a
 // CTS or a PULLED. A request the blocking Send or Recv recycled must be in

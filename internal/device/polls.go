@@ -36,29 +36,19 @@ func withRings(fault func(peer int) error) Option {
 	return func(d *Device) { d.ringOpt = &ringOption{fault} }
 }
 
-// ringer is a transport that can trade frames with co-host processes
-// through shared-memory rings (transport.TCPTransport, and HybTransport for
-// its TCP half).
-type ringer interface {
-	Rings(plan transport.RingPlan)
-}
-
 // planRings hands the transport its ring plan — every rank that is another
 // process on this host — when the gate is open, and with it turns on
 // polling before parking. Called by Open, before the transport starts.
 func (d *Device) planRings() {
-	r, ok := d.t.(ringer)
-	if !ok || d.hostPeers == nil {
+	if d.peers.Pids == nil {
 		return
 	}
-	if d.ringOpt == nil {
-		if locs := d.LocalityTable(); !ringGate(locs, locs[d.rank]) {
-			return
-		}
+	if locs := d.peers.Locs; d.ringOpt == nil && !ringGate(locs, locs[d.rank]) {
+		return
 	}
 	d.media = make([]string, d.size)
 	plan := transport.RingPlan{
-		Pids:   make([]int, d.size),
+		Pids:   d.peers.Pids,
 		Frames: &d.stats.RingFrames,
 		Bells:  &d.stats.Doorbells,
 		Report: func(peer int, medium string) {
@@ -67,13 +57,10 @@ func (d *Device) planRings() {
 			d.mu.Unlock()
 		},
 	}
-	for i, p := range d.hostPeers {
-		plan.Pids[i] = p.pid
-	}
 	if d.ringOpt != nil {
 		plan.Fault = d.ringOpt.fault
 	}
-	r.Rings(plan)
+	d.t.Rings(plan)
 	d.polls = true
 }
 

@@ -36,7 +36,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -73,54 +72,19 @@ type pullOffer struct {
 
 const offerLen = 24
 
-// hostPeer is what the device knows of a rank that is another process on
-// this host.
-type hostPeer struct {
-	pid     int   // 0: not such a rank; fixed at Open
-	refused error // why the system refuses pulls from it, for the life of the device; guarded by d.mu
-}
-
 // errPullStale reports a pull that found the sender's guard word changed or
 // its payload unreadable: the send was completed (failed, revoked, torn
 // down) while, or before, the bytes moved. It says nothing about the peer's
 // later messages.
 var errPullStale = errors.New("device: pull found the sender's buffer taken back")
 
-// findHostPeers derives, from the locality table the transport exposes, the
-// pid of every rank that shares this rank's host but not its address space.
-// A transport without a table, or a key ProcessLocality did not produce,
-// leaves the rank on the wire.
-func (d *Device) findHostPeers() {
-	locs := d.LocalityTable()
-	if d.rank >= len(locs) {
-		return
-	}
-	host := transport.HostOf(locs[d.rank])
-	if host == "" {
-		return
-	}
-	for r, key := range locs[:min(len(locs), d.size)] {
-		if r == d.rank || transport.HostOf(key) != host || d.LocalPeer(r) {
-			continue
-		}
-		pid, err := strconv.Atoi(key[len(host)+1:]) // past the '#' HostOf cut at
-		if err != nil || pid <= 0 {
-			continue
-		}
-		if d.hostPeers == nil {
-			d.hostPeers = make([]hostPeer, d.size)
-		}
-		d.hostPeers[r].pid = pid
-	}
-}
-
-// hostPid returns the pid of rank r when it is another process on this
-// host, else 0.
+// hostPid returns the pid of rank r when the transport's description says
+// it is another process on this host, else 0.
 func (d *Device) hostPid(r int) int {
-	if d.hostPeers == nil {
+	if r >= len(d.peers.Pids) {
 		return 0
 	}
-	return d.hostPeers[r].pid
+	return d.peers.Pids[r]
 }
 
 // offerLocked arms send r's guard word and returns the offer its RTS
@@ -163,7 +127,7 @@ func decodeOffer(h *wire.Header, payload []byte) (pullOffer, error) {
 // claimPullLocked reports whether the payload of the RTS u, just matched by
 // receive r, is to be pulled, and if so marks r pulling. Callers hold d.mu.
 func (d *Device) claimPullLocked(r *Request, u *unexpected) bool {
-	if u.offer.token == 0 || d.hostPid(u.src) == 0 || d.hostPeers[u.src].refused != nil {
+	if u.offer.token == 0 || d.hostPid(u.src) == 0 || d.refused[u.src] != nil {
 		return false
 	}
 	r.pull = &pullState{offer: u.offer, pulling: true}
@@ -209,7 +173,7 @@ func (d *Device) pull(r *Request) {
 		d.completeLocked(r, Status{}, r.pull.doom)
 	default:
 		if !errors.Is(err, errPullStale) {
-			d.hostPeers[src].refused = err
+			d.refused[src] = err
 		}
 		d.sendCTSLocked(r)
 	}
@@ -279,8 +243,8 @@ func (d *Device) PeerPaths() []string {
 			out[r] = "memory"
 		case d.hostPid(r) == 0:
 			out[r] = "wire"
-		case d.hostPeers[r].refused != nil:
-			out[r] = "wire: " + d.hostPeers[r].refused.Error()
+		case d.refused[r] != nil:
+			out[r] = "wire: " + d.refused[r].Error()
 		default:
 			out[r] = "pull"
 		}

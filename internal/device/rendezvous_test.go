@@ -77,10 +77,10 @@ func wantMoved(t *testing.T, flavor string, d0, d1 *device.Device, n int64) {
 // processes among its peers.
 type located struct {
 	*transport.TCPTransport
-	locs []string
+	peers transport.Peers
 }
 
-func (l located) LocalityTable() []string { return l.locs }
+func (l located) Peers() transport.Peers { return l.peers }
 
 var rdvJobSeq atomic.Uint64
 
@@ -130,7 +130,7 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 				default:
 					var ep *transport.TCPTransport
 					ep, errs[i] = transport.NewTCPTransport(i, jobID, addrs, lns[i])
-					eps[i] = located{ep, locs}
+					eps[i] = located{ep, transport.DescribePeers(transport.DeviceTCP, i, locs, nil)}
 				}
 			}(i)
 		}
@@ -167,7 +167,48 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 			d.Abort()
 		}
 	})
+	if want := ringMedium(flavor); want != "" {
+		t.Cleanup(func() { wantFrameMedia(t, ds, want) }) // runs before the Abort above
+	}
 	return ds
+}
+
+// ringMedium is how frames between two ranks of a ring flavor travel once
+// the rings' set-up handshake has settled, "" on the other flavors.
+func ringMedium(flavor string) string {
+	switch flavor {
+	case "tcp-ring":
+		return "ring"
+	case "tcp-ring-refused":
+		return "socket: " + syscall.EPERM.Error()
+	}
+	return ""
+}
+
+// wantFrameMedia checks that every rank says frames to every other rank
+// travel by want, polling until the handshake settles. A pair with an end
+// the test closed, aborted or killed is skipped: its handshake may never
+// finish.
+func wantFrameMedia(t *testing.T, ds []*device.Device, want string) {
+	t.Helper()
+	for end := time.Now().Add(deadline); ; time.Sleep(200 * time.Microsecond) {
+		off := ""
+		for r, d := range ds {
+			media := d.FrameMedia()
+			for p := range ds {
+				if p != r && !d.Ended() && !ds[p].Ended() && media[p] != want {
+					off = fmt.Sprintf("rank %d says frames to rank %d take %q, want %q", r, p, media[p], want)
+				}
+			}
+		}
+		if off == "" {
+			return
+		}
+		if time.Now().After(end) {
+			t.Error(off)
+			return
+		}
+	}
 }
 
 func pattern(n int, seed byte) []byte {
@@ -437,13 +478,6 @@ func TestRendezvousSendCompletesOnEveryPath(t *testing.T) {
 type landHook struct {
 	transport.Transport
 	claimed func()
-}
-
-func (l landHook) LocalityTable() []string {
-	if lt, ok := l.Transport.(interface{ LocalityTable() []string }); ok {
-		return lt.LocalityTable()
-	}
-	return nil
 }
 
 func (l landHook) SetLander(land transport.Lander) {

@@ -19,22 +19,12 @@ import (
 	"mpj/internal/wire"
 )
 
-// localRouter is implemented by transports that can route to some peers
-// within this process's address space (chan: all peers; hyb: co-located
-// peers). The device treats transports without it as fully remote.
-type localRouter interface{ Local(dst int) bool }
-
 // LocalPeer reports whether world rank dst shares this process's address
-// space, meaning one-sided operations can move bytes directly instead of
-// through the wire. The device's own rank is always local.
+// space (chan: every rank; hyb: the co-located ranks, as the transport's
+// description says), meaning one-sided operations can move bytes directly
+// instead of through the wire. The device's own rank is always local.
 func (d *Device) LocalPeer(dst int) bool {
-	if dst == d.rank {
-		return true
-	}
-	if lr, ok := d.t.(localRouter); ok {
-		return lr.Local(dst)
-	}
-	return false
+	return dst == d.rank || (dst >= 0 && dst < len(d.peers.Local) && d.peers.Local[dst])
 }
 
 // SetRMAHandler installs the dispatcher for inbound one-sided frames. f

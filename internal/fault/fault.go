@@ -230,38 +230,24 @@ func (ep *Endpoint) Rank() int { return ep.inner.Rank() }
 // Size returns the inner endpoint's job size.
 func (ep *Endpoint) Size() int { return ep.inner.Size() }
 
-// LocalityTable forwards the inner transport's per-rank locality keys so
-// the topology-aware collectives keep their layout view under fault
-// injection. (Local is deliberately NOT forwarded: advertising co-located
-// peers would route RMA around the injector's frame interception.)
-func (ep *Endpoint) LocalityTable() []string {
-	if lt, ok := ep.inner.(interface{ LocalityTable() []string }); ok {
-		return lt.LocalityTable()
-	}
-	return nil
+// Peers is the inner transport's description rebuilt with no other rank
+// in this address space: one-sided operations to a co-located peer would
+// move bytes directly, around the frames the domain intercepts. The device
+// name and the locality table stay, so reports and the topology-aware
+// collectives see the job as it runs.
+func (ep *Endpoint) Peers() transport.Peers {
+	p := ep.inner.Peers()
+	return transport.DescribePeers(p.Device, ep.inner.Rank(), p.Locs, nil)
 }
 
 // Rings forwards the ring plan to the inner transport, and Poll forwards
 // the polling, so a job under fault injection keeps its co-host rings.
 // Frames stay interceptable: Send reaches the inner Send, and frames out
 // of a ring reach the filtered handler.
-func (ep *Endpoint) Rings(plan transport.RingPlan) {
-	if r, ok := ep.inner.(interface{ Rings(transport.RingPlan) }); ok {
-		r.Rings(plan)
-	}
-}
+func (ep *Endpoint) Rings(plan transport.RingPlan) { ep.inner.Rings(plan) }
 
 // Poll forwards to the inner transport.
 func (ep *Endpoint) Poll(budget time.Duration) bool { return ep.inner.Poll(budget) }
-
-// DeviceName forwards the inner transport's device name, so reports
-// label a job under fault injection by the device it runs on.
-func (ep *Endpoint) DeviceName() string {
-	if n, ok := ep.inner.(interface{ DeviceName() string }); ok {
-		return n.DeviceName()
-	}
-	return ""
-}
 
 // Send forwards the frame unless the domain says otherwise: frames to or
 // from killed ranks (and from muted ranks) are swallowed — returned to

@@ -32,6 +32,7 @@ type ChanTransport struct {
 	inboxes []chan inItem
 	landers []atomic.Pointer[Lander] // landers[i] is endpoint i's; shared by the mesh
 	queues  []*sendQueue
+	peers   Peers
 	handler Handler
 	errh    ErrorHandler
 
@@ -59,6 +60,10 @@ func NewChanMesh(np int) []*ChanTransport {
 		inboxes[i] = make(chan inItem, chanInboxDepth)
 	}
 	landers := make([]atomic.Pointer[Lander], np)
+	local := make([]bool, np) // every endpoint shares the process
+	for i := range local {
+		local[i] = true
+	}
 	eps := make([]*ChanTransport, np)
 	for i := range eps {
 		queues := make([]*sendQueue, np)
@@ -71,6 +76,7 @@ func NewChanMesh(np int) []*ChanTransport {
 			inboxes: inboxes,
 			landers: landers,
 			queues:  queues,
+			peers:   Peers{Device: DeviceChan, Local: local},
 			stop:    make(chan struct{}),
 		}
 	}
@@ -83,15 +89,9 @@ func (t *ChanTransport) Rank() int { return t.rank }
 // Size returns the number of endpoints in the mesh.
 func (t *ChanTransport) Size() int { return t.size }
 
-// Local reports whether dst shares this process's address space. Every
-// endpoint of a channel mesh lives in one process, so any valid rank is
-// local. The device layer consults this (optional) method to pick the
-// direct-memory path for one-sided operations.
-func (t *ChanTransport) Local(dst int) bool { return dst >= 0 && dst < t.size }
-
-// DeviceName names the transport flavor; it only labels reports (the
-// benchmark's device field, test output).
-func (t *ChanTransport) DeviceName() string { return "chan" }
+// Peers describes the mesh: every rank shares this address space, and
+// where the process runs is nobody's concern.
+func (t *ChanTransport) Peers() Peers { return t.peers }
 
 // SetHandler installs the inbound frame handler.
 func (t *ChanTransport) SetHandler(h Handler) { t.handler = h }
@@ -211,6 +211,9 @@ func (t *ChanTransport) Start() error {
 	}
 	return nil
 }
+
+// Rings plans nothing: no rank of a channel mesh is another process.
+func (t *ChanTransport) Rings(RingPlan) {}
 
 // Poll finds nothing: a channel mesh delivers on its demux goroutine.
 func (t *ChanTransport) Poll(time.Duration) bool { return false }

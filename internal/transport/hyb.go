@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -29,8 +30,7 @@ type HybTransport struct {
 	size  int
 	jobID uint64
 	loc   string
-	local []bool   // local[i]: rank i shares this process, route via ch
-	locs  []string // per-rank locality keys from the bootstrap (LocalityTable)
+	peers Peers // Local[i]: rank i shares this process, route via ch
 
 	ch  *ChanTransport // shared-process mesh endpoint (always present; carries loopback)
 	tcp *TCPTransport  // nil when every rank is co-located
@@ -72,6 +72,36 @@ func HostOf(key string) string {
 		return ""
 	}
 	return key[:i]
+}
+
+// DescribePeers describes rank's peers from the locality table the
+// bootstrap distributed and the ranks that share rank's address space
+// (local, nil for none). A rank on rank's host that does not share its
+// address space is another process of the host: its key ends in its pid
+// (see ProcessLocality), which Pids records.
+func DescribePeers(dev DeviceName, rank int, locs []string, local []bool) Peers {
+	p := Peers{Device: dev, Locs: locs, Local: local}
+	if rank >= len(locs) {
+		return p
+	}
+	host := HostOf(locs[rank])
+	if host == "" {
+		return p
+	}
+	for r, key := range locs {
+		if r == rank || HostOf(key) != host || (r < len(local) && local[r]) {
+			continue
+		}
+		pid, err := strconv.Atoi(key[len(host)+1:]) // past the '#' HostOf cut at
+		if err != nil || pid <= 0 {
+			continue
+		}
+		if p.Pids == nil {
+			p.Pids = make([]int, len(locs))
+		}
+		p.Pids[r] = pid
+	}
+	return p
 }
 
 // HybConfig configures one endpoint of a hybrid mesh.
@@ -130,8 +160,7 @@ func NewHybTransport(cfg HybConfig) (*HybTransport, error) {
 		size:  size,
 		jobID: cfg.JobID,
 		loc:   loc,
-		local: local,
-		locs:  locs,
+		peers: DescribePeers(DeviceHyb, cfg.Rank, locs, local),
 	}
 	ch, err := processHub.join(cfg.JobID, size, cfg.Rank, t)
 	if err != nil {
@@ -159,24 +188,10 @@ func (t *HybTransport) Rank() int { return t.rank }
 // Size returns the number of ranks in the job.
 func (t *HybTransport) Size() int { return t.size }
 
-// Local reports whether dst is routed over the in-process channel mesh.
-func (t *HybTransport) Local(dst int) bool {
-	return dst >= 0 && dst < t.size && t.local[dst]
-}
-
-// LocalityTable returns the per-rank locality keys the bootstrap
-// distributed to this endpoint (a copy; entry i is rank i's key, "" for
-// ranks whose key never reached us). Ranks with equal non-empty keys are
-// co-located; the topology-aware collectives group by it.
-func (t *HybTransport) LocalityTable() []string {
-	out := make([]string, len(t.locs))
-	copy(out, t.locs)
-	return out
-}
-
-// DeviceName names the transport flavor; it only labels reports (the
-// benchmark's device field, test output).
-func (t *HybTransport) DeviceName() string { return "hyb" }
+// Peers describes the job as the bootstrap did: every rank's locality key
+// ("" for ranks whose key never reached us), the co-located ranks the
+// channel mesh carries, and the other processes of this host.
+func (t *HybTransport) Peers() Peers { return t.peers }
 
 // SetHandler installs the inbound frame handler on both halves; frames
 // arrive with their sender's absolute rank regardless of the path taken.
@@ -215,7 +230,7 @@ func (t *HybTransport) Send(dst int, frame []byte) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
 	}
-	if t.local[dst] {
+	if t.peers.Local[dst] {
 		return t.ch.Send(dst, frame)
 	}
 	return t.tcp.Send(dst, frame)
@@ -226,7 +241,7 @@ func (t *HybTransport) SendData(dst int, h wire.Header, payload []byte, done fun
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
 	}
-	if t.local[dst] {
+	if t.peers.Local[dst] {
 		return t.ch.SendData(dst, h, payload, done)
 	}
 	return t.tcp.SendData(dst, h, payload, done)

@@ -69,8 +69,8 @@ func TestHybAllLocalPingPong(t *testing.T) {
 			t.Fatalf("all-co-located hyb rank %d built a TCP mesh", ep.Rank())
 		}
 		for dst := 0; dst < 2; dst++ {
-			if !ep.Local(dst) {
-				t.Errorf("rank %d: Local(%d) = false, want true", ep.Rank(), dst)
+			if !ep.Peers().Local[dst] {
+				t.Errorf("rank %d: Peers().Local[%d] = false, want true", ep.Rank(), dst)
 			}
 		}
 	}
@@ -146,8 +146,8 @@ func TestHybMixedLocalityRouting(t *testing.T) {
 	for i := 0; i < np; i++ {
 		for j := 0; j < np; j++ {
 			wantLocal := locs[i] == locs[j]
-			if got := eps[i].Local(j); got != wantLocal {
-				t.Errorf("rank %d: Local(%d) = %v, want %v", i, j, got, wantLocal)
+			if got := eps[i].Peers().Local[j]; got != wantLocal {
+				t.Errorf("rank %d: Peers().Local[%d] = %v, want %v", i, j, got, wantLocal)
 			}
 		}
 		// Cross-pair TCP connections exist, intra-pair ones do not.
@@ -264,5 +264,27 @@ func TestHostOf(t *testing.T) {
 	}
 	if key := ProcessLocality(); HostOf(key) == "" {
 		t.Errorf("HostOf(%q) is empty: ProcessLocality's own keys must parse", key)
+	}
+}
+
+// TestDescribePeers: the pids of a description are the ranks on this
+// rank's host that do not share its address space, read off their keys.
+func TestDescribePeers(t *testing.T) {
+	locs := []string{"h#10", "h#10", "h#11", "g#12", "h#x", "", "h#0", "unknown"}
+	for _, tc := range []struct {
+		rank  int
+		local []bool
+		pids  string
+	}{
+		{0, nil, "[0 10 11 0 0 0 0 0]"},               // rank 1 shares the process key, not the address space
+		{0, []bool{true, true}, "[0 0 11 0 0 0 0 0]"}, // ... unless the transport says it does
+		{3, nil, "[]"}, // alone on its host
+		{5, nil, "[]"}, // its own key unknown
+		{7, nil, "[]"}, // its own key not ProcessLocality's
+	} {
+		p := DescribePeers(DeviceHyb, tc.rank, locs, tc.local)
+		if got := fmt.Sprint(p.Pids); got != tc.pids || p.Device != DeviceHyb || len(p.Locs) != len(locs) {
+			t.Errorf("rank %d, local %v: %s pids %s, want %s", tc.rank, tc.local, p.Device, got, tc.pids)
+		}
 	}
 }

@@ -212,9 +212,9 @@ func (t *TCPTransport) closeConns() {
 // Rank returns this endpoint's rank.
 func (t *TCPTransport) Rank() int { return t.rank }
 
-// DeviceName names the transport flavor; it only labels reports (the
-// benchmark's device field, test output).
-func (t *TCPTransport) DeviceName() string { return "tcp" }
+// Peers describes a bare TCP mesh: the device name, and nothing of where
+// the ranks run.
+func (t *TCPTransport) Peers() Peers { return Peers{Device: DeviceTCP} }
 
 // Size returns the number of ranks in the mesh.
 func (t *TCPTransport) Size() int { return t.size }

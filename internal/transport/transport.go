@@ -20,11 +20,16 @@
 //     in the same OS process travel over a shared channel mesh (zero
 //     syscalls), frames to remote ranks over a TCP mesh.
 //
+// Every endpoint describes, once and for good, what it knows of its peers
+// (Peers): the device name, each rank's locality key, which ranks share
+// its address space and which are other processes of its host. The device
+// reads that description when it opens the endpoint.
+//
 // Between two processes of one host the TCP mesh also trades frames
 // through a shared-memory ring per direction, when the device plans them
-// (TCPTransport.Rings, see ring.go): the sender copies a frame into the
-// ring, and the receiver takes it out on a waiting rank's goroutine (Poll)
-// or, after a doorbell, on the connection's reader.
+// (Rings, see ring.go): the sender copies a frame into the ring, and the
+// receiver takes it out on a waiting rank's goroutine (Poll) or, after a
+// doorbell, on the connection's reader.
 //
 // Sends are asynchronous and never block: Send enqueues the frame on an
 // unbounded per-destination queue drained by a dedicated writer goroutine
@@ -136,6 +141,25 @@ func ParseDeviceName(s string) (DeviceName, error) {
 	return "", fmt.Errorf("transport: unknown device %q (have %q, %q, %q)", s, DeviceChan, DeviceTCP, DeviceHyb)
 }
 
+// Peers is what an endpoint knows of the ranks of its job, fixed when the
+// endpoint is built; readers must not modify it. A wrapper that embeds a
+// Transport inherits it, and overrides Peers only to change it.
+type Peers struct {
+	// Device names the transport flavor. It only labels reports.
+	Device DeviceName
+	// Locs[r] is rank r's locality key (see ProcessLocality), "" when
+	// unknown; nil when the endpoint knows nothing of where ranks run.
+	// Ranks with equal non-empty keys share a process.
+	Locs []string
+	// Local[r] reports that rank r shares this address space, so that
+	// one-sided operations may move its bytes directly; nil when no other
+	// rank does.
+	Local []bool
+	// Pids[r] is rank r's process id when r is another process on this
+	// host, else 0; nil when no rank is (see DescribePeers).
+	Pids []int
+}
+
 // ErrorHandler is notified when a peer connection fails outside an orderly
 // shutdown. The job layer uses this to turn partial failure into total
 // failure, per the paper's failure model.
@@ -147,6 +171,9 @@ type Transport interface {
 	Rank() int
 	// Size returns the number of ranks in the job.
 	Size() int
+	// Peers describes the ranks of the job as this endpoint knows them.
+	// It returns the same description every time.
+	Peers() Peers
 	// Send enqueues frame for delivery to dst. It never blocks. Delivery
 	// is reliable and ordered per (src, dst) pair. Send returns an error
 	// only if the transport is closed or dst is out of range.
@@ -180,6 +207,10 @@ type Transport interface {
 	// SetErrorHandler installs the peer-failure handler. Optional; must
 	// be called before Start.
 	SetErrorHandler(ErrorHandler)
+	// Rings plans shared-memory rings to the co-host processes the plan
+	// names (see RingPlan). It must be called before Start, at most once.
+	// An endpoint with no socket to any planned rank ignores it.
+	Rings(plan RingPlan)
 	// Start launches reader and writer goroutines.
 	Start() error
 	// Poll delivers, on the caller's goroutine, the inbound frames that

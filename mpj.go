@@ -126,8 +126,8 @@ const (
 	// CollAlgHier prefers the two-level locality-aware schedules: an
 	// intra-group phase over co-located peers and an inter-group exchange
 	// between per-group leaders (falls back to auto on comms that do not
-	// span locality groups). See Comm.SetLocalityTable and README
-	// "Tuning".
+	// span locality groups, the layout the job bootstrap gathered: see
+	// Comm.LocalityTable and README "Tuning").
 	CollAlgHier = core.CollAlgHier
 )
 
