@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
@@ -40,6 +41,10 @@ type procState struct {
 	// only so that tests can scale it down.
 	collAlg  CollAlg
 	largeMin int
+
+	// epochTimeout is the windows' epoch deadline, read from
+	// MPJ_RMA_TIMEOUT at NewWorld (see Win.SetEpochTimeout).
+	epochTimeout time.Duration
 
 	abort func(code int) // installed by the runtime; see SetAbortHandler
 
@@ -133,6 +138,9 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 	if proc.collAlg, err = ParseCollAlg(os.Getenv("MPJ_COLL_ALG")); err != nil {
 		return nil, fmt.Errorf("MPJ_COLL_ALG: %w", err)
 	}
+	if proc.epochTimeout, err = parseEpochTimeout(os.Getenv("MPJ_RMA_TIMEOUT")); err != nil {
+		return nil, fmt.Errorf("MPJ_RMA_TIMEOUT: %w", err)
+	}
 	w := &Comm{
 		dev:   dev,
 		proc:  proc,
@@ -157,8 +165,8 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 			win.handleFrame(src, h, payload)
 		}
 	})
-	// Newly detected rank failures wake every window's epoch waiters (one
-	// process-wide watcher, not one per window).
+	// Newly detected rank failures release the dead rank's locks at every
+	// window (one process-wide watcher, not one per window).
 	dev.AddFailureWatcher(func(rank int, err error) {
 		for _, win := range proc.allWins() {
 			win.onRankFailed(rank)

@@ -201,10 +201,13 @@ func (c *Comm) Shrink() (*Comm, error) {
 // member's contribution, folds them (flags AND, context MAX, dead-set
 // OR), marks members that die mid-pull dead in the payload, and
 // broadcasts the decision. Members park on the decision and advance the
-// chain when their current coordinator dies. Uniformity: a takeover
-// coordinator pulls every live member before deciding, so if any survivor
-// already holds an earlier coordinator's decision, the pull returns that
-// decision and the takeover adopts it instead of deciding differently.
+// chain when their current coordinator dies. Both waits park in the one
+// park loop, driving in-flight schedules, and their looks ignore
+// revocation: agreement is how a revoked communicator recovers.
+// Uniformity: a takeover coordinator pulls every live member before
+// deciding, so if any survivor already holds an earlier coordinator's
+// decision, the pull returns that decision and the takeover adopts it
+// instead of deciding differently.
 func (c *Comm) ftAgree(name string, contrib []byte) ([]byte, error) {
 	c.collMu.Lock()
 	if c.freed {
@@ -226,13 +229,23 @@ func (c *Comm) ftAgree(name string, contrib []byte) ([]byte, error) {
 
 	dev.FTRegister(ctx, seq, contrib)
 
+	// await parks until world rank from answers this rank's pull, some
+	// decision arrives, or from dies (device.FTReply). A member awaiting
+	// its coordinator never pulled it: only the last two end that wait.
+	await := func(from int) (reply, decision []byte, err error) {
+		c.parkUntil(ctx, nil, func() (ok bool) {
+			reply, decision, ok, err = dev.FTReply(ctx, seq, from)
+			return ok
+		})
+		return reply, decision, err
+	}
 	for attempt := 0; ; attempt++ {
 		coord := members[attempt%size]
 		if coord != me && dev.RankFailed(coord) {
 			continue
 		}
 		if coord != me {
-			decision, err := dev.FTAwaitDecision(ctx, seq, coord)
+			_, decision, err := await(coord)
 			if err == nil {
 				return decision, nil
 			}
@@ -255,7 +268,7 @@ func (c *Comm) ftAgree(name string, contrib []byte) ([]byte, error) {
 				continue
 			}
 			dev.FTPull(m, ctx, seq)
-			reply, decision, err := dev.FTAwaitReply(ctx, seq, m)
+			reply, decision, err := await(m)
 			switch {
 			case err != nil:
 				if fr, ok := device.FailedRank(err); ok && fr == m {

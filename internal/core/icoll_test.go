@@ -689,7 +689,7 @@ func TestBlockingP2PDrivesCollectives(t *testing.T) {
 }
 
 // TestWaitAnyDrivesCollectives is TestBlockingP2PDrivesCollectives for
-// the WaitAny entry point, which parks on the device through its own path.
+// the WaitAny entry point.
 func TestWaitAnyDrivesCollectives(t *testing.T) {
 	runRanks(t, 4, func(w *Comm) error {
 		in := []int32{int32(w.Rank() + 1)}

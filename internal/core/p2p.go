@@ -104,7 +104,7 @@ func (c *Comm) waitDevice(dr *device.Request) (dst device.Status, derr error) {
 	}
 	ok := false
 	if c.proc.collCount.Load() != 0 {
-		c.parkUntil(nil, func() bool {
+		c.parkUntil(c.coll, nil, func() bool {
 			dst, ok, derr = dr.Test()
 			return ok || c.proc.collCount.Load() == 0
 		})
@@ -193,20 +193,13 @@ func WaitAny(reqs []*Request) (int, *Status, error) {
 	if comm == nil {
 		return -1, nil, nil
 	}
-	dev := comm.dev
 	var idx int
 	var dst device.Status
 	var derr error
-	ok := false
-	if comm.proc.collCount.Load() != 0 {
-		comm.parkUntil(nil, func() bool {
-			idx, dst, ok, derr = dev.TestAny(dreqs)
-			return ok || comm.proc.collCount.Load() == 0
-		})
-	}
-	if !ok {
-		idx, dst, derr = dev.WaitAny(dreqs)
-	}
+	comm.parkUntil(comm.coll, nil, func() (ok bool) {
+		idx, dst, ok, derr = comm.dev.TestAny(dreqs)
+		return ok
+	})
 	if idx < 0 {
 		return -1, nil, nil
 	}
@@ -358,7 +351,7 @@ func WaitAllRequests(reqs []AnyRequest) ([]*Status, error) {
 		}
 	}
 	if comm != nil {
-		comm.parkUntil(nil, func() bool {
+		comm.parkUntil(comm.coll, nil, func() bool {
 			for {
 				progressed, collLeft := false, false
 				for i, r := range reqs {
@@ -476,23 +469,10 @@ func (c *Comm) sendEnvelope(dst, tag int) (int, error) {
 // the source and tag in the device's terms: src may be AnySource and tag
 // AnyTag.
 func (c *Comm) recvEnvelope(src, tag int) (w, dtag int, err error) {
-	if err := c.checkRevoked(); err != nil {
-		return 0, 0, err
-	}
 	if tag < 0 && tag != AnyTag {
 		return 0, 0, fmt.Errorf("%w: tag %d", ErrTag, tag)
 	}
-	w = device.AnySource
-	if src != AnySource {
-		if w, err = c.worldRank(src); err != nil {
-			return 0, 0, err
-		}
-	}
-	dtag = tag
-	if tag == AnyTag {
-		dtag = device.AnyTag
-	}
-	return w, dtag, nil
+	return c.probeEnvelope(src, tag)
 }
 
 // sendWindow is the blocking send of a raw-layout window of user memory:
@@ -771,23 +751,22 @@ func (c *Comm) SendrecvReplace(
 }
 
 // Probe blocks until a matching message is ready to be received and
-// returns its envelope — MPI_Probe.
+// returns its envelope — MPI_Probe. It parks in the one park loop, so
+// in-flight collective schedules keep progressing, and a revocation of the
+// communicator ends it with ErrRevoked.
 func (c *Comm) Probe(src, tag int) (*Status, error) {
-	if err := c.checkRevoked(); err != nil {
+	w, dtag, err := c.probeEnvelope(src, tag)
+	if err != nil {
 		return nil, err
 	}
-	w := device.AnySource
-	if src != AnySource {
-		var err error
-		if w, err = c.worldRank(src); err != nil {
-			return nil, err
+	var dst device.Status
+	c.parkUntil(c.coll, nil, func() (ok bool) {
+		if err = c.checkRevoked(); err != nil {
+			return true
 		}
-	}
-	dtag := tag
-	if tag == AnyTag {
-		dtag = device.AnyTag
-	}
-	dst, err := c.dev.Probe(w, dtag, c.pt2pt)
+		dst, ok, err = c.dev.Iprobe(w, dtag, c.pt2pt)
+		return ok || err != nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -797,25 +776,34 @@ func (c *Comm) Probe(src, tag int) (*Status, error) {
 // Iprobe checks without blocking whether a matching message has arrived —
 // MPI_Iprobe.
 func (c *Comm) Iprobe(src, tag int) (*Status, bool, error) {
-	if err := c.checkRevoked(); err != nil {
+	w, dtag, err := c.probeEnvelope(src, tag)
+	if err != nil {
 		return nil, false, err
 	}
-	w := device.AnySource
-	if src != AnySource {
-		var err error
-		if w, err = c.worldRank(src); err != nil {
-			return nil, false, err
-		}
-	}
-	dtag := tag
-	if tag == AnyTag {
-		dtag = device.AnyTag
-	}
-	dst, ok := c.dev.Iprobe(w, dtag, c.pt2pt)
+	dst, ok, _ := c.dev.Iprobe(w, dtag, c.pt2pt)
 	if !ok {
 		device.PollMiss()
 		return nil, false, nil
 	}
 	st, _ := c.status(dst, nil, 0)
 	return st, true, nil
+}
+
+// probeEnvelope is recvEnvelope without the tag check: a probe for a tag
+// no message can carry finds nothing rather than failing.
+func (c *Comm) probeEnvelope(src, tag int) (w, dtag int, err error) {
+	if err := c.checkRevoked(); err != nil {
+		return 0, 0, err
+	}
+	w = device.AnySource
+	if src != AnySource {
+		if w, err = c.worldRank(src); err != nil {
+			return 0, 0, err
+		}
+	}
+	dtag = tag
+	if tag == AnyTag {
+		dtag = device.AnyTag
+	}
+	return w, dtag, nil
 }

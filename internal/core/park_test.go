@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +15,14 @@ import (
 // The park loop's checker. parkUntil reads the device's wake generation,
 // looks, drives the sibling schedules and parks; procState.parkHook runs
 // between the look and the park. Each row below arms the hook to inject
-// one event exactly there, on the first park of one of the loop's four
+// one event exactly there, on the first park of one of the loop's
 // callers, and requires the caller to return with the event's outcome
 // within a deadline. Nothing else happens on the job until rank 0 acts on
 // the event, so a park that missed it would never wake: moving the
-// generation read after the hook makes every row fail at its deadline.
+// generation read after the hook makes every row fail at its deadline. A
+// wait that parks somewhere else never runs the hook; the row injects the
+// event after a grace period instead, and so still tells whether that
+// park wakes for it.
 
 // parkRig is a two-rank job on a channel mesh: rank 0 waits, and rank 1
 // has no goroutine of its own — it acts only when a row's event does.
@@ -107,10 +111,13 @@ func (rig *parkRig) until(cond func() bool) {
 
 // parkCaller is one caller of the park loop: setup posts what rank 0 will
 // wait on and returns the wait, what rank 1 does to complete it, and
-// whether that completion has reached rank 0's device.
+// whether that completion has reached rank 0's device. rides names the
+// events the wait outlives: their row runs peer after the event, lets the
+// completion arrive and requires success.
 type parkCaller struct {
 	name  string
 	setup func(rig *parkRig) (wait func() error, peer func(), arrived func() bool)
+	rides []string
 }
 
 // p2pAwaited posts rank 0's receive of one int from rank 1.
@@ -131,7 +138,7 @@ var parkCallers = []parkCaller{
 	{"waitDevice", func(rig *parkRig) (func() error, func(), func() bool) {
 		rr, peer, arrived := p2pAwaited(rig)
 		return func() error { _, err := rr.Wait(); return err }, peer, arrived
-	}},
+	}, nil},
 	{"WaitAny", func(rig *parkRig) (func() error, func(), func() bool) {
 		rr, peer, arrived := p2pAwaited(rig)
 		return func() error {
@@ -141,7 +148,7 @@ var parkCallers = []parkCaller{
 			}
 			return err
 		}, peer, arrived
-	}},
+	}, nil},
 	{"WaitAllRequests", func(rig *parkRig) (func() error, func(), func() bool) {
 		own, peer, arrived := collAwaited(rig)
 		return func() error {
@@ -151,11 +158,60 @@ var parkCallers = []parkCaller{
 			}
 			return err
 		}, peer, arrived
-	}},
+	}, nil},
 	{"CollRequest.Wait", func(rig *parkRig) (func() error, func(), func() bool) {
 		own, peer, arrived := collAwaited(rig)
 		return func() error { _, err := own.Wait(); return err }, peer, arrived
-	}},
+	}, nil},
+	{"Probe", func(rig *parkRig) (func() error, func(), func() bool) {
+		peer := func() { _ = rig.world[1].Send([]int{7}, 0, 1, GoInt, 0, 5) }
+		arrived := func() bool { _, ok, _ := rig.world[0].Iprobe(1, 5); return ok }
+		return func() error {
+			st, err := rig.world[0].Probe(1, 5)
+			if err == nil && (st.Source != 1 || st.Tag != 5) {
+				return fmt.Errorf("Probe returned source %d tag %d", st.Source, st.Tag)
+			}
+			return err
+		}, peer, arrived
+	}, nil},
+	// Both ranks' windows are co-located: rank 1's fence announces by a
+	// store into rank 0's window.
+	{"Win.Fence", func(rig *parkRig) (func() error, func(), func() bool) {
+		var wins [2]*Win
+		var wg sync.WaitGroup
+		for i := range wins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wins[i] = must(rig.world[i].WinCreate(make([]int64, 2), 1))
+			}()
+		}
+		wg.Wait()
+		peer := func() { _ = wins[1].Fence() }
+		arrived := func() bool { return wins[0].fenceRecv[1].Load() > 0 }
+		return wins[0].Fence, peer, arrived
+	}, nil},
+	// Agreement completes without a dead member and on a revoked
+	// communicator: it is the recovery path. Rank 0 coordinates; rank 1's
+	// Agree waits for the decision, so it runs on a goroutine of its own,
+	// and a rank 1 that rank 0 counts dead takes no part.
+	{"Agree", func(rig *parkRig) (func() error, func(), func() bool) {
+		world := rig.world[0]
+		peer := func() {
+			if !rig.ds[0].RankFailed(1) {
+				go func() { _, _ = rig.world[1].Agree(1) }()
+			}
+		}
+		arrived := func() bool { _, _, ok, _ := rig.ds[0].FTReply(world.coll, 0, 1); return ok }
+		return func() error {
+			// 3 AND rank 1's 1, or 3 alone once rank 1 is agreed dead.
+			flags, err := world.Agree(3)
+			if err == nil && flags != 1 && flags != 3 {
+				return fmt.Errorf("Agree decided %#x", flags)
+			}
+			return err
+		}, peer, arrived
+	}, []string{"member fails", "communicator revoked"}},
 }
 
 // parkEvent is one event injected between rank 0's look and its park; want
@@ -200,7 +256,7 @@ var parkEvents = []parkEvent{
 // TestParkLoopLosesNoWakeup runs every park caller against every event
 // injected between its look and its park.
 func TestParkLoopLosesNoWakeup(t *testing.T) {
-	const deadline = 5 * time.Second
+	const deadline, grace = 5 * time.Second, 100 * time.Millisecond
 	for _, caller := range parkCallers {
 		for _, ev := range parkEvents {
 			t.Run(caller.name+"/"+ev.name, func(t *testing.T) {
@@ -209,13 +265,31 @@ func TestParkLoopLosesNoWakeup(t *testing.T) {
 				// wait runs the park loop.
 				sib := must(rig.dup[0].Ibarrier())
 				wait, peer, arrived := caller.setup(rig)
+				if slices.Contains(caller.rides, ev.name) {
+					ev.want = nil
+					inject := ev.inject
+					ev.inject = func(rig *parkRig, sib *CollRequest, peer func(), arrived func() bool) {
+						inject(rig, sib, peer, arrived)
+						peer()
+						rig.until(arrived)
+					}
+				}
+				var once sync.Once
+				inject := func() { once.Do(func() { ev.inject(rig, sib, peer, arrived) }) }
 				proc := rig.world[0].proc
 				proc.parkHook = func() {
 					proc.parkHook = nil // the first park only
-					ev.inject(rig, sib, peer, arrived)
+					inject()
 				}
 				returned := make(chan error, 1)
 				go func() { returned <- wait() }()
+				go func() {
+					select {
+					case <-time.After(grace):
+						inject()
+					case <-rig.stop:
+					}
+				}()
 				select {
 				case err := <-returned:
 					if ev.want == nil && err != nil {

@@ -176,23 +176,27 @@ func (c *Comm) progressSiblings(except *CollRequest) {
 	}
 }
 
-// parkUntil is the one park loop of the library's waits while collective
-// schedules are in flight — Request.Wait and the blocking point-to-point
-// forms (waitDevice), WaitAny, WaitAllRequests and CollRequest.Wait. Each
-// pass reads the device's wake generation, then looks (look reports
-// whether the wait is over), drives the sibling schedules except one, and
-// parks until the generation moves. Because the read comes before the
-// look, whatever happens after the look — a completion, an arrival, a
-// death, a revocation, Close — has moved the generation and the park
-// returns at once: no wakeup is lost. Time parked is the profile's wait
-// span.
-func (c *Comm) parkUntil(except *CollRequest, look func() bool) {
+// parkUntil is the one park loop of the library's blocking waits:
+// Request.Wait and the blocking point-to-point forms while collective
+// schedules are in flight (waitDevice), Probe, WaitAny, WaitAllRequests,
+// CollRequest.Wait, the window's epoch waits (Win.waitEpoch) and
+// agreement (ftAgree). Each pass reads the device's wake generation, then
+// looks (look reports whether the wait is over), drives the in-flight
+// schedules except one, and parks until the generation moves. Because the
+// read comes before the look, whatever happens after the look — a
+// completion, an arrival, a death, a revocation, a window's state change
+// (Device.Wake), Close — has moved the generation and the park returns at
+// once: no wakeup is lost. Time parked is the profile's wait span,
+// charged to device context ctx.
+func (c *Comm) parkUntil(ctx int, except *CollRequest, look func() bool) {
 	for {
 		gen := c.dev.Gen()
 		if look() {
 			return
 		}
-		c.progressSiblings(except)
+		if c.proc.collCount.Load() != 0 {
+			c.progressSiblings(except)
+		}
 		if h := c.proc.parkHook; h != nil {
 			h()
 		}
@@ -203,7 +207,7 @@ func (c *Comm) parkUntil(except *CollRequest, look func() bool) {
 		}
 		c.dev.WaitProgress(gen)
 		if p != nil {
-			p.WaitSpan(c.coll, t0)
+			p.WaitSpan(ctx, t0)
 		}
 	}
 }
@@ -452,7 +456,7 @@ func (r *CollRequest) fail(err error) {
 // as MPI allows. The park sits outside r.mu, so fail can interrupt it;
 // errors are re-observed by the next progressLocked pass.
 func (r *CollRequest) Wait() (st *Status, err error) {
-	r.c.parkUntil(r, func() bool {
+	r.c.parkUntil(r.c.coll, r, func() bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.progressLocked()

@@ -41,6 +41,12 @@ package core
 // unlock acknowledgement: per-path FIFO means every reply of the epoch
 // precedes it.
 //
+// Epoch-close waits park in core's one park loop (parkUntil), so a rank
+// inside Fence, Lock or Unlock keeps driving its in-flight collective
+// schedules. Every state change such a wait looks at — a Get or fetch
+// reply, a fence announcement, a lock grant or unlock ack, a terminal
+// failure — moves the device's wake generation (Device.Wake).
+//
 // Failure behavior matches the fault-tolerance surface of ft.go: an
 // operation or epoch close touching a dead rank fails with ErrRankFailed,
 // a revoked communicator fails everything with ErrRevoked, and epoch-close
@@ -53,10 +59,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
+	"sync/atomic"
 	"time"
-	"weak"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
@@ -75,9 +80,27 @@ const (
 // MPJ_RMA_TIMEOUT does not override it: a wait that parks expires this long
 // after it parked. On expiry the unresponsive peers are reported to the
 // failure registry, so the wait fails with ErrRankFailed instead of
-// hanging. The window's one watchdog timer stays armed between epochs; it
-// reaches the window only through a weak pointer, so it keeps none alive.
+// hanging. The window's one watchdog timer stays armed between epochs; its
+// body only wakes the device, so it keeps no window alive.
 const DefaultEpochTimeout = 30 * time.Second
+
+// parseEpochTimeout parses the string form of the epoch deadline (the
+// MPJ_RMA_TIMEOUT environment variable, read once at NewWorld). Empty
+// means DefaultEpochTimeout; anything else must be a positive duration
+// with its unit, such as "500ms" or "5s".
+func parseEpochTimeout(raw string) (time.Duration, error) {
+	if raw == "" {
+		return DefaultEpochTimeout, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil {
+		return 0, err
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("epoch timeout %q: want a positive duration", raw)
+	}
+	return d, nil
+}
 
 // winRegistry maps co-location tokens to live windows, process-wide. Every
 // rank registers its window under a fresh token before the WinCreate
@@ -180,24 +203,23 @@ type Win struct {
 
 	timeout time.Duration
 
-	mu   sync.Mutex
-	cond sync.Cond
-	err  error // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
+	mu  sync.Mutex
+	err error // terminal: ErrRevoked (comm revoked) or ErrComm (freed)
 
-	// The deadline watchdog (see waitEpoch): one timer per window, firing
-	// wake. watchAt is when it fires, zero while disarmed; every parked
-	// waiter's own deadline is at or after it.
+	// The deadline watchdog (see waitEpoch): one timer per window, whose
+	// body wakes the device. watchAt is when it fires (zero before the
+	// first park); while it lies ahead, every parked waiter's own
+	// deadline is at or after it.
 	watch   *time.Timer
 	watchAt time.Time
-	wake    func() // watchdog body: disarms the watch and broadcasts cond
 
 	// Target-side passive-lock state.
 	holders map[int]int // origin member rank → lock mode
 	lockQ   []lockWaiter
 
 	// Origin-side epoch state.
-	fenceGen  uint64   // local fence generation (2 per completed fence)
-	fenceRecv []uint64 // highest fence generation received per member
+	fenceGen  uint64          // local fence generation (2 per completed fence)
+	fenceRecv []atomic.Uint64 // highest fence generation announced per member
 	nextGet   uint64
 	gets      map[uint64]*pendingGet
 	grants    map[int]bool // target member rank → lock granted
@@ -278,28 +300,15 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 		elemSize:  dt.ByteSize(),
 		buf:       raw,
 		slots:     slots,
-		timeout:   epochTimeout(),
+		timeout:   c.proc.epochTimeout,
 		holders:   make(map[int]int),
-		fenceRecv: make([]uint64, size),
+		fenceRecv: make([]atomic.Uint64, size),
 		gets:      make(map[uint64]*pendingGet),
 		grants:    make(map[int]bool),
 		unlockAck: make(map[int]bool),
 		held:      make(map[int]int),
 		lockStart: make(map[int]time.Time),
 		world:     make([]int, size),
-	}
-	w.cond.L = &w.mu
-	// The watchdog's body reaches the window through a weak pointer: the
-	// runtime may hold a stopped timer in its heap until the time it was
-	// due, and that must not keep a freed window alive.
-	wp := weak.Make(w)
-	w.wake = func() {
-		if w := wp.Value(); w != nil {
-			w.mu.Lock()
-			w.watchAt = time.Time{}
-			w.cond.Broadcast()
-			w.mu.Unlock()
-		}
 	}
 	for m := 0; m < size; m++ {
 		wr, err := c.worldRank(m)
@@ -356,21 +365,13 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 	return w, nil
 }
 
-// epochTimeout resolves the epoch-close deadline from MPJ_RMA_TIMEOUT.
-func epochTimeout() time.Duration {
-	if raw := os.Getenv("MPJ_RMA_TIMEOUT"); raw != "" {
-		if d, err := time.ParseDuration(raw); err == nil && d > 0 {
-			return d
-		}
-	}
-	return DefaultEpochTimeout
-}
-
 // SetEpochTimeout overrides the deadline on epoch-close waits (Fence,
-// Lock, Unlock) for this window. Zero or negative restores the default.
+// Lock, Unlock) for this window. Zero or negative restores the process
+// default: MPJ_RMA_TIMEOUT as NewWorld parsed it, else
+// DefaultEpochTimeout.
 func (w *Win) SetEpochTimeout(d time.Duration) {
 	if d <= 0 {
-		d = epochTimeout()
+		d = w.c.proc.epochTimeout
 	}
 	w.mu.Lock()
 	w.timeout = d
@@ -431,9 +432,8 @@ func (w *Win) fail(err error) {
 	if w.watch != nil {
 		w.watch.Stop()
 	}
-	w.watchAt = time.Time{}
-	w.cond.Broadcast()
 	w.mu.Unlock()
+	w.dev.Wake()
 }
 
 // usable returns the window's terminal error, if any.
@@ -847,62 +847,71 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 // ---------------------------------------------------------------------
 // Epoch control.
 
-// waitEpoch waits on the window condition until pred reports done (or an
-// error). It looks before it parks: a wait whose predicate already holds
-// reads no clock and touches no timer. One that has to park fixes its
-// deadline on the first park (park time + timeout) and makes sure the
-// window's watchdog fires at or before it (armWatchLocked); on every later
-// wake-up it judges expiry on its own clock, so a fire meant for another
-// waiter is a spurious wake-up, nothing more. On expiry every member
-// stuck() still blames is reported to the device failure registry, which
-// turns the hang into a typed ErrRankFailed through pred's dead-rank
-// checks. Device failure watchers broadcast the condition, so newly
-// detected failures (from any source) re-evaluate pred promptly.
-func (w *Win) waitEpoch(pred func() (bool, error), stuck func() []int) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// waitEpoch parks in the one park loop until pred reports done (or an
+// error). pred runs without w.mu (the fence's reads only atomics), so a
+// wait whose predicate already holds reads no clock and takes no lock. One
+// that has to park fixes its deadline on the first park (park time +
+// timeout) and makes sure the window's watchdog fires at or before it
+// (armWatchLocked); on every later wake-up it judges expiry on its own
+// clock, so a fire meant for another waiter is a spurious wake-up. On
+// expiry every member stuck() (run under w.mu) still blames is reported to
+// the device failure registry, which turns the hang into a typed
+// ErrRankFailed through pred's dead-rank checks. A terminal failure of the
+// window or the device ends the wait with its error. Time parked is
+// charged to the window's context.
+func (w *Win) waitEpoch(pred func() (bool, error), stuck func() []int) (err error) {
 	var deadline time.Time
-	for {
-		if w.err != nil {
-			return w.err
+	w.c.parkUntil(w.ctx, nil, func() bool {
+		var done bool
+		if done, err = pred(); done || err != nil {
+			return true
 		}
-		if done, err := pred(); done || err != nil {
-			return err
+		w.mu.Lock()
+		if err = w.err; err == nil {
+			err = w.dev.Err()
 		}
-		now := time.Now()
-		if deadline.IsZero() {
-			deadline = now.Add(w.timeout)
-		} else if !now.Before(deadline) {
-			deadline = now.Add(w.timeout)
-			peers, cause := stuck(), fmt.Errorf("mpj: rma epoch deadline (%s) expired", w.timeout)
+		if err != nil {
 			w.mu.Unlock()
-			for _, m := range peers {
-				w.dev.NotifyRankFailed(w.world[m], cause)
-			}
-			w.mu.Lock()
-			continue
+			return true
+		}
+		now, timeout := time.Now(), w.timeout
+		var late []int
+		if deadline.IsZero() {
+			deadline = now.Add(timeout)
+		} else if !now.Before(deadline) {
+			late = stuck()
+			deadline = now.Add(timeout)
 		}
 		w.armWatchLocked(now, deadline)
-		w.cond.Wait()
-	}
+		w.mu.Unlock()
+		if len(late) > 0 {
+			cause := fmt.Errorf("mpj: rma epoch deadline (%s) expired", timeout)
+			for _, m := range late {
+				w.dev.NotifyRankFailed(w.world[m], cause)
+			}
+		}
+		return false
+	})
+	return err
 }
 
-// armWatchLocked makes the watchdog fire at or before deadline. An armed
-// watch that fires no later is left alone — in steady state every epoch of
-// a window finds it so and touches no timer; a disarmed one, or one due
-// after deadline (the timeout was shortened), is reset to deadline. wake
-// disarms before it broadcasts, so a fire already in flight cannot leave a
-// parked waiter uncovered: the waiter wakes and re-arms for itself.
-// Callers hold w.mu.
+// armWatchLocked makes the watchdog fire at or before deadline. A watch
+// still ahead and due no later is left alone — in steady state every
+// epoch of a window finds it so and touches no timer; one already due (it
+// fired, or is about to) or due after deadline (the timeout was shortened)
+// is reset to deadline. A reset that takes back a due fire wakes the
+// device itself, for the other waiters that fire was to wake. Callers hold
+// w.mu.
 func (w *Win) armWatchLocked(now, deadline time.Time) {
-	if !w.watchAt.IsZero() && !w.watchAt.After(deadline) {
+	due := !now.Before(w.watchAt)
+	if !due && !w.watchAt.After(deadline) {
 		return
 	}
 	w.watchAt = deadline
 	if w.watch == nil {
-		w.watch = time.AfterFunc(deadline.Sub(now), w.wake)
-	} else {
-		w.watch.Reset(deadline.Sub(now))
+		w.watch = time.AfterFunc(deadline.Sub(now), w.dev.Wake)
+	} else if w.watch.Reset(deadline.Sub(now)) && due {
+		w.dev.Wake()
 	}
 }
 
@@ -910,6 +919,8 @@ func (w *Win) armWatchLocked(now, deadline time.Time) {
 // remain; a Get whose target died fails typed (and is dropped, so the
 // window stays usable for recovery).
 func (w *Win) getsDone() (bool, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for id, g := range w.gets {
 		if err := w.dev.RankError(w.world[g.target]); err != nil {
 			delete(w.gets, id)
@@ -919,6 +930,7 @@ func (w *Win) getsDone() (bool, error) {
 	return len(w.gets) == 0, nil
 }
 
+// stuckGets blames the targets of outstanding Gets. Callers hold w.mu.
 func (w *Win) stuckGets() []int {
 	seen := make(map[int]bool)
 	var out []int
@@ -931,10 +943,12 @@ func (w *Win) stuckGets() []int {
 	return out
 }
 
-// syncPhase announces fence generation gen to every peer — by a store into
-// a co-located peer's window, by frame to a remote one — and waits until
-// every live peer announced at least gen (dead peers whose announcement is
-// missing fail the fence typed).
+// syncPhase announces fence generation gen to every peer — by an atomic
+// store into a co-located peer's window, which wakes the peer's device, by
+// frame to a remote one — and waits until every live peer announced at
+// least gen (dead peers whose announcement is missing fail the fence
+// typed). The store takes no window mutex: it publishes this rank's direct
+// operations on the peer, all applied before it.
 func (w *Win) syncPhase(gen uint64) error {
 	me, frames := w.c.rank, 0
 	for m, tw := range w.peers {
@@ -942,10 +956,8 @@ func (w *Win) syncPhase(gen uint64) error {
 			continue
 		}
 		if tw != nil {
-			tw.mu.Lock()
-			tw.fenceRecv[me] = gen
-			tw.cond.Broadcast()
-			tw.mu.Unlock()
+			tw.fenceRecv[me].Store(gen)
+			tw.dev.Wake()
 			continue
 		}
 		frames++
@@ -961,19 +973,16 @@ func (w *Win) syncPhase(gen uint64) error {
 	}
 	return w.waitEpoch(func() (bool, error) {
 		for m := range w.world {
-			if m == me || w.fenceRecv[m] >= gen {
+			if m == me || w.fenceRecv[m].Load() >= gen {
 				continue
 			}
-			if err := w.dev.RankError(w.world[m]); err != nil {
-				return false, err
-			}
-			return false, nil
+			return false, w.dev.RankError(w.world[m])
 		}
 		return true, nil
 	}, func() []int {
 		var out []int
 		for m := range w.world {
-			if m != me && w.fenceRecv[m] < gen {
+			if m != me && w.fenceRecv[m].Load() < gen {
 				out = append(out, m)
 			}
 		}
@@ -1061,17 +1070,7 @@ func (w *Win) Lock(mode, target int) error {
 	if err := w.sendCtl(target, wire.KindRmaLockReq, mode, 0); err != nil {
 		return fmt.Errorf("mpj: lock: %w", err)
 	}
-	err := w.waitEpoch(func() (bool, error) {
-		if w.grants[target] {
-			delete(w.grants, target)
-			return true, nil
-		}
-		if err := w.dev.RankError(w.world[target]); err != nil {
-			return false, err
-		}
-		return false, nil
-	}, func() []int { return []int{target} })
-	if err != nil {
+	if err := w.awaitAck(w.grants, target); err != nil {
 		return fmt.Errorf("mpj: lock: %w", err)
 	}
 	w.mu.Lock()
@@ -1110,16 +1109,7 @@ func (w *Win) Unlock(target int) error {
 		release()
 		return fmt.Errorf("mpj: unlock: %w", err)
 	}
-	err := w.waitEpoch(func() (bool, error) {
-		if w.unlockAck[target] {
-			delete(w.unlockAck, target)
-			return true, nil
-		}
-		if err := w.dev.RankError(w.world[target]); err != nil {
-			return false, err
-		}
-		return false, nil
-	}, func() []int { return []int{target} })
+	err := w.awaitAck(w.unlockAck, target)
 	release()
 	if err != nil {
 		return fmt.Errorf("mpj: unlock: %w", err)
@@ -1128,6 +1118,20 @@ func (w *Win) Unlock(target int) error {
 		p.RmaEpoch(w.ctx, fmt.Sprintf("lock:%d", target), start)
 	}
 	return nil
+}
+
+// awaitAck waits for target's lock grant or unlock ack — its entry in acks,
+// which it consumes; a dead target fails the wait typed.
+func (w *Win) awaitAck(acks map[int]bool, target int) error {
+	return w.waitEpoch(func() (bool, error) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if acks[target] {
+			delete(acks, target)
+			return true, nil
+		}
+		return false, w.dev.RankError(w.world[target])
+	}, func() []int { return []int{target} })
 }
 
 // sendCtl ships one control frame to a member, dispatching synchronously
@@ -1163,13 +1167,15 @@ func winSpan(seq uint64, n, size int) (off int, ok bool) {
 // handleFrame dispatches one inbound RMA frame. It runs on the transport
 // reader goroutine (or synchronously on the caller for self-frames):
 // state changes happen under w.mu, outbound control frames are collected
-// and sent after releasing it.
+// and sent after releasing it, and a change an epoch wait looks at wakes
+// the device then too.
 func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 	origin := w.c.groupSource(src)
 	if origin < 0 || origin >= len(w.world) {
 		return // not a member: a stale frame of a freed window's context
 	}
 	var outs []ctlFrame
+	wake := false
 	w.mu.Lock()
 	switch h.Kind {
 	case wire.KindRmaPut:
@@ -1234,13 +1240,13 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 			} else {
 				_, _ = g.dt.Unpack(payload, g.buf, g.off, g.count)
 			}
-			w.cond.Broadcast()
+			wake = true
 		}
 
 	case wire.KindRmaFenceSync:
-		if h.Seq > w.fenceRecv[origin] {
-			w.fenceRecv[origin] = h.Seq
-			w.cond.Broadcast()
+		if h.Seq > w.fenceRecv[origin].Load() {
+			w.fenceRecv[origin].Store(h.Seq)
+			wake = true
 		}
 
 	case wire.KindRmaLockReq:
@@ -1252,7 +1258,7 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 		} else {
 			w.unlockAck[origin] = true
 		}
-		w.cond.Broadcast()
+		wake = true
 
 	case wire.KindRmaUnlock:
 		delete(w.holders, origin)
@@ -1260,6 +1266,9 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 		outs = append(outs, w.promoteLocked()...)
 	}
 	w.mu.Unlock()
+	if wake {
+		w.dev.Wake()
+	}
 	for _, o := range outs {
 		_ = w.sendCtl(o.target, o.kind, o.tag, o.seq)
 	}
@@ -1318,10 +1327,11 @@ func (w *Win) promoteLocked() []ctlFrame {
 	return outs
 }
 
-// onRankFailed reacts to a newly detected rank failure: epoch waiters are
-// woken (their predicates consult the failure registry), and locks held
-// or requested by the dead origin are released at this target so queued
-// peers are granted instead of tripping their deadlines.
+// onRankFailed releases, at this target, the locks a newly failed origin
+// held or requested, so queued peers are granted instead of tripping their
+// deadlines. Parked epoch waits need nothing from here: the failure moved
+// the device's wake generation, and their predicates consult the failure
+// registry.
 func (w *Win) onRankFailed(worldRank int) {
 	origin := w.c.groupSource(worldRank)
 	if origin < 0 || origin >= len(w.world) {
@@ -1340,7 +1350,6 @@ func (w *Win) onRankFailed(worldRank int) {
 			i++
 		}
 	}
-	w.cond.Broadcast()
 	w.mu.Unlock()
 	for _, o := range outs {
 		_ = w.sendCtl(o.target, o.kind, o.tag, o.seq)

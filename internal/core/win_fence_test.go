@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -578,4 +579,51 @@ func TestWinFreedIsCollectable(t *testing.T) {
 		}
 		return fmt.Errorf("a freed window whose fence parked survived %d GC cycles", cycles)
 	})
+}
+
+// TestEpochTimeoutParsedOnce: NewWorld reads MPJ_RMA_TIMEOUT once. A
+// value that is not a positive duration with a unit fails it, naming the
+// variable; a good one is every window's deadline and what
+// SetEpochTimeout(0) restores, whatever the environment says later.
+func TestEpochTimeoutParsedOnce(t *testing.T) {
+	world := func() (*Comm, error) {
+		d, err := device.Open(transport.NewChanMesh(1)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = d.Close() })
+		return NewWorld(d)
+	}
+	for _, bad := range []string{"5", "-1s", "0s", "soon"} {
+		t.Setenv("MPJ_RMA_TIMEOUT", bad)
+		if _, err := world(); err == nil || !strings.Contains(err.Error(), "MPJ_RMA_TIMEOUT") {
+			t.Errorf("MPJ_RMA_TIMEOUT=%q: NewWorld returned %v, want an error naming the variable", bad, err)
+		}
+	}
+	t.Setenv("MPJ_RMA_TIMEOUT", "750ms")
+	w, err := world()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("MPJ_RMA_TIMEOUT", "9s")
+	win, err := w.WinCreate(make([]int64, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 750 * time.Millisecond
+	if win.timeout != want {
+		t.Errorf("a new window's epoch timeout is %v, want %v", win.timeout, want)
+	}
+	win.SetEpochTimeout(time.Second)
+	win.SetEpochTimeout(0)
+	if win.timeout != want {
+		t.Errorf("SetEpochTimeout(0) restored %v, want %v", win.timeout, want)
+	}
+	t.Setenv("MPJ_RMA_TIMEOUT", "")
+	if w, err = world(); err != nil {
+		t.Fatal(err)
+	}
+	if w.proc.epochTimeout != DefaultEpochTimeout {
+		t.Errorf("unset MPJ_RMA_TIMEOUT gives %v, want %v", w.proc.epochTimeout, DefaultEpochTimeout)
+	}
 }

@@ -790,6 +790,37 @@ func TestWinProfExact(t *testing.T) {
 	})
 }
 
+// TestWinParkedFenceChargedToWindow: time a fence spends parked is the
+// window's wait time (Win.ProfSnapshot().WaitNs), none of it the
+// communicator's collective context's.
+func TestWinParkedFenceChargedToWindow(t *testing.T) {
+	const late = 30 * time.Millisecond
+	runRanksProf(t, 2, prof.Spec{Counters: true}, false, func(w *Comm) error {
+		win, err := w.WinCreate(make([]int64, 2), 1)
+		if err != nil {
+			return err
+		}
+		defer win.Free()
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		if w.Rank() == 1 {
+			time.Sleep(late)
+			return win.Fence()
+		}
+		p := w.dev.Profiler()
+		coll, own := p.CtxSnapshot(w.coll).WaitNs, win.ProfSnapshot().WaitNs
+		if err := win.Fence(); err != nil {
+			return err
+		}
+		if d := win.ProfSnapshot().WaitNs - own; d < int64(late/2) {
+			return fmt.Errorf("a fence parked ≈%v charged %v to its window", late, time.Duration(d))
+		}
+		return expect(p.CtxSnapshot(w.coll).WaitNs == coll, "the fence charged %v to the collective context",
+			time.Duration(p.CtxSnapshot(w.coll).WaitNs-coll))
+	})
+}
+
 // TestWinErrors: argument validation across the window surface.
 func TestWinErrors(t *testing.T) {
 	runRanks(t, 2, func(w *Comm) error {

@@ -260,7 +260,8 @@ type Device struct {
 
 	// One-sided support (see rma.go): onRMA dispatches inbound RMA frames
 	// to the window layer; failWatchers are additional failure listeners
-	// (window epoch waiters) invoked after every newly detected failure.
+	// (the window layer's lock reaping) invoked after every newly detected
+	// failure.
 	onRMA        func(src int, h wire.Header, payload []byte)
 	failWatchers []func(rank int, err error)
 
@@ -689,39 +690,33 @@ func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bo
 	return false, nil
 }
 
-// Iprobe checks, without receiving, whether a message matching
-// (src, tag, ctx) has arrived. The returned status reports the envelope
-// and byte count of the earliest such message.
-func (d *Device) Iprobe(src, tag, ctx int) (Status, bool) {
+// Iprobe looks, without receiving and without blocking, for a message
+// matching (src, tag, ctx): ok reports the envelope and byte count of the
+// earliest such message. With none there, err says why none will come —
+// the device closed or failed, or the source is dead (for AnySource, any
+// rank) — and is nil while one still may. A blocking probe is core's park
+// loop around this look.
+func (d *Device) Iprobe(src, tag, ctx int) (st Status, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, u := range d.unexp {
 		if envelopeMatches(src, tag, ctx, u.src, u.tag, u.ctx) {
-			return Status{Source: u.src, Tag: u.tag, Count: u.bytes()}, true
+			return Status{Source: u.src, Tag: u.tag, Count: u.bytes()}, true, nil
 		}
 	}
-	return Status{}, false
+	if err := d.usable(); err != nil {
+		return Status{}, false, err
+	}
+	return Status{}, false, d.deadSourceLocked(src)
 }
 
-// Probe blocks until a message matching (src, tag, ctx) has arrived and
-// returns its envelope without receiving it.
-func (d *Device) Probe(src, tag, ctx int) (Status, error) {
+// Err returns the device's terminal error — ErrClosed after Close or Abort,
+// the RankFailedError of a rank declared dead itself — or nil while the
+// device is usable.
+func (d *Device) Err() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for {
-		if err := d.usable(); err != nil {
-			return Status{}, err
-		}
-		for _, u := range d.unexp {
-			if envelopeMatches(src, tag, ctx, u.src, u.tag, u.ctx) {
-				return Status{Source: u.src, Tag: u.tag, Count: u.bytes()}, nil
-			}
-		}
-		if err := d.deadSourceLocked(src); err != nil {
-			return Status{}, err
-		}
-		d.cond.Wait()
-	}
+	return d.usable()
 }
 
 // usable reports the terminal error state, if any. Callers hold d.mu.
@@ -1010,6 +1005,15 @@ func (d *Device) wakeLocked() {
 	d.cond.Broadcast()
 }
 
+// Wake moves the wake generation for a change of state kept above the
+// device that a waiter parked in WaitProgress looks at — a window's epoch
+// state (see core's win.go) — so that waiter looks again.
+func (d *Device) Wake() {
+	d.mu.Lock()
+	d.wakeLocked()
+	d.mu.Unlock()
+}
+
 // Gen returns the wake generation, which moves on every change of device
 // state a waiter may be parked on. Read it before looking at that state:
 // WaitProgress(gen) then returns at once if anything changed after the
@@ -1018,12 +1022,13 @@ func (d *Device) Gen() uint64 { return d.gen.Load() }
 
 // WaitProgress parks until the wake generation moves past gen — until any
 // request completes, a message arrives unmatched, a rank failure or a
-// revoked context is registered, or the device closes after the caller
-// read Gen. It is the parking primitive of the collective schedule engine,
-// which re-derives what to do from schedule state after every wakeup; the
-// wakeup says that something changed, not what.
+// revoked context is registered, an agreement message lands, Wake is
+// called, or the device closes after the caller read Gen. It is the
+// parking primitive of core's one park loop, which re-derives what to do
+// from its own state after every wakeup; the wakeup says that something
+// changed, not what.
 func (d *Device) WaitProgress(gen uint64) {
-	if d.polls && d.spin(gen, time.Now().Add(pollBudget)) {
+	if d.gen.Load() != gen || d.polls && d.spin(gen, time.Now().Add(pollBudget)) {
 		return
 	}
 	d.mu.Lock()

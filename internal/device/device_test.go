@@ -331,15 +331,37 @@ func TestTruncationError(t *testing.T) {
 	}
 }
 
+// parkFor is core's park loop over one device: read the generation, look,
+// park until it moves. The blocking probe and WaitAny are this loop around
+// the non-blocking Iprobe and TestAny.
+func parkFor(d *Device, look func() bool) {
+	for {
+		gen := d.Gen()
+		if look() {
+			return
+		}
+		d.WaitProgress(gen)
+	}
+}
+
+// probe is the blocking probe: Iprobe until a message matches or none can.
+func probe(d *Device, src, tag, ctx int) (st Status, err error) {
+	parkFor(d, func() (ok bool) {
+		st, ok, err = d.Iprobe(src, tag, ctx)
+		return ok || err != nil
+	})
+	return st, err
+}
+
 func TestProbeAndIprobe(t *testing.T) {
 	d0, d1 := openPair(t)
-	if _, ok := d1.Iprobe(AnySource, AnyTag, 0); ok {
-		t.Error("Iprobe on empty queue reported a message")
+	if _, ok, err := d1.Iprobe(AnySource, AnyTag, 0); ok || err != nil {
+		t.Errorf("Iprobe on empty queue: ok=%v err=%v, want neither", ok, err)
 	}
 	if _, err := d0.Isend(payload(10, 6), 1, 77, 0, ModeStandard); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d1.Probe(0, 77, 0)
+	st, err := probe(d1, 0, 77, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,6 +377,18 @@ func TestProbeAndIprobe(t *testing.T) {
 	if _, err := rr.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	// With nothing queued, a dead source ends the look — for AnySource
+	// too — and so does the device's end.
+	d1.NotifyRankFailed(0, errors.New("test: rank 0 killed"))
+	for _, src := range []int{0, AnySource} {
+		if _, ok, err := d1.Iprobe(src, 77, 0); ok || !errors.Is(err, ErrRankFailed) {
+			t.Errorf("Iprobe(%d) after the source died: ok=%v err=%v, want ErrRankFailed", src, ok, err)
+		}
+	}
+	_ = d1.Close()
+	if _, ok, err := d1.Iprobe(0, 77, 0); ok || !errors.Is(err, ErrClosed) {
+		t.Errorf("Iprobe on a closed device: ok=%v err=%v, want ErrClosed", ok, err)
+	}
 }
 
 func TestProbeSeesRendezvousLength(t *testing.T) {
@@ -363,7 +397,7 @@ func TestProbeSeesRendezvousLength(t *testing.T) {
 	if _, err := d0.Isend(payload(n, 7), 1, 1, 0, ModeStandard); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d1.Probe(0, 1, 0)
+	st, err := probe(d1, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +429,17 @@ func TestWaitAnyStepsThroughCompletions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// WaitAny is the park loop around TestAny.
+	waitAny := func() (idx int, st Status, err error) {
+		parkFor(d1, func() (ok bool) {
+			idx, st, ok, err = d1.TestAny(reqs)
+			return ok
+		})
+		return idx, st, err
+	}
 	seen := map[int]bool{}
 	for i := 0; i < n; i++ {
-		idx, st, err := d1.WaitAny(reqs)
+		idx, st, err := waitAny()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +451,7 @@ func TestWaitAnyStepsThroughCompletions(t *testing.T) {
 			t.Errorf("request %d completed with tag %d", idx, st.Tag)
 		}
 	}
-	if idx, _, err := d1.WaitAny(reqs); idx != -1 || err != nil {
+	if idx, _, err := waitAny(); idx != -1 || err != nil {
 		t.Errorf("WaitAny over consumed requests: idx=%d err=%v, want -1", idx, err)
 	}
 }
@@ -558,7 +600,7 @@ func TestCancelPendingRendezvousSend(t *testing.T) {
 		t.Error("cancel of unmatched rendezvous send did not take effect")
 	}
 	// The receiver must no longer see the message.
-	if _, ok := d1.Iprobe(0, 0, 0); ok {
+	if _, ok, _ := d1.Iprobe(0, 0, 0); ok {
 		t.Error("cancelled message still probeable at receiver")
 	}
 }

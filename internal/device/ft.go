@@ -20,6 +20,9 @@ import (
 //   - members await the decision; if the coordinator dies first, the next
 //     live member in group order takes over.
 //
+// The device side never blocks: FTReply is a look, and core waits on it in
+// its one park loop (every change it looks at moves the wake generation).
+//
 // Uniformity leans on two properties. First, the failure detector is
 // accurate (ranks are only marked dead when their process really died), so
 // two live coordinators never run concurrently. Second, all pull traffic
@@ -141,64 +144,39 @@ func (d *Device) FTRegister(ctx, seq int, contrib []byte) {
 }
 
 // FTPull asks world rank from for its contribution to instance (ctx, seq).
-// The coordinator calls it, then parks in FTAwaitReply.
+// The coordinator calls it, then looks for the answer with FTReply.
 func (d *Device) FTPull(from, ctx, seq int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.sendFTLocked(from, wire.KindFTPull, ftKey{ctx: ctx, seq: seq}, nil)
 }
 
-// FTAwaitReply blocks until world rank from answers the coordinator's pull
-// on instance (ctx, seq). Exactly one of the outcomes is non-zero:
+// FTReply looks, without blocking, for the end of a wait on world rank
+// from in instance (ctx, seq): the coordinator's wait for the answer to
+// its pull, or a member's for the decision of from, its coordinator. ok
+// reports that the wait is over, with exactly one outcome:
 //
-//   - reply:    from's contribution arrived;
-//   - decision: some decision reached this rank first (an earlier
-//     coordinator decided before dying) — the caller must adopt it;
-//   - err:      from failed before replying (a RankFailedError, the caller
-//     counts it dead and moves on) or the device terminated.
-func (d *Device) FTAwaitReply(ctx, seq, from int) (reply, decision []byte, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := ftKey{ctx: ctx, seq: seq}
-	inst := d.ftInstLocked(key)
-	for {
-		if e := d.usable(); e != nil {
-			return nil, nil, e
-		}
-		if inst.decided {
-			return nil, append([]byte(nil), inst.decision...), nil
-		}
-		if b, ok := inst.replies[from]; ok {
-			return append([]byte(nil), b...), nil, nil
-		}
-		if e, ok := d.dead[from]; ok {
-			return nil, nil, e
-		}
-		d.cond.Wait()
-	}
-}
-
-// FTAwaitDecision blocks until instance (ctx, seq) is decided, returning
-// the decision, or until world rank coord — the coordinator this member is
-// counting on — fails, returning its RankFailedError so the member can
-// move to the next coordinator in the chain. Any decision satisfies the
-// wait, whoever sent it.
-func (d *Device) FTAwaitDecision(ctx, seq, coord int) ([]byte, error) {
+//   - reply:    from's contribution arrived (only ever to a pull);
+//   - decision: some decision reached this rank — the caller adopts it;
+//   - err:      from failed first (a RankFailedError: the caller counts it
+//     dead and moves on) or the device terminated.
+func (d *Device) FTReply(ctx, seq, from int) (reply, decision []byte, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	inst := d.ftInstLocked(ftKey{ctx: ctx, seq: seq})
-	for {
-		if e := d.usable(); e != nil {
-			return nil, e
-		}
-		if inst.decided {
-			return append([]byte(nil), inst.decision...), nil
-		}
-		if e, ok := d.dead[coord]; ok {
-			return nil, e
-		}
-		d.cond.Wait()
+	if e := d.usable(); e != nil {
+		return nil, nil, true, e
 	}
+	if inst.decided {
+		return nil, append([]byte(nil), inst.decision...), true, nil
+	}
+	if b, ok := inst.replies[from]; ok {
+		return append([]byte(nil), b...), nil, true, nil
+	}
+	if e, ok := d.dead[from]; ok {
+		return nil, nil, true, e
+	}
+	return nil, nil, false, nil
 }
 
 // FTDecide records the decision of instance (ctx, seq) locally and

@@ -27,8 +27,8 @@ const (
 // Request is a handle on an in-flight device operation, the device-level
 // analogue of MPI_Request. Requests are created by Isend/Irecv and
 // completed by the protocol engine; user goroutines observe completion via
-// Wait/Test or the device's WaitAny/TestAny/TestAll, or park on any change
-// with Gen and WaitProgress.
+// Wait/Test or the device's TestAny/TestAll, or park on any change with
+// Gen and WaitProgress.
 type Request struct {
 	d    *Device
 	kind reqKind
@@ -55,7 +55,7 @@ type Request struct {
 
 	stash        bool // sender: payload is a pooled buffer the device owns (IsendFill)
 	cancelWanted bool
-	consumed     bool // a WaitAny/TestAny already returned this request
+	consumed     bool // a TestAny already returned this request
 }
 
 // Wait blocks until the request completes and returns its status. Where
@@ -169,37 +169,13 @@ func (r *Request) String() string {
 	return fmt.Sprintf("Request{%s tag=%d ctx=%d done=%v}", kind, r.tag, r.ctx, r.done)
 }
 
-// WaitAny blocks until at least one of reqs completes and returns its
-// index and status. Completed requests are marked consumed so repeated
-// WaitAny calls step through a request slice the way MPI_Waitany does.
-// Nil entries are ignored; if every entry is nil or already consumed,
-// WaitAny returns index -1 with an empty status.
-func (d *Device) WaitAny(reqs []*Request) (int, Status, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		active := false
-		for i, r := range reqs {
-			if r == nil || r.consumed {
-				continue
-			}
-			active = true
-			if r.done {
-				r.consumed = true
-				return i, r.status, r.err
-			}
-		}
-		if !active {
-			return -1, Status{}, nil
-		}
-		d.cond.Wait()
-	}
-}
-
-// TestAny is the non-blocking WaitAny. Like MPI_Testany: ok is true when
-// some request completed (idx is its index) or when there are no active
-// requests left (idx -1); ok is false when active requests exist but none
-// has completed yet.
+// TestAny reports, without blocking, one completed request of reqs, like
+// MPI_Testany: ok is true when some request completed (idx is its index)
+// or when there are no active requests left (idx -1); ok is false when
+// active requests exist but none has completed yet. A request it returns
+// is marked consumed and skipped from then on, so repeated calls step
+// through a request slice the way MPI_Waitany does; nil entries are
+// ignored. A blocking WaitAny is core's park loop around this look.
 func (d *Device) TestAny(reqs []*Request) (idx int, st Status, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -41,8 +41,9 @@ func (d *Device) SetRMAHandler(f func(src int, h wire.Header, payload []byte)) {
 
 // AddFailureWatcher registers f to run (outside the device lock) after
 // every newly detected rank failure, in addition to the Open-time failure
-// handler. The window layer uses it to wake epoch-close waiters parked on
-// a dead peer's synchronization frame.
+// handler. The window layer uses it to release the locks a dead origin
+// held or queued at this target; parked waiters need no watcher, the
+// failure already moved the wake generation.
 func (d *Device) AddFailureWatcher(f func(rank int, err error)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

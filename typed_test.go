@@ -25,6 +25,13 @@ var typedJobSeq atomic.Uint64
 // distributed runtime. It fails the test if any rank errors or wedges.
 func runWorlds(t *testing.T, np int, dev string, fn func(w *Comm) error) {
 	t.Helper()
+	runWorldsWithin(t, np, dev, 120*time.Second, fn)
+}
+
+// runWorldsWithin is runWorlds with the time after which the job counts
+// as wedged.
+func runWorldsWithin(t *testing.T, np int, dev string, limit time.Duration, fn func(w *Comm) error) {
+	t.Helper()
 	eps := make([]transport.Transport, np)
 	switch dev {
 	case "chan":
@@ -77,8 +84,8 @@ func runWorlds(t *testing.T, np int, dev string, fn func(w *Comm) error) {
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("job wedged: ranks did not finish within 120s")
+	case <-time.After(limit):
+		t.Fatalf("job wedged: ranks did not finish within %v", limit)
 	}
 	for i, err := range errs {
 		if err != nil {
