@@ -6,10 +6,6 @@
 //	mpjd -registrars host1:4161,host2:4161
 //	mpjd                         # group discovery on the default UDP port
 //
-// -device sets a host-wide default transport device (chan | tcp | hyb) for
-// the slaves this daemon spawns, exported to them as MPJ_DEVICE; a device
-// chosen by the client (mpjrun -device) still wins.
-//
 // -prof-addr serves a JSON endpoint (GET /debug/vars) publishing the
 // daemon's job/slave/lease state under "mpjd" and — because slaves spawned
 // by this daemon inherit MPJ_PROF_ADDR only if set in its environment —
@@ -30,25 +26,14 @@ import (
 	"mpj/internal/daemon"
 	"mpj/internal/lookup"
 	"mpj/internal/prof"
-	"mpj/internal/transport"
 )
 
 func main() {
 	registrars := flag.String("registrars", "", "comma-separated registrar addresses (unicast discovery)")
 	port := flag.Int("discovery-port", lookup.DefaultDiscoveryPort, "UDP discovery port when -registrars is empty")
 	leaseDur := flag.Duration("lease", 30*time.Second, "lookup registration lease duration")
-	device := flag.String("device", "", "default transport device for spawned slaves: chan, tcp or hyb (overridden by the client's choice)")
 	profAddr := flag.String("prof-addr", os.Getenv("MPJ_PROF_ADDR"), "serve the counters as JSON on GET /debug/vars at this address (default: $MPJ_PROF_ADDR, then off)")
 	flag.Parse()
-
-	if *device != "" {
-		if _, err := transport.ParseDeviceName(*device); err != nil {
-			log.Fatalf("mpjd: %v", err)
-		}
-		// Spawned slaves inherit the daemon's environment; slaves resolve
-		// their device as spec > MPJ_DEVICE > built-in default.
-		os.Setenv("MPJ_DEVICE", *device)
-	}
 
 	var locators []string
 	if *registrars != "" {

@@ -9,24 +9,24 @@
 // the lookup service: by group discovery by default, or restricted to
 // explicit registrars with -registrars.
 //
-// The transport every slave builds is selected with -device (chan | tcp |
-// hyb), defaulting to the MPJ_DEVICE environment variable and then to the
-// hybrid device, which routes co-located ranks over in-process channels
-// and remote ranks over TCP. -eager-limit sets the devices'
-// eager/rendezvous protocol threshold in bytes (default: the client's
-// MPJ_EAGER_LIMIT environment variable, then each slave's own
-// MPJ_EAGER_LIMIT, then the built-in default). -coll-alg forces the
-// collective algorithm family on every slave (classic | ring | hier; auto
-// restores size-based selection); it defaults to the
-// client's MPJ_COLL_ALG and travels in the slave spec so all ranks agree,
-// as collective schedules require.
+// Every slave builds the hybrid transport, which routes each pair of
+// ranks over the fastest medium their placement allows (see README
+// "Devices"); there is no device to choose.
 //
-// -prof enables the instrumentation layer on every slave: "counters" for
-// the per-communicator counters behind Comm.ProfSnapshot, or
-// "trace:<path-prefix>" to additionally write one Chrome trace_event JSON
-// timeline per rank (resolved on each slave's host). It defaults to the
-// client's MPJ_PROF and travels in the slave spec; see README
-// "Observability".
+// The job's tuning is resolved once, here in the client, and travels in
+// every slave's spec, so all ranks run with the same values whatever
+// their hosts' environments say: each flag, else the client's MPJ_*
+// variable, else the default (see mpj.JobConfig). -eager-limit sets the
+// devices' eager/rendezvous protocol threshold in bytes
+// ($MPJ_EAGER_LIMIT). -coll-alg forces the collective algorithm family
+// (classic | ring | hier; auto, the default, is size-based selection;
+// $MPJ_COLL_ALG). -prof enables the instrumentation layer on every
+// slave: "counters" for the per-communicator counters behind
+// Comm.ProfSnapshot, or "trace:<path-prefix>" to additionally write one
+// Chrome trace_event JSON timeline per rank, resolved on each slave's
+// host ($MPJ_PROF; see README "Observability"). The windows' epoch
+// deadline comes from $MPJ_RMA_TIMEOUT. A malformed value fails the job
+// before any daemon is contacted.
 //
 // -elastic switches the job to the elastic failure model: a dead slave
 // surfaces as a typed ErrRankFailed on survivors (within the -liveness
@@ -45,20 +45,15 @@ import (
 	"time"
 
 	"mpj"
-	"mpj/internal/core"
-	dev "mpj/internal/device"
-	"mpj/internal/prof"
-	"mpj/internal/transport"
 )
 
 func main() {
 	np := flag.Int("np", 0, "number of processes (required)")
 	app := flag.String("app", "", "registered application name (required)")
 	binary := flag.String("binary", "", "slave executable (default: this binary)")
-	device := flag.String("device", os.Getenv("MPJ_DEVICE"), "transport device: chan, tcp or hyb (default: $MPJ_DEVICE, then hyb)")
-	eagerLimit := flag.Int("eager-limit", 0, "eager/rendezvous protocol threshold in bytes (default: $MPJ_EAGER_LIMIT, then each slave's default)")
-	collAlg := flag.String("coll-alg", os.Getenv("MPJ_COLL_ALG"), "collective algorithm family: auto, classic, ring or hier (default: $MPJ_COLL_ALG, then auto)")
-	profSpec := flag.String("prof", os.Getenv("MPJ_PROF"), "instrumentation on every slave: counters or trace:<path-prefix> (default: $MPJ_PROF, then off)")
+	eagerLimit := flag.Int("eager-limit", 0, "eager/rendezvous protocol threshold in bytes (default: $MPJ_EAGER_LIMIT, then 16384)")
+	collAlg := flag.String("coll-alg", "", "collective algorithm family: auto, classic, ring or hier (default: $MPJ_COLL_ALG, then auto)")
+	profSpec := flag.String("prof", "", "instrumentation on every slave: counters or trace:<path-prefix> (default: $MPJ_PROF, then off)")
 	registrars := flag.String("registrars", "", "comma-separated registrar addresses (unicast discovery)")
 	port := flag.Int("discovery-port", 0, "UDP discovery port when -registrars is empty")
 	leaseDur := flag.Duration("lease", 10*time.Second, "job lease duration")
@@ -66,33 +61,6 @@ func main() {
 	liveness := flag.Duration("liveness", 0, "per-rank liveness lease of elastic jobs (default: the daemon default, 10s)")
 	connectTimeout := flag.Duration("connect-timeout", 0, "retry daemon dials with exponential backoff and jitter until this deadline (default: single attempt)")
 	flag.Parse()
-
-	if _, err := transport.ParseDeviceName(*device); err != nil {
-		fmt.Fprintln(os.Stderr, "mpjrun:", err)
-		os.Exit(2)
-	}
-	if *eagerLimit < 0 {
-		fmt.Fprintln(os.Stderr, "mpjrun: -eager-limit must be non-negative")
-		os.Exit(2)
-	}
-	// Like -device and $MPJ_DEVICE, an unset flag falls back to the
-	// client's environment.
-	if *eagerLimit == 0 {
-		v, err := dev.ParseEagerLimit(os.Getenv("MPJ_EAGER_LIMIT"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpjrun: MPJ_EAGER_LIMIT:", err)
-			os.Exit(2)
-		}
-		*eagerLimit = v
-	}
-	if _, err := core.ParseCollAlg(*collAlg); err != nil {
-		fmt.Fprintln(os.Stderr, "mpjrun:", err)
-		os.Exit(2)
-	}
-	if _, err := prof.ParseSpec(*profSpec); err != nil {
-		fmt.Fprintln(os.Stderr, "mpjrun:", err)
-		os.Exit(2)
-	}
 
 	if *np <= 0 || *app == "" {
 		fmt.Fprintln(os.Stderr, "usage: mpjrun -np N -app NAME [-binary PATH] [args...]")
@@ -107,7 +75,6 @@ func main() {
 		NP:         *np,
 		App:        *app,
 		Args:       flag.Args(),
-		Device:     *device,
 		EagerLimit: *eagerLimit,
 		CollAlg:    *collAlg,
 		Prof:       *profSpec,

@@ -45,7 +45,24 @@ func TestLinkedPackages(t *testing.T) {
 // every reachable type (≈1.1 MB of text here). The scan is syntactic: a
 // .Method or .MethodByName call in a non-test file that imports reflect.
 func TestNoReflectedMethods(t *testing.T) {
+	fset, files := moduleSources(t)
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "reflect" {
+				reportMethodCalls(t, fset, f)
+				break
+			}
+		}
+	}
+}
+
+// moduleSources parses every non-test Go file of module mpj, keyed by
+// path: nested modules (benchmark/), testdata and hidden directories are
+// left out.
+func moduleSources(t *testing.T) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
 	fset := token.NewFileSet()
+	files := make(map[string]*ast.File)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -70,17 +87,85 @@ func TestNoReflectedMethods(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "reflect" {
-				reportMethodCalls(t, fset, f)
-				break
-			}
-		}
+		files[path] = f
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fset, files
+}
+
+// TestOneConfigPath: a job's tuning is resolved once, in the process that
+// launches it, and travels in every slave's spec; no other code reads an
+// MPJ_* variable. The scan is syntactic: an os.Getenv or os.LookupEnv call
+// with an "MPJ_" literal in a non-test file outside benchmark/ (which
+// clears the variables to isolate its runs) must fall under one entry
+// below, a function that may read any of them or one variable read
+// anywhere.
+func TestOneConfigPath(t *testing.T) {
+	allowed := map[string]string{
+		"func resolveTuning": "the resolver: a job's tuning, read once where the job is launched",
+		"func IsSlave":       "a spawned process knows itself by its encoded spec",
+		"func SlaveMain":     "the spec decoder: a process slave's whole spec is one variable",
+		"MPJ_PROF_ADDR":      "the address of a process's /debug/vars endpoint: deployment, not tuning",
+		"MPJ_FAULT":          "RunLocal's fault-injection harness, set per test process",
+	}
+	sites := 0
+	fset, files := moduleSources(t)
+	for path, f := range files {
+		if strings.HasPrefix(filepath.ToSlash(path), "benchmark/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn := ""
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				fn = "func " + d.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				name, ok := envRead(n)
+				if !ok {
+					return true
+				}
+				sites++
+				pos := fset.Position(n.Pos())
+				if why, ok := allowed[fn]; ok {
+					t.Logf("%s: %s reads %s: %s", pos, fn, name, why)
+				} else if why, ok := allowed[name]; ok {
+					t.Logf("%s: reads %s: %s", pos, name, why)
+				} else {
+					t.Errorf("%s: %s reads %s: a job's tuning belongs in the resolver and travels in the slave spec", pos, fn, name)
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d MPJ_* reads", sites)
+}
+
+// envRead reports the variable an os.Getenv or os.LookupEnv call reads,
+// when it is an "MPJ_" literal.
+func envRead(n ast.Node) (string, bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Getenv" && sel.Sel.Name != "LookupEnv") {
+		return "", false
+	}
+	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "os" {
+		return "", false
+	}
+	lit, ok := call.Args[0].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	name, err := strconv.Unquote(lit.Value)
+	if err != nil || !strings.HasPrefix(name, "MPJ_") {
+		return "", false
+	}
+	return name, true
 }
 
 // TestNoTransportProbes: what a transport knows of its peers reaches the

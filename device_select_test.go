@@ -2,7 +2,6 @@ package mpj
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +9,8 @@ import (
 )
 
 // registerDevselApp registers a ring ping-pong that also asserts which
-// transport the slave actually built: proof that the -device /
-// JobConfig.Device / MPJ_DEVICE surface reaches the mesh, and that the
-// selected device routes messages correctly.
+// transport the slave actually built, and that it routes messages
+// correctly.
 func registerDevselApp(name string, check func(transport.Transport) error) {
 	Register(name, func(w *Comm) error {
 		if err := check(w.Device().Transport()); err != nil {
@@ -39,26 +37,15 @@ func registerDevselApp(name string, check func(transport.Transport) error) {
 	})
 }
 
+// TestDeviceSelection: there is no device to choose. Every slave builds
+// the hybrid transport, which picks each pair's medium from the locality
+// table; in a job of in-process slaves every peer is co-located.
 func TestDeviceSelection(t *testing.T) {
-	wantChan := func(tr transport.Transport) error {
-		if _, ok := tr.(*transport.HybTransport); !ok {
-			return fmt.Errorf("device chan built %T", tr)
-		}
-		return nil
-	}
-	wantTCP := func(tr transport.Transport) error {
-		if _, ok := tr.(*transport.TCPTransport); !ok {
-			return fmt.Errorf("device tcp built %T", tr)
-		}
-		return nil
-	}
 	wantHyb := func(tr transport.Transport) error {
 		h, ok := tr.(*transport.HybTransport)
 		if !ok {
-			return fmt.Errorf("device hyb built %T", tr)
+			return fmt.Errorf("a slave built %T", tr)
 		}
-		// Every rank of this in-process job is co-located: the hybrid
-		// router must classify all peers as channel-reachable.
 		for dst := 0; dst < h.Size(); dst++ {
 			if !h.Peers().Local[dst] {
 				return fmt.Errorf("hyb rank %d routes co-located rank %d remotely", h.Rank(), dst)
@@ -66,81 +53,17 @@ func TestDeviceSelection(t *testing.T) {
 		}
 		return nil
 	}
-
-	cases := []struct {
-		device string
-		check  func(transport.Transport) error
-	}{
-		{"chan", wantChan},
-		{"tcp", wantTCP},
-		{"hyb", wantHyb},
-		{"", wantHyb}, // default is the hybrid device
-	}
-	for _, c := range cases {
-		name := c.device
-		if name == "" {
-			name = "default"
-		}
-		t.Run(name, func(t *testing.T) {
-			app := "devsel-" + name
-			registerDevselApp(app, c.check)
-			reg, _ := testEnv(t, 2, NewFuncSpawner())
-			err := Run(JobConfig{
-				NP:       4,
-				App:      app,
-				Device:   c.device,
-				Locators: []string{reg.Addr()},
-				LeaseDur: 2 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("job under device %q failed: %v", c.device, err)
-			}
+	t.Run("default", func(t *testing.T) {
+		registerDevselApp("devsel-default", wantHyb)
+		reg, _ := testEnv(t, 2, NewFuncSpawner())
+		err := Run(JobConfig{
+			NP:       4,
+			App:      "devsel-default",
+			Locators: []string{reg.Addr()},
+			LeaseDur: 2 * time.Second,
 		})
-	}
-}
-
-func TestDeviceSelectionEnvDefault(t *testing.T) {
-	// With no device in the JobConfig, slaves fall back to MPJ_DEVICE.
-	t.Setenv("MPJ_DEVICE", "tcp")
-	app := "devsel-env-tcp"
-	registerDevselApp(app, func(tr transport.Transport) error {
-		if _, ok := tr.(*transport.TCPTransport); !ok {
-			return fmt.Errorf("MPJ_DEVICE=tcp built %T", tr)
+		if err != nil {
+			t.Fatalf("job failed: %v", err)
 		}
-		return nil
 	})
-	reg, _ := testEnv(t, 1, NewFuncSpawner())
-	err := Run(JobConfig{
-		NP:       2,
-		App:      app,
-		Locators: []string{reg.Addr()},
-		LeaseDur: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("job under MPJ_DEVICE=tcp failed: %v", err)
-	}
-}
-
-func TestDeviceSelectionRejectsUnknownNames(t *testing.T) {
-	// Unknown names must fail fast — before discovery, daemons or spawns.
-	err := Run(JobConfig{NP: 2, App: "sum", Device: "niodev"})
-	if err == nil {
-		t.Fatal("job with unknown device reported success")
-	}
-	if !strings.Contains(err.Error(), "unknown device") {
-		t.Errorf("error %q does not name the unknown device", err)
-	}
-
-	// A bad MPJ_DEVICE fails at the slave instead, and still kills the job.
-	t.Setenv("MPJ_DEVICE", "bogusdev")
-	reg, _ := testEnv(t, 1, NewFuncSpawner())
-	err = Run(JobConfig{
-		NP:       2,
-		App:      "sum",
-		Locators: []string{reg.Addr()},
-		LeaseDur: 2 * time.Second,
-	})
-	if err == nil {
-		t.Fatal("job with unknown MPJ_DEVICE reported success")
-	}
 }

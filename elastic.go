@@ -3,7 +3,6 @@ package mpj
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -137,37 +136,16 @@ func obitReader(sc *job.SlaveConn, live *liveTracker) {
 	}
 }
 
-// elasticWatchdog is the elastic replacement of the slave ping watchdog:
-// every tick it renews this slave's liveness leases with one Heartbeat
-// call and fans the reply's death verdicts into the tracker. Three
-// consecutive failures mean the daemon is gone and the slave must
-// self-destruct (the paper's daemon-leases-its-own-slaves rule, §3.4).
-func elasticWatchdog(daemonAddr string, jobID uint64, live *liveTracker, stop <-chan struct{}, selfDestruct func()) {
-	failures := 0
-	tick := time.NewTicker(watchdogInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			client, err := daemon.DialDaemon(daemonAddr)
-			var reply daemon.HeartbeatReply
-			if err == nil {
-				reply, err = client.Heartbeat(jobID, live.memberships())
-				client.Close()
-			}
-			if err != nil {
-				failures++
-				if failures >= 3 {
-					selfDestruct()
-					return
-				}
-			} else {
-				failures = 0
-				live.applyDead(reply.Dead)
-			}
+// heartbeat is the watchdog probe of an elastic slave: one Heartbeat
+// call renews this slave's liveness leases, and the reply's death verdicts
+// are fanned into the tracker.
+func (lt *liveTracker) heartbeat(jobID uint64) func(*daemon.Client) error {
+	return func(c *daemon.Client) error {
+		reply, err := c.Heartbeat(jobID, lt.memberships())
+		if err == nil {
+			lt.applyDead(reply.Dead)
 		}
+		return err
 	}
 }
 
@@ -184,17 +162,18 @@ var epochNow = func() uint64 {
 }
 
 // joinMesh bootstraps this process as spec.Rank into spec's mesh epoch:
-// the Hello/Table exchange against spec.MasterAddr, the transport build,
-// and the device open (with spec's tuning plus any extra options). It is
-// the one way into a mesh — first bootstrap, replacement slave and
-// re-joining survivor alike. A non-zero spec.Epoch keys the mesh
-// (transports of a spawn generation must not collide with the original
-// JobID mesh); zero falls back to the JobID. Every phase is bounded by the
-// bootstrap timeout — joinMesh fails rather than hangs when members are
-// missing — and a failure after the table is reported down the bootstrap
+// the Hello/Table exchange against spec.MasterAddr, the hybrid transport
+// over the table (which picks each pair's medium from the locality
+// table), and the device open with the job's tuning. It is the one way
+// into a mesh — first bootstrap, replacement slave and re-joining
+// survivor alike. A non-zero spec.Epoch keys the mesh (transports of a
+// spawn generation must not collide with the original JobID mesh); zero
+// falls back to the JobID. Every phase is bounded by the bootstrap
+// timeout — joinMesh fails rather than hangs when members are missing —
+// and a failure after the table is reported down the bootstrap
 // connection (a job master fails the job on it; a spawn master, which
 // only gathers, never reads it).
-func joinMesh(spec daemon.SlaveSpec, extra ...device.Option) (*device.Device, *job.SlaveConn, error) {
+func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
 	epoch := spec.Epoch
 	if epoch == 0 {
 		epoch = spec.JobID
@@ -209,24 +188,21 @@ func joinMesh(spec daemon.SlaveSpec, extra ...device.Option) (*device.Device, *j
 	// the device starts the goroutines that would run on them, once per
 	// mesh generation. Anything but a SlaveMain process is left alone.
 	device.SizeScheduler(table.Locs, transport.ProcessLocality())
-	fail := func(err error) (*device.Device, *job.SlaveConn, error) {
+	tr, err := transport.NewHybTransport(transport.HybConfig{
+		Rank:     spec.Rank,
+		JobID:    epoch,
+		Locs:     table.Locs,
+		Addrs:    table.Addrs,
+		Listener: meshLn,
+	})
+	var dev *device.Device
+	if err == nil {
+		dev, err = openDevice(tr, spec.Rank, spec.Tuning)
+	}
+	if err != nil {
 		_ = sc.ReportDone(err)
 		sc.Close()
 		return nil, nil, err
-	}
-	devOpts, err := deviceOptions(spec)
-	if err != nil {
-		return fail(err)
-	}
-	mspec := spec
-	mspec.JobID = epoch
-	tr, err := openTransport(mspec, table, meshLn)
-	if err != nil {
-		return fail(err)
-	}
-	dev, err := device.Open(tr, append(devOpts, extra...)...)
-	if err != nil {
-		return fail(err)
 	}
 	return dev, sc, nil
 }
@@ -267,15 +243,6 @@ func (r *distRespawner) Launch(daemons []string, n, base, total int, epoch uint6
 	if len(daemons) == 0 {
 		return errors.New("mpj: no live daemon addresses to place replacements on")
 	}
-	// A process slave's spec is rebuilt from its environment, which does
-	// not carry the binary path — but this process IS that binary, so
-	// replacements spawn from the same executable.
-	binary := r.spec.Binary
-	if binary == "" {
-		if bin, err := os.Executable(); err == nil {
-			binary = bin
-		}
-	}
 	clients := make(map[string]*daemon.Client)
 	defer func() {
 		for _, c := range clients {
@@ -294,7 +261,6 @@ func (r *distRespawner) Launch(daemons []string, n, base, total int, epoch uint6
 			clients[addr] = client
 		}
 		spec := r.spec
-		spec.Binary = binary
 		spec.Rank = base + i
 		spec.Size = total
 		spec.Epoch = epoch
@@ -342,8 +308,9 @@ func (r *distRespawner) close() {
 // of a scoped mesh epoch, re-entering the same App with Spawned() true —
 // the full elastic recovery cycle without a daemon in sight.
 type localRespawner struct {
-	app  App
-	live *liveTracker
+	app    App
+	tuning core.Tuning // the job's, handed to every world it builds
+	live   *liveTracker
 
 	mu      sync.Mutex
 	masters []*job.SpawnMaster
@@ -351,8 +318,8 @@ type localRespawner struct {
 	wg      sync.WaitGroup
 }
 
-func newLocalRespawner(app App) *localRespawner {
-	return &localRespawner{app: app, live: newLiveTracker()}
+func newLocalRespawner(app App, t core.Tuning) *localRespawner {
+	return &localRespawner{app: app, tuning: t, live: newLiveTracker()}
 }
 
 func (lr *localRespawner) DaemonAddr() string { return "" }
@@ -393,7 +360,7 @@ func (lr *localRespawner) runSpawned(epoch uint64, masterAddr string, rank, base
 		JobID:      epoch,
 		Rank:       rank,
 		Size:       total,
-		Device:     "chan",
+		Tuning:     lr.tuning,
 		MasterAddr: masterAddr,
 		Epoch:      epoch,
 		SpawnBase:  base,
@@ -403,7 +370,7 @@ func (lr *localRespawner) runSpawned(epoch uint64, masterAddr string, rank, base
 		return err
 	}
 	sc.Close()
-	merged, err := core.JoinSpawned(dev, base)
+	merged, err := core.JoinSpawned(dev, base, lr.tuning)
 	if err != nil {
 		dev.Abort()
 		return err
@@ -423,7 +390,7 @@ func (lr *localRespawner) Rejoin(epoch uint64, masterAddr string, rank, total in
 		JobID:      epoch,
 		Rank:       rank,
 		Size:       total,
-		Device:     "chan",
+		Tuning:     lr.tuning,
 		MasterAddr: masterAddr,
 		Epoch:      epoch,
 	}

@@ -6,7 +6,7 @@ import "fmt"
 // builders in icoll.go, ivcoll.go and hier.go compile one of several
 // algorithms per collective; which one runs is decided here, per
 // operation, from two inputs only: the family forced on the communicator
-// (SetCollAlg, else MPJ_COLL_ALG for the whole process) and the built-in
+// (SetCollAlg, else the job's Tuning.CollAlg) and the built-in
 // constants below. Under automatic selection large payloads switch from
 // the latency-optimised classic trees to the bandwidth-optimised
 // large-vector schedules (and a broadcast to landing in place), and comms
@@ -73,7 +73,8 @@ const (
 )
 
 // ParseCollAlg parses the string form of the algorithm selector (the
-// MPJ_COLL_ALG environment variable). Empty means auto.
+// client's MPJ_COLL_ALG, mpjrun -coll-alg, JobConfig.CollAlg). Empty means
+// auto.
 func ParseCollAlg(raw string) (CollAlg, error) {
 	switch raw {
 	case "", "auto":
@@ -89,9 +90,9 @@ func ParseCollAlg(raw string) (CollAlg, error) {
 }
 
 // SetCollAlg forces the collective algorithm family for this communicator,
-// overriding the process-wide default (MPJ_COLL_ALG) and the automatic
+// overriding the job's default (Tuning.CollAlg) and the automatic
 // size-based selection; SetCollAlg(CollAlgAuto) restores automatic
-// selection even when the environment forces a family. Forcing a family
+// selection even when the job forces a family. Forcing a family
 // states a *preference*, not a schedule identity: where the family's
 // schedule would degenerate (ring on fewer than three ranks, hier on a
 // comm that does not span locality groups) the classic or auto schedule
@@ -108,12 +109,12 @@ func (c *Comm) SetCollAlg(a CollAlg) {
 }
 
 // collAlgChoice resolves the algorithm family: an explicit per-communicator
-// SetCollAlg wins, then the process-wide default from MPJ_COLL_ALG.
+// SetCollAlg wins, then the job's default.
 func (c *Comm) collAlgChoice() CollAlg {
 	if c.algSet {
 		return c.collAlg
 	}
-	return c.proc.collAlg
+	return c.proc.tuning.CollAlg
 }
 
 // largeMin is the payload threshold (bytes) of the large-message path:

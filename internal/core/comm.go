@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,16 +34,15 @@ type procState struct {
 	// their window. Guarded by mu.
 	wins map[int]*Win
 
-	// Process-wide collective selection (collalg.go): the algorithm family
-	// read from MPJ_COLL_ALG at NewWorld (per-communicator overrides live
-	// on Comm), and the large-message threshold, largeCollMin — a field
-	// only so that tests can scale it down.
-	collAlg  CollAlg
-	largeMin int
+	// tuning is the job's tuning the world was built with: its collective
+	// family is every communicator's default (per-communicator overrides
+	// live on Comm; see collalg.go) and its epoch deadline every window's
+	// (see Win.SetEpochTimeout). Comm.Spawn hands it to the rebuilt world.
+	tuning Tuning
 
-	// epochTimeout is the windows' epoch deadline, read from
-	// MPJ_RMA_TIMEOUT at NewWorld (see Win.SetEpochTimeout).
-	epochTimeout time.Duration
+	// largeMin is the large-message threshold of collective selection,
+	// largeCollMin — a field only so that tests can scale it down.
+	largeMin int
 
 	abort func(code int) // installed by the runtime; see SetAbortHandler
 
@@ -104,8 +102,8 @@ type Comm struct {
 
 	// Collective algorithm override (see collalg.go). algSet marks an
 	// explicit SetCollAlg — including SetCollAlg(CollAlgAuto), which must
-	// restore automatic selection even when MPJ_COLL_ALG forces a family
-	// process-wide.
+	// restore automatic selection even when the job's tuning forces a
+	// family.
 	collAlg CollAlg
 	algSet  bool
 
@@ -120,10 +118,33 @@ type Comm struct {
 	locView *locView
 }
 
+// Tuning is what a job sets for every one of its ranks, resolved once by
+// the client that launches it and handed to each rank: the device's
+// eager/rendezvous threshold, the collective algorithm family, the
+// instrumentation and the windows' epoch deadline. A zero field takes its
+// default. The world uses the family and the deadline; the caller opened
+// the device with the other two.
+type Tuning struct {
+	EagerLimit   int           // bytes; see device.WithEagerLimit
+	CollAlg      CollAlg       // the family every communicator starts with
+	Prof         prof.Spec     // per-rank instrumentation
+	EpochTimeout time.Duration // see Win.SetEpochTimeout
+}
+
 // NewWorld builds the world communicator over an opened device, taking
 // the place of MPI_Init: ranks and job size come from the device's
-// transport, and contexts 0/1 are reserved for the world.
+// transport, and contexts 0/1 are reserved for the world. It uses the
+// default tuning; see NewWorldTuned.
 func NewWorld(dev *device.Device) (*Comm, error) {
+	return NewWorldTuned(dev, Tuning{})
+}
+
+// NewWorldTuned is NewWorld for a job with a tuning: the world's
+// communicators start with t.CollAlg and its windows with t.EpochTimeout.
+func NewWorldTuned(dev *device.Device, t Tuning) (*Comm, error) {
+	if t.EpochTimeout <= 0 {
+		t.EpochTimeout = DefaultEpochTimeout
+	}
 	ranks := make([]int, dev.Size())
 	for i := range ranks {
 		ranks[i] = i
@@ -132,15 +153,7 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm), largeMin: largeCollMin}
-	// The collective family from the environment; a malformed value fails
-	// loudly here rather than silently changing algorithms.
-	if proc.collAlg, err = ParseCollAlg(os.Getenv("MPJ_COLL_ALG")); err != nil {
-		return nil, fmt.Errorf("MPJ_COLL_ALG: %w", err)
-	}
-	if proc.epochTimeout, err = parseEpochTimeout(os.Getenv("MPJ_RMA_TIMEOUT")); err != nil {
-		return nil, fmt.Errorf("MPJ_RMA_TIMEOUT: %w", err)
-	}
+	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm), tuning: t, largeMin: largeCollMin}
 	w := &Comm{
 		dev:   dev,
 		proc:  proc,

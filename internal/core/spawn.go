@@ -181,7 +181,7 @@ func (c *Comm) Spawn(n int) (*Intercomm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: rejoining as rank %d of %d: %v", ErrSpawn, c.rank, total, err)
 	}
-	world2, err := NewWorld(dev2)
+	world2, err := NewWorldTuned(dev2, c.proc.tuning)
 	if err != nil {
 		dev2.Close()
 		return nil, fmt.Errorf("%w: building world over rebuilt mesh: %v", ErrSpawn, err)
@@ -204,9 +204,10 @@ func (c *Comm) Spawn(n int) (*Intercomm, error) {
 // base the number of surviving parents (ranks 0..base-1). It completes the
 // spawn choreography — intercomm to the parents, then Merge — and returns
 // the merged full-size world the application resumes on, with Spawned()
-// reporting true.
-func JoinSpawned(dev *device.Device, base int) (*Comm, error) {
-	world, err := NewWorld(dev)
+// reporting true. t is the job's tuning, the one the parents' worlds were
+// built with.
+func JoinSpawned(dev *device.Device, base int, t Tuning) (*Comm, error) {
+	world, err := NewWorldTuned(dev, t)
 	if err != nil {
 		return nil, fmt.Errorf("%w: building world in spawned process: %v", ErrSpawn, err)
 	}

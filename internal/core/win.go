@@ -77,18 +77,19 @@ const (
 )
 
 // DefaultEpochTimeout bounds epoch-close waits (Fence, Lock, Unlock) when
-// MPJ_RMA_TIMEOUT does not override it: a wait that parks expires this long
-// after it parked. On expiry the unresponsive peers are reported to the
-// failure registry, so the wait fails with ErrRankFailed instead of
-// hanging. The window's one watchdog timer stays armed between epochs; its
-// body only wakes the device, so it keeps no window alive.
+// the job's tuning (MPJ_RMA_TIMEOUT) does not override it: a wait that
+// parks expires this long after it parked. On expiry the unresponsive
+// peers are reported to the failure registry, so the wait fails with
+// ErrRankFailed instead of hanging. The window's one watchdog timer stays
+// armed between epochs; its body only wakes the device, so it keeps no
+// window alive.
 const DefaultEpochTimeout = 30 * time.Second
 
-// parseEpochTimeout parses the string form of the epoch deadline (the
-// MPJ_RMA_TIMEOUT environment variable, read once at NewWorld). Empty
-// means DefaultEpochTimeout; anything else must be a positive duration
-// with its unit, such as "500ms" or "5s".
-func parseEpochTimeout(raw string) (time.Duration, error) {
+// ParseEpochTimeout parses the string form of the epoch deadline (the
+// client's MPJ_RMA_TIMEOUT). Empty means DefaultEpochTimeout; anything
+// else must be a positive duration with its unit, such as "500ms" or
+// "5s".
+func ParseEpochTimeout(raw string) (time.Duration, error) {
 	if raw == "" {
 		return DefaultEpochTimeout, nil
 	}
@@ -300,7 +301,7 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 		elemSize:  dt.ByteSize(),
 		buf:       raw,
 		slots:     slots,
-		timeout:   c.proc.epochTimeout,
+		timeout:   c.proc.tuning.EpochTimeout,
 		holders:   make(map[int]int),
 		fenceRecv: make([]atomic.Uint64, size),
 		gets:      make(map[uint64]*pendingGet),
@@ -366,12 +367,11 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 }
 
 // SetEpochTimeout overrides the deadline on epoch-close waits (Fence,
-// Lock, Unlock) for this window. Zero or negative restores the process
-// default: MPJ_RMA_TIMEOUT as NewWorld parsed it, else
-// DefaultEpochTimeout.
+// Lock, Unlock) for this window. Zero or negative restores the job's
+// deadline: Tuning.EpochTimeout, else DefaultEpochTimeout.
 func (w *Win) SetEpochTimeout(d time.Duration) {
 	if d <= 0 {
-		d = w.c.proc.epochTimeout
+		d = w.c.proc.tuning.EpochTimeout
 	}
 	w.mu.Lock()
 	w.timeout = d

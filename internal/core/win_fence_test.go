@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -581,36 +580,38 @@ func TestWinFreedIsCollectable(t *testing.T) {
 	})
 }
 
-// TestEpochTimeoutParsedOnce: NewWorld reads MPJ_RMA_TIMEOUT once. A
-// value that is not a positive duration with a unit fails it, naming the
-// variable; a good one is every window's deadline and what
-// SetEpochTimeout(0) restores, whatever the environment says later.
+// TestEpochTimeoutParsedOnce: the epoch deadline is parsed once, where a
+// job's tuning is resolved, and the world reads no variable. A value that
+// is not a positive duration with a unit fails the parse; a good one,
+// handed over in the tuning, is every window's deadline and what
+// SetEpochTimeout(0) restores, whatever the environment says.
 func TestEpochTimeoutParsedOnce(t *testing.T) {
-	world := func() (*Comm, error) {
+	world := func(tu Tuning) *Comm {
 		d, err := device.Open(transport.NewChanMesh(1)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = d.Close() })
-		return NewWorld(d)
+		w, err := NewWorldTuned(d, tu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
 	for _, bad := range []string{"5", "-1s", "0s", "soon"} {
-		t.Setenv("MPJ_RMA_TIMEOUT", bad)
-		if _, err := world(); err == nil || !strings.Contains(err.Error(), "MPJ_RMA_TIMEOUT") {
-			t.Errorf("MPJ_RMA_TIMEOUT=%q: NewWorld returned %v, want an error naming the variable", bad, err)
+		if got, err := ParseEpochTimeout(bad); err == nil {
+			t.Errorf("ParseEpochTimeout(%q) = %v, want an error", bad, got)
 		}
 	}
-	t.Setenv("MPJ_RMA_TIMEOUT", "750ms")
-	w, err := world()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("MPJ_RMA_TIMEOUT", "9s")
-	win, err := w.WinCreate(make([]int64, 1), 1)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := ParseEpochTimeout(""); err != nil || got != DefaultEpochTimeout {
+		t.Errorf("ParseEpochTimeout(\"\") = %v, %v; want %v", got, err, DefaultEpochTimeout)
 	}
 	const want = 750 * time.Millisecond
+	t.Setenv("MPJ_RMA_TIMEOUT", "9s")
+	win, err := world(Tuning{EpochTimeout: want}).WinCreate(make([]int64, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if win.timeout != want {
 		t.Errorf("a new window's epoch timeout is %v, want %v", win.timeout, want)
 	}
@@ -619,11 +620,7 @@ func TestEpochTimeoutParsedOnce(t *testing.T) {
 	if win.timeout != want {
 		t.Errorf("SetEpochTimeout(0) restored %v, want %v", win.timeout, want)
 	}
-	t.Setenv("MPJ_RMA_TIMEOUT", "")
-	if w, err = world(); err != nil {
-		t.Fatal(err)
-	}
-	if w.proc.epochTimeout != DefaultEpochTimeout {
-		t.Errorf("unset MPJ_RMA_TIMEOUT gives %v, want %v", w.proc.epochTimeout, DefaultEpochTimeout)
+	if w := world(Tuning{}); w.proc.tuning.EpochTimeout != DefaultEpochTimeout {
+		t.Errorf("a zero tuning gives %v, want %v", w.proc.tuning.EpochTimeout, DefaultEpochTimeout)
 	}
 }

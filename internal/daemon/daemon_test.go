@@ -4,12 +4,15 @@ import (
 	"errors"
 	"io"
 	"log"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mpj/internal/core"
 	"mpj/internal/events"
 	"mpj/internal/lookup"
+	"mpj/internal/prof"
 )
 
 // stubSlave is a controllable Slave for daemon unit tests.
@@ -298,68 +301,55 @@ func TestPing(t *testing.T) {
 	}
 }
 
+// TestSlaveEnvRoundTrip: a process slave's whole spec — the job's tuning
+// included — travels as the one MPJ_SLAVE entry, and a value that is not
+// an encoded spec fails the decode.
 func TestSlaveEnvRoundTrip(t *testing.T) {
 	spec := SlaveSpec{
 		JobID: 42, Rank: 3, Size: 8, App: "heat",
-		Args:       []string{"--n", "100", "with space"},
+		Args:       []string{"--n", "100", "with space", "a\x1fb"},
 		MasterAddr: "1.2.3.4:5",
-		EagerLimit: 4096,
-		CollAlg:    "ring",
+		Binary:     "/usr/local/bin/heat",
+		Tuning: core.Tuning{
+			EagerLimit:   4096,
+			CollAlg:      core.CollAlgRing,
+			Prof:         prof.Spec{Counters: true, TracePrefix: "/tmp/run"},
+			EpochTimeout: 1500 * time.Millisecond,
+		},
+		Elastic: true, LivenessMs: 700, Epoch: 9, SpawnBase: 2,
 	}
-	env := spec.Env("9.9.9.9:1")
-	get := func(key string) string {
-		for _, kv := range env {
-			if len(kv) > len(key) && kv[:len(key)] == key && kv[len(key)] == '=' {
-				return kv[len(key)+1:]
+	for _, tc := range []struct {
+		name  string
+		entry func(t *testing.T) string
+		err   bool
+	}{
+		{"round-trip", func(t *testing.T) string {
+			env, err := spec.Env("9.9.9.9:1")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return ""
-	}
-	got, daemonAddr, err := ParseSlaveEnv(get)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.JobID != 42 || got.Rank != 3 || got.Size != 8 || got.App != "heat" ||
-		got.MasterAddr != "1.2.3.4:5" || daemonAddr != "9.9.9.9:1" {
-		t.Errorf("parsed %+v daemon=%s", got, daemonAddr)
-	}
-	if len(got.Args) != 3 || got.Args[2] != "with space" {
-		t.Errorf("args %v", got.Args)
-	}
-	if got.EagerLimit != 4096 {
-		t.Errorf("eager limit %d, want 4096", got.EagerLimit)
-	}
-	if _, _, err := ParseSlaveEnv(func(string) string { return "" }); err == nil {
-		t.Error("non-slave env parsed")
-	}
-
-	// The collective family travels the same way: emitted when set (the
-	// slave's NewWorld reads it from its environment) ...
-	if got := get("MPJ_COLL_ALG"); got != "ring" {
-		t.Errorf("MPJ_COLL_ALG = %q, want ring", got)
-	}
-
-	// A spec without an eager limit or collective family must not emit the
-	// variables at all, so daemon-level environment defaults survive
-	// inheritance.
-	spec.EagerLimit = 0
-	spec.CollAlg = ""
-	for _, kv := range spec.Env("9.9.9.9:1") {
-		for _, banned := range []string{"MPJ_EAGER_LIMIT=", "MPJ_COLL_ALG="} {
-			if strings.HasPrefix(kv, banned) {
-				t.Errorf("zero-value spec emitted %q", kv)
+			return env
+		}, false},
+		{"malformed", func(*testing.T) string { return "MPJ_SLAVE=1" }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key, raw, ok := strings.Cut(tc.entry(t), "=")
+			if !ok || key != "MPJ_SLAVE" {
+				t.Fatalf("entry key %q, want MPJ_SLAVE", key)
 			}
-		}
-	}
-
-	// A malformed limit fails the parse.
-	badEnv := func(key string) string {
-		if key == "MPJ_EAGER_LIMIT" {
-			return "lots"
-		}
-		return get(key)
-	}
-	if _, _, err := ParseSlaveEnv(badEnv); err == nil {
-		t.Error("malformed MPJ_EAGER_LIMIT parsed")
+			got, daemonAddr, err := DecodeSlaveEnv(raw)
+			if tc.err {
+				if err == nil || !strings.Contains(err.Error(), "MPJ_SLAVE") {
+					t.Fatalf("decoding %q: %v, want an error naming MPJ_SLAVE", raw, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, spec) || daemonAddr != "9.9.9.9:1" {
+				t.Errorf("decoded %+v daemon=%s, want %+v", got, daemonAddr, spec)
+			}
+		})
 	}
 }

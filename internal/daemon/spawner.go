@@ -2,16 +2,16 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/base64"
 	"encoding/gob"
 	"fmt"
 	"net"
 	"os/exec"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"mpj/internal/device"
+	"mpj/internal/core"
 )
 
 // SlaveSpec tells a daemon everything needed to start one slave process of
@@ -23,28 +23,10 @@ type SlaveSpec struct {
 	App   string   // application name, resolved in the slave's registry
 	Args  []string // application arguments
 
-	// Device selects the slave's transport ("chan", "tcp", "hyb"). Empty
-	// defers to the slave's MPJ_DEVICE environment (letting a daemon set
-	// a host-wide default) and finally the built-in default.
-	Device string
-
-	// EagerLimit overrides the device's eager/rendezvous protocol
-	// threshold in bytes. Zero defers to the slave's MPJ_EAGER_LIMIT
-	// environment and finally the built-in default.
-	EagerLimit int
-
-	// CollAlg forces the collective algorithm family ("classic", "ring",
-	// "hier"; "auto" restores the size-based choice). Empty
-	// defers to the slave's MPJ_COLL_ALG environment and finally the
-	// automatic selection. It must be consistent across the job's ranks,
-	// which is why it travels in the spec rather than relying on each
-	// host's daemon environment agreeing.
-	CollAlg string
-
-	// Prof enables the instrumentation layer on the slave ("counters" or
-	// "trace:<path-prefix>"; see internal/prof.ParseSpec). Empty defers
-	// to the slave's MPJ_PROF environment and finally off.
-	Prof string
+	// Tuning is the job's tuning, resolved once by the client (mpjrun
+	// flags, JobConfig, the client's MPJ_* variables) so that every rank
+	// runs with the same values whatever its host's environment says.
+	Tuning core.Tuning
 
 	MasterAddr string // the client's bootstrap server
 	OutputAddr string // the client's output collector ("" = none)
@@ -80,126 +62,37 @@ type SlaveSpec struct {
 	SpawnBase int
 }
 
-// Env encodes the spec as MPJ_* environment variables for a spawned
-// process, the analogue of the daemon passing ids into the java command
-// that starts MPJSlave. MPJ_DEVICE is emitted only when the spec selects a
-// device, so a daemon-level MPJ_DEVICE default survives inheritance.
-func (s SlaveSpec) Env(daemonAddr string) []string {
-	env := []string{
-		"MPJ_SLAVE=1",
-		"MPJ_JOB=" + strconv.FormatUint(s.JobID, 10),
-		"MPJ_RANK=" + strconv.Itoa(s.Rank),
-		"MPJ_SIZE=" + strconv.Itoa(s.Size),
-		"MPJ_APP=" + s.App,
-		"MPJ_ARGS=" + strings.Join(s.Args, "\x1f"),
-		"MPJ_MASTER=" + s.MasterAddr,
-		"MPJ_DAEMON=" + daemonAddr,
-	}
-	if s.Device != "" {
-		env = append(env, "MPJ_DEVICE="+s.Device)
-	}
-	if s.EagerLimit > 0 {
-		env = append(env, "MPJ_EAGER_LIMIT="+strconv.Itoa(s.EagerLimit))
-	}
-	if s.CollAlg != "" {
-		env = append(env, "MPJ_COLL_ALG="+s.CollAlg)
-	}
-	if s.Prof != "" {
-		env = append(env, "MPJ_PROF="+s.Prof)
-	}
-	if s.Elastic {
-		env = append(env, "MPJ_ELASTIC=1")
-	}
-	if s.LivenessMs > 0 {
-		env = append(env, "MPJ_LIVENESS_MS="+strconv.FormatInt(s.LivenessMs, 10))
-	}
-	if s.Epoch != 0 {
-		env = append(env,
-			"MPJ_EPOCH="+strconv.FormatUint(s.Epoch, 10),
-			"MPJ_SPAWN_BASE="+strconv.Itoa(s.SpawnBase),
-		)
-	}
-	return env
+// slaveEnv is what starts a process slave: its spec and the address of
+// the daemon that spawned it.
+type slaveEnv struct {
+	Spec   SlaveSpec
+	Daemon string
 }
 
-// mergeEnv overlays the spec variables on an inherited environment,
-// dropping inherited entries that the overlay redefines so the spawned
-// slave sees exactly one value per key regardless of getenv semantics.
-func mergeEnv(base, overlay []string) []string {
-	set := make(map[string]bool, len(overlay))
-	for _, kv := range overlay {
-		if i := strings.IndexByte(kv, '='); i > 0 {
-			set[kv[:i]] = true
-		}
+// Env encodes the spec for a spawned process as one environment entry,
+// MPJ_SLAVE: the spec and daemonAddr as one gob value in base64 — the
+// analogue of the daemon passing ids into the java command that starts
+// MPJSlave.
+func (s SlaveSpec) Env(daemonAddr string) (string, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(slaveEnv{Spec: s, Daemon: daemonAddr}); err != nil {
+		return "", fmt.Errorf("daemon: encoding slave spec: %w", err)
 	}
-	merged := make([]string, 0, len(base)+len(overlay))
-	for _, kv := range base {
-		if i := strings.IndexByte(kv, '='); i > 0 && set[kv[:i]] {
-			continue
-		}
-		merged = append(merged, kv)
-	}
-	return append(merged, overlay...)
+	return "MPJ_SLAVE=" + base64.StdEncoding.EncodeToString(buf.Bytes()), nil
 }
 
-// ParseSlaveEnv reconstructs a SlaveSpec from the environment of a spawned
-// slave process. get is usually os.Getenv.
-func ParseSlaveEnv(get func(string) string) (SlaveSpec, string, error) {
-	if get("MPJ_SLAVE") != "1" {
-		return SlaveSpec{}, "", fmt.Errorf("daemon: not a slave environment")
-	}
-	job, err := strconv.ParseUint(get("MPJ_JOB"), 10, 64)
+// DecodeSlaveEnv reverses Env: raw is the value of a spawned slave's
+// MPJ_SLAVE variable. It returns the spec and the daemon's address.
+func DecodeSlaveEnv(raw string) (SlaveSpec, string, error) {
+	b, err := base64.StdEncoding.DecodeString(raw)
 	if err != nil {
-		return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_JOB: %w", err)
+		return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_SLAVE: %w", err)
 	}
-	rank, err := strconv.Atoi(get("MPJ_RANK"))
-	if err != nil {
-		return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_RANK: %w", err)
+	var env slaveEnv
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
+		return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_SLAVE: %w", err)
 	}
-	size, err := strconv.Atoi(get("MPJ_SIZE"))
-	if err != nil {
-		return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_SIZE: %w", err)
-	}
-	var args []string
-	if raw := get("MPJ_ARGS"); raw != "" {
-		args = strings.Split(raw, "\x1f")
-	}
-	spec := SlaveSpec{
-		JobID:      job,
-		Rank:       rank,
-		Size:       size,
-		App:        get("MPJ_APP"),
-		Args:       args,
-		Device:     get("MPJ_DEVICE"),
-		Prof:       get("MPJ_PROF"),
-		MasterAddr: get("MPJ_MASTER"),
-	}
-	limit, err := device.ParseEagerLimit(get("MPJ_EAGER_LIMIT"))
-	if err != nil {
-		return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_EAGER_LIMIT: %w", err)
-	}
-	spec.EagerLimit = limit
-	spec.Elastic = get("MPJ_ELASTIC") == "1"
-	if raw := get("MPJ_LIVENESS_MS"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_LIVENESS_MS: %w", err)
-		}
-		spec.LivenessMs = ms
-	}
-	if raw := get("MPJ_EPOCH"); raw != "" {
-		epoch, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_EPOCH: %w", err)
-		}
-		spec.Epoch = epoch
-		base, err := strconv.Atoi(get("MPJ_SPAWN_BASE"))
-		if err != nil {
-			return SlaveSpec{}, "", fmt.Errorf("daemon: MPJ_SPAWN_BASE: %w", err)
-		}
-		spec.SpawnBase = base
-	}
-	return spec, get("MPJ_DAEMON"), nil
+	return env.Spec, env.Daemon, nil
 }
 
 // Slave is a running slave under daemon control.
@@ -262,8 +155,12 @@ func (ProcSpawner) Spawn(spec SlaveSpec, daemonAddr string) (Slave, error) {
 	if spec.Binary == "" {
 		return nil, fmt.Errorf("daemon: spec has no binary to spawn")
 	}
+	env, err := spec.Env(daemonAddr)
+	if err != nil {
+		return nil, err
+	}
 	cmd := exec.Command(spec.Binary, spec.Args...)
-	cmd.Env = mergeEnv(cmd.Environ(), spec.Env(daemonAddr))
+	cmd.Env = append(cmd.Environ(), env) // the last entry of a key wins
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, fmt.Errorf("daemon: stdout pipe: %w", err)

@@ -9,11 +9,11 @@ import (
 	"sync"
 	"time"
 
+	"mpj/internal/core"
 	"mpj/internal/daemon"
 	"mpj/internal/events"
 	"mpj/internal/lease"
 	"mpj/internal/lookup"
-	"mpj/internal/transport"
 )
 
 // Config describes one parallel job, mirroring the paper's goal that the
@@ -24,27 +24,9 @@ type Config struct {
 	App  string   // registered application name (required)
 	Args []string // application arguments
 
-	// Device selects the transport every slave builds: "chan", "tcp" or
-	// "hyb" (empty picks the default, see transport.DefaultDevice). It is
-	// validated here so an unknown name fails before any slave spawns.
-	Device string
-
-	// EagerLimit overrides every slave device's eager/rendezvous protocol
-	// threshold in bytes. Zero defers to each slave's MPJ_EAGER_LIMIT
-	// environment and finally the built-in default.
-	EagerLimit int
-
-	// CollAlg forces the collective algorithm family on every slave
-	// ("classic", "ring", "hier"; "auto" restores size-based
-	// selection). Empty defers to each slave's MPJ_COLL_ALG environment.
-	// Shipping it in the spec keeps the choice consistent across ranks —
-	// collective schedules must match on every member.
-	CollAlg string
-
-	// Prof enables the instrumentation layer on every slave ("counters"
-	// or "trace:<path-prefix>"). Empty defers to each slave's MPJ_PROF
-	// environment and finally off.
-	Prof string
+	// Tuning is the job's tuning, resolved and checked by the caller
+	// (see mpj.JobConfig); it travels in every slave's spec.
+	Tuning core.Tuning
 
 	// Discovery: explicit registrar addresses (unicast), or group
 	// discovery on UDPPort when empty.
@@ -91,12 +73,6 @@ func Run(cfg Config) error {
 	}
 	if cfg.App == "" {
 		return fmt.Errorf("job: no application name")
-	}
-	if _, err := transport.ParseDeviceName(cfg.Device); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
-	if cfg.EagerLimit < 0 {
-		return fmt.Errorf("job: EagerLimit must be non-negative, got %d", cfg.EagerLimit)
 	}
 	if cfg.LeaseDur <= 0 {
 		cfg.LeaseDur = 10 * time.Second
@@ -191,10 +167,7 @@ func Run(cfg Config) error {
 			Size:       cfg.NP,
 			App:        cfg.App,
 			Args:       cfg.Args,
-			Device:     cfg.Device,
-			EagerLimit: cfg.EagerLimit,
-			CollAlg:    cfg.CollAlg,
-			Prof:       cfg.Prof,
+			Tuning:     cfg.Tuning,
 			MasterAddr: m.addr(),
 			OutputAddr: collector.addr(),
 			EventAddr:  recv.Addr(),

@@ -11,30 +11,6 @@ import (
 	"mpj/internal/wire"
 )
 
-func TestParseDeviceName(t *testing.T) {
-	cases := []struct {
-		in   string
-		want DeviceName
-		ok   bool
-	}{
-		{"", DefaultDevice, true},
-		{"chan", DeviceChan, true},
-		{"tcp", DeviceTCP, true},
-		{"hyb", DeviceHyb, true},
-		{"smpdev", "", false},
-		{"CHAN", "", false},
-	}
-	for _, c := range cases {
-		got, err := ParseDeviceName(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseDeviceName(%q) = %q, %v; want %q", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseDeviceName(%q) accepted an unknown device", c.in)
-		}
-	}
-}
-
 // buildHybLocalPair returns two started all-co-located hybrid endpoints.
 func buildHybLocalPair(t *testing.T, jobID uint64) ([]*HybTransport, []*collector) {
 	t.Helper()

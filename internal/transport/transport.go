@@ -6,9 +6,11 @@
 // per inbound connection, exactly the structure §3.5(1–2) of the paper
 // prescribes for a select-less socket API.
 //
-// Three implementations are provided behind one interface, selectable by
+// Three implementations are provided behind one interface, labelled by
 // DeviceName (the analogue of MPJ Express's niodev/smpdev/hybdev device
-// family):
+// family). A job's slaves always build the hybrid one, which picks each
+// pair's medium from the locality table; tests and benchmarks build the
+// other two directly:
 //
 //   - ChanTransport ("chan"): an in-process mesh built on Go channels.
 //     Every rank of the job runs as a goroutine in one OS process — the
@@ -56,7 +58,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"mpj/internal/wire"
@@ -108,9 +109,8 @@ func landLocal(land Lander, src int, it *outData) {
 	it.done(err)
 }
 
-// DeviceName selects a Transport implementation — the device-selection
-// surface of the paper's §3.5 abstract device level, mirroring MPJ
-// Express's device names.
+// DeviceName labels a Transport implementation in reports (Peers.Device,
+// device.Device.Name), mirroring MPJ Express's device names.
 type DeviceName string
 
 const (
@@ -123,23 +123,6 @@ const (
 	// TCP mesh to remote ranks.
 	DeviceHyb DeviceName = "hyb"
 )
-
-// DefaultDevice is the device used when none is selected explicitly. The
-// hybrid device subsumes the other two: a job whose ranks are all remote
-// degenerates to the TCP mesh, one whose ranks are all co-located to the
-// channel mesh.
-const DefaultDevice = DeviceHyb
-
-// ParseDeviceName validates a device selection ("" selects DefaultDevice).
-func ParseDeviceName(s string) (DeviceName, error) {
-	switch DeviceName(s) {
-	case "":
-		return DefaultDevice, nil
-	case DeviceChan, DeviceTCP, DeviceHyb:
-		return DeviceName(s), nil
-	}
-	return "", fmt.Errorf("transport: unknown device %q (have %q, %q, %q)", s, DeviceChan, DeviceTCP, DeviceHyb)
-}
 
 // Peers is what an endpoint knows of the ranks of its job, fixed when the
 // endpoint is built; readers must not modify it. A wrapper that embeds a

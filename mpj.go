@@ -131,18 +131,6 @@ const (
 	CollAlgHier = core.CollAlgHier
 )
 
-// WithCollAlg forces the collective algorithm family on c and returns c,
-// for call-site chaining in benchmarks and tuning experiments:
-//
-//	err := mpj.WithCollAlg(w, mpj.CollAlgRing).Bcast(buf, 0, n, mpj.DOUBLE, 0)
-//
-// Like all collective configuration it must be applied consistently on
-// every member of the communicator.
-func WithCollAlg(c *Comm, a CollAlg) *Comm {
-	c.SetCollAlg(a)
-	return c
-}
-
 // Base datatypes (MPJ.BYTE, MPJ.INT, ...).
 var (
 	BYTE       = core.Byte

@@ -3,7 +3,6 @@ package mpj
 import (
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sort"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"mpj/internal/device"
 	"mpj/internal/fault"
 	"mpj/internal/job"
-	"mpj/internal/prof"
 	"mpj/internal/transport"
 )
 
@@ -68,83 +66,15 @@ func lookupApp(name string) (App, error) {
 // rank error. This is the quickest way to develop and test MPJ programs;
 // the same code runs unchanged under the distributed runtime.
 //
-// Like the distributed runtime, RunLocal honours the MPJ_EAGER_LIMIT
-// environment variable as the eager/rendezvous protocol threshold.
+// Like the distributed runtime, RunLocal takes the job's tuning from the
+// calling process's MPJ_* variables (see README "Tuning").
 func RunLocal(np int, app App) error {
-	var opts []device.Option
-	if limit, err := eagerLimitFromEnv(); err != nil {
-		return err
-	} else if limit > 0 {
-		opts = append(opts, device.WithEagerLimit(limit))
-	}
-	return runLocalOpts(np, opts, app)
-}
-
-// eagerLimitFromEnv parses the MPJ_EAGER_LIMIT environment variable; zero
-// means unset.
-func eagerLimitFromEnv() (int, error) {
-	limit, err := device.ParseEagerLimit(os.Getenv("MPJ_EAGER_LIMIT"))
-	if err != nil {
-		return 0, fmt.Errorf("mpj: MPJ_EAGER_LIMIT: %w", err)
-	}
-	return limit, nil
-}
-
-// profFromEnv resolves this process's profiling configuration: raw is
-// the spec string already in hand (a SlaveSpec field; empty falls back
-// to MPJ_PROF), and a set MPJ_PROF_ADDR implies counters even when no
-// spec asks for them — an endpoint with nothing behind it would be
-// useless. The returned addr is empty when no endpoint was requested.
-func profFromEnv(raw string) (prof.Spec, string, error) {
-	if raw == "" {
-		raw = os.Getenv("MPJ_PROF")
-	}
-	spec, err := prof.ParseSpec(raw)
-	if err != nil {
-		return prof.Spec{}, "", fmt.Errorf("mpj: MPJ_PROF: %w", err)
-	}
-	addr := os.Getenv("MPJ_PROF_ADDR")
-	if addr != "" && !spec.Enabled() {
-		spec.Counters = true
-	}
-	return spec, addr, nil
-}
-
-// profStatus builds the status callback served next to a rank's counters
-// on the /debug/vars endpoint: the device's failure-registry view, the
-// fault-tolerance state an operator wants next to the traffic numbers,
-// the process's scheduler size with what it was derived from (baseProcs 0:
-// not a process slave, or GOMAXPROCS was in its environment), the road
-// each peer's rendezvous payloads take to this rank ("memory", "pull",
-// "wire", "wire: <why the system refused a pull>"), and beside it how
-// frames to each peer travel ("memory", "ring", "socket", "socket: <why
-// the ring was refused>").
-func profStatus(dev *device.Device) func() any {
-	return func() any {
-		sched := device.Scheduler()
-		return map[string]any{
-			"failedRanks": dev.FailedRanks(),
-			"failEpoch":   dev.FailEpoch(),
-			"gomaxprocs":  sched.GOMAXPROCS,
-			"baseProcs":   sched.BaseProcs,
-			"procRanks":   sched.ProcRanks,
-			"hostRanks":   sched.HostRanks,
-			"pollFloor":   sched.PollFloor,
-			"peerPaths":   dev.PeerPaths(),
-			"frameMedia":  dev.FrameMedia(),
-		}
-	}
-}
-
-// RunLocalEager is RunLocal with an explicit eager/rendezvous threshold,
-// used by protocol experiments.
-func RunLocalEager(np, eagerLimit int, app App) error {
-	return runLocalOpts(np, []device.Option{device.WithEagerLimit(eagerLimit)}, app)
-}
-
-func runLocalOpts(np int, opts []device.Option, app App) error {
 	if np <= 0 {
 		return fmt.Errorf("mpj: np must be positive, got %d", np)
+	}
+	t, err := resolveTuning(JobConfig{})
+	if err != nil {
+		return err
 	}
 	// MPJ_FAULT interposes the fault-injection domain between the mesh and
 	// the devices (see internal/fault): kill/mute/delay one rank to
@@ -153,18 +83,8 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 	if err != nil {
 		return fmt.Errorf("mpj: MPJ_FAULT: %w", err)
 	}
-	// MPJ_PROF / MPJ_PROF_ADDR: per-rank instrumentation recorders and the
-	// optional /debug/vars endpoint (see internal/prof and README
-	// "Observability").
-	pspec, profAddr, err := profFromEnv("")
-	if err != nil {
+	if t, err = serveProf(t); err != nil {
 		return err
-	}
-	if profAddr != "" {
-		prof.PublishMPJ()
-		if _, err := prof.Serve(profAddr); err != nil {
-			return fmt.Errorf("mpj: MPJ_PROF_ADDR: %w", err)
-		}
 	}
 	eps := transport.NewChanMesh(np)
 	trs := make([]transport.Transport, np)
@@ -181,12 +101,7 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 	devs := make([]*device.Device, np)
 	worlds := make([]*core.Comm, np)
 	for i := 0; i < np; i++ {
-		devOpts := opts
-		rec := prof.New(i, pspec)
-		if rec != nil {
-			devOpts = append(opts[:len(opts):len(opts)], device.WithProfiler(rec))
-		}
-		dev, err := device.Open(trs[i], devOpts...)
+		dev, err := openDevice(trs[i], i, t)
 		if err != nil {
 			for _, d := range devs {
 				if d != nil {
@@ -196,11 +111,7 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 			return fmt.Errorf("mpj: opening device for rank %d: %w", i, err)
 		}
 		devs[i] = dev
-		if rec != nil {
-			rec.SetStatus(profStatus(dev))
-			prof.Track(rec)
-		}
-		world, err := core.NewWorld(dev)
+		world, err := core.NewWorldTuned(dev, t)
 		if err != nil {
 			for _, d := range devs {
 				if d != nil {
@@ -226,7 +137,7 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 	// Dynamic process creation: Comm.Spawn on any of these worlds runs
 	// replacements as fresh goroutines of this same process (see
 	// localRespawner in elastic.go).
-	lr := newLocalRespawner(app)
+	lr := newLocalRespawner(app, t)
 	for i := 0; i < np; i++ {
 		worlds[i].SetRespawner(lr)
 	}
@@ -314,34 +225,30 @@ func runLocalOpts(np int, opts []device.Option, app App) error {
 // JobConfig configures a distributed job; see job.Config for field
 // semantics. The zero value plus NP and App suffices.
 //
-// Device selects the transport each slave builds — "chan" (in-process
-// channel mesh; requires all ranks co-located), "tcp" (all-to-all TCP
-// mesh), or "hyb" (the hybrid device: channels to co-located ranks, TCP to
-// remote ones). Empty falls back to the slave's MPJ_DEVICE environment
-// variable and then the built-in default ("hyb").
+// EagerLimit, CollAlg and Prof are the job's tuning, and with the RMA
+// epoch deadline (MPJ_RMA_TIMEOUT) they are resolved once, in the client
+// that calls Run: each value from its field, else from the client's
+// MPJ_EAGER_LIMIT, MPJ_COLL_ALG or MPJ_PROF variable, else its default.
+// Every value is checked before any daemon is contacted, and the resolved
+// set travels in every slave's spec, so all ranks run with the same values
+// whatever their hosts' environments say.
 //
-// EagerLimit overrides every slave device's eager/rendezvous protocol
-// threshold in bytes (see DefaultEagerLimit). Zero falls back to each
-// slave's MPJ_EAGER_LIMIT environment variable and then the built-in
-// default.
+// EagerLimit is every device's eager/rendezvous protocol threshold in
+// bytes (default DefaultEagerLimit).
 //
 // CollAlg forces the collective algorithm family on every slave —
-// "classic", "ring" or "hier"; "auto" restores size-based selection.
-// Empty falls back to each slave's MPJ_COLL_ALG environment variable.
-// Shipping it in the job config keeps the choice identical on every rank,
-// which collective schedules require.
+// "classic", "ring" or "hier"; "auto" (the default) is size-based
+// selection.
 //
 // Prof enables the instrumentation layer on every slave — "counters" for
 // the atomic per-communicator counters behind Comm.ProfSnapshot, or
 // "trace:<path-prefix>" to additionally write one Chrome trace_event
-// JSON timeline per rank (the prefix is resolved on each slave's host).
-// Empty falls back to each slave's MPJ_PROF environment variable and
-// finally off; see README "Observability".
+// JSON timeline per rank (the prefix is resolved on each slave's host);
+// see README "Observability".
 type JobConfig struct {
 	NP         int
 	App        string
 	Args       []string
-	Device     string
 	EagerLimit int
 	CollAlg    string
 	Prof       string
@@ -375,23 +282,15 @@ type JobConfig struct {
 // mpjrun. Slave processes re-execute this binary; their main must call
 // Main (or SlaveMain) after registering applications.
 func Run(cfg JobConfig) error {
-	// Validate the collective knob here, where the parser lives, so a
-	// typo fails before any slave spawns (the device name gets the same
-	// treatment inside job.Run).
-	if _, err := core.ParseCollAlg(cfg.CollAlg); err != nil {
-		return fmt.Errorf("mpj: JobConfig.CollAlg: %w", err)
-	}
-	if _, err := prof.ParseSpec(cfg.Prof); err != nil {
-		return fmt.Errorf("mpj: JobConfig.Prof: %w", err)
+	t, err := resolveTuning(cfg)
+	if err != nil {
+		return err
 	}
 	return job.Run(job.Config{
 		NP:             cfg.NP,
 		App:            cfg.App,
 		Args:           cfg.Args,
-		Device:         cfg.Device,
-		EagerLimit:     cfg.EagerLimit,
-		CollAlg:        cfg.CollAlg,
-		Prof:           cfg.Prof,
+		Tuning:         t,
 		Locators:       cfg.Locators,
 		UDPPort:        cfg.UDPPort,
 		Binary:         cfg.Binary,
@@ -406,7 +305,7 @@ func Run(cfg JobConfig) error {
 // IsSlave reports whether this process was spawned as an MPJ slave. Such a
 // process belongs to the runtime: SlaveMain sizes its Go scheduler to its
 // share of the host and terminates it when the application returns.
-func IsSlave() bool { return os.Getenv("MPJ_SLAVE") == "1" }
+func IsSlave() bool { return os.Getenv("MPJ_SLAVE") != "" }
 
 // Main dispatches to SlaveMain when running as a spawned slave and
 // returns false otherwise, letting one binary serve as both launcher and
@@ -442,7 +341,7 @@ func Main() bool {
 // slaves and CPUs" for the progress model at one thread.
 func SlaveMain() {
 	device.OwnScheduler()
-	spec, daemonAddr, err := daemon.ParseSlaveEnv(os.Getenv)
+	spec, daemonAddr, err := daemon.DecodeSlaveEnv(os.Getenv("MPJ_SLAVE"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpj slave:", err)
 		os.Exit(2)
@@ -455,10 +354,44 @@ func SlaveMain() {
 	os.Exit(0)
 }
 
-// watchdogInterval is how often a process slave pings its daemon; after
+// watchdogInterval is how often a process slave probes its daemon; after
 // three consecutive failures the slave self-destructs (the paper's
 // daemon-leases-its-own-slaves rule, §3.4).
 var watchdogInterval = 2 * time.Second
+
+// watchdog is a process slave's self-destruct rule: every
+// watchdogInterval it dials its daemon and runs probe on the connection,
+// and after three consecutive failures the daemon is gone and the process
+// exits. It returns when stop closes.
+func watchdog(daemonAddr string, stop <-chan struct{}, probe func(*daemon.Client) error) {
+	failures := 0
+	tick := time.NewTicker(watchdogInterval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+			client, err := daemon.DialDaemon(daemonAddr)
+			if err == nil {
+				err = probe(client)
+				client.Close()
+			}
+			if err == nil {
+				failures = 0
+			} else if failures++; failures >= 3 {
+				fmt.Fprintln(os.Stderr, "mpj slave: daemon unreachable, self-destructing")
+				os.Exit(3)
+			}
+		}
+	}
+}
+
+// ping is the watchdog probe of a slave that only checks its daemon lives.
+func ping(c *daemon.Client) error {
+	_, err := c.Ping()
+	return err
+}
 
 // RunSlave executes one slave's life cycle over real TCP: bootstrap,
 // mesh, application, report. stop (may be nil) aborts the slave
@@ -469,42 +402,26 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 	if err != nil {
 		return err
 	}
+	// MPJ_PROF_ADDR serves this process's /debug/vars endpoint. A serve
+	// failure is only warned about: several slaves of one host may
+	// inherit the same fixed port, and losing an endpoint must not kill a
+	// rank.
+	var perr error
+	if spec.Tuning, perr = serveProf(spec.Tuning); perr != nil {
+		fmt.Fprintln(os.Stderr, "mpj slave:", perr)
+	}
 	if spec.Epoch != 0 {
 		// A replacement slave created by Comm.Spawn: bootstrap against the
 		// scoped spawn master and enter the application through the merge
 		// choreography instead of the original world.
 		return runSpawnedSlave(spec, daemonAddr, app, stop)
 	}
-	// Profiling: the spec (mpjrun -prof or JobConfig.Prof) wins, then the
-	// slave's MPJ_PROF environment. MPJ_PROF_ADDR additionally serves the
-	// /debug/vars endpoint; a serve failure is only warned about — several
-	// slaves of one host may inherit the same fixed port, and losing an
-	// endpoint must not kill a rank.
-	pspec, profAddr, err := profFromEnv(spec.Prof)
-	if err != nil {
-		return err
-	}
-	var profOpts []device.Option
-	rec := prof.New(spec.Rank, pspec)
-	if rec != nil {
-		profOpts = append(profOpts, device.WithProfiler(rec))
-	}
-	if profAddr != "" {
-		prof.PublishMPJ()
-		if _, serr := prof.Serve(profAddr); serr != nil {
-			fmt.Fprintf(os.Stderr, "mpj slave: MPJ_PROF_ADDR: %v\n", serr)
-		}
-	}
-	dev, sc, err := joinMesh(spec, profOpts...)
+	dev, sc, err := joinMesh(spec)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	if rec != nil {
-		rec.SetStatus(profStatus(dev))
-		prof.Track(rec)
-	}
-	world, err := core.NewWorld(dev)
+	world, err := core.NewWorldTuned(dev, spec.Tuning)
 	if err != nil {
 		dev.Close()
 		_ = sc.ReportDone(err)
@@ -530,39 +447,11 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 	// into the mesh devices.
 	watchdogStop := make(chan struct{})
 	if daemonAddr != "" && stop == nil {
-		if spec.Elastic {
-			go elasticWatchdog(daemonAddr, spec.JobID, live, watchdogStop, func() {
-				fmt.Fprintln(os.Stderr, "mpj slave: daemon unreachable, self-destructing")
-				os.Exit(3)
-			})
-		} else {
-			go func() {
-				failures := 0
-				tick := time.NewTicker(watchdogInterval)
-				defer tick.Stop()
-				for {
-					select {
-					case <-watchdogStop:
-						return
-					case <-tick.C:
-						client, err := daemon.DialDaemon(daemonAddr)
-						if err == nil {
-							_, err = client.Ping()
-							client.Close()
-						}
-						if err != nil {
-							failures++
-							if failures >= 3 {
-								fmt.Fprintln(os.Stderr, "mpj slave: daemon unreachable, self-destructing")
-								os.Exit(3)
-							}
-						} else {
-							failures = 0
-						}
-					}
-				}
-			}()
+		probe := ping
+		if live != nil {
+			probe = live.heartbeat(spec.JobID)
 		}
+		go watchdog(daemonAddr, watchdogStop, probe)
 	}
 
 	appErr := runApp(app, world, dev, stop)
@@ -624,13 +513,10 @@ func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-c
 	watchdogStop := make(chan struct{})
 	defer close(watchdogStop)
 	if daemonAddr != "" && stop == nil {
-		go elasticWatchdog(daemonAddr, spec.JobID, live, watchdogStop, func() {
-			fmt.Fprintln(os.Stderr, "mpj slave: daemon unreachable, self-destructing")
-			os.Exit(3)
-		})
+		go watchdog(daemonAddr, watchdogStop, live.heartbeat(spec.JobID))
 	}
 
-	merged, err := core.JoinSpawned(dev, spec.SpawnBase)
+	merged, err := core.JoinSpawned(dev, spec.SpawnBase, spec.Tuning)
 	if err != nil {
 		dev.Abort()
 		_ = sc.ReportDone(err)
@@ -664,67 +550,6 @@ func runApp(app App, world *Comm, dev *device.Device, stop <-chan struct{}) erro
 		dev.Close()
 		return <-appDone
 	}
-}
-
-// deviceOptions resolves a slave's device tuning. The eager/rendezvous
-// threshold follows the same precedence as device selection: the spec
-// (set by mpjrun -eager-limit or JobConfig.EagerLimit), then the
-// MPJ_EAGER_LIMIT environment variable (a daemon- or host-wide default),
-// then the built-in DefaultEagerLimit.
-func deviceOptions(spec daemon.SlaveSpec) ([]device.Option, error) {
-	limit := spec.EagerLimit
-	if limit == 0 {
-		var err error
-		if limit, err = eagerLimitFromEnv(); err != nil {
-			return nil, err
-		}
-	}
-	if limit <= 0 {
-		return nil, nil
-	}
-	return []device.Option{device.WithEagerLimit(limit)}, nil
-}
-
-// openTransport builds the transport a slave was asked for. Selection
-// order: the spec's device (set by the client's -device flag or JobConfig),
-// then the MPJ_DEVICE environment variable (a daemon- or host-wide
-// default), then transport.DefaultDevice.
-func openTransport(spec daemon.SlaveSpec, table job.Table, ln net.Listener) (transport.Transport, error) {
-	sel := spec.Device
-	if sel == "" {
-		sel = os.Getenv("MPJ_DEVICE")
-	}
-	name, err := transport.ParseDeviceName(sel)
-	if err != nil {
-		return nil, err
-	}
-	switch name {
-	case transport.DeviceTCP:
-		return transport.NewTCPTransport(spec.Rank, spec.JobID, table.Addrs, ln)
-	case transport.DeviceChan:
-		// The multicore device: legal only when the whole job shares one
-		// process, so frames never need a socket at all.
-		self := transport.ProcessLocality()
-		for r := 0; r < spec.Size; r++ {
-			if r >= len(table.Locs) || table.Locs[r] != self {
-				return nil, fmt.Errorf("mpj: device %q needs all ranks in one process; rank %d is not co-located with rank %d", name, r, spec.Rank)
-			}
-		}
-		return transport.NewHybTransport(transport.HybConfig{
-			Rank:  spec.Rank,
-			JobID: spec.JobID,
-			Locs:  table.Locs,
-		})
-	case transport.DeviceHyb:
-		return transport.NewHybTransport(transport.HybConfig{
-			Rank:     spec.Rank,
-			JobID:    spec.JobID,
-			Locs:     table.Locs,
-			Addrs:    table.Addrs,
-			Listener: ln,
-		})
-	}
-	return nil, fmt.Errorf("mpj: unhandled device %q", name)
 }
 
 // NewFuncSpawner adapts RunSlave for in-process (goroutine) slaves: the

@@ -19,7 +19,7 @@ import (
 )
 
 // TestMain doubles as the slave entry point: jobs spawned with the test
-// binary re-enter here with MPJ_SLAVE=1 and dispatch into SlaveMain —
+// binary re-enter here with MPJ_SLAVE set and dispatch into SlaveMain —
 // the standard one-binary launcher/slave pattern.
 func TestMain(m *testing.M) {
 	registerTestApps()
@@ -34,6 +34,7 @@ func registerTestApps() {
 	registerSchedApps()
 	registerPullApps()
 	registerRingApps()
+	registerTuningApps()
 	Register("sum", func(w *Comm) error {
 		in := []int64{int64(w.Rank() + 1)}
 		out := make([]int64, 1)
@@ -112,26 +113,6 @@ func TestRunLocalReportsRankErrors(t *testing.T) {
 	}
 	if err := RunLocal(0, func(w *Comm) error { return nil }); err == nil {
 		t.Error("np=0 accepted")
-	}
-}
-
-func TestRunLocalEagerOverride(t *testing.T) {
-	err := RunLocalEager(2, 64, func(w *Comm) error {
-		// A 65-byte message must take rendezvous under the 64-byte limit.
-		if w.Rank() == 0 {
-			if err := w.Send(make([]byte, 65), 0, 65, BYTE, 1, 0); err != nil {
-				return err
-			}
-			if w.Device().Stats().RTSSent.Load() == 0 {
-				return errors.New("expected rendezvous under tiny eager limit")
-			}
-			return nil
-		}
-		_, err := w.Recv(make([]byte, 65), 0, 65, BYTE, 0, 0)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
