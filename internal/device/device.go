@@ -42,9 +42,11 @@
 //
 // When the sender is another process on the receiver's host the payload
 // does not cross the socket at all: the RTS carries an offer, the receiver
-// copies the bytes out of the sender's memory with one system call and
-// answers KindPulled instead of CTS (see pull.go). Everything above holds
-// with "the transport" read as "this device's own copy".
+// copies the bytes out of the sender's memory with one system call — or,
+// after a blocking Send to a peer whose ring is live, out of the ring's
+// stream area while the sender copies them in — and answers KindPulled
+// instead of CTS (see pull.go). Everything above holds with "the
+// transport" read as "this device's own copy".
 //
 // The device boundary is one of the two instrumentation seams: an
 // optional prof.Recorder (WithProfiler) observes every send and receive
@@ -154,19 +156,21 @@ func FailedRank(err error) (rank int, ok bool) {
 
 // Stats counts protocol events; the protocol benchmarks and tests read it.
 type Stats struct {
-	EagerSent    atomic.Int64
-	EagerRecv    atomic.Int64
-	RTSSent      atomic.Int64
-	RTSRecv      atomic.Int64
-	CTSSent      atomic.Int64
-	DataSent     atomic.Int64
-	DataRecv     atomic.Int64
-	Unexpected   atomic.Int64 // messages queued before a matching receive
-	PostedDirect atomic.Int64 // messages that met an already-posted receive
-	Pulled       atomic.Int64 // rendezvous payloads this device copied out of a co-host sender (see pull.go)
-	PullRefused  atomic.Int64 // pulls that moved nothing usable; the message took CTS and DATA
-	RingFrames   atomic.Int64 // frames this device sent through a co-host ring (see polls.go)
-	Doorbells    atomic.Int64 // doorbells it rang: ring frames no waiter was polling for
+	EagerSent       atomic.Int64
+	EagerRecv       atomic.Int64
+	RTSSent         atomic.Int64
+	RTSRecv         atomic.Int64
+	CTSSent         atomic.Int64
+	DataSent        atomic.Int64
+	DataRecv        atomic.Int64
+	Unexpected      atomic.Int64 // messages queued before a matching receive
+	PostedDirect    atomic.Int64 // messages that met an already-posted receive
+	Pulled          atomic.Int64 // rendezvous payloads this device copied out of a co-host sender, streamed or pulled (see pull.go)
+	PullRefused     atomic.Int64 // pulls that moved nothing usable; the message took CTS and DATA
+	Streamed        atomic.Int64 // of them, payloads that came through the sender's stream area, whole or in part
+	StreamTakeovers atomic.Int64 // streams that stalled or stopped short, whose rest was pulled or took CTS and DATA
+	RingFrames      atomic.Int64 // frames this device sent through a co-host ring (see polls.go)
+	Doorbells       atomic.Int64 // doorbells it rang: ring frames no waiter was polling for
 }
 
 // unexpected is an arrived message (eager payload or rendezvous header)
@@ -235,9 +239,10 @@ type Device struct {
 	// refused, per rank that is another process on this host, is why the
 	// system refuses pulls from it for the life of the device (see
 	// pull.go); guarded by mu.
-	peers     transport.Peers
-	refused   []error
-	pullFault atomic.Pointer[func(src int) error] // fault-injection seam (see SetPullFault)
+	peers      transport.Peers
+	refused    []error
+	pullFault  atomic.Pointer[func(src int) error]     // fault-injection seam (see SetPullFault)
+	streamHook atomic.Pointer[func(dst, off int) bool] // fault-injection seam (see SetStreamHook)
 
 	// Co-host rings (see polls.go): polls is set at Open when the
 	// transport was handed a ring plan, and only then do waiters poll
@@ -396,7 +401,7 @@ func (d *Device) Isend(buf []byte, dst, tag, ctx int, mode Mode) (*Request, erro
 		return d.postEager(eagerFrame(buf), dst, tag, ctx)
 	}
 	r := new(Request)
-	if err := d.postRendezvous(r, buf, false, dst, tag, ctx); err != nil {
+	if err := d.postRendezvous(r, buf, false, false, dst, tag, ctx); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -419,10 +424,13 @@ func (d *Device) Send(buf []byte, dst, tag, ctx int, mode Mode, wait func(*Reque
 		return d.sendEager(eagerFrame(buf), dst, tag, ctx)
 	}
 	r := d.pooled()
-	if err := d.postRendezvous(r, buf, false, dst, tag, ctx); err != nil {
+	if err := d.postRendezvous(r, buf, false, true, dst, tag, ctx); err != nil {
 		// Not recycled: when the transport refused the RTS, the request is
 		// registered all the same and stays the device's.
 		return err
+	}
+	if r.pull != nil && r.pull.stream != 0 {
+		d.stream(r, buf)
 	}
 	_, err := wait(r)
 	d.recycle(r)
@@ -472,7 +480,7 @@ func (d *Device) IsendFill(n int, fill func(payload []byte) error, dst, tag, ctx
 		return nil, err
 	}
 	r := new(Request)
-	if err := d.postRendezvous(r, stash, true, dst, tag, ctx); err != nil {
+	if err := d.postRendezvous(r, stash, true, false, dst, tag, ctx); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -540,9 +548,10 @@ func (d *Device) postEager(frame []byte, dst, tag, ctx int) (*Request, error) {
 // the payload waits — by reference — for the CTS. stash marks a pooled
 // buffer the device owns (IsendFill) as opposed to the caller's memory
 // (Isend); it is released on every path, including the error returns here.
-// On an error from the transport r is registered nonetheless, as the
-// non-blocking forms always left it.
-func (d *Device) postRendezvous(r *Request, payload []byte, stash bool, dst, tag, ctx int) error {
+// stream asks for a stream area to a co-host destination (the blocking
+// Send, which then streams). On an error from the transport r is
+// registered nonetheless, as the non-blocking forms always left it.
+func (d *Device) postRendezvous(r *Request, payload []byte, stash, stream bool, dst, tag, ctx int) error {
 	d.mu.Lock()
 	err := d.usable()
 	if err == nil {
@@ -569,8 +578,8 @@ func (d *Device) postRendezvous(r *Request, payload []byte, stash bool, dst, tag
 		Len:     int32(len(payload)),
 	}
 	d.seq[dst]++
-	var offer [offerLen]byte
-	frame := wire.NewFrame(&h, d.offerLocked(r, &offer))
+	var offer [streamOfferLen]byte
+	frame := wire.NewFrame(&h, d.offerLocked(r, stream, &offer))
 	d.mu.Unlock()
 	d.stats.RTSSent.Add(1)
 	if p := d.prof; p != nil {

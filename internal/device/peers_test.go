@@ -12,7 +12,8 @@ import (
 // behind the fault injector. The injector keeps the device name, the
 // locality table and the co-host rings, and hides every other rank's
 // address space: a one-sided operation to a peer in memory would move
-// bytes around the frames the injector intercepts.
+// bytes around the frames the injector intercepts. A co-host peer's
+// payloads stream once the rings are live, and are pulled without them.
 func TestFaultWrapperReports(t *testing.T) {
 	const np = 3
 	one := []string{"one-process", "one-process", "one-process"}
@@ -28,8 +29,9 @@ func TestFaultWrapperReports(t *testing.T) {
 		{"chan", "chan", true, false, nil, "wire", "socket"},
 		{"hyb-local", "hyb", false, true, one, "memory", "memory"},
 		{"hyb-local", "hyb", true, false, one, "wire", "socket"},
-		{"tcp-ring", "tcp", false, false, []string{host, host, host}, "pull", "ring"},
-		{"tcp-ring", "tcp", true, false, []string{host, host, host}, "pull", "ring"},
+		{"tcp-ring", "tcp", false, false, []string{host, host, host}, "stream", "ring"},
+		{"tcp-ring", "tcp", true, false, []string{host, host, host}, "stream", "ring"},
+		{"tcp-pull", "tcp", false, false, []string{host, host, host}, "pull", "socket"},
 	} {
 		name := tc.flavor
 		if tc.wrap {
@@ -58,14 +60,14 @@ func TestFaultWrapperReports(t *testing.T) {
 						t.Errorf("rank %d: LocalPeer(%d) = %v, want %v", r, p, got, want)
 					}
 				}
-				if got := d.PeerPaths(); fmt.Sprint(got) != fmt.Sprint(paths) {
-					t.Errorf("rank %d: PeerPaths() = %q, want %q", r, got, paths)
-				}
 				if tc.media == "ring" {
 					until(t, "the rings settle", func() bool { return fmt.Sprint(d.FrameMedia()) == fmt.Sprint(media) })
 				}
 				if got := d.FrameMedia(); fmt.Sprint(got) != fmt.Sprint(media) {
 					t.Errorf("rank %d: FrameMedia() = %q, want %q", r, got, media)
+				}
+				if got := d.PeerPaths(); fmt.Sprint(got) != fmt.Sprint(paths) {
+					t.Errorf("rank %d: PeerPaths() = %q, want %q", r, got, paths)
 				}
 			}
 		})

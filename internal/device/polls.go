@@ -24,7 +24,13 @@ import (
 	"mpj/internal/transport"
 )
 
-// pollBudget bounds how long one wait polls the rings before it parks.
+// pollBudget bounds how long one wait polls the rings before it parks. The
+// two ends of a stream wait longer in Request.Wait, for
+// transport.StreamBudget — as long as a streaming sender waits for its
+// receiver: a receive into a buffer above the eager limit, which a
+// rendezvous payload fills, so that the RTS of a stream finds it awake
+// and needs no doorbell, and a send that streamed, whose receiver answers
+// once it has copied the area's last slots out. Neither sleeps mid-hop.
 const pollBudget = 20 * time.Microsecond
 
 // ringOption is the test seam that plans rings where the gate would not

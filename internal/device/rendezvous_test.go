@@ -872,9 +872,10 @@ var hostileCells [2]atomic.Uint64
 // TestHostilePullOffer: the offer in an RTS is bytes off a socket. Whatever
 // it says — an address the peer does not map, a token its cell does not
 // hold, a cell that is some other word, an offer of the wrong size, a
-// negative length — the receiver neither crashes nor hangs nor delivers
-// bytes it cannot vouch for: the message takes the CTS path (and arrives
-// intact when the peer then behaves), or the peer is failed.
+// stream number out of range, a negative length — the receiver neither
+// crashes nor hangs nor delivers bytes it cannot vouch for: the message
+// takes the CTS path (and arrives intact when the peer then behaves), or
+// the peer is failed.
 func TestHostilePullOffer(t *testing.T) {
 	const n = 64 << 10
 	at := func(p unsafe.Pointer) uint64 { return uint64(uintptr(p)) }
@@ -890,6 +891,7 @@ func TestHostilePullOffer(t *testing.T) {
 		return b
 	}
 	good := offer(at(unsafe.Pointer(&msg[0])), at(unsafe.Pointer(cell)), 0xfeedface)
+	stream := func(id uint64) []byte { return binary.LittleEndian.AppendUint64(append([]byte(nil), good...), id) }
 	for name, tc := range map[string]struct {
 		offer   []byte
 		len     int32
@@ -909,6 +911,11 @@ func TestHostilePullOffer(t *testing.T) {
 		"25-bytes":         {append(append([]byte(nil), good...), 0), n, 0, ""},
 		"negative-length":  {good, -5, 0, ""},
 		"zero-token":       {offer(at(unsafe.Pointer(&msg[0])), at(unsafe.Pointer(cell)), 0), n, 0, "pull"},
+		// A stream announced where no ring is: nothing to copy out of an
+		// area, and the pull brings it all.
+		"stream-no-ring":  {stream(5), n, 0, "pull"},
+		"stream-zero":     {stream(0), n, 0, ""},
+		"stream-past-u32": {stream(1 << 32), n, 0, ""},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var eps []transport.Transport
@@ -928,7 +935,7 @@ func TestHostilePullOffer(t *testing.T) {
 				}
 				return
 			}
-			if name != "honest" {
+			if name != "honest" && name != "stream-no-ring" {
 				// Rank 0, by hand, now behaves: DATA on the CTS.
 				until(t, "the CTS is granted", func() bool { return ds[1].Stats().CTSSent.Load() == 1 })
 				data := wire.Header{Kind: wire.KindData, Tag: 1, MsgID: 77, Len: n}

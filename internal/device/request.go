@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mpj/internal/transport"
 	"mpj/internal/wire"
 )
 
@@ -60,15 +61,23 @@ type Request struct {
 
 // Wait blocks until the request completes and returns its status. Where
 // co-host rings are live it polls them first, for at most pollBudget in
-// all (see polls.go), and parks only then — unless a co-host pull carries
-// its payload (r.pull): that ends with a copy of the whole payload, or on
-// the socket, and no poll brings it sooner.
+// all, and parks only then — unless a co-host pull carries its payload
+// (r.pull): that ends with a copy of the whole payload, or on the socket,
+// and no poll brings it sooner. A send that streamed its whole payload
+// polls, for transport.StreamBudget: its receiver copies up to an area's
+// worth out after the last slot went in, and answers just behind it; so
+// does a receive into a buffer above the eager limit, which a rendezvous
+// payload fills (see polls.go).
 func (r *Request) Wait() (Status, error) {
 	d := r.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.polls && !r.done && r.pull == nil {
-		end := time.Now().Add(pollBudget)
+	if d.polls && !r.done && (r.pull == nil || r.pull.stream != 0) {
+		budget := pollBudget
+		if r.pull != nil || r.kind == reqRecv && len(r.buf) > d.eagerLimit {
+			budget = transport.StreamBudget
+		}
+		end := time.Now().Add(budget)
 		for !r.done {
 			gen := d.gen.Load()
 			d.mu.Unlock()

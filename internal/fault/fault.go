@@ -34,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpj/internal/device"
@@ -248,6 +249,21 @@ func (ep *Endpoint) Rings(plan transport.RingPlan) { ep.inner.Rings(plan) }
 
 // Poll forwards to the inner transport.
 func (ep *Endpoint) Poll(budget time.Duration) bool { return ep.inner.Poll(budget) }
+
+// StreamOpen, Stream and Unstream forward to the inner transport: a
+// stream's bytes are no frame, and the RTS that announces one goes
+// through Send.
+func (ep *Endpoint) StreamOpen(dst int) uint32 { return ep.inner.StreamOpen(dst) }
+
+// Stream forwards to the inner transport.
+func (ep *Endpoint) Stream(dst int, id uint32, payload []byte, hook func(off int) bool) bool {
+	return ep.inner.Stream(dst, id, payload, hook)
+}
+
+// Unstream forwards to the inner transport.
+func (ep *Endpoint) Unstream(src int, id uint32, total int, dst []byte, quit *atomic.Bool) (int, error) {
+	return ep.inner.Unstream(src, id, total, dst, quit)
+}
 
 // Send forwards the frame unless the domain says otherwise: frames to or
 // from killed ranks (and from muted ranks) are swallowed — returned to

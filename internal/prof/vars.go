@@ -29,27 +29,42 @@ import (
 // a retired sum, so the endpoint's cumulative block survives job
 // completion — a curl after the run still sees the traffic.
 
-// reg is the process-wide recorder registry.
+// reg is the process-wide recorder registry. keys holds each live
+// recorder's entry name in the "ranks" listing.
 var reg struct {
 	mu      sync.Mutex
 	live    []*Recorder
+	keys    map[*Recorder]string
 	retired Snapshot
 	closed  int // recorders folded into retired
 }
 
 // Track registers a recorder with the endpoint's registry. The runtime calls
-// it for every recorder it creates; Recorder.Close retires it.
+// it for every recorder it creates; Recorder.Close retires it. The
+// recorder is listed under its rank number, or — when a live recorder of
+// the same rank has that key, as a survivor's does when it rejoins a spawn
+// mesh — under "<rank>#2", "<rank>#3", … whichever is free.
 func Track(r *Recorder) {
 	if r == nil {
 		return
 	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	for _, x := range reg.live {
-		if x == r {
-			return
-		}
+	if _, ok := reg.keys[r]; ok {
+		return
 	}
+	taken := make(map[string]bool, len(reg.keys))
+	for _, k := range reg.keys {
+		taken[k] = true
+	}
+	key := strconv.Itoa(r.rank)
+	for n := 2; taken[key]; n++ {
+		key = strconv.Itoa(r.rank) + "#" + strconv.Itoa(n)
+	}
+	if reg.keys == nil {
+		reg.keys = make(map[*Recorder]string)
+	}
+	reg.keys[r] = key
 	reg.live = append(reg.live, r)
 }
 
@@ -60,6 +75,7 @@ func untrack(r *Recorder) {
 	for i, x := range reg.live {
 		if x == r {
 			reg.live = append(reg.live[:i], reg.live[i+1:]...)
+			delete(reg.keys, r)
 			reg.retired.add(r.Snapshot())
 			reg.closed++
 			return
@@ -67,25 +83,29 @@ func untrack(r *Recorder) {
 	}
 }
 
-// Vars builds the value of the "mpj" block: per-live-rank counter
-// snapshots and status, plus the cumulative total including retired
-// recorders.
+// Vars builds the value of the "mpj" block: per-live-recorder counter
+// snapshots and status, keyed as Track named them, plus the cumulative
+// total including retired recorders.
 func Vars() any {
 	reg.mu.Lock()
 	live := append([]*Recorder(nil), reg.live...)
+	keys := make([]string, len(live))
+	for i, r := range live {
+		keys[i] = reg.keys[r]
+	}
 	total := reg.retired
 	closed := reg.closed
 	reg.mu.Unlock()
 
 	ranks := make(map[string]any, len(live))
-	for _, r := range live {
+	for i, r := range live {
 		s := r.Snapshot()
 		total.add(s)
 		entry := map[string]any{"counters": s}
 		if st := r.Status(); st != nil {
 			entry["status"] = st
 		}
-		ranks[strconv.Itoa(r.rank)] = entry
+		ranks[keys[i]] = entry
 	}
 	return map[string]any{
 		"ranks":  ranks,

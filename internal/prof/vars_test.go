@@ -172,3 +172,46 @@ func TestVarsHeadDeadline(t *testing.T) {
 		t.Fatalf("cut off after %v, deadline %v", took, deadline)
 	}
 }
+
+// TestVarsKeysEveryLiveRecorder: two live recorders of one rank — a
+// survivor that rejoined a spawn mesh keeps its first recorder until the
+// old mesh closes — are both listed, each under its own key, and a key
+// freed by a retired recorder is reused.
+func TestVarsKeysEveryLiveRecorder(t *testing.T) {
+	ranks := func() map[string]any { return Vars().(map[string]any)["ranks"].(map[string]any) }
+	first, second := New(23, Spec{Counters: true}), New(23, Spec{Counters: true})
+	Track(first)
+	Track(second)
+	first.Send(5, 100, true)
+	second.Send(5, 200, true)
+	got := ranks()
+	for key, want := range map[string]int64{"23": 100, "23#2": 200} {
+		entry, ok := got[key].(map[string]any)
+		if !ok {
+			t.Fatalf("no entry %q in %v", key, got)
+		}
+		if s := entry["counters"].(Snapshot); s.EagerSentBytes != want {
+			t.Errorf("entry %q counts %d bytes, want %d", key, s.EagerSentBytes, want)
+		}
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	third := New(23, Spec{Counters: true})
+	Track(third)
+	got = ranks()
+	if _, ok := got["23#2"]; !ok {
+		t.Errorf("the second recorder lost its key: %v", got)
+	}
+	if _, ok := got["23"]; !ok {
+		t.Errorf("the freed key was not reused: %v", got)
+	}
+	for _, r := range []*Recorder{second, third} {
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ranks(); got["23"] != nil || got["23#2"] != nil {
+		t.Errorf("closed recorders still listed: %v", got)
+	}
+}

@@ -218,6 +218,15 @@ func (t *ChanTransport) Rings(RingPlan) {}
 // Poll finds nothing: a channel mesh delivers on its demux goroutine.
 func (t *ChanTransport) Poll(time.Duration) bool { return false }
 
+// StreamOpen finds no stream area: there is no ring.
+func (t *ChanTransport) StreamOpen(int) uint32 { return 0 }
+
+// Stream is never called: StreamOpen claims nothing.
+func (t *ChanTransport) Stream(int, uint32, []byte, func(int) bool) bool { return false }
+
+// Unstream fills nothing: there is no ring.
+func (t *ChanTransport) Unstream(int, uint32, int, []byte, *atomic.Bool) (int, error) { return 0, nil }
+
 // Drain blocks until all accepted frames have been pushed into their
 // destination inboxes.
 func (t *ChanTransport) Drain() {

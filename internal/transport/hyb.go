@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpj/internal/wire"
@@ -275,6 +276,27 @@ func (t *HybTransport) Rings(plan RingPlan) {
 // Poll polls the TCP half's rings.
 func (t *HybTransport) Poll(budget time.Duration) bool {
 	return t.tcp != nil && t.tcp.Poll(budget)
+}
+
+// StreamOpen claims a stream area of the TCP half's ring to dst.
+func (t *HybTransport) StreamOpen(dst int) uint32 {
+	if t.tcp == nil {
+		return 0
+	}
+	return t.tcp.StreamOpen(dst)
+}
+
+// Stream streams through the TCP half's ring to dst.
+func (t *HybTransport) Stream(dst int, id uint32, payload []byte, hook func(off int) bool) bool {
+	return t.tcp.Stream(dst, id, payload, hook)
+}
+
+// Unstream copies a stream out of the TCP half's ring from src.
+func (t *HybTransport) Unstream(src int, id uint32, total int, dst []byte, quit *atomic.Bool) (int, error) {
+	if t.tcp == nil {
+		return 0, nil
+	}
+	return t.tcp.Unstream(src, id, total, dst, quit)
 }
 
 // Drain blocks until both halves have handed every accepted frame to their

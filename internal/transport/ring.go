@@ -45,6 +45,9 @@ package transport
 // Any refusal — no memory file on this system, no access to the peer's
 // /proc entry, a seal or token mismatch — leaves that direction on the
 // socket for the life of the mesh, and the plan's Report hears why.
+//
+// Behind the frames' data the file holds a stream area for rendezvous
+// payloads, which no frame touches (see stream.go).
 
 import (
 	"bufio"
@@ -60,20 +63,23 @@ import (
 )
 
 // Ring layout: a header page of control words, each on its own cache line,
-// then the data area. Records are 8-byte aligned: a length and a kind word,
-// then the frame, padded.
+// then the data area, then the stream area (see stream.go). Records are
+// 8-byte aligned: a length and a kind word, then the frame, padded.
 const (
 	ringHeader = 4096
 	// ringCap holds two 16 KiB eager frames (the device's default eager
 	// limit) with their headers, rounded up to whole pages.
 	ringCap  = 36 << 10
-	ringSize = ringHeader + ringCap
+	ringSize = ringHeader + ringCap + streamArea
 
 	offToken   = 0   // the creator's random token
 	offTail    = 64  // bytes published; only the producer moves it
 	offHead    = 128 // bytes consumed, as the consumer last published them
 	offPolling = 192 // waiters polling this ring right now
 	offBell    = 256 // 1 while a doorbell is on its way
+	offFill    = 320 // the stream's id and bytes published (stream.go); the producer's
+	offRead    = 384 // the stream's id and bytes copied out; the consumer's
+	offDone    = 448 // the last stream id the consumer is finished with
 
 	recHeader = 8
 	recFrame  = 1 // a frame follows
@@ -89,7 +95,10 @@ func (m ringMem) word(off int) *atomic.Uint64 {
 }
 
 // data returns the data area.
-func (m ringMem) data() []byte { return m[ringHeader:ringSize] }
+func (m ringMem) data() []byte { return m[ringHeader : ringHeader+ringCap] }
+
+// area returns the stream area.
+func (m ringMem) area() []byte { return m[ringHeader+ringCap : ringSize] }
 
 // padded is the ring space a record of an n-byte frame takes.
 func padded(n int) uint64 { return uint64(recHeader+n+7) &^ 7 }
@@ -101,9 +110,15 @@ var errRingHead = fmt.Errorf("%w: ring head outside the published bytes", wire.E
 // outRing is the producing end of a ring: this process copies frames into
 // a file the peer created. The tail is the producer's own; every call runs
 // under the owning queue's exclusion (see sendRing and writeLoop).
+//
+// streaming claims the stream area for one Stream at a time, and last is
+// the id of the stream this end started last, guarded by the claim.
 type outRing struct {
 	m    ringMem
 	tail uint64
+
+	streaming atomic.Bool
+	last      uint32
 }
 
 // fits reports whether an n-byte frame can ever go through the ring.
@@ -238,9 +253,11 @@ type RingPlan struct {
 // writer switched to it; polled lists the inbound rings, live counts those
 // the peer accepted. offered and ended are per-peer reader state: the
 // peer's offer was handled, the reader has returned. mu keeps pollers out
-// of rings being unmapped (gone). pollHook is a test seam, nil in
-// production: it runs between a poll's last look and the end of its
-// announcement.
+// of rings being unmapped (gone), and streams keeps out the stream ends
+// (stream.go), which a poller may run inside its poll — a read lock of mu
+// taken twice would wedge behind a waiting unmap. pollHook is a test seam,
+// nil in production: it runs between a poll's last look and the end of
+// its announcement.
 type ringSet struct {
 	plan     RingPlan
 	ins      []*inRing
@@ -250,6 +267,7 @@ type ringSet struct {
 	offered  []bool
 	ended    []atomic.Bool
 	mu       sync.RWMutex
+	streams  sync.RWMutex
 	gone     bool
 	pollHook func()
 }
@@ -600,7 +618,7 @@ func (t *TCPTransport) writeBell(w *bufio.Writer, scratch []byte) error {
 }
 
 // releaseRings unmaps every ring once no goroutine of the endpoint runs
-// and no poller is inside one.
+// and no poller or stream end is inside one.
 func (t *TCPTransport) releaseRings() {
 	rs := t.rings
 	if rs == nil {
@@ -608,6 +626,8 @@ func (t *TCPTransport) releaseRings() {
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	rs.streams.Lock()
+	defer rs.streams.Unlock()
 	if rs.gone {
 		return
 	}

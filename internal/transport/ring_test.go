@@ -444,7 +444,10 @@ func putAt(m ringMem, pos uint64, frame []byte) {
 
 // FuzzRingDrain feeds arbitrary ring bytes, head and tail to the consumer.
 // It must not panic, must end in nil or a wire.ErrFrame, and must hand the
-// handler only frames that fit the ring and carry a header.
+// handler only frames that fit the ring and carry a header. The same bytes
+// then feed the stream consumer (unstreamHostile), with fill as the
+// producer's word, total as the length the RTS announced and posted as the
+// receive buffer's.
 func FuzzRingDrain(f *testing.F) {
 	honest := seqFrame(1, 50)
 	seed := func(pos uint64, frames ...[]byte) ([]byte, uint64, uint64) {
@@ -457,20 +460,167 @@ func FuzzRingDrain(f *testing.F) {
 		}
 		return append([]byte(nil), m.data()...), pos, o.tail
 	}
-	data, head, tail := seed(0, honest)
-	f.Add(data, head, tail)
-	data, head, tail = seed(ringCap-24, honest, seqFrame(2, 3000))
-	f.Add(data, head, tail)
-	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0}, uint64(0), uint64(8))
-	f.Add([]byte{}, uint64(5), uint64(1<<63))
-	f.Fuzz(func(t *testing.T, data []byte, head, tail uint64) {
+	noStream := func(data []byte, head, tail uint64) {
+		f.Add(data, head, tail, uint64(0), uint32(0), uint32(0))
+	}
+	noStream(seed(0, honest))
+	noStream(seed(ringCap-24, honest, seqFrame(2, 3000)))
+	noStream([]byte{1, 0, 0, 0, 1, 0, 0, 0}, 0, 8)
+	noStream([]byte{}, 5, 1<<63)
+	for _, row := range hostileStreams {
+		f.Add([]byte{}, uint64(0), uint64(0), row.fill, row.total, row.posted)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, head, tail, fill uint64, total, posted uint32) {
 		m := heapRing()
-		copy(m.data(), data)
+		copy(m[ringHeader:], data)
 		_, err := drainHostile(t, m, head, tail)
 		if err != nil && !errors.Is(err, wire.ErrFrame) {
 			t.Errorf("drain ended with untyped error %v", err)
 		}
+		unstreamHostile(t, m, fill, int(total&0x7fffffff), int(posted%(2<<20)))
 	})
+}
+
+// hostileStreams are stream areas the consumer of stream 7 must survive:
+// fill is the producer's word (id, count, stop mark), total the length the
+// RTS announced, posted the receive buffer's; got is how many bytes it
+// copies before it stops, frame whether it ends in a wire.ErrFrame (the
+// producer's failure) rather than leaving the rest to a pull.
+var hostileStreams = []struct {
+	name          string
+	fill          uint64
+	total, posted uint32
+	got           int
+	frame         bool
+}{
+	{"count past the area", 7<<32 | (streamArea + streamSlot), 1 << 20, 1 << 20, 0, true},
+	{"count past the announced length", 7<<32 | streamSlot, 1000, 1 << 20, 0, true},
+	{"another stream's id", 8<<32 | streamSlot, 1 << 20, 1 << 20, 0, true},
+	{"stop mark inside a slot", 7<<32 | 1000 | streamStop, 1 << 20, 1 << 20, 1000, true},
+	{"stopped after a slot", 7<<32 | streamSlot | streamStop, 1 << 20, 1 << 20, streamSlot, false},
+	{"a short buffer", 7<<32 | streamSlot, 1 << 20, 1000, 1000, false},
+	{"whole", 7<<32 | 100, 100, 1 << 20, 100, false},
+	{"nothing published", 7 << 32, 1 << 20, 1 << 20, 0, false},
+}
+
+// unstreamHostile runs the consumer of stream 7 over ring memory m whose
+// producer word is fill, into a posted-byte buffer with guard bytes
+// behind it, and returns what it copied. It fails the test on a panic, an
+// untyped error, a count past the buffer or a byte written behind it.
+func unstreamHostile(t *testing.T, m ringMem, fill uint64, total, posted int) (int, error) {
+	t.Helper()
+	m.word(offFill).Store(fill)
+	buf := make([]byte, posted+64)
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	got, err := m.unstream(7, total, buf[:posted], nil, nil)
+	if err != nil && !errors.Is(err, wire.ErrFrame) {
+		t.Errorf("stream ended with untyped error %v", err)
+	}
+	if got < 0 || got > min(posted, total) {
+		t.Errorf("%d bytes copied into a %d-byte buffer for a %d-byte stream", got, posted, total)
+	}
+	for i := posted; i < len(buf); i++ {
+		if buf[i] != 0xAA {
+			t.Fatalf("byte %d behind the %d-byte buffer written", i, posted)
+		}
+	}
+	if done := m.word(offDone).Load(); done != 7 {
+		t.Errorf("the consumer left offDone at %d, not at its stream", done)
+	}
+	return got, err
+}
+
+// TestRingHostileStream: stream words that contradict the stream end it
+// with a wire.ErrFrame, honest ones copy exactly what was published and no
+// more than the buffer holds, and either way the consumer says it is done
+// with the area.
+func TestRingHostileStream(t *testing.T) {
+	for _, row := range hostileStreams {
+		t.Run(row.name, func(t *testing.T) {
+			m := heapRing()
+			area := m.area()
+			for i := range area {
+				area[i] = byte(i % 251)
+			}
+			got, err := unstreamHostile(t, m, row.fill, int(row.total), int(row.posted))
+			if got != row.got || errors.Is(err, wire.ErrFrame) != row.frame {
+				t.Errorf("copied %d bytes, ended with %v; want %d and a wire.ErrFrame: %v", got, err, row.got, row.frame)
+			}
+		})
+	}
+}
+
+// TestStreamRoundTrip: a payload streams whole between two endpoints of a
+// ring mesh, the area is free for the next stream once the consumer is
+// done, a stream nobody consumes stops and keeps the area until its late
+// consumer copies what it holds, and an endpoint without a ring streams
+// nothing.
+func TestStreamRoundTrip(t *testing.T) {
+	m := newRingMesh(t, nil)
+	m.live(t, "ring")
+	const n = 1<<20 + 12345
+	msg := make([]byte, n)
+	for i := range msg {
+		msg[i] = byte(i*7 + 1)
+	}
+	stream := func(id uint32, dst []byte) (int, error) {
+		type out struct {
+			n   int
+			err error
+		}
+		ch := make(chan out, 1)
+		go func() {
+			n, err := m.eps[1].Unstream(0, id, n, dst, nil)
+			ch <- out{n, err}
+		}()
+		m.eps[0].Stream(1, id, msg, nil)
+		o := <-ch
+		return o.n, o.err
+	}
+	for round := uint32(1); round <= 3; round++ {
+		id := m.eps[0].StreamOpen(1)
+		if id != round {
+			t.Fatalf("round %d: StreamOpen = %d", round, id)
+		}
+		got := make([]byte, n)
+		if k, err := stream(id, got); err != nil || k != n || !bytes.Equal(got, msg) {
+			// A consumer that stalls takes over: not this row's subject,
+			// but then the bytes it got must still be the head.
+			if err != nil || !bytes.Equal(got[:k], msg[:k]) {
+				t.Fatalf("round %d: %d bytes, %v", round, k, err)
+			}
+			t.Logf("round %d: taken over after %d bytes", round, k)
+		}
+	}
+
+	// Nobody consumes: the producer stops behind a full area, and the
+	// area stays claimed until a consumer says it is done.
+	id := m.eps[0].StreamOpen(1)
+	m.eps[0].Stream(1, id, msg, nil)
+	if again := m.eps[0].StreamOpen(1); again != 0 {
+		t.Fatalf("StreamOpen = %d while the peer holds stream %d", again, id)
+	}
+	got := make([]byte, n)
+	if k, err := m.eps[1].Unstream(0, id, n, got, nil); err != nil || k != streamArea || !bytes.Equal(got[:k], msg[:k]) {
+		t.Fatalf("the late consumer copied %d bytes, %v; want the %d the area holds", k, err, streamArea)
+	}
+	if again := m.eps[0].StreamOpen(1); again != id+1 {
+		t.Fatalf("StreamOpen = %d once the peer is done, want %d", again, id+1)
+	}
+	m.eps[0].Stream(1, id+1, nil, nil) // hand the claim back
+	if k, err := m.eps[1].Unstream(0, id+1, 0, nil, nil); k != 0 || err != nil {
+		t.Fatalf("an empty stream: %d, %v", k, err)
+	}
+
+	eps, _, _ := buildTCPMesh(t, 2)
+	if id := eps[0].StreamOpen(1); id != 0 {
+		t.Errorf("a mesh without rings opened stream %d", id)
+	}
+	if k, err := eps[1].Unstream(0, 1, n, got, nil); k != 0 || err != nil {
+		t.Errorf("a mesh without rings unstreamed %d bytes, %v", k, err)
+	}
 }
 
 // TestRingPollWithoutRings: a transport with no live ring answers at once.

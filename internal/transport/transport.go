@@ -31,7 +31,10 @@
 // through a shared-memory ring per direction, when the device plans them
 // (Rings, see ring.go): the sender copies a frame into the ring, and the
 // receiver takes it out on a waiting rank's goroutine (Poll) or, after a
-// doorbell, on the connection's reader.
+// doorbell, on the connection's reader. Each ring's memory also holds a
+// stream area, through which a rendezvous payload moves while the sender
+// copies it in and the receiver copies it out (StreamOpen, Stream and
+// Unstream, see stream.go).
 //
 // Sends are asynchronous and never block: Send enqueues the frame on an
 // unbounded per-destination queue drained by a dedicated writer goroutine
@@ -58,6 +61,7 @@ package transport
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"mpj/internal/wire"
@@ -203,6 +207,24 @@ type Transport interface {
 	// it before it parks; everything else arrives on reader goroutines
 	// whether or not anybody polls.
 	Poll(budget time.Duration) bool
+	// StreamOpen claims the stream area of the ring to dst for one
+	// rendezvous payload (see stream.go) and returns the stream's id, or 0
+	// when there is none to claim: no live ring to dst, or its area still
+	// in use. Stream must follow a claim.
+	StreamOpen(dst int) uint32
+	// Stream copies payload into the area claimed as id while the peer
+	// copies it out, on the caller's goroutine, hands the area back and
+	// reports whether all of payload went in; it stops early when the
+	// peer takes the rest over or stops freeing slots. hook, when set,
+	// runs before each slot is copied, once it is free, with its payload
+	// offset; false ends the stream there (a test seam).
+	Stream(dst int, id uint32, payload []byte, hook func(off int) bool) bool
+	// Unstream copies stream id from src into the head of dst as src
+	// fills its slots, on the caller's goroutine, and returns how many
+	// bytes it filled: all of dst, at most total, unless src stopped or
+	// stalled, or quit read true. A malformed stream is a wire.ErrFrame.
+	// A transport without a live ring from src fills nothing.
+	Unstream(src int, id uint32, total int, dst []byte, quit *atomic.Bool) (int, error)
 	// Drain blocks until every frame accepted by Send has been handed to
 	// the underlying medium (channel, ring or socket).
 	Drain()

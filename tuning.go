@@ -98,8 +98,9 @@ func openDevice(tr transport.Transport, rank int, t core.Tuning) (*device.Device
 // wants next to the traffic numbers, the process's scheduler size with
 // what it was derived from (baseProcs 0: not a process slave, or
 // GOMAXPROCS was in its environment), the road each peer's rendezvous
-// payloads take to this rank ("memory", "pull", "wire", "wire: <why the
-// system refused a pull>"), and beside it how frames to each peer travel
+// payloads take to this rank ("memory", "stream", "pull", "wire", "wire:
+// <why the system refused a pull>") with the counts of payloads that took
+// the co-host roads, and beside it how frames to each peer travel
 // ("memory", "ring", "socket", "socket: <why the ring was refused>").
 func profStatus(dev *device.Device, t core.Tuning) func() any {
 	config := map[string]any{
@@ -120,7 +121,20 @@ func profStatus(dev *device.Device, t core.Tuning) func() any {
 			"hostRanks":   sched.HostRanks,
 			"pollFloor":   sched.PollFloor,
 			"peerPaths":   dev.PeerPaths(),
+			"rendezvous":  rendezvousCounts(dev.Stats()),
 			"frameMedia":  dev.FrameMedia(),
 		}
+	}
+}
+
+// rendezvousCounts is the status entry of the co-host rendezvous roads:
+// payloads pulled or streamed out of a co-host sender, pulls refused,
+// streams among them, and streams taken over by a pull or by DATA.
+func rendezvousCounts(st *device.Stats) map[string]int64 {
+	return map[string]int64{
+		"pulled":          st.Pulled.Load(),
+		"pullRefused":     st.PullRefused.Load(),
+		"streamed":        st.Streamed.Load(),
+		"streamTakeovers": st.StreamTakeovers.Load(),
 	}
 }

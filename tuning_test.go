@@ -68,7 +68,7 @@ func registerTuningApps() {
 // device's eager limit, the counters being on, the family through the
 // exact send count of a 1 MiB Allreduce, and the whole tuning as the
 // rank's /debug/vars status reports it (the epoch deadline has no other
-// window from outside core).
+// window from outside core), with the co-host rendezvous counts beside it.
 func checkJobTuning(w *Comm) error {
 	if tr, ok := w.Device().Transport().(*transport.HybTransport); !ok {
 		return fmt.Errorf("rank %d built %T, want *transport.HybTransport", w.Rank(), tr)
@@ -97,6 +97,9 @@ func checkJobTuning(w *Comm) error {
 	}
 	if got := status["config"]; !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("rank %d: status config %v, want %v", w.Rank(), got, want)
+	}
+	if got, want := status["rendezvous"], rendezvousCounts(w.Device().Stats()); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("rank %d: status rendezvous %v, want the device's counts %v", w.Rank(), got, want)
 	}
 	return w.Barrier()
 }
