@@ -212,6 +212,11 @@ func (c *Comm) Reduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype
 // it may be lent to the transport; sbuf and rbuf may overlap, at the price
 // of one copy of the vector.
 func (c *Comm) Allreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
+	if c.hostEligible(count, dt, op) {
+		if done, err := c.hostAllreduce(sbuf, soff, rbuf, roff, count, dt, op); done {
+			return err
+		}
+	}
 	return runColl(c.iallreduce("allreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op))
 }
 

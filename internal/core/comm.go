@@ -64,6 +64,12 @@ type procState struct {
 	// the seam through which tests inject an event exactly there. Nil
 	// outside tests.
 	parkHook func()
+
+	// hostOpt, when set, plans host areas where the members are not
+	// processes of this host, and may refuse their set-up: the seam through
+	// which tests run the host path on goroutine ranks (see hostarea.go).
+	// Nil outside tests.
+	hostOpt *hostOption
 }
 
 // Comm is an intra-communicator: a group of processes plus a private
@@ -116,6 +122,9 @@ type Comm struct {
 	// computed from the device's table. Guarded by locMu.
 	locMu   sync.Mutex
 	locView *locView
+
+	// The host area of large allreduces (see hostarea.go).
+	hostState
 }
 
 // Tuning is what a job sets for every one of its ranks, resolved once by
@@ -178,6 +187,12 @@ func NewWorldTuned(dev *device.Device, t Tuning) (*Comm, error) {
 			win.handleFrame(src, h, payload)
 		}
 	})
+	// The device's end unmaps the host areas; the /debug/vars status names
+	// each communicator's allreduce path.
+	dev.AddCloseWatcher(proc.releaseHostAreas)
+	if p := dev.Profiler(); p != nil {
+		p.SetAllreducePaths(proc.hostPaths)
+	}
 	// Newly detected rank failures release the dead rank's locks at every
 	// window (one process-wide watcher, not one per window).
 	dev.AddFailureWatcher(func(rank int, err error) {
@@ -495,4 +510,5 @@ func (c *Comm) Free() {
 	}
 	c.proc.unregister(c)
 	c.dev.FTForget(c.coll)
+	c.hostRelease()
 }

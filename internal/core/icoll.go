@@ -827,6 +827,12 @@ func (c *Comm) Iallreduce(sbuf any, soff int, rbuf any, roff, count int, dt Data
 
 func (c *Comm) iallreduce(name string, tag int, alg allreduceAlg, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
 	size := c.Size()
+	if isInPlace(rbuf) {
+		return nil, fmt.Errorf("%s: %w: InPlace is only valid as the send buffer", name, ErrBuffer)
+	}
+	if isInPlace(sbuf) {
+		sbuf, soff = rbuf, roff // the contribution is the receive buffer
+	}
 	comb, err := op.combinerFor(dt)
 	if err != nil {
 		return nil, err

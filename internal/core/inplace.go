@@ -16,6 +16,8 @@ type inPlaceMark struct{}
 //     rbuf, and the soff, scount and sdt arguments are ignored;
 //   - Allgatherv / Iallgatherv / CommitAllgatherv: likewise, the block
 //     being rcounts[rank] elements at roff+displs[rank]*extent;
+//   - Allreduce / Iallreduce / CommitAllreduce: the contribution is the
+//     count elements at roff of rbuf, which the result overwrites;
 //   - ReduceScatter / IreduceScatter: the full sum(rcounts)-element input
 //     vector is read from rbuf at roff, and the rank's result chunk
 //     overwrites the head of that region, as in MPI.

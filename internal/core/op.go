@@ -6,6 +6,17 @@ import "fmt"
 // inout[i]) element-wise over packed representations.
 type combiner func(in, inout []byte) error
 
+// fuser writes the fold of two packed vectors into a third: out[i] =
+// op(a[i], b[i]); out may be b. The host area's reduction tree combines two
+// members' parts this way without copying one of them first.
+type fuser func(a, b, out []byte) error
+
+// kernel is an op's code for one datatype: the combiner and the fuser.
+type kernel struct {
+	comb combiner
+	fuse fuser
+}
+
 // Op is a reduction operation for Reduce/Allreduce/ReduceScatter/Scan,
 // the analogue of MPI_Op. The predefined ops support the datatype classes
 // MPI prescribes (numeric for MaxOp/MinOp/SumOp/ProdOp, boolean for the
@@ -13,8 +24,9 @@ type combiner func(in, inout []byte) error
 // applying an op to an unsupported datatype reports ErrOp.
 type Op struct {
 	name    string
-	byType  map[Datatype]combiner
+	byType  map[Datatype]kernel
 	generic func(dt Datatype) (combiner, error) // user-defined ops
+	user    bool                                // built by NewOp or OpFromFunc
 }
 
 // Name returns the operation's name.
@@ -23,8 +35,8 @@ func (o *Op) Name() string { return o.name }
 // combinerFor resolves the combiner for dt.
 func (o *Op) combinerFor(dt Datatype) (combiner, error) {
 	base := dt.Base()
-	if c, ok := o.byType[base]; ok {
-		return c, nil
+	if k, ok := o.byType[base]; ok {
+		return k.comb, nil
 	}
 	if o.generic != nil {
 		return o.generic(base)
@@ -32,47 +44,50 @@ func (o *Op) combinerFor(dt Datatype) (combiner, error) {
 	return nil, fmt.Errorf("%w: %s does not support %s", ErrOp, o.name, dt.Name())
 }
 
-// numCombiner builds a packed-vector combiner for a primitive base type
-// from its element function alone; see vecCombiner.
-func numCombiner[T any](dt Datatype, f func(a, b T) T) combiner {
+// numCombiner builds the kernel of a primitive base type from its element
+// function alone; see vecCombiner.
+func numCombiner[T any](dt Datatype, f func(a, b T) T) kernel {
 	return vecCombiner(dt, f, nil)
 }
 
-// vecCombiner builds a packed-vector combiner for a primitive base type.
-// When T's wire encoding is its memory layout and both vectors are
-// element-aligned, the fold runs over []T views (the bulk path the ring
-// reduction leans on — its inputs are pooled scratch buffers and raw user
-// windows, both aligned): through vec, a loop the compiler instantiates
-// for T with the operation in its body, when the op has one — a call
-// through f per element costs more than the arithmetic — else through f.
-// Otherwise — on big-endian hosts, for padded pair structs, or for vectors
-// at the odd payload offset of an adopted frame — it decodes and re-encodes
-// per element. vec must compute inout[i] = f(in[i], inout[i]).
-func vecCombiner[T any](dt Datatype, f func(a, b T) T, vec func(in, inout []T)) combiner {
-	b := dt.(*baseType[T])
-	return func(in, inout []byte) error {
-		if len(in) != len(inout) {
-			return fmt.Errorf("%w: reduce length mismatch %d != %d", ErrOp, len(in), len(inout))
+// vecCombiner builds the kernel of a primitive base type. When T's wire
+// encoding is its memory layout and the vectors are element-aligned, the
+// fold runs over []T views (the bulk path the ring reduction and the host
+// area lean on — their inputs are pooled scratch buffers, raw user windows
+// and the area's slots, all aligned): through vec, a loop the compiler
+// instantiates for T with the operation in its body, when the op has one —
+// a call through f per element costs more than the arithmetic — else
+// through f. Otherwise — on big-endian hosts, for padded pair structs, or
+// for vectors at the odd payload offset of an adopted frame — it decodes
+// and re-encodes per element. vec must compute out[i] = f(a[i], b[i]), out
+// being b or disjoint from both; the combiner is the fuser with out = b.
+func vecCombiner[T any](dt Datatype, f func(a, b T) T, vec func(a, b, out []T)) kernel {
+	t := dt.(*baseType[T])
+	fuse := func(a, b, out []byte) error {
+		if len(a) != len(out) || len(b) != len(out) {
+			return fmt.Errorf("%w: reduce length mismatch %d, %d != %d", ErrOp, len(a), len(b), len(out))
 		}
-		if b.isRaw() {
-			iv, iok := viewRaw[T](in, b.size)
-			ov, ook := viewRaw[T](inout, b.size)
-			if iok && ook {
+		if t.isRaw() {
+			av, aok := viewRaw[T](a, t.size)
+			bv, bok := viewRaw[T](b, t.size)
+			ov, ook := viewRaw[T](out, t.size)
+			if aok && bok && ook {
 				if vec != nil {
-					vec(iv, ov)
+					vec(av, bv, ov)
 					return nil
 				}
-				for i, v := range iv {
-					ov[i] = f(v, ov[i])
+				for i, v := range av {
+					ov[i] = f(v, bv[i])
 				}
 				return nil
 			}
 		}
-		for i := 0; i+b.size <= len(inout); i += b.size {
-			b.enc(inout[i:], f(b.dec(in[i:]), b.dec(inout[i:])))
+		for i := 0; i+t.size <= len(out); i += t.size {
+			t.enc(out[i:], f(t.dec(a[i:]), t.dec(b[i:])))
 		}
 		return nil
 	}
+	return kernel{comb: func(in, inout []byte) error { return fuse(in, inout, inout) }, fuse: fuse}
 }
 
 // number is the element types of the arithmetic reductions.
@@ -98,45 +113,63 @@ func sumOf[T number](a, b T) T  { return a + b }
 func prodOf[T number](a, b T) T { return a * b }
 
 // The typed kernels of the four arithmetic reductions, element for element
-// what their *Of functions compute (a NaN in inout stays, as maxOf keeps b).
-// in and inout have one length.
+// what their *Of functions compute (a NaN in b stays, as maxOf keeps b).
+// a, b and out have one length. Each loop is unrolled four ways, one bounds
+// check per four elements; the folds are element-wise, so the bits are
+// those of the plain loop.
 
-func maxVec[T number](in, inout []T) {
-	inout = inout[:len(in)]
-	for i, v := range in {
-		if v > inout[i] {
-			inout[i] = v
-		}
+func maxVec[T number](a, b, out []T) {
+	b, out = b[:len(a)], out[:len(a)]
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y, o := a[i:i+4:i+4], b[i:i+4:i+4], out[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = maxOf(x[0], y[0]), maxOf(x[1], y[1]), maxOf(x[2], y[2]), maxOf(x[3], y[3])
+	}
+	for ; i < len(a); i++ {
+		out[i] = maxOf(a[i], b[i])
 	}
 }
 
-func minVec[T number](in, inout []T) {
-	inout = inout[:len(in)]
-	for i, v := range in {
-		if v < inout[i] {
-			inout[i] = v
-		}
+func minVec[T number](a, b, out []T) {
+	b, out = b[:len(a)], out[:len(a)]
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y, o := a[i:i+4:i+4], b[i:i+4:i+4], out[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = minOf(x[0], y[0]), minOf(x[1], y[1]), minOf(x[2], y[2]), minOf(x[3], y[3])
+	}
+	for ; i < len(a); i++ {
+		out[i] = minOf(a[i], b[i])
 	}
 }
 
-func sumVec[T number](in, inout []T) {
-	inout = inout[:len(in)]
-	for i, v := range in {
-		inout[i] = v + inout[i]
+func sumVec[T number](a, b, out []T) {
+	b, out = b[:len(a)], out[:len(a)]
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y, o := a[i:i+4:i+4], b[i:i+4:i+4], out[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = x[0]+y[0], x[1]+y[1], x[2]+y[2], x[3]+y[3]
+	}
+	for ; i < len(a); i++ {
+		out[i] = a[i] + b[i]
 	}
 }
 
-func prodVec[T number](in, inout []T) {
-	inout = inout[:len(in)]
-	for i, v := range in {
-		inout[i] = v * inout[i]
+func prodVec[T number](a, b, out []T) {
+	b, out = b[:len(a)], out[:len(a)]
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y, o := a[i:i+4:i+4], b[i:i+4:i+4], out[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = x[0]*y[0], x[1]*y[1], x[2]*y[2], x[3]*y[3]
+	}
+	for ; i < len(a); i++ {
+		out[i] = a[i] * b[i]
 	}
 }
 
 // Predefined reduction operations.
 var (
 	// MaxOp computes element-wise maxima of numeric data.
-	MaxOp = &Op{name: "MPJ.MAX", byType: map[Datatype]combiner{
+	MaxOp = &Op{name: "MPJ.MAX", byType: map[Datatype]kernel{
 		Byte:   vecCombiner(Byte, maxOf[byte], maxVec[byte]),
 		Short:  vecCombiner(Short, maxOf[int16], maxVec[int16]),
 		Int:    vecCombiner(Int, maxOf[int32], maxVec[int32]),
@@ -146,7 +179,7 @@ var (
 		Double: vecCombiner(Double, maxOf[float64], maxVec[float64]),
 	}}
 	// MinOp computes element-wise minima of numeric data.
-	MinOp = &Op{name: "MPJ.MIN", byType: map[Datatype]combiner{
+	MinOp = &Op{name: "MPJ.MIN", byType: map[Datatype]kernel{
 		Byte:   vecCombiner(Byte, minOf[byte], minVec[byte]),
 		Short:  vecCombiner(Short, minOf[int16], minVec[int16]),
 		Int:    vecCombiner(Int, minOf[int32], minVec[int32]),
@@ -156,7 +189,7 @@ var (
 		Double: vecCombiner(Double, minOf[float64], minVec[float64]),
 	}}
 	// SumOp computes element-wise sums of numeric data.
-	SumOp = &Op{name: "MPJ.SUM", byType: map[Datatype]combiner{
+	SumOp = &Op{name: "MPJ.SUM", byType: map[Datatype]kernel{
 		Byte:   vecCombiner(Byte, sumOf[byte], sumVec[byte]),
 		Short:  vecCombiner(Short, sumOf[int16], sumVec[int16]),
 		Int:    vecCombiner(Int, sumOf[int32], sumVec[int32]),
@@ -166,7 +199,7 @@ var (
 		Double: vecCombiner(Double, sumOf[float64], sumVec[float64]),
 	}}
 	// ProdOp computes element-wise products of numeric data.
-	ProdOp = &Op{name: "MPJ.PROD", byType: map[Datatype]combiner{
+	ProdOp = &Op{name: "MPJ.PROD", byType: map[Datatype]kernel{
 		Byte:   vecCombiner(Byte, prodOf[byte], prodVec[byte]),
 		Short:  vecCombiner(Short, prodOf[int16], prodVec[int16]),
 		Int:    vecCombiner(Int, prodOf[int32], prodVec[int32]),
@@ -176,19 +209,19 @@ var (
 		Double: vecCombiner(Double, prodOf[float64], prodVec[float64]),
 	}}
 	// LAndOp computes element-wise logical AND of boolean data.
-	LAndOp = &Op{name: "MPJ.LAND", byType: map[Datatype]combiner{
+	LAndOp = &Op{name: "MPJ.LAND", byType: map[Datatype]kernel{
 		Boolean: numCombiner(Boolean, func(a, b bool) bool { return a && b }),
 	}}
 	// LOrOp computes element-wise logical OR of boolean data.
-	LOrOp = &Op{name: "MPJ.LOR", byType: map[Datatype]combiner{
+	LOrOp = &Op{name: "MPJ.LOR", byType: map[Datatype]kernel{
 		Boolean: numCombiner(Boolean, func(a, b bool) bool { return a || b }),
 	}}
 	// LXorOp computes element-wise logical XOR of boolean data.
-	LXorOp = &Op{name: "MPJ.LXOR", byType: map[Datatype]combiner{
+	LXorOp = &Op{name: "MPJ.LXOR", byType: map[Datatype]kernel{
 		Boolean: numCombiner(Boolean, func(a, b bool) bool { return a != b }),
 	}}
 	// BAndOp computes element-wise bitwise AND of integer data.
-	BAndOp = &Op{name: "MPJ.BAND", byType: map[Datatype]combiner{
+	BAndOp = &Op{name: "MPJ.BAND", byType: map[Datatype]kernel{
 		Byte:  numCombiner(Byte, func(a, b byte) byte { return a & b }),
 		Short: numCombiner(Short, func(a, b int16) int16 { return a & b }),
 		Int:   numCombiner(Int, func(a, b int32) int32 { return a & b }),
@@ -196,7 +229,7 @@ var (
 		GoInt: numCombiner(GoInt, func(a, b int) int { return a & b }),
 	}}
 	// BOrOp computes element-wise bitwise OR of integer data.
-	BOrOp = &Op{name: "MPJ.BOR", byType: map[Datatype]combiner{
+	BOrOp = &Op{name: "MPJ.BOR", byType: map[Datatype]kernel{
 		Byte:  numCombiner(Byte, func(a, b byte) byte { return a | b }),
 		Short: numCombiner(Short, func(a, b int16) int16 { return a | b }),
 		Int:   numCombiner(Int, func(a, b int32) int32 { return a | b }),
@@ -204,7 +237,7 @@ var (
 		GoInt: numCombiner(GoInt, func(a, b int) int { return a | b }),
 	}}
 	// BXorOp computes element-wise bitwise XOR of integer data.
-	BXorOp = &Op{name: "MPJ.BXOR", byType: map[Datatype]combiner{
+	BXorOp = &Op{name: "MPJ.BXOR", byType: map[Datatype]kernel{
 		Byte:  numCombiner(Byte, func(a, b byte) byte { return a ^ b }),
 		Short: numCombiner(Short, func(a, b int16) int16 { return a ^ b }),
 		Int:   numCombiner(Int, func(a, b int32) int32 { return a ^ b }),
@@ -213,7 +246,7 @@ var (
 	}}
 	// MaxLocOp computes element-wise maxima of pair data, carrying the
 	// index of the maximum; ties resolve to the lower index.
-	MaxLocOp = &Op{name: "MPJ.MAXLOC", byType: map[Datatype]combiner{
+	MaxLocOp = &Op{name: "MPJ.MAXLOC", byType: map[Datatype]kernel{
 		DoubleInt2: numCombiner(DoubleInt2, func(a, b DoubleInt) DoubleInt {
 			if a.Value > b.Value || (a.Value == b.Value && a.Index < b.Index) {
 				return a
@@ -235,7 +268,7 @@ var (
 	}}
 	// MinLocOp computes element-wise minima of pair data, carrying the
 	// index of the minimum; ties resolve to the lower index.
-	MinLocOp = &Op{name: "MPJ.MINLOC", byType: map[Datatype]combiner{
+	MinLocOp = &Op{name: "MPJ.MINLOC", byType: map[Datatype]kernel{
 		DoubleInt2: numCombiner(DoubleInt2, func(a, b DoubleInt) DoubleInt {
 			if a.Value < b.Value || (a.Value == b.Value && a.Index < b.Index) {
 				return a
@@ -265,6 +298,7 @@ var (
 func NewOp(name string, f func(in, inout any, dt Datatype) error) *Op {
 	return &Op{
 		name: name,
+		user: true,
 		generic: func(dt Datatype) (combiner, error) {
 			return func(inBytes, inoutBytes []byte) error {
 				in, err := decodeAll(dt, inBytes)

@@ -263,3 +263,31 @@ func TestVecKernelsMatchElementPath(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkVecCombiner times the predefined folds over a 512 KiB vector,
+// the bulk path of the large allreduce's schedule and of the host area.
+func BenchmarkVecCombiner(b *testing.B) {
+	const size = 512 << 10
+	for _, row := range []struct {
+		name string
+		op   *Op
+		dt   Datatype
+	}{
+		{"sum/float64", SumOp, Double}, {"sum/int64", SumOp, Long}, {"sum/int32", SumOp, Int},
+		{"max/float64", MaxOp, Double}, {"min/int64", MinOp, Long}, {"prod/float64", ProdOp, Double},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			comb, err := row.op.combinerFor(row.dt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, inout := make([]byte, size), make([]byte, size)
+			b.SetBytes(size)
+			for i := 0; i < b.N; i++ {
+				if err := comb(in, inout); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

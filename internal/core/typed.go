@@ -83,7 +83,7 @@ func DatatypeFor[T Scalar]() Datatype {
 // the library assumes commutativity when picking reduction trees.
 func OpFromFunc[T Scalar](name string, f func(a, b T) T) *Op {
 	b := baseFor[T]()
-	return &Op{name: name, byType: map[Datatype]combiner{
+	return &Op{name: name, user: true, byType: map[Datatype]kernel{
 		Datatype(b): numCombiner(Datatype(b), f),
 	}}
 }

@@ -263,11 +263,11 @@ func (d *Daemon) Close() {
 }
 
 // createSlave spawns one slave and begins monitoring it.
-func (d *Daemon) createSlave(spec SlaveSpec) (string, error) {
+func (d *Daemon) createSlave(spec SlaveSpec) (Slave, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		return "", fmt.Errorf("daemon: closed")
+		return nil, fmt.Errorf("daemon: closed")
 	}
 	job, ok := d.jobs[spec.JobID]
 	if !ok {
@@ -287,13 +287,13 @@ func (d *Daemon) createSlave(spec SlaveSpec) (string, error) {
 	}
 	if job.aborted {
 		d.mu.Unlock()
-		return "", fmt.Errorf("daemon: job %d already aborted", spec.JobID)
+		return nil, fmt.Errorf("daemon: job %d already aborted", spec.JobID)
 	}
 	d.mu.Unlock()
 
 	slave, err := d.spawner.Spawn(spec, d.Addr())
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 
 	d.mu.Lock()
@@ -301,7 +301,7 @@ func (d *Daemon) createSlave(spec SlaveSpec) (string, error) {
 	d.mu.Unlock()
 
 	go d.monitor(spec.JobID, slave)
-	return slave.ID(), nil
+	return slave, nil
 }
 
 // regLocked returns the job's failure registry for one mesh epoch,
@@ -608,6 +608,9 @@ type HeartbeatReply struct {
 // SlaveInfo describes a created slave.
 type SlaveInfo struct {
 	SlaveID string
+	// Forwarded: the slave's output reaches the spec's OutputAddr over a
+	// connection of its own, which closes once the slave's streams end.
+	Forwarded bool
 }
 
 // PingReply answers a liveness probe.
@@ -621,11 +624,11 @@ type service struct{ d *Daemon }
 
 // CreateSlave spawns a slave for the given spec.
 func (s *service) CreateSlave(spec SlaveSpec, reply *SlaveInfo) error {
-	id, err := s.d.createSlave(spec)
+	slave, err := s.d.createSlave(spec)
 	if err != nil {
 		return err
 	}
-	reply.SlaveID = id
+	reply.SlaveID, reply.Forwarded = slave.ID(), slave.Forwarded()
 	return nil
 }
 

@@ -33,7 +33,8 @@ func newStubSlave(id string) *stubSlave {
 	}
 }
 
-func (s *stubSlave) ID() string { return s.id }
+func (s *stubSlave) ID() string      { return s.id }
+func (s *stubSlave) Forwarded() bool { return false }
 
 func (s *stubSlave) Wait() error {
 	<-s.done

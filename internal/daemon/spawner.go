@@ -104,6 +104,10 @@ type Slave interface {
 	// Destroy kills the slave. It is idempotent and must cause Wait to
 	// return.
 	Destroy()
+	// Forwarded reports whether the slave's output goes to the job's
+	// collector over a connection of its own, which closes once both of its
+	// streams have ended.
+	Forwarded() bool
 }
 
 // Spawner creates slaves. The daemon is agnostic to how: as OS processes
@@ -126,6 +130,7 @@ type OutLine struct {
 type procSlave struct {
 	id  string
 	cmd *exec.Cmd
+	fwd bool // its output has a connection to the collector
 
 	once sync.Once
 	err  error
@@ -133,6 +138,8 @@ type procSlave struct {
 }
 
 func (p *procSlave) ID() string { return p.id }
+
+func (p *procSlave) Forwarded() bool { return p.fwd }
 
 func (p *procSlave) Wait() error {
 	<-p.done
@@ -204,6 +211,7 @@ func (ProcSpawner) Spawn(spec SlaveSpec, daemonAddr string) (Slave, error) {
 			}
 		}()
 	}
+	p.fwd = fwd != nil
 	go func() {
 		// Readers first: cmd.Wait closes the pipes as soon as the process
 		// is gone, and a scanner still holding unread bytes would lose the
@@ -259,7 +267,8 @@ type funcSlave struct {
 	err  error
 }
 
-func (s *funcSlave) ID() string { return s.id }
+func (s *funcSlave) ID() string      { return s.id }
+func (s *funcSlave) Forwarded() bool { return false }
 func (s *funcSlave) Wait() error {
 	<-s.done
 	return s.err

@@ -270,6 +270,10 @@ type Device struct {
 	onRMA        func(src int, h wire.Header, payload []byte)
 	failWatchers []func(rank int, err error)
 
+	// closeWatchers run once, outside mu, when Close or Abort ends the
+	// device (see AddCloseWatcher).
+	closeWatchers []func()
+
 	// reqs recycles the requests of the blocking Send and Recv, which never
 	// leave the call (see recycle).
 	reqs sync.Pool
@@ -1415,6 +1419,7 @@ func (d *Device) Abort() {
 	d.wakeLocked()
 	d.mu.Unlock()
 	d.t.Abort()
+	d.runCloseWatchers()
 	if d.prof != nil {
 		_ = d.prof.Close() // flush the trace file even on abrupt teardown
 	}
@@ -1434,10 +1439,37 @@ func (d *Device) Close() error {
 	d.wakeLocked()
 	d.mu.Unlock()
 	err := d.t.Close()
+	d.runCloseWatchers()
 	if d.prof != nil {
 		if ferr := d.prof.Close(); err == nil {
 			err = ferr // surface a failed trace flush
 		}
 	}
 	return err
+}
+
+// AddCloseWatcher registers f to run once, outside the device lock, when
+// Close or Abort ends the device — at once when it has ended already.
+// Core unmaps its host areas there.
+func (d *Device) AddCloseWatcher(f func()) {
+	d.mu.Lock()
+	if !d.closed {
+		d.closeWatchers = append(d.closeWatchers, f)
+		d.mu.Unlock()
+		return
+	}
+	d.mu.Unlock()
+	f()
+}
+
+// runCloseWatchers runs the close watchers; called once, by whichever of
+// Close and Abort ended the device.
+func (d *Device) runCloseWatchers() {
+	d.mu.Lock()
+	ws := d.closeWatchers
+	d.closeWatchers = nil
+	d.mu.Unlock()
+	for _, f := range ws {
+		f()
+	}
 }

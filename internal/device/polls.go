@@ -70,6 +70,11 @@ func (d *Device) planRings() {
 	d.polls = true
 }
 
+// Polls reports whether the rings' gate is open for this rank: waiters
+// may spin before they park, because the host has a CPU per rank. Core's
+// host area spins under the same rule.
+func (d *Device) Polls() bool { return d.polls }
+
 // spin polls the transport until the wake generation moves past gen or
 // end passes, and reports whether it moved. Each Poll yields once before
 // it looks: a doorbell this rank's own send queued must reach the socket

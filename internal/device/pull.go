@@ -117,6 +117,10 @@ func (d *Device) hostPid(r int) int {
 	return d.peers.Pids[r]
 }
 
+// HostProcess reports whether world rank r is another process on this
+// host, as the transport's description says.
+func (d *Device) HostProcess(r int) bool { return r >= 0 && d.hostPid(r) != 0 }
+
 // offerLocked arms send r's guard word and returns the offer its RTS
 // carries, encoded into b, or nil when the destination is not a co-host
 // process or there is nothing to copy. With stream it also claims the

@@ -121,6 +121,16 @@ func Run(cfg Config) error {
 		return err
 	}
 	defer collector.close()
+	// A rank reports done only after its application returned, so all it
+	// printed is in its pipe by then; after teardown, which runs first,
+	// wait for the daemons to forward what is left, or Run would hand the
+	// output back without a slave's last lines.
+	forwarded, finished := 0, false // slaves whose output streams to the collector
+	defer func() {
+		if finished {
+			collector.await(forwarded, outputGrace)
+		}
+	}()
 
 	abort := make(chan events.Event, cfg.NP)
 	recv, err := events.NewReceiver(func(ev events.Event) {
@@ -176,8 +186,12 @@ func Run(cfg Config) error {
 			Elastic:    cfg.Elastic,
 			LivenessMs: cfg.LivenessDur.Milliseconds(),
 		}
-		if _, err := client.CreateSlave(spec); err != nil {
+		info, err := client.CreateSlave(spec)
+		if err != nil {
 			return fmt.Errorf("job: creating rank %d on %s: %w", rank, addr, err)
+		}
+		if info.Forwarded {
+			forwarded++
 		}
 	}
 	for _, client := range clients {
@@ -216,9 +230,14 @@ func Run(cfg Config) error {
 	case ev := <-abort:
 		return fmt.Errorf("job: aborted: %s", ev.Message)
 	case err := <-gatherErr:
+		finished = err == nil
 		return err
 	}
 }
+
+// outputGrace bounds how long a finished job waits for its slaves' output
+// streams to end once teardown has destroyed them.
+const outputGrace = 5 * time.Second
 
 // collectDaemons looks up MPJService items on all registrars, de-duplicated
 // by address.
@@ -249,12 +268,15 @@ func collectDaemons(registrars []string) ([]lookup.ServiceItem, error) {
 }
 
 // collector merges slave output streams onto one writer, tagged by rank —
-// the paper's non-deterministic stdout merge.
+// the paper's non-deterministic stdout merge. ended counts the streams
+// that have reached their end, and ping (one slot) tells await it moved.
 type collector struct {
 	ln net.Listener
 
-	mu  sync.Mutex
-	out io.Writer
+	mu    sync.Mutex
+	out   io.Writer
+	ended int
+	ping  chan struct{}
 }
 
 func newCollector(out io.Writer) (*collector, error) {
@@ -262,7 +284,7 @@ func newCollector(out io.Writer) (*collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job: output collector: %w", err)
 	}
-	c := &collector{ln: ln, out: out}
+	c := &collector{ln: ln, out: out, ping: make(chan struct{}, 1)}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -278,6 +300,7 @@ func newCollector(out io.Writer) (*collector, error) {
 func (c *collector) addr() string { return c.ln.Addr().String() }
 
 func (c *collector) drain(conn net.Conn) {
+	defer c.end()
 	defer conn.Close()
 	dec := gob.NewDecoder(conn)
 	for {
@@ -288,6 +311,36 @@ func (c *collector) drain(conn net.Conn) {
 		c.mu.Lock()
 		fmt.Fprintf(c.out, "[rank %d %s] %s\n", line.Rank, line.Stream, line.Text)
 		c.mu.Unlock()
+	}
+}
+
+// end counts one stream that reached its end, every line of it written.
+func (c *collector) end() {
+	c.mu.Lock()
+	c.ended++
+	c.mu.Unlock()
+	select {
+	case c.ping <- struct{}{}:
+	default:
+	}
+}
+
+// await waits until n streams have ended, or for at most bound.
+func (c *collector) await(n int, bound time.Duration) {
+	timeout := time.NewTimer(bound)
+	defer timeout.Stop()
+	for {
+		c.mu.Lock()
+		ended := c.ended
+		c.mu.Unlock()
+		if ended >= n {
+			return
+		}
+		select {
+		case <-c.ping:
+		case <-timeout.C:
+			return
+		}
 	}
 }
 

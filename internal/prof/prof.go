@@ -113,6 +113,11 @@ type counters struct {
 	rmaSyncFrames atomic.Int64
 	rmaSyncDirect atomic.Int64
 	rmaLocks      atomic.Int64
+
+	hostOps    atomic.Int64
+	hostChunks atomic.Int64
+	hostBytes  atomic.Int64
+	hostSleeps atomic.Int64
 }
 
 // addTo folds the current counter values into s.
@@ -144,6 +149,10 @@ func (c *counters) addTo(s *Snapshot) {
 	s.RmaSyncFrames += c.rmaSyncFrames.Load()
 	s.RmaSyncDirect += c.rmaSyncDirect.Load()
 	s.RmaLocks += c.rmaLocks.Load()
+	s.HostOps += c.hostOps.Load()
+	s.HostChunks += c.hostChunks.Load()
+	s.HostBytes += c.hostBytes.Load()
+	s.HostSleeps += c.hostSleeps.Load()
 }
 
 // Snapshot is a plain-integer copy of the counters at one instant, the
@@ -197,6 +206,15 @@ type Snapshot struct {
 	RmaSyncFrames int64 `json:"rmaSyncFrames"`
 	RmaSyncDirect int64 `json:"rmaSyncDirect"`
 	RmaLocks      int64 `json:"rmaLocks"`
+
+	// Host-area allreduces (core's hostarea.go), counted on the collective
+	// context: operations, the chunks they walked, the bytes this rank
+	// copied into the shared area, and barrier waits that slept on the
+	// futex instead of finding the barrier passed.
+	HostOps    int64 `json:"hostOps"`
+	HostChunks int64 `json:"hostChunks"`
+	HostBytes  int64 `json:"hostBytes"`
+	HostSleeps int64 `json:"hostSleeps"`
 }
 
 // SentBytes returns the total payload bytes sent, both protocols.
@@ -240,6 +258,10 @@ func (s *Snapshot) add(o Snapshot) {
 	s.RmaSyncFrames += o.RmaSyncFrames
 	s.RmaSyncDirect += o.RmaSyncDirect
 	s.RmaLocks += o.RmaLocks
+	s.HostOps += o.HostOps
+	s.HostChunks += o.HostChunks
+	s.HostBytes += o.HostBytes
+	s.HostSleeps += o.HostSleeps
 }
 
 // RmaOps returns the total one-sided operations recorded, all kinds.
@@ -264,6 +286,7 @@ type Recorder struct {
 
 	statusMu sync.Mutex
 	status   func() any // extra endpoint state (failed ranks, epoch, ...)
+	paths    func() any // each communicator's allreduce path (core)
 
 	closeOnce sync.Once
 	closeErr  error
@@ -451,6 +474,19 @@ func (r *Recorder) RmaLock(ctx int) {
 	r.forCtx(ctx).rmaLocks.Add(1)
 }
 
+// HostOp records one allreduce through a host area on the collective
+// context ctx: the chunks it walked, the bytes this rank copied into the
+// area and the barrier waits that slept.
+func (r *Recorder) HostOp(ctx, chunks, bytes, sleeps int) {
+	c := r.forCtx(ctx)
+	for _, set := range []*counters{&r.global, c} {
+		set.hostOps.Add(1)
+		set.hostChunks.Add(int64(chunks))
+		set.hostBytes.Add(int64(bytes))
+		set.hostSleeps.Add(int64(sleeps))
+	}
+}
+
 // RmaEpoch records a closed epoch span [start, now] on the window context
 // ctx in the trace timeline: name is the epoch flavor ("fence" or
 // "lock:<target>"). No-op unless tracing is on.
@@ -493,6 +529,25 @@ func (r *Recorder) SetStatus(f func() any) {
 func (r *Recorder) Status() any {
 	r.statusMu.Lock()
 	f := r.status
+	r.statusMu.Unlock()
+	if f == nil {
+		return nil
+	}
+	return f()
+}
+
+// SetAllreducePaths installs the callback that names each communicator's
+// allreduce path; core installs it with the world.
+func (r *Recorder) SetAllreducePaths(f func() any) {
+	r.statusMu.Lock()
+	r.paths = f
+	r.statusMu.Unlock()
+}
+
+// AllreducePaths returns what the installed callback says, or nil.
+func (r *Recorder) AllreducePaths() any {
+	r.statusMu.Lock()
+	f := r.paths
 	r.statusMu.Unlock()
 	if f == nil {
 		return nil

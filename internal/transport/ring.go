@@ -72,7 +72,7 @@ const (
 	ringCap  = 36 << 10
 	ringSize = ringHeader + ringCap + streamArea
 
-	offToken   = 0   // the creator's random token
+	offToken   = 0   // the creator's random token (the area's, area.go)
 	offTail    = 64  // bytes published; only the producer moves it
 	offHead    = 128 // bytes consumed, as the consumer last published them
 	offPolling = 192 // waiters polling this ring right now
@@ -172,6 +172,30 @@ type inRing struct {
 	head uint64
 	err  error
 }
+
+// newInRing creates a ring for a peer to write into: an area of ringSize
+// bytes. The descriptor stays open until the peer has answered the offer
+// (closeRingFd).
+func newInRing() (*inRing, error) {
+	a, err := NewArea(ringSize)
+	if err != nil {
+		return nil, err
+	}
+	return &inRing{m: a.mem, fd: a.fd}, nil
+}
+
+// mapRing maps the ring process pid offered as descriptor fd with token,
+// through the area's checks.
+func mapRing(pid, fd int, token uint64) (*outRing, error) {
+	a, err := MapArea(pid, fd, ringSize, token)
+	if err != nil {
+		return nil, err
+	}
+	return &outRing{m: a.mem}, nil
+}
+
+// unmapRing unmaps a ring.
+func unmapRing(m ringMem) { unmap(m) }
 
 // ringFrameErr types a malformed record.
 func ringFrameErr(format string, args ...any) error {

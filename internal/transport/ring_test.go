@@ -16,7 +16,7 @@ import (
 	"mpj/internal/wire"
 )
 
-// needRings skips a test on a system without rings (see ring_other.go).
+// needRings skips a test on a system without rings (see area_other.go).
 func needRings(t *testing.T) {
 	t.Helper()
 	in, err := newInRing()

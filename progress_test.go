@@ -4,56 +4,67 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"mpj/internal/daemon"
 )
 
-// TestBlockedRanksDriveCollectives: a rank blocked in Probe or in a
-// window's Fence keeps its in-flight non-blocking collectives moving, as
-// MPI's progress rule asks. Every rank posts an Ibcast from root 0; ranks
-// 1 and 2 then block, while rank 3 finishes its Ibcast — which needs one
-// of them to forward the payload — before it sends the message they probe
-// for, or enters the fence they wait in. A blocked rank that stops
-// driving its schedule wedges the job.
+// driveReadyTag is the tag of the ready messages driveBcast sends root 0.
+const driveReadyTag = 6
+
+// driveBcast posts the Ibcast every program of TestBlockedRanksDriveCollectives
+// runs: the root sends only once ranks 1 and 2 have posted theirs, so the
+// payload reaches them after they posted, and forwarding it to rank 3 takes
+// a later pass over their schedules.
+func driveBcast(w *Comm) (*CollRequest, []int64, error) {
+	data, ready := make([]int64, 64), make([]int64, 1)
+	if w.Rank() == 0 {
+		for _, src := range []int{1, 2} {
+			if _, err := Recv(w, ready, src, driveReadyTag); err != nil {
+				return nil, nil, err
+			}
+		}
+		for i := range data {
+			data[i] = int64(i) + 1
+		}
+	}
+	req, err := Ibcast(w, data, 0)
+	if err == nil && (w.Rank() == 1 || w.Rank() == 2) {
+		err = Send(w, ready, 0, driveReadyTag)
+	}
+	return req, data, err
+}
+
+// driveBcastDone waits for driveBcast's Ibcast and checks what it
+// delivered.
+func driveBcastDone(req *CollRequest, data []int64) error {
+	if _, err := req.Wait(); err != nil {
+		return err
+	}
+	for i, v := range data {
+		if v != int64(i)+1 {
+			return fmt.Errorf("ibcast element %d = %d", i, v)
+		}
+	}
+	return nil
+}
+
+// TestBlockedRanksDriveCollectives: a rank blocked in Probe, in a window's
+// Fence or at a host-area barrier keeps its in-flight non-blocking
+// collectives moving, as MPI's progress rule asks. Every rank posts an
+// Ibcast from root 0; ranks 1 and 2 then block, while rank 3 finishes its
+// Ibcast — which needs one of them to forward the payload — before it sends
+// the message they probe for, or enters the fence or the Allreduce they
+// wait in. A blocked rank that stops driving its schedule wedges the job.
+// The Allreduce row runs on process slaves, whose large allreduces fold
+// through a host area (hostarea_test.go).
 func TestBlockedRanksDriveCollectives(t *testing.T) {
-	const np, tag, readyTag, limit = 4, 5, 6, 20 * time.Second
-	// The root sends only once ranks 1 and 2 have posted their Ibcast, so
-	// the payload reaches them after they posted: forwarding it to rank 3
-	// takes a later pass over their schedules.
-	bcast := func(w *Comm) (*CollRequest, []int64, error) {
-		data, ready := make([]int64, 64), make([]int64, 1)
-		if w.Rank() == 0 {
-			for _, src := range []int{1, 2} {
-				if _, err := Recv(w, ready, src, readyTag); err != nil {
-					return nil, nil, err
-				}
-			}
-			for i := range data {
-				data[i] = int64(i) + 1
-			}
-		}
-		req, err := Ibcast(w, data, 0)
-		if err == nil && (w.Rank() == 1 || w.Rank() == 2) {
-			err = Send(w, ready, 0, readyTag)
-		}
-		return req, data, err
-	}
-	// bcastDone waits for the Ibcast and checks what it delivered.
-	bcastDone := func(req *CollRequest, data []int64) error {
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-		for i, v := range data {
-			if v != int64(i)+1 {
-				return fmt.Errorf("ibcast element %d = %d", i, v)
-			}
-		}
-		return nil
-	}
+	const np, tag, limit = 4, 5, 20 * time.Second
 	programs := []struct {
 		name string
 		run  func(w *Comm) error
 	}{
 		{"Probe", func(w *Comm) error {
-			req, data, err := bcast(w)
+			req, data, err := driveBcast(w)
 			if err != nil {
 				return err
 			}
@@ -71,7 +82,7 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 					return err
 				}
 			case 3:
-				if err := bcastDone(req, data); err != nil {
+				if err := driveBcastDone(req, data); err != nil {
 					return err
 				}
 				for _, dst := range []int{1, 2} {
@@ -80,7 +91,7 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 					}
 				}
 			}
-			return bcastDone(req, data)
+			return driveBcastDone(req, data)
 		}},
 		{"Fence", func(w *Comm) error {
 			rank := w.Rank()
@@ -89,7 +100,7 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			req, data, err := bcast(w)
+			req, data, err := driveBcast(w)
 			if err != nil {
 				return err
 			}
@@ -97,7 +108,7 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 				return err
 			}
 			if rank == 3 {
-				if err := bcastDone(req, data); err != nil {
+				if err := driveBcastDone(req, data); err != nil {
 					return err
 				}
 			}
@@ -107,7 +118,7 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 			if left := (rank + np - 1) % np; slots[left] != int64(left)+1 {
 				return fmt.Errorf("after the fence slot %d holds %d", left, slots[left])
 			}
-			if err := bcastDone(req, data); err != nil {
+			if err := driveBcastDone(req, data); err != nil {
 				return err
 			}
 			return win.Free()
@@ -120,4 +131,14 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 			})
 		}
 	}
+	t.Run("proc/Allreduce", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns OS processes")
+		}
+		reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+		cfg := JobConfig{NP: np, App: "drive-host-allreduce", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Prof: "counters"}
+		if err := runJobWithin(cfg, 2*limit); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

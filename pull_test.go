@@ -35,7 +35,8 @@ func registerPullApps() {
 }
 
 // pullApp moves 1 MiB messages between process slaves of one host — a
-// ping-pong between ranks 0 and 1, then an Allreduce over everybody — and
+// ping-pong between ranks 0 and 1, then an Allreduce over everybody on the
+// forced large family — and
 // checks every byte and the road they took (device/pull.go): a blocking
 // Send to a peer whose ring is live streams through shared memory while
 // both ranks copy, an Isend is pulled out of the sender's memory by the
@@ -125,6 +126,10 @@ func pullApp(mode string) App {
 		for i := range in {
 			in[i] = float64((me + 1) * (i + 1))
 		}
+		// A forced family keeps its schedule, whose rendezvous payloads are
+		// what this application counts; automatic selection would fold the
+		// vector through the host area (core's hostarea.go).
+		w.SetCollAlg(CollAlgRing)
 		if err := Allreduce(w, in, out, Sum[float64]()); err != nil {
 			return err
 		}

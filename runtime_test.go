@@ -35,6 +35,7 @@ func registerTestApps() {
 	registerPullApps()
 	registerRingApps()
 	registerTuningApps()
+	registerHostApps()
 	Register("sum", func(w *Comm) error {
 		in := []int64{int64(w.Rank() + 1)}
 		out := make([]int64, 1)
@@ -49,6 +50,13 @@ func registerTestApps() {
 	})
 	Register("hello-print", func(w *Comm) error {
 		fmt.Printf("hello from rank %d of %d\n", w.Rank(), w.Size())
+		return nil
+	})
+	Register("last-lines", func(w *Comm) error {
+		for i := 0; i < lastLines; i++ {
+			fmt.Printf("rank %d line %d\n", w.Rank(), i)
+		}
+		fmt.Printf("rank %d last\n", w.Rank())
 		return nil
 	})
 	Register("crasher", func(w *Comm) error {
@@ -252,6 +260,46 @@ func TestDistributedJobProcessSlaves(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("merged output missing %q; got:\n%s", want, text)
 		}
+	}
+}
+
+// lastLines is how many lines the last-lines application prints before
+// its last.
+const lastLines = 40
+
+// TestJobOutputArrivesWhole: Run returns only once the forwarded output of
+// every process slave has ended, so the line a slave prints just before it
+// exits is in the merged output. Twenty jobs of three slaves, run as
+// parallel subtests so that slaves exit under load.
+func TestJobOutputArrivesWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	const np = 3
+	for job := 0; job < 20; job++ {
+		t.Run(fmt.Sprint(job), func(t *testing.T) {
+			t.Parallel()
+			reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+			var out bytes.Buffer
+			var mu sync.Mutex
+			err := Run(JobConfig{NP: np, App: "last-lines", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Output: &syncWriter{w: &out, mu: &mu}})
+			if err != nil {
+				t.Fatalf("job failed: %v", err)
+			}
+			mu.Lock()
+			text := out.String()
+			mu.Unlock()
+			for r := 0; r < np; r++ {
+				for i := 0; i < lastLines; i++ {
+					if want := fmt.Sprintf("[rank %d stdout] rank %d line %d\n", r, r, i); !strings.Contains(text, want) {
+						t.Errorf("merged output misses %q", want)
+					}
+				}
+				if want := fmt.Sprintf("[rank %d stdout] rank %d last\n", r, r); !strings.Contains(text, want) {
+					t.Errorf("merged output misses %q", want)
+				}
+			}
+		})
 	}
 }
 

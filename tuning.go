@@ -100,8 +100,10 @@ func openDevice(tr transport.Transport, rank int, t core.Tuning) (*device.Device
 // GOMAXPROCS was in its environment), the road each peer's rendezvous
 // payloads take to this rank ("memory", "stream", "pull", "wire", "wire:
 // <why the system refused a pull>") with the counts of payloads that took
-// the co-host roads, and beside it how frames to each peer travel
-// ("memory", "ring", "socket", "socket: <why the ring was refused>").
+// the co-host roads, beside it the host areas' counts and each
+// communicator's allreduce path ("host", "schedule", "host refused: <why>";
+// see core's hostarea.go), and how frames to each peer travel ("memory",
+// "ring", "socket", "socket: <why the ring was refused>").
 func profStatus(dev *device.Device, t core.Tuning) func() any {
 	config := map[string]any{
 		"eagerLimit": t.EagerLimit,
@@ -122,8 +124,22 @@ func profStatus(dev *device.Device, t core.Tuning) func() any {
 			"pollFloor":   sched.PollFloor,
 			"peerPaths":   dev.PeerPaths(),
 			"rendezvous":  rendezvousCounts(dev.Stats()),
+			"hostArea":    hostAreaCounts(dev.Profiler().Snapshot()),
+			"allreduce":   dev.Profiler().AllreducePaths(),
 			"frameMedia":  dev.FrameMedia(),
 		}
+	}
+}
+
+// hostAreaCounts is the status entry of the host areas: allreduces that
+// folded through one, the chunks they walked, the bytes this rank copied
+// into the areas and the barrier waits that slept.
+func hostAreaCounts(s prof.Snapshot) map[string]int64 {
+	return map[string]int64{
+		"ops":    s.HostOps,
+		"chunks": s.HostChunks,
+		"bytes":  s.HostBytes,
+		"sleeps": s.HostSleeps,
 	}
 }
 
