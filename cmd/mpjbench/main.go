@@ -347,7 +347,7 @@ func runElastic() (*bench.Table, error) {
 }
 
 // elasticCycle runs one fresh in-process elastic job: the last rank dies
-// by broadcasting its own obituary mid-collective, and rank 0 times the
+// (device.Die) mid-collective, and rank 0 times the
 // typed-failure observation (detect) and the Shrink → Spawn → Merge →
 // verify turnaround (rebuild).
 func elasticCycle(np int) (detect, rebuild time.Duration, err error) {
@@ -362,7 +362,7 @@ func elasticCycle(np int) (detect, rebuild time.Duration, err error) {
 			mu.Lock()
 			killed = time.Now()
 			mu.Unlock()
-			w.Device().BroadcastObit(w.Rank(), "bench kill")
+			w.Device().Die(errors.New("bench kill"))
 			return nil
 		}
 		out := []int64{0}

@@ -15,43 +15,29 @@ import (
 
 // This file is the runtime half of the elastic-jobs machinery (the
 // communicator half lives in internal/core/spawn.go): the per-process
-// liveness tracker that fans daemon death verdicts into mesh devices, the
-// Respawner implementations behind Comm.Spawn — daemon-backed for
-// distributed jobs, goroutine-backed for RunLocal — and the scoped
-// re-bootstrap (joinMesh) both use to wire a rank into a mesh epoch.
-
-// obitKey identifies one death verdict: a rank within one mesh epoch.
-type obitKey struct {
-	epoch uint64
-	rank  int
-}
+// record of the meshes this process belongs to, whose liveness leases its
+// watchdog renews, the Respawner implementations behind Comm.Spawn —
+// daemon-backed for distributed jobs, goroutine-backed for RunLocal — and
+// the scoped re-bootstrap (joinMesh) both use to wire a rank into a mesh
+// epoch.
 
 // liveMember is one mesh membership this process holds: its rank in one
 // epoch (the original JobID mesh, or a Comm.Spawn generation) and the
-// device carrying that mesh's traffic.
+// device carrying that mesh's traffic (nil for the membership the slave
+// was created with, whose device its life cycle owns).
 type liveMember struct {
 	epoch uint64
 	rank  int
 	dev   *device.Device
 }
 
-// liveTracker is the per-slave bridge between the control plane's failure
-// detection and the data plane's failure registries. The slave registers
-// every mesh it joins; death verdicts — pushed by the job master down the
-// bootstrap connection, or returned in heartbeat replies — are routed to
-// the device of the matching epoch via BroadcastObit, which marks the rank
-// failed locally (typed ErrRankFailed for pending operations) and gossips
-// the obit across the mesh. Verdict delivery is deduplicated per (epoch,
-// rank): the device layer absorbs duplicates anyway, but not re-gossiping
-// a known death keeps the obit traffic linear.
+// liveTracker records the meshes one slave belongs to. Its watchdog
+// renews a liveness lease at the daemon for each; a rank whose lease
+// lapses is destroyed by its daemon, and its peers' transports report the
+// break. The devices of spawned meshes are ended through it.
 type liveTracker struct {
-	mu        sync.Mutex
-	members   []liveMember
-	delivered map[obitKey]bool
-}
-
-func newLiveTracker() *liveTracker {
-	return &liveTracker{delivered: make(map[obitKey]bool)}
+	mu      sync.Mutex
+	members []liveMember
 }
 
 // register records this process as rank of the epoch's mesh, served by dev.
@@ -72,79 +58,36 @@ func (lt *liveTracker) memberships() []daemon.Membership {
 	return out
 }
 
-// obit routes one death verdict into the device(s) of its epoch. An obit
-// for this process's own rank is a control-plane declaration that *we* are
-// dead (a partitioned lease expired): BroadcastObit then puts the device
-// into total local failure, so the false survivor unwinds instead of
-// diverging from the verdict.
-func (lt *liveTracker) obit(epoch uint64, rank int, cause string) {
-	key := obitKey{epoch: epoch, rank: rank}
+// devices snapshots the registered devices.
+func (lt *liveTracker) devices() []*device.Device {
 	lt.mu.Lock()
-	if lt.delivered[key] {
-		lt.mu.Unlock()
-		return
-	}
-	lt.delivered[key] = true
-	var devs []*device.Device
+	defer lt.mu.Unlock()
+	var out []*device.Device
 	for _, m := range lt.members {
-		if m.epoch == epoch {
-			devs = append(devs, m.dev)
+		if m.dev != nil {
+			out = append(out, m.dev)
 		}
 	}
-	lt.mu.Unlock()
-	for _, d := range devs {
-		d.BroadcastObit(rank, cause)
-	}
+	return out
 }
 
-// applyDead routes a batch of verdicts (a heartbeat reply's dead set).
-func (lt *liveTracker) applyDead(dead []daemon.DeadRank) {
-	for _, dr := range dead {
-		lt.obit(dr.Epoch, dr.Rank, dr.Cause)
-	}
-}
-
-// closeSpawned tears down every registered mesh device except primary
-// (finalized by the caller): orderly close for healthy meshes, abort for
-// meshes with recorded failures.
-func (lt *liveTracker) closeSpawned(primary *device.Device) {
-	lt.mu.Lock()
-	members := append([]liveMember(nil), lt.members...)
-	lt.mu.Unlock()
-	for _, m := range members {
-		if m.dev == primary {
-			continue
-		}
-		if m.dev.FailEpoch() > 0 {
-			m.dev.Abort()
+// closeSpawned tears down every registered device: orderly close for
+// healthy meshes, abort for meshes with recorded failures.
+func (lt *liveTracker) closeSpawned() {
+	for _, dev := range lt.devices() {
+		if dev.FailEpoch() > 0 {
+			dev.Abort()
 		} else {
-			m.dev.Close()
+			dev.Close()
 		}
-	}
-}
-
-// obitReader pumps death verdicts pushed down a bootstrap connection into
-// the tracker until the connection closes. After the address table, obits
-// are the only master-to-slave traffic, so the decoder owns the stream.
-func obitReader(sc *job.SlaveConn, live *liveTracker) {
-	for {
-		ob, err := sc.ReadObit()
-		if err != nil {
-			return
-		}
-		live.obit(ob.Epoch, ob.Rank, ob.Cause)
 	}
 }
 
 // heartbeat is the watchdog probe of an elastic slave: one Heartbeat
-// call renews this slave's liveness leases, and the reply's death verdicts
-// are fanned into the tracker.
+// call renews this slave's liveness leases.
 func (lt *liveTracker) heartbeat(jobID uint64) func(*daemon.Client) error {
 	return func(c *daemon.Client) error {
-		reply, err := c.Heartbeat(jobID, lt.memberships())
-		if err == nil {
-			lt.applyDead(reply.Dead)
-		}
+		_, err := c.Heartbeat(jobID, lt.memberships())
 		return err
 	}
 }
@@ -174,10 +117,7 @@ var epochNow = func() uint64 {
 // connection (a job master fails the job on it; a spawn master, which
 // only gathers, never reads it).
 func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
-	epoch := spec.Epoch
-	if epoch == 0 {
-		epoch = spec.JobID
-	}
+	epoch := spec.MeshEpoch()
 	sc, table, meshLn, err := job.SlaveBootstrap(spec.MasterAddr, epoch, spec.Rank)
 	if err != nil {
 		return nil, nil, err
@@ -284,8 +224,7 @@ func (r *distRespawner) Rejoin(epoch uint64, masterAddr string, rank, total int)
 		return nil, err
 	}
 	// The scoped bootstrap connection has no further role on the survivor
-	// side: verdicts for the new epoch arrive via heartbeat replies and
-	// the original master's pushes.
+	// side: deaths in the new epoch reach it through its transport.
 	sc.Close()
 	r.live.register(epoch, rank, dev)
 	return dev, nil
@@ -319,7 +258,7 @@ type localRespawner struct {
 }
 
 func newLocalRespawner(app App, t core.Tuning) *localRespawner {
-	return &localRespawner{app: app, tuning: t, live: newLiveTracker()}
+	return &localRespawner{app: app, tuning: t, live: &liveTracker{}}
 }
 
 func (lr *localRespawner) DaemonAddr() string { return "" }
@@ -416,7 +355,7 @@ func (lr *localRespawner) wait() error {
 	for _, sm := range masters {
 		sm.Close()
 	}
-	lr.live.closeSpawned(nil)
+	lr.live.closeSpawned()
 	if len(errs) > 0 {
 		return errs[0]
 	}
@@ -435,10 +374,7 @@ func (lr *localRespawner) abort() {
 	for _, sm := range masters {
 		sm.Close()
 	}
-	lr.live.mu.Lock()
-	members := append([]liveMember(nil), lr.live.members...)
-	lr.live.mu.Unlock()
-	for _, m := range members {
-		m.dev.Abort()
+	for _, dev := range lr.live.devices() {
+		dev.Abort()
 	}
 }

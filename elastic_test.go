@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"syscall"
 	"testing"
 	"time"
@@ -15,27 +18,26 @@ import (
 // from registerTestApps so slave processes (which re-enter TestMain) can
 // resolve them too.
 func registerElasticApps() {
-	// elastic-recover is the hermetic elastic cycle: rank 1 "dies" by
-	// broadcasting its own obituary (the same frame a daemon liveness
-	// verdict produces), survivors detect, shrink, respawn and verify the
-	// rebuilt world. Replacement ranks enter here afresh with Spawned()
-	// true and join the verification.
+	// elastic-recover is the hermetic elastic cycle: rank 1 "dies" (its
+	// device condemns it and aborts, as a destroyed slave's does), the
+	// survivors' transports report it, and they detect, shrink, respawn
+	// and verify the rebuilt world. Replacement ranks enter here afresh
+	// with Spawned() true and join the verification.
 	Register("elastic-recover", func(w *Comm) error {
 		if w.Spawned() {
 			return elasticGroundTruth(w)
 		}
 		if w.Rank() == 1 {
-			w.Device().BroadcastObit(w.Rank(), "hermetic kill")
+			w.Device().Die(errors.New("hermetic kill"))
 			return nil
 		}
 		return elasticRecover(w, w.Size())
 	})
-	// silent-death-recover kills rank 1 with no mesh gossip at all: the
+	// silent-death-recover kills rank 1 without ending its device: the
 	// victim condemns itself only in its own registry and unwinds, so the
-	// survivors can recover only through the daemon verdict path (the
-	// victim's error exit → RenewJob reply → master obit push). This pins
-	// the backstop for the race where a victim's queued obituary frames
-	// die with its device.
+	// survivors learn of it only once its slave ends (the dead report, the
+	// slave's teardown aborting its device) and the daemon's exit verdict
+	// excuses its report at the client.
 	Register("silent-death-recover", func(w *Comm) error {
 		if w.Spawned() {
 			return elasticGroundTruth(w)
@@ -47,9 +49,8 @@ func registerElasticApps() {
 		return elasticRecover(w, w.Size())
 	})
 	// chaos-recover is the real thing: rank 1 SIGKILLs its own process
-	// mid-job, so detection runs through the daemon layer (process-exit
-	// verdict, heartbeat/renewal propagation) instead of a cooperative
-	// obit.
+	// mid-job; the survivors' sockets to it break, and the daemon's
+	// process-exit verdict excuses its report at the client.
 	Register("chaos-recover", func(w *Comm) error {
 		if w.Spawned() {
 			return elasticGroundTruth(w)
@@ -60,7 +61,31 @@ func registerElasticApps() {
 		}
 		return elasticRecover(w, w.Size())
 	})
+	// hung-recover: rank 1 stops its own process with SIGSTOP — hung, not
+	// dead: its sockets stay open, so only its liveness lease can condemn
+	// it. Arguments: "now" stops at once, "beat" after one heartbeat; then
+	// a file for the stopped process's pid.
+	Register("hung-recover", func(w *Comm) error {
+		if w.Spawned() {
+			return elasticGroundTruth(w)
+		}
+		if w.Rank() == 1 {
+			when, pidFile := os.Args[1], os.Args[2]
+			if err := os.WriteFile(pidFile, []byte(strconv.Itoa(os.Getpid())), 0o644); err != nil {
+				return err
+			}
+			if when == "beat" {
+				time.Sleep(hungLiveness / 4)
+			}
+			_ = syscall.Kill(os.Getpid(), syscall.SIGSTOP)
+			select {} // the daemon kills it
+		}
+		return elasticRecover(w, w.Size())
+	})
 }
+
+// hungLiveness is the liveness lease of the hung-rank rows.
+const hungLiveness = 2 * time.Second
 
 // elasticGroundTruth verifies a (rebuilt) world end-to-end: a full-size
 // Allreduce with a closed-form answer, then a barrier so every member —
@@ -146,11 +171,11 @@ func TestElasticJobHermeticKill(t *testing.T) {
 	})
 }
 
-// TestElasticSilentDeathRecoversViaVerdict: when the victim's mesh
-// obituaries are lost entirely (it condemns itself locally and unwinds),
-// the survivors still observe the typed failure and complete the full
-// recovery cycle — the victim's death report and the daemon's exit
-// verdict travel the client renewal channel instead.
+// TestElasticSilentDeathRecoversViaVerdict: a victim that condemns itself
+// only in its own registry and unwinds still reaches the survivors — its
+// slave's teardown aborts its device, and their transports report it — and
+// its self-declared dead report is excused once the daemon's exit verdict
+// reaches the client through RenewJob.
 func TestElasticSilentDeathRecoversViaVerdict(t *testing.T) {
 	reg, daemons := testEnv(t, 2, NewFuncSpawner())
 	err := Run(JobConfig{
@@ -194,6 +219,73 @@ func TestChaosKillRecoverProcesses(t *testing.T) {
 	waitCondition(t, func() bool {
 		return daemons[0].SlaveCount() == 0 && daemons[1].SlaveCount() == 0
 	})
+}
+
+// TestChaosHungRankRecoverProcesses: a rank that hangs (SIGSTOP) keeps its
+// sockets open, so its peers' transports see nothing until its daemon
+// condemns it. The daemon holds its liveness lease from the slave's
+// creation and every rank beats four times per lease, so whether the rank
+// stops at once or after a heartbeat, the daemon declares it dead and
+// destroys it within about one lease, the survivors' transports report
+// the break, and they recover; no healthy rank is condemned.
+func TestChaosHungRankRecoverProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	const deadline = 30 * time.Second
+	verdict := regexp.MustCompile(`rank (\d+) declared dead|\(rank (\d+)\) died`)
+	for _, when := range []string{"now", "beat"} {
+		t.Run(when, func(t *testing.T) {
+			reg, daemons, logs := testEnvLogged(t, 2, daemon.ProcSpawner{})
+			pidFile := filepath.Join(t.TempDir(), "pid")
+			t.Cleanup(func() {
+				// A failed row must not leave the stopped process behind.
+				if b, err := os.ReadFile(pidFile); err == nil && t.Failed() {
+					if pid, err := strconv.Atoi(string(b)); err == nil {
+						_ = syscall.Kill(pid, syscall.SIGKILL)
+					}
+				}
+			})
+			done := make(chan error, 1)
+			go func() {
+				done <- Run(JobConfig{
+					NP:             4,
+					App:            "hung-recover",
+					Args:           []string{when, pidFile},
+					Locators:       []string{reg.Addr()},
+					LeaseDur:       2 * time.Second,
+					Elastic:        true,
+					LivenessDur:    hungLiveness,
+					ConnectTimeout: 5 * time.Second,
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("hung-rank job failed: %v", err)
+				}
+			case <-time.After(deadline):
+				t.Fatalf("hung-rank job did not recover within %s", deadline)
+			}
+			condemned := 0
+			for _, line := range logs.kept() {
+				m := verdict.FindStringSubmatch(line)
+				if m == nil {
+					continue
+				}
+				if m[1] != "1" && m[2] != "1" {
+					t.Errorf("a healthy rank was condemned: %s", line)
+				}
+				condemned++
+			}
+			if condemned == 0 {
+				t.Error("no daemon condemned the stopped rank")
+			}
+			waitCondition(t, func() bool {
+				return daemons[0].SlaveCount() == 0 && daemons[1].SlaveCount() == 0
+			})
+		})
+	}
 }
 
 // TestNonElasticCrashStillAborts pins the default failure model: without

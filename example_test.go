@@ -262,16 +262,17 @@ func ExampleWin_Lock() {
 // typed failure, Shrink to the survivor set, Spawn a replacement back to
 // full size and Merge into a rebuilt world that computes again.
 // Replacements re-enter the same application with Spawned() true. Under
-// the distributed runtime (mpjrun -elastic) the death verdict comes from
-// the daemon liveness layer instead of a cooperative obituary.
+// the distributed runtime (mpjrun -elastic) a real death ends a process
+// (a crash, or the daemon destroying a rank whose liveness lease lapsed)
+// and the survivors' transports report it the same way.
 func ExampleComm_Spawn() {
 	err := mpj.RunLocal(3, func(w *mpj.Comm) error {
 		if w.Spawned() { // a replacement: join the rebuilt world's work
 			sum := make([]int64, 1)
 			return mpj.Allreduce(w, []int64{int64(w.Rank() + 1)}, sum, mpj.Sum[int64]())
 		}
-		if w.Rank() == 1 { // the victim announces its own death and exits
-			w.Device().BroadcastObit(w.Rank(), "example kill")
+		if w.Rank() == 1 { // the victim dies: its device ends, peers see it go
+			w.Device().Die(errors.New("example kill"))
 			return nil
 		}
 		sum := make([]int64, 1)

@@ -11,7 +11,7 @@ import (
 // rank 0 measures two latencies:
 //
 //   - detect: from the victim's death to the survivor holding the typed
-//     ErrRankFailed (obituary propagation plus pending-op failure), and
+//     ErrRankFailed (the transport's report plus pending-op failure), and
 //   - rebuild: from that observation to a verified full-size world again
 //     (Shrink → Spawn → Merge → ground-truth collective).
 //

@@ -11,7 +11,6 @@ import (
 
 	"mpj/internal/daemon"
 	"mpj/internal/device"
-	"mpj/internal/events"
 	"mpj/internal/lookup"
 	"mpj/internal/transport"
 )
@@ -203,8 +202,8 @@ func E5AbortLatency(runSlave func(spec daemon.SlaveSpec, daemonAddr string, stop
 	}
 
 	aborts := 0
-	recv, err := events.NewReceiver(func(ev events.Event) {
-		if ev.Type == events.TypeAbort {
+	recv, err := daemon.NewReceiver(func(ev daemon.Event) {
+		if ev.Type == daemon.TypeAbort {
 			aborts++
 		}
 	})

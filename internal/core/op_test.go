@@ -264,17 +264,69 @@ func TestVecKernelsMatchElementPath(t *testing.T) {
 	}
 }
 
+// TestMaxMinKernelsLikeScalar: the MAX and MIN kernels return the bits
+// maxOf and minOf return on the pairs a branch-free kernel gets wrong most
+// easily — a NaN on either side (each with its own payload), +0
+// against -0 both ways, infinities, the extremes of the integers — also
+// folding in place (out = b).
+func TestMaxMinKernelsLikeScalar(t *testing.T) {
+	nanA, nanB := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000000002)
+	negZero := math.Copysign(0, -1)
+	a := []float64{nanA, 1, nanA, 0, negZero, math.Inf(1), math.Inf(-1), -1, 2, 5}
+	b := []float64{1, nanB, nanB, negZero, 0, math.Inf(-1), math.Inf(1), 1, 2, nanA}
+	checkMaxMin(t, "float64", a, b, maxVecF[float64], minVecF[float64], math.Float64bits)
+	a32, b32 := make([]float32, len(a)), make([]float32, len(b))
+	for i := range a {
+		a32[i], b32[i] = float32(a[i]), float32(b[i])
+	}
+	checkMaxMin(t, "float32", a32, b32, maxVecF[float32], minVecF[float32], math.Float32bits)
+	checkMaxMin(t, "byte", []byte{0, 255, 7, 128}, []byte{255, 0, 7, 127}, maxVec[byte], minVec[byte], func(v byte) byte { return v })
+	checkMaxMin(t, "int64", []int64{math.MinInt64, math.MaxInt64, -1, 0, 3}, []int64{math.MaxInt64, math.MinInt64, 0, -1, 3},
+		maxVec[int64], minVec[int64], func(v int64) int64 { return v })
+}
+
+func checkMaxMin[T number, B comparable](t *testing.T, name string, a, b []T, maxK, minK func(a, b, out []T), bits func(T) B) {
+	t.Helper()
+	for _, k := range []struct {
+		op   string
+		vec  func(a, b, out []T)
+		elem func(a, b T) T
+	}{{"max", maxK, maxOf[T]}, {"min", minK, minOf[T]}} {
+		out := make([]T, len(a))
+		k.vec(a, b, out)
+		inPlace := append([]T(nil), b...)
+		k.vec(a, inPlace, inPlace)
+		for i := range a {
+			want := bits(k.elem(a[i], b[i]))
+			if got := bits(out[i]); got != want {
+				t.Errorf("%s %s(%v, %v): bits %v, want %v", name, k.op, a[i], b[i], got, want)
+			}
+			if got := bits(inPlace[i]); got != want {
+				t.Errorf("%s %s(%v, %v) in place: bits %v, want %v", name, k.op, a[i], b[i], got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkVecCombiner times the predefined folds over a 512 KiB vector,
 // the bulk path of the large allreduce's schedule and of the host area.
+// The rand rows fold two vectors of random bits into a third (the fuser),
+// so the operands stay random from one iteration to the next: there a
+// data-dependent branch per element would mispredict half the time. The
+// other rows fold zeros in place.
 func BenchmarkVecCombiner(b *testing.B) {
 	const size = 512 << 10
 	for _, row := range []struct {
 		name string
 		op   *Op
 		dt   Datatype
+		rand bool
 	}{
-		{"sum/float64", SumOp, Double}, {"sum/int64", SumOp, Long}, {"sum/int32", SumOp, Int},
-		{"max/float64", MaxOp, Double}, {"min/int64", MinOp, Long}, {"prod/float64", ProdOp, Double},
+		{"sum/float64", SumOp, Double, false}, {"sum/int64", SumOp, Long, false}, {"sum/int32", SumOp, Int, false},
+		{"max/float64", MaxOp, Double, false}, {"min/int64", MinOp, Long, false}, {"prod/float64", ProdOp, Double, false},
+		{"max/float64/rand", MaxOp, Double, true}, {"min/float64/rand", MinOp, Double, true},
+		{"max/int64/rand", MaxOp, Long, true}, {"min/int64/rand", MinOp, Long, true},
+		{"max/float32/rand", MaxOp, Float, true}, {"max/byte/rand", MaxOp, Byte, true},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			comb, err := row.op.combinerFor(row.dt)
@@ -282,6 +334,13 @@ func BenchmarkVecCombiner(b *testing.B) {
 				b.Fatal(err)
 			}
 			in, inout := make([]byte, size), make([]byte, size)
+			if row.rand {
+				rng := rand.New(rand.NewSource(1))
+				rng.Read(in)
+				rng.Read(inout)
+				out, fuse := make([]byte, size), row.op.byType[row.dt].fuse
+				comb = func(a, b []byte) error { return fuse(a, b, out) }
+			}
 			b.SetBytes(size)
 			for i := 0; i < b.N; i++ {
 				if err := comb(in, inout); err != nil {

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"mpj/internal/events"
 	"mpj/internal/lease"
 	"mpj/internal/lookup"
 	"mpj/internal/rpc"
@@ -50,8 +49,9 @@ type jobState struct {
 	// Elastic jobs keep a failure registry per mesh epoch (the original
 	// JobID mesh plus every Comm.Spawn generation): slaves heartbeat
 	// their (epoch, rank) memberships and a lapsed lease or an observed
-	// process exit declares the rank dead. The dead sets are served back
-	// through Heartbeat and RenewJob replies, never through MPJAbort.
+	// process exit declares the rank dead. A verdict destroys the slave
+	// it names, whose peers' transports then report it; RenewJob replies
+	// carry the dead sets to the client, never MPJAbort.
 	elastic    bool
 	livenessMs int64
 	regs       map[uint64]*FailureRegistry
@@ -67,15 +67,6 @@ func livenessDur(ms int64) time.Duration {
 		ms = DefaultLivenessMs
 	}
 	return time.Duration(ms) * time.Millisecond
-}
-
-// epochOf resolves the mesh epoch a slave belongs to: its spawn epoch, or
-// the job id for the original mesh.
-func epochOf(spec SlaveSpec) uint64 {
-	if spec.Epoch != 0 {
-		return spec.Epoch
-	}
-	return spec.JobID
 }
 
 // Daemon is an MPJService instance.
@@ -264,6 +255,10 @@ func (d *Daemon) Close() {
 
 // createSlave spawns one slave and begins monitoring it.
 func (d *Daemon) createSlave(spec SlaveSpec) (Slave, error) {
+	if spec.Epoch != 0 && !spec.Elastic {
+		// Only Comm.Spawn makes spawn epochs, and only in elastic jobs.
+		return nil, fmt.Errorf("daemon: job %d: spawn epoch %d in a non-elastic job", spec.JobID, spec.Epoch)
+	}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -297,8 +292,25 @@ func (d *Daemon) createSlave(spec SlaveSpec) (Slave, error) {
 	}
 
 	d.mu.Lock()
+	if d.jobs[spec.JobID] != job || job.aborted {
+		// The job was destroyed (or the daemon closed) while the slave
+		// started: nothing will ever reap it, so it dies here.
+		d.mu.Unlock()
+		slave.Destroy()
+		return nil, fmt.Errorf("daemon: job %d destroyed while its slave started", spec.JobID)
+	}
 	job.slaves[slave.ID()] = &slaveRec{spec: spec, slave: slave}
+	var reg *FailureRegistry
+	if job.elastic {
+		reg = d.regLocked(job, spec.MeshEpoch())
+	}
 	d.mu.Unlock()
+	if reg != nil {
+		// The slave's liveness lease runs from its creation: its beats
+		// start before its bootstrap, so a slave that hangs at any point
+		// is condemned.
+		reg.Track(spec.Rank, spec.Liveness())
+	}
 
 	go d.monitor(spec.JobID, slave)
 	return slave, nil
@@ -330,7 +342,7 @@ func (d *Daemon) destroySlaveOf(jobID uint64, epoch uint64, rank int) {
 	var victim Slave
 	if job, ok := d.jobs[jobID]; ok {
 		for _, rec := range job.slaves {
-			if rec.spec.Rank == rank && epochOf(rec.spec) == epoch {
+			if rec.spec.Rank == rank && rec.spec.MeshEpoch() == epoch {
 				victim = rec.slave
 				break
 			}
@@ -345,8 +357,9 @@ func (d *Daemon) destroySlaveOf(jobID uint64, epoch uint64, rank int) {
 // monitor waits for a slave to exit and applies the paper's §3.3 rule: an
 // unexpected death raises MPJAbort at the client and destroys the job's
 // remaining local slaves. Elastic jobs instead record the dead rank in the
-// epoch's failure registry — siblings keep running, and the verdict
-// reaches survivors through Heartbeat and RenewJob replies.
+// epoch's failure registry — siblings keep running; their transports
+// already saw the process go, and RenewJob replies carry the verdict to the
+// client.
 func (d *Daemon) monitor(jobID uint64, slave Slave) {
 	err := slave.Wait()
 
@@ -363,7 +376,7 @@ func (d *Daemon) monitor(jobID uint64, slave Slave) {
 		var spec SlaveSpec
 		if rec != nil && err != nil && !job.aborted {
 			spec = rec.spec
-			reg = d.regLocked(job, epochOf(spec))
+			reg = d.regLocked(job, spec.MeshEpoch())
 		}
 		d.mu.Unlock()
 		if reg != nil {
@@ -397,14 +410,14 @@ func (d *Daemon) monitor(jobID uint64, slave Slave) {
 			rec.slave.Destroy()
 		}
 		if eventAddr != "" {
-			ev := events.Event{
-				Type:    events.TypeAbort,
+			ev := Event{
+				Type:    TypeAbort,
 				JobID:   jobID,
 				Source:  "daemon " + d.Addr(),
 				Seq:     seq,
 				Message: fmt.Sprintf("slave %s died: %v", slave.ID(), err),
 			}
-			if nerr := events.Notify(eventAddr, ev); nerr != nil {
+			if nerr := Notify(eventAddr, ev); nerr != nil {
 				d.logger.Printf("job %d: abort notification failed: %v", jobID, nerr)
 			}
 		}
@@ -413,9 +426,9 @@ func (d *Daemon) monitor(jobID uint64, slave Slave) {
 
 // reapJobLocked drops a job with no remaining slaves. Callers hold d.mu.
 // Elastic jobs are never reaped here: their dead sets must stay servable
-// through Heartbeat/RenewJob even when every local slave has died (a
-// daemon whose only rank is the dead one still owes the verdict to the
-// client's renewer). They are dropped by DestroyJob or lease expiry.
+// through RenewJob even when every local slave has died (a daemon whose
+// only rank is the dead one still owes the verdict to the client's
+// renewer). They are dropped by DestroyJob or lease expiry.
 func (d *Daemon) reapJobLocked(job *jobState) {
 	if len(job.slaves) != 0 || job.elastic {
 		return
@@ -470,10 +483,8 @@ func (d *Daemon) onLeaseExpired(id string, payload any) {
 	d.destroyJob(jobID, "job lease expired")
 }
 
-// renewJob extends a job's lease and returns the job's dead set: the
-// client's renewer doubles as the propagation path for deaths this daemon
-// observed but no surviving local slave can gossip (a daemon whose only
-// rank is the dead one).
+// renewJob extends a job's lease and returns the job's dead set, which
+// excuses the dead ranks' missing reports at the client.
 func (d *Daemon) renewJob(jobID uint64, dur time.Duration) ([]DeadRank, error) {
 	d.mu.Lock()
 	job, ok := d.jobs[jobID]
@@ -516,10 +527,9 @@ func collectDead(regs map[uint64]*FailureRegistry) []DeadRank {
 	return dead
 }
 
-// heartbeat renews the liveness leases of one slave's memberships and
-// returns every death verdict this daemon holds for the job. The first
-// heartbeat of a membership starts its tracking; dead ranks are never
-// re-tracked (death is final), they simply stay in the reply.
+// heartbeat renews the liveness leases of one slave's memberships. The
+// first heartbeat of a membership starts its tracking (createSlave starts
+// a slave's own); dead ranks are never re-tracked, death is final.
 func (d *Daemon) heartbeat(req HeartbeatReq) (HeartbeatReply, error) {
 	d.mu.Lock()
 	if d.closed {
@@ -532,28 +542,20 @@ func (d *Daemon) heartbeat(req HeartbeatReq) (HeartbeatReply, error) {
 		return HeartbeatReply{}, fmt.Errorf("daemon: no job %d", req.JobID)
 	}
 	dur := livenessDur(job.livenessMs)
-	type tracked struct {
-		reg  *FailureRegistry
-		rank int
+	regs := make([]*FailureRegistry, len(req.Memberships))
+	for i, mb := range req.Memberships {
+		regs[i] = d.regLocked(job, mb.Epoch)
 	}
-	members := make([]tracked, 0, len(req.Memberships))
-	for _, mb := range req.Memberships {
-		members = append(members, tracked{reg: d.regLocked(job, mb.Epoch), rank: mb.Rank})
-	}
-	regs := snapshotRegs(job)
 	d.mu.Unlock()
 
-	for _, m := range members {
-		if m.reg.Tracked(m.rank) {
-			// A renew racing the rank's own expiry loses to the verdict,
-			// which the reply's dead set then carries; the error adds
-			// nothing beyond that.
-			_ = m.reg.Heartbeat(m.rank, dur)
-		} else {
-			m.reg.Track(m.rank, dur)
+	for i, reg := range regs {
+		// A renew fails for an untracked rank, which this beat starts to
+		// track, and for a dead one, which Track leaves dead.
+		if rank := req.Memberships[i].Rank; reg.Heartbeat(rank, dur) != nil {
+			reg.Track(rank, dur)
 		}
 	}
-	return HeartbeatReply{Addr: d.Addr(), Dead: collectDead(regs)}, nil
+	return HeartbeatReply{Addr: d.Addr()}, nil
 }
 
 // RPC surface.
@@ -571,8 +573,7 @@ type RenewJobReq struct {
 }
 
 // RenewJobReply answers a lease renewal; Dead carries the job's death
-// verdicts so the client can forward them to slaves no local survivor
-// could gossip to.
+// verdicts, which excuse the dead ranks' missing reports at the client.
 type RenewJobReply struct {
 	Dead []DeadRank
 }
@@ -597,12 +598,11 @@ type HeartbeatReq struct {
 	Memberships []Membership
 }
 
-// HeartbeatReply returns the daemon's death verdicts for the job; the
-// slave fans them into its devices' failure registries (and self-destructs
-// if its own membership is among them).
+// HeartbeatReply answers a heartbeat. A verdict reaches no slave this
+// way: the daemon destroys the slave it names, and the peers' transports
+// report the break.
 type HeartbeatReply struct {
 	Addr string
-	Dead []DeadRank
 }
 
 // SlaveInfo describes a created slave.
@@ -648,7 +648,7 @@ func (s *service) RenewJob(req RenewJobReq, reply *RenewJobReply) error {
 	return nil
 }
 
-// Heartbeat renews a slave's liveness leases and reports the dead set.
+// Heartbeat renews a slave's liveness leases.
 func (s *service) Heartbeat(req HeartbeatReq, reply *HeartbeatReply) error {
 	r, err := s.d.heartbeat(req)
 	if err != nil {
@@ -751,8 +751,7 @@ func (c *Client) RenewJob(jobID uint64, dur time.Duration) ([]DeadRank, error) {
 	return reply.Dead, err
 }
 
-// Heartbeat renews the given liveness memberships and returns the
-// daemon's death verdicts for the job.
+// Heartbeat renews the given liveness memberships.
 func (c *Client) Heartbeat(jobID uint64, memberships []Membership) (HeartbeatReply, error) {
 	var reply HeartbeatReply
 	err := c.rpc.Call(ServiceType+".Heartbeat", HeartbeatReq{JobID: jobID, Memberships: memberships}, &reply)

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"mpj/internal/core"
-	"mpj/internal/events"
+
 	"mpj/internal/lookup"
 	"mpj/internal/prof"
 )
@@ -104,8 +104,8 @@ func TestSlaveCrashRaisesAbortAndDestroysSiblings(t *testing.T) {
 	spawner.slaves <- s2
 	d := newTestDaemon(t, spawner)
 
-	aborts := make(chan events.Event, 2)
-	recv, err := events.NewReceiver(func(ev events.Event) { aborts <- ev })
+	aborts := make(chan Event, 2)
+	recv, err := NewReceiver(func(ev Event) { aborts <- ev })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSlaveCrashRaisesAbortAndDestroysSiblings(t *testing.T) {
 	s1.finish(errors.New("segfault"))
 	select {
 	case ev := <-aborts:
-		if ev.Type != events.TypeAbort || ev.JobID != 5 {
+		if ev.Type != TypeAbort || ev.JobID != 5 {
 			t.Errorf("event %+v", ev)
 		}
 	case <-time.After(10 * time.Second):
@@ -152,8 +152,8 @@ func TestCleanExitNoAbort(t *testing.T) {
 	spawner.slaves <- s1
 	d := newTestDaemon(t, spawner)
 
-	aborts := make(chan events.Event, 1)
-	recv, err := events.NewReceiver(func(ev events.Event) { aborts <- ev })
+	aborts := make(chan Event, 1)
+	recv, err := NewReceiver(func(ev Event) { aborts <- ev })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +208,80 @@ func TestCreateSlaveOnAbortedJobRejected(t *testing.T) {
 	}
 	_ = s3
 	waitFor(t, func() bool { return d.SlaveCount() == 2 })
+}
+
+// TestCreateSlaveRejectsNonElasticSpawnEpoch: a spawn epoch outside an
+// elastic job, which no client makes, is refused before anything spawns.
+func TestCreateSlaveRejectsNonElasticSpawnEpoch(t *testing.T) {
+	spawner := &stubSpawner{slaves: make(chan *stubSlave, 1)}
+	spawner.slaves <- newStubSlave("s1")
+	d := newTestDaemon(t, spawner)
+	client, err := DialDaemon(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.CreateSlave(SlaveSpec{JobID: 13, Rank: 0, Size: 1, App: "x", LeaseMs: 60_000, Epoch: 14}); err == nil {
+		t.Fatal("CreateSlave accepted a spawn epoch of a non-elastic job")
+	}
+	if n := d.SlaveCount(); n != 0 {
+		t.Errorf("%d slaves tracked, want 0", n)
+	}
+}
+
+// gatedSpawner hands out one stub slave, but only once release is closed;
+// entered is closed when Spawn starts waiting.
+type gatedSpawner struct {
+	slave   *stubSlave
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedSpawner) Spawn(spec SlaveSpec, daemonAddr string) (Slave, error) {
+	close(s.entered)
+	<-s.release
+	return s.slave, nil
+}
+
+// TestDestroyJobDuringSpawn: a job destroyed while one of its slaves is
+// being spawned rejects that slave and destroys it, and the daemon, whose
+// job record (and elastic registries) are gone by then, keeps serving.
+func TestDestroyJobDuringSpawn(t *testing.T) {
+	for _, elastic := range []bool{false, true} {
+		s1 := newStubSlave("s1")
+		spawner := &gatedSpawner{slave: s1, entered: make(chan struct{}), release: make(chan struct{})}
+		d := newTestDaemon(t, spawner)
+		client, err := DialDaemon(d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		created := make(chan error, 1)
+		go func() {
+			_, err := client.CreateSlave(SlaveSpec{JobID: 12, Rank: 0, Size: 2, App: "x",
+				LeaseMs: 60_000, Elastic: elastic, LivenessMs: 60_000})
+			created <- err
+		}()
+		<-spawner.entered
+		if err := client.DestroyJob(12, "test"); err != nil {
+			t.Fatal(err)
+		}
+		close(spawner.release)
+		if err := <-created; err == nil {
+			t.Errorf("elastic=%v: CreateSlave succeeded for a destroyed job", elastic)
+		}
+		select {
+		case <-s1.destroyed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("elastic=%v: the late slave was not destroyed", elastic)
+		}
+		if _, err := client.Ping(); err != nil {
+			t.Fatalf("elastic=%v: daemon stopped serving: %v", elastic, err)
+		}
+		if n := d.SlaveCount(); n != 0 {
+			t.Errorf("elastic=%v: %d slaves tracked, want 0", elastic, n)
+		}
+	}
 }
 
 func TestLeaseExpiryDestroysJob(t *testing.T) {

@@ -64,11 +64,11 @@ func TestFailureRegistryKill(t *testing.T) {
 	}
 }
 
-// TestHeartbeatTracksAndServesVerdicts: the Heartbeat RPC lazily tracks
-// memberships, a membership that stops renewing is declared dead within
-// its liveness lease, the verdict travels in subsequent heartbeat and
-// lease-renewal replies, and the false survivor's local slave is
-// destroyed.
+// TestHeartbeatTracksAndServesVerdicts: the daemon holds a liveness lease
+// on every elastic slave from its creation, the Heartbeat RPC renews it, a
+// membership that never renews is declared dead within its lease, the
+// verdict travels in lease-renewal replies, and the false survivor's
+// local slave is destroyed.
 func TestHeartbeatTracksAndServesVerdicts(t *testing.T) {
 	d, err := New(WithSpawner(blockingSpawner()))
 	if err != nil {
@@ -82,76 +82,56 @@ func TestHeartbeatTracksAndServesVerdicts(t *testing.T) {
 	defer client.Close()
 
 	const jobID = 4242
+	only0 := []Membership{{Epoch: jobID, Rank: 0}}
 	for rank := 0; rank < 2; rank++ {
 		if _, err := client.CreateSlave(SlaveSpec{
 			JobID: jobID, Rank: rank, Size: 2, App: "x",
 			MasterAddr: "127.0.0.1:1", LeaseMs: 60_000,
-			Elastic: true, LivenessMs: 200,
+			Elastic: true, LivenessMs: 500,
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	waitFor(t, func() bool { return d.SlaveCount() == 2 })
-
-	// One heartbeat carrying both memberships starts both leases.
-	both := []Membership{{Epoch: jobID, Rank: 0}, {Epoch: jobID, Rank: 1}}
-	reply, err := client.Heartbeat(jobID, both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Dead) != 0 {
-		t.Fatalf("fresh job reports dead ranks: %v", reply.Dead)
+		if _, err := client.Heartbeat(jobID, only0); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Rank 1 goes silent; rank 0 keeps renewing. The 200ms liveness lease
-	// lapses and the daemon serves the verdict.
-	only0 := []Membership{{Epoch: jobID, Rank: 0}}
+	// Rank 1 never beats; rank 0 keeps renewing. Rank 1's lease, held
+	// since its creation, lapses, and the daemon destroys the false
+	// survivor's slave.
 	waitFor(t, func() bool {
-		reply, err := client.Heartbeat(jobID, only0)
+		if _, err := client.Heartbeat(jobID, only0); err != nil {
+			t.Fatal(err)
+		}
+		return d.SlaveCount() == 1
+	})
+
+	// The lease-renewal reply carries the verdict (what excuses the dead
+	// rank's missing report at the client), and only that one.
+	verdicts := func() []DeadRank {
+		t.Helper()
+		dead, err := client.RenewJob(jobID, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, dr := range reply.Dead {
-			if dr.Epoch == jobID && dr.Rank == 1 && strings.Contains(dr.Cause, "lease expired") {
-				return true
-			}
-		}
-		return false
-	})
+		return dead
+	}
+	dead := verdicts()
+	if len(dead) != 1 || dead[0].Epoch != jobID || dead[0].Rank != 1 || !strings.Contains(dead[0].Cause, "lease expired") {
+		t.Fatalf("RenewJob reply %v, want rank 1's lease verdict alone", dead)
+	}
 
-	// The lease-renewal reply carries the same verdict (the path that
-	// reaches daemons hosting no surviving rank of the job).
-	dead, err := client.RenewJob(jobID, time.Minute)
-	if err != nil {
+	// A dead rank must not resurrect: its heartbeat does not re-track it,
+	// and the verdict stands.
+	both := []Membership{{Epoch: jobID, Rank: 0}, {Epoch: jobID, Rank: 1}}
+	if _, err := client.Heartbeat(jobID, both); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, dr := range dead {
-		if dr.Epoch == jobID && dr.Rank == 1 {
-			found = true
-		}
+	if dead := verdicts(); len(dead) != 1 || dead[0].Rank != 1 {
+		t.Fatalf("verdicts after the dead rank's heartbeat: %v", dead)
 	}
-	if !found {
-		t.Fatalf("RenewJob reply %v missing rank 1 verdict", dead)
-	}
-
-	// The false survivor's local slave process is destroyed.
-	waitFor(t, func() bool { return d.SlaveCount() == 1 })
-
-	// A dead rank must not resurrect: its heartbeat keeps reporting the
-	// verdict instead of re-tracking.
-	reply, err = client.Heartbeat(jobID, both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found = false
-	for _, dr := range reply.Dead {
-		if dr.Rank == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("verdict vanished after dead rank heartbeat: %v", reply.Dead)
+	if d.SlaveCount() != 1 {
+		t.Fatalf("%d slaves, want rank 0's alone", d.SlaveCount())
 	}
 
 	if err := client.DestroyJob(jobID, "test teardown"); err != nil {

@@ -1,12 +1,11 @@
-// Package events implements the distributed-event mechanism of the
-// paper's §3.3: Jini remote events carried over RPC. The key event type
-// is the MPJAbort event — raised when any slave of a job dies — whose
-// delivery causes every remaining slave of that job to be destroyed,
-// converting partial failure into clean total failure.
-//
-// See ARCHITECTURE.md at the repository root for where this package sits in
-// the layer stack.
-package events
+package daemon
+
+// The distributed-event mechanism of the paper's §3.3: Jini remote events
+// carried over RPC. The key event type is the MPJAbort event — raised
+// when any slave of a job dies — whose delivery causes every remaining
+// slave of that job to be destroyed, converting partial failure into
+// clean total failure. The daemon raises it (monitor); the client
+// receives it (internal/job).
 
 import (
 	"fmt"
@@ -17,18 +16,13 @@ import (
 	"mpj/internal/rpc"
 )
 
-// Event types used by the MPJ runtime.
-const (
-	// TypeAbort is the MPJAbort event: a slave of the job has failed and
-	// the whole job must be torn down.
-	TypeAbort = "MPJAbort"
-	// TypeJobDone announces orderly completion of a job.
-	TypeJobDone = "MPJJobDone"
-)
+// TypeAbort is the MPJAbort event: a slave of the job has failed and the
+// whole job must be torn down.
+const TypeAbort = "MPJAbort"
 
 // Event is the remote event record (the RemoteEvent analogue).
 type Event struct {
-	Type    string // one of the Type* constants
+	Type    string // TypeAbort
 	JobID   uint64 // the job the event concerns
 	Source  string // originator description, e.g. "daemon host:port"
 	Seq     uint64 // originator-local sequence number

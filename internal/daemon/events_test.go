@@ -1,4 +1,4 @@
-package events
+package daemon
 
 import (
 	"strings"
@@ -50,7 +50,7 @@ func TestConcurrentNotifiers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = Notify(r.Addr(), Event{Type: TypeJobDone, Seq: uint64(i)})
+			errs[i] = Notify(r.Addr(), Event{Type: TypeAbort, Seq: uint64(i)})
 		}()
 	}
 	wg.Wait()

@@ -14,10 +14,10 @@ import (
 // runtime: every rank of a job holds a liveness lease and renews it by
 // heartbeat; a rank whose lease lapses is marked dead — permanently, a
 // dead rank never resurrects — and every subscriber is told. In a
-// distributed job the subscription seam fans the verdict out to the
-// surviving slaves' devices (device.NotifyRankFailed), turning lease
-// expiry into the typed ErrRankFailed failures the communicator layer
-// recovers from with Revoke/Shrink/Agree.
+// distributed job the daemon's subscription destroys the slave the
+// verdict names; its peers' transports report the break, which the
+// communicator layer sees as the typed ErrRankFailed failures it recovers
+// from with Revoke/Shrink/Agree.
 //
 // This extends the paper's leasing discipline (§3.4) from whole-job
 // reclamation to per-rank detection: the same landlord/holder mechanics,
@@ -137,8 +137,7 @@ func (fr *FailureRegistry) Kill(rank int, err error) {
 }
 
 // DeadSet returns a snapshot of every rank declared dead so far with its
-// verdict. Heartbeat and lease-renewal replies carry this set back to the
-// surviving side of the job.
+// verdict. Lease-renewal replies carry this set to the job's client.
 func (fr *FailureRegistry) DeadSet() map[int]error {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()

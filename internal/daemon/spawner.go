@@ -38,10 +38,10 @@ type SlaveSpec struct {
 	// Elastic switches the job to the elastic failure model: a slave
 	// death no longer destroys its local siblings or raises MPJAbort.
 	// Instead the daemon records the dead rank in the job's failure
-	// registry and serves the verdict through Heartbeat and RenewJob
-	// replies, so survivors observe a typed per-rank failure and can
-	// recover with Shrink/Spawn. Off by default: the paper's §3.3
-	// all-or-nothing semantics stay the non-elastic behaviour.
+	// registry (RenewJob replies carry the verdicts to the client), and
+	// survivors observe a typed per-rank failure from their transports
+	// and can recover with Shrink/Spawn. Off by default: the paper's
+	// §3.3 all-or-nothing semantics stay the non-elastic behaviour.
 	Elastic bool
 
 	// LivenessMs is the per-rank liveness lease duration for elastic
@@ -61,6 +61,19 @@ type SlaveSpec struct {
 	// Only meaningful when Epoch is non-zero.
 	SpawnBase int
 }
+
+// MeshEpoch resolves the mesh epoch the slave belongs to: its spawn epoch,
+// or the job id for the original mesh.
+func (s SlaveSpec) MeshEpoch() uint64 {
+	if s.Epoch != 0 {
+		return s.Epoch
+	}
+	return s.JobID
+}
+
+// Liveness resolves the slave's liveness lease: LivenessMs, or the daemon
+// default.
+func (s SlaveSpec) Liveness() time.Duration { return livenessDur(s.LivenessMs) }
 
 // slaveEnv is what starts a process slave: its spec and the address of
 // the daemon that spawned it.

@@ -1098,24 +1098,6 @@ func (d *Device) handle(src int, frame []byte) {
 		return
 	}
 
-	// Obituaries feed the failure registry directly: an out-of-band death
-	// verdict (lease expiry, observed process exit) gossiped by a peer is
-	// equivalent to a local detection. No re-gossip here — the origin of
-	// the verdict fans out to every peer itself (see BroadcastObit), and
-	// NotifyRankFailed absorbs duplicates.
-	if h.Kind == wire.KindObit {
-		dead, cause := int(h.Tag), string(payload)
-		wire.PutBuf(frame)
-		if dead >= 0 && dead < d.size {
-			// An obit for the device's own rank means the control plane
-			// declared this process dead (a partitioned lease expired):
-			// NotifyRankFailed turns that into total local failure, so the
-			// false survivor unwinds instead of diverging from the verdict.
-			d.NotifyRankFailed(dead, &ObitError{Reporter: src, Cause: cause})
-		}
-		return
-	}
-
 	// Payload arrival accounting happens here, at the frame boundary:
 	// eager frames carry their context, so bytes are attributed per
 	// communicator on the receiver too (rendezvous payloads: see land).
@@ -1304,6 +1286,17 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 	for _, w := range watchers {
 		w(peer, fail)
 	}
+}
+
+// Die condemns this rank and tears its device down: the registry records
+// its own death with cause (so waiters see a RankFailedError, and a slave
+// reports itself dead rather than done), then the transport aborts. Peers
+// learn of the death the way they learn of any other, from their
+// transports: a broken connection, or the channel mesh's report of the
+// abort. It is how an application plays a rank dying mid-job.
+func (d *Device) Die(cause error) {
+	d.NotifyRankFailed(d.rank, cause)
+	d.Abort()
 }
 
 // failAllLocked completes every operation the device still holds — posted

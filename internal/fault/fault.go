@@ -99,15 +99,17 @@ func (d *Domain) Kill(victim int) {
 	}
 	d.mu.Unlock()
 
-	for _, ep := range eps {
-		if ep.inner.Rank() == victim {
-			ep.inner.Abort()
-		}
-	}
+	// Notify first: the victim's abort reports it again to co-located
+	// endpoints, and the first cause recorded is the one the ranks keep.
 	err := fmt.Errorf("fault: rank %d killed", victim)
 	for _, ep := range eps {
 		if h := ep.errHandler(); h != nil {
 			h(victim, err)
+		}
+	}
+	for _, ep := range eps {
+		if ep.inner.Rank() == victim {
+			ep.inner.Abort()
 		}
 	}
 }

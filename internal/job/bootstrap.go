@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"mpj/internal/daemon"
 	"mpj/internal/transport"
 )
 
@@ -46,22 +47,11 @@ type (
 		Rank int
 		Err  string
 		// Dead marks a self-declared death: the rank's own failure
-		// registry condemned it (it announced its own obituary, or a
-		// daemon verdict reached it) and it unwound instead of crashing.
+		// registry condemned it (see device.Die) and it unwound instead of
+		// crashing.
 		// Elastic jobs excuse such a report once the daemon verdict
 		// confirms it, like a vanished rank; an ordinary Err stays fatal.
 		Dead bool
-	}
-	// Obit is a death notice pushed master→slave down the persistent
-	// bootstrap connection: rank Rank of mesh epoch Epoch is dead. It is
-	// the client-mediated liveness path of elastic jobs, covering deaths
-	// no surviving slave could learn from its own daemon (a daemon whose
-	// only rank is the dead one reports them in lease-renewal replies,
-	// and the client fans them out here).
-	Obit struct {
-		Epoch uint64
-		Rank  int
-		Cause string
 	}
 )
 
@@ -81,11 +71,8 @@ type master struct {
 
 	mu       sync.Mutex
 	conns    []net.Conn
-	encs     []*gob.Encoder
 	decs     []*gob.Decoder
-	gathered bool           // table sent; obits may use the encoders
-	backlog  []Obit         // obits that arrived before the table went out
-	pushed   map[Obit]bool  // de-dup: each verdict is pushed once
+	gathered bool           // table sent; await owns the connections
 	dead     map[int]string // original-epoch dead ranks, by rank
 }
 
@@ -96,14 +83,12 @@ func newMaster(jobID uint64, np int) (*master, error) {
 		return nil, fmt.Errorf("job: bootstrap listener: %w", err)
 	}
 	return &master{
-		jobID:  jobID,
-		np:     np,
-		ln:     ln,
-		conns:  make([]net.Conn, np),
-		encs:   make([]*gob.Encoder, np),
-		decs:   make([]*gob.Decoder, np),
-		pushed: make(map[Obit]bool),
-		dead:   make(map[int]string),
+		jobID: jobID,
+		np:    np,
+		ln:    ln,
+		conns: make([]net.Conn, np),
+		decs:  make([]*gob.Decoder, np),
+		dead:  make(map[int]string),
 	}, nil
 }
 
@@ -136,7 +121,6 @@ func (m *master) gather() error {
 		}
 		m.mu.Lock()
 		m.conns[hello.Rank] = conn
-		m.encs[hello.Rank] = gob.NewEncoder(conn)
 		m.decs[hello.Rank] = dec
 		m.mu.Unlock()
 		addrs[hello.Rank] = hello.Addr
@@ -145,54 +129,31 @@ func (m *master) gather() error {
 	}
 	table := Table{Addrs: addrs, Locs: locs}
 	for r := 0; r < m.np; r++ {
-		if err := m.encs[r].Encode(table); err != nil {
+		if err := gob.NewEncoder(m.conns[r]).Encode(table); err != nil {
 			return fmt.Errorf("job: sending address table to rank %d: %w", r, err)
 		}
 	}
-	// Obits may now share the encoders with no table send to interleave
-	// with; flush any verdicts that raced the gather.
 	m.mu.Lock()
 	m.gathered = true
-	backlog := m.backlog
-	m.backlog = nil
 	m.mu.Unlock()
-	m.pushObits(backlog)
 	return nil
 }
 
-// pushObits fans death verdicts out to every connected slave (elastic
-// jobs only; the renewers feed it from RenewJob replies). A verdict for
-// the job's original mesh also closes the dead rank's bootstrap
-// connection, so an await blocked on that rank's Done report unblocks.
-func (m *master) pushObits(dead []Obit) {
-	if len(dead) == 0 {
-		return
-	}
+// recordDead records the death verdicts of the job's original mesh (the
+// renewers feed it from RenewJob replies of elastic jobs), so await
+// excuses those ranks' missing reports. Once the table is out it also
+// closes a dead rank's bootstrap connection, so an await blocked on that
+// rank's report unblocks.
+func (m *master) recordDead(dead []daemon.DeadRank) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.gathered {
-		m.backlog = append(m.backlog, dead...)
-		return
-	}
-	for _, ob := range dead {
-		if m.pushed[ob] {
+	for _, dr := range dead {
+		if dr.Epoch != m.jobID || dr.Rank < 0 || dr.Rank >= m.np {
 			continue
 		}
-		m.pushed[ob] = true
-		orig := ob.Epoch == m.jobID
-		for r, enc := range m.encs {
-			if enc == nil || (orig && r == ob.Rank) {
-				continue
-			}
-			// Best effort: a slave that already left (or died) just
-			// misses a verdict its own daemon or mesh sockets deliver.
-			_ = enc.Encode(ob)
-		}
-		if orig && ob.Rank >= 0 && ob.Rank < m.np {
-			m.dead[ob.Rank] = ob.Cause
-			if c := m.conns[ob.Rank]; c != nil {
-				c.Close()
-			}
+		m.dead[dr.Rank] = dr.Cause
+		if c := m.conns[dr.Rank]; c != nil && m.gathered {
+			c.Close()
 		}
 	}
 }
@@ -286,7 +247,6 @@ func (m *master) close() {
 // SlaveConn is the slave's side of the bootstrap connection.
 type SlaveConn struct {
 	conn net.Conn
-	dec  *gob.Decoder
 	rank int
 
 	mu  sync.Mutex // guards enc (writes share the conn with nothing else)
@@ -312,7 +272,6 @@ func SlaveBootstrap(masterAddr string, jobID uint64, rank int) (*SlaveConn, Tabl
 	sc := &SlaveConn{
 		conn: conn,
 		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
 		rank: rank,
 	}
 	hello := Hello{
@@ -328,7 +287,7 @@ func SlaveBootstrap(masterAddr string, jobID uint64, rank int) (*SlaveConn, Tabl
 	}
 	var table Table
 	_ = conn.SetReadDeadline(time.Now().Add(BootstrapTimeout))
-	if err := sc.dec.Decode(&table); err != nil {
+	if err := gob.NewDecoder(conn).Decode(&table); err != nil {
 		conn.Close()
 		meshLn.Close()
 		return nil, Table{}, nil, fmt.Errorf("job: slave receiving address table: %w", err)
@@ -359,17 +318,6 @@ func (sc *SlaveConn) ReportDead(cause error) error {
 		msg.Err = cause.Error()
 	}
 	return sc.enc.Encode(msg)
-}
-
-// ReadObit blocks for the next death notice the master pushes down the
-// bootstrap connection. After the address table, obits are the only
-// master→slave traffic, so a dedicated reader goroutine can loop on this
-// until the connection closes (elastic jobs only; classic masters push
-// nothing and the read simply blocks for the job's life).
-func (sc *SlaveConn) ReadObit() (Obit, error) {
-	var ob Obit
-	err := sc.dec.Decode(&ob)
-	return ob, err
 }
 
 // Close releases the bootstrap connection.

@@ -11,7 +11,6 @@ import (
 
 	"mpj/internal/core"
 	"mpj/internal/daemon"
-	"mpj/internal/events"
 	"mpj/internal/lease"
 	"mpj/internal/lookup"
 )
@@ -132,9 +131,9 @@ func Run(cfg Config) error {
 		}
 	}()
 
-	abort := make(chan events.Event, cfg.NP)
-	recv, err := events.NewReceiver(func(ev events.Event) {
-		if ev.Type == events.TypeAbort && ev.JobID == jobID {
+	abort := make(chan daemon.Event, cfg.NP)
+	recv, err := daemon.NewReceiver(func(ev daemon.Event) {
+		if ev.Type == daemon.TypeAbort && ev.JobID == jobID {
 			abort <- ev
 		}
 	})
@@ -201,17 +200,9 @@ func Run(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			// Elastic jobs: the renewal reply carries the daemon's death
-			// verdicts; pushing them down the bootstrap connections closes
-			// the propagation gap for daemons with no surviving local rank
-			// to gossip through.
-			if len(dead) > 0 {
-				obits := make([]Obit, len(dead))
-				for i, dr := range dead {
-					obits[i] = Obit{Epoch: dr.Epoch, Rank: dr.Rank, Cause: dr.Cause}
-				}
-				m.pushObits(obits)
-			}
+			// Elastic jobs: the reply carries the daemon's death verdicts,
+			// which excuse the dead ranks' missing reports.
+			m.recordDead(dead)
 			return nil
 		}, nil))
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"mpj/internal/events"
 )
 
 func newTestRegistrar(t *testing.T, udpPort int) *Registrar {
@@ -172,36 +170,5 @@ func TestMultipleServicesMultipleClients(t *testing.T) {
 	}
 	if len(items) != 5 {
 		t.Fatalf("found %d services, want 5", len(items))
-	}
-}
-
-// The events receiver lives in its own package; exercise the pair here to
-// cover the cross-service path the daemon uses (lookup + events together).
-func TestEventsDelivery(t *testing.T) {
-	got := make(chan events.Event, 1)
-	recv, err := events.NewReceiver(func(ev events.Event) { got <- ev })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-
-	want := events.Event{Type: events.TypeAbort, JobID: 7, Source: "daemon X", Seq: 1, Message: "slave 3 died"}
-	if err := events.Notify(recv.Addr(), want); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-got:
-		if ev != want {
-			t.Errorf("got %+v, want %+v", ev, want)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("event not delivered")
-	}
-}
-
-func TestNotifyUnreachableReceiver(t *testing.T) {
-	err := events.Notify("127.0.0.1:1", events.Event{Type: events.TypeAbort})
-	if err == nil {
-		t.Error("notify to dead address succeeded")
 	}
 }

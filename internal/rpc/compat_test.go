@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mpj/internal/daemon"
-	"mpj/internal/events"
 	"mpj/internal/lookup"
 )
 
@@ -116,14 +115,14 @@ func TestStdlibClientCallsRegistrar(t *testing.T) {
 }
 
 func TestStdlibClientCallsEventListener(t *testing.T) {
-	got := make(chan events.Event, 1)
-	recv, err := events.NewReceiver(func(ev events.Event) { got <- ev })
+	got := make(chan daemon.Event, 1)
+	recv, err := daemon.NewReceiver(func(ev daemon.Event) { got <- ev })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recv.Close()
 	c := stdDial(t, recv.Addr())
-	want := events.Event{Type: events.TypeAbort, JobID: 3, Source: "s", Seq: 4, Message: "m"}
+	want := daemon.Event{Type: daemon.TypeAbort, JobID: 3, Source: "s", Seq: 4, Message: "m"}
 	if err := c.Call("EventListener.Notify", want, &struct{}{}); err != nil {
 		t.Fatalf("Notify: %v", err)
 	}

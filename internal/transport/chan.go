@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -24,13 +25,17 @@ type inItem struct {
 // into the buffer the destination's Lander names, so no reference to the
 // sender's memory ever waits in a queue its owner cannot drain.
 //
+// In-process endpoints have no connection whose break a peer could see,
+// so the mesh reports an endpoint's Abort to the error handler of every
+// other endpoint instead (ErrPeerAborted), once each: to those started at
+// the time, and to those that start later when they start.
+//
 // ChanTransport lets an entire MPJ job — all ranks — run inside a single
 // test process with the exact same device and API layers that run over TCP.
 type ChanTransport struct {
 	rank    int
 	size    int
-	inboxes []chan inItem
-	landers []atomic.Pointer[Lander] // landers[i] is endpoint i's; shared by the mesh
+	mesh    *chanMesh
 	queues  []*sendQueue
 	peers   Peers
 	handler Handler
@@ -45,6 +50,70 @@ type ChanTransport struct {
 
 var _ Transport = (*ChanTransport)(nil)
 
+// ErrPeerAborted is the cause a channel mesh reports to its endpoints'
+// error handlers when another endpoint of the mesh aborts.
+var ErrPeerAborted = errors.New("transport: co-located peer aborted")
+
+// chanMesh is what the endpoints of one channel mesh share: the inboxes,
+// the landers (landers[i] is endpoint i's), and the abort reports.
+type chanMesh struct {
+	inboxes []chan inItem
+	landers []atomic.Pointer[Lander]
+
+	mu      sync.Mutex
+	started []*ChanTransport // by rank, once Start ran
+	aborted []int            // ranks whose endpoint aborted, kept for late starters
+}
+
+// abort records rank's abort and reports it to every other started
+// endpoint.
+func (m *chanMesh) abort(rank int) {
+	m.mu.Lock()
+	m.aborted = append(m.aborted, rank)
+	var told []*ChanTransport
+	for _, ep := range m.started {
+		if ep != nil && ep.rank != rank {
+			told = append(told, ep)
+		}
+	}
+	m.mu.Unlock()
+	for _, ep := range told {
+		ep.errh(rank, ErrPeerAborted)
+	}
+}
+
+// start records t as started and reports to it every abort recorded so far.
+func (m *chanMesh) start(t *ChanTransport) {
+	m.mu.Lock()
+	m.started[t.rank] = t
+	var gone []int
+	for _, r := range m.aborted {
+		if r != t.rank {
+			gone = append(gone, r)
+		}
+	}
+	m.mu.Unlock()
+	for _, r := range gone {
+		t.errh(r, ErrPeerAborted)
+	}
+}
+
+// leave forgets t: an endpoint that has shut down hears of no more aborts.
+func (m *chanMesh) leave(t *ChanTransport) {
+	m.mu.Lock()
+	if m.started[t.rank] == t {
+		m.started[t.rank] = nil
+	}
+	m.mu.Unlock()
+}
+
+// anyAborted reports whether an endpoint of the mesh has aborted.
+func (m *chanMesh) anyAborted() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.aborted) > 0
+}
+
 // chanInboxDepth is the buffering of each inbox channel. It only affects
 // scheduling granularity: the unbounded send queues absorb any burst.
 const chanInboxDepth = 256
@@ -55,11 +124,14 @@ func NewChanMesh(np int) []*ChanTransport {
 	if np <= 0 {
 		panic(fmt.Sprintf("transport: NewChanMesh(%d): np must be positive", np))
 	}
-	inboxes := make([]chan inItem, np)
-	for i := range inboxes {
-		inboxes[i] = make(chan inItem, chanInboxDepth)
+	mesh := &chanMesh{
+		inboxes: make([]chan inItem, np),
+		landers: make([]atomic.Pointer[Lander], np),
+		started: make([]*ChanTransport, np),
 	}
-	landers := make([]atomic.Pointer[Lander], np)
+	for i := range mesh.inboxes {
+		mesh.inboxes[i] = make(chan inItem, chanInboxDepth)
+	}
 	local := make([]bool, np) // every endpoint shares the process
 	for i := range local {
 		local[i] = true
@@ -71,13 +143,12 @@ func NewChanMesh(np int) []*ChanTransport {
 			queues[j] = newSendQueue()
 		}
 		eps[i] = &ChanTransport{
-			rank:    i,
-			size:    np,
-			inboxes: inboxes,
-			landers: landers,
-			queues:  queues,
-			peers:   Peers{Device: DeviceChan, Local: local},
-			stop:    make(chan struct{}),
+			rank:   i,
+			size:   np,
+			mesh:   mesh,
+			queues: queues,
+			peers:  Peers{Device: DeviceChan, Local: local},
+			stop:   make(chan struct{}),
 		}
 	}
 	return eps
@@ -98,10 +169,11 @@ func (t *ChanTransport) SetHandler(h Handler) { t.handler = h }
 
 // SetLander installs the landing hook peers' SendData payloads resolve
 // through.
-func (t *ChanTransport) SetLander(l Lander) { t.landers[t.rank].Store(&l) }
+func (t *ChanTransport) SetLander(l Lander) { t.mesh.landers[t.rank].Store(&l) }
 
-// SetErrorHandler installs the peer failure handler. The channel mesh never
-// fails spontaneously, but tests inject failures through it.
+// SetErrorHandler installs the peer failure handler, which hears of the
+// other endpoints' aborts (and of failures tests inject). Install it
+// before Start.
 func (t *ChanTransport) SetErrorHandler(h ErrorHandler) { t.errh = h }
 
 // InjectError invokes the error handler as if peer's connection had failed.
@@ -134,8 +206,20 @@ func (t *ChanTransport) SendData(dst int, h wire.Header, payload []byte, done fu
 	return nil
 }
 
-// Start launches the demux goroutine and one writer per destination.
+// Start launches the demux goroutine and one writer per destination, then
+// reports to the error handler the aborts of other endpoints so far.
 func (t *ChanTransport) Start() error {
+	if err := t.launch(); err != nil {
+		return err
+	}
+	if t.errh != nil {
+		t.mesh.start(t)
+	}
+	return nil
+}
+
+// launch is Start up to the report, under t.mu.
+func (t *ChanTransport) launch() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.started {
@@ -145,6 +229,7 @@ func (t *ChanTransport) Start() error {
 		return ErrNoHandler
 	}
 	t.started = true
+	inbox := t.mesh.inboxes[t.rank]
 
 	// Demux: the single "input handler" goroutine of this endpoint.
 	t.wg.Add(1)
@@ -152,14 +237,14 @@ func (t *ChanTransport) Start() error {
 		defer t.wg.Done()
 		for {
 			select {
-			case it := <-t.inboxes[t.rank]:
+			case it := <-inbox:
 				t.handler(it.src, it.frame)
 			case <-t.stop:
 				// Drain whatever is already buffered so orderly
 				// shutdowns do not drop frames.
 				for {
 					select {
-					case it := <-t.inboxes[t.rank]:
+					case it := <-inbox:
 						t.handler(it.src, it.frame)
 					default:
 						return
@@ -194,14 +279,14 @@ func (t *ChanTransport) Start() error {
 						it.data.done(ErrClosed)
 					default:
 						var land Lander
-						if l := t.landers[dst].Load(); l != nil {
+						if l := t.mesh.landers[dst].Load(); l != nil {
 							land = *l
 						}
 						landLocal(land, t.rank, it.data)
 					}
 				} else {
 					select {
-					case t.inboxes[dst] <- inItem{src: t.rank, frame: it.frame}:
+					case t.mesh.inboxes[dst] <- inItem{src: t.rank, frame: it.frame}:
 					case <-t.stop:
 					}
 				}
@@ -241,24 +326,30 @@ func (t *ChanTransport) Drain() {
 // completes the peer's barrier. Frames already in this endpoint's inbox are
 // handed to the handler before the demux goroutine exits.
 func (t *ChanTransport) Close() error {
-	return t.shutdown(true)
+	t.shutdown(true)
+	return nil
 }
 
-// Abort stops the endpoint without draining. In-process meshes have no
-// connection state for peers to observe, so failure propagation across an
-// in-process job is the caller's responsibility (RunLocal closes every
-// endpoint of the mesh).
-func (t *ChanTransport) Abort() { _ = t.shutdown(false) }
+// Abort stops the endpoint without draining, and the mesh reports it to
+// every other endpoint's error handler (see ChanTransport), as a broken
+// connection reports a TCP peer's death.
+func (t *ChanTransport) Abort() {
+	if t.shutdown(false) {
+		t.mesh.abort(t.rank)
+	}
+}
 
-func (t *ChanTransport) shutdown(drain bool) error {
+// shutdown stops the endpoint; it reports whether this call did.
+func (t *ChanTransport) shutdown(drain bool) bool {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil
+		return false
 	}
 	t.closed = true
 	started := t.started
 	t.mu.Unlock()
+	t.mesh.leave(t)
 
 	if started && drain {
 		t.Drain()
@@ -270,5 +361,5 @@ func (t *ChanTransport) shutdown(drain bool) error {
 	if started {
 		t.wg.Wait()
 	}
-	return nil
+	return true
 }

@@ -1,10 +1,10 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,7 +30,6 @@ type HybTransport struct {
 	rank  int
 	size  int
 	jobID uint64
-	loc   string
 	peers Peers // Local[i]: rank i shares this process, route via ch
 
 	ch  *ChanTransport // shared-process mesh endpoint (always present; carries loopback)
@@ -43,12 +42,6 @@ type HybTransport struct {
 }
 
 var _ Transport = (*HybTransport)(nil)
-
-// ErrPeerAborted is reported through the error handler of co-located
-// endpoints when a peer in the same process aborts: in-process peers have
-// no connection to observe breaking, so the hub propagates the failure
-// explicitly.
-var ErrPeerAborted = errors.New("transport: co-located peer aborted")
 
 // ProcessLocality returns this process's locality key: ranks whose keys
 // compare equal share an OS process and can exchange frames over channels.
@@ -160,13 +153,13 @@ func NewHybTransport(cfg HybConfig) (*HybTransport, error) {
 		rank:  cfg.Rank,
 		size:  size,
 		jobID: cfg.JobID,
-		loc:   loc,
 		peers: DescribePeers(DeviceHyb, cfg.Rank, locs, local),
 	}
-	ch, err := processHub.join(cfg.JobID, size, cfg.Rank, t)
+	ch, err := processHub.join(cfg.JobID, size, cfg.Rank, local)
 	if err != nil {
 		return nil, err
 	}
+	ch.SetErrorHandler(t.peerAborted)
 	t.ch = ch
 	if remote > 0 {
 		if cfg.Listener == nil {
@@ -215,7 +208,8 @@ func (t *HybTransport) SetLander(l Lander) {
 }
 
 // SetErrorHandler installs the peer-failure handler. TCP-side connection
-// failures and hub-propagated aborts of co-located peers both arrive here.
+// failures and the channel mesh's reports of co-located peers' aborts both
+// arrive here.
 func (t *HybTransport) SetErrorHandler(h ErrorHandler) {
 	t.mu.Lock()
 	t.errh = h
@@ -330,8 +324,8 @@ func (t *HybTransport) Close() error {
 
 // Abort tears both halves down abruptly. Remote peers observe their TCP
 // connections breaking, exactly as with the plain TCP transport; peers
-// co-located in this process have no connection to observe, so the hub
-// notifies their error handlers directly. Either way the paper's
+// co-located in this process hear of it from the channel mesh, which also
+// tells those that start later. Either way the paper's
 // partial-failure-becomes-total-failure model holds across a mixed job.
 func (t *HybTransport) Abort() {
 	t.mu.Lock()
@@ -342,20 +336,21 @@ func (t *HybTransport) Abort() {
 	t.closed = true
 	t.mu.Unlock()
 
-	siblings := processHub.coLocated(t.jobID, t.rank, t.loc)
 	t.ch.Abort()
 	if t.tcp != nil {
 		t.tcp.Abort()
 	}
 	processHub.leave(t.jobID, t.rank)
-	for _, s := range siblings {
-		s.peerAborted(t.rank)
-	}
 }
 
-// peerAborted forwards a co-located peer's abort to this endpoint's error
-// handler, unless this endpoint is already shut down.
-func (t *HybTransport) peerAborted(peer int) {
+// peerAborted forwards the channel mesh's report of an aborted endpoint to
+// this endpoint's error handler, when the rank shares this process and the
+// endpoint still runs. A rank that only shares the hub (a test lays out
+// several hosts in one process) is a TCP peer: its socket reports it.
+func (t *HybTransport) peerAborted(peer int, err error) {
+	if !t.peers.Local[peer] {
+		return
+	}
 	t.mu.Lock()
 	h := t.errh
 	closed := t.closed
@@ -363,7 +358,7 @@ func (t *HybTransport) peerAborted(peer int) {
 	if closed || h == nil {
 		return
 	}
-	h(peer, ErrPeerAborted)
+	h(peer, err)
 }
 
 // hub is the process-local rendezvous through which co-located ranks of a
@@ -372,41 +367,57 @@ func (t *HybTransport) peerAborted(peer int) {
 type hub struct {
 	mu   sync.Mutex
 	jobs map[uint64]*hubJob
+	keep time.Duration // how long a memberless job keeps an owed report
 }
 
 // hubJob is one job's shared state in the hub: a full-width channel mesh
-// (endpoints of remote ranks simply stay unused) and the locally joined
-// endpoints, kept for abort propagation.
+// (endpoints of remote ranks simply stay unused) and the ranks that have
+// joined it. The job outlives its members while an abort is on record and
+// a rank that shares a member's process has yet to join: the mesh tells
+// that rank of the abort when it starts. A rank that dies before it joins
+// never comes, so the report is kept for the hub's keep only.
 type hubJob struct {
 	np      int
 	eps     []*ChanTransport
-	members map[int]*HybTransport
+	members map[int]bool
+	joined  []bool // ever joined
+	owed    []bool // shares a joiner's process, not joined yet
 }
 
-var processHub = hub{jobs: make(map[uint64]*hubJob)}
+// processHub keeps an owed report for as long as a mesh may take to form.
+var processHub = hub{jobs: make(map[uint64]*hubJob), keep: BootstrapTimeout}
 
-// join registers rank under jobID and returns its channel-mesh endpoint.
-// The first rank of a job to arrive creates the mesh; every rank leaves
-// again through leave, and the job entry dies with its last member.
-func (h *hub) join(jobID uint64, np, rank int, m *HybTransport) (*ChanTransport, error) {
+// join registers rank under jobID and returns its channel-mesh endpoint;
+// local marks the ranks that share its process. The first rank of a job
+// to arrive creates the mesh; every rank leaves again through leave.
+func (h *hub) join(jobID uint64, np, rank int, local []bool) (*ChanTransport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	j := h.jobs[jobID]
 	if j == nil {
-		j = &hubJob{np: np, eps: NewChanMesh(np), members: make(map[int]*HybTransport)}
+		j = &hubJob{np: np, eps: NewChanMesh(np), members: make(map[int]bool), joined: make([]bool, np), owed: make([]bool, np)}
 		h.jobs[jobID] = j
 	}
 	if j.np != np {
 		return nil, fmt.Errorf("transport: hub job %d spans %d ranks, rank %d expects %d", jobID, j.np, rank, np)
 	}
-	if _, dup := j.members[rank]; dup {
+	if j.members[rank] {
 		return nil, fmt.Errorf("transport: rank %d joined hub job %d twice", rank, jobID)
 	}
-	j.members[rank] = m
+	j.members[rank] = true
+	j.joined[rank] = true
+	j.owed[rank] = false
+	for r, l := range local {
+		if l && !j.joined[r] {
+			j.owed[r] = true
+		}
+	}
 	return j.eps[rank], nil
 }
 
-// leave deregisters rank from jobID, dropping the job when empty.
+// leave deregisters rank from jobID. The job entry dies with its last
+// member, or, when it owes an abort report to a rank yet to join, h.keep
+// later unless a rank has joined by then.
 func (h *hub) leave(jobID uint64, rank int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -415,25 +426,18 @@ func (h *hub) leave(jobID uint64, rank int) {
 		return
 	}
 	delete(j.members, rank)
-	if len(j.members) == 0 {
+	if len(j.members) > 0 {
+		return
+	}
+	if !slices.Contains(j.owed, true) || !j.eps[0].mesh.anyAborted() {
 		delete(h.jobs, jobID)
+		return
 	}
-}
-
-// coLocated snapshots the currently joined endpoints sharing loc, rank's
-// own excluded. Callers use the snapshot outside the hub lock.
-func (h *hub) coLocated(jobID uint64, rank int, loc string) []*HybTransport {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	j := h.jobs[jobID]
-	if j == nil {
-		return nil
-	}
-	var out []*HybTransport
-	for r, m := range j.members {
-		if r != rank && m.loc == loc {
-			out = append(out, m)
+	time.AfterFunc(h.keep, func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if h.jobs[jobID] == j && len(j.members) == 0 {
+			delete(h.jobs, jobID)
 		}
-	}
-	return out
+	})
 }

@@ -72,9 +72,12 @@ func TestHybAllLocalPingPong(t *testing.T) {
 // giving ranks {0,1} and {2,3} different locality keys: intra-pair frames
 // must ride the channel mesh, cross-pair frames the TCP mesh, and the
 // all-to-all traffic must still arrive exactly once each.
-func TestHybMixedLocalityRouting(t *testing.T) {
-	const np = 4
-	locs := []string{"hostA#1", "hostA#1", "hostB#1", "hostB#1"}
+// buildHybMixed returns started hybrid endpoints laid out on the hosts
+// locs names (one process carries them all), their collectors, and the
+// failures their error handlers hear.
+func buildHybMixed(t *testing.T, jobID uint64, locs []string) ([]*HybTransport, []*collector, chan peerFailure) {
+	t.Helper()
+	np := len(locs)
 	lns := make([]net.Listener, np)
 	addrs := make([]string, np)
 	for i := range lns {
@@ -82,7 +85,7 @@ func TestHybMixedLocalityRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ln.Close()
+		t.Cleanup(func() { ln.Close() })
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
@@ -90,12 +93,11 @@ func TestHybMixedLocalityRouting(t *testing.T) {
 	errs := make([]error, np)
 	var wg sync.WaitGroup
 	for i := 0; i < np; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			eps[i], errs[i] = NewHybTransport(HybConfig{
-				Rank: i, JobID: 9002, Locs: locs, Addrs: addrs, Listener: lns[i],
+				Rank: i, JobID: jobID, Locs: locs, Addrs: addrs, Listener: lns[i],
 			})
 		}()
 	}
@@ -106,9 +108,13 @@ func TestHybMixedLocalityRouting(t *testing.T) {
 		}
 	}
 	cols := make([]*collector, np)
+	failures := make(chan peerFailure, np*np)
 	for i, ep := range eps {
 		cols[i] = newCollector()
 		ep.SetHandler(cols[i].handle)
+		ep.SetErrorHandler(func(peer int, err error) {
+			failures <- peerFailure{rank: i, peer: peer, err: err}
+		})
 		if err := ep.Start(); err != nil {
 			t.Fatalf("Start rank %d: %v", i, err)
 		}
@@ -118,6 +124,13 @@ func TestHybMixedLocalityRouting(t *testing.T) {
 			ep.Close()
 		}
 	})
+	return eps, cols, failures
+}
+
+func TestHybMixedLocalityRouting(t *testing.T) {
+	const np = 4
+	locs := []string{"hostA#1", "hostA#1", "hostB#1", "hostB#1"}
+	eps, cols, _ := buildHybMixed(t, 9002, locs)
 
 	for i := 0; i < np; i++ {
 		for j := 0; j < np; j++ {

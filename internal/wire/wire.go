@@ -104,20 +104,13 @@ const (
 	KindRmaFetchReply
 )
 
-// KindObit announces a rank death learned out of band (a daemon liveness
-// lease expired, a slave process exited): Tag carries the dead world rank
-// and the payload a human-readable cause. Obits feed the receiver's
-// failure registry; they ride outside the RMA range and never enter the
-// matching engine. Declared after the RMA family so IsRMA stays a single
-// range test.
-const KindObit Kind = KindRmaFetchReply + 1
-
 // KindPulled answers an RTS in place of CTS and DATA: the receiver has
 // copied the payload out of the sender's memory itself (a sender that is
 // another process on the receiver's host offers that in its RTS, see the
 // pull in internal/device) and the send is complete. MsgID echoes the RTS
-// message id. Outside the RMA range, like KindObit.
-const KindPulled Kind = KindObit + 1
+// message id. Declared after the RMA family so IsRMA stays a single range
+// test.
+const KindPulled Kind = KindRmaFetchReply + 1
 
 // The ring kinds pass only between two processes of one host, over the
 // socket beside a shared-memory ring (see internal/transport ring.go), and
@@ -184,8 +177,6 @@ func (k Kind) String() string {
 		return "RMACAS"
 	case KindRmaFetchReply:
 		return "RMAFETCHREPLY"
-	case KindObit:
-		return "OBIT"
 	case KindPulled:
 		return "PULLED"
 	case KindRingOffer:

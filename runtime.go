@@ -354,35 +354,39 @@ func SlaveMain() {
 	os.Exit(0)
 }
 
-// watchdogInterval is how often a process slave probes its daemon; after
-// three consecutive failures the slave self-destructs (the paper's
-// daemon-leases-its-own-slaves rule, §3.4).
-var watchdogInterval = 2 * time.Second
+// watchdogInterval is the longest a slave waits between probes of its
+// daemon; an elastic slave beats four times per liveness lease when that
+// is sooner.
+// After three consecutive failures a process slave self-destructs (the
+// paper's daemon-leases-its-own-slaves rule, §3.4).
+const watchdogInterval = 2 * time.Second
 
-// watchdog is a process slave's self-destruct rule: every
-// watchdogInterval it dials its daemon and runs probe on the connection,
-// and after three consecutive failures the daemon is gone and the process
-// exits. It returns when stop closes.
-func watchdog(daemonAddr string, stop <-chan struct{}, probe func(*daemon.Client) error) {
+// watchdog ties a slave to its daemon: at once and then every interval it
+// dials the daemon and runs probe on the connection, until stop closes.
+// The first probe does not wait an interval, so an elastic slave's first
+// beat renews the lease the daemon started at its creation well within
+// it. After three consecutive failures the daemon is gone, and a process
+// slave (orphan true) exits.
+func watchdog(daemonAddr string, interval time.Duration, orphan bool, stop <-chan struct{}, probe func(*daemon.Client) error) {
 	failures := 0
-	tick := time.NewTicker(watchdogInterval)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
+		client, err := daemon.DialDaemon(daemonAddr)
+		if err == nil {
+			err = probe(client)
+			client.Close()
+		}
+		if err == nil {
+			failures = 0
+		} else if failures++; failures >= 3 && orphan {
+			fmt.Fprintln(os.Stderr, "mpj slave: daemon unreachable, self-destructing")
+			os.Exit(3)
+		}
 		select {
 		case <-stop:
 			return
 		case <-tick.C:
-			client, err := daemon.DialDaemon(daemonAddr)
-			if err == nil {
-				err = probe(client)
-				client.Close()
-			}
-			if err == nil {
-				failures = 0
-			} else if failures++; failures >= 3 {
-				fmt.Fprintln(os.Stderr, "mpj slave: daemon unreachable, self-destructing")
-				os.Exit(3)
-			}
 		}
 	}
 }
@@ -396,7 +400,8 @@ func ping(c *daemon.Client) error {
 // RunSlave executes one slave's life cycle over real TCP: bootstrap,
 // mesh, application, report. stop (may be nil) aborts the slave
 // cooperatively; it is used by in-process slave simulations. A non-empty
-// daemonAddr arms the self-destruct watchdog.
+// daemonAddr arms the watchdog: a process slave's self-destruct rule and,
+// in an elastic job, every slave's liveness heartbeat.
 func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) error {
 	app, err := lookupApp(spec.App)
 	if err != nil {
@@ -410,11 +415,33 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 	if spec.Tuning, perr = serveProf(spec.Tuning); perr != nil {
 		fmt.Fprintln(os.Stderr, "mpj slave:", perr)
 	}
+
+	// Elastic jobs: the daemon holds a liveness lease on this slave from
+	// the moment it created it, so the heartbeats start before the
+	// bootstrap. The membership comes from the spec; a spawned slave's
+	// is its rank in the spawn epoch.
+	var live *liveTracker
+	probe := ping
+	if spec.Elastic {
+		live = &liveTracker{}
+		live.register(spec.MeshEpoch(), spec.Rank, nil)
+		probe = live.heartbeat(spec.JobID)
+	}
+	if daemonAddr != "" && (stop == nil || live != nil) {
+		interval := watchdogInterval
+		if live != nil {
+			interval = min(interval, spec.Liveness()/4)
+		}
+		watchdogStop := make(chan struct{})
+		defer close(watchdogStop)
+		go watchdog(daemonAddr, interval, stop == nil, watchdogStop, probe)
+	}
+
 	if spec.Epoch != 0 {
 		// A replacement slave created by Comm.Spawn: bootstrap against the
 		// scoped spawn master and enter the application through the merge
 		// choreography instead of the original world.
-		return runSpawnedSlave(spec, daemonAddr, app, stop)
+		return runSpawnedSlave(spec, daemonAddr, app, stop, live)
 	}
 	dev, sc, err := joinMesh(spec)
 	if err != nil {
@@ -427,36 +454,14 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		_ = sc.ReportDone(err)
 		return err
 	}
-
-	// Elastic jobs: track this slave's mesh memberships, install the
-	// daemon-backed respawner behind Comm.Spawn, and pump death verdicts
-	// the master pushes down the bootstrap connection into the mesh.
-	var live *liveTracker
+	// Elastic jobs: install the daemon-backed respawner behind Comm.Spawn.
 	var respawn *distRespawner
-	if spec.Elastic {
-		live = newLiveTracker()
-		live.register(spec.JobID, spec.Rank, dev)
+	if live != nil {
 		respawn = &distRespawner{spec: spec, daemonAddr: daemonAddr, live: live}
 		world.SetRespawner(respawn)
-		go obitReader(sc, live)
-	}
-
-	// Watchdog: a slave whose daemon has died must destroy itself. In
-	// elastic jobs the probe doubles as the liveness heartbeat — it renews
-	// this slave's per-rank leases and fans the reply's death verdicts
-	// into the mesh devices.
-	watchdogStop := make(chan struct{})
-	if daemonAddr != "" && stop == nil {
-		probe := ping
-		if live != nil {
-			probe = live.heartbeat(spec.JobID)
-		}
-		go watchdog(daemonAddr, watchdogStop, probe)
 	}
 
 	appErr := runApp(app, world, dev, stop)
-	close(watchdogStop)
-
 	if appErr == nil && dev.FailEpoch() == 0 {
 		// Finalize: drain in-flight traffic before tearing down. A device
 		// with recorded failures skips the barrier — the original world
@@ -475,16 +480,13 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		dev.Close()
 	}
 	if live != nil {
-		live.closeSpawned(dev)
+		live.closeSpawned()
 		respawn.close()
 	}
 	if appErr == nil && dev.RankFailed(dev.Rank()) {
-		// This rank is condemned in its own registry (it announced its
-		// own obituary, or a verdict reached it) yet unwound cleanly. Its
-		// queued mesh obituaries may have died with its device, so exit
-		// as a death, not a success: the daemon's exit verdict is the
-		// reliable path that reaches every survivor, and the master
-		// excuses the self-declared report once that verdict confirms it.
+		// This rank is condemned in its own registry (see device.Die) yet
+		// unwound cleanly: exit as a death, not a success. The master
+		// excuses the report once the daemon's exit verdict confirms it.
 		appErr = fmt.Errorf("mpj: rank %d is recorded dead: %w", dev.Rank(), dev.RankError(dev.Rank()))
 		_ = sc.ReportDead(appErr)
 		return appErr
@@ -500,22 +502,12 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 // child-side merge choreography (core.JoinSpawned), then enter the
 // application afresh on the merged full-size world with Spawned()
 // reporting true.
-func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-chan struct{}) error {
+func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-chan struct{}, live *liveTracker) error {
 	dev, sc, err := joinMesh(spec)
 	if err != nil {
 		return err
 	}
 	defer sc.Close()
-	live := newLiveTracker()
-	live.register(spec.Epoch, spec.Rank, dev)
-	go obitReader(sc, live)
-
-	watchdogStop := make(chan struct{})
-	defer close(watchdogStop)
-	if daemonAddr != "" && stop == nil {
-		go watchdog(daemonAddr, watchdogStop, live.heartbeat(spec.JobID))
-	}
-
 	merged, err := core.JoinSpawned(dev, spec.SpawnBase, spec.Tuning)
 	if err != nil {
 		dev.Abort()
@@ -531,15 +523,17 @@ func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-c
 	} else {
 		dev.Close()
 	}
-	live.closeSpawned(dev)
+	live.closeSpawned()
 	respawn.close()
 	_ = sc.ReportDone(appErr)
 	return appErr
 }
 
 // runApp runs the application on world and returns its outcome. A
-// cooperative stop (in-process slave simulations; nil never fires) closes
-// the device so pending operations error out and the app unwinds.
+// cooperative stop (in-process slaves destroyed by their daemon; nil
+// never fires) aborts the device, as a killed process's would end: pending
+// operations error out, the app unwinds, and the peers' transports report
+// the death.
 func runApp(app App, world *Comm, dev *device.Device, stop <-chan struct{}) error {
 	appDone := make(chan error, 1)
 	go func() { appDone <- app(world) }()
@@ -547,7 +541,7 @@ func runApp(app App, world *Comm, dev *device.Device, stop <-chan struct{}) erro
 	case err := <-appDone:
 		return err
 	case <-stop:
-		dev.Close()
+		dev.Abort()
 		return <-appDone
 	}
 }
@@ -555,8 +549,9 @@ func runApp(app App, world *Comm, dev *device.Device, stop <-chan struct{}) erro
 // NewFuncSpawner adapts RunSlave for in-process (goroutine) slaves: the
 // hermetic slave mode used by tests and single-machine simulations. The
 // daemon address is passed through so elastic jobs can place replacement
-// slaves (Comm.Spawn), but the cooperative stop channel keeps the ping
-// watchdog off — the daemon shares the process, it cannot silently die.
+// slaves (Comm.Spawn) and renew their liveness leases, but the cooperative
+// stop channel keeps the self-destruct rule off — the daemon shares the
+// process, it cannot silently die.
 func NewFuncSpawner() daemon.FuncSpawner {
 	return daemon.FuncSpawner{
 		Run: func(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) error {

@@ -127,14 +127,22 @@ func TestRunLocalReportsRankErrors(t *testing.T) {
 // testEnv stands up a registrar plus n daemons with the given spawner.
 func testEnv(t *testing.T, nDaemons int, spawner daemon.Spawner) (*lookup.Registrar, []*daemon.Daemon) {
 	t.Helper()
+	reg, daemons, _ := testEnvLogged(t, nDaemons, spawner)
+	return reg, daemons
+}
+
+// testEnvLogged is testEnv that also hands back the daemons' shared log.
+func testEnvLogged(t *testing.T, nDaemons int, spawner daemon.Spawner) (*lookup.Registrar, []*daemon.Daemon, *logAdapter) {
+	t.Helper()
 	reg, err := lookup.NewRegistrar(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(reg.Close)
+	logs := &logAdapter{t: t}
 	daemons := make([]*daemon.Daemon, nDaemons)
 	for i := range daemons {
-		d, err := daemon.New(daemon.WithSpawner(spawner), daemon.WithLogger(testLogger(t)))
+		d, err := daemon.New(daemon.WithSpawner(spawner), daemon.WithLogger(log.New(logs, "mpjd ", 0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,24 +152,30 @@ func testEnv(t *testing.T, nDaemons int, spawner daemon.Spawner) (*lookup.Regist
 		}
 		daemons[i] = d
 	}
-	return reg, daemons
+	return reg, daemons, logs
 }
 
-func testLogger(t *testing.T) *log.Logger {
-	return log.New(&logAdapter{t: t}, "mpjd ", 0)
-}
-
-// logAdapter routes daemon logs into the test log.
+// logAdapter routes daemon logs into the test log and keeps their lines.
 type logAdapter struct {
-	t  *testing.T
-	mu sync.Mutex
+	t     *testing.T
+	mu    sync.Mutex
+	lines []string
 }
 
 func (l *logAdapter) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.t.Log(strings.TrimRight(string(p), "\n"))
+	line := strings.TrimRight(string(p), "\n")
+	l.lines = append(l.lines, line)
+	l.t.Log(line)
 	return len(p), nil
+}
+
+// kept returns the lines logged so far.
+func (l *logAdapter) kept() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
 }
 
 // fakeMaster completes the bootstrap handshake (so slaves form their mesh
@@ -445,7 +459,7 @@ func TestGroupDiscoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	d, err := daemon.New(daemon.WithSpawner(NewFuncSpawner()), daemon.WithLogger(testLogger(t)))
+	d, err := daemon.New(daemon.WithSpawner(NewFuncSpawner()), daemon.WithLogger(log.New(&logAdapter{t: t}, "mpjd ", 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func registerTuningApps() {
 			return checkJobTuning(w)
 		}
 		if w.Rank() == 1 {
-			w.Device().BroadcastObit(w.Rank(), "tuning test kill")
+			w.Device().Die(errors.New("tuning test kill"))
 			return nil
 		}
 		if err := w.Barrier(); !errors.Is(err, ErrRankFailed) {
