@@ -15,6 +15,8 @@ import (
 func registerHostApps() {
 	Register("host-allreduce", hostAllreduceApp)
 	Register("drive-host-allreduce", driveHostAllreduceApp)
+	Register("drive-host-iallreduce-probe", driveHostIallreduceApp(false))
+	Register("drive-host-iallreduce-fence", driveHostIallreduceApp(true))
 }
 
 // hostVector is rank's 1 MiB of random non-integer float64.
@@ -28,10 +30,11 @@ func hostVector(rank int) []float64 {
 }
 
 // hostAllreduceApp runs on process slaves of one host with counters on: a
-// 1 MiB float64 Allreduce folds through the world's host area — four
-// chunks, no message, no schedule round — with exactly the bits Iallreduce
-// returns, and the rank's /debug/vars status names the world's path "host"
-// and counts the operations.
+// 1 MiB float64 Allreduce walks through the world's host area — four
+// chunks, two schedule rounds each, no message — with exactly the bits the
+// message schedule Iallreduce compiled before the area was set up returns,
+// and the rank's /debug/vars status names the world's path "host" and
+// counts the operations.
 func hostAllreduceApp(w *Comm) error {
 	in := hostVector(w.Rank())
 	want, got := make([]float64, len(in)), make([]float64, len(in))
@@ -61,8 +64,8 @@ func hostAllreduceApp(w *Comm) error {
 	if d := b.HostOps - a.HostOps; d != ops || b.HostChunks-a.HostChunks != 4*ops {
 		return fmt.Errorf("rank %d: %d host operations, %d chunks; want %d, %d", w.Rank(), d, b.HostChunks-a.HostChunks, ops, 4*ops)
 	}
-	if msgs, rounds := b.SentMsgs()-a.SentMsgs(), b.CollRounds-a.CollRounds; msgs != 0 || rounds != 0 {
-		return fmt.Errorf("rank %d: %d messages and %d schedule rounds in host operations, want none", w.Rank(), msgs, rounds)
+	if msgs, rounds := b.SentMsgs()-a.SentMsgs(), b.CollRounds-a.CollRounds; msgs != 0 || rounds != 2*4*ops {
+		return fmt.Errorf("rank %d: %d messages and %d schedule rounds in host operations, want 0 and %d", w.Rank(), msgs, rounds, 2*4*ops)
 	}
 	st, ok := w.Device().Profiler().Status().(map[string]any)
 	if !ok {
@@ -107,6 +110,87 @@ func driveHostAllreduceApp(w *Comm) error {
 		return fmt.Errorf("rank %d: %d host operations, want the Allreduce on the host path", w.Rank(), ops)
 	}
 	return nil
+}
+
+// driveHostIallreduceApp is TestBlockedRanksDriveCollectives' rows of an
+// Iallreduce on the host area: every rank starts a 1 MiB Iallreduce once a
+// blocking Allreduce has set the area up; ranks 1 and 2 then block in a
+// Probe for a message from rank 3 (or, with fence, ranks 0–2 in a window's
+// Fence rank 3 has not entered), and rank 3 completes its Iallreduce — whose
+// barriers need theirs — before it sends that message or enters the fence.
+func driveHostIallreduceApp(fence bool) App {
+	const tag = 5
+	return func(w *Comm) error {
+		rank, np := w.Rank(), w.Size()
+		in := hostVector(rank)
+		out, want := make([]float64, len(in)), make([]float64, len(in))
+		if err := Allreduce(w, in, want, Sum[float64]()); err != nil { // sets the area up
+			return err
+		}
+		var win *Win
+		slots := make([]int64, np)
+		if fence {
+			var err error
+			if win, err = w.WinCreate(slots, 1); err != nil {
+				return err
+			}
+		}
+		before := w.ProfSnapshot()
+		req, err := Iallreduce(w, in, out, Sum[float64]())
+		if err != nil {
+			return err
+		}
+		msg := []int64{int64(rank)}
+		switch {
+		case fence:
+			if err := PutT(win, []int64{int64(rank) + 1}, (rank+1)%np, rank); err != nil {
+				return err
+			}
+			if rank == 3 {
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			if left := (rank + np - 1) % np; slots[left] != int64(left)+1 {
+				return fmt.Errorf("rank %d: after the fence slot %d holds %d", rank, left, slots[left])
+			}
+		case rank == 1 || rank == 2:
+			if _, err := w.Probe(3, tag); err != nil {
+				return err
+			}
+			if _, err := Recv(w, msg, 3, tag); err != nil {
+				return err
+			}
+		case rank == 3:
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			for _, dst := range []int{1, 2} {
+				if err := Send(w, msg, dst, tag); err != nil {
+					return err
+				}
+			}
+		}
+		if _, err := req.Wait(); err != nil {
+			return err
+		}
+		after := w.ProfSnapshot()
+		for i := range out {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("rank %d: element %d is %v, Allreduce's %v", rank, i, out[i], want[i])
+			}
+		}
+		if ops := after.HostOps - before.HostOps; ops != 1 {
+			return fmt.Errorf("rank %d: %d host operations, want the Iallreduce on the area", rank, ops)
+		}
+		if win != nil {
+			return win.Free()
+		}
+		return nil
+	}
 }
 
 // runJobWithin runs a distributed job and fails it when it has not ended

@@ -7,7 +7,6 @@ import (
 
 	"mpj/internal/core"
 	"mpj/internal/device"
-	"mpj/internal/serialize"
 	"mpj/internal/transport"
 	"mpj/internal/wire"
 )
@@ -413,7 +412,8 @@ func E7SerializationOverhead(counts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Serializer-only cost for the same payload.
+		// Serializer-only cost for the same payload: OBJECT's Pack, the gob
+		// encode and one append.
 		elems := make([]any, count)
 		for i := range elems {
 			elems[i] = float64(i)
@@ -421,7 +421,7 @@ func E7SerializationOverhead(counts []int) (*Table, error) {
 		start := time.Now()
 		const encIters = 50
 		for i := 0; i < encIters; i++ {
-			if _, err := serialize.EncodeObjects(elems); err != nil {
+			if _, err := core.Object.Pack(nil, elems, 0, count); err != nil {
 				return nil, err
 			}
 		}

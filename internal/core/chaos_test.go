@@ -134,7 +134,7 @@ func chaosLentKill(t *testing.T, op string) {
 // the caller's.
 func TestChaosLentAllreduceFree(t *testing.T) {
 	chaosLentFree(t, func(c *Comm, in, out []int32) (*CollRequest, error) {
-		return c.iallreduce("iallreduce", c.nextCollTag(), allreduceRing, in, 0, out, 0, len(in), Int, SumOp)
+		return c.iallreduce("iallreduce", c.nextCollTag(), allreduceRing, formNonBlocking, in, 0, out, 0, len(in), Int, SumOp)
 	})
 }
 

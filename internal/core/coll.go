@@ -77,6 +77,16 @@ func (c *Comm) collIrecvInto(buf []byte, src, tag int) (*device.Request, error) 
 	return c.dev.Irecv(buf, w, tag, c.coll)
 }
 
+// collForm is the entry form a collective was called through; only the
+// host area tells the forms apart (iallreduceHost).
+type collForm int
+
+const (
+	formBlocking    collForm = iota // Allreduce: may set the host area up
+	formNonBlocking                 // Iallreduce: rides an area already set up
+	formPersistent                  // CommitAllreduce: never rides one (hostarea.go)
+)
+
 // runColl completes a compiled collective schedule synchronously — the
 // shared tail of every blocking collective: compile the same schedule the
 // I* form uses, then Wait.
@@ -208,16 +218,12 @@ func (c *Comm) Reduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype
 // halving/doubling on a power-of-two communicator, the ring otherwise);
 // below the large-message threshold power-of-two sizes use recursive
 // doubling and other sizes reduce to rank 0 and broadcast (see collalg.go
-// for the selection). sbuf is only read, and for the duration of the call
-// it may be lent to the transport; sbuf and rbuf may overlap, at the price
-// of one copy of the vector.
+// for the selection); among processes of one host they walk through a host
+// area the first such call sets up (hostarea.go). sbuf is only read, and
+// for the duration of the call it may be lent to the transport; sbuf and
+// rbuf may overlap, at the price of one copy of the vector.
 func (c *Comm) Allreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
-	if c.hostEligible(count, dt, op) {
-		if done, err := c.hostAllreduce(sbuf, soff, rbuf, roff, count, dt, op); done {
-			return err
-		}
-	}
-	return runColl(c.iallreduce("allreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op))
+	return runColl(c.iallreduce("allreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), formBlocking, sbuf, soff, rbuf, roff, count, dt, op))
 }
 
 // autoAllreduceAlg is the algorithm selection behind Allreduce, Iallreduce

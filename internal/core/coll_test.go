@@ -416,9 +416,9 @@ func TestReduceAllRootsAllOps(t *testing.T) {
 }
 
 // allreduceWith runs a blocking Allreduce on the schedule alg names, through
-// the entry Allreduce and Iallreduce compile with.
+// the builder every entry form compiles with, never through a host area.
 func allreduceWith(c *Comm, alg allreduceAlg, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) error {
-	return runColl(c.iallreduce("allreduce", c.nextCollTag(), alg, sbuf, soff, rbuf, roff, count, dt, op))
+	return runColl(c.iallreduce("allreduce", c.nextCollTag(), alg, formPersistent, sbuf, soff, rbuf, roff, count, dt, op))
 }
 
 func TestAllreduceBothAlgorithms(t *testing.T) {

@@ -65,11 +65,11 @@ type procState struct {
 	// outside tests.
 	parkHook func()
 
-	// hostOpt, when set, plans host areas where the members are not
-	// processes of this host, and may refuse their set-up: the seam through
-	// which tests run the host path on goroutine ranks (see hostarea.go).
-	// Nil outside tests.
-	hostOpt *hostOption
+	// hostFault, when set, plans host areas where the members are not
+	// processes of this host, and refuses a member's part of their set-up
+	// when it returns an error: the seam through which tests run the host
+	// path on goroutine ranks (see hostarea.go). Nil outside tests.
+	hostFault func(rank int) error
 }
 
 // Comm is an intra-communicator: a group of processes plus a private

@@ -3,12 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"sync"
 	"unsafe"
-
-	"mpj/internal/serialize"
 )
 
 // Datatype describes how elements of a user buffer are converted to and
@@ -416,7 +415,11 @@ var (
 
 // objectType implements the MPJ.OBJECT datatype over []any buffers via gob
 // serialization — the Go analogue of the paper's "direct communication of
-// objects via object serialization".
+// objects via object serialization" ("the new version 1.2 of the software
+// supports direct communication of objects via object serialization").
+// encoding/gob is self-describing and handles arbitrary object graphs, and
+// — like Java serialization — costs noticeably more than moving primitive
+// arrays, which experiment E7 quantifies.
 type objectType struct{}
 
 // Object moves []any; element values must be gob-registered (RegisterType).
@@ -435,11 +438,11 @@ func (objectType) Pack(dst []byte, buf any, off, count int) ([]byte, error) {
 	if off < 0 || count < 0 || off+count > len(s) {
 		return nil, fmt.Errorf("%w: [%d:%d] of %d-element object buffer", ErrCount, off, off+count, len(s))
 	}
-	data, err := serialize.EncodeObjects(s[off : off+count])
-	if err != nil {
+	out := bytes.NewBuffer(dst)
+	if err := gob.NewEncoder(out).Encode(s[off : off+count]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrType, err)
 	}
-	return append(dst, data...), nil
+	return out.Bytes(), nil
 }
 
 func (objectType) Unpack(data []byte, buf any, off, count int) (int, error) {
@@ -447,8 +450,8 @@ func (objectType) Unpack(data []byte, buf any, off, count int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: MPJ.OBJECT expects []any, got %T", ErrBuffer, buf)
 	}
-	elems, err := serialize.DecodeObjects(data)
-	if err != nil {
+	var elems []any
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&elems); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrType, err)
 	}
 	n := len(elems)
@@ -465,5 +468,6 @@ func (objectType) Unpack(data []byte, buf any, off, count int) (int, error) {
 func (objectType) Alloc(n int) any { return make([]any, n) }
 
 // RegisterType records a concrete Go type for transmission inside OBJECT
-// buffers, the analogue of marking a Java class Serializable.
-func RegisterType(v any) { serialize.Register(v) }
+// buffers, the analogue of marking a Java class Serializable: gob needs the
+// concrete type known on both sides.
+func RegisterType(v any) { gob.Register(v) }

@@ -13,63 +13,25 @@ import (
 	"mpj/internal/wire"
 )
 
-// The host area: a large Allreduce among processes of one host folds
-// through shared memory instead of its schedule.
+// The host area: a large allreduce among processes of one host folds
+// through shared memory, in rounds of the schedule engine. ARCHITECTURE.md
+// ("The host area") has the whole design.
 //
-// Between slave processes of one host the large allreduce's schedule is
-// log₂p (or 2(p-1)) rendezvous rounds whose payloads are pulled out of the
-// peer's memory, a system call and a copy per message. A communicator whose
-// members are all processes of this host instead maps one sealed memory
-// file (transport.Area) and runs every eligible Allreduce through it: a
-// control page, then one 256 KiB slot per member and a result slot. The
-// vector is walked in chunks of a slot; for each chunk
-//
-//  1. every rank copies the chunk, minus its own share, into its slot;
-//  2. barrier;
-//  3. every rank folds its share — its own part read straight from the
-//     send buffer, the others' from their slots — into the result slot,
-//     and copies it to the receive buffer;
-//  4. barrier;
-//  5. every rank copies the other shares out of the result slot.
-//
-// Nothing crosses a socket, and each byte is copied into shared memory once
-// and out of it once.
-//
-// Same bits. Each element is combined in exactly the order the schedule
-// the area replaces would combine it (iallreduceRing): the recursive
-// halving tree on a power-of-two communicator, the ring's chain from the
-// chunk's owner otherwise, under the schedule's own cuts of the vector. So
-// a host-path Allreduce returns the bits Iallreduce returns on the same
-// communicator, whatever the element type and op.
-//
-// Set-up and refusal. The first eligible Allreduce sets the area up,
-// collectively: the lowest member creates the file and hands {pid, fd,
-// token} to the others in a small Bcast, each maps it through the area's
-// seal and token checks, and a MIN Allreduce agrees. Any refusal — no
-// memory file on this system, no access to the creator's /proc entry, a
-// seal or token mismatch — leaves the communicator on its schedules for
-// good, on every member, and the status says why.
-//
-// Barriers. The control page holds one generation word that counts
-// arrivals: barrier b is passed when it reads (b+1)·p. The last rank to
-// arrive wakes the sleepers; the others spin briefly where the rings' gate
-// is open (a CPU per rank), then sleep on the word's futex for at most
-// hostNap at a time, and between sleeps look at what a socket would have
-// told them: a member's death, a revocation, the communicator's Free or the
-// device's end; and they drive the schedules in flight, as parkUntil does.
-//
-// Hostile bytes. Any member can write anything anywhere in the file. The
-// arrival count is checked against the only values an honest member can
-// leave there while this rank waits, and a count outside them — running
-// backwards, past the members, jumping a barrier — breaks the area with a
-// wire.ErrFrame; every slot offset is derived from this rank's own
-// arguments, so garbage in a slot is at worst a wrong result, never a write
-// outside the caller's buffers.
-//
-// Why 256 KiB. A prototype on a 2-CPU host (4 processes, 1 MiB of float64)
-// took 990 µs folding the whole vector at once with 2.5 MiB of shared pages
-// per rank, 1050 µs in 512 KiB chunks with 1.25 MiB, 1085 µs in 256 KiB
-// chunks with 0.64 MiB: a quarter of the memory for a tenth of the time.
+// A communicator whose members are all processes of this host maps one
+// sealed memory file (transport.Area): a control page, then one 256 KiB
+// slot per member and a result slot. iallreduce compiles an eligible
+// allreduce (iallreduceHost) as a walk over the vector in chunks of a slot, two
+// rounds per chunk: (1) copy the chunk, minus this rank's share, into its
+// slot and arrive at a barrier; (2) fold this rank's share into the result
+// slot, in the order the message schedule (iallreduceRing) combines it,
+// copy it out and arrive again. A round whose barrier has not passed parks
+// its waiter in parkUntil like any round in flight, and the area's helper
+// goroutine wakes it. CommitAllreduce never walks: the Starts of distinct
+// persistent requests may come in different orders on different members,
+// which a barrier count cannot tell apart; tags keep message rounds apart.
+// Any member may write anything into the file: a count
+// no honest member leaves breaks the area with a wire.ErrFrame, and every
+// slot offset derives from this rank's own arguments.
 
 const (
 	// hostChunk is the bytes of the vector one chunk covers: a slot.
@@ -82,39 +44,44 @@ const (
 	// hostBlock is the piece of a share folded at a time, so that the
 	// partials of the reduction tree stay in the first-level cache.
 	hostBlock = 8 << 10
-	// hostSpin bounds a barrier's spin where the rings' gate is open.
-	hostSpin = 50 * time.Microsecond
-	// hostNap bounds one futex sleep: how late a waiter notices a death,
-	// a revocation or the end of the communicator, and how often it drives
-	// the schedules in flight.
-	hostNap = time.Millisecond
+	// hostHelperSleep bounds one futex sleep of the helper: how long a
+	// release waits for a helper that looked just before it marked the area
+	// gone, and how late a waiter sees a count changed without a wake.
+	hostHelperSleep = 10 * time.Millisecond
 )
 
-// errHostGone ends a host-path wait whose area is being unmapped: the
-// communicator was freed or the device closed.
+// errHostGone ends a walk whose area was released: Free, the device's end.
 var errHostGone = fmt.Errorf("%w: host area released", ErrComm)
 
-// hostOption is the test seam of the host area: it plans an area where the
-// members are not processes of this host (a test's goroutine ranks); fault,
-// when set, refuses a member's part of the set-up.
-type hostOption struct {
-	fault func(rank int) error
-	// chunk, when set, runs after the first barrier of each chunk, and an
-	// error it returns ends this rank's operation there: a death mid-chunk.
-	chunk func(rank, chunk int) error
-}
-
 // hostArea is one communicator's mapping of its host area, and this
-// rank's view of it. passed, err, sleeps and tmp belong to the goroutine
-// running the communicator's collectives; gone is set by the release.
+// rank's view of it.
 type hostArea struct {
 	mem    *transport.Area
 	np, me int
-	passed uint64 // barriers this rank has passed
-	err    error  // what broke the area; every later operation returns it
-	sleeps int    // barriers of the current operation that slept
+	gone   atomic.Bool   // set by the release
+	ask    chan uint64   // to the helper: the count a waiter saw; closed by the release
+	done   chan struct{} // closed by the helper as it ends
+
+	// A walk waits for the count to move from seen (see hostMoved).
+	waiting atomic.Bool
+	seen    atomic.Uint64
+
+	// mu guards the walks' order: the tickets handed out, the ticket whose
+	// turn it is, and what broke the area (every later walk returns it).
+	mu      sync.Mutex
+	tickets uint64
+	turn    uint64
+	err     error
+
+	// The walk whose turn it is owns these.
+	passed uint64 // barriers this rank has arrived at
 	tmp    []byte // the reduction tree's partials, hostBlock per level
-	gone   atomic.Bool
+}
+
+// newHostArea is this rank's view of a mapped np-member area, no helper yet.
+func newHostArea(mem *transport.Area, np, me int) *hostArea {
+	return &hostArea{mem: mem, np: np, me: me, ask: make(chan uint64, 1), done: make(chan struct{}),
+		tmp: make([]byte, bits.Len(uint(np))*hostBlock)}
 }
 
 // hostAreaSize is the file of an np-member area.
@@ -130,7 +97,7 @@ func (a *hostArea) slot(r int) []byte {
 // a host area: every other member is another process of this host, or the
 // test seam says so.
 func (c *Comm) hostPlanned() bool {
-	if c.proc.hostOpt != nil {
+	if c.proc.hostFault != nil {
 		return true
 	}
 	me := c.dev.Rank()
@@ -142,73 +109,22 @@ func (c *Comm) hostPlanned() bool {
 	return true
 }
 
-// hostEligible reports whether a blocking Allreduce of count elements of dt
-// under op takes the host path: automatic selection, at least two members,
-// a payload at or above the large-message threshold, a predefined op on a
-// primitive datatype laid out in memory as on the wire, and a communicator
-// the area is planned for that has not been refused. Every member decides
-// alike, since they call with the same arguments on the same communicator.
-func (c *Comm) hostEligible(count int, dt Datatype, op *Op) bool {
-	sz := dt.ByteSize()
-	if c.collAlgChoice() != CollAlgAuto || c.Size() < 2 || sz <= 0 || count*sz < c.largeMin() || op.user {
-		return false
-	}
-	if _, ok := op.byType[dt]; !ok || dt.Base() != dt {
-		return false
-	}
-	if _, ok := dt.(rawWindower); !ok {
-		return false
-	}
-	c.hostMu.RLock()
-	refused := c.hostSet && c.host == nil
-	c.hostMu.RUnlock()
-	return !refused && c.hostPlanned()
-}
-
-// hostAllreduce runs an eligible Allreduce through the communicator's host
-// area, setting it up first when this is the first. It reports false when
-// the operation must run its schedule instead: the area was refused, or a
-// buffer is no raw window.
-func (c *Comm) hostAllreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (bool, error) {
-	c.hostMu.RLock()
-	set := c.hostSet
-	c.hostMu.RUnlock()
-	if !set {
-		if err := c.hostSetUp(); err != nil {
-			return true, fmt.Errorf("allreduce: host area: %w", err)
-		}
-	}
-	dst := vWindow(dt, rbuf, roff, count)
-	src := dst
-	if !isInPlace(sbuf) {
-		src = vWindow(dt, sbuf, soff, count)
-	}
-	if dst == nil || src == nil {
-		return false, nil
-	}
-	c.hostMu.RLock()
-	defer c.hostMu.RUnlock()
-	a := c.host
-	if a == nil {
-		return false, nil // refused, or released under us: the schedule says why
-	}
-	if err := c.hostRun(a, src, dst, dt.ByteSize(), op.byType[dt]); err != nil {
-		return true, fmt.Errorf("allreduce: %w", err)
-	}
-	return true, nil
-}
-
 // hostSetUp sets the communicator's host area up, collectively (see the
-// file comment). A refusal is no error: it leaves the communicator on its
-// schedules. An error is a collective of the set-up failing.
-func (c *Comm) hostSetUp() error {
+// file comment), starts its helper and returns it. A refusal is no error:
+// it leaves the communicator on its schedules, and the area nil. An error
+// is a collective of the set-up failing.
+func (c *Comm) hostSetUp() (*hostArea, error) {
 	np, me := c.Size(), c.rank
 	size := hostAreaSize(np)
 	offer := make([]int64, 3) // pid, fd, token; pid 0: no area
+	fault := c.proc.hostFault // the test seam may refuse this rank's part
+	if fault == nil {
+		fault = func(int) error { return nil }
+	}
 	var mem *transport.Area
 	var why error
 	if me == 0 {
-		if why = c.hostFault(); why == nil {
+		if why = fault(me); why == nil {
 			mem, why = transport.NewArea(size)
 		}
 		if mem != nil {
@@ -219,7 +135,7 @@ func (c *Comm) hostSetUp() error {
 	if err == nil && me != 0 {
 		if offer[0] == 0 {
 			why = errors.New("the lowest member could not create it")
-		} else if why = c.hostFault(); why == nil {
+		} else if why = fault(me); why == nil {
 			mem, why = transport.MapArea(int(offer[0]), int(offer[1]), size, uint64(offer[2]))
 		}
 	}
@@ -230,7 +146,7 @@ func (c *Comm) hostSetUp() error {
 		}
 		// Every member has tried to map the file once the agreement is
 		// complete here, so the creator's descriptor may close.
-		err = runColl(c.iallreduce("host-area", c.nextCollTag(), c.autoAllreduceAlg(1, Int), ok, 0, agreed, 0, 1, Int, MinOp))
+		err = runColl(c.iallreduce("host-area", c.nextCollTag(), c.autoAllreduceAlg(1, Int), formNonBlocking, ok, 0, agreed, 0, 1, Int, MinOp))
 		if err == nil && agreed[0] == 0 && why == nil {
 			why = errors.New("another member refused")
 		}
@@ -239,49 +155,44 @@ func (c *Comm) hostSetUp() error {
 		mem.Unmap()
 		mem = nil
 	}
+	var a *hostArea
+	if mem != nil {
+		mem.CloseFd()
+		a = newHostArea(mem, np, me)
+		c.dev.SetLook(c.proc.hostMoved)
+		go c.hostHelper(a)
+	}
 	c.hostMu.Lock()
 	defer c.hostMu.Unlock()
-	c.hostSet = true
+	c.hostSet, c.host = true, a
 	switch {
 	case err != nil:
 		c.hostWhy = "host refused: " + err.Error()
 	case why != nil:
 		c.hostWhy = "host refused: " + why.Error()
-	default:
-		mem.CloseFd()
-		c.host = &hostArea{mem: mem, np: np, me: me, tmp: make([]byte, bits.Len(uint(np))*hostBlock)}
 	}
-	return err
+	return a, err
 }
 
-// hostFault consults the test seam's fault for this rank's part of the
-// set-up; nil outside tests.
-func (c *Comm) hostFault() error {
-	if o := c.proc.hostOpt; o != nil && o.fault != nil {
-		return o.fault(c.rank)
-	}
-	return nil
-}
-
-// hostRelease unmaps the communicator's host area once no waiter is inside
-// it: Free and the device's end call it. Waiters notice gone within a nap
-// (the wake makes it sooner) and leave.
+// hostRelease unmaps the communicator's host area and ends its helper:
+// Free and the device's end call it. It waits for a walk's step that is
+// copying or folding (hostMu), never for a waiter: walks find the area gone
+// at their next step.
 func (c *Comm) hostRelease() {
 	c.hostMu.RLock()
 	a := c.host
 	c.hostMu.RUnlock()
-	if a == nil {
+	if a == nil || a.gone.Swap(true) {
 		return
 	}
-	a.gone.Store(true)
-	a.mem.Wake(hostOffGen)
+	a.mem.Wake(hostOffGen) // a helper asleep gives hostMu back
 	c.hostMu.Lock()
-	defer c.hostMu.Unlock()
-	if c.host == a {
-		c.host = nil
-		c.hostWhy = "released"
-		a.mem.Unmap()
-	}
+	c.host = nil
+	c.hostWhy = "released"
+	close(a.ask) // its senders hold hostMu's read side
+	a.mem.Unmap()
+	c.hostMu.Unlock()
+	<-a.done
 }
 
 // allreducePath names how the communicator's large allreduces run, for the
@@ -301,12 +212,33 @@ func (c *Comm) allreducePath() string {
 	return "schedule"
 }
 
-// hostRun is the executor: the chunk walk of the file comment over the
-// raw windows src (the contribution) and dst (the result). Callers hold
-// c.hostMu's read side.
-func (c *Comm) hostRun(a *hostArea, src, dst []byte, elem int, k kernel) error {
-	if a.err != nil {
-		return a.err
+// iallreduceHost compiles an allreduce called through form as a walk
+// through the communicator's host area, or returns nil for its message
+// schedule. Every member decides alike: automatic selection, two members or
+// more, a large payload, a predefined op on a primitive type in raw windows,
+// and an area planned and not refused, which the blocking form sets up if
+// it is the first. The walk takes its ticket here, in call order.
+func (c *Comm) iallreduceHost(name string, tag int, form collForm, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
+	if sz := dt.ByteSize(); form == formPersistent || c.collAlgChoice() != CollAlgAuto || c.Size() < 2 || sz <= 0 || count*sz < c.largeMin() || op.user {
+		return nil, nil
+	}
+	if _, predefined := op.byType[dt]; !predefined || dt.Base() != dt || !c.hostPlanned() {
+		return nil, nil // a predefined op's types are all primitive: raw windows where the layout allows
+	}
+	c.hostMu.RLock()
+	set, a := c.hostSet, c.host
+	c.hostMu.RUnlock()
+	if !set && form != formBlocking {
+		return nil, nil
+	} else if !set {
+		var err error
+		if a, err = c.hostSetUp(); err != nil {
+			return nil, fmt.Errorf("%s: host area: %w", name, err)
+		}
+	}
+	src, dst := vWindow(dt, sbuf, soff, count), vWindow(dt, rbuf, roff, count)
+	if a == nil || src == nil || dst == nil {
+		return nil, nil // refused or released, or a buffer is no raw window
 	}
 	if overlaps(src, dst) && &src[0] != &dst[0] {
 		// Shifted windows: copying a chunk's result out would overwrite
@@ -314,48 +246,134 @@ func (c *Comm) hostRun(a *hostArea, src, dst []byte, elem int, k kernel) error {
 		copy(dst, src)
 		src = dst
 	}
-	np, me, n := a.np, a.me, len(dst)/elem
-	bound := func(i int) int { return i * n / np * elem } // the schedule's cuts
-	step := hostChunk / elem * elem
-	res := a.slot(np)
-	mine := a.slot(me)
-	a.sleeps = 0
-	chunks, published := 0, 0
-	for off := 0; off < len(dst); off += step {
-		m := min(step, len(dst)-off)
-		share := func(r int) int { return r * (m / elem) / np * elem }
-		lo, hi := share(me), share(me+1)
-		published += copy(mine[:lo], src[off:off+lo]) + copy(mine[hi:m], src[off+hi:off+m])
-		if err := c.hostBarrier(a); err != nil {
-			return a.fail(err)
-		}
-		if o := c.proc.hostOpt; o != nil && o.chunk != nil {
-			if err := o.chunk(me, chunks); err != nil {
-				return a.fail(err)
-			}
-		}
-		if err := a.fold(src, res, off, lo, hi, bound, k); err != nil {
-			return a.fail(err)
-		}
-		published += hi - lo
-		copy(dst[off+lo:off+hi], res[lo:hi])
-		if err := c.hostBarrier(a); err != nil {
-			return a.fail(err)
-		}
-		copy(dst[off:off+lo], res[:lo])
-		copy(dst[off+hi:off+m], res[hi:m])
-		chunks++
+	a.mu.Lock()
+	ticket, err := a.tickets, a.err
+	a.tickets++
+	a.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if p := c.dev.Profiler(); p != nil {
-		p.HostOp(c.coll, chunks, published, a.sleeps)
+	sz := dt.ByteSize()
+	step := hostChunk / sz * sz
+	w := &hostWalk{c: c, a: a, ticket: ticket, src: src, dst: dst, elem: sz, k: op.byType[dt], step: step, chunks: (len(dst) + step - 1) / step}
+	rounds := make([]round, 2*w.chunks)
+	for n := range rounds {
+		rounds[n] = round{walk: w, walkStep: n}
 	}
-	return nil
+	// A walk the registry refuses leaves its ticket unserved; so does every
+	// later one, as the communicator is freed or revoked.
+	return c.newCollRequestAlg(name, tag, "host", rounds, nil)
 }
 
-// fail breaks the area for good: the members are no longer at one barrier.
-func (a *hostArea) fail(err error) error {
-	a.err = err
-	return err
+// hostWalk is one allreduce's walk through the host area; its rounds run
+// under the request's lock.
+type hostWalk struct {
+	c        *Comm
+	a        *hostArea
+	ticket   uint64 // its place in the area's order
+	src, dst []byte // raw windows: the contribution and the result
+	elem     int
+	k        kernel
+	step     int // the vector bytes of a chunk: whole elements of a slot
+	chunks   int
+
+	next      int    // the next step to arrive at its barrier
+	v, target uint64 // the last arrival's count and its barrier's
+	published int    // bytes this rank copied into the area
+}
+
+// chunk returns chunk i's vector offset and length and this rank's share
+// [lo, hi) of it.
+func (w *hostWalk) chunk(i int) (off, m, lo, hi int) {
+	off = i * w.step
+	m = min(w.step, len(w.dst)-off)
+	share := func(r int) int { return r * (m / w.elem) / w.a.np * w.elem }
+	return off, m, share(w.a.me), share(w.a.me + 1)
+}
+
+// run is step n of the walk, on every pass of the engine over its round.
+// The first pass that may — for step 0, once it is the walk's turn — does
+// the step's copying (publishing chunk n/2 on an even step, folding this
+// rank's share of it on an odd one) and arrives at its barrier; every pass
+// reports whether the round is over: the barrier passed, or an error. While
+// it is not, the area's look (hostMoved) tells the device's waits.
+func (w *hostWalk) run(n int) (bool, error) {
+	c, a := w.c, w.a
+	c.hostMu.RLock()
+	defer c.hostMu.RUnlock()
+	if a.gone.Load() {
+		return true, errHostGone
+	}
+	if w.next == n {
+		if n == 0 {
+			a.mu.Lock()
+			turn, err := a.turn, a.err
+			a.mu.Unlock()
+			if err != nil || turn != w.ticket {
+				return err != nil, err // the walk before it wakes this rank at its finish
+			}
+		}
+		w.next++
+		i := n / 2
+		off, m, lo, hi := w.chunk(i)
+		if n%2 == 0 {
+			if i > 0 {
+				w.copyOut(i - 1)
+			}
+			mine := a.slot(a.me)
+			w.published += copy(mine[:lo], w.src[off:off+lo]) + copy(mine[hi:m], w.src[off+hi:off+m])
+		} else {
+			res, count := a.slot(a.np), len(w.dst)/w.elem
+			bound := func(j int) int { return j * count / a.np * w.elem } // the schedule's cuts
+			if err := a.fold(w.src, res, off, lo, hi, bound, w.k); err != nil {
+				return true, err
+			}
+			w.published += hi - lo
+			copy(w.dst[off+lo:off+hi], res[lo:hi])
+		}
+		var err error
+		if w.v, w.target, err = a.arrive(); err != nil {
+			return true, err
+		}
+	}
+	done, seen, err := a.look(w.v, w.target)
+	a.seen.Store(seen)
+	a.waiting.Store(!done && err == nil)
+	if last := 2*w.chunks - 1; done && err == nil && n == last {
+		// The walk is over: copy the last chunk out, count it and hand the
+		// area to the next ticket, waking a walk parked on its turn.
+		w.copyOut(n / 2)
+		if p := c.dev.Profiler(); p != nil {
+			p.HostOp(c.coll, w.chunks, w.published)
+		}
+		a.mu.Lock()
+		a.turn++
+		a.mu.Unlock()
+		c.dev.Wake()
+	}
+	return done || err != nil, err
+}
+
+// copyOut copies the shares of chunk i the other members folded out of the
+// result slot.
+func (w *hostWalk) copyOut(i int) {
+	off, m, lo, hi := w.chunk(i)
+	res := w.a.slot(w.a.np)
+	copy(w.dst[off:off+lo], res[:lo])
+	copy(w.dst[off+hi:off+m], res[hi:m])
+}
+
+// abandon breaks the area for good: a walk that ends early leaves the
+// members at different barriers, or its ticket unserved. Walks parked on
+// their turn are woken to find out.
+func (w *hostWalk) abandon(err error) {
+	w.a.waiting.Store(false)
+	w.a.mu.Lock()
+	if w.a.err == nil {
+		w.a.err = err
+	}
+	w.a.mu.Unlock()
+	w.c.dev.Wake()
 }
 
 // fold reduces the share [lo, hi) of the chunk at vector offset off into
@@ -416,81 +434,34 @@ func (a *hostArea) halving(j, r int, out []byte, in func(int) []byte, k kernel) 
 	return k.comb(t, out)
 }
 
-// hostBarrier is one barrier on the area's generation word (see the file
-// comment).
-func (c *Comm) hostBarrier(a *hostArea) error {
+// arrive counts this rank in at its next barrier on the generation word,
+// which has passed when the word reads target, and returns the count v its
+// arrival made. The last to arrive wakes the sleepers.
+func (a *hostArea) arrive() (v, target uint64, err error) {
 	np := uint64(a.np)
-	gen := a.mem.Word(hostOffGen)
 	base := a.passed * np
 	a.passed++
-	v := gen.Add(1)
-	target := base + np
+	v, target = a.mem.Word(hostOffGen).Add(1), base+np
 	if v <= base || v > target {
-		return hostCorrupt(v, base, np)
+		return v, target, hostCorrupt(v, base, np)
 	}
-	if v == target {
-		if a.mem.Word(hostOffSleepers).Load() != 0 {
-			a.mem.Wake(hostOffGen)
-		}
-		return nil
+	if v == target && a.mem.Word(hostOffSleepers).Load() != 0 {
+		a.mem.Wake(hostOffGen)
 	}
-	// Honest members leave the word in [v, target+np): behind it they would
-	// have gone back, past it someone passed the next barrier without this
-	// rank.
-	look := func(w uint64) (bool, error) {
-		if w < v || w >= target+np {
-			return false, hostCorrupt(w, base, np)
-		}
-		return w >= target, nil
-	}
-	if c.dev.Polls() {
-		end := time.Now().Add(hostSpin)
-		for i := 1; ; i++ {
-			if done, err := look(gen.Load()); done || err != nil {
-				return err
-			}
-			if i%64 == 0 && time.Now().After(end) {
-				break
-			}
-		}
-	}
-	sleepers := a.mem.Word(hostOffSleepers)
-	slept := false
-	for {
-		sleepers.Add(1)
-		w := gen.Load()
-		done, err := look(w)
-		if !done && err == nil {
-			a.mem.Sleep(hostOffGen, w, hostNap)
-			slept = true
-			done, err = look(gen.Load())
-		}
-		sleepers.Add(^uint64(0))
-		if done || err != nil {
-			if slept {
-				a.sleeps++
-			}
-			return err
-		}
-		if err := c.hostInterrupted(a); err != nil {
-			return err
-		}
-		if c.proc.collCount.Load() != 0 {
-			c.progressSiblings(nil)
-		}
-	}
+	return v, target, nil
 }
 
-// hostInterrupted is what a socket would have told a waiter: a member
-// died, the communicator was revoked, freed or released, the device ended.
-func (c *Comm) hostInterrupted(a *hostArea) error {
-	if a.gone.Load() {
-		return errHostGone
+// look reports whether the barrier an arrival made v at has passed, with
+// the count it read. Honest members leave the word in [v, target+np):
+// behind it they would have gone back, past it someone passed the next
+// barrier without this rank.
+func (a *hostArea) look(v, target uint64) (bool, uint64, error) {
+	np := uint64(a.np)
+	w := a.mem.Word(hostOffGen).Load()
+	if w < v || w >= target+np {
+		return false, w, hostCorrupt(w, target-np, np)
 	}
-	if err := c.memberFailure(); err != nil {
-		return err
-	}
-	return c.dev.Err()
+	return w >= target, w, nil
 }
 
 // hostCorrupt types an arrival count no honest member leaves.
@@ -498,12 +469,62 @@ func hostCorrupt(w, base, np uint64) error {
 	return fmt.Errorf("%w: host area: arrival count %d outside barrier [%d, %d]", wire.ErrFrame, w, base+1, base+np)
 }
 
+// hostMoved is the process's look for its device's waits (Device.SetLook),
+// installed with its first host area: whether the count an area's waiting
+// walk saw has moved. A waiter that spins calls it between polls; one about
+// to park asks the areas' helpers to wake it once their counts move.
+func (p *procState) hostMoved(park bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	moved := false
+	for _, c := range p.comms {
+		c.hostMu.RLock()
+		if a := c.host; a != nil && a.waiting.Load() {
+			seen := a.seen.Load()
+			if a.mem.Word(hostOffGen).Load() != seen {
+				moved = true
+			} else if park {
+				select {
+				case a.ask <- seen:
+				default: // a request pending ends in a wake as well
+				}
+			}
+		}
+		c.hostMu.RUnlock()
+	}
+	return moved
+}
+
+// hostHelper is the area's wake, one goroutine for its life. Asked with the
+// count a parking waiter saw, it sleeps on the word's futex while the count
+// still reads it, moves the device's wake generation — the waiter, parked
+// in parkUntil, looks again — and parks on its channel until asked again,
+// so no thread sits in the system call while the rank it woke is runnable.
+// Raising the sleepers word first pairs with the last arrival's look at it.
+func (c *Comm) hostHelper(a *hostArea) {
+	defer close(a.done)
+	for seen := range a.ask {
+		c.hostMu.RLock()
+		if !a.gone.Load() {
+			sleepers := a.mem.Word(hostOffSleepers)
+			sleepers.Add(1)
+			if a.mem.Word(hostOffGen).Load() == seen {
+				a.mem.Sleep(hostOffGen, seen, hostHelperSleep)
+			}
+			sleepers.Add(^uint64(0))
+		}
+		c.hostMu.RUnlock()
+		c.dev.Wake()
+	}
+}
+
 // hostPaths is the allreduce path of each registered communicator, keyed
 // by its point-to-point context, for the /debug/vars status.
 func (p *procState) hostPaths() any {
-	comms := p.registered()
-	out := make(map[string]string, len(comms))
-	for _, c := range comms {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]string, len(p.comms))
+	for _, c := range p.comms {
 		out[fmt.Sprintf("context %d (%d members)", c.pt2pt, c.Size())] = c.allreducePath()
 	}
 	return out
@@ -512,28 +533,20 @@ func (p *procState) hostPaths() any {
 // releaseHostAreas unmaps every registered communicator's host area: the
 // device ended.
 func (p *procState) releaseHostAreas() {
-	for _, c := range p.registered() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.comms {
 		c.hostRelease()
 	}
 }
 
-// registered snapshots the registered communicators.
-func (p *procState) registered() []*Comm {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	comms := make([]*Comm, 0, len(p.comms))
-	for _, c := range p.comms {
-		comms = append(comms, c)
-	}
-	return comms
-}
-
 // hostState is the Comm's share of the host area, embedded there. hostMu's
-// read side is held by an operation inside the area and by the status, its
-// write side by set-up's publication and the release.
+// read side is held by a walk's step while it touches the mapping, by the
+// helper and by the status, its write side by set-up's publication and the
+// release.
 type hostState struct {
 	hostMu  sync.RWMutex
 	hostSet bool      // set-up ran: host is the area, or nil and hostWhy the path
 	host    *hostArea // nil: not set up, refused or released
-	hostWhy string    // "host refused: <why>" or "released
+	hostWhy string    // "host refused: <why>" or "released"
 }

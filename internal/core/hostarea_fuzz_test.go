@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/bits"
+	"fmt"
 	"testing"
 
 	"mpj/internal/device"
@@ -13,14 +13,14 @@ import (
 )
 
 // FuzzHostArea feeds a host area garbage, as a hostile member could write
-// it: the generation word and the sleepers word before the operation, and
-// again — with the slots — after each chunk's first barrier, where a member
+// it: the generation word and the sleepers word before the walk, and again
+// — with the slots — as each chunk's fold round starts, where a member
 // writing concurrently would have been. The generation may run backwards,
-// jump ahead or count past the members. One member of the three is marked
-// failed, so that every wait that is not ended by the garbage ends in its
-// RankFailedError. The operation must never panic, never write outside its
-// receive window or into its send buffer, and end in nil, a wire.ErrFrame
-// or ErrRankFailed.
+// jump ahead or count past the members. The other two members never come:
+// a walk still waiting after a few passes of the engine is failed the way
+// their deaths would fail it. The walk must never panic, never write
+// outside its receive window or into its send buffer, and end in nil, a
+// wire.ErrFrame or ErrRankFailed — and an error must break the area.
 func FuzzHostArea(f *testing.F) {
 	needAreas(f)
 	const np = 3
@@ -36,7 +36,7 @@ func FuzzHostArea(f *testing.F) {
 			if c, err = NewWorld(d); err != nil {
 				f.Fatal(err)
 			}
-			d.NotifyRankFailed(2, errors.New("a dead member"))
+			c.proc.hostFault, c.proc.largeMin = noHostFault, 1
 		}
 	}
 	mem, err := transport.NewArea(hostAreaSize(np))
@@ -54,7 +54,7 @@ func FuzzHostArea(f *testing.F) {
 		b[28] = fill
 		return b
 	}
-	f.Add(seed(0, 0, 0, 1000, 0))               // honest start, nobody else comes: the dead member ends it
+	f.Add(seed(0, 0, 0, 1000, 0))               // honest start, nobody else comes
 	f.Add(seed(2, 0, 5, 1000, 0xff))            // both barriers pass on this rank's arrivals
 	f.Add(seed(2, 0, 2, 40000, 0x7f))           // the first passes, then the count runs back
 	f.Add(seed(2, 0, 9, 1000, 0x11))            // the first passes, then the count is past the members
@@ -78,14 +78,21 @@ func FuzzHostArea(f *testing.F) {
 		for i := hostCtl; i < len(mem.Bytes()); i += len(garbage) {
 			copy(mem.Bytes()[i:], garbage)
 		}
-		a := &hostArea{mem: mem, np: np, me: 0, passed: passed, tmp: make([]byte, bits.Len(np)*hostBlock)}
-		c.proc.hostOpt = &hostOption{chunk: func(rank, chunk int) error {
+		a := newHostArea(mem, np, 0)
+		a.passed = passed
+		c.host, c.hostSet = a, true
+		defer func() { c.host, c.hostSet = nil, false }() // no helper to end at the device's close
+		c.dev.SetRoundHook(func(ctx, tag, round int) {
+			if round%2 == 0 {
+				return
+			}
+			chunk := round / 2
 			mem.Word(hostOffGen).Store(later + uint64(chunk))
 			for i := hostCtl + chunk; i < len(mem.Bytes()); i += 4096 {
 				mem.Bytes()[i] = garbage[0]
 			}
-			return nil
-		}}
+		})
+		defer c.dev.SetRoundHook(nil)
 
 		src := make([]float64, count)
 		for i := range src {
@@ -96,9 +103,16 @@ func FuzzHostArea(f *testing.F) {
 			back[i] = -1
 		}
 		dst := back[8 : 8+count]
-		err := c.hostRun(a, vWindow(Double, src, 0, count), vWindow(Double, dst, 0, count), 8, SumOp.byType[Double])
+		r, err := c.Iallreduce(src, 0, dst, 0, count, Double, SumOp)
+		if err != nil || r.alg != "host" {
+			t.Fatalf("Iallreduce compiled %v, %v; want a walk", r, err)
+		}
+		for i := 0; i < 8 && !r.Done(); i++ {
+		}
+		r.fail(fmt.Errorf("%w: the other members never came", ErrRankFailed)) // no-op once done
+		_, err = r.Wait()
 		if err != nil && !errors.Is(err, wire.ErrFrame) && !errors.Is(err, ErrRankFailed) {
-			t.Fatalf("hostRun returned %v, want nil, a wire.ErrFrame or ErrRankFailed", err)
+			t.Fatalf("the walk returned %v, want nil, a wire.ErrFrame or ErrRankFailed", err)
 		}
 		for i := range 8 {
 			if back[i] != -1 || back[8+count+i] != -1 {
@@ -110,7 +124,10 @@ func FuzzHostArea(f *testing.F) {
 				t.Fatalf("wrote into the send buffer at %d", i)
 			}
 		}
-		if err != nil && !errors.Is(a.err, err) {
+		a.mu.Lock()
+		broken := a.err
+		a.mu.Unlock()
+		if err != nil && broken == nil {
 			t.Fatalf("the area is not broken after %v", err)
 		}
 	})
@@ -118,7 +135,7 @@ func FuzzHostArea(f *testing.F) {
 
 // TestHostAreaHostileCounts pins the barrier's reading of the generation
 // word on one member: each row starts the word somewhere and says what the
-// first barrier must end in.
+// first barrier's arrival and look must end in.
 func TestHostAreaHostileCounts(t *testing.T) {
 	needAreas(t)
 	mem, err := transport.NewArea(hostAreaSize(3))
@@ -126,33 +143,29 @@ func TestHostAreaHostileCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Unmap()
-	eps := transport.NewChanMesh(3)
-	d, err := device.Open(eps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	c, err := NewWorld(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.NotifyRankFailed(1, errors.New("a dead member"))
 	for _, row := range []struct {
 		name   string
 		passed uint64
 		gen    uint64
+		done   bool
 		want   error
 	}{
-		{"last to arrive", 0, 2, nil},
-		{"behind the barrier", 4, 3, wire.ErrFrame}, // barrier 4 starts at 12
-		{"past the members", 0, 3, wire.ErrFrame},
-		{"jumped ahead", 1, 1 << 20, wire.ErrFrame},
-		{"waits on a dead member", 0, 0, ErrRankFailed},
+		{"last to arrive", 0, 2, true, nil},
+		{"behind the barrier", 4, 3, false, wire.ErrFrame}, // barrier 4 starts at 12
+		{"past the members", 0, 3, false, wire.ErrFrame},
+		{"jumped ahead", 1, 1 << 20, false, wire.ErrFrame},
+		{"waits for the others", 0, 0, false, nil},
 	} {
 		mem.Word(hostOffGen).Store(row.gen)
-		a := &hostArea{mem: mem, np: 3, passed: row.passed}
-		if err := c.hostBarrier(a); !errors.Is(err, row.want) || (row.want == nil) != (err == nil) {
-			t.Errorf("%s: barrier returned %v, want %v", row.name, err, row.want)
+		a := newHostArea(mem, 3, 0)
+		a.passed = row.passed
+		v, target, err := a.arrive()
+		done := false
+		if err == nil {
+			done, _, err = a.look(v, target)
+		}
+		if !errors.Is(err, row.want) || (row.want == nil) != (err == nil) || done != row.done {
+			t.Errorf("%s: barrier ended in %v, %v; want %v, %v", row.name, done, err, row.done, row.want)
 		}
 	}
 	if bytes.Count(mem.Bytes()[hostCtl:], []byte{0}) != len(mem.Bytes())-hostCtl {

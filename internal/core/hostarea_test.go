@@ -24,17 +24,20 @@ func needAreas(t testing.TB) {
 	a.Unmap()
 }
 
+// noHostFault plans host areas through the test seam and refuses nothing.
+func noHostFault(int) error { return nil }
+
 // hostRanks runs fn on np goroutine ranks of a channel mesh whose host
-// areas the test seam plans, with opt's faults (nil: none), counting
+// areas the test seam plans, with fault's refusals (nil: none), counting
 // profilers on and the large-message threshold at 1 KiB.
-func hostRanks(t *testing.T, np int, opt *hostOption, fn func(w *Comm) error) {
+func hostRanks(t *testing.T, np int, fault func(rank int) error, fn func(w *Comm) error) {
 	t.Helper()
 	needAreas(t)
 	eps := transport.NewChanMesh(np)
 	runRanksCounted(t, np, func(i int) (transport.Transport, error) { return eps[i], nil }, true, func(w *Comm) error {
-		w.proc.hostOpt = &hostOption{}
-		if opt != nil {
-			w.proc.hostOpt = opt
+		w.proc.hostFault = noHostFault
+		if fault != nil {
+			w.proc.hostFault = fault
 		}
 		w.proc.largeMin = 1 << 10
 		return fn(w)
@@ -52,9 +55,23 @@ func rawBytes(dt Datatype, buf any, count int) []byte {
 // hostOps is the number of host-path allreduces on w so far.
 func hostOps(w *Comm) int64 { return w.ProfSnapshot().HostOps }
 
-// checkHostBits runs one Allreduce of count random elements through the
-// host path and compares its bits with Iallreduce's on the same
-// communicator; with aliased, also InPlace and the aliased layouts.
+// ringBits runs one allreduce on the forced large family — the message
+// schedule a host walk replaces — into want.
+func ringBits(w *Comm, sbuf any, want any, count int, dt Datatype, op *Op) error {
+	w.SetCollAlg(CollAlgRing)
+	defer w.SetCollAlg(CollAlgAuto)
+	req, err := w.Iallreduce(sbuf, 0, want, 0, count, dt, op)
+	if err != nil {
+		return err
+	}
+	_, err = req.Wait()
+	return err
+}
+
+// checkHostBits runs one Allreduce and one Iallreduce of count random
+// elements through the host area and compares their bits with the forced
+// large family's on the same communicator; with aliased, also InPlace and
+// the aliased layouts.
 func checkHostBits[T any](w *Comm, op *Op, dt Datatype, count int, aliased bool, val func(*rand.Rand) T) error {
 	rng := rand.New(rand.NewSource(int64(w.Rank()*7919 + count)))
 	in := make([]T, count)
@@ -62,51 +79,65 @@ func checkHostBits[T any](w *Comm, op *Op, dt Datatype, count int, aliased bool,
 		in[i] = val(rng)
 	}
 	want := make([]T, count)
-	req, err := w.Iallreduce(in, 0, want, 0, count, dt, op)
-	if err != nil {
-		return err
-	}
-	if _, err := req.Wait(); err != nil {
+	if err := ringBits(w, in, want, count, dt, op); err != nil {
 		return err
 	}
 	where := fmt.Sprintf("np=%d %s %s count=%d", w.Size(), op.Name(), dt.Name(), count)
-	run := func(lay string, sbuf any, soff int, rbuf []T, roff int) error {
+	run := func(lay string, sbuf any, soff int, rbuf []T, roff int, blocking bool) error {
 		before := hostOps(w)
-		if err := w.Allreduce(sbuf, soff, rbuf, roff, count, dt, op); err != nil {
+		var err error
+		if blocking {
+			err = w.Allreduce(sbuf, soff, rbuf, roff, count, dt, op)
+		} else {
+			err = waitColl(w.Iallreduce(sbuf, soff, rbuf, roff, count, dt, op))
+		}
+		if err != nil {
 			return fmt.Errorf("%s %s: %w", where, lay, err)
 		}
 		if got := hostOps(w) - before; got != 1 {
 			return fmt.Errorf("%s %s: %d host operations, want 1", where, lay, got)
 		}
 		if !bytes.Equal(rawBytes(dt, rbuf[roff:], count), rawBytes(dt, want, count)) {
-			return fmt.Errorf("%s %s: bits differ from Iallreduce's", where, lay)
+			return fmt.Errorf("%s %s: bits differ from the ring schedule's", where, lay)
 		}
 		return nil
 	}
-	got := make([]T, count)
-	if err := run("disjoint", in, 0, got, 0); err != nil {
+	if err := run("disjoint", in, 0, make([]T, count), 0, true); err != nil {
+		return err
+	}
+	if err := run("Iallreduce", in, 0, make([]T, count), 0, false); err != nil {
 		return err
 	}
 	if !aliased {
 		return nil
 	}
-	if err := run("InPlace", InPlace, 0, append([]T(nil), in...), 0); err != nil {
+	if err := run("InPlace", InPlace, 0, append([]T(nil), in...), 0, true); err != nil {
 		return err
 	}
 	for _, lay := range aliasLayouts {
 		so, ro := lay.so(count), lay.ro(count)
 		back := make([]T, 2*count+2)
 		copy(back[so:], in)
-		if err := run(lay.name, back, so, back, ro); err != nil {
+		if err := run(lay.name, back, so, back, ro, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// TestHostPathSameBits: the host path returns exactly the bits Iallreduce
-// returns on the same communicator — the halving tree's association at
-// powers of two, the ring's order otherwise — for every predefined op on
+// waitColl completes a started collective.
+func waitColl(r *CollRequest, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = r.Wait()
+	return err
+}
+
+// TestHostPathSameBits: the host walk returns exactly the bits the forced
+// large family returns on the same communicator — the halving tree's
+// association at powers of two, the ring's order otherwise — through
+// Allreduce and Iallreduce, for every predefined op on
 // float64 (random non-integer values), int64, int32 and bool, at np 2…8,
 // with counts that divide neither np nor the chunk, one chunk and three,
 // and InPlace and the aliased layouts for a float and an integer op.
@@ -152,8 +183,8 @@ func TestHostPathSameBits(t *testing.T) {
 }
 
 // TestHostAreaCounters: a 1 MiB float64 Allreduce at np=4 walks four
-// chunks and sends no message; this rank copies its 768 KiB of the others'
-// shares and its 256 KiB of folded share into the area.
+// chunks in eight rounds and sends no message; this rank copies its 768 KiB
+// of the others' shares and its 256 KiB of folded share into the area.
 func TestHostAreaCounters(t *testing.T) {
 	const n = 1 << 17
 	hostRanks(t, 4, nil, func(w *Comm) error {
@@ -181,8 +212,164 @@ func TestHostAreaCounters(t *testing.T) {
 			"host ops %d, chunks %d, bytes %d; want %d, %d, %d", b.HostOps-a.HostOps, b.HostChunks-a.HostChunks, b.HostBytes-a.HostBytes, ops, 4*ops, ops*8*n); err != nil {
 			return err
 		}
-		return expect(b.SentMsgs() == a.SentMsgs() && b.CollRounds == a.CollRounds,
-			"%d messages and %d rounds during host operations, want 0", b.SentMsgs()-a.SentMsgs(), b.CollRounds-a.CollRounds)
+		return expect(b.SentMsgs() == a.SentMsgs() && b.CollRounds-a.CollRounds == 2*4*ops,
+			"%d messages and %d rounds during host operations, want 0 and %d", b.SentMsgs()-a.SentMsgs(), b.CollRounds-a.CollRounds, 2*4*ops)
+	})
+}
+
+// TestHostAreaIallreduce: once a blocking Allreduce has set the area up, a
+// 1 MiB float64 Iallreduce at np=3 and 4 walks through it — no message,
+// exactly two rounds per chunk — with the forced large family's bits.
+// Three CommitAllreduce activations keep their message rounds (see
+// CommitAllreduce) with the same bits.
+func TestHostAreaIallreduce(t *testing.T) {
+	const n = 1 << 17
+	for _, np := range []int{3, 4} {
+		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
+			hostRanks(t, np, nil, func(w *Comm) error {
+				rng := rand.New(rand.NewSource(int64(w.Rank()) + 1))
+				in, want, out := make([]float64, n), make([]float64, n), make([]float64, n)
+				for i := range in {
+					in[i] = rng.Float64()*2000 - 1000
+				}
+				if err := w.Allreduce(in, 0, out, 0, n, Double, SumOp); err != nil { // sets the area up
+					return err
+				}
+				if err := ringBits(w, in, want, n, Double, SumOp); err != nil {
+					return err
+				}
+				same := func(what string) error {
+					if !bytes.Equal(rawBytes(Double, out, n), rawBytes(Double, want, n)) {
+						return fmt.Errorf("%s: bits differ from the ring schedule's", what)
+					}
+					clear(out)
+					return nil
+				}
+				a := w.ProfSnapshot()
+				if err := waitColl(w.Iallreduce(in, 0, out, 0, n, Double, SumOp)); err != nil {
+					return err
+				}
+				b := w.ProfSnapshot()
+				if err := expect(b.HostOps-a.HostOps == 1 && b.SentMsgs() == a.SentMsgs() && b.CollRounds-a.CollRounds == 2*4,
+					"Iallreduce: %d host operations, %d messages, %d rounds; want 1, 0, 8", b.HostOps-a.HostOps, b.SentMsgs()-a.SentMsgs(), b.CollRounds-a.CollRounds); err != nil {
+					return err
+				}
+				if err := same("Iallreduce"); err != nil {
+					return err
+				}
+				p, err := w.CommitAllreduce(in, 0, out, 0, n, Double, SumOp)
+				if err != nil {
+					return err
+				}
+				for k := 0; k < 3; k++ {
+					a := w.ProfSnapshot()
+					if err := p.Start(); err != nil {
+						return err
+					}
+					if _, err := p.Wait(); err != nil {
+						return err
+					}
+					b := w.ProfSnapshot()
+					if err := expect(b.HostOps == a.HostOps && b.SentMsgs() > a.SentMsgs(),
+						"activation %d: %d host operations, %d messages; want 0, > 0", k, b.HostOps-a.HostOps, b.SentMsgs()-a.SentMsgs()); err != nil {
+						return err
+					}
+					if err := same(fmt.Sprintf("activation %d", k)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestHostAreaPersistentOrder: two persistent allreduces on a communicator
+// with a host area, started in opposite orders on the two members, each
+// return the forced large family's bits.
+func TestHostAreaPersistentOrder(t *testing.T) {
+	const n = 3*hostChunk/8 + 5
+	hostRanks(t, 2, nil, func(w *Comm) error {
+		var ins, outs, wants [2][]float64
+		for k := range ins {
+			rng := rand.New(rand.NewSource(int64(10*k + w.Rank())))
+			ins[k], outs[k], wants[k] = make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range ins[k] {
+				ins[k][i] = rng.Float64()*2000 - 1000
+			}
+			if err := ringBits(w, ins[k], wants[k], n, Double, SumOp); err != nil {
+				return err
+			}
+		}
+		if err := w.Allreduce(ins[0], 0, outs[0], 0, n, Double, SumOp); err != nil { // sets the area up
+			return err
+		}
+		var ps [2]*PcollRequest
+		for k := range ps {
+			p, err := w.CommitAllreduce(ins[k], 0, outs[k], 0, n, Double, SumOp)
+			if err != nil {
+				return err
+			}
+			ps[k] = p
+		}
+		for round := 0; round < 2; round++ {
+			for k := range ps {
+				if err := ps[(k+w.Rank())%2].Start(); err != nil {
+					return err
+				}
+			}
+			if _, err := WaitAllRequests([]AnyRequest{ps[0], ps[1]}); err != nil {
+				return err
+			}
+			for k := range ps {
+				if !bytes.Equal(rawBytes(Double, outs[k], n), rawBytes(Double, wants[k], n)) {
+					return fmt.Errorf("round %d: allreduce %d's bits differ from the ring schedule's", round, k)
+				}
+				clear(outs[k])
+			}
+		}
+		return nil
+	})
+}
+
+// TestHostAreaQueued: three Iallreduces in flight on one area at once,
+// completed in a different order on every member, walk in call order and
+// each returns its own sum.
+func TestHostAreaQueued(t *testing.T) {
+	const np, n, ops = 4, 3*hostChunk/8 + 5, 3
+	hostRanks(t, np, nil, func(w *Comm) error {
+		in, out := make([]int64, n), make([]int64, n)
+		if err := w.Allreduce(in, 0, out, 0, n, Long, SumOp); err != nil { // sets the area up
+			return err
+		}
+		before := hostOps(w)
+		var reqs [ops]*CollRequest
+		var outs [ops][]int64
+		for k := range reqs {
+			in := make([]int64, n)
+			for i := range in {
+				in[i] = int64(1000*k + w.Rank()*n + i)
+			}
+			outs[k] = make([]int64, n)
+			r, err := w.Iallreduce(in, 0, outs[k], 0, n, Long, SumOp)
+			if err != nil {
+				return err
+			}
+			reqs[k] = r
+		}
+		for j := range reqs {
+			if _, err := reqs[(ops-1-j+w.Rank())%ops].Wait(); err != nil {
+				return err
+			}
+		}
+		for k := range outs {
+			for i, v := range outs[k] {
+				if want := int64(np*(1000*k+i) + n*np*(np-1)/2); v != want {
+					return fmt.Errorf("op %d element %d = %d, want %d", k, i, v, want)
+				}
+			}
+		}
+		return expect(hostOps(w)-before == ops, "%d host operations, want %d", hostOps(w)-before, ops)
 	})
 }
 
@@ -202,13 +389,13 @@ func TestHostAreaRefused(t *testing.T) {
 		{"token", 3, "/proc/1/fd/9 holds another token"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			opt := &hostOption{fault: func(rank int) error {
+			fault := func(rank int) error {
 				if rank == row.victim {
 					return errors.New(row.err)
 				}
 				return nil
-			}}
-			hostRanks(t, np, opt, func(w *Comm) error {
+			}
+			hostRanks(t, np, fault, func(w *Comm) error {
 				in, out := make([]int64, n), make([]int64, n)
 				for i := range in {
 					in[i] = int64(w.Rank()*n + i)
@@ -239,28 +426,32 @@ func TestHostAreaRefused(t *testing.T) {
 	}
 }
 
-// TestHostAreaMemberKilled: a member that dies mid-chunk — after the
-// chunk's first barrier, its share unfolded — makes every survivor's
-// Allreduce return a RankFailedError naming it within hostFailDeadline.
+// TestHostAreaMemberKilled: a member that dies mid-chunk — once the
+// chunk's first barrier has passed, as its fold round posts — makes every
+// survivor's Allreduce return a RankFailedError naming it within
+// hostFailDeadline.
 func TestHostAreaMemberKilled(t *testing.T) {
 	const np, victim, n, hostFailDeadline = 4, 2, 3 * hostChunk / 8, 5 * time.Second
 	needAreas(t)
 	dom := fault.NewDomain()
 	var killed time.Time
 	var mu sync.Mutex
-	opt := &hostOption{chunk: func(rank, chunk int) error {
-		if rank != victim || chunk != 1 {
-			return nil
-		}
-		mu.Lock()
-		killed = time.Now()
-		mu.Unlock()
-		dom.Kill(victim)
-		return errors.New("killed")
-	}}
 	chaosJob(t, "chan", np, dom, nil, func(rank int, w *Comm) error {
-		w.proc.hostOpt = opt
+		w.proc.hostFault = noHostFault
 		in, out := make([]float64, n), make([]float64, n)
+		if err := w.Allreduce(in, 0, out, 0, n, Double, SumOp); err != nil { // sets the area up
+			return err
+		}
+		if rank == victim {
+			w.Device().SetRoundHook(func(ctx, tag, round int) {
+				if ctx == w.coll && round == 3 { // chunk 1's fold
+					mu.Lock()
+					killed = time.Now()
+					mu.Unlock()
+					dom.Kill(victim)
+				}
+			})
+		}
 		err := w.Allreduce(in, 0, out, 0, n, Double, SumOp)
 		if rank == victim {
 			return nil
@@ -366,4 +557,56 @@ func TestHostAreaFreeReleases(t *testing.T) {
 		c.Free()
 		return expect(c.host == nil && c.allreducePath() == "released", "after Free: path %q", c.allreducePath())
 	})
+}
+
+// TestHostAreaAllocationGate pins what a walk through the host area costs
+// the heap: a warmed 1 MiB float64 Allreduce, and an Iallreduce, at np=4
+// through the test seam's area allocate at most hostAllocsPerOp objects per
+// operation on a rank — the request, its rounds, the walk, its finish hook
+// and the status.
+// AllocsPerRun counts the whole process, so the other ranks run the same
+// loop alongside and rank 0's figure covers all four.
+func TestHostAreaAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts on purpose")
+	}
+	const np, n, hostAllocsPerOp = 4, 1 << 17, 5
+	for _, blocking := range []bool{true, false} {
+		name := "Iallreduce"
+		if blocking {
+			name = "Allreduce"
+		}
+		t.Run(name, func(t *testing.T) {
+			hostRanks(t, np, nil, func(w *Comm) error {
+				var in, out any = make([]float64, n), make([]float64, n)
+				if err := w.Allreduce(in, 0, out, 0, n, Double, SumOp); err != nil { // sets the area up
+					return err
+				}
+				op := func() {
+					var err error
+					if blocking {
+						err = w.Allreduce(in, 0, out, 0, n, Double, SumOp)
+					} else {
+						err = waitColl(w.Iallreduce(in, 0, out, 0, n, Double, SumOp))
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}
+				const warm, runs = 20, 100
+				for k := 0; k < warm; k++ {
+					op()
+				}
+				if w.Rank() != 0 {
+					for k := 0; k < runs+1; k++ { // AllocsPerRun makes one extra warm-up call
+						op()
+					}
+					return nil
+				}
+				perRank := testing.AllocsPerRun(runs, op) / np
+				t.Logf("%s: %.2f objects allocated per 1 MiB np=4 host walk and rank", name, perRank)
+				return expect(perRank <= hostAllocsPerOp, "a host walk allocates %.2f objects per rank, want ≤ %d", perRank, hostAllocsPerOp)
+			})
+		})
+	}
 }

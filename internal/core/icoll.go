@@ -818,14 +818,18 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 // bandwidth-optimal family (recursive halving/doubling on a power-of-two
 // communicator, the ring otherwise); below the threshold power-of-two sizes
 // use recursive doubling and others reduce to rank 0 and broadcast (the same
-// automatic choice Allreduce makes; see collalg.go). Until the request
-// completes sbuf must not be written — the large family lends it to the
-// transport — and rbuf not touched.
+// automatic choice Allreduce makes; see collalg.go). Large vectors walk
+// through the communicator's host area once a blocking Allreduce has set it
+// up (hostarea.go). Until the request completes sbuf must not be written —
+// the large family lends it to the transport — and rbuf not touched.
 func (c *Comm) Iallreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
-	return c.iallreduce("iallreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), sbuf, soff, rbuf, roff, count, dt, op)
+	return c.iallreduce("iallreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), formNonBlocking, sbuf, soff, rbuf, roff, count, dt, op)
 }
 
-func (c *Comm) iallreduce(name string, tag int, alg allreduceAlg, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
+// iallreduce compiles every entry form's allreduce: a walk through the host
+// area where form and the arguments let it (iallreduceHost), else alg's
+// schedule.
+func (c *Comm) iallreduce(name string, tag int, alg allreduceAlg, form collForm, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
 	size := c.Size()
 	if isInPlace(rbuf) {
 		return nil, fmt.Errorf("%s: %w: InPlace is only valid as the send buffer", name, ErrBuffer)
@@ -836,6 +840,9 @@ func (c *Comm) iallreduce(name string, tag int, alg allreduceAlg, sbuf any, soff
 	comb, err := op.combinerFor(dt)
 	if err != nil {
 		return nil, err
+	}
+	if r, err := c.iallreduceHost(name, tag, form, sbuf, soff, rbuf, roff, count, dt, op); r != nil || err != nil {
+		return r, err
 	}
 	if alg == allreduceRing {
 		return c.iallreduceRing(name, tag, sbuf, soff, rbuf, roff, count, dt, comb)

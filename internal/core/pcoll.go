@@ -268,11 +268,12 @@ func (c *Comm) CommitReduce(sbuf any, soff int, rbuf any, roff, count int, dt Da
 }
 
 // CommitAllreduce creates a persistent allreduce — MPI_Allreduce_init.
-// The algorithm route is resolved once, at Commit time.
+// The algorithm route is resolved once, at Commit time; its activations
+// keep their message rounds (see formPersistent).
 func (c *Comm) CommitAllreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*PcollRequest, error) {
 	alg := c.autoAllreduceAlg(count, dt)
 	return c.commitColl("pallreduce", false, func(tag int) (*CollRequest, error) {
-		return c.iallreduce("pallreduce", tag, alg, sbuf, soff, rbuf, roff, count, dt, op)
+		return c.iallreduce("pallreduce", tag, alg, formPersistent, sbuf, soff, rbuf, roff, count, dt, op)
 	})
 }
 

@@ -15,7 +15,8 @@ import (
 // This file implements the collective schedule engine. A collective call
 // is compiled into a per-rank schedule — an ordered list of rounds, each a
 // set of independent isend/irecv steps against the device, with local
-// reduce/copy work attached as receive completion actions — and a
+// reduce/copy work attached as receive completion actions, or one step of
+// a walk through the host area (hostarea.go) — and a
 // CollRequest drives the schedule forward on every Wait/Test entry.
 // Progress therefore needs no background goroutine, exactly like the
 // device layer: whatever goroutine observes the request advances it, and
@@ -102,6 +103,11 @@ type recvStep struct {
 type round struct {
 	recvs []recvStep
 	sends []sendStep
+
+	// walk, when set, makes the round step walkStep of a walk through the
+	// host area (hostarea.go): no messages, done when its barrier passed.
+	walk     *hostWalk
+	walkStep int
 }
 
 // tagSchedBase is the first tag used by schedule-compiled collectives.
@@ -161,8 +167,9 @@ func (c *Comm) unregisterColl(r *CollRequest) {
 // must keep driving the rounds of its siblings, or ranks waiting in
 // different orders would deadlock.
 func (c *Comm) progressSiblings(except *CollRequest) {
+	var few [8]*CollRequest // the usual handful needs no allocation per park
 	c.proc.collMu.Lock()
-	sibs := make([]*CollRequest, 0, len(c.proc.inflight))
+	sibs := few[:0]
 	for s := range c.proc.inflight {
 		if s != except {
 			sibs = append(sibs, s)
@@ -185,9 +192,9 @@ func (c *Comm) progressSiblings(except *CollRequest) {
 // schedules except one, and parks until the generation moves. Because the
 // read comes before the look, whatever happens after the look — a
 // completion, an arrival, a death, a revocation, a window's state change
-// (Device.Wake), Close — has moved the generation and the park returns at
-// once: no wakeup is lost. Time parked is the profile's wait span,
-// charged to device context ctx.
+// or a host-area barrier passing (both Device.Wake), Close — has moved the
+// generation and the park returns at once: no wakeup is lost. Time parked
+// is the profile's wait span, charged to device context ctx.
 func (c *Comm) parkUntil(ctx int, except *CollRequest, look func() bool) {
 	for {
 		gen := c.dev.Gen()
@@ -378,6 +385,9 @@ func (r *CollRequest) progressLocked() {
 			}
 		}
 		_, ok, err := r.c.dev.TestAll(r.pending)
+		if rd := &r.rounds[r.cur]; rd.walk != nil && ok && err == nil {
+			ok, err = rd.walk.run(rd.walkStep) // a barrier, not messages
+		}
 		if !ok {
 			return // round still in flight; a later entry will reap it
 		}
@@ -418,9 +428,13 @@ func (r *CollRequest) finishLocked() {
 // in flight. What stays pending is the round's loans — memory the device
 // reads (a lent send) or writes (a matched in-place receive) until those
 // requests complete: only then does the request report done (settleLocked),
-// so a caller handed the error owns its buffers again. Callers hold r.mu.
+// so a caller handed the error owns its buffers again; a walk breaks its
+// host area. Callers hold r.mu.
 func (r *CollRequest) failLocked(err error) {
 	r.err = fmt.Errorf("%s: %w", r.name, err)
+	if len(r.rounds) > 0 && r.rounds[0].walk != nil {
+		r.rounds[0].walk.abandon(err)
+	}
 	for _, dr := range r.pending {
 		_ = dr.Cancel() // best effort: unmatched operations complete as cancelled
 	}

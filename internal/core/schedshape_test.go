@@ -70,7 +70,13 @@ func (t *shapeTap) Send(dst int, frame []byte) error {
 // step states up front (-1: a closure-supplied send or a dynamic receive).
 type stepShape struct{ peer, n int }
 
-type roundShape struct{ recvs, sends []stepShape }
+// roundShape is one round as compiled; area, for a round of a walk through
+// the host area, is the step: what it does and this rank's share of the
+// chunk's bytes.
+type roundShape struct {
+	recvs, sends []stepShape
+	area         string
+}
 
 // schedShape is what one rank compiled for one collective call.
 type schedShape struct {
@@ -114,6 +120,10 @@ func captureShape(r *CollRequest) schedShape {
 	s := schedShape{tag: r.tag, alg: r.alg, lend: lendCheck(r.rounds, nil)}
 	for _, rd := range r.rounds {
 		var rs roundShape
+		if w := rd.walk; w != nil {
+			_, m, lo, hi := w.chunk(rd.walkStep / 2)
+			rs.area = fmt.Sprintf("%s %d:%d/%d", [2]string{"publish", "fold"}[rd.walkStep%2], lo, hi, m)
+		}
 		for _, x := range rd.recvs {
 			n := -1
 			if x.buf != nil {
@@ -308,6 +318,13 @@ var shapeSizes = []struct {
 
 const shapePinned = 3 // leading shapeSizes entries compared against the golden
 
+// shapeHostSizes are the payload classes of the host cells: one chunk or
+// less (the walk's chunks are 256 KiB whatever the threshold).
+var shapeHostSizes = []struct {
+	name string
+	n    int
+}{{"mid", 512}, {"large", 2048}, {"chunks", 3*hostChunk/4 + 3}}
+
 var shapeFamilies = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing, CollAlgHier}
 
 // shapeLayouts are the locality layouts: none, two interleaved groups, and
@@ -396,6 +413,10 @@ func shapeCell(shapes []schedShape, taps []*shapeTap, ctx int) (text, alg string
 		sentTo, gotFrom := map[int]int{}, map[int]int{}
 		fmt.Fprintf(&b, "rank %d\n", me)
 		for i, rd := range s.rounds {
+			if rd.area != "" {
+				fmt.Fprintf(&b, " round %d area %s\n", i, rd.area)
+				continue
+			}
 			fmt.Fprintf(&b, " round %d recv", i)
 			for _, x := range rd.recvs {
 				fmt.Fprintf(&b, " %d:%d", x.peer, travelled(pair{x.peer, me})[gotFrom[x.peer]])
@@ -438,6 +459,12 @@ func TestScheduleShape(t *testing.T) {
 	}
 	var lines []string
 	var dump strings.Builder
+	hostAreas := true
+	if a, err := transport.NewArea(hostAreaSize(2)); err != nil {
+		hostAreas = false // the host cells are checked where areas exist
+	} else {
+		a.Unmap()
+	}
 
 	ncell := len(shapeSizes) * len(shapeFamilies)
 	for np := 2; np <= 9; np++ {
@@ -453,7 +480,7 @@ func TestScheduleShape(t *testing.T) {
 					}
 				}
 			}
-			mesh := transport.NewChanMesh(np)
+			mesh, mesh2 := transport.NewChanMesh(np), transport.NewChanMesh(np)
 			taps := make([]*shapeTap, np)
 			ctx := 0
 			runRanksOn(t, np, func(i int) (transport.Transport, error) {
@@ -481,6 +508,40 @@ func TestScheduleShape(t *testing.T) {
 				return nil
 			})
 
+			// The host cells: Iallreduce through the area the test seam plans
+			// on the flat layout, once a blocking Allreduce has set it up.
+			var host [][]schedShape
+			htaps, hctx := make([]*shapeTap, np), 0
+			if layout.name == "flat" && hostAreas {
+				host = make([][]schedShape, len(shapeHostSizes))
+				for i := range host {
+					host[i] = make([]schedShape, np)
+				}
+				runRanksOn(t, np, func(i int) (transport.Transport, error) {
+					htaps[i] = &shapeTap{Transport: mesh2[i], sent: map[tapKey][]int{}}
+					return htaps[i], nil
+				}, func(w *Comm) error {
+					if w.Rank() == 0 {
+						hctx = w.coll
+					}
+					w.proc.largeMin = shapeLargeMin
+					w.proc.hostFault = noHostFault
+					n := shapeHostSizes[len(shapeHostSizes)-1].n
+					if err := w.Allreduce(make([]int32, n), 0, make([]int32, n), 0, n, Int, SumOp); err != nil {
+						return err
+					}
+					for i, size := range shapeHostSizes {
+						s, r := make([]int32, size.n), make([]int32, size.n)
+						shape, err := shapeWait(w.Iallreduce(s, 0, r, 0, size.n, Int, SumOp))
+						if err != nil {
+							return fmt.Errorf("host allreduce %s: %w", size.name, err)
+						}
+						host[i][w.Rank()] = shape
+					}
+					return nil
+				})
+			}
+
 			for o, op := range shapeOps {
 				key := fmt.Sprintf("%s np=%d %s", op.name, np, layout.name)
 				var hashes, algs []string
@@ -505,6 +566,23 @@ func TestScheduleShape(t *testing.T) {
 							algs = append(algs, alg)
 						}
 					}
+				}
+				line := strings.Join(hashes, " ") + " algs=" + hash32(strings.Join(algs, ","))
+				lines = append(lines, key+": "+line)
+				if want, ok := golden[key]; !*shapeUpdate && (!ok || want != line) {
+					t.Errorf("%s: schedule shapes changed\n got %s\nwant %s\n(cells: %s)", key, line, want, strings.Join(algs, ","))
+				}
+			}
+			if host != nil {
+				key := fmt.Sprintf("allreduce-host np=%d %s", np, layout.name)
+				var hashes, algs []string
+				for i, size := range shapeHostSizes {
+					text, alg, err := shapeCell(host[i], htaps, hctx)
+					if err != nil {
+						t.Errorf("%s %s: %v", key, size.name, err)
+					}
+					fmt.Fprintf(&dump, "== %s %s alg=%s\n%s", key, size.name, alg, text)
+					hashes, algs = append(hashes, hash32(text)), append(algs, alg)
 				}
 				line := strings.Join(hashes, " ") + " algs=" + hash32(strings.Join(algs, ","))
 				lines = append(lines, key+": "+line)
@@ -606,7 +684,7 @@ func TestLendSafetyLargeAllreduce(t *testing.T) {
 					for i := range s {
 						s[i] = int32(i + w.Rank())
 					}
-					req, err := w.iallreduce("iallreduce", w.nextCollTag(), allreduceRing, s, 0, r, 0, n, Int, spy.op())
+					req, err := w.iallreduce("iallreduce", w.nextCollTag(), allreduceRing, formNonBlocking, s, 0, r, 0, n, Int, spy.op())
 					if err != nil {
 						return err
 					}

@@ -163,14 +163,16 @@ type Stats struct {
 	CTSSent         atomic.Int64
 	DataSent        atomic.Int64
 	DataRecv        atomic.Int64
-	Unexpected      atomic.Int64 // messages queued before a matching receive
-	PostedDirect    atomic.Int64 // messages that met an already-posted receive
-	Pulled          atomic.Int64 // rendezvous payloads this device copied out of a co-host sender, streamed or pulled (see pull.go)
-	PullRefused     atomic.Int64 // pulls that moved nothing usable; the message took CTS and DATA
-	Streamed        atomic.Int64 // of them, payloads that came through the sender's stream area, whole or in part
-	StreamTakeovers atomic.Int64 // streams that stalled or stopped short, whose rest was pulled or took CTS and DATA
-	RingFrames      atomic.Int64 // frames this device sent through a co-host ring (see polls.go)
-	Doorbells       atomic.Int64 // doorbells it rang: ring frames no waiter was polling for
+	Unexpected      atomic.Int64    // messages queued before a matching receive
+	PostedDirect    atomic.Int64    // messages that met an already-posted receive
+	Pulled          atomic.Int64    // rendezvous payloads this device copied out of a co-host sender, streamed or pulled (see pull.go)
+	PullRefused     atomic.Int64    // pulls that moved nothing usable; the message took CTS and DATA
+	Streamed        atomic.Int64    // of them, payloads that came through the sender's stream area, whole or in part
+	StreamTakeovers atomic.Int64    // streams that stalled or stopped short, whose rest was pulled or took CTS and DATA
+	StreamsEmpty    atomic.Int64    // of them, streams taken over at byte 0
+	StreamMisses    [4]atomic.Int64 // blocking co-host sends whose StreamOpen claimed no area, by transport.StreamMiss
+	RingFrames      atomic.Int64    // frames this device sent through a co-host ring (see polls.go)
+	Doorbells       atomic.Int64    // doorbells it rang: ring frames no waiter was polling for
 }
 
 // unexpected is an arrived message (eager payload or rendezvous header)
@@ -253,6 +255,8 @@ type Device struct {
 	polls   bool
 	media   []string
 	ringOpt *ringOption
+
+	look atomic.Pointer[func(park bool) bool] // see SetLook
 
 	ft map[ftKey]*ftInst // fault-tolerant agreement instances (see ft.go)
 
@@ -1036,12 +1040,13 @@ func (d *Device) Gen() uint64 { return d.gen.Load() }
 // WaitProgress parks until the wake generation moves past gen — until any
 // request completes, a message arrives unmatched, a rank failure or a
 // revoked context is registered, an agreement message lands, Wake is
-// called, or the device closes after the caller read Gen. It is the
+// called, or the device closes after the caller read Gen — or until the
+// look (SetLook) reports its state moved. It is the
 // parking primitive of core's one park loop, which re-derives what to do
 // from its own state after every wakeup; the wakeup says that something
 // changed, not what.
 func (d *Device) WaitProgress(gen uint64) {
-	if d.gen.Load() != gen || d.polls && d.spin(gen, time.Now().Add(pollBudget)) {
+	if d.gen.Load() != gen || d.polls && d.spin(gen, time.Now().Add(pollBudget), true) || d.looked(true) {
 		return
 	}
 	d.mu.Lock()

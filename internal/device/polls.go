@@ -10,7 +10,8 @@ package device
 // the two park sites, WaitProgress and Request.Wait, yield once and then
 // poll the rings for at most pollBudget before they park (a Request.Wait
 // whose payload a co-host pull carries does not: see Wait), and a sender
-// rings the doorbell only when no waiter polls.
+// rings the doorbell only when no waiter polls. WaitProgress also makes the
+// look above the device (SetLook: core's host areas) between its polls.
 //
 // Polling is a spin, which is safe only where it takes no CPU a peer
 // needs: the gate is the rule procShare already applies, read from the
@@ -70,24 +71,37 @@ func (d *Device) planRings() {
 	d.polls = true
 }
 
-// Polls reports whether the rings' gate is open for this rank: waiters
-// may spin before they park, because the host has a CPU per rank. Core's
-// host area spins under the same rule.
-func (d *Device) Polls() bool { return d.polls }
-
 // spin polls the transport until the wake generation moves past gen or
-// end passes, and reports whether it moved. Each Poll yields once before
-// it looks: a doorbell this rank's own send queued must reach the socket
-// before the poll takes the processor away from the writer. Called
-// without d.mu: the frames it delivers run the handler.
-func (d *Device) spin(gen uint64, end time.Time) bool {
-	for d.gen.Load() == gen {
+// end passes, and reports whether it moved — or, with look, whether the
+// look (SetLook) made between polls saw its state move. Each Poll yields
+// once before it looks: a doorbell this rank's own send queued must reach
+// the socket before the poll takes the processor away from the writer.
+// Called without d.mu: the frames it delivers run the handler.
+func (d *Device) spin(gen uint64, end time.Time, look bool) bool {
+	look = look && d.look.Load() != nil
+	for d.gen.Load() == gen && !(look && d.looked(false)) {
 		left := time.Until(end)
-		if left <= 0 || !d.t.Poll(left) {
+		if look {
+			left = min(left, pollBudget/10) // a look between polls
+		}
+		if left <= 0 || !d.t.Poll(left) && !look {
 			return d.gen.Load() != gen
 		}
 	}
 	return true
+}
+
+// SetLook installs f as what a wait looks at beside the wake generation:
+// state above the device whose change no frame reports (core's host areas).
+// A spinning waiter calls f(false) between polls, and stops when it reports
+// a change; one about to park calls f(true), which arms whatever will call
+// Wake, and parks only if it reports no change.
+func (d *Device) SetLook(f func(park bool) bool) { d.look.Store(&f) }
+
+// looked makes the look (SetLook), if there is one.
+func (d *Device) looked(park bool) bool {
+	f := d.look.Load()
+	return f != nil && (*f)(park)
 }
 
 // FrameMedia reports, per world rank, how frames to that rank travel:

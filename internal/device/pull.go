@@ -139,10 +139,12 @@ func (d *Device) offerLocked(r *Request, stream bool, b *[streamOfferLen]byte) [
 	binary.LittleEndian.PutUint64(b[8:], uint64(uintptr(unsafe.Pointer(&r.pull.cell))))
 	binary.LittleEndian.PutUint64(b[16:], token)
 	if stream {
-		if r.pull.stream = d.t.StreamOpen(r.dst); r.pull.stream != 0 {
+		var miss transport.StreamMiss
+		if r.pull.stream, miss = d.t.StreamOpen(r.dst); r.pull.stream != 0 {
 			binary.LittleEndian.PutUint64(b[24:], uint64(r.pull.stream))
 			return b[:]
 		}
+		d.stats.StreamMisses[miss].Add(1)
 	}
 	return b[:offerLen]
 }
@@ -268,6 +270,9 @@ func (d *Device) fetch(r *Request, dst []byte) error {
 			return nil
 		}
 		d.stats.StreamTakeovers.Add(1)
+		if got == 0 {
+			d.stats.StreamsEmpty.Add(1)
+		}
 		if r.pull.quit.Load() {
 			return errStreamQuit
 		}

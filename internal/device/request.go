@@ -81,7 +81,7 @@ func (r *Request) Wait() (Status, error) {
 		for !r.done {
 			gen := d.gen.Load()
 			d.mu.Unlock()
-			moved := d.spin(gen, end)
+			moved := d.spin(gen, end, false)
 			d.mu.Lock()
 			if !moved {
 				break

@@ -255,7 +255,9 @@ func (ep *Endpoint) Poll(budget time.Duration) bool { return ep.inner.Poll(budge
 // StreamOpen, Stream and Unstream forward to the inner transport: a
 // stream's bytes are no frame, and the RTS that announces one goes
 // through Send.
-func (ep *Endpoint) StreamOpen(dst int) uint32 { return ep.inner.StreamOpen(dst) }
+func (ep *Endpoint) StreamOpen(dst int) (uint32, transport.StreamMiss) {
+	return ep.inner.StreamOpen(dst)
+}
 
 // Stream forwards to the inner transport.
 func (ep *Endpoint) Stream(dst int, id uint32, payload []byte, hook func(off int) bool) bool {

@@ -117,7 +117,6 @@ type counters struct {
 	hostOps    atomic.Int64
 	hostChunks atomic.Int64
 	hostBytes  atomic.Int64
-	hostSleeps atomic.Int64
 }
 
 // addTo folds the current counter values into s.
@@ -152,7 +151,6 @@ func (c *counters) addTo(s *Snapshot) {
 	s.HostOps += c.hostOps.Load()
 	s.HostChunks += c.hostChunks.Load()
 	s.HostBytes += c.hostBytes.Load()
-	s.HostSleeps += c.hostSleeps.Load()
 }
 
 // Snapshot is a plain-integer copy of the counters at one instant, the
@@ -208,13 +206,12 @@ type Snapshot struct {
 	RmaLocks      int64 `json:"rmaLocks"`
 
 	// Host-area allreduces (core's hostarea.go), counted on the collective
-	// context: operations, the chunks they walked, the bytes this rank
-	// copied into the shared area, and barrier waits that slept on the
-	// futex instead of finding the barrier passed.
+	// context: operations, the chunks they walked and the bytes this rank
+	// copied into the shared area. Their waits are the wait span's, like
+	// every schedule's.
 	HostOps    int64 `json:"hostOps"`
 	HostChunks int64 `json:"hostChunks"`
 	HostBytes  int64 `json:"hostBytes"`
-	HostSleeps int64 `json:"hostSleeps"`
 }
 
 // SentBytes returns the total payload bytes sent, both protocols.
@@ -261,7 +258,6 @@ func (s *Snapshot) add(o Snapshot) {
 	s.HostOps += o.HostOps
 	s.HostChunks += o.HostChunks
 	s.HostBytes += o.HostBytes
-	s.HostSleeps += o.HostSleeps
 }
 
 // RmaOps returns the total one-sided operations recorded, all kinds.
@@ -475,15 +471,14 @@ func (r *Recorder) RmaLock(ctx int) {
 }
 
 // HostOp records one allreduce through a host area on the collective
-// context ctx: the chunks it walked, the bytes this rank copied into the
-// area and the barrier waits that slept.
-func (r *Recorder) HostOp(ctx, chunks, bytes, sleeps int) {
+// context ctx: the chunks it walked and the bytes this rank copied into the
+// area.
+func (r *Recorder) HostOp(ctx, chunks, bytes int) {
 	c := r.forCtx(ctx)
 	for _, set := range []*counters{&r.global, c} {
 		set.hostOps.Add(1)
 		set.hostChunks.Add(int64(chunks))
 		set.hostBytes.Add(int64(bytes))
-		set.hostSleeps.Add(int64(sleeps))
 	}
 }
 

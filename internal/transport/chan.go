@@ -304,7 +304,7 @@ func (t *ChanTransport) Rings(RingPlan) {}
 func (t *ChanTransport) Poll(time.Duration) bool { return false }
 
 // StreamOpen finds no stream area: there is no ring.
-func (t *ChanTransport) StreamOpen(int) uint32 { return 0 }
+func (t *ChanTransport) StreamOpen(int) (uint32, StreamMiss) { return 0, StreamNoRing }
 
 // Stream is never called: StreamOpen claims nothing.
 func (t *ChanTransport) Stream(int, uint32, []byte, func(int) bool) bool { return false }

@@ -273,9 +273,9 @@ func (t *HybTransport) Poll(budget time.Duration) bool {
 }
 
 // StreamOpen claims a stream area of the TCP half's ring to dst.
-func (t *HybTransport) StreamOpen(dst int) uint32 {
+func (t *HybTransport) StreamOpen(dst int) (uint32, StreamMiss) {
 	if t.tcp == nil {
-		return 0
+		return 0, StreamNoRing
 	}
 	return t.tcp.StreamOpen(dst)
 }

@@ -580,7 +580,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		return o.n, o.err
 	}
 	for round := uint32(1); round <= 3; round++ {
-		id := m.eps[0].StreamOpen(1)
+		id, _ := m.eps[0].StreamOpen(1)
 		if id != round {
 			t.Fatalf("round %d: StreamOpen = %d", round, id)
 		}
@@ -597,17 +597,17 @@ func TestStreamRoundTrip(t *testing.T) {
 
 	// Nobody consumes: the producer stops behind a full area, and the
 	// area stays claimed until a consumer says it is done.
-	id := m.eps[0].StreamOpen(1)
+	id, _ := m.eps[0].StreamOpen(1)
 	m.eps[0].Stream(1, id, msg, nil)
-	if again := m.eps[0].StreamOpen(1); again != 0 {
-		t.Fatalf("StreamOpen = %d while the peer holds stream %d", again, id)
+	if again, miss := m.eps[0].StreamOpen(1); again != 0 || miss != StreamBehind {
+		t.Fatalf("StreamOpen = %d, %d while the peer holds stream %d, want 0, StreamBehind", again, miss, id)
 	}
 	got := make([]byte, n)
 	if k, err := m.eps[1].Unstream(0, id, n, got, nil); err != nil || k != streamArea || !bytes.Equal(got[:k], msg[:k]) {
 		t.Fatalf("the late consumer copied %d bytes, %v; want the %d the area holds", k, err, streamArea)
 	}
-	if again := m.eps[0].StreamOpen(1); again != id+1 {
-		t.Fatalf("StreamOpen = %d once the peer is done, want %d", again, id+1)
+	if again, miss := m.eps[0].StreamOpen(1); again != id+1 || miss != StreamClaimed {
+		t.Fatalf("StreamOpen = %d, %d once the peer is done, want %d", again, miss, id+1)
 	}
 	m.eps[0].Stream(1, id+1, nil, nil) // hand the claim back
 	if k, err := m.eps[1].Unstream(0, id+1, 0, nil, nil); k != 0 || err != nil {
@@ -615,8 +615,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 
 	eps, _, _ := buildTCPMesh(t, 2)
-	if id := eps[0].StreamOpen(1); id != 0 {
-		t.Errorf("a mesh without rings opened stream %d", id)
+	if id, miss := eps[0].StreamOpen(1); id != 0 || miss != StreamNoRing {
+		t.Errorf("a mesh without rings opened stream %d (%d)", id, miss)
 	}
 	if k, err := eps[1].Unstream(0, 1, n, got, nil); k != 0 || err != nil {
 		t.Errorf("a mesh without rings unstreamed %d bytes, %v", k, err)

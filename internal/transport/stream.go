@@ -61,25 +61,36 @@ const (
 // internal/device polls.go).
 const StreamBudget = 150 * time.Microsecond
 
+// StreamMiss says why StreamOpen claimed no stream area.
+type StreamMiss int
+
+const (
+	StreamClaimed StreamMiss = iota // it did: the id is not 0
+	StreamNoRing                    // no live ring to dst, or its connection ended
+	StreamHeld                      // a stream of this endpoint is still in the area
+	StreamBehind                    // the peer has not finished the last one (offDone)
+)
+
 // StreamOpen claims the stream area of the ring to dst for one payload and
-// returns the stream's id, or 0 when there is none to claim: no live ring
-// to dst, its connection ended, a stream of this endpoint still in it, or
-// the peer not finished with the last one. A claimed area must be handed
-// back with Stream.
-func (t *TCPTransport) StreamOpen(dst int) uint32 {
+// returns the stream's id, or 0 and why there is none to claim. A claimed
+// area must be handed back with Stream.
+func (t *TCPTransport) StreamOpen(dst int) (uint32, StreamMiss) {
 	rs := t.rings
 	if rs == nil {
-		return 0
+		return 0, StreamNoRing
 	}
 	rs.streams.RLock()
 	defer rs.streams.RUnlock()
 	o := t.outRing(dst)
-	if rs.gone || o == nil || rs.ended[dst].Load() || !o.streaming.CompareAndSwap(false, true) {
-		return 0
+	if rs.gone || o == nil || rs.ended[dst].Load() {
+		return 0, StreamNoRing
+	}
+	if !o.streaming.CompareAndSwap(false, true) {
+		return 0, StreamHeld
 	}
 	if o.m.word(offDone).Load() != uint64(o.last) {
 		o.streaming.Store(false)
-		return 0
+		return 0, StreamBehind
 	}
 	if o.last == 0 {
 		// The first stream: fault the area in now, before the RTS has a
@@ -94,7 +105,7 @@ func (t *TCPTransport) StreamOpen(dst int) uint32 {
 		o.last = 1
 	}
 	o.m.word(offFill).Store(uint64(o.last) << 32)
-	return o.last
+	return o.last, StreamClaimed
 }
 
 // Stream copies payload, whose RTS announced stream id, into the area

@@ -209,9 +209,9 @@ type Transport interface {
 	Poll(budget time.Duration) bool
 	// StreamOpen claims the stream area of the ring to dst for one
 	// rendezvous payload (see stream.go) and returns the stream's id, or 0
-	// when there is none to claim: no live ring to dst, or its area still
-	// in use. Stream must follow a claim.
-	StreamOpen(dst int) uint32
+	// and why there is none to claim: no live ring to dst, or its area
+	// still in use. Stream must follow a claim.
+	StreamOpen(dst int) (uint32, StreamMiss)
 	// Stream copies payload into the area claimed as id while the peer
 	// copies it out, on the caller's goroutine, hands the area back and
 	// reports whether all of payload went in; it stops early when the

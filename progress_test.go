@@ -55,8 +55,10 @@ func driveBcastDone(req *CollRequest, data []int64) error {
 // Ibcast — which needs one of them to forward the payload — before it sends
 // the message they probe for, or enters the fence or the Allreduce they
 // wait in. A blocked rank that stops driving its schedule wedges the job.
-// The Allreduce row runs on process slaves, whose large allreduces fold
-// through a host area (hostarea_test.go).
+// The proc rows run on process slaves, whose large allreduces walk through
+// a host area (hostarea_test.go): a blocking Allreduce whose barrier ranks
+// wait at, and an Iallreduce whose barriers ranks blocked in Probe or Fence
+// must pass.
 func TestBlockedRanksDriveCollectives(t *testing.T) {
 	const np, tag, limit = 4, 5, 20 * time.Second
 	programs := []struct {
@@ -131,14 +133,20 @@ func TestBlockedRanksDriveCollectives(t *testing.T) {
 			})
 		}
 	}
-	t.Run("proc/Allreduce", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("spawns OS processes")
-		}
-		reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
-		cfg := JobConfig{NP: np, App: "drive-host-allreduce", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Prof: "counters"}
-		if err := runJobWithin(cfg, 2*limit); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, row := range []struct{ name, app string }{
+		{"proc/Allreduce", "drive-host-allreduce"},
+		{"proc/Iallreduce/Probe", "drive-host-iallreduce-probe"},
+		{"proc/Iallreduce/Fence", "drive-host-iallreduce-fence"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("spawns OS processes")
+			}
+			reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+			cfg := JobConfig{NP: np, App: row.app, Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Prof: "counters"}
+			if err := runJobWithin(cfg, 2*limit); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -142,11 +142,29 @@ func pullApp(mode string) App {
 		st, paths := dev.Stats(), dev.PeerPaths()
 		pulled, refused, data, landed, rts := st.Pulled.Load(), st.PullRefused.Load(), st.DataSent.Load(), st.DataRecv.Load(), st.RTSRecv.Load()
 		streamed, takeovers := st.Streamed.Load(), st.StreamTakeovers.Load()
+		// Why the peer's sends to this rank did not stream: its StreamOpen
+		// claimed no area (no live ring, its last stream still held, this
+		// rank not done with the last one), or the stream was taken over
+		// at byte 0 here.
+		misses := make([]int64, 3)
+		if me < 2 {
+			for i := range misses {
+				misses[i] = st.StreamMisses[i+1].Load()
+			}
+			if err := Send(w, misses, 1-me, trips); err != nil {
+				return err
+			}
+			if _, err := Recv(w, misses, 1-me, trips); err != nil {
+				return err
+			}
+		}
+		whyNot := fmt.Sprintf("the sender's StreamOpen claimed no area for %d (no live ring %d, streaming held %d, offDone behind %d), %d streams were taken over at byte 0",
+			misses[0]+misses[1]+misses[2], misses[0], misses[1], misses[2], st.StreamsEmpty.Load())
 		// Streams need a live ring to the ping-pong's peer: a host with a
 		// CPU per rank and a scheduler the runtime sizes (see polls.go).
 		rings := me < 2 && dev.FrameMedia()[1-me] == "ring"
-		fmt.Printf("rank %d %s: %d pulled, %d streamed, %d taken over, %d refused, %d DATA sent, %d received; rings %v, paths %v\n",
-			me, mode, pulled, streamed, takeovers, refused, data, landed, rings, paths)
+		fmt.Printf("rank %d %s: %d pulled, %d streamed, %d taken over, %d refused, %d DATA sent, %d received; rings %v, paths %v; %s\n",
+			me, mode, pulled, streamed, takeovers, refused, data, landed, rings, paths, whyNot)
 		switch {
 		case pulled+landed != rts:
 			return fmt.Errorf("rank %d: %d payloads pulled and %d landed of %d announced", me, pulled, landed, rts)
@@ -155,7 +173,7 @@ func pullApp(mode string) App {
 			// 99.8 %); CI tests packages side by side on the same CPUs, and a
 			// sender descheduled past StreamBudget before its first slot is
 			// taken over whole — correct, and not counted as streamed.
-			return fmt.Errorf("rank %d: %d of %d blocking sends streamed, want most", me, streamed, trips)
+			return fmt.Errorf("rank %d: %d of %d blocking sends streamed, want most; %s", me, streamed, trips, whyNot)
 		case !rings && streamed != 0:
 			return fmt.Errorf("rank %d: %d streamed without a ring", me, streamed)
 		case m.isend && streamed != 0:

@@ -132,14 +132,13 @@ func profStatus(dev *device.Device, t core.Tuning) func() any {
 }
 
 // hostAreaCounts is the status entry of the host areas: allreduces that
-// folded through one, the chunks they walked, the bytes this rank copied
-// into the areas and the barrier waits that slept.
+// folded through one, the chunks they walked and the bytes this rank copied
+// into the areas.
 func hostAreaCounts(s prof.Snapshot) map[string]int64 {
 	return map[string]int64{
 		"ops":    s.HostOps,
 		"chunks": s.HostChunks,
 		"bytes":  s.HostBytes,
-		"sleeps": s.HostSleeps,
 	}
 }
 
