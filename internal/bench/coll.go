@@ -10,7 +10,7 @@ import (
 )
 
 // The COLL experiment: large-message collective algorithms. It sweeps
-// Bcast/Allreduce/Allgather payloads from 64 KiB to 4 MiB across
+// Bcast/Allreduce payloads from 64 KiB to 4 MiB across
 // communicator sizes (including the non-power-of-two np=5) with the
 // algorithm family forced classic versus segmented/ring, on the hyb
 // device. The recorded table (BENCH_coll.json) is the measurement behind
@@ -22,7 +22,7 @@ import (
 
 // CollBenchRow is one measured configuration, recorded in BENCH_coll.json.
 type CollBenchRow struct {
-	Op      string  `json:"op"`  // "bcast" | "allreduce" | "allgather"
+	Op      string  `json:"op"`  // "bcast" | "allreduce"
 	Alg     string  `json:"alg"` // the forced family's label: "classic" | "segmented" (bcast, CollAlgRing) | "ring" | "hier"
 	NP      int     `json:"np"`
 	Bytes   int     `json:"bytes"` // payload bytes per rank
@@ -57,8 +57,8 @@ func collIters(bytes int) int {
 // collAlgFor maps the sweep's algorithm column to the forced family: the
 // large-message path (CollAlgRing) keeps its row label "segmented" for
 // bcast (the binomial tree landing in place), so BENCH_coll.json stays
-// comparable, and "ring" where the ring schedules run (allreduce,
-// allgather); "hier" forces the two-level hierarchical schedules.
+// comparable, and "ring" where the ring schedules run (allreduce); "hier"
+// forces the two-level hierarchical schedules.
 func collAlgFor(name string) core.CollAlg {
 	switch name {
 	case "classic":
@@ -131,16 +131,6 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 			if w.Rank() == 0 {
 				row.sched = schedAlg(req)
 			}
-		case "allgather":
-			// bytes is the full gathered payload; each rank contributes
-			// an equal share of it.
-			bs := elems / np
-			in := make([]float64, bs)
-			out := make([]float64, bs*np)
-			for i := range in {
-				in[i] = float64(w.Rank() + i)
-			}
-			body = func() error { return w.Allgather(in, 0, bs, core.Double, out, 0, bs, core.Double) }
 		default:
 			return fmt.Errorf("unknown collective %q", op)
 		}
@@ -182,7 +172,6 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	configs := []config{
 		{"bcast", []int{4, 5, 8}, 0, []string{"segmented"}},
 		{"allreduce", []int{4, 5, 8}, 0, []string{"ring"}},
-		{"allgather", []int{4}, 0, []string{"ring"}},
 		{"bcast@2x4", []int{8}, 2, []string{"segmented", "hier"}},
 		{"allreduce@2x4", []int{8}, 2, []string{"ring", "hier"}},
 	}
@@ -202,12 +191,10 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	res := &CollBenchResult{
 		Experiment: "coll",
 		Device:     "hyb",
-		Note: "float64 payloads, root 0, min of 3 reps. 'bytes' is the payload per rank " +
-			"(the full gathered vector for allgather); MiB/s divides it by ns/op (algorithm " +
-			"bandwidth). classic = binomial tree / recursive doubling or reduce+bcast moving " +
+		Note: "float64 payloads, root 0, min of 3 reps. 'bytes' is the payload per rank; MiB/s " +
+			"divides it by ns/op (algorithm bandwidth). classic = binomial tree / recursive doubling or reduce+bcast moving " +
 			"whole payloads per edge; segmented = the same binomial bcast landing in place " +
-			"in the user buffer; ring = whole-chunk reduce-scatter+allgather resp. " +
-			"zero-staging block ring; hier = " +
+			"in the user buffer; ring = whole-chunk reduce-scatter+allgather; hier = " +
 			"two-level locality schedule (intra-group phase + leader exchange). '@2x4' rows " +
 			"run a cyclic 2-group x 4-rank hybrid layout where inter-group hops cross real " +
 			"localhost TCP. Speedup ratios per (op, np, bytes, alg) are the CI regression " +

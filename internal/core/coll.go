@@ -55,9 +55,9 @@ func (c *Comm) collIsend(data []byte, dst, tag int, lend bool) (*device.Request,
 // what makes a schedule send copy-at-post: the device runs fill before
 // returning and sends a large payload from its own pooled stash, never
 // from the schedule's buffers, so a round's scratch may be rewritten while
-// its sends are in flight. Every step but the large allreduce's takes it:
-// pack-at-post steps have no source buffer, and cells, window rings, bcast
-// windows and raw Alltoallv blocks have no lend proof yet (lendCheck).
+// its sends are in flight. Every step but the large vector family's and the
+// broadcast tree's takes it: pack-at-post steps have no source buffer, and
+// plain cells and raw Alltoallv blocks have no lend proof yet (lendCheck).
 func (c *Comm) collIsendFill(n int, fill func([]byte) error, dst, tag int) (*device.Request, error) {
 	w, err := c.worldRank(dst)
 	if err != nil {
@@ -170,19 +170,20 @@ func (c *Comm) Scatterv(sbuf any, soff int, scounts, displs []int, sdt Datatype,
 }
 
 // Allgather gathers every member's block to every member — MPI_Allgather.
-// Fixed-size datatypes use the ring algorithm (p-1 steps, bandwidth
-// optimal); Object data uses a linear exchange (the same schedule
-// Iallgather compiles).
+// Fixed-size datatypes move the blocks in place: recursive doubling on a
+// power-of-two communicator (log₂p steps), the ring otherwise (p-1 steps),
+// the same bytes either way; Object data uses a linear exchange (the same
+// schedule Iallgather compiles).
 func (c *Comm) Allgather(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) error {
 	return runColl(c.iallgather("allgather", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt))
 }
 
 // Allgatherv gathers varying counts to every member — MPI_Allgatherv.
-// Ring algorithm: p-1 rounds forwarding whole blocks, with large
-// raw-layout payloads circulating straight between the members' receive
-// buffers (the same schedule Iallgatherv compiles; see collalg.go for the
-// zero-staging selection).
+// Fixed-size blocks move between the members' receive buffers by recursive
+// doubling on a power-of-two communicator, around the ring otherwise;
+// Object data uses a linear exchange (the same schedule Iallgatherv
+// compiles).
 func (c *Comm) Allgatherv(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff int, rcounts, displs []int, rdt Datatype) error {
 	return runColl(c.iallgatherv("allgatherv", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt))

@@ -304,6 +304,30 @@ func TestAllgatherv(t *testing.T) {
 		}
 		return nil
 	})
+	// Each member passes its own displs: rank 0 lays the blocks out in
+	// reverse rank order with gaps, the others end to end.
+	runRanks(t, 4, func(w *Comm) error {
+		rcounts, displs := []int{1, 2, 3, 4}, []int{0, 1, 3, 6}
+		if w.Rank() == 0 {
+			displs = []int{15, 11, 7, 2}
+		}
+		mine := make([]int32, rcounts[w.Rank()])
+		for i := range mine {
+			mine[i] = int32(w.Rank()*10 + i)
+		}
+		rbuf := make([]int32, 16)
+		if err := w.Allgatherv(mine, 0, len(mine), Int, rbuf, 0, rcounts, displs, Int); err != nil {
+			return err
+		}
+		for r, n := range rcounts {
+			for i := 0; i < n; i++ {
+				if got, want := rbuf[displs[r]+i], int32(r*10+i); got != want {
+					return fmt.Errorf("block %d elem %d = %d, want %d", r, i, got, want)
+				}
+			}
+		}
+		return nil
+	})
 }
 
 func TestAlltoall(t *testing.T) {

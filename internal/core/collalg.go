@@ -28,11 +28,12 @@ const (
 	CollAlgClassic
 	// CollAlgRing always uses the large-message path: the broadcast's
 	// binomial tree landing in place in the user buffer, and the
-	// bandwidth-optimal reduce-scatter + allgather schedules for
-	// allreduce/allgather, which move whole chunks (a step forwards
-	// nothing it receives in the same round). For allreduce that family
-	// exchanges by recursive halving/doubling when the communicator size is
-	// a power of two and around the ring otherwise.
+	// bandwidth-optimal reduce-scatter + allgather schedules for allreduce
+	// and ReduceScatter, which move whole chunks (a step forwards nothing
+	// it receives in the same round), by recursive halving/doubling when
+	// the communicator size is a power of two and around the ring
+	// otherwise. A flat allgather compiles that allgather half whatever
+	// the family.
 	CollAlgRing
 	// CollAlgHier prefers the two-level hierarchical schedules: an
 	// intra-group phase over co-located (chan-routed) peers and an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,45 +23,61 @@ func runRanks(t *testing.T, np int, fn func(w *Comm) error) {
 func runRanksOpt(t *testing.T, np int, opts []device.Option, fn func(w *Comm) error) {
 	t.Helper()
 	eps := transport.NewChanMesh(np)
-	errs := make([]error, np)
-	var wg sync.WaitGroup
+	if err := runJob(np, func(i int) (*device.Device, error) { return device.Open(eps[i], opts...) }, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runJob is the body of the harnesses: it runs fn on np ranks, rank i on
+// the device open(i) returns, each finishing with a Barrier so all traffic
+// is complete before its device closes. A rank that fails records its error,
+// then aborts its device, which the mesh reports to every peer, so the peers
+// fail at once instead of waiting out the deadline. runJob returns the first
+// error recorded — the failing rank's own, not the failures its abort
+// caused — or a wedge error after 60 s.
+func runJob(np int, open func(i int) (*device.Device, error), fn func(w *Comm) error) error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	fail := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if first == nil {
+			first = fmt.Errorf("rank %d: %w", i, err)
+		}
+	}
 	for i := 0; i < np; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := device.Open(eps[i], opts...)
+			d, err := open(i)
 			if err != nil {
-				errs[i] = fmt.Errorf("open device: %w", err)
+				fail(i, fmt.Errorf("open device: %w", err))
 				return
 			}
 			defer d.Close()
 			w, err := NewWorld(d)
 			if err != nil {
-				errs[i] = fmt.Errorf("new world: %w", err)
-				return
+				err = fmt.Errorf("new world: %w", err)
+			} else if err = fn(w); err == nil {
+				err = w.Barrier()
 			}
-			if err := fn(w); err != nil {
-				errs[i] = err
-				return
+			if err != nil {
+				fail(i, err)
+				d.Abort()
 			}
-			// Finalize: ensure all traffic is complete before close.
-			errs[i] = w.Barrier()
 		}()
 	}
-
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("job wedged: ranks did not finish within 60s")
+		return errors.New("job wedged: ranks did not finish within 60s")
 	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
+	return first
 }
 
 // laidOut is a transport whose description carries a synthetic locality
@@ -95,4 +112,31 @@ func expect(cond bool, format string, args ...any) error {
 		return fmt.Errorf(format, args...)
 	}
 	return nil
+}
+
+// TestRunJobFailsFast: a rank whose program fails ends the job at once —
+// its abort fails the peers waiting for it in a collective — and the job
+// reports that rank's own error, not the failures it caused.
+func TestRunJobFailsFast(t *testing.T) {
+	const np = 4
+	boom := errors.New("boom")
+	for _, bad := range []int{0, np - 1} {
+		t.Run(fmt.Sprintf("rank%d", bad), func(t *testing.T) {
+			eps := transport.NewChanMesh(np)
+			start := time.Now()
+			err := runJob(np, func(i int) (*device.Device, error) { return device.Open(eps[i]) }, func(w *Comm) error {
+				if w.Rank() == bad {
+					return boom
+				}
+				x := []int32{1}
+				return w.Allreduce(x, 0, x, 0, 1, Int, SumOp)
+			})
+			if took := time.Since(start); took > 5*time.Second {
+				t.Errorf("the job took %v to end, want under 5s", took)
+			}
+			if want := fmt.Sprintf("rank %d: boom", bad); !errors.Is(err, boom) || err.Error() != want {
+				t.Errorf("job reported %v, want %q", err, want)
+			}
+		})
+	}
 }

@@ -11,9 +11,9 @@ import (
 // Ialltoall, Iscan — as schedule builders for the engine in sched.go (the
 // varying-count family lives in ivcoll.go, the persistent Commit* forms
 // in pcoll.go). Each builder compiles the same algorithm the blocking
-// form uses (dissemination barrier, binomial trees, ring allgather,
-// recursive doubling; the reduce-scatter + allgather allreduce for large
-// payloads — see collalg.go for how the algorithm is chosen)
+// form uses (dissemination barrier, binomial trees, recursive doubling;
+// the reduce-scatter + allgather halves of the large vector family — see
+// collalg.go for how the algorithm is chosen)
 // into per-rank rounds; the blocking collectives in coll.go call the same
 // builders and Wait immediately, so there is exactly one algorithm
 // source. Builders take their schedule tag as a parameter: the I* entry
@@ -185,44 +185,18 @@ func scatterRounds(c *Comm, cl *cell, root int) []round {
 	return rs
 }
 
-// ringRounds compiles the bandwidth-optimal ring allgather: p-1 rounds, in
-// round s every rank forwards the block of rank (rank-s mod p) to its
-// right neighbour and receives the block of rank (rank-s-1 mod p) from its
-// left, delivering each arrival through onBlock. cur carries the block in
-// flight: it enters holding this rank's own contribution and each arrival
-// replaces it — callers that cache the schedule reseed cur (and re-deliver
-// their own block) in their reset hook.
-func ringRounds(c *Comm, cur *cell, onBlock func(owner int, got []byte) error) []round {
-	size := c.Size()
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	var rs []round
-	for s := 0; s < size-1; s++ {
-		owner := (c.rank - s - 1 + size*2) % size
-		rs = append(rs, round{
-			recvs: []recvStep{{from: left, on: func(got []byte) error {
-				if err := onBlock(owner, got); err != nil {
-					return err
-				}
-				cur.b = got
-				return nil
-			}}},
-			sends: []sendStep{{to: right, data: func() []byte { return cur.b }}},
-		})
-	}
-	return rs
-}
-
 // The large vector family is a reduce-scatter half and an allgather half over
 // the working vector acc, cut into one chunk per rank at the byte offsets
 // bound(0) … bound(p), each half compiled in one of two exchange patterns:
 // recursive halving (halvingRounds) and doubling (doublingRounds) when the
 // communicator size is a power of two, the ring (ringFoldRounds,
-// ringGatherRounds) for every other size. Two callers: the large allreduce
+// ringGatherRounds) for every other size. Three callers: the large allreduce
 // (iallreduceRing) runs both halves of one pattern over even cuts,
 // 2·len(acc)·(p-1)/p bytes through every rank whatever p is; the large
 // ReduceScatter (ireduceScatter) runs the fold half alone over the cuts of
-// its receive counts.
+// its receive counts; every fixed-size flat allgather (iallgatherv) runs the
+// gather half alone over its blocks — doubling at a power-of-two size, the
+// ring over the blocks wherever they lie otherwise.
 //
 // own is where the rank's contribution lives, acc the working vector the
 // result assembles in; own is either acc itself (the contribution was copied
@@ -310,15 +284,16 @@ func ringFoldRounds(c *Comm, bound func(int) int, held int, own, acc []byte, com
 	return rs, scratch
 }
 
-// ringGatherRounds compiles the ring's allgather half: the rank enters
-// holding chunk held, and in step s sends chunk held-s right while chunk
-// held-s-1 lands from the left in its final place — a different chunk, so
-// nothing lent is written.
-func ringGatherRounds(c *Comm, bound func(int) int, held int, acc []byte) (rs []round) {
+// ringGatherRounds compiles the ring's allgather half over the chunks
+// chunk(0) … chunk(p-1), indices taken mod p, which need not be adjacent
+// but must be disjoint: the rank enters holding chunk held, and in step s
+// sends chunk held-s right while chunk held-s-1 lands from the left in its
+// final place — a different chunk, so nothing lent is written.
+func ringGatherRounds(c *Comm, held int, chunk func(int) []byte) (rs []round) {
 	size := c.Size()
+	at := func(i int) []byte { return chunk((i%size + size) % size) }
 	for s := 0; s < size-1; s++ {
-		rs = exchange(rs, (c.rank-1+size)%size, (c.rank+1)%size,
-			ringChunk(acc, bound, size, held-s), ringChunk(acc, bound, size, held-s-1), nil)
+		rs = exchange(rs, (c.rank-1+size)%size, (c.rank+1)%size, at(held-s), at(held-s-1), nil)
 	}
 	return rs
 }
@@ -467,9 +442,9 @@ func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
 	// the expensive links twice per leader instead of every dissemination
 	// round (hier.go).
 	if c.collHier() {
-		return c.newCollRequestAlg(name, tag, "hier", c.ihbarrierRounds(), nil)
+		return cacheable(c.newCollRequestAlg(name, tag, "hier", c.ihbarrierRounds(), nil))
 	}
-	return c.newCollRequestAlg(name, tag, "dissemination", barrierRoundsIn(c, c.members()), nil)
+	return cacheable(c.newCollRequestAlg(name, tag, "dissemination", barrierRoundsIn(c, c.members()), nil))
 }
 
 // Ibcast starts a non-blocking broadcast of count elements of dt from the
@@ -728,7 +703,10 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 }
 
 // Iallgather starts a non-blocking allgather: every member's block ends up
-// on every member — MPI_Iallgather.
+// on every member — MPI_Iallgather. It compiles as Iallgatherv's uniform
+// layout: recursive doubling on a power-of-two communicator, the ring
+// otherwise, the two-level batch on a comm spanning locality groups, and
+// one linear exchange for variable-size blocks.
 func (c *Comm) Iallgather(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*CollRequest, error) {
 	return c.iallgather("iallgather", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt)
@@ -736,33 +714,7 @@ func (c *Comm) Iallgather(sbuf any, soff, scount int, sdt Datatype,
 
 func (c *Comm) iallgather(name string, tag int, sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*CollRequest, error) {
-	size := c.Size()
-	if !isInPlace(sbuf) && sdt.ByteSize() < 0 {
-		// Variable-size blocks: linear exchange, all transfers in one round.
-		myData, err := packExact(sdt, sbuf, soff, scount)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		unpackSlot := func(owner int, got []byte) error {
-			_, err := rdt.Unpack(got, rbuf, roff+owner*rcount*rdt.Extent(), rcount)
-			return err
-		}
-		var rd round
-		for r := 0; r < size; r++ {
-			if r == c.rank {
-				continue
-			}
-			rd.recvs = append(rd.recvs, recvStep{from: r, on: func(got []byte) error {
-				return unpackSlot(r, got)
-			}})
-			rd.sends = append(rd.sends, sendStep{to: r, data: func() []byte { return myData }})
-		}
-		finish := func() error { return unpackSlot(c.rank, myData) }
-		return c.newCollRequestAlg(name, tag, "linear", []round{rd}, finish)
-	}
-	// Fixed-size blocks are the uniform layout of the varying-count form
-	// and compile through it.
-	rcounts, displs := uniformLayout(size, rcount)
+	rcounts, displs := uniformLayout(c.Size(), rcount)
 	return c.iallgatherv(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt)
 }
 
@@ -939,7 +891,7 @@ func (c *Comm) iallreduceRing(name string, tag int, sbuf any, soff int, rbuf any
 	} else {
 		alg = "ring"
 		rounds, scratch = ringFoldRounds(c, bound, c.rank+1, own, acc, comb)
-		rounds = append(rounds, ringGatherRounds(c, bound, c.rank+1, acc)...)
+		rounds = append(rounds, ringGatherRounds(c, c.rank+1, func(i int) []byte { return span(acc, bound, i, 1) })...)
 	}
 	if len(rounds) == 0 {
 		copy(acc, own) // no round, no fold: the result is the contribution

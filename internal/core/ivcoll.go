@@ -13,8 +13,8 @@ import (
 // validates the per-peer counts/displacements up front (checkVSpec: typed
 // ErrCount/ErrArg errors before anything is posted or written), packs
 // sends straight into outgoing wire frames (vSendStep) and lands
-// raw-layout receives in place at their displacements (vWindow), so V
-// payloads never stage. The blocking forms in coll.go compile and Wait on
+// raw-layout receives in place at their displacements (vWindow), so
+// raw-layout V payloads never stage. The blocking forms in coll.go compile and Wait on
 // exactly these schedules, the persistent Commit* forms (pcoll.go)
 // activate them under one committed tag, and the fixed-count Allgather and
 // Alltoall (icoll.go) compile through iallgatherv and ialltoallv as their
@@ -46,7 +46,7 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 			}
 			rounds = []round{{sends: []sendStep{ss}}}
 		}
-		return c.newCollRequestAlg(name, tag, "linear", rounds, nil)
+		return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, nil))
 	}
 	ext := rdt.Extent()
 	if err := checkVSpec(size, rcounts, displs, ext, roff, bufSlots(rbuf), true); err != nil {
@@ -83,7 +83,7 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 	if len(rd.recvs) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
+	return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, finish))
 }
 
 // Iscatterv starts a non-blocking varying-count scatter — MPI_Iscatterv:
@@ -106,20 +106,19 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	}
 	size := c.Size()
 	if c.rank != root {
-		if rcount == 0 {
-			return c.newCollRequestAlg(name, tag, "linear", nil, nil)
-		}
+		var rounds []round
+		var finish func() error
 		if win := vWindow(rdt, rbuf, roff, rcount); win != nil {
-			rounds := []round{{recvs: []recvStep{{from: root, buf: win}}}}
-			return c.newCollRequestAlg(name, tag, "linear", rounds, nil)
+			rounds = []round{{recvs: []recvStep{{from: root, buf: win}}}}
+		} else if rcount > 0 {
+			cl := &cell{}
+			rounds = []round{{recvs: []recvStep{cl.recvFrom(root)}}}
+			finish = func() error {
+				_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
+				return err
+			}
 		}
-		cl := &cell{}
-		rounds := []round{{recvs: []recvStep{cl.recvFrom(root)}}}
-		finish := func() error {
-			_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
-			return err
-		}
-		return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
+		return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, finish))
 	}
 	ext := sdt.Extent()
 	if err := checkVSpec(size, scounts, displs, ext, soff, bufSlots(sbuf), false); err != nil {
@@ -151,18 +150,20 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	if len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
+	return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, finish))
 }
 
 // Iallgatherv starts a non-blocking varying-count allgather —
 // MPI_Iallgatherv: every member's scount-element contribution lands at
-// roff + displs[r]*extent(rdt) in every member's rbuf. Ring algorithm
-// (p-1 rounds forwarding whole blocks); large raw-layout payloads take
-// the zero-staging window ring, blocks circulating straight between the
-// members' receive buffers (see collalg.go for the selection knobs). Equal
-// blocks laid end to end in rank order are scheduled exactly like
-// Iallgather's, two-level batching on comms spanning locality groups
-// included.
+// roff + displs[r]*extent(rdt) in every member's rbuf. Fixed-size blocks
+// run the large vector family's allgather half over the blocks: recursive
+// doubling on a power-of-two communicator, the ring otherwise, an empty
+// block moving no message; the members' displs may differ. Variable-size
+// blocks take one linear exchange. Equal blocks laid end to
+// end in rank order are scheduled exactly like Iallgather's, two-level
+// batching on comms spanning locality groups included. Until the request
+// completes rbuf must not be touched: its blocks are lent to the
+// transport.
 func (c *Comm) Iallgatherv(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff int, rcounts, displs []int, rdt Datatype) (*CollRequest, error) {
 	return c.iallgatherv("iallgatherv", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt)
@@ -181,171 +182,167 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 	if isInPlace(sbuf) {
 		// MPI_IN_PLACE: the contribution already sits in this rank's slot
 		// of the receive buffer; the send triple is ignored. The remapped
-		// send is a plain alias, safe in both ring paths because each
-		// either copies it out (packExact) or packs it onto itself
-		// (PackInto over identical memory).
+		// send is a plain alias: the linear exchange copies it out
+		// (packExact), the gather half packs it onto itself (PackInto over
+		// identical memory).
 		sbuf, soff, scount, sdt = rbuf, roff+displs[c.rank]*ext, rcounts[c.rank], rdt
 	}
-	unpackSlot := func(owner int, got []byte) error {
-		if rcounts[owner] == 0 {
-			return nil // empty blocks are exempt from their displacements
-		}
-		_, err := rdt.Unpack(got, rbuf, roff+displs[owner]*ext, rcounts[owner])
-		return err
+	sz := rdt.ByteSize()
+	if sz < 0 {
+		return c.iallgathervLinear(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt)
 	}
-	// seed packs this rank's contribution, lands it in its own receive slot
-	// and hands it to the cell that circulates blocks round the forwarding
-	// ring; cached reactivations of either ring redo it as their reset.
-	cur := &cell{}
-	seed := func() error {
-		b, err := packExact(sdt, sbuf, soff, scount)
-		if err != nil {
-			return err
+	// The blocks' geometry: at[r] is where block r starts when the blocks
+	// lie end to end in rank order, and e2e whether this rank's receive
+	// layout is such a vector (empty blocks fit anywhere), starting at
+	// displacement start. Each member passes its own displs, so e2e shapes
+	// only this rank's buffer plan, never the schedule.
+	at := make([]int, size+1)
+	e2e, uniform, start, next := true, true, 0, -1
+	for r, n := range rcounts {
+		at[r+1] = at[r] + n*sz
+		uniform = uniform && n == rcounts[0] && displs[r] == r*n
+		if n > 0 {
+			if next < 0 {
+				start = displs[r]
+			}
+			e2e = e2e && (next < 0 || displs[r] == next)
+			next = displs[r] + n
 		}
-		cur.b = b
-		return unpackSlot(c.rank, b)
 	}
-	if sz := rdt.ByteSize(); sz > 0 && size > 1 {
-		total, uniform := 0, true
+	total := at[size]
+	// Equal blocks laid end to end in rank order — what the fixed-count
+	// Allgather passes — form one contiguous vector, which a comm spanning
+	// locality groups batches through its group leaders so each block
+	// crosses the expensive links once (hier.go).
+	if uniform && total > 0 && c.collHier() {
+		return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], rdt)
+	}
+	// The schedule follows from what every member agrees on, the size and
+	// the blocks' byte lengths: recursive doubling on a power-of-two
+	// communicator, the ring otherwise.
+	doubling := size&(size-1) == 0
+	// The buffer plan. A raw receive layout is the working vector itself:
+	// every block lands in place at its displacement and this rank's
+	// contribution packs into its own slot — end to end through one window
+	// of rbuf, else, on the ring, through one window per block. Doubling
+	// moves runs of adjacent blocks, so a scattered layout stages for it, as
+	// does a layout that refuses a window or a datatype that has none: the
+	// blocks lie end to end in one vector, unpacked into rbuf at finish.
+	bound := func(i int) int { return at[i] }
+	slots := make([][]byte, size)
+	var acc []byte
+	raw := total > 0
+	switch {
+	case !raw:
+	case e2e:
+		acc = vWindow(rdt, rbuf, roff+start*ext, total/sz)
+		raw = acc != nil
+	case doubling:
+		raw = false
+	default:
 		for r, n := range rcounts {
-			total += n
-			uniform = uniform && n == rcounts[0] && displs[r] == r*n
-		}
-		// Equal blocks laid end to end in rank order — what the fixed-count
-		// Allgather passes — form one contiguous vector, which a comm
-		// spanning locality groups batches through its group leaders so
-		// each block crosses the expensive links once (hier.go).
-		if uniform && total > 0 && c.collHier() {
-			return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], rdt)
-		}
-		if total > 0 && c.collLarge(total*sz) {
-			if rounds, finish, ok := c.ringWindowVRounds(sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt); ok {
-				req, err := c.newCollRequestAlg(name, tag, "ring-window", rounds, finish)
-				if err == nil && finish == nil {
-					// Cacheable unless pooled staging is handed back at
-					// finish: blocks circulate straight between user
-					// windows, reset re-seeds this rank's own slot.
-					req.cacheable = true
-					req.reset = seed
-				}
-				return req, err
+			if n > 0 {
+				slots[r] = vWindow(rdt, rbuf, roff+displs[r]*ext, n)
+				raw = raw && slots[r] != nil
 			}
 		}
 	}
-	// Forwarding ring: each hop re-sends the block bytes it received and
-	// unpacks a copy into place — works for any datatype incl. Object and
-	// for blocks whose layout refuses a raw window. Own block lands
-	// immediately; the rest arrive over p-1 rounds.
-	if err := seed(); err != nil {
+	var finish func() error
+	if !raw {
+		acc = make([]byte, total)
+		finish = func() error {
+			for r, n := range rcounts {
+				if n == 0 {
+					continue // empty blocks are exempt from their displacements
+				}
+				if _, err := rdt.Unpack(slots[r], rbuf, roff+displs[r]*ext, n); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if acc != nil {
+		for r := range slots {
+			slots[r] = span(acc, bound, r, 1)
+		}
+	}
+	own := slots[c.rank]
+	repack := func() error {
+		if scount == 0 && len(own) == 0 {
+			return nil // an empty block is exempt from its offset
+		}
+		return packIntoWindow(own, sdt, sbuf, soff, scount)
+	}
+	if err := repack(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	req, err := c.newCollRequestAlg(name, tag, "ring", ringRounds(c, cur, unpackSlot), nil)
+	alg := "ring"
+	var rounds []round
+	if doubling {
+		alg = "recursive-doubling"
+		rounds = doublingRounds(c, bound, acc)
+	} else {
+		rounds = ringGatherRounds(c, c.rank, func(r int) []byte { return slots[r] })
+	}
+	req, err := c.newCollRequestAlg(name, tag, alg, rounds, finish)
 	if err == nil {
+		// Cacheable: the rounds hold the receive buffer's windows or the
+		// staging vector, which every run refills; reset re-packs this
+		// rank's block.
 		req.cacheable = true
-		req.reset = seed
+		req.reset = repack
 	}
 	return req, err
 }
 
-// ringWindowVRounds compiles the zero-staging ring allgatherv: block r of
-// the varying layout lives at displs[r] in every member's receive buffer,
-// and in round s each rank forwards block (rank-s mod p) straight out of
-// its buffer while block (rank-s-1 mod p) lands straight into its final
-// slot, with no per-hop adopt-and-unpack copy, which is what large
-// payloads need. Empty blocks still flow through the ring as empty
-// messages, keeping every hop's rounds aligned with its neighbours'.
-//
-// A single non-empty slot that refuses a raw window (an offset stretching
-// past the slice, say) does not force the whole exchange off the fast
-// path: that one block circulates through a pooled staging buffer —
-// received there, unpacked into its final slot, and forwarded from it the
-// next round, which the engine's in-order round delivery guarantees is
-// after the bytes landed. ok=false only when two or more slots refuse a
-// window or the local contribution cannot pack in place, in which case
-// the caller falls back to the forwarding ring. finish (possibly nil)
-// must run at completion; it returns the staging buffer to the pool.
-func (c *Comm) ringWindowVRounds(sbuf any, soff, scount int, sdt Datatype,
-	rbuf any, roff int, rcounts, displs []int, rdt Datatype) ([]round, func() error, bool) {
-	size := c.Size()
-	ext := rdt.Extent()
-	slots := make([][]byte, size)
-	staged := -1
-	for r := 0; r < size; r++ {
+// iallgathervLinear compiles the allgather of variable-size blocks: one
+// linear exchange, every transfer in one round. This rank's block packs into
+// a cell — at build and, on a cached reactivation, in reset — goes to every
+// peer and unpacks into its own slot at finish; both ends skip an empty block
+// from the shared counts.
+func (c *Comm) iallgathervLinear(name string, tag int, sbuf any, soff, scount int, sdt Datatype,
+	rbuf any, roff int, rcounts, displs []int, rdt Datatype) (*CollRequest, error) {
+	mine := &cell{}
+	pack := func() (err error) {
+		mine.b, err = packExact(sdt, sbuf, soff, scount)
+		return err
+	}
+	if err := pack(); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	unpack := func(r int, got []byte) error {
 		if rcounts[r] == 0 {
+			return nil // empty blocks are exempt from their displacements
+		}
+		_, err := rdt.Unpack(got, rbuf, roff+displs[r]*rdt.Extent(), rcounts[r])
+		return err
+	}
+	var rd round
+	for r := range rcounts {
+		if r == c.rank {
 			continue
 		}
-		if win := vWindow(rdt, rbuf, roff+displs[r]*ext, rcounts[r]); win != nil {
-			slots[r] = win
-			continue
+		if rcounts[r] > 0 {
+			rd.recvs = append(rd.recvs, recvStep{from: r, on: func(got []byte) error { return unpack(r, got) }})
 		}
-		if staged >= 0 {
-			return nil, nil, false // a second stubborn slot: forwarding ring
-		}
-		staged = r
-	}
-	var stage []byte
-	release := func() {
-		if stage != nil {
-			wire.PutBuf(stage)
+		if rcounts[c.rank] > 0 {
+			rd.sends = append(rd.sends, sendStep{to: r, data: func() []byte { return mine.b }})
 		}
 	}
-	if staged >= 0 {
-		stage = wire.GetBuf(rcounts[staged] * rdt.ByteSize())
+	var rounds []round
+	if len(rd.recvs)+len(rd.sends) > 0 {
+		rounds = []round{rd}
 	}
-	own := slots[c.rank]
-	if c.rank == staged {
-		own = stage
+	req, err := c.newCollRequestAlg(name, tag, "linear", rounds, func() error { return unpack(c.rank, mine.b) })
+	if err == nil {
+		// Cacheable: the sends read the cell at post time and reset repacks
+		// it into a fresh slice, so bytes still in flight are never
+		// rewritten.
+		req.cacheable = true
+		req.reset = pack
 	}
-	pi, ok := sdt.(packerInto)
-	if !ok || sdt.ByteSize() < 0 || scount < 0 || scount*sdt.ByteSize() != len(own) {
-		release()
-		return nil, nil, false
-	}
-	if scount > 0 {
-		if err := pi.PackInto(own, sbuf, soff, scount); err != nil {
-			release()
-			return nil, nil, false
-		}
-	}
-	if c.rank == staged {
-		// The staged slot is this rank's own: its bytes ride the ring from
-		// the staging buffer, but the final slot still needs them.
-		if _, err := rdt.Unpack(stage, rbuf, roff+displs[c.rank]*ext, rcounts[c.rank]); err != nil {
-			release()
-			return nil, nil, false
-		}
-	}
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	var rs []round
-	for s := 0; s < size-1; s++ {
-		var rd round
-		if src := (c.rank - s + size) % size; src == staged {
-			rd.sends = []sendStep{{to: right, data: func() []byte { return stage }}}
-		} else {
-			data := slots[src]
-			rd.sends = []sendStep{{to: right, data: func() []byte { return data }}}
-		}
-		if dst := (c.rank - s - 1 + 2*size) % size; dst == staged {
-			rd.recvs = []recvStep{{from: left, buf: stage, on: func(got []byte) error {
-				_, err := rdt.Unpack(got, rbuf, roff+displs[staged]*ext, rcounts[staged])
-				return err
-			}}}
-		} else if win := slots[dst]; len(win) > 0 {
-			rd.recvs = []recvStep{{from: left, buf: win}}
-		} else {
-			rd.recvs = []recvStep{{from: left}}
-		}
-		rs = append(rs, rd)
-	}
-	var finish func() error
-	if stage != nil {
-		finish = func() error {
-			release()
-			return nil
-		}
-	}
-	return rs, finish, true
+	return req, err
 }
 
 // Ialltoallv starts a non-blocking varying-count all-to-all personalized
@@ -414,14 +411,9 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 	if len(rd.recvs)+len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	req, err := c.newCollRequestAlg(name, tag, "linear", rounds, finish)
-	if err == nil {
-		// Cacheable: every payload is produced at post or finish time.
-		// (Variable-size blocks pack at build into snapshot steps, which
-		// a persistent request refuses to reuse — see pcoll.go.)
-		req.cacheable = true
-	}
-	return req, err
+	// Variable-size blocks pack at build into snapshot steps, which a
+	// persistent request refuses to reuse (scheduleReusable).
+	return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, finish))
 }
 
 // IreduceScatter starts a non-blocking reduce-scatter —

@@ -6,8 +6,8 @@ import (
 )
 
 // pickyDT wraps a raw base type but refuses to expose a receive window at
-// the listed element offsets — the smallest datatype that exercises the
-// window ring's single-staged-slot path, which no stock type can reach
+// the listed element offsets — the smallest datatype whose receive layout
+// windows at some blocks and not at others, which no stock type can reach
 // (raw base types window everywhere, non-raw types window nowhere).
 type pickyDT struct {
 	Datatype
@@ -25,34 +25,27 @@ func (p pickyDT) PackInto(dst []byte, buf any, off, count int) error {
 	return p.Datatype.(packerInto).PackInto(dst, buf, off, count)
 }
 
-// stagedLayout is the shared np=3 varying layout of the staged-slot tests.
-func stagedLayout() (rcounts, displs []int, total int) {
-	rcounts = []int{3, 4, 5}
-	displs = []int{0, 3, 7}
-	return rcounts, displs, 12
-}
-
-// TestAllgathervStagedSlot runs the window-ring Allgatherv with one slot
-// refusing its raw window: the exchange must stay on the ring-window path
-// (asserted separately by TestRingWindowVRoundsStaging), circulate the
-// stubborn block through the staging buffer, and still deliver every
-// block — including on the rank whose own contribution is the staged one.
+// TestAllgathervStagedSlot runs Allgatherv at np=3 with one or two blocks
+// refusing their raw window, in a permuted layout with gaps (one window
+// per block) and in one laid end to end (one window for all): the layout
+// stages whole and must still deliver every block, including on the rank
+// whose own block was refused.
 func TestAllgathervStagedSlot(t *testing.T) {
 	const np = 3
+	rcounts := []int{3, 4, 5}
 	cases := []struct {
-		name string
-		deny []int // displacements denied a window
+		name   string
+		displs []int
+		deny   []int // displacements denied a window
 	}{
-		{"own-slot-staged", []int{3}},       // rank 1's block stages
-		{"first-slot-staged", []int{0}},     // rank 0's block stages
-		{"two-slots-fallback", []int{0, 3}}, // forwarding ring takes over
+		{"own-slot-staged", []int{6, 0, 10}, []int{0}},     // rank 1's block
+		{"first-slot-staged", []int{6, 0, 10}, []int{6}},   // rank 0's block
+		{"two-slots-staged", []int{6, 0, 10}, []int{0, 6}}, // ranks 0 and 1
+		{"end-to-end-staged", []int{0, 3, 7}, []int{0}},    // the one window
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			runRanks(t, np, func(w *Comm) error {
-				w.SetCollAlg(CollAlgRing)
-				rcounts, displs, total := stagedLayout()
 				deny := map[int]bool{}
 				for _, d := range tc.deny {
 					deny[d] = true
@@ -63,13 +56,13 @@ func TestAllgathervStagedSlot(t *testing.T) {
 				for i := range sbuf {
 					sbuf[i] = int32(me*100 + i)
 				}
-				rbuf := make([]int32, total)
-				if err := w.Allgatherv(sbuf, 0, rcounts[me], dt, rbuf, 0, rcounts, displs, dt); err != nil {
+				rbuf := make([]int32, 15)
+				if err := w.Allgatherv(sbuf, 0, rcounts[me], dt, rbuf, 0, rcounts, tc.displs, dt); err != nil {
 					return err
 				}
 				for r := 0; r < np; r++ {
 					for i := 0; i < rcounts[r]; i++ {
-						if got, want := rbuf[displs[r]+i], int32(r*100+i); got != want {
+						if got, want := rbuf[tc.displs[r]+i], int32(r*100+i); got != want {
 							return fmt.Errorf("block %d element %d: got %d, want %d", r, i, got, want)
 						}
 					}
@@ -78,46 +71,4 @@ func TestAllgathervStagedSlot(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestRingWindowVRoundsStaging pins the fast-path decision itself: one
-// stubborn slot compiles to a staged window ring (with a finish hook that
-// returns the staging buffer), a second stubborn slot abandons the fast
-// path for the forwarding ring.
-func TestRingWindowVRoundsStaging(t *testing.T) {
-	const np = 3
-	runRanks(t, np, func(w *Comm) error {
-		rcounts, displs, total := stagedLayout()
-		me := w.Rank()
-		sbuf := make([]int32, rcounts[me])
-		rbuf := make([]int32, total)
-
-		one := pickyDT{Datatype: Int, deny: map[int]bool{3: true}}
-		rounds, finish, ok := w.ringWindowVRounds(sbuf, 0, rcounts[me], one, rbuf, 0, rcounts, displs, one)
-		if !ok {
-			return fmt.Errorf("one stubborn slot: want the staged window ring, got the fallback")
-		}
-		if len(rounds) != np-1 {
-			return fmt.Errorf("one stubborn slot: %d rounds, want %d", len(rounds), np-1)
-		}
-		if finish == nil {
-			return fmt.Errorf("one stubborn slot: nil finish, the staging buffer would leak")
-		}
-		if err := finish(); err != nil {
-			return err
-		}
-
-		none := pickyDT{Datatype: Int, deny: map[int]bool{}}
-		if _, finish, ok := w.ringWindowVRounds(sbuf, 0, rcounts[me], none, rbuf, 0, rcounts, displs, none); !ok {
-			return fmt.Errorf("all slots windowable: want the window ring, got the fallback")
-		} else if finish != nil {
-			return fmt.Errorf("all slots windowable: unexpected staging finish hook")
-		}
-
-		two := pickyDT{Datatype: Int, deny: map[int]bool{0: true, 3: true}}
-		if _, _, ok := w.ringWindowVRounds(sbuf, 0, rcounts[me], two, rbuf, 0, rcounts, displs, two); ok {
-			return fmt.Errorf("two stubborn slots: want the forwarding-ring fallback, got ok")
-		}
-		return nil
-	})
 }

@@ -41,7 +41,6 @@ type PcollRequest struct {
 	c    *Comm
 	name string
 	tag  int
-	pure bool // schedule may be cached and reactivated (see Start)
 	make func(tag int) (*CollRequest, error)
 
 	mu     sync.Mutex
@@ -83,21 +82,28 @@ func scheduleReusable(rounds []round) bool {
 	return true
 }
 
+// cacheable marks a schedule that holds no build-time data — every payload
+// is produced at post or finish time — as cacheable with no reset hook.
+func cacheable(r *CollRequest, err error) (*CollRequest, error) {
+	if err == nil {
+		r.cacheable = true
+	}
+	return r, err
+}
+
 // commitColl reserves a schedule tag and wraps a builder closure into a
-// persistent request. pure marks builders whose compiled schedules hold
-// no build-time data (every payload is produced at post or finish time),
-// making them candidates for skeleton caching; builders that do hold
-// build-time data instead opt in per compiled schedule by setting
-// CollRequest.cacheable and a reset hook. Committing on a freed
-// communicator fails with ErrComm, like starting any other collective.
-func (c *Comm) commitColl(name string, pure bool, mk func(tag int) (*CollRequest, error)) (*PcollRequest, error) {
+// persistent request. Builders opt in to skeleton caching per compiled
+// schedule by setting CollRequest.cacheable, with a reset hook when the
+// schedule holds build-time data. Committing on a freed communicator fails
+// with ErrComm, like starting any other collective.
+func (c *Comm) commitColl(name string, mk func(tag int) (*CollRequest, error)) (*PcollRequest, error) {
 	c.collMu.Lock()
 	freed := c.freed
 	c.collMu.Unlock()
 	if freed {
 		return nil, fmt.Errorf("%s: %w: communicator is freed", name, ErrComm)
 	}
-	return &PcollRequest{c: c, name: name, tag: c.nextCollTag(), pure: pure, make: mk}, nil
+	return &PcollRequest{c: c, name: name, tag: c.nextCollTag(), make: mk}, nil
 }
 
 // Start activates the persistent collective: the schedule runs against
@@ -106,12 +112,11 @@ func (c *Comm) commitColl(name string, pure bool, mk func(tag int) (*CollRequest
 // first. Every member of the communicator must start its matching
 // persistent request; activations of one request complete in Start order.
 //
-// The first Start of a cacheable schedule — one that is pure (see
-// commitColl) or whose builder opted in with a reset hook — caches the
-// compiled rounds; later Starts reactivate the cached skeleton, running
-// the reset hook first so packed cells and accumulators are re-derived
-// from the current buffer contents before round 0 posts. Schedules that
-// neither property covers recompile per activation.
+// The first Start of a cacheable schedule — one whose builder set
+// CollRequest.cacheable — caches the compiled rounds; later Starts
+// reactivate the cached skeleton, running the reset hook first so packed
+// cells and accumulators are re-derived from the current buffer contents
+// before round 0 posts. Other schedules recompile per activation.
 //
 // Starting over a communicator with a failed member or a revocation fails
 // immediately with ErrRankFailed/ErrRevoked — the schedule could never
@@ -145,7 +150,7 @@ func (p *PcollRequest) Start() error {
 	if err != nil {
 		return err
 	}
-	if (p.pure || r.cacheable) && scheduleReusable(r.rounds) {
+	if r.cacheable && scheduleReusable(r.rounds) {
 		p.skel = &collSkeleton{alg: r.alg, rounds: r.rounds, finish: r.finish, reset: r.reset}
 	}
 	p.active = r
@@ -203,7 +208,7 @@ func (p *PcollRequest) String() string {
 
 // CommitBarrier creates a persistent barrier — MPI_Barrier_init.
 func (c *Comm) CommitBarrier() (*PcollRequest, error) {
-	return c.commitColl("pbarrier", true, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pbarrier", func(tag int) (*CollRequest, error) {
 		return c.ibarrier("pbarrier", tag)
 	})
 }
@@ -214,7 +219,7 @@ func (c *Comm) CommitBcast(buf any, off, count int, dt Datatype, root int) (*Pco
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
-	return c.commitColl("pbcast", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pbcast", func(tag int) (*CollRequest, error) {
 		return c.ibcast("pbcast", tag, buf, off, count, dt, root)
 	})
 }
@@ -225,7 +230,7 @@ func (c *Comm) CommitGather(sbuf any, soff, scount int, sdt Datatype,
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
-	return c.commitColl("pgather", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pgather", func(tag int) (*CollRequest, error) {
 		return c.igather("pgather", tag, sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt, root)
 	})
 }
@@ -236,7 +241,7 @@ func (c *Comm) CommitScatter(sbuf any, soff, scount int, sdt Datatype,
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
-	return c.commitColl("pscatter", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pscatter", func(tag int) (*CollRequest, error) {
 		return c.iscatter("pscatter", tag, sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt, root)
 	})
 }
@@ -244,7 +249,7 @@ func (c *Comm) CommitScatter(sbuf any, soff, scount int, sdt Datatype,
 // CommitAllgather creates a persistent allgather — MPI_Allgather_init.
 func (c *Comm) CommitAllgather(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*PcollRequest, error) {
-	return c.commitColl("pallgather", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pallgather", func(tag int) (*CollRequest, error) {
 		return c.iallgather("pallgather", tag, sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt)
 	})
 }
@@ -252,7 +257,7 @@ func (c *Comm) CommitAllgather(sbuf any, soff, scount int, sdt Datatype,
 // CommitAlltoall creates a persistent all-to-all — MPI_Alltoall_init.
 func (c *Comm) CommitAlltoall(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*PcollRequest, error) {
-	return c.commitColl("palltoall", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("palltoall", func(tag int) (*CollRequest, error) {
 		return c.ialltoall("palltoall", tag, sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt)
 	})
 }
@@ -262,7 +267,7 @@ func (c *Comm) CommitReduce(sbuf any, soff int, rbuf any, roff, count int, dt Da
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
-	return c.commitColl("preduce", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("preduce", func(tag int) (*CollRequest, error) {
 		return c.ireduce("preduce", tag, sbuf, soff, rbuf, roff, count, dt, op, root)
 	})
 }
@@ -272,7 +277,7 @@ func (c *Comm) CommitReduce(sbuf any, soff int, rbuf any, roff, count int, dt Da
 // keep their message rounds (see formPersistent).
 func (c *Comm) CommitAllreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*PcollRequest, error) {
 	alg := c.autoAllreduceAlg(count, dt)
-	return c.commitColl("pallreduce", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pallreduce", func(tag int) (*CollRequest, error) {
 		return c.iallreduce("pallreduce", tag, alg, formPersistent, sbuf, soff, rbuf, roff, count, dt, op)
 	})
 }
@@ -280,7 +285,7 @@ func (c *Comm) CommitAllreduce(sbuf any, soff int, rbuf any, roff, count int, dt
 // CommitScan creates a persistent inclusive prefix reduction —
 // MPI_Scan_init.
 func (c *Comm) CommitScan(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*PcollRequest, error) {
-	return c.commitColl("pscan", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pscan", func(tag int) (*CollRequest, error) {
 		return c.iscan("pscan", tag, sbuf, soff, rbuf, roff, count, dt, op)
 	})
 }
@@ -298,7 +303,7 @@ func (c *Comm) CommitGatherv(sbuf any, soff, scount int, sdt Datatype,
 			return nil, fmt.Errorf("pgatherv: %w", err)
 		}
 	}
-	return c.commitColl("pgatherv", true, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pgatherv", func(tag int) (*CollRequest, error) {
 		return c.igatherv("pgatherv", tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt, root)
 	})
 }
@@ -315,7 +320,7 @@ func (c *Comm) CommitScatterv(sbuf any, soff int, scounts, displs []int, sdt Dat
 			return nil, fmt.Errorf("pscatterv: %w", err)
 		}
 	}
-	return c.commitColl("pscatterv", true, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pscatterv", func(tag int) (*CollRequest, error) {
 		return c.iscatterv("pscatterv", tag, sbuf, soff, scounts, displs, sdt, rbuf, roff, rcount, rdt, root)
 	})
 }
@@ -327,7 +332,7 @@ func (c *Comm) CommitAllgatherv(sbuf any, soff, scount int, sdt Datatype,
 	if err := checkVSpec(c.Size(), rcounts, displs, rdt.Extent(), roff, bufSlots(rbuf), true); err != nil {
 		return nil, fmt.Errorf("pallgatherv: %w", err)
 	}
-	return c.commitColl("pallgatherv", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("pallgatherv", func(tag int) (*CollRequest, error) {
 		return c.iallgatherv("pallgatherv", tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt)
 	})
 }
@@ -342,7 +347,7 @@ func (c *Comm) CommitAlltoallv(sbuf any, soff int, scounts, sdispls []int, sdt D
 	if err := checkVSpec(c.Size(), rcounts, rdispls, rdt.Extent(), roff, bufSlots(rbuf), true); err != nil {
 		return nil, fmt.Errorf("palltoallv: %w", err)
 	}
-	return c.commitColl("palltoallv", true, func(tag int) (*CollRequest, error) {
+	return c.commitColl("palltoallv", func(tag int) (*CollRequest, error) {
 		return c.ialltoallv("palltoallv", tag, sbuf, soff, scounts, sdispls, sdt, rbuf, roff, rcounts, rdispls, rdt)
 	})
 }
@@ -361,7 +366,7 @@ func (c *Comm) CommitReduceScatter(sbuf any, soff int, rbuf any, roff int, rcoun
 	if dt.ByteSize() <= 0 {
 		return nil, fmt.Errorf("preduce_scatter: %w: reduce-scatter requires fixed-size elements, have %s", ErrType, dt.Name())
 	}
-	return c.commitColl("preduce_scatter", false, func(tag int) (*CollRequest, error) {
+	return c.commitColl("preduce_scatter", func(tag int) (*CollRequest, error) {
 		return c.ireduceScatter("preduce_scatter", tag, sbuf, soff, rbuf, roff, rcounts, dt, op)
 	})
 }

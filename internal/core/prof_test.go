@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
@@ -43,46 +43,15 @@ func runRanksProf(t *testing.T, np int, spec prof.Spec, hyb bool, fn func(w *Com
 			eps[i] = ep
 		}
 	}
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	for i := 0; i < np; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var opts []device.Option
-			if rec := prof.New(i, spec); rec != nil {
-				opts = append(opts, device.WithProfiler(rec))
-			}
-			d, err := device.Open(eps[i], opts...)
-			if err != nil {
-				errs[i] = fmt.Errorf("open device: %w", err)
-				return
-			}
-			defer d.Close()
-			w, err := NewWorld(d)
-			if err != nil {
-				errs[i] = fmt.Errorf("new world: %w", err)
-				return
-			}
-			if err := fn(w); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = w.Barrier()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("job wedged: ranks did not finish within 60s")
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
+	err := runJob(np, func(i int) (*device.Device, error) {
+		var opts []device.Option
+		if rec := prof.New(i, spec); rec != nil {
+			opts = append(opts, device.WithProfiler(rec))
 		}
+		return device.Open(eps[i], opts...)
+	}, fn)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -641,6 +610,252 @@ func TestProfCountersReduceScatterExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProfCountersAllgatherExact pins every flat allgather, np 2…9, to its
+// messages, rounds and bytes per rank: Allgather, and Allgatherv over the
+// uniform layout, over vLayout's varying blocks laid end to end, over them
+// permuted with gaps, and mixed — rank 0 passing the permuted displs while
+// the others lay the blocks end to end — of Int, of a strided derived type
+// and of OBJECT. Fixed-size blocks take the gather half whatever each
+// member's displs — recursive doubling at a power-of-two size (log₂p
+// messages for the uniform layout), the ring's p-1 steps otherwise — and an
+// empty range is no message; variable-size blocks take one linear round,
+// p-1 sends. Every
+// compiled schedule passes lendCheck, and every case checks its bits through
+// the I form, InPlace and a persistent request started three times over
+// mutated buffers — its schedule cached, slots outside the blocks left alone.
+func TestProfCountersAllgatherExact(t *testing.T) {
+	vec, err := Vector(2, 1, 2, Int) // two Ints around a hole: 3 slots, 8 bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3 // the layouts' unit, in elements
+	types := []struct {
+		name  string
+		dt    Datatype
+		ext   int   // slots per element
+		slots []int // the slots of an element that it carries
+	}{{"int", Int, 1, []int{0}}, {"vector", vec, 3, []int{0, 2}}, {"object", Object, 1, []int{0}}}
+	type agCase struct {
+		name           string
+		v              bool // Allgatherv
+		counts, displs []int
+		rank0          []int // rank 0's displs where they differ from the others'
+		typ            int
+	}
+	layouts := func(np int) (cs []agCase) {
+		uni, udispls := uniformLayout(np, n)
+		counts, displs, _ := vLayout(np, n)
+		gapped, at := make([]int, np), 0 // vLayout's blocks in reverse rank order, one element apart
+		for r := np - 1; r >= 0; r-- {
+			gapped[r], at = at, at+counts[r]+1
+		}
+		for typ := range types {
+			cs = append(cs,
+				agCase{"allgather", false, uni, udispls, nil, typ},
+				agCase{"allgatherv/uniform", true, uni, udispls, nil, typ},
+				agCase{"allgatherv/end-to-end", true, counts, displs, nil, typ},
+				agCase{"allgatherv/gapped", true, counts, gapped, nil, typ},
+				agCase{"allgatherv/mixed", true, counts, displs, gapped, typ})
+		}
+		return cs
+	}
+	val := func(k, r, i, o int) int32 { return int32(k*100000 + r*1000 + i*10 + o) }
+	// fill returns a buffer of the case's type with the given slots, every
+	// slot holding the sentinel but element i of block r at slot at(r) + i*ext.
+	fill := func(tc agCase, slots, k int, blocks []int, at func(r int) int) any {
+		ty := types[tc.typ]
+		ints, objs := make([]int32, slots), make([]any, slots)
+		for i := range ints {
+			ints[i] = -1
+		}
+		for _, r := range blocks {
+			for i := 0; i < tc.counts[r]; i++ {
+				for _, o := range ty.slots {
+					ints[at(r)+i*ty.ext+o], objs[at(r)+i*ty.ext+o] = val(k, r, i, o), int(val(k, r, i, o))
+				}
+			}
+		}
+		if ty.dt == Object {
+			return objs
+		}
+		return ints
+	}
+	type result struct {
+		d   prof.Snapshot
+		alg string
+	}
+	for np := 2; np <= 9; np++ {
+		cases := layouts(np)
+		all := make([]int, np) // every block
+		for r := range all {
+			all[r] = r
+		}
+		got := make([][]result, len(cases))
+		for i := range got {
+			got[i] = make([]result, np)
+		}
+		bar := newGoBarrier(np)
+		runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+			me := w.Rank()
+			for ci, tc := range cases {
+				if me == 0 && tc.rank0 != nil {
+					tc.displs = tc.rank0
+				}
+				ty := types[tc.typ]
+				where := fmt.Sprintf("np=%d %s %s", np, tc.name, ty.name)
+				nslots := 0
+				for r := range tc.counts {
+					nslots = max(nslots, (tc.displs[r]+tc.counts[r])*ty.ext)
+				}
+				inRecv := func(r int) int { return tc.displs[r] * ty.ext }
+				sbuf := fill(tc, tc.counts[me]*ty.ext, 0, []int{me}, func(int) int { return 0 })
+				rbuf := fill(tc, nslots, 0, nil, inRecv)
+				start := func(sbuf any, soff, scount int) (*CollRequest, error) {
+					if tc.v {
+						return w.Iallgatherv(sbuf, soff, scount, ty.dt, rbuf, 0, tc.counts, tc.displs, ty.dt)
+					}
+					return w.Iallgather(sbuf, soff, scount, ty.dt, rbuf, 0, n, ty.dt)
+				}
+				check := func(how string, k int) error {
+					if want := fill(tc, nslots, k, all, inRecv); !reflect.DeepEqual(rbuf, want) {
+						return fmt.Errorf("%s %s: receive buffer %v, want %v", where, how, rbuf, want)
+					}
+					return nil
+				}
+				d, err := measureOp(w, bar, func() error {
+					req, err := start(sbuf, 0, tc.counts[me])
+					if err != nil {
+						return err
+					}
+					got[ci][me].alg = req.alg
+					if err := lendCheck(req.rounds, nil); err != nil {
+						return err
+					}
+					_, err = req.Wait()
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("%s: %w", where, err)
+				}
+				got[ci][me].d = d
+				if err := check("I form", 0); err != nil {
+					return err
+				}
+
+				// InPlace: the contribution waits in the rank's own slot.
+				rbuf = fill(tc, nslots, 0, []int{me}, inRecv)
+				req, err := start(InPlace, 0, 0)
+				if err == nil {
+					_, err = req.Wait()
+				}
+				if err != nil {
+					return fmt.Errorf("%s InPlace: %w", where, err)
+				}
+				if err := check("InPlace", 0); err != nil {
+					return err
+				}
+
+				// The persistent form, its buffers rewritten before each Start.
+				rbuf = fill(tc, nslots, 0, nil, inRecv)
+				var p *PcollRequest
+				if tc.v {
+					p, err = w.CommitAllgatherv(sbuf, 0, tc.counts[me], ty.dt, rbuf, 0, tc.counts, tc.displs, ty.dt)
+				} else {
+					p, err = w.CommitAllgather(sbuf, 0, tc.counts[me], ty.dt, rbuf, 0, n, ty.dt)
+				}
+				if err != nil {
+					return fmt.Errorf("%s Commit: %w", where, err)
+				}
+				for k := 1; k <= 3; k++ {
+					reflect.Copy(reflect.ValueOf(sbuf), reflect.ValueOf(fill(tc, tc.counts[me]*ty.ext, k, []int{me}, func(int) int { return 0 })))
+					reflect.Copy(reflect.ValueOf(rbuf), reflect.ValueOf(fill(tc, nslots, k, nil, inRecv)))
+					if err := p.Start(); err != nil {
+						return fmt.Errorf("%s Start %d: %w", where, k, err)
+					}
+					if err := lendCheck(p.active.rounds, nil); err != nil {
+						return fmt.Errorf("%s Start %d: %w", where, k, err)
+					}
+					if _, err := p.Wait(); err != nil {
+						return fmt.Errorf("%s Start %d: %w", where, k, err)
+					}
+					if p.skel == nil {
+						return fmt.Errorf("%s Start %d: the schedule was not cached", where, k)
+					}
+					if err := check(fmt.Sprintf("Start %d", k), k); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		for ci, tc := range cases {
+			ty := types[tc.typ]
+			// What block r weighs on the wire: its packed bytes, none when
+			// it is empty.
+			bytes := make([]int, np)
+			for r, c := range tc.counts {
+				if c == 0 {
+					continue
+				}
+				own := fill(tc, c*ty.ext, 0, []int{r}, func(int) int { return 0 })
+				b, err := ty.dt.Pack(nil, own, 0, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes[r] = len(b)
+			}
+			for me, g := range got[ci] {
+				var sent, recvd, sentB, recvdB, rounds int
+				step := func(send, recv int) {
+					if send > 0 {
+						sent, sentB = sent+1, sentB+send
+					}
+					if recv > 0 {
+						recvd, recvdB = recvd+1, recvdB+recv
+					}
+					if send+recv > 0 {
+						rounds++
+					}
+				}
+				span := func(lo, d int) (b int) {
+					for r := lo; r < lo+d; r++ {
+						b += bytes[r]
+					}
+					return b
+				}
+				alg := "ring"
+				switch {
+				case ty.dt == Object:
+					alg = "linear"
+					for r := range bytes {
+						if r != me {
+							step(bytes[me], bytes[r])
+						}
+					}
+					rounds = min(rounds, 1)
+				case np&(np-1) == 0:
+					alg = "recursive-doubling"
+					for d := 1; d < np; d <<= 1 {
+						lo := me &^ (d - 1)
+						step(span(lo, d), span(lo^d, d))
+					}
+				default:
+					for s := 0; s < np-1; s++ {
+						step(bytes[(me-s+np)%np], bytes[(me-s-1+2*np)%np])
+					}
+				}
+				d := g.d
+				if g.alg != alg || d.SentMsgs() != int64(sent) || d.RecvMsgs() != int64(recvd) || d.CollRounds != int64(rounds) ||
+					d.SentBytes() != int64(sentB) || d.RecvBytes() != int64(recvdB) || d.CollStarted != 1 || d.CollDone != 1 {
+					t.Errorf("np=%d %s %s rank %d: %s, %d msgs sent, %d arrived, %d rounds, %d B sent, %d B arrived; want %s, %d, %d, %d, %d, %d (%+v)",
+						np, tc.name, ty.name, me, g.alg, d.SentMsgs(), d.RecvMsgs(), d.CollRounds, d.SentBytes(), d.RecvBytes(),
+						alg, sent, recvd, rounds, sentB, recvdB, d)
+				}
+			}
+		}
 	}
 }
 

@@ -118,51 +118,19 @@ func runRanksOn(t *testing.T, np int, mk func(i int) (transport.Transport, error
 // every device, for tests that assert Win.ProfSnapshot counts.
 func runRanksCounted(t *testing.T, np int, mk func(i int) (transport.Transport, error), counted bool, fn func(w *Comm) error) {
 	t.Helper()
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	for i := 0; i < np; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr, err := mk(i)
-			if err != nil {
-				errs[i] = fmt.Errorf("transport: %w", err)
-				return
-			}
-			var opts []device.Option
-			if counted {
-				opts = append(opts, device.WithProfiler(prof.New(i, prof.Spec{Counters: true})))
-			}
-			d, err := device.Open(tr, opts...)
-			if err != nil {
-				errs[i] = fmt.Errorf("open device: %w", err)
-				return
-			}
-			defer d.Close()
-			w, err := NewWorld(d)
-			if err != nil {
-				errs[i] = fmt.Errorf("new world: %w", err)
-				return
-			}
-			if err := fn(w); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = w.Barrier()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("job wedged: ranks did not finish within 60s")
-	}
-	for i, err := range errs {
+	err := runJob(np, func(i int) (*device.Device, error) {
+		tr, err := mk(i)
 		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
+			return nil, fmt.Errorf("transport: %w", err)
 		}
+		var opts []device.Option
+		if counted {
+			opts = append(opts, device.WithProfiler(prof.New(i, prof.Spec{Counters: true})))
+		}
+		return device.Open(tr, opts...)
+	}, fn)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
