@@ -142,7 +142,7 @@ func main() {
 
 // runColl runs the large-message collective algorithm sweep. The full run
 // records BENCH_coll.json; the -quick run instead re-measures a subset and
-// fails when a classic-vs-segmented/ring speedup regresses more than 20%
+// fails when a classic-vs-ring/hier speedup regresses more than 20%
 // against the committed file — the CI smoke gate for the algorithm layer.
 func runColl() (*bench.Table, error) {
 	t, res, err := bench.CollAlgSweep(*quick)

@@ -10,10 +10,10 @@ import (
 )
 
 // The COLL experiment: large-message collective algorithms. It sweeps
-// Bcast/Allreduce payloads from 64 KiB to 4 MiB across
-// communicator sizes (including the non-power-of-two np=5) with the
-// algorithm family forced classic versus segmented/ring, on the hyb
-// device. The recorded table (BENCH_coll.json) is the measurement behind
+// Allreduce payloads from 64 KiB to 4 MiB across communicator sizes
+// (including the non-power-of-two np=5) with the algorithm family forced
+// classic versus ring, and Bcast and Allreduce on a multi-group layout
+// against the two-level schedules, on the hyb device. The recorded table (BENCH_coll.json) is the measurement behind
 // the algorithm-selection thresholds in collalg.go, and its speedup
 // ratios are the CI regression baseline: the -quick run re-measures a
 // subset and fails when a speedup falls more than 20% below the
@@ -22,8 +22,8 @@ import (
 
 // CollBenchRow is one measured configuration, recorded in BENCH_coll.json.
 type CollBenchRow struct {
-	Op      string  `json:"op"`  // "bcast" | "allreduce"
-	Alg     string  `json:"alg"` // the forced family's label: "classic" | "segmented" (bcast, CollAlgRing) | "ring" | "hier"
+	Op      string  `json:"op"`  // "allreduce" | "bcast@2x4" | "allreduce@2x4"
+	Alg     string  `json:"alg"` // the forced family: "classic" | "ring" | "hier"
 	NP      int     `json:"np"`
 	Bytes   int     `json:"bytes"` // payload bytes per rank
 	NsPerOp float64 `json:"ns_per_op"`
@@ -54,11 +54,7 @@ func collIters(bytes int) int {
 	}
 }
 
-// collAlgFor maps the sweep's algorithm column to the forced family: the
-// large-message path (CollAlgRing) keeps its row label "segmented" for
-// bcast (the binomial tree landing in place), so BENCH_coll.json stays
-// comparable, and "ring" where the ring schedules run (allreduce); "hier"
-// forces the two-level hierarchical schedules.
+// collAlgFor maps the sweep's algorithm column to the forced family.
 func collAlgFor(name string) core.CollAlg {
 	switch name {
 	case "classic":
@@ -157,9 +153,10 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 // its JSON record. The acceptance rows are the 4 MiB Allreduce at np>=4 —
 // the large-vector schedules must run at >=2x the classic trees'
 // throughput — and the "@2x4" multi-group rows, where the hierarchical
-// family must beat both classic and segmented/ring at >=1 MiB on a cyclic
-// 2-group x 4-rank hybrid layout (intra-group chan, inter-group localhost
-// TCP).
+// family must beat the flat schedules at >=1 MiB on a cyclic 2-group x
+// 4-rank hybrid layout (intra-group chan, inter-group localhost TCP). A
+// flat Bcast compiles one schedule whatever the family, so its only row
+// pair is the multi-group one: the flat tree (classic) against hier.
 func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	type config struct {
 		op     string
@@ -170,9 +167,8 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	sizes := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	hierSizes := []int{1 << 20, 4 << 20}
 	configs := []config{
-		{"bcast", []int{4, 5, 8}, 0, []string{"segmented"}},
 		{"allreduce", []int{4, 5, 8}, 0, []string{"ring"}},
-		{"bcast@2x4", []int{8}, 2, []string{"segmented", "hier"}},
+		{"bcast@2x4", []int{8}, 2, []string{"hier"}},
 		{"allreduce@2x4", []int{8}, 2, []string{"ring", "hier"}},
 	}
 	if quick {
@@ -182,7 +178,6 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 		sizes = []int{1 << 20}
 		hierSizes = []int{1 << 20}
 		configs = []config{
-			{"bcast", []int{4}, 0, []string{"segmented"}},
 			{"allreduce", []int{4}, 0, []string{"ring"}},
 			{"allreduce@2x4", []int{8}, 2, []string{"hier"}},
 		}
@@ -192,16 +187,16 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 		Experiment: "coll",
 		Device:     "hyb",
 		Note: "float64 payloads, root 0, min of 3 reps. 'bytes' is the payload per rank; MiB/s " +
-			"divides it by ns/op (algorithm bandwidth). classic = binomial tree / recursive doubling or reduce+bcast moving " +
-			"whole payloads per edge; segmented = the same binomial bcast landing in place " +
-			"in the user buffer; ring = whole-chunk reduce-scatter+allgather; hier = " +
+			"divides it by ns/op (algorithm bandwidth). classic = recursive doubling or reduce+bcast moving " +
+			"whole payloads per edge, and the flat binomial bcast landing in place in the user buffer; " +
+			"ring = whole-chunk reduce-scatter+allgather; hier = " +
 			"two-level locality schedule (intra-group phase + leader exchange). '@2x4' rows " +
 			"run a cyclic 2-group x 4-rank hybrid layout where inter-group hops cross real " +
 			"localhost TCP. Speedup ratios per (op, np, bytes, alg) are the CI regression " +
 			"baseline for mpjbench -exp coll -quick",
 	}
 	t := &Table{
-		Title:   "COLL: large-message collective algorithms, classic vs segmented/ring/hier (hyb device)",
+		Title:   "COLL: large-message collective algorithms, classic vs ring/hier (hyb device)",
 		Headers: []string{"op", "np", "bytes", "classic ns/op", "classic MiB/s", "alg", "alg ns/op", "alg MiB/s", "speedup"},
 	}
 

@@ -128,7 +128,10 @@ func pow2ceil(n int) int {
 
 // Bcast broadcasts count elements of dt from buf at off on the root to the
 // same position on every member — MPI_Bcast. Binomial tree: latency grows
-// as ceil(log2 p) (the same schedule Ibcast compiles).
+// as ceil(log2 p). A fixed-size payload lands in place at every size — in
+// the user buffer itself for a raw-layout datatype — and variable-size
+// (Object) data is adopted and unpacked by each child (the same schedule
+// Ibcast compiles).
 func (c *Comm) Bcast(buf any, off, count int, dt Datatype, root int) error {
 	return runColl(c.ibcast("bcast", c.nextCollTag(), buf, off, count, dt, root))
 }
@@ -136,7 +139,7 @@ func (c *Comm) Bcast(buf any, off, count int, dt Datatype, root int) error {
 // Gather collects scount elements of sdt from every member into rbuf on
 // the root, rank r's block landing at roff + r*rcount*extent(rdt) —
 // MPI_Gather. Fixed-size datatypes ride a binomial tree; variable-size
-// (Object) data is gathered linearly.
+// (Object) data takes Gatherv's linear schedule over the uniform layout.
 func (c *Comm) Gather(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype, root int) error {
 	return runColl(c.igather("gather", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt, root))
@@ -153,8 +156,9 @@ func (c *Comm) Gatherv(sbuf any, soff, scount int, sdt Datatype,
 
 // Scatter distributes scount elements of sdt per rank from the root's sbuf
 // (rank r's block at soff + r*scount*extent) into every member's rbuf —
-// MPI_Scatter. Fixed-size datatypes ride a binomial tree; Object data is
-// scattered linearly.
+// MPI_Scatter. It is Scatterv over the uniform layout: one linear round,
+// the root packing each block straight into its outgoing frame (the same
+// schedule Iscatter compiles).
 func (c *Comm) Scatter(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype, root int) error {
 	return runColl(c.iscatter("scatter", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt, root))

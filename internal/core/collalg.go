@@ -7,33 +7,35 @@ import "fmt"
 // algorithms per collective; which one runs is decided here, per
 // operation, from two inputs only: the family forced on the communicator
 // (SetCollAlg, else the job's Tuning.CollAlg) and the built-in
-// constants below. Under automatic selection large payloads switch from
-// the latency-optimised classic trees to the bandwidth-optimised
-// large-vector schedules (and a broadcast to landing in place), and comms
-// spanning several locality groups switch to the two-level hierarchical
-// schedules.
+// constants below. Under automatic selection a large Allreduce or
+// ReduceScatter switches from the latency-optimised classic schedules to
+// the bandwidth-optimised large-vector ones, and comms spanning several
+// locality groups switch to the two-level hierarchical schedules. Every
+// other flat collective compiles one schedule whatever the family:
+// Barrier, Bcast, Gather, Scatter, Allgather, Alltoall, Reduce, Scan and
+// the V forms.
 
 // CollAlg selects the collective algorithm family.
 type CollAlg int
 
 const (
 	// CollAlgAuto switches algorithms by payload, communicator size and
-	// locality: classic trees below the large-message threshold, the
-	// large-message schedules above it, and the two-level hierarchical
-	// schedules when the communicator spans several locality groups.
+	// locality: the classic Allreduce and ReduceScatter below the
+	// large-message threshold, the large-message schedules above it, and
+	// the two-level hierarchical schedules when the communicator spans
+	// several locality groups.
 	CollAlgAuto CollAlg = iota
-	// CollAlgClassic always uses the latency-optimised algorithms
-	// (binomial trees, recursive doubling) moving whole payloads per
-	// tree edge.
+	// CollAlgClassic always uses the latency-optimised Allreduce and
+	// ReduceScatter (recursive doubling, or a binomial reduce followed by
+	// a broadcast or a linear scatter), moving whole vectors per edge, and
+	// keeps every collective off the two-level schedules.
 	CollAlgClassic
-	// CollAlgRing always uses the large-message path: the broadcast's
-	// binomial tree landing in place in the user buffer, and the
-	// bandwidth-optimal reduce-scatter + allgather schedules for allreduce
-	// and ReduceScatter, which move whole chunks (a step forwards nothing
-	// it receives in the same round), by recursive halving/doubling when
-	// the communicator size is a power of two and around the ring
-	// otherwise. A flat allgather compiles that allgather half whatever
-	// the family.
+	// CollAlgRing always uses the large-message Allreduce and
+	// ReduceScatter: the bandwidth-optimal reduce-scatter + allgather
+	// schedules, which move whole chunks (a step forwards nothing it
+	// receives in the same round), by recursive halving/doubling when the
+	// communicator size is a power of two and around the ring otherwise.
+	// Like classic it keeps every collective off the two-level schedules.
 	CollAlgRing
 	// CollAlgHier prefers the two-level hierarchical schedules: an
 	// intra-group phase over co-located (chan-routed) peers and an
@@ -61,10 +63,11 @@ func (a CollAlg) String() string {
 
 const (
 	// largeCollMin is the packed payload size (bytes) at which
-	// CollAlgAuto switches a collective from the classic trees to the
-	// large-message schedules. Below it the extra per-chunk messages cost
-	// more than the store-and-forward they avoid; the COLL benchmark sweep
-	// puts the crossover between 32 KiB and 128 KiB on the hyb device.
+	// CollAlgAuto switches an Allreduce or ReduceScatter from the classic
+	// schedules to the large-message ones. Below it the extra per-chunk
+	// messages cost more than the store-and-forward they avoid; the COLL
+	// benchmark sweep puts the crossover between 32 KiB and 128 KiB on
+	// the hyb device.
 	largeCollMin = 64 << 10
 
 	// largeCollMinNP is the smallest communicator where the large-message
@@ -122,8 +125,8 @@ func (c *Comm) collAlgChoice() CollAlg {
 // largeCollMin, unless a test scaled it down (procState.largeMin).
 func (c *Comm) largeMin() int { return c.proc.largeMin }
 
-// collLarge reports whether a collective moving total packed bytes should
-// take the large-message path. Auto requires at least largeCollMinNP
+// collLarge reports whether an Allreduce or ReduceScatter moving total
+// packed bytes should take the large-message path. Auto requires at least largeCollMinNP
 // members — on two ranks the classic algorithms move the same bytes over
 // the same single edge without the per-chunk overhead — and a forced ring
 // respects the same floor: force means family preference, not schedule

@@ -268,12 +268,12 @@ func (c *Comm) ihbarrierRounds() []round {
 }
 
 // ihallgather compiles the hierarchical allgather of fixed bs-byte
-// blocks: members hand their block to the group leader, the leaders
-// exchange whole per-group batches (each group's blocks cross each
-// inter-group link exactly once), and each leader broadcasts the
-// assembled vector inside its group.
+// blocks, block r landing at roff + displs[r]*extent(rdt): members hand
+// their block to the group leader, the leaders exchange whole per-group
+// batches (each group's blocks cross each inter-group link exactly once),
+// and each leader broadcasts the assembled vector inside its group.
 func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt Datatype,
-	rbuf any, roff, rcount int, rdt Datatype) (*CollRequest, error) {
+	rbuf any, roff, rcount int, displs []int, rdt Datatype) (*CollRequest, error) {
 	size := c.Size()
 	bs := rcount * rdt.ByteSize()
 	v := c.localityView()
@@ -281,15 +281,23 @@ func (c *Comm) ihallgather(name string, tag int, sbuf any, soff, scount int, sdt
 	leader := h.mine[h.ldrInG]
 
 	// Assembly: size slots of bs bytes in comm-rank order — a raw window
-	// of rbuf when possible, else staging unpacked at finish.
-	asm := vWindow(rdt, rbuf, roff, size*rcount)
+	// of rbuf when this rank's blocks lie there end to end from roff, else
+	// staging unpacked at finish.
+	var asm []byte
+	e2e := true
+	for r, d := range displs {
+		e2e = e2e && d == r*rcount
+	}
+	if e2e {
+		asm = vWindow(rdt, rbuf, roff, size*rcount)
+	}
 	slot := func(r int) []byte { return asm[r*bs : (r+1)*bs] }
 	var finish func() error
 	if asm == nil {
 		asm = make([]byte, size*bs)
 		finish = func() error {
 			for r := 0; r < size; r++ {
-				if _, err := rdt.Unpack(slot(r), rbuf, roff+r*rcount*rdt.Extent(), rcount); err != nil {
+				if _, err := rdt.Unpack(slot(r), rbuf, roff+displs[r]*rdt.Extent(), rcount); err != nil {
 					return err
 				}
 			}

@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpj/internal/transport"
 )
@@ -383,4 +386,69 @@ func TestHierCollectivesHybTCP(t *testing.T) {
 		w.SetCollAlg(CollAlgAuto)
 		return hierSweep(w, "hyb-auto")
 	})
+}
+
+// TestHierAllgathervOwnDispls: on a comm spanning locality groups, equal
+// counts select the two-level allgather on every member whatever displs each
+// passes — MPI lets every process lay out its own receive buffer. Rank 0
+// passes the blocks in reverse rank order with a hole after each, the
+// others lay them end to end; every member must compile "hier" and
+// assemble every block at its own displacements, Int landing in place or
+// staged, and a strided derived type staged. A member that chose its
+// schedule from its own displs would trade messages its peers do not
+// expect — wrong lengths, blocks left unfilled, or a wait for messages
+// nobody sends: each wait runs under a 5 s deadline.
+func TestHierAllgathervOwnDispls(t *testing.T) {
+	types := blockTypes(t)[:2] // fixed-size: OBJECT has no two-level schedule
+	const n = 3
+	for _, keys := range [][]string{{"A", "B", "A", "B"}, {"A", "A", "B", "B"}} {
+		t.Run(strings.Join(keys, ""), func(t *testing.T) {
+			runRanksLaidOut(t, keys, func(w *Comm) error {
+				np, me := w.Size(), w.Rank()
+				counts, displs := uniformLayout(np, n)
+				if me == 0 {
+					for r := range displs {
+						displs[r] = (np - 1 - r) * (n + 1)
+					}
+				}
+				all := make([]int, np)
+				for r := range all {
+					all[r] = r
+				}
+				for _, ty := range types {
+					nslots := 0
+					for r := range displs {
+						nslots = max(nslots, (displs[r]+n)*ty.ext)
+					}
+					at := func(r int) int { return displs[r] * ty.ext }
+					sbuf := ty.fill(counts, n*ty.ext, 0, []int{me}, func(int) int { return 0 })
+					rbuf := ty.fill(counts, nslots, 0, nil, at)
+					req, err := w.Iallgatherv(sbuf, 0, n, ty.dt, rbuf, 0, counts, displs, ty.dt)
+					if err != nil {
+						return err
+					}
+					for deadline := time.Now().Add(5 * time.Second); ; {
+						_, done, err := req.Test()
+						if err != nil {
+							return fmt.Errorf("%s: %w", ty.name, err)
+						}
+						if done {
+							break
+						}
+						if time.Now().After(deadline) {
+							return fmt.Errorf("%s: %s allgatherv still running after 5s", ty.name, req.alg)
+						}
+						time.Sleep(time.Millisecond)
+					}
+					if req.alg != "hier" {
+						return fmt.Errorf("%s: compiled %s, want hier", ty.name, req.alg)
+					}
+					if want := ty.fill(counts, nslots, 0, all, at); !reflect.DeepEqual(rbuf, want) {
+						return fmt.Errorf("%s: receive buffer %v, want %v", ty.name, rbuf, want)
+					}
+				}
+				return nil
+			})
+		})
+	}
 }

@@ -13,10 +13,11 @@ import (
 // in pcoll.go). Each builder compiles the same algorithm the blocking
 // form uses (dissemination barrier, binomial trees, recursive doubling;
 // the reduce-scatter + allgather halves of the large vector family — see
-// collalg.go for how the algorithm is chosen)
-// into per-rank rounds; the blocking collectives in coll.go call the same
-// builders and Wait immediately, so there is exactly one algorithm
-// source. Builders take their schedule tag as a parameter: the I* entry
+// collalg.go for how the algorithm is chosen; Iscatter, Iallgather,
+// Ialltoall and Igather's variable-size blocks compile as their V forms
+// over the uniform layout) into per-rank rounds; the blocking collectives
+// in coll.go call the same builders and Wait immediately, so there is
+// exactly one algorithm source. Builders take their schedule tag as a parameter: the I* entry
 // points draw a fresh one per call, the persistent forms re-use the tag
 // reserved at Commit time.
 
@@ -145,42 +146,6 @@ func gatherRounds(c *Comm, acc *cell, bs, root int) []round {
 				return nil
 			},
 		}}})
-	}
-	return rs
-}
-
-// scatterRounds compiles the binomial-tree scatter, the mirror image of
-// gatherRounds: the root's cl holds all blocks in vrank order, every other
-// rank first fills cl from its parent, then one round forwards each
-// child's sub-range.
-func scatterRounds(c *Comm, cl *cell, root int) []round {
-	size := c.Size()
-	vrank := (c.rank - root + size) % size
-	var rs []round
-	lb := pow2ceil(size)
-	if vrank != 0 {
-		lb = lowbit(vrank)
-		parent := (vrank - lb + root) % size
-		rs = append(rs, round{recvs: []recvStep{cl.recvFrom(parent)}})
-	}
-	myBlocks := min(lb, size-vrank)
-	var sends []sendStep
-	for m := lb >> 1; m > 0; m >>= 1 {
-		if vrank+m < size {
-			m := m
-			child := (vrank + m + root) % size
-			sends = append(sends, sendStep{to: child, data: func() []byte {
-				bs := 0
-				if myBlocks > 0 {
-					bs = len(cl.b) / myBlocks
-				}
-				childBlocks := min(m, size-(vrank+m))
-				return cl.b[m*bs : (m+childBlocks)*bs]
-			}})
-		}
-	}
-	if len(sends) > 0 {
-		rs = append(rs, round{sends: sends})
 	}
 	return rs
 }
@@ -448,8 +413,9 @@ func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
 }
 
 // Ibcast starts a non-blocking broadcast of count elements of dt from the
-// root's buf to every member — MPI_Ibcast. The buffer must not be touched
-// until the request completes.
+// root's buf to every member — MPI_Ibcast: the binomial tree, a fixed-size
+// payload landing in place at every size. The buffer must not be touched
+// until the request completes: a raw-layout one is lent to the transport.
 func (c *Comm) Ibcast(buf any, off, count int, dt Datatype, root int) (*CollRequest, error) {
 	return c.ibcast("ibcast", c.nextCollTag(), buf, off, count, dt, root)
 }
@@ -467,16 +433,14 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	if two {
 		alg = "hier"
 	}
-	// The buffer plan. On the large-message path and the two-level schedule
-	// the payload lands in a fixed cell every member sizes alike: the user
-	// buffer itself for raw-layout datatypes — the root sends straight out
-	// of it and every other rank receives straight into it, no packing or
-	// staging at all — else one packed buffer the root fills and the
-	// others unpack at the end. Below the threshold each child adopts the
-	// packed message and unpacks it at the end: the only plan for
-	// variable-size payloads, and for the rest the cost the measured
-	// crossovers (large_min, BENCH_coll.json) were taken against.
-	cl := &cell{fixed: two || sized && c.collLarge(total)}
+	// The buffer plan. A sized payload lands in a fixed cell every member
+	// sizes alike: the user buffer itself for raw-layout datatypes — the
+	// root sends straight out of it and every other rank receives straight
+	// into it, no packing or staging at all — else one packed buffer the
+	// root fills and the others unpack at the end. A variable-size (Object)
+	// payload has no length the members agree on: each child adopts the
+	// packed message and unpacks it at the end.
+	cl := &cell{fixed: sized}
 	var finish, reset func() error
 	if cl.fixed {
 		cl.b = vWindow(dt, buf, off, count)
@@ -528,7 +492,9 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 }
 
 // Igather starts a non-blocking gather of scount elements from every
-// member into the root's rbuf — MPI_Igather.
+// member into the root's rbuf — MPI_Igather. Fixed-size blocks ride the
+// binomial tree; variable-size (Object) blocks compile as Igatherv's
+// uniform layout.
 func (c *Comm) Igather(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype, root int) (*CollRequest, error) {
 	return c.igather("igather", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt, root)
@@ -540,32 +506,14 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 		return nil, err
 	}
 	size := c.Size()
+	if sdt.ByteSize() < 0 {
+		// Variable-size blocks compile as Igatherv's uniform layout.
+		rcounts, displs := uniformLayout(size, rcount)
+		return c.igatherv(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts, displs, rdt, root)
+	}
 	acc, repack, err := packedCell(sdt, sbuf, soff, scount)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-
-	if sdt.ByteSize() < 0 {
-		// Variable-size blocks: linear gather, all transfers in one round.
-		if c.rank != root {
-			rounds := []round{{sends: []sendStep{{to: root, data: func() []byte { return acc.b }}}}}
-			return c.newCollRequestAlg(name, tag, "linear", rounds, nil)
-		}
-		var rd round
-		for r := 0; r < size; r++ {
-			if r == root {
-				continue
-			}
-			rd.recvs = append(rd.recvs, recvStep{from: r, on: func(got []byte) error {
-				_, err := rdt.Unpack(got, rbuf, roff+r*rcount*rdt.Extent(), rcount)
-				return err
-			}})
-		}
-		finish := func() error {
-			_, err := rdt.Unpack(acc.b, rbuf, roff+root*rcount*rdt.Extent(), rcount)
-			return err
-		}
-		return c.newCollRequestAlg(name, tag, "linear", []round{rd}, finish)
 	}
 
 	// Fixed-size blocks: binomial tree over vranks.
@@ -598,7 +546,9 @@ func (c *Comm) igather(name string, tag int, sbuf any, soff, scount int, sdt Dat
 }
 
 // Iscatter starts a non-blocking scatter of scount elements per rank from
-// the root's sbuf — MPI_Iscatter.
+// the root's sbuf — MPI_Iscatter. It compiles as Iscatterv's uniform
+// layout: one linear round, the root packing each block straight into its
+// outgoing frame and raw-layout receive buffers filled in place.
 func (c *Comm) Iscatter(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype, root int) (*CollRequest, error) {
 	return c.iscatter("iscatter", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt, root)
@@ -606,100 +556,8 @@ func (c *Comm) Iscatter(sbuf any, soff, scount int, sdt Datatype,
 
 func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype, root int) (*CollRequest, error) {
-	if err := c.checkRoot(root); err != nil {
-		return nil, err
-	}
-	size := c.Size()
-	if sdt.ByteSize() < 0 || rdt.ByteSize() < 0 {
-		// Variable-size blocks: linear scatter, all transfers in one round.
-		if c.rank == root {
-			var rd round
-			var own []byte
-			for r := 0; r < size; r++ {
-				data, err := sdt.Pack(nil, sbuf, soff+r*scount*sdt.Extent(), scount)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				if r == root {
-					own = data
-					continue
-				}
-				rd.sends = append(rd.sends, sendStep{to: r, data: func() []byte { return data }})
-			}
-			finish := func() error {
-				_, err := rdt.Unpack(own, rbuf, roff, rcount)
-				return err
-			}
-			return c.newCollRequestAlg(name, tag, "linear", []round{rd}, finish)
-		}
-		cl := &cell{}
-		rounds := []round{{recvs: []recvStep{cl.recvFrom(root)}}}
-		finish := func() error {
-			_, err := rdt.Unpack(cl.b, rbuf, roff, rcount)
-			return err
-		}
-		return c.newCollRequestAlg(name, tag, "linear", rounds, finish)
-	}
-
-	// Fixed-size blocks: binomial tree, data travelling root-down. The
-	// root's pack is a closure so a cached reactivation can redo it
-	// against the current buffer contents.
-	vrank := (c.rank - root + size) % size
-	cl := &cell{}
-	packRoot := func() error {
-		if pi, ok := sdt.(packerInto); ok && scount >= 0 && sdt.ByteSize() >= 0 {
-			// One exactly-sized buffer, each block packed in place.
-			bs := scount * sdt.ByteSize()
-			if len(cl.b) != size*bs {
-				cl.b = make([]byte, size*bs)
-			}
-			for v := 0; v < size; v++ {
-				r := (v + root) % size
-				if err := pi.PackInto(cl.b[v*bs:(v+1)*bs], sbuf, soff+r*scount*sdt.Extent(), scount); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		cl.b = cl.b[:0]
-		for v := 0; v < size; v++ {
-			r := (v + root) % size
-			var err error
-			cl.b, err = sdt.Pack(cl.b, sbuf, soff+r*scount*sdt.Extent(), scount)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if vrank == 0 {
-		if err := packRoot(); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	finish := func() error {
-		lb := pow2ceil(size)
-		if vrank != 0 {
-			lb = lowbit(vrank)
-		}
-		myBlocks := min(lb, size-vrank)
-		bs := 0
-		if myBlocks > 0 {
-			bs = len(cl.b) / myBlocks
-		}
-		_, err := rdt.Unpack(cl.b[:bs], rbuf, roff, rcount)
-		return err
-	}
-	req, err := c.newCollRequestAlg(name, tag, "binomial", scatterRounds(c, cl, root), finish)
-	if err == nil {
-		// Cacheable: the root re-packs its cell per activation; every
-		// other rank's cell is filled by its tree parent each run.
-		req.cacheable = true
-		if vrank == 0 {
-			req.reset = packRoot
-		}
-	}
-	return req, err
+	scounts, displs := uniformLayout(c.Size(), scount)
+	return c.iscatterv(name, tag, sbuf, soff, scounts, displs, sdt, rbuf, roff, rcount, rdt, root)
 }
 
 // Iallgather starts a non-blocking allgather: every member's block ends up

@@ -12,8 +12,7 @@ import (
 var inPlaceMeshes = []string{"chan", "hyb"}
 
 // inPlaceFamilies are the forced families the in-place tests run under; the
-// large-message family keeps its subtest label "segmented", as it keeps its
-// row label in BENCH_coll.json.
+// large-message family keeps its older subtest label "segmented".
 var inPlaceFamilies = []struct {
 	name string
 	alg  CollAlg

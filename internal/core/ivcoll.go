@@ -12,13 +12,15 @@ import (
 // every collective onto compiled per-rank round schedules. Each builder
 // validates the per-peer counts/displacements up front (checkVSpec: typed
 // ErrCount/ErrArg errors before anything is posted or written), packs
-// sends straight into outgoing wire frames (vSendStep) and lands
-// raw-layout receives in place at their displacements (vWindow), so
-// raw-layout V payloads never stage. The blocking forms in coll.go compile and Wait on
-// exactly these schedules, the persistent Commit* forms (pcoll.go)
-// activate them under one committed tag, and the fixed-count Allgather and
-// Alltoall (icoll.go) compile through iallgatherv and ialltoallv as their
-// uniform layouts.
+// fixed-size sends straight into outgoing wire frames (vSendStep; a
+// variable-size block packs into a cell that a cached schedule re-packs)
+// and lands raw-layout receives in place at their displacements (vWindow),
+// so raw-layout V payloads never stage. The blocking forms in coll.go
+// compile and Wait on exactly these schedules, the persistent Commit*
+// forms (pcoll.go) activate them under one committed tag, and the
+// fixed-count Scatter, Allgather and Alltoall and Gather's variable-size
+// blocks (icoll.go) compile through iscatterv, iallgatherv, ialltoallv and
+// igatherv as their uniform layouts.
 
 // Igatherv starts a non-blocking varying-count gather — MPI_Igatherv:
 // rank r contributes scount elements of sdt and the root places
@@ -39,14 +41,16 @@ func (c *Comm) igatherv(name string, tag int, sbuf any, soff, scount int, sdt Da
 	size := c.Size()
 	if c.rank != root {
 		var rounds []round
+		var repack func() error
 		if scount != 0 {
-			ss, err := vSendStep(root, sdt, sbuf, soff, scount)
+			ss, rp, err := vSendStep(root, sdt, sbuf, soff, scount)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
-			rounds = []round{{sends: []sendStep{ss}}}
+			rounds, repack = []round{{sends: []sendStep{ss}}}, rp
 		}
-		return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, nil))
+		req, err := c.newCollRequestAlg(name, tag, "linear", rounds, nil)
+		return cacheable(req, err, repack)
 	}
 	ext := rdt.Extent()
 	if err := checkVSpec(size, rcounts, displs, ext, roff, bufSlots(rbuf), true); err != nil {
@@ -125,15 +129,17 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	var rd round
+	var repacks []func() error
 	for r := 0; r < size; r++ {
 		if r == root || scounts[r] == 0 {
 			continue
 		}
-		ss, err := vSendStep(r, sdt, sbuf, soff+displs[r]*ext, scounts[r])
+		ss, repack, err := vSendStep(r, sdt, sbuf, soff+displs[r]*ext, scounts[r])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		rd.sends = append(rd.sends, ss)
+		repacks = append(repacks, repack)
 	}
 	finish := func() error {
 		if scounts[root] == 0 {
@@ -150,7 +156,8 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 	if len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, finish))
+	req, err := c.newCollRequestAlg(name, tag, "linear", rounds, finish)
+	return cacheable(req, err, repacks...)
 }
 
 // Iallgatherv starts a non-blocking varying-count allgather —
@@ -159,8 +166,8 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 // run the large vector family's allgather half over the blocks: recursive
 // doubling on a power-of-two communicator, the ring otherwise, an empty
 // block moving no message; the members' displs may differ. Variable-size
-// blocks take one linear exchange. Equal blocks laid end to
-// end in rank order are scheduled exactly like Iallgather's, two-level
+// blocks take one linear exchange. Equal non-empty fixed-size blocks are
+// scheduled exactly like Iallgather's wherever they lie, two-level
 // batching on comms spanning locality groups included. Until the request
 // completes rbuf must not be touched: its blocks are lent to the
 // transport.
@@ -197,10 +204,10 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 	// displacement start. Each member passes its own displs, so e2e shapes
 	// only this rank's buffer plan, never the schedule.
 	at := make([]int, size+1)
-	e2e, uniform, start, next := true, true, 0, -1
+	e2e, equal, start, next := true, true, 0, -1
 	for r, n := range rcounts {
 		at[r+1] = at[r] + n*sz
-		uniform = uniform && n == rcounts[0] && displs[r] == r*n
+		equal = equal && n == rcounts[0]
 		if n > 0 {
 			if next < 0 {
 				start = displs[r]
@@ -210,12 +217,12 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 		}
 	}
 	total := at[size]
-	// Equal blocks laid end to end in rank order — what the fixed-count
-	// Allgather passes — form one contiguous vector, which a comm spanning
-	// locality groups batches through its group leaders so each block
-	// crosses the expensive links once (hier.go).
-	if uniform && total > 0 && c.collHier() {
-		return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], rdt)
+	// Equal non-empty blocks — what the fixed-count Allgather passes — a
+	// comm spanning locality groups batches through its group leaders so
+	// each block crosses the expensive links once (hier.go). The counts
+	// decide, which every member agrees on; displs shape only the buffer.
+	if equal && total > 0 && c.collHier() {
+		return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], displs, rdt)
 	}
 	// The schedule follows from what every member agrees on, the size and
 	// the blocks' byte lengths: recursive doubling on a power-of-two
@@ -381,15 +388,17 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 			return err
 		}})
 	}
+	var repacks []func() error
 	for r := 0; r < size; r++ {
 		if r == c.rank || scounts[r] == 0 {
 			continue
 		}
-		ss, err := vSendStep(r, sdt, sbuf, soff+sdispls[r]*sext, scounts[r])
+		ss, repack, err := vSendStep(r, sdt, sbuf, soff+sdispls[r]*sext, scounts[r])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		rd.sends = append(rd.sends, ss)
+		repacks = append(repacks, repack)
 	}
 	finish := func() error {
 		// Empty blocks are exempt from their displacements, so the own
@@ -411,9 +420,8 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 	if len(rd.recvs)+len(rd.sends) > 0 {
 		rounds = []round{rd}
 	}
-	// Variable-size blocks pack at build into snapshot steps, which a
-	// persistent request refuses to reuse (scheduleReusable).
-	return cacheable(c.newCollRequestAlg(name, tag, "linear", rounds, finish))
+	req, err := c.newCollRequestAlg(name, tag, "linear", rounds, finish)
+	return cacheable(req, err, repacks...)
 }
 
 // IreduceScatter starts a non-blocking reduce-scatter —

@@ -67,28 +67,32 @@ type collSkeleton struct {
 	reset  func() error
 }
 
-// scheduleReusable reports whether a compiled schedule is free of
-// snapshot sends — steps whose payload was packed when the schedule was
-// built (sendStep.snap). A reactivation of such a step would resend the
-// stale bytes instead of re-reading the user buffer.
-func scheduleReusable(rounds []round) bool {
-	for i := range rounds {
-		for j := range rounds[i].sends {
-			if rounds[i].sends[j].snap {
-				return false
-			}
+// cacheable marks a schedule as cacheable: every payload it sends is
+// produced at post or finish time, or re-derived from the user buffers by
+// hooks, which run in order before each reactivation; nil hooks (steps with
+// nothing to re-derive) are dropped.
+func cacheable(r *CollRequest, err error, hooks ...func() error) (*CollRequest, error) {
+	if err != nil {
+		return r, err
+	}
+	r.cacheable = true
+	var live []func() error
+	for _, h := range hooks {
+		if h != nil {
+			live = append(live, h)
 		}
 	}
-	return true
-}
-
-// cacheable marks a schedule that holds no build-time data — every payload
-// is produced at post or finish time — as cacheable with no reset hook.
-func cacheable(r *CollRequest, err error) (*CollRequest, error) {
-	if err == nil {
-		r.cacheable = true
+	if len(live) > 0 {
+		r.reset = func() error {
+			for _, h := range live {
+				if err := h(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
-	return r, err
+	return r, nil
 }
 
 // commitColl reserves a schedule tag and wraps a builder closure into a
@@ -150,7 +154,7 @@ func (p *PcollRequest) Start() error {
 	if err != nil {
 		return err
 	}
-	if r.cacheable && scheduleReusable(r.rounds) {
+	if r.cacheable {
 		p.skel = &collSkeleton{alg: r.alg, rounds: r.rounds, finish: r.finish, reset: r.reset}
 	}
 	p.active = r

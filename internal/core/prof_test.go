@@ -222,6 +222,80 @@ func TestProfCountersBcastExact(t *testing.T) {
 		})
 	}
 
+	// Below large_min the same plan at 8 B and 4 KiB, raw and derived, under
+	// automatic selection and every forced family: the one binomial tree,
+	// an eager message of the whole payload per edge, the root sending one
+	// per child and every other rank receiving one.
+	pair, err := Contiguous(2, Int)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bytes := range []int{8, 4 << 10} {
+		for _, ty := range []struct {
+			name string
+			dt   Datatype
+		}{{"int", Int}, {"pair", pair}} {
+			dt := ty.dt
+			for _, fam := range shapeFamilies {
+				const np, root = 4, 1
+				t.Run(fmt.Sprintf("small_%dB_%s_%s", bytes, ty.name, fam), func(t *testing.T) {
+					diffs := make([]prof.Snapshot, np)
+					children := make([]int, np)
+					bar := newGoBarrier(np)
+					runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+						w.SetCollAlg(fam)
+						_, ch := binomialEdges(w, w.members(), root)
+						children[w.Rank()] = len(ch)
+						buf := make([]int32, bytes/4)
+						if w.Rank() == root {
+							for i := range buf {
+								buf[i] = int32(i*7 + 3)
+							}
+						}
+						diff, err := measureOp(w, bar, func() error {
+							req, err := w.Ibcast(buf, 0, bytes/dt.ByteSize(), dt, root)
+							if err != nil {
+								return err
+							}
+							if req.alg != "binomial" {
+								return fmt.Errorf("compiled %s, want binomial", req.alg)
+							}
+							_, err = req.Wait()
+							return err
+						})
+						diffs[w.Rank()] = diff
+						if err != nil {
+							return err
+						}
+						for i, v := range buf {
+							if v != int32(i*7+3) {
+								return fmt.Errorf("buf[%d] = %d, want %d", i, v, i*7+3)
+							}
+						}
+						return nil
+					})
+					for r, d := range diffs {
+						recvd, rounds := int64(1), int64(1)
+						if r == root {
+							recvd, rounds = 0, 0
+						}
+						sent := int64(children[r])
+						if sent > 0 {
+							rounds++
+						}
+						if d.EagerSent != sent || d.EagerRecv != recvd || d.RdvSent+d.RdvRecv != 0 ||
+							d.EagerSentBytes != sent*int64(bytes) || d.EagerRecvBytes != recvd*int64(bytes) ||
+							d.CollRounds != rounds || d.CollStarted != 1 || d.CollDone != 1 {
+							t.Errorf("rank %d: %d eager sent (%d B), %d arrived (%d B), %d rendezvous, %d rounds; want %d (%d B), %d (%d B), 0, %d (%+v)",
+								r, d.EagerSent, d.EagerSentBytes, d.EagerRecv, d.EagerRecvBytes, d.RdvSent+d.RdvRecv, d.CollRounds,
+								sent, sent*int64(bytes), recvd, recvd*int64(bytes), rounds, d)
+						}
+					}
+				})
+			}
+		}
+	}
+
 	// Above large_min the same tree lands in place: still one message per
 	// edge, never one per segment.
 	const large = 1 << 18 // 1 MiB of Int
@@ -627,17 +701,8 @@ func TestProfCountersReduceScatterExact(t *testing.T) {
 // the I form, InPlace and a persistent request started three times over
 // mutated buffers — its schedule cached, slots outside the blocks left alone.
 func TestProfCountersAllgatherExact(t *testing.T) {
-	vec, err := Vector(2, 1, 2, Int) // two Ints around a hole: 3 slots, 8 bytes
-	if err != nil {
-		t.Fatal(err)
-	}
+	types := blockTypes(t)
 	const n = 3 // the layouts' unit, in elements
-	types := []struct {
-		name  string
-		dt    Datatype
-		ext   int   // slots per element
-		slots []int // the slots of an element that it carries
-	}{{"int", Int, 1, []int{0}}, {"vector", vec, 3, []int{0, 2}}, {"object", Object, 1, []int{0}}}
 	type agCase struct {
 		name           string
 		v              bool // Allgatherv
@@ -662,26 +727,8 @@ func TestProfCountersAllgatherExact(t *testing.T) {
 		}
 		return cs
 	}
-	val := func(k, r, i, o int) int32 { return int32(k*100000 + r*1000 + i*10 + o) }
-	// fill returns a buffer of the case's type with the given slots, every
-	// slot holding the sentinel but element i of block r at slot at(r) + i*ext.
 	fill := func(tc agCase, slots, k int, blocks []int, at func(r int) int) any {
-		ty := types[tc.typ]
-		ints, objs := make([]int32, slots), make([]any, slots)
-		for i := range ints {
-			ints[i] = -1
-		}
-		for _, r := range blocks {
-			for i := 0; i < tc.counts[r]; i++ {
-				for _, o := range ty.slots {
-					ints[at(r)+i*ty.ext+o], objs[at(r)+i*ty.ext+o] = val(k, r, i, o), int(val(k, r, i, o))
-				}
-			}
-		}
-		if ty.dt == Object {
-			return objs
-		}
-		return ints
+		return types[tc.typ].fill(tc.counts, slots, k, blocks, at)
 	}
 	type result struct {
 		d   prof.Snapshot
@@ -796,16 +843,8 @@ func TestProfCountersAllgatherExact(t *testing.T) {
 			// What block r weighs on the wire: its packed bytes, none when
 			// it is empty.
 			bytes := make([]int, np)
-			for r, c := range tc.counts {
-				if c == 0 {
-					continue
-				}
-				own := fill(tc, c*ty.ext, 0, []int{r}, func(int) int { return 0 })
-				b, err := ty.dt.Pack(nil, own, 0, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bytes[r] = len(b)
+			for r := range tc.counts {
+				bytes[r] = ty.packed(t, tc.counts, r)
 			}
 			for me, g := range got[ci] {
 				var sent, recvd, sentB, recvdB, rounds int
@@ -853,6 +892,218 @@ func TestProfCountersAllgatherExact(t *testing.T) {
 					t.Errorf("np=%d %s %s rank %d: %s, %d msgs sent, %d arrived, %d rounds, %d B sent, %d B arrived; want %s, %d, %d, %d, %d, %d (%+v)",
 						np, tc.name, ty.name, me, g.alg, d.SentMsgs(), d.RecvMsgs(), d.CollRounds, d.SentBytes(), d.RecvBytes(),
 						alg, sent, recvd, rounds, sentB, recvdB, d)
+				}
+			}
+		}
+	}
+}
+
+// blockType is a datatype of the exact-counter tables of the blocked
+// collectives, with how its elements lie in a buffer.
+type blockType struct {
+	name  string
+	dt    Datatype
+	ext   int   // slots per element
+	slots []int // the slots of an element that it carries
+}
+
+// blockTypes are Int, a strided derived type and OBJECT.
+func blockTypes(t *testing.T) []blockType {
+	vec, err := Vector(2, 1, 2, Int) // two Ints around a hole: 3 slots, 8 bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []blockType{{"int", Int, 1, []int{0}}, {"vector", vec, 3, []int{0, 2}}, {"object", Object, 1, []int{0}}}
+}
+
+// fill returns a buffer of the type with the given slots, every slot holding
+// the sentinel but the elements of each listed block r — counts[r] of them
+// from slot at(r) on — whose values name generation k, r, the element and
+// the slot within it.
+func (ty blockType) fill(counts []int, slots, k int, blocks []int, at func(r int) int) any {
+	ints, objs := make([]int32, slots), make([]any, slots)
+	for i := range ints {
+		ints[i] = -1
+	}
+	for _, r := range blocks {
+		for i := 0; i < counts[r]; i++ {
+			for _, o := range ty.slots {
+				v := int32(k*100000 + r*1000 + i*10 + o)
+				ints[at(r)+i*ty.ext+o], objs[at(r)+i*ty.ext+o] = v, int(v)
+			}
+		}
+	}
+	if ty.dt == Object {
+		return objs
+	}
+	return ints
+}
+
+// packed returns what block r of counts weighs on the wire: its packed
+// bytes, none when it is empty.
+func (ty blockType) packed(t *testing.T, counts []int, r int) int {
+	if counts[r] == 0 {
+		return 0
+	}
+	b, err := ty.dt.Pack(nil, ty.fill(counts, counts[r]*ty.ext, 0, []int{r}, func(int) int { return 0 }), 0, counts[r])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(b)
+}
+
+// TestProfCountersScatterExact pins the scatter's one schedule, np 2…9 and
+// every root, to its messages, rounds and bytes per rank: Scatter, and
+// Scatterv over the uniform layout and over vLayout's varying blocks, empty
+// ones included, laid out in reverse rank order with gaps — of Int, of a
+// strided derived type and of OBJECT. Each compiles one linear round: the
+// root sends every non-empty block but its own, and every other rank
+// receives its block, or nothing when it is empty. Every case checks its
+// bits through the I form and through a persistent request started three
+// times over mutated buffers — its schedule cached, slots outside the
+// blocks left alone.
+func TestProfCountersScatterExact(t *testing.T) {
+	types := blockTypes(t)
+	const n = 3 // the layouts' unit, in elements
+	type scCase struct {
+		name           string
+		v              bool // Scatterv
+		counts, displs []int
+		typ            int
+	}
+	layouts := func(np int) (cs []scCase) {
+		uni, udispls := uniformLayout(np, n)
+		counts, _, _ := vLayout(np, n)
+		gapped, at := make([]int, np), 0 // vLayout's blocks in reverse rank order, one element apart
+		for r := np - 1; r >= 0; r-- {
+			gapped[r], at = at, at+counts[r]+1
+		}
+		for typ := range types {
+			cs = append(cs,
+				scCase{"scatter", false, uni, udispls, typ},
+				scCase{"scatterv/uniform", true, uni, udispls, typ},
+				scCase{"scatterv/gapped", true, counts, gapped, typ})
+		}
+		return cs
+	}
+	type result struct {
+		d   prof.Snapshot
+		alg string
+	}
+	for np := 2; np <= 9; np++ {
+		cases := layouts(np)
+		all := make([]int, np) // every block
+		for r := range all {
+			all[r] = r
+		}
+		got := make([][][]result, np) // [root][case][rank]
+		for root := range got {
+			got[root] = make([][]result, len(cases))
+			for ci := range cases {
+				got[root][ci] = make([]result, np)
+			}
+		}
+		bar := newGoBarrier(np)
+		runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
+			me := w.Rank()
+			for root := 0; root < np; root++ {
+				for ci, tc := range cases {
+					ty := types[tc.typ]
+					where := fmt.Sprintf("np=%d root=%d %s %s", np, root, tc.name, ty.name)
+					nslots := 0
+					for r := range tc.counts {
+						nslots = max(nslots, (tc.displs[r]+tc.counts[r])*ty.ext)
+					}
+					inSend := func(r int) int { return tc.displs[r] * ty.ext }
+					mine := func(int) int { return 0 }
+					var sbuf any // read on the root only
+					if me == root {
+						sbuf = ty.fill(tc.counts, nslots, 0, all, inSend)
+					}
+					rbuf := ty.fill(tc.counts, tc.counts[me]*ty.ext, 0, nil, mine)
+					check := func(how string, k int) error {
+						if want := ty.fill(tc.counts, tc.counts[me]*ty.ext, k, []int{me}, mine); !reflect.DeepEqual(rbuf, want) {
+							return fmt.Errorf("%s %s: receive buffer %v, want %v", where, how, rbuf, want)
+						}
+						return nil
+					}
+					d, err := measureOp(w, bar, func() error {
+						var req *CollRequest
+						var err error
+						if tc.v {
+							req, err = w.Iscatterv(sbuf, 0, tc.counts, tc.displs, ty.dt, rbuf, 0, tc.counts[me], ty.dt, root)
+						} else {
+							req, err = w.Iscatter(sbuf, 0, n, ty.dt, rbuf, 0, n, ty.dt, root)
+						}
+						if err != nil {
+							return err
+						}
+						got[root][ci][me].alg = req.alg
+						_, err = req.Wait()
+						return err
+					})
+					if err != nil {
+						return fmt.Errorf("%s: %w", where, err)
+					}
+					got[root][ci][me].d = d
+					if err := check("I form", 0); err != nil {
+						return err
+					}
+
+					// The persistent form, its buffers rewritten before each Start.
+					var p *PcollRequest
+					if tc.v {
+						p, err = w.CommitScatterv(sbuf, 0, tc.counts, tc.displs, ty.dt, rbuf, 0, tc.counts[me], ty.dt, root)
+					} else {
+						p, err = w.CommitScatter(sbuf, 0, n, ty.dt, rbuf, 0, n, ty.dt, root)
+					}
+					if err != nil {
+						return fmt.Errorf("%s Commit: %w", where, err)
+					}
+					for k := 1; k <= 3; k++ {
+						if me == root {
+							reflect.Copy(reflect.ValueOf(sbuf), reflect.ValueOf(ty.fill(tc.counts, nslots, k, all, inSend)))
+						}
+						reflect.Copy(reflect.ValueOf(rbuf), reflect.ValueOf(ty.fill(tc.counts, tc.counts[me]*ty.ext, k, nil, mine)))
+						if err := p.Start(); err != nil {
+							return fmt.Errorf("%s Start %d: %w", where, k, err)
+						}
+						if _, err := p.Wait(); err != nil {
+							return fmt.Errorf("%s Start %d: %w", where, k, err)
+						}
+						if p.skel == nil {
+							return fmt.Errorf("%s Start %d: the schedule was not cached", where, k)
+						}
+						if err := check(fmt.Sprintf("Start %d", k), k); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			return nil
+		})
+		for root := range got {
+			for ci, tc := range cases {
+				ty := types[tc.typ]
+				for me, g := range got[root][ci] {
+					var sent, recvd, sentB, recvdB int
+					if me == root {
+						for r := range tc.counts {
+							if b := ty.packed(t, tc.counts, r); r != root && b > 0 {
+								sent, sentB = sent+1, sentB+b
+							}
+						}
+					} else if b := ty.packed(t, tc.counts, me); b > 0 {
+						recvd, recvdB = 1, b
+					}
+					rounds := min(sent+recvd, 1)
+					d := g.d
+					if g.alg != "linear" || d.SentMsgs() != int64(sent) || d.RecvMsgs() != int64(recvd) || d.CollRounds != int64(rounds) ||
+						d.SentBytes() != int64(sentB) || d.RecvBytes() != int64(recvdB) || d.CollStarted != 1 || d.CollDone != 1 {
+						t.Errorf("np=%d root=%d %s %s rank %d: %s, %d msgs sent, %d arrived, %d rounds, %d B sent, %d B arrived; want linear, %d, %d, %d, %d, %d (%+v)",
+							np, root, tc.name, ty.name, me, g.alg, d.SentMsgs(), d.RecvMsgs(), d.CollRounds, d.SentBytes(), d.RecvBytes(),
+							sent, recvd, rounds, sentB, recvdB, d)
+					}
 				}
 			}
 		}

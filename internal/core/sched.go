@@ -65,13 +65,6 @@ type sendStep struct {
 	n    int                // fill only: exact payload length
 	fill func([]byte) error // fill the frame payload in place
 
-	// snap marks a step whose payload was captured (packed) when the
-	// schedule was built rather than when the step posts. Persistent
-	// collectives refuse to cache schedules containing snapshot steps: a
-	// reactivation would resend stale bytes instead of re-reading the
-	// user buffer (see pcoll.go).
-	snap bool
-
 	// lend marks a data step whose payload the device reads in place until
 	// the send completes (device.Isend) instead of copying it at post. The
 	// builder vouches that nothing in the step's round — which outlasts the
@@ -613,19 +606,17 @@ func overlaps(a, b []byte) bool {
 
 // vSendStep builds the send step for count elements of dt from buf at
 // off: a frame-filling step for fixed-size datatypes (the payload packs
-// straight into the outgoing wire frame), a pre-packed data step for
-// variable-size ones.
-func vSendStep(to int, dt Datatype, buf any, off, count int) (sendStep, error) {
+// straight into the outgoing wire frame), else a step sending a cell packed
+// at build, with the hook that re-packs it from the live buffer — the step's
+// share of a cached schedule's reset (nil for a frame-filling step).
+func vSendStep(to int, dt Datatype, buf any, off, count int) (sendStep, func() error, error) {
 	if pi, ok := dt.(packerInto); ok && count >= 0 {
 		if sz := dt.ByteSize(); sz >= 0 {
 			return sendStep{to: to, n: count * sz, fill: func(p []byte) error {
 				return pi.PackInto(p, buf, off, count)
-			}}, nil
+			}}, nil, nil
 		}
 	}
-	data, err := dt.Pack(nil, buf, off, count)
-	if err != nil {
-		return sendStep{}, err
-	}
-	return sendStep{to: to, data: func() []byte { return data }, snap: true}, nil
+	cl, repack, err := packedCell(dt, buf, off, count)
+	return sendStep{to: to, data: func() []byte { return cl.b }}, repack, err
 }

@@ -786,11 +786,16 @@ func lendSafetyReduceScatter(w *Comm) error {
 	return nil
 }
 
-// TestLendSafetyBcast is the lend proof of the broadcast tree: on the fixed
-// cell (at or above large_min) every send lends — the root's the user
-// buffer itself for a raw-layout datatype, a packed copy otherwise — and
-// below it none does; lendCheck passes, every rank ends with the root's
-// bytes and the root's buffer is bit-identical after the call.
+// TestLendSafetyBcast is the lend proof of the broadcast tree, and the pin
+// of its one plan for sized payloads: at every size — 8 B, 256 B and 4 KiB
+// below large_min as 128 KiB above it — and under automatic selection as
+// under every forced family, the payload lands in a fixed cell and every
+// send lends it. For a raw-layout datatype the cell is the user buffer: the
+// root sends straight out of it and a non-root rank's one receive lands in
+// it, with nothing to unpack at finish; a derived type sends a packed copy
+// that the other ranks unpack. lendCheck passes, every family compiles the
+// rounds automatic selection compiles, every rank ends with the root's bytes
+// and the root's buffer is bit-identical after the call.
 func TestLendSafetyBcast(t *testing.T) {
 	pair, err := Contiguous(2, Int)
 	if err != nil {
@@ -803,26 +808,37 @@ func TestLendSafetyBcast(t *testing.T) {
 			var bad error
 			for _, root := range []int{0, np - 1} {
 				for _, dt := range []Datatype{Int, pair} {
-					for _, slots := range []int{64, 1 << 15} { // 256 B and 128 KiB
-						buf := make([]int32, slots)
-						if w.Rank() == root {
-							for i := range buf {
-								buf[i] = int32(i*31 + root)
+					for _, slots := range []int{2, 64, 1 << 10, 1 << 15} { // 8 B, 256 B, 4 KiB and 128 KiB
+						var plan string // what automatic selection compiled
+						for _, fam := range shapeFamilies {
+							w.SetCollAlg(fam)
+							buf := make([]int32, slots)
+							if w.Rank() == root {
+								for i := range buf {
+									buf[i] = int32(i*31 + root)
+								}
 							}
-						}
-						req, err := w.Ibcast(buf, 0, slots*4/dt.ByteSize(), dt, root)
-						if err != nil {
-							return err
-						}
-						if _, err := req.Wait(); err != nil {
-							return err
-						}
-						if err := bcastLendVerdict(w, req, buf, dt, root); err != nil && bad == nil {
-							bad = fmt.Errorf("np=%d root=%d %s slots=%d: %w", np, root, dt.Name(), slots, err)
+							req, err := w.Ibcast(buf, 0, slots*4/dt.ByteSize(), dt, root)
+							if err != nil {
+								return err
+							}
+							if _, err := req.Wait(); err != nil {
+								return err
+							}
+							err = bcastLendVerdict(w, req, buf, dt, root)
+							if got := bcastPlan(req); err == nil && fam == CollAlgAuto {
+								plan = got
+							} else if err == nil && got != plan {
+								err = fmt.Errorf("compiled\n%s\nwhere automatic selection compiled\n%s", got, plan)
+							}
+							if err != nil && bad == nil {
+								bad = fmt.Errorf("np=%d root=%d %s slots=%d %s: %w", np, root, dt.Name(), slots, fam, err)
+							}
 						}
 					}
 				}
 			}
+			w.SetCollAlg(CollAlgAuto)
 			if bad != nil {
 				t.Errorf("rank %d: %v", w.Rank(), bad)
 			}
@@ -842,9 +858,10 @@ func bcastLendVerdict(w *Comm, req *CollRequest, buf []int32, dt Datatype, root 
 	if err := lendCheck(req.rounds, nil); err != nil {
 		return err
 	}
-	_, children := binomialEdges(w, w.members(), root)
+	parent, children := binomialEdges(w, w.members(), root)
 	user := vWindow(Int, buf, 0, len(buf))
-	sends, lent, fromUser := 0, 0, 0
+	raw := dt == Int
+	sends, lent, fromUser, recvs, intoUser := 0, 0, 0, 0, 0
 	for _, rd := range req.rounds {
 		for _, ss := range rd.sends {
 			sends++
@@ -855,19 +872,49 @@ func bcastLendVerdict(w *Comm, req *CollRequest, buf []int32, dt Datatype, root 
 				}
 			}
 		}
-	}
-	wantLent, wantUser := 0, 0
-	if len(user) >= w.largeMin() {
-		wantLent = len(children)
-		if dt == Int {
-			wantUser = len(children)
+		for _, rs := range rd.recvs {
+			recvs++
+			if len(rs.buf) == len(user) && overlaps(rs.buf, user) {
+				intoUser++
+			}
 		}
 	}
-	if sends != len(children) || lent != wantLent || fromUser != wantUser {
+	wantRecvs, wantUser, wantInto := 0, 0, 0
+	if parent >= 0 {
+		wantRecvs = 1
+	}
+	if raw {
+		wantUser, wantInto = len(children), wantRecvs
+	}
+	if sends != len(children) || lent != len(children) || fromUser != wantUser {
 		return fmt.Errorf("%d sends, %d lent, %d from the user buffer; want %d, %d, %d",
-			sends, lent, fromUser, len(children), wantLent, wantUser)
+			sends, lent, fromUser, len(children), len(children), wantUser)
+	}
+	if recvs != wantRecvs || intoUser != wantInto {
+		return fmt.Errorf("%d receives, %d landing in the user buffer; want %d, %d", recvs, intoUser, wantRecvs, wantInto)
+	}
+	if unpacks := req.finish != nil; unpacks != (!raw && parent >= 0) {
+		return fmt.Errorf("unpacks at finish: %v, want %v", unpacks, !raw && parent >= 0)
 	}
 	return nil
+}
+
+// bcastPlan renders a broadcast's compiled rounds: per round the peers, the
+// lengths its receives land and its sends carry, and which sends lend.
+func bcastPlan(req *CollRequest) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "alg=%s", req.alg)
+	for i, rd := range req.rounds {
+		fmt.Fprintf(&b, "\n round %d recv", i)
+		for _, rs := range rd.recvs {
+			fmt.Fprintf(&b, " %d:%d", rs.from, len(rs.buf))
+		}
+		b.WriteString(" send")
+		for _, ss := range rd.sends {
+			fmt.Fprintf(&b, " %d:%d lend=%v", ss.to, len(ss.data()), ss.lend)
+		}
+	}
+	return b.String()
 }
 
 // TestLendCheckRejectsRewrittenSource is the negative: a forwarding-ring

@@ -115,13 +115,18 @@ var InPlace = core.InPlace
 const (
 	// CollAlgAuto switches algorithms by payload and communicator size.
 	CollAlgAuto = core.CollAlgAuto
-	// CollAlgClassic forces the latency-optimised tree algorithms.
+	// CollAlgClassic forces the latency-optimised Allreduce and
+	// ReduceScatter (recursive doubling, or a tree reduce followed by a
+	// broadcast or a linear scatter) and keeps every collective off the
+	// two-level schedules. The other collectives compile one flat schedule
+	// whatever the family.
 	CollAlgClassic = core.CollAlgClassic
-	// CollAlgRing forces the large-message schedules: the binomial
-	// broadcast landing in place in the user buffer, whole-chunk
-	// reduce-scatter + allgather exchanges for allreduce (halving/doubling
-	// on a power-of-two size, the ring otherwise), the same reduce-scatter
-	// half alone for ReduceScatter and the ring for allgather.
+	// CollAlgRing forces the large-message Allreduce and ReduceScatter:
+	// whole-chunk reduce-scatter + allgather exchanges for allreduce
+	// (halving/doubling on a power-of-two size, the ring otherwise), the
+	// same reduce-scatter half alone for ReduceScatter. Like classic it
+	// keeps every collective off the two-level schedules and changes no
+	// other collective.
 	CollAlgRing = core.CollAlgRing
 	// CollAlgHier prefers the two-level locality-aware schedules: an
 	// intra-group phase over co-located peers and an inter-group exchange
