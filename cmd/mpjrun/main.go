@@ -18,9 +18,7 @@
 // their hosts' environments say: each flag, else the client's MPJ_*
 // variable, else the default (see mpj.JobConfig). -eager-limit sets the
 // devices' eager/rendezvous protocol threshold in bytes
-// ($MPJ_EAGER_LIMIT). -coll-alg forces the collective algorithm family
-// (classic | ring | hier; auto, the default, is size-based selection;
-// $MPJ_COLL_ALG). -prof enables the instrumentation layer on every
+// ($MPJ_EAGER_LIMIT). -prof enables the instrumentation layer on every
 // slave: "counters" for the per-communicator counters behind
 // Comm.ProfSnapshot, or "trace:<path-prefix>" to additionally write one
 // Chrome trace_event JSON timeline per rank, resolved on each slave's
@@ -52,7 +50,6 @@ func main() {
 	app := flag.String("app", "", "registered application name (required)")
 	binary := flag.String("binary", "", "slave executable (default: this binary)")
 	eagerLimit := flag.Int("eager-limit", 0, "eager/rendezvous protocol threshold in bytes (default: $MPJ_EAGER_LIMIT, then 16384)")
-	collAlg := flag.String("coll-alg", "", "collective algorithm family: auto, classic, ring or hier (default: $MPJ_COLL_ALG, then auto)")
 	profSpec := flag.String("prof", "", "instrumentation on every slave: counters or trace:<path-prefix> (default: $MPJ_PROF, then off)")
 	registrars := flag.String("registrars", "", "comma-separated registrar addresses (unicast discovery)")
 	port := flag.Int("discovery-port", 0, "UDP discovery port when -registrars is empty")
@@ -76,7 +73,6 @@ func main() {
 		App:        *app,
 		Args:       flag.Args(),
 		EagerLimit: *eagerLimit,
-		CollAlg:    *collAlg,
 		Prof:       *profSpec,
 		Locators:   locators,
 		UDPPort:    *port,

@@ -62,13 +62,35 @@ func relaxRows(cur, next []float64, n, lo, hi int) float64 {
 }
 
 func heatApp(w *mpj.Comm) error {
+	sweeps, maxUpdate, means, err := solveHeat(w)
+	if err != nil || w.Rank() != 0 {
+		return err
+	}
+	if maxUpdate < *tol {
+		fmt.Printf("converged after %d iterations (max update %.2e)\n", sweeps, maxUpdate)
+	} else {
+		fmt.Printf("stopped after %d iterations\n", sweeps)
+	}
+	fmt.Print("mean temperature by row band:")
+	for _, v := range means {
+		fmt.Printf(" %6.2f", v)
+	}
+	fmt.Println()
+	return nil
+}
+
+// solveHeat relaxes the plate until the largest update falls below -tol or
+// -iters sweeps have run. It returns the sweeps run, the largest update the
+// last convergence check saw and, on rank 0, each rank's row band's mean
+// temperature, top first.
+func solveHeat(w *mpj.Comm) (sweeps int, maxUpdate float64, means []float64, err error) {
 	// A 1-D non-periodic process grid over the rows.
 	cart, err := w.CreateCart([]int{w.Size()}, []bool{false}, false)
 	if err != nil {
-		return err
+		return 0, 0, nil, err
 	}
 	if cart == nil {
-		return nil // excluded from the grid (never happens for 1-D full size)
+		return 0, 0, nil, nil // excluded from the grid (never happens for 1-D full size)
 	}
 	rank, size := cart.Rank(), cart.Size()
 	n := *gridN
@@ -77,12 +99,12 @@ func heatApp(w *mpj.Comm) error {
 		rows++
 	}
 	if rows == 0 {
-		return fmt.Errorf("grid too small: %d rows over %d ranks", n, size)
+		return 0, 0, nil, fmt.Errorf("grid too small: %d rows over %d ranks", n, size)
 	}
 
 	up, down, err := cart.Shift(0, 1) // up = rank-1, down = rank+1
 	if err != nil {
-		return err
+		return 0, 0, nil, err
 	}
 
 	// Local slab with two halo rows: (rows+2) x n, row-major.
@@ -101,12 +123,11 @@ func heatApp(w *mpj.Comm) error {
 	// a full stencil sweep.
 	var convReq *mpj.CollRequest
 	convOut := make([]float64, 1)
+	last := math.Inf(1) // the largest update of the last convergence check
 
-	finish := func(it int, gmax float64) error {
-		if rank == 0 {
-			fmt.Printf("converged after %d iterations (max update %.2e)\n", it+1, gmax)
-		}
-		return report(cart, cur, rows, n)
+	finish := func(sweeps int) (int, float64, []float64, error) {
+		means, err := report(cart, cur, rows, n)
+		return sweeps, last, means, err
 	}
 
 	for it := 0; it < *iters; it++ {
@@ -126,28 +147,28 @@ func heatApp(w *mpj.Comm) error {
 			if up != mpj.Undefined {
 				rr, err := mpj.Irecv(cart.Comm, cur[:n], up, haloTag)
 				if err := post(rr, err); err != nil {
-					return err
+					return 0, 0, nil, err
 				}
 				sr, err := mpj.Isend(cart.Comm, cur[n:2*n], up, haloTag)
 				if err := post(sr, err); err != nil {
-					return err
+					return 0, 0, nil, err
 				}
 			}
 			if down != mpj.Undefined {
 				rr, err := mpj.Irecv(cart.Comm, cur[(rows+1)*n:], down, haloTag)
 				if err := post(rr, err); err != nil {
-					return err
+					return 0, 0, nil, err
 				}
 				sr, err := mpj.Isend(cart.Comm, cur[rows*n:(rows+1)*n], down, haloTag)
 				if err := post(sr, err); err != nil {
-					return err
+					return 0, 0, nil, err
 				}
 			}
 			if rows > 2 {
 				localMax = relaxRows(cur, next, n, 2, rows-1)
 			}
 			if _, err := mpj.WaitAll(reqs); err != nil {
-				return fmt.Errorf("halo wait: %w", err)
+				return 0, 0, nil, fmt.Errorf("halo wait: %w", err)
 			}
 			if m := relaxRows(cur, next, n, 1, 1); m > localMax {
 				localMax = m
@@ -163,14 +184,14 @@ func heatApp(w *mpj.Comm) error {
 				if _, err := cart.Sendrecv(
 					cur, n, n, mpj.DOUBLE, up, haloTag,
 					cur, 0, n, mpj.DOUBLE, up, haloTag); err != nil {
-					return fmt.Errorf("halo up: %w", err)
+					return 0, 0, nil, fmt.Errorf("halo up: %w", err)
 				}
 			}
 			if down != mpj.Undefined {
 				if _, err := cart.Sendrecv(
 					cur, rows*n, n, mpj.DOUBLE, down, haloTag,
 					cur, (rows+1)*n, n, mpj.DOUBLE, down, haloTag); err != nil {
-					return fmt.Errorf("halo down: %w", err)
+					return 0, 0, nil, fmt.Errorf("halo down: %w", err)
 				}
 			}
 			localMax = relaxRows(cur, next, n, 1, rows)
@@ -182,25 +203,25 @@ func heatApp(w *mpj.Comm) error {
 			// Harvest last iteration's reduction, then launch this one.
 			if convReq != nil {
 				if _, err := convReq.Wait(); err != nil {
-					return fmt.Errorf("convergence iallreduce: %w", err)
+					return 0, 0, nil, fmt.Errorf("convergence iallreduce: %w", err)
 				}
 				convReq = nil
-				if convOut[0] < *tol {
-					return finish(it, convOut[0])
+				if last = convOut[0]; last < *tol {
+					return finish(it + 1)
 				}
 			}
 			convOut[0] = 0
 			if convReq, err = mpj.Iallreduce(
 				cart.Comm, []float64{localMax}, convOut, mpj.Max[float64]()); err != nil {
-				return fmt.Errorf("convergence iallreduce: %w", err)
+				return 0, 0, nil, fmt.Errorf("convergence iallreduce: %w", err)
 			}
 		} else {
 			gmax := make([]float64, 1)
 			if err := mpj.Allreduce(cart.Comm, []float64{localMax}, gmax, mpj.Max[float64]()); err != nil {
-				return fmt.Errorf("convergence allreduce: %w", err)
+				return 0, 0, nil, fmt.Errorf("convergence allreduce: %w", err)
 			}
-			if gmax[0] < *tol {
-				return finish(it, gmax[0])
+			if last = gmax[0]; last < *tol {
+				return finish(it + 1)
 			}
 		}
 	}
@@ -208,20 +229,15 @@ func heatApp(w *mpj.Comm) error {
 	// convergence on the last iteration exactly like blocking mode.
 	if convReq != nil {
 		if _, err := convReq.Wait(); err != nil {
-			return fmt.Errorf("convergence iallreduce: %w", err)
+			return 0, 0, nil, fmt.Errorf("convergence iallreduce: %w", err)
 		}
-		if convOut[0] < *tol {
-			return finish(*iters-1, convOut[0])
-		}
+		last = convOut[0]
 	}
-	if rank == 0 {
-		fmt.Printf("stopped after %d iterations\n", *iters)
-	}
-	return report(cart, cur, rows, n)
+	return finish(*iters)
 }
 
 // report gathers per-rank mean temperatures to rank 0.
-func report(cart *mpj.CartComm, cur []float64, rows, n int) error {
+func report(cart *mpj.CartComm, cur []float64, rows, n int) ([]float64, error) {
 	var sum float64
 	for i := 1; i <= rows; i++ {
 		for j := 0; j < n; j++ {
@@ -234,16 +250,9 @@ func report(cart *mpj.CartComm, cur []float64, rows, n int) error {
 		all = make([]float64, cart.Size())
 	}
 	if err := mpj.Gather(cart.Comm, mine, all, 0); err != nil {
-		return err
+		return nil, err
 	}
-	if cart.Rank() == 0 {
-		fmt.Print("mean temperature by row band:")
-		for _, v := range all {
-			fmt.Printf(" %6.2f", v)
-		}
-		fmt.Println()
-	}
-	return nil
+	return all, nil
 }
 
 func main() {

@@ -21,6 +21,20 @@ import (
 var samplesFlag = flag.Int64("samples", 1_000_000, "total number of samples")
 
 func piApp(w *mpj.Comm) error {
+	pi, total, err := estimatePi(w)
+	if err != nil {
+		return err
+	}
+	if w.Rank() == 0 {
+		fmt.Printf("pi ≈ %.6f (error %+.2e) from %d samples on %d ranks\n",
+			pi, pi-math.Pi, total, w.Size())
+	}
+	return nil
+}
+
+// estimatePi samples the unit square on every rank and returns, on rank 0,
+// the estimate of pi and the number of samples it rests on.
+func estimatePi(w *mpj.Comm) (pi float64, total int64, err error) {
 	rank, size := w.Rank(), w.Size()
 
 	// Rank 0 owns the configuration; everyone else learns it by Bcast.
@@ -29,9 +43,9 @@ func piApp(w *mpj.Comm) error {
 		cfg[0] = *samplesFlag
 	}
 	if err := mpj.Bcast(w, cfg, 0); err != nil {
-		return err
+		return 0, 0, err
 	}
-	total := cfg[0]
+	total = cfg[0]
 	mine := total / int64(size)
 	if int64(rank) < total%int64(size) {
 		mine++
@@ -49,14 +63,9 @@ func piApp(w *mpj.Comm) error {
 
 	global := make([]int64, 1)
 	if err := mpj.Reduce(w, []int64{hits}, global, mpj.Sum[int64](), 0); err != nil {
-		return err
+		return 0, 0, err
 	}
-	if rank == 0 {
-		pi := 4 * float64(global[0]) / float64(total)
-		fmt.Printf("pi ≈ %.6f (error %+.2e) from %d samples on %d ranks\n",
-			pi, pi-math.Pi, total, size)
-	}
-	return nil
+	return 4 * float64(global[0]) / float64(total), total, nil
 }
 
 func main() {

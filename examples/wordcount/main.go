@@ -26,6 +26,37 @@ sphinx of black quartz judge my vow
 the dog barks and the fox runs and the dog sleeps`
 
 func wordcountApp(w *mpj.Comm) error {
+	merged, err := countWords(w)
+	if err != nil || w.Rank() != 0 {
+		return err
+	}
+	type wc struct {
+		word string
+		n    int
+	}
+	var all []wc
+	for word, n := range merged {
+		all = append(all, wc{word, n})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].n != all[j].n {
+			return all[i].n > all[j].n
+		}
+		return all[i].word < all[j].word
+	})
+	fmt.Printf("top words across %d ranks:\n", w.Size())
+	for i, e := range all {
+		if i == 8 {
+			break
+		}
+		fmt.Printf("  %-10s %d\n", e.word, e.n)
+	}
+	return nil
+}
+
+// countWords counts the corpus's words across the ranks and returns the
+// merged counts on rank 0 (nil elsewhere).
+func countWords(w *mpj.Comm) (map[string]int, error) {
 	rank, size := w.Rank(), w.Size()
 
 	// Rank 0 slices the corpus into one chunk of lines per rank and
@@ -42,7 +73,7 @@ func wordcountApp(w *mpj.Comm) error {
 	}
 	myChunk := make([]any, 1)
 	if err := w.Scatter(chunks, 0, 1, mpj.OBJECT, myChunk, 0, 1, mpj.OBJECT, 0); err != nil {
-		return fmt.Errorf("scatter: %w", err)
+		return nil, fmt.Errorf("scatter: %w", err)
 	}
 
 	// Count words locally.
@@ -58,39 +89,18 @@ func wordcountApp(w *mpj.Comm) error {
 		partials = make([]any, size)
 	}
 	if err := w.Gather([]any{counts}, 0, 1, mpj.OBJECT, partials, 0, 1, mpj.OBJECT, 0); err != nil {
-		return fmt.Errorf("gather: %w", err)
+		return nil, fmt.Errorf("gather: %w", err)
 	}
-
-	if rank == 0 {
-		merged := map[string]int{}
-		for _, p := range partials {
-			for word, n := range p.(map[string]int) {
-				merged[word] += n
-			}
-		}
-		type wc struct {
-			word string
-			n    int
-		}
-		var all []wc
-		for word, n := range merged {
-			all = append(all, wc{word, n})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].n != all[j].n {
-				return all[i].n > all[j].n
-			}
-			return all[i].word < all[j].word
-		})
-		fmt.Printf("top words across %d ranks:\n", size)
-		for i, e := range all {
-			if i == 8 {
-				break
-			}
-			fmt.Printf("  %-10s %d\n", e.word, e.n)
+	if rank != 0 {
+		return nil, nil
+	}
+	merged := map[string]int{}
+	for _, p := range partials {
+		for word, n := range p.(map[string]int) {
+			merged[word] += n
 		}
 	}
-	return nil
+	return merged, nil
 }
 
 func main() {

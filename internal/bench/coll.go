@@ -99,7 +99,7 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 	elems := bytes / 8
 	iters := collIters(bytes)
 	err := run(np, func(w *core.Comm) error {
-		w.SetCollAlg(collAlgFor(algName))
+		core.ForceCollAlg(w, collAlgFor(algName))
 		var body func() error
 		switch op {
 		case "bcast":

@@ -120,7 +120,7 @@ func measureReduceScatter(np, bytes int, algName string) (VcollBenchRow, error) 
 	elems := bytes / 8
 	iters := collIters(bytes)
 	err := runJobHyb(np, func(w *core.Comm) error {
-		w.SetCollAlg(collAlgFor(algName))
+		core.ForceCollAlg(w, collAlgFor(algName))
 		me := w.Rank()
 		rcounts := make([]int, np)
 		for r := range rcounts {

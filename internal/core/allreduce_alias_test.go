@@ -67,9 +67,9 @@ func checkAllreduceAliased[T comparable](w *Comm, dt Datatype, slots int, ring b
 // no layout needs a copy first.
 func checkReduceScatterAliased[T comparable](w *Comm, dt Datatype, slots int, val func(rank, i int) T) error {
 	np, me := w.Size(), w.Rank()
-	defer w.SetCollAlg(CollAlgAuto)
+	defer ForceCollAlg(w, CollAlgAuto)
 	for _, fam := range []CollAlg{CollAlgAuto, CollAlgRing} {
-		w.SetCollAlg(fam)
+		ForceCollAlg(w, fam)
 		for _, n := range []int{0, 1, 700} {
 			for _, uniform := range []bool{true, false} {
 				counts, displs, total := vLayout(np, n)

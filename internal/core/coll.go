@@ -235,8 +235,8 @@ func (c *Comm) Allreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datat
 // and CommitAllreduce: the reduce-scatter + allgather family
 // (allreduceRing) for large fixed-size payloads, the two-level
 // hierarchical schedule below that on comms spanning locality groups (at
-// every size when CollAlgHier is forced), recursive doubling for small
-// power-of-two communicators, reduce+broadcast otherwise.
+// every size when a test or sweep forces CollAlgHier), recursive doubling
+// for small power-of-two communicators, reduce+broadcast otherwise.
 func (c *Comm) autoAllreduceAlg(count int, dt Datatype) allreduceAlg {
 	sz := dt.ByteSize()
 	sized := sz > 0 && count > 0
@@ -245,7 +245,7 @@ func (c *Comm) autoAllreduceAlg(count int, dt Datatype) allreduceAlg {
 	// vectors through each group's leader while the flat family keeps
 	// every rank busy, and on a 2×4 hyb layout it took ×2.96 the flat
 	// family's time at 1 MiB and ×4.6 at 4 MiB.
-	if sized && c.Size() > 1 && c.collHier() && (!large || c.collAlgChoice() == CollAlgHier) {
+	if sized && c.Size() > 1 && c.collHier() && (!large || c.collAlg == CollAlgHier) {
 		return allreduceHier
 	}
 	if large {
@@ -264,8 +264,8 @@ func (c *Comm) autoAllreduceAlg(count int, dt Datatype) allreduceAlg {
 // sends n·(p-1)/p bytes, in log₂p messages by recursive halving on a
 // power-of-two size and p-1 around the ring otherwise, folding straight out
 // of a raw-layout send buffer; small ones reduce to rank 0 and scatter
-// linearly (the same schedules IreduceScatter compiles; see collalg.go for
-// the selection knobs).
+// linearly (the same schedules IreduceScatter compiles; collalg.go picks
+// one from the payload size and the communicator size).
 func (c *Comm) ReduceScatter(sbuf any, soff int, rbuf any, roff int, rcounts []int, dt Datatype, op *Op) error {
 	return runColl(c.ireduceScatter("reduce_scatter", c.nextCollTag(), sbuf, soff, rbuf, roff, rcounts, dt, op))
 }

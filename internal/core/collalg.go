@@ -5,48 +5,39 @@ import "fmt"
 // This file is the collective algorithm-selection layer. The schedule
 // builders in icoll.go, ivcoll.go and hier.go compile one of several
 // algorithms per collective; which one runs is decided here, per
-// operation, from two inputs only: the family forced on the communicator
-// (SetCollAlg, else the job's Tuning.CollAlg) and the built-in
-// constants below. Under automatic selection a large Allreduce or
-// ReduceScatter switches from the latency-optimised classic schedules to
-// the bandwidth-optimised large-vector ones, and comms spanning several
-// locality groups switch to the two-level hierarchical schedules. Every
-// other flat collective compiles one schedule whatever the family:
-// Barrier, Bcast, Gather, Scatter, Allgather, Alltoall, Reduce, Scan and
-// the V forms.
+// operation, from what every member observes alike: the packed payload
+// size, the communicator size and its locality layout, against the
+// built-in constants below. A large Allreduce or ReduceScatter switches
+// from the latency-optimised classic schedules to the bandwidth-optimised
+// large-vector ones, and comms spanning several locality groups switch to
+// the two-level hierarchical schedules. Every other flat collective
+// compiles one schedule: Barrier, Bcast, Gather, Scatter, Allgather,
+// Alltoall, Reduce, Scan and the V forms. No job setting or API call
+// chooses a family; ForceCollAlg is the seam through which tests and the
+// benchmark sweeps compile a family auto would not pick.
 
-// CollAlg selects the collective algorithm family.
+// CollAlg is a collective algorithm family; ForceCollAlg pins one.
 type CollAlg int
 
 const (
-	// CollAlgAuto switches algorithms by payload, communicator size and
-	// locality: the classic Allreduce and ReduceScatter below the
-	// large-message threshold, the large-message schedules above it, and
-	// the two-level hierarchical schedules when the communicator spans
-	// several locality groups.
+	// CollAlgAuto, the zero value, is the selection this file makes.
 	CollAlgAuto CollAlg = iota
-	// CollAlgClassic always uses the latency-optimised Allreduce and
-	// ReduceScatter (recursive doubling, or a binomial reduce followed by
-	// a broadcast or a linear scatter), moving whole vectors per edge, and
-	// keeps every collective off the two-level schedules.
+	// CollAlgClassic keeps Allreduce and ReduceScatter on the
+	// latency-optimised schedules (recursive doubling, or a binomial
+	// reduce then a broadcast or a linear scatter) and every collective
+	// off the two-level ones.
 	CollAlgClassic
-	// CollAlgRing always uses the large-message Allreduce and
-	// ReduceScatter: the bandwidth-optimal reduce-scatter + allgather
-	// schedules, which move whole chunks (a step forwards nothing it
-	// receives in the same round), by recursive halving/doubling when the
-	// communicator size is a power of two and around the ring otherwise.
-	// Like classic it keeps every collective off the two-level schedules.
+	// CollAlgRing keeps Allreduce and ReduceScatter on the large-message
+	// reduce-scatter + allgather schedules (halving/doubling on a power
+	// of two, the ring otherwise) and every collective off the two-level
+	// ones.
 	CollAlgRing
-	// CollAlgHier prefers the two-level hierarchical schedules: an
-	// intra-group phase over co-located (chan-routed) peers and an
-	// inter-group exchange between per-group leaders. It applies whenever
-	// the communicator actually spans at least two locality groups with
-	// some co-location to exploit; otherwise selection falls back to
-	// auto.
+	// CollAlgHier takes the two-level schedules (hier.go) wherever the
+	// communicator spans locality groups, and auto's choice elsewhere.
 	CollAlgHier
 )
 
-// String returns the canonical spelling accepted by ParseCollAlg.
+// String names the family, as the sweeps and test names print it.
 func (a CollAlg) String() string {
 	switch a {
 	case CollAlgAuto:
@@ -76,49 +67,18 @@ const (
 	largeCollMinNP = 3
 )
 
-// ParseCollAlg parses the string form of the algorithm selector (the
-// client's MPJ_COLL_ALG, mpjrun -coll-alg, JobConfig.CollAlg). Empty means
-// auto.
-func ParseCollAlg(raw string) (CollAlg, error) {
-	switch raw {
-	case "", "auto":
-		return CollAlgAuto, nil
-	case "classic":
-		return CollAlgClassic, nil
-	case "ring":
-		return CollAlgRing, nil
-	case "hier":
-		return CollAlgHier, nil
-	}
-	return CollAlgAuto, fmt.Errorf("collective algorithm %q: want auto, classic, ring or hier", raw)
-}
-
-// SetCollAlg forces the collective algorithm family for this communicator,
-// overriding the job's default (Tuning.CollAlg) and the automatic
-// size-based selection; SetCollAlg(CollAlgAuto) restores automatic
-// selection even when the job forces a family. Forcing a family
-// states a *preference*, not a schedule identity: where the family's
-// schedule would degenerate (ring on fewer than three ranks, hier on a
-// comm that does not span locality groups) the classic or auto schedule
-// runs instead, so a forced family is always safe to request. Call it
-// before starting collectives; like the collectives themselves it must be
-// applied consistently on every member, or their schedules will not
-// match. Panics on a value that is not one of the CollAlg constants.
-func (c *Comm) SetCollAlg(a CollAlg) {
+// ForceCollAlg makes c compile family a where auto would pick another: the
+// seam through which tests pin a schedule and mpjbench's coll and vcoll
+// sweeps price the families. It states a preference, not a schedule: where
+// a's would degenerate (ring below three ranks, hier on a comm without
+// locality groups) the classic or auto schedule runs. Every member must
+// force the same family before its collectives. Panics on a value that is
+// not a CollAlg constant.
+func ForceCollAlg(c *Comm, a CollAlg) {
 	if a < CollAlgAuto || a > CollAlgHier {
-		panic(fmt.Sprintf("mpj: SetCollAlg(%v): not a collective algorithm family", a))
+		panic(fmt.Sprintf("mpj: ForceCollAlg(%v): not a collective algorithm family", a))
 	}
 	c.collAlg = a
-	c.algSet = true
-}
-
-// collAlgChoice resolves the algorithm family: an explicit per-communicator
-// SetCollAlg wins, then the job's default.
-func (c *Comm) collAlgChoice() CollAlg {
-	if c.algSet {
-		return c.collAlg
-	}
-	return c.proc.tuning.CollAlg
 }
 
 // largeMin is the payload threshold (bytes) of the large-message path:
@@ -132,7 +92,7 @@ func (c *Comm) largeMin() int { return c.proc.largeMin }
 // respects the same floor: force means family preference, not schedule
 // identity.
 func (c *Comm) collLarge(total int) bool {
-	switch c.collAlgChoice() {
+	switch c.collAlg {
 	case CollAlgClassic:
 		return false
 	case CollAlgRing:
@@ -149,7 +109,7 @@ func (c *Comm) collLarge(total int) bool {
 // co-location somewhere (hier.go, locView.multi). On a flat comm the hier
 // family falls back to auto selection.
 func (c *Comm) collHier() bool {
-	switch c.collAlgChoice() {
+	switch c.collAlg {
 	case CollAlgAuto, CollAlgHier:
 		return c.localityView().multi()
 	}

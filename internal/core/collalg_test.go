@@ -17,18 +17,21 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// SetCollAlg's doc contract: out-of-domain values panic, valid ones stick.
+// ForceCollAlg's doc contract: out-of-domain values panic, valid ones stick.
 func TestCollSettersValidate(t *testing.T) {
 	runRanks(t, 2, func(w *Comm) error {
 		if w.Rank() == 0 {
-			mustPanic(t, "SetCollAlg(99)", func() { w.SetCollAlg(CollAlg(99)) })
-			mustPanic(t, "SetCollAlg(-1)", func() { w.SetCollAlg(CollAlg(-1)) })
+			mustPanic(t, "ForceCollAlg(99)", func() { ForceCollAlg(w, CollAlg(99)) })
+			mustPanic(t, "ForceCollAlg(-1)", func() { ForceCollAlg(w, CollAlg(-1)) })
 		}
-		w.SetCollAlg(CollAlgRing)
-		if got := w.collAlgChoice(); got != CollAlgRing {
-			return expect(false, "collAlgChoice after Set(ring) = %v", got)
+		if w.collAlg != CollAlgAuto {
+			return expect(false, "a new communicator's family = %v, want auto", w.collAlg)
 		}
-		w.SetCollAlg(CollAlgAuto)
+		ForceCollAlg(w, CollAlgRing)
+		if w.collAlg != CollAlgRing {
+			return expect(false, "family after ForceCollAlg(ring) = %v", w.collAlg)
+		}
+		ForceCollAlg(w, CollAlgAuto)
 		return nil
 	})
 }
@@ -39,11 +42,11 @@ func TestCollSettersValidate(t *testing.T) {
 // preference, not schedule identity.
 func TestForcedFamilyRespectsMemberFloor(t *testing.T) {
 	runRanks(t, 2, func(w *Comm) error {
-		w.SetCollAlg(CollAlgRing)
+		ForceCollAlg(w, CollAlgRing)
 		if w.collLarge(1 << 20) {
 			return expect(false, "np=2 forced ring: collLarge(1 MiB) = true, want classic fallback")
 		}
-		w.SetCollAlg(CollAlgAuto)
+		ForceCollAlg(w, CollAlgAuto)
 		if w.collLarge(1 << 20) {
 			return expect(false, "np=2 auto: collLarge(1 MiB) = true, want classic below member floor")
 		}
@@ -61,7 +64,7 @@ func TestForcedFamilyEquivalenceNP2(t *testing.T) {
 
 	runRanks(t, 2, func(w *Comm) error {
 		for _, alg := range families {
-			w.SetCollAlg(alg)
+			ForceCollAlg(w, alg)
 
 			buf := make([]float64, n)
 			if w.Rank() == 1 {
@@ -123,7 +126,7 @@ func TestForcedFamilyEquivalenceNP2(t *testing.T) {
 				return fmt.Errorf("%v barrier: %w", alg, err)
 			}
 		}
-		w.SetCollAlg(CollAlgAuto)
+		ForceCollAlg(w, CollAlgAuto)
 		return nil
 	})
 }
@@ -156,17 +159,17 @@ func tableSweep(w *Comm, forced CollAlg) error {
 		return b, r, nil
 	}
 
-	w.SetCollAlg(CollAlgAuto)
+	ForceCollAlg(w, CollAlgAuto)
 	ab, ar, err := run()
 	if err != nil {
 		return fmt.Errorf("auto np=%d: %w", np, err)
 	}
-	w.SetCollAlg(forced)
+	ForceCollAlg(w, forced)
 	fb, fr, err := run()
 	if err != nil {
 		return fmt.Errorf("forced %v np=%d: %w", forced, np, err)
 	}
-	w.SetCollAlg(CollAlgAuto)
+	ForceCollAlg(w, CollAlgAuto)
 
 	for i := range ab {
 		if ab[i] != fb[i] {

@@ -34,10 +34,9 @@ type procState struct {
 	// their window. Guarded by mu.
 	wins map[int]*Win
 
-	// tuning is the job's tuning the world was built with: its collective
-	// family is every communicator's default (per-communicator overrides
-	// live on Comm; see collalg.go) and its epoch deadline every window's
-	// (see Win.SetEpochTimeout). Comm.Spawn hands it to the rebuilt world.
+	// tuning is the job's tuning the world was built with: its epoch
+	// deadline is every window's (see Win.SetEpochTimeout). Comm.Spawn
+	// hands it to the rebuilt world.
 	tuning Tuning
 
 	// largeMin is the large-message threshold of collective selection,
@@ -106,12 +105,9 @@ type Comm struct {
 	// usable — they are the recovery path.
 	revoked atomic.Bool
 
-	// Collective algorithm override (see collalg.go). algSet marks an
-	// explicit SetCollAlg — including SetCollAlg(CollAlgAuto), which must
-	// restore automatic selection even when the job's tuning forces a
-	// family.
+	// collAlg is the collective algorithm family, auto unless a test or a
+	// sweep forced one (ForceCollAlg; see collalg.go).
 	collAlg CollAlg
-	algSet  bool
 
 	// winCtxs lists the dedicated contexts of windows created over this
 	// communicator, so ProfSnapshot covers one-sided traffic too. Guarded
@@ -129,13 +125,11 @@ type Comm struct {
 
 // Tuning is what a job sets for every one of its ranks, resolved once by
 // the client that launches it and handed to each rank: the device's
-// eager/rendezvous threshold, the collective algorithm family, the
-// instrumentation and the windows' epoch deadline. A zero field takes its
-// default. The world uses the family and the deadline; the caller opened
-// the device with the other two.
+// eager/rendezvous threshold, the instrumentation and the windows' epoch
+// deadline. A zero field takes its default. The world uses the deadline;
+// the caller opened the device with the other two.
 type Tuning struct {
 	EagerLimit   int           // bytes; see device.WithEagerLimit
-	CollAlg      CollAlg       // the family every communicator starts with
 	Prof         prof.Spec     // per-rank instrumentation
 	EpochTimeout time.Duration // see Win.SetEpochTimeout
 }
@@ -148,8 +142,8 @@ func NewWorld(dev *device.Device) (*Comm, error) {
 	return NewWorldTuned(dev, Tuning{})
 }
 
-// NewWorldTuned is NewWorld for a job with a tuning: the world's
-// communicators start with t.CollAlg and its windows with t.EpochTimeout.
+// NewWorldTuned is NewWorld for a job with a tuning: the world's windows
+// start with t.EpochTimeout.
 func NewWorldTuned(dev *device.Device, t Tuning) (*Comm, error) {
 	if t.EpochTimeout <= 0 {
 		t.EpochTimeout = DefaultEpochTimeout

@@ -31,10 +31,10 @@ import (
 // both phases concatenate into one schedule on one tag, driven by one
 // CollRequest, exactly like iallreduce's reduce+bcast concatenation.
 //
-// Selection: CollAlgHier forces the family; auto chooses it whenever the
-// communicator actually spans ≥2 locality groups with some co-location
-// (see collalg.go collHier). A test installs a synthetic layout where
-// production gets the real one: in the transport's description.
+// Selection: auto chooses the family whenever the communicator actually
+// spans ≥2 locality groups with some co-location (see collalg.go
+// collHier). A test installs a synthetic layout where production gets the
+// real one: in the transport's description.
 
 // ---------------------------------------------------------------------
 // The locality view.

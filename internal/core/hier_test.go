@@ -311,11 +311,11 @@ func TestHierCollectivesChan(t *testing.T) {
 				if !w.localityView().multi() {
 					return expect(false, "layout %v not multi", lay.keys)
 				}
-				w.SetCollAlg(CollAlgHier)
+				ForceCollAlg(w, CollAlgHier)
 				if err := hierSweep(w, "forced"); err != nil {
 					return err
 				}
-				w.SetCollAlg(CollAlgAuto)
+				ForceCollAlg(w, CollAlgAuto)
 				return hierSweep(w, "auto")
 			})
 		})
@@ -327,7 +327,7 @@ func TestHierCollectivesChan(t *testing.T) {
 // preference); compiling the hier allreduce there explicitly errors instead.
 func TestHierFlatFallback(t *testing.T) {
 	runRanks(t, 3, func(w *Comm) error {
-		w.SetCollAlg(CollAlgHier)
+		ForceCollAlg(w, CollAlgHier)
 		s := []int32{int32(w.Rank() + 1)}
 		r := make([]int32, 1)
 		if err := w.Allreduce(s, 0, r, 0, 1, Int, SumOp); err != nil {
@@ -336,7 +336,7 @@ func TestHierFlatFallback(t *testing.T) {
 		if r[0] != 6 {
 			return expect(false, "flat forced-hier allreduce = %d", r[0])
 		}
-		w.SetCollAlg(CollAlgAuto)
+		ForceCollAlg(w, CollAlgAuto)
 		err := allreduceWith(w, allreduceHier, s, 0, r, 0, 1, Int, SumOp)
 		if err == nil {
 			return expect(false, "hier allreduce on flat comm: no error")
@@ -379,11 +379,11 @@ func TestHierCollectivesHybTCP(t *testing.T) {
 		if !w.localityView().multi() {
 			return expect(false, "hyb locality view %v not multi", tab)
 		}
-		w.SetCollAlg(CollAlgHier)
+		ForceCollAlg(w, CollAlgHier)
 		if err := hierSweep(w, "hyb-forced"); err != nil {
 			return err
 		}
-		w.SetCollAlg(CollAlgAuto)
+		ForceCollAlg(w, CollAlgAuto)
 		return hierSweep(w, "hyb-auto")
 	})
 }

@@ -219,7 +219,7 @@ func (c *Comm) allreducePath() string {
 // and an area planned and not refused, which the blocking form sets up if
 // it is the first. The walk takes its ticket here, in call order.
 func (c *Comm) iallreduceHost(name string, tag int, form collForm, sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
-	if sz := dt.ByteSize(); form == formPersistent || c.collAlgChoice() != CollAlgAuto || c.Size() < 2 || sz <= 0 || count*sz < c.largeMin() || op.user {
+	if sz := dt.ByteSize(); form == formPersistent || c.collAlg != CollAlgAuto || c.Size() < 2 || sz <= 0 || count*sz < c.largeMin() || op.user {
 		return nil, nil
 	}
 	if _, predefined := op.byType[dt]; !predefined || dt.Base() != dt || !c.hostPlanned() {

@@ -58,8 +58,8 @@ func hostOps(w *Comm) int64 { return w.ProfSnapshot().HostOps }
 // ringBits runs one allreduce on the forced large family — the message
 // schedule a host walk replaces — into want.
 func ringBits(w *Comm, sbuf any, want any, count int, dt Datatype, op *Op) error {
-	w.SetCollAlg(CollAlgRing)
-	defer w.SetCollAlg(CollAlgAuto)
+	ForceCollAlg(w, CollAlgRing)
+	defer ForceCollAlg(w, CollAlgAuto)
 	req, err := w.Iallreduce(sbuf, 0, want, 0, count, dt, op)
 	if err != nil {
 		return err

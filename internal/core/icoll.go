@@ -628,7 +628,8 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 // bandwidth-optimal family (recursive halving/doubling on a power-of-two
 // communicator, the ring otherwise); below the threshold power-of-two sizes
 // use recursive doubling and others reduce to rank 0 and broadcast (the same
-// automatic choice Allreduce makes; see collalg.go). Large vectors walk
+// choice Allreduce makes from the payload, the communicator size and its
+// locality; see collalg.go). Large vectors walk
 // through the communicator's host area once a blocking Allreduce has set it
 // up (hostarea.go). Until the request completes sbuf must not be written —
 // the large family lends it to the transport — and rbuf not touched.

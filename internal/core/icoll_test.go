@@ -95,7 +95,7 @@ func (c icollCase) fill(r, i int) int32 {
 func checkIcollEquivalence(w *Comm, tc icollCase) error {
 	np, n := w.Size(), tc.count
 	me := w.Rank()
-	w.SetCollAlg(tc.alg)
+	ForceCollAlg(w, tc.alg)
 	mine := make([]int32, n)
 	for i := range mine {
 		mine[i] = tc.fill(me, i)
@@ -399,7 +399,7 @@ func TestCollAlgGroundTruthProperty(t *testing.T) {
 		count := 1 + rng.Intn(12<<10) // up to 96 KiB of int64, beyond largeCollMin
 		root := rng.Intn(np)
 		runRanks(t, np, func(w *Comm) error {
-			w.SetCollAlg(alg)
+			ForceCollAlg(w, alg)
 			return checkCollGroundTruth(w, count, root)
 		})
 	}
@@ -412,7 +412,7 @@ func TestCollAlgGroundTruthProperty(t *testing.T) {
 			count int
 		}{{CollAlgRing, np - 1}, {CollAlgRing, 3*np + 1}, {CollAlgAuto, 9<<10 + 11}} {
 			runRanks(t, np, func(w *Comm) error {
-				w.SetCollAlg(tc.alg)
+				ForceCollAlg(w, tc.alg)
 				return checkCollGroundTruth(w, tc.count, np-1)
 			})
 		}
@@ -425,14 +425,14 @@ func TestCollAlgGroundTruthProperty(t *testing.T) {
 func TestCollAlgGroundTruthHyb(t *testing.T) {
 	for _, alg := range []CollAlg{CollAlgAuto, CollAlgRing} {
 		runRanksHyb(t, 5, func(w *Comm) error {
-			w.SetCollAlg(alg)
+			ForceCollAlg(w, alg)
 			return checkCollGroundTruth(w, 20<<10, 3)
 		})
 	}
 	// Recursive halving/doubling, on an odd count the size does not divide.
 	for _, np := range []int{2, 4, 8, 16} {
 		runRanksHyb(t, np, func(w *Comm) error {
-			w.SetCollAlg(CollAlgRing)
+			ForceCollAlg(w, CollAlgRing)
 			return checkCollGroundTruth(w, 20<<10+np+1, 1)
 		})
 	}
@@ -988,7 +988,7 @@ func vDispls(rng *rand.Rand, sizes []int) (displs []int, span int) {
 // randomness comes from tc.seed, so every rank derives the same layouts.
 func checkVcoll[T int32 | int64 | float64](w *Comm, dt Datatype, tc vcollCase) error {
 	np, me := w.Size(), w.Rank()
-	w.SetCollAlg(tc.alg)
+	ForceCollAlg(w, tc.alg)
 	rng := rand.New(rand.NewSource(tc.seed))
 	root := rng.Intn(np)
 	val := func(gen, rank, i int) T { return T((gen*13+rank*31+i)*7%127 - 30) }

@@ -29,7 +29,7 @@ func TestInPlaceAllgatherv(t *testing.T) {
 			t.Run(mesh+"/"+fam.name, func(t *testing.T) {
 				const np = 4
 				runRanksWin(t, mesh, np, func(w *Comm) error {
-					w.SetCollAlg(fam.alg)
+					ForceCollAlg(w, fam.alg)
 					rcounts := []int{1, 2, 3, 4}
 					displs := []int{0, 1, 3, 6}
 					total := 10
@@ -109,7 +109,7 @@ func TestInPlaceAllgather(t *testing.T) {
 				mesh, fam, ty := mesh, fam, ty
 				t.Run(mesh+"/"+fam.name+"/"+ty.name, func(t *testing.T) {
 					runRanksWin(t, mesh, np, func(w *Comm) error {
-						w.SetCollAlg(fam.alg)
+						ForceCollAlg(w, fam.alg)
 						ext := ty.dt.Extent()
 						buf := make([]int32, np*rcount*ext)
 						val := func(gen, r, e, k int) int32 { return int32(1000*gen + 100*r + 10*e + k) }
@@ -199,7 +199,7 @@ func TestInPlaceReduceScatter(t *testing.T) {
 			t.Run(mesh+"/"+fam.name, func(t *testing.T) {
 				const np = 4
 				runRanksWin(t, mesh, np, func(w *Comm) error {
-					w.SetCollAlg(fam.alg)
+					ForceCollAlg(w, fam.alg)
 					for _, rcounts := range [][]int{{2, 1, 3, 2}, {5000, 0, 9000, 3000}} {
 						total := 0
 						for _, n := range rcounts {

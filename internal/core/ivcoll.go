@@ -431,10 +431,10 @@ func (c *Comm) ialltoallv(name string, tag int, sbuf any, soff int, scounts, sdi
 // at roff. Large payloads run the large allreduce's reduce-scatter half
 // with chunks cut on the rcounts boundaries — recursive halving on a
 // power-of-two communicator, the ring otherwise, an empty chunk moving no
-// message; small ones reduce to rank 0 and scatter linearly (see collalg.go
-// for the selection knobs). Until the request completes sbuf must not be
-// written — the large schedule lends it to the transport — and rbuf not
-// touched.
+// message; small ones reduce to rank 0 and scatter linearly (collalg.go
+// picks one from the payload size and the communicator size). Until the
+// request completes sbuf must not be written — the large schedule lends it
+// to the transport — and rbuf not touched.
 func (c *Comm) IreduceScatter(sbuf any, soff int, rbuf any, roff int, rcounts []int, dt Datatype, op *Op) (*CollRequest, error) {
 	return c.ireduceScatter("ireduce_scatter", c.nextCollTag(), sbuf, soff, rbuf, roff, rcounts, dt, op)
 }

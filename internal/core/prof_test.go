@@ -173,7 +173,7 @@ func TestProfCountersBcastExact(t *testing.T) {
 			diffs := make([]prof.Snapshot, np)
 			bar := newGoBarrier(np)
 			runRanksProf(t, np, prof.Spec{Counters: true}, tc.hyb, func(w *Comm) error {
-				w.SetCollAlg(CollAlgClassic)
+				ForceCollAlg(w, CollAlgClassic)
 				buf := make([]int32, tc.count)
 				if w.Rank() == 0 {
 					for i := range buf {
@@ -243,7 +243,7 @@ func TestProfCountersBcastExact(t *testing.T) {
 					children := make([]int, np)
 					bar := newGoBarrier(np)
 					runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
-						w.SetCollAlg(fam)
+						ForceCollAlg(w, fam)
 						_, ch := binomialEdges(w, w.members(), root)
 						children[w.Rank()] = len(ch)
 						buf := make([]int32, bytes/4)

@@ -494,7 +494,7 @@ func TestScheduleShape(t *testing.T) {
 				for o, op := range shapeOps {
 					for si, size := range shapeSizes {
 						for fi, fam := range shapeFamilies {
-							w.SetCollAlg(fam)
+							ForceCollAlg(w, fam)
 							for c, commit := range []bool{false, true} {
 								s, err := op.run(w, size.n, commit)
 								if err != nil {
@@ -735,8 +735,8 @@ func lendSafetyReduceScatter(w *Comm) error {
 	if np&(np-1) == 0 {
 		folds, alg = bits.Len(uint(np))-1, "halving"
 	}
-	w.SetCollAlg(CollAlgRing)
-	defer w.SetCollAlg(CollAlgAuto)
+	ForceCollAlg(w, CollAlgRing)
+	defer ForceCollAlg(w, CollAlgAuto)
 	for _, n := range []int{0, 1, 3, 512} {
 		for _, uniform := range []bool{true, false} {
 			counts, displs, total := vLayout(np, n)
@@ -811,7 +811,7 @@ func TestLendSafetyBcast(t *testing.T) {
 					for _, slots := range []int{2, 64, 1 << 10, 1 << 15} { // 8 B, 256 B, 4 KiB and 128 KiB
 						var plan string // what automatic selection compiled
 						for _, fam := range shapeFamilies {
-							w.SetCollAlg(fam)
+							ForceCollAlg(w, fam)
 							buf := make([]int32, slots)
 							if w.Rank() == root {
 								for i := range buf {
@@ -838,7 +838,7 @@ func TestLendSafetyBcast(t *testing.T) {
 					}
 				}
 			}
-			w.SetCollAlg(CollAlgAuto)
+			ForceCollAlg(w, CollAlgAuto)
 			if bad != nil {
 				t.Errorf("rank %d: %v", w.Rank(), bad)
 			}

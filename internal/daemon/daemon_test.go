@@ -387,7 +387,6 @@ func TestSlaveEnvRoundTrip(t *testing.T) {
 		Binary:     "/usr/local/bin/heat",
 		Tuning: core.Tuning{
 			EagerLimit:   4096,
-			CollAlg:      core.CollAlgRing,
 			Prof:         prof.Spec{Counters: true, TracePrefix: "/tmp/run"},
 			EpochTimeout: 1500 * time.Millisecond,
 		},

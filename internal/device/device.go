@@ -231,8 +231,8 @@ type Device struct {
 	dead      map[int]error
 	failEpoch atomic.Uint64
 
-	posted []*Request   // posted receives, FIFO
-	unexp  []unexpected // arrived-but-unmatched messages, FIFO
+	posted queue[*Request]   // posted receives, FIFO
+	unexp  queue[unexpected] // arrived-but-unmatched messages, FIFO
 
 	pendingRTS map[uint64]*Request // sender side: msgID → send awaiting CTS or Pulled
 	awaitData  map[rdvKey]*Request // receiver side: matched RTS awaiting DATA, or being pulled
@@ -673,12 +673,15 @@ func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bo
 	}
 	*r = Request{d: d, kind: reqRecv, buf: buf, dynamic: buf == nil, src: src, tag: tag, ctx: ctx}
 
-	// First try the unexpected queue, in arrival order.
-	for i, u := range d.unexp {
-		if !envelopeMatches(src, tag, ctx, u.src, u.tag, u.ctx) {
+	// First try the unexpected queue, in arrival order, reading entries in
+	// place: copying each one out would cost more than the match test.
+	q := d.unexp.live()
+	for i := range q {
+		if !envelopeMatches(src, tag, ctx, q[i].src, q[i].tag, q[i].ctx) {
 			continue
 		}
-		d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
+		u := q[i]
+		d.unexp.drop(i)
 		if u.eager {
 			if !d.deliverLocked(r, u.src, u.tag, wire.Payload(u.frame)) {
 				wire.PutBuf(u.frame)
@@ -700,7 +703,7 @@ func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bo
 	if err := d.deadSourceLocked(src); err != nil {
 		return false, err
 	}
-	d.posted = append(d.posted, r)
+	d.posted.push(r)
 	if p := d.prof; p != nil {
 		p.RecvPost(ctx)
 	}
@@ -716,8 +719,9 @@ func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bo
 func (d *Device) Iprobe(src, tag, ctx int) (st Status, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, u := range d.unexp {
-		if envelopeMatches(src, tag, ctx, u.src, u.tag, u.ctx) {
+	q := d.unexp.live()
+	for i := range q {
+		if u := &q[i]; envelopeMatches(src, tag, ctx, u.src, u.tag, u.ctx) {
 			return Status{Source: u.src, Tag: u.tag, Count: u.bytes()}, true, nil
 		}
 	}
@@ -1123,7 +1127,7 @@ func (d *Device) handle(src int, frame []byte) {
 			retained = d.deliverLocked(r, src, int(h.Tag), payload)
 		} else {
 			d.stats.Unexpected.Add(1)
-			d.unexp = append(d.unexp, unexpected{
+			d.unexp.push(unexpected{
 				src: src, tag: int(h.Tag), ctx: int(h.Context),
 				eager: true, frame: frame,
 			})
@@ -1143,7 +1147,7 @@ func (d *Device) handle(src int, frame []byte) {
 			}
 		} else {
 			d.stats.Unexpected.Add(1)
-			d.unexp = append(d.unexp, u)
+			d.unexp.push(u)
 			d.wakeLocked() // wake probes
 		}
 
@@ -1169,9 +1173,9 @@ func (d *Device) handle(src int, frame []byte) {
 
 	case wire.KindCancel:
 		ah := wire.Header{Kind: wire.KindCancelAck, Src: int32(d.rank), MsgID: h.MsgID}
-		for i, u := range d.unexp {
+		for i, u := range d.unexp.live() {
 			if !u.eager && u.src == src && u.msgID == h.MsgID {
-				d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
+				d.unexp.drop(i)
 				ah.Len = 1 // granted
 				break
 			}
@@ -1207,9 +1211,9 @@ func (d *Device) handle(src int, frame []byte) {
 // matchPostedLocked finds and removes the first posted receive matching an
 // arrived envelope. Callers hold d.mu.
 func (d *Device) matchPostedLocked(src, tag, ctx int) *Request {
-	for i, r := range d.posted {
+	for i, r := range d.posted.live() {
 		if envelopeMatches(r.src, r.tag, r.ctx, src, tag, ctx) {
-			d.posted = append(d.posted[:i], d.posted[i+1:]...)
+			d.posted.drop(i)
 			return r
 		}
 	}
@@ -1259,15 +1263,15 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 		d.failure = fail
 		d.failAllLocked(fail)
 	} else {
-		kept := d.posted[:0]
-		for _, r := range d.posted {
+		kept := d.posted.live()[:0]
+		for _, r := range d.posted.live() {
 			if r.src == peer || r.src == AnySource {
 				d.completeLocked(r, Status{}, fail)
 				continue
 			}
 			kept = append(kept, r)
 		}
-		d.posted = kept
+		d.posted.keep(len(kept))
 		for id, r := range d.pendingRTS {
 			if r.dst == peer {
 				delete(d.pendingRTS, id)
@@ -1310,10 +1314,10 @@ func (d *Device) Die(cause error) {
 // land) are not among them: the transport finishes those when it lets go
 // of their buffers, which teardown makes prompt. Callers hold d.mu.
 func (d *Device) failAllLocked(err error) {
-	for _, r := range d.posted {
+	for _, r := range d.posted.live() {
 		d.completeLocked(r, Status{}, err)
 	}
-	d.posted = nil
+	d.posted = queue[*Request]{}
 	for id, r := range d.pendingRTS {
 		delete(d.pendingRTS, id)
 		d.finishSendLocked(r, Status{}, err)
@@ -1334,15 +1338,15 @@ func (d *Device) FailContext(ctx int, cause error) {
 	if d.closed || d.failure != nil {
 		return
 	}
-	kept := d.posted[:0]
-	for _, r := range d.posted {
+	kept := d.posted.live()[:0]
+	for _, r := range d.posted.live() {
 		if r.ctx == ctx {
 			d.completeLocked(r, Status{}, cause)
 			continue
 		}
 		kept = append(kept, r)
 	}
-	d.posted = kept
+	d.posted.keep(len(kept))
 	for id, r := range d.pendingRTS {
 		if r.ctx == ctx {
 			delete(d.pendingRTS, id)

@@ -21,7 +21,7 @@ func (d *Device) HeldIn(r *Request) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var in []string
-	for _, p := range d.posted {
+	for _, p := range d.posted.live() {
 		if p == r {
 			in = append(in, "posted")
 		}

@@ -149,9 +149,9 @@ func (r *Request) Cancel() error {
 	switch r.kind {
 	case reqRecv:
 		// Unmatched if still in the posted queue.
-		for i, p := range d.posted {
+		for i, p := range d.posted.live() {
 			if p == r {
-				d.posted = append(d.posted[:i], d.posted[i+1:]...)
+				d.posted.drop(i)
 				r.cancelWanted = true
 				d.completeLocked(r, Status{Cancelled: true}, nil)
 				return nil

@@ -77,11 +77,6 @@ type (
 	IntInt = core.IntInt
 	// FloatInt pairs a float32 with an index for MaxLoc/MinLoc.
 	FloatInt = core.FloatInt
-	// CollAlg selects the collective algorithm family (classic trees, the
-	// ring large-message schedules or the hierarchical ones); see
-	// Comm.SetCollAlg, the MPJ_COLL_ALG environment variable and README
-	// "Tuning".
-	CollAlg = core.CollAlg
 	// ProfSnapshot is a point-in-time copy of a communicator's profiling
 	// counters, returned by Comm.ProfSnapshot when profiling is enabled
 	// (the MPJ_PROF environment variable, the mpjrun -prof flag); see
@@ -110,31 +105,6 @@ const (
 // ReduceScatter — and no separate send buffer is touched. As a receive
 // buffer it is an ErrBuffer error.
 var InPlace = core.InPlace
-
-// Collective algorithm selectors (see CollAlg and Comm.SetCollAlg).
-const (
-	// CollAlgAuto switches algorithms by payload and communicator size.
-	CollAlgAuto = core.CollAlgAuto
-	// CollAlgClassic forces the latency-optimised Allreduce and
-	// ReduceScatter (recursive doubling, or a tree reduce followed by a
-	// broadcast or a linear scatter) and keeps every collective off the
-	// two-level schedules. The other collectives compile one flat schedule
-	// whatever the family.
-	CollAlgClassic = core.CollAlgClassic
-	// CollAlgRing forces the large-message Allreduce and ReduceScatter:
-	// whole-chunk reduce-scatter + allgather exchanges for allreduce
-	// (halving/doubling on a power-of-two size, the ring otherwise), the
-	// same reduce-scatter half alone for ReduceScatter. Like classic it
-	// keeps every collective off the two-level schedules and changes no
-	// other collective.
-	CollAlgRing = core.CollAlgRing
-	// CollAlgHier prefers the two-level locality-aware schedules: an
-	// intra-group phase over co-located peers and an inter-group exchange
-	// between per-group leaders (falls back to auto on comms that do not
-	// span locality groups, the layout the job bootstrap gathered: see
-	// Comm.LocalityTable and README "Tuning").
-	CollAlgHier = core.CollAlgHier
-)
 
 // Base datatypes (MPJ.BYTE, MPJ.INT, ...).
 var (

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"mpj/internal/core"
 )
 
 // pullModes are the co-host rendezvous applications: how rank 0 and 1
@@ -129,7 +131,7 @@ func pullApp(mode string) App {
 		// A forced family keeps its schedule, whose rendezvous payloads are
 		// what this application counts; automatic selection would fold the
 		// vector through the host area (core's hostarea.go).
-		w.SetCollAlg(CollAlgRing)
+		core.ForceCollAlg(w, core.CollAlgRing)
 		if err := Allreduce(w, in, out, Sum[float64]()); err != nil {
 			return err
 		}

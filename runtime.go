@@ -225,20 +225,16 @@ func RunLocal(np int, app App) error {
 // JobConfig configures a distributed job; see job.Config for field
 // semantics. The zero value plus NP and App suffices.
 //
-// EagerLimit, CollAlg and Prof are the job's tuning, and with the RMA
-// epoch deadline (MPJ_RMA_TIMEOUT) they are resolved once, in the client
-// that calls Run: each value from its field, else from the client's
-// MPJ_EAGER_LIMIT, MPJ_COLL_ALG or MPJ_PROF variable, else its default.
+// EagerLimit and Prof are the job's tuning, and with the RMA epoch
+// deadline (MPJ_RMA_TIMEOUT) they are resolved once, in the client that
+// calls Run: each value from its field, else from the client's
+// MPJ_EAGER_LIMIT or MPJ_PROF variable, else its default.
 // Every value is checked before any daemon is contacted, and the resolved
 // set travels in every slave's spec, so all ranks run with the same values
 // whatever their hosts' environments say.
 //
 // EagerLimit is every device's eager/rendezvous protocol threshold in
 // bytes (default DefaultEagerLimit).
-//
-// CollAlg forces the collective algorithm family on every slave —
-// "classic", "ring" or "hier"; "auto" (the default) is size-based
-// selection.
 //
 // Prof enables the instrumentation layer on every slave — "counters" for
 // the atomic per-communicator counters behind Comm.ProfSnapshot, or
@@ -250,7 +246,6 @@ type JobConfig struct {
 	App        string
 	Args       []string
 	EagerLimit int
-	CollAlg    string
 	Prof       string
 	Locators   []string
 	UDPPort    int

@@ -32,13 +32,6 @@ func resolveTuning(cfg JobConfig) (core.Tuning, error) {
 			t.EagerLimit = device.DefaultEagerLimit
 		}
 	}
-	if cfg.CollAlg != "" {
-		if t.CollAlg, err = core.ParseCollAlg(cfg.CollAlg); err != nil {
-			return t, fmt.Errorf("mpj: JobConfig.CollAlg: %w", err)
-		}
-	} else if t.CollAlg, err = core.ParseCollAlg(os.Getenv("MPJ_COLL_ALG")); err != nil {
-		return t, fmt.Errorf("mpj: MPJ_COLL_ALG: %w", err)
-	}
 	if cfg.Prof != "" {
 		if t.Prof, err = prof.ParseSpec(cfg.Prof); err != nil {
 			return t, fmt.Errorf("mpj: JobConfig.Prof: %w", err)
@@ -107,7 +100,6 @@ func openDevice(tr transport.Transport, rank int, t core.Tuning) (*device.Device
 func profStatus(dev *device.Device, t core.Tuning) func() any {
 	config := map[string]any{
 		"eagerLimit": t.EagerLimit,
-		"collAlg":    t.CollAlg.String(),
 		"prof":       t.Prof.String(),
 		"rmaTimeout": t.EpochTimeout.String(),
 	}

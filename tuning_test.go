@@ -20,16 +20,9 @@ import (
 // to its own environment shows it.
 var jobTuning = core.Tuning{
 	EagerLimit:   3000,
-	CollAlg:      core.CollAlgClassic,
 	Prof:         prof.Spec{Counters: true},
 	EpochTimeout: 7 * time.Second,
 }
-
-// classicAllreduceSends is what one rank of four posts for a 1 MiB
-// Allreduce under the classic family (recursive doubling: one exchange
-// per round, two rounds); automatic selection compiles halving/doubling
-// there, four sends, and a rank without counters reports none.
-const classicAllreduceSends = 2
 
 func registerTuningApps() {
 	// tuning-check: every rank checks each value of jobTuning where it
@@ -65,9 +58,8 @@ func registerTuningApps() {
 }
 
 // checkJobTuning is one rank's view of jobTuning on a world of four: the
-// device's eager limit, the counters being on, the family through the
-// exact send count of a 1 MiB Allreduce, and the whole tuning as the
-// rank's /debug/vars status reports it (the epoch deadline has no other
+// device's eager limit, the counters being on, and the whole tuning as
+// the rank's /debug/vars status reports it (the epoch deadline has no other
 // window from outside core), with the co-host rendezvous counts beside it.
 func checkJobTuning(w *Comm) error {
 	if tr, ok := w.Device().Transport().(*transport.HybTransport); !ok {
@@ -79,19 +71,9 @@ func checkJobTuning(w *Comm) error {
 	if !w.ProfEnabled() {
 		return fmt.Errorf("rank %d: counters off, want %s", w.Rank(), jobTuning.Prof)
 	}
-	const n = 1 << 17 // 1 MiB of doubles
-	in, out := make([]float64, n), make([]float64, n)
-	before := w.ProfSnapshot().SendOps
-	if err := w.Allreduce(in, 0, out, 0, n, DOUBLE, SUM); err != nil {
-		return err
-	}
-	if sends := w.ProfSnapshot().SendOps - before; sends != classicAllreduceSends {
-		return fmt.Errorf("rank %d: a 1 MiB Allreduce posted %d sends, want %d (family %s)", w.Rank(), sends, classicAllreduceSends, jobTuning.CollAlg)
-	}
 	status, _ := w.Device().Profiler().Status().(map[string]any)
 	want := map[string]any{
 		"eagerLimit": jobTuning.EagerLimit,
-		"collAlg":    jobTuning.CollAlg.String(),
 		"prof":       jobTuning.Prof.String(),
 		"rmaTimeout": jobTuning.EpochTimeout.String(),
 	}
@@ -119,11 +101,11 @@ func (s *specRecorder) Spawn(spec daemon.SlaveSpec, daemonAddr string) (daemon.S
 }
 
 // TestJobTuningReachesEverySlave: a job's tuning is resolved once, in the
-// client — the collective family and the counters from JobConfig, the
-// eager limit and the epoch deadline from the client's MPJ_* variables —
-// and every rank runs with it: in-process slaves, process slaves, and a
-// replacement rank Comm.Spawn starts under RunLocal (which takes all four
-// from the variables). Every spec a daemon receives carries it whole.
+// client — the counters from JobConfig, the eager limit and the epoch
+// deadline from the client's MPJ_* variables — and every rank runs with
+// it: in-process slaves, process slaves, and a replacement rank Comm.Spawn
+// starts under RunLocal (which takes all three from the variables). Every
+// spec a daemon receives carries it whole.
 func TestJobTuningReachesEverySlave(t *testing.T) {
 	t.Setenv("MPJ_EAGER_LIMIT", fmt.Sprint(jobTuning.EagerLimit))
 	t.Setenv("MPJ_RMA_TIMEOUT", jobTuning.EpochTimeout.String())
@@ -134,7 +116,6 @@ func TestJobTuningReachesEverySlave(t *testing.T) {
 			err := Run(JobConfig{
 				NP:       4,
 				App:      "tuning-check",
-				CollAlg:  jobTuning.CollAlg.String(),
 				Prof:     jobTuning.Prof.String(),
 				Locators: []string{reg.Addr()},
 				LeaseDur: 5 * time.Second,
@@ -162,7 +143,6 @@ func TestJobTuningReachesEverySlave(t *testing.T) {
 		run(daemon.ProcSpawner{})(t)
 	})
 	t.Run("spawned", func(t *testing.T) {
-		t.Setenv("MPJ_COLL_ALG", jobTuning.CollAlg.String())
 		t.Setenv("MPJ_PROF", jobTuning.Prof.String())
 		app, err := lookupApp("tuning-spawn")
 		if err != nil {
@@ -183,10 +163,8 @@ func TestRunRejectsMalformedTuning(t *testing.T) {
 		cfg  JobConfig
 		env  string
 	}{
-		{name: "JobConfig.CollAlg", cfg: JobConfig{CollAlg: "segmented"}},
 		{name: "JobConfig.Prof", cfg: JobConfig{Prof: "trace"}},
 		{name: "MPJ_EAGER_LIMIT", env: "lots"},
-		{name: "MPJ_COLL_ALG", env: "fastest"},
 		{name: "MPJ_PROF", env: "trace:"},
 		{name: "MPJ_RMA_TIMEOUT", env: "5"},
 	} {

@@ -257,7 +257,7 @@ func checkTypedEquiv[T Scalar](w *Comm, count, root int, op ReduceOp[T], gen fun
 func TestTypedDatatypeEquivalenceProperty(t *testing.T) {
 	intOps := []ReduceOp[int64]{Sum[int64](), Max[int64](), BXor[int64]()}
 	floatOps := []ReduceOp[float64]{Sum[float64](), Min[float64](), Prod[float64]()}
-	algs := []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing}
+	algs := []core.CollAlg{core.CollAlgAuto, core.CollAlgClassic, core.CollAlgRing}
 
 	for _, dev := range []string{"chan", "hyb"} {
 		t.Run(dev, func(t *testing.T) {
@@ -279,7 +279,7 @@ func TestTypedDatatypeEquivalenceProperty(t *testing.T) {
 				alg := algs[rng.Intn(len(algs))]
 				seed := rng.Int63()
 				runWorlds(t, np, dev, func(w *Comm) error {
-					w.SetCollAlg(alg)
+					core.ForceCollAlg(w, alg)
 					if err := checkTypedEquiv(w, count, root, iop, func(rank, i int) int64 {
 						return seed%1000 + int64(rank*31+i)
 					}); err != nil {
@@ -295,7 +295,7 @@ func TestTypedDatatypeEquivalenceProperty(t *testing.T) {
 			for _, np := range []int{2, 4, 8, 16} {
 				for _, count := range []int{np + 1, 11<<10 + 3} {
 					runWorlds(t, np, dev, func(w *Comm) error {
-						w.SetCollAlg(CollAlgRing)
+						core.ForceCollAlg(w, core.CollAlgRing)
 						return checkTypedEquiv(w, count, np/2, Sum[int64](), func(rank, i int) int64 {
 							return int64(rank*31 + i)
 						})
@@ -549,7 +549,7 @@ func checkTypedVEquiv[T Scalar](w *Comm, seed int64, maxCount int, op ReduceOp[T
 // last chan iteration pushes blocks past the large-message threshold to
 // cover the window-ring and ring reduce-scatter schedules.
 func TestTypedVEquivalenceProperty(t *testing.T) {
-	algs := []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing}
+	algs := []core.CollAlg{core.CollAlgAuto, core.CollAlgClassic, core.CollAlgRing}
 	for _, dev := range []string{"chan", "hyb"} {
 		t.Run(dev, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xBEEF))
@@ -567,7 +567,7 @@ func TestTypedVEquivalenceProperty(t *testing.T) {
 				alg := algs[rng.Intn(len(algs))]
 				seed := rng.Int63()
 				runWorlds(t, np, dev, func(w *Comm) error {
-					w.SetCollAlg(alg)
+					core.ForceCollAlg(w, alg)
 					if err := checkTypedVEquiv(w, seed, maxCount, Sum[int64](), func(rank, i int) int64 {
 						return int64(rank*37+i)%97 - 20
 					}); err != nil {
