@@ -20,7 +20,7 @@ import (
 // CollRequest drives the schedule forward on every Wait/Test entry.
 // Progress therefore needs no background goroutine, exactly like the
 // device layer: whatever goroutine observes the request advances it, and
-// transport reader goroutines complete the underlying device requests in
+// the device's frame handler completes the underlying device requests in
 // the meantime. Blocking collectives compile the very same schedules and
 // simply Wait immediately, so both families share one algorithm source
 // (see coll.go and icoll.go for the builders).
@@ -446,7 +446,7 @@ func (r *CollRequest) settleLocked() {
 
 // fail aborts the request from outside the progress loop (Comm.Free,
 // revocation) and wakes any goroutine blocked in Wait. It never blocks — it
-// runs on transport reader goroutines too; loans settle in Wait or Test.
+// runs in the device's frame handler too; loans settle in Wait or Test.
 func (r *CollRequest) fail(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1134,19 +1134,9 @@ func (w *Win) awaitAck(acks map[int]bool, target int) error {
 	}, func() []int { return []int{target} })
 }
 
-// sendCtl ships one control frame to a member, dispatching synchronously
-// into the local handler when the member is this rank itself (self-frames
-// must not depend on the transport: a TCP mesh has no self-connection).
-// Callers must not hold w.mu.
+// sendCtl ships one control frame to a member, this rank included. Callers
+// must not hold w.mu: a co-located member's handler runs inside the send.
 func (w *Win) sendCtl(target int, kind wire.Kind, tag int, seq uint64) error {
-	if target == w.c.rank {
-		h := wire.Header{
-			Kind: kind, Src: int32(w.world[target]), Tag: int32(tag),
-			Context: int32(w.ctx), Seq: seq,
-		}
-		w.handleFrame(w.world[target], h, nil)
-		return nil
-	}
 	return w.dev.RMASend(w.world[target], kind, w.ctx, tag, seq, 0, nil)
 }
 
@@ -1164,17 +1154,20 @@ func winSpan(seq uint64, n, size int) (off int, ok bool) {
 	return int(seq), true
 }
 
-// handleFrame dispatches one inbound RMA frame. It runs on the transport
-// reader goroutine (or synchronously on the caller for self-frames):
-// state changes happen under w.mu, outbound control frames are collected
-// and sent after releasing it, and a change an epoch wait looks at wakes
-// the device then too.
+// handleFrame dispatches one inbound RMA frame. It runs in the device's
+// frame handler: state changes happen under w.mu, and outbound frames (the
+// reply to a Get or an atomic, control frames) are collected and sent
+// after releasing it, as is the wake of a change an epoch wait looks at: a
+// send to a co-located origin runs that origin's handler, which takes its
+// own window's mutex.
 func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 	origin := w.c.groupSource(src)
 	if origin < 0 || origin >= len(w.world) {
 		return // not a member: a stale frame of a freed window's context
 	}
 	var outs []ctlFrame
+	var reply []byte // pooled copy of the window bytes a Get or an atomic read
+	replyKind := wire.KindRmaFetchReply
 	wake := false
 	w.mu.Lock()
 	switch h.Kind {
@@ -1194,13 +1187,9 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 	case wire.KindRmaGet:
 		n := int(h.Tag)
 		if off, ok := winSpan(h.Seq, n, len(w.buf)); ok {
-			// The reply is built under w.mu (the copy out of the window
-			// must be serialized like any other access) — safe, because
-			// transport sends never block.
-			_ = w.dev.RMASendFill(n, func(p []byte) error {
-				copy(p, w.buf[off:off+n])
-				return nil
-			}, src, wire.KindRmaGetReply, w.ctx, 0, h.Seq, h.MsgID)
+			// The copy out of the window is serialized like any other
+			// access, under w.mu.
+			reply, replyKind = append(wire.GetBuf(n)[:0], w.buf[off:off+n]...), wire.KindRmaGetReply
 		}
 
 	case wire.KindRmaFetchOp:
@@ -1209,10 +1198,7 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 		// apply window[slot] = op(origin, window[slot]) under w.mu.
 		opID, n := int(h.Tag), len(payload)
 		if off, ok := winSpan(h.Seq, n, len(w.buf)); ok && n > 0 && opID >= 0 && opID < len(rmaOps) {
-			_ = w.dev.RMASendFill(n, func(p []byte) error {
-				copy(p, w.buf[off:off+n])
-				return nil
-			}, src, wire.KindRmaFetchReply, w.ctx, 0, h.Seq, h.MsgID)
+			reply = append(wire.GetBuf(n)[:0], w.buf[off:off+n]...)
 			if comb, err := rmaOps[opID].combinerFor(w.dt); err == nil {
 				_ = comb(payload, w.buf[off:off+n])
 			}
@@ -1223,10 +1209,7 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 		// element. Reply the prior value, then swap on a bytewise match.
 		n := len(payload) / 2
 		if off, ok := winSpan(h.Seq, n, len(w.buf)); ok && n > 0 && len(payload) == 2*n {
-			_ = w.dev.RMASendFill(n, func(p []byte) error {
-				copy(p, w.buf[off:off+n])
-				return nil
-			}, src, wire.KindRmaFetchReply, w.ctx, 0, h.Seq, h.MsgID)
+			reply = append(wire.GetBuf(n)[:0], w.buf[off:off+n]...)
 			if bytes.Equal(payload[:n], w.buf[off:off+n]) {
 				copy(w.buf[off:off+n], payload[n:])
 			}
@@ -1266,6 +1249,10 @@ func (w *Win) handleFrame(src int, h wire.Header, payload []byte) {
 		outs = append(outs, w.promoteLocked()...)
 	}
 	w.mu.Unlock()
+	if reply != nil {
+		_ = w.dev.RMASend(src, replyKind, w.ctx, 0, h.Seq, h.MsgID, reply)
+		wire.PutBuf(reply)
+	}
 	if wake {
 		w.dev.Wake()
 	}

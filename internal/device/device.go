@@ -637,9 +637,11 @@ func (d *Device) postRecv(r *Request, buf []byte, src, tag, ctx int) error {
 	if src != AnySource && (src < 0 || src >= d.size) {
 		return fmt.Errorf("device: irecv from rank %d of %d: %w", src, d.size, transport.ErrBadRank)
 	}
+	var out outbox
 	d.mu.Lock()
-	pull, err := d.irecvLocked(r, buf, src, tag, ctx)
+	pull, err := d.irecvLocked(r, buf, src, tag, ctx, &out)
 	d.mu.Unlock()
+	d.flush(out)
 	if pull {
 		d.pull(r)
 	}
@@ -666,8 +668,9 @@ func (d *Device) recycle(r *Request) {
 
 // irecvLocked is postRecv under d.mu: it fills r and matches or posts it.
 // pull reports that the receive matched a queued RTS whose payload the
-// caller must now fetch with d.pull, having released the lock.
-func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bool, err error) {
+// caller must now fetch with d.pull, having released the lock; a CTS goes
+// into out.
+func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int, out *outbox) (pull bool, err error) {
 	if err := d.usable(); err != nil {
 		return false, err
 	}
@@ -687,7 +690,7 @@ func (d *Device) irecvLocked(r *Request, buf []byte, src, tag, ctx int) (pull bo
 				wire.PutBuf(u.frame)
 			}
 		} else {
-			pull = d.grantRendezvousLocked(r, &u)
+			pull = d.grantRendezvousLocked(r, &u, out)
 		}
 		d.stats.PostedDirect.Add(1)
 		if p := d.prof; p != nil {
@@ -854,11 +857,11 @@ func (d *Device) deliverLocked(r *Request, src, tag int, payload []byte) (adopte
 // grantRendezvousLocked settles how the payload of the RTS u, just matched
 // by receive r, comes. pull reports that the sender is a co-host process
 // and offered its memory: the caller must run d.pull(r) once it has
-// released d.mu. Otherwise the CTS has gone out and r waits for DATA.
+// released d.mu. Otherwise the CTS is in out and r waits for DATA.
 // Either way r sits in awaitData, where the failure paths find it — except
 // when the sender is already known dead: its payload can come by neither
 // road, and r ends with its failure at once. Callers hold d.mu.
-func (d *Device) grantRendezvousLocked(r *Request, u *unexpected) (pull bool) {
+func (d *Device) grantRendezvousLocked(r *Request, u *unexpected, out *outbox) (pull bool) {
 	r.matchedSrc, r.matchedTag, r.expect, r.msgID = u.src, u.tag, u.plen, u.msgID
 	if err := d.deadPeerLocked(u.src); err != nil {
 		d.completeLocked(r, Status{}, err)
@@ -868,14 +871,13 @@ func (d *Device) grantRendezvousLocked(r *Request, u *unexpected) (pull bool) {
 	if d.claimPullLocked(r, u) {
 		return true
 	}
-	d.sendCTSLocked(r)
+	d.ctsLocked(r, out)
 	return false
 }
 
-// sendCTSLocked asks the sender of the RTS r matched for its DATA. Callers
-// hold d.mu: transport sends never block, so issuing them under the lock is
-// safe and keeps CTS emission ordered with matching.
-func (d *Device) sendCTSLocked(r *Request) {
+// ctsLocked composes into out the CTS that asks the sender of the RTS r
+// matched for its DATA. Callers hold d.mu.
+func (d *Device) ctsLocked(r *Request, out *outbox) {
 	h := wire.Header{
 		Kind:    wire.KindCTS,
 		Src:     int32(d.rank),
@@ -883,7 +885,30 @@ func (d *Device) sendCTSLocked(r *Request) {
 		MsgID:   r.msgID,
 	}
 	d.stats.CTSSent.Add(1)
-	_ = d.t.Send(r.matchedSrc, wire.NewFrame(&h, nil))
+	out.add(r.matchedSrc, &h, nil)
+}
+
+// outbox holds the frames a call composes under d.mu, by destination, to
+// send in order once it has released the lock (flush): a send to a
+// co-located rank runs that rank's handler, which takes its device's lock.
+type outbox []ctlFrame
+
+// ctlFrame is one frame of an outbox and its destination.
+type ctlFrame struct {
+	dst   int
+	frame []byte
+}
+
+// add composes a frame of header h and payload for dst.
+func (o *outbox) add(dst int, h *wire.Header, payload []byte) {
+	*o = append(*o, ctlFrame{dst, wire.NewFrame(h, payload)})
+}
+
+// flush sends the frames of out; a dead destination is detected elsewhere.
+func (d *Device) flush(out outbox) {
+	for _, c := range out {
+		_ = d.t.Send(c.dst, c.frame)
+	}
 }
 
 // sendData lends the payload of a rendezvous send whose CTS just arrived to
@@ -1060,9 +1085,9 @@ func (d *Device) WaitProgress(gen uint64) {
 	d.mu.Unlock()
 }
 
-// handle is the transport inbound-frame handler. It runs on reader
-// goroutines and never blocks: every action is a queue edit, a buffer copy
-// or an asynchronous send.
+// handle is the transport inbound-frame handler. It never waits for a
+// peer's progress: every action is a queue edit, a buffer copy or a send,
+// and the answers composed under d.mu go out after it (outbox).
 //
 // Per the Handler contract the device owns frame from here on. Frames
 // whose contents are consumed inside the call go back to the frame pool on
@@ -1081,6 +1106,7 @@ func (d *Device) handle(src int, frame []byte) {
 	var granted *Request // rendezvous send whose CTS this frame is
 	var pulling *Request // receive whose RTS this frame is and whose payload this goroutine fetches
 	var offer pullOffer
+	var out outbox
 	if h.Kind == wire.KindRTS {
 		// A malformed RTS is the peer's failure, before it sizes a buffer
 		// or aims a copy.
@@ -1120,7 +1146,7 @@ func (d *Device) handle(src int, frame []byte) {
 		revokeCtx = int(h.Context)
 
 	case wire.KindFTPull, wire.KindFTReply, wire.KindFTDecide:
-		d.handleFTLocked(src, h, payload)
+		d.handleFTLocked(src, h, payload, &out)
 	case wire.KindEager:
 		d.stats.EagerRecv.Add(1)
 		if r := d.matchPostedLocked(src, int(h.Tag), int(h.Context)); r != nil {
@@ -1142,7 +1168,7 @@ func (d *Device) handle(src int, frame []byte) {
 			msgID: h.MsgID, plen: int(h.Len), offer: offer,
 		}
 		if r := d.matchPostedLocked(src, u.tag, u.ctx); r != nil {
-			if d.grantRendezvousLocked(r, &u) {
+			if d.grantRendezvousLocked(r, &u, &out) {
 				pulling = r
 			}
 		} else {
@@ -1158,10 +1184,9 @@ func (d *Device) handle(src int, frame []byte) {
 			delete(d.pendingRTS, h.MsgID)
 			granted = r
 		}
-		// A CTS for an unknown msgID means the send was cancelled after
-		// the receiver matched it; the CancelAck(denied) path has already
-		// resolved the race in favour of delivery, so this cannot happen
-		// for correct traffic. Ignore it defensively.
+		// A CTS for an unknown msgID cannot come for correct traffic: a
+		// cancel that won removed the RTS before any receive matched it.
+		// Ignore it defensively.
 
 	case wire.KindPulled:
 		// The receiver copied the payload out of our memory: the send is
@@ -1180,7 +1205,7 @@ func (d *Device) handle(src int, frame []byte) {
 				break
 			}
 		}
-		_ = d.t.Send(src, wire.NewFrame(&ah, nil))
+		out.add(src, &ah, nil)
 
 	case wire.KindCancelAck:
 		if r, ok := d.pendingRTS[h.MsgID]; ok && h.Len == 1 {
@@ -1188,15 +1213,16 @@ func (d *Device) handle(src int, frame []byte) {
 			delete(d.pendingRTS, h.MsgID)
 			d.finishSendLocked(r, Status{Source: d.rank, Tag: r.tag, Cancelled: true}, nil)
 		}
-		// Denied (Len==0): the CTS is on its way (it was sent before the
-		// ack on the same FIFO path) or already processed; the send
-		// completes through the normal rendezvous path.
+		// Denied (Len==0): a receive matched the RTS first, and its CTS (or
+		// KindPulled) comes before or after this ack, in either order. The
+		// send stays in pendingRTS until that frame completes it.
 	}
 	revokeHandler := d.onRevoke
 	d.mu.Unlock()
 	if !retained {
 		wire.PutBuf(frame)
 	}
+	d.flush(out)
 	if granted != nil {
 		d.sendData(granted)
 	}
@@ -1402,9 +1428,6 @@ func (d *Device) CallRoundHook(ctx, tag, round int) {
 		f(ctx, tag, round)
 	}
 }
-
-// Drain blocks until all accepted outbound frames are handed to the medium.
-func (d *Device) Drain() { d.t.Drain() }
 
 // Abort tears the device down abruptly after an application failure:
 // pending requests complete with ErrClosed locally, and the transport is

@@ -26,12 +26,12 @@ import (
 // Uniformity leans on two properties. First, the failure detector is
 // accurate (ranks are only marked dead when their process really died), so
 // two live coordinators never run concurrently. Second, all pull traffic
-// is answered here, on transport reader goroutines, from the instance
-// state — so a member that already adopted a decision (and whose
-// application thread has long returned from Agree) still forwards that
-// decision to a late coordinator's pull instead of contributing afresh. A
-// takeover coordinator pulls every live member before deciding, so any
-// surviving holder of an earlier decision forces adoption rather than a
+// is answered here, in the frame handler, from the instance state — so a
+// member that already adopted a decision (and whose application thread
+// has long returned from Agree) still forwards that decision to a late
+// coordinator's pull instead of contributing afresh. A takeover
+// coordinator pulls every live member before deciding, so any surviving
+// holder of an earlier decision forces adoption rather than a
 // second, different decision.
 //
 // Instances are retained until the communicator layer calls FTForget (at
@@ -67,10 +67,9 @@ func (d *Device) ftInstLocked(key ftKey) *ftInst {
 	return inst
 }
 
-// sendFTLocked emits one agreement frame. Transport sends never block, so
-// issuing them under d.mu is safe (as the protocol engine does for CTS);
-// send errors are ignored — a dead destination is detected separately.
-func (d *Device) sendFTLocked(dst int, kind wire.Kind, key ftKey, payload []byte) {
+// ftFrame composes one agreement frame into out; the caller sends it once
+// it holds no lock (see outbox).
+func (d *Device) ftFrame(out *outbox, dst int, kind wire.Kind, key ftKey, payload []byte) {
 	h := wire.Header{
 		Kind:    kind,
 		Src:     int32(d.rank),
@@ -78,23 +77,23 @@ func (d *Device) sendFTLocked(dst int, kind wire.Kind, key ftKey, payload []byte
 		Context: int32(key.ctx),
 		Len:     int32(len(payload)),
 	}
-	_ = d.t.Send(dst, wire.NewFrame(&h, payload))
+	out.add(dst, &h, payload)
 }
 
-// handleFTLocked processes an inbound agreement frame. It runs on
-// transport reader goroutines under d.mu and never blocks — which is what
-// keeps decided or departed members responsive to takeover coordinators.
-// The frame's payload is copied out; the caller recycles the frame.
-func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte) {
+// handleFTLocked processes an inbound agreement frame, its answers into
+// out. It runs in the frame handler under d.mu and never waits — which is
+// what keeps decided or departed members responsive to takeover
+// coordinators. The payload is copied out; the caller recycles the frame.
+func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte, out *outbox) {
 	key := ftKey{ctx: int(h.Context), seq: int(h.Tag)}
 	inst := d.ftInstLocked(key)
 	switch h.Kind {
 	case wire.KindFTPull:
 		switch {
 		case inst.decided:
-			d.sendFTLocked(src, wire.KindFTDecide, key, inst.decision)
+			d.ftFrame(out, src, wire.KindFTDecide, key, inst.decision)
 		case inst.registered:
-			d.sendFTLocked(src, wire.KindFTReply, key, inst.contrib)
+			d.ftFrame(out, src, wire.KindFTReply, key, inst.contrib)
 		default:
 			inst.pulls = append(inst.pulls, src)
 		}
@@ -111,7 +110,7 @@ func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte) {
 			inst.decided = true
 			inst.decision = append([]byte(nil), payload...)
 			for _, p := range inst.pulls {
-				d.sendFTLocked(p, wire.KindFTDecide, key, inst.decision)
+				d.ftFrame(out, p, wire.KindFTDecide, key, inst.decision)
 			}
 			inst.pulls = nil
 		}
@@ -123,6 +122,8 @@ func (d *Device) handleFTLocked(src int, h wire.Header, payload []byte) {
 // (ctx, seq) and answers any pulls that arrived early. Idempotent: a
 // second registration for the same instance is ignored.
 func (d *Device) FTRegister(ctx, seq int, contrib []byte) {
+	var out outbox
+	defer func() { d.flush(out) }()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	key := ftKey{ctx: ctx, seq: seq}
@@ -134,9 +135,9 @@ func (d *Device) FTRegister(ctx, seq int, contrib []byte) {
 	inst.contrib = append([]byte(nil), contrib...)
 	for _, p := range inst.pulls {
 		if inst.decided {
-			d.sendFTLocked(p, wire.KindFTDecide, key, inst.decision)
+			d.ftFrame(&out, p, wire.KindFTDecide, key, inst.decision)
 		} else {
-			d.sendFTLocked(p, wire.KindFTReply, key, inst.contrib)
+			d.ftFrame(&out, p, wire.KindFTReply, key, inst.contrib)
 		}
 	}
 	inst.pulls = nil
@@ -146,9 +147,9 @@ func (d *Device) FTRegister(ctx, seq int, contrib []byte) {
 // FTPull asks world rank from for its contribution to instance (ctx, seq).
 // The coordinator calls it, then looks for the answer with FTReply.
 func (d *Device) FTPull(from, ctx, seq int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sendFTLocked(from, wire.KindFTPull, ftKey{ctx: ctx, seq: seq}, nil)
+	var out outbox
+	d.ftFrame(&out, from, wire.KindFTPull, ftKey{ctx: ctx, seq: seq}, nil)
+	d.flush(out)
 }
 
 // FTReply looks, without blocking, for the end of a wait on world rank
@@ -185,6 +186,8 @@ func (d *Device) FTReply(ctx, seq, from int) (reply, decision []byte, ok bool, e
 // decision wins and is the one re-broadcast; the effective decision is
 // returned either way.
 func (d *Device) FTDecide(ctx, seq int, decision []byte, members []int) []byte {
+	var out outbox
+	defer func() { d.flush(out) }()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	key := ftKey{ctx: ctx, seq: seq}
@@ -193,7 +196,7 @@ func (d *Device) FTDecide(ctx, seq int, decision []byte, members []int) []byte {
 		inst.decided = true
 		inst.decision = append([]byte(nil), decision...)
 		for _, p := range inst.pulls {
-			d.sendFTLocked(p, wire.KindFTDecide, key, inst.decision)
+			d.ftFrame(&out, p, wire.KindFTDecide, key, inst.decision)
 		}
 		inst.pulls = nil
 	}
@@ -204,7 +207,7 @@ func (d *Device) FTDecide(ctx, seq int, decision []byte, members []int) []byte {
 		if _, dead := d.dead[m]; dead {
 			continue
 		}
-		d.sendFTLocked(m, wire.KindFTDecide, key, inst.decision)
+		d.ftFrame(&out, m, wire.KindFTDecide, key, inst.decision)
 	}
 	d.wakeLocked()
 	return append([]byte(nil), inst.decision...)

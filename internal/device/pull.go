@@ -228,15 +228,15 @@ func (d *Device) pull(r *Request) {
 		r.buf = nil
 	}
 
+	var out outbox
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	r.pull.pulling = false
 	key := rdvKey{src: src, msgID: r.msgID}
 	switch {
 	case err == nil: // success wins over a failure noted meanwhile, as for a landing
 		delete(d.awaitData, key)
 		h := wire.Header{Kind: wire.KindPulled, Src: int32(d.rank), Context: int32(r.ctx), MsgID: r.msgID}
-		_ = d.t.Send(src, wire.NewFrame(&h, nil))
+		out.add(src, &h, nil)
 		d.landedLocked(r, nil)
 	case r.pull.doom != nil:
 		delete(d.awaitData, key)
@@ -245,8 +245,10 @@ func (d *Device) pull(r *Request) {
 		if !errors.Is(err, errPullStale) {
 			d.refused[src] = err
 		}
-		d.sendCTSLocked(r)
+		d.ctsLocked(r, &out)
 	}
+	d.mu.Unlock()
+	d.flush(out)
 }
 
 // fetch fills dst, the head of pulling receive r's buffer: through the

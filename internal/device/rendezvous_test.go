@@ -553,10 +553,13 @@ func TestPeerDeathBetweenCTSAndData(t *testing.T) {
 				dom.Delay(0, 250*time.Millisecond) // every send of rank 0, the DATA included
 				got := make([]byte, n)
 				rr := must(ds[1].Irecv(got, 0, 1, 0))
-				sr := must(ds[0].Isend(pattern(n, 1), 1, 1, 0, device.ModeStandard))
+				// The delayed DATA may leave from inside Isend, on the CTS
+				// the receiver answers in Isend's goroutine.
+				isend := make(chan *device.Request, 1)
+				go func() { isend <- must(ds[0].Isend(pattern(n, 1), 1, 1, 0, device.ModeStandard)) }()
 				until(t, "the CTS is granted", func() bool { return ds[1].Stats().CTSSent.Load() == 1 })
 				dom.Kill(victim)
-				for _, r := range []*device.Request{sr, rr} {
+				for _, r := range []*device.Request{<-isend, rr} {
 					if _, err := wait(t, r); !errors.Is(err, device.ErrRankFailed) {
 						t.Errorf("%v ended with %v, want a rank failure", r, err)
 					}

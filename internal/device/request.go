@@ -142,31 +142,29 @@ func (r *Request) Data() []byte {
 func (r *Request) Cancel() error {
 	d := r.d
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if r.done || r.cancelWanted {
-		return nil
+	if r.done || r.cancelWanted || r.kind == reqSend && d.pendingRTS[r.msgID] == nil {
+		d.mu.Unlock()
+		return nil // for a send out of pendingRTS, the CTS came: delivery has won
 	}
-	switch r.kind {
-	case reqRecv:
-		// Unmatched if still in the posted queue.
+	if r.kind == reqRecv {
+		// Unmatched if still in the posted queue; once matched (awaiting
+		// rendezvous data), too late to cancel.
 		for i, p := range d.posted.live() {
 			if p == r {
 				d.posted.drop(i)
 				r.cancelWanted = true
 				d.completeLocked(r, Status{Cancelled: true}, nil)
-				return nil
+				break
 			}
 		}
-		// Matched (awaiting rendezvous data): too late to cancel.
+		d.mu.Unlock()
 		return nil
-	case reqSend:
-		if _, pending := d.pendingRTS[r.msgID]; !pending {
-			return nil // CTS already consumed: delivery has won
-		}
-		r.cancelWanted = true
-		return d.sendCancelLocked(r)
 	}
-	return nil
+	r.cancelWanted = true
+	h := wire.Header{Kind: wire.KindCancel, Src: int32(d.rank), Tag: int32(r.tag), Context: int32(r.ctx), MsgID: r.msgID}
+	dst := r.dst
+	d.mu.Unlock()
+	return d.t.Send(dst, wire.NewFrame(&h, nil))
 }
 
 // String renders the request for diagnostics.
@@ -227,17 +225,4 @@ func (d *Device) TestAll(reqs []*Request) ([]Status, bool, error) {
 		}
 	}
 	return sts, true, firstErr
-}
-
-// sendCancelLocked emits the KindCancel frame for a pending rendezvous
-// send. Callers hold d.mu.
-func (d *Device) sendCancelLocked(r *Request) error {
-	h := wire.Header{
-		Kind:    wire.KindCancel,
-		Src:     int32(d.rank),
-		Tag:     int32(r.tag),
-		Context: int32(r.ctx),
-		MsgID:   r.msgID,
-	}
-	return d.t.Send(r.dst, wire.NewFrame(&h, nil))
 }

@@ -3,10 +3,11 @@
 // RMA frames (wire.Kind.IsRMA) never enter the matching engine: there is
 // no user-posted receive on the target side. Instead the window layer
 // (internal/core/win.go) installs a single dispatcher per device with
-// SetRMAHandler, and the device invokes it synchronously from the
-// transport's reader goroutine. The dispatcher must therefore never block
-// on communication — the window layer serializes on the window mutex and
-// collects outbound replies to send after releasing it.
+// SetRMAHandler, and the device invokes it synchronously from its frame
+// handler. The dispatcher must therefore never block on communication, nor
+// send holding a lock a handler path takes — the window layer serializes
+// on the window mutex and collects outbound replies to send after
+// releasing it.
 //
 // Outbound RMA traffic goes through RMASend/RMASendFill rather than Isend:
 // one-sided frames carry no envelope to match and must not perturb the
@@ -28,8 +29,8 @@ func (d *Device) LocalPeer(dst int) bool {
 }
 
 // SetRMAHandler installs the dispatcher for inbound one-sided frames. f
-// runs synchronously on the transport reader goroutine, outside the device
-// lock; the payload slice aliases the frame and is recycled when f
+// runs synchronously in the frame handler, outside the device lock; the
+// payload slice aliases the frame and is recycled when f
 // returns, so f must copy anything it keeps. The header comes by value, so
 // the frame handler's copy of it stays on its stack. A nil f drops RMA
 // frames.

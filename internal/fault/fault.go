@@ -11,8 +11,7 @@
 //
 //  1. the Domain marks the victim killed, so every wrapper drops frames
 //     to and from it from now on (survivors' sends to the victim vanish
-//     instead of erroring on its closed transport or piling up in an
-//     in-process inbox);
+//     instead of erroring on its closed transport);
 //  2. the victim's inner transport aborts, abruptly, as a crashed
 //     process's would;
 //  3. every endpoint's error handler — the seam the device installs its
@@ -348,9 +347,6 @@ func (ep *Endpoint) errHandler() transport.ErrorHandler {
 
 // Start starts the inner endpoint.
 func (ep *Endpoint) Start() error { return ep.inner.Start() }
-
-// Drain drains the inner endpoint.
-func (ep *Endpoint) Drain() { ep.inner.Drain() }
 
 // Close closes the inner endpoint.
 func (ep *Endpoint) Close() error { return ep.inner.Close() }

@@ -27,7 +27,7 @@ import (
 type (
 	// Hello is the slave's first message: who it is, where its mesh
 	// listener is, and which process it lives in (its locality key, used
-	// by the hybrid device to route co-located ranks over channels).
+	// by the hybrid device to route co-located ranks in-process).
 	Hello struct {
 		JobID uint64
 		Rank  int

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,42 +11,49 @@ import (
 	"mpj/internal/wire"
 )
 
-// inItem is one frame in flight inside a channel mesh.
-type inItem struct {
-	src   int
-	frame []byte
-}
-
-// ChanTransport is an in-process Transport. A mesh of np endpoints shares
-// np inbox channels; endpoint i owns inboxes[i]. One demux goroutine per
-// endpoint plays the role of the paper's input-handler thread; one writer
-// goroutine per destination drains the unbounded send queues. The mesh
-// also shares every endpoint's Lander: a SendData payload is not pushed
-// through an inbox but copied by the sender's writer goroutine straight
-// into the buffer the destination's Lander names, so no reference to the
-// sender's memory ever waits in a queue its owner cannot drain.
+// ChanTransport is an in-process Transport: every endpoint of a mesh lives
+// in one address space, and a frame is handed over in the sender's
+// goroutine. Send calls the destination's Handler, and SendData its Lander
+// and copies the payload where it says, before they return. No goroutine
+// runs between two ranks: the paper's input-handler thread reads a socket,
+// and here there is none. The mesh keeps four rules:
+//
+//   - Order. Frames from one endpoint to another reach the handler in the
+//     order of their Send calls. A handler or lander may itself send, to
+//     any endpoint; the nesting is bounded by the protocol above (RTS →
+//     CTS → DATA, a request and its reply, an agreement's fan-out).
+//   - Before Start. A frame sent to an endpoint whose Start has not run
+//     waits in that endpoint's backlog, in arrival order; Start hands the
+//     backlog to the handler before any later frame reaches it.
+//   - Teardown. Once Close or Abort returns, none of the endpoint's handler
+//     or lander calls is running and none will start: a frame sent to it
+//     goes back to the pool, and a SendData to it completes with
+//     done(ErrClosed), so an aborted rank moves no more bytes. Called
+//     inside deliveries of the mesh (a handler or lander up the caller's
+//     stack), Close and Abort do not wait for as many deliveries as the
+//     caller is nested in: those end after they return.
+//   - Locks. A sender holds no lock that a handler or lander path takes.
 //
 // In-process endpoints have no connection whose break a peer could see,
 // so the mesh reports an endpoint's Abort to the error handler of every
 // other endpoint instead (ErrPeerAborted), once each: to those started at
 // the time, and to those that start later when they start.
-//
-// ChanTransport lets an entire MPJ job — all ranks — run inside a single
-// test process with the exact same device and API layers that run over TCP.
 type ChanTransport struct {
 	rank    int
 	size    int
 	mesh    *chanMesh
-	queues  []*sendQueue
 	peers   Peers
 	handler Handler
+	lander  Lander
 	errh    ErrorHandler
+	closed  atomic.Bool // set under mu; senders read it without
 
-	mu      sync.Mutex
-	started bool
-	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	ended    sync.Cond // broadcast when a delivery ends while closed
+	started  bool
+	flushing bool       // Start is handing the backlog over
+	backlog  []chanItem // what arrived before Start, or during the hand-over
+	active   int        // handler and lander calls in progress
 }
 
 var _ Transport = (*ChanTransport)(nil)
@@ -54,11 +62,26 @@ var _ Transport = (*ChanTransport)(nil)
 // error handlers when another endpoint of the mesh aborts.
 var ErrPeerAborted = errors.New("transport: co-located peer aborted")
 
-// chanMesh is what the endpoints of one channel mesh share: the inboxes,
-// the landers (landers[i] is endpoint i's), and the abort reports.
+// chanItem is one frame from src, or, with data set, a SendData payload.
+type chanItem struct {
+	src   int
+	frame []byte
+	data  *outData
+}
+
+// refuse ends an item that will never be delivered.
+func (it chanItem) refuse() {
+	if it.data != nil {
+		it.data.done(ErrClosed)
+	} else {
+		wire.PutBuf(it.frame)
+	}
+}
+
+// chanMesh is what the endpoints of one channel mesh share: the endpoints
+// themselves and the abort reports.
 type chanMesh struct {
-	inboxes []chan inItem
-	landers []atomic.Pointer[Lander]
+	eps []*ChanTransport
 
 	mu      sync.Mutex
 	started []*ChanTransport // by rank, once Start ran
@@ -114,44 +137,23 @@ func (m *chanMesh) anyAborted() bool {
 	return len(m.aborted) > 0
 }
 
-// chanInboxDepth is the buffering of each inbox channel. It only affects
-// scheduling granularity: the unbounded send queues absorb any burst.
-const chanInboxDepth = 256
-
 // NewChanMesh creates a fully connected in-process mesh of np endpoints.
 // Endpoint i of the returned slice must be used by rank i only.
 func NewChanMesh(np int) []*ChanTransport {
 	if np <= 0 {
 		panic(fmt.Sprintf("transport: NewChanMesh(%d): np must be positive", np))
 	}
-	mesh := &chanMesh{
-		inboxes: make([]chan inItem, np),
-		landers: make([]atomic.Pointer[Lander], np),
-		started: make([]*ChanTransport, np),
-	}
-	for i := range mesh.inboxes {
-		mesh.inboxes[i] = make(chan inItem, chanInboxDepth)
-	}
+	mesh := &chanMesh{eps: make([]*ChanTransport, np), started: make([]*ChanTransport, np)}
 	local := make([]bool, np) // every endpoint shares the process
 	for i := range local {
 		local[i] = true
 	}
-	eps := make([]*ChanTransport, np)
-	for i := range eps {
-		queues := make([]*sendQueue, np)
-		for j := range queues {
-			queues[j] = newSendQueue()
-		}
-		eps[i] = &ChanTransport{
-			rank:   i,
-			size:   np,
-			mesh:   mesh,
-			queues: queues,
-			peers:  Peers{Device: DeviceChan, Local: local},
-			stop:   make(chan struct{}),
-		}
+	for i := range mesh.eps {
+		t := &ChanTransport{rank: i, size: np, mesh: mesh, peers: Peers{Device: DeviceChan, Local: local}}
+		t.ended.L = &t.mu
+		mesh.eps[i] = t
 	}
-	return eps
+	return mesh.eps
 }
 
 // Rank returns the endpoint's rank in the mesh.
@@ -169,7 +171,7 @@ func (t *ChanTransport) SetHandler(h Handler) { t.handler = h }
 
 // SetLander installs the landing hook peers' SendData payloads resolve
 // through.
-func (t *ChanTransport) SetLander(l Lander) { t.mesh.landers[t.rank].Store(&l) }
+func (t *ChanTransport) SetLander(l Lander) { t.lander = l }
 
 // SetErrorHandler installs the peer failure handler, which hears of the
 // other endpoints' aborts (and of failures tests inject). Install it
@@ -184,32 +186,78 @@ func (t *ChanTransport) InjectError(peer int, err error) {
 	}
 }
 
-// Send enqueues frame for delivery to dst. It never blocks.
+// Send hands frame to dst's handler before it returns (see ChanTransport).
+// A closed endpoint sends nothing: the frame goes back to the pool.
 func (t *ChanTransport) Send(dst int, frame []byte) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
 	}
-	if !t.queues[dst].push(outItem{frame: frame}) {
+	if t.closed.Load() {
+		wire.PutBuf(frame)
 		return ErrClosed
 	}
+	t.mesh.eps[dst].deliver(chanItem{src: t.rank, frame: frame})
 	return nil
 }
 
-// SendData enqueues a by-reference payload for dst. It never blocks.
+// SendData copies payload into the buffer dst's Lander names and runs done
+// before it returns, unless dst has not started yet.
 func (t *ChanTransport) SendData(dst int, h wire.Header, payload []byte, done func(error)) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
 	}
-	if !t.queues[dst].push(outItem{data: &outData{hdr: h, payload: payload, done: done}}) {
+	if t.closed.Load() {
 		return ErrClosed
 	}
+	t.mesh.eps[dst].deliver(chanItem{src: t.rank, data: &outData{hdr: h, payload: payload, done: done}})
 	return nil
 }
 
-// Start launches the demux goroutine and one writer per destination, then
-// reports to the error handler the aborts of other endpoints so far.
+// deliver hands it to t's handler or lander in the caller's goroutine —
+// or keeps it in the backlog until Start has handed that over, or refuses
+// it once t has shut down.
+func (t *ChanTransport) deliver(it chanItem) {
+	t.mu.Lock()
+	switch {
+	case t.closed.Load():
+		t.mu.Unlock()
+		it.refuse()
+		return
+	case !t.started || t.flushing:
+		t.backlog = append(t.backlog, it)
+		t.mu.Unlock()
+		return
+	}
+	t.active++
+	t.mu.Unlock()
+	t.hand(it)
+	t.delivered()
+}
+
+// hand runs the handler, or the lander, on one item.
+func (t *ChanTransport) hand(it chanItem) {
+	if it.data != nil {
+		landLocal(t.lander, it.src, it.data)
+	} else {
+		t.handler(it.src, it.frame)
+	}
+}
+
+// delivered ends a delivery, and tells a closer waiting for it.
+func (t *ChanTransport) delivered() {
+	t.mu.Lock()
+	t.active--
+	if t.closed.Load() {
+		t.ended.Broadcast()
+	}
+	t.mu.Unlock()
+}
+
+// Start hands the backlog, and what joins it meanwhile, to the handler in
+// arrival order, then reports to the error handler the aborts of other
+// endpoints so far.
 func (t *ChanTransport) Start() error {
-	if err := t.launch(); err != nil {
+	if err := t.handOver(); err != nil {
 		return err
 	}
 	if t.errh != nil {
@@ -218,89 +266,42 @@ func (t *ChanTransport) Start() error {
 	return nil
 }
 
-// launch is Start up to the report, under t.mu.
-func (t *ChanTransport) launch() error {
+// handOver is Start up to the report.
+func (t *ChanTransport) handOver() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.started {
+	switch {
+	case t.started:
 		return ErrStarted
-	}
-	if t.handler == nil {
+	case t.handler == nil:
 		return ErrNoHandler
+	case t.closed.Load():
+		return ErrClosed
 	}
-	t.started = true
-	inbox := t.mesh.inboxes[t.rank]
-
-	// Demux: the single "input handler" goroutine of this endpoint.
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for {
-			select {
-			case it := <-inbox:
-				t.handler(it.src, it.frame)
-			case <-t.stop:
-				// Drain whatever is already buffered so orderly
-				// shutdowns do not drop frames.
-				for {
-					select {
-					case it := <-inbox:
-						t.handler(it.src, it.frame)
-					default:
-						return
-					}
-				}
+	t.started, t.flushing = true, true
+	for len(t.backlog) > 0 && !t.closed.Load() {
+		items := t.backlog
+		t.backlog = nil
+		t.active++
+		t.mu.Unlock()
+		for _, it := range items {
+			if t.closed.Load() { // closed by a handler of this batch
+				it.refuse()
+			} else {
+				t.hand(it)
 			}
 		}
-	}()
-
-	// Writers: one per destination, draining the unbounded queues. A
-	// writer blocked on a full inbox gives up when the endpoint stops:
-	// a correct MPJ program has completed all communication (and hence
-	// emptied these queues) before the endpoint is closed, so only
-	// frames of erroneous unmatched sends can be dropped here. SendData
-	// items land from here (see landLocal); once the endpoint has
-	// stopped they are refused instead, so an aborted rank moves no more
-	// bytes.
-	for dst := range t.queues {
-		dst := dst
-		q := t.queues[dst]
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for {
-				it, ok := q.pop()
-				if !ok {
-					return
-				}
-				if it.data != nil {
-					select {
-					case <-t.stop:
-						it.data.done(ErrClosed)
-					default:
-						var land Lander
-						if l := t.mesh.landers[dst].Load(); l != nil {
-							land = *l
-						}
-						landLocal(land, t.rank, it.data)
-					}
-				} else {
-					select {
-					case t.mesh.inboxes[dst] <- inItem{src: t.rank, frame: it.frame}:
-					case <-t.stop:
-					}
-				}
-				q.delivered()
-			}
-		}()
+		t.delivered()
+		t.mu.Lock()
 	}
+	t.flushing = false
 	return nil
 }
 
 // Rings plans nothing: no rank of a channel mesh is another process.
 func (t *ChanTransport) Rings(RingPlan) {}
 
-// Poll finds nothing: a channel mesh delivers on its demux goroutine.
+// Poll finds nothing: every frame was delivered before its Send returned.
 func (t *ChanTransport) Poll(time.Duration) bool { return false }
 
 // StreamOpen finds no stream area: there is no ring.
@@ -312,54 +313,63 @@ func (t *ChanTransport) Stream(int, uint32, []byte, func(int) bool) bool { retur
 // Unstream fills nothing: there is no ring.
 func (t *ChanTransport) Unstream(int, uint32, int, []byte, *atomic.Bool) (int, error) { return 0, nil }
 
-// Drain blocks until all accepted frames have been pushed into their
-// destination inboxes.
-func (t *ChanTransport) Drain() {
-	for _, q := range t.queues {
-		q.waitIdle()
-	}
-}
-
-// Close drains the outbound queues, then stops the writers and the demux
-// goroutine. Draining first matters: a rank may complete (say) a barrier
-// while its final frame to a peer is still queued, and that frame is what
-// completes the peer's barrier. Frames already in this endpoint's inbox are
-// handed to the handler before the demux goroutine exits.
+// Close shuts the endpoint down. Every send delivered before it returned,
+// or waits in its destination's backlog: there is nothing to drain.
 func (t *ChanTransport) Close() error {
-	t.shutdown(true)
+	t.shutdown()
 	return nil
 }
 
-// Abort stops the endpoint without draining, and the mesh reports it to
-// every other endpoint's error handler (see ChanTransport), as a broken
-// connection reports a TCP peer's death.
+// Abort shuts the endpoint down, and the mesh reports it to every other
+// endpoint's error handler (see ChanTransport), as a broken connection
+// reports a TCP peer's death.
 func (t *ChanTransport) Abort() {
-	if t.shutdown(false) {
+	if t.shutdown() {
 		t.mesh.abort(t.rank)
 	}
 }
 
-// shutdown stops the endpoint; it reports whether this call did.
-func (t *ChanTransport) shutdown(drain bool) bool {
+// shutdown refuses the backlog and what arrives from now on, and waits for
+// the deliveries in flight, but those the caller is nested in. It reports
+// whether this call shut the endpoint down.
+func (t *ChanTransport) shutdown() bool {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return false
 	}
-	t.closed = true
-	started := t.started
+	t.closed.Store(true)
+	backlog := t.backlog
+	t.backlog = nil
+	if t.active > 0 {
+		for nested := deliveriesOnStack(); t.active > nested; {
+			t.ended.Wait()
+		}
+	}
 	t.mu.Unlock()
 	t.mesh.leave(t)
-
-	if started && drain {
-		t.Drain()
-	}
-	for _, q := range t.queues {
-		q.close()
-	}
-	close(t.stop)
-	if started {
-		t.wg.Wait()
+	for _, it := range backlog {
+		it.refuse()
 	}
 	return true
+}
+
+// deliveriesOnStack counts the ChanTransport.hand frames on the calling
+// goroutine's stack: the deliveries of channel meshes it is nested in.
+func deliveriesOnStack() int {
+	pcs := make([]uintptr, 64)
+	n := runtime.Callers(2, pcs)
+	for ; n == len(pcs); n = runtime.Callers(2, pcs) {
+		pcs = make([]uintptr, 2*len(pcs))
+	}
+	count := 0
+	for frames := runtime.CallersFrames(pcs[:n]); ; {
+		f, more := frames.Next()
+		if f.Function == "mpj/internal/transport.(*ChanTransport).hand" {
+			count++
+		}
+		if !more {
+			return count
+		}
+	}
 }

@@ -621,7 +621,7 @@ func ExampleLander() {
 	}
 	payload := []byte("borrowed, not copied into a frame")
 	hdr := wire.Header{Kind: wire.KindData, Len: int32(len(payload))}
-	sent := make(chan error)
+	sent := make(chan error, 1) // done may run before SendData returns
 	_ = eps[0].SendData(1, hdr, payload, func(err error) { sent <- err })
 	fmt.Println("sender may reuse the payload:", <-sent)
 	for _, ep := range eps {

@@ -35,19 +35,18 @@ type HybTransport struct {
 	ch  *ChanTransport // shared-process mesh endpoint (always present; carries loopback)
 	tcp *TCPTransport  // nil when every rank is co-located
 
-	mu      sync.Mutex
-	handler Handler
-	errh    ErrorHandler
-	closed  bool
+	mu     sync.Mutex
+	errh   ErrorHandler
+	closed bool
 }
 
 var _ Transport = (*HybTransport)(nil)
 
 // ProcessLocality returns this process's locality key: ranks whose keys
-// compare equal share an OS process and can exchange frames over channels.
-// The key is host-qualified so two slaves on different machines can never
-// collide, and pid-qualified because Go channels do not cross process
-// boundaries even on one machine.
+// compare equal share an OS process and hand frames to each other's
+// handlers. The key is host-qualified so two slaves on different machines
+// can never collide, and pid-qualified because a handler cannot be called
+// across process boundaries even on one machine.
 func ProcessLocality() string {
 	host, err := os.Hostname()
 	if err != nil {
@@ -190,9 +189,6 @@ func (t *HybTransport) Peers() Peers { return t.peers }
 // SetHandler installs the inbound frame handler on both halves; frames
 // arrive with their sender's absolute rank regardless of the path taken.
 func (t *HybTransport) SetHandler(h Handler) {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
 	t.ch.SetHandler(h)
 	if t.tcp != nil {
 		t.tcp.SetHandler(h)
@@ -242,21 +238,13 @@ func (t *HybTransport) SendData(dst int, h wire.Header, payload []byte, done fun
 	return t.tcp.SendData(dst, h, payload, done)
 }
 
-// Start launches both halves' reader and writer goroutines.
+// Start starts both halves: the in-process half hands its backlog over, the
+// TCP half launches its reader and writer goroutines.
 func (t *HybTransport) Start() error {
-	t.mu.Lock()
-	h := t.handler
-	t.mu.Unlock()
-	if h == nil {
-		return ErrNoHandler
-	}
-	if err := t.ch.Start(); err != nil {
+	if err := t.ch.Start(); err != nil || t.tcp == nil {
 		return err
 	}
-	if t.tcp != nil {
-		return t.tcp.Start()
-	}
-	return nil
+	return t.tcp.Start()
 }
 
 // Rings plans the TCP half's rings (see TCPTransport.Rings); co-located
@@ -291,15 +279,6 @@ func (t *HybTransport) Unstream(src int, id uint32, total int, dst []byte, quit 
 		return 0, nil
 	}
 	return t.tcp.Unstream(src, id, total, dst, quit)
-}
-
-// Drain blocks until both halves have handed every accepted frame to their
-// medium.
-func (t *HybTransport) Drain() {
-	t.ch.Drain()
-	if t.tcp != nil {
-		t.tcp.Drain()
-	}
 }
 
 // Close performs an orderly shutdown of both halves and leaves the hub.

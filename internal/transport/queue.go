@@ -19,7 +19,7 @@ type outItem struct {
 	ring  *outRing
 }
 
-// outData is what SendData queues: the KindData header, the borrowed
+// outData is what SendData hands over: the KindData header, the borrowed
 // payload that follows it, and the completion to call once the payload is
 // no longer referenced.
 type outData struct {
@@ -29,11 +29,10 @@ type outData struct {
 }
 
 // sendQueue is an unbounded FIFO of frames drained by a single writer
-// goroutine. Unbounded queues realize the paper's eager-protocol assumption
-// that "receiver threads have unlimited buffering" on the send side, and —
-// more importantly — they let protocol handlers issue sends (e.g. a CTS in
-// response to an RTS) without ever blocking a reader goroutine, which is
-// what makes the mesh deadlock-free.
+// goroutine, one per peer of a TCP mesh. Unbounded queues realize the
+// paper's eager-protocol assumption that "receiver threads have unlimited
+// buffering" on the send side, and they let protocol handlers send (e.g. a
+// CTS in response to an RTS) without ever blocking a reader goroutine.
 type sendQueue struct {
 	mu         sync.Mutex
 	nonEmp     sync.Cond // signalled when items become non-empty or queue closes

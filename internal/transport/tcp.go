@@ -551,9 +551,9 @@ func isClosedConn(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-// Drain blocks until every accepted frame has been written and flushed to
-// its socket (or handed to the loopback handler).
-func (t *TCPTransport) Drain() {
+// drain blocks until every accepted frame has been written and flushed to
+// its socket (or handed to the loopback handler); Close runs it first.
+func (t *TCPTransport) drain() {
 	for _, q := range t.queues {
 		q.waitIdle()
 	}
@@ -597,7 +597,7 @@ func (t *TCPTransport) Close() error {
 	}
 	t.mu.Unlock()
 
-	t.Drain()
+	t.drain()
 
 	t.mu.Lock()
 	t.closed = true

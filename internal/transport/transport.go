@@ -12,14 +12,14 @@
 // pair's medium from the locality table; tests and benchmarks build the
 // other two directly:
 //
-//   - ChanTransport ("chan"): an in-process mesh built on Go channels.
-//     Every rank of the job runs as a goroutine in one OS process — the
-//     multicore device, and the hermetic substrate used by unit tests and
-//     benchmarks.
+//   - ChanTransport ("chan"): an in-process mesh. Every rank of the job
+//     runs as a goroutine in one OS process, and a send calls the
+//     destination's handler — the multicore device, and the hermetic
+//     substrate used by unit tests and benchmarks.
 //   - TCPTransport ("tcp"): the real thing — an all-to-all TCP mesh
 //     between OS processes, bootstrapped from an address book.
 //   - HybTransport ("hyb"): the hybrid device — frames to ranks co-located
-//     in the same OS process travel over a shared channel mesh (zero
+//     in the same OS process travel over a shared in-process mesh (zero
 //     syscalls), frames to remote ranks over a TCP mesh.
 //
 // Every endpoint describes, once and for good, what it knows of its peers
@@ -36,24 +36,26 @@
 // copies it in and the receiver copies it out (StreamOpen, Stream and
 // Unstream, see stream.go).
 //
-// Sends are asynchronous and never block: Send enqueues the frame on an
-// unbounded per-destination queue drained by a dedicated writer goroutine
-// — or, to a peer whose ring is live and while nothing waits in that
-// queue, copies it into the ring itself. Inbound frames are pushed to a
-// Handler from the per-connection reader goroutine, or from a poller.
-// Because the device-level handler never blocks (it either completes a
-// posted receive or enqueues the frame), readers never stall and the mesh
-// cannot deadlock on control traffic.
+// Sends never wait for a peer's progress. Over TCP, Send enqueues the frame
+// on an unbounded per-destination queue drained by a dedicated writer
+// goroutine — or, to a peer whose ring is live and while nothing waits in
+// that queue, copies it into the ring itself — and inbound frames are
+// pushed to a Handler from the per-connection reader goroutine, or from a
+// poller. Between ranks of one address space Send runs the destination's
+// Handler itself, so its caller must hold no lock a handler path takes.
+// Because the device-level handler never waits (it completes a posted
+// receive or queues the frame, and answers after releasing its lock),
+// the mesh cannot deadlock on control traffic.
 //
-// Rendezvous payloads never become frames. SendData queues a KindData
+// Rendezvous payloads never become frames. SendData hands over a KindData
 // header with a reference to the payload, on the same per-destination
 // FIFO as Send; the receiving side asks its Lander where
 // the payload goes and moves the bytes there directly. Over TCP the writer
 // hands header and payload to one writev and the reader reads the socket
 // straight into the landing buffer (no user-space copy on either side);
-// inside a process the sender's writer goroutine copies from the sender's
-// memory into the landing buffer (one copy). Either way the sender's
-// completion runs once the payload is no longer referenced.
+// inside a process SendData itself copies from the sender's memory into
+// the landing buffer (one copy). Either way the sender's completion runs
+// once the payload is no longer referenced.
 //
 // See ARCHITECTURE.md at the repository root for where this package sits in
 // the layer stack.
@@ -76,8 +78,10 @@ import (
 // never puts it.
 //
 // Handlers are invoked from reader goroutines (one per inbound connection,
-// plus one for loopback), and from a goroutine in Poll, and must not block
-// indefinitely.
+// plus one for TCP's loopback), from a goroutine in Poll, and inside a
+// co-located sender's Send. A handler never waits for a peer's progress,
+// and sends holding no lock of its own: the send may run a handler that
+// answers back into this one.
 type Handler func(src int, frame []byte)
 
 // Lander resolves where the payload of an inbound KindData message lands.
@@ -93,8 +97,9 @@ type Handler func(src int, frame []byte)
 //   - err set: the header contradicts what the receiver granted. The
 //     connection it came over is finished and reports err as its failure.
 //
-// A Lander runs on reader and writer goroutines and must not block
-// indefinitely; the same holds for fin.
+// A Lander runs on reader and writer goroutines, or inside a co-located
+// sender's SendData, and never waits for a peer's progress; the same holds
+// for fin.
 type Lander func(src int, h wire.Header) (dst []byte, fin func(error), err error)
 
 // landLocal hands a SendData item to a Lander in this address space: one
@@ -161,20 +166,22 @@ type Transport interface {
 	// Peers describes the ranks of the job as this endpoint knows them.
 	// It returns the same description every time.
 	Peers() Peers
-	// Send enqueues frame for delivery to dst. It never blocks. Delivery
-	// is reliable and ordered per (src, dst) pair. Send returns an error
-	// only if the transport is closed or dst is out of range.
+	// Send delivers frame to dst, reliably and in order per (src, dst)
+	// pair. It never waits for a peer's progress, but to a rank of this
+	// address space it runs dst's Handler before it returns: the caller
+	// must hold no lock a handler path takes. Send returns an error only
+	// if the transport is closed or dst is out of range.
 	//
 	// Ownership of the frame transfers to the transport: the caller must
 	// not touch it after Send returns. The transport either hands the
-	// frame to a local Handler (which then owns it) or writes it to a
-	// socket and releases it to the frame pool itself.
+	// frame to a Handler (which then owns it) or writes it to a socket
+	// and releases it to the frame pool itself.
 	Send(dst int, frame []byte) error
-	// SendData enqueues a rendezvous payload for dst by reference, on the
-	// same ordered per-destination queue as Send. h is its KindData
-	// header, with Len equal to len(payload). payload is borrowed: the
-	// transport neither copies nor retains it beyond done, and the caller
-	// must leave it untouched until then.
+	// SendData hands a rendezvous payload for dst over by reference, on
+	// the same ordered path as Send (and under its rule on locks). h is
+	// its KindData header, with Len equal to len(payload). payload is
+	// borrowed: the transport neither copies nor retains it beyond done,
+	// and the caller must leave it untouched until then.
 	//
 	// When SendData returns nil, done is called exactly once — possibly
 	// before SendData returns, otherwise on a transport goroutine — with
@@ -198,14 +205,15 @@ type Transport interface {
 	// names (see RingPlan). It must be called before Start, at most once.
 	// An endpoint with no socket to any planned rank ignores it.
 	Rings(plan RingPlan)
-	// Start launches reader and writer goroutines.
+	// Start launches reader and writer goroutines, where the medium needs
+	// them, and lets inbound frames through to the handler.
 	Start() error
 	// Poll delivers, on the caller's goroutine, the inbound frames that
 	// arrive through shared memory within budget (see ring.go), and
 	// reports whether it delivered any; it returns as soon as it has. A
 	// transport without a live ring returns false at once. A waiter calls
-	// it before it parks; everything else arrives on reader goroutines
-	// whether or not anybody polls.
+	// it before it parks; everything else arrives on reader goroutines,
+	// or inside a co-located sender's Send, whether or not anybody polls.
 	Poll(budget time.Duration) bool
 	// StreamOpen claims the stream area of the ring to dst for one
 	// rendezvous payload (see stream.go) and returns the stream's id, or 0
@@ -225,9 +233,6 @@ type Transport interface {
 	// stalled, or quit read true. A malformed stream is a wire.ErrFrame.
 	// A transport without a live ring from src fills nothing.
 	Unstream(src int, id uint32, total int, dst []byte, quit *atomic.Bool) (int, error)
-	// Drain blocks until every frame accepted by Send has been handed to
-	// the underlying medium (channel, ring or socket).
-	Drain()
 	// Close tears the endpoint down. It drains outbound queues first so
 	// an orderly shutdown does not drop frames.
 	Close() error
@@ -239,9 +244,8 @@ type Transport interface {
 
 // Errors shared by transport implementations.
 var (
-	ErrClosed     = errors.New("transport: closed")
-	ErrBadRank    = errors.New("transport: destination rank out of range")
-	ErrNoHandler  = errors.New("transport: Start called before SetHandler")
-	ErrStarted    = errors.New("transport: already started")
-	ErrNotStarted = errors.New("transport: not started")
+	ErrClosed    = errors.New("transport: closed")
+	ErrBadRank   = errors.New("transport: destination rank out of range")
+	ErrNoHandler = errors.New("transport: Start called before SetHandler")
+	ErrStarted   = errors.New("transport: already started")
 )

@@ -186,7 +186,7 @@ func TestChanMeshStartWithoutHandler(t *testing.T) {
 
 func TestChanMeshCloseDrainsOutbound(t *testing.T) {
 	// A sender that closes immediately after Send must still deliver:
-	// Close drains the outbound queues first.
+	// nothing it sent is left behind by its Close.
 	eps := NewChanMesh(2)
 	col := newCollector()
 	eps[0].SetHandler(func(int, []byte) {})

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,31 @@ func TestRunLocalQuickstart(t *testing.T) {
 		if err := RunLocal(np, app); err != nil {
 			t.Errorf("np=%d: %v", np, err)
 		}
+	}
+}
+
+// TestRunLocalLeavesNoGoroutine: an np=8 job of goroutine ranks running
+// a Barrier loop leaves no goroutine behind once RunLocal returns — the
+// ranks hand frames over in their own goroutines, and nothing else runs
+// between them.
+func TestRunLocalLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if err := RunLocal(8, func(w *Comm) error {
+		for i := 0; i < 200; i++ {
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine that has finished its work may still be exiting.
+	for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine() - before; n > 0 {
+		t.Errorf("RunLocal left %d goroutines behind", n)
 	}
 }
 
