@@ -12,18 +12,17 @@ import (
 // The COLL experiment: large-message collective algorithms. It sweeps
 // Allreduce payloads from 64 KiB to 4 MiB across communicator sizes
 // (including the non-power-of-two np=5) with the algorithm family forced
-// classic versus ring, and Bcast and Allreduce on a multi-group layout
-// against the two-level schedules, on the hyb device. The recorded table (BENCH_coll.json) is the measurement behind
-// the algorithm-selection thresholds in collalg.go, and its speedup
-// ratios are the CI regression baseline: the -quick run re-measures a
-// subset and fails when a speedup falls more than 20% below the
-// committed value (ratios, not absolute times, so the check is stable
-// across machines).
+// classic versus ring, on the hyb device. The recorded table
+// (BENCH_coll.json) is the measurement behind the algorithm-selection
+// thresholds in collalg.go, and its speedup ratios are the CI regression
+// baseline: the -quick run re-measures a subset and fails when a speedup
+// falls more than 20% below the committed value (ratios, not absolute
+// times, so the check is stable across machines).
 
 // CollBenchRow is one measured configuration, recorded in BENCH_coll.json.
 type CollBenchRow struct {
-	Op      string  `json:"op"`  // "allreduce" | "bcast@2x4" | "allreduce@2x4"
-	Alg     string  `json:"alg"` // the forced family: "classic" | "ring" | "hier"
+	Op      string  `json:"op"`  // "allreduce"
+	Alg     string  `json:"alg"` // the forced family: "classic" | "ring"
 	NP      int     `json:"np"`
 	Bytes   int     `json:"bytes"` // payload bytes per rank
 	NsPerOp float64 `json:"ns_per_op"`
@@ -56,14 +55,10 @@ func collIters(bytes int) int {
 
 // collAlgFor maps the sweep's algorithm column to the forced family.
 func collAlgFor(name string) core.CollAlg {
-	switch name {
-	case "classic":
+	if name == "classic" {
 		return core.CollAlgClassic
-	case "hier":
-		return core.CollAlgHier
-	default:
-		return core.CollAlgRing
 	}
+	return core.CollAlgRing
 }
 
 // label names a row's algorithm for the tables: the family it forced and,
@@ -84,51 +79,31 @@ func schedAlg(req *core.CollRequest) string {
 	return name
 }
 
-// jobRunner abstracts the mesh a measurement runs on: runJobHyb for the
-// co-located sweeps, a runJobHybGroups closure for the multi-group rows.
-type jobRunner func(np int, fn func(w *core.Comm) error) error
-
-// measureColl times one collective configuration on an np-rank job over
-// the given mesh. op may carry a layout suffix ("allreduce@2x4") that
-// labels the row; everything before '@' names the collective.
-func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollBenchRow, error) {
-	row := CollBenchRow{Op: op, Alg: algName, NP: np, Bytes: bytes}
-	if i := strings.IndexByte(op, '@'); i >= 0 {
-		op = op[:i]
-	}
+// measureColl times one Allreduce configuration on an np-rank job over the
+// co-located hyb mesh.
+func measureColl(np, bytes int, algName string) (CollBenchRow, error) {
+	row := CollBenchRow{Op: "allreduce", Alg: algName, NP: np, Bytes: bytes}
 	elems := bytes / 8
 	iters := collIters(bytes)
-	err := run(np, func(w *core.Comm) error {
+	err := runJobHyb(np, func(w *core.Comm) error {
 		core.ForceCollAlg(w, collAlgFor(algName))
-		var body func() error
-		switch op {
-		case "bcast":
-			buf := make([]float64, elems)
-			for i := range buf {
-				buf[i] = float64(w.Rank() + i)
-			}
-			body = func() error { return w.Bcast(buf, 0, elems, core.Double, 0) }
-		case "allreduce":
-			in := make([]float64, elems)
-			out := make([]float64, elems)
-			for i := range in {
-				in[i] = float64(w.Rank() + i)
-			}
-			body = func() error { return w.Allreduce(in, 0, out, 0, elems, core.Double, core.SumOp) }
-			// One extra warm-up through the non-blocking form, whose request
-			// says which schedule the selection compiled.
-			req, err := w.Iallreduce(in, 0, out, 0, elems, core.Double, core.SumOp)
-			if err != nil {
-				return err
-			}
-			if _, err := req.Wait(); err != nil {
-				return err
-			}
-			if w.Rank() == 0 {
-				row.sched = schedAlg(req)
-			}
-		default:
-			return fmt.Errorf("unknown collective %q", op)
+		in := make([]float64, elems)
+		out := make([]float64, elems)
+		for i := range in {
+			in[i] = float64(w.Rank() + i)
+		}
+		body := func() error { return w.Allreduce(in, 0, out, 0, elems, core.Double, core.SumOp) }
+		// One extra warm-up through the non-blocking form, whose request
+		// says which schedule the selection compiled.
+		req, err := w.Iallreduce(in, 0, out, 0, elems, core.Double, core.SumOp)
+		if err != nil {
+			return err
+		}
+		if _, err := req.Wait(); err != nil {
+			return err
+		}
+		if w.Rank() == 0 {
+			row.sched = schedAlg(req)
 		}
 		for i := 0; i < 2; i++ { // warm up pools, routes, schedules
 			if err := body(); err != nil {
@@ -150,90 +125,49 @@ func measureColl(run jobRunner, op string, np, bytes int, algName string) (CollB
 }
 
 // CollAlgSweep generates the large-message collective algorithm table and
-// its JSON record. The acceptance rows are the 4 MiB Allreduce at np>=4 —
+// its JSON record. The acceptance rows are the 4 MiB Allreduce at np>=4:
 // the large-vector schedules must run at >=2x the classic trees'
-// throughput — and the "@2x4" multi-group rows, where the hierarchical
-// family must beat the flat schedules at >=1 MiB on a cyclic 2-group x
-// 4-rank hybrid layout (intra-group chan, inter-group localhost TCP). A
-// flat Bcast compiles one schedule whatever the family, so its only row
-// pair is the multi-group one: the flat tree (classic) against hier.
+// throughput.
 func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
-	type config struct {
-		op     string
-		nps    []int
-		groups int      // 0: co-located hyb; >=2: cyclic multi-group hyb
-		algs   []string // non-classic algorithms to compare against classic
-	}
 	sizes := []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	hierSizes := []int{1 << 20, 4 << 20}
-	configs := []config{
-		{"allreduce", []int{4, 5, 8}, 0, []string{"ring"}},
-		{"bcast@2x4", []int{8}, 2, []string{"hier"}},
-		{"allreduce@2x4", []int{8}, 2, []string{"ring", "hier"}},
-	}
+	nps := []int{4, 5, 8}
 	if quick {
-		// The 1 MiB points: large enough that the speedup ratio is stable
+		// The 1 MiB point: large enough that the speedup ratio is stable
 		// across runs (the CI regression gate compares ratios against the
 		// committed full sweep), small enough for a smoke step.
-		sizes = []int{1 << 20}
-		hierSizes = []int{1 << 20}
-		configs = []config{
-			{"allreduce", []int{4}, 0, []string{"ring"}},
-			{"allreduce@2x4", []int{8}, 2, []string{"hier"}},
-		}
+		sizes, nps = []int{1 << 20}, []int{4}
 	}
 
 	res := &CollBenchResult{
 		Experiment: "coll",
 		Device:     "hyb",
-		Note: "float64 payloads, root 0, min of 3 reps. 'bytes' is the payload per rank; MiB/s " +
+		Note: "float64 payloads, min of 3 reps. 'bytes' is the payload per rank; MiB/s " +
 			"divides it by ns/op (algorithm bandwidth). classic = recursive doubling or reduce+bcast moving " +
-			"whole payloads per edge, and the flat binomial bcast landing in place in the user buffer; " +
-			"ring = whole-chunk reduce-scatter+allgather; hier = " +
-			"two-level locality schedule (intra-group phase + leader exchange). '@2x4' rows " +
-			"run a cyclic 2-group x 4-rank hybrid layout where inter-group hops cross real " +
-			"localhost TCP. Speedup ratios per (op, np, bytes, alg) are the CI regression " +
-			"baseline for mpjbench -exp coll -quick",
+			"whole payloads per edge; ring = whole-chunk reduce-scatter+allgather. Speedup ratios per " +
+			"(op, np, bytes, alg) are the CI regression baseline for mpjbench -exp coll -quick",
 	}
 	t := &Table{
-		Title:   "COLL: large-message collective algorithms, classic vs ring/hier (hyb device)",
+		Title:   "COLL: large-message Allreduce algorithms, classic vs ring (hyb device)",
 		Headers: []string{"op", "np", "bytes", "classic ns/op", "classic MiB/s", "alg", "alg ns/op", "alg MiB/s", "speedup"},
 	}
-
-	for _, cfg := range configs {
-		run := runJobHyb
-		if cfg.groups >= 2 {
-			groups := cfg.groups
-			run = func(np int, fn func(w *core.Comm) error) error {
-				return runJobHybGroups(np, groups, fn)
+	for _, np := range nps {
+		for _, bytes := range sizes {
+			cl, err := measureColl(np, bytes, "classic")
+			if err != nil {
+				return nil, nil, fmt.Errorf("coll allreduce np=%d bytes=%d classic: %w", np, bytes, err)
 			}
-		}
-		szs := sizes
-		if cfg.groups >= 2 {
-			szs = hierSizes
-		}
-		for _, np := range cfg.nps {
-			for _, bytes := range szs {
-				cl, err := measureColl(run, cfg.op, np, bytes, "classic")
-				if err != nil {
-					return nil, nil, fmt.Errorf("coll %s np=%d bytes=%d classic: %w", cfg.op, np, bytes, err)
-				}
-				res.Rows = append(res.Rows, cl)
-				for _, alg := range cfg.algs {
-					lg, err := measureColl(run, cfg.op, np, bytes, alg)
-					if err != nil {
-						return nil, nil, fmt.Errorf("coll %s np=%d bytes=%d %s: %w", cfg.op, np, bytes, alg, err)
-					}
-					res.Rows = append(res.Rows, lg)
-					t.Rows = append(t.Rows, Row{
-						cfg.op, fmt.Sprintf("%d", np), fmtSize(bytes),
-						fmtDur(time.Duration(cl.NsPerOp)), fmt.Sprintf("%.0f", cl.MiBps),
-						lg.label(),
-						fmtDur(time.Duration(lg.NsPerOp)), fmt.Sprintf("%.0f", lg.MiBps),
-						fmt.Sprintf("%.2fx", cl.NsPerOp/lg.NsPerOp),
-					})
-				}
+			lg, err := measureColl(np, bytes, "ring")
+			if err != nil {
+				return nil, nil, fmt.Errorf("coll allreduce np=%d bytes=%d ring: %w", np, bytes, err)
 			}
+			res.Rows = append(res.Rows, cl, lg)
+			t.Rows = append(t.Rows, Row{
+				lg.Op, fmt.Sprintf("%d", np), fmtSize(bytes),
+				fmtDur(time.Duration(cl.NsPerOp)), fmt.Sprintf("%.0f", cl.MiBps),
+				lg.label(),
+				fmtDur(time.Duration(lg.NsPerOp)), fmt.Sprintf("%.0f", lg.MiBps),
+				fmt.Sprintf("%.2fx", cl.NsPerOp/lg.NsPerOp),
+			})
 		}
 	}
 	return t, res, nil
@@ -249,9 +183,7 @@ func MarshalCollResult(res *CollBenchResult) ([]byte, error) {
 }
 
 // collSpeedups indexes classic-vs-alternative speedup ratios by
-// configuration. The key carries the non-classic algorithm's name, since
-// the multi-group rows compare several algorithms against the same
-// classic measurement.
+// configuration. The key carries the non-classic algorithm's name.
 func collSpeedups(res *CollBenchResult) map[string]float64 {
 	classic := map[string]float64{}
 	for _, r := range res.Rows {

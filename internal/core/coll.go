@@ -26,11 +26,6 @@ const (
 	// The send buffer is lent to the transport, never copied, unless it
 	// overlaps the receive buffer (icoll.go, iallreduceRing).
 	allreduceRing
-	// allreduceHier reduces inside each locality group, allreduces among
-	// the group leaders and broadcasts back — only one partial and one
-	// result per group cross the expensive inter-group links (hier.go).
-	// Requires a comm spanning ≥2 locality groups.
-	allreduceHier
 )
 
 // collIsend starts a raw byte send on the collective context. dst is a
@@ -233,22 +228,10 @@ func (c *Comm) Allreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datat
 
 // autoAllreduceAlg is the algorithm selection behind Allreduce, Iallreduce
 // and CommitAllreduce: the reduce-scatter + allgather family
-// (allreduceRing) for large fixed-size payloads, the two-level
-// hierarchical schedule below that on comms spanning locality groups (at
-// every size when a test or sweep forces CollAlgHier), recursive doubling
-// for small power-of-two communicators, reduce+broadcast otherwise.
+// (allreduceRing) for large fixed-size payloads, recursive doubling for
+// small power-of-two communicators, reduce+broadcast otherwise.
 func (c *Comm) autoAllreduceAlg(count int, dt Datatype) allreduceAlg {
-	sz := dt.ByteSize()
-	sized := sz > 0 && count > 0
-	large := sized && c.collLarge(count*sz)
-	// Auto keeps large vectors off the two-level schedule: it moves whole
-	// vectors through each group's leader while the flat family keeps
-	// every rank busy, and on a 2×4 hyb layout it took ×2.96 the flat
-	// family's time at 1 MiB and ×4.6 at 4 MiB.
-	if sized && c.Size() > 1 && c.collHier() && (!large || c.collAlg == CollAlgHier) {
-		return allreduceHier
-	}
-	if large {
+	if sz := dt.ByteSize(); sz > 0 && count > 0 && c.collLarge(count*sz) {
 		return allreduceRing
 	}
 	if size := c.Size(); size&(size-1) == 0 {

@@ -3,18 +3,18 @@ package core
 import "fmt"
 
 // This file is the collective algorithm-selection layer. The schedule
-// builders in icoll.go, ivcoll.go and hier.go compile one of several
-// algorithms per collective; which one runs is decided here, per
-// operation, from what every member observes alike: the packed payload
-// size, the communicator size and its locality layout, against the
-// built-in constants below. A large Allreduce or ReduceScatter switches
-// from the latency-optimised classic schedules to the bandwidth-optimised
-// large-vector ones, and comms spanning several locality groups switch to
-// the two-level hierarchical schedules. Every other flat collective
-// compiles one schedule: Barrier, Bcast, Gather, Scatter, Allgather,
-// Alltoall, Reduce, Scan and the V forms. No job setting or API call
-// chooses a family; ForceCollAlg is the seam through which tests and the
-// benchmark sweeps compile a family auto would not pick.
+// builders in icoll.go and ivcoll.go compile one of several algorithms
+// per collective; which one runs is decided here, per operation, from
+// what every member observes alike: the packed payload size and the
+// number of ranks, against the built-in constants below. A large
+// Allreduce or ReduceScatter switches from the latency-optimised classic
+// schedules to the bandwidth-optimised large-vector ones. Every other
+// collective compiles one schedule: Barrier, Bcast, Gather, Scatter,
+// Allgather, Alltoall, Reduce, Scan and the V forms. Selection reads no
+// locality: no launcher puts some ranks of a job in one process and the
+// rest elsewhere, so there are no groups to build on. No job setting or
+// API call chooses a family; ForceCollAlg is the seam through which tests
+// and the benchmark sweeps compile a family auto would not pick.
 
 // CollAlg is a collective algorithm family; ForceCollAlg pins one.
 type CollAlg int
@@ -24,17 +24,12 @@ const (
 	CollAlgAuto CollAlg = iota
 	// CollAlgClassic keeps Allreduce and ReduceScatter on the
 	// latency-optimised schedules (recursive doubling, or a binomial
-	// reduce then a broadcast or a linear scatter) and every collective
-	// off the two-level ones.
+	// reduce then a broadcast or a linear scatter).
 	CollAlgClassic
 	// CollAlgRing keeps Allreduce and ReduceScatter on the large-message
 	// reduce-scatter + allgather schedules (halving/doubling on a power
-	// of two, the ring otherwise) and every collective off the two-level
-	// ones.
+	// of two, the ring otherwise).
 	CollAlgRing
-	// CollAlgHier takes the two-level schedules (hier.go) wherever the
-	// communicator spans locality groups, and auto's choice elsewhere.
-	CollAlgHier
 )
 
 // String names the family, as the sweeps and test names print it.
@@ -46,8 +41,6 @@ func (a CollAlg) String() string {
 		return "classic"
 	case CollAlgRing:
 		return "ring"
-	case CollAlgHier:
-		return "hier"
 	}
 	return fmt.Sprintf("CollAlg(%d)", int(a))
 }
@@ -70,12 +63,11 @@ const (
 // ForceCollAlg makes c compile family a where auto would pick another: the
 // seam through which tests pin a schedule and mpjbench's coll and vcoll
 // sweeps price the families. It states a preference, not a schedule: where
-// a's would degenerate (ring below three ranks, hier on a comm without
-// locality groups) the classic or auto schedule runs. Every member must
-// force the same family before its collectives. Panics on a value that is
-// not a CollAlg constant.
+// a's would degenerate (ring below three ranks) the classic schedule runs.
+// Every member must force the same family before its collectives. Panics
+// on a value that is not a CollAlg constant.
 func ForceCollAlg(c *Comm, a CollAlg) {
-	if a < CollAlgAuto || a > CollAlgHier {
+	if a < CollAlgAuto || a > CollAlgRing {
 		panic(fmt.Sprintf("mpj: ForceCollAlg(%v): not a collective algorithm family", a))
 	}
 	c.collAlg = a
@@ -98,20 +90,5 @@ func (c *Comm) collLarge(total int) bool {
 	case CollAlgRing:
 		return c.Size() >= largeCollMinNP
 	}
-	// Auto, and hier's single-level fallback when the comm does not span
-	// locality groups (collHier already dispatched the spanning case).
 	return c.Size() >= largeCollMinNP && total >= c.largeMin()
-}
-
-// collHier reports whether a collective should compile the two-level
-// hierarchical schedule: under auto or a forced CollAlgHier, whenever the
-// locality layout is worth exploiting — at least two groups, with
-// co-location somewhere (hier.go, locView.multi). On a flat comm the hier
-// family falls back to auto selection.
-func (c *Comm) collHier() bool {
-	switch c.collAlg {
-	case CollAlgAuto, CollAlgHier:
-		return c.localityView().multi()
-	}
-	return false
 }

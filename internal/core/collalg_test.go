@@ -55,11 +55,11 @@ func TestForcedFamilyRespectsMemberFloor(t *testing.T) {
 }
 
 // Every forced family must produce byte-identical collective results at
-// np=2, where the large-message and hierarchical schedules all degenerate
-// to classic. Exercises Bcast, Allreduce, Reduce and Allgather under each
-// family in turn on the same communicator.
+// np=2, where the large-message schedules degenerate to classic. Exercises
+// Bcast, Allreduce, Reduce and Allgather under each family in turn on the
+// same communicator.
 func TestForcedFamilyEquivalenceNP2(t *testing.T) {
-	families := []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing, CollAlgHier}
+	families := []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing}
 	const n = 96 << 10 // 768 KiB of float64: above every large-message threshold
 
 	runRanks(t, 2, func(w *Comm) error {
@@ -183,16 +183,16 @@ func tableSweep(w *Comm, forced CollAlg) error {
 }
 
 // Property: with the large-message threshold scaled down to one byte, as
-// the shape table scales it down (so the large and hier paths engage at
+// the shape table scales it down (so the large path engages at
 // test-sized payloads), auto and every explicitly forced family still
 // produce byte-identical collective results, across np in {2, 3, 5, 8} on
 // both chan and hyb.
 func TestTableAutoMatchesForced(t *testing.T) {
-	families := []CollAlg{CollAlgClassic, CollAlgRing, CollAlgHier}
+	families := []CollAlg{CollAlgClassic, CollAlgRing}
 	for _, np := range []int{2, 3, 5, 8} {
 		np := np
-		// Alternating keys: multi-group from np>=3 members, so hier engages
-		// where it can and falls back where it cannot.
+		// Alternating keys: multi-group from np>=3 members, a layout
+		// selection must not read.
 		keys := make([]string, np)
 		for i := range keys {
 			keys[i] = []string{"A", "B"}[i%2]

@@ -114,11 +114,6 @@ type Comm struct {
 	// by proc.mu.
 	winCtxs []int
 
-	// Locality layout (see hier.go): locView is the cached group structure
-	// computed from the device's table. Guarded by locMu.
-	locMu   sync.Mutex
-	locView *locView
-
 	// The host area of large allreduces (see hostarea.go).
 	hostState
 }
@@ -272,6 +267,23 @@ func (c *Comm) Group() *Group { return c.group }
 // Device exposes the underlying device (used by the runtime and
 // benchmarks; applications should not need it).
 func (c *Comm) Device() *device.Device { return c.dev }
+
+// LocalityTable returns the locality keys of this communicator's members
+// (entry i is member i's key), or nil when the device has no locality
+// knowledge.
+func (c *Comm) LocalityTable() []string {
+	tab := c.dev.LocalityTable()
+	if tab == nil {
+		return nil
+	}
+	keys := make([]string, c.Size())
+	for r := range keys {
+		if w := c.group.WorldRank(r); w >= 0 && w < len(tab) {
+			keys[r] = tab[w]
+		}
+	}
+	return keys
+}
 
 // ProfSnapshot returns this communicator's profiling counters — the
 // traffic on its two device contexts (point-to-point and collective)

@@ -30,17 +30,19 @@ func runRanksOpt(t *testing.T, np int, opts []device.Option, fn func(w *Comm) er
 
 // runJob is the body of the harnesses: it runs fn on np ranks, rank i on
 // the device open(i) returns, each finishing with a Barrier so all traffic
-// is complete before its device closes. A rank that fails records its error,
+// is complete before the devices close. A rank that fails records its error,
 // then aborts its device, which the mesh reports to every peer, so the peers
 // fail at once instead of waiting out the deadline. runJob returns the first
 // error recorded — the failing rank's own, not the failures its abort
-// caused — or a wedge error after 60 s.
+// caused — or a wedge error after 60 s. A wedged job's mesh is abandoned:
+// closing it would wait for the deliveries in flight, which never end.
 func runJob(np int, open func(i int) (*device.Device, error), fn func(w *Comm) error) error {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		first error
 	)
+	devs := make([]*device.Device, np)
 	fail := func(i int, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -57,7 +59,7 @@ func runJob(np int, open func(i int) (*device.Device, error), fn func(w *Comm) e
 				fail(i, fmt.Errorf("open device: %w", err))
 				return
 			}
-			defer d.Close()
+			devs[i] = d
 			w, err := NewWorld(d)
 			if err != nil {
 				err = fmt.Errorf("new world: %w", err)
@@ -77,7 +79,23 @@ func runJob(np int, open func(i int) (*device.Device, error), fn func(w *Comm) e
 	case <-time.After(60 * time.Second):
 		return errors.New("job wedged: ranks did not finish within 60s")
 	}
+	for _, d := range devs {
+		if d != nil {
+			d.Close()
+		}
+	}
 	return first
+}
+
+// freeOnSuccess frees win once the rank's body has returned with *err nil,
+// reporting Free's error in its place. Free is collective: a rank whose
+// body failed skips it, so runJob aborts its device and the job reports
+// that rank's own error at once, instead of the rank waiting in Free's
+// barrier while its peers wait out their epoch deadline.
+func freeOnSuccess(win *Win, err *error) {
+	if *err == nil {
+		*err = win.Free()
+	}
 }
 
 // laidOut is a transport whose description carries a synthetic locality

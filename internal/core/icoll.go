@@ -22,81 +22,54 @@ import (
 // reserved at Commit time.
 
 // ---------------------------------------------------------------------
-// Round builders, one per algorithm. The tree and dissemination
-// primitives (*RoundsIn) compile over a member list in comm-rank space,
-// identical on every participating rank;
-// ranks outside it compile zero rounds, rootIdx indexes the list. The
-// whole communicator is the identity list (Comm.members); the two-level
-// schedules of hier.go pass a locality group or the group leaders.
+// Round builders, one per algorithm. Each compiles in comm-rank space,
+// identical on every member; a root argument is a comm rank.
 // ---------------------------------------------------------------------
 
-// memberIdx returns rank's position in members, or -1.
-func memberIdx(members []int, rank int) int {
-	if rank < len(members) && members[rank] == rank {
-		return rank // the identity list, without the scan
-	}
-	for i, r := range members {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}
-
 // binomialEdges returns this rank's edges in the binomial broadcast tree
-// over members rooted at members[rootIdx]: its parent (-1 on the root and
-// on ranks outside members) and its children, farthest subtree first.
-func binomialEdges(c *Comm, members []int, rootIdx int) (parent int, children []int) {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if me < 0 {
-		return -1, nil
-	}
-	vrank := (me - rootIdx + n) % n
+// rooted at root: its parent (-1 on the root) and its children, farthest
+// subtree first.
+func binomialEdges(c *Comm, root int) (parent int, children []int) {
+	n := c.Size()
+	vrank := (c.rank - root + n) % n
 	parent = -1
 	lb := pow2ceil(n)
 	if vrank != 0 {
 		lb = lowbit(vrank)
-		parent = members[(vrank-lb+rootIdx)%n]
+		parent = (vrank - lb + root) % n
 	}
 	for m := lb >> 1; m > 0; m >>= 1 {
 		if vrank+m < n {
-			children = append(children, members[(vrank+m+rootIdx)%n])
+			children = append(children, (vrank+m+root)%n)
 		}
 	}
 	return parent, children
 }
 
-// barrierRoundsIn compiles the dissemination barrier over members:
-// ceil(log2 n) rounds of pairwise empty-message exchange.
-func barrierRoundsIn(c *Comm, members []int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if me < 0 {
-		return nil
-	}
+// barrierRounds compiles the dissemination barrier: ceil(log2 n) rounds
+// of pairwise empty-message exchange.
+func barrierRounds(c *Comm) []round {
+	n := c.Size()
 	var rs []round
 	for k := 1; k < n; k <<= 1 {
-		dst := members[(me+k)%n]
-		src := members[(me-k+n)%n]
 		rs = append(rs, round{
-			recvs: []recvStep{{from: src}},
-			sends: []sendStep{{to: dst, data: func() []byte { return nil }}},
+			recvs: []recvStep{{from: (c.rank - k + n) % n}},
+			sends: []sendStep{{to: (c.rank + k) % n, data: func() []byte { return nil }}},
 		})
 	}
 	return rs
 }
 
-// bcastRoundsIn compiles the binomial-tree broadcast of cl over members.
-// On the root, cl must already hold the packed payload; on every other
-// rank the first round brings it in from the tree parent — adopted by a
-// plain cell, landing in place in a fixed one, whose length every member
-// must agree on — and one further round forwards it to all binomial
-// children at once. The sends of a fixed cell lend it: nothing writes it
+// bcastRounds compiles the binomial-tree broadcast of cl from root. On the
+// root, cl must already hold the packed payload; on every other rank the
+// first round brings it in from the tree parent — adopted by a plain
+// cell, landing in place in a fixed one, whose length every member must
+// agree on — and one further round forwards it to all binomial children
+// at once. The sends of a fixed cell lend it: nothing writes it
 // after its receive lands (the root only sends, a forwarder sends only
 // after its one receive).
-func bcastRoundsIn(c *Comm, members []int, cl *cell, rootIdx int) []round {
-	parent, children := binomialEdges(c, members, rootIdx)
+func bcastRounds(c *Comm, cl *cell, root int) []round {
+	parent, children := binomialEdges(c, root)
 	var rs []round
 	if parent >= 0 {
 		rs = append(rs, round{recvs: []recvStep{cl.recvFrom(parent)}})
@@ -311,22 +284,18 @@ func doublingRounds(c *Comm, bound func(int) int, acc []byte) (rs []round) {
 	return rs
 }
 
-// reduceRoundsIn compiles the binomial-tree reduction over members toward
-// members[rootIdx]: acc starts as this rank's packed contribution; child
-// contributions are folded in with comb round by round, and a non-zero
-// vrank finishes by sending its partial result to the tree parent.
-// Afterwards the root's acc holds the full reduction.
-func reduceRoundsIn(c *Comm, members []int, acc *cell, comb combiner, rootIdx int) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if me < 0 {
-		return nil
-	}
-	vrank := (me - rootIdx + n) % n
+// reduceRounds compiles the binomial-tree reduction toward root: acc
+// starts as this rank's packed contribution; child contributions are
+// folded in with comb round by round, and a non-zero vrank finishes by
+// sending its partial result to the tree parent. Afterwards the root's
+// acc holds the full reduction.
+func reduceRounds(c *Comm, acc *cell, comb combiner, root int) []round {
+	n := c.Size()
+	vrank := (c.rank - root + n) % n
 	var rs []round
 	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
-			parent := members[(vrank-mask+rootIdx)%n]
+			parent := (vrank - mask + root) % n
 			rs = append(rs, round{sends: []sendStep{{to: parent, data: func() []byte { return acc.b }}}})
 			return rs
 		}
@@ -335,25 +304,20 @@ func reduceRoundsIn(c *Comm, members []int, acc *cell, comb combiner, rootIdx in
 			continue
 		}
 		rs = append(rs, round{recvs: []recvStep{{
-			from: members[(srcV+rootIdx)%n],
+			from: (srcV + root) % n,
 			on:   func(got []byte) error { return comb(got, acc.b) },
 		}}})
 	}
 	return rs
 }
 
-// rdRoundsIn compiles recursive-doubling allreduce over members
-// (power-of-two member counts only): log2 n rounds of pairwise
-// exchange-and-combine on acc.
-func rdRoundsIn(c *Comm, members []int, acc *cell, comb combiner) []round {
-	n := len(members)
-	me := memberIdx(members, c.rank)
-	if me < 0 {
-		return nil
-	}
+// rdRounds compiles recursive-doubling allreduce (power-of-two
+// communicator sizes only): log2 n rounds of pairwise exchange-and-combine
+// on acc.
+func rdRounds(c *Comm, acc *cell, comb combiner) []round {
 	var rs []round
-	for mask := 1; mask < n; mask <<= 1 {
-		partner := members[me^mask]
+	for mask := 1; mask < c.Size(); mask <<= 1 {
+		partner := c.rank ^ mask
 		rs = append(rs, round{
 			// The send snapshots acc at post time, before this round's
 			// combine mutates it.
@@ -403,13 +367,7 @@ func (c *Comm) Ibarrier() (*CollRequest, error) {
 }
 
 func (c *Comm) ibarrier(name string, tag int) (*CollRequest, error) {
-	// On a comm spanning locality groups the two-level barrier crosses
-	// the expensive links twice per leader instead of every dissemination
-	// round (hier.go).
-	if c.collHier() {
-		return cacheable(c.newCollRequestAlg(name, tag, "hier", c.ihbarrierRounds(), nil))
-	}
-	return cacheable(c.newCollRequestAlg(name, tag, "dissemination", barrierRoundsIn(c, c.members()), nil))
+	return cacheable(c.newCollRequestAlg(name, tag, "dissemination", barrierRounds(c), nil))
 }
 
 // Ibcast starts a non-blocking broadcast of count elements of dt from the
@@ -428,11 +386,6 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 	// message per edge (ARCHITECTURE "Why broadcast is a tree").
 	total := count * dt.ByteSize()
 	sized := dt.ByteSize() > 0 && count > 0
-	two := sized && c.collHier()
-	alg := "binomial"
-	if two {
-		alg = "hier"
-	}
 	// The buffer plan. A sized payload lands in a fixed cell every member
 	// sizes alike: the user buffer itself for raw-layout datatypes — the
 	// root sends straight out of it and every other rank receives straight
@@ -474,13 +427,7 @@ func (c *Comm) ibcast(name string, tag int, buf any, off, count int, dt Datatype
 			}
 		}
 	}
-	// The trees compose over the two-level layout: across the effective
-	// group leaders, then inside each group (hier.go). A comm that does
-	// not span locality groups is one group led by the root, and the
-	// first tree is empty.
-	h := c.hierFor(c.schedView(two), root)
-	rounds := append(bcastRoundsIn(c, h.leaders, cl, h.rootG), bcastRoundsIn(c, h.mine, cl, h.ldrInG)...)
-	req, err := c.newCollRequestAlg(name, tag, alg, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", bcastRounds(c, cl, root), finish)
 	if err == nil {
 		// Cacheable: every send reads cl at post time and every receive
 		// refills it; the only build-time state is the root's packed
@@ -563,8 +510,7 @@ func (c *Comm) iscatter(name string, tag int, sbuf any, soff, scount int, sdt Da
 // Iallgather starts a non-blocking allgather: every member's block ends up
 // on every member — MPI_Iallgather. It compiles as Iallgatherv's uniform
 // layout: recursive doubling on a power-of-two communicator, the ring
-// otherwise, the two-level batch on a comm spanning locality groups, and
-// one linear exchange for variable-size blocks.
+// otherwise, and one linear exchange for variable-size blocks.
 func (c *Comm) Iallgather(sbuf any, soff, scount int, sdt Datatype,
 	rbuf any, roff, rcount int, rdt Datatype) (*CollRequest, error) {
 	return c.iallgather("iallgather", c.nextCollTag(), sbuf, soff, scount, sdt, rbuf, roff, rcount, rdt)
@@ -601,19 +547,7 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 			return err
 		}
 	}
-	// Binomial reduce inside each locality group toward its effective
-	// leader, then across the leaders toward the root, so only one partial
-	// per group crosses the expensive links (hier.go). A comm that does
-	// not span groups is one group led by the root: the second phase is
-	// empty and the first is the classic tree.
-	algName := "binomial"
-	two := c.collHier()
-	if two {
-		algName = "hier"
-	}
-	h := c.hierFor(c.schedView(two), root)
-	rounds := append(reduceRoundsIn(c, h.mine, acc, comb, h.ldrInG), reduceRoundsIn(c, h.leaders, acc, comb, h.rootG)...)
-	req, err := c.newCollRequestAlg(name, tag, algName, rounds, finish)
+	req, err := c.newCollRequestAlg(name, tag, "binomial", reduceRounds(c, acc, comb, root), finish)
 	if err == nil {
 		// Cacheable: reset restarts the accumulator from this rank's
 		// freshly packed contribution before child partials fold in.
@@ -628,10 +562,9 @@ func (c *Comm) ireduce(name string, tag int, sbuf any, soff int, rbuf any, roff,
 // bandwidth-optimal family (recursive halving/doubling on a power-of-two
 // communicator, the ring otherwise); below the threshold power-of-two sizes
 // use recursive doubling and others reduce to rank 0 and broadcast (the same
-// choice Allreduce makes from the payload, the communicator size and its
-// locality; see collalg.go). Large vectors walk
-// through the communicator's host area once a blocking Allreduce has set it
-// up (hostarea.go). Until the request completes sbuf must not be written —
+// choice Allreduce makes from the payload and the communicator size; see
+// collalg.go). Large vectors walk through the communicator's host area
+// once a blocking Allreduce has set it up (hostarea.go). Until the request completes sbuf must not be written —
 // the large family lends it to the transport — and rbuf not touched.
 func (c *Comm) Iallreduce(sbuf any, soff int, rbuf any, roff, count int, dt Datatype, op *Op) (*CollRequest, error) {
 	return c.iallreduce("iallreduce", c.nextCollTag(), c.autoAllreduceAlg(count, dt), formNonBlocking, sbuf, soff, rbuf, roff, count, dt, op)
@@ -669,20 +602,14 @@ func (c *Comm) iallreduce(name string, tag int, alg allreduceAlg, form collForm,
 		if size&(size-1) != 0 {
 			return nil, fmt.Errorf("%w: recursive doubling requires power-of-two size, have %d", ErrComm, size)
 		}
-		rounds = rdRoundsIn(c, c.members(), acc, comb)
+		rounds = rdRounds(c, acc, comb)
 		algName = "recursive-doubling"
 	case allreduceTreeBcast:
 		// Reduce to rank 0, then broadcast: the bcast phase reuses acc —
 		// rank 0 enters it holding the full reduction, every other rank's
 		// acc is overwritten by its tree parent before it forwards.
-		rounds = append(reduceRoundsIn(c, c.members(), acc, comb, 0), bcastRoundsIn(c, c.members(), acc, 0)...)
+		rounds = append(reduceRounds(c, acc, comb, 0), bcastRounds(c, acc, 0)...)
 		algName = "reduce-bcast"
-	case allreduceHier:
-		if !c.localityView().multi() {
-			return nil, fmt.Errorf("%w: hierarchical allreduce requires a comm spanning locality groups", ErrComm)
-		}
-		rounds = c.ihallreduceRounds(acc, comb)
-		algName = "hier"
 	default:
 		return nil, fmt.Errorf("%w: unknown allreduce algorithm %d", ErrOther, alg)
 	}

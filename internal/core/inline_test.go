@@ -18,13 +18,13 @@ func TestChanInlineWinLock(t *testing.T) {
 	const np, iters, fences = 4, 200, 200
 	for _, mesh := range winMeshes {
 		t.Run(mesh, func(t *testing.T) {
-			runRanksWin(t, mesh, np, func(w *Comm) error {
+			runRanksWin(t, mesh, np, func(w *Comm) (err error) {
 				buf := make([]int64, 3)
 				win, err := w.WinCreate(buf, 1)
 				if err != nil {
 					return err
 				}
-				defer win.Free()
+				defer freeOnSuccess(win, &err)
 				if w.Rank() != 0 {
 					v := make([]int64, 1)
 					for k := 0; k < iters; k++ {

@@ -167,8 +167,7 @@ func (c *Comm) iscatterv(name string, tag int, sbuf any, soff int, scounts, disp
 // doubling on a power-of-two communicator, the ring otherwise, an empty
 // block moving no message; the members' displs may differ. Variable-size
 // blocks take one linear exchange. Equal non-empty fixed-size blocks are
-// scheduled exactly like Iallgather's wherever they lie, two-level
-// batching on comms spanning locality groups included. Until the request
+// scheduled exactly like Iallgather's wherever they lie. Until the request
 // completes rbuf must not be touched: its blocks are lent to the
 // transport.
 func (c *Comm) Iallgatherv(sbuf any, soff, scount int, sdt Datatype,
@@ -204,10 +203,9 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 	// displacement start. Each member passes its own displs, so e2e shapes
 	// only this rank's buffer plan, never the schedule.
 	at := make([]int, size+1)
-	e2e, equal, start, next := true, true, 0, -1
+	e2e, start, next := true, 0, -1
 	for r, n := range rcounts {
 		at[r+1] = at[r] + n*sz
-		equal = equal && n == rcounts[0]
 		if n > 0 {
 			if next < 0 {
 				start = displs[r]
@@ -217,13 +215,6 @@ func (c *Comm) iallgatherv(name string, tag int, sbuf any, soff, scount int, sdt
 		}
 	}
 	total := at[size]
-	// Equal non-empty blocks — what the fixed-count Allgather passes — a
-	// comm spanning locality groups batches through its group leaders so
-	// each block crosses the expensive links once (hier.go). The counts
-	// decide, which every member agrees on; displs shape only the buffer.
-	if equal && total > 0 && c.collHier() {
-		return c.ihallgather(name, tag, sbuf, soff, scount, sdt, rbuf, roff, rcounts[0], displs, rdt)
-	}
 	// The schedule follows from what every member agrees on, the size and
 	// the blocks' byte lengths: recursive doubling on a power-of-two
 	// communicator, the ring otherwise.
@@ -514,7 +505,7 @@ func (c *Comm) ireduceScatter(name string, tag int, sbuf any, soff int, rbuf any
 	if acc.b, err = packExact(dt, sbuf, soff, total); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	rounds := reduceRoundsIn(c, c.members(), acc, comb, 0)
+	rounds := reduceRounds(c, acc, comb, 0)
 	var finish func() error
 	if c.rank == 0 {
 		var rd round

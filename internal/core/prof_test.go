@@ -244,7 +244,7 @@ func TestProfCountersBcastExact(t *testing.T) {
 					bar := newGoBarrier(np)
 					runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) error {
 						ForceCollAlg(w, fam)
-						_, ch := binomialEdges(w, w.members(), root)
+						_, ch := binomialEdges(w, root)
 						children[w.Rank()] = len(ch)
 						buf := make([]int32, bytes/4)
 						if w.Rank() == root {

@@ -20,16 +20,18 @@ import (
 // np in [2,9], three locality layouts, three payload classes and every
 // forced algorithm family, and what each rank's schedule looks like — the
 // algorithm name and per round the ordered (peer, byte length) of its
-// receives and sends — is compared against testdata/schedshape.golden. The
-// table is the contract for refactors of the round builders: who compiles
-// the rounds may change, the rounds may not. Three properties are checked
-// on every row whatever the golden says: send/receive duality (every send
-// has exactly one receive at its peer, in FIFO order per pair, and where
-// either side states a length up front it is the length that travelled),
-// that the schedule names its algorithm, and lend safety (no round lands a
-// receive in bytes one of its sends lends to the device, see lendCheck).
+// receives and sends — is compared against testdata/schedshape.golden for
+// the flat layout; selection reads no locality, so every other layout must
+// compile exactly the flat layout's cells. The table is the contract for
+// refactors of the round builders: who compiles the rounds may change, the
+// rounds may not. Three properties are checked on every row whatever the
+// golden says: send/receive duality (every send has exactly one receive at
+// its peer, in FIFO order per pair, and where either side states a length
+// up front it is the length that travelled), that the schedule names its
+// algorithm, and lend safety (no round lands a receive in bytes one of its
+// sends lends to the device, see lendCheck).
 //
-// A golden line is "<collective> np=<n> <layout>" followed by one hash per
+// A golden line is "<collective> np=<n> flat" followed by one hash per
 // (payload class, family) cell over the rounds of all ranks, and one hash
 // over the cells' algorithm names. Regenerate with
 //
@@ -325,10 +327,11 @@ var shapeHostSizes = []struct {
 	n    int
 }{{"mid", 512}, {"large", 2048}, {"chunks", 3*hostChunk/4 + 3}}
 
-var shapeFamilies = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing, CollAlgHier}
+var shapeFamilies = []CollAlg{CollAlgAuto, CollAlgClassic, CollAlgRing}
 
 // shapeLayouts are the locality layouts: none, two interleaved groups, and
-// three uneven groups (one a singleton holding the highest rank).
+// three uneven groups (one a singleton holding the highest rank). The flat
+// layout comes first: the others are checked against its cells.
 var shapeLayouts = []struct {
 	name string
 	keys func(np int) []string
@@ -468,6 +471,8 @@ func TestScheduleShape(t *testing.T) {
 
 	ncell := len(shapeSizes) * len(shapeFamilies)
 	for np := 2; np <= 9; np++ {
+		// flatCells[op][cell] is the flat layout's rendered cell.
+		flatCells := make([][]string, len(shapeOps))
 		for _, layout := range shapeLayouts {
 			// shapes[commit][op][cell][rank]
 			var shapes [2][][][]schedShape
@@ -544,6 +549,9 @@ func TestScheduleShape(t *testing.T) {
 
 			for o, op := range shapeOps {
 				key := fmt.Sprintf("%s np=%d %s", op.name, np, layout.name)
+				if layout.name == "flat" {
+					flatCells[o] = make([]string, ncell)
+				}
 				var hashes, algs []string
 				for si, size := range shapeSizes {
 					for fi, fam := range shapeFamilies {
@@ -561,11 +569,21 @@ func TestScheduleShape(t *testing.T) {
 							t.Errorf("%s: first Commit activation compiled %s, the I form %s:\n%s\nvs\n%s", where, palg, alg, ptext, text)
 						}
 						fmt.Fprintf(&dump, "== %s alg=%s\n%s", where, alg, text)
+						if layout.name != "flat" {
+							if want := flatCells[o][cell]; alg+"\n"+text != want {
+								t.Errorf("%s: compiled %s, unlike the flat layout's cell:\n%s\nvs\n%s", where, alg, text, want)
+							}
+							continue
+						}
+						flatCells[o][cell] = alg + "\n" + text
 						if si < shapePinned {
 							hashes = append(hashes, hash32(text))
 							algs = append(algs, alg)
 						}
 					}
+				}
+				if layout.name != "flat" {
+					continue
 				}
 				line := strings.Join(hashes, " ") + " algs=" + hash32(strings.Join(algs, ","))
 				lines = append(lines, key+": "+line)
@@ -858,7 +876,7 @@ func bcastLendVerdict(w *Comm, req *CollRequest, buf []int32, dt Datatype, root 
 	if err := lendCheck(req.rounds, nil); err != nil {
 		return err
 	}
-	parent, children := binomialEdges(w, w.members(), root)
+	parent, children := binomialEdges(w, root)
 	user := vWindow(Int, buf, 0, len(buf))
 	raw := dt == Int
 	sends, lent, fromUser, recvs, intoUser := 0, 0, 0, 0, 0

@@ -185,90 +185,6 @@ func TypedSendrecv[S, R Scalar](c *Comm, sbuf []S, dst, stag int, rbuf []R, src,
 	return rr.Wait()
 }
 
-// ---------------------------------------------------------------------
-// Varying-count (V family) collectives. The typed V surface expresses
-// per-rank layouts as count/displacement int slices over plain []T
-// buffers — the count-slice surface — and derives this rank's own
-// contribution length from its slice, so a block length can never
-// disagree with the buffer that holds it. Offsets are expressed by
-// slicing, as everywhere on the typed facade; displacements index
-// elements of the receive (resp. send) slice. All V engines compile the
-// same per-peer-count schedules the classic surface runs (ivcoll.go):
-// validation up front, sends packing straight into wire frames, and
-// raw-layout blocks landing in place at their displacements.
-// ---------------------------------------------------------------------
-
-// TypedGatherv gathers varying counts to the root — the engine behind
-// mpj.Gatherv: rank r contributes its whole sbuf and the root places
-// rcounts[r] elements at rbuf[displs[r]:]. rcounts/displs are read on the
-// root only; rbuf may be nil elsewhere.
-func TypedGatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int, root int) error {
-	dt := DatatypeFor[T]()
-	return c.Gatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt, root)
-}
-
-// TypedIgatherv starts a non-blocking TypedGatherv.
-func TypedIgatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int, root int) (*CollRequest, error) {
-	dt := DatatypeFor[T]()
-	return c.Igatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt, root)
-}
-
-// TypedScatterv scatters varying counts from the root — the engine behind
-// mpj.Scatterv: rank r receives its whole rbuf, taken from
-// sbuf[displs[r]:][:scounts[r]] on the root. scounts/displs are read on
-// the root only; sbuf may be nil elsewhere.
-func TypedScatterv[T Scalar](c *Comm, sbuf []T, scounts, displs []int, rbuf []T, root int) error {
-	dt := DatatypeFor[T]()
-	return c.Scatterv(sbuf, 0, scounts, displs, dt, rbuf, 0, len(rbuf), dt, root)
-}
-
-// TypedIscatterv starts a non-blocking TypedScatterv.
-func TypedIscatterv[T Scalar](c *Comm, sbuf []T, scounts, displs []int, rbuf []T, root int) (*CollRequest, error) {
-	dt := DatatypeFor[T]()
-	return c.Iscatterv(sbuf, 0, scounts, displs, dt, rbuf, 0, len(rbuf), dt, root)
-}
-
-// TypedAllgatherv gathers varying counts to every member — the engine
-// behind mpj.Allgatherv: every rank contributes its whole sbuf, and rank
-// r's contribution lands at rbuf[displs[r]:][:rcounts[r]] everywhere.
-func TypedAllgatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int) error {
-	dt := DatatypeFor[T]()
-	return c.Allgatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt)
-}
-
-// TypedIallgatherv starts a non-blocking TypedAllgatherv.
-func TypedIallgatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int) (*CollRequest, error) {
-	dt := DatatypeFor[T]()
-	return c.Iallgatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt)
-}
-
-// TypedAlltoallv exchanges varying counts between every pair — the engine
-// behind mpj.Alltoallv: the block for peer r is sbuf[sdispls[r]:][:scounts[r]]
-// and peer r's block lands at rbuf[rdispls[r]:][:rcounts[r]].
-func TypedAlltoallv[T Scalar](c *Comm, sbuf []T, scounts, sdispls []int, rbuf []T, rcounts, rdispls []int) error {
-	dt := DatatypeFor[T]()
-	return c.Alltoallv(sbuf, 0, scounts, sdispls, dt, rbuf, 0, rcounts, rdispls, dt)
-}
-
-// TypedIalltoallv starts a non-blocking TypedAlltoallv.
-func TypedIalltoallv[T Scalar](c *Comm, sbuf []T, scounts, sdispls []int, rbuf []T, rcounts, rdispls []int) (*CollRequest, error) {
-	dt := DatatypeFor[T]()
-	return c.Ialltoallv(sbuf, 0, scounts, sdispls, dt, rbuf, 0, rcounts, rdispls, dt)
-}
-
-// TypedReduceScatter combines every member's sbuf element-wise and
-// scatters the result by rcounts — the engine behind mpj.ReduceScatter:
-// rank r's rbuf receives elements [sum(rcounts[:r]), sum(rcounts[:r+1]))
-// of the combination.
-func TypedReduceScatter[T Scalar](c *Comm, sbuf, rbuf []T, rcounts []int, op *Op) error {
-	return c.ReduceScatter(sbuf, 0, rbuf, 0, rcounts, DatatypeFor[T](), op)
-}
-
-// TypedIreduceScatter starts a non-blocking TypedReduceScatter.
-func TypedIreduceScatter[T Scalar](c *Comm, sbuf, rbuf []T, rcounts []int, op *Op) (*CollRequest, error) {
-	return c.IreduceScatter(sbuf, 0, rbuf, 0, rcounts, DatatypeFor[T](), op)
-}
-
 // TypedSend performs a blocking standard-mode send of the whole slice. A
 // raw-layout slice goes to the device from its own memory with no request
 // outliving the call (see Comm.sendWindow); other element types wait on

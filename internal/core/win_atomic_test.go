@@ -16,13 +16,13 @@ func TestWinFetchAndOpLockEpoch(t *testing.T) {
 	for _, mesh := range winMeshes {
 		mesh := mesh
 		t.Run(mesh, func(t *testing.T) {
-			runRanksWin(t, mesh, np, func(w *Comm) error {
+			runRanksWin(t, mesh, np, func(w *Comm) (err error) {
 				buf := make([]int64, 1)
 				win, err := w.WinCreate(buf, 1)
 				if err != nil {
 					return err
 				}
-				defer win.Free()
+				defer freeOnSuccess(win, &err)
 
 				one := []int64{1}
 				fetched := make([]int64, iters)
@@ -75,14 +75,14 @@ func TestWinCompareAndSwapLockEpoch(t *testing.T) {
 	for _, mesh := range winMeshes {
 		mesh := mesh
 		t.Run(mesh, func(t *testing.T) {
-			runRanksWin(t, mesh, np, func(w *Comm) error {
+			runRanksWin(t, mesh, np, func(w *Comm) (err error) {
 				rank := w.Rank()
 				buf := make([]int64, 1)
 				win, err := w.WinCreate(buf, 1)
 				if err != nil {
 					return err
 				}
-				defer win.Free()
+				defer freeOnSuccess(win, &err)
 
 				claim := []int64{int64(rank) + 1}
 				zero := []int64{0}

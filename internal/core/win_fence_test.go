@@ -165,14 +165,14 @@ func TestWinFenceOrdering(t *testing.T) {
 // watchdog already armed from an earlier epoch.
 func TestWinFenceAllocationGate(t *testing.T) {
 	const allocsPerEpoch = 0.05 // across both ranks
-	runRanksWin(t, "chan", 2, func(w *Comm) error {
+	runRanksWin(t, "chan", 2, func(w *Comm) (err error) {
 		rank := w.Rank()
 		window := make([]byte, 2*4096)
 		win, err := w.WinCreate(window, 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 		var src any = make([]byte, 4096)
 		i := 0
 		epoch := func() {
@@ -209,13 +209,13 @@ func TestWinProfExactTCP(t *testing.T) {
 	const np = 3
 	trs := tcpMesh(t, np)
 	mk := func(i int) (transport.Transport, error) { return trs[i], nil }
-	runRanksCounted(t, np, mk, true, func(w *Comm) error {
+	runRanksCounted(t, np, mk, true, func(w *Comm) (err error) {
 		rank := w.Rank()
 		win, err := w.WinCreate(make([]int64, np), 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 		got := make([]int64, 1)
 		for k, op := range []func() error{
 			func() error { return nil },

@@ -22,13 +22,13 @@ func TestWinRejectsOversizedTransfers(t *testing.T) {
 	// buffer is fine — no 2 GiB allocation happens.
 	const hugeCount = (1 << 28) + 1
 
-	runRanksWin(t, "chan", 2, func(w *Comm) error {
+	runRanksWin(t, "chan", 2, func(w *Comm) (err error) {
 		buf := make([]int64, 4)
 		win, err := w.WinCreate(buf, 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 		if err := win.Fence(); err != nil {
 			return err
 		}

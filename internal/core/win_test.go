@@ -144,14 +144,14 @@ func TestWinPutGetFence(t *testing.T) {
 	for _, mesh := range winMeshes {
 		mesh := mesh
 		t.Run(mesh, func(t *testing.T) {
-			runRanksWin(t, mesh, 4, func(w *Comm) error {
+			runRanksWin(t, mesh, 4, func(w *Comm) (err error) {
 				np, rank := w.Size(), w.Rank()
 				buf := make([]int64, np)
 				win, err := w.WinCreate(buf, 1)
 				if err != nil {
 					return err
 				}
-				defer win.Free()
+				defer freeOnSuccess(win, &err)
 
 				// Epoch 1: rank r writes 100+r into slot r of every window.
 				val := []int64{100 + int64(rank)}
@@ -195,14 +195,14 @@ func TestWinAccumulateFence(t *testing.T) {
 	for _, mesh := range winMeshes {
 		mesh := mesh
 		t.Run(mesh, func(t *testing.T) {
-			runRanksWin(t, mesh, 4, func(w *Comm) error {
+			runRanksWin(t, mesh, 4, func(w *Comm) (err error) {
 				np, rank := w.Size(), w.Rank()
 				buf := make([]int64, 2)
 				win, err := w.WinCreate(buf, 1)
 				if err != nil {
 					return err
 				}
-				defer win.Free()
+				defer freeOnSuccess(win, &err)
 
 				contrib := []int64{int64(rank) + 1}
 				if err := win.Accumulate(contrib, 0, 1, Long, 0, 0, SumOp); err != nil {
@@ -238,14 +238,14 @@ func TestWinLockCounter(t *testing.T) {
 		mesh := mesh
 		t.Run(mesh, func(t *testing.T) {
 			const rounds = 5
-			runRanksWin(t, mesh, 4, func(w *Comm) error {
+			runRanksWin(t, mesh, 4, func(w *Comm) (err error) {
 				np, rank := w.Size(), w.Rank()
 				buf := make([]int64, 1)
 				win, err := w.WinCreate(buf, 1)
 				if err != nil {
 					return err
 				}
-				defer win.Free()
+				defer freeOnSuccess(win, &err)
 
 				one := []int64{1}
 				for k := 0; k < rounds; k++ {
@@ -301,14 +301,14 @@ func runRanksWire(t *testing.T, np int, fn func(w *Comm) error) {
 // TestWinWirePath: Put/Get/Accumulate and lock epochs when every peer is
 // forced onto the RMA frame family.
 func TestWinWirePath(t *testing.T) {
-	runRanksWire(t, 3, func(w *Comm) error {
+	runRanksWire(t, 3, func(w *Comm) (err error) {
 		np, rank := w.Size(), w.Rank()
 		buf := make([]int32, np+1)
 		win, err := w.WinCreate(buf, 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 
 		// Fence epoch: scatter rank marks, accumulate a sum.
 		val := []int32{int32(10 + rank)}
@@ -374,14 +374,14 @@ func TestWinWirePath(t *testing.T) {
 // Accumulate, then a lock epoch — over the real TCP mesh, where every
 // peer (except self) takes the wire protocol.
 func TestWinTCP(t *testing.T) {
-	runRanksTCP(t, 3, func(w *Comm) error {
+	runRanksTCP(t, 3, func(w *Comm) (err error) {
 		np, rank := w.Size(), w.Rank()
 		buf := make([]float64, np+1)
 		win, err := w.WinCreate(buf, 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 
 		val := []float64{float64(rank) + 0.5}
 		for tgt := 0; tgt < np; tgt++ {
@@ -707,14 +707,14 @@ func TestWinRevoked(t *testing.T) {
 // co-located path performs no wire serialization.
 func TestWinProfExact(t *testing.T) {
 	const count = 1024 // int32 → 4096 bytes
-	runRanksProf(t, 2, prof.Spec{Counters: true}, false, func(w *Comm) error {
+	runRanksProf(t, 2, prof.Spec{Counters: true}, false, func(w *Comm) (err error) {
 		rank := w.Rank()
 		buf := make([]int32, count)
 		win, err := w.WinCreate(buf, 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 		if rank == 0 {
 			src := make([]int32, count)
 			for i := range src {
@@ -763,12 +763,12 @@ func TestWinProfExact(t *testing.T) {
 // communicator's collective context's.
 func TestWinParkedFenceChargedToWindow(t *testing.T) {
 	const late = 30 * time.Millisecond
-	runRanksProf(t, 2, prof.Spec{Counters: true}, false, func(w *Comm) error {
+	runRanksProf(t, 2, prof.Spec{Counters: true}, false, func(w *Comm) (err error) {
 		win, err := w.WinCreate(make([]int64, 2), 1)
 		if err != nil {
 			return err
 		}
-		defer win.Free()
+		defer freeOnSuccess(win, &err)
 		if err := w.Barrier(); err != nil {
 			return err
 		}
@@ -861,7 +861,7 @@ func TestWinProperty(t *testing.T) {
 		mesh := mesh
 		t.Run(mesh, func(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
-				runRanksWin(t, mesh, 4, func(w *Comm) error {
+				runRanksWin(t, mesh, 4, func(w *Comm) (err error) {
 					np, rank := w.Size(), w.Rank()
 					slots := np*B + B // put regions + shared accumulate region
 					buf := make([]int64, slots)
@@ -869,7 +869,7 @@ func TestWinProperty(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					defer win.Free()
+					defer freeOnSuccess(win, &err)
 
 					// Every rank derives the same global schedule.
 					rng := rand.New(rand.NewSource(7919 * int64(trial+1)))

@@ -11,7 +11,7 @@ import (
 // right neighbour's two windows — one through TypedPut, one through
 // Win.Put — and checks both against a locally computed shadow, byte for
 // byte, after the fence.
-func putTMatchesPut[T Scalar](w *Comm, dispUnit int, gen func(i int) T) error {
+func putTMatchesPut[T Scalar](w *Comm, dispUnit int, gen func(i int) T) (err error) {
 	const slots = 24
 	np, rank := w.Size(), w.Rank()
 	typed, classic := make([]T, slots), make([]T, slots)
@@ -19,12 +19,12 @@ func putTMatchesPut[T Scalar](w *Comm, dispUnit int, gen func(i int) T) error {
 	if err != nil {
 		return err
 	}
-	defer winT.Free()
+	defer freeOnSuccess(winT, &err)
 	winC, err := w.WinCreate(classic, dispUnit)
 	if err != nil {
 		return err
 	}
-	defer winC.Free()
+	defer freeOnSuccess(winC, &err)
 
 	b := baseFor[T]()
 	shadow := make([]T, slots)

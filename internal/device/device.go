@@ -106,11 +106,6 @@ var (
 	ErrTruncate = errors.New("device: message truncated")
 	// ErrClosed reports use of a closed device.
 	ErrClosed = errors.New("device: closed")
-	// ErrPeerFailure reports that a peer process failed. Kept as a match
-	// target for errors.Is alongside ErrRankFailed: RankFailedError
-	// matches both, so callers written against the original total-failure
-	// model keep working.
-	ErrPeerFailure = errors.New("device: peer failure")
 	// ErrRankFailed reports that a specific peer rank failed; operations
 	// touching that rank complete with a RankFailedError instead of
 	// hanging, and the rest of the device stays usable (ULFM-style
@@ -121,8 +116,8 @@ var (
 // RankFailedError is the typed error completing every operation that
 // touches a failed rank: Rank is the absolute (world) rank of the dead
 // process and Cause the detection-level error (a broken connection, an
-// expired lease, an injected fault). It matches both ErrRankFailed and the
-// legacy ErrPeerFailure sentinel under errors.Is.
+// expired lease, an injected fault). It matches ErrRankFailed under
+// errors.Is.
 type RankFailedError struct {
 	Rank  int
 	Cause error
@@ -139,10 +134,8 @@ func (e *RankFailedError) Error() string {
 // Unwrap exposes the detection-level cause.
 func (e *RankFailedError) Unwrap() error { return e.Cause }
 
-// Is matches the ErrRankFailed and ErrPeerFailure sentinels.
-func (e *RankFailedError) Is(target error) bool {
-	return target == ErrRankFailed || target == ErrPeerFailure
-}
+// Is matches the ErrRankFailed sentinel.
+func (e *RankFailedError) Is(target error) bool { return target == ErrRankFailed }
 
 // FailedRank extracts the world rank carried by a RankFailedError anywhere
 // in err's chain; ok is false when err carries none.
@@ -381,8 +374,7 @@ func (d *Device) Name() string { return string(d.peers.Device) }
 // description carries, or nil when the transport has no locality
 // knowledge (chan and tcp meshes — one flat group); callers must not
 // modify it. Entry i is rank i's key; equal non-empty keys mean
-// co-located ranks. The topology-aware hierarchical collectives group
-// ranks by it.
+// co-located ranks.
 func (d *Device) LocalityTable() []string { return d.peers.Locs }
 
 // Profiler returns the attached instrumentation recorder, or nil when

@@ -665,11 +665,11 @@ func TestPeerFailureCompletesRequests(t *testing.T) {
 	if failedPeer != 1 {
 		t.Errorf("failure handler saw peer %d, want 1", failedPeer)
 	}
-	if _, err := rr.Wait(); !errors.Is(err, ErrPeerFailure) {
-		t.Errorf("pending receive after failure: err=%v, want ErrPeerFailure", err)
+	if _, err := rr.Wait(); !errors.Is(err, ErrRankFailed) {
+		t.Errorf("pending receive after failure: err=%v, want ErrRankFailed", err)
 	}
-	if _, err := d0.Irecv(buf, 1, 0, 0); !errors.Is(err, ErrPeerFailure) {
-		t.Errorf("new receive after failure: err=%v, want ErrPeerFailure", err)
+	if _, err := d0.Irecv(buf, 1, 0, 0); !errors.Is(err, ErrRankFailed) {
+		t.Errorf("new receive after failure: err=%v, want ErrRankFailed", err)
 	}
 }
 

@@ -37,6 +37,7 @@ func registerTestApps() {
 	registerRingApps()
 	registerTuningApps()
 	registerHostApps()
+	registerLocalityApps()
 	Register("sum", func(w *Comm) error {
 		in := []int64{int64(w.Rank() + 1)}
 		out := make([]int64, 1)

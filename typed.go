@@ -205,48 +205,56 @@ func alltoallBlock(c *Comm, n int) (int, error) {
 // MPI_Gatherv. rcounts/displs are read on the root only; rbuf may be nil
 // elsewhere.
 func Gatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int, root int) error {
-	return core.TypedGatherv(c, sbuf, rbuf, rcounts, displs, root)
+	dt := DatatypeOf[T]()
+	return c.Gatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt, root)
 }
 
 // Igatherv starts a non-blocking Gatherv.
 func Igatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int, root int) (*CollRequest, error) {
-	return core.TypedIgatherv(c, sbuf, rbuf, rcounts, displs, root)
+	dt := DatatypeOf[T]()
+	return c.Igatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt, root)
 }
 
 // Scatterv distributes varying counts from the root: rank r's rbuf is
 // filled from sbuf[displs[r]:][:scounts[r]] — the typed MPI_Scatterv.
 // scounts/displs are read on the root only; sbuf may be nil elsewhere.
 func Scatterv[T Scalar](c *Comm, sbuf []T, scounts, displs []int, rbuf []T, root int) error {
-	return core.TypedScatterv(c, sbuf, scounts, displs, rbuf, root)
+	dt := DatatypeOf[T]()
+	return c.Scatterv(sbuf, 0, scounts, displs, dt, rbuf, 0, len(rbuf), dt, root)
 }
 
 // Iscatterv starts a non-blocking Scatterv.
 func Iscatterv[T Scalar](c *Comm, sbuf []T, scounts, displs []int, rbuf []T, root int) (*CollRequest, error) {
-	return core.TypedIscatterv(c, sbuf, scounts, displs, rbuf, root)
+	dt := DatatypeOf[T]()
+	return c.Iscatterv(sbuf, 0, scounts, displs, dt, rbuf, 0, len(rbuf), dt, root)
 }
 
 // Allgatherv gathers varying counts to every member: rank r's whole sbuf
 // lands at rbuf[displs[r]:][:rcounts[r]] on every member — the typed
 // MPI_Allgatherv.
 func Allgatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int) error {
-	return core.TypedAllgatherv(c, sbuf, rbuf, rcounts, displs)
+	dt := DatatypeOf[T]()
+	return c.Allgatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt)
 }
 
 // Iallgatherv starts a non-blocking Allgatherv.
 func Iallgatherv[T Scalar](c *Comm, sbuf, rbuf []T, rcounts, displs []int) (*CollRequest, error) {
-	return core.TypedIallgatherv(c, sbuf, rbuf, rcounts, displs)
+	dt := DatatypeOf[T]()
+	return c.Iallgatherv(sbuf, 0, len(sbuf), dt, rbuf, 0, rcounts, displs, dt)
 }
 
 // Alltoallv exchanges varying counts between every pair of members: the
 // block for peer r is sbuf[sdispls[r]:][:scounts[r]], and peer r's block
 // lands at rbuf[rdispls[r]:][:rcounts[r]] — the typed MPI_Alltoallv.
 func Alltoallv[T Scalar](c *Comm, sbuf []T, scounts, sdispls []int, rbuf []T, rcounts, rdispls []int) error {
-	return core.TypedAlltoallv(c, sbuf, scounts, sdispls, rbuf, rcounts, rdispls)
+	dt := DatatypeOf[T]()
+	return c.Alltoallv(sbuf, 0, scounts, sdispls, dt, rbuf, 0, rcounts, rdispls, dt)
 }
 
 // Ialltoallv starts a non-blocking Alltoallv.
 func Ialltoallv[T Scalar](c *Comm, sbuf []T, scounts, sdispls []int, rbuf []T, rcounts, rdispls []int) (*CollRequest, error) {
-	return core.TypedIalltoallv(c, sbuf, scounts, sdispls, rbuf, rcounts, rdispls)
+	dt := DatatypeOf[T]()
+	return c.Ialltoallv(sbuf, 0, scounts, sdispls, dt, rbuf, 0, rcounts, rdispls, dt)
 }
 
 // ReduceScatter combines every member's sbuf element-wise with op and
@@ -255,12 +263,12 @@ func Ialltoallv[T Scalar](c *Comm, sbuf []T, scounts, sdispls []int, rbuf []T, r
 // MPI_Reduce_scatter. len(sbuf) must equal sum(rcounts) and len(rbuf)
 // must hold rcounts[r] elements.
 func ReduceScatter[T Scalar](c *Comm, sbuf, rbuf []T, rcounts []int, op ReduceOp[T]) error {
-	return core.TypedReduceScatter(c, sbuf, rbuf, rcounts, op.op)
+	return c.ReduceScatter(sbuf, 0, rbuf, 0, rcounts, DatatypeOf[T](), op.op)
 }
 
 // IreduceScatter starts a non-blocking ReduceScatter.
 func IreduceScatter[T Scalar](c *Comm, sbuf, rbuf []T, rcounts []int, op ReduceOp[T]) (*CollRequest, error) {
-	return core.TypedIreduceScatter(c, sbuf, rbuf, rcounts, op.op)
+	return c.IreduceScatter(sbuf, 0, rbuf, 0, rcounts, DatatypeOf[T](), op.op)
 }
 
 // Reduce combines every member's sbuf element-wise with op, leaving the
