@@ -301,12 +301,12 @@ func BenchmarkF1ObjectAPI(b *testing.B) {
 	}
 }
 
-// BenchmarkPPDevices runs the device-level round trip over each
-// selectable device (cmd/mpjbench -exp pingpong prints the same comparison
-// as a table). For co-located ranks, hyb should match chan within noise;
-// tcp shows the loopback-socket tax the hybrid device avoids.
+// BenchmarkPPDevices runs the device-level round trip over each device a
+// job's slaves build (cmd/mpjbench -exp pingpong prints the same
+// comparison as a table): tcp shows the loopback-socket tax that slaves
+// sharing one process avoid.
 func BenchmarkPPDevices(b *testing.B) {
-	for _, name := range []transport.DeviceName{transport.DeviceChan, transport.DeviceHyb, transport.DeviceTCP} {
+	for _, name := range []transport.DeviceName{transport.DeviceChan, transport.DeviceTCP} {
 		name := name
 		for _, size := range benchSizes {
 			b.Run(fmt.Sprintf("dev=%s/size=%d", name, size), func(b *testing.B) {

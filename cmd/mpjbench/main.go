@@ -3,7 +3,7 @@
 //
 //	mpjbench                 # run everything
 //	mpjbench -exp F1         # one experiment (F1 F2 E1 E2 E3 E4 E5 E7 A2 BW PP ICOLL TYPED COLL VCOLL)
-//	mpjbench -exp pingpong   # alias for PP: ping-pong per device (chan/hyb/tcp)
+//	mpjbench -exp pingpong   # alias for PP: ping-pong per device (chan/tcp)
 //	mpjbench -exp icoll      # blocking vs non-blocking collective overlap
 //	mpjbench -exp typed      # typed generics facade vs Datatype facade (writes BENCH_typed.json)
 //	mpjbench -exp coll       # large-message collective algorithms (writes BENCH_coll.json;

@@ -9,9 +9,10 @@
 // the lookup service: by group discovery by default, or restricted to
 // explicit registrars with -registrars.
 //
-// Every slave builds the hybrid transport, which routes each pair of
-// ranks over the fastest medium their placement allows (see README
-// "Devices"); there is no device to choose.
+// Slaves that all share one process build the channel mesh, all others
+// the TCP mesh, which moves each pair of co-host processes' frames over
+// the fastest medium their placement allows (see README "Devices");
+// there is no device to choose.
 //
 // The job's tuning is resolved once, here in the client, and travels in
 // every slave's spec, so all ranks run with the same values whatever

@@ -2,9 +2,11 @@ package mpj
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"mpj/internal/job"
 	"mpj/internal/transport"
 )
 
@@ -37,24 +39,24 @@ func registerDevselApp(name string, check func(transport.Transport) error) {
 	})
 }
 
-// TestDeviceSelection: there is no device to choose. Every slave builds
-// the hybrid transport, which picks each pair's medium from the locality
-// table; in a job of in-process slaves every peer is co-located.
+// TestDeviceSelection: there is no device to choose. Slaves that all run
+// in this process — the slaves of in-process daemons — take the process
+// hub's channel mesh, on which every peer shares the address space.
 func TestDeviceSelection(t *testing.T) {
-	wantHyb := func(tr transport.Transport) error {
-		h, ok := tr.(*transport.HybTransport)
+	wantChan := func(tr transport.Transport) error {
+		c, ok := tr.(*transport.ChanTransport)
 		if !ok {
-			return fmt.Errorf("a slave built %T", tr)
+			return fmt.Errorf("a slave built %T, want *transport.ChanTransport", tr)
 		}
-		for dst := 0; dst < h.Size(); dst++ {
-			if !h.Peers().Local[dst] {
-				return fmt.Errorf("hyb rank %d routes co-located rank %d remotely", h.Rank(), dst)
+		for dst := 0; dst < c.Size(); dst++ {
+			if !c.Peers().Local[dst] {
+				return fmt.Errorf("rank %d does not share its address space with rank %d", c.Rank(), dst)
 			}
 		}
 		return nil
 	}
 	t.Run("default", func(t *testing.T) {
-		registerDevselApp("devsel-default", wantHyb)
+		registerDevselApp("devsel-default", wantChan)
 		reg, _ := testEnv(t, 2, NewFuncSpawner())
 		err := Run(JobConfig{
 			NP:       4,
@@ -66,4 +68,48 @@ func TestDeviceSelection(t *testing.T) {
 			t.Fatalf("job failed: %v", err)
 		}
 	})
+}
+
+// builtByTheRule checks that w's rank built the transport a job's slaves
+// build: the channel mesh when every rank runs in this process, else the
+// TCP mesh, whose locality table names this process as the rank's.
+func builtByTheRule(w *Comm) error {
+	self := transport.ProcessLocality()
+	keys := w.LocalityTable()
+	shared := true
+	for _, k := range keys {
+		shared = shared && k == self
+	}
+	switch w.Device().Transport().(type) {
+	case *transport.ChanTransport:
+		if shared {
+			return nil
+		}
+	case *transport.TCPTransport:
+		if !shared && w.Rank() < len(keys) && keys[w.Rank()] == self {
+			return nil
+		}
+	}
+	return fmt.Errorf("rank %d built %T over the locality table %q", w.Rank(), w.Device().Transport(), keys)
+}
+
+// TestMeshTransportRefusesIncompleteTable: a bootstrap table that does not
+// give every rank a locality key builds no transport, and the error names
+// the first rank without one.
+func TestMeshTransportRefusesIncompleteTable(t *testing.T) {
+	self := transport.ProcessLocality()
+	addrs := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
+	for _, tc := range []struct {
+		locs []string
+		rank string
+	}{
+		{[]string{self, "", self}, "rank 1"},
+		{[]string{self}, "rank 1"},
+		{nil, "rank 0"},
+	} {
+		tr, err := meshTransport(0, 0x7ab1e, job.Table{Addrs: addrs, Locs: tc.locs}, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.rank) {
+			t.Errorf("table %q: built %T, error %v, want an error naming %s", tc.locs, tr, err, tc.rank)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package mpj
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -105,15 +106,14 @@ var epochNow = func() uint64 {
 }
 
 // joinMesh bootstraps this process as spec.Rank into spec's mesh epoch:
-// the Hello/Table exchange against spec.MasterAddr, the hybrid transport
-// over the table (which picks each pair's medium from the locality
-// table), and the device open with the job's tuning. It is the one way
-// into a mesh — first bootstrap, replacement slave and re-joining
-// survivor alike. A non-zero spec.Epoch keys the mesh (transports of a
-// spawn generation must not collide with the original JobID mesh); zero
-// falls back to the JobID. Every phase is bounded by the bootstrap
-// timeout — joinMesh fails rather than hangs when members are missing —
-// and a failure after the table is reported down the bootstrap
+// the Hello/Table exchange against spec.MasterAddr, the transport the
+// table calls for (see meshTransport), and the device open with the job's
+// tuning. It is the one way into a mesh — first bootstrap, replacement
+// slave and re-joining survivor alike. A non-zero spec.Epoch keys the mesh
+// (transports of a spawn generation must not collide with the original
+// JobID mesh); zero falls back to the JobID. Every phase is bounded by the
+// bootstrap timeout — joinMesh fails rather than hangs when members are
+// missing — and a failure after the table is reported down the bootstrap
 // connection (a job master fails the job on it; a spawn master, which
 // only gathers, never reads it).
 func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
@@ -123,18 +123,7 @@ func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
 		return nil, nil, err
 	}
 	defer meshLn.Close() // once the transport is up the mesh is fully connected; no more peers will dial
-	// The table is the one place that knows how many ranks share this
-	// host, so a process slave takes its share of the CPUs here — before
-	// the device starts the goroutines that would run on them, once per
-	// mesh generation. Anything but a SlaveMain process is left alone.
-	device.SizeScheduler(table.Locs, transport.ProcessLocality())
-	tr, err := transport.NewHybTransport(transport.HybConfig{
-		Rank:     spec.Rank,
-		JobID:    epoch,
-		Locs:     table.Locs,
-		Addrs:    table.Addrs,
-		Listener: meshLn,
-	})
+	tr, err := meshTransport(spec.Rank, epoch, table, meshLn)
 	var dev *device.Device
 	if err == nil {
 		dev, err = openDevice(tr, spec.Rank, spec.Tuning)
@@ -145,6 +134,31 @@ func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
 		return nil, nil, err
 	}
 	return dev, sc, nil
+}
+
+// meshTransport builds rank's endpoint of mesh epoch from the bootstrap
+// table: the process hub's channel mesh when every rank runs in this
+// process, else the full TCP mesh over the table's addresses, whose
+// locality keys tell the device which peers are other processes of this
+// host. A table that does not give every rank a key is refused.
+func meshTransport(rank int, epoch uint64, table job.Table, ln net.Listener) (transport.Transport, error) {
+	self := transport.ProcessLocality()
+	shared := true
+	for r := range table.Addrs {
+		if r >= len(table.Locs) || table.Locs[r] == "" {
+			return nil, fmt.Errorf("mpj: the bootstrap table gives rank %d no locality key", r)
+		}
+		shared = shared && table.Locs[r] == self
+	}
+	// The table is the one place that knows how many ranks share this
+	// host, so a process slave takes its share of the CPUs here — before
+	// the device starts the goroutines that would run on them, once per
+	// mesh generation. Anything but a SlaveMain process is left alone.
+	device.SizeScheduler(table.Locs, self)
+	if shared {
+		return transport.JoinHub(epoch, rank, table.Locs)
+	}
+	return transport.NewTCPMesh(rank, epoch, table.Addrs, ln, table.Locs)
 }
 
 // spawnDialTimeout bounds each daemon dial made while launching

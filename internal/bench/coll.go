@@ -12,7 +12,7 @@ import (
 // The COLL experiment: large-message collective algorithms. It sweeps
 // Allreduce payloads from 64 KiB to 4 MiB across communicator sizes
 // (including the non-power-of-two np=5) with the algorithm family forced
-// classic versus ring, on the hyb device. The recorded table
+// classic versus ring, on the chan device. The recorded table
 // (BENCH_coll.json) is the measurement behind the algorithm-selection
 // thresholds in collalg.go, and its speedup ratios are the CI regression
 // baseline: the -quick run re-measures a subset and fails when a speedup
@@ -80,12 +80,12 @@ func schedAlg(req *core.CollRequest) string {
 }
 
 // measureColl times one Allreduce configuration on an np-rank job over the
-// co-located hyb mesh.
+// channel mesh.
 func measureColl(np, bytes int, algName string) (CollBenchRow, error) {
 	row := CollBenchRow{Op: "allreduce", Alg: algName, NP: np, Bytes: bytes}
 	elems := bytes / 8
 	iters := collIters(bytes)
-	err := runJobHyb(np, func(w *core.Comm) error {
+	err := runJob(np, func(w *core.Comm) error {
 		core.ForceCollAlg(w, collAlgFor(algName))
 		in := make([]float64, elems)
 		out := make([]float64, elems)
@@ -140,14 +140,14 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 
 	res := &CollBenchResult{
 		Experiment: "coll",
-		Device:     "hyb",
+		Device:     "chan",
 		Note: "float64 payloads, min of 3 reps. 'bytes' is the payload per rank; MiB/s " +
 			"divides it by ns/op (algorithm bandwidth). classic = recursive doubling or reduce+bcast moving " +
 			"whole payloads per edge; ring = whole-chunk reduce-scatter+allgather. Speedup ratios per " +
 			"(op, np, bytes, alg) are the CI regression baseline for mpjbench -exp coll -quick",
 	}
 	t := &Table{
-		Title:   "COLL: large-message Allreduce algorithms, classic vs ring (hyb device)",
+		Title:   "COLL: large-message Allreduce algorithms, classic vs ring (chan device)",
 		Headers: []string{"op", "np", "bytes", "classic ns/op", "classic MiB/s", "alg", "alg ns/op", "alg MiB/s", "speedup"},
 	}
 	for _, np := range nps {

@@ -10,8 +10,8 @@ import (
 	"mpj/internal/transport"
 )
 
-// benchJobSeq hands out process-unique job ids for benchmark meshes so
-// repeated runs never collide in the hybrid device's process-local hub.
+// benchJobSeq hands out process-unique job ids for benchmark TCP meshes,
+// whose handshake refuses a connection of another job.
 var benchJobSeq atomic.Uint64
 
 func benchJobID() uint64 {
@@ -22,7 +22,6 @@ func benchJobID() uint64 {
 // ready to hand to device.Open:
 //
 //   - chan: the in-process channel mesh;
-//   - hyb: two co-located hybrid endpoints (channel path, via the hub);
 //   - tcp: a real TCP mesh over loopback listeners.
 //
 // cleanup releases resources the transports do not own (TCP listeners) and
@@ -33,21 +32,6 @@ func TransportPair(name transport.DeviceName) (t0, t1 transport.Transport, clean
 	case transport.DeviceChan:
 		eps := transport.NewChanMesh(2)
 		return eps[0], eps[1], cleanup, nil
-
-	case transport.DeviceHyb:
-		jobID := benchJobID()
-		loc := transport.ProcessLocality()
-		locs := []string{loc, loc}
-		h0, err := transport.NewHybTransport(transport.HybConfig{Rank: 0, JobID: jobID, Locs: locs})
-		if err != nil {
-			return nil, nil, cleanup, err
-		}
-		h1, err := transport.NewHybTransport(transport.HybConfig{Rank: 1, JobID: jobID, Locs: locs})
-		if err != nil {
-			h0.Close()
-			return nil, nil, cleanup, err
-		}
-		return h0, h1, cleanup, nil
 
 	case transport.DeviceTCP:
 		jobID := benchJobID()
@@ -93,15 +77,13 @@ func TransportPair(name transport.DeviceName) (t0, t1 transport.Transport, clean
 }
 
 // PPDeviceCompare builds the device-comparison ping-pong table: the same
-// device-level round trip over each selectable device. "chan" and "hyb"
-// for co-located ranks should match within noise — the hybrid router adds
-// only a slice index to the channel path — while "tcp" pays the loopback
-// socket tax even on one machine.
+// device-level round trip over each device a job's slaves build. "tcp"
+// pays the loopback socket tax even on one machine.
 func PPDeviceCompare(sizes []int) (*Table, error) {
-	devices := []transport.DeviceName{transport.DeviceChan, transport.DeviceHyb, transport.DeviceTCP}
+	devices := []transport.DeviceName{transport.DeviceChan, transport.DeviceTCP}
 	t := &Table{
-		Title:   "PP: device-level round trip per device (chan vs hyb co-located vs tcp loopback)",
-		Headers: []string{"size", "chan", "hyb", "tcp"},
+		Title:   "PP: device-level round trip per device (chan vs tcp loopback)",
+		Headers: []string{"size", "chan", "tcp"},
 	}
 	for _, size := range sizes {
 		iters := itersFor(size)

@@ -21,9 +21,9 @@ import (
 // the goroutine budget per rank against the predicted formula.
 func E3ThreadEconomy(nps []int) (*Table, error) {
 	t := &Table{
-		Title: "E3: goroutine economy of the TCP mesh (per rank: np-1 readers, np writers, 1 loopback)",
+		Title: "E3: goroutine economy of the TCP mesh (per rank: np-1 readers, np-1 writers)",
 		Headers: []string{"np", "goroutines before", "after", "delta",
-			"predicted (np ranks x 2np)", "per-rank readers"},
+			"predicted (np ranks x 2(np-1))", "per-rank readers"},
 	}
 	for _, np := range nps {
 		runtime.GC()
@@ -78,9 +78,9 @@ func E3ThreadEconomy(nps []int) (*Table, error) {
 
 		delta := after - before
 		// Per rank: np-1 reader goroutines (one per inbound connection,
-		// the paper's requirement), np writer goroutines (one per peer
-		// queue, incl. loopback).
-		predicted := np * (2*np - 1)
+		// the paper's requirement) and np-1 writer goroutines (one per
+		// peer queue); a frame to the rank itself is handed over inline.
+		predicted := np * 2 * (np - 1)
 		t.Rows = append(t.Rows, Row{
 			fmt.Sprintf("%d", np),
 			fmt.Sprintf("%d", before),

@@ -7,22 +7,7 @@ import (
 	"time"
 
 	"mpj/internal/core"
-	"mpj/internal/transport"
 )
-
-// runJobHyb runs an np-rank in-process job over co-located hybrid
-// endpoints — the device the schedule-engine overlap claims are made on.
-func runJobHyb(np int, fn func(w *core.Comm) error) error {
-	loc := transport.ProcessLocality()
-	locs := make([]string, np)
-	for i := range locs {
-		locs[i] = loc
-	}
-	jobID := benchJobID()
-	return runJobOn(np, func(rank int) (transport.Transport, error) {
-		return transport.NewHybTransport(transport.HybConfig{Rank: rank, JobID: jobID, Locs: locs})
-	}, fn)
-}
 
 // spinSink defeats dead-code elimination in busySpin; atomic because all
 // ranks of an in-process job spin concurrently.
@@ -91,7 +76,7 @@ const overlapReps = 3
 // compute phase).
 func measureOverlap(np, count, iters int, model computeModel) (overlapResult, error) {
 	var res overlapResult
-	err := runJobHyb(np, func(w *core.Comm) error {
+	err := runJob(np, func(w *core.Comm) error {
 		in := make([]float64, count)
 		out := make([]float64, count)
 		for i := range in {
@@ -177,14 +162,14 @@ func measureOverlap(np, count, iters int, model computeModel) (overlapResult, er
 // IcollOverlap generates the schedule-engine overlap table: for each
 // payload size and compute model, the per-iteration cost of
 // compute+Allreduce run blocking versus overlapped with Iallreduce on an
-// np-rank hybrid-device job. The "overlap recovered" column is the share
+// np-rank channel-mesh job. The "overlap recovered" column is the share
 // of the collective cost hidden behind compute:
 // (blocking - nonblocking) / allreduce. The cpu rows need free cores to
 // show recovery (GOMAXPROCS > np); the stall rows show the engine's
 // overlap on any machine.
 func IcollOverlap(np int, counts []int, iters int) (*Table, error) {
 	t := &Table{
-		Title: fmt.Sprintf("ICOLL: compute/communication overlap via Iallreduce (np=%d, hyb device)", np),
+		Title: fmt.Sprintf("ICOLL: compute/communication overlap via Iallreduce (np=%d, chan device)", np),
 		Headers: []string{"doubles", "compute model", "allreduce", "compute",
 			"blocking/iter", "nonblocking/iter", "overlap recovered"},
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // The RMA experiment: one-sided Put/Get/Accumulate against the two-sided
-// Send/Recv baseline on the hyb device, 4 KiB to 4 MiB. Each one-sided
+// Send/Recv baseline on the chan device, 4 KiB to 4 MiB. Each one-sided
 // iteration is one data operation plus the fence that completes it, so
 // the numbers price the full epoch, not just the copy; the baseline is
 // the matching blocking Send/Recv pair. On co-located ranks the data op
@@ -38,14 +38,14 @@ type RmaBenchResult struct {
 	Rows       []RmaBenchRow `json:"rows"`
 }
 
-// measureRma times one operation at one payload size on a 2-rank hyb
+// measureRma times one operation at one payload size on a 2-rank chan
 // job: rank 0 is the origin (and the measuring rank), rank 1 the target.
 func measureRma(op string, bytes int) (RmaBenchRow, error) {
 	row := RmaBenchRow{Op: op, NP: 2, Bytes: bytes}
 	elems := bytes / 8
 	iters := collIters(bytes)
 	const tag = 13
-	err := runJobHyb(2, func(w *core.Comm) error {
+	err := runJob(2, func(w *core.Comm) error {
 		buf := make([]float64, elems)
 		for i := range buf {
 			buf[i] = float64(w.Rank() + i)
@@ -113,8 +113,8 @@ func RmaSweep(quick bool) (*Table, *RmaBenchResult, error) {
 	}
 	res := &RmaBenchResult{
 		Experiment: "rma",
-		Device:     "hyb",
-		Note: "float64 payloads, np=2 co-located hyb ranks, min of 3 reps. One-sided rows price " +
+		Device:     "chan",
+		Note: "float64 payloads, np=2 ranks on the channel mesh, min of 3 reps. One-sided rows price " +
 			"one Put/Get/Accumulate plus the completing Fence (the full epoch); sendrecv is the " +
 			"matching blocking two-sided pair. Co-located data ops are memmoves — only the fence " +
 			"syncs touch the wire — so the large-payload put/sendrecv ratio is the zero-" +
@@ -122,7 +122,7 @@ func RmaSweep(quick bool) (*Table, *RmaBenchResult, error) {
 			"mpjbench -exp rma -quick",
 	}
 	t := &Table{
-		Title:   "RMA: one-sided vs two-sided (hyb device, np=2)",
+		Title:   "RMA: one-sided vs two-sided (chan device, np=2)",
 		Headers: []string{"op", "bytes", "ns/op", "MiB/s", "vs sendrecv"},
 	}
 	baseNs := map[int]float64{}

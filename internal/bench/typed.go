@@ -87,12 +87,12 @@ func runOther(w *core.Comm, iters, reps int, body func() error) error {
 	return nil
 }
 
-// typedPingpong measures a rank0↔rank1 float64 round trip on the hyb
+// typedPingpong measures a rank0↔rank1 float64 round trip on the chan
 // device through one facade.
 func typedPingpong(api string, elems, iters, reps int) (TypedBenchRow, error) {
 	const tag = 9
 	row := TypedBenchRow{Op: "pingpong", API: api, Elems: elems, Bytes: elems * 8}
-	err := runJobHyb(2, func(w *core.Comm) error {
+	err := runJob(2, func(w *core.Comm) error {
 		buf := make([]float64, elems)
 		for i := range buf {
 			buf[i] = float64(i)
@@ -142,7 +142,7 @@ func typedPingpong(api string, elems, iters, reps int) (TypedBenchRow, error) {
 // should land within noise of each other.
 func typedAllreduce(api string, elems, iters, reps int) (TypedBenchRow, error) {
 	row := TypedBenchRow{Op: "allreduce", API: api, Elems: elems, Bytes: elems * 8}
-	err := runJobHyb(4, func(w *core.Comm) error {
+	err := runJob(4, func(w *core.Comm) error {
 		in := make([]float64, elems)
 		out := make([]float64, elems)
 		for i := range in {
@@ -190,14 +190,14 @@ func TypedCompare(quick bool) (*Table, []byte, error) {
 
 	res := TypedBenchResult{
 		Experiment: "typed",
-		Device:     "hyb",
+		Device:     "chan",
 		Note: "float64 payloads; B/op is process-wide allocation per operation across all ranks " +
 			"of the in-process job (min of 3 reps). The typed collective wrappers deliberately share " +
 			"the Datatype facade's schedule path, so the allreduce rows document parity; the pingpong " +
 			"rows exercise the typed facade's distinct boxing-free path",
 	}
 	t := &Table{
-		Title:   "TYPED: typed generics facade vs Datatype facade (hyb device, float64)",
+		Title:   "TYPED: typed generics facade vs Datatype facade (chan device, float64)",
 		Headers: []string{"op", "elems", "bytes", "typed ns/op", "typed B/op", "datatype ns/op", "datatype B/op"},
 	}
 

@@ -13,7 +13,7 @@ import (
 // layout gives rank r's peers blocks proportional to their distance, the
 // shape classic alltoall cannot express) and ReduceScatter with the
 // algorithm family forced classic (reduce-at-root + linear scatter)
-// versus ring (chunked ring reduce-scatter) on the hyb device. The
+// versus ring (chunked ring reduce-scatter) on the chan device. The
 // recorded table (BENCH_vcoll.json) documents the measured win of the
 // ring path and backs the CI smoke: the -quick run re-measures a subset
 // and fails when the classic-vs-ring reduce-scatter speedup falls more
@@ -62,14 +62,14 @@ func vcollLayout(layout string, np, rank, elems int) []int {
 	return counts
 }
 
-// measureAlltoallv times one Alltoallv configuration on an np-rank hyb
+// measureAlltoallv times one Alltoallv configuration on an np-rank chan
 // job. bytes is the per-rank payload (float64 elements split across
 // peers).
 func measureAlltoallv(np, bytes int, layout string) (VcollBenchRow, error) {
 	row := VcollBenchRow{Op: "alltoallv", Layout: layout, Alg: "linear", NP: np, Bytes: bytes}
 	elems := bytes / 8
 	iters := collIters(bytes)
-	err := runJobHyb(np, func(w *core.Comm) error {
+	err := runJob(np, func(w *core.Comm) error {
 		me := w.Rank()
 		scounts := vcollLayout(layout, np, me, elems)
 		// The matrix (r+d) mod np is symmetric, so using row r for both
@@ -119,7 +119,7 @@ func measureReduceScatter(np, bytes int, algName string) (VcollBenchRow, error) 
 	row := VcollBenchRow{Op: "reduce_scatter", Alg: algName, NP: np, Bytes: bytes}
 	elems := bytes / 8
 	iters := collIters(bytes)
-	err := runJobHyb(np, func(w *core.Comm) error {
+	err := runJob(np, func(w *core.Comm) error {
 		core.ForceCollAlg(w, collAlgFor(algName))
 		me := w.Rank()
 		rcounts := make([]int, np)
@@ -167,7 +167,7 @@ func VcollSweep(quick bool) (*Table, *VcollBenchResult, error) {
 	}
 	res := &VcollBenchResult{
 		Experiment: "vcoll",
-		Device:     "hyb",
+		Device:     "chan",
 		Note: "float64 payloads, min of 3 reps; 'bytes' is the per-rank payload (split across " +
 			"peers for alltoallv, the full contributed vector for reduce_scatter). alltoallv is " +
 			"the single-round linear schedule under balanced vs skewed per-peer layouts; " +
@@ -176,7 +176,7 @@ func VcollSweep(quick bool) (*Table, *VcollBenchResult, error) {
 			"regression baseline for mpjbench -exp vcoll -quick",
 	}
 	t := &Table{
-		Title:   "VCOLL: varying-count collectives (hyb device)",
+		Title:   "VCOLL: varying-count collectives (chan device)",
 		Headers: []string{"op", "layout/alg", "np", "bytes", "ns/op", "MiB/s", "speedup"},
 	}
 

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,10 +13,6 @@ import (
 	"mpj/internal/fault"
 	"mpj/internal/transport"
 )
-
-// chaosJobSeq hands out process-unique hybrid-mesh job ids for the chaos
-// scenarios, away from the icoll test range.
-var chaosJobSeq atomic.Uint64
 
 // chaosCase is one fault-injection scenario: np ranks run op, the victim
 // is killed as it reaches its round-th schedule round, and the survivors
@@ -61,8 +57,9 @@ func TestChaosCollectiveKill(t *testing.T) {
 	}
 }
 
-// TestChaosCollectiveKillHyb is the same property over the hybrid mesh,
-// where the kill also exercises the process-hub abort notification path.
+// TestChaosCollectiveKillHyb is the same property over the process hub's
+// channel mesh, which slaves that share one process build, where the kill
+// also exercises the hub's abort notification path.
 func TestChaosCollectiveKillHyb(t *testing.T) {
 	for _, tc := range chaosCases(6) {
 		tc := tc
@@ -101,7 +98,7 @@ var chaosLentCases = []chaosCase{
 }
 
 // TestChaosLentAllreduceKill is the failure contract of lent sends, over
-// real sockets and the hybrid mesh: every survivor gets ErrRankFailed (or
+// real sockets and the hub's channel mesh: every survivor gets ErrRankFailed (or
 // the complete result), and the moment Allreduce returns its buffers are
 // the caller's again — chaosOp overwrites them, so under -race a transport
 // goroutine still reading or filling one is a report.
@@ -131,7 +128,10 @@ func chaosLentKill(t *testing.T, op string) {
 // TestChaosLentAllreduceFree is the same contract for Comm.Free with an
 // Iallreduce outstanding, under both exchange patterns: when Free returns,
 // the buffers of the abandoned schedule — the lent send buffer too — are
-// the caller's.
+// the caller's. Between ranks of one address space a schedule may finish
+// before Free (a handler runs inside its sender's send, so a rendezvous
+// can complete within the start): a request that Test finds done before
+// Free must report success, any other the freed comm.
 func TestChaosLentAllreduceFree(t *testing.T) {
 	chaosLentFree(t, func(c *Comm, in, out []int32) (*CollRequest, error) {
 		return c.iallreduce("iallreduce", c.nextCollTag(), allreduceRing, formNonBlocking, in, 0, out, 0, len(in), Int, SumOp)
@@ -170,9 +170,14 @@ func chaosLentFree(t *testing.T, start func(c *Comm, in, out []int32) (*CollRequ
 					if err != nil {
 						return err
 					}
+					_, early, _ := req.Test()
 					c.Free()
 					scribble(in, out)
-					if _, err := req.Wait(); !errors.Is(err, ErrComm) {
+					_, err = req.Wait()
+					switch {
+					case early && err != nil:
+						return fmt.Errorf("%s done before Free: %v after it", req.name, err)
+					case !early && !errors.Is(err, ErrComm):
 						return fmt.Errorf("%s on a freed comm: %v, want ErrComm", req.name, err)
 					}
 					return w.Barrier()
@@ -210,21 +215,7 @@ func chaosTransports(t *testing.T, mesh string, np int) []transport.Transport {
 		}
 		return trs
 	case "hyb":
-		loc := transport.ProcessLocality()
-		locs := make([]string, np)
-		for i := range locs {
-			locs[i] = loc
-		}
-		jobID := 0xc4a05<<32 | chaosJobSeq.Add(1)
-		trs := make([]transport.Transport, np)
-		for i := range trs {
-			ep, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
-			if err != nil {
-				t.Fatalf("hyb transport rank %d: %v", i, err)
-			}
-			trs[i] = ep
-		}
-		return trs
+		return hubMesh(t, np)
 	default:
 		t.Fatalf("unknown mesh %q", mesh)
 		return nil
@@ -245,7 +236,8 @@ func chaosScenario(t *testing.T, mesh string, tc chaosCase) {
 // there is one; arm, when there is one, runs once every device is bound,
 // before any rank starts. Unlike runRanks it tears down with Abort (a
 // barrier on the world would hang when a member is dead) and leaves judging
-// each rank's outcome to fn.
+// each rank's outcome to fn. A rank whose fn fails aborts its device, so
+// peers waiting for it fail at once instead of wedging the job.
 func chaosJob(t *testing.T, mesh string, np int, dom *fault.Domain, arm func() error, fn func(rank int, w *Comm) error) {
 	trs := chaosTransports(t, mesh, np)
 	devs := make([]*device.Device, np)
@@ -281,7 +273,9 @@ func chaosJob(t *testing.T, mesh string, np int, dom *fault.Domain, arm func() e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = fn(i, worlds[i])
+			if errs[i] = fn(i, worlds[i]); errs[i] != nil {
+				devs[i].Abort()
+			}
 		}()
 	}
 	done := make(chan struct{})
@@ -289,7 +283,8 @@ func chaosJob(t *testing.T, mesh string, np int, dom *fault.Domain, arm func() e
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("job wedged: survivors did not finish within 60s")
+		buf := make([]byte, 1<<20)
+		t.Fatalf("job wedged: survivors did not finish within 60s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 	for _, d := range devs {
 		d.Abort()

@@ -51,7 +51,7 @@ const (
 	// schedules to the large-message ones. Below it the extra per-chunk
 	// messages cost more than the store-and-forward they avoid; the COLL
 	// benchmark sweep puts the crossover between 32 KiB and 128 KiB on
-	// the hyb device.
+	// the chan device.
 	largeCollMin = 64 << 10
 
 	// largeCollMinNP is the smallest communicator where the large-message

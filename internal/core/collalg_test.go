@@ -186,7 +186,7 @@ func tableSweep(w *Comm, forced CollAlg) error {
 // the shape table scales it down (so the large path engages at
 // test-sized payloads), auto and every explicitly forced family still
 // produce byte-identical collective results, across np in {2, 3, 5, 8} on
-// both chan and hyb.
+// the bare channel mesh and the process hub's.
 func TestTableAutoMatchesForced(t *testing.T) {
 	families := []CollAlg{CollAlgClassic, CollAlgRing}
 	for _, np := range []int{2, 3, 5, 8} {
@@ -212,15 +212,9 @@ func TestTableAutoMatchesForced(t *testing.T) {
 		})
 
 		t.Run(fmt.Sprintf("hyb-np%d", np), func(t *testing.T) {
-			loc := transport.ProcessLocality()
-			locs := make([]string, np)
-			for i := range locs {
-				locs[i] = loc
-			}
-			jobID := 0x7ab1<<32 | hierJobSeq.Add(1)
+			eps := hubMesh(t, np)
 			runRanksOn(t, np, func(i int) (transport.Transport, error) {
-				tr, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
-				return laidOut{tr, keys}, err
+				return laidOut{eps[i], keys}, nil
 			}, sweep)
 		})
 	}

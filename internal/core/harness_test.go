@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,39 @@ func runRanksOpt(t *testing.T, np int, opts []device.Option, fn func(w *Comm) er
 	if err := runJob(np, func(i int) (*device.Device, error) { return device.Open(eps[i], opts...) }, fn); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hubJobSeq hands out process-unique job ids for the hub meshes the
+// tests build, so they never collide in the process's hub.
+var hubJobSeq atomic.Uint64
+
+// hubMesh returns np unstarted endpoints of a fresh job on the process
+// hub's channel mesh, every rank keyed by this process's locality: the
+// mesh a job's slaves build when they all share one process. Rows named
+// hyb run over it.
+func hubMesh(t *testing.T, np int) []transport.Transport {
+	t.Helper()
+	locs := make([]string, np)
+	for i := range locs {
+		locs[i] = transport.ProcessLocality()
+	}
+	jobID := 0x1c011<<32 | hubJobSeq.Add(1)
+	eps := make([]transport.Transport, np)
+	for i := range eps {
+		ep, err := transport.JoinHub(jobID, i, locs)
+		if err != nil {
+			t.Fatalf("hub rank %d: %v", i, err)
+		}
+		eps[i] = ep
+	}
+	return eps
+}
+
+// runRanksHyb is runRanks over hubMesh.
+func runRanksHyb(t *testing.T, np int, fn func(w *Comm) error) {
+	t.Helper()
+	eps := hubMesh(t, np)
+	runRanksOn(t, np, func(i int) (transport.Transport, error) { return eps[i], nil }, fn)
 }
 
 // runJob is the body of the harnesses: it runs fn on np ranks, rank i on
@@ -99,7 +133,7 @@ func freeOnSuccess(win *Win, err *error) {
 }
 
 // laidOut is a transport whose description carries a synthetic locality
-// table, as a hyb endpoint's carries the bootstrap's: keys[i] is rank i's
+// table, as a slave's carries the bootstrap's: keys[i] is rank i's
 // key, and ranks with equal keys are one locality group.
 type laidOut struct {
 	transport.Transport

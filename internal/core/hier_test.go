@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"net"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,13 +12,10 @@ import (
 
 // The tests of this file run collectives over two-level (hierarchical)
 // locality layouts: synthetic tables where ranks co-locate in several
-// groups, and a real hybrid mesh whose groups talk over localhost TCP.
+// groups, over the channel mesh and over localhost TCP.
 // Selection reads no locality, so these comms compile the flat schedules
 // (TestScheduleShape pins that cell by cell); here they must deliver the
 // right bits whatever the layout.
-
-// hierJobSeq hands out process-unique hybrid job ids for the layout tests.
-var hierJobSeq atomic.Uint64
 
 // hierLayouts are the synthetic locality tables the correctness sweep runs
 // on: an interleaved pair, an uneven three-group table and a blocked 2x4.
@@ -148,37 +143,18 @@ func TestHierCollectivesChan(t *testing.T) {
 	}
 }
 
-// Real hybrid mesh spanning two locality groups inside one process: the
-// synthetic keys split the ranks so that intra-group traffic rides the
-// channel mesh and inter-group traffic crosses genuine localhost TCP.
+// A table of two locality groups inside one process, which only synthetic
+// keys make, builds the TCP mesh: every pair crosses genuine localhost TCP.
 func TestHierCollectivesHybTCP(t *testing.T) {
-	const np = 4
 	keys := []string{"A", "B", "A", "B"}
-
-	lns := make([]net.Listener, np)
-	addrs := make([]string, np)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		defer ln.Close()
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	jobID := 0x41e6<<32 | hierJobSeq.Add(1)
-
-	runRanksOn(t, np, func(i int) (transport.Transport, error) {
-		return transport.NewHybTransport(transport.HybConfig{
-			Rank: i, JobID: jobID, Locs: keys, Addrs: addrs, Listener: lns[i],
-		})
-	}, func(w *Comm) error {
-		// No synthetic layout here: the view must come from the bootstrap
-		// table in the hyb transport's description.
+	trs := tcpMeshAt(t, len(keys), keys)
+	runRanksOn(t, len(keys), func(i int) (transport.Transport, error) { return trs[i], nil }, func(w *Comm) error {
+		// No synthetic layout here: the view must come from the table in
+		// the TCP endpoint's description.
 		if tab := w.LocalityTable(); fmt.Sprint(tab) != fmt.Sprint(keys) {
-			return expect(false, "hyb device exposed locality table %q, want %q", tab, keys)
+			return expect(false, "tcp device exposed locality table %q, want %q", tab, keys)
 		}
-		return hierSweep(w, "hyb-auto")
+		return hierSweep(w, "tcp-auto")
 	})
 }
 

@@ -5,73 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"mpj/internal/device"
-	"mpj/internal/transport"
 )
-
-// icollJobSeq hands out process-unique hybrid-mesh job ids so the tests in
-// this file never collide in the hybrid device's process-local hub.
-var icollJobSeq atomic.Uint64
-
-// runRanksHyb is runRanks over a co-located hybrid mesh instead of the
-// channel mesh, exercising the hub-routed device under the collectives.
-func runRanksHyb(t *testing.T, np int, fn func(w *Comm) error) {
-	t.Helper()
-	loc := transport.ProcessLocality()
-	locs := make([]string, np)
-	for i := range locs {
-		locs[i] = loc
-	}
-	jobID := 0x1c011<<32 | icollJobSeq.Add(1)
-	eps := make([]transport.Transport, np)
-	for i := range eps {
-		ep, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
-		if err != nil {
-			t.Fatalf("hyb transport rank %d: %v", i, err)
-		}
-		eps[i] = ep
-	}
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	for i := 0; i < np; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d, err := device.Open(eps[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("open device: %w", err)
-				return
-			}
-			defer d.Close()
-			w, err := NewWorld(d)
-			if err != nil {
-				errs[i] = fmt.Errorf("new world: %w", err)
-				return
-			}
-			if err := fn(w); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = w.Barrier()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("job wedged: ranks did not finish within 60s")
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-}
 
 // icollCase is one randomized configuration of the equivalence property.
 type icollCase struct {
@@ -248,8 +184,8 @@ func TestIcollMatchesBlockingProperty(t *testing.T) {
 }
 
 // TestIcollMatchesBlockingHyb runs the same equivalence property over the
-// hybrid device's hub-routed channel path, again randomizing the
-// algorithm family over non-power-of-two sizes.
+// process hub's channel mesh, again randomizing the algorithm family over
+// non-power-of-two sizes.
 func TestIcollMatchesBlockingHyb(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, np := range []int{2, 3, 4, 5} {
@@ -420,8 +356,9 @@ func TestCollAlgGroundTruthProperty(t *testing.T) {
 }
 
 // TestCollAlgGroundTruthHyb is a smaller ground-truth sweep over the
-// hybrid device, pinning the acceptance case: the ring schedules on a
-// 5-rank (non-power-of-two) communicator with large payloads.
+// process hub's channel mesh, pinning the acceptance case: the ring
+// schedules on a 5-rank (non-power-of-two) communicator with large
+// payloads.
 func TestCollAlgGroundTruthHyb(t *testing.T) {
 	for _, alg := range []CollAlg{CollAlgAuto, CollAlgRing} {
 		runRanksHyb(t, 5, func(w *Comm) error {
@@ -1436,8 +1373,8 @@ func TestVcollEquivalenceLarge(t *testing.T) {
 	}
 }
 
-// TestVcollEquivalenceHyb runs the V equivalence property over the hybrid
-// device's hub-routed path, including a forced-ring case.
+// TestVcollEquivalenceHyb runs the V equivalence property over the
+// process hub's channel mesh, including a forced-ring case.
 func TestVcollEquivalenceHyb(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i, np := range []int{2, 3, 5} {

@@ -1,9 +1,9 @@
 package core
 
 // Rows over meshes that hand a frame over in the sender's goroutine (chan,
-// and hyb among co-located ranks): a lock request runs the target's
-// window handler inside the origin's send, and the grant the origin's
-// inside that; an agreement's fan-out nests the deepest. runJob's
+// and hyb, the process hub's channel mesh): a lock request runs the
+// target's window handler inside the origin's send, and the grant the
+// origin's inside that; an agreement's fan-out nests the deepest. runJob's
 // deadline turns a deadlock into a failure.
 
 import (

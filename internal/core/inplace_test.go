@@ -7,8 +7,8 @@ import (
 )
 
 // inPlaceMeshes: the InPlace remap lives above the transport, but run the
-// tests on both in-process meshes to cover the co-located and the
-// process-boundary device paths.
+// tests on both in-process meshes: the bare channel mesh and the process
+// hub's, which slaves that share one process build.
 var inPlaceMeshes = []string{"chan", "hyb"}
 
 // inPlaceFamilies are the forced families the in-place tests run under; the

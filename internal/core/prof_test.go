@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mpj/internal/device"
@@ -15,32 +14,17 @@ import (
 	"mpj/internal/transport"
 )
 
-// profJobSeq hands out process-unique hybrid job ids for the profiling
-// tests, so they never collide in the hybrid device's process-local hub.
-var profJobSeq atomic.Uint64
-
 // runRanksProf is the runRanks harness with a prof.Recorder attached to
-// every rank's device, over the channel mesh or a co-located hybrid mesh.
+// every rank's device, over the channel mesh or, when hyb, the process
+// hub's (hubMesh).
 func runRanksProf(t *testing.T, np int, spec prof.Spec, hyb bool, fn func(w *Comm) error) {
 	t.Helper()
-	eps := make([]transport.Transport, np)
+	var eps []transport.Transport
 	if hyb {
-		loc := transport.ProcessLocality()
-		locs := make([]string, np)
-		for i := range locs {
-			locs[i] = loc
-		}
-		jobID := 0x9f0f<<32 | profJobSeq.Add(1)
-		for i := range eps {
-			ep, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
-			if err != nil {
-				t.Fatalf("hyb transport rank %d: %v", i, err)
-			}
-			eps[i] = ep
-		}
+		eps = hubMesh(t, np)
 	} else {
-		for i, ep := range transport.NewChanMesh(np) {
-			eps[i] = ep
+		for _, ep := range transport.NewChanMesh(np) {
+			eps = append(eps, ep)
 		}
 	}
 	err := runJob(np, func(i int) (*device.Device, error) {

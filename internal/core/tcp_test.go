@@ -15,6 +15,13 @@ import (
 // transport the distributed runtime uses, without the daemon layer.
 func tcpMesh(t *testing.T, np int) []transport.Transport {
 	t.Helper()
+	return tcpMeshAt(t, np, nil)
+}
+
+// tcpMeshAt is tcpMesh over NewTCPMesh with the locality table locs, from
+// which each device finds the co-host processes among its peers.
+func tcpMeshAt(t *testing.T, np int, locs []string) []transport.Transport {
+	t.Helper()
 	lns, addrs := make([]net.Listener, np), make([]string, np)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,7 +39,7 @@ func tcpMesh(t *testing.T, np int) []transport.Transport {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			trs[i], errs[i] = transport.NewTCPTransport(i, 7777, addrs, lns[i])
+			trs[i], errs[i] = transport.NewTCPMesh(i, 7777, addrs, lns[i], locs)
 		}()
 	}
 	wg.Wait()

@@ -8,8 +8,8 @@ package core
 // window without that member posting a receive. Two transport paths move
 // the data:
 //
-//   - co-located peers (same address space: every chan peer, hyb peers in
-//     one process, and always the caller itself) are literal memory copies
+//   - co-located peers (same address space: every chan peer, and always
+//     the caller itself) are literal memory copies
 //     into the target's registered slice, serialized on the target
 //     window's mutex — no wire serialization at all (the prof byte
 //     counters record these as "local" bytes);

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,14 +16,13 @@ import (
 	"mpj/internal/transport"
 )
 
-// winJobSeq hands out process-unique hybrid job ids for the window tests.
-var winJobSeq atomic.Uint64
-
-// runRanksWin runs fn over the requested mesh: "chan" and "hyb" (every peer
-// co-located), "hyb2+2" (two simulated hosts of two ranks: co-located
-// within a pair, TCP across), "tcp" (every peer remote) or "tcp-ring"
-// (every peer another process of this host, trading frames through
-// shared-memory rings).
+// runRanksWin runs fn over the requested mesh: "chan" and "hyb" (the
+// process hub's channel mesh: every peer in this address space), "hyb2+2"
+// (a TCP mesh whose locality table lays out two hosts of two processes, as
+// only synthetic keys do: every pair on a socket, and the pairs within a
+// host pulling each other's payloads), "tcp" (every peer remote) or
+// "tcp-ring" (every peer another process of this host, trading frames
+// through shared-memory rings).
 func runRanksWin(t *testing.T, mesh string, np int, fn func(w *Comm) error) {
 	t.Helper()
 	switch mesh {
@@ -33,55 +30,26 @@ func runRanksWin(t *testing.T, mesh string, np int, fn func(w *Comm) error) {
 		runRanks(t, np, fn)
 	case "tcp":
 		runRanksTCP(t, np, fn)
+	case "hyb":
+		runRanksHyb(t, np, fn)
 	case "hyb2+2":
 		if np != 4 {
 			t.Fatalf("mesh hyb2+2 needs np=4, got %d", np)
 		}
-		locs := []string{"hostA#1", "hostA#1", "hostB#1", "hostB#1"}
-		lns, addrs := make([]net.Listener, np), make([]string, np)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("listen: %v", err)
-			}
-			t.Cleanup(func() { ln.Close() })
-			lns[i], addrs[i] = ln, ln.Addr().String()
-		}
-		jobID := 0x31d0<<32 | winJobSeq.Add(1)
-		runRanksOn(t, np, func(i int) (transport.Transport, error) {
-			return transport.NewHybTransport(transport.HybConfig{
-				Rank: i, JobID: jobID, Locs: locs, Addrs: addrs, Listener: lns[i],
-			})
-		}, fn)
+		a, b := fmt.Sprintf("hostA#%d", os.Getpid()), fmt.Sprintf("hostB#%d", os.Getpid())
+		trs := tcpMeshAt(t, np, []string{a, a, b, b})
+		runRanksOn(t, np, func(i int) (transport.Transport, error) { return trs[i], nil }, fn)
 	case "tcp-ring":
 		runRanksCoHost(t, np, fn)
-	case "hyb":
-		loc := transport.ProcessLocality()
-		locs := make([]string, np)
-		for i := range locs {
-			locs[i] = loc
-		}
-		jobID := 0x31d0<<32 | winJobSeq.Add(1)
-		runRanksOn(t, np, func(i int) (transport.Transport, error) {
-			return transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
-		}, fn)
 	default:
 		t.Fatalf("unknown mesh %q", mesh)
 	}
 }
 
-// coHost is a TCP mesh endpoint whose locality table says that every rank
-// is a process of this host, as the bootstrap table of slave processes on
-// one machine does; the device then trades frames with them through rings
-// (and pulls their rendezvous payloads).
-type coHost struct {
-	*transport.TCPTransport
-	peers transport.Peers
-}
-
-func (c coHost) Peers() transport.Peers { return c.peers }
-
-// runRanksCoHost runs fn over a coHost mesh. The ring gate is the
+// runRanksCoHost runs fn over a TCP mesh whose locality table says that
+// every rank is a process of this host, as the bootstrap table of slave
+// processes on one machine does; the device then trades frames with them
+// through rings (and pulls their rendezvous payloads). The ring gate is the
 // production one — at most a rank per CPU of a process that owns its
 // scheduler — so this process declares that it does, as a slave would.
 // Where the gate opens (no GOMAXPROCS in the environment, a CPU per rank),
@@ -89,14 +57,14 @@ func (c coHost) Peers() transport.Peers { return c.peers }
 func runRanksCoHost(t *testing.T, np int, fn func(w *Comm) error) {
 	t.Helper()
 	device.OwnScheduler()
-	trs := tcpMesh(t, np)
 	locs := make([]string, np)
 	for i := range locs {
 		locs[i] = transport.ProcessLocality()
 	}
+	trs := tcpMeshAt(t, np, locs)
 	gated := os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) >= np
 	runRanksOn(t, np, func(i int) (transport.Transport, error) {
-		return coHost{trs[i].(*transport.TCPTransport), transport.DescribePeers(transport.DeviceTCP, i, locs, nil)}, nil
+		return trs[i], nil
 	}, func(w *Comm) error {
 		if err := fn(w); err != nil {
 			return err
@@ -851,10 +819,10 @@ func mustUserOp() *Op {
 // fence-separated epochs with a random mix of Puts (disjoint per-origin
 // regions), commutative Accumulates and Gets, derived from a seed shared
 // by all ranks, checked against a locally computed shadow of every
-// window. Runs on every layout a fence can see — all co-located (chan,
-// hyb), two hosts of two (hyb2+2: direct and frame announcements mixed in
-// one fence) and all remote (tcp) — and under -race with the standard test
-// invocation.
+// window. Runs on every layout a fence can see — all in one address space
+// (chan, hyb), two hosts of two over sockets (hyb2+2: pulled and wired
+// payloads mixed in one fence) and all remote (tcp) — and under -race with
+// the standard test invocation.
 func TestWinProperty(t *testing.T) {
 	const B = 8 // per-origin put region, in elements
 	for _, mesh := range []string{"chan", "hyb", "hyb2+2", "tcp"} {

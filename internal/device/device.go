@@ -362,17 +362,17 @@ func (d *Device) EagerLimit() int { return d.eagerLimit }
 func (d *Device) Stats() *Stats { return &d.stats }
 
 // Transport exposes the transport this device is bound to; tests and
-// benchmarks use it to observe which device (chan/tcp/hyb) a job selected.
+// benchmarks use it to observe which device (chan/tcp) a job built.
 func (d *Device) Transport() transport.Transport { return d.t }
 
-// Name identifies the transport flavor ("chan", "tcp", "hyb"), as the
+// Name identifies the transport flavor ("chan", "tcp"), as the
 // transport's description names it. It only labels reports, such as the
 // benchmark's device field and test output.
 func (d *Device) Name() string { return string(d.peers.Device) }
 
 // LocalityTable returns the per-rank locality keys the transport's
 // description carries, or nil when the transport has no locality
-// knowledge (chan and tcp meshes — one flat group); callers must not
+// knowledge (a bare chan mesh, NewTCPTransport); callers must not
 // modify it. Entry i is rank i's key; equal non-empty keys mean
 // co-located ranks.
 func (d *Device) LocalityTable() []string { return d.peers.Locs }

@@ -1,9 +1,9 @@
 package device_test
 
 // The device over meshes that hand a frame over in the sender's goroutine
-// (chan, and hyb among co-located ranks): a send runs the destination's
-// handler, and its answer runs the sender's, inside the send. These rows
-// deadlock if the device sends while it holds its lock.
+// (chan, and hyb-local: the hub's channel mesh): a send runs the
+// destination's handler, and its answer runs the sender's, inside the
+// send. These rows deadlock if the device sends while it holds its lock.
 
 import (
 	"bytes"
@@ -87,9 +87,10 @@ func TestChanInlineCrossedRendezvous(t *testing.T) {
 
 // TestChanInlineSelfRendezvous: a rank's blocking rendezvous Send to
 // itself completes with its receive already posted, and a rendezvous sent
-// to itself unmatched lands in the blocking Recv posted after it.
+// to itself unmatched lands in the blocking Recv posted after it. A TCP
+// endpoint hands its own rank's frames over inline too.
 func TestChanInlineSelfRendezvous(t *testing.T) {
-	for _, flavor := range inlineFlavors {
+	for _, flavor := range append(inlineFlavors, "tcp") {
 		t.Run(flavor, func(t *testing.T) {
 			d := openFlavor(t, flavor, 2, nil)[1]
 			inlineRun(t, 1, func(int) error {

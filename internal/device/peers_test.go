@@ -27,8 +27,8 @@ func TestFaultWrapperReports(t *testing.T) {
 	}{
 		{"chan", "chan", false, true, nil, "memory", "memory"},
 		{"chan", "chan", true, false, nil, "wire", "socket"},
-		{"hyb-local", "hyb", false, true, one, "memory", "memory"},
-		{"hyb-local", "hyb", true, false, one, "wire", "socket"},
+		{"hyb-local", "chan", false, true, one, "memory", "memory"},
+		{"hyb-local", "chan", true, false, one, "wire", "socket"},
 		{"tcp-ring", "tcp", false, false, []string{host, host, host}, "stream", "ring"},
 		{"tcp-ring", "tcp", true, false, []string{host, host, host}, "stream", "ring"},
 		{"tcp-pull", "tcp", false, false, []string{host, host, host}, "pull", "socket"},

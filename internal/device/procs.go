@@ -53,9 +53,9 @@ func OwnScheduler() {
 
 // procShare is the rule: this process's share of its host's Ps, by rank
 // count. locs are the bootstrap table's locality keys (host#pid), self
-// this process's own. share 0 means the table cannot tell — it is empty or
-// does not list self (an old master), or some rank did not say where it
-// runs — and the scheduler must be left alone.
+// this process's own. share 0 means the table cannot tell — it does not
+// list self, or a key is not ProcessLocality's — and the scheduler must be
+// left alone.
 func procShare(base int, locs []string, self string) (share, procRanks, hostRanks int) {
 	host := transport.HostOf(self)
 	for _, key := range locs {

@@ -25,16 +25,19 @@ import (
 	"mpj/internal/wire"
 )
 
-// flavors are the meshes every test below runs on: hyb-local rides the
-// channel half of the hybrid device, hyb-remote its TCP half. tcp-pull is a
-// TCP mesh with a locality table that says what is true — every rank is a
-// process on this host, this one — so a rendezvous payload is pulled out of
-// the sender's memory, the test's own (see pull.go); tcp-refused is the same
-// mesh with every pull refused the way a system without ptrace access
-// refuses it, which must be the plain tcp flavor again, byte for byte.
-// tcp-ring is tcp-pull with every frame in a shared-memory ring, polled by
-// the waiting rank (see polls.go); tcp-ring-refused is the same mesh with
-// every ring offer refused, which must be tcp-pull again.
+// flavors are the meshes every test below runs on. hyb-local and
+// hyb-remote are the meshes a job's slaves build from the bootstrap's
+// locality table: the process hub's channel mesh (JoinHub) when every rank
+// runs in this process, and a TCP mesh whose table puts every rank on a
+// host of its own. tcp-pull is a TCP mesh with a locality table that says
+// what is true — every rank is a process on this host, this one — so a
+// rendezvous payload is pulled out of the sender's memory, the test's own
+// (see pull.go); tcp-refused is the same mesh with every pull refused the
+// way a system without ptrace access refuses it, which must be the plain
+// tcp flavor again, byte for byte. tcp-ring is tcp-pull with every frame in
+// a shared-memory ring, polled by the waiting rank (see polls.go);
+// tcp-ring-refused is the same mesh with every ring offer refused, which
+// must be tcp-pull again.
 var flavors = []string{"chan", "tcp", "hyb-local", "hyb-remote", "tcp-pull", "tcp-refused", "tcp-ring", "tcp-ring-refused"}
 
 // overSocket: DATA frames cross a socket.
@@ -72,16 +75,6 @@ func wantMoved(t *testing.T, flavor string, d0, d1 *device.Device, n int64) {
 	}
 }
 
-// located is a TCP mesh endpoint that knows where the ranks run, as a hyb
-// endpoint does: the table is all a device needs to find the co-host
-// processes among its peers.
-type located struct {
-	*transport.TCPTransport
-	peers transport.Peers
-}
-
-func (l located) Peers() transport.Peers { return l.peers }
-
 var rdvJobSeq atomic.Uint64
 
 // openFlavor opens a device on every endpoint of a fresh np-rank mesh.
@@ -93,6 +86,18 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 	switch flavor {
 	case "chan":
 		for i, ep := range transport.NewChanMesh(np) {
+			eps[i] = ep
+		}
+	case "hyb-local":
+		locs := make([]string, np)
+		for i := range locs {
+			locs[i] = "one-process"
+		}
+		for i := range eps {
+			ep, err := transport.JoinHub(jobID, i, locs)
+			if err != nil {
+				t.Fatalf("hyb-local rank %d: %v", i, err)
+			}
 			eps[i] = ep
 		}
 	default:
@@ -108,11 +113,12 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 			switch flavor {
 			case "hyb-remote":
 				locs[i] = fmt.Sprintf("host%d#1", i)
-			case "tcp-pull", "tcp-refused", "tcp-ring", "tcp-ring-refused":
-				locs[i] = transport.ProcessLocality()
 			default:
-				locs[i] = "one-process"
+				locs[i] = transport.ProcessLocality()
 			}
+		}
+		if flavor == "tcp" {
+			locs = nil // a mesh that knows nothing of where ranks run
 		}
 		errs := make([]error, np)
 		var wg sync.WaitGroup
@@ -120,18 +126,7 @@ func openFlavor(t *testing.T, flavor string, np int, wrap func(transport.Transpo
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				switch flavor {
-				case "hyb-local", "hyb-remote":
-					eps[i], errs[i] = transport.NewHybTransport(transport.HybConfig{
-						Rank: i, JobID: jobID, Locs: locs, Addrs: addrs, Listener: lns[i],
-					})
-				case "tcp":
-					eps[i], errs[i] = transport.NewTCPTransport(i, jobID, addrs, lns[i])
-				default:
-					var ep *transport.TCPTransport
-					ep, errs[i] = transport.NewTCPTransport(i, jobID, addrs, lns[i])
-					eps[i] = located{ep, transport.DescribePeers(transport.DeviceTCP, i, locs, nil)}
-				}
+				eps[i], errs[i] = transport.NewTCPMesh(i, jobID, addrs, lns[i], locs)
 			}(i)
 		}
 		wg.Wait()

@@ -21,7 +21,7 @@ import (
 )
 
 // LocalPeer reports whether world rank dst shares this process's address
-// space (chan: every rank; hyb: the co-located ranks, as the transport's
+// space (chan: every rank; tcp: none but itself, as the transport's
 // description says), meaning one-sided operations can move bytes directly
 // instead of through the wire. The device's own rank is always local.
 func (d *Device) LocalPeer(dst int) bool {

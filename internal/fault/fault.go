@@ -239,7 +239,7 @@ func (ep *Endpoint) Size() int { return ep.inner.Size() }
 // collectives see the job as it runs.
 func (ep *Endpoint) Peers() transport.Peers {
 	p := ep.inner.Peers()
-	return transport.DescribePeers(p.Device, ep.inner.Rank(), p.Locs, nil)
+	return transport.DescribePeers(p.Device, ep.inner.Rank(), p.Locs)
 }
 
 // Rings forwards the ring plan to the inner transport, and Poll forwards

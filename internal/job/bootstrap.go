@@ -26,8 +26,9 @@ import (
 // serialization, standing in for RMI).
 type (
 	// Hello is the slave's first message: who it is, where its mesh
-	// listener is, and which process it lives in (its locality key, used
-	// by the hybrid device to route co-located ranks in-process).
+	// listener is, and which process it lives in (its locality key:
+	// slaves that all share one process build the channel mesh, others
+	// the TCP mesh).
 	Hello struct {
 		JobID uint64
 		Rank  int
@@ -36,8 +37,7 @@ type (
 	}
 	// Table is the master's answer once all slaves are in: the full
 	// address book for building the all-to-all mesh plus the locality key
-	// of every rank. Locs may be empty when talking to an old master;
-	// the hybrid device then treats every peer as remote, which is safe.
+	// of every rank.
 	Table struct {
 		Addrs []string
 		Locs  []string

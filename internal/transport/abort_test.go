@@ -130,18 +130,19 @@ func TestChanAbortRacesStarts(t *testing.T) {
 	}
 }
 
-// TestHybAbortReachesLateJoiner: on an all-co-located hybrid job a rank
-// that aborts before its peers have joined the hub is reported to each of
-// them once they start, and to a rank started before the abort once; the
-// hub forgets the job when its last member leaves.
+// TestHybAbortReachesLateJoiner: on a job whose slaves all share this
+// process, and so join the hub's mesh, a rank that aborts before its peers
+// have joined is reported to each of them once they start, and to a rank
+// started before the abort once; the hub forgets the job when its last
+// member leaves.
 func TestHybAbortReachesLateJoiner(t *testing.T) {
 	const jobID = 9006
 	loc := ProcessLocality()
 	locs := []string{loc, loc, loc}
 	log := newAbortLog()
-	open := func(rank int) *HybTransport {
+	open := func(rank int) *ChanTransport {
 		t.Helper()
-		ep, err := NewHybTransport(HybConfig{Rank: rank, JobID: jobID, Locs: locs})
+		ep, err := JoinHub(jobID, rank, locs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,13 +176,13 @@ func TestHybAbortReachesLateJoiner(t *testing.T) {
 	}
 }
 
-// TestHubForgetsUnjoinedOwedRank: a job whose only member aborted and left
-// keeps its report for a co-located rank yet to join, but no longer than
-// the hub's keep when that rank never joins.
+// TestHubForgetsUnjoinedOwedRank: a job whose only member aborted keeps
+// its report for a rank yet to join, but no longer than the hub's keep
+// when that rank never joins.
 func TestHubForgetsUnjoinedOwedRank(t *testing.T) {
 	const jobID = 9008
 	h := &hub{jobs: make(map[uint64]*hubJob), keep: 20 * time.Millisecond}
-	ep, err := h.join(jobID, 2, 0, []bool{true, true})
+	ep, err := h.join(jobID, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,6 @@ func TestHubForgetsUnjoinedOwedRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep.Abort()
-	h.leave(jobID, 0)
 	kept := func() bool {
 		h.mu.Lock()
 		defer h.mu.Unlock()
@@ -209,27 +209,37 @@ func TestHubForgetsUnjoinedOwedRank(t *testing.T) {
 	}
 }
 
-// TestHybAbortSkipsOtherHosts: a rank that shares the hub under another
-// locality key is a TCP peer, whose socket reports its death; the channel
-// mesh's report does not reach it.
+// TestHybAbortSkipsOtherHosts: ranks whose table spans hosts build the TCP
+// mesh even where two of them share a host key, so a peer's death reaches
+// each of them through its socket, never as the channel mesh's report.
 func TestHybAbortSkipsOtherHosts(t *testing.T) {
-	eps, _, errs := buildHybMixed(t, 9007, []string{"hostA#1", "hostA#1", "hostB#1"})
+	eps, _, errs := buildTCPMeshAt(t, 3, []string{"hostA#1", "hostA#1", "hostB#1"})
 	eps[0].Abort()
 	seen := map[int]bool{}
-	for len(seen) < 2 {
-		f := <-errs
+	check := func(f peerFailure) {
 		if f.peer != 0 {
-			continue
-		}
-		if seen[f.rank] {
-			t.Fatalf("rank %d heard of rank 0's death twice", f.rank)
+			return
 		}
 		seen[f.rank] = true
-		switch {
-		case f.rank == 1 && !errors.Is(f.err, ErrPeerAborted):
-			t.Errorf("co-located rank 1 heard %v, want the mesh's report", f.err)
-		case f.rank == 2 && errors.Is(f.err, ErrPeerAborted):
-			t.Errorf("rank 2 on another host heard the channel mesh's report")
+		if errors.Is(f.err, ErrPeerAborted) {
+			t.Errorf("rank %d heard the channel mesh's report of rank 0's death", f.rank)
+		}
+	}
+	deadline := time.After(5 * time.Second)
+	for len(seen) < 2 {
+		select {
+		case f := <-errs:
+			check(f)
+		case <-deadline:
+			t.Fatalf("only ranks %v heard of rank 0's death", seen)
+		}
+	}
+	for {
+		select {
+		case f := <-errs:
+			check(f)
+		case <-time.After(50 * time.Millisecond):
+			return
 		}
 	}
 }

@@ -79,9 +79,12 @@ func (it chanItem) refuse() {
 }
 
 // chanMesh is what the endpoints of one channel mesh share: the endpoints
-// themselves and the abort reports.
+// themselves and the abort reports. onLeave, when set, hears of every
+// endpoint that has shut down, once its abort, if any, is on record (the
+// hub's mesh sets it, see hub.go).
 type chanMesh struct {
-	eps []*ChanTransport
+	eps     []*ChanTransport
+	onLeave func(rank int)
 
 	mu      sync.Mutex
 	started []*ChanTransport // by rank, once Start ran
@@ -130,6 +133,13 @@ func (m *chanMesh) leave(t *ChanTransport) {
 	m.mu.Unlock()
 }
 
+// left tells onLeave that rank's endpoint has shut down.
+func (m *chanMesh) left(rank int) {
+	if m.onLeave != nil {
+		m.onLeave(rank)
+	}
+}
+
 // anyAborted reports whether an endpoint of the mesh has aborted.
 func (m *chanMesh) anyAborted() bool {
 	m.mu.Lock()
@@ -149,11 +159,24 @@ func NewChanMesh(np int) []*ChanTransport {
 		local[i] = true
 	}
 	for i := range mesh.eps {
-		t := &ChanTransport{rank: i, size: np, mesh: mesh, peers: Peers{Device: DeviceChan, Local: local}}
-		t.ended.L = &t.mu
-		mesh.eps[i] = t
+		mesh.endpoint(i, Peers{Device: DeviceChan, Local: local})
 	}
 	return mesh.eps
+}
+
+// newSelfEndpoint returns a mesh's only endpoint, rank of a job of size
+// ranks: a TCP mesh hands the frames its own rank sends itself to it.
+func newSelfEndpoint(rank, size int) *ChanTransport {
+	mesh := &chanMesh{eps: make([]*ChanTransport, size), started: make([]*ChanTransport, size)}
+	return mesh.endpoint(rank, Peers{Device: DeviceTCP})
+}
+
+// endpoint makes m's endpoint of rank.
+func (m *chanMesh) endpoint(rank int, peers Peers) *ChanTransport {
+	t := &ChanTransport{rank: rank, size: len(m.eps), mesh: m, peers: peers}
+	t.ended.L = &t.mu
+	m.eps[rank] = t
+	return t
 }
 
 // Rank returns the endpoint's rank in the mesh.
@@ -316,7 +339,9 @@ func (t *ChanTransport) Unstream(int, uint32, int, []byte, *atomic.Bool) (int, e
 // Close shuts the endpoint down. Every send delivered before it returned,
 // or waits in its destination's backlog: there is nothing to drain.
 func (t *ChanTransport) Close() error {
-	t.shutdown()
+	if t.shutdown() {
+		t.mesh.left(t.rank)
+	}
 	return nil
 }
 
@@ -326,6 +351,7 @@ func (t *ChanTransport) Close() error {
 func (t *ChanTransport) Abort() {
 	if t.shutdown() {
 		t.mesh.abort(t.rank)
+		t.mesh.left(t.rank)
 	}
 }
 

@@ -100,8 +100,10 @@ type dataMesh struct {
 }
 
 // pairMeshes names the two-endpoint mesh flavors the payload path must
-// behave identically on: hyb-local rides the channel half of the hybrid
-// device, hyb-remote its TCP half.
+// behave identically on. hyb-local and hyb-remote are the meshes a job's
+// slaves build from the bootstrap's locality table: the process hub's
+// channel mesh (JoinHub) when both ranks run in this process, and a TCP
+// mesh (NewTCPMesh) whose table puts them on two hosts.
 var pairMeshes = []string{"chan", "tcp", "hyb-local", "hyb-remote"}
 
 func newDataMesh(t *testing.T, flavor string, plan func(src int, h wire.Header) ([]byte, error)) *dataMesh {
@@ -148,13 +150,11 @@ func newDataMesh(t *testing.T, flavor string, plan func(src int, h wire.Header) 
 		both(func(i int) (Transport, error) { return NewTCPTransport(i, jobID, addrs, lns[i]) })
 	case "hyb-local":
 		loc := ProcessLocality()
-		both(func(i int) (Transport, error) {
-			return NewHybTransport(HybConfig{Rank: i, JobID: jobID, Locs: []string{loc, loc}})
-		})
+		both(func(i int) (Transport, error) { return JoinHub(jobID, i, []string{loc, loc}) })
 	case "hyb-remote":
 		lns, addrs := listen()
 		both(func(i int) (Transport, error) {
-			return NewHybTransport(HybConfig{Rank: i, JobID: jobID, Locs: []string{"hostA#1", "hostB#1"}, Addrs: addrs, Listener: lns[i]})
+			return NewTCPMesh(i, jobID, addrs, lns[i], []string{"hostA#1", "hostB#1"})
 		})
 	default:
 		t.Fatalf("no mesh flavor %q", flavor)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,8 +16,9 @@ import (
 var inlineJobSeq atomic.Uint64
 
 // inlineMesh builds an unstarted np-endpoint mesh whose frames between
-// ranks are handed over in the sender's goroutine: a channel mesh, or a
-// hybrid mesh whose ranks all share this process.
+// ranks are handed over in the sender's goroutine: a channel mesh, or
+// (hyb) the process hub's mesh, which a job's slaves join when they all
+// share this process.
 func inlineMesh(t *testing.T, flavor string, np int) []Transport {
 	t.Helper()
 	eps := make([]Transport, np)
@@ -33,7 +35,7 @@ func inlineMesh(t *testing.T, flavor string, np int) []Transport {
 		}
 		jobID := 0x1e11<<32 | inlineJobSeq.Add(1)
 		for i := range eps {
-			ep, err := NewHybTransport(HybConfig{Rank: i, JobID: jobID, Locs: locs})
+			ep, err := JoinHub(jobID, i, locs)
 			if err != nil {
 				t.Fatalf("hyb rank %d: %v", i, err)
 			}
@@ -281,5 +283,113 @@ func TestChanInlineAbortDuringHandOver(t *testing.T) {
 				t.Errorf("the handler ran %d times, want 1: the hand-over went on after Abort", n)
 			}
 		})
+	}
+}
+
+// TestTCPMeshGoroutines: a started TCP endpoint with no ring plan runs a
+// reader and a writer per peer — nothing for its own rank, whose frames
+// are handed over in the sender's goroutine — and Close ends them all.
+func TestTCPMeshGoroutines(t *testing.T) {
+	for _, np := range []int{2, 4} {
+		t.Run(fmt.Sprintf("np%d", np), func(t *testing.T) {
+			var eps []*TCPTransport
+			var lns []net.Listener
+			build := func() {
+				lns, eps = make([]net.Listener, np), make([]*TCPTransport, np)
+				addrs := make([]string, np)
+				for i := range lns {
+					ln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					lns[i], addrs[i] = ln, ln.Addr().String()
+				}
+				errs := make([]error, np)
+				var wg sync.WaitGroup
+				for i := range eps {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						eps[i], errs[i] = NewTCPTransport(i, 0x90<<32|uint64(np), addrs, lns[i])
+					}()
+				}
+				wg.Wait()
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("rank %d: %v", i, err)
+					}
+				}
+				for _, ln := range lns {
+					ln.Close()
+				}
+			}
+			build()
+			before := runtime.NumGoroutine()
+			for i, ep := range eps {
+				ep.SetHandler(func(_ int, f []byte) { wire.PutBuf(f) })
+				if err := ep.Start(); err != nil {
+					t.Fatal(err)
+				}
+				_ = ep.Send(i, mkFrame(i, 0, "self"))
+			}
+			if n, want := runtime.NumGoroutine()-before, 2*(np-1)*np; n != want {
+				t.Errorf("starting %d endpoints added %d goroutines, want %d", np, n, want)
+			}
+			for _, ep := range eps {
+				ep.Close()
+			}
+			// A goroutine that has returned may take a moment to be gone.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine() - before; n != 0 {
+				t.Errorf("closing the endpoints left %d goroutines", n)
+			}
+		})
+	}
+}
+
+// TestTCPSelfInline: a TCP endpoint hands a frame to its own rank under
+// ChanTransport's rules. Frames sent before Start wait, and Start hands
+// them over in order before it returns; after Start the handler has run
+// before Send returns; after Close a self send is refused.
+func TestTCPSelfInline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ep, err := NewTCPTransport(0, 0x5e1f, []string{ln.Addr().String()}, ln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	ep.SetHandler(func(_ int, frame []byte) {
+		var h wire.Header
+		_ = h.Decode(frame)
+		wire.PutBuf(frame)
+		got = append(got, int(h.Seq))
+	})
+	for s := 0; s < 3; s++ {
+		if err := ep.Send(0, mkFrame(0, s, "early")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != 0 {
+		t.Fatalf("the handler ran %d times before Start", len(got))
+	}
+	if err := ep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[0 1 2]" {
+		t.Fatalf("Start handed over %v, want [0 1 2]", got)
+	}
+	if err := ep.Send(0, mkFrame(0, 3, "late")); err != nil || len(got) != 4 {
+		t.Fatalf("Send returned %v with %d frames handled, want nil and 4", err, len(got))
+	}
+	ep.Close()
+	if err := ep.Send(0, mkFrame(0, 4, "closed")); err != ErrClosed || len(got) != 4 {
+		t.Errorf("Send after Close returned %v with %d frames handled, want ErrClosed and 4", err, len(got))
 	}
 }

@@ -24,13 +24,17 @@ var BootstrapTimeout = 30 * time.Second
 // TCPTransport is the distributed Transport: an all-to-all TCP mesh
 // between the OS processes of a job, one reader goroutine per inbound
 // connection (the paper's "input handler threads") and one writer goroutine
-// per peer draining an unbounded send queue.
+// per peer draining an unbounded send queue. A frame to the endpoint's own
+// rank is handed over in the sender's goroutine, under ChanTransport's
+// rules, by a channel endpoint of its own (self).
 type TCPTransport struct {
 	rank   int
 	size   int
 	jobID  uint64
-	conns  []net.Conn // conns[peer]; nil at self index
-	queues []*sendQueue
+	peers  Peers
+	conns  []net.Conn   // conns[peer]; nil at self index
+	queues []*sendQueue // queues[peer]; nil at self index
+	self   *ChanTransport
 
 	handler Handler
 	lander  Lander
@@ -60,34 +64,31 @@ func NewTCPTransport(rank int, jobID uint64, addrs []string, ln net.Listener) (*
 	return NewTCPMesh(rank, jobID, addrs, ln, nil)
 }
 
-// NewTCPMesh is NewTCPTransport with a skip set: no connection is made to
-// (or accepted from) peers with skip[peer] true, and sends to them fail
-// with ErrClosed. The hybrid device uses this to leave co-located ranks —
-// reached over the in-process channel mesh instead — out of the TCP mesh.
-// All ranks of a job must agree on the skip set; it is derived from the
-// job's locality table, which every rank receives identically. A nil skip
-// builds the full mesh.
-func NewTCPMesh(rank int, jobID uint64, addrs []string, ln net.Listener, skip []bool) (*TCPTransport, error) {
+// NewTCPMesh is NewTCPTransport for an endpoint that knows where the ranks
+// run: locs is the job's locality table (see ProcessLocality), which its
+// Peers carry, and from which the device finds the other processes of this
+// host (DescribePeers). A nil locs knows nothing of where ranks run.
+func NewTCPMesh(rank int, jobID uint64, addrs []string, ln net.Listener, locs []string) (*TCPTransport, error) {
 	size := len(addrs)
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("transport: rank %d out of range for %d addrs", rank, size)
 	}
-	skipped := func(peer int) bool { return peer < len(skip) && skip[peer] }
+	if ln == nil && rank < size-1 {
+		return nil, fmt.Errorf("transport: rank %d has higher peers to accept and no listener", rank)
+	}
 	t := &TCPTransport{
 		rank:    rank,
 		size:    size,
 		jobID:   jobID,
+		peers:   DescribePeers(DeviceTCP, rank, locs),
 		conns:   make([]net.Conn, size),
 		queues:  make([]*sendQueue, size),
+		self:    newSelfEndpoint(rank, size),
 		goodbye: make([]bool, size),
 	}
 	for i := range t.queues {
-		t.queues[i] = newSendQueue()
-		if skipped(i) && i != rank {
-			// No connection will exist: fail sends immediately rather
-			// than queueing frames nobody drains. The loopback queue
-			// (i == rank) always stays open.
-			t.queues[i].close()
+		if i != rank {
+			t.queues[i] = newSendQueue()
 		}
 	}
 
@@ -102,9 +103,6 @@ func NewTCPMesh(rank int, jobID uint64, addrs []string, ln net.Listener, skip []
 	go func() {
 		defer wg.Done()
 		for peer := 0; peer < rank; peer++ {
-			if skipped(peer) {
-				continue
-			}
 			conn, err := dialPeer(addrs[peer], rank, jobID, deadline)
 			if err != nil {
 				dialErr = fmt.Errorf("transport: rank %d dialing rank %d at %s: %w", rank, peer, addrs[peer], err)
@@ -114,13 +112,7 @@ func NewTCPMesh(rank int, jobID uint64, addrs []string, ln net.Listener, skip []
 		}
 	}()
 
-	need := 0
-	for peer := rank + 1; peer < size; peer++ {
-		if !skipped(peer) {
-			need++
-		}
-	}
-	for got := 0; got < need; {
+	for got := 0; got < size-1-rank; {
 		type deadliner interface{ SetDeadline(time.Time) error }
 		if d, ok := ln.(deadliner); ok {
 			_ = d.SetDeadline(deadline)
@@ -131,7 +123,7 @@ func NewTCPMesh(rank int, jobID uint64, addrs []string, ln net.Listener, skip []
 			break
 		}
 		peer, err := readHello(conn, jobID)
-		if err != nil || peer <= rank || peer >= size || skipped(peer) || t.conns[peer] != nil {
+		if err != nil || peer <= rank || peer >= size || t.conns[peer] != nil {
 			// Stray, duplicate, or cross-job connection: drop it and
 			// keep accepting. The legitimate peer will still arrive.
 			conn.Close()
@@ -212,27 +204,37 @@ func (t *TCPTransport) closeConns() {
 // Rank returns this endpoint's rank.
 func (t *TCPTransport) Rank() int { return t.rank }
 
-// Peers describes a bare TCP mesh: the device name, and nothing of where
-// the ranks run.
-func (t *TCPTransport) Peers() Peers { return Peers{Device: DeviceTCP} }
+// Peers describes the mesh as NewTCPMesh's locality table does: no rank
+// shares this address space.
+func (t *TCPTransport) Peers() Peers { return t.peers }
 
 // Size returns the number of ranks in the mesh.
 func (t *TCPTransport) Size() int { return t.size }
 
 // SetHandler installs the inbound frame handler.
-func (t *TCPTransport) SetHandler(h Handler) { t.handler = h }
+func (t *TCPTransport) SetHandler(h Handler) {
+	t.handler = h
+	t.self.SetHandler(h)
+}
 
 // SetLander installs the landing hook for inbound KindData payloads.
-func (t *TCPTransport) SetLander(l Lander) { t.lander = l }
+func (t *TCPTransport) SetLander(l Lander) {
+	t.lander = l
+	t.self.SetLander(l)
+}
 
 // SetErrorHandler installs the peer-failure handler.
 func (t *TCPTransport) SetErrorHandler(h ErrorHandler) { t.errh = h }
 
 // Send enqueues frame for delivery to dst — or, when the pair shares a
-// ring, puts it there itself (see sendRing). It never blocks.
+// ring, puts it there itself (see sendRing), or, to this endpoint's own
+// rank, hands it to the handler itself. It never blocks.
 func (t *TCPTransport) Send(dst int, frame []byte) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
+	}
+	if dst == t.rank {
+		return t.self.Send(dst, frame)
 	}
 	if o := t.outRing(dst); o != nil && fits(len(frame)) {
 		return t.sendRing(dst, o, frame)
@@ -243,10 +245,14 @@ func (t *TCPTransport) Send(dst int, frame []byte) error {
 	return nil
 }
 
-// SendData enqueues a by-reference payload for dst. It never blocks.
+// SendData enqueues a by-reference payload for dst, or, to this
+// endpoint's own rank, copies it where the lander says. It never blocks.
 func (t *TCPTransport) SendData(dst int, h wire.Header, payload []byte, done func(error)) error {
 	if dst < 0 || dst >= t.size {
 		return ErrBadRank
+	}
+	if dst == t.rank {
+		return t.self.SendData(dst, h, payload, done)
 	}
 	if !t.queues[dst].push(outItem{data: &outData{hdr: h, payload: payload, done: done}}) {
 		return ErrClosed
@@ -255,7 +261,8 @@ func (t *TCPTransport) SendData(dst int, h wire.Header, payload []byte, done fun
 }
 
 // Start launches one reader goroutine per inbound connection and one
-// writer goroutine per peer.
+// writer goroutine per peer, and hands the frames this endpoint sent
+// itself so far to the handler.
 func (t *TCPTransport) Start() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -268,34 +275,9 @@ func (t *TCPTransport) Start() error {
 	t.started = true
 	t.offerRings()
 
-	for peer := range t.conns {
-		peer := peer
-		if peer == t.rank {
-			// Loopback: the writer delivers straight to the handler (or,
-			// for a SendData item, to the lander).
-			q := t.queues[peer]
-			t.wg.Add(1)
-			go func() {
-				defer t.wg.Done()
-				for {
-					it, ok := q.pop()
-					if !ok {
-						return
-					}
-					if it.data != nil {
-						landLocal(t.lander, t.rank, it.data)
-					} else {
-						t.handler(t.rank, it.frame)
-					}
-					q.delivered()
-				}
-			}()
-			continue
-		}
-		conn := t.conns[peer]
+	for peer, conn := range t.conns {
 		if conn == nil {
-			// Skipped peer (see NewTCPMesh): no connection, no goroutines.
-			continue
+			continue // this endpoint's own rank
 		}
 
 		// Reader: the paper's one input-handler thread per connection.
@@ -323,7 +305,7 @@ func (t *TCPTransport) Start() error {
 			t.writeLoop(peer, conn, t.queues[peer])
 		}()
 	}
-	return nil
+	return t.self.Start()
 }
 
 // readLoop is one connection's input handler: it reads frames header-first
@@ -551,11 +533,12 @@ func isClosedConn(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-// drain blocks until every accepted frame has been written and flushed to
-// its socket (or handed to the loopback handler); Close runs it first.
-func (t *TCPTransport) drain() {
+// eachQueue runs f on every peer's send queue.
+func (t *TCPTransport) eachQueue(f func(q *sendQueue)) {
 	for _, q := range t.queues {
-		q.waitIdle()
+		if q != nil {
+			f(q)
+		}
 	}
 }
 
@@ -571,9 +554,8 @@ func (t *TCPTransport) Abort() {
 	t.closed = true
 	started := t.started
 	t.mu.Unlock()
-	for _, q := range t.queues {
-		q.close()
-	}
+	t.self.Close()
+	t.eachQueue((*sendQueue).close)
 	t.closeConns()
 	if started {
 		t.wg.Wait()
@@ -592,32 +574,28 @@ func (t *TCPTransport) Close() error {
 	if !t.started {
 		t.closed = true
 		t.mu.Unlock()
+		t.self.Close()
 		t.closeConns()
 		return nil
 	}
 	t.mu.Unlock()
 
-	t.drain()
+	t.eachQueue((*sendQueue).waitIdle)
 
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
+	t.self.Close()
 
 	// One goodbye frame per connected peer: the writers release frames to
 	// the pool after writing them, so the frame must not be shared.
-	for peer, q := range t.queues {
-		if peer != t.rank && t.conns[peer] != nil {
-			q.push(outItem{frame: wire.NewFrame(&wire.Header{Kind: wire.KindGoodbye, Src: int32(t.rank)}, nil), ctl: true})
-		}
-	}
-	for _, q := range t.queues {
+	t.eachQueue(func(q *sendQueue) {
+		q.push(outItem{frame: wire.NewFrame(&wire.Header{Kind: wire.KindGoodbye, Src: int32(t.rank)}, nil), ctl: true})
 		q.close()
-	}
+	})
 	// Writers flush the goodbye frames before exiting; give readers their
 	// EOFs by closing the sockets after the queues drain.
-	for _, q := range t.queues {
-		q.waitIdle()
-	}
+	t.eachQueue((*sendQueue).waitIdle)
 	t.closeConns()
 	t.wg.Wait()
 	t.releaseRings()

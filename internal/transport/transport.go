@@ -6,21 +6,19 @@
 // per inbound connection, exactly the structure §3.5(1–2) of the paper
 // prescribes for a select-less socket API.
 //
-// Three implementations are provided behind one interface, labelled by
-// DeviceName (the analogue of MPJ Express's niodev/smpdev/hybdev device
-// family). A job's slaves always build the hybrid one, which picks each
-// pair's medium from the locality table; tests and benchmarks build the
-// other two directly:
+// Two implementations are provided behind one interface, labelled by
+// DeviceName (the analogue of MPJ Express's niodev/smpdev devices). A
+// job's slaves build the channel mesh when they all share one process and
+// the TCP mesh otherwise; the locality table the bootstrap hands out says
+// which (see ProcessLocality):
 //
 //   - ChanTransport ("chan"): an in-process mesh. Every rank of the job
 //     runs as a goroutine in one OS process, and a send calls the
 //     destination's handler — the multicore device, and the hermetic
-//     substrate used by unit tests and benchmarks.
+//     substrate used by unit tests and benchmarks. Slaves that share a
+//     process find their mesh through the process hub (JoinHub).
 //   - TCPTransport ("tcp"): the real thing — an all-to-all TCP mesh
 //     between OS processes, bootstrapped from an address book.
-//   - HybTransport ("hyb"): the hybrid device — frames to ranks co-located
-//     in the same OS process travel over a shared in-process mesh (zero
-//     syscalls), frames to remote ranks over a TCP mesh.
 //
 // Every endpoint describes, once and for good, what it knows of its peers
 // (Peers): the device name, each rank's locality key, which ranks share
@@ -41,8 +39,9 @@
 // goroutine — or, to a peer whose ring is live and while nothing waits in
 // that queue, copies it into the ring itself — and inbound frames are
 // pushed to a Handler from the per-connection reader goroutine, or from a
-// poller. Between ranks of one address space Send runs the destination's
-// Handler itself, so its caller must hold no lock a handler path takes.
+// poller. Between ranks of one address space, and from a TCP endpoint to
+// its own rank, Send runs the destination's Handler itself, so its caller
+// must hold no lock a handler path takes.
 // Because the device-level handler never waits (it completes a posted
 // receive or queues the frame, and answers after releasing its lock),
 // the mesh cannot deadlock on control traffic.
@@ -77,9 +76,9 @@ import (
 // the frame — or a slice aliasing it, such as wire.Payload(frame) — simply
 // never puts it.
 //
-// Handlers are invoked from reader goroutines (one per inbound connection,
-// plus one for TCP's loopback), from a goroutine in Poll, and inside a
-// co-located sender's Send. A handler never waits for a peer's progress,
+// Handlers are invoked from reader goroutines (one per inbound connection),
+// from a goroutine in Poll, and inside a co-located sender's Send (or a TCP
+// endpoint's Send to itself). A handler never waits for a peer's progress,
 // and sends holding no lock of its own: the send may run a handler that
 // answers back into this one.
 type Handler func(src int, frame []byte)
@@ -128,9 +127,6 @@ const (
 	DeviceChan DeviceName = "chan"
 	// DeviceTCP is the all-to-all TCP mesh between OS processes.
 	DeviceTCP DeviceName = "tcp"
-	// DeviceHyb is the hybrid device: channel mesh to co-located ranks,
-	// TCP mesh to remote ranks.
-	DeviceHyb DeviceName = "hyb"
 )
 
 // Peers is what an endpoint knows of the ranks of its job, fixed when the

@@ -261,6 +261,13 @@ type peerFailure struct {
 // returned channel.
 func buildTCPMesh(t *testing.T, np int) ([]*TCPTransport, []*collector, chan peerFailure) {
 	t.Helper()
+	return buildTCPMeshAt(t, np, nil)
+}
+
+// buildTCPMeshAt is buildTCPMesh over NewTCPMesh with the locality table
+// locs.
+func buildTCPMeshAt(t *testing.T, np int, locs []string) ([]*TCPTransport, []*collector, chan peerFailure) {
+	t.Helper()
 	failures := make(chan peerFailure, 64)
 	lns := make([]net.Listener, np)
 	addrs := make([]string, np)
@@ -280,7 +287,7 @@ func buildTCPMesh(t *testing.T, np int) ([]*TCPTransport, []*collector, chan pee
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eps[i], errs[i] = NewTCPTransport(i, 42, addrs, lns[i])
+			eps[i], errs[i] = NewTCPMesh(i, 42, addrs, lns[i], locs)
 		}()
 	}
 	wg.Wait()

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"mpj/internal/transport"
 )
 
 // registerLocalityApps registers the locality-layout applications; called
 // from registerTestApps so slave processes can resolve them too.
 //
 // "locality-distinct" checks that every member has a key of its own,
-// "locality-one" that all members share one key.
+// "locality-one" that all members share one key; both check that the
+// member built the transport its layout calls for.
 func registerLocalityApps() {
 	Register("locality-distinct", func(w *Comm) error {
 		keys, err := localityKeys(w)
@@ -24,7 +27,10 @@ func registerLocalityApps() {
 			}
 			seen[k] = r
 		}
-		return nil
+		if _, ok := w.Device().Transport().(*transport.TCPTransport); !ok {
+			return fmt.Errorf("rank %d of its own process built %T", w.Rank(), w.Device().Transport())
+		}
+		return builtByTheRule(w)
 	})
 	Register("locality-one", func(w *Comm) error {
 		keys, err := localityKeys(w)
@@ -36,7 +42,10 @@ func registerLocalityApps() {
 				return fmt.Errorf("rank %d has locality key %q, rank 0 %q", r, k, keys[0])
 			}
 		}
-		return nil
+		if _, ok := w.Device().Transport().(*transport.ChanTransport); !ok {
+			return fmt.Errorf("rank %d sharing a process built %T", w.Rank(), w.Device().Transport())
+		}
+		return builtByTheRule(w)
 	})
 }
 

@@ -221,7 +221,7 @@ func newFakeMaster(jobID uint64, np int) (*fakeMaster, error) {
 	go func() {
 		conns := make([]net.Conn, 0, np)
 		encs := make([]*gob.Encoder, 0, np)
-		addrs := make([]string, np)
+		addrs, locs := make([]string, np), make([]string, np)
 		for i := 0; i < np; i++ {
 			conn, err := ln.Accept()
 			if err != nil {
@@ -233,12 +233,12 @@ func newFakeMaster(jobID uint64, np int) (*fakeMaster, error) {
 				i--
 				continue
 			}
-			addrs[h.Rank] = h.Addr
+			addrs[h.Rank], locs[h.Rank] = h.Addr, h.Loc
 			conns = append(conns, conn)
 			encs = append(encs, gob.NewEncoder(conn))
 		}
 		for _, e := range encs {
-			_ = e.Encode(job.Table{Addrs: addrs})
+			_ = e.Encode(job.Table{Addrs: addrs, Locs: locs})
 		}
 		// Hold the connections open but never read Done.
 	}()

@@ -12,7 +12,6 @@ import (
 	"mpj/internal/core"
 	"mpj/internal/daemon"
 	"mpj/internal/prof"
-	"mpj/internal/transport"
 )
 
 // jobTuning is the tuning TestJobTuningReachesEverySlave gives its jobs:
@@ -26,7 +25,8 @@ var jobTuning = core.Tuning{
 
 func registerTuningApps() {
 	// tuning-check: every rank checks each value of jobTuning where it
-	// takes effect, and that it runs over the hybrid transport.
+	// takes effect, and that it runs over the transport its layout calls
+	// for.
 	Register("tuning-check", checkJobTuning)
 	// tuning-spawn: rank 1 dies, the survivors spawn its replacement, and
 	// every member of the rebuilt world checks its tuning.
@@ -62,8 +62,8 @@ func registerTuningApps() {
 // the rank's /debug/vars status reports it (the epoch deadline has no other
 // window from outside core), with the co-host rendezvous counts beside it.
 func checkJobTuning(w *Comm) error {
-	if tr, ok := w.Device().Transport().(*transport.HybTransport); !ok {
-		return fmt.Errorf("rank %d built %T, want *transport.HybTransport", w.Rank(), tr)
+	if err := builtByTheRule(w); err != nil {
+		return err
 	}
 	if got := w.Device().EagerLimit(); got != jobTuning.EagerLimit {
 		return fmt.Errorf("rank %d: eager limit %d, want %d", w.Rank(), got, jobTuning.EagerLimit)

@@ -15,14 +15,15 @@ import (
 	"mpj/internal/transport"
 )
 
-// typedJobSeq hands out process-unique job ids for the in-process hybrid
-// meshes these tests build, so repeated runs never collide in the hybrid
-// device's process-local hub.
+// typedJobSeq hands out process-unique job ids for the hub meshes these
+// tests build, so repeated runs never collide in the process's hub.
 var typedJobSeq atomic.Uint64
 
 // runWorlds executes fn concurrently on np ranks connected by an
-// in-process mesh of the named device (chan or hyb), mirroring the
-// distributed runtime. It fails the test if any rank errors or wedges.
+// in-process mesh, mirroring the distributed runtime: dev chan is a bare
+// channel mesh, hyb the process hub's, which a job's slaves build when
+// they all share one process. It fails the test if any rank errors or
+// wedges.
 func runWorlds(t *testing.T, np int, dev string, fn func(w *Comm) error) {
 	t.Helper()
 	runWorldsWithin(t, np, dev, 120*time.Second, fn)
@@ -46,7 +47,7 @@ func runWorldsWithin(t *testing.T, np int, dev string, limit time.Duration, fn f
 		}
 		jobID := 0x7e57<<48 | typedJobSeq.Add(1)
 		for i := range eps {
-			h, err := transport.NewHybTransport(transport.HybConfig{Rank: i, JobID: jobID, Locs: locs})
+			h, err := transport.JoinHub(jobID, i, locs)
 			if err != nil {
 				t.Fatalf("hyb endpoint %d: %v", i, err)
 			}
