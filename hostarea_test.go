@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mpj/internal/daemon"
+	"mpj/internal/device"
 )
 
 // registerHostApps registers the host-area applications; called from
@@ -17,6 +18,8 @@ func registerHostApps() {
 	Register("drive-host-allreduce", driveHostAllreduceApp)
 	Register("drive-host-iallreduce-probe", driveHostIallreduceApp(false))
 	Register("drive-host-iallreduce-fence", driveHostIallreduceApp(true))
+	Register("host-waits-forced", hostWaitsApp(true))
+	Register("host-waits", hostWaitsApp(false))
 }
 
 // hostVector is rank's 1 MiB of random non-integer float64.
@@ -217,6 +220,117 @@ func TestHostAreaProcessSlaves(t *testing.T) {
 		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
 			reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
 			cfg := JobConfig{NP: np, App: "host-allreduce", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Prof: "counters"}
+			if err := runJobWithin(cfg, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// hostWaitsApp runs 1 MiB float64 Allreduces through the world's host area
+// on process slaves with counters on, and checks how their waits at the
+// area's barriers ended. forced turns the yield-poll on whatever the host
+// (Device.ForceYieldPoll): every operation returns the bits Iallreduce's
+// message schedule returned before the area was set up, and each of its
+// waits either the yield-poll ended or went on to the helper's futex sleep.
+// Otherwise, where the rule does not hold — a CPU per rank, or GOMAXPROCS
+// in the environment — not one wait yield-polls. The /debug/vars status
+// serves the same counts.
+func hostWaitsApp(forced bool) App {
+	return func(w *Comm) error {
+		const ops = 6
+		rank := w.Rank()
+		if forced {
+			w.Device().ForceYieldPoll()
+		}
+		counts := func() (waits, yielded, slept int64) {
+			s := w.Device().Profiler().Snapshot()
+			return s.HostWaits, s.HostYielded, s.HostSlept
+		}
+		in := hostVector(rank)
+		want, got := make([]float64, len(in)), make([]float64, len(in))
+		req, err := Iallreduce(w, in, want, Sum[float64]())
+		if err != nil {
+			return err
+		}
+		if _, err := req.Wait(); err != nil {
+			return err
+		}
+		if err := Allreduce(w, in, got, Sum[float64]()); err != nil { // sets the area up
+			return err
+		}
+		for op := 0; op < ops; op++ {
+			w0, y0, s0 := counts()
+			if err := Allreduce(w, in, got, Sum[float64]()); err != nil {
+				return err
+			}
+			w1, y1, s1 := counts()
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					return fmt.Errorf("rank %d op %d: element %d is %v, Iallreduce's %v", rank, op, i, got[i], want[i])
+				}
+			}
+			if forced && w1-w0 != (y1-y0)+(s1-s0) {
+				return fmt.Errorf("rank %d op %d: %d waits, %d yielded, %d slept", rank, op, w1-w0, y1-y0, s1-s0)
+			}
+		}
+		waits, yielded, slept := counts()
+		st, _ := w.Device().Profiler().Status().(map[string]any)
+		area, _ := st["hostArea"].(map[string]int64)
+		sched := device.Scheduler()
+		fmt.Printf("rank %d: %d waits, %d yielded, %d slept; scheduler %+v\n", rank, waits, yielded, slept, sched)
+		if area["waits"] != waits || area["yielded"] != yielded || area["slept"] != slept {
+			return fmt.Errorf("rank %d: status hostArea %v, counters %d waits, %d yielded, %d slept", rank, area, waits, yielded, slept)
+		}
+		if ops := w.ProfSnapshot().HostOps; ops != 7 {
+			return fmt.Errorf("rank %d: %d host operations, want 7", rank, ops)
+		}
+		switch {
+		case forced:
+			return nil
+		case sched.BaseProcs > 0 && sched.HostRanks > sched.BaseProcs:
+			return nil // an oversubscribed host: the rule holds, nothing to assert
+		case yielded != 0:
+			return fmt.Errorf("rank %d: %d waits yield-polled where the rule does not hold", rank, yielded)
+		}
+		return nil
+	}
+}
+
+// TestHostAreaYieldProcessSlaves runs hostWaitsApp with the yield-poll
+// forced on four process slaves of this host.
+func TestHostAreaYieldProcessSlaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+	cfg := JobConfig{NP: 4, App: "host-waits-forced", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Prof: "counters"}
+	if err := runJobWithin(cfg, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostAreaNoYieldProcessSlaves runs hostWaitsApp where the rule does
+// not hold, with pp4k_tcp's and pp1m_tcp's layout — two slaves, a CPU per
+// rank, the rings' gate open — and with GOMAXPROCS in the slaves'
+// environment (hands off): no wait yield-polls.
+func TestHostAreaNoYieldProcessSlaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	for _, row := range []struct {
+		name string
+		np   int
+		env  string
+	}{
+		{"gate-open/np=2", 2, ""},
+		{"hands-off/np=4", 4, "2"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			// Slaves inherit the launcher's environment.
+			t.Setenv("GOMAXPROCS", row.env)
+			reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+			cfg := JobConfig{NP: row.np, App: "host-waits", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second, Prof: "counters"}
 			if err := runJobWithin(cfg, time.Minute); err != nil {
 				t.Fatal(err)
 			}

@@ -69,6 +69,11 @@ type procState struct {
 	// when it returns an error: the seam through which tests run the host
 	// path on goroutine ranks (see hostarea.go). Nil outside tests.
 	hostFault func(rank int) error
+
+	// hostWaits counts the host areas whose walk waits at a barrier (see
+	// hostArea.setWaiting), so the device's look costs one atomic load
+	// while none does.
+	hostWaits atomic.Int64
 }
 
 // Comm is an intra-communicator: a group of processes plus a private

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mpj/internal/device"
 	"mpj/internal/transport"
 	"mpj/internal/wire"
 )
@@ -26,7 +27,8 @@ import (
 // slot, in the order the message schedule (iallreduceRing) combines it,
 // copy it out and arrive again. A round whose barrier has not passed parks
 // its waiter in parkUntil like any round in flight, and the area's helper
-// goroutine wakes it. CommitAllreduce never walks: the Starts of distinct
+// goroutine wakes it; on an oversubscribed host the waiter yield-polls the
+// area first (see device/polls.go). CommitAllreduce never walks: the Starts of distinct
 // persistent requests may come in different orders on different members,
 // which a barrier count cannot tell apart; tags keep message rounds apart.
 // Any member may write anything into the file: a count
@@ -62,7 +64,8 @@ type hostArea struct {
 	ask    chan uint64   // to the helper: the count a waiter saw; closed by the release
 	done   chan struct{} // closed by the helper as it ends
 
-	// A walk waits for the count to move from seen (see hostMoved).
+	// A walk waits for the count to move from seen (see hostMoved); set
+	// through setWaiting, which keeps the process's count of waiting areas.
 	waiting atomic.Bool
 	seen    atomic.Uint64
 
@@ -159,7 +162,7 @@ func (c *Comm) hostSetUp() (*hostArea, error) {
 	if mem != nil {
 		mem.CloseFd()
 		a = newHostArea(mem, np, me)
-		c.dev.SetLook(c.proc.hostMoved)
+		c.dev.SetLook(device.Look{Moved: c.proc.hostMoved, Waiting: c.proc.hostWaiting})
 		go c.hostHelper(a)
 	}
 	c.hostMu.Lock()
@@ -187,6 +190,7 @@ func (c *Comm) hostRelease() {
 	}
 	a.mem.Wake(hostOffGen) // a helper asleep gives hostMu back
 	c.hostMu.Lock()
+	a.setWaiting(c.proc, false) // no walk's step runs now, and none will wait
 	c.host = nil
 	c.hostWhy = "released"
 	close(a.ask) // its senders hold hostMu's read side
@@ -338,7 +342,7 @@ func (w *hostWalk) run(n int) (bool, error) {
 	}
 	done, seen, err := a.look(w.v, w.target)
 	a.seen.Store(seen)
-	a.waiting.Store(!done && err == nil)
+	a.setWaiting(c.proc, !done && err == nil)
 	if last := 2*w.chunks - 1; done && err == nil && n == last {
 		// The walk is over: copy the last chunk out, count it and hand the
 		// area to the next ticket, waking a walk parked on its turn.
@@ -367,7 +371,7 @@ func (w *hostWalk) copyOut(i int) {
 // members at different barriers, or its ticket unserved. Walks parked on
 // their turn are woken to find out.
 func (w *hostWalk) abandon(err error) {
-	w.a.waiting.Store(false)
+	w.a.setWaiting(w.c.proc, false)
 	w.a.mu.Lock()
 	if w.a.err == nil {
 		w.a.err = err
@@ -469,11 +473,32 @@ func hostCorrupt(w, base, np uint64) error {
 	return fmt.Errorf("%w: host area: arrival count %d outside barrier [%d, %d]", wire.ErrFrame, w, base+1, base+np)
 }
 
+// setWaiting records whether a walk of the area waits at its barrier, and
+// keeps p's count of waiting areas with it.
+func (a *hostArea) setWaiting(p *procState, on bool) {
+	if a.waiting.Swap(on) == on {
+		return
+	}
+	if on {
+		p.hostWaits.Add(1)
+	} else {
+		p.hostWaits.Add(-1)
+	}
+}
+
+// hostWaiting reports whether a walk of one of the process's areas waits
+// at its barrier: the look's Waiting (Device.SetLook), one atomic load.
+func (p *procState) hostWaiting() bool { return p.hostWaits.Load() != 0 }
+
 // hostMoved is the process's look for its device's waits (Device.SetLook),
 // installed with its first host area: whether the count an area's waiting
-// walk saw has moved. A waiter that spins calls it between polls; one about
-// to park asks the areas' helpers to wake it once their counts move.
+// walk saw has moved. A waiter that spins or yield-polls calls it between
+// polls; one about to park asks the areas' helpers to wake it once their
+// counts move. While no walk waits it costs one atomic load.
 func (p *procState) hostMoved(park bool) bool {
+	if !p.hostWaiting() {
+		return false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	moved := false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -430,7 +431,15 @@ func TestHostAreaRefused(t *testing.T) {
 // chunk's first barrier has passed, as its fold round posts — makes every
 // survivor's Allreduce return a RankFailedError naming it within
 // hostFailDeadline.
-func TestHostAreaMemberKilled(t *testing.T) {
+func TestHostAreaMemberKilled(t *testing.T) { hostMemberKilled(t, false) }
+
+// TestHostAreaYieldMemberKilled is TestHostAreaMemberKilled with the
+// survivors yield-polling at the barrier the victim never reaches.
+func TestHostAreaYieldMemberKilled(t *testing.T) { hostMemberKilled(t, true) }
+
+// hostMemberKilled kills a member mid-chunk, the survivors' waits
+// yield-polling with yield.
+func hostMemberKilled(t *testing.T, yield bool) {
 	const np, victim, n, hostFailDeadline = 4, 2, 3 * hostChunk / 8, 5 * time.Second
 	needAreas(t)
 	dom := fault.NewDomain()
@@ -438,6 +447,9 @@ func TestHostAreaMemberKilled(t *testing.T) {
 	var mu sync.Mutex
 	chaosJob(t, "chan", np, dom, nil, func(rank int, w *Comm) error {
 		w.proc.hostFault = noHostFault
+		if yield {
+			w.Device().ForceYieldPoll()
+		}
 		in, out := make([]float64, n), make([]float64, n)
 		if err := w.Allreduce(in, 0, out, 0, n, Double, SumOp); err != nil { // sets the area up
 			return err
@@ -608,5 +620,143 @@ func TestHostAreaAllocationGate(t *testing.T) {
 				return expect(perRank <= hostAllocsPerOp, "a host walk allocates %.2f objects per rank, want ≤ %d", perRank, hostAllocsPerOp)
 			})
 		})
+	}
+}
+
+// hostWaits is w's device-wide count of waits at host-area barriers: all,
+// those the yield-poll ended and those that went on to the helper's sleep.
+func hostWaits(w *Comm) (waits, yielded, slept int64) {
+	s := w.Device().Profiler().Snapshot()
+	return s.HostWaits, s.HostYielded, s.HostSlept
+}
+
+// TestHostAreaYieldPoll: with the oversubscribed host's rule forced, a
+// 1 MiB float64 Allreduce and Iallreduce at np=4 wait at their barriers by
+// yield-polling — every wait either the yield-poll ended or went on to the
+// helper's sleep, in every operation — and return the forced large
+// family's bits. Without it (goroutine ranks, as halo_chan and rma4k_chan
+// run them) no wait yield-polls.
+func TestHostAreaYieldPoll(t *testing.T) {
+	const np, n, ops = 4, 1 << 17, 5
+	for _, forced := range []bool{true, false} {
+		t.Run(fmt.Sprintf("forced=%v", forced), func(t *testing.T) {
+			hostRanks(t, np, nil, func(w *Comm) error {
+				if forced {
+					w.Device().ForceYieldPoll()
+				}
+				rng := rand.New(rand.NewSource(int64(w.Rank()) + 1))
+				in, want, out := make([]float64, n), make([]float64, n), make([]float64, n)
+				for i := range in {
+					in[i] = rng.Float64()*2000 - 1000
+				}
+				if err := ringBits(w, in, want, n, Double, SumOp); err != nil {
+					return err
+				}
+				var yields int64
+				for op := 0; op < ops; op++ {
+					w0, y0, s0 := hostWaits(w)
+					var err error
+					if op%2 == 0 {
+						err = w.Allreduce(in, 0, out, 0, n, Double, SumOp)
+					} else {
+						err = waitColl(w.Iallreduce(in, 0, out, 0, n, Double, SumOp))
+					}
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(rawBytes(Double, out, n), rawBytes(Double, want, n)) {
+						return fmt.Errorf("op %d: bits differ from the ring schedule's", op)
+					}
+					clear(out)
+					w1, y1, s1 := hostWaits(w)
+					if err := expect(w1-w0 == (y1-y0)+(s1-s0), "op %d: %d waits, %d yielded, %d slept", op, w1-w0, y1-y0, s1-s0); err != nil {
+						return err
+					}
+					yields += y1 - y0
+				}
+				if hostOps(w) != ops {
+					return fmt.Errorf("%d host operations, want %d", hostOps(w), ops)
+				}
+				waits, yielded, slept := hostWaits(w)
+				t.Logf("rank %d: %d waits, %d yielded, %d slept", w.Rank(), waits, yielded, slept)
+				if !forced {
+					return expect(yielded == 0, "%d waits yield-polled without the rule", yielded)
+				}
+				return expect(yields > 0, "%d waits, none of them ended by the yield-poll", waits)
+			})
+		})
+	}
+}
+
+// TestHostAreaYieldNotForFrames: on a device that yield-polls, with the
+// world's host area set up, a wait for frames — a message Barrier — never
+// yield-polls: no walk waits, so it parks as before.
+func TestHostAreaYieldNotForFrames(t *testing.T) {
+	const np, n = 4, 1 << 12
+	hostRanks(t, np, nil, func(w *Comm) error {
+		w.Device().ForceYieldPoll()
+		in, out := make([]float64, n), make([]float64, n)
+		if err := w.Allreduce(in, 0, out, 0, n, Double, SumOp); err != nil { // sets the area up
+			return err
+		}
+		if err := w.Barrier(); err != nil { // every walk of the Allreduce is over
+			return err
+		}
+		w0, y0, _ := hostWaits(w)
+		for i := 0; i < 20; i++ {
+			if w.Rank() == i%np {
+				time.Sleep(100 * time.Microsecond) // the others wait for its frames
+			}
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+		}
+		w1, y1, _ := hostWaits(w)
+		return expect(w1 == w0 && y1 == y0, "message barriers: %d waits, %d yielded at host-area barriers; want 0, 0", w1-w0, y1-y0)
+	})
+}
+
+// TestHostAreaYieldFree: Free ends a walk that yield-polls at its barrier —
+// one member never arrives — with the communicator's error: the wake
+// reaches the waiter itself, whether it is polling or parked, so the
+// fastest of the three waiters returns before a helper's futex sleep could
+// have run out (≈0.1 ms on an idle 2-CPU host; each figure also holds
+// whatever else the host runs meanwhile, and every waiter must return).
+func TestHostAreaYieldFree(t *testing.T) {
+	const np, n, bound = 4, 1 << 12, hostHelperSleep
+	var mu sync.Mutex
+	var took []time.Duration
+	hostRanks(t, np, nil, func(w *Comm) error {
+		w.Device().ForceYieldPoll()
+		c, err := w.Dup()
+		if err != nil {
+			return err
+		}
+		in, out := make([]float64, n), make([]float64, n)
+		if err := c.Allreduce(in, 0, out, 0, n, Double, SumOp); err != nil { // sets the area up
+			return err
+		}
+		if w.Rank() == 0 {
+			c.Free() // never arrives
+			return nil
+		}
+		freed := make(chan time.Time, 1)
+		go func() {
+			for !c.proc.hostWaiting() {
+				time.Sleep(20 * time.Microsecond)
+			}
+			freed <- time.Now()
+			c.Free()
+		}()
+		err = c.Allreduce(in, 0, out, 0, n, Double, SumOp)
+		d := time.Since(<-freed)
+		mu.Lock()
+		took = append(took, d)
+		mu.Unlock()
+		return expect(errors.Is(err, ErrComm), "allreduce returned %v, want ErrComm", err)
+	})
+	t.Logf("the waiters returned %v after Free", took)
+	if len(took) == np-1 && slices.Min(took) >= bound {
+		t.Errorf("the waiters returned %v after Free, want the fastest under %v", took, bound)
 	}
 }

@@ -377,9 +377,12 @@ func (r *CollRequest) progressLocked() {
 				return
 			}
 		}
-		_, ok, err := r.c.dev.TestAll(r.pending)
-		if rd := &r.rounds[r.cur]; rd.walk != nil && ok && err == nil {
-			ok, err = rd.walk.run(rd.walkStep) // a barrier, not messages
+		var ok bool
+		var err error
+		if rd := &r.rounds[r.cur]; rd.walk != nil {
+			ok, err = rd.walk.run(rd.walkStep) // a barrier, not messages: nothing pending
+		} else {
+			_, ok, err = r.c.dev.TestAll(r.pending)
 		}
 		if !ok {
 			return // round still in flight; a later entry will reap it

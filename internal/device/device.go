@@ -244,12 +244,14 @@ type Device struct {
 	// before they park. media, guarded by mu, is how frames to each
 	// planned peer travel, as the transport reported it. ringOpt is the
 	// test seam that plans rings where the gate would not (see
-	// export_test.go).
+	// export_test.go). yields is set at Open on an oversubscribed host,
+	// or by ForceYieldPoll: waiters on a look that waits yield-poll it.
 	polls   bool
+	yields  atomic.Bool // in polls' padding, so it adds nothing to the struct
 	media   []string
 	ringOpt *ringOption
 
-	look atomic.Pointer[func(park bool) bool] // see SetLook
+	look atomic.Pointer[Look] // see SetLook
 
 	ft map[ftKey]*ftInst // fault-tolerant agreement instances (see ft.go)
 
@@ -1065,9 +1067,26 @@ func (d *Device) Gen() uint64 { return d.gen.Load() }
 // look (SetLook) reports its state moved. It is the
 // parking primitive of core's one park loop, which re-derives what to do
 // from its own state after every wakeup; the wakeup says that something
-// changed, not what.
+// changed, not what. Where the rings' gate is open it spins first; on an
+// oversubscribed host, while the look waits, it yield-polls first (see
+// polls.go). A wait the look waits on is counted: whether the yield-poll
+// ended it, or it went on to arm the look and park.
 func (d *Device) WaitProgress(gen uint64) {
-	if d.gen.Load() != gen || d.polls && d.spin(gen, time.Now().Add(pollBudget), true) || d.looked(true) {
+	if d.gen.Load() != gen {
+		return
+	}
+	l := d.look.Load()
+	waiting := l != nil && l.Waiting()
+	if d.polls && d.spin(gen, time.Now().Add(pollBudget), l) {
+		d.countWait(waiting, false, false)
+		return
+	}
+	if waiting && d.yields.Load() && d.yieldPoll(gen, l, yieldBudget) {
+		d.countWait(waiting, true, false)
+		return
+	}
+	d.countWait(waiting, false, waiting)
+	if l != nil && l.Moved(true) {
 		return
 	}
 	d.mu.Lock()
@@ -1075,6 +1094,15 @@ func (d *Device) WaitProgress(gen uint64) {
 		d.cond.Wait()
 	}
 	d.mu.Unlock()
+}
+
+// countWait records, with counters on, a wait the look waited on: one the
+// yield-poll ended, one that went on to arm the look and park (slept), or
+// one the rings' spin ended (neither).
+func (d *Device) countWait(waiting, yielded, slept bool) {
+	if p := d.prof; p != nil && waiting {
+		p.HostWait(yielded, slept)
+	}
 }
 
 // handle is the transport inbound-frame handler. It never waits for a

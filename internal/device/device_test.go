@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpj/internal/prof"
 	"mpj/internal/transport"
 	"mpj/internal/wire"
 )
@@ -860,6 +862,86 @@ func TestWaitProgressSeesCompletionBeforeParking(t *testing.T) {
 	}
 	_ = never.Cancel() // completes the request and releases the parked waiter
 	<-parked
+}
+
+// TestWaitProgressYieldPoll: a wait whose look waits yield-polls it on a
+// device the yield-poll is on, and returns at the look's move without
+// arming it (yielded); one whose look does not move within yieldBudget
+// goes on to arm it and park (slept), and so does every wait where the
+// yield-poll is off. A wait whose look does not wait never yield-polls.
+// A Wake ends the yield-poll too.
+func TestWaitProgressYieldPoll(t *testing.T) {
+	const never, wake = -1, 0
+	for _, tc := range []struct {
+		name            string
+		forced, waiting bool
+		moveAt          int // the yield-poll's look that reports the move; wake: its first Wakes instead
+		yielded, slept  int64
+	}{
+		{"yield-poll sees the move", true, true, 1, 1, 0},
+		{"yield-poll sees a wake", true, true, wake, 1, 0},
+		{"yield budget runs out", true, true, never, 0, 1},
+		{"yield-poll off", false, true, 3, 0, 1},
+		{"look not waiting", true, false, 3, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := prof.New(0, prof.Spec{Counters: true})
+			d := openMesh(t, 1, WithProfiler(rec))[0]
+			if tc.forced {
+				d.ForceYieldPoll()
+			}
+			var armed atomic.Bool
+			looks := 0 // the yield-poll's, all in the waiting goroutine
+			d.SetLook(Look{
+				Moved: func(park bool) bool {
+					if park {
+						armed.Store(true)
+						return true // the park would wait for a Wake: end it here
+					}
+					looks++
+					if tc.moveAt == wake && looks == 1 {
+						go d.Wake()
+					}
+					return looks == tc.moveAt
+				},
+				Waiting: func() bool { return tc.waiting },
+			})
+			gen := d.Gen()
+			t0 := time.Now()
+			returnsWithin(t, func() { d.WaitProgress(gen) }, "WaitProgress did not return")
+			took := time.Since(t0)
+			s := rec.Snapshot()
+			waits := tc.yielded + tc.slept
+			if s.HostWaits != waits || s.HostYielded != tc.yielded || s.HostSlept != tc.slept {
+				t.Errorf("waits %d, yielded %d, slept %d; want %d, %d, %d", s.HostWaits, s.HostYielded, s.HostSlept, waits, tc.yielded, tc.slept)
+			}
+			if wantArmed := tc.yielded == 0; armed.Load() != wantArmed {
+				t.Errorf("look armed %v, want %v", armed.Load(), wantArmed)
+			}
+			if tc.moveAt == never && took < yieldBudget {
+				t.Errorf("armed the look after %v, before the yield budget %v ran out", took, yieldBudget)
+			}
+		})
+	}
+}
+
+// TestWaitProgressYieldLooksAgain: the yield-poll keeps looking, yielding
+// between looks, until the look reports a move — here at its third look,
+// within a budget no scheduling delay runs out — and reports a wait the
+// look never ends as not over once its budget has passed.
+func TestWaitProgressYieldLooksAgain(t *testing.T) {
+	d := openMesh(t, 1)[0]
+	looks := 0
+	l := &Look{Moved: func(bool) bool { looks++; return looks == 3 }, Waiting: func() bool { return true }}
+	if !d.yieldPoll(d.Gen(), l, time.Minute) || looks != 3 {
+		t.Errorf("yield-poll returned after %d looks, want a move at the third", looks)
+	}
+	looks = 0
+	l.Moved = func(bool) bool { looks++; return false }
+	t0 := time.Now()
+	if d.yieldPoll(d.Gen(), l, time.Millisecond) || time.Since(t0) < time.Millisecond {
+		t.Errorf("yield-poll ended a wait the look never ends after %v (%d looks)", time.Since(t0), looks)
+	}
 }
 
 // returnsWithin fails the test with msg unless f returns within 10s.

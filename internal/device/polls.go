@@ -1,6 +1,7 @@
 package device
 
-// Poll before park: the waiting half of the co-host rings.
+// Poll before park: the waiting half of the co-host rings, and the
+// yield-poll of an oversubscribed host.
 //
 // Between two slave processes of one host that runs at most a rank per
 // CPU, the transport carries every frame through a shared-memory ring per
@@ -18,8 +19,22 @@ package device
 // bootstrap table — the host's rank count at most its CPU base. Goroutine
 // ranks, oversubscribed hosts and remote peers get no ring, and their
 // waiters never poll: one branch on d.polls is all they pay.
+//
+// An oversubscribed host (yieldGate: more ranks than the base has CPUs)
+// gets the other side. There a waiter at a host-area barrier waits for a
+// peer process that is most likely descheduled, on a CPU whose idle halt
+// costs a wake of its own; parking asks the area's helper to futex-sleep,
+// and the arrival comes back through a futex wake, the helper goroutine
+// and Wake. So while the look says one of its walks waits (Look.Waiting),
+// WaitProgress yield-polls it first: look, runtime.Gosched, then an OS
+// yield (transport.Yield), for at most yieldBudget. The waiter stays
+// runnable, hands its CPU to the peers that still have to arrive, and sees
+// the last arrival at its next look. A wait for frames never yield-polls:
+// on the one P such a process runs, the socket readers and the network
+// poller do not run while a goroutine spins, however often it yields.
 
 import (
+	"runtime"
 	"time"
 
 	"mpj/internal/transport"
@@ -34,6 +49,12 @@ import (
 // once it has copied the area's last slots out. Neither sleeps mid-hop.
 const pollBudget = 20 * time.Microsecond
 
+// yieldBudget bounds how long one wait yield-polls a host-area barrier
+// before it asks the area's helper to sleep. Priced on a 2-CPU host with
+// four slave processes and a 1 MiB Allreduce (ARCHITECTURE.md, "The
+// yield-poll"): 50 and 100 µs gained less, 1 ms nothing more.
+const yieldBudget = 200 * time.Microsecond
+
 // ringOption is the test seam that plans rings where the gate would not
 // (a test's goroutine ranks) and may refuse their set-up (see
 // export_test.go).
@@ -45,10 +66,14 @@ func withRings(fault func(peer int) error) Option {
 
 // planRings hands the transport its ring plan — every rank that is another
 // process on this host — when the gate is open, and with it turns on
-// polling before parking. Called by Open, before the transport starts.
+// polling before parking; on an oversubscribed host it turns on the
+// yield-poll instead. Called by Open, before the transport starts.
 func (d *Device) planRings() {
 	if d.peers.Pids == nil {
 		return
+	}
+	if locs := d.peers.Locs; yieldGate(d.peers.Pids, locs, locs[d.rank]) {
+		d.yields.Store(true)
 	}
 	if locs := d.peers.Locs; d.ringOpt == nil && !ringGate(locs, locs[d.rank]) {
 		return
@@ -72,37 +97,63 @@ func (d *Device) planRings() {
 }
 
 // spin polls the transport until the wake generation moves past gen or
-// end passes, and reports whether it moved — or, with look, whether the
+// end passes, and reports whether it moved — or, with a look, whether the
 // look (SetLook) made between polls saw its state move. Each Poll yields
 // once before it looks: a doorbell this rank's own send queued must reach
 // the socket before the poll takes the processor away from the writer.
 // Called without d.mu: the frames it delivers run the handler.
-func (d *Device) spin(gen uint64, end time.Time, look bool) bool {
-	look = look && d.look.Load() != nil
-	for d.gen.Load() == gen && !(look && d.looked(false)) {
+func (d *Device) spin(gen uint64, end time.Time, l *Look) bool {
+	for d.gen.Load() == gen && !(l != nil && l.Moved(false)) {
 		left := time.Until(end)
-		if look {
+		if l != nil {
 			left = min(left, pollBudget/10) // a look between polls
 		}
-		if left <= 0 || !d.t.Poll(left) && !look {
+		if left <= 0 || !d.t.Poll(left) && l == nil {
 			return d.gen.Load() != gen
 		}
 	}
 	return true
 }
 
-// SetLook installs f as what a wait looks at beside the wake generation:
-// state above the device whose change no frame reports (core's host areas).
-// A spinning waiter calls f(false) between polls, and stops when it reports
-// a change; one about to park calls f(true), which arms whatever will call
-// Wake, and parks only if it reports no change.
-func (d *Device) SetLook(f func(park bool) bool) { d.look.Store(&f) }
-
-// looked makes the look (SetLook), if there is one.
-func (d *Device) looked(park bool) bool {
-	f := d.look.Load()
-	return f != nil && (*f)(park)
+// yieldPoll looks at l until it reports a move, the wake generation moves
+// past gen or budget passes, handing this goroutine's processor and its
+// thread's CPU away between looks, and reports whether the wait is over.
+// Called without d.mu.
+func (d *Device) yieldPoll(gen uint64, l *Look, budget time.Duration) bool {
+	end := time.Now().Add(budget)
+	for d.gen.Load() == gen {
+		if l.Moved(false) {
+			return true
+		}
+		if time.Now().After(end) {
+			return false
+		}
+		runtime.Gosched()
+		transport.Yield()
+	}
+	return true
 }
+
+// Look is state above the device whose change no frame reports (core's
+// host areas), which a wait looks at beside the wake generation.
+type Look struct {
+	// Moved reports whether the state moved. A waiter that spins or
+	// yield-polls calls Moved(false) between polls and stops when it
+	// reports a change; one about to park calls Moved(true), which arms
+	// whatever will call Wake, and parks only if it reports no change.
+	Moved func(park bool) bool
+	// Waiting reports whether a wait on the state is in progress — only
+	// then does a waiter yield-poll — at the cost of an atomic load.
+	Waiting func() bool
+}
+
+// SetLook installs l as what a wait looks at beside the wake generation.
+func (d *Device) SetLook(l Look) { d.look.Store(&l) }
+
+// ForceYieldPoll turns the yield-poll on where yieldGate does not: the
+// seam through which tests run it on goroutine ranks or on a host with a
+// CPU per rank. Call it before the waits it should reach.
+func (d *Device) ForceYieldPoll() { d.yields.Store(true) }
 
 // FrameMedia reports, per world rank, how frames to that rank travel:
 // "memory" (it shares this address space), "ring" (another process on

@@ -76,16 +76,37 @@ func procShare(base int, locs []string, self string) (share, procRanks, hostRank
 	return max(1, base*procRanks/hostRanks), procRanks, hostRanks
 }
 
+// hostLoad is the base this file sizes the process from (0: it does not)
+// and the host's rank count in the bootstrap table (0: the table cannot
+// tell).
+func hostLoad(locs []string, self string) (base, hostRanks int) {
+	sched.mu.Lock()
+	base = sched.base
+	sched.mu.Unlock()
+	_, _, hostRanks = procShare(base, locs, self)
+	return base, hostRanks
+}
+
 // ringGate is the rule for co-host rings (see polls.go): the host runs at
 // most a rank per CPU of the base, so a waiter that polls takes no CPU a
 // peer rank needs. A process this file does not size has no base, and no
 // rings.
 func ringGate(locs []string, self string) bool {
-	sched.mu.Lock()
-	base := sched.base
-	sched.mu.Unlock()
-	_, _, hostRanks := procShare(base, locs, self)
+	base, hostRanks := hostLoad(locs, self)
 	return base > 0 && hostRanks > 0 && hostRanks <= base
+}
+
+// yieldGate is the rule for the yield-poll (see polls.go), ringGate's
+// other side: other processes of this host run ranks (pids), and the host
+// runs more ranks than the base has CPUs, so a waiter's CPU is one a peer
+// rank needs and the waiter hands it over instead of sleeping. Goroutine
+// ranks (no pids) and a process this file does not size never yield-poll.
+func yieldGate(pids []int, locs []string, self string) bool {
+	if pids == nil {
+		return false
+	}
+	base, hostRanks := hostLoad(locs, self)
+	return base > 0 && hostRanks > base
 }
 
 // SizeScheduler applies procShare to an owned process. It runs once per

@@ -86,3 +86,56 @@ func TestSizeSchedulerAndPollFloor(t *testing.T) {
 	PollMiss()
 	step("application's own value", SchedStatus{GOMAXPROCS: 3, BaseProcs: 2, ProcRanks: 1, HostRanks: 4, PollFloor: true})
 }
+
+// TestYieldGate: the yield-poll's rule holds iff other processes of this
+// host run ranks (pids), this process's scheduler is sized here (base > 0)
+// and the host runs more ranks than the base has CPUs — ringGate's other
+// side, which a process that is not sized never takes either.
+func TestYieldGate(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(before)
+		sched.mu.Lock()
+		sched.base = 0
+		sched.mu.Unlock()
+	})
+	const self = "n0#10"
+	four := []string{self, "n0#11", "n0#12", "n0#13"}
+	pids := []int{0, 11, 12, 13}
+	for _, tc := range []struct {
+		name  string
+		base  int    // GOMAXPROCS when OwnScheduler runs; 0: never adopted
+		env   string // GOMAXPROCS in the environment
+		pids  []int
+		locs  []string
+		holds bool
+	}{
+		{"4 ranks, 2 CPUs", 2, "", pids, four, true},
+		{"4 ranks, 1 CPU", 1, "", pids, four, true},
+		{"3 ranks, 2 CPUs", 2, "", pids[:3], four[:3], true},
+		{"2 here + 2 other processes, 3 CPUs", 3, "", []int{0, 0, 11, 12, 0}, []string{self, self, "n0#11", "n0#12", "n1#10"}, true},
+		{"2 ranks, 2 CPUs", 2, "", pids[:2], four[:2], false},
+		{"4 ranks, 4 CPUs", 4, "", pids, four, false},
+		{"4 ranks, 8 CPUs", 8, "", pids, four, false},
+		{"2 here + 2 on another host, 3 CPUs", 3, "", []int{0, 11, 0, 0}, []string{self, "n0#11", "n1#10", "n1#11"}, false},
+		{"no pids (goroutine ranks)", 2, "", nil, []string{self, self, self, self}, false},
+		{"GOMAXPROCS in the environment", 2, "2", pids, four, false},
+		{"never adopted", 0, "", pids, four, false},
+		{"a key with no #", 2, "", pids, []string{self, "n0#11", "n0", "n0#13"}, false},
+	} {
+		sched.mu.Lock()
+		sched.base = 0
+		sched.mu.Unlock()
+		t.Setenv("GOMAXPROCS", tc.env)
+		if tc.base > 0 {
+			runtime.GOMAXPROCS(tc.base)
+			OwnScheduler()
+		}
+		if got := yieldGate(tc.pids, tc.locs, self); got != tc.holds {
+			t.Errorf("%s: yieldGate %v, want %v", tc.name, got, tc.holds)
+		}
+		if tc.holds && ringGate(tc.locs, self) {
+			t.Errorf("%s: ringGate open where the yield-poll holds", tc.name)
+		}
+	}
+}

@@ -12,11 +12,13 @@ package job
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"mpj/internal/core"
 	"mpj/internal/daemon"
 	"mpj/internal/transport"
 )
@@ -52,6 +54,10 @@ type (
 		// Elastic jobs excuse such a report once the daemon verdict
 		// confirms it, like a vanished rank; an ordinary Err stays fatal.
 		Dead bool
+		// Consequence marks an Err that is another rank's failure reaching
+		// this one: a peer's death or a revoked communicator. The job error
+		// names a rank whose Err is not one, where there is such a rank.
+		Consequence bool
 	}
 )
 
@@ -74,6 +80,11 @@ type master struct {
 	decs     []*gob.Decoder
 	gathered bool           // table sent; await owns the connections
 	dead     map[int]string // original-epoch dead ranks, by rank
+
+	// own is the first report, in arrival order, of a rank that failed of
+	// its own accord (not Done.Consequence); ownIn closes as it is set.
+	own   error
+	ownIn chan struct{}
 }
 
 // newMaster starts the bootstrap server.
@@ -89,6 +100,7 @@ func newMaster(jobID uint64, np int) (*master, error) {
 		conns: make([]net.Conn, np),
 		decs:  make([]*gob.Decoder, np),
 		dead:  make(map[int]string),
+		ownIn: make(chan struct{}),
 	}, nil
 }
 
@@ -166,8 +178,10 @@ func (m *master) deadRank(rank int) (string, bool) {
 	return cause, ok
 }
 
-// await collects the Done report of every slave. It returns the first
-// application error, keyed by rank.
+// await collects the Done report of every slave. It returns the error of
+// the lowest rank that failed of its own accord — not of a peer's failure
+// or a revocation reaching it (Done.Consequence) — or, when every error is
+// such a consequence, the lowest rank's.
 //
 // Elastic jobs (grace > 0) treat a vanished rank differently: its broken
 // connection races the daemon's death verdict, so await waits up to grace
@@ -177,6 +191,7 @@ func (m *master) deadRank(rank int) (string, bool) {
 // successful Shrink/Spawn recovery, all report success).
 func (m *master) await() error {
 	errs := make([]error, m.np)
+	consequence := make([]bool, m.np)
 	vanished := make([]bool, m.np)
 	var wg sync.WaitGroup
 	for r := 0; r < m.np; r++ {
@@ -200,6 +215,10 @@ func (m *master) await() error {
 			}
 			if done.Err != "" {
 				errs[r] = fmt.Errorf("job: rank %d failed: %s", r, done.Err)
+				consequence[r] = done.Consequence
+				if !done.Consequence {
+					m.noteOwn(errs[r])
+				}
 			}
 		}()
 	}
@@ -224,12 +243,42 @@ func (m *master) await() error {
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
+	var first error
+	for r, err := range errs {
+		if err != nil && !consequence[r] {
 			return err
 		}
+		if first == nil {
+			first = err
+		}
 	}
-	return nil
+	return first
+}
+
+// noteOwn records the report of a rank that failed of its own accord, if
+// it is the first.
+func (m *master) noteOwn(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.own == nil {
+		m.own = err
+		close(m.ownIn)
+	}
+}
+
+// ownFailure returns the first report of a rank that failed of its own
+// accord, waiting for it at most grace; nil if none arrived.
+func (m *master) ownFailure(grace time.Duration) error {
+	t := time.NewTimer(grace)
+	defer t.Stop()
+	select {
+	case <-m.ownIn:
+	case <-t.C:
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.own
 }
 
 // close releases the bootstrap server and its connections.
@@ -303,6 +352,7 @@ func (sc *SlaveConn) ReportDone(appErr error) error {
 	msg := Done{Rank: sc.rank}
 	if appErr != nil {
 		msg.Err = appErr.Error()
+		msg.Consequence = errors.Is(appErr, core.ErrRankFailed) || errors.Is(appErr, core.ErrRevoked)
 	}
 	return sc.enc.Encode(msg)
 }

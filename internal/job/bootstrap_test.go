@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"mpj/internal/core"
+	"mpj/internal/device"
 	"mpj/internal/transport"
 )
 
@@ -109,6 +111,54 @@ func TestAwaitReportsSlaveError(t *testing.T) {
 	err = m.await()
 	if err == nil || !contains(err.Error(), "application exploded") {
 		t.Errorf("await = %v, want rank-1 failure", err)
+	}
+}
+
+// TestAwaitNamesTheFirstFailure: a rank's error that is a peer's failure
+// reaching it (ErrRankFailed) or a revocation does not name the job's
+// failure while another rank failed of its own accord, whatever their rank
+// order; when every error is such a consequence, the lowest rank's stands.
+func TestAwaitNamesTheFirstFailure(t *testing.T) {
+	peerDied := fmt.Errorf("barrier: %w", &device.RankFailedError{Rank: 2, Cause: errors.New("EOF")})
+	revoked := fmt.Errorf("allreduce: %w", core.ErrRevoked)
+	own := errors.New("application exploded")
+	for _, tc := range []struct {
+		name string
+		errs []error
+		want string
+	}{
+		{"consequences first", []error{peerDied, revoked, own}, "job: rank 2 failed: application exploded"},
+		{"own error first", []error{own, peerDied, own}, "job: rank 0 failed: application exploded"},
+		{"only consequences", []error{nil, revoked, peerDied}, "job: rank 1 failed: allreduce: mpj: communicator revoked"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			np := len(tc.errs)
+			m, err := newMaster(1, np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.close()
+			go func() { _ = m.gather() }()
+			var wg sync.WaitGroup
+			for rank := 0; rank < np; rank++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sc, _, ln, err := SlaveBootstrap(m.addr(), 1, rank)
+					if err != nil {
+						t.Errorf("slave %d bootstrap: %v", rank, err)
+						return
+					}
+					ln.Close()
+					defer sc.Close()
+					_ = sc.ReportDone(tc.errs[rank])
+				}()
+			}
+			wg.Wait()
+			if err := m.await(); err == nil || err.Error() != tc.want {
+				t.Errorf("await = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

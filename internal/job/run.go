@@ -219,12 +219,24 @@ func Run(cfg Config) error {
 
 	select {
 	case ev := <-abort:
+		// A rank that fails of its own accord reports why before its
+		// process exits with the status the daemon's abort carries, and
+		// that exit may be another rank's, dying of the first one's: the
+		// report names the job's failure better.
+		if err := m.ownFailure(reportGrace); err != nil {
+			return err
+		}
 		return fmt.Errorf("job: aborted: %s", ev.Message)
 	case err := <-gatherErr:
 		finished = err == nil
 		return err
 	}
 }
+
+// reportGrace bounds how long an aborted job waits for the report of a
+// rank that failed of its own accord, which its process sent before it
+// exited.
+const reportGrace = 200 * time.Millisecond
 
 // outputGrace bounds how long a finished job waits for its slaves' output
 // streams to end once teardown has destroyed them.

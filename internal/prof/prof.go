@@ -114,9 +114,12 @@ type counters struct {
 	rmaSyncDirect atomic.Int64
 	rmaLocks      atomic.Int64
 
-	hostOps    atomic.Int64
-	hostChunks atomic.Int64
-	hostBytes  atomic.Int64
+	hostOps     atomic.Int64
+	hostChunks  atomic.Int64
+	hostBytes   atomic.Int64
+	hostWaits   atomic.Int64
+	hostYielded atomic.Int64
+	hostSlept   atomic.Int64
 }
 
 // addTo folds the current counter values into s.
@@ -151,6 +154,9 @@ func (c *counters) addTo(s *Snapshot) {
 	s.HostOps += c.hostOps.Load()
 	s.HostChunks += c.hostChunks.Load()
 	s.HostBytes += c.hostBytes.Load()
+	s.HostWaits += c.hostWaits.Load()
+	s.HostYielded += c.hostYielded.Load()
+	s.HostSlept += c.hostSlept.Load()
 }
 
 // Snapshot is a plain-integer copy of the counters at one instant, the
@@ -212,6 +218,18 @@ type Snapshot struct {
 	HostOps    int64 `json:"hostOps"`
 	HostChunks int64 `json:"hostChunks"`
 	HostBytes  int64 `json:"hostBytes"`
+
+	// The device's waits while a host-area walk waits at a barrier, counted
+	// device-wide only (a wait looks at every area of the process, so no
+	// context owns it; CtxSnapshot reads them as 0): all of them, those the
+	// oversubscribed host's yield-poll ended, and those that went on to ask
+	// the areas' helpers to futex-sleep and park. Where neither rings nor
+	// yield-polls are, HostWaits == HostSlept; on an oversubscribed host
+	// HostWaits == HostYielded + HostSlept; where the rings' gate is open
+	// the spin ends the rest.
+	HostWaits   int64 `json:"hostWaits"`
+	HostYielded int64 `json:"hostYielded"`
+	HostSlept   int64 `json:"hostSlept"`
 }
 
 // SentBytes returns the total payload bytes sent, both protocols.
@@ -258,6 +276,9 @@ func (s *Snapshot) add(o Snapshot) {
 	s.HostOps += o.HostOps
 	s.HostChunks += o.HostChunks
 	s.HostBytes += o.HostBytes
+	s.HostWaits += o.HostWaits
+	s.HostYielded += o.HostYielded
+	s.HostSlept += o.HostSlept
 }
 
 // RmaOps returns the total one-sided operations recorded, all kinds.
@@ -479,6 +500,19 @@ func (r *Recorder) HostOp(ctx, chunks, bytes int) {
 		set.hostOps.Add(1)
 		set.hostChunks.Add(int64(chunks))
 		set.hostBytes.Add(int64(bytes))
+	}
+}
+
+// HostWait records one device wait while a host-area walk waits (see
+// Snapshot.HostWaits): yielded if the yield-poll ended it, slept if it went
+// on to the helpers and the park. Device-wide: no context owns it.
+func (r *Recorder) HostWait(yielded, slept bool) {
+	r.global.hostWaits.Add(1)
+	if yielded {
+		r.global.hostYielded.Add(1)
+	}
+	if slept {
+		r.global.hostSlept.Add(1)
 	}
 }
 

@@ -99,6 +99,11 @@ func (a *Area) Wake(off int) {
 	syscall.Syscall6(syscall.SYS_FUTEX, uintptr(unsafe.Pointer(&a.mem[off])), futexWake, uintptr(1<<31-1), 0, 0, 0)
 }
 
+// Yield gives this thread's CPU to another runnable thread of the host,
+// if there is one: sched_yield(2). A waiter that polls an area word on an
+// oversubscribed host calls it so that the peer process it waits for runs.
+func Yield() { syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }
+
 // unmap unmaps an area's bytes.
 func unmap(m []byte) { _ = syscall.Munmap(m) }
 

@@ -5,6 +5,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -21,6 +22,10 @@ func MapArea(pid, fd, size int, token uint64) (*Area, error) { return nil, errNo
 func (a *Area) Sleep(off int, seen uint64, d time.Duration) {}
 
 func (a *Area) Wake(off int) {}
+
+// Yield gives the processor to another goroutine; there is no area a
+// waiter could poll here, so nothing waits on another process.
+func Yield() { runtime.Gosched() }
 
 func unmap(m []byte) {}
 

@@ -71,6 +71,13 @@ func registerTestApps() {
 		_, err := w.Recv(buf, 0, 1, INT, 1, 0)
 		return err
 	})
+	Register("own-error", func(w *Comm) error {
+		if w.Rank() == 1 {
+			time.Sleep(50 * time.Millisecond) // rank 0 is in its Barrier by now
+			return errors.New("rank 1's own error")
+		}
+		return w.Barrier()
+	})
 	Register("hard-crasher", func(w *Comm) error {
 		if w.Rank() == 1 {
 			os.Exit(7) // simulate a real process crash
@@ -384,6 +391,20 @@ func TestAbortOnSlaveFailure(t *testing.T) {
 	waitCondition(t, func() bool {
 		return daemons[0].SlaveCount() == 0 && daemons[1].SlaveCount() == 0
 	})
+}
+
+// TestJobErrorNamesTheFirstFailure: rank 1 of two process slaves returns
+// its own error while rank 0 waits in a Barrier, which then fails with rank
+// 1's death. The job error is rank 1's, not rank 0's consequence of it.
+func TestJobErrorNamesTheFirstFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+	err := runJobWithin(JobConfig{NP: 2, App: "own-error", Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second}, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "rank 1 failed: rank 1's own error") {
+		t.Fatalf("job error %v, want rank 1's own error", err)
+	}
 }
 
 func TestAbortOnProcessCrash(t *testing.T) {

@@ -124,13 +124,18 @@ func profStatus(dev *device.Device, t core.Tuning) func() any {
 }
 
 // hostAreaCounts is the status entry of the host areas: allreduces that
-// folded through one, the chunks they walked and the bytes this rank copied
-// into the areas.
+// folded through one, the chunks they walked, the bytes this rank copied
+// into the areas, and the device's waits at their barriers — all, those
+// an oversubscribed host's yield-poll ended, and those that went on to the
+// helpers' futex sleep (see prof.Snapshot).
 func hostAreaCounts(s prof.Snapshot) map[string]int64 {
 	return map[string]int64{
-		"ops":    s.HostOps,
-		"chunks": s.HostChunks,
-		"bytes":  s.HostBytes,
+		"ops":     s.HostOps,
+		"chunks":  s.HostChunks,
+		"bytes":   s.HostBytes,
+		"waits":   s.HostWaits,
+		"yielded": s.HostYielded,
+		"slept":   s.HostSlept,
 	}
 }
 
