@@ -5,9 +5,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,76 +98,102 @@ func moduleSources(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 	return fset, files
 }
 
-// TestOneConfigPath: a job's tuning is resolved once, in the process that
-// launches it, and travels in every slave's spec; no other code reads an
-// MPJ_* variable. The scan is syntactic: an os.Getenv or os.LookupEnv call
-// with an "MPJ_" literal in a non-test file outside benchmark/ (which
-// clears the variables to isolate its runs) must fall under one entry
+// TestEnvReads: the environment variables the program reads are exactly
+// these, so that a new setting takes a deliberate edit here and a
+// retired one cannot linger. The scan is syntactic: every os.Getenv or
+// os.LookupEnv call in a non-test file outside benchmark/ (which clears
+// the variables to isolate its runs), whose argument must be a literal.
+func TestEnvReads(t *testing.T) {
+	want := []string{"GOMAXPROCS", "MPJ_FAULT", "MPJ_PROF", "MPJ_PROF_ADDR", "MPJ_SLAVE"}
+	read := make(map[string]bool)
+	eachEnvRead(t, func(_ token.Position, _, name string) { read[name] = true })
+	if got := slices.Sorted(maps.Keys(read)); !slices.Equal(got, want) {
+		t.Errorf("the program reads %v, want %v", got, want)
+	}
+}
+
+// TestOneConfigPath: a job's instrumentation is resolved once, in the
+// process that launches it, and travels in every slave's spec; no other
+// code reads an MPJ_* variable. An MPJ_* read must fall under one entry
 // below, a function that may read any of them or one variable read
 // anywhere.
 func TestOneConfigPath(t *testing.T) {
 	allowed := map[string]string{
-		"func resolveTuning": "the resolver: a job's tuning, read once where the job is launched",
-		"func IsSlave":       "a spawned process knows itself by its encoded spec",
-		"func SlaveMain":     "the spec decoder: a process slave's whole spec is one variable",
-		"MPJ_PROF_ADDR":      "the address of a process's /debug/vars endpoint: deployment, not tuning",
-		"MPJ_FAULT":          "RunLocal's fault-injection harness, set per test process",
+		"func resolveProf": "the resolver: a job's instrumentation, read once where the job is launched",
+		"func IsSlave":     "a spawned process knows itself by its encoded spec",
+		"func SlaveMain":   "the spec decoder: a process slave's whole spec is one variable",
+		"MPJ_PROF_ADDR":    "the address of a process's /debug/vars endpoint: deployment, not a job setting",
+		"MPJ_FAULT":        "RunLocal's fault-injection harness, set per test process",
 	}
 	sites := 0
+	eachEnvRead(t, func(pos token.Position, fn, name string) {
+		if !strings.HasPrefix(name, "MPJ_") {
+			return
+		}
+		sites++
+		if why, ok := allowed[fn]; ok {
+			t.Logf("%s: %s reads %s: %s", pos, fn, name, why)
+		} else if why, ok := allowed[name]; ok {
+			t.Logf("%s: reads %s: %s", pos, name, why)
+		} else {
+			t.Errorf("%s: %s reads %s: a job's setting belongs in the resolver and travels in the slave spec", pos, fn, name)
+		}
+	})
+	t.Logf("%d MPJ_* reads", sites)
+}
+
+// eachEnvRead calls f with the position, the enclosing top-level function
+// ("func Name", or "" outside one) and the variable of every os.Getenv or
+// os.LookupEnv call in the module's non-test files outside benchmark/. A
+// call whose argument is not a string literal fails the test: its
+// variable cannot be checked.
+func eachEnvRead(t *testing.T, f func(pos token.Position, fn, name string)) {
+	t.Helper()
 	fset, files := moduleSources(t)
-	for path, f := range files {
+	for path, file := range files {
 		if strings.HasPrefix(filepath.ToSlash(path), "benchmark/") {
 			continue
 		}
-		for _, decl := range f.Decls {
+		for _, decl := range file.Decls {
 			fn := ""
 			if d, ok := decl.(*ast.FuncDecl); ok {
 				fn = "func " + d.Name.Name
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				name, ok := envRead(n)
-				if !ok {
-					return true
-				}
-				sites++
-				pos := fset.Position(n.Pos())
-				if why, ok := allowed[fn]; ok {
-					t.Logf("%s: %s reads %s: %s", pos, fn, name, why)
-				} else if why, ok := allowed[name]; ok {
-					t.Logf("%s: reads %s: %s", pos, name, why)
-				} else {
-					t.Errorf("%s: %s reads %s: a job's tuning belongs in the resolver and travels in the slave spec", pos, fn, name)
+				name, ok, lit := envRead(n)
+				switch {
+				case !ok:
+				case !lit:
+					t.Errorf("%s: %s reads a variable named by no literal", fset.Position(n.Pos()), fn)
+				default:
+					f(fset.Position(n.Pos()), fn, name)
 				}
 				return true
 			})
 		}
 	}
-	t.Logf("%d MPJ_* reads", sites)
 }
 
-// envRead reports the variable an os.Getenv or os.LookupEnv call reads,
-// when it is an "MPJ_" literal.
-func envRead(n ast.Node) (string, bool) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return "", false
+// envRead reports whether n is an os.Getenv or os.LookupEnv call and, when
+// its argument is a string literal (lit), the variable it reads.
+func envRead(n ast.Node) (name string, ok, lit bool) {
+	call, isCall := n.(*ast.CallExpr)
+	if !isCall || len(call.Args) != 1 {
+		return "", false, false
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Getenv" && sel.Sel.Name != "LookupEnv") {
-		return "", false
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel || (sel.Sel.Name != "Getenv" && sel.Sel.Name != "LookupEnv") {
+		return "", false, false
 	}
-	if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "os" {
-		return "", false
+	if pkg, isIdent := sel.X.(*ast.Ident); !isIdent || pkg.Name != "os" {
+		return "", false, false
 	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return "", false
+	bl, isLit := call.Args[0].(*ast.BasicLit)
+	if !isLit || bl.Kind != token.STRING {
+		return "", true, false
 	}
-	name, err := strconv.Unquote(lit.Value)
-	if err != nil || !strings.HasPrefix(name, "MPJ_") {
-		return "", false
-	}
-	return name, true
+	name, err := strconv.Unquote(bl.Value)
+	return name, true, err == nil
 }
 
 // TestNoTransportProbes: what a transport knows of its peers reaches the

@@ -11,6 +11,7 @@ import (
 	"mpj/internal/daemon"
 	"mpj/internal/device"
 	"mpj/internal/job"
+	"mpj/internal/prof"
 	"mpj/internal/transport"
 )
 
@@ -108,8 +109,8 @@ var epochNow = func() uint64 {
 // joinMesh bootstraps this process as spec.Rank into spec's mesh epoch:
 // the Hello/Table exchange against spec.MasterAddr, the transport the
 // table calls for (see meshTransport), and the device open with the job's
-// tuning. It is the one way into a mesh — first bootstrap, replacement
-// slave and re-joining survivor alike. A non-zero spec.Epoch keys the mesh
+// instrumentation. It is the one way into a mesh — first bootstrap,
+// replacement slave and re-joining survivor alike. A non-zero spec.Epoch keys the mesh
 // (transports of a spawn generation must not collide with the original
 // JobID mesh); zero falls back to the JobID. Every phase is bounded by the
 // bootstrap timeout — joinMesh fails rather than hangs when members are
@@ -126,7 +127,7 @@ func joinMesh(spec daemon.SlaveSpec) (*device.Device, *job.SlaveConn, error) {
 	tr, err := meshTransport(spec.Rank, epoch, table, meshLn)
 	var dev *device.Device
 	if err == nil {
-		dev, err = openDevice(tr, spec.Rank, spec.Tuning)
+		dev, err = openDevice(tr, spec.Rank, spec.Prof)
 	}
 	if err != nil {
 		_ = sc.ReportDone(err)
@@ -160,11 +161,6 @@ func meshTransport(rank int, epoch uint64, table job.Table, ln net.Listener) (tr
 	}
 	return transport.NewTCPMesh(rank, epoch, table.Addrs, ln, table.Locs)
 }
-
-// spawnDialTimeout bounds each daemon dial made while launching
-// replacements (exponential backoff with jitter underneath; see
-// daemon.DialDaemonRetry).
-const spawnDialTimeout = 5 * time.Second
 
 // distRespawner is the daemon-backed Respawner of distributed slaves:
 // NewEpoch stands up a scoped bootstrap master in this (leader) process,
@@ -208,7 +204,7 @@ func (r *distRespawner) Launch(daemons []string, n, base, total int, epoch uint6
 		client, ok := clients[addr]
 		if !ok {
 			var err error
-			client, err = daemon.DialDaemonRetry(addr, spawnDialTimeout)
+			client, err = daemon.DialDaemonRetry(addr)
 			if err != nil {
 				return fmt.Errorf("mpj: dialing daemon %s: %w", addr, err)
 			}
@@ -261,9 +257,9 @@ func (r *distRespawner) close() {
 // of a scoped mesh epoch, re-entering the same App with Spawned() true —
 // the full elastic recovery cycle without a daemon in sight.
 type localRespawner struct {
-	app    App
-	tuning core.Tuning // the job's, handed to every world it builds
-	live   *liveTracker
+	app  App
+	prof prof.Spec // the job's, handed to every device it opens
+	live *liveTracker
 
 	mu      sync.Mutex
 	masters []*job.SpawnMaster
@@ -271,8 +267,8 @@ type localRespawner struct {
 	wg      sync.WaitGroup
 }
 
-func newLocalRespawner(app App, t core.Tuning) *localRespawner {
-	return &localRespawner{app: app, tuning: t, live: &liveTracker{}}
+func newLocalRespawner(app App, ps prof.Spec) *localRespawner {
+	return &localRespawner{app: app, prof: ps, live: &liveTracker{}}
 }
 
 func (lr *localRespawner) DaemonAddr() string { return "" }
@@ -313,7 +309,7 @@ func (lr *localRespawner) runSpawned(epoch uint64, masterAddr string, rank, base
 		JobID:      epoch,
 		Rank:       rank,
 		Size:       total,
-		Tuning:     lr.tuning,
+		Prof:       lr.prof,
 		MasterAddr: masterAddr,
 		Epoch:      epoch,
 		SpawnBase:  base,
@@ -323,7 +319,7 @@ func (lr *localRespawner) runSpawned(epoch uint64, masterAddr string, rank, base
 		return err
 	}
 	sc.Close()
-	merged, err := core.JoinSpawned(dev, base, lr.tuning)
+	merged, err := core.JoinSpawned(dev, base)
 	if err != nil {
 		dev.Abort()
 		return err
@@ -343,7 +339,7 @@ func (lr *localRespawner) Rejoin(epoch uint64, masterAddr string, rank, total in
 		JobID:      epoch,
 		Rank:       rank,
 		Size:       total,
-		Tuning:     lr.tuning,
+		Prof:       lr.prof,
 		MasterAddr: masterAddr,
 		Epoch:      epoch,
 	}

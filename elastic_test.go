@@ -205,13 +205,12 @@ func TestChaosKillRecoverProcesses(t *testing.T) {
 	}
 	reg, daemons := testEnv(t, 2, daemon.ProcSpawner{})
 	err := Run(JobConfig{
-		NP:             4,
-		App:            "chaos-recover",
-		Locators:       []string{reg.Addr()},
-		LeaseDur:       2 * time.Second,
-		Elastic:        true,
-		LivenessDur:    2 * time.Second,
-		ConnectTimeout: 5 * time.Second,
+		NP:          4,
+		App:         "chaos-recover",
+		Locators:    []string{reg.Addr()},
+		LeaseDur:    2 * time.Second,
+		Elastic:     true,
+		LivenessDur: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("chaos job failed: %v", err)
@@ -249,14 +248,13 @@ func TestChaosHungRankRecoverProcesses(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				done <- Run(JobConfig{
-					NP:             4,
-					App:            "hung-recover",
-					Args:           []string{when, pidFile},
-					Locators:       []string{reg.Addr()},
-					LeaseDur:       2 * time.Second,
-					Elastic:        true,
-					LivenessDur:    hungLiveness,
-					ConnectTimeout: 5 * time.Second,
+					NP:          4,
+					App:         "hung-recover",
+					Args:        []string{when, pidFile},
+					Locators:    []string{reg.Addr()},
+					LeaseDur:    2 * time.Second,
+					Elastic:     true,
+					LivenessDur: hungLiveness,
 				})
 			}()
 			select {

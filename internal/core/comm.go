@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mpj/internal/device"
 	"mpj/internal/prof"
@@ -34,16 +33,9 @@ type procState struct {
 	// their window. Guarded by mu.
 	wins map[int]*Win
 
-	// tuning is the job's tuning the world was built with: its epoch
-	// deadline is every window's (see Win.SetEpochTimeout). Comm.Spawn
-	// hands it to the rebuilt world.
-	tuning Tuning
-
 	// largeMin is the large-message threshold of collective selection,
 	// largeCollMin — a field only so that tests can scale it down.
 	largeMin int
-
-	abort func(code int) // installed by the runtime; see SetAbortHandler
 
 	// Dynamic process creation (see spawn.go): the runtime's respawn
 	// backend and whether this process was itself created by a Spawn.
@@ -123,31 +115,10 @@ type Comm struct {
 	hostState
 }
 
-// Tuning is what a job sets for every one of its ranks, resolved once by
-// the client that launches it and handed to each rank: the device's
-// eager/rendezvous threshold, the instrumentation and the windows' epoch
-// deadline. A zero field takes its default. The world uses the deadline;
-// the caller opened the device with the other two.
-type Tuning struct {
-	EagerLimit   int           // bytes; see device.WithEagerLimit
-	Prof         prof.Spec     // per-rank instrumentation
-	EpochTimeout time.Duration // see Win.SetEpochTimeout
-}
-
 // NewWorld builds the world communicator over an opened device, taking
 // the place of MPI_Init: ranks and job size come from the device's
-// transport, and contexts 0/1 are reserved for the world. It uses the
-// default tuning; see NewWorldTuned.
+// transport, and contexts 0/1 are reserved for the world.
 func NewWorld(dev *device.Device) (*Comm, error) {
-	return NewWorldTuned(dev, Tuning{})
-}
-
-// NewWorldTuned is NewWorld for a job with a tuning: the world's windows
-// start with t.EpochTimeout.
-func NewWorldTuned(dev *device.Device, t Tuning) (*Comm, error) {
-	if t.EpochTimeout <= 0 {
-		t.EpochTimeout = DefaultEpochTimeout
-	}
 	ranks := make([]int, dev.Size())
 	for i := range ranks {
 		ranks[i] = i
@@ -156,7 +127,7 @@ func NewWorldTuned(dev *device.Device, t Tuning) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm), tuning: t, largeMin: largeCollMin}
+	proc := &procState{dev: dev, nextCtx: 2, bsend: &bsendPool{}, comms: make(map[int]*Comm), largeMin: largeCollMin}
 	w := &Comm{
 		dev:   dev,
 		proc:  proc,
@@ -315,27 +286,16 @@ func (c *Comm) addWinCtx(ctx int) {
 // MPJ_PROF environment variable, the mpjrun -prof flag).
 func (c *Comm) ProfEnabled() bool { return c.dev.Profiler() != nil }
 
-// SetAbortHandler installs the whole-job abort hook used by Abort. The
-// runtime installs a handler that fans the abort out through the daemon
-// layer; without one, Abort simply closes the local device.
-func (c *Comm) SetAbortHandler(f func(code int)) {
-	c.proc.mu.Lock()
-	defer c.proc.mu.Unlock()
-	c.proc.abort = f
-}
-
-// Abort terminates the parallel job, the MPJ equivalent of MPI_Abort. In
-// the distributed runtime this raises an MPJAbort event that destroys
-// every slave of the job.
+// Abort terminates the parallel job, the MPJ equivalent of MPI_Abort: the
+// rank dies (Device.Die) with an error that names code, so its peers'
+// pending and later operations with it fail with ErrRankFailed, as they do
+// at any rank's death. In the distributed runtime the slave reports itself
+// dead, which fails a job that is not elastic naming the code, and its
+// daemon raises the MPJAbort event that destroys every slave of the job.
+// Under RunLocal, whose jobs may survive a death, the job fails naming the
+// code once a peer fails of it.
 func (c *Comm) Abort(code int) {
-	c.proc.mu.Lock()
-	f := c.proc.abort
-	c.proc.mu.Unlock()
-	if f != nil {
-		f(code)
-		return
-	}
-	c.dev.Close()
+	c.dev.Die(fmt.Errorf("mpj: rank %d aborted the job with code %d", c.dev.Rank(), code))
 }
 
 // worldRank translates a group rank to an absolute device rank.

@@ -158,21 +158,6 @@ func TestNestedSplits(t *testing.T) {
 	})
 }
 
-func TestAbortDefaultClosesDevice(t *testing.T) {
-	runRanks(t, 2, func(w *Comm) error {
-		if err := w.Barrier(); err != nil {
-			return err
-		}
-		if w.Rank() == 0 {
-			called := 0
-			w.SetAbortHandler(func(code int) { called = code })
-			w.Abort(42)
-			return expect(called == 42, "abort handler got %d", called)
-		}
-		return nil
-	})
-}
-
 func TestCompareUnequal(t *testing.T) {
 	runRanks(t, 4, func(w *Comm) error {
 		sub, err := w.Split(w.Rank()%2, 0)

@@ -48,7 +48,8 @@ const (
 	hostBlock = 8 << 10
 	// hostHelperSleep bounds one futex sleep of the helper: how long a
 	// release waits for a helper that looked just before it marked the area
-	// gone, and how late a waiter sees a count changed without a wake.
+	// gone, and how late the helper sees a count changed without a wake or
+	// a walk that stopped waiting.
 	hostHelperSleep = 10 * time.Millisecond
 )
 
@@ -61,13 +62,15 @@ type hostArea struct {
 	mem    *transport.Area
 	np, me int
 	gone   atomic.Bool   // set by the release
-	ask    chan uint64   // to the helper: the count a waiter saw; closed by the release
+	ask    chan uint64   // to the helper: the count a waiter read at its park; closed by the release
 	done   chan struct{} // closed by the helper as it ends
 
-	// A walk waits for the count to move from seen (see hostMoved); set
-	// through setWaiting, which keeps the process's count of waiting areas.
+	// A walk waits for the count to reach target, and seen is the count
+	// the last look read (see hostOver); waiting is set through
+	// setWaiting, which keeps the process's count of waiting areas.
 	waiting atomic.Bool
 	seen    atomic.Uint64
+	target  atomic.Uint64
 
 	// mu guards the walks' order: the tickets handed out, the ticket whose
 	// turn it is, and what broke the area (every later walk returns it).
@@ -162,7 +165,7 @@ func (c *Comm) hostSetUp() (*hostArea, error) {
 	if mem != nil {
 		mem.CloseFd()
 		a = newHostArea(mem, np, me)
-		c.dev.SetLook(device.Look{Moved: c.proc.hostMoved, Waiting: c.proc.hostWaiting})
+		c.dev.SetLook(device.Look{Over: c.proc.hostOver, Waiting: c.proc.hostWaiting})
 		go c.hostHelper(a)
 	}
 	c.hostMu.Lock()
@@ -300,7 +303,7 @@ func (w *hostWalk) chunk(i int) (off, m, lo, hi int) {
 // the step's copying (publishing chunk n/2 on an even step, folding this
 // rank's share of it on an odd one) and arrives at its barrier; every pass
 // reports whether the round is over: the barrier passed, or an error. While
-// it is not, the area's look (hostMoved) tells the device's waits.
+// it is not, the area's look (hostOver) tells the device's waits.
 func (w *hostWalk) run(n int) (bool, error) {
 	c, a := w.c, w.a
 	c.hostMu.RLock()
@@ -341,6 +344,7 @@ func (w *hostWalk) run(n int) (bool, error) {
 		}
 	}
 	done, seen, err := a.look(w.v, w.target)
+	a.target.Store(w.target)
 	a.seen.Store(seen)
 	a.setWaiting(c.proc, !done && err == nil)
 	if last := 2*w.chunks - 1; done && err == nil && n == last {
@@ -490,51 +494,62 @@ func (a *hostArea) setWaiting(p *procState, on bool) {
 // at its barrier: the look's Waiting (Device.SetLook), one atomic load.
 func (p *procState) hostWaiting() bool { return p.hostWaits.Load() != 0 }
 
-// hostMoved is the process's look for its device's waits (Device.SetLook),
-// installed with its first host area: whether the count an area's waiting
-// walk saw has moved. A waiter that spins or yield-polls calls it between
-// polls; one about to park asks the areas' helpers to wake it once their
-// counts move. While no walk waits it costs one atomic load.
-func (p *procState) hostMoved(park bool) bool {
+// hostOver is the process's look for its device's waits (Device.SetLook),
+// installed with its first host area. The wait of an area's waiting walk
+// is over once the count reaches the walk's target — the barrier passed —
+// or goes back below the count the last look read, which no honest member
+// does (the walk's own look then names the corruption; past the target it
+// does too). Any other move of a count only restarts a polling waiter's
+// budget: arrivals before the last one end no wait. A waiter about to park
+// asks the areas' helpers to wake it once the counts it read move. While
+// no walk waits it costs one atomic load.
+func (p *procState) hostOver(park bool) (over, moved bool) {
 	if !p.hostWaiting() {
-		return false
+		return false, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	moved := false
 	for _, c := range p.comms {
 		c.hostMu.RLock()
 		if a := c.host; a != nil && a.waiting.Load() {
-			seen := a.seen.Load()
-			if a.mem.Word(hostOffGen).Load() != seen {
+			w := a.mem.Word(hostOffGen).Load()
+			switch seen := a.seen.Swap(w); {
+			case w >= a.target.Load() || w < seen:
+				over = true
+			case w != seen:
 				moved = true
-			} else if park {
+			}
+			if park && !over {
 				select {
-				case a.ask <- seen:
+				case a.ask <- w:
 				default: // a request pending ends in a wake as well
 				}
 			}
 		}
 		c.hostMu.RUnlock()
 	}
-	return moved
+	return over, moved
 }
 
 // hostHelper is the area's wake, one goroutine for its life. Asked with the
-// count a parking waiter saw, it sleeps on the word's futex while the count
-// still reads it, moves the device's wake generation — the waiter, parked
-// in parkUntil, looks again — and parks on its channel until asked again,
-// so no thread sits in the system call while the rank it woke is runnable.
-// Raising the sleepers word first pairs with the last arrival's look at it.
+// count a parking waiter read, it sleeps on the word's futex for as long as
+// a walk waits and the count stays short of the walk's target without
+// going back below it — arrivals before the last one wake the futex at
+// most, not the waiter — then moves the device's wake generation — the
+// waiter, parked in parkUntil, looks again — and parks on its channel until
+// asked again, so no thread sits in the system call while the rank it woke
+// is runnable. Raising the sleepers word first pairs with the last
+// arrival's look at it.
 func (c *Comm) hostHelper(a *hostArea) {
 	defer close(a.done)
 	for seen := range a.ask {
 		c.hostMu.RLock()
 		if !a.gone.Load() {
-			sleepers := a.mem.Word(hostOffSleepers)
+			gen, sleepers := a.mem.Word(hostOffGen), a.mem.Word(hostOffSleepers)
 			sleepers.Add(1)
-			if a.mem.Word(hostOffGen).Load() == seen {
-				a.mem.Sleep(hostOffGen, seen, hostHelperSleep)
+			for w := gen.Load(); w >= seen && w < a.target.Load() &&
+				a.waiting.Load() && !a.gone.Load(); w = gen.Load() {
+				a.mem.Sleep(hostOffGen, w, hostHelperSleep)
 			}
 			sleepers.Add(^uint64(0))
 		}

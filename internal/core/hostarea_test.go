@@ -638,6 +638,7 @@ func hostWaits(w *Comm) (waits, yielded, slept int64) {
 // run them) no wait yield-polls.
 func TestHostAreaYieldPoll(t *testing.T) {
 	const np, n, ops = 4, 1 << 17, 5
+	const barriers = 2 * 8 * n / hostChunk // two per chunk of the float64 vector
 	for _, forced := range []bool{true, false} {
 		t.Run(fmt.Sprintf("forced=%v", forced), func(t *testing.T) {
 			hostRanks(t, np, nil, func(w *Comm) error {
@@ -670,6 +671,9 @@ func TestHostAreaYieldPoll(t *testing.T) {
 					clear(out)
 					w1, y1, s1 := hostWaits(w)
 					if err := expect(w1-w0 == (y1-y0)+(s1-s0), "op %d: %d waits, %d yielded, %d slept", op, w1-w0, y1-y0, s1-s0); err != nil {
+						return err
+					}
+					if err := expect(!forced || w1-w0 <= barriers, "op %d: %d waits (%d yielded, %d slept) at %d barriers", op, w1-w0, y1-y0, s1-s0, barriers); err != nil {
 						return err
 					}
 					yields += y1 - y0

@@ -50,7 +50,7 @@ package core
 // Failure behavior matches the fault-tolerance surface of ft.go: an
 // operation or epoch close touching a dead rank fails with ErrRankFailed,
 // a revoked communicator fails everything with ErrRevoked, and epoch-close
-// waits carry a deadline (MPJ_RMA_TIMEOUT, default 30s) that feeds the
+// waits carry a deadline (DefaultEpochTimeout, or SetEpochTimeout's) that feeds the
 // device failure registry — a mute-style fault (frames silently dropped,
 // no connection error) surfaces as a typed failure instead of a hang.
 
@@ -76,32 +76,13 @@ const (
 	LockExclusive = 2
 )
 
-// DefaultEpochTimeout bounds epoch-close waits (Fence, Lock, Unlock) when
-// the job's tuning (MPJ_RMA_TIMEOUT) does not override it: a wait that
-// parks expires this long after it parked. On expiry the unresponsive
+// DefaultEpochTimeout bounds epoch-close waits (Fence, Lock, Unlock) of
+// a window whose SetEpochTimeout did not override it: a wait that parks expires this long after it parked. On expiry the unresponsive
 // peers are reported to the failure registry, so the wait fails with
 // ErrRankFailed instead of hanging. The window's one watchdog timer stays
 // armed between epochs; its body only wakes the device, so it keeps no
 // window alive.
 const DefaultEpochTimeout = 30 * time.Second
-
-// ParseEpochTimeout parses the string form of the epoch deadline (the
-// client's MPJ_RMA_TIMEOUT). Empty means DefaultEpochTimeout; anything
-// else must be a positive duration with its unit, such as "500ms" or
-// "5s".
-func ParseEpochTimeout(raw string) (time.Duration, error) {
-	if raw == "" {
-		return DefaultEpochTimeout, nil
-	}
-	d, err := time.ParseDuration(raw)
-	if err != nil {
-		return 0, err
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("epoch timeout %q: want a positive duration", raw)
-	}
-	return d, nil
-}
 
 // winRegistry maps co-location tokens to live windows, process-wide. Every
 // rank registers its window under a fresh token before the WinCreate
@@ -301,7 +282,7 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 		elemSize:  dt.ByteSize(),
 		buf:       raw,
 		slots:     slots,
-		timeout:   c.proc.tuning.EpochTimeout,
+		timeout:   DefaultEpochTimeout,
 		holders:   make(map[int]int),
 		fenceRecv: make([]atomic.Uint64, size),
 		gets:      make(map[uint64]*pendingGet),
@@ -367,11 +348,11 @@ func (c *Comm) WinCreate(buf any, dispUnit int) (*Win, error) {
 }
 
 // SetEpochTimeout overrides the deadline on epoch-close waits (Fence,
-// Lock, Unlock) for this window. Zero or negative restores the job's
-// deadline: Tuning.EpochTimeout, else DefaultEpochTimeout.
+// Lock, Unlock) for this window. Zero or negative restores
+// DefaultEpochTimeout.
 func (w *Win) SetEpochTimeout(d time.Duration) {
 	if d <= 0 {
-		d = w.c.proc.tuning.EpochTimeout
+		d = DefaultEpochTimeout
 	}
 	w.mu.Lock()
 	w.timeout = d
@@ -996,7 +977,7 @@ func (w *Win) syncPhase(gen uint64) error {
 // target) has been applied and all local Gets have landed; the buffers
 // are consistent everywhere.
 //
-// The epoch close carries a deadline (SetEpochTimeout / MPJ_RMA_TIMEOUT):
+// The epoch close carries a deadline (SetEpochTimeout):
 // members that stay silent past it are reported to the failure registry
 // and the fence fails with ErrRankFailed instead of hanging.
 func (w *Win) Fence() error {

@@ -580,47 +580,30 @@ func TestWinFreedIsCollectable(t *testing.T) {
 	})
 }
 
-// TestEpochTimeoutParsedOnce: the epoch deadline is parsed once, where a
-// job's tuning is resolved, and the world reads no variable. A value that
-// is not a positive duration with a unit fails the parse; a good one,
-// handed over in the tuning, is every window's deadline and what
-// SetEpochTimeout(0) restores, whatever the environment says.
-func TestEpochTimeoutParsedOnce(t *testing.T) {
-	world := func(tu Tuning) *Comm {
-		d, err := device.Open(transport.NewChanMesh(1)[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = d.Close() })
-		w, err := NewWorldTuned(d, tu)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	for _, bad := range []string{"5", "-1s", "0s", "soon"} {
-		if got, err := ParseEpochTimeout(bad); err == nil {
-			t.Errorf("ParseEpochTimeout(%q) = %v, want an error", bad, got)
-		}
-	}
-	if got, err := ParseEpochTimeout(""); err != nil || got != DefaultEpochTimeout {
-		t.Errorf("ParseEpochTimeout(\"\") = %v, %v; want %v", got, err, DefaultEpochTimeout)
-	}
-	const want = 750 * time.Millisecond
-	t.Setenv("MPJ_RMA_TIMEOUT", "9s")
-	win, err := world(Tuning{EpochTimeout: want}).WinCreate(make([]int64, 1), 1)
+// TestEpochTimeoutDefault: every window's epoch deadline is
+// DefaultEpochTimeout, whatever the environment says, until SetEpochTimeout
+// overrides it, and SetEpochTimeout(0) restores it.
+func TestEpochTimeoutDefault(t *testing.T) {
+	d, err := device.Open(transport.NewChanMesh(1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if win.timeout != want {
-		t.Errorf("a new window's epoch timeout is %v, want %v", win.timeout, want)
+	t.Cleanup(func() { _ = d.Close() })
+	w, err := NewWorld(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("MPJ_RMA_TIMEOUT", "9s")
+	win, err := w.WinCreate(make([]int64, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.timeout != DefaultEpochTimeout {
+		t.Errorf("a new window's epoch timeout is %v, want %v", win.timeout, DefaultEpochTimeout)
 	}
 	win.SetEpochTimeout(time.Second)
 	win.SetEpochTimeout(0)
-	if win.timeout != want {
-		t.Errorf("SetEpochTimeout(0) restored %v, want %v", win.timeout, want)
-	}
-	if w := world(Tuning{}); w.proc.tuning.EpochTimeout != DefaultEpochTimeout {
-		t.Errorf("a zero tuning gives %v, want %v", w.proc.tuning.EpochTimeout, DefaultEpochTimeout)
+	if win.timeout != DefaultEpochTimeout {
+		t.Errorf("SetEpochTimeout(0) restored %v, want %v", win.timeout, DefaultEpochTimeout)
 	}
 }

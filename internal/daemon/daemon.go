@@ -683,16 +683,19 @@ func DialDaemon(addr string) (*Client, error) {
 	return &Client{addr: addr, rpc: rpc.NewClient(conn)}, nil
 }
 
+// dialRetryTimeout bounds DialDaemonRetry: every daemon dial of a launch
+// or of a Comm.Spawn retries this long.
+const dialRetryTimeout = 5 * time.Second
+
 // DialDaemonRetry dials a daemon with exponential backoff and jitter
-// until it connects or timeout elapses. A daemon restarting, a host
-// briefly partitioned, or a spawn racing the daemon's listener are all
-// transient; retrying with backoff keeps connect storms off a recovering
-// daemon while still bounding the caller's wait. A non-positive timeout
-// degrades to a single DialDaemon attempt.
-func DialDaemonRetry(addr string, timeout time.Duration) (*Client, error) {
-	if timeout <= 0 {
-		return DialDaemon(addr)
-	}
+// until it connects or dialRetryTimeout elapses. A daemon restarting, a
+// host briefly partitioned, or a spawn racing the daemon's listener are
+// all transient; retrying with backoff keeps connect storms off a
+// recovering daemon while still bounding the caller's wait.
+func DialDaemonRetry(addr string) (*Client, error) { return dialRetry(addr, dialRetryTimeout) }
+
+// dialRetry is DialDaemonRetry with the deadline timeout.
+func dialRetry(addr string, timeout time.Duration) (*Client, error) {
 	deadline := time.Now().Add(timeout)
 	backoff := 50 * time.Millisecond
 	const maxBackoff = 2 * time.Second

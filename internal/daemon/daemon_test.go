@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"mpj/internal/core"
-
 	"mpj/internal/lookup"
 	"mpj/internal/prof"
 )
@@ -376,8 +374,8 @@ func TestPing(t *testing.T) {
 	}
 }
 
-// TestSlaveEnvRoundTrip: a process slave's whole spec — the job's tuning
-// included — travels as the one MPJ_SLAVE entry, and a value that is not
+// TestSlaveEnvRoundTrip: a process slave's whole spec — the job's
+// instrumentation included — travels as the one MPJ_SLAVE entry, and a value that is not
 // an encoded spec fails the decode.
 func TestSlaveEnvRoundTrip(t *testing.T) {
 	spec := SlaveSpec{
@@ -385,12 +383,8 @@ func TestSlaveEnvRoundTrip(t *testing.T) {
 		Args:       []string{"--n", "100", "with space", "a\x1fb"},
 		MasterAddr: "1.2.3.4:5",
 		Binary:     "/usr/local/bin/heat",
-		Tuning: core.Tuning{
-			EagerLimit:   4096,
-			Prof:         prof.Spec{Counters: true, TracePrefix: "/tmp/run"},
-			EpochTimeout: 1500 * time.Millisecond,
-		},
-		Elastic: true, LivenessMs: 700, Epoch: 9, SpawnBase: 2,
+		Prof:       prof.Spec{Counters: true, TracePrefix: "/tmp/run"},
+		Elastic:    true, LivenessMs: 700, Epoch: 9, SpawnBase: 2,
 	}
 	for _, tc := range []struct {
 		name  string

@@ -11,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"mpj/internal/core"
+	"mpj/internal/prof"
 )
 
 // SlaveSpec tells a daemon everything needed to start one slave process of
@@ -23,10 +23,10 @@ type SlaveSpec struct {
 	App   string   // application name, resolved in the slave's registry
 	Args  []string // application arguments
 
-	// Tuning is the job's tuning, resolved once by the client (mpjrun
-	// flags, JobConfig, the client's MPJ_* variables) so that every rank
-	// runs with the same values whatever its host's environment says.
-	Tuning core.Tuning
+	// Prof is the job's instrumentation, resolved once by the client
+	// (mpjrun -prof, JobConfig.Prof, the client's MPJ_PROF) so that every
+	// rank runs with it whatever its host's environment says.
+	Prof prof.Spec
 
 	MasterAddr string // the client's bootstrap server
 	OutputAddr string // the client's output collector ("" = none)

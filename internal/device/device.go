@@ -62,7 +62,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,24 +285,11 @@ type Device struct {
 // Option configures a Device at Open time.
 type Option func(*Device)
 
-// WithEagerLimit overrides the standard-mode eager/rendezvous threshold.
+// WithEagerLimit overrides the standard-mode eager/rendezvous threshold
+// (DefaultEagerLimit). It is a seam for tests and the eager-limit
+// ablation, not a job setting.
 func WithEagerLimit(n int) Option {
 	return func(d *Device) { d.eagerLimit = n }
-}
-
-// ParseEagerLimit parses the string form of the eager/rendezvous
-// threshold (the MPJ_EAGER_LIMIT environment variable and the mpjrun
-// -eager-limit surface share it). Empty means unset and returns 0; any
-// other value must be a positive integer byte count.
-func ParseEagerLimit(raw string) (int, error) {
-	if raw == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("eager limit %q: must be a positive byte count", raw)
-	}
-	return n, nil
 }
 
 // WithFailureHandler installs a callback invoked (once per failing peer,
@@ -1064,7 +1050,7 @@ func (d *Device) Gen() uint64 { return d.gen.Load() }
 // request completes, a message arrives unmatched, a rank failure or a
 // revoked context is registered, an agreement message lands, Wake is
 // called, or the device closes after the caller read Gen — or until the
-// look (SetLook) reports its state moved. It is the
+// look (SetLook) reports the wait on its state over. It is the
 // parking primitive of core's one park loop, which re-derives what to do
 // from its own state after every wakeup; the wakeup says that something
 // changed, not what. Where the rings' gate is open it spins first; on an
@@ -1086,8 +1072,10 @@ func (d *Device) WaitProgress(gen uint64) {
 		return
 	}
 	d.countWait(waiting, false, waiting)
-	if l != nil && l.Moved(true) {
-		return
+	if l != nil {
+		if over, _ := l.Over(true); over {
+			return
+		}
 	}
 	d.mu.Lock()
 	for d.gen.Load() == gen {

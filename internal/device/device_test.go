@@ -893,16 +893,16 @@ func TestWaitProgressYieldPoll(t *testing.T) {
 			var armed atomic.Bool
 			looks := 0 // the yield-poll's, all in the waiting goroutine
 			d.SetLook(Look{
-				Moved: func(park bool) bool {
+				Over: func(park bool) (bool, bool) {
 					if park {
 						armed.Store(true)
-						return true // the park would wait for a Wake: end it here
+						return true, false // the park would wait for a Wake: end it here
 					}
 					looks++
 					if tc.moveAt == wake && looks == 1 {
 						go d.Wake()
 					}
-					return looks == tc.moveAt
+					return looks == tc.moveAt, false
 				},
 				Waiting: func() bool { return tc.waiting },
 			})
@@ -926,21 +926,28 @@ func TestWaitProgressYieldPoll(t *testing.T) {
 }
 
 // TestWaitProgressYieldLooksAgain: the yield-poll keeps looking, yielding
-// between looks, until the look reports a move — here at its third look,
-// within a budget no scheduling delay runs out — and reports a wait the
-// look never ends as not over once its budget has passed.
+// between looks, until the look reports the wait over — here at its third
+// look, within a budget no scheduling delay runs out — reports a wait the
+// look never ends as not over once its budget has passed, and gives itself
+// the budget afresh whenever the look saw its state move.
 func TestWaitProgressYieldLooksAgain(t *testing.T) {
 	d := openMesh(t, 1)[0]
 	looks := 0
-	l := &Look{Moved: func(bool) bool { looks++; return looks == 3 }, Waiting: func() bool { return true }}
+	l := &Look{Over: func(bool) (bool, bool) { looks++; return looks == 3, false }, Waiting: func() bool { return true }}
 	if !d.yieldPoll(d.Gen(), l, time.Minute) || looks != 3 {
-		t.Errorf("yield-poll returned after %d looks, want a move at the third", looks)
+		t.Errorf("yield-poll returned after %d looks, want the wait over at the third", looks)
 	}
 	looks = 0
-	l.Moved = func(bool) bool { looks++; return false }
+	l.Over = func(bool) (bool, bool) { looks++; return false, false }
 	t0 := time.Now()
 	if d.yieldPoll(d.Gen(), l, time.Millisecond) || time.Since(t0) < time.Millisecond {
 		t.Errorf("yield-poll ended a wait the look never ends after %v (%d looks)", time.Since(t0), looks)
+	}
+	// The state moves at every look for 5 budgets, then the wait is over.
+	end := time.Now().Add(5 * time.Millisecond)
+	l.Over = func(bool) (bool, bool) { moving := time.Now().Before(end); return !moving, moving }
+	if !d.yieldPoll(d.Gen(), l, time.Millisecond) {
+		t.Errorf("yield-poll gave up on a wait whose state kept moving after %v", time.Since(end.Add(-5*time.Millisecond)))
 	}
 }
 

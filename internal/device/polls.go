@@ -27,11 +27,12 @@ package device
 // and the arrival comes back through a futex wake, the helper goroutine
 // and Wake. So while the look says one of its walks waits (Look.Waiting),
 // WaitProgress yield-polls it first: look, runtime.Gosched, then an OS
-// yield (transport.Yield), for at most yieldBudget. The waiter stays
-// runnable, hands its CPU to the peers that still have to arrive, and sees
-// the last arrival at its next look. A wait for frames never yield-polls:
-// on the one P such a process runs, the socket readers and the network
-// poller do not run while a goroutine spins, however often it yields.
+// yield (transport.Yield), until yieldBudget passes without the look
+// seeing the state move. The waiter stays runnable, hands its CPU to the
+// peers that still have to arrive, and sees the last arrival at its next
+// look. A wait for frames never yield-polls: on the one P such a process
+// runs, the socket readers and the network poller do not run while a
+// goroutine spins, however often it yields.
 
 import (
 	"runtime"
@@ -98,14 +99,23 @@ func (d *Device) planRings() {
 
 // spin polls the transport until the wake generation moves past gen or
 // end passes, and reports whether it moved — or, with a look, whether the
-// look (SetLook) made between polls saw its state move. Each Poll yields
-// once before it looks: a doorbell this rank's own send queued must reach
-// the socket before the poll takes the processor away from the writer.
-// Called without d.mu: the frames it delivers run the handler.
+// look (SetLook) made between polls found the wait over; a move of the
+// look's state that does not end it gives the spin its budget afresh. Each
+// Poll yields once before it looks: a doorbell this rank's own send queued
+// must reach the socket before the poll takes the processor away from the
+// writer. Called without d.mu: the frames it delivers run the handler.
 func (d *Device) spin(gen uint64, end time.Time, l *Look) bool {
-	for d.gen.Load() == gen && !(l != nil && l.Moved(false)) {
+	budget := time.Until(end)
+	for d.gen.Load() == gen {
 		left := time.Until(end)
 		if l != nil {
+			over, moved := l.Over(false)
+			if over {
+				return true
+			}
+			if moved {
+				end, left = time.Now().Add(budget), budget
+			}
 			left = min(left, pollBudget/10) // a look between polls
 		}
 		if left <= 0 || !d.t.Poll(left) && l == nil {
@@ -115,17 +125,20 @@ func (d *Device) spin(gen uint64, end time.Time, l *Look) bool {
 	return true
 }
 
-// yieldPoll looks at l until it reports a move, the wake generation moves
-// past gen or budget passes, handing this goroutine's processor and its
-// thread's CPU away between looks, and reports whether the wait is over.
-// Called without d.mu.
+// yieldPoll looks at l until it finds the wait over, the wake generation
+// moves past gen or budget passes since the look last saw its state move,
+// handing this goroutine's processor and its thread's CPU away between
+// looks, and reports whether the wait is over. Called without d.mu.
 func (d *Device) yieldPoll(gen uint64, l *Look, budget time.Duration) bool {
 	end := time.Now().Add(budget)
 	for d.gen.Load() == gen {
-		if l.Moved(false) {
+		over, moved := l.Over(false)
+		if over {
 			return true
 		}
-		if time.Now().After(end) {
+		if now := time.Now(); moved {
+			end = now.Add(budget)
+		} else if now.After(end) {
 			return false
 		}
 		runtime.Gosched()
@@ -137,11 +150,13 @@ func (d *Device) yieldPoll(gen uint64, l *Look, budget time.Duration) bool {
 // Look is state above the device whose change no frame reports (core's
 // host areas), which a wait looks at beside the wake generation.
 type Look struct {
-	// Moved reports whether the state moved. A waiter that spins or
-	// yield-polls calls Moved(false) between polls and stops when it
-	// reports a change; one about to park calls Moved(true), which arms
-	// whatever will call Wake, and parks only if it reports no change.
-	Moved func(park bool) bool
+	// Over reports whether the wait on the state is over, and whether the
+	// state moved since the last look without ending it. A waiter that
+	// spins or yield-polls calls Over(false) between polls, stops when it
+	// reports the wait over and gives itself its budget afresh when the
+	// state moved; one about to park calls Over(true), which arms whatever
+	// will call Wake, and parks only if the wait is not over.
+	Over func(park bool) (over, moved bool)
 	// Waiting reports whether a wait on the state is in progress — only
 	// then does a waiter yield-poll — at the cost of an atomic load.
 	Waiting func() bool

@@ -208,9 +208,12 @@ func (m *master) await() error {
 			if done.Dead {
 				// A self-declared death is excused like a vanish once the
 				// daemon verdict confirms it; without confirmation (or in a
-				// non-elastic job, grace == 0) it stays an error.
+				// non-elastic job, grace == 0) it stays an error, and one of
+				// the rank's own accord: the MPJAbort its exit raises names
+				// the job's failure worse.
 				vanished[r] = true
 				errs[r] = fmt.Errorf("job: rank %d reported itself dead: %s", r, done.Err)
+				m.noteOwn(errs[r])
 				return
 			}
 			if done.Err != "" {

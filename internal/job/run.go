@@ -9,10 +9,10 @@ import (
 	"sync"
 	"time"
 
-	"mpj/internal/core"
 	"mpj/internal/daemon"
 	"mpj/internal/lease"
 	"mpj/internal/lookup"
+	"mpj/internal/prof"
 )
 
 // Config describes one parallel job, mirroring the paper's goal that the
@@ -23,9 +23,9 @@ type Config struct {
 	App  string   // registered application name (required)
 	Args []string // application arguments
 
-	// Tuning is the job's tuning, resolved and checked by the caller
-	// (see mpj.JobConfig); it travels in every slave's spec.
-	Tuning core.Tuning
+	// Prof is the job's instrumentation, resolved and checked by the
+	// caller (see mpj.JobConfig); it travels in every slave's spec.
+	Prof prof.Spec
 
 	// Discovery: explicit registrar addresses (unicast), or group
 	// discovery on UDPPort when empty.
@@ -51,11 +51,6 @@ type Config struct {
 	// slave that stops heartbeating its daemon for this long is declared
 	// dead. Zero picks the daemon default (10s).
 	LivenessDur time.Duration
-
-	// ConnectTimeout bounds daemon dials with exponential backoff and
-	// jitter (see daemon.DialDaemonRetry). Zero keeps single-attempt
-	// dials.
-	ConnectTimeout time.Duration
 
 	// Output receives the merged stdout/stderr of all slaves; defaults
 	// to os.Stdout.
@@ -163,7 +158,7 @@ func Run(cfg Config) error {
 		addr := daemons[rank%len(daemons)].Addr
 		client, ok := clients[addr]
 		if !ok {
-			client, err = daemon.DialDaemonRetry(addr, cfg.ConnectTimeout)
+			client, err = daemon.DialDaemonRetry(addr)
 			if err != nil {
 				return err
 			}
@@ -176,7 +171,7 @@ func Run(cfg Config) error {
 			Size:       cfg.NP,
 			App:        cfg.App,
 			Args:       cfg.Args,
-			Tuning:     cfg.Tuning,
+			Prof:       cfg.Prof,
 			MasterAddr: m.addr(),
 			OutputAddr: collector.addr(),
 			EventAddr:  recv.Addr(),

@@ -1,6 +1,7 @@
 package mpj
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -62,17 +63,18 @@ func lookupApp(name string) (App, error) {
 }
 
 // RunLocal executes app on np ranks inside the calling process, each rank
-// a goroutine, connected by the in-memory transport. It returns the first
-// rank error. This is the quickest way to develop and test MPJ programs;
-// the same code runs unchanged under the distributed runtime.
+// a goroutine, connected by the in-memory transport. It returns nil, or the
+// job's failure as localFailure names it. This is the quickest way to
+// develop and test MPJ programs; the same code runs unchanged under the
+// distributed runtime.
 //
-// Like the distributed runtime, RunLocal takes the job's tuning from the
-// calling process's MPJ_* variables (see README "Tuning").
+// Like the distributed runtime, RunLocal takes the job's instrumentation
+// from the calling process's MPJ_PROF (see README "Observability").
 func RunLocal(np int, app App) error {
 	if np <= 0 {
 		return fmt.Errorf("mpj: np must be positive, got %d", np)
 	}
-	t, err := resolveTuning(JobConfig{})
+	ps, err := resolveProf(JobConfig{})
 	if err != nil {
 		return err
 	}
@@ -83,7 +85,7 @@ func RunLocal(np int, app App) error {
 	if err != nil {
 		return fmt.Errorf("mpj: MPJ_FAULT: %w", err)
 	}
-	if t, err = serveProf(t); err != nil {
+	if ps, err = serveProf(ps); err != nil {
 		return err
 	}
 	eps := transport.NewChanMesh(np)
@@ -101,7 +103,7 @@ func RunLocal(np int, app App) error {
 	devs := make([]*device.Device, np)
 	worlds := make([]*core.Comm, np)
 	for i := 0; i < np; i++ {
-		dev, err := openDevice(trs[i], i, t)
+		dev, err := openDevice(trs[i], i, ps)
 		if err != nil {
 			for _, d := range devs {
 				if d != nil {
@@ -111,7 +113,7 @@ func RunLocal(np int, app App) error {
 			return fmt.Errorf("mpj: opening device for rank %d: %w", i, err)
 		}
 		devs[i] = dev
-		world, err := core.NewWorldTuned(dev, t)
+		world, err := core.NewWorld(dev)
 		if err != nil {
 			for _, d := range devs {
 				if d != nil {
@@ -137,7 +139,7 @@ func RunLocal(np int, app App) error {
 	// Dynamic process creation: Comm.Spawn on any of these worlds runs
 	// replacements as fresh goroutines of this same process (see
 	// localRespawner in elastic.go).
-	lr := newLocalRespawner(app, t)
+	lr := newLocalRespawner(app, ps)
 	for i := 0; i < np; i++ {
 		worlds[i].SetRespawner(lr)
 	}
@@ -172,16 +174,14 @@ func RunLocal(np int, app App) error {
 		}()
 	}
 	wg.Wait()
-	for i, err := range appErrs {
-		if err != nil {
-			if fd != nil {
-				for _, d := range devs {
-					d.Abort()
-				}
+	if err := localFailure(appErrs, devs); err != nil {
+		if fd != nil {
+			for _, d := range devs {
+				d.Abort()
 			}
-			lr.abort()
-			return fmt.Errorf("mpj: rank %d: %w", i, err)
 		}
+		lr.abort()
+		return err
 	}
 
 	// All ranks succeeded: finalize with a world barrier (draining all
@@ -222,36 +222,57 @@ func RunLocal(np int, app App) error {
 	return nil
 }
 
+// localFailure names the failure of a RunLocal job whose ranks returned
+// errs, nil if none failed: the first rank that failed of its own accord;
+// else, every failure being a consequence of a death (ErrRankFailed,
+// ErrRevoked), the first rank condemned in its own registry — by
+// Comm.Abort, say — whose death it was; else the first failure. The job
+// master names a distributed job's failure by the same rule.
+func localFailure(errs []error, devs []*device.Device) error {
+	first := -1
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case !errors.Is(err, ErrRankFailed) && !errors.Is(err, ErrRevoked):
+			return fmt.Errorf("mpj: rank %d: %w", i, err)
+		case first < 0:
+			first = i
+		}
+	}
+	if first < 0 {
+		return nil
+	}
+	for i, d := range devs {
+		if d.RankFailed(i) {
+			return fmt.Errorf("mpj: rank %d: %w", i, d.RankError(i))
+		}
+	}
+	return fmt.Errorf("mpj: rank %d: %w", first, errs[first])
+}
+
 // JobConfig configures a distributed job; see job.Config for field
 // semantics. The zero value plus NP and App suffices.
-//
-// EagerLimit and Prof are the job's tuning, and with the RMA epoch
-// deadline (MPJ_RMA_TIMEOUT) they are resolved once, in the client that
-// calls Run: each value from its field, else from the client's
-// MPJ_EAGER_LIMIT or MPJ_PROF variable, else its default.
-// Every value is checked before any daemon is contacted, and the resolved
-// set travels in every slave's spec, so all ranks run with the same values
-// whatever their hosts' environments say.
-//
-// EagerLimit is every device's eager/rendezvous protocol threshold in
-// bytes (default DefaultEagerLimit).
 //
 // Prof enables the instrumentation layer on every slave — "counters" for
 // the atomic per-communicator counters behind Comm.ProfSnapshot, or
 // "trace:<path-prefix>" to additionally write one Chrome trace_event
 // JSON timeline per rank (the prefix is resolved on each slave's host);
-// see README "Observability".
+// see README "Observability". It is resolved once, in the client that
+// calls Run: the field, else the client's MPJ_PROF, else off. The value
+// is checked before any daemon is contacted and travels in every slave's
+// spec, so all ranks run with it whatever their hosts' environments say.
+// Every other value a rank runs with — the eager limit, the RMA epoch
+// deadline, the daemon dial timeout — is a constant of the runtime.
 type JobConfig struct {
-	NP         int
-	App        string
-	Args       []string
-	EagerLimit int
-	Prof       string
-	Locators   []string
-	UDPPort    int
-	Binary     string
-	LeaseDur   time.Duration
-	Output     io.Writer // merged slave output (default os.Stdout)
+	NP       int
+	App      string
+	Args     []string
+	Prof     string
+	Locators []string
+	UDPPort  int
+	Binary   string
+	LeaseDur time.Duration
+	Output   io.Writer // merged slave output (default os.Stdout)
 
 	// Elastic switches the job to the elastic failure model: a dead slave
 	// no longer takes the job down. Daemons record per-rank death
@@ -265,35 +286,28 @@ type JobConfig struct {
 	// that stops heartbeating its daemon for this long is declared dead.
 	// Zero picks the daemon default (10s).
 	LivenessDur time.Duration
-
-	// ConnectTimeout bounds daemon dials with exponential backoff and
-	// jitter (see daemon.DialDaemonRetry); a daemon restarting mid-launch
-	// is retried until the deadline instead of failing the job. Zero
-	// keeps single-attempt dials.
-	ConnectTimeout time.Duration
 }
 
 // Run launches a distributed job through MPJ daemons — the programmatic
 // mpjrun. Slave processes re-execute this binary; their main must call
 // Main (or SlaveMain) after registering applications.
 func Run(cfg JobConfig) error {
-	t, err := resolveTuning(cfg)
+	ps, err := resolveProf(cfg)
 	if err != nil {
 		return err
 	}
 	return job.Run(job.Config{
-		NP:             cfg.NP,
-		App:            cfg.App,
-		Args:           cfg.Args,
-		Tuning:         t,
-		Locators:       cfg.Locators,
-		UDPPort:        cfg.UDPPort,
-		Binary:         cfg.Binary,
-		LeaseDur:       cfg.LeaseDur,
-		Output:         cfg.Output,
-		Elastic:        cfg.Elastic,
-		LivenessDur:    cfg.LivenessDur,
-		ConnectTimeout: cfg.ConnectTimeout,
+		NP:          cfg.NP,
+		App:         cfg.App,
+		Args:        cfg.Args,
+		Prof:        ps,
+		Locators:    cfg.Locators,
+		UDPPort:     cfg.UDPPort,
+		Binary:      cfg.Binary,
+		LeaseDur:    cfg.LeaseDur,
+		Output:      cfg.Output,
+		Elastic:     cfg.Elastic,
+		LivenessDur: cfg.LivenessDur,
 	})
 }
 
@@ -407,7 +421,7 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 	// inherit the same fixed port, and losing an endpoint must not kill a
 	// rank.
 	var perr error
-	if spec.Tuning, perr = serveProf(spec.Tuning); perr != nil {
+	if spec.Prof, perr = serveProf(spec.Prof); perr != nil {
 		fmt.Fprintln(os.Stderr, "mpj slave:", perr)
 	}
 
@@ -443,7 +457,7 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		return err
 	}
 	defer sc.Close()
-	world, err := core.NewWorldTuned(dev, spec.Tuning)
+	world, err := core.NewWorld(dev)
 	if err != nil {
 		dev.Close()
 		_ = sc.ReportDone(err)
@@ -503,7 +517,7 @@ func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-c
 		return err
 	}
 	defer sc.Close()
-	merged, err := core.JoinSpawned(dev, spec.SpawnBase, spec.Tuning)
+	merged, err := core.JoinSpawned(dev, spec.SpawnBase)
 	if err != nil {
 		dev.Abort()
 		_ = sc.ReportDone(err)

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -90,6 +91,26 @@ func registerTestApps() {
 		buf := make([]int32, 1)
 		_, err := w.Recv(buf, 0, 1, INT, AnySource, 12345)
 		return err
+	})
+	// abort-42: rank 0 calls Abort(42), and every other rank receives from
+	// it. Each of those writes whether its receive failed with
+	// ErrRankFailed, and the error, to rank<r> in the directory its
+	// argument names, and rank 0 returns only once every record is there:
+	// its death report is what fails the job and destroys the other slaves.
+	Register("abort-42", func(w *Comm) error {
+		dir := os.Args[1]
+		if w.Rank() != 0 {
+			_, err := w.Recv(make([]int32, 1), 0, 1, INT, 0, 0)
+			record := fmt.Sprintf("%v %v", errors.Is(err, ErrRankFailed), err)
+			return os.WriteFile(filepath.Join(dir, fmt.Sprint("rank", w.Rank())), []byte(record), 0o644)
+		}
+		w.Abort(42)
+		for end := time.Now().Add(30 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+			if names, _ := os.ReadDir(dir); len(names) == w.Size()-1 {
+				return nil
+			}
+		}
+		return errors.New("the peers recorded no receive")
 	})
 	Register("ring", func(w *Comm) error {
 		right := (w.Rank() + 1) % w.Size()
@@ -374,6 +395,53 @@ func TestJobRingAcrossDaemons(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ring job failed: %v", err)
 	}
+}
+
+// TestAbortFailsPeers: after rank 0's Abort(42), its peer's receive from
+// it fails with ErrRankFailed, as at any rank's death, and the job's error
+// names the code — under RunLocal, where the peer fails of it, and on
+// process slaves, where the aborted rank reports itself dead.
+func TestAbortFailsPeers(t *testing.T) {
+	const limit = 30 * time.Second
+	t.Run("local", func(t *testing.T) {
+		var peerErr error
+		done := make(chan error, 1)
+		go func() {
+			done <- RunLocal(2, func(w *Comm) error {
+				if w.Rank() == 0 {
+					w.Abort(42)
+					return nil
+				}
+				_, peerErr = w.Recv(make([]int32, 1), 0, 1, INT, 0, 0)
+				return peerErr
+			})
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(peerErr, ErrRankFailed) {
+				t.Errorf("the peer's receive returned %v, want ErrRankFailed", peerErr)
+			}
+			if err == nil || !strings.Contains(err.Error(), "code 42") {
+				t.Errorf("job error %v, want one naming code 42", err)
+			}
+		case <-time.After(limit):
+			t.Fatalf("the job still runs %v after rank 0's Abort", limit)
+		}
+	})
+	t.Run("process", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns OS processes")
+		}
+		reg, _ := testEnv(t, 2, daemon.ProcSpawner{})
+		dir := t.TempDir()
+		err := runJobWithin(JobConfig{NP: 2, App: "abort-42", Args: []string{dir}, Locators: []string{reg.Addr()}, LeaseDur: 5 * time.Second}, limit)
+		if err == nil || !strings.Contains(err.Error(), "code 42") {
+			t.Errorf("job error %v, want one naming code 42", err)
+		}
+		if got, _ := os.ReadFile(filepath.Join(dir, "rank1")); !strings.HasPrefix(string(got), "true ") {
+			t.Errorf("the peer's receive: %q, want ErrRankFailed", got)
+		}
+	})
 }
 
 func TestAbortOnSlaveFailure(t *testing.T) {

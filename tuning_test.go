@@ -3,33 +3,33 @@ package mpj
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"mpj/internal/core"
 	"mpj/internal/daemon"
 	"mpj/internal/prof"
 )
 
-// jobTuning is the tuning TestJobTuningReachesEverySlave gives its jobs:
-// every value off its default, so a rank that fell back to a default or
-// to its own environment shows it.
-var jobTuning = core.Tuning{
-	EagerLimit:   3000,
-	Prof:         prof.Spec{Counters: true},
-	EpochTimeout: 7 * time.Second,
-}
+// jobProf is the instrumentation TestJobTuningReachesEverySlave gives its
+// jobs: off its default, so a rank that fell back to the default or to its
+// own environment shows it.
+var jobProf = prof.Spec{Counters: true}
+
+// staleEnv holds variables that earlier versions read as job settings,
+// with values off the defaults: a rank that read them would show it.
+var staleEnv = map[string]string{"MPJ_EAGER_LIMIT": "2048", "MPJ_RMA_TIMEOUT": "9s"}
 
 func registerTuningApps() {
-	// tuning-check: every rank checks each value of jobTuning where it
+	// tuning-check: every rank checks the job's instrumentation where it
 	// takes effect, and that it runs over the transport its layout calls
 	// for.
 	Register("tuning-check", checkJobTuning)
 	// tuning-spawn: rank 1 dies, the survivors spawn its replacement, and
-	// every member of the rebuilt world checks its tuning.
+	// every member of the rebuilt world checks its instrumentation.
 	Register("tuning-spawn", func(w *Comm) error {
 		if w.Spawned() {
 			return checkJobTuning(w)
@@ -55,28 +55,34 @@ func registerTuningApps() {
 		}
 		return checkJobTuning(w2)
 	})
+	// stale-check: a rank whose environment holds staleEnv runs with the
+	// runtime's constants all the same.
+	Register("stale-check", func(w *Comm) error {
+		for k, v := range staleEnv {
+			if got := os.Getenv(k); got != v {
+				return fmt.Errorf("rank %d: %s=%q in its environment, want %q", w.Rank(), k, got, v)
+			}
+		}
+		if got := w.Device().EagerLimit(); got != DefaultEagerLimit {
+			return fmt.Errorf("rank %d: eager limit %d, want %d", w.Rank(), got, DefaultEagerLimit)
+		}
+		return checkJobTuning(w)
+	})
 }
 
-// checkJobTuning is one rank's view of jobTuning on a world of four: the
-// device's eager limit, the counters being on, and the whole tuning as
-// the rank's /debug/vars status reports it (the epoch deadline has no other
-// window from outside core), with the co-host rendezvous counts beside it.
+// checkJobTuning is one rank's view of jobProf on a world of four: the
+// counters being on, and the instrumentation as the rank's /debug/vars
+// status reports it — the config block holds nothing else — with the
+// co-host rendezvous counts beside it.
 func checkJobTuning(w *Comm) error {
 	if err := builtByTheRule(w); err != nil {
 		return err
 	}
-	if got := w.Device().EagerLimit(); got != jobTuning.EagerLimit {
-		return fmt.Errorf("rank %d: eager limit %d, want %d", w.Rank(), got, jobTuning.EagerLimit)
-	}
 	if !w.ProfEnabled() {
-		return fmt.Errorf("rank %d: counters off, want %s", w.Rank(), jobTuning.Prof)
+		return fmt.Errorf("rank %d: counters off, want %s", w.Rank(), jobProf)
 	}
 	status, _ := w.Device().Profiler().Status().(map[string]any)
-	want := map[string]any{
-		"eagerLimit": jobTuning.EagerLimit,
-		"prof":       jobTuning.Prof.String(),
-		"rmaTimeout": jobTuning.EpochTimeout.String(),
-	}
+	want := map[string]any{"prof": jobProf.String()}
 	if got := status["config"]; !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("rank %d: status config %v, want %v", w.Rank(), got, want)
 	}
@@ -100,50 +106,50 @@ func (s *specRecorder) Spawn(spec daemon.SlaveSpec, daemonAddr string) (daemon.S
 	return s.inner.Spawn(spec, daemonAddr)
 }
 
-// TestJobTuningReachesEverySlave: a job's tuning is resolved once, in the
-// client — the counters from JobConfig, the eager limit and the epoch
-// deadline from the client's MPJ_* variables — and every rank runs with
-// it: in-process slaves, process slaves, and a replacement rank Comm.Spawn
-// starts under RunLocal (which takes all three from the variables). Every
-// spec a daemon receives carries it whole.
-func TestJobTuningReachesEverySlave(t *testing.T) {
-	t.Setenv("MPJ_EAGER_LIMIT", fmt.Sprint(jobTuning.EagerLimit))
-	t.Setenv("MPJ_RMA_TIMEOUT", jobTuning.EpochTimeout.String())
-	run := func(spawner daemon.Spawner) func(t *testing.T) {
-		return func(t *testing.T) {
-			rec := &specRecorder{inner: spawner}
-			reg, _ := testEnv(t, 2, rec)
-			err := Run(JobConfig{
-				NP:       4,
-				App:      "tuning-check",
-				Prof:     jobTuning.Prof.String(),
-				Locators: []string{reg.Addr()},
-				LeaseDur: 5 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.mu.Lock()
-			defer rec.mu.Unlock()
-			if len(rec.specs) != 4 {
-				t.Fatalf("the daemons started %d slaves, want 4", len(rec.specs))
-			}
-			for _, s := range rec.specs {
-				if s.Tuning != jobTuning {
-					t.Errorf("rank %d's spec carries %+v, want %+v", s.Rank, s.Tuning, jobTuning)
-				}
-			}
+// runRecorded runs app on four ranks over two daemons that start their
+// slaves with spawner, and checks that every spec they received carries
+// jobProf.
+func runRecorded(t *testing.T, spawner daemon.Spawner, app string) {
+	t.Helper()
+	rec := &specRecorder{inner: spawner}
+	reg, _ := testEnv(t, 2, rec)
+	err := Run(JobConfig{
+		NP:       4,
+		App:      app,
+		Prof:     jobProf.String(),
+		Locators: []string{reg.Addr()},
+		LeaseDur: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.specs) != 4 {
+		t.Fatalf("the daemons started %d slaves, want 4", len(rec.specs))
+	}
+	for _, s := range rec.specs {
+		if s.Prof != jobProf {
+			t.Errorf("rank %d's spec carries %+v, want %+v", s.Rank, s.Prof, jobProf)
 		}
 	}
-	t.Run("in-process", run(NewFuncSpawner()))
+}
+
+// TestJobTuningReachesEverySlave: a job's instrumentation is resolved
+// once, in the client, from JobConfig, and every rank runs with it:
+// in-process slaves, process slaves, and a replacement rank Comm.Spawn
+// starts under RunLocal (which takes it from MPJ_PROF). Every spec a
+// daemon receives carries it.
+func TestJobTuningReachesEverySlave(t *testing.T) {
+	t.Run("in-process", func(t *testing.T) { runRecorded(t, NewFuncSpawner(), "tuning-check") })
 	t.Run("process", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("spawns OS processes")
 		}
-		run(daemon.ProcSpawner{})(t)
+		runRecorded(t, daemon.ProcSpawner{}, "tuning-check")
 	})
 	t.Run("spawned", func(t *testing.T) {
-		t.Setenv("MPJ_PROF", jobTuning.Prof.String())
+		t.Setenv("MPJ_PROF", jobProf.String())
 		app, err := lookupApp("tuning-spawn")
 		if err != nil {
 			t.Fatal(err)
@@ -154,9 +160,42 @@ func TestJobTuningReachesEverySlave(t *testing.T) {
 	})
 }
 
-// TestRunRejectsMalformedTuning: a malformed tuning value, in JobConfig
-// or in the client's environment, fails Run before any slave is created,
-// and the error names where the value came from.
+// TestStaleVariablesIgnored: MPJ_EAGER_LIMIT and MPJ_RMA_TIMEOUT, once job
+// settings, are in the environment of the client and of every process
+// slave, and change nothing: each rank's device opens with
+// DefaultEagerLimit and its status reports the instrumentation alone.
+// (A window's deadline has no reader outside core; TestEpochTimeoutDefault
+// checks it under the same variable, and TestEnvReads that nothing reads
+// either one.)
+func TestStaleVariablesIgnored(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	for k, v := range staleEnv {
+		t.Setenv(k, v)
+	}
+	runRecorded(t, daemon.ProcSpawner{}, "stale-check")
+}
+
+// TestEagerLimitRunLocal: under RunLocal every device opens with
+// DefaultEagerLimit, whatever MPJ_EAGER_LIMIT says — a number or not.
+func TestEagerLimitRunLocal(t *testing.T) {
+	for _, v := range []string{"1234", "not-a-size"} {
+		t.Setenv("MPJ_EAGER_LIMIT", v)
+		if err := RunLocal(2, func(w *Comm) error {
+			if got := w.Device().EagerLimit(); got != DefaultEagerLimit {
+				return fmt.Errorf("device eager limit %d, want %d", got, DefaultEagerLimit)
+			}
+			return nil
+		}); err != nil {
+			t.Errorf("MPJ_EAGER_LIMIT=%s: %v", v, err)
+		}
+	}
+}
+
+// TestRunRejectsMalformedTuning: a malformed instrumentation value, in
+// JobConfig or in the client's environment, fails Run before any slave is
+// created, and the error names where the value came from.
 func TestRunRejectsMalformedTuning(t *testing.T) {
 	for _, tc := range []struct {
 		name string // the field or variable the error must name
@@ -164,9 +203,7 @@ func TestRunRejectsMalformedTuning(t *testing.T) {
 		env  string
 	}{
 		{name: "JobConfig.Prof", cfg: JobConfig{Prof: "trace"}},
-		{name: "MPJ_EAGER_LIMIT", env: "lots"},
 		{name: "MPJ_PROF", env: "trace:"},
-		{name: "MPJ_RMA_TIMEOUT", env: "5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.env != "" {
