@@ -105,9 +105,17 @@ func elasticGroundTruth(w *Comm) error {
 }
 
 // elasticRecover is the survivor side of the elastic cycle: observe the
-// typed failure, shrink to the survivor set, spawn replacements back to
-// wantSize, merge into the rebuilt world and verify it.
+// typed failure, then rebuild the world.
 func elasticRecover(w *Comm, wantSize int) error {
+	if err := elasticDetect(w); err != nil {
+		return err
+	}
+	return elasticRebuild(w, wantSize)
+}
+
+// elasticDetect observes a member's death: a collective over it must fail
+// with the typed ErrRankFailed.
+func elasticDetect(w *Comm) error {
 	in := []int64{1}
 	out := []int64{0}
 	err := w.Allreduce(in, 0, out, 0, 1, LONG, SUM)
@@ -117,6 +125,12 @@ func elasticRecover(w *Comm, wantSize int) error {
 	if !errors.Is(err, ErrRankFailed) {
 		return fmt.Errorf("want ErrRankFailed, got: %w", err)
 	}
+	return nil
+}
+
+// elasticRebuild shrinks to the survivor set, spawns replacements back to
+// wantSize, merges into the rebuilt world and verifies it.
+func elasticRebuild(w *Comm, wantSize int) error {
 	sw, err := w.Shrink()
 	if err != nil {
 		return fmt.Errorf("shrink: %w", err)

@@ -1,8 +1,7 @@
-// Package bench implements the experiment harness: every figure of the
-// paper and every measurable design claim has a generator here that
-// produces the corresponding table — the tables `mpjbench -exp <name>`
-// prints and the committed BENCH_*.json files some of them rewrite.
-// cmd/mpjbench and the root bench_test.go are thin callers.
+// Package bench implements the two sweeps cmd/mpjbench runs: the
+// device-level ping-pong per transport (PP) and the large-message
+// Allreduce families forced classic versus ring (COLL, recorded in
+// BENCH_coll.json). The end-to-end yardstick is the benchmark/ module.
 //
 // See ARCHITECTURE.md at the repository root for where this package sits in
 // the layer stack.
@@ -71,15 +70,6 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// fmtBW renders a bandwidth in MiB/s given bytes moved and elapsed time.
-func fmtBW(bytes int64, d time.Duration) string {
-	if d <= 0 {
-		return "-"
-	}
-	mib := float64(bytes) / (1 << 20)
-	return fmt.Sprintf("%.1f", mib/d.Seconds())
-}
-
 // fmtSize renders a byte size compactly.
 func fmtSize(n int) string {
 	switch {
@@ -92,8 +82,8 @@ func fmtSize(n int) string {
 	}
 }
 
-// DefaultSizes is the message-size sweep shared by the ping-pong
-// experiments: 8 B to 1 MiB in powers of four.
+// DefaultSizes is the ping-pong message-size sweep: 8 B to 1 MiB in
+// powers of four.
 var DefaultSizes = []int{8, 32, 128, 512, 2048, 8192, 32 << 10, 128 << 10, 512 << 10, 1 << 20}
 
 // itersFor scales iteration counts down as messages grow so sweeps stay

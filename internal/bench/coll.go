@@ -3,10 +3,14 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"mpj/internal/core"
+	"mpj/internal/device"
+	"mpj/internal/transport"
 )
 
 // The COLL experiment: large-message collective algorithms. It sweeps
@@ -14,7 +18,7 @@ import (
 // (including the non-power-of-two np=5) with the algorithm family forced
 // classic versus ring, on the chan device. The recorded table
 // (BENCH_coll.json) is the measurement behind the algorithm-selection
-// thresholds in collalg.go, and its speedup ratios are the CI regression
+// thresholds in collalg.go, and its speedup ratios are the regression
 // baseline: the -quick run re-measures a subset and fails when a speedup
 // falls more than 20% below the committed value (ratios, not absolute
 // times, so the check is stable across machines).
@@ -111,7 +115,7 @@ func measureColl(np, bytes int, algName string) (CollBenchRow, error) {
 			}
 		}
 		if w.Rank() == 0 {
-			ns, _, err := measureOnRank0(w, iters, 3, body)
+			ns, err := measureOnRank0(w, iters, 3, body)
 			if err != nil {
 				return err
 			}
@@ -124,6 +128,98 @@ func measureColl(np, bytes int, algName string) (CollBenchRow, error) {
 	return row, err
 }
 
+// runJob runs an np-rank in-process job over the channel mesh, handing
+// each rank to fn. The first rank to fail aborts every device, so peers
+// blocked in a collective (or the final barrier) error out instead of
+// hanging the harness.
+func runJob(np int, fn func(w *core.Comm) error) error {
+	eps := transport.NewChanMesh(np)
+	devs := make([]*device.Device, np)
+	worlds := make([]*core.Comm, np)
+	abortAll := func() {
+		for _, d := range devs {
+			if d != nil {
+				d.Abort()
+			}
+		}
+	}
+	for i, ep := range eps {
+		var err error
+		if devs[i], err = device.Open(ep); err != nil {
+			abortAll()
+			return err
+		}
+		if worlds[i], err = core.NewWorld(devs[i]); err != nil {
+			abortAll()
+			return err
+		}
+	}
+	var abortOnce sync.Once
+	errs := make([]error, np)
+	var wg sync.WaitGroup
+	for i := 0; i < np; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(worlds[i]); err != nil {
+				errs[i] = err
+				abortOnce.Do(abortAll)
+				return
+			}
+			errs[i] = worlds[i].Barrier()
+		}()
+	}
+	wg.Wait()
+	for _, d := range devs {
+		d.Close()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// measureOnRank0 times reps runs of iters calls of body on rank 0 and
+// reports the fastest run's ns/op: min-of-reps strips scheduler jitter.
+func measureOnRank0(w *core.Comm, iters, reps int, body func() error) (float64, error) {
+	best := 0.0
+	for rep := 0; rep < reps; rep++ {
+		if err := w.Barrier(); err != nil {
+			return 0, err
+		}
+		runtime.GC()
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if err := body(); err != nil {
+				return 0, err
+			}
+		}
+		per := float64(time.Since(start).Nanoseconds()) / float64(iters)
+		if rep == 0 || per < best {
+			best = per
+		}
+	}
+	return best, nil
+}
+
+// runOther drives the non-measuring ranks through the same rep/iter
+// structure as measureOnRank0.
+func runOther(w *core.Comm, iters, reps int, body func() error) error {
+	for rep := 0; rep < reps; rep++ {
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		for i := 0; i < iters; i++ {
+			if err := body(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // CollAlgSweep generates the large-message collective algorithm table and
 // its JSON record. The acceptance rows are the 4 MiB Allreduce at np>=4:
 // the large-vector schedules must run at >=2x the classic trees'
@@ -133,7 +229,7 @@ func CollAlgSweep(quick bool) (*Table, *CollBenchResult, error) {
 	nps := []int{4, 5, 8}
 	if quick {
 		// The 1 MiB point: large enough that the speedup ratio is stable
-		// across runs (the CI regression gate compares ratios against the
+		// across runs (the -quick regression check compares ratios against the
 		// committed full sweep), small enough for a smoke step.
 		sizes, nps = []int{1 << 20}, []int{4}
 	}

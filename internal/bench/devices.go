@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpj/internal/device"
 	"mpj/internal/transport"
@@ -76,6 +77,74 @@ func TransportPair(name transport.DeviceName) (t0, t1 transport.Transport, clean
 	return nil, nil, cleanup, fmt.Errorf("bench: no transport pair for device %q", name)
 }
 
+// DevicePingPongOver measures the device-level round trip (isend/irecv
+// with the matching engine) over a transport pair under the given send
+// mode — the workhorse behind the PP device-comparison experiment. The
+// devices take ownership of (and close) both transports.
+func DevicePingPongOver(t0, t1 transport.Transport, size, iters int, mode device.Mode) (time.Duration, error) {
+	d0, err := device.Open(t0)
+	if err != nil {
+		return 0, err
+	}
+	defer d0.Close()
+	d1, err := device.Open(t1)
+	if err != nil {
+		return 0, err
+	}
+	defer d1.Close()
+
+	msg := make([]byte, size)
+	errCh := make(chan error, 1)
+	go func() { // echo side
+		buf := make([]byte, size)
+		for i := 0; i < iters; i++ {
+			rr, err := d1.Irecv(buf, 0, 0, 0)
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := rr.Wait(); err != nil {
+				errCh <- err
+				return
+			}
+			sr, err := d1.Isend(buf, 0, 0, 0, mode)
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if _, err := sr.Wait(); err != nil {
+				errCh <- err
+				return
+			}
+		}
+		errCh <- nil
+	}()
+
+	buf := make([]byte, size)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		rr, err := d0.Irecv(buf, 1, 0, 0)
+		if err != nil {
+			return 0, err
+		}
+		sr, err := d0.Isend(msg, 1, 0, 0, mode)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := sr.Wait(); err != nil {
+			return 0, err
+		}
+		if _, err := rr.Wait(); err != nil {
+			return 0, err
+		}
+	}
+	elapsed := time.Since(start)
+	if err := <-errCh; err != nil {
+		return 0, err
+	}
+	return elapsed / time.Duration(iters), nil
+}
+
 // PPDeviceCompare builds the device-comparison ping-pong table: the same
 // device-level round trip over each device a job's slaves build. "tcp"
 // pays the loopback socket tax even on one machine.
@@ -93,7 +162,7 @@ func PPDeviceCompare(sizes []int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s pair: %w", name, err)
 			}
-			d, err := DevicePingPongOver(t0, t1, size, iters, -1, device.ModeStandard)
+			d, err := DevicePingPongOver(t0, t1, size, iters, device.ModeStandard)
 			cleanup()
 			if err != nil {
 				return nil, fmt.Errorf("%s %d: %w", name, size, err)

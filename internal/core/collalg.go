@@ -61,8 +61,8 @@ const (
 )
 
 // ForceCollAlg makes c compile family a where auto would pick another: the
-// seam through which tests pin a schedule and mpjbench's coll and vcoll
-// sweeps price the families. It states a preference, not a schedule: where
+// seam through which tests pin a schedule and mpjbench's coll sweep
+// prices the families. It states a preference, not a schedule: where
 // a's would degenerate (ring below three ranks) the classic schedule runs.
 // Every member must force the same family before its collectives. Panics
 // on a value that is not a CollAlg constant.

@@ -670,60 +670,95 @@ func TestWinRevoked(t *testing.T) {
 	}
 }
 
-// TestWinProfExact: the profiling counters for a known co-located Put
-// pattern are exact — and the wire byte counter stays zero, proving the
-// co-located path performs no wire serialization.
+// TestWinProfExact: the profiling counters for a known co-located Put or
+// Get are exact — and the wire byte counter stays zero, proving the
+// co-located data op is a memmove with no wire serialization, at 4 KiB and
+// at the 64 KiB a Put once had to beat Send/Recv at.
 func TestWinProfExact(t *testing.T) {
-	const count = 1024 // int32 → 4096 bytes
-	runRanksProf(t, 2, prof.Spec{Counters: true}, false, func(w *Comm) (err error) {
-		rank := w.Rank()
-		buf := make([]int32, count)
-		win, err := w.WinCreate(buf, 1)
-		if err != nil {
-			return err
-		}
-		defer freeOnSuccess(win, &err)
-		if rank == 0 {
-			src := make([]int32, count)
-			for i := range src {
-				src[i] = int32(i)
-			}
-			if err := win.Put(src, 0, count, Int, 1, 0); err != nil {
-				return err
-			}
-		}
-		if err := win.Fence(); err != nil {
-			return err
-		}
+	const np = 2
+	for _, tc := range []struct {
+		op    string
+		count int // int32 elements
+	}{
+		{"put", 1024}, // 4 KiB
+		{"put", 16 << 10},
+		{"get", 16 << 10},
+	} {
+		bytes := int64(4 * tc.count)
+		t.Run(fmt.Sprintf("%s/%dB", tc.op, bytes), func(t *testing.T) {
+			runRanksProf(t, np, prof.Spec{Counters: true}, false, func(w *Comm) (err error) {
+				rank := w.Rank()
+				buf := make([]int32, tc.count)
+				for i := range buf {
+					buf[i] = int32(rank<<20 | i)
+				}
+				win, err := w.WinCreate(buf, 1)
+				if err != nil {
+					return err
+				}
+				defer freeOnSuccess(win, &err)
+				origin := make([]int32, tc.count)
+				if rank == 0 {
+					for i := range origin {
+						origin[i] = int32(i)
+					}
+					if tc.op == "put" {
+						err = win.Put(origin, 0, tc.count, Int, 1, 0)
+					} else {
+						err = win.Get(origin, 0, tc.count, Int, 1, 0)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				if err := win.Fence(); err != nil {
+					return err
+				}
 
-		s := win.ProfSnapshot()
-		if rank == 0 {
-			if err := expect(s.RmaPuts == 1, "rmaPuts = %d, want 1", s.RmaPuts); err != nil {
-				return err
-			}
-			if err := expect(s.RmaPutBytes == 4*count, "rmaPutBytes = %d, want %d", s.RmaPutBytes, 4*count); err != nil {
-				return err
-			}
-			if err := expect(s.RmaLocalBytes == 4*count, "rmaLocalBytes = %d, want %d", s.RmaLocalBytes, 4*count); err != nil {
-				return err
-			}
-		}
-		// Both ranks: zero wire traffic of any kind on the window context.
-		if err := expect(s.RmaWireBytes == 0, "rmaWireBytes = %d, want 0", s.RmaWireBytes); err != nil {
-			return err
-		}
-		if err := expect(s.EagerSentBytes == 0 && s.RdvSentBytes == 0,
-			"two-sided bytes on window ctx: eager %d rdv %d, want 0", s.EagerSentBytes, s.RdvSentBytes); err != nil {
-			return err
-		}
-		if err := expect(s.RmaFences == 1, "rmaFences = %d, want 1", s.RmaFences); err != nil {
-			return err
-		}
-		// The fence announced to the one co-located peer by direct store,
-		// once: a window without a remote member has no completion phase.
-		return expect(s.RmaSyncFrames == 0 && s.RmaSyncDirect == 1,
-			"fence announcements: %d frames / %d direct, want 0 / 1", s.RmaSyncFrames, s.RmaSyncDirect)
-	})
+				s := win.ProfSnapshot()
+				if rank == 0 {
+					ops, opBytes := s.RmaPuts, s.RmaPutBytes
+					if tc.op == "get" {
+						ops, opBytes = s.RmaGets, s.RmaGetBytes
+						if err := expect(origin[tc.count-1] == int32(1<<20|(tc.count-1)),
+							"get read %#x at the last element", origin[tc.count-1]); err != nil {
+							return err
+						}
+					}
+					if err := expect(ops == 1 && s.RmaOps() == 1, "%d %ss of %d ops, want 1", ops, tc.op, s.RmaOps()); err != nil {
+						return err
+					}
+					if err := expect(opBytes == bytes, "%s bytes = %d, want %d", tc.op, opBytes, bytes); err != nil {
+						return err
+					}
+					if err := expect(s.RmaLocalBytes == bytes, "rmaLocalBytes = %d, want %d", s.RmaLocalBytes, bytes); err != nil {
+						return err
+					}
+				} else if tc.op == "put" {
+					if err := expect(buf[tc.count-1] == int32(tc.count-1), "put left %#x at the last element", buf[tc.count-1]); err != nil {
+						return err
+					}
+				}
+				// Both ranks: zero wire traffic of any kind on the window context.
+				if err := expect(s.RmaWireBytes == 0, "rmaWireBytes = %d, want 0", s.RmaWireBytes); err != nil {
+					return err
+				}
+				if err := expect(s.EagerSentBytes == 0 && s.RdvSentBytes == 0,
+					"two-sided bytes on window ctx: eager %d rdv %d, want 0", s.EagerSentBytes, s.RdvSentBytes); err != nil {
+					return err
+				}
+				if err := expect(s.RmaFences == 1, "rmaFences = %d, want 1", s.RmaFences); err != nil {
+					return err
+				}
+				// The fence announced to each co-located peer by direct store,
+				// once: a window without a remote member has no completion
+				// phase (over TCP the same fence costs 2(np-1) frames; see
+				// TestWinProfExactTCP).
+				return expect(s.RmaSyncFrames == 0 && s.RmaSyncDirect == np-1,
+					"fence announcements: %d frames / %d direct, want 0 / %d", s.RmaSyncFrames, s.RmaSyncDirect, np-1)
+			})
+		})
+	}
 }
 
 // TestWinParkedFenceChargedToWindow: time a fence spends parked is the

@@ -80,8 +80,7 @@ const (
 )
 
 // DefaultEagerLimit is the payload size (bytes) up to which standard-mode
-// sends use the eager protocol. Chosen near the classic MPICH default; the
-// A2 ablation benchmark sweeps it.
+// sends use the eager protocol. Chosen near the classic MPICH default.
 const DefaultEagerLimit = 16 << 10
 
 // Mode selects the send protocol semantics.
@@ -285,10 +284,10 @@ type Device struct {
 // Option configures a Device at Open time.
 type Option func(*Device)
 
-// WithEagerLimit overrides the standard-mode eager/rendezvous threshold
-// (DefaultEagerLimit). It is a seam for tests and the eager-limit
-// ablation, not a job setting.
-func WithEagerLimit(n int) Option {
+// withEagerLimit overrides the standard-mode eager/rendezvous threshold
+// (DefaultEagerLimit). It is a seam for tests (see export_test.go), not a
+// job setting.
+func withEagerLimit(n int) Option {
 	return func(d *Device) { d.eagerLimit = n }
 }
 

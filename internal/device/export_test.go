@@ -5,6 +5,9 @@ package device
 // refuses each offer the way the system would.
 func WithRings(fault func(peer int) error) Option { return withRings(fault) }
 
+// WithEagerLimit moves the eager/rendezvous threshold to n bytes.
+func WithEagerLimit(n int) Option { return withEagerLimit(n) }
+
 // Ended reports whether the device was closed, aborted or declared dead
 // itself.
 func (d *Device) Ended() bool {

@@ -1,8 +1,12 @@
 package mpj
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"reflect"
 	"strings"
@@ -221,5 +225,67 @@ func TestRunRejectsMalformedTuning(t *testing.T) {
 				t.Errorf("%d slaves were created before the error", len(rec.specs))
 			}
 		})
+	}
+}
+
+// TestProfEndpointServesLiveJob: a RunLocal job under MPJ_PROF_ADDR serves
+// /debug/vars while it runs, and the served "mpj" block holds its ranks'
+// traffic: serveProf starts the endpoint, openDevice tracks each rank.
+func TestProfEndpointServesLiveJob(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	t.Setenv("MPJ_PROF", "counters")
+	t.Setenv("MPJ_PROF_ADDR", addr)
+
+	const size = 4 << 10
+	err = RunLocal(2, func(w *Comm) error {
+		buf := make([]byte, size)
+		if w.Rank() == 1 {
+			if _, err := w.Recv(buf, 0, size, BYTE, 0, 0); err != nil {
+				return err
+			}
+			return w.Send(buf, 0, 1, BYTE, 0, 1)
+		}
+		if err := w.Send(buf, 0, size, BYTE, 1, 0); err != nil {
+			return err
+		}
+		if _, err := w.Recv(buf, 0, 1, BYTE, 1, 1); err != nil {
+			return err
+		}
+		resp, err := http.Get("http://" + addr + "/debug/vars")
+		if err != nil {
+			return fmt.Errorf("GET /debug/vars: %w", err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		var vars struct {
+			MPJ *struct {
+				Ranks map[string]struct {
+					Counters prof.Snapshot `json:"counters"`
+				} `json:"ranks"`
+			} `json:"mpj"`
+		}
+		if err := json.Unmarshal(body, &vars); err != nil {
+			return fmt.Errorf("/debug/vars is not JSON: %w\n%s", err, body)
+		}
+		if vars.MPJ == nil {
+			return fmt.Errorf("/debug/vars has no mpj block:\n%s", body)
+		}
+		for _, r := range vars.MPJ.Ranks {
+			if r.Counters.EagerSentBytes > 0 {
+				return nil
+			}
+		}
+		return fmt.Errorf("no live rank served eagerSentBytes > 0:\n%s", body)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
