@@ -426,11 +426,15 @@ func (a *hostArea) fold(src, res []byte, off, lo, hi int, bound func(int) int, k
 // recursive halving (halvingRounds): step 0, at distance p/2, combines the
 // member's own part with its partner's (own ⊕ partner); step j at distance
 // p>>(j+1) combines the partner's partial into the member's (partner ⊕
-// own). The partials of the partners' subtrees live in a.tmp, one block per
-// step.
+// own). Step 1 folds its four parts in one pass where the kernel has the
+// loop (fuser4), in that order. The partials of the partners' subtrees
+// above it live in a.tmp, one block per step.
 func (a *hostArea) halving(j, r int, out []byte, in func(int) []byte, k kernel) error {
 	if j == 0 {
 		return k.fuse(in(r), in(r^a.np/2), out)
+	}
+	if q, h := a.np/4, a.np/2; j == 1 && k.fuse4 != nil && k.fuse4(in(r), in(r^q), in(r^h), in(r^q^h), out) {
+		return nil
 	}
 	if err := a.halving(j-1, r, out, in, k); err != nil {
 		return err

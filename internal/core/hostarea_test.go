@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -138,27 +140,47 @@ func waitColl(r *CollRequest, err error) error {
 // TestHostPathSameBits: the host walk returns exactly the bits the forced
 // large family returns on the same communicator — the halving tree's
 // association at powers of two, the ring's order otherwise — through
-// Allreduce and Iallreduce, for every predefined op on
-// float64 (random non-integer values), int64, int32 and bool, at np 2…8,
-// with counts that divide neither np nor the chunk, one chunk and three,
-// and InPlace and the aliased layouts for a float and an integer op.
+// Allreduce and Iallreduce, for every predefined op on float64 and float32
+// (random non-integer values; from np=3, MAX's and MIN's seeded with NaN,
+// ±0 and ±Inf, which any change of the operands' order shows), int64,
+// int32 and bool, at np 2…8 and 16 (the fused leaf under two levels of the
+// tree), with counts that divide neither np nor the chunk, one chunk and
+// three, and InPlace and the aliased layouts for a float and an integer
+// op. At np=2 the forced family is recursive doubling, which folds partner
+// ⊕ own on both ranks: the ranks' bits differ where the order shows, and
+// no walk, whose result every member shares, can match both.
 func TestHostPathSameBits(t *testing.T) {
 	f64 := func(r *rand.Rand) float64 { return r.Float64()*2000 - 1000 }
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	edgy := func(r *rand.Rand) float64 {
+		if r.Intn(4) == 0 {
+			return specials[r.Intn(len(specials))]
+		}
+		return f64(r)
+	}
 	prod := func(r *rand.Rand) float64 { return 0.5 + r.Float64() } // no overflow
+	to32 := func(f func(*rand.Rand) float64) func(*rand.Rand) float32 {
+		return func(r *rand.Rand) float32 { return float32(f(r)) }
+	}
 	i64 := func(r *rand.Rand) int64 { return r.Int63() - 1<<62 }
 	i32 := func(r *rand.Rand) int32 { return int32(r.Uint32()) }
 	boo := func(r *rand.Rand) bool { return r.Intn(4) != 0 }
-	for np := 2; np <= 8; np++ {
+	for _, np := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
 		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
+			edge := edgy
+			if np == 2 {
+				edge = f64
+			}
 			hostRanks(t, np, nil, func(w *Comm) error {
 				for _, count := range []int{1001, 3*hostChunk/8 + 13} {
-					for _, op := range []*Op{SumOp, MaxOp, MinOp} {
-						if err := checkHostBits(w, op, Double, count, op == SumOp, f64); err != nil {
+					for _, op := range []*Op{SumOp, ProdOp, MaxOp, MinOp} {
+						val := map[*Op]func(*rand.Rand) float64{SumOp: f64, ProdOp: prod, MaxOp: edge, MinOp: edge}[op]
+						if err := checkHostBits(w, op, Double, count, op == SumOp, val); err != nil {
 							return err
 						}
-					}
-					if err := checkHostBits(w, ProdOp, Double, count, false, prod); err != nil {
-						return err
+						if err := checkHostBits(w, op, Float, count, false, to32(val)); err != nil {
+							return err
+						}
 					}
 					for _, op := range []*Op{SumOp, ProdOp, MaxOp, MinOp, BAndOp, BOrOp, BXorOp} {
 						if err := checkHostBits(w, op, Long, count, false, i64); err != nil {
@@ -180,6 +202,62 @@ func TestHostPathSameBits(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// BenchmarkHostFold prices the fold of one np=4 share: the 64 KiB rank 0
+// folds of a 1 MiB allreduce's first chunk, from its contribution and
+// three members' slots into the result slot, block by block (hostArea.fold)
+// — through the 4-input loop (fused) and through the pairwise fuse, fuse,
+// comb it replaces (pairwise), for each op and type that has the loop.
+// Floats are random values in [0.5, 1.5), which no product overflows;
+// integers random bits.
+func BenchmarkHostFold(b *testing.B) {
+	needAreas(b)
+	const np, share = 4, 64 << 10
+	mem, err := transport.NewArea(hostAreaSize(np))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mem.Unmap()
+	a := newHostArea(mem, np, 0)
+	src := make([]byte, np*share)
+	for _, dt := range []Datatype{Byte, Short, Int, Long, GoInt, Float, Double} {
+		fill := func(p []byte) {
+			rng := rand.New(rand.NewSource(int64(len(p))))
+			for i := 0; i < len(p); i += dt.ByteSize() {
+				switch dt {
+				case Float:
+					binary.LittleEndian.PutUint32(p[i:], math.Float32bits(float32(0.5+rng.Float64())))
+				case Double:
+					binary.LittleEndian.PutUint64(p[i:], math.Float64bits(0.5+rng.Float64()))
+				default:
+					rng.Read(p[i : i+dt.ByteSize()])
+				}
+			}
+		}
+		fill(src[:share])
+		for r := 1; r < np; r++ {
+			fill(a.slot(r)[:share])
+		}
+		count := 1 << 20 / dt.ByteSize()
+		bound := func(j int) int { return j * count / np * dt.ByteSize() }
+		for _, op := range []*Op{SumOp, ProdOp, MaxOp, MinOp} {
+			for _, path := range []string{"pairwise", "fused"} {
+				k := op.byType[dt]
+				if path == "pairwise" {
+					k.fuse4 = nil
+				}
+				b.Run(fmt.Sprintf("%s/%s/%s", op.Name(), dt.Name(), path), func(b *testing.B) {
+					b.SetBytes(share)
+					for b.Loop() {
+						if err := a.fold(src, a.slot(np), 0, 0, share, bound, k); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

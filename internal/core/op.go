@@ -7,14 +7,24 @@ import "fmt"
 type combiner func(in, inout []byte) error
 
 // fuser writes the fold of two packed vectors into a third: out[i] =
-// op(a[i], b[i]); out may be b. The host area's reduction tree combines two
-// members' parts this way without copying one of them first.
+// op(a[i], b[i]); out may be b. The host area's chains and pairwise tree
+// levels combine two members' parts this way without copying one first.
 type fuser func(a, b, out []byte) error
 
-// kernel is an op's code for one datatype: the combiner and the fuser.
+// fuser4 writes the fold of four packed vectors into a fifth in one pass:
+// out[i] = op(op(b[i], d[i]), op(a[i], c[i])), the two lowest levels of
+// the host area's reduction tree (hostArea.halving) — the operands, in the
+// order, of fuse(a, c), fuse(b, d) into a partial and comb(partial, out),
+// so the bits are theirs. out may be any input. It reports false, having
+// written nothing, where it has no typed loop over the five views; the
+// caller then folds pairwise.
+type fuser4 func(a, b, c, d, out []byte) bool
+
+// kernel is an op's code for one datatype; fuse4 is nil without a 4-input loop.
 type kernel struct {
-	comb combiner
-	fuse fuser
+	comb  combiner
+	fuse  fuser
+	fuse4 fuser4
 }
 
 // Op is a reduction operation for Reduce/Allreduce/ReduceScatter/Scan,
@@ -47,7 +57,7 @@ func (o *Op) combinerFor(dt Datatype) (combiner, error) {
 // numCombiner builds the kernel of a primitive base type from its element
 // function alone; see vecCombiner.
 func numCombiner[T any](dt Datatype, f func(a, b T) T) kernel {
-	return vecCombiner(dt, f, nil)
+	return vecCombiner(dt, f, nil, nil)
 }
 
 // vecCombiner builds the kernel of a primitive base type. When T's wire
@@ -61,7 +71,8 @@ func numCombiner[T any](dt Datatype, f func(a, b T) T) kernel {
 // for vectors at the odd payload offset of an adopted frame — it decodes
 // and re-encodes per element. vec must compute out[i] = f(a[i], b[i]), out
 // being b or disjoint from both; the combiner is the fuser with out = b.
-func vecCombiner[T any](dt Datatype, f func(a, b T) T, vec func(a, b, out []T)) kernel {
+// vec4, if any, is the fuser4's loop over the same views (no element path).
+func vecCombiner[T any](dt Datatype, f func(a, b T) T, vec func(a, b, out []T), vec4 func(a, b, c, d, out []T)) kernel {
 	t := dt.(*baseType[T])
 	fuse := func(a, b, out []byte) error {
 		if len(a) != len(out) || len(b) != len(out) {
@@ -87,7 +98,25 @@ func vecCombiner[T any](dt Datatype, f func(a, b T) T, vec func(a, b, out []T)) 
 		}
 		return nil
 	}
-	return kernel{comb: func(in, inout []byte) error { return fuse(in, inout, inout) }, fuse: fuse}
+	k := kernel{comb: func(in, inout []byte) error { return fuse(in, inout, inout) }, fuse: fuse}
+	if vec4 != nil {
+		k.fuse4 = func(a, b, c, d, out []byte) bool {
+			if !t.isRaw() || len(a) != len(out) || len(b) != len(out) || len(c) != len(out) || len(d) != len(out) {
+				return false
+			}
+			av, aok := viewRaw[T](a, t.size)
+			bv, bok := viewRaw[T](b, t.size)
+			cv, cok := viewRaw[T](c, t.size)
+			dv, dok := viewRaw[T](d, t.size)
+			ov, ook := viewRaw[T](out, t.size)
+			if !aok || !bok || !cok || !dok || !ook {
+				return false
+			}
+			vec4(av, bv, cv, dv, ov)
+			return true
+		}
+	}
+	return k
 }
 
 // number is the element types of the arithmetic reductions.
@@ -207,47 +236,92 @@ func prodVec[T number](a, b, out []T) {
 	}
 }
 
+// The 4-input loops of fuser4. Reslicing leaves no bounds check in their
+// bodies; unrolled four ways like the pairwise loops they were no faster.
+
+func maxVec4[T integer](a, b, c, d, out []T) {
+	b, c, d, out = b[:len(a)], c[:len(a)], d[:len(a)], out[:len(a)]
+	for i, x := range a {
+		out[i] = widenMax(widenMax(b[i], d[i]), widenMax(x, c[i]))
+	}
+}
+
+func minVec4[T integer](a, b, c, d, out []T) {
+	b, c, d, out = b[:len(a)], c[:len(a)], d[:len(a)], out[:len(a)]
+	for i, x := range a {
+		out[i] = widenMin(widenMin(b[i], d[i]), widenMin(x, c[i]))
+	}
+}
+
+func maxVecF4[T float32 | float64](a, b, c, d, out []T) {
+	b, c, d, out = b[:len(a)], c[:len(a)], d[:len(a)], out[:len(a)]
+	for i, x := range a {
+		out[i] = maxOf(maxOf(b[i], d[i]), maxOf(x, c[i]))
+	}
+}
+
+func minVecF4[T float32 | float64](a, b, c, d, out []T) {
+	b, c, d, out = b[:len(a)], c[:len(a)], d[:len(a)], out[:len(a)]
+	for i, x := range a {
+		out[i] = minOf(minOf(b[i], d[i]), minOf(x, c[i]))
+	}
+}
+
+func sumVec4[T number](a, b, c, d, out []T) {
+	b, c, d, out = b[:len(a)], c[:len(a)], d[:len(a)], out[:len(a)]
+	for i, x := range a {
+		out[i] = (b[i] + d[i]) + (x + c[i])
+	}
+}
+
+func prodVec4[T number](a, b, c, d, out []T) {
+	b, c, d, out = b[:len(a)], c[:len(a)], d[:len(a)], out[:len(a)]
+	for i, x := range a {
+		out[i] = (b[i] * d[i]) * (x * c[i])
+	}
+}
+
 // Predefined reduction operations.
 var (
 	// MaxOp computes element-wise maxima of numeric data.
 	MaxOp = &Op{name: "MPJ.MAX", byType: map[Datatype]kernel{
-		Byte:   vecCombiner(Byte, maxOf[byte], maxVec[byte]),
-		Short:  vecCombiner(Short, maxOf[int16], maxVec[int16]),
-		Int:    vecCombiner(Int, maxOf[int32], maxVec[int32]),
-		Long:   vecCombiner(Long, maxOf[int64], maxVec[int64]),
-		GoInt:  vecCombiner(GoInt, maxOf[int], maxVec[int]),
-		Float:  vecCombiner(Float, maxOf[float32], maxVecF[float32]),
-		Double: vecCombiner(Double, maxOf[float64], maxVecF[float64]),
+		Byte:   vecCombiner(Byte, maxOf[byte], maxVec[byte], maxVec4[byte]),
+		Short:  vecCombiner(Short, maxOf[int16], maxVec[int16], maxVec4[int16]),
+		Int:    vecCombiner(Int, maxOf[int32], maxVec[int32], maxVec4[int32]),
+		Long:   vecCombiner(Long, maxOf[int64], maxVec[int64], maxVec4[int64]),
+		GoInt:  vecCombiner(GoInt, maxOf[int], maxVec[int], maxVec4[int]),
+		Float:  vecCombiner(Float, maxOf[float32], maxVecF[float32], maxVecF4[float32]),
+		Double: vecCombiner(Double, maxOf[float64], maxVecF[float64], maxVecF4[float64]),
 	}}
 	// MinOp computes element-wise minima of numeric data.
 	MinOp = &Op{name: "MPJ.MIN", byType: map[Datatype]kernel{
-		Byte:   vecCombiner(Byte, minOf[byte], minVec[byte]),
-		Short:  vecCombiner(Short, minOf[int16], minVec[int16]),
-		Int:    vecCombiner(Int, minOf[int32], minVec[int32]),
-		Long:   vecCombiner(Long, minOf[int64], minVec[int64]),
-		GoInt:  vecCombiner(GoInt, minOf[int], minVec[int]),
-		Float:  vecCombiner(Float, minOf[float32], minVecF[float32]),
-		Double: vecCombiner(Double, minOf[float64], minVecF[float64]),
+		Byte:   vecCombiner(Byte, minOf[byte], minVec[byte], minVec4[byte]),
+		Short:  vecCombiner(Short, minOf[int16], minVec[int16], minVec4[int16]),
+		Int:    vecCombiner(Int, minOf[int32], minVec[int32], minVec4[int32]),
+		Long:   vecCombiner(Long, minOf[int64], minVec[int64], minVec4[int64]),
+		GoInt:  vecCombiner(GoInt, minOf[int], minVec[int], minVec4[int]),
+		Float:  vecCombiner(Float, minOf[float32], minVecF[float32], minVecF4[float32]),
+		Double: vecCombiner(Double, minOf[float64], minVecF[float64], minVecF4[float64]),
 	}}
 	// SumOp computes element-wise sums of numeric data.
 	SumOp = &Op{name: "MPJ.SUM", byType: map[Datatype]kernel{
-		Byte:   vecCombiner(Byte, sumOf[byte], sumVec[byte]),
-		Short:  vecCombiner(Short, sumOf[int16], sumVec[int16]),
-		Int:    vecCombiner(Int, sumOf[int32], sumVec[int32]),
-		Long:   vecCombiner(Long, sumOf[int64], sumVec[int64]),
-		GoInt:  vecCombiner(GoInt, sumOf[int], sumVec[int]),
-		Float:  vecCombiner(Float, sumOf[float32], sumVec[float32]),
-		Double: vecCombiner(Double, sumOf[float64], sumVec[float64]),
+		Byte:   vecCombiner(Byte, sumOf[byte], sumVec[byte], sumVec4[byte]),
+		Short:  vecCombiner(Short, sumOf[int16], sumVec[int16], sumVec4[int16]),
+		Int:    vecCombiner(Int, sumOf[int32], sumVec[int32], sumVec4[int32]),
+		Long:   vecCombiner(Long, sumOf[int64], sumVec[int64], sumVec4[int64]),
+		GoInt:  vecCombiner(GoInt, sumOf[int], sumVec[int], sumVec4[int]),
+		Float:  vecCombiner(Float, sumOf[float32], sumVec[float32], sumVec4[float32]),
+		Double: vecCombiner(Double, sumOf[float64], sumVec[float64], sumVec4[float64]),
 	}}
 	// ProdOp computes element-wise products of numeric data.
 	ProdOp = &Op{name: "MPJ.PROD", byType: map[Datatype]kernel{
-		Byte:   vecCombiner(Byte, prodOf[byte], prodVec[byte]),
-		Short:  vecCombiner(Short, prodOf[int16], prodVec[int16]),
-		Int:    vecCombiner(Int, prodOf[int32], prodVec[int32]),
-		Long:   vecCombiner(Long, prodOf[int64], prodVec[int64]),
-		GoInt:  vecCombiner(GoInt, prodOf[int], prodVec[int]),
-		Float:  vecCombiner(Float, prodOf[float32], prodVec[float32]),
-		Double: vecCombiner(Double, prodOf[float64], prodVec[float64]),
+		Byte:   vecCombiner(Byte, prodOf[byte], prodVec[byte], prodVec4[byte]),
+		Short:  vecCombiner(Short, prodOf[int16], prodVec[int16], prodVec4[int16]),
+		Int:    vecCombiner(Int, prodOf[int32], prodVec[int32], prodVec4[int32]),
+		Long:   vecCombiner(Long, prodOf[int64], prodVec[int64], prodVec4[int64]),
+		GoInt:  vecCombiner(GoInt, prodOf[int], prodVec[int], prodVec4[int]),
+		Float:  vecCombiner(Float, prodOf[float32], prodVec[float32], prodVec4[float32]),
+		Double: vecCombiner(Double, prodOf[float64], prodVec[float64], prodVec4[float64]),
 	}}
 	// LAndOp computes element-wise logical AND of boolean data.
 	LAndOp = &Op{name: "MPJ.LAND", byType: map[Datatype]kernel{

@@ -264,6 +264,83 @@ func TestVecKernelsMatchElementPath(t *testing.T) {
 	}
 }
 
+// TestFuse4MatchesPairwise: the host area's fused leaf — step 1 of the
+// halving tree through the 4-input fuser — writes, byte for byte, what the
+// pairwise fuse, fuse and comb write, for every op and type with a 4-input
+// loop, at lengths 0–9 and 1001, with ±0 among the float inputs and NaNs
+// (two payloads) and infinities among MAX's and MIN's. One misaligned
+// input makes the 4-input fuser decline, writing nothing, and the tree then
+// folds pairwise to the same bits.
+func TestFuse4MatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000000002)}
+	a := newHostArea(nil, 4, 0) // halving touches only the partials, no mapping
+	for _, op := range []*Op{SumOp, ProdOp, MaxOp, MinOp} {
+		edge := specials[:2] // ±0: NaN payloads through + and * are the FPU's business
+		if op == MaxOp || op == MinOp {
+			edge = specials
+		}
+		for _, dt := range []Datatype{Byte, Short, Int, Long, GoInt, Float, Double} {
+			k, sz := op.byType[dt], dt.ByteSize()
+			pairwise := k
+			pairwise.fuse4 = nil
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1001} {
+				parts := make([][]byte, 4)
+				for r := range parts {
+					parts[r] = make([]byte, n*sz)
+					for i := 0; i < len(parts[r]); i += sz {
+						v := rng.Float64()*2000 - 1000
+						if rng.Intn(4) == 0 {
+							v = edge[rng.Intn(len(edge))]
+						}
+						switch dt {
+						case Float:
+							binary.LittleEndian.PutUint32(parts[r][i:], math.Float32bits(float32(v)))
+						case Double:
+							binary.LittleEndian.PutUint64(parts[r][i:], math.Float64bits(v))
+						default:
+							rng.Read(parts[r][i : i+sz])
+						}
+					}
+				}
+				in := func(r int) []byte { return parts[r] }
+				r := n % 4 // the member whose partial the tree builds
+				fused, want := make([]byte, n*sz), make([]byte, n*sz)
+				if !k.fuse4(in(r), in(r^1), in(r^2), in(r^3), fused) {
+					t.Fatalf("%s on %s, %d elements: the 4-input fuser declined aligned views", op.Name(), dt.Name(), n)
+				}
+				if err := a.halving(1, r, want, in, pairwise); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(fused, want) {
+					t.Errorf("%s on %s, %d elements: the 4-input loop and the pairwise folds disagree", op.Name(), dt.Name(), n)
+				}
+				if n < 1001 || sz == 1 {
+					continue
+				}
+				odd := append([]byte{0}, parts[0]...)[1:]
+				oddIn := func(r int) []byte {
+					if r == 0 {
+						return odd
+					}
+					return parts[r]
+				}
+				out := bytes.Repeat([]byte{0xa5}, n*sz)
+				if k.fuse4(odd, parts[1], parts[2], parts[3], out) || !bytes.Equal(out, bytes.Repeat([]byte{0xa5}, n*sz)) {
+					t.Errorf("%s on %s: the 4-input fuser took or wrote a misaligned view", op.Name(), dt.Name())
+				}
+				if err := a.halving(1, r, out, oddIn, k); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Errorf("%s on %s: a misaligned view's pairwise fallback disagrees", op.Name(), dt.Name())
+				}
+			}
+		}
+	}
+}
+
 // TestMaxMinKernelsLikeScalar: the MAX and MIN kernels return the bits
 // maxOf and minOf return on the pairs a branch-free kernel gets wrong most
 // easily — a NaN on either side (each with its own payload), +0

@@ -522,7 +522,9 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 	if raw := vWindow(dt, buf, off, count); raw != nil {
 		return w.putBytes(raw, target, boff)
 	}
+	local := false
 	if w.peers[target] != nil {
+		local = true
 		tw, err := w.lockPeer("put", target)
 		if err != nil {
 			return err
@@ -538,7 +540,7 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 		}
 	}
 	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'p', nbytes, w.peers[target] != nil)
+		p.RmaOp(w.ctx, 'p', nbytes, local)
 	}
 	return nil
 }
@@ -549,7 +551,9 @@ func (w *Win) Put(buf any, off, count int, dt Datatype, target, tdisp int) error
 // co-located target gets one memmove under its window mutex, a remote one
 // one KindRmaPut frame.
 func (w *Win) putBytes(src []byte, target, boff int) error {
+	local := false
 	if w.peers[target] != nil {
+		local = true
 		tw, err := w.lockPeer("put", target)
 		if err != nil {
 			return err
@@ -560,7 +564,7 @@ func (w *Win) putBytes(src []byte, target, boff int) error {
 		return fmt.Errorf("mpj: rma put: %w", err)
 	}
 	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'p', len(src), w.peers[target] != nil)
+		p.RmaOp(w.ctx, 'p', len(src), local)
 	}
 	return nil
 }
@@ -597,7 +601,9 @@ func (w *Win) Get(buf any, off, count int, dt Datatype, target, tdisp int) error
 		return fmt.Errorf("mpj: rma get: %w: block [%d:%d) outside %d-slot buffer",
 			ErrBuffer, off, off+count*dt.Extent(), n)
 	}
+	local := false
 	if w.peers[target] != nil {
+		local = true
 		tw, err := w.lockPeer("get", target)
 		if err != nil {
 			return err
@@ -624,7 +630,7 @@ func (w *Win) Get(buf any, off, count int, dt Datatype, target, tdisp int) error
 		}
 	}
 	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'g', nbytes, w.peers[target] != nil)
+		p.RmaOp(w.ctx, 'g', nbytes, local)
 	}
 	return nil
 }
@@ -653,7 +659,9 @@ func (w *Win) Accumulate(buf any, off, count int, dt Datatype, target, tdisp int
 	if err != nil {
 		return fmt.Errorf("mpj: rma accumulate: %w", err)
 	}
+	local := false
 	if w.peers[target] != nil {
+		local = true
 		data, err := packExact(dt, buf, off, count)
 		if err != nil {
 			return fmt.Errorf("mpj: rma accumulate: %w", err)
@@ -673,7 +681,7 @@ func (w *Win) Accumulate(buf any, off, count int, dt Datatype, target, tdisp int
 		}
 	}
 	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'a', nbytes, w.peers[target] != nil)
+		p.RmaOp(w.ctx, 'a', nbytes, local)
 	}
 	return nil
 }
@@ -748,7 +756,9 @@ func (w *Win) FetchAndOp(buf any, ooff int, result any, roff int, dt Datatype, t
 	if err != nil {
 		return fmt.Errorf("mpj: rma fetch_and_op: %w", err)
 	}
+	local := false
 	if w.peers[target] != nil {
+		local = true
 		prior := make([]byte, w.elemSize)
 		tw, err := w.lockPeer("fetch_and_op", target)
 		if err != nil {
@@ -771,7 +781,7 @@ func (w *Win) FetchAndOp(buf any, ooff int, result any, roff int, dt Datatype, t
 		}
 	}
 	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'a', w.elemSize, w.peers[target] != nil)
+		p.RmaOp(w.ctx, 'a', w.elemSize, local)
 	}
 	return nil
 }
@@ -796,7 +806,9 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 	if err != nil {
 		return fmt.Errorf("mpj: rma compare_and_swap: %w", err)
 	}
+	local := false
 	if w.peers[target] != nil {
+		local = true
 		prior := make([]byte, w.elemSize)
 		tw, err := w.lockPeer("compare_and_swap", target)
 		if err != nil {
@@ -820,7 +832,7 @@ func (w *Win) CompareAndSwap(buf any, ooff int, compare any, coff int, result an
 		}
 	}
 	if p := w.dev.Profiler(); p != nil {
-		p.RmaOp(w.ctx, 'a', w.elemSize, w.peers[target] != nil)
+		p.RmaOp(w.ctx, 'a', w.elemSize, local)
 	}
 	return nil
 }

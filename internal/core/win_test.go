@@ -673,7 +673,10 @@ func TestWinRevoked(t *testing.T) {
 // TestWinProfExact: the profiling counters for a known co-located Put or
 // Get are exact — and the wire byte counter stays zero, proving the
 // co-located data op is a memmove with no wire serialization, at 4 KiB and
-// at the 64 KiB a Put once had to beat Send/Recv at.
+// at the 64 KiB a Put once had to beat Send/Recv at. The counters follow
+// the branch that moved the bytes, so a co-located Put sent as an RMA
+// frame counts wire bytes here: the raw cells cover putBytes, the strided
+// cell (every other origin element, a Vector) Put's packing branch.
 func TestWinProfExact(t *testing.T) {
 	const np = 2
 	for _, tc := range []struct {
@@ -683,6 +686,7 @@ func TestWinProfExact(t *testing.T) {
 		{"put", 1024}, // 4 KiB
 		{"put", 16 << 10},
 		{"get", 16 << 10},
+		{"put-strided", 1024},
 	} {
 		bytes := int64(4 * tc.count)
 		t.Run(fmt.Sprintf("%s/%dB", tc.op, bytes), func(t *testing.T) {
@@ -697,14 +701,20 @@ func TestWinProfExact(t *testing.T) {
 					return err
 				}
 				defer freeOnSuccess(win, &err)
-				origin := make([]int32, tc.count)
+				origin := make([]int32, 2*tc.count)
 				if rank == 0 {
 					for i := range origin {
 						origin[i] = int32(i)
 					}
-					if tc.op == "put" {
+					switch tc.op {
+					case "put":
 						err = win.Put(origin, 0, tc.count, Int, 1, 0)
-					} else {
+					case "put-strided":
+						var every2 Datatype
+						if every2, err = Vector(tc.count, 1, 2, Int); err == nil {
+							err = win.Put(origin, 0, 1, every2, 1, 0)
+						}
+					default:
 						err = win.Get(origin, 0, tc.count, Int, 1, 0)
 					}
 					if err != nil {
@@ -734,8 +744,12 @@ func TestWinProfExact(t *testing.T) {
 					if err := expect(s.RmaLocalBytes == bytes, "rmaLocalBytes = %d, want %d", s.RmaLocalBytes, bytes); err != nil {
 						return err
 					}
-				} else if tc.op == "put" {
-					if err := expect(buf[tc.count-1] == int32(tc.count-1), "put left %#x at the last element", buf[tc.count-1]); err != nil {
+				} else if tc.op != "get" {
+					want := int32(tc.count - 1)
+					if tc.op == "put-strided" {
+						want *= 2
+					}
+					if err := expect(buf[tc.count-1] == want, "put left %#x at the last element", buf[tc.count-1]); err != nil {
 						return err
 					}
 				}

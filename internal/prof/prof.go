@@ -82,6 +82,7 @@ func (s Spec) String() string {
 // device-wide set plus one per device context, so the communicator layer
 // can slice totals per-comm.
 type counters struct {
+	ctx     int // the device context of a per-context set
 	sendOps atomic.Int64
 	recvOps atomic.Int64
 
@@ -297,7 +298,8 @@ type Recorder struct {
 	spec Spec
 
 	global counters
-	perCtx sync.Map // device context (int) → *counters
+	perCtx sync.Map                 // device context (int) → *counters
+	last   atomic.Pointer[counters] // the per-context set forCtx returned last
 
 	tr *tracer // nil unless spec.TracePrefix is set
 
@@ -330,12 +332,19 @@ func (r *Recorder) Rank() int { return r.rank }
 func (r *Recorder) Spec() Spec { return r.spec }
 
 // forCtx returns the per-context counter set, creating it on first use.
+// A hop's Send, RecvPost and Arrive name one context, so the set returned
+// last answers most calls with one atomic load, before the map.
 func (r *Recorder) forCtx(ctx int) *counters {
-	if v, ok := r.perCtx.Load(ctx); ok {
-		return v.(*counters)
+	if c := r.last.Load(); c != nil && c.ctx == ctx {
+		return c
 	}
-	v, _ := r.perCtx.LoadOrStore(ctx, &counters{})
-	return v.(*counters)
+	v, ok := r.perCtx.Load(ctx)
+	if !ok {
+		v, _ = r.perCtx.LoadOrStore(ctx, &counters{ctx: ctx})
+	}
+	c := v.(*counters)
+	r.last.Store(c)
+	return c
 }
 
 // Send records one message of n payload bytes posted on ctx; eager
@@ -439,7 +448,8 @@ func (r *Recorder) WaitSpan(ctx int, start time.Time) {
 // RmaOp records one one-sided operation of n payload bytes on the window
 // context ctx, counted at the origin: kind is 'p' (Put), 'g' (Get) or 'a'
 // (Accumulate); local marks a co-located target reached by direct memory
-// copy rather than an RMA frame.
+// copy rather than an RMA frame, set by the branch of the operation that
+// moved the bytes.
 func (r *Recorder) RmaOp(ctx int, kind byte, n int, local bool) {
 	c := r.forCtx(ctx)
 	switch kind {

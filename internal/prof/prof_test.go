@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,6 +118,32 @@ func TestRecorderCounters(t *testing.T) {
 	}
 	if missing := r.CtxSnapshot(42); missing != (Snapshot{}) {
 		t.Errorf("unknown context snapshot is non-zero: %+v", missing)
+	}
+}
+
+// TestRecorderCountersConcurrent: goroutines that alternate between
+// contexts, and so keep replacing the set forCtx returned last, still count
+// every event in its own context.
+func TestRecorderCountersConcurrent(t *testing.T) {
+	r := New(0, Spec{Counters: true})
+	const goroutines, each = 4, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Send(i%3, 1, true)
+				r.Arrive(i%3, 1, true)
+			}
+		}()
+	}
+	wg.Wait()
+	for ctx := 0; ctx < 3; ctx++ {
+		want := int64(goroutines * ((each - ctx + 2) / 3))
+		if s := r.CtxSnapshot(ctx); s.SendOps != want || s.EagerRecv != want {
+			t.Errorf("context %d: %d sends, %d arrivals, want %d each", ctx, s.SendOps, s.EagerRecv, want)
+		}
 	}
 }
 
