@@ -28,12 +28,17 @@
 // surfaces as a typed ErrRankFailed on survivors (within the -liveness
 // lease) instead of aborting the job, and the application recovers with
 // Shrink/Spawn/Merge — see README "Elastic jobs".
+//
+// mpjrun exits 0 when the job completes. A job that a rank ended with
+// Comm.Abort(code) exits with code when it is 1 to 255; every other failed
+// job, and an abort whose code is outside that range, exits 1. A usage
+// error exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strings"
 	"time"
@@ -76,7 +81,18 @@ func main() {
 		LivenessDur: *liveness,
 	})
 	if err != nil {
-		log.Fatalf("mpjrun: %v", err)
+		fmt.Fprintf(os.Stderr, "mpjrun: %v\n", err)
+		os.Exit(exitStatus(err))
 	}
 	fmt.Printf("mpjrun: job %q on %d processes completed\n", *app, *np)
+}
+
+// exitStatus is the status of a job that failed with err: an abort's code
+// when it is 1 to 255, else 1.
+func exitStatus(err error) int {
+	var rf *mpj.RankFailedError
+	if errors.As(err, &rf) && rf.Aborted && rf.Code >= 1 && rf.Code <= 255 {
+		return rf.Code
+	}
+	return 1
 }

@@ -77,11 +77,7 @@ func (lt *liveTracker) devices() []*device.Device {
 // healthy meshes, abort for meshes with recorded failures.
 func (lt *liveTracker) closeSpawned() {
 	for _, dev := range lt.devices() {
-		if dev.FailEpoch() > 0 {
-			dev.Abort()
-		} else {
-			dev.Close()
-		}
+		teardown(dev, false)
 	}
 }
 
@@ -167,26 +163,42 @@ func meshTransport(rank int, epoch uint64, table job.Table, ln net.Listener) (tr
 // Launch places replacement slaves round-robin on the survivors' daemons,
 // and Rejoin re-bootstraps this rank into the spawn generation's mesh.
 type distRespawner struct {
+	spawnMasters
 	spec       daemon.SlaveSpec // this rank's spec, the template for replacements
 	daemonAddr string
 	live       *liveTracker
-
-	mu      sync.Mutex
-	masters []*job.SpawnMaster
 }
 
 func (r *distRespawner) DaemonAddr() string { return r.daemonAddr }
 
-func (r *distRespawner) NewEpoch(total int) (uint64, string, func(), error) {
+// spawnMasters are the scoped bootstrap masters a leader stood up, one per
+// spawn epoch: NewEpoch adds one, close retires them all (their gathers
+// completed when Rejoin returned on every member).
+type spawnMasters struct {
+	mu      sync.Mutex
+	masters []*job.SpawnMaster
+}
+
+func (s *spawnMasters) NewEpoch(total int) (uint64, string, func(), error) {
 	epoch := spawnEpoch()
 	sm, err := job.NewSpawnMaster(epoch, total)
 	if err != nil {
 		return 0, "", nil, err
 	}
-	r.mu.Lock()
-	r.masters = append(r.masters, sm)
-	r.mu.Unlock()
+	s.mu.Lock()
+	s.masters = append(s.masters, sm)
+	s.mu.Unlock()
 	return epoch, sm.Addr(), func() { sm.Close() }, nil
+}
+
+func (s *spawnMasters) close() {
+	s.mu.Lock()
+	masters := s.masters
+	s.masters = nil
+	s.mu.Unlock()
+	for _, sm := range masters {
+		sm.Close()
+	}
 }
 
 func (r *distRespawner) Launch(daemons []string, n, base, total int, epoch uint64, masterAddr string) error {
@@ -224,11 +236,13 @@ func (r *distRespawner) Launch(daemons []string, n, base, total int, epoch uint6
 }
 
 func (r *distRespawner) Rejoin(epoch uint64, masterAddr string, rank, total int) (*device.Device, error) {
-	spec := r.spec
-	spec.Rank = rank
-	spec.Size = total
-	spec.Epoch = epoch
-	spec.MasterAddr = masterAddr
+	return rejoin(r.spec, r.live, epoch, masterAddr, rank, total)
+}
+
+// rejoin re-bootstraps a survivor, from spec, into the mesh of spawn
+// generation epoch as rank of total members.
+func rejoin(spec daemon.SlaveSpec, live *liveTracker, epoch uint64, masterAddr string, rank, total int) (*device.Device, error) {
+	spec.Rank, spec.Size, spec.Epoch, spec.MasterAddr = rank, total, epoch, masterAddr
 	dev, sc, err := joinMesh(spec)
 	if err != nil {
 		return nil, err
@@ -236,20 +250,8 @@ func (r *distRespawner) Rejoin(epoch uint64, masterAddr string, rank, total int)
 	// The scoped bootstrap connection has no further role on the survivor
 	// side: deaths in the new epoch reach it through its transport.
 	sc.Close()
-	r.live.register(epoch, rank, dev)
+	live.register(epoch, rank, dev)
 	return dev, nil
-}
-
-// close retires the spawn masters this leader stood up (their gathers
-// completed when Rejoin returned on every member).
-func (r *distRespawner) close() {
-	r.mu.Lock()
-	masters := r.masters
-	r.masters = nil
-	r.mu.Unlock()
-	for _, sm := range masters {
-		sm.Close()
-	}
 }
 
 // localRespawner backs Comm.Spawn under RunLocal: replacements are fresh
@@ -257,14 +259,14 @@ func (r *distRespawner) close() {
 // of a scoped mesh epoch, re-entering the same App with Spawned() true —
 // the full elastic recovery cycle without a daemon in sight.
 type localRespawner struct {
+	spawnMasters
 	app  App
 	prof prof.Spec // the job's, handed to every device it opens
 	live *liveTracker
 
-	mu      sync.Mutex
-	masters []*job.SpawnMaster
-	errs    []error
-	wg      sync.WaitGroup
+	mu   sync.Mutex
+	errs []error
+	wg   sync.WaitGroup
 }
 
 func newLocalRespawner(app App, ps prof.Spec) *localRespawner {
@@ -272,18 +274,6 @@ func newLocalRespawner(app App, ps prof.Spec) *localRespawner {
 }
 
 func (lr *localRespawner) DaemonAddr() string { return "" }
-
-func (lr *localRespawner) NewEpoch(total int) (uint64, string, func(), error) {
-	epoch := spawnEpoch()
-	sm, err := job.NewSpawnMaster(epoch, total)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	lr.mu.Lock()
-	lr.masters = append(lr.masters, sm)
-	lr.mu.Unlock()
-	return epoch, sm.Addr(), func() { sm.Close() }, nil
-}
 
 func (lr *localRespawner) Launch(daemons []string, n, base, total int, epoch uint64, masterAddr string) error {
 	for i := 0; i < n; i++ {
@@ -326,30 +316,12 @@ func (lr *localRespawner) runSpawned(epoch uint64, masterAddr string, rank, base
 	}
 	merged.SetRespawner(lr)
 	appErr := lr.app(merged)
-	if dev.FailEpoch() > 0 {
-		dev.Abort()
-	} else {
-		dev.Close()
-	}
+	teardown(dev, false)
 	return appErr
 }
 
 func (lr *localRespawner) Rejoin(epoch uint64, masterAddr string, rank, total int) (*device.Device, error) {
-	spec := daemon.SlaveSpec{
-		JobID:      epoch,
-		Rank:       rank,
-		Size:       total,
-		Prof:       lr.prof,
-		MasterAddr: masterAddr,
-		Epoch:      epoch,
-	}
-	dev, sc, err := joinMesh(spec)
-	if err != nil {
-		return nil, err
-	}
-	sc.Close()
-	lr.live.register(epoch, rank, dev)
-	return dev, nil
+	return rejoin(daemon.SlaveSpec{JobID: epoch, Prof: lr.prof}, lr.live, epoch, masterAddr, rank, total)
 }
 
 // wait blocks until every spawned rank's application returned, retires
@@ -357,14 +329,10 @@ func (lr *localRespawner) Rejoin(epoch uint64, masterAddr string, rank, total in
 // returns the first replacement error.
 func (lr *localRespawner) wait() error {
 	lr.wg.Wait()
+	lr.spawnMasters.close()
 	lr.mu.Lock()
-	masters := lr.masters
-	lr.masters = nil
 	errs := lr.errs
 	lr.mu.Unlock()
-	for _, sm := range masters {
-		sm.Close()
-	}
 	lr.live.closeSpawned()
 	if len(errs) > 0 {
 		return errs[0]
@@ -377,13 +345,7 @@ func (lr *localRespawner) wait() error {
 // spawn-mesh devices abort (so replacements blocked in operations error
 // out).
 func (lr *localRespawner) abort() {
-	lr.mu.Lock()
-	masters := lr.masters
-	lr.masters = nil
-	lr.mu.Unlock()
-	for _, sm := range masters {
-		sm.Close()
-	}
+	lr.spawnMasters.close()
 	for _, dev := range lr.live.devices() {
 		dev.Abort()
 	}

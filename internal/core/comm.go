@@ -287,15 +287,14 @@ func (c *Comm) addWinCtx(ctx int) {
 func (c *Comm) ProfEnabled() bool { return c.dev.Profiler() != nil }
 
 // Abort terminates the parallel job, the MPJ equivalent of MPI_Abort: the
-// rank dies (Device.Die) with an error that names code, so its peers'
-// pending and later operations with it fail with ErrRankFailed, as they do
-// at any rank's death. In the distributed runtime the slave reports itself
-// dead, which fails a job that is not elastic naming the code, and its
-// daemon raises the MPJAbort event that destroys every slave of the job.
-// Under RunLocal, whose jobs may survive a death, the job fails naming the
-// code once a peer fails of it.
+// rank dies (Device.Die) with a RankFailedError that marks the abort and
+// holds code, so its peers' pending and later operations with it fail with
+// ErrRankFailed, as they do at any rank's death. Whatever the other ranks
+// then return, the job fails with that error — under RunLocal and every
+// distributed launcher, elastic or not — and mpjrun exits with code when
+// it is 1 to 255. The call returns; the application should return too.
 func (c *Comm) Abort(code int) {
-	c.dev.Die(fmt.Errorf("mpj: rank %d aborted the job with code %d", c.dev.Rank(), code))
+	c.dev.Die(&RankFailedError{Rank: c.dev.Rank(), Aborted: true, Code: code})
 }
 
 // worldRank translates a group rank to an absolute device rank.

@@ -367,64 +367,107 @@ func TestPersistentInFlightFailure(t *testing.T) {
 // TestMixedBatchFailure: a WaitAllRequests batch mixing point-to-point
 // persistent requests between survivors with a collective over the dying
 // world drains fully — the survivor-only traffic completes, the
-// collective slot reports the typed rank failure.
+// collective slot reports the typed rank failure. The np=3 allreduce is
+// reduce-then-broadcast to rank 0, and the victim, rank 2, sends its
+// contribution in its round 0. Killed before that round, it is a member
+// every survivor's collective depends on, and each must fail. Killed
+// before round 1, its contribution may have left: a survivor then either
+// fails naming the victim or returns the exact sum of all three
+// contributions — what the ULFM semantics promise, no more.
 func TestMixedBatchFailure(t *testing.T) {
-	const np, victim = 3, 2
-	arm := func(dom *fault.Domain) error { return dom.KillAt(victim, 1) }
-	runFaultRanks(t, np, arm, func(rank int, w *Comm, dom *fault.Domain) error {
-		const count = 8
-		in, out := make([]int32, count), make([]int32, count)
-		if rank == victim {
-			cr, err := w.Iallreduce(in, 0, out, 0, count, Int, SumOp)
-			if err == nil {
-				_, _ = cr.Wait()
-			}
-			dom.Kill(victim)
-			return nil
-		}
+	const np, victim, count = 3, 2, 8
+	contribution := func(rank, i int) int32 { return int32(rank*100 + i + 1) }
+	for _, tc := range []struct {
+		name   string
+		killAt int
+		mayEnd bool // a survivor's collective may complete with the full sum
+	}{
+		{"before-contribution", 0, false},
+		{"mid-collective", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arm := func(dom *fault.Domain) error { return dom.KillAt(victim, tc.killAt) }
+			runFaultRanks(t, np, arm, func(rank int, w *Comm, dom *fault.Domain) error {
+				in, out := make([]int32, count), make([]int32, count)
+				for i := range in {
+					in[i] = contribution(rank, i)
+				}
+				if rank == victim {
+					cr, err := w.Iallreduce(in, 0, out, 0, count, Int, SumOp)
+					if err == nil {
+						_, _ = cr.Wait()
+					}
+					dom.Kill(victim)
+					return nil
+				}
 
-		peer := 1 - rank
-		sbuf, rbuf := make([]int32, count), make([]int32, count)
-		for i := range sbuf {
-			sbuf[i] = int32(rank*100 + i)
-		}
-		ps, err := w.SendInit(sbuf, 0, count, Int, peer, 11)
-		if err != nil {
-			return fmt.Errorf("sendinit: %w", err)
-		}
-		pr, err := w.RecvInit(rbuf, 0, count, Int, peer, 11)
-		if err != nil {
-			return fmt.Errorf("recvinit: %w", err)
-		}
-		if err := StartAll([]*Prequest{ps, pr}); err != nil {
-			return fmt.Errorf("startall: %w", err)
-		}
-		cr, err := w.Iallreduce(in, 0, out, 0, count, Int, SumOp)
-		if err != nil {
-			// The kill can land before the collective is even built; the
-			// fail-fast path must still be the typed failure.
-			if !errors.Is(err, ErrRankFailed) || errors.Is(err, ErrComm) {
-				return fmt.Errorf("iallreduce: %v, want ErrRankFailed (and not ErrComm)", err)
-			}
-			_, err := WaitAllRequests([]AnyRequest{ps, pr})
-			return err
-		}
-		_, err = WaitAllRequests([]AnyRequest{ps, pr, cr})
-		if err == nil {
-			return errors.New("mixed batch over a dying world succeeded")
-		}
-		if !errors.Is(err, ErrRankFailed) || errors.Is(err, ErrComm) {
-			return fmt.Errorf("mixed batch: %v, want ErrRankFailed (and not ErrComm)", err)
-		}
-		// The survivor-to-survivor exchange must have completed despite the
-		// collective's failure.
-		for i := range rbuf {
-			if want := int32(peer*100 + i); rbuf[i] != want {
-				return fmt.Errorf("p2p rbuf[%d] = %d, want %d", i, rbuf[i], want)
-			}
-		}
-		return nil
-	})
+				peer := 1 - rank
+				sbuf, rbuf := make([]int32, count), make([]int32, count)
+				for i := range sbuf {
+					sbuf[i] = int32(rank*100 + i)
+				}
+				ps, err := w.SendInit(sbuf, 0, count, Int, peer, 11)
+				if err != nil {
+					return fmt.Errorf("sendinit: %w", err)
+				}
+				pr, err := w.RecvInit(rbuf, 0, count, Int, peer, 11)
+				if err != nil {
+					return fmt.Errorf("recvinit: %w", err)
+				}
+				if err := StartAll([]*Prequest{ps, pr}); err != nil {
+					return fmt.Errorf("startall: %w", err)
+				}
+				// p2pDone checks that the survivor-to-survivor exchange
+				// completed with the right bytes, whatever the collective did.
+				p2pDone := func() error {
+					for i := range rbuf {
+						if want := int32(peer*100 + i); rbuf[i] != want {
+							return fmt.Errorf("p2p rbuf[%d] = %d, want %d", i, rbuf[i], want)
+						}
+					}
+					return nil
+				}
+				typed := func(what string, err error) error {
+					if !errors.Is(err, ErrRankFailed) || errors.Is(err, ErrComm) {
+						return fmt.Errorf("%s: %v, want ErrRankFailed (and not ErrComm)", what, err)
+					}
+					if fr, ok := FailedRank(err); !ok || fr != victim {
+						return fmt.Errorf("%s names rank %d (ok=%v), want %d", what, fr, ok, victim)
+					}
+					return nil
+				}
+				cr, err := w.Iallreduce(in, 0, out, 0, count, Int, SumOp)
+				if err != nil {
+					// The kill can land before the collective is even built; the
+					// fail-fast path must still be the typed failure.
+					if err := typed("iallreduce", err); err != nil {
+						return err
+					}
+					if _, err := WaitAllRequests([]AnyRequest{ps, pr}); err != nil {
+						return err
+					}
+					return p2pDone()
+				}
+				_, err = WaitAllRequests([]AnyRequest{ps, pr, cr})
+				switch {
+				case err == nil && !tc.mayEnd:
+					return errors.New("mixed batch over a dying world succeeded")
+				case err == nil:
+					for i := range out {
+						want := contribution(0, i) + contribution(1, i) + contribution(victim, i)
+						if out[i] != want {
+							return fmt.Errorf("collective completed with out[%d] = %d, want the full sum %d", i, out[i], want)
+						}
+					}
+				default:
+					if err := typed("mixed batch", err); err != nil {
+						return err
+					}
+				}
+				return p2pDone()
+			})
+		})
+	}
 }
 
 // TestPcollSkeletonCache: pure persistent collectives cache their round

@@ -404,9 +404,14 @@ func (a *hostArea) fold(src, res []byte, off, lo, hi int, bound func(int) int, k
 		}
 		out := res[x:y]
 		var err error
-		if np&(np-1) == 0 {
+		switch {
+		case np == 2:
+			// Recursive doubling, the message schedule at np=2, folds in
+			// rank order.
+			err = k.fuse(in(0), in(1), out)
+		case np&(np-1) == 0:
 			err = a.halving(bits.Len(uint(np))-2, owner, out, in, k)
-		} else {
+		default:
 			// The ring: the chunk starts at its owner, and each next member
 			// folds its part in: part ⊕ partial.
 			err = k.fuse(in((owner+1)%np), in(owner), out)

@@ -313,15 +313,28 @@ func reduceRounds(c *Comm, acc *cell, comb combiner, root int) []round {
 
 // rdRounds compiles recursive-doubling allreduce (power-of-two
 // communicator sizes only): log2 n rounds of pairwise exchange-and-combine
-// on acc.
+// on acc. Each pair folds in rank order, the lower rank's block first, so
+// both hold the same bits — NaN and ±0 under MAX and MIN, any operand
+// order of a user op: (x0⊕x1)⊕(x2⊕x3) on every rank.
 func rdRounds(c *Comm, acc *cell, comb combiner) []round {
 	var rs []round
 	for mask := 1; mask < c.Size(); mask <<= 1 {
 		partner := c.rank ^ mask
+		fold := func(got []byte) error { return comb(got, acc.b) }
+		if partner > c.rank {
+			// acc ⊕ got lands in got, the arrival this round owns.
+			fold = func(got []byte) error {
+				if err := comb(acc.b, got); err != nil {
+					return err
+				}
+				copy(acc.b, got)
+				return nil
+			}
+		}
 		rs = append(rs, round{
 			// The send snapshots acc at post time, before this round's
 			// combine mutates it.
-			recvs: []recvStep{{from: partner, on: func(got []byte) error { return comb(got, acc.b) }}},
+			recvs: []recvStep{{from: partner, on: fold}},
 			sends: []sendStep{{to: partner, data: func() []byte { return acc.b }}},
 		})
 	}

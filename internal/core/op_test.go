@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -425,5 +426,62 @@ func BenchmarkVecCombiner(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllreduceRanksSameBits: a small Allreduce — recursive doubling at
+// these sizes — leaves the same bits on every rank, NaN and ±0 included:
+// each pair folds in rank order. MAX and MIN on Double and Float, seeded
+// with NaN, ±0 and ±Inf, at np 2, 4 and 8; and a user op that keeps its
+// first operand, so the rank-order fold returns rank 0's vector everywhere.
+func TestAllreduceRanksSameBits(t *testing.T) {
+	const count = 16
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 2, -2}
+	keepFirst := NewOp("keep-first", func(in, inout any, dt Datatype) error {
+		copy(inout.([]float64), in.([]float64))
+		return nil
+	})
+	contribution := func(rank int) []float64 {
+		rng := rand.New(rand.NewSource(int64(rank + 1)))
+		v := make([]float64, count)
+		for i := range v {
+			v[i] = specials[rng.Intn(len(specials))]
+		}
+		return v
+	}
+	for _, np := range []int{2, 4, 8} {
+		cells := []struct {
+			op *Op
+			dt Datatype
+		}{{MaxOp, Double}, {MinOp, Double}, {MaxOp, Float}, {MinOp, Float}, {keepFirst, Double}}
+		for _, cell := range cells {
+			t.Run(fmt.Sprintf("np=%d/%s/%s", np, cell.op.Name(), cell.dt.Name()), func(t *testing.T) {
+				got := make([][]byte, np)
+				runRanks(t, np, func(w *Comm) error {
+					in := contribution(w.Rank())
+					var sbuf, rbuf any = in, make([]float64, count)
+					if cell.dt == Float {
+						in32 := make([]float32, count)
+						for i, v := range in {
+							in32[i] = float32(v)
+						}
+						sbuf, rbuf = in32, make([]float32, count)
+					}
+					if err := w.Allreduce(sbuf, 0, rbuf, 0, count, cell.dt, cell.op); err != nil {
+						return err
+					}
+					got[w.Rank()] = append([]byte(nil), rawBytes(cell.dt, rbuf, count)...)
+					return nil
+				})
+				for r := 1; r < np; r++ {
+					if !bytes.Equal(got[r], got[0]) {
+						t.Errorf("rank %d's bits differ from rank 0's", r)
+					}
+				}
+				if cell.op == keepFirst && !bytes.Equal(got[0], rawBytes(Double, contribution(0), count)) {
+					t.Errorf("keep-first returned %x, want rank 0's vector", got[0])
+				}
+			})
+		}
 	}
 }

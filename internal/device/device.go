@@ -114,15 +114,21 @@ var (
 // RankFailedError is the typed error completing every operation that
 // touches a failed rank: Rank is the absolute (world) rank of the dead
 // process and Cause the detection-level error (a broken connection, an
-// expired lease, an injected fault). It matches ErrRankFailed under
-// errors.Is.
+// expired lease, an injected fault). Aborted marks a rank that ended the
+// job itself (Comm.Abort), and Code is the code it passed. It matches
+// ErrRankFailed under errors.Is.
 type RankFailedError struct {
-	Rank  int
-	Cause error
+	Rank    int
+	Cause   error
+	Aborted bool
+	Code    int
 }
 
 // Error renders the failure.
 func (e *RankFailedError) Error() string {
+	if e.Aborted {
+		return fmt.Sprintf("rank %d aborted the job with code %d", e.Rank, e.Code)
+	}
 	if e.Cause == nil {
 		return fmt.Sprintf("rank %d failed", e.Rank)
 	}
@@ -1261,7 +1267,8 @@ func (d *Device) peerFailed(peer int, err error) {
 
 // NotifyRankFailed registers world rank peer as failed (idempotent per
 // rank). Detection sources converge here: transport connection breaks,
-// lease expiries surfaced by the runtime, and injected faults.
+// lease expiries surfaced by the runtime, and injected faults. A cause
+// that is peer's own RankFailedError is registered as it is.
 //
 // Unlike the paper's original total-failure model, the device stays usable:
 // only operations touching the dead rank complete, with a RankFailedError
@@ -1286,7 +1293,10 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 		d.mu.Unlock()
 		return
 	}
-	fail := &RankFailedError{Rank: peer, Cause: cause}
+	fail, ok := cause.(*RankFailedError)
+	if !ok || fail.Rank != peer {
+		fail = &RankFailedError{Rank: peer, Cause: cause}
+	}
 	d.dead[peer] = fail
 	d.failEpoch.Add(1)
 
@@ -1331,8 +1341,9 @@ func (d *Device) NotifyRankFailed(peer int, cause error) {
 }
 
 // Die condemns this rank and tears its device down: the registry records
-// its own death with cause (so waiters see a RankFailedError, and a slave
-// reports itself dead rather than done), then the transport aborts. Peers
+// its own death with cause — itself, when cause is this rank's
+// RankFailedError (Comm.Abort's) — so waiters see a RankFailedError and
+// the rank's outcome is its death, then the transport aborts. Peers
 // learn of the death the way they learn of any other, from their
 // transports: a broken connection, or the channel mesh's report of the
 // abort. It is how an application plays a rank dying mid-job.

@@ -12,7 +12,6 @@ package job
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -44,20 +43,12 @@ type (
 		Addrs []string
 		Locs  []string
 	}
-	// Done is the slave's final message: its application outcome.
+	// Done is the slave's final message: its application outcome, and
+	// what that means for the job's verdict (see Failure).
 	Done struct {
 		Rank int
 		Err  string
-		// Dead marks a self-declared death: the rank's own failure
-		// registry condemned it (see device.Die) and it unwound instead of
-		// crashing.
-		// Elastic jobs excuse such a report once the daemon verdict
-		// confirms it, like a vanished rank; an ordinary Err stays fatal.
-		Dead bool
-		// Consequence marks an Err that is another rank's failure reaching
-		// this one: a peer's death or a revoked communicator. The job error
-		// names a rank whose Err is not one, where there is such a rank.
-		Consequence bool
+		Fate fate
 	}
 )
 
@@ -70,21 +61,19 @@ type master struct {
 	np    int
 	ln    net.Listener
 
-	// grace is how long await waits for a vanished rank's death verdict
-	// to arrive through the renewers before calling the silence an error.
-	// Zero keeps the classic semantics: a vanished rank fails the job.
+	// grace is how long await waits for a dead rank's death verdict to
+	// arrive through the renewers before calling the death a failure.
+	// Zero keeps the classic semantics: a dead rank fails the job.
 	grace time.Duration
 
 	mu       sync.Mutex
 	conns    []net.Conn
 	decs     []*gob.Decoder
-	gathered bool           // table sent; await owns the connections
-	dead     map[int]string // original-epoch dead ranks, by rank
-
-	// own is the first report, in arrival order, of a rank that failed of
-	// its own accord (not Done.Consequence); ownIn closes as it is set.
-	own   error
-	ownIn chan struct{}
+	gathered bool          // table sent; await owns the connections
+	dead     map[int]bool  // original-epoch ranks a death verdict names
+	outs     []error       // each rank's outcome, as its report or its silence gave it
+	in       int           // ranks whose outcome is in
+	allIn    chan struct{} // closes once every outcome is in
 }
 
 // newMaster starts the bootstrap server.
@@ -99,8 +88,9 @@ func newMaster(jobID uint64, np int) (*master, error) {
 		ln:    ln,
 		conns: make([]net.Conn, np),
 		decs:  make([]*gob.Decoder, np),
-		dead:  make(map[int]string),
-		ownIn: make(chan struct{}),
+		dead:  make(map[int]bool),
+		outs:  make([]error, np),
+		allIn: make(chan struct{}),
 	}, nil
 }
 
@@ -163,125 +153,66 @@ func (m *master) recordDead(dead []daemon.DeadRank) {
 		if dr.Epoch != m.jobID || dr.Rank < 0 || dr.Rank >= m.np {
 			continue
 		}
-		m.dead[dr.Rank] = dr.Cause
+		m.dead[dr.Rank] = true
 		if c := m.conns[dr.Rank]; c != nil && m.gathered {
 			c.Close()
 		}
 	}
 }
 
-// deadRank reports the recorded verdict for an original-epoch rank.
-func (m *master) deadRank(rank int) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cause, ok := m.dead[rank]
-	return cause, ok
-}
-
-// await collects the Done report of every slave. It returns the error of
-// the lowest rank that failed of its own accord — not of a peer's failure
-// or a revocation reaching it (Done.Consequence) — or, when every error is
-// such a consequence, the lowest rank's.
+// await collects every slave's outcome and returns the job's verdict
+// (Failure); a rank whose connection breaks before its report vanished,
+// a death.
 //
-// Elastic jobs (grace > 0) treat a vanished rank differently: its broken
-// connection races the daemon's death verdict, so await waits up to grace
-// for the renewers to confirm the death before calling the silence an
-// error. A confirmed-dead rank's missing report is not a failure — the
-// job's outcome is decided by the ranks that survived it (which, after a
-// successful Shrink/Spawn recovery, all report success).
+// Elastic jobs (grace > 0) excuse a death the daemons confirm: a dead
+// rank's report or broken connection races the verdict, so await waits up
+// to grace for the renewers to bring it before calling the death a
+// failure. The job's outcome is then decided by the ranks that survived
+// it (which, after a successful Shrink/Spawn recovery, all report success).
 func (m *master) await() error {
-	errs := make([]error, m.np)
-	consequence := make([]bool, m.np)
-	vanished := make([]bool, m.np)
 	var wg sync.WaitGroup
 	for r := 0; r < m.np; r++ {
-		r := r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var done Done
-			if err := m.decs[r].Decode(&done); err != nil {
-				vanished[r] = true
-				errs[r] = fmt.Errorf("job: rank %d vanished before reporting: %w", r, err)
-				return
+			out := error(&core.RankFailedError{Rank: r, Cause: errVanished})
+			if err := m.decs[r].Decode(&done); err == nil {
+				out = done.outcome()
 			}
-			if done.Dead {
-				// A self-declared death is excused like a vanish once the
-				// daemon verdict confirms it; without confirmation (or in a
-				// non-elastic job, grace == 0) it stays an error, and one of
-				// the rank's own accord: the MPJAbort its exit raises names
-				// the job's failure worse.
-				vanished[r] = true
-				errs[r] = fmt.Errorf("job: rank %d reported itself dead: %s", r, done.Err)
-				m.noteOwn(errs[r])
-				return
-			}
-			if done.Err != "" {
-				errs[r] = fmt.Errorf("job: rank %d failed: %s", r, done.Err)
-				consequence[r] = done.Consequence
-				if !done.Consequence {
-					m.noteOwn(errs[r])
-				}
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			m.outs[r] = out
+			if m.in++; m.in == m.np {
+				close(m.allIn)
 			}
 		}()
 	}
 	wg.Wait()
-	if m.grace > 0 {
-		deadline := time.Now().Add(m.grace)
-		for {
-			waiting := false
-			for r := 0; r < m.np; r++ {
-				if !vanished[r] || errs[r] == nil {
-					continue
-				}
-				if _, dead := m.deadRank(r); dead {
-					errs[r] = nil
-				} else {
-					waiting = true
-				}
-			}
-			if !waiting || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
+	for deadline := time.Now().Add(m.grace); m.unconfirmed() && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
 	}
-	var first error
-	for r, err := range errs {
-		if err != nil && !consequence[r] {
-			return err
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	return first
+	return m.verdict()
 }
 
-// noteOwn records the report of a rank that failed of its own accord, if
-// it is the first.
-func (m *master) noteOwn(err error) {
+// unconfirmed reports whether a rank died that no verdict excuses yet.
+func (m *master) unconfirmed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.own == nil {
-		m.own = err
-		close(m.ownIn)
+	for r, out := range m.outs {
+		if k := fateOf(r, out).Kind; (k == died || k == vanished) && !m.dead[r] {
+			return true
+		}
 	}
+	return false
 }
 
-// ownFailure returns the first report of a rank that failed of its own
-// accord, waiting for it at most grace; nil if none arrived.
-func (m *master) ownFailure(grace time.Duration) error {
-	t := time.NewTimer(grace)
-	defer t.Stop()
-	select {
-	case <-m.ownIn:
-	case <-t.C:
-		return nil
-	}
+// verdict names the job's failure from the outcomes in so far; a death
+// verdict excuses a rank's death.
+func (m *master) verdict() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.own
+	return Failure(m.outs, func(r int) bool { return m.dead[r] })
 }
 
 // close releases the bootstrap server and its connections.
@@ -301,8 +232,9 @@ type SlaveConn struct {
 	conn net.Conn
 	rank int
 
-	mu  sync.Mutex // guards enc (writes share the conn with nothing else)
-	enc *gob.Encoder
+	mu   sync.Mutex // guards enc (writes share the conn with nothing else) and done
+	enc  *gob.Encoder
+	done bool // the outcome is reported
 }
 
 // SlaveBootstrap runs a slave's half of the bootstrap: listen for the
@@ -348,27 +280,19 @@ func SlaveBootstrap(masterAddr string, jobID uint64, rank int) (*SlaveConn, Tabl
 	return sc, table, meshLn, nil
 }
 
-// ReportDone sends the slave's outcome to the master.
+// ReportDone sends the slave's outcome to the master: appErr, nil for
+// success, and its fate for the job's verdict (see Failure). Only the
+// first call reports; a later one does nothing.
 func (sc *SlaveConn) ReportDone(appErr error) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	msg := Done{Rank: sc.rank}
+	if sc.done {
+		return nil
+	}
+	sc.done = true
+	msg := Done{Rank: sc.rank, Fate: fateOf(sc.rank, appErr)}
 	if appErr != nil {
 		msg.Err = appErr.Error()
-		msg.Consequence = errors.Is(appErr, core.ErrRankFailed) || errors.Is(appErr, core.ErrRevoked)
-	}
-	return sc.enc.Encode(msg)
-}
-
-// ReportDead reports a self-declared death: this rank's own registry
-// condemned it, so its outcome must not decide the job — the survivors'
-// will, once the daemon verdict confirms the death.
-func (sc *SlaveConn) ReportDead(cause error) error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	msg := Done{Rank: sc.rank, Dead: true}
-	if cause != nil {
-		msg.Err = cause.Error()
 	}
 	return sc.enc.Encode(msg)
 }

@@ -118,8 +118,12 @@ func TestAwaitReportsSlaveError(t *testing.T) {
 // reaching it (ErrRankFailed) or a revocation does not name the job's
 // failure while another rank failed of its own accord, whatever their rank
 // order; when every error is such a consequence, the lowest rank's stands.
+// The dead peer is never the rank holding the error: a RankFailedError
+// naming its own holder is that rank's death.
 func TestAwaitNamesTheFirstFailure(t *testing.T) {
-	peerDied := fmt.Errorf("barrier: %w", &device.RankFailedError{Rank: 2, Cause: errors.New("EOF")})
+	peerDied := func(peer int) error {
+		return fmt.Errorf("barrier: %w", &device.RankFailedError{Rank: peer, Cause: errors.New("EOF")})
+	}
 	revoked := fmt.Errorf("allreduce: %w", core.ErrRevoked)
 	own := errors.New("application exploded")
 	for _, tc := range []struct {
@@ -127,9 +131,9 @@ func TestAwaitNamesTheFirstFailure(t *testing.T) {
 		errs []error
 		want string
 	}{
-		{"consequences first", []error{peerDied, revoked, own}, "job: rank 2 failed: application exploded"},
-		{"own error first", []error{own, peerDied, own}, "job: rank 0 failed: application exploded"},
-		{"only consequences", []error{nil, revoked, peerDied}, "job: rank 1 failed: allreduce: mpj: communicator revoked"},
+		{"consequences first", []error{peerDied(2), revoked, own}, "job: rank 2 failed: application exploded"},
+		{"own error first", []error{own, peerDied(2), own}, "job: rank 0 failed: application exploded"},
+		{"only consequences", []error{nil, revoked, peerDied(1)}, "job: rank 1 failed: allreduce: mpj: communicator revoked"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			np := len(tc.errs)

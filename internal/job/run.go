@@ -40,16 +40,10 @@ type Config struct {
 	// renews it at half-life. Defaults to 10s.
 	LeaseDur time.Duration
 
-	// Elastic switches the job to the elastic failure model: a dead
-	// slave no longer aborts the job. Daemons record per-rank death
-	// verdicts instead, survivors observe them as typed ErrRankFailed
-	// failures, and the application recovers with Shrink/Spawn/Merge.
-	// The job succeeds iff every rank not declared dead reports success.
-	Elastic bool
-
-	// LivenessDur is the per-rank liveness lease of elastic jobs: a
-	// slave that stops heartbeating its daemon for this long is declared
-	// dead. Zero picks the daemon default (10s).
+	// Elastic and LivenessDur select the elastic failure model and its
+	// per-rank liveness lease (zero: the daemon default); see
+	// mpj.JobConfig.
+	Elastic     bool
 	LivenessDur time.Duration
 
 	// Output receives the merged stdout/stderr of all slaves; defaults
@@ -214,11 +208,15 @@ func Run(cfg Config) error {
 
 	select {
 	case ev := <-abort:
-		// A rank that fails of its own accord reports why before its
-		// process exits with the status the daemon's abort carries, and
-		// that exit may be another rank's, dying of the first one's: the
-		// report names the job's failure better.
-		if err := m.ownFailure(reportGrace); err != nil {
+		// A failing rank reports its outcome before its process exits
+		// with the status the daemon's abort carries, and that exit may be
+		// another rank's, dying of the first one's: the reports name the
+		// job's failure better.
+		select {
+		case <-m.allIn:
+		case <-time.After(reportGrace):
+		}
+		if err := m.verdict(); err != nil {
 			return err
 		}
 		return fmt.Errorf("job: aborted: %s", ev.Message)
@@ -228,9 +226,8 @@ func Run(cfg Config) error {
 	}
 }
 
-// reportGrace bounds how long an aborted job waits for the report of a
-// rank that failed of its own accord, which its process sent before it
-// exited.
+// reportGrace bounds how long an aborted job waits for its ranks'
+// reports, which a failing rank's process sent before it exited.
 const reportGrace = 200 * time.Millisecond
 
 // outputGrace bounds how long a finished job waits for its slaves' output

@@ -1,7 +1,6 @@
 package mpj
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -64,9 +63,12 @@ func lookupApp(name string) (App, error) {
 
 // RunLocal executes app on np ranks inside the calling process, each rank
 // a goroutine, connected by the in-memory transport. It returns nil, or the
-// job's failure as localFailure names it. This is the quickest way to
-// develop and test MPJ programs; the same code runs unchanged under the
-// distributed runtime.
+// job's failure named by the rule every launcher applies: a rank's Abort
+// first, then a rank's own error, then — when the other failures are
+// consequences of a death — the dead rank; a death no rank fails of is
+// survived. The error carries the named rank, and an abort's code, as a
+// RankFailedError. This is the quickest way to develop and test MPJ
+// programs; the same code runs unchanged under the distributed runtime.
 //
 // Like the distributed runtime, RunLocal takes the job's instrumentation
 // from the calling process's MPJ_PROF (see README "Observability").
@@ -88,50 +90,39 @@ func RunLocal(np int, app App) error {
 	if ps, err = serveProf(ps); err != nil {
 		return err
 	}
-	eps := transport.NewChanMesh(np)
-	trs := make([]transport.Transport, np)
 	var fd *fault.Domain
-	for i := 0; i < np; i++ {
-		trs[i] = eps[i]
-	}
 	if spec != nil {
 		fd = fault.NewDomain()
-		for i := 0; i < np; i++ {
-			trs[i] = fd.Wrap(eps[i])
-		}
 	}
 	devs := make([]*device.Device, np)
 	worlds := make([]*core.Comm, np)
-	for i := 0; i < np; i++ {
-		dev, err := openDevice(trs[i], i, ps)
-		if err != nil {
-			for _, d := range devs {
-				if d != nil {
-					d.Abort()
-				}
+	abortAll := func() {
+		for _, d := range devs {
+			if d != nil {
+				d.Abort()
 			}
+		}
+	}
+	for i, ep := range transport.NewChanMesh(np) {
+		var tr transport.Transport = ep
+		if fd != nil {
+			tr = fd.Wrap(ep)
+		}
+		if devs[i], err = openDevice(tr, i, ps); err != nil {
+			abortAll()
 			return fmt.Errorf("mpj: opening device for rank %d: %w", i, err)
 		}
-		devs[i] = dev
-		world, err := core.NewWorld(dev)
-		if err != nil {
-			for _, d := range devs {
-				if d != nil {
-					d.Abort()
-				}
-			}
+		if worlds[i], err = core.NewWorld(devs[i]); err != nil {
+			abortAll()
 			return fmt.Errorf("mpj: building world for rank %d: %w", i, err)
 		}
-		worlds[i] = world
 	}
 	if fd != nil {
 		for i, d := range devs {
 			fd.Bind(i, d)
 		}
 		if err := fd.Arm(spec); err != nil {
-			for _, d := range devs {
-				d.Abort()
-			}
+			abortAll()
 			return fmt.Errorf("mpj: MPJ_FAULT: %w", err)
 		}
 	}
@@ -144,110 +135,64 @@ func RunLocal(np int, app App) error {
 		worlds[i].SetRespawner(lr)
 	}
 
-	// The local analogue of the paper's failure model: the first rank to
-	// fail aborts every device, unblocking peers that would otherwise
-	// wait forever on the failed rank. Under fault injection the model is
-	// the fault-tolerant one instead — an injected death must NOT take the
-	// job down, that is the point — so only uninjected errors abort.
-	var abortOnce sync.Once
-	abortAll := func() {
-		abortOnce.Do(func() {
-			for _, d := range devs {
-				d.Abort()
-			}
-		})
-	}
-
-	appErrs := make([]error, np)
+	// Each rank ends as a slave does: a finalize barrier drains in-flight
+	// traffic (skipped once the device recorded a failure — the original
+	// world cannot complete a collective any more; an elastic application
+	// that survived a death synchronized on the rebuilt world before
+	// returning), and a rank that failed aborts its device, so its peers
+	// fail of its death. Under fault injection an injected death must NOT
+	// take the job down, that is the point: a killed rank's end is left to
+	// the fault domain.
+	outs := make([]error, np)
 	var wg sync.WaitGroup
-	for i := 0; i < np; i++ {
-		i := i
+	for i, w := range worlds {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := app(worlds[i]); err != nil {
-				appErrs[i] = err
-				if fd == nil || !fd.Killed(i) {
-					abortAll()
-				}
+			err := app(w)
+			if err == nil && devs[i].FailEpoch() == 0 {
+				err = w.Barrier()
+			}
+			if outs[i] = outcome(devs[i], err); outs[i] != nil && (fd == nil || !fd.Killed(i)) {
+				devs[i].Abort()
 			}
 		}()
 	}
 	wg.Wait()
-	if err := localFailure(appErrs, devs); err != nil {
-		if fd != nil {
-			for _, d := range devs {
-				d.Abort()
-			}
-		}
+	// The in-process world survives a death: no verdict is owed.
+	err = job.Failure(outs, func(int) bool { return true })
+	for _, d := range devs {
+		teardown(d, err != nil)
+	}
+	if err != nil {
 		lr.abort()
 		return err
 	}
-
-	// All ranks succeeded: finalize with a world barrier (draining all
-	// in-flight traffic), then close the mesh. A rank whose device has
-	// recorded failures skips the barrier — its original world can no
-	// longer complete a collective; an elastic application that survived
-	// a death synchronized on the rebuilt world before returning.
-	finErrs := make([]error, np)
-	for i := 0; i < np; i++ {
-		i := i
-		if devs[i].FailEpoch() > 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			finErrs[i] = worlds[i].Barrier()
-		}()
-	}
-	wg.Wait()
-	for _, d := range devs {
-		if d.FailEpoch() > 0 {
-			d.Abort()
-		} else {
-			d.Close()
-		}
-	}
 	// Wait out replacement ranks spawned during the run (no-op when the
 	// application never called Spawn) and surface their failures.
-	if err := lr.wait(); err != nil {
-		return err
-	}
-	for i, err := range finErrs {
-		if err != nil {
-			return fmt.Errorf("mpj: rank %d finalize: %w", i, err)
-		}
-	}
-	return nil
+	return lr.wait()
 }
 
-// localFailure names the failure of a RunLocal job whose ranks returned
-// errs, nil if none failed: the first rank that failed of its own accord;
-// else, every failure being a consequence of a death (ErrRankFailed,
-// ErrRevoked), the first rank condemned in its own registry — by
-// Comm.Abort, say — whose death it was; else the first failure. The job
-// master names a distributed job's failure by the same rule.
-func localFailure(errs []error, devs []*device.Device) error {
-	first := -1
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case !errors.Is(err, ErrRankFailed) && !errors.Is(err, ErrRevoked):
-			return fmt.Errorf("mpj: rank %d: %w", i, err)
-		case first < 0:
-			first = i
-		}
+// teardown ends a rank's device: abruptly once the rank failed or the
+// device recorded a failure — peers must see a failure (broken mesh
+// connection), not an orderly goodbye, so the abort cascades — else in
+// order.
+func teardown(dev *device.Device, failed bool) {
+	if failed || dev.FailEpoch() > 0 {
+		dev.Abort()
+	} else {
+		dev.Close()
 	}
-	if first < 0 {
-		return nil
+}
+
+// outcome is a rank's outcome for the job's verdict (job.Failure): its own
+// death once its registry condemns it (Device.Die, Comm.Abort), whatever
+// the application returned, else the application's error.
+func outcome(dev *device.Device, appErr error) error {
+	if r := dev.Rank(); dev.RankFailed(r) {
+		return fmt.Errorf("mpj: rank %d is recorded dead: %w", r, dev.RankError(r))
 	}
-	for i, d := range devs {
-		if d.RankFailed(i) {
-			return fmt.Errorf("mpj: rank %d: %w", i, d.RankError(i))
-		}
-	}
-	return fmt.Errorf("mpj: rank %d: %w", first, errs[first])
+	return appErr
 }
 
 // JobConfig configures a distributed job; see job.Config for field
@@ -279,7 +224,7 @@ type JobConfig struct {
 	// verdicts, survivors observe them as typed ErrRankFailed failures,
 	// and the application recovers with Comm.Shrink / Comm.Spawn /
 	// Intercomm.Merge (see README "Elastic jobs"). The job succeeds iff
-	// every rank not declared dead reports success.
+	// no rank aborted and every rank not declared dead reports success.
 	Elastic bool
 
 	// LivenessDur is the per-rank liveness lease of elastic jobs: a slave
@@ -470,6 +415,16 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		world.SetRespawner(respawn)
 	}
 
+	// A rank condemned in its own registry (Comm.Abort, Device.Die)
+	// reports at once, before its peers learn of its death and fail of it:
+	// in a classic job their exits make the daemons destroy the job, this
+	// slave too, before it could report later.
+	dev.AddFailureWatcher(func(rank int, _ error) {
+		if rank == dev.Rank() {
+			_ = sc.ReportDone(outcome(dev, nil))
+		}
+	})
+
 	appErr := runApp(app, world, dev, stop)
 	if appErr == nil && dev.FailEpoch() == 0 {
 		// Finalize: drain in-flight traffic before tearing down. A device
@@ -479,29 +434,31 @@ func RunSlave(spec daemon.SlaveSpec, daemonAddr string, stop <-chan struct{}) er
 		// returning.
 		appErr = world.Barrier()
 	}
-	if appErr != nil {
-		// Abrupt teardown: peers must see a failure (broken mesh
-		// connection), not an orderly goodbye, so the abort cascades.
-		dev.Abort()
-	} else if dev.FailEpoch() > 0 {
-		dev.Abort()
-	} else {
-		dev.Close()
+	// A slave its daemon destroyed reports nothing, like a killed
+	// process: the master sees it vanish.
+	destroyed := false
+	select {
+	case <-stop:
+		destroyed = true
+	default:
 	}
+	// A rank condemned in its own registry exits as a death, not a
+	// success; an elastic job's master excuses it once the daemon's exit
+	// verdict confirms it, unless it was an abort.
+	appErr = outcome(dev, appErr)
+	if appErr != nil && !destroyed {
+		// Before the teardown tells the peers, for the same reason.
+		_ = sc.ReportDone(appErr)
+	}
+	teardown(dev, appErr != nil)
 	if live != nil {
 		live.closeSpawned()
 		respawn.close()
 	}
-	if appErr == nil && dev.RankFailed(dev.Rank()) {
-		// This rank is condemned in its own registry (see device.Die) yet
-		// unwound cleanly: exit as a death, not a success. The master
-		// excuses the report once the daemon's exit verdict confirms it.
-		appErr = fmt.Errorf("mpj: rank %d is recorded dead: %w", dev.Rank(), dev.RankError(dev.Rank()))
-		_ = sc.ReportDead(appErr)
-		return appErr
-	}
-	if rerr := sc.ReportDone(appErr); rerr != nil && appErr == nil {
-		appErr = rerr
+	if !destroyed {
+		if rerr := sc.ReportDone(appErr); rerr != nil && appErr == nil {
+			appErr = rerr
+		}
 	}
 	return appErr
 }
@@ -527,11 +484,7 @@ func runSpawnedSlave(spec daemon.SlaveSpec, daemonAddr string, app App, stop <-c
 	merged.SetRespawner(respawn)
 
 	appErr := runApp(app, merged, dev, stop)
-	if dev.FailEpoch() > 0 {
-		dev.Abort()
-	} else {
-		dev.Close()
-	}
+	teardown(dev, false)
 	live.closeSpawned()
 	respawn.close()
 	_ = sc.ReportDone(appErr)

@@ -39,6 +39,7 @@ func registerTestApps() {
 	registerTuningApps()
 	registerHostApps()
 	registerLocalityApps()
+	registerVerdictApps()
 	Register("sum", func(w *Comm) error {
 		in := []int64{int64(w.Rank() + 1)}
 		out := make([]int64, 1)
